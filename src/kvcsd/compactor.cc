@@ -226,43 +226,20 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 
   SecondaryIndex& sidx = *out;
   sidx.spec = spec;
-  std::string block;
-  wire::BeginIndexBlock(&block);
-  std::uint16_t block_count = 0;
-  std::string block_pivot;
-  std::vector<std::pair<std::string, std::string>> pending_blocks;
-  std::uint64_t pending_bytes = 0;
-
+  wire::IndexBlockPacker packer(config_.index_block_size);
   auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (pending_blocks.empty()) co_return Status::Ok();
-    std::string blob;
-    blob.reserve(pending_bytes);
-    for (const auto& [pivot, b] : pending_blocks) blob += b;
+    if (packer.closed_bytes() == 0) co_return Status::Ok();
+    std::vector<std::string> pivots;
+    const std::string blob = packer.Take(&pivots);
     co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
     auto addr = co_await AppendToChain(&sidx.sidx_clusters, ZoneType::kSidx,
                                        AsBytes(blob), sim::Activity::kCompact);
     if (!addr.ok()) co_return addr.status();
     compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
+    for (std::size_t i = 0; i < pivots.size(); ++i) {
       sidx.sketch.push_back(SketchEntry{
-          pending_blocks[i].first,
-          *addr + i * config_.index_block_size, config_.index_block_size});
-    }
-    pending_blocks.clear();
-    pending_bytes = 0;
-    co_return Status::Ok();
-  };
-
-  auto close_block = [&]() -> sim::Task<Status> {
-    if (block_count == 0) co_return Status::Ok();
-    wire::FinishIndexBlock(&block, block_count, config_.index_block_size);
-    pending_blocks.emplace_back(std::move(block_pivot), std::move(block));
-    pending_bytes += config_.index_block_size;
-    wire::BeginIndexBlock(&block);
-    block_count = 0;
-    block_pivot.clear();
-    if (pending_bytes >= config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+          std::move(pivots[i]), *addr + i * config_.index_block_size,
+          config_.index_block_size});
     }
     co_return Status::Ok();
   };
@@ -277,19 +254,16 @@ sim::Task<Status> Device::SidxMergeToBlocks(
       co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
       merged = 0;
     }
-    if (block.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-        config_.index_block_size) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
-    }
-    if (block_count == 0) block_pivot = t.skey;
-    wire::AppendSidxEntry(&block, t.skey, t.pkey, t.vaddr, t.vlen);
-    ++block_count;
+    packer.AddSidx(t.skey, t.pkey, t.vaddr, t.vlen);
     ++sidx.entries;
+    if (packer.closed_bytes() >= config_.output_batch_bytes) {
+      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+    }
   }
   if (merged > 0) {
     co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
   }
-  KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
+  packer.Close();
   KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
 
   co_await ReleaseClustersBestEffort(std::move(state->temp_clusters));
@@ -328,43 +302,20 @@ struct Device::PidxPipeline {
 };
 
 sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
-  std::string block;
-  wire::BeginIndexBlock(&block);
-  std::uint16_t block_count = 0;
-  std::string block_pivot;
-  std::vector<std::pair<std::string, std::string>> pending_blocks;
-  std::uint64_t pending_bytes = 0;
-
+  wire::IndexBlockPacker packer(config_.index_block_size);
   auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (pending_blocks.empty()) co_return Status::Ok();
-    std::string blob;
-    blob.reserve(pending_bytes);
-    for (const auto& [pivot, b] : pending_blocks) blob += b;
+    if (packer.closed_bytes() == 0) co_return Status::Ok();
+    std::vector<std::string> pivots;
+    const std::string blob = packer.Take(&pivots);
     co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
     auto addr = co_await AppendToChain(&pipe->pidx_clusters, ZoneType::kPidx,
                                        AsBytes(blob), sim::Activity::kCompact);
     if (!addr.ok()) co_return addr.status();
     compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pending_blocks.size(); ++i) {
+    for (std::size_t i = 0; i < pivots.size(); ++i) {
       pipe->sketch.push_back(SketchEntry{
-          pending_blocks[i].first,
-          *addr + i * config_.index_block_size, config_.index_block_size});
-    }
-    pending_blocks.clear();
-    pending_bytes = 0;
-    co_return Status::Ok();
-  };
-
-  auto close_block = [&]() -> sim::Task<Status> {
-    if (block_count == 0) co_return Status::Ok();
-    wire::FinishIndexBlock(&block, block_count, config_.index_block_size);
-    pending_blocks.emplace_back(std::move(block_pivot), std::move(block));
-    pending_bytes += config_.index_block_size;
-    wire::BeginIndexBlock(&block);
-    block_count = 0;
-    block_pivot.clear();
-    if (pending_bytes >= config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+          std::move(pivots[i]), *addr + i * config_.index_block_size,
+          config_.index_block_size});
     }
     co_return Status::Ok();
   };
@@ -379,13 +330,10 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
     std::uint64_t bloom_key_bytes = 0;
     for (std::size_t i = 0; i < b.entries.size(); ++i) {
       const KlogEntry& e = b.entries[i];
-      if (block.size() + wire::PidxEntrySize(e.key) >
-          config_.index_block_size) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await close_block());
+      packer.AddPidx(e.key, b.new_addrs[i], e.value_len);
+      if (packer.closed_bytes() >= config_.output_batch_bytes) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
       }
-      if (block_count == 0) block_pivot = e.key;
-      wire::AppendPidxEntry(&block, e.key, b.new_addrs[i], e.value_len);
-      ++block_count;
       if (pipe->bloom != nullptr) {
         pipe->bloom->AddKey(Slice(e.key));
         bloom_key_bytes += e.key.size();
@@ -421,7 +369,7 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
       pipe->failed = true;
     }
   }
-  if (result.ok()) result = co_await close_block();
+  packer.Close();
   if (result.ok()) result = co_await flush_blocks();
   if (!result.ok()) pipe->failed = true;
   co_return result;

@@ -62,9 +62,10 @@ struct DeviceConfig {
   // compaction and consulted by point lookups; 0 disables both the build
   // and the check.
   std::uint32_t bloom_bits_per_key = 10;
-  // Maximum concurrent coalesced range reads per value gather; 1 recovers
-  // the serial behavior. Values beyond the NAND channel count only add
-  // queueing.
+  // Maximum concurrent coalesced range reads per value gather, and the
+  // window of an incremental fold (DESIGN.md §12): index-block reads in
+  // flight and, separately, fold appends in flight. 1 recovers the serial
+  // behavior. Values beyond the NAND channel count only add queueing.
   std::uint32_t gather_fanout = 8;
   // Overlap the next index-block read with the current one in range scans.
   bool index_prefetch = true;
@@ -360,6 +361,9 @@ class Device {
                                       std::uint64_t trigger_cmd_id = 0);
   sim::Task<Status> RunRecompaction(Keyspace* ks,
                                     std::vector<ClusterId>* scratch);
+  // The folds' in-order index-block writer: packs rebuilt blocks and keeps
+  // up to gather_fanout appends in flight, issued in sketch order.
+  class IndexWriter;
   // Loads a delta entry's value bytes (inline if the device never lost
   // power since the PUT, otherwise gathered from the VLOG delta).
   sim::Task<Result<std::string>> LoadDeltaValue(

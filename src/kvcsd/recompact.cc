@@ -24,6 +24,13 @@
 //    (BloomFilterAddKey). Deleted keys leave their bits set: that only
 //    ever costs false positives, never false negatives.
 //
+// Both index folds are pipelines: block reads (and the PIDX merge CPU) run
+// gather_fanout wide through a read-ahead ring (sim::OrderedParallelFor),
+// and one in-order IndexWriter consumes the blocks in sketch order, issuing
+// each append without waiting for the previous one to finish programming.
+// The appends are the serial fold's appends, in the serial fold's order, so
+// the output bytes and addresses are unchanged; only the time shrinks.
+//
 // Commit protocol: the RECOMPACTING state is persisted before any output
 // is written (recovery rolls it straight back to COMPACTED, delta intact,
 // new clusters reclaimed as unreferenced); the fold then builds the mixed
@@ -43,6 +50,7 @@
 #include "kvcsd/wire.h"
 #include "nvme/skey.h"
 #include "sim/fault.h"
+#include "sim/parallel.h"
 #include "sim/tracer.h"
 
 namespace kvcsd::device {
@@ -90,7 +98,118 @@ struct PidxRec {
   std::uint32_t vlen = 0;
 };
 
+// The global SIDX order: secondary key, then primary key.
+bool SidxOrder(const SidxTuple& a, const SidxTuple& b) {
+  if (a.skey != b.skey) return a.skey < b.skey;
+  return a.pkey < b.pkey;
+}
+
+// One SIDX block as the fold's read stage hands it on: the tuples that
+// survive the delta, and whether any tuple was dropped.
+struct SidxBlockScan {
+  std::vector<SidxTuple> survivors;
+  bool lost_tuple = false;
+};
+
 }  // namespace
+
+// The fold's index output, shared by the PIDX and SIDX stages. Entries pack
+// into index blocks exactly as the serial fold packed them, one region (a
+// rebuilt PIDX block, a SIDX dirty region) at a time: a region never shares
+// a block or an append with its neighbours. Each append is issued without
+// waiting for earlier ones to finish programming, with at most
+// config.gather_fanout in flight. An append claims its flash address
+// synchronously when it starts; appends start in issue order and the
+// writer suspends between issues, so every block lands at the address the
+// serial fold gives it. Sketch entries are pushed at issue time and their
+// addresses filled in on completion, so Join() must run before the sketch
+// is read or the writer destroyed — on every path, failed ones included.
+class Device::IndexWriter {
+ public:
+  IndexWriter(Device* dev, ZoneType type, std::vector<ClusterId>* chain,
+              std::vector<SketchEntry>* sketch)
+      : dev_(dev),
+        type_(type),
+        chain_(chain),
+        sketch_(sketch),
+        packer_(dev->config_.index_block_size),
+        slots_(dev->sim_, std::max<std::uint32_t>(dev->config_.gather_fanout, 1)),
+        appends_(dev->sim_) {}
+
+  // Packs one region's entries and issues them: one append per full
+  // output batch plus one for the remainder.
+  template <typename Entry>
+  sim::Task<Status> WriteRegion(const std::vector<Entry>& entries) {
+    for (const Entry& entry : entries) {
+      Add(entry);
+      if (packer_.closed_bytes() >= dev_->config_.output_batch_bytes) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await Issue());
+      }
+    }
+    packer_.Close();
+    co_return co_await Issue();
+  }
+
+  // Waits for every issued append; returns the first failure.
+  sim::Task<Status> Join() { return appends_.Wait(); }
+
+  std::int64_t inflight() const { return appends_.pending(); }
+
+ private:
+  void Add(const PidxRec& rec) {
+    packer_.AddPidx(rec.key, rec.vaddr, rec.vlen);
+  }
+  void Add(const SidxTuple& t) {
+    packer_.AddSidx(t.skey, t.pkey, t.vaddr, t.vlen);
+  }
+
+  // Issues the closed blocks as one append (no-op when there are none).
+  // Fails fast once an earlier append has failed.
+  sim::Task<Status> Issue() {
+    if (packer_.closed_bytes() == 0 || !error_.ok()) co_return error_;
+    std::vector<std::string> pivots;
+    std::string blob = packer_.Take(&pivots);
+    const std::size_t first = sketch_->size();
+    for (std::string& pivot : pivots) {
+      sketch_->push_back(
+          SketchEntry{std::move(pivot), 0, dev_->config_.index_block_size});
+    }
+    co_await slots_.Acquire();
+    co_await dev_->cpu_.Compute(dev_->config_.costs.io_path_overhead,
+                                sim::Activity::kRecompact);
+    if (!error_.ok()) {
+      slots_.Release();
+      co_return error_;
+    }
+    appends_.Spawn(Append(std::move(blob), first));
+    co_return Status::Ok();
+  }
+
+  sim::Task<Status> Append(std::string blob, std::size_t first) {
+    auto addr = co_await dev_->AppendToChain(chain_, type_, AsBytes(blob),
+                                             sim::Activity::kRecompact);
+    slots_.Release();
+    if (!addr.ok()) {
+      if (error_.ok()) error_ = addr.status();
+      co_return addr.status();
+    }
+    dev_->compaction_stats_.bytes_written += blob.size();
+    const std::uint32_t block_size = dev_->config_.index_block_size;
+    for (std::size_t i = 0; i < blob.size() / block_size; ++i) {
+      (*sketch_)[first + i].block_addr = *addr + i * block_size;
+    }
+    co_return Status::Ok();
+  }
+
+  Device* dev_;
+  ZoneType type_;
+  std::vector<ClusterId>* chain_;
+  std::vector<SketchEntry>* sketch_;
+  wire::IndexBlockPacker packer_;
+  sim::Semaphore slots_;  // bounds the appends in flight
+  sim::TaskGroup appends_;
+  Status error_;  // first failed append
+};
 
 sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
                                                       sim::Activity act) {
@@ -141,6 +260,7 @@ sim::Task<Status> Device::RecompactKeyspace(Keyspace* ks,
 sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                           std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
+  const std::uint32_t fanout = std::max<std::uint32_t>(config_.gather_fanout, 1);
   // Flush the buffered tail of the delta and drain in-flight flush I/O:
   // the fold must observe the complete delta log (and the durable log
   // extent must match what the fold consumes, for recovery's sake).
@@ -170,7 +290,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // ---- Snapshot the delta (mutations are rejected kBusy from here) ----
   std::vector<FoldItem> items;
   items.reserve(ks->delta_index.size());
+  std::vector<ClusterId> new_value_clusters;
   {
+    sim::TraceSpan phase(sim_, trk_compaction_, "recompact.values");
     // Batch-load values that only survive as VLOG pointers (post-restart
     // entries); values written this power cycle ride inline.
     std::vector<ValueRef> refs;
@@ -196,11 +318,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         items[ref_slot[i]].value = std::move((*values)[i]);
       }
     }
-  }
 
-  // ---- Re-append live delta values in key order to fresh clusters ----
-  std::vector<ClusterId> new_value_clusters;
-  {
+    // ---- Re-append live delta values in key order to fresh clusters ----
     std::string chunk;
     chunk.reserve(config_.output_batch_bytes);
     std::vector<std::size_t> chunk_items;
@@ -222,173 +341,152 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       co_return Status::Ok();
     };
     std::uint64_t value_bytes = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) {
+    Status appended = Status::Ok();
+    for (std::size_t i = 0; i < items.size() && appended.ok(); ++i) {
       if (items[i].tombstone) continue;
       if (chunk.size() + items[i].value.size() > config_.output_batch_bytes &&
           !chunk.empty()) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_values());
+        appended = co_await flush_values();
       }
       chunk += items[i].value;
       chunk_items.push_back(i);
       value_bytes += items[i].value.size();
     }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_values());
+    if (appended.ok()) appended = co_await flush_values();
+    scratch->insert(scratch->end(), new_value_clusters.begin(),
+                    new_value_clusters.end());
+    KVCSD_CO_RETURN_IF_ERROR(appended);
     co_await cpu_.ComputeBytes(value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kRecompact);
   }
-  scratch->insert(scratch->end(), new_value_clusters.begin(),
-                  new_value_clusters.end());
 
   // ---- PIDX fold: rebuild only the blocks the delta keys land in ----
   const std::vector<SketchEntry>& old_sketch = ks->pidx_sketch;
-  // Delta keys per covering block, in key order. A key preceding every
-  // pivot folds into block 0 (its rebuild simply grows a smaller pivot);
-  // with no run at all, everything lands in one from-scratch region.
-  std::vector<std::vector<const FoldItem*>> per_block(old_sketch.size());
-  std::vector<const FoldItem*> orphan_items;  // run has no blocks
-  for (const FoldItem& item : items) {
-    if (old_sketch.empty()) {
-      orphan_items.push_back(&item);
-      continue;
-    }
-    std::size_t pos = LowerBlock(old_sketch, item.key);
-    if (pos >= old_sketch.size()) pos = 0;
-    per_block[pos].push_back(&item);
-  }
-
   std::vector<ClusterId> new_pidx_clusters;
   std::vector<SketchEntry> new_sketch;
   new_sketch.reserve(old_sketch.size());
   std::int64_t run_entries_delta = 0;
   std::uint64_t pidx_retained = 0;
   std::uint64_t pidx_rebuilt = 0;
-
-  // Packs records into 4 KB blocks and appends them to `chain`, pushing
-  // one sketch entry per block onto `sketch_out`.
-  auto pack_blocks = [&](const std::vector<PidxRec>& recs,
-                         std::vector<ClusterId>* chain,
-                         std::vector<SketchEntry>* sketch_out)
-      -> sim::Task<Status> {
-    std::string block;
-    wire::BeginIndexBlock(&block);
-    std::uint16_t count = 0;
-    std::string pivot;
-    std::vector<std::pair<std::string, std::string>> done;
-    auto close_block = [&]() {
-      if (count == 0) return;
-      wire::FinishIndexBlock(&block, count, config_.index_block_size);
-      done.emplace_back(std::move(pivot), std::move(block));
-      wire::BeginIndexBlock(&block);
-      count = 0;
-      pivot.clear();
-    };
-    auto flush_done = [&]() -> sim::Task<Status> {
-      if (done.empty()) co_return Status::Ok();
-      std::string blob;
-      blob.reserve(done.size() * config_.index_block_size);
-      for (const auto& [p, b] : done) blob += b;
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-      auto addr = co_await AppendToChain(chain, ZoneType::kPidx,
-                                         AsBytes(blob), sim::Activity::kRecompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += blob.size();
-      for (std::size_t i = 0; i < done.size(); ++i) {
-        sketch_out->push_back(SketchEntry{
-            std::move(done[i].first), *addr + i * config_.index_block_size,
-            config_.index_block_size});
-      }
-      done.clear();
-      co_return Status::Ok();
-    };
-    for (const PidxRec& rec : recs) {
-      if (block.size() + wire::PidxEntrySize(rec.key) >
-          config_.index_block_size) {
-        close_block();
-        if (done.size() * config_.index_block_size >=
-            config_.output_batch_bytes) {
-          KVCSD_CO_RETURN_IF_ERROR(co_await flush_done());
-        }
-      }
-      if (count == 0) pivot = rec.key;
-      wire::AppendPidxEntry(&block, rec.key, rec.vaddr, rec.vlen);
-      ++count;
-    }
-    close_block();
-    co_return co_await flush_done();
-  };
-
-  // Two-pointer LWW merge of one dirty block with its delta keys.
-  auto merge_block = [&](const std::vector<PidxRec>& old_recs,
-                         const std::vector<const FoldItem*>& delta,
-                         std::vector<PidxRec>* out) {
-    std::size_t i = 0, j = 0;
-    while (i < old_recs.size() || j < delta.size()) {
-      if (j >= delta.size() ||
-          (i < old_recs.size() && old_recs[i].key < delta[j]->key)) {
-        out->push_back(old_recs[i]);
-        ++i;
+  {
+    sim::TraceSpan phase(sim_, trk_compaction_, "recompact.pidx");
+    // Delta keys per covering block, in key order. A key preceding every
+    // pivot folds into block 0 (its rebuild simply grows a smaller pivot);
+    // with no run at all, everything lands in one from-scratch region.
+    std::vector<std::vector<const FoldItem*>> per_block(old_sketch.size());
+    std::vector<const FoldItem*> orphan_items;  // run has no blocks
+    for (const FoldItem& item : items) {
+      if (old_sketch.empty()) {
+        orphan_items.push_back(&item);
         continue;
       }
-      const FoldItem* d = delta[j];
-      const bool match = i < old_recs.size() && old_recs[i].key == d->key;
-      if (match) ++i;
-      if (d->tombstone) {
-        if (match) --run_entries_delta;  // removed a run key
-      } else {
-        out->push_back(PidxRec{d->key, d->new_addr,
-                               static_cast<std::uint32_t>(d->value.size())});
-        if (!match) ++run_entries_delta;  // inserted a new key
-      }
-      ++j;
+      std::size_t pos = LowerBlock(old_sketch, item.key);
+      if (pos >= old_sketch.size()) pos = 0;
+      per_block[pos].push_back(&item);
     }
-  };
+    std::vector<std::size_t> dirty;  // sketch positions to rebuild
+    for (std::size_t pos = 0; pos < old_sketch.size(); ++pos) {
+      if (!per_block[pos].empty()) dirty.push_back(pos);
+    }
 
-  std::uint64_t fold_bytes = 0;
-  for (std::size_t pos = 0; pos < old_sketch.size(); ++pos) {
-    if (per_block[pos].empty()) {
-      new_sketch.push_back(old_sketch[pos]);  // retained by reference
-      ++pidx_retained;
-      continue;
-    }
-    ++pidx_rebuilt;
-    auto block = co_await ReadIndexBlock(ks->id, old_sketch[pos], sim::Activity::kRecompact);
-    if (!block.ok()) co_return block.status();
-    compaction_stats_.bytes_read += old_sketch[pos].block_len;
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      co_return Status::Corruption("undersized PIDX block in fold");
-    }
-    std::vector<PidxRec> old_recs;
-    old_recs.reserve(count);
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        co_return Status::Corruption("bad PIDX block in fold");
+    // Two-pointer LWW merge of one dirty block with its delta keys.
+    auto merge_block = [&](const std::vector<PidxRec>& old_recs,
+                           const std::vector<const FoldItem*>& delta,
+                           std::vector<PidxRec>* out) {
+      std::size_t i = 0, j = 0;
+      while (i < old_recs.size() || j < delta.size()) {
+        if (j >= delta.size() ||
+            (i < old_recs.size() && old_recs[i].key < delta[j]->key)) {
+          out->push_back(old_recs[i]);
+          ++i;
+          continue;
+        }
+        const FoldItem* d = delta[j];
+        const bool match = i < old_recs.size() && old_recs[i].key == d->key;
+        if (match) ++i;
+        if (d->tombstone) {
+          if (match) --run_entries_delta;  // removed a run key
+        } else {
+          out->push_back(PidxRec{d->key, d->new_addr,
+                                 static_cast<std::uint32_t>(d->value.size())});
+          if (!match) ++run_entries_delta;  // inserted a new key
+        }
+        ++j;
       }
-      old_recs.push_back(
-          PidxRec{entry.key.ToString(), entry.vaddr, entry.vlen});
-      fold_bytes += entry.key.size() + 12;
+    };
+
+    // Read stage, `fanout` wide: fetch dirty block d, merge it with its
+    // delta keys, and charge that block's share of the merge CPU.
+    auto rebuild = [&](std::size_t d) -> sim::Task<Result<std::vector<PidxRec>>> {
+      const SketchEntry& entry = old_sketch[dirty[d]];
+      auto block = co_await ReadIndexBlock(ks->id, entry, sim::Activity::kRecompact);
+      if (!block.ok()) co_return block.status();
+      compaction_stats_.bytes_read += entry.block_len;
+      std::uint16_t count = 0;
+      Slice in;
+      if (!wire::OpenIndexBlock(*block, &count, &in)) {
+        co_return Status::Corruption("undersized PIDX block in fold");
+      }
+      std::vector<PidxRec> old_recs;
+      old_recs.reserve(count);
+      std::uint64_t fold_bytes = 0;
+      for (std::uint16_t i = 0; i < count; ++i) {
+        wire::PidxEntry parsed;
+        if (!wire::ParsePidxEntry(&in, &parsed)) {
+          co_return Status::Corruption("bad PIDX block in fold");
+        }
+        old_recs.push_back(
+            PidxRec{parsed.key.ToString(), parsed.vaddr, parsed.vlen});
+        fold_bytes += parsed.key.size() + 12;
+      }
+      std::vector<PidxRec> merged;
+      merged.reserve(old_recs.size() + per_block[dirty[d]].size());
+      merge_block(old_recs, per_block[dirty[d]], &merged);
+      if (fold_bytes > 0) {
+        co_await cpu_.ComputeBytes(fold_bytes, config_.costs.merge_bytes_per_sec,
+                                   sim::Activity::kRecompact);
+      }
+      co_return merged;
+    };
+
+    // Write stage, in sketch order: carry the clean blocks before dirty
+    // block d over by reference, then write d's rebuilt blocks.
+    IndexWriter out(this, ZoneType::kPidx, &new_pidx_clusters, &new_sketch);
+    std::size_t carried = 0;  // old blocks consumed so far
+    bool mid_pidx_passed = false;
+    auto write = [&](std::size_t d,
+                     const std::vector<PidxRec>& merged) -> sim::Task<Status> {
+      for (; carried < dirty[d]; ++carried) new_sketch.push_back(old_sketch[carried]);
+      ++carried;
+      KVCSD_CO_RETURN_IF_ERROR(co_await out.WriteRegion(merged));
+      if (!mid_pidx_passed && out.inflight() >= 2) {
+        mid_pidx_passed = true;
+        if (CrashPoint("recompact.mid_pidx")) {
+          co_return Status::IoError("simulated power loss mid PIDX fold");
+        }
+      }
+      co_return Status::Ok();
+    };
+    Status folded = co_await sim::OrderedParallelFor<std::vector<PidxRec>>(
+        sim_, dirty.size(), fanout, rebuild, write);
+    if (folded.ok()) {
+      for (; carried < old_sketch.size(); ++carried) new_sketch.push_back(old_sketch[carried]);
+      if (!orphan_items.empty()) {
+        // Empty run: the delta becomes the run.
+        std::vector<PidxRec> merged;
+        merge_block({}, orphan_items, &merged);
+        folded = co_await out.WriteRegion(merged);
+        ++pidx_rebuilt;
+      }
     }
-    std::vector<PidxRec> merged;
-    merged.reserve(old_recs.size() + per_block[pos].size());
-    merge_block(old_recs, per_block[pos], &merged);
-    KVCSD_CO_RETURN_IF_ERROR(
-        co_await pack_blocks(merged, &new_pidx_clusters, &new_sketch));
+    Status joined = co_await out.Join();
+    scratch->insert(scratch->end(), new_pidx_clusters.begin(),
+                    new_pidx_clusters.end());
+    KVCSD_CO_RETURN_IF_ERROR(folded);
+    KVCSD_CO_RETURN_IF_ERROR(joined);
+    pidx_retained = old_sketch.size() - dirty.size();
+    pidx_rebuilt += dirty.size();
   }
-  if (!orphan_items.empty()) {
-    // Empty run: the delta becomes the run.
-    std::vector<PidxRec> merged;
-    merge_block({}, orphan_items, &merged);
-    KVCSD_CO_RETURN_IF_ERROR(
-        co_await pack_blocks(merged, &new_pidx_clusters, &new_sketch));
-    ++pidx_rebuilt;
-  }
-  if (fold_bytes > 0) {
-    co_await cpu_.ComputeBytes(fold_bytes, config_.costs.merge_bytes_per_sec, sim::Activity::kRecompact);
-  }
-  scratch->insert(scratch->end(), new_pidx_clusters.begin(),
-                  new_pidx_clusters.end());
 
   // ---- SIDX fold: stream all blocks, rewrite only dirty regions ----
   // Every delta key's old tuple (if any) is stale: a tombstone removes
@@ -407,202 +505,158 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   std::uint64_t sidx_retained_total = 0;
   std::uint64_t sidx_rebuilt_total = 0;
 
-  for (auto& [name, sidx] : ks->secondary_indexes) {
-    SidxFold& fold = sidx_folds[name];
-    const std::vector<SketchEntry>& sketch = sidx.sketch;
+  {
+    sim::TraceSpan phase(sim_, trk_compaction_, "recompact.sidx");
+    for (auto& [name, sidx] : ks->secondary_indexes) {
+      SidxFold& fold = sidx_folds[name];
+      const std::vector<SketchEntry>& sketch = sidx.sketch;
 
-    // New tuples from the live delta values, sorted by (skey, pkey).
-    std::vector<SidxTuple> fresh;
-    for (const FoldItem& item : items) {
-      if (item.tombstone) continue;
-      auto skey = ExtractSkey(Slice(item.value), sidx.spec);
-      if (!skey.ok()) co_return skey.status();
-      fresh.push_back(SidxTuple{
-          std::move(*skey), item.key, item.new_addr,
-          static_cast<std::uint32_t>(item.value.size())});
-    }
-    std::sort(fresh.begin(), fresh.end(),
-              [](const SidxTuple& a, const SidxTuple& b) {
-                if (a.skey != b.skey) return a.skey < b.skey;
-                return a.pkey < b.pkey;
-              });
-
-    // Pre-mark the insertion span of each fresh tuple dirty. The span
-    // [a, b] brackets every block that can hold tuples tied with the
-    // tuple's secondary key: blocks before `a` end strictly below it,
-    // blocks after `b` start strictly above it, so rebuilding the
-    // consecutive dirty run containing [a, b] preserves global order.
-    std::vector<bool> dirty(sketch.size(), false);
-    std::vector<std::size_t> fresh_start(fresh.size(), 0);
-    for (std::size_t f = 0; f < fresh.size(); ++f) {
-      if (sketch.empty()) break;
-      const std::string& skey = fresh[f].skey;
-      auto lo = std::lower_bound(
-          sketch.begin(), sketch.end(), skey,
-          [](const SketchEntry& e, const std::string& k) {
-            return e.pivot < k;
-          });
-      std::size_t a = lo == sketch.begin()
-                          ? 0
-                          : static_cast<std::size_t>(lo - sketch.begin()) - 1;
-      auto hi = std::upper_bound(
-          sketch.begin(), sketch.end(), skey,
-          [](const std::string& k, const SketchEntry& e) {
-            return k < e.pivot;
-          });
-      std::size_t b = hi == sketch.begin()
-                          ? 0
-                          : static_cast<std::size_t>(hi - sketch.begin()) - 1;
-      if (b < a) b = a;
-      fresh_start[f] = a;
-      for (std::size_t p = a; p <= b; ++p) dirty[p] = true;
-    }
-
-    std::vector<SidxTuple> region;  // surviving tuples of the open region
-    bool region_open = false;
-    std::size_t region_start = 0;
-    std::size_t fresh_cursor = 0;
-    std::uint64_t removed = 0;
-    std::uint64_t kept = 0;
-
-    auto emit_region = [&](std::size_t region_end) -> sim::Task<Status> {
-      // Merge the region's survivors with the fresh tuples whose
-      // insertion span starts inside it, then re-pack as SIDX blocks.
-      std::vector<SidxTuple> incoming;
-      while (fresh_cursor < fresh.size() &&
-             (sketch.empty() || (fresh_start[fresh_cursor] >= region_start &&
-                                 fresh_start[fresh_cursor] <= region_end))) {
-        incoming.push_back(std::move(fresh[fresh_cursor]));
-        ++fresh_cursor;
+      // New tuples from the live delta values, sorted by (skey, pkey).
+      std::vector<SidxTuple> fresh;
+      for (const FoldItem& item : items) {
+        if (item.tombstone) continue;
+        auto skey = ExtractSkey(Slice(item.value), sidx.spec);
+        if (!skey.ok()) co_return skey.status();
+        fresh.push_back(SidxTuple{
+            std::move(*skey), item.key, item.new_addr,
+            static_cast<std::uint32_t>(item.value.size())});
       }
-      if (region.empty() && incoming.empty()) co_return Status::Ok();
-      std::vector<SidxTuple> merged;
-      merged.reserve(region.size() + incoming.size());
-      std::merge(std::make_move_iterator(region.begin()),
-                 std::make_move_iterator(region.end()),
-                 std::make_move_iterator(incoming.begin()),
-                 std::make_move_iterator(incoming.end()),
-                 std::back_inserter(merged),
-                 [](const SidxTuple& a, const SidxTuple& b) {
-                   if (a.skey != b.skey) return a.skey < b.skey;
-                   return a.pkey < b.pkey;
-                 });
-      region.clear();
-      // Pack into 4 KB blocks appended to the fold's fresh clusters.
-      std::string block;
-      wire::BeginIndexBlock(&block);
-      std::uint16_t count = 0;
-      std::string pivot;
-      std::vector<std::pair<std::string, std::string>> done;
-      auto close_block = [&]() {
-        if (count == 0) return;
-        wire::FinishIndexBlock(&block, count, config_.index_block_size);
-        done.emplace_back(std::move(pivot), std::move(block));
-        wire::BeginIndexBlock(&block);
-        count = 0;
-        pivot.clear();
-      };
-      auto flush_done = [&]() -> sim::Task<Status> {
-        if (done.empty()) co_return Status::Ok();
-        std::string blob;
-        blob.reserve(done.size() * config_.index_block_size);
-        for (const auto& [p, b] : done) blob += b;
-        co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-        auto addr = co_await AppendToChain(&fold.new_clusters,
-                                           ZoneType::kSidx, AsBytes(blob), sim::Activity::kRecompact);
-        if (!addr.ok()) co_return addr.status();
-        compaction_stats_.bytes_written += blob.size();
-        for (std::size_t i = 0; i < done.size(); ++i) {
-          fold.new_sketch.push_back(SketchEntry{
-              std::move(done[i].first),
-              *addr + i * config_.index_block_size,
-              config_.index_block_size});
+      std::sort(fresh.begin(), fresh.end(), SidxOrder);
+
+      // Pre-mark the insertion span of each fresh tuple dirty. The span
+      // [a, b] brackets every block that can hold tuples tied with the
+      // tuple's secondary key: blocks before `a` end strictly below it,
+      // blocks after `b` start strictly above it, so rebuilding the
+      // consecutive dirty run containing [a, b] preserves global order.
+      std::vector<bool> dirty(sketch.size(), false);
+      std::vector<std::size_t> fresh_start(fresh.size(), 0);
+      for (std::size_t f = 0; f < fresh.size(); ++f) {
+        if (sketch.empty()) break;
+        const std::string& skey = fresh[f].skey;
+        auto lo = std::lower_bound(
+            sketch.begin(), sketch.end(), skey,
+            [](const SketchEntry& e, const std::string& k) {
+              return e.pivot < k;
+            });
+        std::size_t a = lo == sketch.begin()
+                            ? 0
+                            : static_cast<std::size_t>(lo - sketch.begin()) - 1;
+        auto hi = std::upper_bound(
+            sketch.begin(), sketch.end(), skey,
+            [](const std::string& k, const SketchEntry& e) {
+              return k < e.pivot;
+            });
+        std::size_t b = hi == sketch.begin()
+                            ? 0
+                            : static_cast<std::size_t>(hi - sketch.begin()) - 1;
+        if (b < a) b = a;
+        fresh_start[f] = a;
+        for (std::size_t p = a; p <= b; ++p) dirty[p] = true;
+      }
+
+      IndexWriter out(this, ZoneType::kSidx, &fold.new_clusters,
+                      &fold.new_sketch);
+      std::vector<SidxTuple> region;  // surviving tuples of the open region
+      bool region_open = false;
+      std::size_t region_start = 0;
+      std::size_t fresh_cursor = 0;
+      std::uint64_t removed = 0;
+
+      auto emit_region = [&](std::size_t region_end) -> sim::Task<Status> {
+        // Merge the region's survivors with the fresh tuples whose
+        // insertion span starts inside it, then re-pack as SIDX blocks.
+        std::vector<SidxTuple> incoming;
+        while (fresh_cursor < fresh.size() &&
+               (sketch.empty() || (fresh_start[fresh_cursor] >= region_start &&
+                                   fresh_start[fresh_cursor] <= region_end))) {
+          incoming.push_back(std::move(fresh[fresh_cursor]));
+          ++fresh_cursor;
         }
-        done.clear();
-        co_return Status::Ok();
+        if (region.empty() && incoming.empty()) co_return Status::Ok();
+        std::vector<SidxTuple> merged;
+        merged.reserve(region.size() + incoming.size());
+        std::merge(std::make_move_iterator(region.begin()),
+                   std::make_move_iterator(region.end()),
+                   std::make_move_iterator(incoming.begin()),
+                   std::make_move_iterator(incoming.end()),
+                   std::back_inserter(merged), SidxOrder);
+        region.clear();
+        co_return co_await out.WriteRegion(merged);
       };
-      for (SidxTuple& t : merged) {
-        if (block.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-            config_.index_block_size) {
-          close_block();
-          if (done.size() * config_.index_block_size >=
-              config_.output_batch_bytes) {
-            KVCSD_CO_RETURN_IF_ERROR(co_await flush_done());
+
+      // Read stage, `fanout` wide: fetch block pos and drop its stale tuples.
+      auto scan = [&](std::size_t pos) -> sim::Task<Result<SidxBlockScan>> {
+        auto block = co_await ReadIndexBlock(ks->id, sketch[pos], sim::Activity::kRecompact);
+        if (!block.ok()) co_return block.status();
+        compaction_stats_.bytes_read += sketch[pos].block_len;
+        std::uint16_t count = 0;
+        Slice in;
+        if (!wire::OpenIndexBlock(*block, &count, &in)) {
+          co_return Status::Corruption("undersized SIDX block in fold");
+        }
+        SidxBlockScan scanned;
+        scanned.survivors.reserve(count);
+        for (std::uint16_t i = 0; i < count; ++i) {
+          wire::SidxEntry entry;
+          if (!wire::ParseSidxEntry(&in, &entry)) {
+            co_return Status::Corruption("bad SIDX block in fold");
           }
+          if (delta_keys.contains(entry.pkey.ToString())) {
+            scanned.lost_tuple = true;
+            ++removed;
+            continue;
+          }
+          scanned.survivors.push_back(SidxTuple{entry.skey.ToString(),
+                                                entry.pkey.ToString(),
+                                                entry.vaddr, entry.vlen});
         }
-        if (count == 0) pivot = t.skey;
-        wire::AppendSidxEntry(&block, t.skey, t.pkey, t.vaddr, t.vlen);
-        ++count;
-      }
-      close_block();
-      co_return co_await flush_done();
-    };
+        co_return scanned;
+      };
 
-    for (std::size_t pos = 0; pos < sketch.size(); ++pos) {
-      auto block = co_await ReadIndexBlock(ks->id, sketch[pos], sim::Activity::kRecompact);
-      if (!block.ok()) co_return block.status();
-      compaction_stats_.bytes_read += sketch[pos].block_len;
-      std::uint16_t count = 0;
-      Slice in;
-      if (!wire::OpenIndexBlock(*block, &count, &in)) {
-        co_return Status::Corruption("undersized SIDX block in fold");
-      }
-      std::vector<SidxTuple> survivors;
-      survivors.reserve(count);
-      bool lost_tuple = false;
-      for (std::uint16_t i = 0; i < count; ++i) {
-        wire::SidxEntry entry;
-        if (!wire::ParseSidxEntry(&in, &entry)) {
-          co_return Status::Corruption("bad SIDX block in fold");
+      // Write stage, in sketch order: dirty blocks grow the open region,
+      // a clean block closes it and is retained by reference.
+      auto visit = [&](std::size_t pos, SidxBlockScan scanned) -> sim::Task<Status> {
+        if (dirty[pos] || scanned.lost_tuple) {
+          if (!region_open) {
+            region_open = true;
+            region_start = pos;
+          }
+          region.insert(region.end(),
+                        std::make_move_iterator(scanned.survivors.begin()),
+                        std::make_move_iterator(scanned.survivors.end()));
+          ++fold.rebuilt;
+          co_return Status::Ok();
         }
-        if (delta_keys.contains(entry.pkey.ToString())) {
-          lost_tuple = true;
-          ++removed;
-          continue;
-        }
-        survivors.push_back(SidxTuple{entry.skey.ToString(),
-                                      entry.pkey.ToString(), entry.vaddr,
-                                      entry.vlen});
-      }
-      if (dirty[pos] || lost_tuple) {
-        // Dirty: survivors join the open region (opening one if needed).
-        if (!region_open) {
-          region_open = true;
-          region_start = pos;
-        }
-        kept += survivors.size();
-        region.insert(region.end(),
-                      std::make_move_iterator(survivors.begin()),
-                      std::make_move_iterator(survivors.end()));
-        ++fold.rebuilt;
-      } else {
         if (region_open) {
-          KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(pos - 1));
           region_open = false;
+          KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(pos - 1));
         }
-        kept += survivors.size();
         fold.new_sketch.push_back(sketch[pos]);  // retained by reference
         ++fold.retained;
+        co_return Status::Ok();
+      };
+
+      Status folded = co_await sim::OrderedParallelFor<SidxBlockScan>(
+          sim_, sketch.size(), fanout, scan, visit);
+      if (folded.ok() && region_open) {
+        folded = co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1);
       }
+      if (folded.ok() && fresh_cursor < fresh.size()) {
+        // Remaining fresh tuples (empty index, or a tail span): one final
+        // from-scratch region.
+        region_start = sketch.size();
+        folded = co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1);
+        ++fold.rebuilt;
+      }
+      Status joined = co_await out.Join();
+      scratch->insert(scratch->end(), fold.new_clusters.begin(),
+                      fold.new_clusters.end());
+      KVCSD_CO_RETURN_IF_ERROR(folded);
+      KVCSD_CO_RETURN_IF_ERROR(joined);
+      fold.new_entries = sidx.entries - removed + fresh.size();
+      sidx_retained_total += fold.retained;
+      sidx_rebuilt_total += fold.rebuilt;
     }
-    if (region_open) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(
-          sketch.empty() ? 0 : sketch.size() - 1));
-      region_open = false;
-    }
-    if (fresh_cursor < fresh.size()) {
-      // Remaining fresh tuples (empty index, or a tail span): one final
-      // from-scratch region.
-      region_start = sketch.size();
-      KVCSD_CO_RETURN_IF_ERROR(
-          co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1));
-      ++fold.rebuilt;
-    }
-    fold.new_entries = sidx.entries - removed + fresh.size();
-    scratch->insert(scratch->end(), fold.new_clusters.begin(),
-                    fold.new_clusters.end());
-    sidx_retained_total += fold.retained;
-    sidx_rebuilt_total += fold.rebuilt;
   }
 
   // ---- Bloom: fold the new keys into the serialized filter in place ----
@@ -624,6 +678,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // Drain in-flight readers first: new queries block in AwaitQueryable
   // while the state is RECOMPACTING, and the commit below swaps clusters
   // and sketches that a still-running scan may be dereferencing.
+  sim::TraceSpan commit_phase(sim_, trk_compaction_, "recompact.commit");
   while (ks->active_readers > 0) {
     sim::Event* idle = ReadersIdle(ks->id);
     idle->Reset();

@@ -31,6 +31,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -220,6 +222,66 @@ inline void FinishIndexBlock(std::string* block, std::uint16_t count,
   EncodeFixed16(block->data(), count);
   block->resize(block_size, '\0');
 }
+
+// Packs index entries, in order, into fixed-size blocks. A block closes
+// when the next entry's worst-case size no longer fits; closed blocks
+// collect back to back until the caller takes them for one append, along
+// with each block's pivot (its first key: the primary key for PIDX, the
+// encoded secondary key for SIDX).
+class IndexBlockPacker {
+ public:
+  explicit IndexBlockPacker(std::uint32_t block_size)
+      : block_size_(block_size) {
+    BeginIndexBlock(&block_);
+  }
+
+  void AddPidx(const Slice& key, std::uint64_t vaddr, std::uint32_t vlen) {
+    Reserve(PidxEntrySize(key), key);
+    AppendPidxEntry(&block_, key, vaddr, vlen);
+  }
+  void AddSidx(const Slice& skey, const Slice& pkey, std::uint64_t vaddr,
+               std::uint32_t vlen) {
+    Reserve(SidxEntrySize(skey, pkey), skey);
+    AppendSidxEntry(&block_, skey, pkey, vaddr, vlen);
+  }
+
+  // Closes the open block; no-op when it holds no entry.
+  void Close() {
+    if (count_ == 0) return;
+    FinishIndexBlock(&block_, count_, block_size_);
+    closed_ += block_;
+    pivots_.push_back(std::move(pivot_));
+    BeginIndexBlock(&block_);
+    count_ = 0;
+    pivot_.clear();
+  }
+
+  // Bytes of closed blocks not yet taken.
+  std::size_t closed_bytes() const { return closed_.size(); }
+
+  // Hands over the closed blocks (concatenated) and their pivots.
+  std::string Take(std::vector<std::string>* pivots) {
+    *pivots = std::move(pivots_);
+    pivots_.clear();
+    std::string blocks = std::move(closed_);
+    closed_.clear();
+    return blocks;
+  }
+
+ private:
+  void Reserve(std::size_t entry_size, const Slice& pivot) {
+    if (block_.size() + entry_size > block_size_) Close();
+    if (count_ == 0) pivot_ = pivot.ToString();
+    ++count_;
+  }
+
+  std::uint32_t block_size_;
+  std::string block_;  // the open block
+  std::uint16_t count_ = 0;
+  std::string pivot_;
+  std::string closed_;
+  std::vector<std::string> pivots_;
+};
 
 // --- pushdown (kKvSelect / kKvAggregate) ---
 

@@ -105,6 +105,68 @@ Task<Status> ParallelFor(Simulation* sim, std::size_t n, std::uint32_t workers,
   co_return co_await group.Wait();
 }
 
+namespace detail {
+
+template <typename T>
+struct OrderedSlot {
+  explicit OrderedSlot(Simulation* sim) : done(sim) {}
+  Result<T> result{Status::Aborted("ordered slot pending")};
+  Event done;
+};
+
+template <typename T, typename Produce>
+Task<Status> OrderedProduce(Produce* produce, std::size_t i,
+                            OrderedSlot<T>* slot) {
+  slot->result = co_await (*produce)(i);
+  slot->done.Set();
+  co_return Status::Ok();
+}
+
+}  // namespace detail
+
+// A read-ahead ring: runs produce(i) for i in [0, n) with at most `window`
+// instances in flight, and hands each result to consume(i, T&&) strictly
+// in index order. The producer for i + window is issued as soon as
+// consume(i) starts, so producing overlaps consuming, and at most `window`
+// results (plus the one being consumed) are ever held. `produce` returns
+// Task<Result<T>>, `consume` returns Task<Status>. The first failure (a
+// producer error met in index order, or a consumer error) stops the loop:
+// no further indexes are issued, the in-flight producers are joined, and
+// the error is returned.
+template <typename T, typename Produce, typename Consume>
+Task<Status> OrderedParallelFor(Simulation* sim, std::size_t n,
+                                std::uint32_t window, Produce produce,
+                                Consume consume) {
+  const std::size_t width =
+      std::min<std::size_t>(std::max<std::uint32_t>(window, 1), n);
+  std::deque<detail::OrderedSlot<T>> slots;
+  for (std::size_t s = 0; s < width; ++s) slots.emplace_back(sim);
+  TaskGroup producers(sim);
+  std::size_t issued = 0;
+  auto issue = [&] {
+    detail::OrderedSlot<T>& slot = slots[issued % width];
+    slot.done.Reset();
+    producers.Spawn(detail::OrderedProduce<T>(&produce, issued, &slot));
+    ++issued;
+  };
+  while (issued < width) issue();
+
+  Status status = Status::Ok();
+  for (std::size_t i = 0; i < n && status.ok(); ++i) {
+    detail::OrderedSlot<T>& slot = slots[i % width];
+    co_await slot.done.Wait();
+    Result<T> result = std::move(slot.result);
+    if (!result.ok()) {
+      status = result.status();
+      break;
+    }
+    if (issued < n) issue();  // reuses slot i % width, just emptied
+    status = co_await consume(i, std::move(*result));
+  }
+  (void)co_await producers.Wait();  // producers only ever return OK
+  co_return status;
+}
+
 // Bounded hand-off queue connecting pipeline stages. Push() suspends while
 // `capacity` items are unconsumed (backpressure bounds the DRAM the
 // pipeline can hold); Pop() suspends while the queue is empty. After

@@ -14,7 +14,10 @@ namespace {
 CrashSweepConfig SweepConfig() {
   CrashSweepConfig c;
   c.keyspaces = 2;
-  c.keys_per_keyspace = 96;  // small enough to sweep every hit in ctest
+  // Small enough to sweep every hit in ctest, big enough for two PIDX
+  // blocks: the fold's delta dirties both, so two rebuilt-block appends
+  // are in flight at once (recompact.mid_pidx).
+  c.keys_per_keyspace = 240;
   return c;
 }
 
@@ -54,6 +57,8 @@ TEST(CrashSweepTest, EveryReachableCrashPointRecovers) {
   // incremental re-compaction commit protocol.
   EXPECT_TRUE(points_seen.count("recompact.before_fold"))
       << "sweep never crashed at recompact.before_fold";
+  EXPECT_TRUE(points_seen.count("recompact.mid_pidx"))
+      << "sweep never crashed at recompact.mid_pidx";
   EXPECT_TRUE(points_seen.count("recompact.before_commit"))
       << "sweep never crashed at recompact.before_commit";
   EXPECT_TRUE(points_seen.count("recompact.after_commit"))

@@ -15,6 +15,7 @@
 #include "client/client.h"
 #include "common/crc32c.h"
 #include "common/keys.h"
+#include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
 
@@ -575,6 +576,7 @@ TEST_P(RecompactCrashPointTest, RecoversToSameBytes) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RecompactCrashPointTest,
                          ::testing::Values("recompact.before_fold",
+                                           "recompact.mid_pidx",
                                            "recompact.before_commit",
                                            "recompact.after_commit"),
                          [](const ::testing::TestParamInfo<const char*>& p) {
@@ -584,6 +586,228 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RecompactCrashPointTest,
                            }
                            return name;
                          });
+
+// --------------------------------------------------------------------------
+// Pipelined fold (recompact.cc): dirty index blocks are read through a
+// gather_fanout-wide window and the rebuilt blocks are appended in sketch
+// order without waiting for each program. The window changes the fold's
+// time, never its output, and a fault in the middle of a full window
+// rolls the fold back as cleanly as a serial one.
+// --------------------------------------------------------------------------
+
+constexpr std::uint64_t kFoldKeys = 4000;
+
+struct FoldFixture {
+  sim::Simulation sim;
+  sim::FaultInjector faults{7};
+  DeviceConfig cfg;
+  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  std::unique_ptr<Device> dev;
+  sim::CpuPool host{&sim, "host", 8};
+  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+
+  explicit FoldFixture(std::uint32_t fanout = DeviceConfig{}.gather_fanout)
+      : cfg(SmallDevice()) {
+    cfg.gather_fanout = fanout;
+    cfg.index_cache_enabled = false;  // every fold read goes to flash
+    cfg.zns.faults = &faults;
+    dev = std::make_unique<Device>(&sim, cfg, &qp);
+    dev->Start();
+  }
+
+  Keyspace* ks() { return dev->keyspaces().Find("fold").value(); }
+  std::uint64_t counter(const std::string& name) {
+    return sim.stats().counter_value(name);
+  }
+  std::uint64_t fold_ns() {
+    return sim.stats().histogram("device.recompact.fold_ns").sum();
+  }
+
+  // Folds the delta through the client API.
+  void Fold() {
+    testutil::RunSim(sim, [](client::Client* c) -> sim::Task<void> {
+      auto ks = co_await c->OpenKeyspace("fold");
+      KVCSD_CO_ASSERT_OK(ks);
+      KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+      KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+    }(&db));
+  }
+};
+
+// Loads kFoldKeys energy-tagged keys, compacts them with an "energy"
+// secondary index, then spreads a synced delta over every PIDX block:
+// every 23rd key re-tagged, every 41st deleted, five inserts past the old
+// maximum.
+sim::Task<void> LoadCompactSpreadDelta(client::Client* db) {
+  auto ks = co_await db->CreateKeyspace("fold");
+  KVCSD_CO_ASSERT_OK(ks);
+  for (std::uint64_t i = 0; i < kFoldKeys; ++i) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(
+        MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+  }
+  nvme::SecondaryIndexSpec energy;
+  energy.name = "energy";
+  energy.value_offset = 28;
+  energy.value_length = 4;
+  energy.type = nvme::SecondaryKeyType::kF32;
+  std::vector<nvme::SecondaryIndexSpec> specs;
+  specs.push_back(energy);
+  KVCSD_CO_ASSERT_OK(co_await ks->CompactWithIndexes(std::move(specs)));
+  KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  for (std::uint64_t i = 0; i < kFoldKeys; i += 23) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(
+        MakeFixedKey(i),
+        CsdFixture::EnergyValue(static_cast<float>(i) + 0.5f)));
+  }
+  for (std::uint64_t i = 7; i < kFoldKeys; i += 41) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Delete(MakeFixedKey(i)));
+  }
+  for (std::uint64_t i = kFoldKeys; i < kFoldKeys + 5; ++i) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(
+        MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+  }
+  KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+}
+
+// Fingerprints of a full primary scan and a full secondary scan.
+sim::Task<void> FingerprintFold(client::Client* db, std::uint32_t* primary,
+                                std::uint32_t* secondary) {
+  auto ks = co_await db->OpenKeyspace("fold");
+  KVCSD_CO_ASSERT_OK(ks);
+  std::vector<std::pair<std::string, std::string>> rows;
+  KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+  *primary = Fingerprint(rows);
+  rows.clear();
+  KVCSD_CO_ASSERT_OK(
+      co_await ks->QuerySecondaryRangeF32("energy", -1e9f, 1e9f, 0, &rows));
+  *secondary = Fingerprint(rows);
+}
+
+bool SameSketch(const std::vector<SketchEntry>& a,
+                const std::vector<SketchEntry>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].pivot != b[i].pivot || a[i].block_addr != b[i].block_addr ||
+        a[i].block_len != b[i].block_len) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Both fixtures must hold the same layout: PIDX and SIDX sketches (pivots
+// and block addresses) and the bytes every scan returns.
+void ExpectSameFoldLayout(FoldFixture* a, FoldFixture* b) {
+  EXPECT_TRUE(SameSketch(a->ks()->pidx_sketch, b->ks()->pidx_sketch));
+  EXPECT_TRUE(SameSketch(a->ks()->secondary_indexes.at("energy").sketch,
+                         b->ks()->secondary_indexes.at("energy").sketch));
+  std::uint32_t primary_a = 0, secondary_a = 0;
+  std::uint32_t primary_b = 0, secondary_b = 0;
+  testutil::RunSim(a->sim, FingerprintFold(&a->db, &primary_a, &secondary_a));
+  testutil::RunSim(b->sim, FingerprintFold(&b->db, &primary_b, &secondary_b));
+  EXPECT_EQ(primary_a, primary_b);
+  EXPECT_EQ(secondary_a, secondary_b);
+}
+
+TEST(MutabilityTest, FoldWindowKeepsLayoutAndCutsFoldTime) {
+  FoldFixture serial(1);
+  FoldFixture windowed;
+  ASSERT_GT(windowed.cfg.gather_fanout, 1u);
+  for (FoldFixture* f : {&serial, &windowed}) {
+    testutil::RunSim(f->sim, LoadCompactSpreadDelta(&f->db));
+  }
+  ExpectSameFoldLayout(&serial, &windowed);  // same starting point
+
+  // Round 1: the delta dirties every PIDX block.
+  serial.Fold();
+  windowed.Fold();
+  EXPECT_EQ(windowed.counter("device.recompact.done"), 1u);
+  EXPECT_GT(windowed.counter("device.recompact.pidx_blocks_rebuilt"), 20u);
+  EXPECT_EQ(windowed.counter("zns.pidx.appends"),
+            serial.counter("zns.pidx.appends"));
+  ExpectSameFoldLayout(&serial, &windowed);
+  const std::uint64_t serial_round1 = serial.fold_ns();
+  const std::uint64_t windowed_round1 = windowed.fold_ns();
+  EXPECT_LT(windowed_round1, serial_round1);
+
+  // Round 2: one overwrite. A single PIDX block is rebuilt either way, so
+  // the time the window saves is the SIDX fold streaming every block.
+  for (FoldFixture* f : {&serial, &windowed}) {
+    testutil::RunSim(f->sim, [](client::Client* c) -> sim::Task<void> {
+      auto ks = co_await c->OpenKeyspace("fold");
+      KVCSD_CO_ASSERT_OK(ks);
+      KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(1234),
+                                          CsdFixture::EnergyValue(-3.0f)));
+      KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+    }(&f->db));
+    f->Fold();
+  }
+  EXPECT_EQ(windowed.counter("device.recompact.done"), 2u);
+  EXPECT_GT(windowed.counter("device.recompact.sidx_blocks_retained"), 20u);
+  ExpectSameFoldLayout(&serial, &windowed);
+  EXPECT_LT(windowed.fold_ns() - windowed_round1,
+            serial.fold_ns() - serial_round1);
+}
+
+// Arms one I/O error rule for the fold and checks the rollback contract:
+// the fold returns the injected error, the keyspace is COMPACTED again
+// with its delta intact, every scratch cluster went back to the free
+// pool, and a retried fold succeeds with the same merged bytes.
+// `pidx_appends` is how many PIDX appends the fold got to issue first.
+void ExpectFoldFaultRollsBack(sim::FaultOp op, std::uint64_t skip,
+                              std::uint64_t pidx_appends) {
+  FoldFixture f;
+  testutil::RunSim(f.sim, LoadCompactSpreadDelta(&f.db));
+  std::uint32_t primary = 0, secondary = 0;
+  testutil::RunSim(f.sim, FingerprintFold(&f.db, &primary, &secondary));
+  Keyspace* ks = f.ks();
+  const std::size_t delta_keys = ks->delta_index.size();
+  const std::size_t free_before = f.dev->zones().free_zones();
+  const std::uint64_t pidx_appends_before = f.counter("zns.pidx.appends");
+
+  sim::ErrorRule rule;
+  rule.op = op;
+  rule.skip = skip;
+  f.faults.AddErrorRule(rule);
+  Status folded = testutil::RunSim(f.sim, DeviceTestPeer::Fold(f.dev.get(), ks));
+  EXPECT_EQ(folded.code(), StatusCode::kIoError) << folded.ToString();
+  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_EQ(f.counter("zns.pidx.appends") - pidx_appends_before,
+            pidx_appends);
+  EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
+  EXPECT_EQ(ks->delta_index.size(), delta_keys);
+  EXPECT_EQ(f.dev->zones().free_zones(), free_before);
+  EXPECT_EQ(f.counter("device.recompact.done"), 0u);
+  std::uint32_t primary_after = 0, secondary_after = 0;
+  testutil::RunSim(f.sim,
+                   FingerprintFold(&f.db, &primary_after, &secondary_after));
+  EXPECT_EQ(primary_after, primary);
+  EXPECT_EQ(secondary_after, secondary);
+
+  f.Fold();  // the rule fired once; the retry runs clean
+  EXPECT_EQ(f.counter("device.recompact.done"), 1u);
+  EXPECT_TRUE(ks->delta_index.empty());
+  testutil::RunSim(f.sim,
+                   FingerprintFold(&f.db, &primary_after, &secondary_after));
+  EXPECT_EQ(primary_after, primary);
+  EXPECT_EQ(secondary_after, secondary);
+}
+
+TEST(MutabilityTest, FoldReadErrorMidWindowRollsBack) {
+  // With the cache off and every delta value inline, the fold's first
+  // flash reads are the dirty PIDX blocks: read window + 3 fails while a
+  // full window of reads is in flight, after the blocks ahead of it were
+  // rebuilt and appended.
+  const std::uint64_t window = DeviceConfig{}.gather_fanout;
+  ExpectFoldFaultRollsBack(sim::FaultOp::kRead, window + 2, window + 2);
+}
+
+TEST(MutabilityTest, FoldAppendErrorMidWindowRollsBack) {
+  // Before its first PIDX append the fold appends the RECOMPACTING
+  // snapshot and one batch of delta values; PIDX append window + 2 fails.
+  const std::uint64_t window = DeviceConfig{}.gather_fanout;
+  ExpectFoldFaultRollsBack(sim::FaultOp::kAppend, 2 + window + 1, window + 1);
+}
 
 // --------------------------------------------------------------------------
 // Delta watermark (device.cc MaybeRequestDeltaFold): with

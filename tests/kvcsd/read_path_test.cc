@@ -15,22 +15,11 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
 
 namespace kvcsd::device {
-
-// White-box access to Device::GatherValues (friended): dedupe and
-// coalescing behavior is pinned directly instead of inferred from query
-// timings.
-struct DeviceTestPeer {
-  using ValueRef = Device::ValueRef;
-  static sim::Task<Result<std::vector<std::string>>> Gather(
-      Device* dev, std::vector<Device::ValueRef> refs) {
-    return dev->GatherValues(std::move(refs));
-  }
-};
-
 namespace {
 
 DeviceConfig SmallDevice() {

@@ -124,6 +124,80 @@ TEST(ParallelForTest, ErrorStopsClaimingFurtherIndexes) {
   EXPECT_EQ(state.started, (std::vector<std::size_t>{0, 1, 2}));
 }
 
+TEST(OrderedParallelForTest, ConsumesInIndexOrderWithinTheWindow) {
+  Simulation sim;
+  struct State {
+    Simulation* sim = nullptr;
+    int producing = 0;
+    int max_producing = 0;
+    std::vector<std::size_t> consumed;
+    std::vector<Tick> consumed_at;
+  } state;
+  state.sim = &sim;
+  sim.Spawn([](State* st) -> Task<void> {
+    // Even indexes take 30 ticks, odd ones 10: completion order is not
+    // index order, consumption must be.
+    auto produce = [st](std::size_t i) -> Task<Result<std::size_t>> {
+      ++st->producing;
+      st->max_producing = std::max(st->max_producing, st->producing);
+      co_await st->sim->Delay(i % 2 == 0 ? 30 : 10);
+      --st->producing;
+      co_return i * 10;
+    };
+    auto consume = [st](std::size_t i, std::size_t value) -> Task<Status> {
+      EXPECT_EQ(value, i * 10);
+      st->consumed.push_back(i);
+      st->consumed_at.push_back(st->sim->Now());
+      co_await st->sim->Delay(5);
+      co_return Status::Ok();
+    };
+    Status s = co_await OrderedParallelFor<std::size_t>(st->sim, 8, 3,
+                                                        produce, consume);
+    EXPECT_TRUE(s.ok());
+  }(&state));
+  sim.Run();
+  EXPECT_EQ(state.consumed,
+            (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(state.max_producing, 3);
+  // Index 3 was issued as index 0 was consumed (t=30) and was ready at
+  // t=40, before its turn came: consumption of 0..2 (5 ticks each) ends
+  // at t=45, and index 3 is consumed right then.
+  EXPECT_EQ(state.consumed_at[3], 45u);
+}
+
+TEST(OrderedParallelForTest, ErrorStopsIssuingAndJoinsProducers) {
+  Simulation sim;
+  struct State {
+    Simulation* sim = nullptr;
+    int producing = 0;
+    std::vector<std::size_t> issued;
+    std::vector<std::size_t> consumed;
+  } state;
+  state.sim = &sim;
+  sim.Spawn([](State* st) -> Task<void> {
+    auto produce = [st](std::size_t i) -> Task<Result<int>> {
+      st->issued.push_back(i);
+      ++st->producing;
+      co_await st->sim->Delay(10);
+      --st->producing;
+      if (i == 2) co_return Status::IoError("bad block");
+      co_return 1;
+    };
+    auto consume = [st](std::size_t i, int) -> Task<Status> {
+      st->consumed.push_back(i);
+      co_return Status::Ok();
+    };
+    Status s = co_await OrderedParallelFor<int>(st->sim, 100, 4, produce,
+                                                consume);
+    EXPECT_EQ(s.code(), StatusCode::kIoError);
+    EXPECT_EQ(st->producing, 0);  // every in-flight producer was joined
+  }(&state));
+  sim.Run();
+  EXPECT_EQ(state.consumed, (std::vector<std::size_t>{0, 1}));
+  // The window (0..3) plus the refills issued as 0 and 1 were consumed.
+  EXPECT_EQ(state.issued, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
 TEST(BoundedChannelTest, PushBlocksAtCapacity) {
   Simulation sim;
   struct State {

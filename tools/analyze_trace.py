@@ -20,6 +20,9 @@ Consumes the ``--trace=`` Chrome trace_event JSON emitted by the benches
     index), bytes the device scanned vs bytes it returned to the host,
     and the resulting reduction factor (``select``/``aggregate`` spans
     on the ``query`` track),
+  * a fold attribution table: how each incremental re-compaction
+    (``recompact`` span on the ``compaction`` track) splits into its
+    ``recompact.values`` / ``.pidx`` / ``.sidx`` / ``.commit`` child spans,
   * the top-N slowest individual commands with their stage split,
   * a summary of every telemetry gauge (samples / min / mean / max / last).
 
@@ -300,6 +303,59 @@ def print_pushdown_breakdown(events, tracks):
         "total", "", "", "", totals["scanned"], totals["returned"],
         totals["scanned"] / totals["returned"]
         if totals["returned"] else 0.0))
+
+
+# Child spans of one incremental fold, in execution order. Whatever the
+# fold spent outside them (flushing the delta tail, the RECOMPACTING
+# persist, the bloom update) shows up as "other".
+FOLD_STAGES = ("values", "pidx", "sidx", "commit")
+
+
+def print_fold_breakdown(events, tracks):
+    """Per-stage attribution of incremental re-compaction time.
+
+    Each ``recompact`` span on a (possibly shard-prefixed) ``compaction``
+    track encloses one ``recompact.<stage>`` span per stage on the same
+    track; stages are joined to the fold whose interval contains them.
+    """
+    folds = defaultdict(list)   # track -> [(begin, end)]
+    stages = defaultdict(list)  # track -> [(begin, end, stage)]
+    for e in events:
+        if e.get("ph") != "X":
+            continue
+        track = tracks.get(e.get("tid"), "")
+        if split_track(track)[1] != "compaction":
+            continue
+        name = e.get("name", "")
+        begin = float(e.get("ts", 0)) * 1000.0
+        end = begin + float(e.get("dur", 0)) * 1000.0
+        if name == "recompact":
+            folds[track].append((begin, end))
+        elif name.startswith("recompact."):
+            stages[track].append((begin, end, name[len("recompact."):]))
+    if not folds:
+        return
+    totals = defaultdict(float)
+    total = 0.0
+    count = 0
+    for track, spans in folds.items():
+        for begin, end in spans:
+            count += 1
+            total += end - begin
+            for s_begin, s_end, stage in stages[track]:
+                if begin <= s_begin and s_end <= end:
+                    totals[stage] += s_end - s_begin
+    print()
+    print("fold attribution (%d folds, %s total):" % (count, fmt_ns(total)))
+    hdr = "%-10s %12s %12s %7s" % ("stage", "total", "per fold", "share")
+    print(hdr)
+    print("-" * len(hdr))
+    other = total - sum(totals.values())
+    for stage in FOLD_STAGES + ("other",):
+        ns = other if stage == "other" else totals.get(stage, 0.0)
+        print("%-10s %12s %12s %6.1f%%" % (
+            stage, fmt_ns(ns), fmt_ns(ns / count),
+            100.0 * ns / total if total else 0.0))
 
 
 def print_queue_breakdown(cmds):
@@ -621,6 +677,7 @@ def main(argv):
     print_breakdown(cmds)
     print_query_breakdown(events, tracks)
     print_pushdown_breakdown(events, tracks)
+    print_fold_breakdown(events, tracks)
     print_queue_breakdown(cmds)
     print_shard_breakdown(cmds)
     print_scatter_breakdown(events, tracks)
