@@ -266,7 +266,7 @@ sim::Task<Status> Device::SidxMergeToBlocks(
   packer.Close();
   KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
 
-  co_await ReleaseClustersBestEffort(std::move(state->temp_clusters));
+  (void)co_await zone_manager_.ReleaseClusters(std::move(state->temp_clusters));
   state->temp_clusters.clear();
   state->runs.clear();
   co_return Status::Ok();
@@ -406,7 +406,7 @@ sim::Task<Status> Device::CompactKeyspace(
   Status result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
   --compactions_running_;
   if (!result.ok()) {
-    co_await ReleaseClustersBestEffort(std::move(scratch));
+    (void)co_await zone_manager_.ReleaseClusters(std::move(scratch));
     if (ks->state == KeyspaceState::kCompacting) {
       ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
                                             : KeyspaceState::kWritable;
@@ -671,7 +671,7 @@ sim::Task<Status> Device::RunCompaction(
     const Status merge_status = co_await merges.Wait();
     // The merges may have spilled more TEMP clusters and written SIDX
     // output; duplicates with the release above are harmless (cluster ids
-    // are never reused, a double release is an ignored NotFound).
+    // are never reused, and a release skips ids it no longer owns).
     for (const SidxSortState& state : fused_states) {
       scratch->insert(scratch->end(), state.temp_clusters.begin(),
                       state.temp_clusters.end());
@@ -699,7 +699,10 @@ sim::Task<Status> Device::RunCompaction(
 
   // ---- Commit ----
   // Phase-1 temporaries are dead weight either way; drop them first.
-  co_await ReleaseClustersBestEffort(std::move(temp_clusters));
+  {
+    sim::TraceSpan release(sim_, trk_compaction_, "compact.release");
+    (void)co_await zone_manager_.ReleaseClusters(std::move(temp_clusters));
+  }
   if (CrashPoint("compact.before_commit")) {
     co_return Status::IoError("simulated power loss before commit");
   }
@@ -761,8 +764,9 @@ sim::Task<Status> Device::RunCompaction(
   // nothing (recovery reclaims the old logs as unreferenced clusters) and
   // the release below is best-effort for the same reason.
   (void)CrashPoint("compact.after_commit");
-  co_await ReleaseClustersBestEffort(std::move(old_klog));
-  co_await ReleaseClustersBestEffort(std::move(old_vlog));
+  sim::TraceSpan release(sim_, trk_compaction_, "compact.release");
+  old_klog.insert(old_klog.end(), old_vlog.begin(), old_vlog.end());
+  (void)co_await zone_manager_.ReleaseClusters(std::move(old_klog));
   co_return Status::Ok();
 }
 
@@ -800,7 +804,7 @@ sim::Task<Status> Device::BuildSecondaryIndex(
   std::vector<ClusterId> doomed = std::move(state.temp_clusters);
   doomed.insert(doomed.end(), sidx.sidx_clusters.begin(),
                 sidx.sidx_clusters.end());
-  co_await ReleaseClustersBestEffort(std::move(doomed));
+  (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
   co_return result;
 }
 

@@ -994,13 +994,6 @@ sim::Task<Status> Device::DoSync(Keyspace* ks) {
 // Deletion
 // ---------------------------------------------------------------------------
 
-sim::Task<void> Device::ReleaseClustersBestEffort(std::vector<ClusterId> ids) {
-  for (ClusterId id : ids) {
-    Status s = co_await zone_manager_.ReleaseCluster(id);
-    (void)s;  // NotFound after double release / IoError after power cut
-  }
-}
-
 sim::Task<Status> Device::DropKeyspace(Keyspace* ks) {
   if (ks->state == KeyspaceState::kCompacting ||
       ks->state == KeyspaceState::kRecompacting || ks->inflight > 0) {
@@ -1048,10 +1041,10 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
     co_return Status::IoError("simulated power loss (before drop persist)");
   }
   // Commit point: once the snapshot without the keyspace is durable, the
-  // clusters are garbage whether or not the releases below finish —
-  // recovery reclaims whatever a crash leaves orphaned.
+  // clusters are garbage whether or not the release below succeeds —
+  // recovery reclaims whatever a crash or failed reset leaves orphaned.
   KVCSD_CO_RETURN_IF_ERROR(co_await keyspace_manager_.Persist());
-  co_await ReleaseClustersBestEffort(std::move(doomed));
+  (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
   co_return Status::Ok();
 }
 

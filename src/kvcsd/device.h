@@ -446,9 +446,6 @@ class Device {
   sim::Task<Status> FinishDrop(Keyspace* ks);
   // Runs a deferred drop once the keyspace is unpinned and idle.
   sim::Task<void> MaybeFinishPendingDelete(Keyspace* ks);
-  // Releases every cluster in `ids`, ignoring failures (NotFound after a
-  // double release, I/O errors after a power cut).
-  sim::Task<void> ReleaseClustersBestEffort(std::vector<ClusterId> ids);
 
   // --- recovery helpers (recovery.cc) ---
   // Streams a WRITABLE keyspace's KLOG chain to rebuild num_kvs, min_key,

@@ -36,10 +36,12 @@
 // new clusters reclaimed as unreferenced); the fold then builds the mixed
 // old + new sketch and commits it with one table persist. Past that point
 // the delta logs and any old index cluster no retained block references
-// are released. A crash anywhere leaves either the old state (delta still
-// pending) or the new state (delta folded) — never a blend.
+// are released, all in one concurrent-reset batch. A crash anywhere
+// leaves either the old state (delta still pending) or the new state
+// (delta folded) — never a blend.
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -242,7 +244,7 @@ sim::Task<Status> Device::RecompactKeyspace(Keyspace* ks,
   Status result = co_await RunRecompaction(ks, &scratch);
   --compactions_running_;
   if (!result.ok()) {
-    co_await ReleaseClustersBestEffort(std::move(scratch));
+    (void)co_await zone_manager_.ReleaseClusters(std::move(scratch));
     if (ks->state == KeyspaceState::kRecompacting) {
       ks->state = KeyspaceState::kCompacted;
     }
@@ -678,7 +680,10 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // Drain in-flight readers first: new queries block in AwaitQueryable
   // while the state is RECOMPACTING, and the commit below swaps clusters
   // and sketches that a still-running scan may be dereferencing.
-  sim::TraceSpan commit_phase(sim_, trk_compaction_, "recompact.commit");
+  // The commit span ends at the persist, so the release after it gets its
+  // own sibling span instead of nesting.
+  std::optional<sim::TraceSpan> commit_phase;
+  commit_phase.emplace(sim_, trk_compaction_, "recompact.commit");
   while (ks->active_readers > 0) {
     sim::Event* idle = ReadersIdle(ks->id);
     idle->Reset();
@@ -794,6 +799,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     ks->state = KeyspaceState::kRecompacting;  // wrapper rolls back
     co_return commit;
   }
+  commit_phase.reset();
   ++compactions_done_;
   scratch->clear();  // the outputs are now owned by the durable snapshot
   // Retained blocks kept their addresses, but rebuilt and dead blocks
@@ -817,12 +823,14 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // old index cluster with no retained block are garbage (a crash here
   // leaks them to recovery's unreferenced-cluster sweep).
   (void)CrashPoint("recompact.after_commit");
-  co_await ReleaseClustersBestEffort(std::move(old_klog));
-  co_await ReleaseClustersBestEffort(std::move(old_vlog));
-  co_await ReleaseClustersBestEffort(std::move(pidx_dead));
-  for (auto& [name, parts] : sidx_parts) {
-    co_await ReleaseClustersBestEffort(std::move(parts.second));
+  sim::TraceSpan release(sim_, trk_compaction_, "recompact.release");
+  std::vector<ClusterId> dead = std::move(old_klog);
+  dead.insert(dead.end(), old_vlog.begin(), old_vlog.end());
+  dead.insert(dead.end(), pidx_dead.begin(), pidx_dead.end());
+  for (const auto& [name, parts] : sidx_parts) {
+    dead.insert(dead.end(), parts.second.begin(), parts.second.end());
   }
+  (void)co_await zone_manager_.ReleaseClusters(std::move(dead));
   co_return Status::Ok();
 }
 

@@ -160,7 +160,7 @@ sim::Task<Status> Device::Recover() {
     log.Info("recovery", "reclaiming " + std::to_string(doomed.size()) +
                              " unreferenced cluster(s)");
   }
-  co_await ReleaseClustersBestEffort(std::move(doomed));
+  (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
 
   // Step 4: reset written zones no surviving cluster owns — data from
   // clusters allocated after the snapshot was taken.
@@ -170,7 +170,7 @@ sim::Task<Status> Device::Recover() {
       owned[zone] = true;
     }
   }
-  std::uint32_t zones_reset = 0;
+  std::vector<std::uint32_t> unowned;
   for (std::uint32_t zone = config_.zones.reserved_zones;
        zone < ssd_.num_zones(); ++zone) {
     if (owned[zone]) continue;
@@ -178,12 +178,13 @@ sim::Task<Status> Device::Recover() {
         ssd_.zone_state(zone) == storage::ZoneState::kEmpty) {
       continue;
     }
-    KVCSD_CO_RETURN_IF_ERROR(co_await ssd_.Reset(zone));
-    ++zones_reset;
+    unowned.push_back(zone);
   }
-  if (zones_reset > 0) {
+  const std::vector<Status> resets = co_await ssd_.ResetZones(unowned);
+  for (const Status& s : resets) KVCSD_CO_RETURN_IF_ERROR(s);
+  if (!unowned.empty()) {
     log.Info("recovery",
-             "reset " + std::to_string(zones_reset) + " unowned zone(s)");
+             "reset " + std::to_string(unowned.size()) + " unowned zone(s)");
   }
 
   // Step 5: rebuild the write-path counters from the logs themselves. For

@@ -67,32 +67,47 @@ Result<ClusterId> ZoneManager::AllocateCluster(ZoneType type) {
   return id;
 }
 
-sim::Task<Status> ZoneManager::ReleaseCluster(ClusterId id) {
-  auto it = clusters_.find(id);
-  if (it == clusters_.end()) {
-    co_return Status::NotFound("no such cluster");
+sim::Task<Status> ZoneManager::ReleaseClusters(std::vector<ClusterId> ids) {
+  // Claim the batch: the flag makes repeats and concurrent batches skip a
+  // cluster whose resets are already in flight.
+  std::vector<std::pair<ClusterId, std::size_t>> batch;  // id, zone count
+  std::vector<std::uint32_t> zones;
+  for (ClusterId id : ids) {
+    auto it = clusters_.find(id);
+    if (it == clusters_.end() || it->second.releasing) continue;
+    it->second.releasing = true;
+    batch.emplace_back(id, it->second.zones.size());
+    zones.insert(zones.end(), it->second.zones.begin(),
+                 it->second.zones.end());
   }
-  // Reset every zone BEFORE surrendering ownership. Reset suspends, and
-  // during the suspension another coroutine may allocate a cluster or
-  // persist a metadata snapshot: a zone must never be observable as both
+  // Reset every zone BEFORE surrendering ownership. The resets suspend,
+  // and meanwhile another coroutine may allocate a cluster or persist a
+  // metadata snapshot: a zone must never be observable as both
   // cluster-owned and free, or the persisted table fails recovery's
   // exclusive-ownership check (and the zone can be handed out twice).
-  // A reset-then-failed release leaves the cluster whole, which is
-  // consistent: it still owns every zone, some merely empty.
-  for (std::uint32_t zone : it->second.zones) {
-    KVCSD_CO_RETURN_IF_ERROR(co_await ssd_->Reset(zone));
+  const std::vector<Status> reset = co_await ssd_->ResetZones(zones);
+  // No suspension from here on: ownership moves atomically.
+  Status first_error;
+  auto result = reset.begin();
+  for (const auto& [id, count] : batch) {
+    const auto end = result + static_cast<std::ptrdiff_t>(count);
+    const auto failed =
+        std::find_if(result, end, [](const Status& s) { return !s.ok(); });
+    result = end;
+    // Still live: the releasing flag kept every other release off it.
+    Cluster& cluster = clusters_.at(id);
+    if (failed != end) {
+      // Consistent, just not released: the cluster still owns every
+      // zone, some merely empty, and stays releasable.
+      if (first_error.ok()) first_error = *failed;
+      cluster.releasing = false;
+      continue;
+    }
+    free_zones_.insert(free_zones_.end(), cluster.zones.begin(),
+                       cluster.zones.end());
+    clusters_.erase(id);
   }
-  // Re-find: a concurrent release of the same id may have finished while
-  // the resets were in flight.
-  it = clusters_.find(id);
-  if (it == clusters_.end()) {
-    co_return Status::NotFound("cluster released concurrently");
-  }
-  for (std::uint32_t zone : it->second.zones) {
-    free_zones_.push_back(zone);
-  }
-  clusters_.erase(it);
-  co_return Status::Ok();
+  co_return first_error;
 }
 
 sim::Task<Result<std::uint64_t>> ZoneManager::Append(

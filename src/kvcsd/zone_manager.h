@@ -55,8 +55,14 @@ class ZoneManager {
   // free pool is exhausted.
   Result<ClusterId> AllocateCluster(ZoneType type);
 
-  // Resets every zone of the cluster and returns them to the free pool.
-  sim::Task<Status> ReleaseCluster(ClusterId id);
+  // Resets every zone of every listed cluster concurrently, joins the
+  // resets, then returns each cluster's zones to the free pool in list
+  // order (the pool order a one-by-one release would leave). A cluster
+  // keeps every zone until all of them are reset, so no zone is ever both
+  // owned and free; one with a failed reset stays whole and owned.
+  // Unknown ids, repeats and clusters already in another in-flight batch
+  // are skipped. Returns the first failed reset in list order, or OK.
+  sim::Task<Status> ReleaseClusters(std::vector<ClusterId> ids);
 
   // Appends a contiguous record to the cluster, rotating the target zone
   // per append starting at the cluster's random offset. Returns the device
@@ -100,6 +106,7 @@ class ZoneManager {
     ZoneType type;
     std::vector<std::uint32_t> zones;
     std::uint32_t next_zone;  // rotation cursor, randomly seeded
+    bool releasing = false;   // its zones are being reset by a batch
   };
 
   storage::ZnsSsd* ssd_;

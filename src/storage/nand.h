@@ -47,7 +47,10 @@ class NandModel {
   sim::Task<void> Program(std::uint32_t channel, std::uint64_t bytes,
                           sim::Activity act = sim::Activity::kOther);
 
-  // Erase occupies the channel for the (long) erase latency.
+  // Erase queues a zero-byte transfer on `channel` (so it waits for the
+  // transfers ahead of it but holds the channel for no time), then waits
+  // the erase latency off the channel, in the array. Erases on one channel
+  // therefore overlap each other and that channel's reads and programs.
   sim::Task<void> Erase(std::uint32_t channel,
                         sim::Activity act = sim::Activity::kOther);
 

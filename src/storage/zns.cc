@@ -5,6 +5,7 @@
 #include <string>
 
 #include "sim/fault.h"
+#include "sim/parallel.h"
 #include "sim/simulation.h"
 
 namespace kvcsd::storage {
@@ -156,6 +157,20 @@ sim::Task<Status> ZnsSsd::Reset(std::uint32_t zone, sim::Activity act) {
     co_await nand_.Erase(ChannelOf(zone), act);
   }
   co_return Status::Ok();
+}
+
+sim::Task<std::vector<Status>> ZnsSsd::ResetZones(
+    std::vector<std::uint32_t> zones) {
+  std::vector<Status> results(zones.size());
+  // One worker per zone, and no iteration ever fails, so ParallelFor
+  // claims every index in order instead of stopping at the first error.
+  (void)co_await sim::ParallelFor(
+      sim_, zones.size(), static_cast<std::uint32_t>(zones.size()),
+      [&](std::size_t i) -> sim::Task<Status> {
+        results[i] = co_await Reset(zones[i]);
+        co_return Status::Ok();
+      });
+  co_return results;
 }
 
 Status ZnsSsd::Finish(std::uint32_t zone) {

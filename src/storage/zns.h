@@ -83,6 +83,12 @@ class ZnsSsd {
   sim::Task<Status> Reset(std::uint32_t zone,
                           sim::Activity act = sim::Activity::kOther);
 
+  // Resets every listed zone concurrently and joins them; result i is
+  // zones[i]'s status. Every reset is issued, even after one fails. An
+  // erase holds its channel only for a zero-byte transfer, so k written
+  // zones on idle channels take one erase latency, not k.
+  sim::Task<std::vector<Status>> ResetZones(std::vector<std::uint32_t> zones);
+
   // Transitions an open zone to Full (no more appends until reset).
   Status Finish(std::uint32_t zone);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "../testutil.h"
 
 namespace kvcsd::storage {
@@ -78,6 +80,40 @@ TEST(NandModelTest, EraseChargesEraseLatency) {
   testutil::RunSim(sim, nand.Erase(3));
   EXPECT_EQ(sim.Now(), Milliseconds(3));
   EXPECT_EQ(nand.erases(), 1u);
+}
+
+TEST(NandModelTest, EraseWaitsOffTheChannel) {
+  // Two erases on one channel overlap, and a read issued on that channel
+  // mid-erase pays only its normal transfer + array latency.
+  sim::Simulation sim;
+  NandModel nand(&sim, SmallNand());
+  sim::WaitGroup wg(&sim);
+  std::vector<Tick> erase_done;
+  Tick read_start = 0;
+  Tick read_done = 0;
+  auto erase = [](NandModel* n, sim::Simulation* s, sim::WaitGroup* g,
+                  std::vector<Tick>* done) -> sim::Task<void> {
+    co_await n->Erase(2);
+    done->push_back(s->Now());
+    g->Done();
+  };
+  auto read = [](NandModel* n, sim::Simulation* s, sim::WaitGroup* g,
+                 Tick* start, Tick* done) -> sim::Task<void> {
+    co_await s->Delay(Milliseconds(1));
+    *start = s->Now();
+    co_await n->Read(2, 4096);
+    *done = s->Now();
+    g->Done();
+  };
+  wg.Add(3);
+  sim.Spawn(erase(&nand, &sim, &wg, &erase_done));
+  sim.Spawn(erase(&nand, &sim, &wg, &erase_done));
+  sim.Spawn(read(&nand, &sim, &wg, &read_start, &read_done));
+  sim.Run();
+  EXPECT_EQ(erase_done, (std::vector<Tick>{Milliseconds(3), Milliseconds(3)}));
+  EXPECT_EQ(read_start, Milliseconds(1));
+  EXPECT_EQ(read_done - read_start, 8192u + Microseconds(70));
+  EXPECT_EQ(nand.erases(), 2u);
 }
 
 TEST(NandModelTest, TrafficCountersAccumulate) {

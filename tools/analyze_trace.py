@@ -22,7 +22,8 @@ Consumes the ``--trace=`` Chrome trace_event JSON emitted by the benches
     on the ``query`` track),
   * a fold attribution table: how each incremental re-compaction
     (``recompact`` span on the ``compaction`` track) splits into its
-    ``recompact.values`` / ``.pidx`` / ``.sidx`` / ``.commit`` child spans,
+    ``recompact.values`` / ``.pidx`` / ``.sidx`` / ``.commit`` /
+    ``.release`` child spans,
   * the top-N slowest individual commands with their stage split,
   * a summary of every telemetry gauge (samples / min / mean / max / last).
 
@@ -307,8 +308,9 @@ def print_pushdown_breakdown(events, tracks):
 
 # Child spans of one incremental fold, in execution order. Whatever the
 # fold spent outside them (flushing the delta tail, the RECOMPACTING
-# persist, the bloom update) shows up as "other".
-FOLD_STAGES = ("values", "pidx", "sidx", "commit")
+# persist, the bloom update) shows up as "other". "commit" ends at the
+# table persist; "release" is the zone-reset batch after it.
+FOLD_STAGES = ("values", "pidx", "sidx", "commit", "release")
 
 
 def print_fold_breakdown(events, tracks):
