@@ -13,6 +13,9 @@
 //
 // Flags: --particles=N (default 2M; paper 256M) --files=F (default 16)
 //        --json=PATH (machine-readable report) --trace=PATH (span trace)
+//
+// Exits non-zero if any KV-CSD keyspace fails to load, compact or build
+// its energy index.
 #include <cstdio>
 
 #include "harness/flags.h"
@@ -45,7 +48,13 @@ int main(int argc, char** argv) {
 
   CsdTestbed csd_bed(config);
   std::vector<client::KeyspaceHandle> handles;
-  CsdVpicTimes csd = LoadVpicIntoCsd(csd_bed, dump, &handles);
+  auto csd_load = LoadVpicIntoCsd(csd_bed, dump, &handles);
+  if (!csd_load.ok()) {
+    std::printf("FAIL: KV-CSD load: %s\n",
+                csd_load.status().ToString().c_str());
+    return 1;
+  }
+  const CsdVpicTimes csd = *csd_load;
 
   LsmTestbed lsm_bed(config);
   std::vector<std::unique_ptr<lsm::Db>> dbs;

@@ -14,6 +14,9 @@
 //
 // Flags: --particles=N (default 2M; paper 256M) --files=F (default 16)
 //        --json=PATH (machine-readable report) --trace=PATH (span trace)
+//
+// Exits non-zero if any KV-CSD keyspace fails to load, compact or build
+// its energy index.
 #include <algorithm>
 #include <cstdio>
 
@@ -104,7 +107,10 @@ int main(int argc, char** argv) {
   // Write phase for both systems (not timed here; that is Fig. 11).
   CsdTestbed csd_bed(config);
   std::vector<client::KeyspaceHandle> handles;
-  (void)LoadVpicIntoCsd(csd_bed, dump, &handles);
+  if (auto load = LoadVpicIntoCsd(csd_bed, dump, &handles); !load.ok()) {
+    std::printf("FAIL: KV-CSD load: %s\n", load.status().ToString().c_str());
+    return 1;
+  }
   LsmTestbed lsm_bed(config);
   std::vector<std::unique_ptr<lsm::Db>> dbs;
   (void)LoadVpicIntoLsm(lsm_bed, dump, &dbs);

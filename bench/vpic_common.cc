@@ -2,11 +2,13 @@
 
 namespace kvcsd::bench {
 
-CsdVpicTimes LoadVpicIntoCsd(CsdTestbed& bed, const vpic::Dump& dump,
-                             std::vector<client::KeyspaceHandle>* handles) {
+Result<CsdVpicTimes> LoadVpicIntoCsd(
+    CsdTestbed& bed, const vpic::Dump& dump,
+    std::vector<client::KeyspaceHandle>* handles) {
   const std::uint32_t files = dump.num_files();
   handles->assign(files, client::KeyspaceHandle{});
   CsdVpicTimes times;
+  Status first_error = Status::Ok();
 
   sim::WaitGroup inserted(&bed.sim());
   sim::WaitGroup compacted(&bed.sim());
@@ -15,30 +17,42 @@ CsdVpicTimes LoadVpicIntoCsd(CsdTestbed& bed, const vpic::Dump& dump,
   compacted.Add(files);
   indexed.Add(files);
 
+  // A failed step skips the rest of its keyspace's load but still passes
+  // every barrier, so the other loaders run to completion.
   for (std::uint32_t t = 0; t < files; ++t) {
     bed.sim().Spawn([](CsdTestbed* tb, const vpic::Dump* d,
                        std::vector<client::KeyspaceHandle>* out,
-                       sim::WaitGroup* ins, sim::WaitGroup* comp,
-                       sim::WaitGroup* idx,
+                       Status* error, sim::WaitGroup* ins,
+                       sim::WaitGroup* comp, sim::WaitGroup* idx,
                        std::uint32_t thread) -> sim::Task<void> {
-      auto ks = (co_await tb->client().CreateKeyspace(
-                     "vpic" + std::to_string(thread)))
-                    .value();
-      (*out)[thread] = ks;
-      auto writer = ks.NewBulkWriter();
-      for (const vpic::Particle* p : d->FileParticles(thread)) {
-        (void)co_await writer.Add(p->Key(), p->Payload());
+      auto note = [error](const Status& s) {
+        if (!s.ok() && error->ok()) *error = s;
+        return s.ok();
+      };
+      auto created = co_await tb->client().CreateKeyspace(
+          "vpic" + std::to_string(thread));
+      bool ok = note(created.status());
+      if (ok) {
+        (*out)[thread] = *created;
+        auto writer = created->NewBulkWriter();
+        for (const vpic::Particle* p : d->FileParticles(thread)) {
+          ok = note(co_await writer.Add(p->Key(), p->Payload()));
+          if (!ok) break;
+        }
+        if (ok) ok = note(co_await writer.Drain());
+        // Compact() returns immediately; the device works.
+        if (ok) ok = note(co_await created->Compact());
       }
-      (void)co_await writer.Flush();
-      (void)co_await ks.Compact();  // returns immediately; device works
       ins->Done();
-      (void)co_await ks.WaitCompaction();
+      if (ok) ok = note(co_await (*out)[thread].WaitCompaction());
       comp->Done();
       co_await comp->Wait();  // paper builds indexes after compaction
-      (void)co_await ks.CreateSecondaryIndexF32("energy",
-                                                vpic::kEnergyOffset);
+      if (ok) {
+        note(co_await (*out)[thread].CreateSecondaryIndexF32(
+            "energy", vpic::kEnergyOffset));
+      }
       idx->Done();
-    }(&bed, &dump, handles, &inserted, &compacted, &indexed, t));
+    }(&bed, &dump, handles, &first_error, &inserted, &compacted, &indexed, t));
   }
 
   bed.sim().Spawn([](CsdTestbed* tb, CsdVpicTimes* out, sim::WaitGroup* ins,
@@ -54,6 +68,7 @@ CsdVpicTimes LoadVpicIntoCsd(CsdTestbed& bed, const vpic::Dump& dump,
   }(&bed, &times, &inserted, &compacted, &indexed));
 
   bed.sim().Run();
+  if (!first_error.ok()) return first_error;
   return times;
 }
 

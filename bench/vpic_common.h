@@ -59,9 +59,11 @@ struct CsdVpicTimes {
 };
 
 // Loads the dump into `bed` (one keyspace per file), compacts, and builds
-// the energy index. Returns phase times and fills `handles`.
-CsdVpicTimes LoadVpicIntoCsd(CsdTestbed& bed, const vpic::Dump& dump,
-                             std::vector<client::KeyspaceHandle>* handles);
+// the energy index. Returns phase times and fills `handles`, or the first
+// failed status of any keyspace's create, load, compaction or index build.
+Result<CsdVpicTimes> LoadVpicIntoCsd(
+    CsdTestbed& bed, const vpic::Dump& dump,
+    std::vector<client::KeyspaceHandle>* handles);
 
 struct LsmVpicTimes {
   Tick insert = 0;           // puts acknowledged (stalls included)

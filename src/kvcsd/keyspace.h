@@ -45,6 +45,12 @@ struct SketchEntry {
   std::uint32_t block_len = 0;
 };
 
+// Number of index blocks a range scan over [lo, hi] visits: the same
+// start block and pivot stop rule QueryPrimaryRange/QuerySecondaryRange
+// walk, answered from the in-DRAM sketch alone (query.cc).
+std::size_t SketchBlocksInRange(const std::vector<SketchEntry>& sketch,
+                                const std::string& lo, const std::string& hi);
+
 struct SecondaryIndex {
   nvme::SecondaryIndexSpec spec;
   std::vector<ClusterId> sidx_clusters;

@@ -85,6 +85,18 @@ std::size_t SketchRangeStart(const std::vector<SketchEntry>& sketch,
 
 }  // namespace
 
+std::size_t SketchBlocksInRange(const std::vector<SketchEntry>& sketch,
+                                const std::string& lo, const std::string& hi) {
+  if (sketch.empty()) return 0;
+  const std::size_t start = SketchRangeStart(sketch, lo);
+  // First block whose pivot is past `hi`: the scans' stop condition.
+  const auto stop = std::upper_bound(
+      sketch.begin(), sketch.end(), hi,
+      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
+  const auto end = static_cast<std::size_t>(stop - sketch.begin());
+  return end > start ? end - start : 0;
+}
+
 sim::Task<Result<std::string>> Device::ReadIndexBlock(
     std::uint64_t keyspace_id, const SketchEntry& entry, sim::Activity act) {
   if (index_cache_.enabled()) {

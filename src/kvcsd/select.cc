@@ -11,8 +11,19 @@
 // tombstone suppression, the index-block cache, the two-slot prefetch
 // pipeline, and the deduped/coalesced gather fan-out for free, and any
 // future change to scan semantics applies to pushdown automatically.
+//
+// A predicate-only command (no sidx.name) is planned: when a SIDX covers
+// exactly the predicate's attribute and its sketch says the implied index
+// range spans fewer blocks than the primary key range, the candidates come
+// from that index instead of a full primary scan, are trimmed to the
+// primary range, and are re-sorted into primary-key order. The exact
+// predicate still runs on every row, so the index only has to supply a
+// superset of the matches and the result is byte-identical to the primary
+// plan's.
 #include <algorithm>
 #include <bit>
+#include <string>
+#include <vector>
 
 #include "common/coding.h"
 #include "kvcsd/device.h"
@@ -114,6 +125,63 @@ double DecodeAttribute(const Slice& raw, nvme::SecondaryKeyType type) {
   return 0.0;
 }
 
+// The SIDX key range [*lo, *hi] holding every encoded attribute that a
+// range predicate accepts (attributes encode to value_length bytes, so
+// value_length 0xff bytes bound them from above). False for kNone/kNe,
+// which no single index range covers.
+bool PredicateIndexRange(const nvme::ValuePredicate& pred, std::string* lo,
+                         std::string* hi) {
+  switch (pred.op) {
+    case nvme::PredicateOp::kEq:
+      *lo = pred.operand;
+      *hi = pred.operand;
+      return true;
+    case nvme::PredicateOp::kGt:
+    case nvme::PredicateOp::kGe:
+      *lo = pred.operand;
+      *hi = std::string(pred.value_length, '\xff');
+      return true;
+    case nvme::PredicateOp::kLt:
+    case nvme::PredicateOp::kLe:
+      lo->clear();
+      *hi = pred.operand;
+      return true;
+    case nvme::PredicateOp::kNone:
+    case nvme::PredicateOp::kNe:
+      break;
+  }
+  return false;
+}
+
+// The scan planner for a predicate-only pushdown. Returns the name of the
+// SIDX to collect candidates through, with its key range in [*lo, *hi],
+// or "" for the primary plan (index names are never empty). The cost rule
+// compares sketch block counts — both in DRAM, so planning reads no flash.
+std::string PlanIndexScan(const Keyspace& ks, const nvme::Command& cmd,
+                          std::string* lo, std::string* hi) {
+  if (!PredicateIndexRange(cmd.pred, lo, hi)) return "";
+  for (const auto& [name, sidx] : ks.secondary_indexes) {
+    if (sidx.spec.value_offset != cmd.pred.value_offset ||
+        sidx.spec.value_length != cmd.pred.value_length ||
+        sidx.spec.type != cmd.pred.type) {
+      continue;
+    }
+    // QuerySecondaryRange rejects a live delta value too short to hold
+    // the attribute; the primary plan counts it in short_values instead.
+    const std::uint64_t need =
+        std::uint64_t{sidx.spec.value_offset} + sidx.spec.value_length;
+    for (const auto& [pkey, entry] : ks.delta_index) {
+      if (!entry.tombstone && entry.vlen < need) return "";
+    }
+    if (SketchBlocksInRange(sidx.sketch, *lo, *hi) >=
+        SketchBlocksInRange(ks.pidx_sketch, cmd.key, cmd.key_end)) {
+      return "";
+    }
+    return name;
+  }
+  return "";
+}
+
 }  // namespace
 
 sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
@@ -132,17 +200,45 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
 
   sim::TraceSpan span(sim_, trk_query_, aggregate ? "aggregate" : "select");
 
-  // The predicate can match anywhere in the scan range, so row collection
-  // runs unbounded (limit = 0); cmd.limit cuts *matches* below. Both scan
-  // paths return (primary key, full value) rows in a deterministic order:
-  // primary-key order for primary scans, (skey, pkey) order for
-  // index-driven ones — the order the aggregate accumulates in.
-  std::vector<std::pair<std::string, std::string>> rows;
+  // Plan on the structures the scan will read: a re-compaction swaps the
+  // sketches, so wait it out first (the scans' own wait is then a no-op).
+  KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
   const bool via_sidx = !cmd.sidx.name.empty();
+  std::string plan_lo;
+  std::string plan_hi;
+  const std::string planned =
+      via_sidx ? "" : PlanIndexScan(*ks, cmd, &plan_lo, &plan_hi);
+  if (!via_sidx) {
+    stats()
+        .counter(planned.empty() ? "device.select.plan.primary"
+                                 : "device.select.plan.sidx")
+        .Increment();
+  }
+
+  // The predicate can match anywhere in the scan range, so row collection
+  // runs unbounded (limit = 0); cmd.limit cuts *matches* below. Every plan
+  // returns (primary key, full value) rows in a deterministic order:
+  // primary-key order for primary and planned scans, (skey, pkey) order
+  // for an explicitly named index — the order the aggregate accumulates in.
+  std::vector<std::pair<std::string, std::string>> rows;
   if (via_sidx) {
     KVCSD_CO_RETURN_IF_ERROR(co_await QuerySecondaryRange(
         ks, cmd.sidx.name, cmd.key, cmd.key_end, /*limit=*/0, &rows,
         sim::Activity::kPushdown));
+  } else if (!planned.empty()) {
+    KVCSD_CO_RETURN_IF_ERROR(co_await QuerySecondaryRange(
+        ks, planned, plan_lo, plan_hi, /*limit=*/0, &rows,
+        sim::Activity::kPushdown));
+    std::erase_if(rows, [&cmd](const auto& row) {
+      return row.first < cmd.key || cmd.key_end < row.first;
+    });
+    std::uint64_t key_bytes = 0;
+    for (const auto& [key, value] : rows) key_bytes += key.size();
+    co_await cpu_.ComputeBytes(key_bytes, config_.costs.merge_bytes_per_sec,
+                               sim::Activity::kPushdown);
+    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    });
   } else {
     KVCSD_CO_RETURN_IF_ERROR(co_await QueryPrimaryRange(
         ks, cmd.key, cmd.key_end, /*limit=*/0, &rows,
@@ -242,7 +338,9 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
                          : "device.cmd.kv_select.rows")
       .Add(matched);
 
-  span.Arg("src", via_sidx ? "sidx" : "primary");
+  span.Arg("src", via_sidx ? "sidx"
+                  : !planned.empty() ? "sidx_planned"
+                                       : "primary");
   span.Arg("rows_scanned", rows.size());
   span.Arg("rows_matched", matched);
   span.Arg("bytes_scanned", bytes_scanned);

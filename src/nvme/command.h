@@ -134,9 +134,10 @@ struct AggregateSpec {
 // Scalars posted back for kKvAggregate. `rows` counts predicate matches;
 // min/max/sum cover only the matches that held the attribute (`valid`
 // false means zero such rows, leaving min/max/sum meaningless). The sum
-// accumulates in scan order — primary-key order for primary-driven scans,
-// (skey, pkey) order for index-driven ones — so a host model iterating
-// the same order reproduces it bit-identically.
+// accumulates in scan order — primary-key order unless the command names
+// a secondary index (then (skey, pkey) order); an index the device's scan
+// planner picks still folds in primary-key order — so a host model
+// iterating the same order reproduces it bit-identically.
 struct AggregateResult {
   std::uint64_t rows = 0;
   double min = 0.0;

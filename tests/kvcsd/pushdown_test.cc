@@ -4,9 +4,13 @@
 // predicates over values too short to hold the attribute, projections past
 // the value end, aggregates over zero matches, pushdown against a keyspace
 // with a live delta (tombstones must not count), and a power cut in the
-// middle of a select scan.
+// middle of a select scan. The scan-planner tests pin that a predicate-only
+// command collected through a matching secondary index answers exactly as
+// the primary plan does.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -342,6 +346,333 @@ TEST(PushdownTest, LiveDeltaTombstoneDoesNotCount) {
 }
 
 // --------------------------------------------------------------------------
+// Scan planner: a predicate-only pushdown whose range predicate sits on
+// exactly an indexed attribute collects its candidates through the SIDX,
+// yet must answer byte-for-byte what the primary plan answers. Two
+// keyspaces hold the same rows; only "indexed" carries the SIDX, so every
+// comparison pits the planned scan against the primary plan.
+// --------------------------------------------------------------------------
+
+constexpr std::uint64_t kPlanKeys = 2000;
+constexpr std::uint64_t kPlanClasses = 100;
+
+// Energy of attribute class k in [0, kPlanClasses), increasing in k. The
+// binary exponent climbs 10 per class over the lowest and the highest six
+// classes, where the selective predicates below land, and 1 per class in
+// between, so a double sum over most of those ranges rounds and
+// reproduces only in one fold order.
+float PlanEnergy(std::uint64_t k) {
+  const int c = static_cast<int>(k);
+  const int exponent = c < 6 ? -60 - 10 * (5 - c)
+                       : c >= 94 ? 50 + 10 * (c - 94)
+                                 : c - 58;
+  return std::ldexp(1.0f + static_cast<float>(k) * 0.0137f, exponent);
+}
+
+struct PlanPair {
+  client::KeyspaceHandle plain;
+  client::KeyspaceHandle indexed;
+};
+
+// Key i holds PlanEnergy(i % kPlanClasses): every energy is tied across 20
+// keys scattered through the key space, so the SIDX's (skey, pkey) order
+// differs from primary-key order.
+sim::Task<client::KeyspaceHandle> LoadPlanKeyspace(client::Client* db,
+                                                   std::string name) {
+  auto ks = (co_await db->CreateKeyspace(name)).value();
+  for (std::uint64_t i = 0; i < kPlanKeys; ++i) {
+    EXPECT_TRUE((co_await ks.Put(MakeFixedKey(i),
+                                 CsdFixture::EnergyValue(
+                                     PlanEnergy(i % kPlanClasses))))
+                    .ok());
+  }
+  EXPECT_TRUE((co_await ks.Compact()).ok());
+  EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
+  co_return ks;
+}
+
+sim::Task<PlanPair> LoadPlanPair(client::Client* db) {
+  PlanPair pair;
+  pair.plain = co_await LoadPlanKeyspace(db, "plain");
+  pair.indexed = co_await LoadPlanKeyspace(db, "indexed");
+  EXPECT_TRUE((co_await pair.indexed.CreateSecondaryIndexF32("energy", 28))
+                  .ok());
+  co_return pair;
+}
+
+// Which plan the device chose for the last command, from the counters.
+struct PlanProbe {
+  const sim::Simulation* sim;
+  std::uint64_t primary0;
+  std::uint64_t sidx0;
+  std::uint64_t short0;
+
+  explicit PlanProbe(const sim::Simulation* s)
+      : sim(s),
+        primary0(Count("device.select.plan.primary")),
+        sidx0(Count("device.select.plan.sidx")),
+        short0(Count("device.select.short_values")) {}
+  std::uint64_t Count(const char* name) const {
+    return sim->stats().counter_value(name);
+  }
+  bool planned() const { return Count("device.select.plan.sidx") != sidx0; }
+  bool primary() const {
+    return Count("device.select.plan.primary") != primary0;
+  }
+  std::uint64_t short_values() const {
+    return Count("device.select.short_values") - short0;
+  }
+};
+
+struct SelectAnswer {
+  StatusCode code = StatusCode::kOk;
+  std::vector<std::pair<std::string, std::string>> rows;
+  std::uint64_t short_values = 0;
+  bool planned = false;
+  bool primary = false;
+};
+
+sim::Task<SelectAnswer> SelectOnce(sim::Simulation* sim,
+                                   client::KeyspaceHandle ks, std::string lo,
+                                   std::string hi,
+                                   client::KeyspaceHandle::SelectOptions opts) {
+  SelectAnswer a;
+  PlanProbe probe(sim);
+  a.code = (co_await ks.Select(lo, hi, opts, &a.rows)).code();
+  a.short_values = probe.short_values();
+  a.planned = probe.planned();
+  a.primary = probe.primary();
+  co_return a;
+}
+
+struct AggregateAnswer {
+  StatusCode code = StatusCode::kOk;
+  nvme::AggregateResult agg;
+  std::uint64_t short_values = 0;
+  bool planned = false;
+};
+
+sim::Task<AggregateAnswer> AggregateOnce(
+    sim::Simulation* sim, client::KeyspaceHandle ks, std::string lo,
+    std::string hi, client::KeyspaceHandle::SelectOptions opts) {
+  AggregateAnswer a;
+  PlanProbe probe(sim);
+  auto agg = co_await ks.Aggregate(lo, hi,
+                                   EnergyAgg(nvme::AggregateFunc::kSum), opts);
+  a.code = agg.status().code();
+  if (agg.ok()) a.agg = *agg;
+  a.short_values = probe.short_values();
+  a.planned = probe.planned();
+  co_return a;
+}
+
+void ExpectSameSelect(const SelectAnswer& primary, const SelectAnswer& other) {
+  EXPECT_EQ(primary.code, other.code);
+  EXPECT_EQ(primary.rows, other.rows);
+  EXPECT_EQ(primary.short_values, other.short_values);
+}
+
+// Bitwise: the planned scan must fold in the primary plan's order.
+void ExpectSameAggregate(const AggregateAnswer& primary,
+                         const AggregateAnswer& other) {
+  EXPECT_EQ(primary.code, other.code);
+  EXPECT_EQ(primary.agg.rows, other.agg.rows);
+  EXPECT_EQ(primary.agg.valid, other.agg.valid);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(primary.agg.min),
+            std::bit_cast<std::uint64_t>(other.agg.min));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(primary.agg.max),
+            std::bit_cast<std::uint64_t>(other.agg.max));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(primary.agg.sum),
+            std::bit_cast<std::uint64_t>(other.agg.sum));
+  EXPECT_EQ(primary.short_values, other.short_values);
+}
+
+struct PlannedCase {
+  nvme::PredicateOp op;
+  std::uint64_t bound_class;
+  std::uint64_t matches;  // over the whole key space, before any delta
+};
+
+// Every range op, each selective enough that the index plan wins.
+constexpr PlannedCase kPlannedCases[] = {
+    {nvme::PredicateOp::kEq, 37, 20},  {nvme::PredicateOp::kLt, 5, 100},
+    {nvme::PredicateOp::kLe, 5, 120},  {nvme::PredicateOp::kGt, 94, 100},
+    {nvme::PredicateOp::kGe, 94, 120},
+};
+
+// Runs select (plain, projected, limit-cut) and a kSum aggregate for one
+// predicate over [lo, hi] on both keyspaces and checks they agree, with
+// the indexed keyspace planned through its SIDX.
+sim::Task<void> ExpectPlanEquivalence(sim::Simulation* sim, PlanPair pair,
+                                      nvme::ValuePredicate pred,
+                                      std::string lo, std::string hi) {
+  client::KeyspaceHandle::SelectOptions opts;
+  opts.pred = pred;
+  SelectAnswer primary = co_await SelectOnce(sim, pair.plain, lo, hi, opts);
+  SelectAnswer planned = co_await SelectOnce(sim, pair.indexed, lo, hi, opts);
+  EXPECT_TRUE(primary.primary && !primary.planned);
+  EXPECT_TRUE(planned.planned);
+  EXPECT_FALSE(primary.rows.empty());
+  ExpectSameSelect(primary, planned);
+
+  opts.proj.enabled = true;
+  opts.proj.offset = 26;
+  opts.proj.length = 6;
+  ExpectSameSelect(co_await SelectOnce(sim, pair.plain, lo, hi, opts),
+                   co_await SelectOnce(sim, pair.indexed, lo, hi, opts));
+
+  // 7 lands inside the first run of tied energies in (skey, pkey) order;
+  // the cut must still keep the 7 smallest primary keys.
+  opts.proj.enabled = false;
+  opts.limit = 7;
+  primary = co_await SelectOnce(sim, pair.plain, lo, hi, opts);
+  planned = co_await SelectOnce(sim, pair.indexed, lo, hi, opts);
+  EXPECT_EQ(primary.rows.size(), 7u);
+  ExpectSameSelect(primary, planned);
+
+  opts.limit = 0;
+  const AggregateAnswer agg_primary =
+      co_await AggregateOnce(sim, pair.plain, lo, hi, opts);
+  const AggregateAnswer agg_planned =
+      co_await AggregateOnce(sim, pair.indexed, lo, hi, opts);
+  EXPECT_TRUE(agg_planned.planned);
+  EXPECT_GT(agg_primary.agg.rows, 0u);
+  ExpectSameAggregate(agg_primary, agg_planned);
+}
+
+TEST(PushdownTest, PlannedScanMatchesPrimaryPlan) {
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             sim::Simulation* sim) -> sim::Task<void> {
+    const PlanPair pair = co_await LoadPlanPair(db);
+    for (const PlannedCase& c : kPlannedCases) {
+      const auto pred =
+          nvme::PredicateF32(c.op, 28, PlanEnergy(c.bound_class));
+      // Whole key space, then a sub-range the index rows must be cut to.
+      co_await ExpectPlanEquivalence(sim, pair, pred, "", "\x7f");
+      co_await ExpectPlanEquivalence(sim, pair, pred, MakeFixedKey(150),
+                                     MakeFixedKey(1850));
+
+      // The planned scan reads only the predicate's index range: an
+      // equality's candidates are exactly its matches.
+      client::KeyspaceHandle::SelectOptions opts;
+      opts.pred = pred;
+      const std::uint64_t scanned0 =
+          sim->stats().counter_value("device.select.rows_scanned");
+      const SelectAnswer a =
+          co_await SelectOnce(sim, pair.indexed, "", "\x7f", opts);
+      const std::uint64_t scanned =
+          sim->stats().counter_value("device.select.rows_scanned") - scanned0;
+      KVCSD_CO_ASSERT(a.rows.size() == c.matches);
+      if (c.op == nvme::PredicateOp::kEq) {
+        KVCSD_CO_ASSERT(scanned == c.matches);
+      }
+      KVCSD_CO_ASSERT(scanned < kPlanKeys / 4);
+    }
+  }(&f.db, &f.sim));
+}
+
+TEST(PushdownTest, PlannerKeepsOtherCommandsOnTheirPlan) {
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             sim::Simulation* sim) -> sim::Task<void> {
+    const PlanPair pair = co_await LoadPlanPair(db);
+    const float bound = PlanEnergy(94);
+
+    // kNe, a predicate at another offset, and one of another type each
+    // stay on the primary plan and agree with the unindexed keyspace.
+    nvme::ValuePredicate as_u32 = nvme::PredicateF32(
+        nvme::PredicateOp::kGe, 28, bound);
+    as_u32.type = nvme::SecondaryKeyType::kU32;
+    for (const nvme::ValuePredicate& pred :
+         {nvme::PredicateF32(nvme::PredicateOp::kNe, 28, bound),
+          nvme::PredicateF32(nvme::PredicateOp::kGe, 24, bound), as_u32}) {
+      client::KeyspaceHandle::SelectOptions opts;
+      opts.pred = pred;
+      const SelectAnswer primary =
+          co_await SelectOnce(sim, pair.plain, "", "\x7f", opts);
+      const SelectAnswer other =
+          co_await SelectOnce(sim, pair.indexed, "", "\x7f", opts);
+      KVCSD_CO_ASSERT(other.primary && !other.planned);
+      ExpectSameSelect(primary, other);
+      ExpectSameAggregate(
+          co_await AggregateOnce(sim, pair.plain, "", "\x7f", opts),
+          co_await AggregateOnce(sim, pair.indexed, "", "\x7f", opts));
+    }
+
+    // A ~100%-selectivity range predicate: the index range spans at least
+    // as many blocks as the primary range, so the planner falls back.
+    client::KeyspaceHandle::SelectOptions all;
+    all.pred = nvme::PredicateF32(nvme::PredicateOp::kGe, 28, PlanEnergy(0));
+    const SelectAnswer everything =
+        co_await SelectOnce(sim, pair.indexed, "", "\x7f", all);
+    KVCSD_CO_ASSERT(everything.primary && !everything.planned);
+    KVCSD_CO_ASSERT(everything.rows.size() == kPlanKeys);
+    ExpectSameSelect(co_await SelectOnce(sim, pair.plain, "", "\x7f", all),
+                     everything);
+
+    // An explicitly named index is the host's plan: the planner neither
+    // re-plans nor counts it.
+    client::KeyspaceHandle::SelectOptions named;
+    named.index_name = "energy";
+    named.pred = nvme::PredicateF32(nvme::PredicateOp::kGe, 28, bound);
+    const SelectAnswer by_name = co_await SelectOnce(
+        sim, pair.indexed, nvme::EncodeSecondaryF32(PlanEnergy(90)),
+        nvme::EncodeSecondaryF32(PlanEnergy(99)), named);
+    KVCSD_CO_ASSERT(by_name.code == StatusCode::kOk);
+    KVCSD_CO_ASSERT(!by_name.primary && !by_name.planned);
+    KVCSD_CO_ASSERT(by_name.rows.size() == 120);
+  }(&f.db, &f.sim));
+}
+
+TEST(PushdownTest, PlannedScanSeesTheDelta) {
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             sim::Simulation* sim) -> sim::Task<void> {
+    const PlanPair pair = co_await LoadPlanPair(db);
+    for (client::KeyspaceHandle ks : {pair.plain, pair.indexed}) {
+      // Key 296 (class 96) drops below every upper threshold and into the
+      // lower ones; key 10 (class 10) rises into the upper ones; key 195
+      // (a class-95 match) and key 1 (a class-1 match) die; a new key
+      // arrives at the top class.
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(296), CsdFixture::EnergyValue(PlanEnergy(3))));
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(10), CsdFixture::EnergyValue(PlanEnergy(98))));
+      KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(195)));
+      KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(1)));
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(
+          MakeFixedKey(kPlanKeys + 5),
+          CsdFixture::EnergyValue(PlanEnergy(99))));
+    }
+    for (const PlannedCase& c : kPlannedCases) {
+      co_await ExpectPlanEquivalence(
+          sim, pair, nvme::PredicateF32(c.op, 28, PlanEnergy(c.bound_class)),
+          "", "\x7f");
+    }
+
+    // A delta value too short for the attribute: the primary plan counts
+    // it in short_values, so the planner leaves the command to that plan.
+    for (client::KeyspaceHandle ks : {pair.plain, pair.indexed}) {
+      KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(400), "tiny"));
+    }
+    client::KeyspaceHandle::SelectOptions opts;
+    opts.pred = nvme::PredicateF32(nvme::PredicateOp::kGe, 28, PlanEnergy(94));
+    const SelectAnswer primary =
+        co_await SelectOnce(sim, pair.plain, "", "\x7f", opts);
+    const SelectAnswer other =
+        co_await SelectOnce(sim, pair.indexed, "", "\x7f", opts);
+    KVCSD_CO_ASSERT(primary.code == StatusCode::kOk);
+    KVCSD_CO_ASSERT(primary.short_values == 1);
+    KVCSD_CO_ASSERT(other.primary && !other.planned);
+    ExpectSameSelect(primary, other);
+    ExpectSameAggregate(
+        co_await AggregateOnce(sim, pair.plain, "", "\x7f", opts),
+        co_await AggregateOnce(sim, pair.indexed, "", "\x7f", opts));
+  }(&f.db, &f.sim));
+}
+
+// --------------------------------------------------------------------------
 // Edge case: power cut during a select scan. The in-flight command fails,
 // the crash point fires, and after restart + recovery the same select runs
 // to completion against intact data.
@@ -440,6 +771,47 @@ TEST(PushdownTest, PowerCutDuringSelectScan) {
     KVCSD_CO_ASSERT_OK(agg);
     KVCSD_CO_ASSERT(agg->rows == kKeys - 150);
   }(f.dev(), f.db.get()));
+}
+
+// The planned path runs the same crash point after row collection.
+TEST(PushdownTest, PowerCutDuringPlannedSelectScan) {
+  PowerCycleFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await LoadPlanKeyspace(db, "pcut");
+    KVCSD_CO_ASSERT_OK(co_await ks.CreateSecondaryIndexF32("energy", 28));
+  }(f.db.get()));
+
+  f.faults.ArmCrashAtPoint("select.mid_scan", 1);
+  testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
+                             sim::FaultInjector* faults) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("pcut");
+    KVCSD_CO_ASSERT_OK(ks);
+    client::KeyspaceHandle::SelectOptions opts;
+    opts.pred =
+        nvme::PredicateF32(nvme::PredicateOp::kGe, 28, PlanEnergy(94));
+    const SelectAnswer a = co_await SelectOnce(sim, *ks, "", "\x7f", opts);
+    KVCSD_CO_ASSERT(a.code != StatusCode::kOk);
+    KVCSD_CO_ASSERT(a.planned);
+    KVCSD_CO_ASSERT(faults->crashed());
+  }(f.db.get(), &f.sim, &f.faults));
+  ASSERT_TRUE(f.faults.crashed());
+  ASSERT_EQ(f.faults.crash_point(), "select.mid_scan");
+
+  // After the power cycle the recovered index plans the same select.
+  f.Restart();
+  testutil::RunSim(f.sim, [](Device* dev, client::Client* db,
+                             sim::Simulation* sim) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await dev->Recover());
+    auto ks = co_await db->OpenKeyspace("pcut");
+    KVCSD_CO_ASSERT_OK(ks);
+    client::KeyspaceHandle::SelectOptions opts;
+    opts.pred =
+        nvme::PredicateF32(nvme::PredicateOp::kGe, 28, PlanEnergy(94));
+    const SelectAnswer a = co_await SelectOnce(sim, *ks, "", "\x7f", opts);
+    KVCSD_CO_ASSERT(a.code == StatusCode::kOk);
+    KVCSD_CO_ASSERT(a.planned);
+    KVCSD_CO_ASSERT(a.rows.size() == 120);
+  }(f.dev(), f.db.get(), &f.sim));
 }
 
 // --------------------------------------------------------------------------

@@ -16,8 +16,9 @@ Consumes the ``--trace=`` Chrome trace_event JSON emitted by the benches
     built from the router track's ``scan``/``secondary_scan``/``select``/
     ``aggregate`` spans (fan-out, merged rows, slowest shard, and how
     much of the gather was merge overhead vs waiting on that shard),
-  * a pushdown attribution table: per scan source (primary vs secondary
-    index), bytes the device scanned vs bytes it returned to the host,
+  * a pushdown attribution table: per scan source (primary, a named
+    secondary index, or one the device's planner chose), bytes the
+    device scanned vs bytes it returned to the host,
     and the resulting reduction factor (``select``/``aggregate`` spans
     on the ``query`` track),
   * a fold attribution table: how each incremental re-compaction
@@ -262,9 +263,10 @@ def print_pushdown_breakdown(events, tracks):
 
     The device emits one ``select`` / ``aggregate`` span per pushdown
     command on the ``query`` track, tagged with the scan source
-    (``primary`` vs ``sidx``) and the byte counts on both sides of the
-    predicate.  The reduction column is the pushdown win: how many bytes
-    the device read per byte it shipped to the host.
+    (``primary``, ``sidx`` for a host-named index, ``sidx_planned`` when
+    the device's scan planner chose one) and the byte counts on both
+    sides of the predicate.  The reduction column is the pushdown win: how
+    many bytes the device read per byte it shipped to the host.
     """
     groups = defaultdict(lambda: {
         "count": 0, "scanned": 0, "returned": 0,
@@ -286,7 +288,7 @@ def print_pushdown_breakdown(events, tracks):
     if not groups:
         return
     print()
-    hdr = "%-18s %6s %12s %12s %14s %14s %10s" % (
+    hdr = "%-22s %6s %12s %12s %14s %14s %10s" % (
         "pushdown", "count", "rows_scanned", "rows_matched",
         "bytes_scanned", "bytes_returned", "reduction")
     print(hdr)
@@ -295,12 +297,12 @@ def print_pushdown_breakdown(events, tracks):
     for (op, src), g in sorted(groups.items()):
         totals["scanned"] += g["scanned"]
         totals["returned"] += g["returned"]
-        print("%-18s %6d %12d %12d %14d %14d %9.1fx" % (
+        print("%-22s %6d %12d %12d %14d %14d %9.1fx" % (
             "%s/%s" % (op, src), g["count"], g["rows_scanned"],
             g["rows_matched"], g["scanned"], g["returned"],
             g["scanned"] / g["returned"] if g["returned"] else 0.0))
     print("-" * len(hdr))
-    print("%-18s %6s %12s %12s %14d %14d %9.1fx" % (
+    print("%-22s %6s %12s %12s %14d %14d %9.1fx" % (
         "total", "", "", "", totals["scanned"], totals["returned"],
         totals["scanned"] / totals["returned"]
         if totals["returned"] else 0.0))
