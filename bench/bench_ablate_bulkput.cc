@@ -38,6 +38,9 @@ int main(int argc, char** argv) {
   InsertSpec single = bulk;
   single.use_bulk_put = false;
   CsdInsertOutcome with_single = RunCsdInsert(config, 32, single);
+  std::uint64_t failures = 0;
+  CountFailures("bulk PUT insert", with_bulk.failed, &failures);
+  CountFailures("single PUT insert", with_single.failed, &failures);
 
   Table table("A2: insert time by PUT style (paper: bulk is ~7x faster)",
               {"style", "insert time", "PCIe H2D bytes", "speedup"});
@@ -63,5 +66,5 @@ int main(int argc, char** argv) {
                        static_cast<double>(with_bulk.insert_done));
   report.AddTable(table);
   report.WriteIfRequested();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

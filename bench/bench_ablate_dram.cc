@@ -32,6 +32,7 @@ int main(int argc, char** argv) {
               {"DRAM budget", "insert", "compaction (async)",
                "device bytes written", "device bytes read"});
 
+  std::uint64_t failures = 0;
   for (std::uint64_t dram :
        {MiB(8), MiB(16), MiB(64), MiB(256)}) {
     TestbedConfig config = TestbedConfig::Scaled();
@@ -42,6 +43,8 @@ int main(int argc, char** argv) {
     spec.threads = 8;
     spec.shared_keyspace = true;
     CsdInsertOutcome outcome = RunCsdInsert(config, 32, spec);
+    CountFailures("KV-CSD insert, " + std::to_string(dram >> 20) + " MiB DRAM",
+                  outcome.failed, &failures);
 
     const std::string point = "dram" + std::to_string(dram >> 20);
     report.AddMetric("csd.compact." + point + ".keys_per_sec",
@@ -60,5 +63,5 @@ int main(int argc, char** argv) {
   table.Print();
   report.AddTable(table);
   report.WriteIfRequested();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
               {"zones/cluster", "insert", "compaction done", "vs width 1"});
 
   Tick baseline = 0;
+  std::uint64_t failures = 0;
   for (std::uint32_t width : {1u, 2u, 4u, 8u}) {
     TestbedConfig config = TestbedConfig::Scaled();
     config.device.zones.zones_per_cluster = width;
@@ -45,6 +46,8 @@ int main(int argc, char** argv) {
     spec.threads = threads;
     spec.shared_keyspace = false;
     CsdInsertOutcome outcome = RunCsdInsert(config, 32, spec);
+    CountFailures("KV-CSD insert, stripe width " + std::to_string(width),
+                  outcome.failed, &failures);
     if (width == 1) baseline = outcome.compaction_done;
 
     const std::string point = "width" + std::to_string(width);
@@ -63,5 +66,5 @@ int main(int argc, char** argv) {
   table.Print();
   report.AddTable(table);
   report.WriteIfRequested();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

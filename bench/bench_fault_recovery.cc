@@ -106,7 +106,7 @@ RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys,
   const device::DeviceConfig cfg = BenchConfig(&faults);
 
   RunResult result;
-  nvme::QueueSet queue(&sim, nvme::PcieConfig{});
+  nvme::QueueSet queue(&sim, nvme::QueueSetConfig{});
   auto dev = std::make_unique<device::Device>(&sim, cfg, &queue);
   dev->Start();
   sim::CpuPool host_cpu(&sim, "host", 8);
@@ -117,7 +117,7 @@ RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys,
 
   faults.Crash();  // power cut; every acked byte is behind CommitTail
 
-  nvme::QueueSet queue2(&sim, nvme::PcieConfig{});
+  nvme::QueueSet queue2(&sim, nvme::QueueSetConfig{});
   auto dev2 = device::Device::Restart(&sim, cfg, &queue2, *dev);
   dev2->Start();
   client::Client db2(&queue2, &host_cpu, hostenv::CostModel::Host());

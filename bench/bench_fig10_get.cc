@@ -30,34 +30,44 @@ using namespace kvcsd::harness;  // NOLINT
 
 namespace {
 
-// Sequential ids 0..N-1 per keyspace so random GETs always hit.
+// Sequential ids 0..N-1 per keyspace so random GETs always hit: every
+// NotFound in the GET phase is a failure. Non-Ok load statuses are
+// counted into *failed.
 sim::Task<void> CsdLoader(CsdTestbed* bed, std::uint64_t keys,
                           std::uint32_t thread, sim::WaitGroup* wg,
-                          std::vector<client::KeyspaceHandle>* handles) {
+                          std::vector<client::KeyspaceHandle>* handles,
+                          std::uint64_t* failed) {
+  auto check = [failed](const Status& st) {
+    if (!st.ok()) ++*failed;
+  };
   auto ks = (co_await bed->client().CreateKeyspace(
                  "ks" + std::to_string(thread)))
                 .value();
   auto writer = ks.NewBulkWriter();
   for (std::uint64_t i = 0; i < keys; ++i) {
-    (void)co_await writer.Add(MakeFixedKey(i), std::string(32, 'v'));
+    check(co_await writer.Add(MakeFixedKey(i), std::string(32, 'v')));
   }
-  (void)co_await writer.Flush();
-  (void)co_await ks.Compact();
-  (void)co_await ks.WaitCompaction();
+  check(co_await writer.Drain());
+  check(co_await ks.Compact());
+  check(co_await ks.WaitCompaction());
   (*handles)[thread] = ks;
   wg->Done();
 }
 
 sim::Task<void> LsmLoader(LsmTestbed* bed, std::uint64_t keys,
                           std::uint32_t thread, sim::WaitGroup* wg,
-                          std::vector<std::unique_ptr<lsm::Db>>* dbs) {
+                          std::vector<std::unique_ptr<lsm::Db>>* dbs,
+                          std::uint64_t* failed) {
+  auto check = [failed](const Status& st) {
+    if (!st.ok()) ++*failed;
+  };
   auto db = (co_await bed->OpenDb("db" + std::to_string(thread),
                                   lsm::CompactionMode::kAuto))
                 .value();
   for (std::uint64_t i = 0; i < keys; ++i) {
-    (void)co_await db->Put(MakeFixedKey(i), std::string(32, 'v'));
+    check(co_await db->Put(MakeFixedKey(i), std::string(32, 'v')));
   }
-  (void)co_await db->Flush();
+  check(co_await db->Flush());
   co_await db->WaitForIdle();
   (*dbs)[thread] = std::move(db);
   wg->Done();
@@ -89,29 +99,36 @@ int main(int argc, char** argv) {
   // ---- build both datasets once ----
   CsdTestbed csd_bed(config);
   std::vector<client::KeyspaceHandle> csd_handles(keyspaces);
+  std::uint64_t csd_load_failed = 0;
   {
     sim::WaitGroup wg(&csd_bed.sim());
     wg.Add(keyspaces);
     for (std::uint32_t t = 0; t < keyspaces; ++t) {
       csd_bed.sim().Spawn(
-          CsdLoader(&csd_bed, keys_per_keyspace, t, &wg, &csd_handles));
+          CsdLoader(&csd_bed, keys_per_keyspace, t, &wg, &csd_handles,
+                    &csd_load_failed));
     }
     csd_bed.sim().Run();
   }
 
   LsmTestbed lsm_bed(config);
   std::vector<std::unique_ptr<lsm::Db>> lsm_dbs(keyspaces);
+  std::uint64_t lsm_load_failed = 0;
   {
     sim::WaitGroup wg(&lsm_bed.sim());
     wg.Add(keyspaces);
     for (std::uint32_t t = 0; t < keyspaces; ++t) {
       lsm_bed.sim().Spawn(
-          LsmLoader(&lsm_bed, keys_per_keyspace, t, &wg, &lsm_dbs));
+          LsmLoader(&lsm_bed, keys_per_keyspace, t, &wg, &lsm_dbs,
+                    &lsm_load_failed));
     }
     lsm_bed.sim().Run();
   }
   std::vector<lsm::Db*> lsm_ptrs;
   for (auto& db : lsm_dbs) lsm_ptrs.push_back(db.get());
+  std::uint64_t failures = 0;
+  CountFailures("KV-CSD load", csd_load_failed, &failures);
+  CountFailures("RocksDB load", lsm_load_failed, &failures);
 
   // ---- GET sweeps ----
   Table time_table("Fig 10a: random GET time vs query count",
@@ -132,6 +149,10 @@ int main(int argc, char** argv) {
     // The paper cleans the OS page cache before each RocksDB run.
     QueryOutcome rocks =
         RunLsmGets(lsm_bed, lsm_ptrs, spec, /*drop_page_cache=*/true);
+    const std::string run = std::to_string(spec.total_gets) + " GETs";
+    CountFailures("KV-CSD " + run, csd.failed + csd.not_found, &failures);
+    CountFailures("RocksDB " + run, rocks.failed + rocks.not_found,
+                  &failures);
 
     const std::string point = "gets" + std::to_string(spec.total_gets);
     report.AddMetric("csd.get." + point + ".gets_per_sec",
@@ -183,5 +204,5 @@ int main(int argc, char** argv) {
   report.AddTable(time_table);
   report.AddTable(io_table);
   report.WriteIfRequested();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

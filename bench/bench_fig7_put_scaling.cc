@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
        "RocksDB read", "RocksDB write amp"});
 
   const std::uint64_t logical_bytes = total_keys * (16 + 32);
+  std::uint64_t failures = 0;
   for (std::uint32_t cores : {1u, 2u, 4u, 8u, 16u, 32u}) {
     InsertSpec spec;
     spec.total_keys = total_keys;
@@ -58,6 +59,9 @@ int main(int argc, char** argv) {
     CsdInsertOutcome csd = RunCsdInsert(config, cores, spec);
     LsmInsertOutcome lsm =
         RunLsmInsert(config, cores, spec, lsm::CompactionMode::kAuto);
+    const std::string run = std::to_string(cores) + " cores";
+    CountFailures("KV-CSD insert, " + run, csd.failed, &failures);
+    CountFailures("RocksDB insert, " + run, lsm.failed, &failures);
 
     const double speedup = static_cast<double>(lsm.total_done) /
                            static_cast<double>(csd.insert_done);
@@ -92,5 +96,5 @@ int main(int argc, char** argv) {
   report.AddTable(time_table);
   report.AddTable(io_table);
   report.WriteIfRequested();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
               {"value size", "KV-CSD (32 cores)", "KV-CSD (2 cores)",
                "RocksDB (32 cores)", "speedup@32", "speedup@2"});
 
+  std::uint64_t failures = 0;
   for (std::uint32_t value_bytes : {32u, 128u, 512u, 1024u, 4096u}) {
     config.ScaleLsmTreeTo(total_keys * (16 + value_bytes));
     InsertSpec spec;
@@ -52,6 +53,11 @@ int main(int argc, char** argv) {
     CsdInsertOutcome csd2 = RunCsdInsert(config, 2, spec2);
     LsmInsertOutcome rocks =
         RunLsmInsert(config, 32, spec, lsm::CompactionMode::kAuto);
+    const std::string run = std::to_string(value_bytes) + " B values";
+    CountFailures("KV-CSD insert (32 cores), " + run, csd32.failed,
+                  &failures);
+    CountFailures("KV-CSD insert (2 cores), " + run, csd2.failed, &failures);
+    CountFailures("RocksDB insert, " + run, rocks.failed, &failures);
 
     const std::string point = "val" + std::to_string(value_bytes);
     report.AddMetric("csd.put32." + point + ".keys_per_sec",
@@ -74,5 +80,5 @@ int main(int argc, char** argv) {
   table.Print();
   report.AddTable(table);
   report.WriteIfRequested();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
                "RocksDB auto", "RocksDB deferred", "RocksDB none",
                "speedup auto", "speedup deferred", "speedup none"});
 
+  std::uint64_t failures = 0;
   for (std::uint32_t threads : {1u, 2u, 4u, 8u, 16u, 32u}) {
     InsertSpec spec;
     spec.total_keys = keys_per_thread * threads;
@@ -57,6 +58,14 @@ int main(int argc, char** argv) {
         RunLsmInsert(config, 32, spec, lsm::CompactionMode::kDeferred);
     LsmInsertOutcome rocks_none =
         RunLsmInsert(config, 32, spec, lsm::CompactionMode::kNone);
+    const std::string run = std::to_string(threads) + " keyspaces";
+    CountFailures("KV-CSD insert, " + run, csd.failed, &failures);
+    CountFailures("RocksDB (auto) insert, " + run, rocks_auto.failed,
+                  &failures);
+    CountFailures("RocksDB (deferred) insert, " + run, rocks_deferred.failed,
+                  &failures);
+    CountFailures("RocksDB (none) insert, " + run, rocks_none.failed,
+                  &failures);
 
     const std::string point = "ks" + std::to_string(threads);
     report.AddMetric("csd.put." + point + ".keys_per_sec",
@@ -86,5 +95,5 @@ int main(int argc, char** argv) {
   table.Print();
   report.AddTable(table);
   report.WriteIfRequested();
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -64,7 +64,7 @@ sim::Task<void> TenantPuts(sim::Simulation* sim, client::KeyspaceHandle ks,
                            std::uint32_t tenant, std::uint64_t puts,
                            std::uint64_t value_bytes, std::uint64_t depth,
                            TenantResult* out) {
-  std::deque<client::StatusFuture> window;
+  std::deque<client::Future<Status>> window;
   for (std::uint64_t i = 0; i < puts; ++i) {
     if (window.size() >= depth) {
       Status s = co_await window.front().Await();
@@ -123,7 +123,7 @@ sim::Task<void> TenantGets(sim::Simulation* sim, client::KeyspaceHandle ks,
   out->ok = false;
   std::uint64_t stride = 4093;
   while (puts % stride == 0) ++stride;
-  std::deque<client::GetFuture> window;
+  std::deque<client::Future<Result<std::string>>> window;
   for (std::uint64_t i = 0; i < gets; ++i) {
     if (window.size() >= depth) {
       auto got = co_await window.front().Await();

@@ -87,7 +87,7 @@ sim::Task<void> DriverPuts(sim::Simulation* sim,
                            std::uint64_t puts, std::uint64_t value_bytes,
                            std::uint64_t depth, std::uint64_t batch,
                            DriverResult* out) {
-  std::deque<client::StatusFuture> window;
+  std::deque<client::Future<Status>> window;
   const std::uint64_t window_cap = depth * batch;
   std::vector<std::pair<std::string, std::string>> pending;
   for (std::uint64_t i = driver; i < puts; i += drivers) {
@@ -155,7 +155,7 @@ sim::Task<void> DriverGets(sim::Simulation* sim,
   out->ok = false;
   std::uint64_t stride = 4093;
   while (puts % stride == 0) ++stride;
-  std::deque<client::GetFuture> window;
+  std::deque<client::Future<Result<std::string>>> window;
   for (std::uint64_t i = driver; i < gets; i += drivers) {
     if (window.size() >= depth) {
       auto got = co_await window.front().Await();

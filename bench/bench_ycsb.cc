@@ -116,7 +116,7 @@ sim::Task<void> MixedPhase(sim::Simulation* sim, client::KeyspaceHandle ks,
                            std::map<std::uint64_t, std::uint64_t>* model,
                            PointResult* out) {
   Rng rng(seed);
-  std::deque<client::StatusFuture> window;
+  std::deque<client::Future<Status>> window;
   bool failed = false;
   out->mixed_start = sim->Now();
   for (std::uint64_t op = 0; op < ops && !failed; ++op) {

@@ -7,6 +7,81 @@
 
 namespace kvcsd::client {
 
+namespace {
+
+// Completion decoders: one per future type, shared by each op's sync and
+// async faces.
+Status DecodeStatus(nvme::Completion completion) { return completion.status; }
+
+Result<std::string> DecodeValue(nvme::Completion completion) {
+  if (!completion.status.ok()) return completion.status;
+  return std::move(completion.value);
+}
+
+Result<Rows> DecodeRows(nvme::Completion completion) {
+  if (!completion.status.ok()) return completion.status;
+  return std::move(completion.results);
+}
+
+Result<nvme::AggregateResult> DecodeAggregate(nvme::Completion completion) {
+  if (!completion.status.ok()) return completion.status;
+  return completion.agg;
+}
+
+Result<nvme::HealthPage> DecodeHealth(nvme::Completion completion) {
+  if (!completion.status.ok()) return completion.status;
+  nvme::HealthPage page;
+  if (!nvme::DecodeHealthPage(completion.value, &page)) {
+    return Status::Corruption("bad health log page");
+  }
+  return page;
+}
+
+Result<nvme::StatsPage> DecodeStats(nvme::Completion completion) {
+  if (!completion.status.ok()) return completion.status;
+  nvme::StatsPage page;
+  if (!nvme::DecodeStatsPage(completion.value, &page)) {
+    return Status::Corruption("bad stats log page");
+  }
+  return page;
+}
+
+Result<std::uint64_t> DecodeKeyspaceId(nvme::Completion completion) {
+  if (!completion.status.ok()) return completion.status;
+  return completion.keyspace_id;
+}
+
+Result<KeyspaceHandle::Stat> DecodeStat(nvme::Completion completion) {
+  if (!completion.status.ok()) return completion.status;
+  KeyspaceHandle::Stat stat;
+  stat.num_kvs = completion.count;
+  stat.state = std::move(completion.value);
+  return stat;
+}
+
+// Row-returning sync calls append their rows to the caller's vector.
+Status AppendRows(Result<Rows> rows, Rows* out) {
+  if (!rows.ok()) return rows.status();
+  for (auto& row : *rows) out->push_back(std::move(row));
+  return Status::Ok();
+}
+
+nvme::Command NamedCommand(nvme::Opcode op, const std::string& name) {
+  nvme::Command cmd;
+  cmd.opcode = op;
+  cmd.name = name;
+  return cmd;
+}
+
+nvme::Command LogPageCommand(nvme::LogPageId page) {
+  nvme::Command cmd;
+  cmd.opcode = nvme::Opcode::kGetLogPage;
+  cmd.log_page = page;
+  return cmd;
+}
+
+}  // namespace
+
 Client::Client(nvme::QueueSet* queues, sim::CpuPool* host_cpu,
                const hostenv::CostModel& host_costs, ClientConfig config)
     : queues_(queues),
@@ -41,46 +116,25 @@ void Client::StampCommand(nvme::Command* command, Tick begin) {
   }
 }
 
-sim::Task<nvme::Completion> Client::Call(nvme::Command command) {
-  const nvme::Opcode op = command.opcode;
-  sim::Simulation* sim = queues_->sim();
-  const Tick begin = sim->Now();
-  sim::TraceSpan span(sim, "client", nvme::OpcodeName(op));
-  StampCommand(&command, begin);
-  span.Arg("cmd_id", command.cmd_id);
-  // Userspace driver work on the host: packing + doorbell. No kernel.
-  co_await host_cpu_->Compute(costs_.syscall_overhead);
-  nvme::Completion completion =
-      co_await SubmitPair()->Submit(std::move(command));
-  // Host-visible round trip, including the client-side driver compute —
-  // what an application would measure around a Put/Get call.
-  if (const char* cls = nvme::OpcodeLatencyClass(op)) {
-    sim->stats()
-        .histogram(config_.stats_prefix + "cmd." + cls + "_ns")
-        .Record(sim->Now() - begin);
-  }
-  co_return completion;
-}
-
 sim::Task<void> Client::Reactor() {
   sim::Simulation* sim = queues_->sim();
   for (;;) {
     std::shared_ptr<nvme::ReplyState> state = co_await cq_ring_.Pop();
     const Tick now = sim->Now();
+    // Host-visible round trip, including the client-side driver compute —
+    // what an application would measure around a Put/Get call.
     if (const char* cls = nvme::OpcodeLatencyClass(state->opcode)) {
       sim->stats()
           .histogram(config_.stats_prefix + "cmd." + cls + "_ns")
           .Record(now - state->submit_begin);
     }
     if (sim->tracer().enabled() && state->cmd_id != 0) {
-      // The async client span: submit stamp -> reap. Mirrors what the
-      // RAII span records on the synchronous path.
+      // The client span: submit stamp -> reap.
       sim->tracer().CompleteSpan(
           sim->tracer().Track("client"), nvme::OpcodeName(state->opcode),
           state->submit_begin, now,
           {{"cmd_id", std::to_string(state->cmd_id)}});
     }
-    --async_inflight_;
     window_.Release();
     state->done.Set();
   }
@@ -92,43 +146,32 @@ void Client::EnsureReactor() {
   queues_->sim()->Spawn(Reactor());
 }
 
-sim::Task<CallFuture> Client::CallAsync(nvme::Command command) {
-  sim::Simulation* sim = queues_->sim();
-  const Tick begin = sim->Now();
-  StampCommand(&command, begin);
-  EnsureReactor();
-  co_await window_.Acquire();
-  ++async_inflight_;
-  co_await host_cpu_->Compute(costs_.syscall_overhead);
-  std::shared_ptr<nvme::ReplyState> state =
-      co_await SubmitPair()->SubmitAsync(std::move(command), &cq_ring_);
-  co_return CallFuture(std::move(state));
-}
-
-sim::Task<std::vector<CallFuture>> Client::CallBatchAsync(
+sim::Task<std::vector<std::shared_ptr<nvme::ReplyState>>> Client::Submit(
     std::vector<nvme::Command> commands) {
   sim::Simulation* sim = queues_->sim();
-  std::vector<CallFuture> futures;
-  futures.reserve(commands.size());
-  if (commands.empty()) co_return futures;
+  std::vector<std::shared_ptr<nvme::ReplyState>> states;
+  states.reserve(commands.size());
+  if (commands.empty()) co_return states;
   EnsureReactor();
   const std::uint32_t window_cap = std::max<std::uint32_t>(
       config_.max_inflight, 1);
+  // Only one batch may hold partial window permits at a time. With
+  // several batch submitters racing, interleaved acquisition could carve
+  // the window up among callers that each park waiting for the rest —
+  // nothing submitted, nothing completes, nothing released. The gate
+  // holder's missing permits always come from commands that are already
+  // in flight (if none were, the window would be whole and the
+  // chunk-sized acquisition below could not block), so holding the gate
+  // across the acquisition loop cannot stall. A batch of one needs a
+  // single permit, which cannot carve anything up: it skips the gate.
+  const bool gated = commands.size() > 1;
   std::size_t next = 0;
   while (next < commands.size()) {
     // Chunk to the admission window so the permit acquisition below can
     // never wait on completions of this very batch.
     const std::size_t chunk =
         std::min<std::size_t>(commands.size() - next, window_cap);
-    // Only one batch may hold partial window permits at a time. With
-    // several batch submitters racing, interleaved acquisition could
-    // carve the window up among callers that each park waiting for the
-    // rest — nothing submitted, nothing completes, nothing released.
-    // The gate holder's missing permits always come from commands that
-    // are already in flight (if none were, the window would be whole and
-    // the chunk-sized acquisition below could not block), so holding the
-    // gate across the acquisition loop cannot stall.
-    co_await batch_gate_.Acquire();
+    if (gated) co_await batch_gate_.Acquire();
     const Tick begin = sim->Now();
     std::vector<nvme::Command> batch;
     batch.reserve(chunk);
@@ -136,220 +179,141 @@ sim::Task<std::vector<CallFuture>> Client::CallBatchAsync(
       StampCommand(&commands[next + i], begin);
       batch.push_back(std::move(commands[next + i]));
     }
-    for (std::size_t i = 0; i < chunk; ++i) {
-      co_await window_.Acquire();
-      ++async_inflight_;
-    }
+    for (std::size_t i = 0; i < chunk; ++i) co_await window_.Acquire();
     // All permits held: the gate has done its job. Release before the
     // doorbell so concurrent batches pipeline on the submit path instead
     // of serializing behind each other's DMA setup.
-    batch_gate_.Release();
-    // One doorbell ring on the host side for the whole chunk.
+    if (gated) batch_gate_.Release();
+    // Userspace driver work on the host: packing + one doorbell ring for
+    // the whole chunk. No kernel.
     co_await host_cpu_->Compute(costs_.syscall_overhead);
-    nvme::QueuePair* pair = SubmitPair();
-    std::vector<std::shared_ptr<nvme::ReplyState>> states =
-        co_await pair->SubmitBatch(std::move(batch), &cq_ring_);
-    for (auto& state : states) {
-      futures.push_back(CallFuture(std::move(state)));
-    }
+    std::vector<std::shared_ptr<nvme::ReplyState>> submitted =
+        co_await SubmitPair()->Submit(std::move(batch), &cq_ring_);
+    for (auto& state : submitted) states.push_back(std::move(state));
     next += chunk;
   }
-  co_return futures;
+  co_return states;
 }
 
-sim::Task<nvme::Completion> CallFuture::AwaitImpl(
-    std::shared_ptr<nvme::ReplyState> state) {
-  co_await state->done.Wait();
-  co_return std::move(state->completion);
+template <typename T>
+sim::Task<Future<T>> Client::Launch(nvme::Command command,
+                                    T (*decode)(nvme::Completion)) {
+  std::vector<nvme::Command> batch;
+  batch.push_back(std::move(command));
+  std::vector<std::shared_ptr<nvme::ReplyState>> states =
+      co_await Submit(std::move(batch));
+  co_return Future<T>(std::move(states.front()), decode);
 }
 
-sim::Task<Status> StatusFuture::AwaitImpl(CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  co_return completion.status;
-}
-
-sim::Task<Result<std::string>> GetFuture::AwaitImpl(CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  co_return std::move(completion.value);
-}
-
-sim::Task<Result<SelectFuture::Rows>> SelectFuture::AwaitImpl(
-    CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  co_return std::move(completion.results);
-}
-
-sim::Task<Result<nvme::AggregateResult>> AggregateFuture::AwaitImpl(
-    CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  co_return completion.agg;
-}
-
-sim::Task<Result<nvme::HealthPage>> HealthFuture::AwaitImpl(CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  nvme::HealthPage page;
-  if (!nvme::DecodeHealthPage(completion.value, &page)) {
-    co_return Status::Corruption("bad health log page");
-  }
-  co_return page;
-}
-
-sim::Task<Result<nvme::StatsPage>> StatsPageFuture::AwaitImpl(
-    CallFuture call) {
-  nvme::Completion completion = co_await call.Await();
-  if (!completion.status.ok()) co_return completion.status;
-  nvme::StatsPage page;
-  if (!nvme::DecodeStatsPage(completion.value, &page)) {
-    co_return Status::Corruption("bad stats log page");
-  }
-  co_return page;
+template <typename T>
+sim::Task<T> Client::Call(nvme::Command command,
+                          T (*decode)(nvme::Completion)) {
+  Future<T> future = co_await Launch(std::move(command), decode);
+  co_return co_await future.Await();
 }
 
 sim::Task<Result<KeyspaceHandle>> Client::CreateKeyspace(
     const std::string& name) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKeyspaceCreate;
-  cmd.name = name;
-  auto completion = co_await Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  co_return KeyspaceHandle(this, completion.keyspace_id);
+  nvme::Command cmd = NamedCommand(nvme::Opcode::kKeyspaceCreate, name);
+  Result<std::uint64_t> id = co_await Call(std::move(cmd), DecodeKeyspaceId);
+  if (!id.ok()) co_return id.status();
+  co_return KeyspaceHandle(this, *id);
 }
 
 sim::Task<Result<KeyspaceHandle>> Client::OpenKeyspace(
     const std::string& name) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKeyspaceOpen;
-  cmd.name = name;
-  auto completion = co_await Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  co_return KeyspaceHandle(this, completion.keyspace_id);
+  nvme::Command cmd = NamedCommand(nvme::Opcode::kKeyspaceOpen, name);
+  Result<std::uint64_t> id = co_await Call(std::move(cmd), DecodeKeyspaceId);
+  if (!id.ok()) co_return id.status();
+  co_return KeyspaceHandle(this, *id);
 }
 
 sim::Task<Status> Client::DropKeyspace(const std::string& name) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKeyspaceDrop;
-  cmd.name = name;
-  auto completion = co_await Call(std::move(cmd));
-  co_return completion.status;
+  nvme::Command cmd = NamedCommand(nvme::Opcode::kKeyspaceDrop, name);
+  co_return co_await Call(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Result<nvme::HealthPage>> Client::GetHealth() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kGetLogPage;
-  cmd.log_page = nvme::LogPageId::kHealth;
-  auto completion = co_await Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  nvme::HealthPage page;
-  if (!nvme::DecodeHealthPage(completion.value, &page)) {
-    co_return Status::Corruption("bad health log page");
-  }
-  co_return page;
+  co_return co_await (co_await GetHealthAsync()).Await();
 }
 
 sim::Task<Result<nvme::StatsPage>> Client::GetStats() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kGetLogPage;
-  cmd.log_page = nvme::LogPageId::kStats;
-  auto completion = co_await Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  nvme::StatsPage page;
-  if (!nvme::DecodeStatsPage(completion.value, &page)) {
-    co_return Status::Corruption("bad stats log page");
-  }
-  co_return page;
+  co_return co_await (co_await GetStatsAsync()).Await();
 }
 
-sim::Task<HealthFuture> Client::GetHealthAsync() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kGetLogPage;
-  cmd.log_page = nvme::LogPageId::kHealth;
-  CallFuture call = co_await CallAsync(std::move(cmd));
-  co_return HealthFuture(std::move(call));
+sim::Task<Future<Result<nvme::HealthPage>>> Client::GetHealthAsync() {
+  nvme::Command cmd = LogPageCommand(nvme::LogPageId::kHealth);
+  return Launch(std::move(cmd), DecodeHealth);
 }
 
-sim::Task<StatsPageFuture> Client::GetStatsAsync() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kGetLogPage;
-  cmd.log_page = nvme::LogPageId::kStats;
-  CallFuture call = co_await CallAsync(std::move(cmd));
-  co_return StatsPageFuture(std::move(call));
+sim::Task<Future<Result<nvme::StatsPage>>> Client::GetStatsAsync() {
+  nvme::Command cmd = LogPageCommand(nvme::LogPageId::kStats);
+  return Launch(std::move(cmd), DecodeStats);
 }
 
 // ---------------------------------------------------------------------------
 // KeyspaceHandle
 // ---------------------------------------------------------------------------
 
-sim::Task<Status> KeyspaceHandle::Put(const std::string& key,
-                                      const std::string& value) {
+nvme::Command KeyspaceHandle::KsCommand(nvme::Opcode op) const {
   nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvStore;
+  cmd.opcode = op;
   cmd.keyspace_id = id_;
-  cmd.key = key;
-  cmd.value = value;
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  return cmd;
 }
 
-sim::Task<StatusFuture> KeyspaceHandle::PutAsync(const std::string& key,
-                                                 const std::string& value) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvStore;
-  cmd.keyspace_id = id_;
+sim::Task<Status> KeyspaceHandle::Put(const std::string& key,
+                                      const std::string& value) {
+  co_return co_await (co_await PutAsync(key, value)).Await();
+}
+
+sim::Task<Future<Status>> KeyspaceHandle::PutAsync(const std::string& key,
+                                                   const std::string& value) {
+  nvme::Command cmd = KsCommand(nvme::Opcode::kKvStore);
   cmd.key = key;
   cmd.value = value;
-  CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return StatusFuture(std::move(call));
+  return client_->Launch(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Status> KeyspaceHandle::Delete(const std::string& key) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvDelete;
-  cmd.keyspace_id = id_;
-  cmd.key = key;
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  co_return co_await (co_await DeleteAsync(key)).Await();
 }
 
-sim::Task<StatusFuture> KeyspaceHandle::DeleteAsync(const std::string& key) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvDelete;
-  cmd.keyspace_id = id_;
+sim::Task<Future<Status>> KeyspaceHandle::DeleteAsync(const std::string& key) {
+  nvme::Command cmd = KsCommand(nvme::Opcode::kKvDelete);
   cmd.key = key;
-  CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return StatusFuture(std::move(call));
+  return client_->Launch(std::move(cmd), DecodeStatus);
 }
 
-sim::Task<std::vector<StatusFuture>> KeyspaceHandle::PutBatchAsync(
+sim::Task<std::vector<Future<Status>>> KeyspaceHandle::PutBatchAsync(
     std::vector<std::pair<std::string, std::string>> pairs) {
   std::vector<nvme::Command> commands;
   commands.reserve(pairs.size());
   for (auto& [key, value] : pairs) {
-    nvme::Command cmd;
-    cmd.opcode = nvme::Opcode::kKvStore;
-    cmd.keyspace_id = id_;
+    nvme::Command cmd = KsCommand(nvme::Opcode::kKvStore);
     cmd.key = std::move(key);
     cmd.value = std::move(value);
     commands.push_back(std::move(cmd));
   }
-  std::vector<CallFuture> calls =
-      co_await client_->CallBatchAsync(std::move(commands));
-  std::vector<StatusFuture> futures;
-  futures.reserve(calls.size());
-  for (auto& call : calls) futures.push_back(StatusFuture(std::move(call)));
+  std::vector<std::shared_ptr<nvme::ReplyState>> states =
+      co_await client_->Submit(std::move(commands));
+  std::vector<Future<Status>> futures;
+  futures.reserve(states.size());
+  for (auto& state : states) {
+    futures.push_back(Future<Status>(std::move(state), DecodeStatus));
+  }
   co_return futures;
 }
 
-sim::Task<GetFuture> KeyspaceHandle::GetAsync(const std::string& key) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvRetrieve;
-  cmd.keyspace_id = id_;
+sim::Task<Result<std::string>> KeyspaceHandle::Get(const std::string& key) {
+  co_return co_await (co_await GetAsync(key)).Await();
+}
+
+sim::Task<Future<Result<std::string>>> KeyspaceHandle::GetAsync(
+    const std::string& key) {
+  nvme::Command cmd = KsCommand(nvme::Opcode::kKvRetrieve);
   cmd.key = key;
-  CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return GetFuture(std::move(call));
+  return client_->Launch(std::move(cmd), DecodeValue);
 }
 
 sim::Task<Status> KeyspaceHandle::BulkWriter::Add(const std::string& key,
@@ -365,12 +329,10 @@ sim::Task<Status> KeyspaceHandle::BulkWriter::Add(const std::string& key,
 }
 
 sim::Task<void> KeyspaceHandle::BulkWriter::ReapOldest() {
-  CallFuture oldest = std::move(window_.front());
+  Future<Status> oldest = std::move(window_.front());
   window_.pop_front();
-  nvme::Completion completion = co_await oldest.Await();
-  if (first_error_.ok() && !completion.status.ok()) {
-    first_error_ = completion.status;
-  }
+  Status status = co_await oldest.Await();
+  if (first_error_.ok() && !status.ok()) first_error_ = status;
 }
 
 sim::Task<Status> KeyspaceHandle::BulkWriter::Flush() {
@@ -387,15 +349,13 @@ sim::Task<Status> KeyspaceHandle::BulkWriter::Flush() {
   const std::uint32_t depth =
       std::max<std::uint32_t>(client_->config().bulk_inflight_frames, 1);
   if (depth <= 1) {
-    auto completion = co_await client_->Call(std::move(cmd));
-    co_return completion.status;
+    co_return co_await client_->Call(std::move(cmd), DecodeStatus);
   }
   // Pipelined: keep up to `depth` frames on the wire; ship this frame as
   // soon as a window slot frees. Errors from earlier frames surface here
   // (and definitively at Drain()).
   while (window_.size() >= depth) co_await ReapOldest();
-  CallFuture future = co_await client_->CallAsync(std::move(cmd));
-  window_.push_back(std::move(future));
+  window_.push_back(co_await client_->Launch(std::move(cmd), DecodeStatus));
   co_return first_error_;
 }
 
@@ -407,11 +367,8 @@ sim::Task<Status> KeyspaceHandle::BulkWriter::Drain() {
 }
 
 sim::Task<Status> KeyspaceHandle::Sync() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kSync;
-  cmd.keyspace_id = id_;
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  nvme::Command cmd = KsCommand(nvme::Opcode::kSync);
+  co_return co_await client_->Call(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Status> KeyspaceHandle::SyncWithRetry(std::uint32_t attempts) {
@@ -439,38 +396,26 @@ sim::Task<Status> KeyspaceHandle::SyncWithRetry(std::uint32_t attempts) {
 
 sim::Task<Status> KeyspaceHandle::CompactWithIndexes(
     std::vector<nvme::SecondaryIndexSpec> specs) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kCompactWithIndexes;
-  cmd.keyspace_id = id_;
+  nvme::Command cmd = KsCommand(nvme::Opcode::kCompactWithIndexes);
   cmd.sidx_list = std::move(specs);
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  co_return co_await client_->Call(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Status> KeyspaceHandle::Compact() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kCompact;
-  cmd.keyspace_id = id_;
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  nvme::Command cmd = KsCommand(nvme::Opcode::kCompact);
+  co_return co_await client_->Call(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Status> KeyspaceHandle::WaitCompaction() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kCompactWait;
-  cmd.keyspace_id = id_;
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  nvme::Command cmd = KsCommand(nvme::Opcode::kCompactWait);
+  co_return co_await client_->Call(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Status> KeyspaceHandle::CreateSecondaryIndex(
     nvme::SecondaryIndexSpec spec) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kSecondaryBuild;
-  cmd.keyspace_id = id_;
+  nvme::Command cmd = KsCommand(nvme::Opcode::kSecondaryBuild);
   cmd.sidx = std::move(spec);
-  auto completion = co_await client_->Call(std::move(cmd));
-  co_return completion.status;
+  co_return co_await client_->Call(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Status> KeyspaceHandle::CreateSecondaryIndexF32(
@@ -483,51 +428,32 @@ sim::Task<Status> KeyspaceHandle::CreateSecondaryIndexF32(
   co_return co_await CreateSecondaryIndex(std::move(spec));
 }
 
-sim::Task<Result<std::string>> KeyspaceHandle::Get(const std::string& key) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKvRetrieve;
-  cmd.keyspace_id = id_;
-  cmd.key = key;
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  co_return std::move(completion.value);
-}
-
-sim::Task<Status> KeyspaceHandle::Scan(
-    const std::string& lo, const std::string& hi, std::uint32_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kQueryPrimaryRange;
-  cmd.keyspace_id = id_;
+sim::Task<Status> KeyspaceHandle::Scan(const std::string& lo,
+                                       const std::string& hi,
+                                       std::uint32_t limit, Rows* out) {
+  nvme::Command cmd = KsCommand(nvme::Opcode::kQueryPrimaryRange);
   cmd.key = lo;
   cmd.key_end = hi;
   cmd.limit = limit;
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  for (auto& pair : completion.results) out->push_back(std::move(pair));
-  co_return Status::Ok();
+  co_return AppendRows(co_await client_->Call(std::move(cmd), DecodeRows),
+                       out);
 }
 
 sim::Task<Status> KeyspaceHandle::QuerySecondaryRange(
     const std::string& index_name, const std::string& lo_encoded,
-    const std::string& hi_encoded, std::uint32_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kQuerySecondaryRange;
-  cmd.keyspace_id = id_;
+    const std::string& hi_encoded, std::uint32_t limit, Rows* out) {
+  nvme::Command cmd = KsCommand(nvme::Opcode::kQuerySecondaryRange);
   cmd.sidx.name = index_name;
   cmd.key = lo_encoded;
   cmd.key_end = hi_encoded;
   cmd.limit = limit;
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  for (auto& pair : completion.results) out->push_back(std::move(pair));
-  co_return Status::Ok();
+  co_return AppendRows(co_await client_->Call(std::move(cmd), DecodeRows),
+                       out);
 }
 
 sim::Task<Status> KeyspaceHandle::QuerySecondaryRangeF32(
     const std::string& index_name, float lo, float hi, std::uint32_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
+    Rows* out) {
   co_return co_await QuerySecondaryRange(
       index_name, nvme::EncodeSecondaryF32(lo), nvme::EncodeSecondaryF32(hi),
       limit, out);
@@ -535,13 +461,9 @@ sim::Task<Status> KeyspaceHandle::QuerySecondaryRangeF32(
 
 namespace {
 
-nvme::Command MakePushdownCommand(std::uint64_t keyspace_id, nvme::Opcode op,
-                                  const std::string& lo,
+nvme::Command MakePushdownCommand(nvme::Command cmd, const std::string& lo,
                                   const std::string& hi,
                                   const KeyspaceHandle::SelectOptions& opts) {
-  nvme::Command cmd;
-  cmd.opcode = op;
-  cmd.keyspace_id = keyspace_id;
   cmd.key = lo;
   cmd.key_end = hi;
   cmd.limit = opts.limit;
@@ -553,88 +475,52 @@ nvme::Command MakePushdownCommand(std::uint64_t keyspace_id, nvme::Opcode op,
 
 }  // namespace
 
-sim::Task<Status> KeyspaceHandle::Select(
-    const std::string& lo, const std::string& hi, const SelectOptions& opts,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  return SelectCall(
-      MakePushdownCommand(id_, nvme::Opcode::kKvSelect, lo, hi, opts), out);
+sim::Task<Status> KeyspaceHandle::Select(const std::string& lo,
+                                         const std::string& hi,
+                                         const SelectOptions& opts,
+                                         Rows* out) {
+  co_return AppendRows(co_await (co_await SelectAsync(lo, hi, opts)).Await(),
+                       out);
 }
 
-sim::Task<SelectFuture> KeyspaceHandle::SelectAsync(
+sim::Task<Future<Result<Rows>>> KeyspaceHandle::SelectAsync(
     const std::string& lo, const std::string& hi, const SelectOptions& opts) {
-  return SelectCallAsync(
-      MakePushdownCommand(id_, nvme::Opcode::kKvSelect, lo, hi, opts));
+  nvme::Command cmd =
+      MakePushdownCommand(KsCommand(nvme::Opcode::kKvSelect), lo, hi, opts);
+  return client_->Launch(std::move(cmd), DecodeRows);
 }
 
 sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::Aggregate(
     const std::string& lo, const std::string& hi,
     const nvme::AggregateSpec& agg, const SelectOptions& opts) {
-  nvme::Command cmd =
-      MakePushdownCommand(id_, nvme::Opcode::kKvAggregate, lo, hi, opts);
-  cmd.agg = agg;
-  return AggregateCall(std::move(cmd));
-}
-
-sim::Task<AggregateFuture> KeyspaceHandle::AggregateAsync(
-    const std::string& lo, const std::string& hi,
-    const nvme::AggregateSpec& agg, const SelectOptions& opts) {
-  nvme::Command cmd =
-      MakePushdownCommand(id_, nvme::Opcode::kKvAggregate, lo, hi, opts);
-  cmd.agg = agg;
-  return AggregateCallAsync(std::move(cmd));
+  co_return co_await (co_await AggregateAsync(lo, hi, agg, opts)).Await();
 }
 
 sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::Aggregate(
     const std::string& lo, const std::string& hi,
     const nvme::AggregateSpec& agg) {
-  SelectOptions opts;
-  return Aggregate(lo, hi, agg, opts);
+  co_return co_await (co_await AggregateAsync(lo, hi, agg)).Await();
 }
 
-sim::Task<AggregateFuture> KeyspaceHandle::AggregateAsync(
-    const std::string& lo, const std::string& hi,
-    const nvme::AggregateSpec& agg) {
-  SelectOptions opts;
-  return AggregateAsync(lo, hi, agg, opts);
+sim::Task<Future<Result<nvme::AggregateResult>>>
+KeyspaceHandle::AggregateAsync(const std::string& lo, const std::string& hi,
+                               const nvme::AggregateSpec& agg,
+                               const SelectOptions& opts) {
+  nvme::Command cmd = MakePushdownCommand(
+      KsCommand(nvme::Opcode::kKvAggregate), lo, hi, opts);
+  cmd.agg = agg;
+  return client_->Launch(std::move(cmd), DecodeAggregate);
 }
 
-sim::Task<Status> KeyspaceHandle::SelectCall(
-    nvme::Command cmd,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  for (auto& pair : completion.results) out->push_back(std::move(pair));
-  co_return Status::Ok();
-}
-
-sim::Task<SelectFuture> KeyspaceHandle::SelectCallAsync(nvme::Command cmd) {
-  CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return SelectFuture(std::move(call));
-}
-
-sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::AggregateCall(
-    nvme::Command cmd) {
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  co_return completion.agg;
-}
-
-sim::Task<AggregateFuture> KeyspaceHandle::AggregateCallAsync(
-    nvme::Command cmd) {
-  CallFuture call = co_await client_->CallAsync(std::move(cmd));
-  co_return AggregateFuture(std::move(call));
+sim::Task<Future<Result<nvme::AggregateResult>>>
+KeyspaceHandle::AggregateAsync(const std::string& lo, const std::string& hi,
+                               const nvme::AggregateSpec& agg) {
+  return AggregateAsync(lo, hi, agg, SelectOptions{});
 }
 
 sim::Task<Result<KeyspaceHandle::Stat>> KeyspaceHandle::GetStat() {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kKeyspaceStat;
-  cmd.keyspace_id = id_;
-  auto completion = co_await client_->Call(std::move(cmd));
-  if (!completion.status.ok()) co_return completion.status;
-  Stat stat;
-  stat.num_kvs = completion.count;
-  stat.state = std::move(completion.value);
-  co_return stat;
+  nvme::Command cmd = KsCommand(nvme::Opcode::kKeyspaceStat);
+  co_return co_await client_->Call(std::move(cmd), DecodeStat);
 }
 
 }  // namespace kvcsd::client

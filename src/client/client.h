@@ -17,12 +17,14 @@
 //     co_await ks.QuerySecondaryRangeF32("energy", 1.2f, 9e9f, 0, &hits);
 //   }
 //
-// Async path (DESIGN.md §11): PutAsync/GetAsync return futures immediately
-// after the submission DMA; a per-client reactor coroutine reaps
-// completions off the client's CQ ring, so many commands ride the wire
-// concurrently under one bounded in-flight window:
+// Host path (DESIGN.md §11): every command, sync or async, goes through one
+// submit path under one bounded in-flight window. PutAsync/GetAsync return
+// a Future<T> right after the submission DMA; a per-client reactor
+// coroutine reaps completions off the client's CQ ring and resolves the
+// future. A sync call (Put, Get, ...) is the same submission, a batch of
+// one, awaited — so many commands ride the wire concurrently:
 //
-//   std::deque<client::StatusFuture> window;
+//   std::deque<client::Future<Status>> window;
 //   for (...) {
 //     if (window.size() >= depth) {
 //       co_await window.front().Await();
@@ -58,9 +60,10 @@ struct ClientConfig {
   // Bulk-put frame capacity (the paper's prototype uses 128 KB messages).
   std::uint64_t bulk_frame_bytes = KiB(128);
 
-  // --- async path ---
-  // Admission window: CallAsync blocks once this many commands from this
-  // client are submitted-but-unreaped (bounds memory and queue depth).
+  // --- host path (DESIGN.md §11) ---
+  // Admission window: submission blocks once this many commands from this
+  // client, sync or async, are submitted-but-unreaped (bounds memory and
+  // queue depth).
   std::uint32_t max_inflight = 64;
   // BulkWriter pipelining: how many bulk frames may be in flight at once.
   // 1 recovers the fully synchronous flush-per-frame behavior.
@@ -81,120 +84,41 @@ struct ClientConfig {
 
 class Client;
 
-// Awaitable handle to one in-flight command. Copyable (shared state);
-// Await() the same future once — the completion payload is moved out.
-class CallFuture {
+// Rows a scan, secondary query or select returns: (key, value) pairs.
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+// Awaitable handle to one in-flight command: its shared reply state plus
+// the decoder that turns the completion into a T (a Status, a value, rows,
+// aggregate scalars, a log page). Copyable (shared state); Await() the
+// same future once — the completion payload is moved out.
+template <typename T>
+class Future {
  public:
-  CallFuture() = default;
+  using Decoder = T (*)(nvme::Completion);
+
+  Future() = default;
 
   bool valid() const { return state_ != nullptr; }
-  // True once the device's completion has DMA'd back (Await won't block).
+  // True once the device's completion has DMA'd back; Await resumes as
+  // soon as the client's reactor reaps it.
   bool completed() const { return state_ != nullptr && state_->completed; }
 
-  sim::Task<nvme::Completion> Await() { return AwaitImpl(state_); }
+  sim::Task<T> Await() { return AwaitImpl(state_, decode_); }
 
  private:
   friend class Client;
-  explicit CallFuture(std::shared_ptr<nvme::ReplyState> state)
-      : state_(std::move(state)) {}
+  friend class KeyspaceHandle;
+  Future(std::shared_ptr<nvme::ReplyState> state, Decoder decode)
+      : state_(std::move(state)), decode_(decode) {}
   // Static so the coroutine frame owns its own reference and the future
   // object itself may die while the await is pending.
-  static sim::Task<nvme::Completion> AwaitImpl(
-      std::shared_ptr<nvme::ReplyState> state);
-  std::shared_ptr<nvme::ReplyState> state_;
-};
-
-// Typed wrappers over CallFuture for the hot ops.
-class StatusFuture {
- public:
-  StatusFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Status> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class Client;
-  friend class KeyspaceHandle;
-  explicit StatusFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Status> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-class GetFuture {
- public:
-  GetFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<std::string>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class KeyspaceHandle;
-  explicit GetFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<std::string>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Matched (key, value) rows from an in-flight pushdown select.
-class SelectFuture {
- public:
-  using Rows = std::vector<std::pair<std::string, std::string>>;
-  SelectFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<Rows>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class KeyspaceHandle;
-  explicit SelectFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<Rows>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Scalars from an in-flight pushdown aggregate.
-class AggregateFuture {
- public:
-  AggregateFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<nvme::AggregateResult>> Await() {
-    return AwaitImpl(call_);
+  static sim::Task<T> AwaitImpl(std::shared_ptr<nvme::ReplyState> state,
+                                Decoder decode) {
+    co_await state->done.Wait();
+    co_return decode(std::move(state->completion));
   }
-
- private:
-  friend class KeyspaceHandle;
-  explicit AggregateFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<nvme::AggregateResult>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Decoded device health page from an in-flight log-page pull.
-class HealthFuture {
- public:
-  HealthFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<nvme::HealthPage>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class Client;
-  explicit HealthFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<nvme::HealthPage>> AwaitImpl(CallFuture call);
-  CallFuture call_;
-};
-
-// Decoded device stats page from an in-flight log-page pull.
-class StatsPageFuture {
- public:
-  StatsPageFuture() = default;
-  bool valid() const { return call_.valid(); }
-  bool completed() const { return call_.completed(); }
-  sim::Task<Result<nvme::StatsPage>> Await() { return AwaitImpl(call_); }
-
- private:
-  friend class Client;
-  explicit StatsPageFuture(CallFuture call) : call_(std::move(call)) {}
-  static sim::Task<Result<nvme::StatsPage>> AwaitImpl(CallFuture call);
-  CallFuture call_;
+  std::shared_ptr<nvme::ReplyState> state_;
+  Decoder decode_ = nullptr;
 };
 
 // A handle to one keyspace. Cheap to copy.
@@ -209,18 +133,18 @@ class KeyspaceHandle {
   sim::Task<Status> Put(const std::string& key, const std::string& value);
   // Async variant: returns after the submission DMA; the device's answer
   // arrives through the future.
-  sim::Task<StatusFuture> PutAsync(const std::string& key,
-                                   const std::string& value);
+  sim::Task<Future<Status>> PutAsync(const std::string& key,
+                                     const std::string& value);
   // Batched async puts: every pair ships in one doorbell ring (the
   // per-command request latency is paid once per batch).
-  sim::Task<std::vector<StatusFuture>> PutBatchAsync(
+  sim::Task<std::vector<Future<Status>>> PutBatchAsync(
       std::vector<std::pair<std::string, std::string>> pairs);
 
   // Blind point delete: writes a tombstone; deleting an absent key is Ok.
   // Valid while the keyspace is WRITABLE and after compaction (delta
   // mode); kBusy while a (re)compaction is running.
   sim::Task<Status> Delete(const std::string& key);
-  sim::Task<StatusFuture> DeleteAsync(const std::string& key);
+  sim::Task<Future<Status>> DeleteAsync(const std::string& key);
 
   // Accumulates pairs into bulk frames; each full frame ships as one
   // NVMe command. With config.bulk_inflight_frames > 1, Flush() only
@@ -248,7 +172,7 @@ class KeyspaceHandle {
     std::uint64_t keyspace_id_;
     std::string frame_;
     std::uint64_t frames_sent_ = 0;
-    std::deque<CallFuture> window_;
+    std::deque<Future<Status>> window_;
     Status first_error_ = Status::Ok();
   };
   BulkWriter NewBulkWriter() { return BulkWriter(client_, id_); }
@@ -294,19 +218,16 @@ class KeyspaceHandle {
 
   // --- queries (keyspace must be COMPACTED) ---
   sim::Task<Result<std::string>> Get(const std::string& key);
-  sim::Task<GetFuture> GetAsync(const std::string& key);
+  sim::Task<Future<Result<std::string>>> GetAsync(const std::string& key);
   sim::Task<Status> Scan(const std::string& lo, const std::string& hi,
-                         std::uint32_t limit,
-                         std::vector<std::pair<std::string, std::string>>*
-                             out);
+                         std::uint32_t limit, Rows* out);
   // Secondary range with pre-encoded bounds.
   sim::Task<Status> QuerySecondaryRange(
       const std::string& index_name, const std::string& lo_encoded,
-      const std::string& hi_encoded, std::uint32_t limit,
-      std::vector<std::pair<std::string, std::string>>* out);
-  sim::Task<Status> QuerySecondaryRangeF32(
-      const std::string& index_name, float lo, float hi, std::uint32_t limit,
-      std::vector<std::pair<std::string, std::string>>* out);
+      const std::string& hi_encoded, std::uint32_t limit, Rows* out);
+  sim::Task<Status> QuerySecondaryRangeF32(const std::string& index_name,
+                                           float lo, float hi,
+                                           std::uint32_t limit, Rows* out);
 
   // --- query pushdown (DESIGN.md §13) ---
   // Shared scan shape for Select/Aggregate. With `index_name` empty the
@@ -324,18 +245,15 @@ class KeyspaceHandle {
     std::string index_name;
   };
   // Device-filtered scan: only matching (possibly projected) records
-  // cross the link. These are deliberately NOT coroutines: they encode
-  // the descriptor structs into the wire command synchronously and hand
-  // a self-contained nvme::Command to the private *Call coroutines, so
-  // caller temporaries (e.g. a literal `{}` for opts) never become
-  // coroutine parameters.
+  // cross the link. The *Async variants are deliberately NOT coroutines:
+  // they encode the descriptor structs into a self-contained wire command
+  // before returning, so caller temporaries (e.g. a literal `{}` for opts)
+  // never outlive the call. The sync variants await them in place.
   sim::Task<Status> Select(const std::string& lo, const std::string& hi,
-                           const SelectOptions& opts,
-                           std::vector<std::pair<std::string, std::string>>*
-                               out);
-  sim::Task<SelectFuture> SelectAsync(const std::string& lo,
-                                      const std::string& hi,
-                                      const SelectOptions& opts);
+                           const SelectOptions& opts, Rows* out);
+  sim::Task<Future<Result<Rows>>> SelectAsync(const std::string& lo,
+                                              const std::string& hi,
+                                              const SelectOptions& opts);
   // Device-computed count/min/max/sum over an attribute of every match;
   // the completion carries four scalars regardless of row count. The
   // opts-free overloads scan unfiltered over the primary range — prefer
@@ -346,13 +264,12 @@ class KeyspaceHandle {
   sim::Task<Result<nvme::AggregateResult>> Aggregate(
       const std::string& lo, const std::string& hi,
       const nvme::AggregateSpec& agg);
-  sim::Task<AggregateFuture> AggregateAsync(const std::string& lo,
-                                            const std::string& hi,
-                                            const nvme::AggregateSpec& agg,
-                                            const SelectOptions& opts);
-  sim::Task<AggregateFuture> AggregateAsync(const std::string& lo,
-                                            const std::string& hi,
-                                            const nvme::AggregateSpec& agg);
+  sim::Task<Future<Result<nvme::AggregateResult>>> AggregateAsync(
+      const std::string& lo, const std::string& hi,
+      const nvme::AggregateSpec& agg, const SelectOptions& opts);
+  sim::Task<Future<Result<nvme::AggregateResult>>> AggregateAsync(
+      const std::string& lo, const std::string& hi,
+      const nvme::AggregateSpec& agg);
 
   // --- metadata ---
   struct Stat {
@@ -366,14 +283,9 @@ class KeyspaceHandle {
   KeyspaceHandle(Client* client, std::uint64_t id)
       : client_(client), id_(id) {}
 
-  // Coroutine bodies behind Select/Aggregate: own the fully-built command
-  // by value, so no argument lifetime leaks into the frame.
-  sim::Task<Status> SelectCall(
-      nvme::Command cmd,
-      std::vector<std::pair<std::string, std::string>>* out);
-  sim::Task<SelectFuture> SelectCallAsync(nvme::Command cmd);
-  sim::Task<Result<nvme::AggregateResult>> AggregateCall(nvme::Command cmd);
-  sim::Task<AggregateFuture> AggregateCallAsync(nvme::Command cmd);
+  // A command addressed to this keyspace: the one builder every op,
+  // sync or async, starts from.
+  nvme::Command KsCommand(nvme::Opcode op) const;
 
   Client* client_ = nullptr;
   std::uint64_t id_ = 0;
@@ -396,8 +308,8 @@ class Client {
   // a same-tick host snapshot of the device series matches exactly.
   sim::Task<Result<nvme::HealthPage>> GetHealth();
   sim::Task<Result<nvme::StatsPage>> GetStats();
-  sim::Task<HealthFuture> GetHealthAsync();
-  sim::Task<StatsPageFuture> GetStatsAsync();
+  sim::Task<Future<Result<nvme::HealthPage>>> GetHealthAsync();
+  sim::Task<Future<Result<nvme::StatsPage>>> GetStatsAsync();
 
   const ClientConfig& config() const { return config_; }
   nvme::QueueSet& queue() { return *queues_; }
@@ -407,22 +319,23 @@ class Client {
   // put/get/range/secondary_range classes.
   sim::Stats& stats();
 
-  // Commands submitted through CallAsync and not yet reaped.
-  std::uint64_t async_inflight() const { return async_inflight_; }
-
  private:
   friend class KeyspaceHandle;
 
-  // Client-side cost (packing, doorbell) + submit + await completion.
-  sim::Task<nvme::Completion> Call(nvme::Command command);
-  // Decoupled variant: returns once the command is on the device's SQ;
-  // completion arrives through the future, reaped by the reactor.
-  sim::Task<CallFuture> CallAsync(nvme::Command command);
-  // Batched variant: all commands ring one doorbell on one SQ (split into
-  // admission-window-sized chunks), so the per-command DMA-setup latency
-  // amortizes across the batch.
-  sim::Task<std::vector<CallFuture>> CallBatchAsync(
+  // The one submit path. Client-side cost (packing, doorbell), admission
+  // window, then all commands ring one doorbell on one SQ (split into
+  // window-sized chunks), so the per-command DMA-setup latency amortizes
+  // across a batch. Returns once the commands are on the device's SQ;
+  // their completions are reaped by the reactor.
+  sim::Task<std::vector<std::shared_ptr<nvme::ReplyState>>> Submit(
       std::vector<nvme::Command> commands);
+  // Submits a batch of one and types its future with `decode`.
+  template <typename T>
+  sim::Task<Future<T>> Launch(nvme::Command command,
+                              T (*decode)(nvme::Completion));
+  // A sync call: Launch, then await the future.
+  template <typename T>
+  sim::Task<T> Call(nvme::Command command, T (*decode)(nvme::Completion));
 
   // Reaps completions off cq_ring_: records round-trip latency, releases
   // the admission window, and resolves the future. Parked forever once
@@ -440,12 +353,11 @@ class Client {
   ClientConfig config_;
   sim::Semaphore window_;
   // Serializes window-permit acquisition across concurrent batch
-  // submitters (see CallBatchAsync). Single callers bypass it.
+  // submitters (see Submit). A batch of one bypasses it.
   sim::Semaphore batch_gate_;
   nvme::CqRing cq_ring_;
   bool reactor_started_ = false;
   std::uint32_t rr_cursor_ = 0;
-  std::uint64_t async_inflight_ = 0;
 };
 
 }  // namespace kvcsd::client

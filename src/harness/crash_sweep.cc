@@ -577,7 +577,7 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
   }
 
   const device::DeviceConfig dcfg = config.DeviceConfigFor(&faults);
-  nvme::QueueSet queue(&sim, nvme::PcieConfig{});
+  nvme::QueueSet queue(&sim, nvme::QueueSetConfig{});
   auto dev = std::make_unique<device::Device>(&sim, dcfg, &queue);
   dev->Start();
   sim::CpuPool host_cpu(&sim, "host", 8);
@@ -594,7 +594,7 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
 
   // Power cycle: a fresh device + queue over the surviving flash bytes.
   // The old device stays parked on its dead queue pair.
-  nvme::QueueSet queue2(&sim, nvme::PcieConfig{});
+  nvme::QueueSet queue2(&sim, nvme::QueueSetConfig{});
   auto dev2 = device::Device::Restart(&sim, dcfg, &queue2, *dev);
   dev2->Start();
   client::Client db2(&queue2, &host_cpu, hostenv::CostModel::Host());

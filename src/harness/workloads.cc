@@ -26,6 +26,14 @@ std::string MakeValue(std::uint32_t value_bytes, std::uint64_t salt) {
   return value;
 }
 
+void CountGetStatus(const Status& status, QueryOutcome* out) {
+  if (status.IsNotFound()) {
+    ++out->not_found;
+  } else if (!status.ok()) {
+    ++out->failed;
+  }
+}
+
 }  // namespace
 
 CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
@@ -43,7 +51,11 @@ CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
   for (std::uint32_t t = 0; t < spec.threads; ++t) {
     bed.sim().Spawn([](CsdTestbed* tb, const InsertSpec* s,
                        sim::WaitGroup* ins_wg, sim::WaitGroup* comp_wg,
+                       std::uint64_t* failed,
                        std::uint32_t thread) -> sim::Task<void> {
+      auto check = [failed](const Status& st) {
+        if (!st.ok()) ++*failed;
+      };
       client::Client& db = tb->client();
       client::KeyspaceHandle ks;
       if (s->shared_keyspace) {
@@ -70,14 +82,14 @@ CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
       if (s->use_bulk_put) {
         auto writer = ks.NewBulkWriter();
         for (std::uint64_t i = 0; i < keys; ++i) {
-          (void)co_await writer.Add(RandomKey(rng, s->key_bytes),
-                                    MakeValue(s->value_bytes, rng.Next()));
+          check(co_await writer.Add(RandomKey(rng, s->key_bytes),
+                                    MakeValue(s->value_bytes, rng.Next())));
         }
-        (void)co_await writer.Flush();
+        check(co_await writer.Drain());
       } else {
         for (std::uint64_t i = 0; i < keys; ++i) {
-          (void)co_await ks.Put(RandomKey(rng, s->key_bytes),
-                                MakeValue(s->value_bytes, rng.Next()));
+          check(co_await ks.Put(RandomKey(rng, s->key_bytes),
+                                MakeValue(s->value_bytes, rng.Next())));
         }
       }
 
@@ -86,16 +98,16 @@ CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
         if (thread == 0) {
           // Invoke compaction once everyone has finished writing.
           co_await ins_wg->Wait();
-          (void)co_await ks.Compact();
-          (void)co_await ks.WaitCompaction();
+          check(co_await ks.Compact());
+          check(co_await ks.WaitCompaction());
           comp_wg->Done();
         }
       } else {
-        (void)co_await ks.Compact();
-        (void)co_await ks.WaitCompaction();
+        check(co_await ks.Compact());
+        check(co_await ks.WaitCompaction());
         comp_wg->Done();
       }
-    }(&bed, &spec, &inserts_done, &compactions_done, t));
+    }(&bed, &spec, &inserts_done, &compactions_done, &outcome.failed, t));
   }
 
   // Observer records the two timestamps the paper separates: when the
@@ -138,7 +150,6 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
 
     sim::WaitGroup wg(&tb->sim());
     wg.Add(s->threads);
-    std::uint64_t put_failures = 0;
     for (std::uint32_t t = 0; t < s->threads; ++t) {
       lsm::Db* db =
           (*instances)[s->shared_keyspace ? 0 : t].get();
@@ -173,34 +184,32 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
           }
         }
         group->Done();
-      }(s, db, m, !s->shared_keyspace, &wg, &put_failures, t));
+      }(s, db, m, !s->shared_keyspace, &wg, &out->failed, t));
     }
     co_await wg.Wait();
 
     // Shared-instance mode: one end-of-run pass for the single DB.
     if (s->shared_keyspace) {
       lsm::Db* db = (*instances)[0].get();
+      Status st = Status::Ok();
       switch (m) {
         case lsm::CompactionMode::kAuto:
         case lsm::CompactionMode::kNone:
-          (void)co_await db->Flush();
+          st = co_await db->Flush();
           co_await db->WaitForIdle();
           break;
         case lsm::CompactionMode::kDeferred:
-          (void)co_await db->CompactRange();
+          st = co_await db->CompactRange();
           break;
       }
-    }
-    if (put_failures > 0) {
-      std::fprintf(stderr, "RunLsmInsert: %llu operations FAILED\n",
-                   static_cast<unsigned long long>(put_failures));
+      if (!st.ok()) ++out->failed;
     }
     out->total_done = tb->sim().Now();
     for (auto& db : *instances) {
       out->stalls += db->stats().stalls;
       out->stall_time += db->stats().stall_time;
       out->compactions += db->stats().compactions;
-      (void)co_await db->Close();
+      if (!(co_await db->Close()).ok()) ++out->failed;
     }
   }(&bed, &spec, mode, &outcome, &dbs));
 
@@ -208,6 +217,14 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
   outcome.device_bytes_read = bed.ssd().total_bytes_read();
   outcome.device_bytes_written = bed.ssd().total_bytes_written();
   return outcome;
+}
+
+void CountFailures(const std::string& run, std::uint64_t failed,
+                   std::uint64_t* total) {
+  if (failed == 0) return;
+  std::fprintf(stderr, "FAIL: %s: %llu operations failed\n", run.c_str(),
+               static_cast<unsigned long long>(failed));
+  *total += failed;
 }
 
 QueryOutcome RunCsdGets(CsdTestbed& bed,
@@ -222,16 +239,16 @@ QueryOutcome RunCsdGets(CsdTestbed& bed,
   wg.Add(spec.threads);
   for (std::uint32_t t = 0; t < spec.threads; ++t) {
     bed.sim().Spawn([](client::KeyspaceHandle ks, const GetSpec* s,
-                       sim::WaitGroup* group,
+                       sim::WaitGroup* group, QueryOutcome* out,
                        std::uint32_t thread) -> sim::Task<void> {
       Rng rng(s->seed * 104729 + thread);
       const std::uint64_t gets = s->total_gets / s->threads;
       for (std::uint64_t i = 0; i < gets; ++i) {
         const std::uint64_t id = rng.Uniform(s->keys_per_keyspace);
-        (void)co_await ks.Get(MakeFixedKey(id));
+        CountGetStatus((co_await ks.Get(MakeFixedKey(id))).status(), out);
       }
       group->Done();
-    }(keyspaces[t % keyspaces.size()], &spec, &wg, t));
+    }(keyspaces[t % keyspaces.size()], &spec, &wg, &outcome, t));
   }
   bed.sim().Run();
 
@@ -253,16 +270,17 @@ QueryOutcome RunLsmGets(LsmTestbed& bed, std::vector<lsm::Db*>& dbs,
   wg.Add(spec.threads);
   for (std::uint32_t t = 0; t < spec.threads; ++t) {
     bed.sim().Spawn([](lsm::Db* db, const GetSpec* s, sim::WaitGroup* group,
+                       QueryOutcome* out,
                        std::uint32_t thread) -> sim::Task<void> {
       Rng rng(s->seed * 104729 + thread);
       const std::uint64_t gets = s->total_gets / s->threads;
       std::string value;
       for (std::uint64_t i = 0; i < gets; ++i) {
         const std::uint64_t id = rng.Uniform(s->keys_per_keyspace);
-        (void)co_await db->Get(MakeFixedKey(id), &value);
+        CountGetStatus(co_await db->Get(MakeFixedKey(id), &value), out);
       }
       group->Done();
-    }(dbs[t % dbs.size()], &spec, &wg, t));
+    }(dbs[t % dbs.size()], &spec, &wg, &outcome, t));
   }
   bed.sim().Run();
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "harness/testbed.h"
@@ -29,6 +30,7 @@ struct CsdInsertOutcome {
   std::uint64_t zns_bytes_read = 0;
   std::uint64_t pcie_h2d_bytes = 0;
   std::uint64_t pcie_d2h_bytes = 0;
+  std::uint64_t failed = 0;   // non-Ok statuses (puts, drain, compaction)
 };
 
 // Runs the paper's PUT experiment against a fresh KV-CSD: `threads`
@@ -46,6 +48,7 @@ struct LsmInsertOutcome {
   std::uint64_t stalls = 0;
   Tick stall_time = 0;
   std::uint64_t compactions = 0;
+  std::uint64_t failed = 0;  // non-Ok statuses (puts, flush, compact, close)
 };
 
 // Same workload against RocksLite in the given compaction mode. In kAuto
@@ -56,6 +59,11 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
                               std::uint32_t host_cores,
                               const InsertSpec& spec,
                               lsm::CompactionMode mode);
+
+// Adds `failed` to *total and names the run on stderr when it is
+// non-zero. Bench mains exit 1 when the total is non-zero.
+void CountFailures(const std::string& run, std::uint64_t failed,
+                   std::uint64_t* total);
 
 // --- GET phase (Fig. 10): random point lookups over a pre-built dataset ---
 
@@ -70,6 +78,11 @@ struct QueryOutcome {
   Tick query_time = 0;
   std::uint64_t device_bytes_read = 0;  // ZNS or host SSD
   std::uint64_t pcie_d2h_bytes = 0;     // KV-CSD only
+  // GETs that answered NotFound, and GETs that failed any other way. A
+  // caller whose loader wrote every id in [0, keys_per_keyspace) counts
+  // both as failures; one that did not treats NotFound as an answer.
+  std::uint64_t not_found = 0;
+  std::uint64_t failed = 0;
 };
 
 // Both functions assume the dataset was already inserted+compacted on the

@@ -274,7 +274,7 @@ sim::Task<void> Device::MainLoop() {
   for (;;) {
     nvme::QueuePair::Incoming incoming = co_await queues_->NextCommand();
     incoming.dequeue_tick = sim_->Now();
-    sim_->stats()
+    stats()
         .histogram("client.stage.queue_wait_ns")
         .Record(incoming.dequeue_tick - incoming.enqueue_tick);
     if (sim_->tracer().enabled() && incoming.cmd_id != 0) {

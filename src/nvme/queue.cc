@@ -7,16 +7,6 @@
 
 namespace kvcsd::nvme {
 
-QueuePair::QueuePair(sim::Simulation* sim, const PcieConfig& config)
-    : sim_(sim),
-      owned_h2d_(std::make_unique<sim::BandwidthResource>(
-          sim, "pcie.h2d", config.bytes_per_sec, config.request_latency)),
-      owned_d2h_(std::make_unique<sim::BandwidthResource>(
-          sim, "pcie.d2h", config.bytes_per_sec, config.completion_latency)),
-      host_to_device_(owned_h2d_.get()),
-      device_to_host_(owned_d2h_.get()),
-      submissions_(sim) {}
-
 QueuePair::QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id,
                      sim::BandwidthResource* h2d, sim::BandwidthResource* d2h,
                      std::uint32_t depth_cap)
@@ -45,7 +35,7 @@ void QueuePair::Enqueue(Command command, std::shared_ptr<ReplyState> state) {
   const Tick prepare_begin =
       command.submit_tick ? command.submit_tick : incoming.enqueue_tick;
   sim_->stats()
-      .histogram("client.stage.submit_ns")
+      .histogram(set_->config_.name_prefix + "client.stage.submit_ns")
       .Record(incoming.enqueue_tick - prepare_begin);
   state->cmd_id = command.cmd_id;
   state->opcode = command.opcode;
@@ -54,54 +44,12 @@ void QueuePair::Enqueue(Command command, std::shared_ptr<ReplyState> state) {
   incoming.command = std::move(command);
   incoming.reply = std::move(state);
   submissions_.Push(std::move(incoming));
-  if (set_ != nullptr) set_->NotifyWork();
+  set_->NotifyWork();
 }
 
-sim::Task<Completion> QueuePair::Submit(Command command) {
-  if (depth_slots_) co_await depth_slots_->Acquire();
-  ++submitted_;
-  const Tick begin = sim_->Now();
-  if (command.submit_tick == 0) command.submit_tick = begin;
-  // Spans the whole host-visible round trip: submission DMA, device
-  // service time, completion DMA.
-  sim::TraceSpan span(sim_, trk_nvme_, OpcodeName(command.opcode));
-  const std::uint64_t wire = CommandWireSize(command);
-  if (command.cmd_id != 0) span.Arg("cmd_id", command.cmd_id);
-  span.Arg("wire_bytes", wire);
-  co_await host_to_device_->Transfer(wire, ActivityForOpcode(command.opcode));
-
-  // NOTE: named + std::make_shared, never a prvalue temporary — see the
-  // "GCC 12 pitfall" note in sim/task.h.
-  auto state = std::make_shared<ReplyState>(sim_);
-  std::shared_ptr<ReplyState> keep = state;
-  Enqueue(std::move(command), std::move(state));
-  co_await keep->done.Wait();
-  co_return std::move(keep->completion);
-}
-
-sim::Task<std::shared_ptr<ReplyState>> QueuePair::SubmitAsync(Command command,
-                                                              CqRing* ring) {
-  if (depth_slots_) co_await depth_slots_->Acquire();
-  ++submitted_;
-  const Tick begin = sim_->Now();
-  if (command.submit_tick == 0) command.submit_tick = begin;
-  // Async spans cover the submission DMA only; the client-side reactor
-  // records the full round trip when it reaps the completion.
-  sim::TraceSpan span(sim_, trk_nvme_, OpcodeName(command.opcode));
-  const std::uint64_t wire = CommandWireSize(command);
-  if (command.cmd_id != 0) span.Arg("cmd_id", command.cmd_id);
-  span.Arg("wire_bytes", wire);
-  co_await host_to_device_->Transfer(wire, ActivityForOpcode(command.opcode));
-
-  auto state = std::make_shared<ReplyState>(sim_);
-  state->cq_ring = ring;
-  std::shared_ptr<ReplyState> keep = state;
-  Enqueue(std::move(command), std::move(state));
-  co_return keep;
-}
-
-sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::SubmitBatch(
+sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::Submit(
     std::vector<Command> commands, CqRing* ring) {
+  assert(ring != nullptr);
   std::vector<std::shared_ptr<ReplyState>> states;
   states.reserve(commands.size());
   std::size_t next = 0;
@@ -123,8 +71,18 @@ sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::SubmitBatch(
       wire += CommandWireSize(commands[i]);
     }
     submitted_ += chunk;
-    sim::TraceSpan span(sim_, trk_nvme_, "batch_submit");
-    span.Arg("count", static_cast<std::uint64_t>(chunk));
+    // The span covers the submission DMA only; the submitter's reactor
+    // records the round trip when it reaps the completion. A lone
+    // command's span is named for its opcode and carries its causal id.
+    const bool lone = commands.size() == 1;
+    sim::TraceSpan span(sim_, trk_nvme_,
+                        lone ? OpcodeName(commands[next].opcode)
+                             : "batch_submit");
+    if (!lone) {
+      span.Arg("count", static_cast<std::uint64_t>(chunk));
+    } else if (commands[next].cmd_id != 0) {
+      span.Arg("cmd_id", commands[next].cmd_id);
+    }
     span.Arg("wire_bytes", wire);
     // One doorbell for the whole chunk: a single link operation pays
     // `request_latency` once, then streams every command's bytes. Batches
@@ -132,6 +90,8 @@ sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::SubmitBatch(
     co_await host_to_device_->Transfer(
         wire, ActivityForOpcode(commands[next].opcode));
     for (std::size_t i = next; i < next + chunk; ++i) {
+      // NOTE: named + std::make_shared, never a prvalue temporary — see
+      // the "GCC 12 pitfall" note in sim/task.h.
       auto state = std::make_shared<ReplyState>(sim_);
       state->cq_ring = ring;
       states.push_back(state);
@@ -147,13 +107,15 @@ sim::Task<void> QueuePair::Complete(Incoming incoming, Completion completion) {
   const Tick begin = sim_->Now();
   const std::uint64_t wire = CompletionWireSize(completion);
   // Hand the payload to the submitter before suspending: the submitter
-  // only wakes after the Set()/ring push below, but moving first keeps
-  // the data's lifetime independent of this frame.
+  // only wakes after the ring push below, but moving first keeps the
+  // data's lifetime independent of this frame.
   std::shared_ptr<ReplyState> reply = std::move(incoming.reply);
   reply->completion = std::move(completion);
   co_await device_to_host_->Transfer(wire, ActivityForOpcode(incoming.opcode));
   const Tick end = sim_->Now();
-  sim_->stats().histogram("client.stage.complete_ns").Record(end - begin);
+  sim_->stats()
+      .histogram(set_->config_.name_prefix + "client.stage.complete_ns")
+      .Record(end - begin);
   if (sim_->tracer().enabled() && incoming.cmd_id != 0) {
     sim_->tracer().CompleteSpan(
         sim_->tracer().Track(trk_nvme_cq_), "complete", begin, end,
@@ -163,12 +125,8 @@ sim::Task<void> QueuePair::Complete(Incoming incoming, Completion completion) {
   }
   if (depth_slots_) depth_slots_->Release();
   reply->completed = true;
-  if (reply->cq_ring != nullptr) {
-    CqRing* ring = reply->cq_ring;
-    ring->Push(std::move(reply));
-  } else {
-    reply->done.Set();
-  }
+  CqRing* ring = reply->cq_ring;
+  ring->Push(std::move(reply));
 }
 
 QueueSet::QueueSet(sim::Simulation* sim, const QueueSetConfig& config)

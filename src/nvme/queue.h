@@ -1,8 +1,9 @@
 // NVMe-style submission/completion queues over a PCIe link model.
 //
-// The host side calls Submit() (synchronous round trip) or SubmitAsync()/
-// SubmitBatch() (decoupled submit/complete) and data movement in both
-// directions is charged to the PCIe link (DMA); the device side services
+// The host side has one entry point, QueuePair::Submit(): it DMAs a batch
+// of one or more commands onto an SQ under a single doorbell, and the
+// device's answers come back on the submitter's CQ ring. Data movement in
+// both directions is charged to the PCIe link; the device side services
 // commands by popping the submission channels — exactly the client-library
 // / device-server split the paper describes (§VI: "the translation and
 // sending of the requests take place in userspace and completely bypass
@@ -10,18 +11,17 @@
 //
 // Two layers:
 //
-//   QueuePair — one SQ/CQ pair. Standalone (owns its own PCIe link) for
-//       unit tests, or a member of a QueueSet (shares the set's link).
-//       Doorbell batching: SubmitBatch() rings one doorbell for K commands,
-//       paying `request_latency` once instead of K times.
+//   QueuePair — one SQ/CQ pair, a member of a QueueSet (shares the set's
+//       PCIe link). Doorbell batching: Submit() rings one doorbell for K
+//       commands, paying `request_latency` once instead of K times.
 //   QueueSet  — N pairs multiplexed over one PCIe link plus the device-side
 //       arbitration point: NextCommand() serves all pairs round-robin (or
 //       weighted), so no queue can starve while another is full.
 //
-// Completion delivery (ReplyState): the synchronous path awaits the state's
-// `done` event; the async path instead routes the completed state onto the
-// submitting client's CQ ring (a channel), where a per-client reactor
-// coroutine reaps it — one parked reactor per client instead of one parked
+// Completion delivery (ReplyState): Complete() pushes the completed state
+// onto the CQ ring named at submission (a channel). The submitter reaps it
+// there — the client runs one reactor coroutine per ring, which sets the
+// state's `done` event — so one reactor parks per client instead of one
 // awaiter per command.
 #pragma once
 
@@ -54,10 +54,12 @@ enum class Arbitration : std::uint8_t {
 
 struct QueueSetConfig {
   PcieConfig pcie;
-  // Prefixes the PCIe bandwidth/meter names ("pcie.h2d", "pcie.d2h") and
-  // the set's trace tracks ("nvme", "nvme.cq"). Multi-device simulations
-  // give each set a shard prefix ("shard0.") so link utilization and
-  // completion spans attribute per device; empty keeps legacy names.
+  // Prefixes the PCIe bandwidth/meter names ("pcie.h2d", "pcie.d2h"), the
+  // set's trace tracks ("nvme", "nvme.cq") and its stage histograms
+  // ("client.stage.{submit,complete}_ns"). Multi-device simulations give
+  // each set a shard prefix ("shard0.") so link utilization, stage
+  // latencies and completion spans attribute per device; empty keeps
+  // legacy names.
   std::string name_prefix;
   std::uint32_t num_queues = 1;
   // Max commands submitted-and-uncompleted per pair; 0 = unbounded.
@@ -73,8 +75,8 @@ class QueuePair;
 class QueueSet;
 
 // Shared completion slot for one in-flight command. The submitter holds a
-// reference (directly or through a client-level future), the in-flight
-// Incoming holds another until the device completes it.
+// reference (through a client-level future), the in-flight Incoming holds
+// another until the device completes it.
 struct ReplyState {
   explicit ReplyState(sim::Simulation* sim) : done(sim) {}
 
@@ -86,9 +88,7 @@ struct ReplyState {
   Opcode opcode = Opcode::kKvStore;
   Tick submit_begin = 0;     // host-side stamp (command.submit_tick)
   std::uint32_t queue_id = 0;
-  // When set, completion is delivered by pushing this state onto the ring
-  // (async path; the reaper calls done.Set()). When null, Complete() sets
-  // `done` directly (synchronous path).
+  // Complete() pushes this state onto the ring; its reaper sets `done`.
   sim::Channel<std::shared_ptr<ReplyState>>* cq_ring = nullptr;
 };
 
@@ -96,29 +96,15 @@ using CqRing = sim::Channel<std::shared_ptr<ReplyState>>;
 
 class QueuePair {
  public:
-  // Standalone pair owning its own PCIe link (unit tests, single-queue
-  // tools). Pairs inside a QueueSet are built by the set instead.
-  QueuePair(sim::Simulation* sim, const PcieConfig& config);
-
-  // Host side: send a command, await its completion. Safe for any number
-  // of concurrent host threads (each submission carries its own reply
-  // state).
-  sim::Task<Completion> Submit(Command command);
-
-  // Host side, decoupled: DMA the command in, return its reply state
-  // without waiting for execution. Completion is pushed to `ring` when
-  // non-null (reactor reaping), otherwise signalled via the state's
-  // `done` event.
-  sim::Task<std::shared_ptr<ReplyState>> SubmitAsync(Command command,
-                                                     CqRing* ring = nullptr);
-
-  // Doorbell batching: rings one doorbell for the whole batch, so the
-  // per-command `request_latency` (doorbell + DMA setup) is paid once
-  // instead of `commands.size()` times; the byte service time is
-  // unchanged. With a depth cap the batch is split into cap-sized chunks
-  // (each chunk still amortizes within itself).
-  sim::Task<std::vector<std::shared_ptr<ReplyState>>> SubmitBatch(
-      std::vector<Command> commands, CqRing* ring = nullptr);
+  // Host side: DMAs `commands` onto this SQ behind one doorbell and returns
+  // their reply states once they are queued, without waiting for
+  // execution; each completion is pushed to `ring`. The per-command
+  // `request_latency` (doorbell + DMA setup) is paid once per doorbell;
+  // the byte service time is unchanged. With a depth cap the batch is
+  // split into cap-sized chunks (each chunk still amortizes within
+  // itself). Safe for any number of concurrent submitters.
+  sim::Task<std::vector<std::shared_ptr<ReplyState>>> Submit(
+      std::vector<Command> commands, CqRing* ring);
 
   // Device side: one submitted command plus its completion route.
   struct Incoming {
@@ -132,10 +118,6 @@ class QueuePair {
     Tick enqueue_tick = 0;
     Tick dequeue_tick = 0;
   };
-
-  // Device side: wait for the next command on THIS pair. Single-queue
-  // path; multi-queue devices arbitrate via QueueSet::NextCommand().
-  auto NextCommand() { return submissions_.Pop(); }
 
   // Device-side completion path (charged to the PCIe link).
   sim::Task<void> Complete(Incoming incoming, Completion completion);
@@ -160,7 +142,7 @@ class QueuePair {
  private:
   friend class QueueSet;
 
-  // Set-member pair: shares the set's PCIe link and depth-cap policy.
+  // Pairs are built by their set: they share its PCIe link and depth cap.
   QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id,
             sim::BandwidthResource* h2d, sim::BandwidthResource* d2h,
             std::uint32_t depth_cap);
@@ -170,15 +152,12 @@ class QueuePair {
   std::optional<Incoming> TryTake() { return submissions_.TryPop(); }
 
   sim::Simulation* sim_;
-  QueueSet* set_ = nullptr;  // null for standalone pairs
+  QueueSet* set_;
   std::uint32_t id_ = 0;
   // Trace track names ("nvme", "nvme.cq"), carrying the owning set's
   // name_prefix so per-device spans stay separable in multi-device sims.
   std::string trk_nvme_ = "nvme";
   std::string trk_nvme_cq_ = "nvme.cq";
-  // Standalone pairs own their link; set members borrow the set's.
-  std::unique_ptr<sim::BandwidthResource> owned_h2d_;
-  std::unique_ptr<sim::BandwidthResource> owned_d2h_;
   sim::BandwidthResource* host_to_device_;
   sim::BandwidthResource* device_to_host_;
   // Depth cap (null = unbounded). Acquired per command before the
@@ -191,25 +170,17 @@ class QueuePair {
 };
 
 // N SQ/CQ pairs sharing one PCIe link, plus the device-side arbitration
-// point. Hosts submit to a specific pair (pair(i)->Submit...); the device
+// point. Hosts submit to a specific pair (pair(i)->Submit); the device
 // services all pairs through NextCommand() under the configured policy.
 class QueueSet {
  public:
   QueueSet(sim::Simulation* sim, const QueueSetConfig& config);
-  // Single-queue convenience, used by fixtures that predate multi-queue.
-  QueueSet(sim::Simulation* sim, const PcieConfig& pcie)
-      : QueueSet(sim, MakeSingleQueueConfig(pcie)) {}
 
   std::uint32_t num_queues() const {
     return static_cast<std::uint32_t>(pairs_.size());
   }
   QueuePair* pair(std::uint32_t id) { return pairs_[id].get(); }
   const QueuePair* pair(std::uint32_t id) const { return pairs_[id].get(); }
-
-  // Convenience forwarder for single-queue callers: submit on pair 0.
-  sim::Task<Completion> Submit(Command command) {
-    return pairs_[0]->Submit(std::move(command));
-  }
 
   // Device side: the next command across ALL pairs, in arbitration order.
   // Round-robin serves one command per non-empty queue in rotation;
@@ -247,12 +218,6 @@ class QueueSet {
 
  private:
   friend class QueuePair;
-
-  static QueueSetConfig MakeSingleQueueConfig(const PcieConfig& pcie) {
-    QueueSetConfig config;
-    config.pcie = pcie;
-    return config;
-  }
 
   // Called by a pair on every SQ push: one work token per queued command.
   void NotifyWork() { work_.Release(); }

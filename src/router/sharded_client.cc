@@ -20,6 +20,12 @@ Tick BackoffFor(const ShardedClientConfig& config, std::uint32_t attempt) {
   return std::min(backoff, config.retry_backoff_cap);
 }
 
+bool IsBusy(const Status& status) { return status.IsBusy(); }
+template <typename T>
+bool IsBusy(const Result<T>& result) {
+  return !result.ok() && result.status().IsBusy();
+}
+
 // K-way merge of per-shard sorted streams via the device's loser tree.
 // `less(sa, ia, sb, ib)` orders row ia of stream sa against row ib of
 // stream sb; exhausted streams sort after live ones and ties break by
@@ -52,6 +58,16 @@ void MergeStreams(std::vector<Rows>* streams, std::uint32_t limit,
   }
 }
 
+// Merges per-shard streams sorted by primary key.
+void MergeByPrimary(std::vector<Rows>* per, std::uint32_t limit, Rows* out) {
+  MergeStreams(per, limit,
+               [per](std::size_t sa, std::size_t ia, std::size_t sb,
+                     std::size_t ib) {
+                 return (*per)[sa][ia].first < (*per)[sb][ib].first;
+               },
+               out);
+}
+
 // Re-derives the order-encoded secondary key for every row so the merge
 // can reproduce the device's (skey, pkey) iteration order host-side.
 Status DeriveMergeKeys(const Rows& rows, const nvme::SecondaryIndexSpec& spec,
@@ -70,6 +86,24 @@ Status DeriveMergeKeys(const Rows& rows, const nvme::SecondaryIndexSpec& spec,
     if (!enc.ok()) return enc.status();
     skeys->push_back(std::move(enc).value());
   }
+  return Status::Ok();
+}
+
+// Merges per-shard streams sorted by (secondary key, primary key).
+Status MergeBySecondary(std::vector<Rows>* per,
+                        const nvme::SecondaryIndexSpec& spec,
+                        std::uint32_t limit, Rows* out) {
+  std::vector<std::vector<std::string>> skeys(per->size());
+  for (std::size_t i = 0; i < per->size(); ++i) {
+    KVCSD_RETURN_IF_ERROR(DeriveMergeKeys((*per)[i], spec, &skeys[i]));
+  }
+  MergeStreams(per, limit,
+               [per, &skeys](std::size_t sa, std::size_t ia, std::size_t sb,
+                             std::size_t ib) {
+                 return std::tie(skeys[sa][ia], (*per)[sa][ia].first) <
+                        std::tie(skeys[sb][ib], (*per)[sb][ib].first);
+               },
+               out);
   return Status::Ok();
 }
 
@@ -135,8 +169,8 @@ sim::Task<Status> PutShardBatch(
     client::KeyspaceHandle* ks,
     std::vector<std::pair<std::string, std::string>> sub,
     const std::vector<std::size_t>* idx,
-    std::vector<client::StatusFuture>* futures) {
-  std::vector<client::StatusFuture> shard_futures =
+    std::vector<client::Future<Status>>* futures) {
+  std::vector<client::Future<Status>> shard_futures =
       co_await ks->PutBatchAsync(std::move(sub));
   for (std::size_t j = 0; j < idx->size(); ++j) {
     (*futures)[(*idx)[j]] = std::move(shard_futures[j]);
@@ -256,37 +290,42 @@ Result<nvme::SecondaryIndexSpec> ShardedKeyspaceHandle::IndexSpec(
   return it->second;
 }
 
+template <typename Attempt>
+auto ShardedKeyspaceHandle::RetryBusy(Attempt attempt) -> decltype(attempt()) {
+  ShardedClient* r = router_;
+  for (std::uint32_t retries = 0;; ++retries) {
+    auto outcome = co_await attempt();
+    if (!IsBusy(outcome) || retries >= r->config_.busy_retry_attempts) {
+      co_return outcome;
+    }
+    r->busy_retries_->Increment();
+    co_await r->sim_->Delay(BackoffFor(r->config_, retries));
+  }
+}
+
 // --- routed writes ---
 
 sim::Task<Status> ShardedKeyspaceHandle::Put(const std::string& key,
                                              const std::string& value) {
-  ShardedClient* r = router_;
   const std::uint32_t shard = ShardOf(key);
-  r->shard_counters_[shard].puts->Increment();
-  std::uint32_t attempt = 0;
-  while (true) {
-    Status s = co_await state_->shards[shard].Put(key, value);
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) {
-      co_return s;
-    }
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  router_->shard_counters_[shard].puts->Increment();
+  co_return co_await RetryBusy(
+      [&] { return state_->shards[shard].Put(key, value); });
 }
 
-sim::Task<client::StatusFuture> ShardedKeyspaceHandle::PutAsync(
+sim::Task<client::Future<Status>> ShardedKeyspaceHandle::PutAsync(
     const std::string& key, const std::string& value) {
   const std::uint32_t shard = ShardOf(key);
   router_->shard_counters_[shard].puts->Increment();
   co_return co_await state_->shards[shard].PutAsync(key, value);
 }
 
-sim::Task<std::vector<client::StatusFuture>>
+sim::Task<std::vector<client::Future<Status>>>
 ShardedKeyspaceHandle::PutBatchAsync(
     std::vector<std::pair<std::string, std::string>> pairs) {
   ShardedClient* r = router_;
   const std::uint32_t n = num_shards();
-  std::vector<client::StatusFuture> futures(pairs.size());
+  std::vector<client::Future<Status>> futures(pairs.size());
   std::vector<std::vector<std::size_t>> members(n);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     members[ShardOf(pairs[i].first)].push_back(i);
@@ -312,21 +351,13 @@ ShardedKeyspaceHandle::PutBatchAsync(
 }
 
 sim::Task<Status> ShardedKeyspaceHandle::Delete(const std::string& key) {
-  ShardedClient* r = router_;
   const std::uint32_t shard = ShardOf(key);
-  r->shard_counters_[shard].deletes->Increment();
-  std::uint32_t attempt = 0;
-  while (true) {
-    Status s = co_await state_->shards[shard].Delete(key);
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) {
-      co_return s;
-    }
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  router_->shard_counters_[shard].deletes->Increment();
+  co_return co_await RetryBusy(
+      [&] { return state_->shards[shard].Delete(key); });
 }
 
-sim::Task<client::StatusFuture> ShardedKeyspaceHandle::DeleteAsync(
+sim::Task<client::Future<Status>> ShardedKeyspaceHandle::DeleteAsync(
     const std::string& key) {
   const std::uint32_t shard = ShardOf(key);
   router_->shard_counters_[shard].deletes->Increment();
@@ -357,18 +388,9 @@ sim::Task<Status> ShardedKeyspaceHandle::CompactShard(
   ShardedClient* r = router_;
   co_await r->governor_.Acquire();
   client::KeyspaceHandle& ks = state_->shards[shard];
-  Status s = Status::Ok();
-  std::uint32_t attempt = 0;
-  while (true) {
-    if (specs.empty()) {
-      s = co_await ks.Compact();
-    } else {
-      s = co_await ks.CompactWithIndexes(specs);
-    }
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) break;
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  Status s = co_await RetryBusy([&] {
+    return specs.empty() ? ks.Compact() : ks.CompactWithIndexes(specs);
+  });
   // Hold the governor slot through the barrier: the slot models "this
   // shard's SoC is busy compacting", which is true until COMPACTED.
   if (s.ok()) s = co_await ks.WaitCompaction();
@@ -412,14 +434,7 @@ sim::Task<Status> ShardedKeyspaceHandle::BuildIndexShard(
   ShardedClient* r = router_;
   co_await r->governor_.Acquire();
   client::KeyspaceHandle& ks = state_->shards[shard];
-  Status s = Status::Ok();
-  std::uint32_t attempt = 0;
-  while (true) {
-    s = co_await ks.CreateSecondaryIndex(spec);
-    if (!s.IsBusy() || attempt >= r->config_.busy_retry_attempts) break;
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  Status s = co_await RetryBusy([&] { return ks.CreateSecondaryIndex(spec); });
   r->governor_.Release();
   co_return s;
 }
@@ -449,22 +464,13 @@ sim::Task<Status> ShardedKeyspaceHandle::CreateSecondaryIndexF32(
 
 sim::Task<Result<std::string>> ShardedKeyspaceHandle::Get(
     const std::string& key) {
-  ShardedClient* r = router_;
   const std::uint32_t shard = ShardOf(key);
-  r->shard_counters_[shard].gets->Increment();
-  std::uint32_t attempt = 0;
-  while (true) {
-    Result<std::string> res = co_await state_->shards[shard].Get(key);
-    if (res.ok() || !res.status().IsBusy() ||
-        attempt >= r->config_.busy_retry_attempts) {
-      co_return res;
-    }
-    r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, attempt++));
-  }
+  router_->shard_counters_[shard].gets->Increment();
+  co_return co_await RetryBusy(
+      [&] { return state_->shards[shard].Get(key); });
 }
 
-sim::Task<client::GetFuture> ShardedKeyspaceHandle::GetAsync(
+sim::Task<client::Future<Result<std::string>>> ShardedKeyspaceHandle::GetAsync(
     const std::string& key) {
   const std::uint32_t shard = ShardOf(key);
   router_->shard_counters_[shard].gets->Increment();
@@ -493,12 +499,7 @@ sim::Task<Status> ShardedKeyspaceHandle::Scan(const std::string& lo,
     }
     KVCSD_CO_RETURN_IF_ERROR(co_await group.Wait());
   }
-  MergeStreams(&per, limit,
-               [&per](std::size_t sa, std::size_t ia, std::size_t sb,
-                      std::size_t ib) {
-                 return per[sa][ia].first < per[sb][ib].first;
-               },
-               out);
+  MergeByPrimary(&per, limit, out);
   FinishScatter(r->sim_, r->config_.stats_prefix, "scans", &span, elapsed,
                 out->size());
   co_return Status::Ok();
@@ -526,18 +527,7 @@ sim::Task<Status> ShardedKeyspaceHandle::QuerySecondaryRange(
   } else {
     Result<nvme::SecondaryIndexSpec> spec = IndexSpec(index_name);
     if (!spec.ok()) co_return spec.status();
-    std::vector<std::vector<std::string>> skeys(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      KVCSD_CO_RETURN_IF_ERROR(
-          DeriveMergeKeys(per[i], spec.value(), &skeys[i]));
-    }
-    MergeStreams(&per, limit,
-                 [&per, &skeys](std::size_t sa, std::size_t ia,
-                                std::size_t sb, std::size_t ib) {
-                   return std::tie(skeys[sa][ia], per[sa][ia].first) <
-                          std::tie(skeys[sb][ib], per[sb][ib].first);
-                 },
-                 out);
+    KVCSD_CO_RETURN_IF_ERROR(MergeBySecondary(&per, *spec, limit, out));
   }
   FinishScatter(r->sim_, r->config_.stats_prefix, "secondary_scans", &span,
                 elapsed, out->size());
@@ -572,27 +562,11 @@ sim::Task<Status> ShardedKeyspaceHandle::SelectScatter(
   if (n == 1) {
     *out = std::move(per[0]);
   } else if (opts.index_name.empty()) {
-    MergeStreams(&per, opts.limit,
-                 [&per](std::size_t sa, std::size_t ia, std::size_t sb,
-                        std::size_t ib) {
-                   return per[sa][ia].first < per[sb][ib].first;
-                 },
-                 out);
+    MergeByPrimary(&per, opts.limit, out);
   } else {
     Result<nvme::SecondaryIndexSpec> spec = IndexSpec(opts.index_name);
     if (!spec.ok()) co_return spec.status();
-    std::vector<std::vector<std::string>> skeys(n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      KVCSD_CO_RETURN_IF_ERROR(
-          DeriveMergeKeys(per[i], spec.value(), &skeys[i]));
-    }
-    MergeStreams(&per, opts.limit,
-                 [&per, &skeys](std::size_t sa, std::size_t ia,
-                                std::size_t sb, std::size_t ib) {
-                   return std::tie(skeys[sa][ia], per[sa][ia].first) <
-                          std::tie(skeys[sb][ib], per[sb][ib].first);
-                 },
-                 out);
+    KVCSD_CO_RETURN_IF_ERROR(MergeBySecondary(&per, *spec, opts.limit, out));
   }
   FinishScatter(r->sim_, r->config_.stats_prefix, "selects", &span, elapsed,
                 out->size());

@@ -79,7 +79,7 @@ class ShardedClient;
 // index specs the router needs to re-derive merge keys host-side.
 class ShardedKeyspaceHandle {
  public:
-  using Rows = std::vector<std::pair<std::string, std::string>>;
+  using Rows = client::Rows;
 
   ShardedKeyspaceHandle() = default;
   bool valid() const { return router_ != nullptr; }
@@ -95,16 +95,16 @@ class ShardedKeyspaceHandle {
   // async variants surface the shard's status through the future and
   // leave retry policy to the caller.
   sim::Task<Status> Put(const std::string& key, const std::string& value);
-  sim::Task<client::StatusFuture> PutAsync(const std::string& key,
+  sim::Task<client::Future<Status>> PutAsync(const std::string& key,
                                            const std::string& value);
   // Batched async puts: pairs are grouped by owning shard and each
   // group ships as one doorbell ring on that shard's client, so the
   // per-command submission cost amortizes across the batch AND across
   // shards. Futures come back in input order.
-  sim::Task<std::vector<client::StatusFuture>> PutBatchAsync(
+  sim::Task<std::vector<client::Future<Status>>> PutBatchAsync(
       std::vector<std::pair<std::string, std::string>> pairs);
   sim::Task<Status> Delete(const std::string& key);
-  sim::Task<client::StatusFuture> DeleteAsync(const std::string& key);
+  sim::Task<client::Future<Status>> DeleteAsync(const std::string& key);
 
   // Fan-out fsync: every shard's buffered PUTs are durable on return.
   sim::Task<Status> Sync();
@@ -134,7 +134,8 @@ class ShardedKeyspaceHandle {
 
   // --- routed point reads ---
   sim::Task<Result<std::string>> Get(const std::string& key);
-  sim::Task<client::GetFuture> GetAsync(const std::string& key);
+  sim::Task<client::Future<Result<std::string>>> GetAsync(
+      const std::string& key);
 
   // --- scatter-gather queries ---
   // Scatters to every shard with the same [lo, hi] and per-shard limit,
@@ -215,6 +216,11 @@ class ShardedKeyspaceHandle {
       client::KeyspaceHandle::SelectOptions opts);
   // Looks up a registered index spec; kInvalidArgument when unknown.
   Result<nvme::SecondaryIndexSpec> IndexSpec(const std::string& name) const;
+  // Awaits `attempt()` again, with exponential backoff, while it answers
+  // kBusy (a shard mid-compaction), at most config.busy_retry_attempts
+  // times. `attempt` returns a fresh Task<Status> or Task<Result<T>>.
+  template <typename Attempt>
+  auto RetryBusy(Attempt attempt) -> decltype(attempt());
 
   ShardedClient* router_ = nullptr;
   std::shared_ptr<State> state_;

@@ -44,6 +44,7 @@ TEST(WorkloadTest, CsdInsertSmokes) {
   EXPECT_GE(outcome.compaction_done, outcome.insert_done);
   EXPECT_GT(outcome.zns_bytes_written, spec.total_keys * 48);
   EXPECT_GT(outcome.pcie_h2d_bytes, spec.total_keys * 48);
+  EXPECT_EQ(outcome.failed, 0u);
 }
 
 TEST(WorkloadTest, LsmInsertModesOrdering) {
@@ -67,6 +68,8 @@ TEST(WorkloadTest, LsmInsertModesOrdering) {
   EXPECT_GT(auto_mode.compactions, 0u);
   EXPECT_EQ(none.compactions, 0u);
   EXPECT_GT(auto_mode.device_bytes_written, none.device_bytes_written);
+  EXPECT_EQ(none.failed, 0u);
+  EXPECT_EQ(auto_mode.failed, 0u);
 }
 
 TEST(WorkloadTest, MultiKeyspaceInsertScalesOut) {
@@ -85,6 +88,8 @@ TEST(WorkloadTest, MultiKeyspaceInsertScalesOut) {
   // 4x data over 4 keyspaces should take well under 4x the time
   // (parallelism across keyspaces), demonstrating the Fig. 9 scaling.
   EXPECT_LT(t4.insert_done, 3 * t1.insert_done);
+  EXPECT_EQ(t1.failed, 0u);
+  EXPECT_EQ(t4.failed, 0u);
 }
 
 TEST(WorkloadTest, GetRunnersReturnTimeAndTraffic) {
@@ -93,25 +98,31 @@ TEST(WorkloadTest, GetRunnersReturnTimeAndTraffic) {
   std::vector<client::KeyspaceHandle> handles(2);
   sim::WaitGroup wg(&bed.sim());
   wg.Add(2);
+  std::uint64_t load_failed = 0;
   for (std::uint32_t t = 0; t < 2; ++t) {
     bed.sim().Spawn([](CsdTestbed* b, std::uint32_t thread,
                        std::vector<client::KeyspaceHandle>* out,
-                       sim::WaitGroup* done) -> sim::Task<void> {
+                       sim::WaitGroup* done,
+                       std::uint64_t* failed) -> sim::Task<void> {
+      auto check = [failed](const Status& st) {
+        if (!st.ok()) ++*failed;
+      };
       auto ks = (co_await b->client().CreateKeyspace(
                      "g" + std::to_string(thread)))
                     .value();
       auto writer = ks.NewBulkWriter();
       for (std::uint64_t i = 0; i < 5000; ++i) {
-        (void)co_await writer.Add(MakeFixedKey(i), std::string(32, 'x'));
+        check(co_await writer.Add(MakeFixedKey(i), std::string(32, 'x')));
       }
-      (void)co_await writer.Flush();
-      (void)co_await ks.Compact();
-      (void)co_await ks.WaitCompaction();
+      check(co_await writer.Drain());
+      check(co_await ks.Compact());
+      check(co_await ks.WaitCompaction());
       (*out)[thread] = ks;
       done->Done();
-    }(&bed, t, &handles, &wg));
+    }(&bed, t, &handles, &wg, &load_failed));
   }
   bed.sim().Run();
+  EXPECT_EQ(load_failed, 0u);
 
   GetSpec spec;
   spec.total_gets = 500;
@@ -121,6 +132,9 @@ TEST(WorkloadTest, GetRunnersReturnTimeAndTraffic) {
   EXPECT_GT(outcome.query_time, 0u);
   EXPECT_GT(outcome.device_bytes_read, 0u);
   EXPECT_GT(outcome.pcie_d2h_bytes, 500u * 32);
+  // The loader wrote every id the reader draws.
+  EXPECT_EQ(outcome.not_found, 0u);
+  EXPECT_EQ(outcome.failed, 0u);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@ DeviceConfig SmallDevice() {
 
 struct CsdFixture {
   sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   Device dev{&sim, SmallDevice(), &qp};
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
@@ -318,7 +318,7 @@ TEST(CsdTest, MetadataSurvivesPowerCycle) {
   // Build a keyspace, then attach a new Device "head" to the same
   // simulated SSD and recover the keyspace table from the metadata zone.
   sim::Simulation sim;
-  nvme::QueueSet qp(&sim, nvme::PcieConfig{});
+  nvme::QueueSet qp(&sim, nvme::QueueSetConfig{});
   auto dev = std::make_unique<Device>(&sim, SmallDevice(), &qp);
   dev->Start();
   sim::CpuPool host(&sim, "host", 8);

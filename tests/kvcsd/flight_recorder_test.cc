@@ -115,7 +115,8 @@ struct Fixture {
   explicit Fixture(FlightRecorderConfig flight) : cfg(SmallDevice()) {
     cfg.zns.faults = &faults;
     cfg.flight = flight;
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
     devs.back()->Start();
     db = std::make_unique<client::Client>(qps.back().get(), &host,
@@ -125,7 +126,8 @@ struct Fixture {
   Device* dev() { return devs.back().get(); }
 
   void Restart() {
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(
         Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
     devs.back()->Start();

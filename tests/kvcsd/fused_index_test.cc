@@ -24,7 +24,7 @@ DeviceConfig SmallDevice() {
 
 struct Fixture {
   sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   Device dev{&sim, SmallDevice(), &qp};
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};

@@ -34,7 +34,7 @@ DeviceConfig SmallDevice() {
 struct Fixture {
   sim::Simulation sim;
   DeviceConfig cfg = SmallDevice();
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   Device dev{&sim, cfg, &qp};
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};

@@ -1,9 +1,11 @@
 // Multi-queue host path (DESIGN.md §11): async futures reaped by the
-// per-client reactor, SQ/CQ arbitration fairness, pipelined bulk writes,
-// retry backoff, and exactly-once completion across a power cycle with
-// commands in flight on multiple queues.
+// per-client reactor, sync calls inside the same admission window, SQ/CQ
+// arbitration fairness, pipelined bulk writes, retry backoff, and
+// exactly-once completion across a power cycle with commands in flight on
+// multiple queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "common/keys.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
+#include "sim/parallel.h"
 
 namespace kvcsd::device {
 namespace {
@@ -91,7 +94,7 @@ TEST(MultiQueueTest, AsyncPutsAndGetsSpreadAcrossQueues) {
     KVCSD_CO_ASSERT_OK(ks);
 
     // Bounded in-flight window of async puts, reaped in issue order.
-    std::deque<client::StatusFuture> window;
+    std::deque<client::Future<Status>> window;
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       if (window.size() >= kDepth) {
         KVCSD_CO_ASSERT_OK(co_await window.front().Await());
@@ -104,14 +107,16 @@ TEST(MultiQueueTest, AsyncPutsAndGetsSpreadAcrossQueues) {
       KVCSD_CO_ASSERT_OK(co_await window.front().Await());
       window.pop_front();
     }
-    KVCSD_CO_ASSERT(c->async_inflight() == 0);
+    KVCSD_CO_ASSERT(c->queue().inflight() == 0);
 
     KVCSD_CO_ASSERT_OK(co_await ks->Sync());
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
 
     // Async reads, awaited in issue order against expected values.
-    std::deque<std::pair<std::uint64_t, client::GetFuture>> reads;
+    std::deque<
+        std::pair<std::uint64_t, client::Future<Result<std::string>>>>
+        reads;
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       if (reads.size() >= kDepth) {
         auto got = co_await reads.front().second.Await();
@@ -128,7 +133,7 @@ TEST(MultiQueueTest, AsyncPutsAndGetsSpreadAcrossQueues) {
       KVCSD_CO_ASSERT(*got == DetValue(reads.front().first));
       reads.pop_front();
     }
-    KVCSD_CO_ASSERT(c->async_inflight() == 0);
+    KVCSD_CO_ASSERT(c->queue().inflight() == 0);
   }(&db));
 
   // Round-robin client placement exercised both pairs.
@@ -167,6 +172,82 @@ TEST(MultiQueueTest, BatchedPutsCompleteAndReadBack) {
 }
 
 // ---------------------------------------------------------------------------
+// A sync call is a batch of one, submitted and awaited: it takes an
+// admission-window permit like any async command, so concurrent sync
+// callers never put more than max_inflight commands on the wire.
+// ---------------------------------------------------------------------------
+
+TEST(MultiQueueTest, SyncCallsObeyAdmissionWindow) {
+  MultiQueueFixture f(nvme::QueueSetConfig{});
+  client::ClientConfig cfg;
+  cfg.max_inflight = 2;
+  client::Client db = f.MakeClient(cfg);
+  constexpr std::uint64_t kCallers = 8;
+  constexpr std::uint64_t kKeysPerCaller = 6;
+
+  std::uint64_t peak = 0;
+  bool stop = false;  // outlives both coroutines: the watcher reads it last
+  testutil::RunSim(
+      f.sim,
+      [](sim::Simulation* sim, client::Client* c, bool* stop_flag,
+         std::uint64_t* peak_inflight) -> sim::Task<void> {
+        // Watcher: samples commands submitted and not yet completed — a
+        // lower bound on those not yet reaped — until the callers finish.
+        struct StopOnExit {
+          bool* flag;
+          ~StopOnExit() { *flag = true; }
+        } stop_on_exit{stop_flag};
+        sim->Spawn([](sim::Simulation* s, client::Client* cl,
+                      const bool* done, std::uint64_t* peak_out)
+                       -> sim::Task<void> {
+          while (!*done) {
+            *peak_out = std::max(*peak_out, cl->queue().inflight());
+            co_await s->Delay(Microseconds(1));
+          }
+        }(sim, c, stop_flag, peak_inflight));
+
+        auto ks = co_await c->CreateKeyspace("window");
+        KVCSD_CO_ASSERT_OK(ks);
+        sim::TaskGroup puts(sim);
+        for (std::uint64_t t = 0; t < kCallers; ++t) {
+          puts.Spawn([](client::KeyspaceHandle h,
+                        std::uint64_t caller) -> sim::Task<Status> {
+            for (std::uint64_t i = 0; i < kKeysPerCaller; ++i) {
+              const std::uint64_t id = caller * kKeysPerCaller + i;
+              Status s = co_await h.Put(MakeFixedKey(id), DetValue(id));
+              if (!s.ok()) co_return s;
+            }
+            co_return Status::Ok();
+          }(*ks, t));
+        }
+        KVCSD_CO_ASSERT_OK(co_await puts.Wait());
+        KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+        KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+
+        sim::TaskGroup gets(sim);
+        for (std::uint64_t t = 0; t < kCallers; ++t) {
+          gets.Spawn([](client::KeyspaceHandle h,
+                        std::uint64_t caller) -> sim::Task<Status> {
+            for (std::uint64_t i = 0; i < kKeysPerCaller; ++i) {
+              const std::uint64_t id = caller * kKeysPerCaller + i;
+              Result<std::string> got = co_await h.Get(MakeFixedKey(id));
+              if (!got.ok()) co_return got.status();
+              if (*got != DetValue(id)) {
+                co_return Status::Corruption("value mismatch");
+              }
+            }
+            co_return Status::Ok();
+          }(*ks, t));
+        }
+        KVCSD_CO_ASSERT_OK(co_await gets.Wait());
+      }(&f.sim, &db, &stop, &peak));
+
+  // The window was full (the bound is tight) and never exceeded.
+  EXPECT_EQ(peak, 2u);
+  EXPECT_EQ(f.set()->inflight(), 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Fairness: a flooded queue cannot starve its neighbor.
 // ---------------------------------------------------------------------------
 
@@ -201,7 +282,7 @@ TEST(MultiQueueTest, CompetingFullQueueCannotStarveNeighbor) {
   std::uint64_t flood_completed_at_victim_done = 0;
   f.sim.Spawn([](sim::Simulation* sim, client::KeyspaceHandle ks,
                  Tick* done) -> sim::Task<void> {
-    std::deque<client::StatusFuture> window;
+    std::deque<client::Future<Status>> window;
     for (std::uint64_t i = 0; i < kFloodPuts; ++i) {
       if (window.size() >= 256) {
         KVCSD_CO_ASSERT_OK(co_await window.front().Await());
@@ -363,7 +444,7 @@ TEST(MultiQueueTest, EveryCommandCompletesExactlyOnceAcrossPowerCycle) {
           // Flood both queues with async puts, then cut power with the
           // tail still in flight (no suspension between the last submit
           // and the crash, so at least that command is unserviced).
-          std::vector<client::StatusFuture> futures;
+          std::vector<client::Future<Status>> futures;
           for (std::uint64_t i = 0; i < kInflightPuts; ++i) {
             auto pa =
                 co_await ksa->PutAsync(MakeFixedKey(kSynced + i), "late");
@@ -381,8 +462,7 @@ TEST(MultiQueueTest, EveryCommandCompletesExactlyOnceAcrossPowerCycle) {
             ++*n_resolved;
             if (!s.ok()) ++*n_failed;
           }
-          KVCSD_CO_ASSERT(ca2->async_inflight() == 0);
-          KVCSD_CO_ASSERT(cb2->async_inflight() == 0);
+          KVCSD_CO_ASSERT(ca2->queue().inflight() == 0);
         }(&a, &b, &f.faults, &resolved, &failed));
 
     EXPECT_EQ(resolved, 2 * kInflightPuts);

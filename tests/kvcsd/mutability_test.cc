@@ -34,7 +34,7 @@ DeviceConfig SmallDevice() {
 
 struct CsdFixture {
   sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   Device dev{&sim, SmallDevice(), &qp};
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
@@ -422,7 +422,8 @@ struct PowerCycleFixture {
       : cfg(config) {
     cfg.zns.faults = &faults;
     faults.set_torn_tail_keep(0.5);
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
     devs.back()->Start();
     db = std::make_unique<client::Client>(qps.back().get(), &host,
@@ -432,7 +433,8 @@ struct PowerCycleFixture {
   Device* dev() { return devs.back().get(); }
 
   void Restart() {
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(
         Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
     devs.back()->Start();
@@ -601,7 +603,7 @@ struct FoldFixture {
   sim::Simulation sim;
   sim::FaultInjector faults{7};
   DeviceConfig cfg;
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   std::unique_ptr<Device> dev;
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
@@ -823,7 +825,7 @@ TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
   constexpr std::uint64_t kWatermark = 1024;
   constexpr std::uint64_t kKeys = 200;
   sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   DeviceConfig cfg = SmallDevice();
   cfg.delta_fold_watermark_bytes = kWatermark;
   Device dev{&sim, cfg, &qp};

@@ -46,7 +46,8 @@ struct Fixture {
 
   Fixture() : cfg(SmallDevice()) {
     cfg.zns.faults = &faults;
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
     devs.back()->Start();
     db = std::make_unique<client::Client>(qps.back().get(), &host,
@@ -57,7 +58,8 @@ struct Fixture {
   nvme::QueueSet* qp() { return qps.back().get(); }
 
   void Restart() {
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(
         Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
     devs.back()->Start();

@@ -47,7 +47,7 @@ TEST_P(CsdPropertyTest, OrderedStoreInvariantsHold) {
   config.zones.zones_per_cluster = param.zones_per_cluster;
 
   sim::Simulation simulation;
-  nvme::QueueSet qp(&simulation, nvme::PcieConfig{});
+  nvme::QueueSet qp(&simulation, nvme::QueueSetConfig{});
   Device dev(&simulation, config, &qp);
   dev.Start();
   sim::CpuPool host(&simulation, "host", 8);

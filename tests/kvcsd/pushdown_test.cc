@@ -40,7 +40,7 @@ DeviceConfig SmallDevice() {
 
 struct CsdFixture {
   sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   Device dev{&sim, SmallDevice(), &qp};
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
@@ -700,7 +700,8 @@ struct PowerCycleFixture {
   PowerCycleFixture() : cfg(SmallFaultyDevice()) {
     cfg.zns.faults = &faults;
     faults.set_torn_tail_keep(0.5);
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
     devs.back()->Start();
     db = std::make_unique<client::Client>(qps.back().get(), &host,
@@ -710,7 +711,8 @@ struct PowerCycleFixture {
   Device* dev() { return devs.back().get(); }
 
   void Restart() {
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(
         Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
     devs.back()->Start();

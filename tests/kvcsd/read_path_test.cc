@@ -34,7 +34,7 @@ DeviceConfig SmallDevice() {
 
 struct ReadPathFixture {
   sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::PcieConfig{}};
+  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
   Device dev;
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
@@ -63,7 +63,8 @@ struct PowerCycleFixture {
   explicit PowerCycleFixture(DeviceConfig config = SmallDevice())
       : cfg(config) {
     cfg.zns.faults = &faults;
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
     devs.back()->Start();
     db = std::make_unique<client::Client>(qps.back().get(), &host,
@@ -73,7 +74,8 @@ struct PowerCycleFixture {
   Device* dev() { return devs.back().get(); }
 
   void Restart() {
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(
         Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
     devs.back()->Start();

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "../nvme/round_trip.h"
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/crc32c.h"
@@ -46,7 +47,8 @@ struct PowerCycleFixture {
       : cfg(config) {
     cfg.zns.faults = &faults;
     faults.set_torn_tail_keep(0.5);
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
     devs.back()->Start();
     db = std::make_unique<client::Client>(qps.back().get(), &host,
@@ -57,7 +59,8 @@ struct PowerCycleFixture {
 
   // Simulated power cycle; the caller runs Recover() on the new device.
   void Restart() {
-    qps.push_back(std::make_unique<nvme::QueueSet>(&sim, nvme::PcieConfig{}));
+    qps.push_back(
+        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(
         Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
     devs.back()->Start();
@@ -469,7 +472,7 @@ TEST(RecoveryTest, UnknownOpcodeRejected) {
         nvme::Command unknown;
         unknown.opcode = static_cast<nvme::Opcode>(0xee);
         unknown.keyspace_id = ks->id();
-        auto c1 = co_await qp->Submit(std::move(unknown));
+        auto c1 = co_await testutil::RoundTrip(qp, std::move(unknown));
         KVCSD_CO_ASSERT(c1.status.code() == StatusCode::kUnimplemented);
 
         // kKvDelete is a real opcode now: a blind tombstone write, Ok even
@@ -478,19 +481,19 @@ TEST(RecoveryTest, UnknownOpcodeRejected) {
         del.opcode = nvme::Opcode::kKvDelete;
         del.keyspace_id = ks->id();
         del.key = "never-written";
-        auto c2 = co_await qp->Submit(std::move(del));
+        auto c2 = co_await testutil::RoundTrip(qp, std::move(del));
         KVCSD_CO_ASSERT_OK(c2.status);
 
         nvme::Command bad_both;
         bad_both.opcode = static_cast<nvme::Opcode>(0xee);
         bad_both.keyspace_id = 424242;
-        auto c3 = co_await qp->Submit(std::move(bad_both));
+        auto c3 = co_await testutil::RoundTrip(qp, std::move(bad_both));
         KVCSD_CO_ASSERT(c3.status.code() == StatusCode::kUnimplemented);
 
         nvme::Command bad_id;
         bad_id.opcode = nvme::Opcode::kSync;
         bad_id.keyspace_id = 424242;
-        auto c4 = co_await qp->Submit(std::move(bad_id));
+        auto c4 = co_await testutil::RoundTrip(qp, std::move(bad_id));
         KVCSD_CO_ASSERT(c4.status.code() == StatusCode::kNotFound);
       }(f.db.get(), f.qps.back().get()));
 }

@@ -9,10 +9,14 @@
 #include <vector>
 
 #include "../testutil.h"
+#include "round_trip.h"
 #include "nvme/skey.h"
 
 namespace kvcsd::nvme {
 namespace {
+
+using testutil::RoundTrip;
+using testutil::SubmitOne;
 
 TEST(CommandTest, WireSizesCountPayloads) {
   Command cmd;
@@ -27,12 +31,19 @@ TEST(CommandTest, WireSizesCountPayloads) {
   EXPECT_EQ(CompletionWireSize(cpl), 16u + 32 + 16 + 48);
 }
 
+// A one-queue set over `pcie`: the fixture the QueuePairTest cases run on.
+QueueSetConfig OneQueue(const PcieConfig& pcie = {}) {
+  QueueSetConfig config;
+  config.pcie = pcie;
+  return config;
+}
+
 TEST(QueuePairTest, SubmitReceivesDeviceReply) {
   sim::Simulation sim;
-  QueuePair qp(&sim, PcieConfig{});
+  QueueSet set(&sim, OneQueue());
 
   // Echo device: completes each command with its key as the value.
-  sim.Spawn([](QueuePair* queue) -> sim::Task<void> {
+  sim.Spawn([](QueueSet* queue) -> sim::Task<void> {
     for (int i = 0; i < 2; ++i) {
       auto incoming = co_await queue->NextCommand();
       Completion reply;
@@ -40,24 +51,24 @@ TEST(QueuePairTest, SubmitReceivesDeviceReply) {
       reply.value = "echo:" + incoming.command.key;
       co_await queue->Complete(std::move(incoming), std::move(reply));
     }
-  }(&qp));
+  }(&set));
 
   std::vector<std::string> replies;
-  sim.Spawn([](QueuePair* queue, std::vector<std::string>* out)
+  sim.Spawn([](QueueSet* queue, std::vector<std::string>* out)
                 -> sim::Task<void> {
     for (int i = 0; i < 2; ++i) {
       Command cmd;
       cmd.opcode = Opcode::kKvRetrieve;
       cmd.key = "k" + std::to_string(i);
-      Completion reply = co_await queue->Submit(std::move(cmd));
+      Completion reply = co_await RoundTrip(queue, std::move(cmd));
       out->push_back(reply.value);
     }
-  }(&qp, &replies));
+  }(&set, &replies));
 
   sim.Run();
   EXPECT_EQ(replies, (std::vector<std::string>{"echo:k0", "echo:k1"}));
-  EXPECT_EQ(qp.submitted(), 2u);
-  EXPECT_EQ(qp.completed(), 2u);
+  EXPECT_EQ(set.pair(0)->submitted(), 2u);
+  EXPECT_EQ(set.pair(0)->completed(), 2u);
 }
 
 TEST(QueuePairTest, TransferTimeScalesWithPayload) {
@@ -66,54 +77,55 @@ TEST(QueuePairTest, TransferTimeScalesWithPayload) {
   pcie.bytes_per_sec = 1e9;
   pcie.request_latency = Microseconds(10);
   pcie.completion_latency = Microseconds(10);
-  QueuePair qp(&sim, pcie);
+  QueueSet set(&sim, OneQueue(pcie));
 
-  sim.Spawn([](QueuePair* queue) -> sim::Task<void> {
+  sim.Spawn([](QueueSet* queue) -> sim::Task<void> {
     auto incoming = co_await queue->NextCommand();
     // NOTE: named + std::move, never a prvalue temporary — see the
     // "GCC 12 pitfall" note in sim/task.h.
     Completion reply;
     co_await queue->Complete(std::move(incoming), std::move(reply));
-  }(&qp));
+  }(&set));
 
   Tick done = 0;
-  sim.Spawn([](sim::Simulation* s, QueuePair* queue,
+  sim.Spawn([](sim::Simulation* s, QueueSet* queue,
                Tick* out) -> sim::Task<void> {
     Command cmd;
     cmd.opcode = Opcode::kBulkStore;
     cmd.value = std::string(MiB(1), 'x');
-    (void)co_await queue->Submit(std::move(cmd));
+    Completion reply = co_await RoundTrip(queue, std::move(cmd));
+    EXPECT_TRUE(reply.status.ok());
     *out = s->Now();
-  }(&sim, &qp, &done));
+  }(&sim, &set, &done));
   sim.Run();
 
   // >= 1 MiB at 1 GB/s plus both latencies.
   EXPECT_GE(done, TransferTicks(MiB(1), 1e9) + Microseconds(20));
-  EXPECT_GT(qp.host_to_device_bytes(), MiB(1));
-  EXPECT_EQ(qp.device_to_host_bytes(), 16u);  // bare CQE
+  EXPECT_GT(set.host_to_device_bytes(), MiB(1));
+  EXPECT_EQ(set.device_to_host_bytes(), 16u);  // bare CQE
 }
 
 TEST(QueuePairTest, ConcurrentSubmittersEachGetTheirReply) {
   sim::Simulation sim;
-  QueuePair qp(&sim, PcieConfig{});
+  QueueSet set(&sim, OneQueue());
 
-  sim.Spawn([](QueuePair* queue) -> sim::Task<void> {
+  sim.Spawn([](QueueSet* queue) -> sim::Task<void> {
     for (int i = 0; i < 8; ++i) {
       auto incoming = co_await queue->NextCommand();
       Completion reply;
       reply.value = incoming.command.key;
       co_await queue->Complete(std::move(incoming), std::move(reply));
     }
-  }(&qp));
+  }(&set));
 
   int correct = 0;
   for (int t = 0; t < 8; ++t) {
-    sim.Spawn([](QueuePair* queue, int id, int* ok_count) -> sim::Task<void> {
+    sim.Spawn([](QueueSet* queue, int id, int* ok_count) -> sim::Task<void> {
       Command cmd;
       cmd.key = "key-" + std::to_string(id);
-      Completion reply = co_await queue->Submit(std::move(cmd));
+      Completion reply = co_await RoundTrip(queue, std::move(cmd));
       if (reply.value == "key-" + std::to_string(id)) ++*ok_count;
-    }(&qp, t, &correct));
+    }(&set, t, &correct));
   }
   sim.Run();
   EXPECT_EQ(correct, 8);
@@ -121,14 +133,16 @@ TEST(QueuePairTest, ConcurrentSubmittersEachGetTheirReply) {
 
 // Doorbell batching (DESIGN.md §11): a batch of K commands rings one
 // doorbell, so the per-command request latency is paid once. K serial
-// async submits pay it K times; the byte service time is identical.
+// submits of one command pay it K times; the byte service time is
+// identical.
 TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
   sim::Simulation sim;
   PcieConfig pcie;
   pcie.bytes_per_sec = 1e9;
   pcie.request_latency = Microseconds(10);
-  QueuePair serial_qp(&sim, pcie);  // each pair owns its own link
-  QueuePair batch_qp(&sim, pcie);
+  QueueSet serial_set(&sim, OneQueue(pcie));  // each set owns its own link
+  QueueSet batch_set(&sim, OneQueue(pcie));
+  CqRing ring(&sim);  // no device: nothing completes
   constexpr std::uint64_t kCommands = 8;
 
   Command probe;
@@ -138,20 +152,20 @@ TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
   const std::uint64_t wire = CommandWireSize(probe);
 
   Tick serial_done = 0;
-  sim.Spawn([](sim::Simulation* s, QueuePair* qp,
+  sim.Spawn([](sim::Simulation* s, QueuePair* qp, CqRing* cq,
                Tick* out) -> sim::Task<void> {
     for (std::uint64_t i = 0; i < kCommands; ++i) {
       Command cmd;
       cmd.opcode = Opcode::kKvStore;
       cmd.key = std::string(16, 'k');
       cmd.value = std::string(1024, 'v');
-      (void)co_await qp->SubmitAsync(std::move(cmd));
+      (void)co_await SubmitOne(qp, std::move(cmd), cq);
     }
     *out = s->Now();
-  }(&sim, &serial_qp, &serial_done));
+  }(&sim, serial_set.pair(0), &ring, &serial_done));
 
   Tick batch_done = 0;
-  sim.Spawn([](sim::Simulation* s, QueuePair* qp,
+  sim.Spawn([](sim::Simulation* s, QueuePair* qp, CqRing* cq,
                Tick* out) -> sim::Task<void> {
     std::vector<Command> cmds;
     for (std::uint64_t i = 0; i < kCommands; ++i) {
@@ -161,9 +175,9 @@ TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
       cmd.value = std::string(1024, 'v');
       cmds.push_back(std::move(cmd));
     }
-    (void)co_await qp->SubmitBatch(std::move(cmds));
+    (void)co_await qp->Submit(std::move(cmds), cq);
     *out = s->Now();
-  }(&sim, &batch_qp, &batch_done));
+  }(&sim, batch_set.pair(0), &ring, &batch_done));
 
   sim.Run();
 
@@ -175,8 +189,8 @@ TEST(QueuePairTest, BatchedSubmitAmortizesDoorbell) {
             Microseconds(10) + TransferTicks(kCommands * wire, 1e9));
   EXPECT_LT(batch_done, serial_done);
   EXPECT_GE(serial_done - batch_done, (kCommands - 1) * Microseconds(10));
-  EXPECT_EQ(serial_qp.sq_depth(), kCommands);
-  EXPECT_EQ(batch_qp.sq_depth(), kCommands);
+  EXPECT_EQ(serial_set.sq_depth(), kCommands);
+  EXPECT_EQ(batch_set.sq_depth(), kCommands);
 }
 
 TEST(QueueSetTest, RoundRobinAlternatesAcrossPairs) {
@@ -184,16 +198,18 @@ TEST(QueueSetTest, RoundRobinAlternatesAcrossPairs) {
   QueueSetConfig cfg;
   cfg.num_queues = 2;
   QueueSet set(&sim, cfg);
+  CqRing ring(&sim);
 
   for (std::uint32_t q = 0; q < 2; ++q) {
-    sim.Spawn([](QueueSet* s, std::uint32_t queue) -> sim::Task<void> {
+    sim.Spawn([](QueueSet* s, CqRing* cq,
+                 std::uint32_t queue) -> sim::Task<void> {
       for (int i = 0; i < 3; ++i) {
         Command cmd;
         cmd.opcode = Opcode::kKvStore;
         cmd.key = "q" + std::to_string(queue) + "-" + std::to_string(i);
-        (void)co_await s->pair(queue)->SubmitAsync(std::move(cmd));
+        (void)co_await SubmitOne(s->pair(queue), std::move(cmd), cq);
       }
-    }(&set, q));
+    }(&set, &ring, q));
   }
 
   std::vector<std::uint32_t> order;
@@ -223,19 +239,20 @@ TEST(QueueSetTest, WeightedArbitrationSpendsQuanta) {
   cfg.arbitration = Arbitration::kWeighted;
   cfg.weights = {2, 1};
   QueueSet set(&sim, cfg);
+  CqRing ring(&sim);
 
-  sim.Spawn([](QueueSet* s) -> sim::Task<void> {
+  sim.Spawn([](QueueSet* s, CqRing* cq) -> sim::Task<void> {
     for (int i = 0; i < 4; ++i) {
       Command cmd;
       cmd.opcode = Opcode::kKvStore;
-      (void)co_await s->pair(0)->SubmitAsync(std::move(cmd));
+      (void)co_await SubmitOne(s->pair(0), std::move(cmd), cq);
     }
     for (int i = 0; i < 2; ++i) {
       Command cmd;
       cmd.opcode = Opcode::kKvStore;
-      (void)co_await s->pair(1)->SubmitAsync(std::move(cmd));
+      (void)co_await SubmitOne(s->pair(1), std::move(cmd), cq);
     }
-  }(&set));
+  }(&set, &ring));
 
   std::vector<std::uint32_t> order;
   sim.Spawn([](sim::Simulation* s, QueueSet* qs,
@@ -261,13 +278,14 @@ TEST(QueueSetTest, DepthCapBlocksSubmittersUntilCompletionsFreeSlots) {
     QueueSetConfig cfg;
     cfg.sq_depth_cap = 2;
     QueueSet set(&sim, cfg);
-    sim.Spawn([](QueueSet* s) -> sim::Task<void> {
+    CqRing ring(&sim);
+    sim.Spawn([](QueueSet* s, CqRing* cq) -> sim::Task<void> {
       for (int i = 0; i < 3; ++i) {
         Command cmd;
         cmd.opcode = Opcode::kKvStore;
-        (void)co_await s->pair(0)->SubmitAsync(std::move(cmd));
+        (void)co_await SubmitOne(s->pair(0), std::move(cmd), cq);
       }
-    }(&set));
+    }(&set, &ring));
     sim.Run();
     EXPECT_EQ(set.submitted(), 2u);
   }
@@ -284,16 +302,15 @@ TEST(QueueSetTest, DepthCapBlocksSubmittersUntilCompletionsFreeSlots) {
         co_await s->Complete(std::move(incoming), std::move(reply));
       }
     }(&set));
-    sim.Spawn([](QueueSet* s) -> sim::Task<void> {
-      std::vector<std::shared_ptr<ReplyState>> states;
+    CqRing ring(&sim);
+    sim.Spawn([](QueueSet* s, CqRing* cq) -> sim::Task<void> {
       for (int i = 0; i < 5; ++i) {
         Command cmd;
         cmd.opcode = Opcode::kKvStore;
-        auto state = co_await s->pair(0)->SubmitAsync(std::move(cmd));
-        states.push_back(std::move(state));
+        (void)co_await SubmitOne(s->pair(0), std::move(cmd), cq);
       }
-      for (auto& state : states) co_await state->done.Wait();
-    }(&set));
+      for (int i = 0; i < 5; ++i) (void)co_await cq->Pop();
+    }(&set, &ring));
     sim.Run();
     EXPECT_EQ(set.submitted(), 5u);
     EXPECT_EQ(set.completed(), 5u);

@@ -1,8 +1,8 @@
 // Shard-router semantics (DESIGN.md §15): single-shard degeneracy against
 // the plain client, scatter-gather merges with empty shards, limit
 // truncation exactly at shard boundaries, deterministic routing across a
-// fleet-wide power cycle, and a regression test for the batched-PUT
-// admission-window deadlock.
+// fleet-wide power cycle, per-shard stage histograms, and a regression
+// test for the batched-PUT admission-window deadlock.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -376,9 +376,46 @@ TEST(RouterTest, RoutingSurvivesFleetRestart) {
 }
 
 // --------------------------------------------------------------------------
+// Stage histograms carry the shard prefix: the submit/complete stages are
+// recorded under the queue set's name_prefix and the queue wait under the
+// device's stats_prefix, so each shard's series counts exactly its own
+// commands and no unprefixed client.stage.* series merges the fleet.
+// --------------------------------------------------------------------------
+TEST(RouterTest, StageHistogramsArePerShard) {
+  ShardedFixture f(2);
+  testutil::RunSim(f.sim, [](ShardedFixture* fx) -> sim::Task<void> {
+    auto ks = co_await fx->router().CreateKeyspace("stages");
+    KVCSD_CO_ASSERT_OK(ks);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), "s"));
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    for (std::uint64_t i = 0; i < 64; i += 5) {
+      KVCSD_CO_ASSERT_OK(co_await ks->Get(MakeFixedKey(i)));
+    }
+  }(&f));
+
+  const auto& histograms = f.sim.stats().histograms();
+  for (std::uint32_t shard = 0; shard < 2; ++shard) {
+    const std::uint64_t submitted = f.shards[shard]->sets.back()->submitted();
+    EXPECT_GT(submitted, 0u);
+    for (const char* stage : {"submit_ns", "queue_wait_ns", "complete_ns"}) {
+      const std::string name =
+          "shard" + std::to_string(shard) + ".client.stage." + stage;
+      const auto it = histograms.find(name);
+      ASSERT_NE(it, histograms.end()) << name;
+      EXPECT_EQ(it->second.count(), submitted) << name;
+    }
+  }
+  for (const auto& [name, histogram] : histograms) {
+    EXPECT_NE(name.rfind("client.stage.", 0), 0u) << name;
+  }
+}
+
+// --------------------------------------------------------------------------
 // Regression: concurrent batched PUTs whose combined size exceeds one
 // client's admission window (max_inflight). Before the batch gate, each
-// CallBatchAsync caller acquired window permits one at a time while
+// batch submitter acquired window permits one at a time while
 // submitting nothing, so several callers could carve the window up among
 // themselves and all park waiting for permits only they were holding.
 // Every batch lands on the same shard client to maximize contention.
