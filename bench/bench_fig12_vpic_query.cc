@@ -16,7 +16,8 @@
 //        --json=PATH (machine-readable report) --trace=PATH (span trace)
 //
 // Exits non-zero if any KV-CSD keyspace fails to load, compact or build
-// its energy index.
+// its energy index, if any query of either system fails, or if the two
+// systems disagree on any selectivity level's match count.
 #include <algorithm>
 #include <cstdio>
 
@@ -33,49 +34,64 @@ using namespace kvcsd::bench;    // NOLINT
 
 namespace {
 
+// Both runners add the matches to *hits and every failed query (or, for
+// RocksDB, failed primary GET) to *failed.
 Tick RunCsdQuery(CsdTestbed& bed,
                  std::vector<client::KeyspaceHandle>& handles,
-                 float threshold, std::uint64_t* hits) {
+                 float threshold, std::uint64_t* hits,
+                 std::uint64_t* failed) {
   const Tick start = bed.sim().Now();
   sim::WaitGroup wg(&bed.sim());
   wg.Add(handles.size());
   for (auto& ks : handles) {
     bed.sim().Spawn([](client::KeyspaceHandle handle, float thresh,
-                       std::uint64_t* hit_count,
+                       std::uint64_t* hit_count, std::uint64_t* fail_count,
                        sim::WaitGroup* group) -> sim::Task<void> {
       std::vector<std::pair<std::string, std::string>> out;
-      (void)co_await handle.QuerySecondaryRangeF32("energy", thresh, 1e30f,
-                                                   0, &out);
+      if (!(co_await handle.QuerySecondaryRangeF32("energy", thresh, 1e30f,
+                                                   0, &out))
+               .ok()) {
+        ++*fail_count;
+      }
       *hit_count += out.size();
       group->Done();
-    }(ks, threshold, hits, &wg));
+    }(ks, threshold, hits, failed, &wg));
   }
   bed.sim().Run();
   return bed.sim().Now() - start;
 }
 
 Tick RunLsmQuery(LsmTestbed& bed, std::vector<std::unique_ptr<lsm::Db>>& dbs,
-                 float threshold, std::uint64_t* hits) {
+                 float threshold, std::uint64_t* hits,
+                 std::uint64_t* failed) {
   bed.page_cache().DropAll();  // paper cleans the OS cache per run
   const Tick start = bed.sim().Now();
   sim::WaitGroup wg(&bed.sim());
   wg.Add(dbs.size());
   for (auto& db : dbs) {
     bed.sim().Spawn([](lsm::Db* d, float thresh, std::uint64_t* hit_count,
+                       std::uint64_t* fail_count,
                        sim::WaitGroup* group) -> sim::Task<void> {
       // Step 1: scan the auxiliary index for matching particle ids.
       std::vector<std::pair<std::string, std::string>> aux;
-      (void)co_await d->RangeScan(AuxRangeStart(thresh), AuxRangeEnd(), 0,
-                                  &aux);
-      // Step 2: read back each full particle via its primary key.
+      if (!(co_await d->RangeScan(AuxRangeStart(thresh), AuxRangeEnd(), 0,
+                                  &aux))
+               .ok()) {
+        ++*fail_count;
+      }
+      // Step 2: read back each full particle via its primary key; the
+      // loader wrote one for every auxiliary key, so NotFound is a failure.
       std::string value;
       for (const auto& [aux_key, particle_id] : aux) {
-        (void)co_await d->Get(std::string(1, kPrimaryPrefix) + particle_id,
-                              &value);
+        if (!(co_await d->Get(std::string(1, kPrimaryPrefix) + particle_id,
+                              &value))
+                 .ok()) {
+          ++*fail_count;
+        }
       }
       *hit_count += aux.size();
       group->Done();
-    }(db.get(), threshold, hits, &wg));
+    }(db.get(), threshold, hits, failed, &wg));
   }
   bed.sim().Run();
   return bed.sim().Now() - start;
@@ -117,17 +133,28 @@ int main(int argc, char** argv) {
 
   Table table("Fig 12: secondary-index query time vs selectivity",
               {"selectivity", "matches", "KV-CSD", "RocksDB", "speedup"});
+  int exit_code = 0;
   for (double pct : {0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0}) {
     const float threshold =
         dump.EnergyThresholdForSelectivity(pct / 100.0);
     std::uint64_t csd_hits = 0, lsm_hits = 0;
+    std::uint64_t csd_failed = 0, lsm_failed = 0;
     const Tick csd_time = RunCsdQuery(csd_bed, handles, threshold,
-                                      &csd_hits);
-    const Tick lsm_time = RunLsmQuery(lsm_bed, dbs, threshold, &lsm_hits);
+                                      &csd_hits, &csd_failed);
+    const Tick lsm_time =
+        RunLsmQuery(lsm_bed, dbs, threshold, &lsm_hits, &lsm_failed);
+    if (csd_failed != 0 || lsm_failed != 0) {
+      std::printf("FAIL: %.1f%%: %llu KV-CSD and %llu RocksDB operations "
+                  "failed\n",
+                  pct, static_cast<unsigned long long>(csd_failed),
+                  static_cast<unsigned long long>(lsm_failed));
+      exit_code = 1;
+    }
     if (csd_hits != lsm_hits) {
-      std::printf("WARNING: result mismatch at %.1f%%: %llu vs %llu\n", pct,
+      std::printf("FAIL: result mismatch at %.1f%%: %llu vs %llu\n", pct,
                   static_cast<unsigned long long>(csd_hits),
                   static_cast<unsigned long long>(lsm_hits));
+      exit_code = 1;
     }
     char sel[32];
     std::snprintf(sel, sizeof(sel), "%.1f%%", pct);
@@ -149,5 +176,5 @@ int main(int argc, char** argv) {
   report.AddStats(csd_bed.sim().stats(), "device.ks.");
   report.AddTable(table);
   report.WriteIfRequested();
-  return 0;
+  return exit_code;
 }

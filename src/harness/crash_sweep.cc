@@ -11,6 +11,7 @@
 #include "client/client.h"
 #include "hostenv/cost_model.h"
 #include "nvme/queue.h"
+#include "sim/parallel.h"
 #include "sim/resources.h"
 #include "sim/simulation.h"
 
@@ -40,6 +41,8 @@ struct KeyspaceModel {
   std::map<std::string, std::set<std::string>> unacked_values;
   std::set<std::string> tombstones_sent;   // DELETE issued
   std::set<std::string> tombstones_acked;  // snapshot at the last OK Sync
+  // The concurrent leg's secondary index was acknowledged.
+  bool sidx_acked = false;
   // Mutations issued after the keyspace first reached COMPACTED: each
   // lands in the delta log, where an overwrite double-counts against
   // num_kvs until an incremental re-compaction folds it into the run.
@@ -58,6 +61,7 @@ struct KeyspaceModel {
 };
 
 struct SweepState {
+  sim::Simulation* sim = nullptr;
   const CrashSweepConfig* config = nullptr;
   sim::FaultInjector* faults = nullptr;
   CrashSweepReport* report = nullptr;
@@ -83,11 +87,53 @@ std::string ValueFor(const CrashSweepConfig& config, const std::string& key) {
   return value;
 }
 
+// The concurrent leg's secondary index: the raw "ks<i>-k<id>" bytes every
+// value carries after its "v:" prefix.
+nvme::SecondaryIndexSpec SweepIndexSpec() {
+  nvme::SecondaryIndexSpec spec;
+  spec.name = "by_key";
+  spec.value_offset = 2;
+  spec.value_length = 8;
+  spec.type = nvme::SecondaryKeyType::kBytes;
+  return spec;
+}
+
 // ---------------------------------------------------------------------------
 // Phase 1: the workload. Every operation either succeeds (and advances
 // the model) or fails because the power went out; a failure with power
 // still on is itself a violation.
 // ---------------------------------------------------------------------------
+
+// One keyspace of the concurrent leg: compact, then either build the
+// sweep index once COMPACTED or drop it while the compaction still runs.
+// Returns OK always; failures land in the report.
+sim::Task<Status> ConcurrentLegKeyspace(SweepState* st, client::Client* db,
+                                        KeyspaceModel* m, bool build_index) {
+  // True when `s` is OK; a failure with power still on is a violation.
+  auto ok = [&](const Status& s, const std::string& what) {
+    if (!s.ok() && !st->crashed()) {
+      st->Violation(what + " failed without a crash: " + s.message() +
+                    " (" + m->name + ")");
+    }
+    return s.ok();
+  };
+  if (!ok(co_await m->handle.Compact(), "concurrent compact") ||
+      st->crashed()) {
+    co_return Status::Ok();
+  }
+  if (!build_index) {
+    m->drop_issued = true;
+    m->drop_acked = ok(co_await db->DropKeyspace(m->name), "concurrent drop");
+    co_return Status::Ok();
+  }
+  if (!ok(co_await m->handle.WaitCompaction(), "concurrent compaction wait") ||
+      st->crashed()) {
+    co_return Status::Ok();
+  }
+  m->sidx_acked = ok(co_await m->handle.CreateSecondaryIndex(SweepIndexSpec()),
+                     "concurrent index build");
+  co_return Status::Ok();
+}
 
 sim::Task<void> WorkloadBody(SweepState* st, client::Client* db) {
   const CrashSweepConfig& cfg = *st->config;
@@ -153,6 +199,15 @@ sim::Task<void> WorkloadBody(SweepState* st, client::Client* db) {
       st->Violation("drop failed without a crash: " + dropped.message());
       co_return;
     }
+    if (st->crashed()) co_return;
+  }
+
+  if (cfg.concurrent_leg && cfg.keyspaces >= 4) {
+    sim::TaskGroup leg(st->sim);
+    for (std::uint32_t i = 2; i + 1 < cfg.keyspaces; ++i) {
+      leg.Spawn(ConcurrentLegKeyspace(st, db, &st->models[i], i % 2 == 0));
+    }
+    (void)co_await leg.Wait();  // the tasks report into the model
     if (st->crashed()) co_return;
   }
 
@@ -506,6 +561,22 @@ sim::Task<void> VerifyKeyspace(SweepState* st, client::Client* db,
                   std::to_string(m->acked.size()) + " acked in " + m->name);
   }
 
+  // An acknowledged secondary index survives and indexes every key the
+  // scan returns (these keyspaces take no mutations after compacting).
+  if (m->sidx_acked) {
+    std::vector<std::pair<std::string, std::string>> by_index;
+    Status q = co_await handle.QuerySecondaryRange(
+        SweepIndexSpec().name, "", std::string(8, '\xff'), 0, &by_index);
+    if (!q.ok()) {
+      st->Violation("acknowledged secondary index unusable after recovery "
+                    "in " + m->name + ": " + q.message());
+    } else if (by_index.size() != all.size()) {
+      st->Violation("secondary index returned " +
+                    std::to_string(by_index.size()) + " rows, scan " +
+                    std::to_string(all.size()) + " in " + m->name);
+    }
+  }
+
   // The pushdown path walks the same run+delta state through a different
   // code path (select.cc); a device-counted unfiltered aggregate must agree
   // with the scan above exactly. Power is on here, so no crash can fire
@@ -568,6 +639,7 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
 
   CrashSweepReport report;
   SweepState state;
+  state.sim = &sim;
   state.config = &config;
   state.faults = &faults;
   state.report = &report;

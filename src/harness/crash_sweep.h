@@ -2,14 +2,16 @@
 //
 // One sweep case runs a fixed client workload (creates, acknowledged
 // syncs, a drop, with >2 keyspaces also a drop deferred behind a running
-// compaction, a compaction, queries) against a small fault-injected
-// device, crashes it at the k-th crash-point pass, power-cycles it
+// compaction, optionally a leg of concurrent compactions, index builds and
+// drops, a compaction, queries) against a small fault-injected device,
+// crashes it at the k-th crash-point pass, power-cycles it
 // (Device::Restart + Recover) and verifies the recovery invariants:
 //
 //   * no acknowledged data is lost — every key covered by a Sync that
 //     returned OK is queryable with its exact value after recovery;
 //   * nothing is invented — every recovered key was actually sent;
-//   * an acknowledged drop stays dropped, an acknowledged create exists;
+//   * an acknowledged drop stays dropped, an acknowledged create exists,
+//     an acknowledged secondary index answers for every key;
 //   * no keyspace is left COMPACTING;
 //   * zone accounting is consistent — reserved + cluster-owned + free
 //     zones partition the device, and unowned zones are empty.
@@ -49,6 +51,12 @@ struct CrashSweepConfig {
   std::uint64_t zone_bytes = KiB(256);
   std::uint32_t num_zones = 64;
   std::uint64_t write_buffer_bytes = KiB(2);
+  // Concurrent metadata leg (needs >= 4 keyspaces): every keyspace but the
+  // first two and the last compacts at once; the even ones then build a
+  // secondary index, the odd ones are dropped while their compaction
+  // runs. Their persists (compaction commits, index commits, drop
+  // tombstones) all race through the metadata group commit.
+  bool concurrent_leg = false;
 
   // A deliberately small device so the workload exercises multi-cluster
   // logs and real compactions in milliseconds of wall time.

@@ -72,6 +72,18 @@ Result<std::string> ExtractSecondaryKey(const Slice& value,
       Slice(value.data() + spec.value_offset, spec.value_length), spec);
 }
 
+// Awaits one metadata blob write, then records the blob's cluster as
+// scratch (it is an output until the commit snapshot references it) and
+// its ref in *out.
+sim::Task<Status> StoreBlob(sim::Task<Result<BlobRef>> write, BlobRef* out,
+                            std::vector<ClusterId>* scratch) {
+  auto ref = co_await std::move(write);
+  if (!ref.ok()) co_return ref.status();
+  scratch->push_back(ref->cluster);
+  *out = *ref;
+  co_return Status::Ok();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -698,10 +710,24 @@ sim::Task<Status> Device::RunCompaction(
   }
 
   // ---- Commit ----
-  // Phase-1 temporaries are dead weight either way; drop them first.
+  // Phase-1 temporaries are dead weight either way; drop them while the
+  // sketches and the bloom filter go to flash out of line, ahead of the
+  // snapshot that will reference them.
+  std::string bloom_bits = bloom.has_value() ? bloom->Finish() : std::string();
+  BlobRef pidx_blob;
   {
     sim::TraceSpan release(sim_, trk_compaction_, "compact.release");
+    sim::TaskGroup blobs(sim_);
+    blobs.Spawn(StoreBlob(keyspace_manager_.WritePidxBlob(
+                              pipe.sketch, bloom_bits, sim::Activity::kCompact),
+                          &pidx_blob, scratch));
+    for (auto& [name, sidx] : fused_indexes) {
+      blobs.Spawn(StoreBlob(keyspace_manager_.WriteSidxBlob(
+                                sidx.sketch, sim::Activity::kCompact),
+                            &sidx.sketch_blob, scratch));
+    }
     (void)co_await zone_manager_.ReleaseClusters(std::move(temp_clusters));
+    KVCSD_CO_RETURN_IF_ERROR(co_await blobs.Wait());
   }
   if (CrashPoint("compact.before_commit")) {
     co_return Status::IoError("simulated power loss before commit");
@@ -726,9 +752,10 @@ sim::Task<Status> Device::RunCompaction(
   ks->pidx_clusters = std::move(pipe.pidx_clusters);
   ks->sorted_value_clusters = std::move(value_clusters);
   ks->pidx_sketch = std::move(pipe.sketch);
-  // The bloom filter rides the same snapshot as the sketch, so recovery
-  // restores both or neither; empty when bloom is disabled.
-  ks->pidx_bloom = bloom.has_value() ? bloom->Finish() : std::string();
+  // The bloom filter shares the sketch's blob, so recovery restores both
+  // or neither; empty when bloom is disabled.
+  ks->pidx_bloom = std::move(bloom_bits);
+  ks->pidx_blob = pidx_blob;
   // After the LWW pass, entries_total is the exact count of distinct live
   // keys in the run (duplicates collapsed, tombstone winners dropped).
   ks->num_kvs = pipe.entries_total;
@@ -743,6 +770,7 @@ sim::Task<Status> Device::RunCompaction(
     ks->sorted_value_clusters.clear();
     ks->pidx_sketch.clear();
     ks->pidx_bloom.clear();
+    ks->pidx_blob = BlobRef{};
     ks->secondary_indexes.clear();
     ks->klog_clusters = std::move(old_klog);
     ks->vlog_clusters = std::move(old_vlog);
@@ -791,6 +819,17 @@ sim::Task<Status> Device::BuildSecondaryIndex(
   state.run_budget = config_.EffectiveSortRunBytes();
   SecondaryIndex sidx;
   Status result = co_await BuildSecondaryIndexInner(ks, spec, &state, &sidx);
+  std::vector<ClusterId> doomed;
+  if (result.ok()) {
+    // The sketch's durable copy lands before the snapshot that names it.
+    auto blob = co_await keyspace_manager_.WriteSidxBlob(
+        sidx.sketch, sim::Activity::kCompact);
+    if (blob.ok()) {
+      sidx.sketch_blob = *blob;
+      doomed.push_back(blob->cluster);
+    }
+    result = blob.status();
+  }
   if (result.ok()) {
     ks->secondary_indexes[spec.name] = std::move(sidx);
     result = co_await keyspace_manager_.Persist();
@@ -801,7 +840,8 @@ sim::Task<Status> Device::BuildSecondaryIndex(
     sidx = std::move(ks->secondary_indexes[spec.name]);
     ks->secondary_indexes.erase(spec.name);
   }
-  std::vector<ClusterId> doomed = std::move(state.temp_clusters);
+  doomed.insert(doomed.end(), state.temp_clusters.begin(),
+                state.temp_clusters.end());
   doomed.insert(doomed.end(), sidx.sidx_clusters.begin(),
                 sidx.sidx_clusters.end());
   (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
@@ -838,12 +878,17 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     co_return Status::Ok();
   };
 
-  for (const SketchEntry& block_ref : ks->pidx_sketch) {
-    auto block = co_await ReadIndexBlock(ks->id, block_ref, sim::Activity::kCompact);
-    if (!block.ok()) co_return block.status();
+  // PIDX blocks are read gather_fanout wide through a read-ahead ring and
+  // scanned in sketch order, so the scan batches (and everything sorted
+  // from them) are exactly those of a block-at-a-time walk.
+  auto read_block = [&](std::size_t i) {
+    return ReadIndexBlock(ks->id, ks->pidx_sketch[i], sim::Activity::kCompact);
+  };
+  auto scan_block = [&](std::size_t,
+                        const std::string& block) -> sim::Task<Status> {
     std::uint16_t count = 0;
     Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
+    if (!wire::OpenIndexBlock(block, &count, &in)) {
       co_return Status::Corruption("undersized PIDX block during sidx scan");
     }
     for (std::uint16_t i = 0; i < count; ++i) {
@@ -859,7 +904,12 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
         KVCSD_CO_RETURN_IF_ERROR(co_await process_scan_batch());
       }
     }
-  }
+    co_return Status::Ok();
+  };
+  KVCSD_CO_RETURN_IF_ERROR(co_await sim::OrderedParallelFor<std::string>(
+      sim_, ks->pidx_sketch.size(),
+      std::max<std::uint32_t>(config_.gather_fanout, 1), read_block,
+      scan_block));
   KVCSD_CO_RETURN_IF_ERROR(co_await process_scan_batch());
 
   // Step 2: merge runs into SIDX blocks + sketch.

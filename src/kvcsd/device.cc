@@ -1028,6 +1028,8 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   for (auto& [name, sidx] : ks->secondary_indexes) {
     take(&sidx.sidx_clusters);
   }
+  const std::vector<ClusterId> blobs = BlobClusters(*ks);
+  doomed.insert(doomed.end(), blobs.begin(), blobs.end());
   KVCSD_CO_RETURN_IF_ERROR(keyspace_manager_.Erase(id));  // frees *ks
   index_cache_.EraseKeyspace(id);
   buffers_.erase(id);

@@ -6,6 +6,12 @@
 // the COMPACTED state. The keyspace table also stores the per-block pivot
 // "sketches" that primary and secondary queries start from.
 //
+// The sketches and the bloom filter live in SoC DRAM. Their durable copy
+// is out of line: each index's metadata is a CRC-framed blob in a zone
+// cluster of the index's own role, and the metadata snapshot keeps only a
+// BlobRef to it, so a snapshot grows with the number of keyspaces, not
+// with the number of keys (DESIGN.md §8).
+//
 // A COMPACTED keyspace stays mutable (DESIGN.md §12): PUT/DELETE traffic
 // lands in a fresh KLOG/VLOG *delta log* (reusing the klog/vlog chains,
 // empty right after compaction) with an in-DRAM per-key delta index for
@@ -51,10 +57,23 @@ struct SketchEntry {
 std::size_t SketchBlocksInRange(const std::vector<SketchEntry>& sketch,
                                 const std::string& lo, const std::string& hi);
 
+// Flash location of one index's out-of-line metadata blob: a one-zone
+// cluster holding a single CRC-framed record at [addr, addr + len). `crc`
+// is the masked CRC32C of the blob body, checked again at recovery.
+// cluster == 0 means no blob (the index has never committed).
+struct BlobRef {
+  ClusterId cluster = 0;
+  std::uint64_t addr = 0;
+  std::uint32_t len = 0;
+  std::uint32_t crc = 0;
+};
+
 struct SecondaryIndex {
   nvme::SecondaryIndexSpec spec;
   std::vector<ClusterId> sidx_clusters;
   std::vector<SketchEntry> sketch;  // pivot = order-encoded secondary key
+  // Durable copy of `sketch` (a kSidx blob).
+  BlobRef sketch_blob;
   std::uint64_t entries = 0;
 };
 
@@ -100,10 +119,12 @@ struct Keyspace {
   std::vector<SketchEntry> pidx_sketch;
   // Serialized bloom filter over the primary keys (common/bloom.h format),
   // built while compaction streams the merged keys through the index
-  // builder and persisted with the metadata snapshot so recovery restores
-  // it. Empty = no filter (bloom disabled at compaction time, or the
+  // builder. Empty = no filter (bloom disabled at compaction time, or the
   // keyspace is not COMPACTED); point lookups then probe flash directly.
   std::string pidx_bloom;
+  // Durable copy of pidx_sketch + pidx_bloom (a kPidx blob), written by
+  // every compaction and fold commit; recovery restores both from it.
+  BlobRef pidx_blob;
 
   std::map<std::string, SecondaryIndex> secondary_indexes;
 
@@ -148,5 +169,16 @@ struct Keyspace {
   // cluster swap can never happen under an in-flight scan. Not persisted.
   std::uint32_t active_readers = 0;
 };
+
+// The clusters holding a keyspace's index metadata blobs (PIDX first,
+// then each SIDX in name order).
+inline std::vector<ClusterId> BlobClusters(const Keyspace& ks) {
+  std::vector<ClusterId> out;
+  if (ks.pidx_blob.cluster != 0) out.push_back(ks.pidx_blob.cluster);
+  for (const auto& [name, sidx] : ks.secondary_indexes) {
+    if (sidx.sketch_blob.cluster != 0) out.push_back(sidx.sketch_blob.cluster);
+  }
+  return out;
+}
 
 }  // namespace kvcsd::device

@@ -3,12 +3,14 @@
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "sim/fault.h"
+#include "sim/sync.h"
 
 namespace kvcsd::device {
 
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x4b534e41;  // "KSNA"
+constexpr std::uint32_t kBlobMagic = 0x4b53424c;      // "KSBL"
 
 void PutString(std::string* out, const std::string& s) {
   PutLengthPrefixedSlice(out, Slice(s));
@@ -58,7 +60,31 @@ bool GetSketch(Slice* in, std::vector<SketchEntry>* sketch) {
   return true;
 }
 
+void PutBlobRef(std::string* out, const BlobRef& ref) {
+  PutVarint64(out, ref.cluster);
+  PutVarint64(out, ref.addr);
+  PutVarint32(out, ref.len);
+  PutFixed32(out, ref.crc);
+}
+
+bool GetBlobRef(Slice* in, BlobRef* ref) {
+  return GetVarint64(in, &ref->cluster) && GetVarint64(in, &ref->addr) &&
+         GetVarint32(in, &ref->len) && GetFixed32(in, &ref->crc);
+}
+
+std::span<const std::byte> AsBytes(const std::string& s) {
+  return std::span<const std::byte>(
+      reinterpret_cast<const std::byte*>(s.data()), s.size());
+}
+
 }  // namespace
+
+struct KeyspaceManager::PersistRequest {
+  explicit PersistRequest(sim::Simulation* sim) : wake(sim) {}
+  sim::Event wake;
+  bool done = false;
+  Status status;
+};
 
 Result<Keyspace*> KeyspaceManager::Create(const std::string& name) {
   if (by_name_.contains(name)) {
@@ -128,10 +154,9 @@ std::string KeyspaceManager::SerializeTable(std::uint64_t seq) const {
     PutVarint64(&body, ks->vlog_bytes);
     PutClusterVec(&body, ks->pidx_clusters);
     PutClusterVec(&body, ks->sorted_value_clusters);
-    PutSketch(&body, ks->pidx_sketch);
-    // The serialized bloom filter travels with the sketch it guards; a
-    // few bits per key, dwarfed by the metadata zone (DESIGN.md §10).
-    PutString(&body, ks->pidx_bloom);
+    // The sketch and bloom filter grow with the key count; the snapshot
+    // only points at their blob (DESIGN.md §8).
+    PutBlobRef(&body, ks->pidx_blob);
     PutVarint64(&body, ks->secondary_indexes.size());
     for (const auto& [name, sidx] : ks->secondary_indexes) {
       PutString(&body, sidx.spec.name);
@@ -139,7 +164,7 @@ std::string KeyspaceManager::SerializeTable(std::uint64_t seq) const {
       PutVarint32(&body, sidx.spec.value_length);
       body.push_back(static_cast<char>(sidx.spec.type));
       PutClusterVec(&body, sidx.sidx_clusters);
-      PutSketch(&body, sidx.sketch);
+      PutBlobRef(&body, sidx.sketch_blob);
       PutVarint64(&body, sidx.entries);
     }
   }
@@ -195,8 +220,7 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
          GetVarint64(&in, &ks->vlog_bytes) &&
          GetClusterVec(&in, &ks->pidx_clusters) &&
          GetClusterVec(&in, &ks->sorted_value_clusters) &&
-         GetSketch(&in, &ks->pidx_sketch) &&
-         GetString(&in, &ks->pidx_bloom) && GetVarint64(&in, &sidx_count);
+         GetBlobRef(&in, &ks->pidx_blob) && GetVarint64(&in, &sidx_count);
     if (!ok) return Status::Corruption("snapshot keyspace entry");
     for (std::uint64_t j = 0; j < sidx_count; ++j) {
       SecondaryIndex sidx;
@@ -208,7 +232,7 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
       sidx.spec.type = static_cast<nvme::SecondaryKeyType>(in[0]);
       in.remove_prefix(1);
       if (!GetClusterVec(&in, &sidx.sidx_clusters) ||
-          !GetSketch(&in, &sidx.sketch) ||
+          !GetBlobRef(&in, &sidx.sketch_blob) ||
           !GetVarint64(&in, &sidx.entries)) {
         return Status::Corruption("snapshot sidx entry");
       }
@@ -221,12 +245,34 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
 }
 
 sim::Task<Status> KeyspaceManager::Persist() {
-  // Claim the sequence number eagerly, at serialize time: concurrent
-  // Persist calls (a deferred-drop ack racing the compactor's snapshots)
-  // must not collide on one seq, or recovery would tie-break to the
-  // earlier-serialized — staler — state. With serialize order = seq
-  // order, the highest intact seq is always the newest table. Gaps from
-  // failed appends are harmless; only monotonicity matters.
+  PersistRequest req(ssd_->sim());
+  persist_queue_.push_back(&req);
+  while (!req.done && persist_queue_.front() != &req) {
+    co_await req.wake.Wait();
+    req.wake.Reset();
+  }
+  if (req.done) co_return req.status;
+
+  // This request is the writer. Every request queued so far rides the
+  // snapshot WriteSnapshot serializes before its first suspension; later
+  // arrivals wait for the next one.
+  const std::size_t group = persist_queue_.size();
+  const Status status = co_await WriteSnapshot();
+  for (std::size_t i = 0; i < group; ++i) {
+    PersistRequest* member = persist_queue_.front();
+    persist_queue_.pop_front();
+    member->done = true;
+    member->status = status;
+    if (member != &req) member->wake.Set();
+  }
+  if (!persist_queue_.empty()) persist_queue_.front()->wake.Set();
+  co_return status;
+}
+
+sim::Task<Status> KeyspaceManager::WriteSnapshot() {
+  // One writer at a time, so serialize order is seq order: the highest
+  // intact seq is always the newest table. Gaps from failed appends are
+  // harmless; only monotonicity matters.
   const std::uint64_t seq = ++persist_seq_;
   const std::string snapshot = SerializeTable(seq);
   sim::FaultInjector* faults = ssd_->fault_injector();
@@ -252,11 +298,7 @@ sim::Task<Status> KeyspaceManager::Persist() {
       co_return Status::IoError("simulated power loss (metadata switch)");
     }
   }
-  auto addr = co_await ssd_->Append(
-      target,
-      std::span<const std::byte>(
-          reinterpret_cast<const std::byte*>(snapshot.data()),
-          snapshot.size()));
+  auto addr = co_await ssd_->Append(target, AsBytes(snapshot));
   KVCSD_CO_RETURN_IF_ERROR(addr.status());
   current_meta_zone_ = target;
   reset_before_append_ = false;
@@ -270,6 +312,94 @@ sim::Task<Status> KeyspaceManager::Persist() {
   // references; fence it against torn-tail truncation before callers
   // acknowledge anything to the host.
   ssd_->CommitTail();
+  co_return Status::Ok();
+}
+
+sim::Task<Result<BlobRef>> KeyspaceManager::WritePidxBlob(
+    const std::vector<SketchEntry>& sketch, const std::string& bloom,
+    sim::Activity act) {
+  std::string body;
+  PutSketch(&body, sketch);
+  PutString(&body, bloom);
+  return WriteBlob(ZoneType::kPidx, std::move(body), act);
+}
+
+sim::Task<Result<BlobRef>> KeyspaceManager::WriteSidxBlob(
+    const std::vector<SketchEntry>& sketch, sim::Activity act) {
+  std::string body;
+  PutSketch(&body, sketch);
+  return WriteBlob(ZoneType::kSidx, std::move(body), act);
+}
+
+sim::Task<Result<BlobRef>> KeyspaceManager::WriteBlob(ZoneType role,
+                                                      std::string body,
+                                                      sim::Activity act) {
+  if (zones_ == nullptr) {
+    co_return Status::FailedPrecondition("index blobs need a zone manager");
+  }
+  BlobRef ref;
+  ref.crc = crc32c::Mask(crc32c::Value(body.data(), body.size()));
+  std::string framed;
+  framed.reserve(8 + body.size());
+  PutFixed32(&framed, kBlobMagic);
+  PutFixed32(&framed, ref.crc);
+  framed += body;
+  ref.len = static_cast<std::uint32_t>(framed.size());
+  auto cluster = zones_->AllocateCluster(role, 1);
+  if (!cluster.ok()) co_return cluster.status();
+  ref.cluster = *cluster;
+  auto addr = co_await zones_->Append(ref.cluster, AsBytes(framed), act);
+  if (!addr.ok()) {
+    // Never referenced: hand the zone straight back.
+    std::vector<ClusterId> unused(1, ref.cluster);
+    (void)co_await zones_->ReleaseClusters(std::move(unused));
+    co_return addr.status();
+  }
+  ref.addr = *addr;
+  co_return ref;
+}
+
+sim::Task<Result<std::string>> KeyspaceManager::ReadBlob(const BlobRef& ref) {
+  std::string framed(ref.len, '\0');
+  KVCSD_CO_RETURN_IF_ERROR(co_await ssd_->Read(
+      ref.addr,
+      std::span<std::byte>(reinterpret_cast<std::byte*>(framed.data()),
+                           framed.size())));
+  Slice in(framed);
+  std::uint32_t magic = 0, crc = 0;
+  if (!GetFixed32(&in, &magic) || magic != kBlobMagic ||
+      !GetFixed32(&in, &crc) || crc != ref.crc ||
+      crc32c::Unmask(crc) != crc32c::Value(in.data(), in.size())) {
+    co_return Status::Corruption("index metadata blob at " +
+                                 std::to_string(ref.addr) +
+                                 " fails its CRC check");
+  }
+  co_return in.ToString();
+}
+
+sim::Task<Status> KeyspaceManager::LoadBlobs() {
+  for (auto& [id, ks] : by_id_) {
+    if (ks->pidx_blob.cluster != 0) {
+      auto body = co_await ReadBlob(ks->pidx_blob);
+      if (!body.ok()) co_return body.status();
+      Slice in(*body);
+      if (!GetSketch(&in, &ks->pidx_sketch) ||
+          !GetString(&in, &ks->pidx_bloom)) {
+        co_return Status::Corruption("PIDX metadata blob of keyspace '" +
+                                     ks->name + "'");
+      }
+    }
+    for (auto& [name, sidx] : ks->secondary_indexes) {
+      if (sidx.sketch_blob.cluster == 0) continue;
+      auto body = co_await ReadBlob(sidx.sketch_blob);
+      if (!body.ok()) co_return body.status();
+      Slice in(*body);
+      if (!GetSketch(&in, &sidx.sketch)) {
+        co_return Status::Corruption("SIDX metadata blob '" + name +
+                                     "' of keyspace '" + ks->name + "'");
+      }
+    }
+  }
   co_return Status::Ok();
 }
 
@@ -333,6 +463,7 @@ sim::Task<Result<std::uint64_t>> KeyspaceManager::Recover() {
   }
   std::uint64_t seq = 0;
   KVCSD_CO_RETURN_IF_ERROR(DeserializeTable(best_body, &seq));
+  KVCSD_CO_RETURN_IF_ERROR(co_await LoadBlobs());
   persist_seq_ = best_seq;
   // Future snapshots go to the OTHER zone, reset first: the best zone may
   // end in a torn snapshot, and appending after garbage would hide every

@@ -2,21 +2,28 @@
 // zones of the ZNS SSD (paper §IV: "an in-memory keyspace table backed by a
 // metadata zone in the underlying ZNS SSD for data persistence").
 //
-// Persistence model: every mutation appends a full serialized snapshot of
-// the table (and, when wired to a ZoneManager, the zone-cluster allocation
-// table) to the current metadata zone. Snapshots carry a monotonic
-// sequence number. When the current zone fills, persistence ping-pongs to
-// the other metadata zone: the sibling is reset and the newest snapshot is
-// rewritten there. Because the switch never resets the zone holding the
-// latest intact snapshot, a power cut inside the Reset-then-Append window
-// cannot lose the table — recovery scans both zones and loads the intact
-// snapshot with the highest sequence number.
+// Persistence model (DESIGN.md §8): a persist appends a serialized
+// snapshot of the table (and, when wired to a ZoneManager, the
+// zone-cluster allocation table) to the current metadata zone. The
+// snapshot holds O(keyspaces) bytes: each index's sketch and bloom filter
+// live out of line in a CRC-framed blob (WritePidxBlob / WriteSidxBlob)
+// that the snapshot references by address. Persists are group-committed
+// through one writer, so at most one metadata reset or append is ever in
+// flight. Snapshots carry a monotonic sequence number. When the current
+// zone fills, persistence ping-pongs to the other metadata zone: the
+// sibling is reset and the newest snapshot is written there. Because the
+// switch never resets the zone holding the latest intact snapshot, a power
+// cut inside the Reset-then-Append window cannot lose the table — recovery
+// scans both zones, loads the intact snapshot with the highest sequence
+// number, and reads back (and CRC-checks) every blob it references.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "kvcsd/keyspace.h"
@@ -49,12 +56,30 @@ class KeyspaceManager {
     return by_id_;
   }
 
-  // Appends a table snapshot to the current metadata zone, ping-ponging to
-  // the sibling zone when it no longer fits.
+  // Makes the current table durable. Returns once a snapshot serialized
+  // after this call is committed (or failed). Group commit: the one active
+  // writer serializes the table once for every request queued before it,
+  // appends it to the current metadata zone (ping-ponging to the sibling
+  // when it no longer fits), fences it with CommitTail and completes the
+  // whole group with one status. A request that arrives while a snapshot
+  // is being written waits for the next one.
   sim::Task<Status> Persist();
 
+  // Out-of-line index metadata: writes one CRC-framed blob into a fresh
+  // one-zone cluster of the index's role (kPidx: sketch + bloom filter;
+  // kSidx: sketch) and returns its ref. The caller installs the ref,
+  // persists, and only then releases the blob it superseded. Needs a
+  // ZoneManager; a blob must fit in one zone.
+  sim::Task<Result<BlobRef>> WritePidxBlob(
+      const std::vector<SketchEntry>& sketch, const std::string& bloom,
+      sim::Activity act);
+  sim::Task<Result<BlobRef>> WriteSidxBlob(
+      const std::vector<SketchEntry>& sketch, sim::Activity act);
+
   // Rebuilds the table from the newest intact snapshot across both
-  // metadata zones. Returns the number of keyspaces recovered.
+  // metadata zones, then loads every index blob it references. A blob
+  // whose frame or CRC does not match its ref fails with Corruption.
+  // Returns the number of keyspaces recovered.
   sim::Task<Result<std::uint64_t>> Recover();
 
   // Sequence number of the last persisted/recovered snapshot.
@@ -62,6 +87,16 @@ class KeyspaceManager {
   std::uint32_t current_meta_zone() const { return current_meta_zone_; }
 
  private:
+  struct PersistRequest;
+
+  // The writer's one snapshot: serialize, ping-pong check, reset, append,
+  // CommitTail.
+  sim::Task<Status> WriteSnapshot();
+  sim::Task<Result<BlobRef>> WriteBlob(ZoneType role, std::string body,
+                                       sim::Activity act);
+  sim::Task<Result<std::string>> ReadBlob(const BlobRef& ref);
+  // Reads back the sketches and blooms of every recovered keyspace.
+  sim::Task<Status> LoadBlobs();
   std::string SerializeTable(std::uint64_t seq) const;
   Status DeserializeTable(const std::string& raw, std::uint64_t* seq);
   // Scans one metadata zone's snapshot log; keeps (seq, body) of its last
@@ -81,6 +116,9 @@ class KeyspaceManager {
   // record appended after garbage would be invisible to the next scan.
   bool reset_before_append_ = false;
   std::uint64_t persist_seq_ = 0;
+  // Pending persists in arrival order. The front request's owner is the
+  // writer; the rest wait for it to commit them or hand the role on.
+  std::deque<PersistRequest*> persist_queue_;
   std::map<std::uint64_t, std::unique_ptr<Keyspace>> by_id_;
   std::map<std::string, std::uint64_t> by_name_;
   std::uint64_t next_id_ = 1;

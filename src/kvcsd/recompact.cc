@@ -34,9 +34,10 @@
 // Commit protocol: the RECOMPACTING state is persisted before any output
 // is written (recovery rolls it straight back to COMPACTED, delta intact,
 // new clusters reclaimed as unreferenced); the fold then builds the mixed
-// old + new sketch and commits it with one table persist. Past that point
-// the delta logs and any old index cluster no retained block references
-// are released, all in one concurrent-reset batch. A crash anywhere
+// old + new sketch, writes a fresh metadata blob for each index it changed
+// and commits them with one table persist. Past that point the delta logs,
+// any old index cluster no retained block references and the superseded
+// blobs are released, all in one concurrent-reset batch. A crash anywhere
 // leaves either the old state (delta still pending) or the new state
 // (delta folded) — never a blend.
 #include <algorithm>
@@ -676,6 +677,27 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     }
   }
 
+  // ---- Out-of-line metadata: a fresh blob for each index that changed ----
+  // Written ahead of the commit snapshot that references them, as scratch;
+  // the blobs they supersede die in the post-commit release batch.
+  std::optional<BlobRef> new_pidx_blob;
+  if (!items.empty()) {
+    auto blob = co_await keyspace_manager_.WritePidxBlob(
+        new_sketch, new_bloom, sim::Activity::kRecompact);
+    if (!blob.ok()) co_return blob.status();
+    scratch->push_back(blob->cluster);
+    new_pidx_blob = *blob;
+  }
+  std::map<std::string, BlobRef> new_sidx_blobs;
+  for (const auto& [name, fold] : sidx_folds) {
+    if (fold.rebuilt == 0) continue;  // every block retained: same sketch
+    auto blob = co_await keyspace_manager_.WriteSidxBlob(
+        fold.new_sketch, sim::Activity::kRecompact);
+    if (!blob.ok()) co_return blob.status();
+    scratch->push_back(blob->cluster);
+    new_sidx_blobs[name] = *blob;
+  }
+
   // ---- Commit ----
   // Drain in-flight readers first: new queries block in AwaitQueryable
   // while the state is RECOMPACTING, and the commit below swaps clusters
@@ -735,15 +757,21 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   std::vector<ClusterId> old_pidx = std::move(ks->pidx_clusters);
   std::vector<SketchEntry> old_pidx_sketch = std::move(ks->pidx_sketch);
   std::string old_bloom = std::move(ks->pidx_bloom);
+  const BlobRef old_pidx_blob = ks->pidx_blob;
   const std::uint64_t old_num_kvs = ks->num_kvs;
   const std::uint64_t old_run_entries = ks->run_entries;
   std::map<std::string, DeltaEntry> old_delta = std::move(ks->delta_index);
   const std::uint64_t old_delta_live = ks->delta_live;
   const std::uint64_t old_delta_index_bytes = ks->delta_index_bytes;
-  std::map<std::string, std::pair<std::vector<ClusterId>,
-                                  std::vector<SketchEntry>>> old_sidx;
+  struct OldSidx {
+    std::vector<ClusterId> clusters;
+    std::vector<SketchEntry> sketch;
+    BlobRef blob;
+  };
+  std::map<std::string, OldSidx> old_sidx;
   for (auto& [name, sidx] : ks->secondary_indexes) {
-    old_sidx[name] = {std::move(sidx.sidx_clusters), std::move(sidx.sketch)};
+    old_sidx[name] = {std::move(sidx.sidx_clusters), std::move(sidx.sketch),
+                      sidx.sketch_blob};
   }
   const std::uint64_t old_value_count = ks->sorted_value_clusters.size();
 
@@ -761,6 +789,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                    new_value_clusters.end());
   ks->pidx_sketch = std::move(new_sketch);
   ks->pidx_bloom = std::move(new_bloom);
+  if (new_pidx_blob.has_value()) ks->pidx_blob = *new_pidx_blob;
   ks->run_entries = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(ks->run_entries) + run_entries_delta);
   ks->num_kvs = ks->run_entries;
@@ -775,6 +804,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                               fold.new_clusters.end());
     sidx.sketch = std::move(fold.new_sketch);
     sidx.entries = fold.new_entries;
+    if (auto blob = new_sidx_blobs.find(name); blob != new_sidx_blobs.end()) {
+      sidx.sketch_blob = blob->second;
+    }
   }
   ks->state = KeyspaceState::kCompacted;
   Status commit = co_await keyspace_manager_.Persist();
@@ -786,6 +818,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     ks->pidx_clusters = std::move(old_pidx);
     ks->pidx_sketch = std::move(old_pidx_sketch);
     ks->pidx_bloom = std::move(old_bloom);
+    ks->pidx_blob = old_pidx_blob;
     ks->num_kvs = old_num_kvs;
     ks->run_entries = old_run_entries;
     ks->delta_index = std::move(old_delta);
@@ -793,8 +826,10 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     ks->delta_index_bytes = old_delta_index_bytes;
     ks->sorted_value_clusters.resize(old_value_count);
     for (auto& [name, sidx] : ks->secondary_indexes) {
-      sidx.sidx_clusters = std::move(old_sidx[name].first);
-      sidx.sketch = std::move(old_sidx[name].second);
+      OldSidx& old = old_sidx[name];
+      sidx.sidx_clusters = std::move(old.clusters);
+      sidx.sketch = std::move(old.sketch);
+      sidx.sketch_blob = old.blob;
     }
     ks->state = KeyspaceState::kRecompacting;  // wrapper rolls back
     co_return commit;
@@ -819,9 +854,10 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   stats().histogram("device.recompact.fold_ns").Record(sim_->Now() -
                                                        fold_start);
 
-  // Past the commit point the fold HAS happened; the delta logs and any
-  // old index cluster with no retained block are garbage (a crash here
-  // leaks them to recovery's unreferenced-cluster sweep).
+  // Past the commit point the fold HAS happened; the delta logs, any old
+  // index cluster with no retained block and every superseded metadata
+  // blob are garbage (a crash here leaks them to recovery's
+  // unreferenced-cluster sweep).
   (void)CrashPoint("recompact.after_commit");
   sim::TraceSpan release(sim_, trk_compaction_, "recompact.release");
   std::vector<ClusterId> dead = std::move(old_klog);
@@ -829,6 +865,14 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   dead.insert(dead.end(), pidx_dead.begin(), pidx_dead.end());
   for (const auto& [name, parts] : sidx_parts) {
     dead.insert(dead.end(), parts.second.begin(), parts.second.end());
+  }
+  if (new_pidx_blob.has_value() && old_pidx_blob.cluster != 0) {
+    dead.push_back(old_pidx_blob.cluster);
+  }
+  for (const auto& [name, blob] : new_sidx_blobs) {
+    if (old_sidx[name].blob.cluster != 0) {
+      dead.push_back(old_sidx[name].blob.cluster);
+    }
   }
   (void)co_await zone_manager_.ReleaseClusters(std::move(dead));
   co_return Status::Ok();

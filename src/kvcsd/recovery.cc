@@ -8,7 +8,10 @@
 // snapshot), never dangle them. Recovery's job is purely subtractive:
 //
 //   1. Load the newest intact metadata snapshot (keyspace table + the
-//      zone-cluster allocation table) from the ping-pong metadata zones.
+//      zone-cluster allocation table) from the ping-pong metadata zones,
+//      and read back the index blobs (sketches, bloom filters) it
+//      references; a blob failing its CRC check fails recovery with
+//      Corruption.
 //   2. Complete drops that were acknowledged but deferred behind a
 //      compaction or pinned handlers — the snapshot carries their
 //      pending_delete tombstone, persisted before the ack. Then roll
@@ -125,6 +128,7 @@ sim::Task<Status> Device::Recover() {
     if (ks->state != KeyspaceState::kCompacting) continue;
     AppendAll(&doomed, ks->pidx_clusters);
     AppendAll(&doomed, ks->sorted_value_clusters);
+    AppendAll(&doomed, BlobClusters(*ks));
     for (const auto& [name, sidx] : ks->secondary_indexes) {
       AppendAll(&doomed, sidx.sidx_clusters);
     }
@@ -132,6 +136,7 @@ sim::Task<Status> Device::Recover() {
     ks->sorted_value_clusters.clear();
     ks->pidx_sketch.clear();
     ks->pidx_bloom.clear();
+    ks->pidx_blob = BlobRef{};
     ks->secondary_indexes.clear();
     ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
                                           : KeyspaceState::kWritable;
@@ -148,6 +153,7 @@ sim::Task<Status> Device::Recover() {
     referenced.insert(ks->pidx_clusters.begin(), ks->pidx_clusters.end());
     referenced.insert(ks->sorted_value_clusters.begin(),
                       ks->sorted_value_clusters.end());
+    for (ClusterId blob : BlobClusters(*ks)) referenced.insert(blob);
     for (const auto& [name, sidx] : ks->secondary_indexes) {
       referenced.insert(sidx.sidx_clusters.begin(),
                         sidx.sidx_clusters.end());

@@ -40,28 +40,37 @@ ZoneManager::ZoneManager(storage::ZnsSsd* ssd, ZoneManagerConfig config,
   }
 }
 
-Result<ClusterId> ZoneManager::AllocateCluster(ZoneType type) {
-  if (free_zones_.size() < config_.zones_per_cluster) {
+Result<ClusterId> ZoneManager::AllocateCluster(ZoneType type,
+                                               std::uint32_t zones) {
+  if (zones == 0) zones = config_.zones_per_cluster;
+  if (free_zones_.size() < zones) {
     return Status::OutOfSpace(
         "zone pool exhausted (free=" + std::to_string(free_zones_.size()) +
-        ", cluster needs " + std::to_string(config_.zones_per_cluster) +
+        ", cluster needs " + std::to_string(zones) +
         ", live clusters=" + std::to_string(clusters_.size()) + ")");
   }
   Cluster cluster;
   cluster.type = type;
-  cluster.zones.reserve(config_.zones_per_cluster);
-  for (std::uint32_t i = 0; i < config_.zones_per_cluster; ++i) {
+  cluster.zones.reserve(zones);
+  if (zones < config_.zones_per_cluster) {
+    cluster.zones.assign(free_zones_.begin(), free_zones_.begin() + zones);
+    free_zones_.erase(free_zones_.begin(), free_zones_.begin() + zones);
+  }
+  while (cluster.zones.size() < zones) {
     cluster.zones.push_back(free_zones_.back());
     free_zones_.pop_back();
-    // Attribute the zone's I/O to its new role. Released zones keep their
-    // old tag until reallocated, so a release's resets still land on the
-    // role that owned the data.
-    ssd_->TagZone(cluster.zones.back(), ZoneTypeName(type));
+  }
+  // Attribute the zones' I/O to their new role. Released zones keep their
+  // old tag until reallocated, so a release's resets still land on the
+  // role that owned the data.
+  for (std::uint32_t zone : cluster.zones) {
+    ssd_->TagZone(zone, ZoneTypeName(type));
   }
   // The paper's channel-conflict mitigation: start the write rotation at a
   // random zone so simultaneous writers land on different channels.
-  cluster.next_zone =
-      static_cast<std::uint32_t>(rng_.Uniform(cluster.zones.size()));
+  cluster.next_zone = zones == 1 ? 0
+                                 : static_cast<std::uint32_t>(
+                                       rng_.Uniform(cluster.zones.size()));
   const ClusterId id = next_cluster_id_++;
   clusters_.emplace(id, std::move(cluster));
   return id;
@@ -103,8 +112,9 @@ sim::Task<Status> ZoneManager::ReleaseClusters(std::vector<ClusterId> ids) {
       cluster.releasing = false;
       continue;
     }
-    free_zones_.insert(free_zones_.end(), cluster.zones.begin(),
-                       cluster.zones.end());
+    const bool narrow = cluster.zones.size() < config_.zones_per_cluster;
+    free_zones_.insert(narrow ? free_zones_.begin() : free_zones_.end(),
+                       cluster.zones.begin(), cluster.zones.end());
     clusters_.erase(id);
   }
   co_return first_error;

@@ -51,9 +51,14 @@ class ZoneManager {
   ZoneManager(storage::ZnsSsd* ssd, ZoneManagerConfig config,
               std::uint64_t seed = 42);
 
-  // Claims `zones_per_cluster` free zones. Fails with kOutOfSpace when the
-  // free pool is exhausted.
-  Result<ClusterId> AllocateCluster(ZoneType type);
+  // Claims `zones` free zones (0 = `zones_per_cluster`). Fails with
+  // kOutOfSpace when the free pool is exhausted. Full-width clusters take
+  // the lowest free zones. A narrower one (a one-zone metadata blob) is
+  // carved from the top of the pool and released back there, so it never
+  // shifts the zone (and channel) layout of the striped data clusters; a
+  // one-zone cluster has no rotation to seed and draws nothing from the
+  // placement RNG.
+  Result<ClusterId> AllocateCluster(ZoneType type, std::uint32_t zones = 0);
 
   // Resets every zone of every listed cluster concurrently, joins the
   // resets, then returns each cluster's zones to the free pool in list
@@ -112,7 +117,9 @@ class ZoneManager {
   storage::ZnsSsd* ssd_;
   ZoneManagerConfig config_;
   Rng rng_;
-  std::vector<std::uint32_t> free_zones_;  // LIFO free pool
+  // Free pool, highest zone id first: full-width clusters pop from the
+  // back (LIFO), narrower ones from the front.
+  std::vector<std::uint32_t> free_zones_;
   std::map<ClusterId, Cluster> clusters_;
   ClusterId next_cluster_id_ = 1;
 };

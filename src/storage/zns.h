@@ -119,6 +119,7 @@ class ZnsSsd {
   }
 
   const ZnsConfig& config() const { return config_; }
+  sim::Simulation* sim() const { return sim_; }
   std::uint32_t num_zones() const { return config_.num_zones; }
   std::uint64_t zone_size() const { return config_.zone_size; }
   NandModel& nand() { return nand_; }

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string>
 
+#include "common/random.h"
+
 namespace kvcsd {
 namespace {
 
@@ -35,6 +37,24 @@ TEST(Crc32cTest, ExtendMatchesWhole) {
     std::uint32_t part = crc32c::Value(s.data(), split);
     part = crc32c::Extend(part, s.data() + split, s.size() - split);
     EXPECT_EQ(part, whole) << "split=" << split;
+  }
+}
+
+// The slice-by-8 path against the byte-at-a-time table loop, over random
+// lengths (short tails and multi-word bodies), start alignments and seeds.
+TEST(Crc32cTest, SliceBy8MatchesBytewiseOracle) {
+  Rng rng(20231017);
+  std::string buf(4096 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t offset = rng.Uniform(16);
+    const std::size_t len = trial < 64 ? static_cast<std::size_t>(trial)
+                                       : rng.Uniform(4096);
+    const std::uint32_t seed = static_cast<std::uint32_t>(rng.Next());
+    const char* p = buf.data() + offset;
+    ASSERT_EQ(crc32c::Extend(seed, p, len),
+              crc32c::ExtendBytewise(seed, p, len))
+        << "offset=" << offset << " len=" << len;
   }
 }
 

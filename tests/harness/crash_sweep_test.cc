@@ -100,5 +100,39 @@ TEST(CrashSweepTest, TinyZoneSweepCoversMetadataPingPong) {
   EXPECT_TRUE(saw_after_reset) << "sweep never crashed at meta.after_reset";
 }
 
+// Eight keyspaces on tiny zones: five compact at once, three of them then
+// build a secondary index while two are dropped mid-compaction, so their
+// commit, index and tombstone persists race through the metadata group
+// commit while the 4 KiB metadata zones ping-pong underneath them.
+CrashSweepConfig ConcurrentLegConfig() {
+  CrashSweepConfig c = TinyZoneConfig();
+  c.keyspaces = 8;
+  c.num_zones = 256;
+  c.concurrent_leg = true;
+  return c;
+}
+
+TEST(CrashSweepTest, ConcurrentIndexLegCrossesPingPong) {
+  const auto dry = RunCrashSweepCase(ConcurrentLegConfig(), 0);
+  ASSERT_TRUE(dry.ok()) << dry.status().ToString();
+  ASSERT_TRUE(dry->ok()) << Describe(*dry);
+
+  std::set<std::string> points_seen;
+  for (std::uint64_t k = 1; k <= dry->hits; ++k) {
+    auto report = RunCrashSweepCase(ConcurrentLegConfig(), k);
+    ASSERT_TRUE(report.ok())
+        << "case " << k << ": " << report.status().ToString();
+    EXPECT_TRUE(report->fired) << "case " << k << " never crashed";
+    EXPECT_TRUE(report->ok()) << "case " << k << ": " << Describe(*report);
+    points_seen.insert(report->crash_point);
+  }
+  EXPECT_TRUE(points_seen.count("meta.before_reset"))
+      << "sweep never crashed at meta.before_reset";
+  EXPECT_TRUE(points_seen.count("meta.after_reset"))
+      << "sweep never crashed at meta.after_reset";
+  EXPECT_TRUE(points_seen.count("compact.before_commit"))
+      << "sweep never crashed at compact.before_commit";
+}
+
 }  // namespace
 }  // namespace kvcsd::harness

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "../testutil.h"
+#include "common/bloom.h"
+#include "common/keys.h"
 
 namespace kvcsd::device {
 namespace {
@@ -12,6 +18,43 @@ storage::ZnsConfig SmallZns() {
   c.zone_size = KiB(64);
   c.num_zones = 8;
   return c;
+}
+
+// Bytes one Persist() appends to the metadata zones (no ping-pong may
+// happen in between: the zone's write pointer grows by exactly one
+// snapshot).
+std::uint64_t SnapshotBytes(sim::Simulation& sim, storage::ZnsSsd& ssd,
+                            KeyspaceManager& km) {
+  const std::uint32_t zone = km.current_meta_zone();
+  const std::uint64_t before = ssd.write_pointer(zone);
+  EXPECT_TRUE(testutil::RunSim(sim, km.Persist()).ok());
+  EXPECT_EQ(km.current_meta_zone(), zone) << "snapshot switched zones";
+  return ssd.write_pointer(zone) - before;
+}
+
+// Makes `ks` a COMPACTED keyspace over `keys` keys with the sketch and
+// bloom filter a real compaction would build (one sketch entry per 4 KiB
+// PIDX block of 16 B keys), stored out of line like the compactor does.
+void CompactSynthetic(sim::Simulation& sim, KeyspaceManager& km, Keyspace* ks,
+                      std::uint64_t keys) {
+  constexpr std::uint64_t kKeysPerBlock = 4096 / (16 + 12);
+  BloomFilterBuilder bloom(10);
+  for (std::uint64_t i = 0; i < keys; ++i) {
+    const std::string key = MakeFixedKey(i);
+    bloom.AddKey(Slice(key));
+    if (i % kKeysPerBlock == 0) {
+      ks->pidx_sketch.push_back(
+          SketchEntry{key, KiB(4) * (i / kKeysPerBlock), 4096});
+    }
+  }
+  ks->pidx_bloom = bloom.Finish();
+  ks->state = KeyspaceState::kCompacted;
+  ks->num_kvs = ks->run_entries = keys;
+  auto blob = testutil::RunSim(
+      sim, km.WritePidxBlob(ks->pidx_sketch, ks->pidx_bloom,
+                            sim::Activity::kCompact));
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  ks->pidx_blob = *blob;
 }
 
 TEST(KeyspaceManagerTest, CreateFindErase) {
@@ -52,7 +95,9 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   sim::Simulation sim;
   storage::ZnsSsd ssd(&sim, SmallZns());
   {
-    KeyspaceManager km(&ssd);
+    // The sketches live in blobs, which need a zone manager to allocate.
+    ZoneManager zones(&ssd, ZoneManagerConfig{});
+    KeyspaceManager km(&ssd, &zones);
     Keyspace* ks = km.Create("sim_dump").value();
     ks->state = KeyspaceState::kCompacted;
     ks->num_kvs = 12345;
@@ -70,6 +115,16 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
     sidx.sidx_clusters = {13};
     sidx.sketch.push_back(SketchEntry{"\x80\x00\x00\x01", 12288, 4096});
     sidx.entries = 12345;
+    ks->pidx_bloom = "bloom-bits";
+    auto pidx_blob = testutil::RunSim(
+        sim, km.WritePidxBlob(ks->pidx_sketch, ks->pidx_bloom,
+                              sim::Activity::kCompact));
+    ASSERT_TRUE(pidx_blob.ok()) << pidx_blob.status().ToString();
+    ks->pidx_blob = *pidx_blob;
+    auto sidx_blob = testutil::RunSim(
+        sim, km.WriteSidxBlob(sidx.sketch, sim::Activity::kCompact));
+    ASSERT_TRUE(sidx_blob.ok()) << sidx_blob.status().ToString();
+    sidx.sketch_blob = *sidx_blob;
     ks->secondary_indexes["energy"] = sidx;
     ks->pending_delete = true;  // deferred-drop tombstone round-trips
     ASSERT_TRUE(testutil::RunSim(sim, km.Persist()).ok());
@@ -88,11 +143,109 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   EXPECT_EQ(ks->pidx_clusters, (std::vector<ClusterId>{7, 9}));
   ASSERT_EQ(ks->pidx_sketch.size(), 2u);
   EXPECT_EQ(ks->pidx_sketch[1].pivot, "mmm");
+  EXPECT_EQ(ks->pidx_bloom, "bloom-bits");
   ASSERT_TRUE(ks->secondary_indexes.contains("energy"));
   const SecondaryIndex& sidx = ks->secondary_indexes.at("energy");
   EXPECT_EQ(sidx.spec.value_offset, 28u);
   EXPECT_EQ(sidx.spec.type, nvme::SecondaryKeyType::kF32);
   EXPECT_EQ(sidx.entries, 12345u);
+  ASSERT_EQ(sidx.sketch.size(), 1u);
+  EXPECT_EQ(sidx.sketch[0].block_addr, 12288u);
+}
+
+// The snapshot holds a fixed-size reference to each index's blob, so its
+// size does not depend on how many keys the keyspace holds.
+TEST(KeyspaceManagerTest, SnapshotBytesDoNotGrowWithKeyCount) {
+  auto snapshot_bytes = [](std::uint64_t keys) {
+    sim::Simulation sim;
+    storage::ZnsConfig zns;
+    zns.zone_size = MiB(1);
+    zns.num_zones = 16;
+    storage::ZnsSsd ssd(&sim, zns);
+    ZoneManager zones(&ssd, ZoneManagerConfig{});
+    KeyspaceManager km(&ssd, &zones);
+    Keyspace* ks = km.Create("particles").value();
+    CompactSynthetic(sim, km, ks, keys);
+    return SnapshotBytes(sim, ssd, km);
+  };
+  const std::uint64_t small = snapshot_bytes(1000);
+  const std::uint64_t large = snapshot_bytes(200000);
+  EXPECT_LT(small, KiB(1));
+  EXPECT_LT(large > small ? large - small : small - large, KiB(1))
+      << "1k keys: " << small << " B, 200k keys: " << large << " B";
+}
+
+// ... and grows linearly with the number of keyspaces.
+TEST(KeyspaceManagerTest, SnapshotBytesGrowLinearlyWithKeyspaces) {
+  auto snapshot_bytes = [](std::uint32_t keyspaces) {
+    sim::Simulation sim;
+    storage::ZnsConfig zns;
+    zns.zone_size = KiB(64);
+    zns.num_zones = 80;
+    storage::ZnsSsd ssd(&sim, zns);
+    ZoneManager zones(&ssd, ZoneManagerConfig{});
+    KeyspaceManager km(&ssd, &zones);
+    for (std::uint32_t i = 0; i < keyspaces; ++i) {
+      char name[16];
+      std::snprintf(name, sizeof(name), "ks%02u", i);
+      CompactSynthetic(sim, km, km.Create(name).value(), 1000);
+    }
+    return SnapshotBytes(sim, ssd, km);
+  };
+  const std::uint64_t one = snapshot_bytes(1);
+  const std::uint64_t all = snapshot_bytes(64);
+  const double per_keyspace = static_cast<double>(all - one) / 63;
+  EXPECT_LT(per_keyspace, 128.0);  // no per-key payload left
+  for (std::uint32_t n : {2u, 4u, 8u, 16u, 32u}) {
+    const double predicted = static_cast<double>(one) + (n - 1) * per_keyspace;
+    // Slack: cluster ids and blob addresses are varints whose width
+    // steps up as the device fills.
+    EXPECT_NEAR(static_cast<double>(snapshot_bytes(n)), predicted, 2.0 * n)
+        << n << " keyspaces";
+  }
+}
+
+// Two Persists racing across a ping-pong switch: the first resets the
+// sibling zone and writes there; the second must wait for it and append
+// behind it, not reset the sibling a second time (which could wipe the
+// first snapshot, or land both in one zone). Recovery then sees the newer
+// table.
+TEST(KeyspaceManagerTest, ConcurrentPersistsAcrossPingPongResetOnce) {
+  sim::Simulation sim;
+  storage::ZnsConfig zns = SmallZns();
+  zns.zone_size = KiB(4);
+  storage::ZnsSsd ssd(&sim, zns);
+  KeyspaceManager km(&ssd);
+  (void)km.Create("first").value();
+  // Fill metadata zone A until the next snapshot no longer fits in it.
+  const std::uint64_t size = SnapshotBytes(sim, ssd, km);
+  while (ssd.write_pointer(km.current_meta_zone()) + size <= zns.zone_size) {
+    ASSERT_EQ(SnapshotBytes(sim, ssd, km), size);
+  }
+  const std::uint32_t full_zone = km.current_meta_zone();
+  const std::uint64_t resets_before = ssd.total_resets();
+
+  Status first, second;
+  sim.Spawn([](KeyspaceManager* m, Status* out) -> sim::Task<void> {
+    *out = co_await m->Persist();
+  }(&km, &first));
+  // Runs while the first Persist is suspended in the sibling's reset.
+  sim.Spawn([](KeyspaceManager* m, Status* out) -> sim::Task<void> {
+    (void)m->Create("late").value();
+    *out = co_await m->Persist();
+  }(&km, &second));
+  sim.Run();
+  ASSERT_TRUE(first.ok()) << first.ToString();
+  ASSERT_TRUE(second.ok()) << second.ToString();
+  EXPECT_EQ(ssd.total_resets() - resets_before, 1u);
+  EXPECT_NE(km.current_meta_zone(), full_zone);
+
+  KeyspaceManager recovered(&ssd);
+  auto count = testutil::RunSim(sim, recovered.Recover());
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(*count, 2u);
+  EXPECT_TRUE(recovered.Find("late").ok());
+  EXPECT_EQ(recovered.persist_seq(), km.persist_seq());
 }
 
 TEST(KeyspaceManagerTest, LatestSnapshotWins) {

@@ -527,5 +527,49 @@ TEST(RecoveryTest, CorruptIndexBlockReturnsCorruption) {
   }(f.db.get()));
 }
 
+// The bloom filter's durable copy is a CRC-framed blob outside the
+// snapshot. A flipped bit in it must fail recovery loudly rather than load
+// a filter that answers "absent" for keys that exist.
+TEST(RecoveryTest, CorruptBloomBlobFailsRecovery) {
+  PowerCycleFixture f;
+  constexpr std::uint64_t kKeys = 200;
+  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "bloomy", kKeys));
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("bloomy");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(f.db.get()));
+
+  Keyspace* ks = f.dev()->keyspaces().Find("bloomy").value();
+  ASSERT_FALSE(ks->pidx_bloom.empty());
+  const BlobRef blob = ks->pidx_blob;
+  ASSERT_NE(blob.cluster, 0u);
+  storage::ZnsSsd& ssd = f.dev()->ssd();
+  const auto zone = static_cast<std::uint32_t>(blob.addr / ssd.zone_size());
+  ASSERT_EQ(blob.addr % ssd.zone_size(), 0u);  // alone in its zone
+  ASSERT_EQ(ssd.write_pointer(zone), blob.len);
+
+  // Rewrite the zone with one bit of the bloom filter (the blob's tail)
+  // flipped: same address, same length, wrong bytes.
+  std::string bytes(blob.len, '\0');
+  auto as_span = [&bytes] {
+    return std::span<std::byte>(reinterpret_cast<std::byte*>(bytes.data()),
+                                bytes.size());
+  };
+  ASSERT_TRUE(testutil::RunSim(f.sim, ssd.Read(blob.addr, as_span())).ok());
+  bytes[bytes.size() - 2] ^= 0x10;
+  ASSERT_TRUE(testutil::RunSim(f.sim, ssd.Reset(zone)).ok());
+  auto rewritten = testutil::RunSim(f.sim, ssd.Append(zone, as_span()));
+  ASSERT_TRUE(rewritten.ok());
+  ASSERT_EQ(*rewritten, blob.addr);
+  ssd.CommitTail();  // the bad bytes are settled, not a torn tail
+
+  f.faults.Crash();
+  f.Restart();
+  const Status recovered = testutil::RunSim(f.sim, f.dev()->Recover());
+  EXPECT_EQ(recovered.code(), StatusCode::kCorruption) << recovered.ToString();
+}
+
 }  // namespace
 }  // namespace kvcsd::device
