@@ -1,7 +1,8 @@
 // Side-by-side demo: the same bulk-load-then-query workload against
 // KV-CSD (offloaded, deferred compaction) and the RocksLite software
 // baseline (host compaction over a filesystem) — a one-screen version of
-// the paper's evaluation story.
+// the paper's evaluation story. Exits 1 if any operation of either
+// system fails.
 //
 // Build & run:  ./build/examples/baseline_comparison [--keys=N]
 #include <cstdio>
@@ -48,5 +49,9 @@ int main(int argc, char** argv) {
               FormatRatio(static_cast<double>(rocks.total_done) /
                           static_cast<double>(csd.insert_done))
                   .c_str());
-  return 0;
+
+  std::uint64_t failures = 0;
+  CountFailures("KV-CSD insert", csd.failed, &failures);
+  CountFailures("RocksLite insert", rocks.failed, &failures);
+  return failures == 0 ? 0 : 1;
 }

@@ -4,6 +4,8 @@
 // with each other"), each with its own lifecycle — including deletion,
 // whose zone reclamation the device handles via ZNS resets.
 //
+// Exits 1 if any step fails.
+//
 // Build & run:  ./build/examples/multi_tenant
 #include <cstdio>
 
@@ -11,6 +13,7 @@
 #include "common/keys.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
+#include "harness/workloads.h"
 #include "sim/sync.h"
 
 using namespace kvcsd;           // NOLINT
@@ -19,24 +22,32 @@ using namespace kvcsd::harness;  // NOLINT
 namespace {
 
 // Each tenant writes the SAME key ids into its own keyspace — no clashes.
+// Signals `wg` only when every step succeeded.
 sim::Task<void> Tenant(CsdTestbed* bed, int id, sim::WaitGroup* wg) {
   client::Client& db = bed->client();
   const std::string name = "tenant-" + std::to_string(id);
-  auto ks = (co_await db.CreateKeyspace(name)).value();
+  auto ks = co_await db.CreateKeyspace(name);
+  if (!CheckOk(ks.status(), name + " create")) co_return;
 
-  auto writer = ks.NewBulkWriter();
+  auto writer = ks->NewBulkWriter();
   for (std::uint64_t k = 0; k < 20000; ++k) {
-    (void)co_await writer.Add(
-        MakeFixedKey(k), name + ":payload-" + std::to_string(k));
+    if (!CheckOk(co_await writer.Add(MakeFixedKey(k),
+                                     name + ":payload-" + std::to_string(k)),
+                 name + " bulk put")) {
+      co_return;
+    }
   }
-  (void)co_await writer.Flush();
-  (void)co_await ks.Compact();
-  (void)co_await ks.WaitCompaction();
+  if (!CheckOk(co_await writer.Drain(), name + " bulk put drain") ||
+      !CheckOk(co_await ks->Compact(), name + " compact") ||
+      !CheckOk(co_await ks->WaitCompaction(), name + " wait compaction")) {
+    co_return;
+  }
 
-  auto value = (co_await ks.Get(MakeFixedKey(7))).value();
+  auto value = co_await ks->Get(MakeFixedKey(7));
+  if (!CheckOk(value.status(), name + " get")) co_return;
   std::printf("[t=%s] %s reads key 7 -> \"%s\"\n",
               FormatSeconds(bed->sim().Now()).c_str(), name.c_str(),
-              value.c_str());
+              value->c_str());
   wg->Done();
 }
 
@@ -55,10 +66,15 @@ int main() {
 
   // A supervisor retires tenant 2 once everyone is done and shows the
   // device reclaiming its zones.
-  bed.sim().Spawn([](CsdTestbed* b, sim::WaitGroup* done) -> sim::Task<void> {
+  bool finished = false;
+  bed.sim().Spawn([](CsdTestbed* b, sim::WaitGroup* done,
+                     bool* ok) -> sim::Task<void> {
     co_await done->Wait();
     const std::size_t free_before = b->dev().zones().free_zones();
-    (void)co_await b->client().DropKeyspace("tenant-2");
+    if (!CheckOk(co_await b->client().DropKeyspace("tenant-2"),
+                 "drop tenant-2")) {
+      co_return;
+    }
     std::printf("[t=%s] dropped tenant-2: free zones %zu -> %zu\n",
                 FormatSeconds(b->sim().Now()).c_str(), free_before,
                 b->dev().zones().free_zones());
@@ -66,10 +82,12 @@ int main() {
     std::printf("open(tenant-2) after drop: %s\n",
                 gone.status().ToString().c_str());
     auto alive = co_await b->client().OpenKeyspace("tenant-1");
-    std::printf("open(tenant-1) still: %s\n",
-                alive.ok() ? "OK" : alive.status().ToString().c_str());
-  }(&bed, &wg));
+    if (!CheckOk(alive.status(), "open tenant-1")) co_return;
+    std::printf("open(tenant-1) still: OK\n");
+    *ok = gone.status().code() == StatusCode::kNotFound;
+    if (!*ok) std::fprintf(stderr, "FAIL: tenant-2 still opens after drop\n");
+  }(&bed, &wg, &finished));
 
   bed.sim().Run();
-  return 0;
+  return finished ? 0 : 1;
 }

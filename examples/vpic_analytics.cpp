@@ -6,6 +6,8 @@
 // logs, the device sorts and indexes asynchronously, and the selective
 // query streams back only the matching particles.
 //
+// Exits 1 if any step fails.
+//
 // Build & run:  ./build/examples/vpic_analytics [--particles=N]
 #include <cstdio>
 
@@ -13,6 +15,7 @@
 #include "harness/flags.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
+#include "harness/workloads.h"
 #include "sim/sync.h"
 #include "vpic/vpic.h"
 
@@ -21,30 +24,42 @@ using namespace kvcsd::harness;  // NOLINT
 
 namespace {
 
+// Signals `wg` only when the file loaded and its compaction started.
 sim::Task<void> LoadFile(CsdTestbed* bed, const vpic::Dump* dump,
                          std::uint32_t file_index, sim::WaitGroup* wg,
                          std::vector<client::KeyspaceHandle>* handles) {
   // One loader process per dump file, like the paper's 16-thread loader.
-  auto ks = (co_await bed->client().CreateKeyspace(
-                 "vpic.file" + std::to_string(file_index)))
-                .value();
-  auto writer = ks.NewBulkWriter();
+  const std::string name = "vpic.file" + std::to_string(file_index);
+  auto ks = co_await bed->client().CreateKeyspace(name);
+  if (!CheckOk(ks.status(), name + " create")) co_return;
+  auto writer = ks->NewBulkWriter();
   for (const vpic::Particle* p : dump->FileParticles(file_index)) {
-    (void)co_await writer.Add(p->Key(), p->Payload());
+    if (!CheckOk(co_await writer.Add(p->Key(), p->Payload()),
+                 name + " bulk put")) {
+      co_return;
+    }
   }
-  (void)co_await writer.Flush();
-  (void)co_await ks.Compact();  // deferred + offloaded: returns at once
-  (*handles)[file_index] = ks;
+  if (!CheckOk(co_await writer.Drain(), name + " bulk put drain") ||
+      // Deferred + offloaded: returns at once.
+      !CheckOk(co_await ks->Compact(), name + " compact")) {
+    co_return;
+  }
+  (*handles)[file_index] = *ks;
   wg->Done();
 }
 
+// Sets *finished only when every step succeeded.
 sim::Task<void> Analyze(CsdTestbed* bed, const vpic::Dump* dump,
-                        std::vector<client::KeyspaceHandle>* handles) {
+                        std::vector<client::KeyspaceHandle>* handles,
+                        bool* finished) {
   // Wait for the device to finish sorting, then attach the energy index.
   for (auto& ks : *handles) {
-    (void)co_await ks.WaitCompaction();
-    (void)co_await ks.CreateSecondaryIndexF32("energy",
-                                              vpic::kEnergyOffset);
+    if (!CheckOk(co_await ks.WaitCompaction(), "wait compaction") ||
+        !CheckOk(co_await ks.CreateSecondaryIndexF32("energy",
+                                                     vpic::kEnergyOffset),
+                 "energy index")) {
+      co_return;
+    }
   }
   std::printf("[t=%s] all keyspaces compacted + indexed\n",
               FormatSeconds(bed->sim().Now()).c_str());
@@ -55,8 +70,11 @@ sim::Task<void> Analyze(CsdTestbed* bed, const vpic::Dump* dump,
   float max_energy = 0;
   for (auto& ks : *handles) {
     std::vector<std::pair<std::string, std::string>> out;
-    (void)co_await ks.QuerySecondaryRangeF32("energy", threshold, 1e30f, 0,
-                                             &out);
+    if (!CheckOk(co_await ks.QuerySecondaryRangeF32("energy", threshold,
+                                                    1e30f, 0, &out),
+                 "energy query")) {
+      co_return;
+    }
     hits += out.size();
     for (const auto& [pkey, payload] : out) {
       vpic::Particle p;
@@ -71,6 +89,7 @@ sim::Task<void> Analyze(CsdTestbed* bed, const vpic::Dump* dump,
       FormatSeconds(bed->sim().Now()).c_str(), threshold,
       static_cast<unsigned long long>(hits),
       static_cast<unsigned long long>(dump->num_particles()), max_energy);
+  *finished = true;
 }
 
 }  // namespace
@@ -93,14 +112,15 @@ int main(int argc, char** argv) {
   for (std::uint32_t f = 0; f < dump.num_files(); ++f) {
     bed.sim().Spawn(LoadFile(&bed, &dump, f, &loaded, &handles));
   }
+  bool finished = false;
   bed.sim().Spawn([](CsdTestbed* b, const vpic::Dump* d,
                      std::vector<client::KeyspaceHandle>* h,
-                     sim::WaitGroup* wg) -> sim::Task<void> {
+                     sim::WaitGroup* wg, bool* ok) -> sim::Task<void> {
     co_await wg->Wait();
     std::printf("[t=%s] dump loaded; device is sorting in the background\n",
                 FormatSeconds(b->sim().Now()).c_str());
-    co_await Analyze(b, d, h);
-  }(&bed, &dump, &handles, &loaded));
+    co_await Analyze(b, d, h, ok);
+  }(&bed, &dump, &handles, &loaded, &finished));
   bed.sim().Run();
-  return 0;
+  return finished ? 0 : 1;
 }

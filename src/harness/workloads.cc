@@ -227,6 +227,12 @@ void CountFailures(const std::string& run, std::uint64_t failed,
   *total += failed;
 }
 
+bool CheckOk(const Status& s, const std::string& what) {
+  if (s.ok()) return true;
+  std::fprintf(stderr, "FAIL: %s: %s\n", what.c_str(), s.ToString().c_str());
+  return false;
+}
+
 QueryOutcome RunCsdGets(CsdTestbed& bed,
                         std::vector<client::KeyspaceHandle>& keyspaces,
                         const GetSpec& spec) {

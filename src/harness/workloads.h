@@ -65,6 +65,10 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
 void CountFailures(const std::string& run, std::uint64_t failed,
                    std::uint64_t* total);
 
+// Names `what` and the status on stderr when `s` is not Ok. Returns
+// s.ok(), so a caller can stop at its first failed step.
+bool CheckOk(const Status& s, const std::string& what);
+
 // --- GET phase (Fig. 10): random point lookups over a pre-built dataset ---
 
 struct GetSpec {

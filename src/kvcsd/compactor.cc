@@ -391,19 +391,46 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 // Compaction (optionally fused with secondary-index construction)
 // ---------------------------------------------------------------------------
 
-// Failure-handling shell around RunCompaction. Whatever the body
-// allocated sits in `scratch`; on any failure the clusters are released
-// best-effort (after a power cut the resets fail silently and recovery
-// reclaims the orphans from the metadata snapshot instead) and the
-// keyspace rolls back to WRITABLE so its logs stay usable. The
-// completion event fires on every exit path — a waiter must never hang
-// on a failed compaction.
+sim::Task<Status> Device::BeginCompaction(
+    Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
+    std::uint64_t trigger_cmd_id) {
+  ks->state = ks->state == KeyspaceState::kCompacted
+                  ? KeyspaceState::kRecompacting
+                  : KeyspaceState::kCompacting;
+  ks->runtime.compaction_done.Reset();
+  if (sim_->tracer().enabled() && trigger_cmd_id != 0) {
+    // Second flow hop: from the command's exec span to the async
+    // compaction span it starts.
+    sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_), "compact",
+                             trigger_cmd_id, sim_->Now());
+  }
+  return CompactKeyspace(ks, std::move(fused_specs), trigger_cmd_id);
+}
+
+void Device::SpawnCompaction(Keyspace* ks,
+                             std::vector<nvme::SecondaryIndexSpec> fused_specs,
+                             std::uint64_t trigger_cmd_id) {
+  sim::Task<Status> job =
+      BeginCompaction(ks, std::move(fused_specs), trigger_cmd_id);
+  sim_->Spawn([](sim::Task<Status> task) -> sim::Task<void> {
+    Status s = co_await std::move(task);
+    (void)s;  // failure rolls the keyspace back; surfaced via Stat
+  }(std::move(job)));
+}
+
+// The completion event fires on every exit path — a waiter must never
+// hang on a failed compaction.
 sim::Task<Status> Device::CompactKeyspace(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::uint64_t trigger_cmd_id) {
-  sim::TraceSpan span(sim_, trk_compaction_, "compact");
+  const bool fold = ks->state == KeyspaceState::kRecompacting;
+  sim::TraceSpan span(sim_, trk_compaction_, fold ? "recompact" : "compact");
   span.Arg("keyspace", ks->name);
-  span.Arg("fused_indexes", static_cast<std::uint64_t>(fused_specs.size()));
+  if (fold) {
+    span.Arg("delta_keys", static_cast<std::uint64_t>(ks->delta_index.size()));
+  } else {
+    span.Arg("fused_indexes", static_cast<std::uint64_t>(fused_specs.size()));
+  }
   if (trigger_cmd_id != 0) {
     span.Arg("trigger_cmd_id", trigger_cmd_id);
     if (sim_->tracer().enabled()) {
@@ -415,22 +442,32 @@ sim::Task<Status> Device::CompactKeyspace(
   }
   ++compactions_running_;
   std::vector<ClusterId> scratch;
-  Status result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
+  Status result = Status::Ok();
+  if (fold) {
+    result = co_await RunRecompaction(ks, &scratch);
+  } else {
+    result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
+  }
   --compactions_running_;
   if (!result.ok()) {
     (void)co_await zone_manager_.ReleaseClusters(std::move(scratch));
+    // A full compaction rolls back to WRITABLE (or EMPTY) so its logs stay
+    // usable; a fold rolls back to COMPACTED with its delta untouched, so
+    // the mutations stay pending rather than lost.
     if (ks->state == KeyspaceState::kCompacting) {
       ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
                                             : KeyspaceState::kWritable;
+    } else if (ks->state == KeyspaceState::kRecompacting) {
+      ks->state = KeyspaceState::kCompacted;
     }
     if (faults_ == nullptr || !faults_->crashed()) {
       // Make the rollback durable so a later crash cannot resurrect the
-      // COMPACTING state. Best-effort: the snapshot still on flash also
-      // rolls back correctly at recovery.
+      // (RE)COMPACTING state. Best-effort: the snapshot still on flash
+      // also rolls back correctly at recovery.
       (void)co_await keyspace_manager_.Persist();
     }
   }
-  CompactionDone(ks->id)->Set();
+  ks->runtime.compaction_done.Set();
   co_await MaybeFinishPendingDelete(ks);
   co_return result;
 }
@@ -438,22 +475,8 @@ sim::Task<Status> Device::CompactKeyspace(
 sim::Task<Status> Device::RunCompaction(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::vector<ClusterId>* scratch) {
-  // Flush whatever is still buffered in DRAM and drain in-flight flush
-  // I/O: compaction must observe complete KLOG/VLOG logs.
-  {
-    sim::Semaphore* lock = WriteLock(ks->id);
-    co_await lock->Acquire();
-    Status s = co_await FlushBuffer(ks);
-    lock->Release();
-    if (!s.ok()) co_return s;
-    co_await FlushInflight(ks->id)->Wait();
-    if (auto it = flush_errors_.find(ks->id);
-        it != flush_errors_.end() && !it->second.ok()) {
-      Status err = it->second;
-      it->second = Status::Ok();
-      co_return err;
-    }
-  }
+  // Compaction must observe complete KLOG/VLOG logs.
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
 
   // Make the COMPACTING state and the final log extents durable before
   // any output is written: recovery must know to roll this keyspace back
@@ -781,7 +804,7 @@ sim::Task<Status> Device::RunCompaction(
     ks->state = KeyspaceState::kCompacting;
     co_return commit;
   }
-  ++compactions_done_;
+  stats().counter("device.compact.done").Increment();
   scratch->clear();  // the outputs are now owned by the durable snapshot
   // Any cached index blocks for this keyspace id predate the new PIDX
   // layout (possible only on re-compaction after a rollback); drop them so

@@ -1,6 +1,8 @@
 #include "kvcsd/device.h"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "common/coding.h"
 #include "kvcsd/wire.h"
@@ -138,9 +140,7 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
     out->emplace_back(prefix + "num_kvs", ks->num_kvs);
     out->emplace_back(prefix + "klog_bytes", ks->klog_bytes);
     out->emplace_back(prefix + "vlog_bytes", ks->vlog_bytes);
-    auto it = buffers_.find(id);
-    out->emplace_back(prefix + "buffer_bytes",
-                      it == buffers_.end() ? 0 : it->second.bytes);
+    out->emplace_back(prefix + "buffer_bytes", ks->runtime.buffer.bytes);
     out->emplace_back(prefix + "delta_entries", ks->delta_index.size());
     out->emplace_back(prefix + "delta_live", ks->delta_live);
     out->emplace_back(prefix + "delta_index_bytes", ks->delta_index_bytes);
@@ -251,24 +251,6 @@ bool Device::CrashPoint(const char* point) {
 
 sim::StatsView& Device::stats() { return stats_view_; }
 const sim::StatsView& Device::stats() const { return stats_view_; }
-
-sim::Semaphore* Device::WriteLock(std::uint64_t keyspace_id) {
-  auto& lock = write_locks_[keyspace_id];
-  if (!lock) lock = std::make_unique<sim::Semaphore>(sim_, 1);
-  return lock.get();
-}
-
-sim::Event* Device::CompactionDone(std::uint64_t keyspace_id) {
-  auto& event = compaction_done_[keyspace_id];
-  if (!event) event = std::make_unique<sim::Event>(sim_);
-  return event.get();
-}
-
-sim::Event* Device::ReadersIdle(std::uint64_t keyspace_id) {
-  auto& event = readers_idle_[keyspace_id];
-  if (!event) event = std::make_unique<sim::Event>(sim_);
-  return event.get();
-}
 
 sim::Task<void> Device::MainLoop() {
   for (;;) {
@@ -472,12 +454,16 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
   nvme::Completion out;
   switch (cmd.opcode) {
     case nvme::Opcode::kKvStore:
-      out.status = co_await DoPut(ks, std::move(cmd.key),
-                                  std::move(cmd.value));
+      out.status = co_await DoMutate(ks, std::move(cmd.key),
+                                     std::move(cmd.value),
+                                     /*tombstone=*/false);
       break;
-    case nvme::Opcode::kKvDelete:
-      out.status = co_await DoDelete(ks, std::move(cmd.key));
+    case nvme::Opcode::kKvDelete: {
+      std::string no_value;  // named: see the prvalue pitfall in task.h
+      out.status = co_await DoMutate(ks, std::move(cmd.key),
+                                     std::move(no_value), /*tombstone=*/true);
       break;
+    }
     case nvme::Opcode::kBulkStore:
       out.status = co_await DoBulkPut(ks, cmd.value);
       break;
@@ -485,58 +471,31 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
     case nvme::Opcode::kCompactWithIndexes: {
       if (cmd.opcode == nvme::Opcode::kCompact &&
           ks->state == KeyspaceState::kCompacted) {
-        // Re-compaction: fold the delta log into the existing sorted run
-        // incrementally (DESIGN.md §12) instead of re-sorting everything.
+        // Re-compaction folds the delta log into the existing sorted run
+        // incrementally (DESIGN.md §12); with no delta there is nothing
+        // to fold.
         if (ks->delta_index.empty()) {
-          out.status = Status::Ok();  // no delta: nothing to fold
+          out.status = Status::Ok();
           break;
         }
-        ks->state = KeyspaceState::kRecompacting;
-        CompactionDone(ks->id)->Reset();
-        if (sim_->tracer().enabled() && cmd.cmd_id != 0) {
-          sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_),
-                                   "compact", cmd.cmd_id, sim_->Now());
-        }
-        sim_->Spawn([](Device* device, Keyspace* target,
-                       std::uint64_t trigger) -> sim::Task<void> {
-          Status s = co_await device->RecompactKeyspace(target, trigger);
-          (void)s;  // failure rolls back to COMPACTED; surfaced via Stat
-        }(this, ks, cmd.cmd_id));
-        out.status = Status::Ok();
-        break;
-      }
-      if (ks->state != KeyspaceState::kWritable &&
-          ks->state != KeyspaceState::kEmpty) {
+      } else if (ks->state != KeyspaceState::kWritable &&
+                 ks->state != KeyspaceState::kEmpty) {
         out.status = Status::FailedPrecondition(
             "compaction requires a WRITABLE keyspace (state " +
             std::string(KeyspaceStateName(ks->state)) + ")");
         break;
       }
-      ks->state = KeyspaceState::kCompacting;
-      CompactionDone(ks->id)->Reset();
       // Deferred + offloaded: runs asynchronously on the device; the
       // command completes immediately (paper §V "Compaction"). The fused
       // variant also builds the requested secondary indexes in the same
-      // pass (§V future work). The COMPACTING state (not the inflight
+      // pass (§V future work). The (RE)COMPACTING state (not the inflight
       // pin, which this command drops on completion) is what holds off a
       // concurrent drop.
       std::vector<nvme::SecondaryIndexSpec> specs;
       if (cmd.opcode == nvme::Opcode::kCompactWithIndexes) {
         specs = std::move(cmd.sidx_list);
       }
-      if (sim_->tracer().enabled() && cmd.cmd_id != 0) {
-        // Second flow hop: from this command's exec span to the async
-        // compaction span it spawns.
-        sim_->tracer().FlowBegin(sim_->tracer().Track(trk_device_), "compact",
-                                 cmd.cmd_id, sim_->Now());
-      }
-      sim_->Spawn([](Device* device, Keyspace* target,
-                     std::vector<nvme::SecondaryIndexSpec> fused,
-                     std::uint64_t trigger) -> sim::Task<void> {
-        Status s =
-            co_await device->CompactKeyspace(target, std::move(fused), trigger);
-        (void)s;  // failure rolls back to WRITABLE; surfaced via Stat
-      }(this, ks, std::move(specs), cmd.cmd_id));
+      SpawnCompaction(ks, std::move(specs), cmd.cmd_id);
       out.status = Status::Ok();
       break;
     }
@@ -544,37 +503,30 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       out.status = co_await DoSync(ks);
       break;
     case nvme::Opcode::kCompactWait:
-      while (ks->state == KeyspaceState::kCompacting ||
-             ks->state == KeyspaceState::kRecompacting) {
-        co_await CompactionDone(ks->id)->Wait();
-      }
+      while (ks->compacting()) co_await ks->runtime.compaction_done.Wait();
       out.status = Status::Ok();
       break;
     case nvme::Opcode::kSecondaryBuild:
       out.status = co_await BuildSecondaryIndex(ks, cmd.sidx);
       break;
     case nvme::Opcode::kKvRetrieve: {
-      ++queries_;
       auto value = co_await QueryPoint(ks, cmd.key);
       out.status = value.status();
       if (value.ok()) out.value = std::move(*value);
       break;
     }
     case nvme::Opcode::kQueryPrimaryRange:
-      ++queries_;
       out.status = co_await QueryPrimaryRange(ks, cmd.key, cmd.key_end,
                                               cmd.limit, &out.results);
       out.count = out.results.size();
       break;
     case nvme::Opcode::kQuerySecondaryRange:
-      ++queries_;
       out.status = co_await QuerySecondaryRange(
           ks, cmd.sidx.name, cmd.key, cmd.key_end, cmd.limit, &out.results);
       out.count = out.results.size();
       break;
     case nvme::Opcode::kKvSelect:
     case nvme::Opcode::kKvAggregate:
-      ++queries_;
       out.status = co_await QueryPushdown(ks, cmd, &out);
       break;
     case nvme::Opcode::kKeyspaceStat:
@@ -617,8 +569,12 @@ sim::Task<Result<std::uint64_t>> Device::AppendToChain(
   co_return co_await zone_manager_.Append(*cluster, data, act);
 }
 
-Status Device::CheckMutable(Keyspace* ks) const {
-  switch (ks->state) {
+namespace {
+
+// Admission for PUT/DELETE/bulk PUT: WRITABLE and COMPACTED (delta mode)
+// accept mutations; during (re)compaction the compactor owns the logs.
+Status CheckMutable(const Keyspace& ks) {
+  switch (ks.state) {
     case KeyspaceState::kEmpty:
     case KeyspaceState::kWritable:
     case KeyspaceState::kCompacted:  // delta mode: mutations land in a
@@ -626,17 +582,17 @@ Status Device::CheckMutable(Keyspace* ks) const {
       return Status::Ok();
     case KeyspaceState::kCompacting:
     case KeyspaceState::kRecompacting:
-      // The compactor owns the logs right now; the host retries once the
-      // keyspace settles (kBusy is retryable, unlike the old blanket
-      // FailedPrecondition).
+      // kBusy is retryable: the host retries once the keyspace settles.
       return Status::Busy("keyspace is compacting; retry");
   }
   return Status::FailedPrecondition("keyspace not writable");
 }
 
-void Device::ApplyDeltaMutation(Keyspace* ks, const std::string& key,
-                                std::string value, std::uint64_t seq,
-                                bool tombstone) {
+// Records one mutation in the COMPACTED delta index (newest wins) and
+// refreshes num_kvs from run_entries + delta_live.
+void ApplyDeltaMutation(Keyspace* ks, const std::string& key,
+                        std::string value, std::uint64_t seq,
+                        bool tombstone) {
   DeltaEntry& entry = ks->delta_index[key];
   if (entry.seq == 0) {
     // Fresh key: charge the node, the key bytes, and the value below.
@@ -660,6 +616,44 @@ void Device::ApplyDeltaMutation(Keyspace* ks, const std::string& key,
   ks->num_kvs = ks->run_entries + ks->delta_live;
 }
 
+}  // namespace
+
+sim::Task<Status> Device::AdmitMutation(Keyspace* ks) {
+  if (ks->state == KeyspaceState::kEmpty) {
+    ks->state = KeyspaceState::kWritable;
+  }
+  KVCSD_CO_RETURN_IF_ERROR(CheckMutable(*ks));
+  co_await ks->runtime.write_lock.Acquire();
+  // Re-check under the lock: a re-compaction can start while this command
+  // waits for the lock, and a mutation admitted past its delta snapshot
+  // would be silently dropped by the fold's commit.
+  if (Status admit = CheckMutable(*ks); !admit.ok()) {
+    ks->runtime.write_lock.Release();
+    co_return admit;
+  }
+  co_return Status::Ok();
+}
+
+void Device::BufferMutation(Keyspace* ks, std::string key, std::string value,
+                            bool tombstone) {
+  WriteBuffer& buffer = ks->runtime.buffer;
+  buffer.bytes += key.size() + value.size();
+  if (!tombstone) {
+    if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
+    if (ks->max_key.empty() || key > ks->max_key) ks->max_key = key;
+  }
+  const std::uint64_t seq = ks->next_seq++;
+  if (ks->state == KeyspaceState::kCompacted) {
+    ApplyDeltaMutation(ks, key, value, seq, tombstone);
+  } else {
+    // WRITABLE: num_kvs counts log records (replay recomputes the same);
+    // compaction's last-writer-wins pass collapses it to live keys.
+    ++ks->num_kvs;
+  }
+  buffer.entries.push_back(KeyspaceRuntime::WriteEntry{
+      std::move(key), std::move(value), seq, tombstone});
+}
+
 // The self-triggered counterpart of kCompact-on-COMPACTED: once the delta
 // index crosses the configured watermark, fold it back into the sorted run
 // so the DRAM it occupies stays bounded no matter how long the host defers
@@ -676,105 +670,30 @@ void Device::MaybeRequestDeltaFold(Keyspace* ks) {
                        std::to_string(ks->delta_index_bytes) + " B >= " +
                        std::to_string(config_.delta_fold_watermark_bytes) +
                        " B, folding");
-  ks->state = KeyspaceState::kRecompacting;
-  CompactionDone(ks->id)->Reset();
-  sim_->Spawn([](Device* device, Keyspace* target) -> sim::Task<void> {
-    Status s = co_await device->RecompactKeyspace(target);
-    (void)s;  // failure rolls back to COMPACTED; retried at next crossing
-  }(this, ks));
+  SpawnCompaction(ks);  // a failed fold is retried at the next crossing
 }
 
-sim::Task<Status> Device::DoPut(Keyspace* ks, std::string key,
-                                std::string value) {
-  if (ks->state == KeyspaceState::kEmpty) {
-    ks->state = KeyspaceState::kWritable;
-  }
-  KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
-  // Re-check under the lock: a re-compaction can start while this command
-  // waits for the lock, and a mutation admitted past its delta snapshot
-  // would be silently dropped by the fold's commit.
-  if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
-    co_return admit;
-  }
-
+// A DELETE appends a tombstone record to the (delta) log and acknowledges
+// whether or not the key exists — existence would cost an index lookup on
+// the write path. Visibility is immediate (the delta index/write buffer
+// shadows the run); durability follows the same flush + Sync contract as
+// PUT.
+sim::Task<Status> Device::DoMutate(Keyspace* ks, std::string key,
+                                   std::string value, bool tombstone) {
+  KVCSD_CO_RETURN_IF_ERROR(co_await AdmitMutation(ks));
   co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
-  WriteBuffer& buffer = buffers_[ks->id];
-  buffer.bytes += key.size() + value.size();
-  ++puts_;
-  if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
-  if (ks->max_key.empty() || key > ks->max_key) ks->max_key = key;
-  const std::uint64_t seq = ks->next_seq++;
-  if (ks->state == KeyspaceState::kCompacted) {
-    ApplyDeltaMutation(ks, key, value, seq, /*tombstone=*/false);
-  } else {
-    ++ks->num_kvs;
-  }
-  buffer.entries.push_back(
-      WriteEntry{std::move(key), std::move(value), seq, false});
-
+  BufferMutation(ks, std::move(key), std::move(value), tombstone);
   Status s = Status::Ok();
-  if (buffer.bytes >= config_.write_buffer_bytes) {
+  if (ks->runtime.buffer.bytes >= config_.write_buffer_bytes) {
     s = co_await FlushBuffer(ks);
   }
-  lock->Release();
-  MaybeRequestDeltaFold(ks);
-  co_return s;
-}
-
-// Blind point delete: appends a tombstone record to the (delta) log and
-// acknowledges whether or not the key exists — existence would cost an
-// index lookup on the write path. Visibility is immediate (the delta
-// index/write buffer shadows the run); durability follows the same
-// flush + Sync contract as PUT.
-sim::Task<Status> Device::DoDelete(Keyspace* ks, std::string key) {
-  if (ks->state == KeyspaceState::kEmpty) {
-    ks->state = KeyspaceState::kWritable;
-  }
-  KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
-  if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
-    co_return admit;
-  }
-
-  co_await cpu_.Compute(config_.costs.kv_op_fixed, sim::Activity::kHostWrite);
-  WriteBuffer& buffer = buffers_[ks->id];
-  buffer.bytes += key.size();
-  const std::uint64_t seq = ks->next_seq++;
-  if (ks->state == KeyspaceState::kCompacted) {
-    ApplyDeltaMutation(ks, key, std::string(), seq, /*tombstone=*/true);
-  } else {
-    // WRITABLE: num_kvs counts log records (replay recomputes the same);
-    // compaction's last-writer-wins pass collapses it to live keys.
-    ++ks->num_kvs;
-  }
-  buffer.entries.push_back(WriteEntry{std::move(key), std::string(), seq,
-                                      /*tombstone=*/true});
-
-  Status s = Status::Ok();
-  if (buffer.bytes >= config_.write_buffer_bytes) {
-    s = co_await FlushBuffer(ks);
-  }
-  lock->Release();
+  ks->runtime.write_lock.Release();
   MaybeRequestDeltaFold(ks);
   co_return s;
 }
 
 sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
-  if (ks->state == KeyspaceState::kEmpty) {
-    ks->state = KeyspaceState::kWritable;
-  }
-  KVCSD_CO_RETURN_IF_ERROR(CheckMutable(ks));
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
-  if (Status admit = CheckMutable(ks); !admit.ok()) {
-    lock->Release();
-    co_return admit;
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await AdmitMutation(ks));
 
   // Unpack the 128 KB bulk frame. The frame transfer is cheap, but each
   // record still costs per-record handling on the weak SoC cores — this is
@@ -784,7 +703,6 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
                              sim::Activity::kHostWrite);
 
   Status s = Status::Ok();
-  WriteBuffer& buffer = buffers_[ks->id];
   Slice in(frame);
   std::uint32_t records_uncharged = 0;
   while (!in.empty()) {
@@ -794,30 +712,14 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
       s = Status::InvalidArgument("malformed bulk-put frame");
       break;
     }
-    buffer.bytes += key.size() + value.size();
-    ++puts_;
     ++records_uncharged;
-    if (ks->min_key.empty() || key.view() < ks->min_key) {
-      ks->min_key = key.ToString();
-    }
-    if (ks->max_key.empty() || key.view() > ks->max_key) {
-      ks->max_key = key.ToString();
-    }
-    const std::uint64_t seq = ks->next_seq++;
-    if (ks->state == KeyspaceState::kCompacted) {
-      ApplyDeltaMutation(ks, key.ToString(), value.ToString(), seq,
-                         /*tombstone=*/false);
-    } else {
-      ++ks->num_kvs;
-    }
-    buffer.entries.push_back(
-        WriteEntry{key.ToString(), value.ToString(), seq, false});
+    BufferMutation(ks, key.ToString(), value.ToString(), /*tombstone=*/false);
     if (records_uncharged >= 512) {
       co_await cpu_.Compute(records_uncharged * config_.costs.kv_op_fixed,
                             sim::Activity::kHostWrite);
       records_uncharged = 0;
     }
-    if (buffer.bytes >= config_.write_buffer_bytes) {
+    if (ks->runtime.buffer.bytes >= config_.write_buffer_bytes) {
       s = co_await FlushBuffer(ks);
       if (!s.ok()) break;
     }
@@ -826,21 +728,9 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
     co_await cpu_.Compute(records_uncharged * config_.costs.kv_op_fixed,
                             sim::Activity::kHostWrite);
   }
-  lock->Release();
+  ks->runtime.write_lock.Release();
   MaybeRequestDeltaFold(ks);
   co_return s;
-}
-
-sim::Semaphore* Device::FlushSlots(std::uint64_t keyspace_id) {
-  auto& sem = flush_slots_[keyspace_id];
-  if (!sem) sem = std::make_unique<sim::Semaphore>(sim_, kMaxInflightFlushes);
-  return sem.get();
-}
-
-sim::WaitGroup* Device::FlushInflight(std::uint64_t keyspace_id) {
-  auto& wg = flush_inflight_[keyspace_id];
-  if (!wg) wg = std::make_unique<sim::WaitGroup>(sim_);
-  return wg.get();
 }
 
 // Kicks off the timed flush I/O. The buffer swap is synchronous (caller
@@ -848,14 +738,12 @@ sim::WaitGroup* Device::FlushInflight(std::uint64_t keyspace_id) {
 // kMaxInflightFlushes batches in flight, spread over the cluster's zones
 // by the zone manager's rotation.
 sim::Task<Status> Device::FlushBuffer(Keyspace* ks) {
-  WriteBuffer& buffer = buffers_[ks->id];
-  if (buffer.entries.empty()) co_return Status::Ok();
-  WriteBuffer batch = std::move(buffer);
-  buffer = WriteBuffer{};
-  ++flushes_;
+  KeyspaceRuntime& rt = ks->runtime;
+  if (rt.buffer.entries.empty()) co_return Status::Ok();
+  WriteBuffer batch = std::exchange(rt.buffer, WriteBuffer{});
 
-  co_await FlushSlots(ks->id)->Acquire();  // backpressure
-  FlushInflight(ks->id)->Add(1);
+  co_await rt.flush_slots.Acquire();  // backpressure
+  rt.flushes_inflight.Add(1);
   // Pin before spawning: the detached FlushIo holds the raw pointer past
   // this command's lifetime, so a drop must defer until it lands.
   ++ks->inflight;
@@ -934,8 +822,9 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
     }
   }
 
+  KeyspaceRuntime& rt = ks->runtime;
   if (!result.ok()) {
-    if (flush_errors_[ks->id].ok()) flush_errors_[ks->id] = result;
+    if (rt.flush_error.ok()) rt.flush_error = result;
     // The batch never became durable, but its entries are still counted
     // in num_kvs/min/max and still owed to the client. Re-queue it in
     // front of anything written since (this block has no suspension
@@ -944,16 +833,29 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
     // buffer and falsely reporting it durable. A VLOG record the failure
     // stranded without KLOG entries is unreferenced garbage; compaction
     // and recovery never resurrect it.
-    WriteBuffer& buffer = buffers_[ks->id];
-    batch.bytes += buffer.bytes;
+    batch.bytes += rt.buffer.bytes;
     batch.entries.insert(batch.entries.end(),
-                         std::make_move_iterator(buffer.entries.begin()),
-                         std::make_move_iterator(buffer.entries.end()));
-    buffer = std::move(batch);
+                         std::make_move_iterator(rt.buffer.entries.begin()),
+                         std::make_move_iterator(rt.buffer.entries.end()));
+    rt.buffer = std::move(batch);
   }
-  FlushSlots(ks->id)->Release();
-  FlushInflight(ks->id)->Done();
+  rt.flush_slots.Release();
+  rt.flushes_inflight.Done();
   co_await Unpin(ks);
+}
+
+sim::Task<Status> Device::DrainWrites(Keyspace* ks) {
+  KeyspaceRuntime& rt = ks->runtime;
+  co_await rt.write_lock.Acquire();
+  Status s = co_await FlushBuffer(ks);
+  rt.write_lock.Release();
+  KVCSD_CO_RETURN_IF_ERROR(s);
+  co_await rt.flushes_inflight.Wait();
+  // Surface a flush failure once, then clear it: the failed batch was
+  // re-queued into the write buffer by FlushIo, so a retry re-flushes the
+  // data for real instead of failing forever on a stale latched error (or,
+  // worse, persisting an empty buffer).
+  co_return std::exchange(rt.flush_error, Status::Ok());
 }
 
 // Explicit "fsync" (paper §VI): persists whatever PUTs are still sitting
@@ -961,29 +863,13 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
 // commits the cluster references to the metadata zone — only then is the
 // data guaranteed to survive a power cut.
 sim::Task<Status> Device::DoSync(Keyspace* ks) {
-  if (ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting) {
+  if (ks->compacting()) {
     // The compactor owns the logs and drained every flush before taking
     // over; mutations have been rejected (kBusy) since, so there is
     // nothing buffered to persist.
     co_return Status::Ok();
   }
-  sim::Semaphore* lock = WriteLock(ks->id);
-  co_await lock->Acquire();
-  Status s = co_await FlushBuffer(ks);
-  lock->Release();
-  KVCSD_CO_RETURN_IF_ERROR(s);
-  co_await FlushInflight(ks->id)->Wait();
-  if (auto it = flush_errors_.find(ks->id);
-      it != flush_errors_.end() && !it->second.ok()) {
-    // Surface the flush failure once, then clear it: the failed batch
-    // was re-queued into the write buffer by FlushIo, so a retried Sync
-    // re-flushes the data for real instead of failing forever on a
-    // stale latched error (or, worse, persisting an empty buffer).
-    Status err = it->second;
-    it->second = Status::Ok();
-    co_return err;
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
   if (CrashPoint("sync.before_persist")) {
     co_return Status::IoError("simulated power loss (before sync persist)");
   }
@@ -995,8 +881,7 @@ sim::Task<Status> Device::DoSync(Keyspace* ks) {
 // ---------------------------------------------------------------------------
 
 sim::Task<Status> Device::DropKeyspace(Keyspace* ks) {
-  if (ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting || ks->inflight > 0) {
+  if (ks->compacting() || ks->inflight > 0) {
     // Deferred deletion: the compactor or the pinned handlers finish
     // first (paper: "deletion may be deferred due to on-going
     // compaction"). The tombstone must be durable BEFORE the ack — an
@@ -1014,7 +899,7 @@ sim::Task<Status> Device::DropKeyspace(Keyspace* ks) {
 sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   // Snapshot what the drop needs, then remove the table entry before the
   // first suspension: from here no command can find — let alone pin — the
-  // dying keyspace, so freeing it is safe.
+  // dying keyspace, so freeing it (runtime state included) is safe.
   const std::uint64_t id = ks->id;
   std::vector<ClusterId> doomed;
   auto take = [&doomed](std::vector<ClusterId>* chain) {
@@ -1032,12 +917,6 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   doomed.insert(doomed.end(), blobs.begin(), blobs.end());
   KVCSD_CO_RETURN_IF_ERROR(keyspace_manager_.Erase(id));  // frees *ks
   index_cache_.EraseKeyspace(id);
-  buffers_.erase(id);
-  write_locks_.erase(id);
-  compaction_done_.erase(id);
-  flush_slots_.erase(id);
-  flush_inflight_.erase(id);
-  flush_errors_.erase(id);
 
   if (CrashPoint("drop.before_persist")) {
     co_return Status::IoError("simulated power loss (before drop persist)");
@@ -1051,11 +930,7 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
 }
 
 sim::Task<void> Device::MaybeFinishPendingDelete(Keyspace* ks) {
-  if (!ks->pending_delete || ks->inflight > 0 ||
-      ks->state == KeyspaceState::kCompacting ||
-      ks->state == KeyspaceState::kRecompacting) {
-    co_return;
-  }
+  if (!ks->pending_delete || ks->inflight > 0 || ks->compacting()) co_return;
   // Clear before the first await so concurrent callers cannot double-drop.
   ks->pending_delete = false;
   Status s = co_await FinishDrop(ks);

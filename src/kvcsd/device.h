@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -192,10 +191,6 @@ class Device {
   sim::StatsView& stats();
   const sim::StatsView& stats() const;
 
-  std::uint64_t puts() const { return puts_; }
-  std::uint64_t flushes() const { return flushes_; }
-  std::uint64_t compactions_done() const { return compactions_done_; }
-  std::uint64_t queries() const { return queries_; }
   const CompactionStats& compaction_stats() const { return compaction_stats_; }
 
   // Commands popped off the SQ whose handler coroutine has not finished.
@@ -255,30 +250,26 @@ class Device {
       sim::Activity act = sim::Activity::kOther);
 
   // --- write path ---
-  struct WriteEntry {
-    std::string key;
-    std::string value;
-    std::uint64_t seq = 0;
-    bool tombstone = false;
-  };
-  struct WriteBuffer {
-    std::vector<WriteEntry> entries;
-    std::uint64_t bytes = 0;
-  };
-  sim::Task<Status> DoPut(Keyspace* ks, std::string key, std::string value);
+  using WriteBuffer = KeyspaceRuntime::WriteBuffer;
+  // PUT, or a point DELETE when `tombstone` (blind: deleting an absent
+  // key is Ok). One record through the write buffer.
+  sim::Task<Status> DoMutate(Keyspace* ks, std::string key, std::string value,
+                             bool tombstone);
   sim::Task<Status> DoBulkPut(Keyspace* ks, const std::string& frame);
-  // Point DELETE: a tombstone record in the (delta) log. Blind — deleting
-  // an absent key is Ok. kBusy while a (re)compaction owns the logs.
-  sim::Task<Status> DoDelete(Keyspace* ks, std::string key);
+  // Mutation admission: promotes EMPTY to WRITABLE, accepts WRITABLE and
+  // COMPACTED (delta mode), rejects (kBusy) during (re)compaction. On Ok
+  // the caller holds the write lock.
+  sim::Task<Status> AdmitMutation(Keyspace* ks);
+  // Applies one admitted record: min/max key, sequence, num_kvs or the
+  // COMPACTED delta index, and the write buffer. The caller flushes once
+  // the buffer reaches write_buffer_bytes.
+  void BufferMutation(Keyspace* ks, std::string key, std::string value,
+                      bool tombstone);
   sim::Task<Status> FlushBuffer(Keyspace* ks);
-  // Shared admission for PUT/DELETE: promotes EMPTY, accepts WRITABLE and
-  // COMPACTED (delta mode), rejects (kBusy) during (re)compaction.
-  Status CheckMutable(Keyspace* ks) const;
-  // Records one mutation in the COMPACTED delta index (newest wins) and
-  // refreshes num_kvs from run_entries + delta_live.
-  void ApplyDeltaMutation(Keyspace* ks, const std::string& key,
-                          std::string value, std::uint64_t seq,
-                          bool tombstone);
+  // Flushes the write buffer, waits for every in-flight flush and takes
+  // the flush error latched since the last drain: afterwards the logs
+  // hold every acknowledged mutation. Sync and both compactions start so.
+  sim::Task<Status> DrainWrites(Keyspace* ks);
   // Delta-index headroom bound: after a delta mutation, spawns an
   // incremental re-compaction when delta_index_bytes has crossed
   // config_.delta_fold_watermark_bytes (and the keyspace is idle in
@@ -286,26 +277,40 @@ class Device {
   void MaybeRequestDeltaFold(Keyspace* ks);
 
   // --- compaction (compactor.cc) ---
-  // Sorts the keyspace; when `fused_specs` is non-empty, also builds those
-  // secondary indexes in the same pass (the paper's §V future-work
-  // optimization) by extracting keys from values already in DRAM.
-  //
-  // The implementation is a multi-core pipeline (see DESIGN.md §7): run
-  // generation fans out across the CpuPool, the key merge runs on a loser
-  // tree over double-buffered TEMP readers, and PIDX building + fused
-  // extraction of one value batch overlaps the gather/write of the next.
-  // `trigger_cmd_id` is the causal id of the kCompact command that spawned
-  // this compaction (0 when internal); the compaction span links back to
-  // it with a flow event.
-  sim::Task<Status> CompactKeyspace(
+  // The one entry point of deferred, offloaded compaction (paper §V): a
+  // full compaction from EMPTY/WRITABLE, an incremental fold of the delta
+  // from COMPACTED. Before returning it moves the keyspace to COMPACTING
+  // or RECOMPACTING and re-arms the compaction-done event; the returned
+  // task runs the job through CompactKeyspace. Callers check eligibility.
+  // `trigger_cmd_id` is the causal id of the kCompact command that
+  // started it (0 when internal); the compaction span links back to it
+  // with a flow event.
+  sim::Task<Status> BeginCompaction(
       Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
       std::uint64_t trigger_cmd_id = 0);
+  // BeginCompaction, run detached: a failure rolls the keyspace back and
+  // is visible through Stat.
+  void SpawnCompaction(Keyspace* ks,
+                       std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
+                       std::uint64_t trigger_cmd_id = 0);
 
-  // The compaction body. `scratch` collects every cluster the compaction
-  // allocates; on failure the CompactKeyspace wrapper releases them
-  // (best-effort — after a power cut the resets fail and recovery
-  // reclaims the orphans instead) and rolls the keyspace back to
-  // WRITABLE. On success the commit point clears `scratch`.
+  // Failure-handling shell around RunCompaction (COMPACTING) or
+  // RunRecompaction (RECOMPACTING). Whatever the body allocated sits in
+  // `scratch`; on failure the clusters are released best-effort (after a
+  // power cut the resets fail and recovery reclaims the orphans instead)
+  // and the keyspace rolls back to the state it was compacted from.
+  sim::Task<Status> CompactKeyspace(
+      Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
+      std::uint64_t trigger_cmd_id);
+
+  // The compaction body: sorts the keyspace; when `fused_specs` is
+  // non-empty, also builds those secondary indexes in the same pass (the
+  // paper's §V future-work optimization) by extracting keys from values
+  // already in DRAM. A multi-core pipeline (DESIGN.md §7): run generation
+  // fans out across the CpuPool, the key merge runs on a loser tree over
+  // double-buffered TEMP readers, and PIDX building + fused extraction of
+  // one value batch overlaps the gather/write of the next. `scratch`
+  // collects every cluster it allocates; the commit point clears it.
   sim::Task<Status> RunCompaction(Keyspace* ks,
                                   std::vector<nvme::SecondaryIndexSpec>
                                       fused_specs,
@@ -356,9 +361,7 @@ class Device {
   // blocks stay in place, their old clusters retained), appends the delta
   // values to fresh SORTED_VALUES clusters, adds new keys to the bloom
   // filter in place, and commits by persisting the merged table —
-  // DESIGN.md §12. Failure-handling shell mirroring CompactKeyspace.
-  sim::Task<Status> RecompactKeyspace(Keyspace* ks,
-                                      std::uint64_t trigger_cmd_id = 0);
+  // DESIGN.md §12.
   sim::Task<Status> RunRecompaction(Keyspace* ks,
                                     std::vector<ClusterId>* scratch);
   // The folds' in-order index-block writer: packs rebuilt blocks and keeps
@@ -456,13 +459,6 @@ class Device {
   // counters, truncating any torn tail.
   sim::Task<Status> ReplayDeltaChains(Keyspace* ks);
 
-  // Per-keyspace write serialization + compaction-completion events.
-  sim::Semaphore* WriteLock(std::uint64_t keyspace_id);
-  sim::Event* CompactionDone(std::uint64_t keyspace_id);
-  // Set when the keyspace's active_readers count drops to zero; the
-  // re-compaction commit waits on it (recompact.cc).
-  sim::Event* ReadersIdle(std::uint64_t keyspace_id);
-
   // Applies config.stats_prefix transitively (zns.stats_prefix) before
   // the members below are constructed from config_.
   static DeviceConfig Prefixed(DeviceConfig config);
@@ -494,18 +490,6 @@ class Device {
   // Crash-hook registration for the dump-on-crash rule (0 = none).
   std::uint64_t flight_crash_token_ = 0;
 
-  std::map<std::uint64_t, WriteBuffer> buffers_;
-  std::map<std::uint64_t, std::unique_ptr<sim::Semaphore>> write_locks_;
-  std::map<std::uint64_t, std::unique_ptr<sim::Event>> compaction_done_;
-  std::map<std::uint64_t, std::unique_ptr<sim::Event>> readers_idle_;
-  // Flush pipelining: a bounded number of log flushes per keyspace may be
-  // in flight; compaction drains them via the wait group.
-  static constexpr std::uint64_t kMaxInflightFlushes = 4;
-  std::map<std::uint64_t, std::unique_ptr<sim::Semaphore>> flush_slots_;
-  std::map<std::uint64_t, std::unique_ptr<sim::WaitGroup>> flush_inflight_;
-  std::map<std::uint64_t, Status> flush_errors_;
-  sim::Semaphore* FlushSlots(std::uint64_t keyspace_id);
-  sim::WaitGroup* FlushInflight(std::uint64_t keyspace_id);
   // The timed I/O part of a flush, runs detached per batch.
   sim::Task<void> FlushIo(Keyspace* ks, WriteBuffer batch);
 
@@ -514,10 +498,6 @@ class Device {
   // bytes, free/used zones per role, compaction progress.
   void CollectTelemetry(sim::TelemetrySampler::Gauges* out) const;
 
-  std::uint64_t puts_ = 0;
-  std::uint64_t flushes_ = 0;
-  std::uint64_t compactions_done_ = 0;
-  std::uint64_t queries_ = 0;
   std::uint64_t inflight_commands_ = 0;
   std::uint64_t compactions_running_ = 0;
   CompactionStats compaction_stats_;

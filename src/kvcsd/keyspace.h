@@ -25,8 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "kvcsd/zone_manager.h"
 #include "nvme/command.h"
+#include "sim/sync.h"
 
 namespace kvcsd::device {
 
@@ -98,7 +100,57 @@ struct DeltaEntry {
   std::string value;
 };
 
+// The device-side runtime of one keyspace (DESIGN.md §12): its DRAM
+// write buffer and the synchronization the mutation, flush, drain and
+// compaction paths share. Never persisted. It lives inside the Keyspace,
+// so it is created with it and freed with it by KeyspaceManager::Erase:
+// a dropped and recreated keyspace never sees a stale buffer, latched
+// error or event.
+struct KeyspaceRuntime {
+  struct WriteEntry {
+    std::string key;
+    std::string value;
+    std::uint64_t seq = 0;
+    bool tombstone = false;
+  };
+  struct WriteBuffer {
+    std::vector<WriteEntry> entries;
+    std::uint64_t bytes = 0;
+  };
+  // Log flushes of one keyspace allowed in flight at once.
+  static constexpr std::uint64_t kMaxInflightFlushes = 4;
+
+  explicit KeyspaceRuntime(sim::Simulation* sim)
+      : write_lock(sim, 1),
+        flush_slots(sim, kMaxInflightFlushes),
+        flushes_inflight(sim),
+        compaction_done(sim),
+        readers_idle(sim) {}
+
+  WriteBuffer buffer;
+  // Serializes mutations and buffer swaps.
+  sim::Semaphore write_lock;
+  // Flush pipelining: a bounded number of flushes run detached; drains
+  // wait for the group to empty.
+  sim::Semaphore flush_slots;
+  sim::WaitGroup flushes_inflight;
+  // First flush failure since the last drain, handed out once by it.
+  Status flush_error;
+  // Set when a (re)compaction ends, on every exit path.
+  sim::Event compaction_done;
+  // Set when active_readers drops to zero; the fold commit waits on it.
+  sim::Event readers_idle;
+};
+
 struct Keyspace {
+  explicit Keyspace(sim::Simulation* sim) : runtime(sim) {}
+
+  // A (re)compaction owns the logs right now.
+  bool compacting() const {
+    return state == KeyspaceState::kCompacting ||
+           state == KeyspaceState::kRecompacting;
+  }
+
   std::uint64_t id = 0;
   std::string name;
   KeyspaceState state = KeyspaceState::kEmpty;
@@ -168,6 +220,7 @@ struct Keyspace {
   // (new readers block in AwaitQueryable once the state flips), so the
   // cluster swap can never happen under an in-flight scan. Not persisted.
   std::uint32_t active_readers = 0;
+  KeyspaceRuntime runtime;
 };
 
 // The clusters holding a keyspace's index metadata blobs (PIDX first,

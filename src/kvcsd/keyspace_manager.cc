@@ -90,7 +90,7 @@ Result<Keyspace*> KeyspaceManager::Create(const std::string& name) {
   if (by_name_.contains(name)) {
     return Status::AlreadyExists("keyspace exists: " + name);
   }
-  auto ks = std::make_unique<Keyspace>();
+  auto ks = std::make_unique<Keyspace>(ssd_->sim());
   ks->id = next_id_++;
   ks->name = name;
   Keyspace* ptr = ks.get();
@@ -201,7 +201,7 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
   std::uint64_t count = 0;
   if (!GetVarint64(&in, &count)) return Status::Corruption("snapshot");
   for (std::uint64_t i = 0; i < count; ++i) {
-    auto ks = std::make_unique<Keyspace>();
+    auto ks = std::make_unique<Keyspace>(ssd_->sim());
     std::uint64_t sidx_count = 0;
     bool ok = GetVarint64(&in, &ks->id) && GetString(&in, &ks->name);
     if (ok && in.size() >= 2) {

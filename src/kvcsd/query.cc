@@ -43,18 +43,15 @@ namespace {
 // drain.
 class ReaderGuard {
  public:
-  ReaderGuard(Keyspace* ks, sim::Event* idle) : ks_(ks), idle_(idle) {
-    ++ks_->active_readers;
-  }
+  explicit ReaderGuard(Keyspace* ks) : ks_(ks) { ++ks_->active_readers; }
   ReaderGuard(const ReaderGuard&) = delete;
   ReaderGuard& operator=(const ReaderGuard&) = delete;
   ~ReaderGuard() {
-    if (--ks_->active_readers == 0) idle_->Set();
+    if (--ks_->active_readers == 0) ks_->runtime.readers_idle.Set();
   }
 
  private:
   Keyspace* ks_;
-  sim::Event* idle_;
 };
 
 // Index of the sketch block that could contain `key`: the last block whose
@@ -228,7 +225,7 @@ sim::Task<Status> Device::AwaitQueryable(Keyspace* ks) {
   // failing. Any other non-COMPACTED state is a caller error, same as
   // before keyspaces were mutable.
   while (ks->state == KeyspaceState::kRecompacting) {
-    co_await CompactionDone(ks->id)->Wait();
+    co_await ks->runtime.compaction_done.Wait();
   }
   if (ks->state != KeyspaceState::kCompacted) {
     co_return Status::FailedPrecondition(
@@ -241,7 +238,7 @@ sim::Task<Status> Device::AwaitQueryable(Keyspace* ks) {
 sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
                                                   const std::string& key) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
-  ReaderGuard reader(ks, ReadersIdle(ks->id));
+  ReaderGuard reader(ks);
   sim::TraceSpan span(sim_, trk_query_, "point_lookup");
   // The delta index is authoritative for every key it holds — strictly
   // newer than anything in the run.
@@ -312,7 +309,7 @@ sim::Task<Status> Device::QueryPrimaryRange(
     std::vector<std::pair<std::string, std::string>>* out,
     sim::Activity act) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
-  ReaderGuard reader(ks, ReadersIdle(ks->id));
+  ReaderGuard reader(ks);
 
   // Snapshot the in-range slice of the delta (the map is key-ordered, so
   // this is already sorted). Every in-range tombstone can suppress one run
@@ -493,7 +490,7 @@ sim::Task<Status> Device::QuerySecondaryRange(
     std::vector<std::pair<std::string, std::string>>* out,
     sim::Activity act) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
-  ReaderGuard reader(ks, ReadersIdle(ks->id));
+  ReaderGuard reader(ks);
   auto sidx_it = ks->secondary_indexes.find(index_name);
   if (sidx_it == ks->secondary_indexes.end()) {
     co_return Status::NotFound("no such secondary index: " + index_name);

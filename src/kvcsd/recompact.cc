@@ -225,62 +225,13 @@ sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
   co_return std::move((*values)[0]);
 }
 
-// Failure-handling shell mirroring CompactKeyspace: scratch clusters are
-// released on any failure and the keyspace rolls back to COMPACTED with
-// its delta untouched, so the mutations stay pending rather than lost.
-sim::Task<Status> Device::RecompactKeyspace(Keyspace* ks,
-                                            std::uint64_t trigger_cmd_id) {
-  sim::TraceSpan span(sim_, trk_compaction_, "recompact");
-  span.Arg("keyspace", ks->name);
-  span.Arg("delta_keys", static_cast<std::uint64_t>(ks->delta_index.size()));
-  if (trigger_cmd_id != 0) {
-    span.Arg("trigger_cmd_id", trigger_cmd_id);
-    if (sim_->tracer().enabled()) {
-      sim_->tracer().FlowEnd(sim_->tracer().Track(trk_compaction_), "compact",
-                             trigger_cmd_id, sim_->Now());
-    }
-  }
-  ++compactions_running_;
-  std::vector<ClusterId> scratch;
-  Status result = co_await RunRecompaction(ks, &scratch);
-  --compactions_running_;
-  if (!result.ok()) {
-    (void)co_await zone_manager_.ReleaseClusters(std::move(scratch));
-    if (ks->state == KeyspaceState::kRecompacting) {
-      ks->state = KeyspaceState::kCompacted;
-    }
-    if (faults_ == nullptr || !faults_->crashed()) {
-      // Durable rollback, so a later crash cannot resurrect RECOMPACTING.
-      // Best-effort: recovery also rolls the on-flash state back.
-      (void)co_await keyspace_manager_.Persist();
-    }
-  }
-  CompactionDone(ks->id)->Set();
-  co_await MaybeFinishPendingDelete(ks);
-  co_return result;
-}
-
 sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                                           std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
   const std::uint32_t fanout = std::max<std::uint32_t>(config_.gather_fanout, 1);
-  // Flush the buffered tail of the delta and drain in-flight flush I/O:
-  // the fold must observe the complete delta log (and the durable log
+  // The fold must observe the complete delta log (and the durable log
   // extent must match what the fold consumes, for recovery's sake).
-  {
-    sim::Semaphore* lock = WriteLock(ks->id);
-    co_await lock->Acquire();
-    Status s = co_await FlushBuffer(ks);
-    lock->Release();
-    if (!s.ok()) co_return s;
-    co_await FlushInflight(ks->id)->Wait();
-    if (auto it = flush_errors_.find(ks->id);
-        it != flush_errors_.end() && !it->second.ok()) {
-      Status err = it->second;
-      it->second = Status::Ok();
-      co_return err;
-    }
-  }
+  KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
 
   // Make RECOMPACTING and the final delta-log extents durable before any
   // output is written: recovery must know to roll this keyspace back to
@@ -707,10 +658,10 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   std::optional<sim::TraceSpan> commit_phase;
   commit_phase.emplace(sim_, trk_compaction_, "recompact.commit");
   while (ks->active_readers > 0) {
-    sim::Event* idle = ReadersIdle(ks->id);
-    idle->Reset();
+    sim::Event& idle = ks->runtime.readers_idle;
+    idle.Reset();
     if (ks->active_readers == 0) break;
-    co_await idle->Wait();
+    co_await idle.Wait();
   }
 
   if (CrashPoint("recompact.before_commit")) {
@@ -835,7 +786,6 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     co_return commit;
   }
   commit_phase.reset();
-  ++compactions_done_;
   scratch->clear();  // the outputs are now owned by the durable snapshot
   // Retained blocks kept their addresses, but rebuilt and dead blocks
   // must never be served from DRAM again; drop the keyspace's cache.

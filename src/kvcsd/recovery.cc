@@ -107,12 +107,11 @@ sim::Task<Status> Device::Recover() {
 
   // Step 2b: COMPACTING at snapshot time means the compaction never
   // committed — its outputs (if the snapshot saw any) are orphans, its
-  // input logs are whole. Volatile runtime state (pins) died with DRAM.
+  // input logs are whole. Volatile runtime state (pins, the keyspace
+  // runtime) starts fresh: the table load constructed every Keyspace.
   std::vector<ClusterId> doomed;
   for (const auto& [id, ks_ptr] : keyspace_manager_.all()) {
     Keyspace* ks = ks_ptr.get();
-    ks->inflight = 0;
-    ks->active_readers = 0;
     if (ks->state == KeyspaceState::kRecompacting) {
       // An uncommitted incremental re-compaction: the sorted run and the
       // delta log are both intact (the fold writes only fresh clusters

@@ -97,19 +97,16 @@ class Semaphore {
     struct Awaiter {
       Semaphore* sem;
       bool await_ready() const noexcept { return sem->permits_ > 0; }
-      void await_suspend(std::coroutine_handle<> h) const {
+      void await_suspend(std::coroutine_handle<> h) {
+        handed_off = true;
         sem->waiters_.push_back(h);
       }
       void await_resume() const noexcept {
-        // Either we were ready (consume a permit) or a Release() handed us
-        // one implicitly (permits_ stayed 0 and we just run).
-        if (sem->pending_handoff_ > 0) {
-          --sem->pending_handoff_;
-        } else {
-          assert(sem->permits_ > 0);
-          --sem->permits_;
-        }
+        // A waiter resumes holding the permit Release() handed it; only
+        // the ready path takes one from the pool.
+        if (!handed_off) --sem->permits_;
       }
+      bool handed_off = false;
     };
     return Awaiter{this};
   }
@@ -118,7 +115,6 @@ class Semaphore {
     if (!waiters_.empty()) {
       auto handle = waiters_.front();
       waiters_.pop_front();
-      ++pending_handoff_;
       sim_->ScheduleAt(sim_->Now(), handle);
     } else {
       ++permits_;
@@ -131,7 +127,6 @@ class Semaphore {
  private:
   Simulation* sim_;
   std::uint64_t permits_;
-  std::uint64_t pending_handoff_ = 0;
   std::deque<std::coroutine_handle<>> waiters_;
 };
 

@@ -82,7 +82,7 @@ TEST(CsdTest, PutCompactGet) {
     EXPECT_TRUE(stat.ok());
     EXPECT_EQ(stat->state, "COMPACTED");
   }(&f.db));
-  EXPECT_EQ(f.dev.compactions_done(), 1u);
+  EXPECT_EQ(f.dev.stats().counter_value("device.compact.done"), 1u);
 }
 
 TEST(CsdTest, BulkPutRoundTripsAllData) {
@@ -380,7 +380,8 @@ TEST(CsdTest, ConcurrentWritersOnSeparateKeyspaces) {
   }
   f.sim.Run();
   EXPECT_EQ(wg.count(), 0);
-  EXPECT_EQ(f.dev.compactions_done(), static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(f.dev.stats().counter_value("device.compact.done"),
+            static_cast<std::uint64_t>(kThreads));
 }
 
 }  // namespace

@@ -24,9 +24,7 @@ struct DeviceTestPeer {
   // it, but returns the fold's own status (the command acks before the
   // fold runs, so a client only ever sees the rolled-back state).
   static sim::Task<Status> Fold(Device* dev, Keyspace* ks) {
-    ks->state = KeyspaceState::kRecompacting;
-    dev->CompactionDone(ks->id)->Reset();
-    return dev->RecompactKeyspace(ks);
+    return dev->BeginCompaction(ks);
   }
 };
 

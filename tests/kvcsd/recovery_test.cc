@@ -384,6 +384,90 @@ TEST(RecoveryTest, FailedFlushBatchSurvivesRetriedSync) {
                    RecoverAndVerify(f.dev(), f.db.get(), "requeue", kKeys));
 }
 
+// Write-buffer gauge of keyspace `name` (0 when the keyspace is gone).
+std::uint64_t BufferBytes(const Device& dev, const std::string& name) {
+  const std::string gauge = "device.ks." + name + ".buffer_bytes";
+  for (const auto& [key, value] : dev.BuildHealthPage().gauges) {
+    if (key == gauge) return value;
+  }
+  return 0;
+}
+
+// A flush failure belongs to the keyspace whose flush failed: another
+// keyspace's Sync and compaction never see it, the owner's Sync surfaces
+// it exactly once, and dropping the owner takes its buffer and latched
+// error with it, so a keyspace recreated under the same name starts clean.
+TEST(RecoveryTest, FlushFailureStaysWithItsKeyspace) {
+  PowerCycleFixture f;
+  testutil::RunSim(
+      f.sim,
+      [](client::Client* db, sim::FaultInjector* faults,
+         Device* dev) -> sim::Task<void> {
+        auto a = co_await db->CreateKeyspace("a");
+        KVCSD_CO_ASSERT_OK(a);
+        auto b = co_await db->CreateKeyspace("b");
+        KVCSD_CO_ASSERT_OK(b);
+        for (std::uint64_t i = 0; i < 10; ++i) {
+          KVCSD_CO_ASSERT_OK(co_await b->Put(MakeFixedKey(i), DetValue(i)));
+        }
+        // The next append fails: it is the VLOG append of the flush that
+        // A's puts start once its 2 KiB buffer fills.
+        sim::ErrorRule rule;
+        rule.op = sim::FaultOp::kAppend;
+        rule.times = 1;
+        faults->AddErrorRule(rule);
+        for (std::uint64_t i = 0; i < 100; ++i) {
+          KVCSD_CO_ASSERT_OK(co_await a->Put(MakeFixedKey(i), DetValue(i)));
+        }
+
+        // B never sees A's latched error.
+        KVCSD_CO_ASSERT_OK(co_await b->Sync());
+        KVCSD_CO_ASSERT(faults->errors_injected() == 1);
+        KVCSD_CO_ASSERT_OK(co_await b->Compact());
+        KVCSD_CO_ASSERT_OK(co_await b->WaitCompaction());
+        auto b_stat = co_await b->GetStat();
+        KVCSD_CO_ASSERT_OK(b_stat);
+        KVCSD_CO_ASSERT(b_stat->state == "COMPACTED");
+        KVCSD_CO_ASSERT(b_stat->num_kvs == 10);
+
+        // A surfaces it once; the retry re-flushes the re-queued batch.
+        Status first = co_await a->Sync();
+        KVCSD_CO_ASSERT(!first.ok());
+        KVCSD_CO_ASSERT(first.IsRetryable());
+        KVCSD_CO_ASSERT_OK(co_await a->Sync());
+        KVCSD_CO_ASSERT(BufferBytes(*dev, "a") == 0);
+
+        // Fail A's next flush too, then drop A with the error latched and
+        // the failed batch back in its buffer.
+        faults->AddErrorRule(rule);
+        for (std::uint64_t i = 100; i < 200; ++i) {
+          KVCSD_CO_ASSERT_OK(co_await a->Put(MakeFixedKey(i), DetValue(i)));
+        }
+        KVCSD_CO_ASSERT_OK(co_await b->Sync());
+        KVCSD_CO_ASSERT(faults->errors_injected() == 2);
+        KVCSD_CO_ASSERT(BufferBytes(*dev, "a") > 0);
+        KVCSD_CO_ASSERT_OK(co_await db->DropKeyspace("a"));
+
+        auto again = co_await db->CreateKeyspace("a");
+        KVCSD_CO_ASSERT_OK(again);
+        KVCSD_CO_ASSERT(BufferBytes(*dev, "a") == 0);
+        auto stat = co_await again->GetStat();
+        KVCSD_CO_ASSERT_OK(stat);
+        KVCSD_CO_ASSERT(stat->state == "EMPTY");
+        KVCSD_CO_ASSERT(stat->num_kvs == 0);
+        KVCSD_CO_ASSERT_OK(co_await again->Sync());
+        KVCSD_CO_ASSERT_OK(co_await again->Put(MakeFixedKey(7), "fresh"));
+        KVCSD_CO_ASSERT_OK(co_await again->Sync());
+        KVCSD_CO_ASSERT_OK(co_await again->Compact());
+        KVCSD_CO_ASSERT_OK(co_await again->WaitCompaction());
+        auto got = co_await again->Get(MakeFixedKey(7));
+        KVCSD_CO_ASSERT_OK(got);
+        KVCSD_CO_ASSERT(*got == "fresh");
+        auto stale = co_await again->Get(MakeFixedKey(150));
+        KVCSD_CO_ASSERT(stale.status().code() == StatusCode::kNotFound);
+      }(f.db.get(), &f.faults, f.dev()));
+}
+
 // A drop acknowledged while the keyspace was compacting (deferred
 // deletion) must stay dropped across a crash that kills the compaction
 // before the deferred FinishDrop ever runs — the tombstone persisted

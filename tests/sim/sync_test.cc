@@ -123,9 +123,8 @@ TEST(SemaphoreTest, FifoOrder) {
 }
 
 TEST(SemaphoreTest, MixedHandoffAndFreshPermitsAccounting) {
-  // Regression-style test for the handoff counter: interleave waiters and
-  // releases so permits move both through direct handoff and through the
-  // free pool.
+  // Interleave waiters and releases so permits move both through direct
+  // handoff and through the free pool.
   Simulation sim;
   Semaphore sem(&sim, 0);
   int acquired = 0;
@@ -144,6 +143,57 @@ TEST(SemaphoreTest, MixedHandoffAndFreshPermitsAccounting) {
   EXPECT_EQ(acquired, 5);
   EXPECT_EQ(sem.available(), 2u);  // 7 releases - 5 acquisitions
   EXPECT_EQ(sem.waiting(), 0u);
+}
+
+// Semaphore holder bookkeeping for the handoff test below.
+struct Holders {
+  Semaphore* sem;
+  int count = 0;
+  int peak = 0;
+
+  Task<void> Take() {
+    co_await sem->Acquire();
+    peak = std::max(peak, ++count);
+  }
+  void Give() {
+    --count;
+    sem->Release();
+  }
+};
+
+// Two permits, both held, one waiter. The first release hands its permit
+// to the waiter, the second returns one to the pool. A holder that
+// re-acquires twice before the waiter runs may take only the pooled
+// permit, so there are never more than two holders.
+TEST(SemaphoreTest, ReadyAcquireCannotTakeAHandedOffPermit) {
+  Simulation sim;
+  Semaphore sem(&sim, 2);
+  Holders h{&sem};
+  sim.Spawn([](Simulation* s, Holders* hs) -> Task<void> {
+    co_await hs->Take();
+    co_await s->Delay(10);
+    hs->Give();  // handed to the waiter
+  }(&sim, &h));
+  sim.Spawn([](Simulation* s, Holders* hs) -> Task<void> {
+    co_await hs->Take();
+    co_await s->Delay(10);
+    hs->Give();  // back to the pool: the waiter is already served
+    co_await hs->Take();
+    co_await hs->Take();
+    co_await s->Delay(10);
+    hs->Give();
+    hs->Give();
+  }(&sim, &h));
+  sim.Spawn([](Simulation* s, Holders* hs) -> Task<void> {
+    co_await s->Delay(1);
+    co_await hs->Take();  // queues at t=1, runs after both releases
+    co_await s->Delay(10);
+    hs->Give();
+  }(&sim, &h));
+  sim.Run();
+  EXPECT_EQ(h.peak, 2);
+  EXPECT_EQ(h.count, 0);
+  EXPECT_EQ(sem.available(), 2u);
 }
 
 TEST(ChannelTest, PushThenPop) {
