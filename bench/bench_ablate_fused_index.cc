@@ -4,13 +4,18 @@
 // separate device operations, and notes as future work that consolidating
 // them into one pass would avoid "repeatedly reading back keyspace data
 // into SoC DRAM" at the cost of increased DRAM usage. Both variants are
-// implemented here; this bench quantifies the trade.
+// implemented here; this bench quantifies the trade. It exits 1 when any
+// load, compaction or index-build step fails, or when the two builds
+// answer an energy-range query with different rows.
 //
 // Flags: --keys=N (default 256K)
 //        --json=PATH (machine-readable report) --trace=PATH (span trace)
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/crc32c.h"
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
@@ -29,45 +34,83 @@ struct Outcome {
   Tick device_done;  // compaction + index work finished
   std::uint64_t zns_reads;
   std::uint64_t zns_writes;
+  Status status;  // first failed step, Ok when every step succeeded
+  // The energy-range query's answer: row count and a crc32c over the
+  // (key, value) rows in result order.
+  std::uint64_t rows = 0;
+  std::uint32_t rows_crc = 0;
 };
+
+// Loads `n` keys into keyspace "a3" and builds the energy index, fused
+// into the compaction or as a separate pass; *status keeps the first
+// failure (later steps are skipped).
+sim::Task<void> LoadAndIndex(CsdTestbed* tb, bool fuse, std::uint64_t n,
+                             Status* status) {
+  auto note = [status](const Status& s) {
+    if (!s.ok() && status->ok()) *status = s;
+    return s.ok();
+  };
+  auto ks = co_await tb->client().CreateKeyspace("a3");
+  if (!note(ks.status())) co_return;
+  auto writer = ks->NewBulkWriter();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::string value(28, 'p');
+    const float energy = static_cast<float>(i % 1000);
+    value.append(reinterpret_cast<const char*>(&energy), 4);
+    if (!note(co_await writer.Add(MakeFixedKey(i), value))) co_return;
+  }
+  if (!note(co_await writer.Flush())) co_return;
+
+  nvme::SecondaryIndexSpec energy_spec;
+  energy_spec.name = "energy";
+  energy_spec.value_offset = 28;
+  energy_spec.value_length = 4;
+  energy_spec.type = nvme::SecondaryKeyType::kF32;
+  if (fuse) {
+    std::vector<nvme::SecondaryIndexSpec> specs;
+    specs.push_back(std::move(energy_spec));
+    if (!note(co_await ks->CompactWithIndexes(std::move(specs)))) co_return;
+    // A failed fused compaction rolls back rather than failing the wait;
+    // the query that follows then fails on the uncompacted keyspace.
+    note(co_await ks->WaitCompaction());
+  } else {
+    if (!note(co_await ks->Compact())) co_return;
+    if (!note(co_await ks->WaitCompaction())) co_return;
+    note(co_await ks->CreateSecondaryIndex(std::move(energy_spec)));
+  }
+}
+
+// One energy-range query over the built index (energies 100..199).
+sim::Task<void> QueryEnergy(CsdTestbed* tb, Outcome* out) {
+  auto ks = co_await tb->client().OpenKeyspace("a3");
+  if (!ks.ok()) {
+    out->status = ks.status();
+    co_return;
+  }
+  std::vector<std::pair<std::string, std::string>> rows;
+  out->status =
+      co_await ks->QuerySecondaryRangeF32("energy", 100.0f, 199.0f, 0, &rows);
+  out->rows = rows.size();
+  for (const auto& [key, value] : rows) {
+    out->rows_crc = crc32c::Extend(out->rows_crc, key.data(), key.size());
+    out->rows_crc = crc32c::Extend(out->rows_crc, value.data(), value.size());
+  }
+}
 
 Outcome Run(bool fused, std::uint64_t keys, std::uint64_t dram_bytes) {
   TestbedConfig config = TestbedConfig::Scaled();
   config.device.dram_bytes = dram_bytes;
   CsdTestbed bed(config);
   Outcome outcome{};
-  bed.sim().Spawn([](CsdTestbed* tb, bool fuse,
-                     std::uint64_t n) -> sim::Task<void> {
-    auto ks = (co_await tb->client().CreateKeyspace("a3")).value();
-    auto writer = ks.NewBulkWriter();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      std::string value(28, 'p');
-      const float energy = static_cast<float>(i % 1000);
-      value.append(reinterpret_cast<const char*>(&energy), 4);
-      (void)co_await writer.Add(MakeFixedKey(i), value);
-    }
-    (void)co_await writer.Flush();
-
-    nvme::SecondaryIndexSpec energy_spec;
-    energy_spec.name = "energy";
-    energy_spec.value_offset = 28;
-    energy_spec.value_length = 4;
-    energy_spec.type = nvme::SecondaryKeyType::kF32;
-    if (fuse) {
-      std::vector<nvme::SecondaryIndexSpec> specs;
-      specs.push_back(std::move(energy_spec));
-      (void)co_await ks.CompactWithIndexes(std::move(specs));
-      (void)co_await ks.WaitCompaction();
-    } else {
-      (void)co_await ks.Compact();
-      (void)co_await ks.WaitCompaction();
-      (void)co_await ks.CreateSecondaryIndex(std::move(energy_spec));
-    }
-  }(&bed, fused, keys));
+  bed.sim().Spawn(LoadAndIndex(&bed, fused, keys, &outcome.status));
   bed.sim().Run();
   outcome.device_done = bed.sim().Now();
   outcome.zns_reads = bed.dev().ssd().total_bytes_read();
   outcome.zns_writes = bed.dev().ssd().total_bytes_written();
+  if (outcome.status.ok()) {
+    bed.sim().Spawn(QueryEnergy(&bed, &outcome));
+    bed.sim().Run();
+  }
   return outcome;
 }
 
@@ -86,10 +129,32 @@ int main(int argc, char** argv) {
   Table table("A3: compaction + energy-index build",
               {"variant", "SoC DRAM", "total device time", "ZNS read",
                "ZNS written"});
+  int exit_code = 0;
   for (std::uint64_t dram : {MiB(256), MiB(16)}) {
     Outcome separate = Run(false, keys, dram);
     Outcome fused = Run(true, keys, dram);
     const std::string point = "dram" + std::to_string(dram >> 20);
+    for (const Outcome* o : {&separate, &fused}) {
+      if (!o->status.ok()) {
+        std::fprintf(stderr, "FAIL: %s %s: %s\n",
+                     o == &fused ? "fused" : "separate", point.c_str(),
+                     o->status.ToString().c_str());
+        exit_code = 1;
+      }
+    }
+    // Both builds index the same data, so they must answer alike.
+    if (separate.rows == 0 || separate.rows != fused.rows ||
+        separate.rows_crc != fused.rows_crc) {
+      std::fprintf(stderr,
+                   "FAIL: %s: energy query rows differ: separate %llu "
+                   "(crc %08x), fused %llu (crc %08x)\n",
+                   point.c_str(),
+                   static_cast<unsigned long long>(separate.rows),
+                   separate.rows_crc,
+                   static_cast<unsigned long long>(fused.rows),
+                   fused.rows_crc);
+      exit_code = 1;
+    }
     report.AddMetric("csd.separate." + point + ".keys_per_sec",
                      static_cast<double>(keys) * 1e9 /
                          static_cast<double>(separate.device_done));
@@ -99,6 +164,9 @@ int main(int argc, char** argv) {
     report.AddMetric("csd.separate." + point + ".zns_reads",
                      separate.zns_reads);
     report.AddMetric("csd.fused." + point + ".zns_reads", fused.zns_reads);
+    report.AddMetric("csd." + point + ".query_rows", separate.rows);
+    report.AddMetric("csd." + point + ".query_crc",
+                     static_cast<std::uint64_t>(separate.rows_crc));
     table.AddRow({"separate", FormatBytes(dram),
                   FormatSeconds(separate.device_done),
                   FormatBytes(separate.zns_reads),
@@ -110,5 +178,9 @@ int main(int argc, char** argv) {
   table.Print();
   report.AddTable(table);
   report.WriteIfRequested();
-  return 0;
+  std::printf("%s\n", exit_code == 0
+                           ? "verdict: OK (every step succeeded; separate and "
+                             "fused builds answer alike)"
+                           : "verdict: FAIL");
+  return exit_code;
 }

@@ -58,7 +58,13 @@ int main(int argc, char** argv) {
 
   LsmTestbed lsm_bed(config);
   std::vector<std::unique_ptr<lsm::Db>> dbs;
-  LsmVpicTimes rocks = LoadVpicIntoLsm(lsm_bed, dump, &dbs);
+  auto lsm_load = LoadVpicIntoLsm(lsm_bed, dump, &dbs);
+  if (!lsm_load.ok()) {
+    std::printf("FAIL: RocksDB load: %s\n",
+                lsm_load.status().ToString().c_str());
+    return 1;
+  }
+  const LsmVpicTimes rocks = *lsm_load;
 
   const Tick rocks_effective = rocks.insert + rocks.compaction_wait;
 

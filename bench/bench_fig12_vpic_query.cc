@@ -129,7 +129,10 @@ int main(int argc, char** argv) {
   }
   LsmTestbed lsm_bed(config);
   std::vector<std::unique_ptr<lsm::Db>> dbs;
-  (void)LoadVpicIntoLsm(lsm_bed, dump, &dbs);
+  if (auto load = LoadVpicIntoLsm(lsm_bed, dump, &dbs); !load.ok()) {
+    std::printf("FAIL: RocksDB load: %s\n", load.status().ToString().c_str());
+    return 1;
+  }
 
   Table table("Fig 12: secondary-index query time vs selectivity",
               {"selectivity", "matches", "KV-CSD", "RocksDB", "speedup"});

@@ -72,40 +72,54 @@ Result<CsdVpicTimes> LoadVpicIntoCsd(
   return times;
 }
 
-LsmVpicTimes LoadVpicIntoLsm(LsmTestbed& bed, const vpic::Dump& dump,
-                             std::vector<std::unique_ptr<lsm::Db>>* dbs) {
+Result<LsmVpicTimes> LoadVpicIntoLsm(
+    LsmTestbed& bed, const vpic::Dump& dump,
+    std::vector<std::unique_ptr<lsm::Db>>* dbs) {
   const std::uint32_t files = dump.num_files();
   dbs->clear();
   dbs->resize(files);
   LsmVpicTimes times;
+  Status first_error = Status::Ok();
 
   sim::WaitGroup inserted(&bed.sim());
   sim::WaitGroup settled(&bed.sim());
   inserted.Add(files);
   settled.Add(files);
 
+  // As in LoadVpicIntoCsd, a failed step skips the rest of its instance's
+  // load but still passes every barrier.
   for (std::uint32_t t = 0; t < files; ++t) {
     bed.sim().Spawn([](LsmTestbed* tb, const vpic::Dump* d,
                        std::vector<std::unique_ptr<lsm::Db>>* out,
-                       sim::WaitGroup* ins, sim::WaitGroup* done,
+                       Status* error, sim::WaitGroup* ins,
+                       sim::WaitGroup* done,
                        std::uint32_t thread) -> sim::Task<void> {
-      auto db = (co_await tb->OpenDb("vpic" + std::to_string(thread),
-                                     lsm::CompactionMode::kAuto))
-                    .value();
-      lsm::Db* handle = db.get();
-      (*out)[thread] = std::move(db);
-      for (const vpic::Particle* p : d->FileParticles(thread)) {
-        // Primary record plus the auxiliary energy-index record.
-        (void)co_await handle->Put(PrimaryKey(*p), p->Payload());
-        (void)co_await handle->Put(AuxKey(*p), p->Key());
+      auto note = [error](const Status& s) {
+        if (!s.ok() && error->ok()) *error = s;
+        return s.ok();
+      };
+      auto db = co_await tb->OpenDb("vpic" + std::to_string(thread),
+                                    lsm::CompactionMode::kAuto);
+      bool ok = note(db.status());
+      if (ok) {
+        (*out)[thread] = std::move(*db);
+        lsm::Db* handle = (*out)[thread].get();
+        for (const vpic::Particle* p : d->FileParticles(thread)) {
+          // Primary record plus the auxiliary energy-index record.
+          ok = note(co_await handle->Put(PrimaryKey(*p), p->Payload()));
+          if (ok) ok = note(co_await handle->Put(AuxKey(*p), p->Key()));
+          if (!ok) break;
+        }
       }
       ins->Done();
       // Automatic compactions may still be running; the paper's program
       // waits for them before exiting.
-      (void)co_await handle->Flush();
-      co_await handle->WaitForIdle();
+      if (ok) {
+        lsm::Db* handle = (*out)[thread].get();
+        if (note(co_await handle->Flush())) co_await handle->WaitForIdle();
+      }
       done->Done();
-    }(&bed, &dump, dbs, &inserted, &settled, t));
+    }(&bed, &dump, dbs, &first_error, &inserted, &settled, t));
   }
 
   bed.sim().Spawn([](LsmTestbed* tb, LsmVpicTimes* out, sim::WaitGroup* ins,
@@ -118,6 +132,7 @@ LsmVpicTimes LoadVpicIntoLsm(LsmTestbed& bed, const vpic::Dump& dump,
   }(&bed, &times, &inserted, &settled));
 
   bed.sim().Run();
+  if (!first_error.ok()) return first_error;
   return times;
 }
 

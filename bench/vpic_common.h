@@ -71,8 +71,11 @@ struct LsmVpicTimes {
 };
 
 // Loads the dump into per-thread RocksLite instances with auxiliary energy
-// keys; automatic compaction runs during the load (paper's setup).
-LsmVpicTimes LoadVpicIntoLsm(LsmTestbed& bed, const vpic::Dump& dump,
-                             std::vector<std::unique_ptr<lsm::Db>>* dbs);
+// keys; automatic compaction runs during the load (paper's setup). Returns
+// phase times, or the first failed status of any instance's open, put or
+// flush.
+Result<LsmVpicTimes> LoadVpicIntoLsm(
+    LsmTestbed& bed, const vpic::Dump& dump,
+    std::vector<std::unique_ptr<lsm::Db>>* dbs);
 
 }  // namespace kvcsd::bench

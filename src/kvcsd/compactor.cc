@@ -57,20 +57,7 @@ namespace {
 // `soc_cores`) keeps the run layout independent of the core count.
 constexpr std::uint64_t kRunGenShares = 4;
 
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(s.data()), s.size());
-}
-
-// Order-preserving encoding of the secondary key bytes found in a value.
-Result<std::string> ExtractSecondaryKey(const Slice& value,
-                                        const nvme::SecondaryIndexSpec& spec) {
-  if (spec.value_offset + spec.value_length > value.size()) {
-    return Status::InvalidArgument("secondary key range beyond value");
-  }
-  return nvme::EncodeSecondaryKeyBytes(
-      Slice(value.data() + spec.value_offset, spec.value_length), spec);
-}
+using wire::AsBytes;
 
 // Awaits one metadata blob write, then records the blob's cluster as
 // scratch (it is an output until the commit snapshot references it) and
@@ -181,11 +168,7 @@ sim::Task<Status> Device::SidxSpill(SidxSortState* state) {
   if (state->current.empty()) co_return Status::Ok();
   co_await cpu_.ComputeBytes(state->current_bytes,
                              config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-  std::sort(state->current.begin(), state->current.end(),
-            [](const SidxTuple& a, const SidxTuple& b) {
-              if (a.skey != b.skey) return a.skey < b.skey;
-              return a.pkey < b.pkey;
-            });
+  std::sort(state->current.begin(), state->current.end(), SidxOrder);
   SpilledRun spilled;
   std::string chunk;
   auto flush_chunk = [&]() -> sim::Task<Status> {
@@ -353,8 +336,8 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 
       for (std::size_t spec_index = 0; spec_index < pipe->specs->size();
            ++spec_index) {
-        auto skey = ExtractSecondaryKey(Slice(b.values[i]),
-                                        (*pipe->specs)[spec_index]);
+        auto skey = nvme::ExtractSecondaryKey(Slice(b.values[i]),
+                                              (*pipe->specs)[spec_index]);
         if (!skey.ok()) co_return skey.status();
         SidxTuple tuple{std::move(*skey), e.key, b.new_addrs[i], e.value_len};
         KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(
@@ -888,7 +871,7 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     co_await cpu_.ComputeBytes(batch_bytes,
                                config_.costs.extract_bytes_per_sec, sim::Activity::kCompact);
     for (std::size_t i = 0; i < values->size(); ++i) {
-      auto skey = ExtractSecondaryKey(Slice((*values)[i]), spec);
+      auto skey = nvme::ExtractSecondaryKey(Slice((*values)[i]), spec);
       if (!skey.ok()) co_return skey.status();
       SidxTuple tuple{std::move(*skey), batch_meta[i].first,
                       batch_meta[i].second, batch_lens[i]};
@@ -909,16 +892,13 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
   };
   auto scan_block = [&](std::size_t,
                         const std::string& block) -> sim::Task<Status> {
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(block, &count, &in)) {
-      co_return Status::Corruption("undersized PIDX block during sidx scan");
-    }
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        co_return Status::Corruption("bad PIDX entry during sidx scan");
-      }
+    std::vector<wire::PidxEntry> entries;
+    KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::PidxEntry>(
+        block, [&entries](const wire::PidxEntry& entry) {
+          entries.push_back(entry);
+          return true;
+        }));
+    for (const wire::PidxEntry& entry : entries) {
       batch_refs.push_back(ValueRef{entry.vaddr, entry.vlen});
       batch_meta.emplace_back(entry.key.ToString(), entry.vaddr);
       batch_lens.push_back(entry.vlen);

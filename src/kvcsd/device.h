@@ -66,8 +66,6 @@ struct DeviceConfig {
   // flight and, separately, fold appends in flight. 1 recovers the serial
   // behavior. Values beyond the NAND channel count only add queueing.
   std::uint32_t gather_fanout = 8;
-  // Overlap the next index-block read with the current one in range scans.
-  bool index_prefetch = true;
 
   // Flight recorder (DESIGN.md §14): ring capacity, SLO trip rules, dump
   // path. The ring itself is always on; dumps only happen when a rule is
@@ -124,6 +122,19 @@ struct SidxTuple {
   std::uint64_t vaddr;
   std::uint32_t vlen;
 };
+
+// The global SIDX order: order-encoded secondary key, then primary key.
+// SIDX runs and blocks are written in it and every reader relies on it
+// (a `limit` inside a run of tied secondary keys keeps the smallest
+// primary keys). Orders any records with `skey`/`pkey` members.
+struct SidxOrderFn {
+  template <typename A, typename B>
+  bool operator()(const A& a, const B& b) const {
+    if (a.skey != b.skey) return a.skey < b.skey;
+    return a.pkey < b.pkey;
+  }
+};
+inline constexpr SidxOrderFn SidxOrder{};
 
 // Compaction observability, cumulative across every compaction and
 // secondary-index build the device has run. Byte counters cover the
@@ -412,10 +423,23 @@ class Device {
       std::uint64_t keyspace_id, const SketchEntry& entry,
       sim::Activity act = sim::Activity::kHostRead);
 
-  // One-slot pipeline stage for range scans: the next sketch block's read
-  // is issued while the current block is still in flight or being parsed.
-  // The owning scan MUST await `done` on every outstanding slot before
-  // returning (the prefetch coroutine writes through the slot pointer).
+  // The one sketch walk behind both range scans (paper §V, DESIGN.md §10):
+  // from the block that can hold `lo`, reads the index blocks of `sketch`
+  // in order until a pivot passes `hi`, keeping the next block's read in
+  // flight while the current one is decoded. Entries (wire::PidxEntry or
+  // wire::SidxEntry) must arrive in index order, PIDX by key and SIDX by
+  // SidxOrder, or the walk fails Corruption. Each entry inside [lo, hi]
+  // goes to `take`, which returns true once the scan holds enough rows.
+  template <typename Entry, typename Take>
+  sim::Task<Status> WalkSketch(std::uint64_t keyspace_id,
+                               const std::vector<SketchEntry>& sketch,
+                               const std::string& lo, const std::string& hi,
+                               sim::Activity act, const Take& take);
+
+  // A read-ahead slot of the sketch walk: one block read issued while the
+  // previous block is still in flight or being decoded. The walk MUST
+  // await `done` on every outstanding slot before returning (the prefetch
+  // coroutine writes through the slot pointer).
   struct IndexPrefetch {
     bool active = false;
     std::size_t pos = 0;
@@ -438,6 +462,20 @@ class Device {
   sim::Task<Result<std::vector<std::string>>> GatherValues(
       std::vector<ValueRef> refs,
       sim::Activity act = sim::Activity::kHostRead);
+
+  // One range-scan result row before its value is fetched: the value is
+  // already in DRAM at `dram` (delta values), or on flash at `ref` when
+  // `dram` is null (run rows, delta values that survive only in the VLOG).
+  struct ScanRow {
+    std::string key;
+    ValueRef ref;
+    const std::string* dram;
+  };
+  // The scans' one gather tail: reads every flash-backed row's value in
+  // one GatherValues, then appends the rows, in order, to *out.
+  sim::Task<Status> FetchRows(
+      std::vector<ScanRow>* rows, sim::Activity act,
+      std::vector<std::pair<std::string, std::string>>* out);
 
   // --- deletion ---
   // Defers while the keyspace is compacting or has pinned commands;

@@ -53,9 +53,20 @@ struct SketchEntry {
   std::uint32_t block_len = 0;
 };
 
+// Sketch lookups (query.cc). SketchLowerBlock: the last block whose pivot
+// is <= key, or sketch.size() when key precedes every pivot; valid only
+// for unique pivots (PIDX). SketchRangeStart: the first block that can
+// hold entries >= lo, correct even when consecutive blocks share a pivot
+// (tied secondary keys): the first block whose pivot is >= lo, stepped
+// back one, since the preceding block's tail may still hold keys >= lo.
+std::size_t SketchLowerBlock(const std::vector<SketchEntry>& sketch,
+                             const std::string& key);
+std::size_t SketchRangeStart(const std::vector<SketchEntry>& sketch,
+                             const std::string& lo);
+
 // Number of index blocks a range scan over [lo, hi] visits: the same
-// start block and pivot stop rule QueryPrimaryRange/QuerySecondaryRange
-// walk, answered from the in-DRAM sketch alone (query.cc).
+// start block and pivot stop rule the range scans' sketch walk uses,
+// answered from the in-DRAM sketch alone.
 std::size_t SketchBlocksInRange(const std::vector<SketchEntry>& sketch,
                                 const std::string& lo, const std::string& hi);
 

@@ -2,6 +2,7 @@
 
 #include "common/coding.h"
 #include "common/crc32c.h"
+#include "kvcsd/wire.h"
 #include "sim/fault.h"
 #include "sim/sync.h"
 
@@ -70,11 +71,6 @@ void PutBlobRef(std::string* out, const BlobRef& ref) {
 bool GetBlobRef(Slice* in, BlobRef* ref) {
   return GetVarint64(in, &ref->cluster) && GetVarint64(in, &ref->addr) &&
          GetVarint32(in, &ref->len) && GetFixed32(in, &ref->crc);
-}
-
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(s.data()), s.size());
 }
 
 }  // namespace
@@ -298,7 +294,7 @@ sim::Task<Status> KeyspaceManager::WriteSnapshot() {
       co_return Status::IoError("simulated power loss (metadata switch)");
     }
   }
-  auto addr = co_await ssd_->Append(target, AsBytes(snapshot));
+  auto addr = co_await ssd_->Append(target, wire::AsBytes(snapshot));
   KVCSD_CO_RETURN_IF_ERROR(addr.status());
   current_meta_zone_ = target;
   reset_before_append_ = false;
@@ -348,7 +344,7 @@ sim::Task<Result<BlobRef>> KeyspaceManager::WriteBlob(ZoneType role,
   auto cluster = zones_->AllocateCluster(role, 1);
   if (!cluster.ok()) co_return cluster.status();
   ref.cluster = *cluster;
-  auto addr = co_await zones_->Append(ref.cluster, AsBytes(framed), act);
+  auto addr = co_await zones_->Append(ref.cluster, wire::AsBytes(framed), act);
   if (!addr.ok()) {
     // Never referenced: hand the zone straight back.
     std::vector<ClusterId> unused(1, ref.cluster);

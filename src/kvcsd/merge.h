@@ -122,17 +122,14 @@ struct SidxMergeTraits {
   using Entry = SidxTuple;
   static bool Parse(Slice* in, Entry* out) {
     wire::SidxEntry e;
-    if (!wire::ParseSidxEntry(in, &e)) return false;
+    if (!wire::ParseIndexEntry(in, &e)) return false;
     out->skey.assign(e.skey.data(), e.skey.size());
     out->pkey.assign(e.pkey.data(), e.pkey.size());
     out->vaddr = e.vaddr;
     out->vlen = e.vlen;
     return true;
   }
-  static bool Less(const Entry& a, const Entry& b) {
-    if (a.skey != b.skey) return a.skey < b.skey;
-    return a.pkey < b.pkey;
-  }
+  static bool Less(const Entry& a, const Entry& b) { return SidxOrder(a, b); }
 };
 
 // Streams one spilled run's entries back from flash. Owned by shared_ptr

@@ -11,8 +11,9 @@
 //     in-block search CPU, no flash read.
 //   - QueryPoint consults the keyspace's compaction-built bloom filter so
 //     negative lookups usually skip flash entirely.
-//   - Range scans keep the next sketch block's read in flight while the
-//     current one is parsed (one-slot-ahead pipeline).
+//   - Both range scans run through one sketch walk (WalkSketch) that
+//     keeps the next block's read in flight while the current one is
+//     decoded, and end in one value-gather tail (FetchRows).
 //   - GatherValues dedupes identical refs, coalesces address-adjacent
 //     reads, and fans the coalesced ranges out across NAND channels.
 //
@@ -25,6 +26,7 @@
 // scans hold a reader count the fold's commit drains before swapping the
 // on-flash structures.
 #include <algorithm>
+#include <optional>
 
 #include "common/bloom.h"
 #include "kvcsd/device.h"
@@ -54,10 +56,20 @@ class ReaderGuard {
   Keyspace* ks_;
 };
 
-// Index of the sketch block that could contain `key`: the last block whose
-// pivot (first key) is <= key. Returns sketch.size() if key precedes all.
-// Only valid when pivots are unique (primary keys); range queries over
-// secondary keys must use SketchRangeStart instead.
+// Where an index entry sits in its blocks' order, in the shape SidxOrder
+// compares: PIDX entries sort by key alone, SIDX entries by (skey, pkey).
+// Range scans cut on `skey`.
+struct IndexPosition {
+  Slice skey;
+  Slice pkey;
+};
+IndexPosition PositionOf(const wire::PidxEntry& e) { return {e.key, Slice()}; }
+IndexPosition PositionOf(const wire::SidxEntry& e) {
+  return {e.skey, e.pkey};
+}
+
+}  // namespace
+
 std::size_t SketchLowerBlock(const std::vector<SketchEntry>& sketch,
                              const std::string& key) {
   auto it = std::upper_bound(
@@ -67,10 +79,6 @@ std::size_t SketchLowerBlock(const std::vector<SketchEntry>& sketch,
   return static_cast<std::size_t>(it - sketch.begin()) - 1;
 }
 
-// First block that can contain entries >= lo, correct even when several
-// consecutive blocks share the same pivot (tied secondary keys): position
-// at the FIRST block whose pivot >= lo and step back one block, since the
-// preceding block's tail may still hold keys >= lo.
 std::size_t SketchRangeStart(const std::vector<SketchEntry>& sketch,
                              const std::string& lo) {
   auto it = std::lower_bound(
@@ -79,8 +87,6 @@ std::size_t SketchRangeStart(const std::vector<SketchEntry>& sketch,
   if (it != sketch.begin()) --it;
   return static_cast<std::size_t>(it - sketch.begin());
 }
-
-}  // namespace
 
 std::size_t SketchBlocksInRange(const std::vector<SketchEntry>& sketch,
                                 const std::string& lo, const std::string& hi) {
@@ -276,31 +282,127 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
 
   auto block = co_await ReadIndexBlock(ks->id, ks->pidx_sketch[pos]);
   if (!block.ok()) co_return block.status();
-  std::uint16_t count = 0;
-  Slice in;
-  if (!wire::OpenIndexBlock(*block, &count, &in)) {
-    co_return Status::Corruption("undersized PIDX block");
-  }
-  for (std::uint16_t i = 0; i < count; ++i) {
-    wire::PidxEntry entry;
-    if (!wire::ParsePidxEntry(&in, &entry)) {
-      co_return Status::Corruption("bad PIDX block");
-    }
-    if (entry.key == Slice(key)) {
-      std::vector<ValueRef> one;
-      one.push_back(ValueRef{entry.vaddr, entry.vlen});
-      auto values = co_await GatherValues(std::move(one));
-      if (!values.ok()) co_return values.status();
-      span.Arg("src", "run");
-      co_return std::move((*values)[0]);
-    }
-    if (Slice(key) < entry.key) break;  // sorted: key is absent
+  std::optional<ValueRef> hit;
+  KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::PidxEntry>(
+      *block, [&key, &hit](const wire::PidxEntry& entry) {
+        if (entry.key == Slice(key)) hit = ValueRef{entry.vaddr, entry.vlen};
+        return entry.key < Slice(key);  // sorted: past `key`, it is absent
+      }));
+  if (hit.has_value()) {
+    std::vector<ValueRef> one;
+    one.push_back(*hit);
+    auto values = co_await GatherValues(std::move(one));
+    if (!values.ok()) co_return values.status();
+    span.Arg("src", "run");
+    co_return std::move((*values)[0]);
   }
   if (bloom_said_maybe) {
     stats().counter("device.bloom.false_positive").Increment();
   }
   span.Arg("src", "miss");
   co_return Status::NotFound();
+}
+
+template <typename Entry, typename Take>
+sim::Task<Status> Device::WalkSketch(std::uint64_t keyspace_id,
+                                     const std::vector<SketchEntry>& sketch,
+                                     const std::string& lo,
+                                     const std::string& hi, sim::Activity act,
+                                     const Take& take) {
+  std::size_t pos = sketch.empty() ? 0 : SketchRangeStart(sketch, lo);
+
+  // Two alternating prefetch slots keep block pos+1's flash read in
+  // flight while block pos is awaited and decoded; the pivot guard below
+  // never fetches past `hi`, so at most one read (a mid-block limit cut)
+  // is ever wasted. All error exits fall through the drain below — the
+  // slots live in this frame and a detached prefetch must not outlive it.
+  IndexPrefetch slots[2];
+  auto issue = [&](std::size_t p) {
+    IndexPrefetch& s = slots[p % 2];
+    s.active = true;
+    s.pos = p;
+    if (!s.done) {
+      s.done = std::make_unique<sim::Event>(sim_);
+    } else {
+      s.done->Reset();
+    }
+    sim_->Spawn(PrefetchIndexBlock(keyspace_id, sketch[p], &s, act));
+  };
+
+  // The previous entry's position, owned: the order check spans blocks. A
+  // violation means a corrupt or misdirected block and would silently
+  // mis-cut `limit`, so it fails loudly.
+  std::string prev_skey;
+  std::string prev_pkey;
+  bool have_prev = false;
+  bool stop = false;
+  Status status = Status::Ok();
+  auto visit = [&](const Entry& entry) {
+    const IndexPosition at = PositionOf(entry);
+    if (have_prev && SidxOrder(at, IndexPosition{prev_skey, prev_pkey})) {
+      status = Status::Corruption(std::string(Entry::kKind) +
+                                  " entries out of order");
+      return false;
+    }
+    prev_skey.assign(at.skey.data(), at.skey.size());
+    prev_pkey.assign(at.pkey.data(), at.pkey.size());
+    have_prev = true;
+    if (at.skey < Slice(lo)) return true;
+    stop = Slice(hi) < at.skey || take(entry);
+    return !stop;
+  };
+  for (; pos < sketch.size() && status.ok() && !stop; ++pos) {
+    if (sketch[pos].pivot > hi) break;
+    IndexPrefetch& cur = slots[pos % 2];
+    if (cur.active && cur.pos != pos) {  // stale slot: drain before reuse
+      co_await cur.done->Wait();
+      cur.active = false;
+    }
+    if (!cur.active) issue(pos);
+    if (pos + 1 < sketch.size() && !(sketch[pos + 1].pivot > hi) &&
+        !slots[(pos + 1) % 2].active) {
+      stats().counter("device.prefetch.issued").Increment();
+      issue(pos + 1);
+    }
+    co_await cur.done->Wait();
+    cur.active = false;
+    const Result<std::string> block = std::move(cur.block);
+    if (!block.ok()) {
+      status = block.status();
+      break;
+    }
+    const Status decoded = wire::ForEachIndexEntry<Entry>(*block, visit);
+    if (!decoded.ok()) status = decoded;
+  }
+  for (IndexPrefetch& s : slots) {
+    if (s.active) {
+      co_await s.done->Wait();
+      s.active = false;
+      stats().counter("device.prefetch.wasted").Increment();
+    }
+  }
+  co_return status;
+}
+
+sim::Task<Status> Device::FetchRows(
+    std::vector<ScanRow>* rows, sim::Activity act,
+    std::vector<std::pair<std::string, std::string>>* out) {
+  std::vector<ValueRef> refs;
+  for (const ScanRow& row : *rows) {
+    if (row.dram == nullptr) refs.push_back(row.ref);
+  }
+  auto values = co_await GatherValues(std::move(refs), act);
+  if (!values.ok()) co_return values.status();
+  out->reserve(out->size() + rows->size());
+  std::size_t k = 0;
+  for (ScanRow& row : *rows) {
+    if (row.dram == nullptr) {
+      out->emplace_back(std::move(row.key), std::move((*values)[k++]));
+    } else {
+      out->emplace_back(std::move(row.key), *row.dram);
+    }
+  }
+  co_return Status::Ok();
 }
 
 sim::Task<Status> Device::QueryPrimaryRange(
@@ -325,110 +427,21 @@ sim::Task<Status> Device::QueryPrimaryRange(
     if (limit != 0 && it->second.tombstone) ++scan_limit;
   }
 
-  const std::vector<SketchEntry>& sketch = ks->pidx_sketch;
-  std::size_t pos = sketch.empty() ? 0 : SketchRangeStart(sketch, lo);
-
-  // Two alternating prefetch slots keep block pos+1's flash read in
-  // flight while block pos is awaited and parsed; the pivot guard below
-  // never fetches past `hi`, so at most one read (a mid-block limit cut)
-  // is ever wasted. All error exits fall through the drain below — the
-  // slots live in this frame and a detached prefetch must not outlive it.
-  IndexPrefetch slots[2];
-  auto issue = [&](std::size_t p) {
-    IndexPrefetch& s = slots[p % 2];
-    s.active = true;
-    s.pos = p;
-    if (!s.done) {
-      s.done = std::make_unique<sim::Event>(sim_);
-    } else {
-      s.done->Reset();
-    }
-    sim_->Spawn(PrefetchIndexBlock(ks->id, sketch[p], &s, act));
+  std::vector<ScanRow> matches;
+  auto take = [&](const wire::PidxEntry& entry) {
+    matches.push_back(ScanRow{entry.key.ToString(),
+                              ValueRef{entry.vaddr, entry.vlen}, nullptr});
+    return scan_limit != 0 && matches.size() >= scan_limit;
   };
-
-  Status scan_status = Status::Ok();
-  std::vector<std::pair<std::string, ValueRef>> matches;
-  std::string prev_key;
-  bool have_prev = false;
-  for (; pos < sketch.size(); ++pos) {
-    if (sketch[pos].pivot > hi) break;
-    Result<std::string> block = Status::Aborted("unread");
-    if (config_.index_prefetch) {
-      IndexPrefetch& cur = slots[pos % 2];
-      if (cur.active && cur.pos != pos) {  // stale slot: drain before reuse
-        co_await cur.done->Wait();
-        cur.active = false;
-      }
-      if (!cur.active) issue(pos);
-      if (pos + 1 < sketch.size() && !(sketch[pos + 1].pivot > hi) &&
-          !slots[(pos + 1) % 2].active) {
-        stats().counter("device.prefetch.issued").Increment();
-        issue(pos + 1);
-      }
-      co_await cur.done->Wait();
-      cur.active = false;
-      block = std::move(cur.block);
-    } else {
-      block = co_await ReadIndexBlock(ks->id, sketch[pos], act);
-    }
-    if (!block.ok()) {
-      scan_status = block.status();
-      break;
-    }
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      scan_status = Status::Corruption("undersized PIDX block");
-      break;
-    }
-    bool past_hi = false;
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::PidxEntry entry;
-      if (!wire::ParsePidxEntry(&in, &entry)) {
-        scan_status = Status::Corruption("bad PIDX block");
-        break;
-      }
-      // The merge emits PIDX entries in nondecreasing key order across
-      // block boundaries; a violation means a corrupt or misdirected
-      // block and would silently mis-cut `limit`, so fail loudly.
-      if (have_prev && entry.key < Slice(prev_key)) {
-        scan_status = Status::Corruption("PIDX entries out of key order");
-        break;
-      }
-      prev_key = entry.key.ToString();
-      have_prev = true;
-      if (entry.key < Slice(lo)) continue;
-      if (Slice(hi) < entry.key) {
-        past_hi = true;
-        break;
-      }
-      matches.emplace_back(entry.key.ToString(),
-                           ValueRef{entry.vaddr, entry.vlen});
-      if (scan_limit != 0 && matches.size() >= scan_limit) {
-        past_hi = true;
-        break;
-      }
-    }
-    if (!scan_status.ok() || past_hi) break;
-  }
-  for (IndexPrefetch& s : slots) {
-    if (s.active) {
-      co_await s.done->Wait();
-      s.active = false;
-      stats().counter("device.prefetch.wasted").Increment();
-    }
-  }
-  KVCSD_CO_RETURN_IF_ERROR(scan_status);
+  KVCSD_CO_RETURN_IF_ERROR(co_await WalkSketch<wire::PidxEntry>(
+      ks->id, ks->pidx_sketch, lo, hi, act, take));
 
   // Two-way merge with the delta snapshot: the delta wins ties (strictly
   // newer), tombstones suppress their run rows, and delta-only keys slot
-  // into key order.
-  struct Row {
-    std::string key;
-    ValueRef ref{0, 0};
-    const DeltaEntry* delta = nullptr;
-  };
-  std::vector<Row> rows;
+  // into key order. Inline delta values copy straight from DRAM; the ones
+  // that only survive as VLOG pointers after a power cycle are gathered
+  // with the run values.
+  std::vector<ScanRow> rows;
   rows.reserve(matches.size() + delta_rows.size());
   std::size_t ri = 0;
   std::size_t di = 0;
@@ -436,52 +449,26 @@ sim::Task<Status> Device::QueryPrimaryRange(
          (limit == 0 || rows.size() < limit)) {
     const bool run_left = ri < matches.size();
     const bool delta_left = di < delta_rows.size();
-    if (delta_left && (!run_left || delta_rows[di].first <= matches[ri].first)) {
-      if (run_left && delta_rows[di].first == matches[ri].first) {
+    if (delta_left && (!run_left || delta_rows[di].first <= matches[ri].key)) {
+      if (run_left && delta_rows[di].first == matches[ri].key) {
         ++ri;  // the run row is stale
       }
       const DeltaEntry* d = delta_rows[di].second;
       if (!d->tombstone) {
-        rows.push_back(Row{delta_rows[di].first, ValueRef{0, 0}, d});
+        // Without inline bytes, `value` is empty: only a non-empty value
+        // needs its VLOG copy.
+        const bool in_vlog = !d->has_value && d->vlen > 0;
+        rows.push_back(ScanRow{delta_rows[di].first,
+                               ValueRef{d->vaddr, d->vlen},
+                               in_vlog ? nullptr : &d->value});
       }
       ++di;
     } else {
-      rows.push_back(
-          Row{std::move(matches[ri].first), matches[ri].second, nullptr});
+      rows.push_back(std::move(matches[ri]));
       ++ri;
     }
   }
-
-  // One batched gather covers everything that lives on flash: run values
-  // plus delta values that only survive as VLOG pointers after a power
-  // cycle. Inline delta values copy straight from DRAM.
-  std::vector<ValueRef> refs;
-  std::vector<std::size_t> ref_slot;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].delta == nullptr) {
-      refs.push_back(rows[r].ref);
-      ref_slot.push_back(r);
-    } else if (!rows[r].delta->has_value && rows[r].delta->vlen > 0) {
-      refs.push_back(ValueRef{rows[r].delta->vaddr, rows[r].delta->vlen});
-      ref_slot.push_back(r);
-    }
-  }
-  auto values = co_await GatherValues(std::move(refs), act);
-  if (!values.ok()) co_return values.status();
-  std::vector<std::string> vals(rows.size());
-  for (std::size_t k = 0; k < ref_slot.size(); ++k) {
-    vals[ref_slot[k]] = std::move((*values)[k]);
-  }
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].delta != nullptr && rows[r].delta->has_value) {
-      vals[r] = rows[r].delta->value;
-    }
-  }
-  out->reserve(out->size() + rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    out->emplace_back(std::move(rows[r].key), std::move(vals[r]));
-  }
-  co_return Status::Ok();
+  co_return co_await FetchRows(&rows, act, out);
 }
 
 sim::Task<Status> Device::QuerySecondaryRange(
@@ -516,187 +503,53 @@ sim::Task<Status> Device::QuerySecondaryRange(
     if (entry.tombstone) continue;
     auto value = co_await LoadDeltaValue(entry, act);
     if (!value.ok()) co_return value.status();
-    if (sidx.spec.value_offset + sidx.spec.value_length > value->size()) {
-      co_return Status::InvalidArgument("secondary key range beyond value");
-    }
-    auto skey = nvme::EncodeSecondaryKeyBytes(
-        Slice(value->data() + sidx.spec.value_offset, sidx.spec.value_length),
-        sidx.spec);
+    auto skey = nvme::ExtractSecondaryKey(Slice(*value), sidx.spec);
     if (!skey.ok()) co_return skey.status();
     if (*skey < lo || hi < *skey) continue;
     fresh.push_back(FreshTuple{std::move(*skey), pkey, std::move(*value)});
   }
-  std::sort(fresh.begin(), fresh.end(),
-            [](const FreshTuple& a, const FreshTuple& b) {
-              if (a.skey != b.skey) return a.skey < b.skey;
-              return a.pkey < b.pkey;
-            });
+  std::sort(fresh.begin(), fresh.end(), SidxOrder);
 
-  const std::vector<SketchEntry>& sketch = sidx.sketch;
-  std::size_t pos = sketch.empty() ? 0 : SketchRangeStart(sketch, lo);
-
-  IndexPrefetch slots[2];
-  auto issue = [&](std::size_t p) {
-    IndexPrefetch& s = slots[p % 2];
-    s.active = true;
-    s.pos = p;
-    if (!s.done) {
-      s.done = std::make_unique<sim::Event>(sim_);
-    } else {
-      s.done->Reset();
+  // SIDX blocks are globally sorted by SidxOrder — SidxMergeToBlocks
+  // emits them in exactly that order and the walk verifies it — so when
+  // `limit` lands inside a run of tied secondary keys, the cut is
+  // deterministic: the survivors are always the lexicographically-smallest
+  // primary keys of the tie, independent of core count, gather fan-out,
+  // or cache state.
+  std::vector<SidxTuple> matches;
+  auto take = [&](const wire::SidxEntry& entry) {
+    if (ks->delta_index.contains(entry.pkey.ToString())) {
+      return false;  // stale: this row was overwritten or deleted
     }
-    sim_->Spawn(PrefetchIndexBlock(ks->id, sketch[p], &s, act));
+    matches.push_back(SidxTuple{entry.skey.ToString(), entry.pkey.ToString(),
+                                entry.vaddr, entry.vlen});
+    return scan_limit != 0 && matches.size() >= scan_limit;
   };
+  KVCSD_CO_RETURN_IF_ERROR(co_await WalkSketch<wire::SidxEntry>(
+      ks->id, sidx.sketch, lo, hi, act, take));
 
-  Status scan_status = Status::Ok();
-  struct RunTuple {
-    std::string skey;
-    std::string pkey;
-    ValueRef ref;
-  };
-  std::vector<RunTuple> matches;
-  // SIDX blocks are globally sorted by (skey, pkey) — SidxMergeToBlocks
-  // emits them in exactly that order — so when `limit` lands inside a run
-  // of tied secondary keys, the cut is deterministic: the survivors are
-  // always the lexicographically-smallest primary keys of the tie,
-  // independent of core count, gather fan-out, or cache state. Verify the
-  // invariant while scanning; a violation would silently randomize the
-  // cut, so it fails loudly as corruption.
-  std::string prev_skey;
-  std::string prev_pkey;
-  bool have_prev = false;
-  for (; pos < sketch.size(); ++pos) {
-    if (sketch[pos].pivot > hi) break;
-    Result<std::string> block = Status::Aborted("unread");
-    if (config_.index_prefetch) {
-      IndexPrefetch& cur = slots[pos % 2];
-      if (cur.active && cur.pos != pos) {  // stale slot: drain before reuse
-        co_await cur.done->Wait();
-        cur.active = false;
-      }
-      if (!cur.active) issue(pos);
-      if (pos + 1 < sketch.size() && !(sketch[pos + 1].pivot > hi) &&
-          !slots[(pos + 1) % 2].active) {
-        stats().counter("device.prefetch.issued").Increment();
-        issue(pos + 1);
-      }
-      co_await cur.done->Wait();
-      cur.active = false;
-      block = std::move(cur.block);
-    } else {
-      block = co_await ReadIndexBlock(ks->id, sketch[pos], act);
-    }
-    if (!block.ok()) {
-      scan_status = block.status();
-      break;
-    }
-    std::uint16_t count = 0;
-    Slice in;
-    if (!wire::OpenIndexBlock(*block, &count, &in)) {
-      scan_status = Status::Corruption("undersized SIDX block");
-      break;
-    }
-    bool past_hi = false;
-    for (std::uint16_t i = 0; i < count; ++i) {
-      wire::SidxEntry entry;
-      if (!wire::ParseSidxEntry(&in, &entry)) {
-        scan_status = Status::Corruption("bad SIDX block");
-        break;
-      }
-      if (have_prev && (entry.skey < Slice(prev_skey) ||
-                        (entry.skey == Slice(prev_skey) &&
-                         entry.pkey < Slice(prev_pkey)))) {
-        scan_status =
-            Status::Corruption("SIDX entries out of (skey, pkey) order");
-        break;
-      }
-      prev_skey = entry.skey.ToString();
-      prev_pkey = entry.pkey.ToString();
-      have_prev = true;
-      if (entry.skey < Slice(lo)) continue;
-      if (Slice(hi) < entry.skey) {
-        past_hi = true;
-        break;
-      }
-      if (ks->delta_index.contains(entry.pkey.ToString())) {
-        continue;  // stale: this row was overwritten or deleted
-      }
-      matches.push_back(RunTuple{entry.skey.ToString(), entry.pkey.ToString(),
-                                 ValueRef{entry.vaddr, entry.vlen}});
-      if (scan_limit != 0 && matches.size() >= scan_limit) {
-        past_hi = true;
-        break;
-      }
-    }
-    if (!scan_status.ok() || past_hi) break;
-  }
-  for (IndexPrefetch& s : slots) {
-    if (s.active) {
-      co_await s.done->Wait();
-      s.active = false;
-      stats().counter("device.prefetch.wasted").Increment();
-    }
-  }
-  KVCSD_CO_RETURN_IF_ERROR(scan_status);
-
-  // Merge run survivors with the fresh delta tuples by (skey, pkey) — the
+  // Merge run survivors with the fresh delta tuples by SidxOrder — the
   // two sets are disjoint by construction (run tuples whose pkey is in the
   // delta were dropped above) — and cut at `limit`.
-  struct OutRow {
-    std::string pkey;
-    bool from_fresh = false;
-    std::size_t fresh_idx = 0;
-    ValueRef ref{0, 0};
-  };
-  std::vector<OutRow> rows;
+  std::vector<ScanRow> rows;
   rows.reserve(matches.size() + fresh.size());
   std::size_t ri = 0;
   std::size_t fi = 0;
   while ((ri < matches.size() || fi < fresh.size()) &&
          (limit == 0 || rows.size() < limit)) {
-    bool take_fresh;
-    if (ri >= matches.size()) {
-      take_fresh = true;
-    } else if (fi >= fresh.size()) {
-      take_fresh = false;
-    } else {
-      const FreshTuple& f = fresh[fi];
-      const RunTuple& m = matches[ri];
-      take_fresh =
-          f.skey < m.skey || (f.skey == m.skey && f.pkey < m.pkey);
-    }
-    if (take_fresh) {
-      rows.push_back(OutRow{std::move(fresh[fi].pkey), true, fi, {0, 0}});
+    if (fi < fresh.size() &&
+        (ri >= matches.size() || SidxOrder(fresh[fi], matches[ri]))) {
+      rows.push_back(ScanRow{std::move(fresh[fi].pkey), ValueRef{0, 0},
+                             &fresh[fi].value});
       ++fi;
     } else {
+      SidxTuple& m = matches[ri];
       rows.push_back(
-          OutRow{std::move(matches[ri].pkey), false, 0, matches[ri].ref});
+          ScanRow{std::move(m.pkey), ValueRef{m.vaddr, m.vlen}, nullptr});
       ++ri;
     }
   }
-
-  std::vector<ValueRef> refs;
-  std::vector<std::size_t> ref_slot;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (!rows[r].from_fresh) {
-      refs.push_back(rows[r].ref);
-      ref_slot.push_back(r);
-    }
-  }
-  auto values = co_await GatherValues(std::move(refs), act);
-  if (!values.ok()) co_return values.status();
-  std::vector<std::string> vals(rows.size());
-  for (std::size_t k = 0; k < ref_slot.size(); ++k) {
-    vals[ref_slot[k]] = std::move((*values)[k]);
-  }
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].from_fresh) vals[r] = std::move(fresh[rows[r].fresh_idx].value);
-  }
-  out->reserve(out->size() + rows.size());
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    out->emplace_back(std::move(rows[r].pkey), std::move(vals[r]));
-  }
-  co_return Status::Ok();
+  co_return co_await FetchRows(&rows, act, out);
 }
 
 }  // namespace kvcsd::device

@@ -60,32 +60,7 @@ namespace kvcsd::device {
 
 namespace {
 
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(s.data()), s.size());
-}
-
-// Last block whose pivot is <= key (PIDX: pivots unique). Returns
-// sketch.size() when the key precedes every pivot.
-std::size_t LowerBlock(const std::vector<SketchEntry>& sketch,
-                       const std::string& key) {
-  auto it = std::upper_bound(
-      sketch.begin(), sketch.end(), key,
-      [](const std::string& k, const SketchEntry& e) { return k < e.pivot; });
-  if (it == sketch.begin()) return sketch.size();
-  return static_cast<std::size_t>(it - sketch.begin()) - 1;
-}
-
-// Order-preserving encoding of the secondary key bytes found in a value
-// (same extraction the compactor's fused build applies).
-Result<std::string> ExtractSkey(const Slice& value,
-                                const nvme::SecondaryIndexSpec& spec) {
-  if (spec.value_offset + spec.value_length > value.size()) {
-    return Status::InvalidArgument("secondary key range beyond value");
-  }
-  return nvme::EncodeSecondaryKeyBytes(
-      Slice(value.data() + spec.value_offset, spec.value_length), spec);
-}
+using wire::AsBytes;
 
 // One delta mutation prepared for the fold, in key order.
 struct FoldItem {
@@ -100,12 +75,6 @@ struct PidxRec {
   std::uint64_t vaddr = 0;
   std::uint32_t vlen = 0;
 };
-
-// The global SIDX order: secondary key, then primary key.
-bool SidxOrder(const SidxTuple& a, const SidxTuple& b) {
-  if (a.skey != b.skey) return a.skey < b.skey;
-  return a.pkey < b.pkey;
-}
 
 // One SIDX block as the fold's read stage hands it on: the tuples that
 // survive the delta, and whether any tuple was dropped.
@@ -334,7 +303,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         orphan_items.push_back(&item);
         continue;
       }
-      std::size_t pos = LowerBlock(old_sketch, item.key);
+      std::size_t pos = SketchLowerBlock(old_sketch, item.key);
       if (pos >= old_sketch.size()) pos = 0;
       per_block[pos].push_back(&item);
     }
@@ -376,23 +345,15 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       auto block = co_await ReadIndexBlock(ks->id, entry, sim::Activity::kRecompact);
       if (!block.ok()) co_return block.status();
       compaction_stats_.bytes_read += entry.block_len;
-      std::uint16_t count = 0;
-      Slice in;
-      if (!wire::OpenIndexBlock(*block, &count, &in)) {
-        co_return Status::Corruption("undersized PIDX block in fold");
-      }
       std::vector<PidxRec> old_recs;
-      old_recs.reserve(count);
       std::uint64_t fold_bytes = 0;
-      for (std::uint16_t i = 0; i < count; ++i) {
-        wire::PidxEntry parsed;
-        if (!wire::ParsePidxEntry(&in, &parsed)) {
-          co_return Status::Corruption("bad PIDX block in fold");
-        }
-        old_recs.push_back(
-            PidxRec{parsed.key.ToString(), parsed.vaddr, parsed.vlen});
-        fold_bytes += parsed.key.size() + 12;
-      }
+      KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::PidxEntry>(
+          *block, [&](const wire::PidxEntry& parsed) {
+            old_recs.push_back(
+                PidxRec{parsed.key.ToString(), parsed.vaddr, parsed.vlen});
+            fold_bytes += parsed.key.size() + 12;
+            return true;
+          }));
       std::vector<PidxRec> merged;
       merged.reserve(old_recs.size() + per_block[dirty[d]].size());
       merge_block(old_recs, per_block[dirty[d]], &merged);
@@ -469,7 +430,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       std::vector<SidxTuple> fresh;
       for (const FoldItem& item : items) {
         if (item.tombstone) continue;
-        auto skey = ExtractSkey(Slice(item.value), sidx.spec);
+        auto skey = nvme::ExtractSecondaryKey(Slice(item.value), sidx.spec);
         if (!skey.ok()) co_return skey.status();
         fresh.push_back(SidxTuple{
             std::move(*skey), item.key, item.new_addr,
@@ -486,24 +447,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       std::vector<std::size_t> fresh_start(fresh.size(), 0);
       for (std::size_t f = 0; f < fresh.size(); ++f) {
         if (sketch.empty()) break;
-        const std::string& skey = fresh[f].skey;
-        auto lo = std::lower_bound(
-            sketch.begin(), sketch.end(), skey,
-            [](const SketchEntry& e, const std::string& k) {
-              return e.pivot < k;
-            });
-        std::size_t a = lo == sketch.begin()
-                            ? 0
-                            : static_cast<std::size_t>(lo - sketch.begin()) - 1;
-        auto hi = std::upper_bound(
-            sketch.begin(), sketch.end(), skey,
-            [](const std::string& k, const SketchEntry& e) {
-              return k < e.pivot;
-            });
-        std::size_t b = hi == sketch.begin()
-                            ? 0
-                            : static_cast<std::size_t>(hi - sketch.begin()) - 1;
-        if (b < a) b = a;
+        const std::size_t a = SketchRangeStart(sketch, fresh[f].skey);
+        std::size_t b = SketchLowerBlock(sketch, fresh[f].skey);
+        if (b >= sketch.size() || b < a) b = a;
         fresh_start[f] = a;
         for (std::size_t p = a; p <= b; ++p) dirty[p] = true;
       }
@@ -543,27 +489,19 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         auto block = co_await ReadIndexBlock(ks->id, sketch[pos], sim::Activity::kRecompact);
         if (!block.ok()) co_return block.status();
         compaction_stats_.bytes_read += sketch[pos].block_len;
-        std::uint16_t count = 0;
-        Slice in;
-        if (!wire::OpenIndexBlock(*block, &count, &in)) {
-          co_return Status::Corruption("undersized SIDX block in fold");
-        }
         SidxBlockScan scanned;
-        scanned.survivors.reserve(count);
-        for (std::uint16_t i = 0; i < count; ++i) {
-          wire::SidxEntry entry;
-          if (!wire::ParseSidxEntry(&in, &entry)) {
-            co_return Status::Corruption("bad SIDX block in fold");
-          }
-          if (delta_keys.contains(entry.pkey.ToString())) {
-            scanned.lost_tuple = true;
-            ++removed;
-            continue;
-          }
-          scanned.survivors.push_back(SidxTuple{entry.skey.ToString(),
-                                                entry.pkey.ToString(),
-                                                entry.vaddr, entry.vlen});
-        }
+        KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::SidxEntry>(
+            *block, [&](const wire::SidxEntry& entry) {
+              if (delta_keys.contains(entry.pkey.ToString())) {
+                scanned.lost_tuple = true;
+                ++removed;
+              } else {
+                scanned.survivors.push_back(
+                    SidxTuple{entry.skey.ToString(), entry.pkey.ToString(),
+                              entry.vaddr, entry.vlen});
+              }
+              return true;
+            }));
         co_return scanned;
       };
 

@@ -168,8 +168,7 @@ std::string PlanIndexScan(const Keyspace& ks, const nvme::Command& cmd,
     }
     // QuerySecondaryRange rejects a live delta value too short to hold
     // the attribute; the primary plan counts it in short_values instead.
-    const std::uint64_t need =
-        std::uint64_t{sidx.spec.value_offset} + sidx.spec.value_length;
+    const std::uint64_t need = nvme::SecondaryKeyEnd(sidx.spec);
     for (const auto& [pkey, entry] : ks.delta_index) {
       if (!entry.tombstone && entry.vlen < need) return "";
     }

@@ -29,7 +29,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,8 +39,15 @@
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "common/slice.h"
+#include "common/status.h"
 
 namespace kvcsd::device::wire {
+
+// The bytes of a serialized record, as the flash append APIs take them.
+inline std::span<const std::byte> AsBytes(const std::string& s) {
+  return std::span<const std::byte>(
+      reinterpret_cast<const std::byte*>(s.data()), s.size());
+}
 
 constexpr std::uint8_t kKlogFlagTombstone = 0x01;
 
@@ -128,6 +137,7 @@ inline KlogFrameResult ParseKlogFrame(Slice* in, Slice* payload) {
 // --- PIDX ---
 
 struct PidxEntry {
+  static constexpr const char* kKind = "PIDX";
   Slice key;
   std::uint64_t vaddr;
   std::uint32_t vlen;
@@ -146,7 +156,7 @@ inline void AppendPidxEntry(std::string* out, const Slice& key,
   PutVarint32(out, vlen);
 }
 
-inline bool ParsePidxEntry(Slice* in, PidxEntry* out) {
+inline bool ParseIndexEntry(Slice* in, PidxEntry* out) {
   std::uint32_t klen = 0;
   if (!GetVarint32(in, &klen) || in->size() < klen) return false;
   out->key = Slice(in->data(), klen);
@@ -157,13 +167,15 @@ inline bool ParsePidxEntry(Slice* in, PidxEntry* out) {
 // --- SIDX ---
 
 // SIDX blocks are written by compaction in nondecreasing (skey, pkey)
-// order: entries sort by the order-encoded secondary key first, with the
-// primary key breaking ties. Readers depend on this — a secondary range
-// scan with a row limit cuts the result at the limit, so when many rows
-// share the boundary secondary key, the survivors are deterministically
-// the ones with the smallest primary keys. QueryPoint/QuerySecondaryRange
-// assert the invariant while parsing and fail Corruption on violation.
+// order (SidxOrder): entries sort by the order-encoded secondary key
+// first, with the primary key breaking ties. Readers depend on this — a
+// secondary range scan with a row limit cuts the result at the limit, so
+// when many rows share the boundary secondary key, the survivors are
+// deterministically the ones with the smallest primary keys. The range
+// scans' sketch walk asserts the invariant and fails Corruption on
+// violation.
 struct SidxEntry {
+  static constexpr const char* kKind = "SIDX";
   Slice skey;  // order-encoded secondary key
   Slice pkey;
   std::uint64_t vaddr;
@@ -187,7 +199,7 @@ inline void AppendSidxEntry(std::string* out, const Slice& skey,
   PutVarint32(out, vlen);
 }
 
-inline bool ParseSidxEntry(Slice* in, SidxEntry* out) {
+inline bool ParseIndexEntry(Slice* in, SidxEntry* out) {
   std::uint32_t sklen = 0;
   if (!GetVarint32(in, &sklen) || in->size() < sklen) return false;
   out->skey = Slice(in->data(), sklen);
@@ -215,6 +227,28 @@ inline bool OpenIndexBlock(const std::string& block, std::uint16_t* count,
   *count = DecodeFixed16(block.data());
   *entries = Slice(block.data() + 2, block.size() - 2);
   return true;
+}
+
+// The one index-block decoder: hands every entry of a PIDX or SIDX block
+// (Entry = PidxEntry or SidxEntry), in block order, to `visit`, stopping
+// early once `visit` returns false. The entries alias `block`. A block
+// too small for its header or holding an unparsable entry is Corruption.
+template <typename Entry, typename Visit>
+Status ForEachIndexEntry(const std::string& block, Visit&& visit) {
+  std::uint16_t count = 0;
+  Slice in;
+  if (!OpenIndexBlock(block, &count, &in)) {
+    return Status::Corruption(std::string("undersized ") + Entry::kKind +
+                              " block");
+  }
+  for (std::uint16_t i = 0; i < count; ++i) {
+    Entry entry;
+    if (!ParseIndexEntry(&in, &entry)) {
+      return Status::Corruption(std::string("bad ") + Entry::kKind + " block");
+    }
+    if (!visit(entry)) break;
+  }
+  return Status::Ok();
 }
 
 inline void FinishIndexBlock(std::string* block, std::uint16_t count,

@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 
 #include "common/random.h"
 #include "lsm/arena.h"
@@ -31,7 +32,7 @@ class SkipList {
   void Insert(const char* key) {
     Node* prev[kMaxHeight];
     Node* x = FindGreaterOrEqual(key, prev);
-    assert(x == nullptr || compare_(key, x->key) != 0);
+    assert(x == nullptr || compare_(key, x->key()) != 0);
 
     const int node_height = RandomHeight();
     if (node_height > height_) {
@@ -48,7 +49,7 @@ class SkipList {
 
   bool Contains(const char* key) const {
     Node* x = FindGreaterOrEqual(key, nullptr);
-    return x != nullptr && compare_(key, x->key) == 0;
+    return x != nullptr && compare_(key, x->key()) == 0;
   }
 
   std::size_t size() const { return size_; }
@@ -60,7 +61,7 @@ class SkipList {
     bool Valid() const { return node_ != nullptr; }
     const char* key() const {
       assert(Valid());
-      return node_->key;
+      return node_->key();
     }
     void Next() {
       assert(Valid());
@@ -80,18 +81,38 @@ class SkipList {
   static constexpr int kMaxHeight = 12;
   static constexpr int kBranching = 4;
 
+  // A node occupies arena memory as its key pointer followed by one next
+  // pointer per level. Arena allocations carry no alignment (memtable
+  // entries pack back to back), so the fields are only ever copied in and
+  // out with memcpy, never read through a typed, possibly misaligned
+  // pointer.
   struct Node {
-    const char* key;
-    Node* Next(int level) const { return next[level]; }
-    void SetNext(int level, Node* node) { next[level] = node; }
-    Node* next[1];  // over-allocated to the node's height
+    const char* key() const { return Load<const char*>(0); }
+    Node* Next(int level) const { return Load<Node*>(1 + level); }
+    void SetNext(int level, Node* node) { Store(1 + level, node); }
+    void SetKey(const char* key) { Store(0, key); }
+
+   private:
+    template <typename T>
+    T Load(int slot) const {
+      T value;
+      const char* at = reinterpret_cast<const char*>(this) + slot * sizeof(T);
+      std::memcpy(&value, at, sizeof(T));
+      return value;
+    }
+    template <typename T>
+    void Store(int slot, T value) {
+      char* at = reinterpret_cast<char*>(this) + slot * sizeof(T);
+      std::memcpy(at, &value, sizeof(T));
+    }
   };
+  static_assert(sizeof(const char*) == sizeof(Node*));
 
   Node* NewNode(const char* key, int node_height) {
-    char* mem = arena_->Allocate(sizeof(Node) +
-                                 sizeof(Node*) * (node_height - 1));
+    // The key pointer, then one next pointer per level.
+    char* mem = arena_->Allocate(sizeof(Node*) * (1 + node_height));
     Node* node = new (mem) Node;
-    node->key = key;
+    node->SetKey(key);
     return node;
   }
 
@@ -107,7 +128,7 @@ class SkipList {
     int level = height_ - 1;
     while (true) {
       Node* next = x->Next(level);
-      if (next != nullptr && compare_(next->key, key) < 0) {
+      if (next != nullptr && compare_(next->key(), key) < 0) {
         x = next;
       } else {
         if (prev != nullptr) prev[level] = x;

@@ -99,4 +99,22 @@ inline Result<std::string> EncodeSecondaryKeyBytes(
   return Status::InvalidArgument("unknown secondary key type");
 }
 
+// One past the last value byte a secondary key occupies. 64-bit, so an
+// offset near UINT32_MAX cannot wrap back inside a short value.
+inline std::uint64_t SecondaryKeyEnd(const SecondaryIndexSpec& spec) {
+  return std::uint64_t{spec.value_offset} + spec.value_length;
+}
+
+// The one secondary-key extractor: the order-encoded key a stored value
+// carries at the spec's byte range (index builds, folds, delta tuples of
+// a secondary scan, and the router's merge keys).
+inline Result<std::string> ExtractSecondaryKey(
+    const Slice& value, const SecondaryIndexSpec& spec) {
+  if (SecondaryKeyEnd(spec) > value.size()) {
+    return Status::InvalidArgument("secondary key range beyond value");
+  }
+  return EncodeSecondaryKeyBytes(
+      Slice(value.data() + spec.value_offset, spec.value_length), spec);
+}
+
 }  // namespace kvcsd::nvme

@@ -74,17 +74,15 @@ Status DeriveMergeKeys(const Rows& rows, const nvme::SecondaryIndexSpec& spec,
                        std::vector<std::string>* skeys) {
   skeys->reserve(rows.size());
   for (const auto& kv : rows) {
-    const std::string& value = kv.second;
-    if (value.size() < static_cast<std::size_t>(spec.value_offset) +
-                           spec.value_length) {
+    Result<std::string> skey =
+        nvme::ExtractSecondaryKey(Slice(kv.second), spec);
+    if (!skey.ok()) {
       return Status::InvalidArgument(
-          "row value too short to derive merge key for index '" + spec.name +
-          "' (projection must keep the indexed attribute)");
+          "cannot derive merge key for index '" + spec.name +
+          "' (projection must keep the indexed attribute): " +
+          skey.status().message());
     }
-    Result<std::string> enc = nvme::EncodeSecondaryKeyBytes(
-        Slice(value.data() + spec.value_offset, spec.value_length), spec);
-    if (!enc.ok()) return enc.status();
-    skeys->push_back(std::move(enc).value());
+    skeys->push_back(std::move(skey).value());
   }
   return Status::Ok();
 }
@@ -126,37 +124,12 @@ void FinishScatter(sim::Simulation* sim, const std::string& prefix,
   span->Arg("slowest_ns", slowest_ns);
 }
 
-// Scattered sub-queries, timed so the gather can attribute the merge
-// wait. Arguments arrive as pointers into the scattering coroutine's
-// frame, which TaskGroup::Wait keeps alive until every task joins.
-sim::Task<Status> ScanShard(sim::Simulation* sim, client::KeyspaceHandle* ks,
-                            const std::string* lo, const std::string* hi,
-                            std::uint32_t limit, Rows* out, Tick* elapsed) {
+// One shard's sub-query of a scatter, timed so the gather can attribute
+// the merge wait to the slowest shard.
+sim::Task<Status> TimeShard(sim::Simulation* sim, sim::Task<Status> query,
+                            Tick* elapsed) {
   const Tick begin = sim->Now();
-  Status s = co_await ks->Scan(*lo, *hi, limit, out);
-  *elapsed = sim->Now() - begin;
-  co_return s;
-}
-
-sim::Task<Status> SecondaryShard(sim::Simulation* sim,
-                                 client::KeyspaceHandle* ks,
-                                 const std::string* index_name,
-                                 const std::string* lo, const std::string* hi,
-                                 std::uint32_t limit, Rows* out,
-                                 Tick* elapsed) {
-  const Tick begin = sim->Now();
-  Status s = co_await ks->QuerySecondaryRange(*index_name, *lo, *hi, limit,
-                                              out);
-  *elapsed = sim->Now() - begin;
-  co_return s;
-}
-
-sim::Task<Status> SelectShard(
-    sim::Simulation* sim, client::KeyspaceHandle* ks, const std::string* lo,
-    const std::string* hi, const client::KeyspaceHandle::SelectOptions* opts,
-    Rows* out, Tick* elapsed) {
-  const Tick begin = sim->Now();
-  Status s = co_await ks->Select(*lo, *hi, *opts, out);
+  Status s = co_await std::move(query);
   *elapsed = sim->Now() - begin;
   co_return s;
 }
@@ -175,20 +148,6 @@ sim::Task<Status> PutShardBatch(
   for (std::size_t j = 0; j < idx->size(); ++j) {
     (*futures)[(*idx)[j]] = std::move(shard_futures[j]);
   }
-  co_return Status::Ok();
-}
-
-sim::Task<Status> AggregateShard(
-    sim::Simulation* sim, client::KeyspaceHandle* ks, const std::string* lo,
-    const std::string* hi, const nvme::AggregateSpec* agg,
-    const client::KeyspaceHandle::SelectOptions* opts,
-    nvme::AggregateResult* out, Tick* elapsed) {
-  const Tick begin = sim->Now();
-  Result<nvme::AggregateResult> r = co_await ks->Aggregate(*lo, *hi, *agg,
-                                                           *opts);
-  *elapsed = sim->Now() - begin;
-  if (!r.ok()) co_return r.status();
-  *out = r.value();
   co_return Status::Ok();
 }
 
@@ -479,59 +438,67 @@ sim::Task<client::Future<Result<std::string>>> ShardedKeyspaceHandle::GetAsync(
 
 // --- scatter-gather queries ---
 
-sim::Task<Status> ShardedKeyspaceHandle::Scan(const std::string& lo,
-                                              const std::string& hi,
-                                              std::uint32_t limit,
-                                              Rows* out) {
+template <typename Query, typename Gather>
+sim::Task<Status> ShardedKeyspaceHandle::Scatter(const char* op,
+                                                 const char* kind,
+                                                 const Query& query,
+                                                 const Gather& gather) {
   ShardedClient* r = router_;
   const std::uint32_t n = num_shards();
-  sim::TraceSpan span(r->sim_, "router", "scan");
-  std::vector<Rows> per(n);
+  sim::TraceSpan span(r->sim_, "router", op);
   std::vector<Tick> elapsed(n, 0);
   {
     sim::TaskGroup group(r->sim_);
     for (std::uint32_t i = 0; i < n; ++i) {
-      // Per-shard limit == global limit: keys are disjoint across
-      // shards, so each shard's first `limit` rows are a superset of
-      // its contribution to the global first `limit`.
-      group.Spawn(ScanShard(r->sim_, &state_->shards[i], &lo, &hi, limit,
-                            &per[i], &elapsed[i]));
+      sim::Task<Status> sub = query(i);
+      group.Spawn(TimeShard(r->sim_, std::move(sub), &elapsed[i]));
     }
     KVCSD_CO_RETURN_IF_ERROR(co_await group.Wait());
   }
-  MergeByPrimary(&per, limit, out);
-  FinishScatter(r->sim_, r->config_.stats_prefix, "scans", &span, elapsed,
-                out->size());
+  const Result<std::uint64_t> rows = gather();
+  if (!rows.ok()) co_return rows.status();
+  FinishScatter(r->sim_, r->config_.stats_prefix, kind, &span, elapsed, *rows);
   co_return Status::Ok();
+}
+
+sim::Task<Status> ShardedKeyspaceHandle::Scan(const std::string& lo,
+                                              const std::string& hi,
+                                              std::uint32_t limit,
+                                              Rows* out) {
+  std::vector<Rows> per(num_shards());
+  // Per-shard limit == global limit: keys are disjoint across shards, so
+  // each shard's first `limit` rows are a superset of its contribution to
+  // the global first `limit`.
+  auto query = [&](std::uint32_t i) {
+    return state_->shards[i].Scan(lo, hi, limit, &per[i]);
+  };
+  auto gather = [&]() -> Result<std::uint64_t> {
+    MergeByPrimary(&per, limit, out);
+    return out->size();
+  };
+  co_return co_await Scatter("scan", "scans", query, gather);
 }
 
 sim::Task<Status> ShardedKeyspaceHandle::QuerySecondaryRange(
     const std::string& index_name, const std::string& lo_encoded,
     const std::string& hi_encoded, std::uint32_t limit, Rows* out) {
-  ShardedClient* r = router_;
-  const std::uint32_t n = num_shards();
-  sim::TraceSpan span(r->sim_, "router", "secondary_scan");
-  std::vector<Rows> per(n);
-  std::vector<Tick> elapsed(n, 0);
-  {
-    sim::TaskGroup group(r->sim_);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      group.Spawn(SecondaryShard(r->sim_, &state_->shards[i], &index_name,
-                                 &lo_encoded, &hi_encoded, limit, &per[i],
-                                 &elapsed[i]));
+  std::vector<Rows> per(num_shards());
+  auto query = [&](std::uint32_t i) {
+    return state_->shards[i].QuerySecondaryRange(index_name, lo_encoded,
+                                                 hi_encoded, limit, &per[i]);
+  };
+  auto gather = [&]() -> Result<std::uint64_t> {
+    if (per.size() == 1) {
+      *out = std::move(per[0]);
+    } else {
+      Result<nvme::SecondaryIndexSpec> spec = IndexSpec(index_name);
+      if (!spec.ok()) return spec.status();
+      KVCSD_RETURN_IF_ERROR(MergeBySecondary(&per, *spec, limit, out));
     }
-    KVCSD_CO_RETURN_IF_ERROR(co_await group.Wait());
-  }
-  if (n == 1) {
-    *out = std::move(per[0]);
-  } else {
-    Result<nvme::SecondaryIndexSpec> spec = IndexSpec(index_name);
-    if (!spec.ok()) co_return spec.status();
-    KVCSD_CO_RETURN_IF_ERROR(MergeBySecondary(&per, *spec, limit, out));
-  }
-  FinishScatter(r->sim_, r->config_.stats_prefix, "secondary_scans", &span,
-                elapsed, out->size());
-  co_return Status::Ok();
+    return out->size();
+  };
+  co_return co_await Scatter("secondary_scan", "secondary_scans", query,
+                             gather);
 }
 
 sim::Task<Status> ShardedKeyspaceHandle::QuerySecondaryRangeF32(
@@ -546,77 +513,66 @@ sim::Task<Status> ShardedKeyspaceHandle::QuerySecondaryRangeF32(
 sim::Task<Status> ShardedKeyspaceHandle::SelectScatter(
     std::string lo, std::string hi,
     client::KeyspaceHandle::SelectOptions opts, Rows* out) {
-  ShardedClient* r = router_;
-  const std::uint32_t n = num_shards();
-  sim::TraceSpan span(r->sim_, "router", "select");
-  std::vector<Rows> per(n);
-  std::vector<Tick> elapsed(n, 0);
-  {
-    sim::TaskGroup group(r->sim_);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      group.Spawn(SelectShard(r->sim_, &state_->shards[i], &lo, &hi, &opts,
-                              &per[i], &elapsed[i]));
+  std::vector<Rows> per(num_shards());
+  auto query = [&](std::uint32_t i) {
+    return state_->shards[i].Select(lo, hi, opts, &per[i]);
+  };
+  auto gather = [&]() -> Result<std::uint64_t> {
+    if (per.size() == 1) {
+      *out = std::move(per[0]);
+    } else if (opts.index_name.empty()) {
+      MergeByPrimary(&per, opts.limit, out);
+    } else {
+      Result<nvme::SecondaryIndexSpec> spec = IndexSpec(opts.index_name);
+      if (!spec.ok()) return spec.status();
+      KVCSD_RETURN_IF_ERROR(MergeBySecondary(&per, *spec, opts.limit, out));
     }
-    KVCSD_CO_RETURN_IF_ERROR(co_await group.Wait());
-  }
-  if (n == 1) {
-    *out = std::move(per[0]);
-  } else if (opts.index_name.empty()) {
-    MergeByPrimary(&per, opts.limit, out);
-  } else {
-    Result<nvme::SecondaryIndexSpec> spec = IndexSpec(opts.index_name);
-    if (!spec.ok()) co_return spec.status();
-    KVCSD_CO_RETURN_IF_ERROR(MergeBySecondary(&per, *spec, opts.limit, out));
-  }
-  FinishScatter(r->sim_, r->config_.stats_prefix, "selects", &span, elapsed,
-                out->size());
-  co_return Status::Ok();
+    return out->size();
+  };
+  co_return co_await Scatter("select", "selects", query, gather);
 }
 
 sim::Task<Result<nvme::AggregateResult>>
 ShardedKeyspaceHandle::AggregateScatter(
     std::string lo, std::string hi, nvme::AggregateSpec agg,
     client::KeyspaceHandle::SelectOptions opts) {
-  ShardedClient* r = router_;
   const std::uint32_t n = num_shards();
   if (opts.limit != 0 && n > 1) {
     co_return Status::InvalidArgument(
         "sharded aggregate cannot honor a matched-row limit (the cap is "
         "not decomposable across shards)");
   }
-  sim::TraceSpan span(r->sim_, "router", "aggregate");
   std::vector<nvme::AggregateResult> per(n);
-  std::vector<Tick> elapsed(n, 0);
-  {
-    sim::TaskGroup group(r->sim_);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      group.Spawn(AggregateShard(r->sim_, &state_->shards[i], &lo, &hi, &agg,
-                                 &opts, &per[i], &elapsed[i]));
-    }
-    Status s = co_await group.Wait();
-    if (!s.ok()) co_return s;
-  }
+  auto query = [&](std::uint32_t i) -> sim::Task<Status> {
+    Result<nvme::AggregateResult> part =
+        co_await state_->shards[i].Aggregate(lo, hi, agg, opts);
+    if (!part.ok()) co_return part.status();
+    per[i] = part.value();
+    co_return Status::Ok();
+  };
   // Deterministic fold in shard order 0..N-1: rows/min/max are exact;
   // sum is exact whenever the attribute values are exactly
   // representable (the bench's integer-valued floats).
   nvme::AggregateResult total;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const nvme::AggregateResult& part = per[i];
-    total.rows += part.rows;
-    if (!part.valid) continue;
-    if (!total.valid) {
-      total.min = part.min;
-      total.max = part.max;
-      total.sum = part.sum;
-      total.valid = true;
-    } else {
-      total.min = std::min(total.min, part.min);
-      total.max = std::max(total.max, part.max);
-      total.sum += part.sum;
+  auto gather = [&]() -> Result<std::uint64_t> {
+    for (const nvme::AggregateResult& part : per) {
+      total.rows += part.rows;
+      if (!part.valid) continue;
+      if (!total.valid) {
+        total.min = part.min;
+        total.max = part.max;
+        total.sum = part.sum;
+        total.valid = true;
+      } else {
+        total.min = std::min(total.min, part.min);
+        total.max = std::max(total.max, part.max);
+        total.sum += part.sum;
+      }
     }
-  }
-  FinishScatter(r->sim_, r->config_.stats_prefix, "aggregates", &span,
-                elapsed, total.rows);
+    return total.rows;
+  };
+  KVCSD_CO_RETURN_IF_ERROR(co_await Scatter("aggregate", "aggregates", query,
+                                            gather));
   co_return total;
 }
 

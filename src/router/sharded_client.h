@@ -214,6 +214,14 @@ class ShardedKeyspaceHandle {
   sim::Task<Result<nvme::AggregateResult>> AggregateScatter(
       std::string lo, std::string hi, nvme::AggregateSpec agg,
       client::KeyspaceHandle::SelectOptions opts);
+  // The one scatter behind every multi-shard query: `query(i)` makes
+  // shard i's sub-query (a Task<Status>); they start in shard order, each
+  // is timed, and once all have joined `gather()` merges them and returns
+  // the row count FinishScatter records under a `op` trace span and the
+  // "scatter.<kind>" counter. Returns the first failure.
+  template <typename Query, typename Gather>
+  sim::Task<Status> Scatter(const char* op, const char* kind,
+                            const Query& query, const Gather& gather);
   // Looks up a registered index spec; kInvalidArgument when unknown.
   Result<nvme::SecondaryIndexSpec> IndexSpec(const std::string& name) const;
   // Awaits `attempt()` again, with exponential backoff, while it answers

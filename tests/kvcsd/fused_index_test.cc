@@ -191,6 +191,70 @@ TEST(FusedIndexTest, FusedAndSeparateAgreeOnResults) {
   EXPECT_EQ(query(true), query(false));
 }
 
+// An index spec whose value_offset + value_length wraps 32 bits points
+// far past every value. Both index builds must reject it like any other
+// out-of-range spec and never read past a value's end.
+TEST(FusedIndexTest, WrappedKeyRangeIsRejected) {
+  Fixture f;
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto load = [](client::KeyspaceHandle* ks) -> sim::Task<void> {
+      auto writer = ks->NewBulkWriter();
+      for (int i = 0; i < 100; ++i) {
+        EXPECT_TRUE(
+            (co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
+                                 Fixture::EnergyValue(static_cast<float>(i))))
+                .ok());
+      }
+      EXPECT_TRUE((co_await writer.Flush()).ok());
+    };
+    auto state_of = [](client::KeyspaceHandle* ks) -> sim::Task<std::string> {
+      auto stat = co_await ks->GetStat();
+      co_return stat.ok() ? stat->state : stat.status().ToString();
+    };
+    auto scan_all = [](client::KeyspaceHandle* ks) -> sim::Task<std::size_t> {
+      std::vector<std::pair<std::string, std::string>> rows;
+      EXPECT_TRUE(
+          (co_await ks->Scan(MakeFixedKey(0), MakeFixedKey(99), 0, &rows))
+              .ok());
+      co_return rows.size();
+    };
+
+    // Separate build on a COMPACTED keyspace: rejected, keyspace intact.
+    auto ks = (co_await db->CreateKeyspace("separate")).value();
+    co_await load(&ks);
+    EXPECT_TRUE((co_await ks.Compact()).ok());
+    EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
+    nvme::SecondaryIndexSpec wrapped;
+    wrapped.name = "wrapped";
+    wrapped.value_offset = 0xFFFFFFF0u;
+    wrapped.value_length = 0x20;
+    wrapped.type = nvme::SecondaryKeyType::kBytes;
+    const Status built = co_await ks.CreateSecondaryIndex(wrapped);
+    EXPECT_EQ(built.code(), StatusCode::kInvalidArgument) << built.ToString();
+    EXPECT_EQ(co_await state_of(&ks), "COMPACTED");
+    EXPECT_EQ(co_await scan_all(&ks), 100u);
+    EXPECT_TRUE((co_await ks.Get(MakeFixedKey(42))).ok());
+
+    // Fused build: the compaction fails and rolls back to WRITABLE, and a
+    // plain compaction afterwards succeeds.
+    auto fused = (co_await db->CreateKeyspace("fused")).value();
+    co_await load(&fused);
+    nvme::SecondaryIndexSpec wrapped_f32;
+    wrapped_f32.name = "wrapped_f32";
+    wrapped_f32.value_offset = 0xFFFFFFFEu;
+    wrapped_f32.value_length = 4;
+    wrapped_f32.type = nvme::SecondaryKeyType::kF32;
+    std::vector<nvme::SecondaryIndexSpec> specs = {wrapped_f32};
+    EXPECT_TRUE((co_await fused.CompactWithIndexes(specs)).ok());
+    EXPECT_TRUE((co_await fused.WaitCompaction()).ok());
+    EXPECT_EQ(co_await state_of(&fused), "WRITABLE");
+    EXPECT_TRUE((co_await fused.Compact()).ok());
+    EXPECT_TRUE((co_await fused.WaitCompaction()).ok());
+    EXPECT_EQ(co_await state_of(&fused), "COMPACTED");
+    EXPECT_EQ(co_await scan_all(&fused), 100u);
+  }(&f.db));
+}
+
 TEST(SecondaryRangeTest, TiedKeysSpanningManyBlocksAllMatch) {
   // Regression: thousands of IDENTICAL secondary keys span many SIDX
   // blocks, so consecutive sketch pivots are equal. The range query must

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -374,7 +375,7 @@ sim::Task<void> TiedQuery(client::Client* db, std::uint32_t limit,
 // When `limit` lands inside a run of rows sharing one secondary key, the
 // cut is deterministic: SIDX blocks are sorted by (skey, pkey), so the
 // survivors are always the smallest primary keys of the tie — identical
-// across cache, prefetch, and gather-fanout configurations.
+// across cache and gather-fanout configurations.
 TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
   // 28-byte pad + f32, like the VPIC particle payload: keys 100..249
   // share tag 1.0, the rest carry distinct tags.
@@ -389,10 +390,9 @@ TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
 
   std::vector<std::pair<std::string, std::string>> reference;
   DeviceConfig configs[3];
-  configs[0] = SmallDevice();  // defaults: cache + bloom + prefetch + fanout 8
+  configs[0] = SmallDevice();  // defaults: cache + bloom + fanout 8
   configs[1] = SmallDevice();
   configs[1].gather_fanout = 1;
-  configs[1].index_prefetch = false;
   configs[2] = SmallDevice();
   configs[2].index_cache_enabled = false;
   configs[2].bloom_bits_per_key = 0;
@@ -435,6 +435,83 @@ TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
     // An unlimited query returns the whole tie, still pkey-sorted.
     testutil::RunSim(f.sim, TiedQuery(&f.db, 0, &rows));
     EXPECT_EQ(rows.size(), 150u) << "config " << c;
+  }
+}
+
+// A value whose f32 tag sits at offset 28, like the VPIC particle payload.
+std::string TaggedValue(float tag) {
+  std::string v(28, 'p');
+  char buf[4];
+  std::memcpy(buf, &tag, 4);
+  v.append(buf, 4);
+  return v;
+}
+
+// One range scan through the client; *rows receives the row count.
+sim::Task<void> CountScan(client::Client* db, bool secondary,
+                          std::uint32_t limit, std::size_t* rows) {
+  auto ks = co_await db->OpenKeyspace("ahead");
+  KVCSD_CO_ASSERT_OK(ks);
+  std::vector<std::pair<std::string, std::string>> out;
+  if (secondary) {
+    KVCSD_CO_ASSERT_OK(
+        co_await ks->QuerySecondaryRangeF32("tag", 5.0f, 40.0f, limit, &out));
+  } else {
+    KVCSD_CO_ASSERT_OK(co_await ks->Scan(MakeFixedKey(100), MakeFixedKey(1899),
+                                         limit, &out));
+  }
+  *rows = out.size();
+}
+
+// The range scans keep one index-block read ahead of the block being
+// decoded, and never read ahead past `hi`: a scan cut by `limit` mid-range
+// wastes the reads issued past its cut, one that runs to `hi` wastes none.
+// perfbench reports these counters as prefetch.issued and
+// prefetch.wasted_ratio, so the counts are pinned exactly.
+TEST(ReadPathTest, ScanReadAheadCountsArePinned) {
+  ReadPathFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->CreateKeyspace("ahead");
+    KVCSD_CO_ASSERT_OK(ks);
+    auto writer = ks->NewBulkWriter();
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await writer.Add(
+          MakeFixedKey(i), TaggedValue(static_cast<float>(i % 50))));
+    }
+    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    nvme::SecondaryIndexSpec spec;
+    spec.name = "tag";
+    spec.value_offset = 28;
+    spec.value_length = 4;
+    spec.type = nvme::SecondaryKeyType::kF32;
+    std::vector<nvme::SecondaryIndexSpec> specs = {spec};
+    KVCSD_CO_ASSERT_OK(co_await ks->CompactWithIndexes(specs));
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(&f.db));
+
+  struct Case {
+    bool secondary;
+    std::uint32_t limit;
+    std::size_t rows;
+    std::uint64_t issued;
+    std::uint64_t wasted;
+  };
+  const Case cases[] = {
+      {false, 300, 300, 3, 1},
+      {true, 300, 300, 3, 1},
+      {false, 0, 1800, 12, 0},
+      {true, 0, 1440, 11, 0},
+  };
+  for (const Case& c : cases) {
+    const std::uint64_t issued = f.Counter("device.prefetch.issued");
+    const std::uint64_t wasted = f.Counter("device.prefetch.wasted");
+    std::size_t rows = 0;
+    testutil::RunSim(f.sim, CountScan(&f.db, c.secondary, c.limit, &rows));
+    SCOPED_TRACE(std::string(c.secondary ? "secondary" : "primary") +
+                 " limit=" + std::to_string(c.limit));
+    EXPECT_EQ(rows, c.rows);
+    EXPECT_EQ(f.Counter("device.prefetch.issued") - issued, c.issued);
+    EXPECT_EQ(f.Counter("device.prefetch.wasted") - wasted, c.wasted);
   }
 }
 
