@@ -33,6 +33,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <utility>
 
 #include "common/bloom.h"
@@ -261,6 +262,8 @@ sim::Task<Status> Device::SidxMergeToBlocks(
   packer.Close();
   KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
 
+  // Best-effort: the runs are merged, and a TEMP cluster a failed reset
+  // leaves behind is unreferenced, so recovery reclaims it.
   (void)co_await zone_manager_.ReleaseClusters(std::move(state->temp_clusters));
   state->temp_clusters.clear();
   state->runs.clear();
@@ -423,6 +426,9 @@ sim::Task<Status> Device::CompactKeyspace(
                              trigger_cmd_id, sim_->Now());
     }
   }
+  // Pinned like a command: the commit sets COMPACTED before its persist
+  // returns, so from then on only the pin makes a drop wait for this job.
+  ++ks->inflight;
   ++compactions_running_;
   std::vector<ClusterId> scratch;
   Status result = Status::Ok();
@@ -433,16 +439,10 @@ sim::Task<Status> Device::CompactKeyspace(
   }
   --compactions_running_;
   if (!result.ok()) {
+    // Best-effort: no snapshot references scratch, so whatever a failed
+    // reset (or a power cut) leaves behind, recovery reclaims.
     (void)co_await zone_manager_.ReleaseClusters(std::move(scratch));
-    // A full compaction rolls back to WRITABLE (or EMPTY) so its logs stay
-    // usable; a fold rolls back to COMPACTED with its delta untouched, so
-    // the mutations stay pending rather than lost.
-    if (ks->state == KeyspaceState::kCompacting) {
-      ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
-                                            : KeyspaceState::kWritable;
-    } else if (ks->state == KeyspaceState::kRecompacting) {
-      ks->state = KeyspaceState::kCompacted;
-    }
+    ks->RollBackCompaction();
     if (faults_ == nullptr || !faults_->crashed()) {
       // Make the rollback durable so a later crash cannot resurrect the
       // (RE)COMPACTING state. Best-effort: the snapshot still on flash
@@ -451,8 +451,44 @@ sim::Task<Status> Device::CompactKeyspace(
     }
   }
   ks->runtime.compaction_done.Set();
-  co_await MaybeFinishPendingDelete(ks);
+  co_await Unpin(ks);
   co_return result;
+}
+
+// The snapshot is written while the old layout's clusters are still
+// allocated, so whichever snapshot recovery loads, every cluster it
+// references exists: the stale side only ever leaks clusters (reclaimed as
+// unreferenced), never dangles.
+sim::Task<Result<KeyspaceLayout>> Device::CommitLayout(
+    Keyspace* ks, KeyspaceLayout next, std::vector<ClusterId>* scratch) {
+  const KeyspaceState compacting = ks->state;
+  std::swap(static_cast<KeyspaceLayout&>(*ks), next);
+  ks->state = KeyspaceState::kCompacted;
+  Status commit = co_await keyspace_manager_.Persist();
+  if (!commit.ok()) {
+    std::swap(static_cast<KeyspaceLayout&>(*ks), next);
+    ks->state = compacting;
+    co_return commit;
+  }
+  scratch->clear();
+  // Cached blocks of this keyspace id may belong to the old layout: a
+  // fold rewrites blocks, and a compaction can follow a rolled-back one.
+  index_cache_.EraseKeyspace(ks->id);
+  co_return std::move(next);
+}
+
+sim::Task<void> Device::ReleaseSuperseded(const KeyspaceLayout& old,
+                                          const KeyspaceLayout& now) {
+  const std::vector<ClusterId> live = now.Clusters();
+  const std::set<ClusterId> kept(live.begin(), live.end());
+  std::vector<ClusterId> dead;
+  for (ClusterId id : old.Clusters()) {
+    if (!kept.contains(id)) dead.push_back(id);
+  }
+  // Best-effort: the committed snapshot no longer references these, so a
+  // cluster a failed reset (or a power cut) leaves behind is reclaimed by
+  // recovery as unreferenced.
+  (void)co_await zone_manager_.ReleaseClusters(std::move(dead));
 }
 
 sim::Task<Status> Device::RunCompaction(
@@ -678,7 +714,7 @@ sim::Task<Status> Device::RunCompaction(
   KVCSD_CO_RETURN_IF_ERROR(index_status);
 
   // ---- Fused secondary indexes: concurrent per-spec merges ----
-  std::map<std::string, SecondaryIndex> fused_indexes;
+  KeyspaceLayout next;
   if (!fused_specs.empty()) {
     std::vector<SecondaryIndex> fused_out(fused_specs.size());
     sim::TaskGroup merges(sim_);
@@ -700,7 +736,7 @@ sim::Task<Status> Device::RunCompaction(
     }
     KVCSD_CO_RETURN_IF_ERROR(merge_status);
     for (std::size_t i = 0; i < fused_specs.size(); ++i) {
-      fused_indexes[fused_specs[i].name] = std::move(fused_out[i]);
+      next.secondary_indexes[fused_specs[i].name] = std::move(fused_out[i]);
     }
   }
   compaction_stats_.phase2_ticks += sim_->Now() - phase2_start;
@@ -718,20 +754,31 @@ sim::Task<Status> Device::RunCompaction(
   // ---- Commit ----
   // Phase-1 temporaries are dead weight either way; drop them while the
   // sketches and the bloom filter go to flash out of line, ahead of the
-  // snapshot that will reference them.
-  std::string bloom_bits = bloom.has_value() ? bloom->Finish() : std::string();
-  BlobRef pidx_blob;
+  // snapshot that will reference them. The bloom filter shares the
+  // sketch's blob, so recovery restores both or neither; it is empty when
+  // bloom is disabled.
+  next.pidx_clusters = std::move(pipe.pidx_clusters);
+  next.sorted_value_clusters = std::move(value_clusters);
+  next.pidx_sketch = std::move(pipe.sketch);
+  if (bloom.has_value()) next.pidx_bloom = bloom->Finish();
+  // After the LWW pass, entries_total is the exact count of distinct live
+  // keys in the run (duplicates collapsed, tombstone winners dropped).
+  next.num_kvs = pipe.entries_total;
+  next.run_entries = pipe.entries_total;
   {
     sim::TraceSpan release(sim_, trk_compaction_, "compact.release");
     sim::TaskGroup blobs(sim_);
-    blobs.Spawn(StoreBlob(keyspace_manager_.WritePidxBlob(
-                              pipe.sketch, bloom_bits, sim::Activity::kCompact),
-                          &pidx_blob, scratch));
-    for (auto& [name, sidx] : fused_indexes) {
+    blobs.Spawn(StoreBlob(
+        keyspace_manager_.WritePidxBlob(next.pidx_sketch, next.pidx_bloom,
+                                        sim::Activity::kCompact),
+        &next.pidx_blob, scratch));
+    for (auto& [name, sidx] : next.secondary_indexes) {
       blobs.Spawn(StoreBlob(keyspace_manager_.WriteSidxBlob(
                                 sidx.sketch, sim::Activity::kCompact),
                             &sidx.sketch_blob, scratch));
     }
+    // Best-effort: no snapshot references the TEMP runs, so recovery
+    // reclaims any a failed reset leaves behind.
     (void)co_await zone_manager_.ReleaseClusters(std::move(temp_clusters));
     KVCSD_CO_RETURN_IF_ERROR(co_await blobs.Wait());
   }
@@ -739,68 +786,16 @@ sim::Task<Status> Device::RunCompaction(
     co_return Status::IoError("simulated power loss before commit");
   }
 
-  // Install the outputs and persist — the commit point. The snapshot is
-  // written while the OLD log clusters are still allocated, so whichever
-  // snapshot recovery loads, every cluster it references exists; the
-  // stale side only ever leaks clusters (reclaimed as unreferenced),
-  // never dangles. On a persist failure, un-install symmetrically and
-  // report the compaction as failed.
-  std::vector<ClusterId> old_klog = std::move(ks->klog_clusters);
-  std::vector<ClusterId> old_vlog = std::move(ks->vlog_clusters);
-  const std::uint64_t old_klog_bytes = ks->klog_bytes;
-  const std::uint64_t old_vlog_bytes = ks->vlog_bytes;
-  const std::uint64_t old_num_kvs = ks->num_kvs;
-  const std::uint64_t old_run_entries = ks->run_entries;
-  ks->klog_clusters.clear();
-  ks->vlog_clusters.clear();
-  ks->klog_bytes = 0;
-  ks->vlog_bytes = 0;
-  ks->pidx_clusters = std::move(pipe.pidx_clusters);
-  ks->sorted_value_clusters = std::move(value_clusters);
-  ks->pidx_sketch = std::move(pipe.sketch);
-  // The bloom filter shares the sketch's blob, so recovery restores both
-  // or neither; empty when bloom is disabled.
-  ks->pidx_bloom = std::move(bloom_bits);
-  ks->pidx_blob = pidx_blob;
-  // After the LWW pass, entries_total is the exact count of distinct live
-  // keys in the run (duplicates collapsed, tombstone winners dropped).
-  ks->num_kvs = pipe.entries_total;
-  ks->run_entries = pipe.entries_total;
-  ks->delta_index.clear();
-  ks->delta_live = 0;
-  ks->secondary_indexes = std::move(fused_indexes);
-  ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.Persist();
-  if (!commit.ok()) {
-    ks->pidx_clusters.clear();
-    ks->sorted_value_clusters.clear();
-    ks->pidx_sketch.clear();
-    ks->pidx_bloom.clear();
-    ks->pidx_blob = BlobRef{};
-    ks->secondary_indexes.clear();
-    ks->klog_clusters = std::move(old_klog);
-    ks->vlog_clusters = std::move(old_vlog);
-    ks->klog_bytes = old_klog_bytes;
-    ks->vlog_bytes = old_vlog_bytes;
-    ks->num_kvs = old_num_kvs;
-    ks->run_entries = old_run_entries;
-    ks->state = KeyspaceState::kCompacting;
-    co_return commit;
-  }
+  // The commit point: the logs give way to the sorted run and indexes.
+  auto old = co_await CommitLayout(ks, std::move(next), scratch);
+  if (!old.ok()) co_return old.status();
   stats().counter("device.compact.done").Increment();
-  scratch->clear();  // the outputs are now owned by the durable snapshot
-  // Any cached index blocks for this keyspace id predate the new PIDX
-  // layout (possible only on re-compaction after a rollback); drop them so
-  // queries can never read a stale block through the cache.
-  index_cache_.EraseKeyspace(ks->id);
 
   // Past the commit point the compaction HAS happened; a crash here loses
-  // nothing (recovery reclaims the old logs as unreferenced clusters) and
-  // the release below is best-effort for the same reason.
+  // nothing (recovery reclaims the old logs as unreferenced clusters).
   (void)CrashPoint("compact.after_commit");
   sim::TraceSpan release(sim_, trk_compaction_, "compact.release");
-  old_klog.insert(old_klog.end(), old_vlog.begin(), old_vlog.end());
-  (void)co_await zone_manager_.ReleaseClusters(std::move(old_klog));
+  co_await ReleaseSuperseded(*old, *ks);
   co_return Status::Ok();
 }
 
@@ -850,6 +845,8 @@ sim::Task<Status> Device::BuildSecondaryIndex(
                 state.temp_clusters.end());
   doomed.insert(doomed.end(), sidx.sidx_clusters.begin(),
                 sidx.sidx_clusters.end());
+  // Best-effort: no durable snapshot references the failed build's
+  // clusters, so recovery reclaims any a failed reset leaves behind.
   (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
   co_return result;
 }

@@ -901,20 +901,7 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   // first suspension: from here no command can find — let alone pin — the
   // dying keyspace, so freeing it (runtime state included) is safe.
   const std::uint64_t id = ks->id;
-  std::vector<ClusterId> doomed;
-  auto take = [&doomed](std::vector<ClusterId>* chain) {
-    doomed.insert(doomed.end(), chain->begin(), chain->end());
-    chain->clear();
-  };
-  take(&ks->klog_clusters);
-  take(&ks->vlog_clusters);
-  take(&ks->pidx_clusters);
-  take(&ks->sorted_value_clusters);
-  for (auto& [name, sidx] : ks->secondary_indexes) {
-    take(&sidx.sidx_clusters);
-  }
-  const std::vector<ClusterId> blobs = BlobClusters(*ks);
-  doomed.insert(doomed.end(), blobs.begin(), blobs.end());
+  std::vector<ClusterId> doomed = ks->Clusters();
   KVCSD_CO_RETURN_IF_ERROR(keyspace_manager_.Erase(id));  // frees *ks
   index_cache_.EraseKeyspace(id);
 

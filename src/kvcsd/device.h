@@ -309,10 +309,24 @@ class Device {
   // RunRecompaction (RECOMPACTING). Whatever the body allocated sits in
   // `scratch`; on failure the clusters are released best-effort (after a
   // power cut the resets fail and recovery reclaims the orphans instead)
-  // and the keyspace rolls back to the state it was compacted from.
+  // and the keyspace rolls back (Keyspace::RollBackCompaction). The
+  // keyspace stays pinned until the job ends, so a drop defers to it.
   sim::Task<Status> CompactKeyspace(
       Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
       std::uint64_t trigger_cmd_id);
+
+  // The one commit of a compaction or fold (DESIGN.md §8): swaps `next`
+  // in as the keyspace's layout, sets COMPACTED and persists. If the
+  // persist fails, the old layout and the (RE)COMPACTING state come back
+  // and CompactKeyspace rolls the keyspace back. On success `scratch` is
+  // cleared (the snapshot now owns the outputs), the keyspace's cached
+  // index blocks are dropped and the superseded layout is returned.
+  sim::Task<Result<KeyspaceLayout>> CommitLayout(
+      Keyspace* ks, KeyspaceLayout next, std::vector<ClusterId>* scratch);
+  // After a commit: releases every cluster `old` references that the
+  // committed layout `now` does not, in `old.Clusters()` order.
+  sim::Task<void> ReleaseSuperseded(const KeyspaceLayout& old,
+                                    const KeyspaceLayout& now);
 
   // The compaction body: sorts the keyspace; when `fused_specs` is
   // non-empty, also builds those secondary indexes in the same pass (the

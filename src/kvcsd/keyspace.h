@@ -153,23 +153,12 @@ struct KeyspaceRuntime {
   sim::Event readers_idle;
 };
 
-struct Keyspace {
-  explicit Keyspace(sim::Simulation* sim) : runtime(sim) {}
-
-  // A (re)compaction owns the logs right now.
-  bool compacting() const {
-    return state == KeyspaceState::kCompacting ||
-           state == KeyspaceState::kRecompacting;
-  }
-
-  std::uint64_t id = 0;
-  std::string name;
-  KeyspaceState state = KeyspaceState::kEmpty;
-
-  std::uint64_t num_kvs = 0;
-  std::string min_key;
-  std::string max_key;
-
+// The part of a keyspace that a compaction or fold commit replaces
+// (DESIGN.md §8 "Commit protocol"): its logs, its sorted run and indexes,
+// the entry counts and the delta. A commit builds the next layout whole,
+// swaps it in (Device::CommitLayout) and releases the clusters the old
+// layout referenced that the new one does not.
+struct KeyspaceLayout {
   // WRITABLE-phase storage.
   std::vector<ClusterId> klog_clusters;
   std::vector<ClusterId> vlog_clusters;
@@ -191,17 +180,12 @@ struct Keyspace {
 
   std::map<std::string, SecondaryIndex> secondary_indexes;
 
+  std::uint64_t num_kvs = 0;
   // Live entries in the sorted run (exact count produced by the last
   // LWW-deduped compaction; persisted). num_kvs for a COMPACTED keyspace
   // is run_entries plus the delta's live (non-tombstone) key count — an
   // estimate, since a delta PUT may overwrite a run key.
   std::uint64_t run_entries = 0;
-
-  // Next mutation sequence. NOT persisted: recovery derives it as
-  // (max replayed seq + 1); compaction releases the logs that carried the
-  // old sequences, so restarting the counter per delta generation is safe
-  // — LWW only ever compares sequences within one log generation.
-  std::uint64_t next_seq = 1;
 
   // COMPACTED-phase delta (DESIGN.md §12): newest mutation per key,
   // rebuilt from the klog/vlog delta chains at recovery. Number of
@@ -214,6 +198,64 @@ struct Keyspace {
   // gauge and compared against DeviceConfig::delta_fold_watermark_bytes to
   // trigger watermark folds. Not persisted.
   std::uint64_t delta_index_bytes = 0;
+
+  // Every cluster the layout references, in release order: klog, vlog,
+  // pidx, sorted values, each SIDX chain by name, the PIDX blob, then
+  // each SIDX blob by name. ZoneManager::ReleaseClusters frees zones in
+  // vector order, so this order fixes where later allocations land.
+  std::vector<ClusterId> Clusters() const {
+    std::vector<ClusterId> out;
+    auto add = [&out](const std::vector<ClusterId>& chain) {
+      out.insert(out.end(), chain.begin(), chain.end());
+    };
+    add(klog_clusters);
+    add(vlog_clusters);
+    add(pidx_clusters);
+    add(sorted_value_clusters);
+    for (const auto& [name, sidx] : secondary_indexes) add(sidx.sidx_clusters);
+    if (pidx_blob.cluster != 0) out.push_back(pidx_blob.cluster);
+    for (const auto& [name, sidx] : secondary_indexes) {
+      const ClusterId blob = sidx.sketch_blob.cluster;
+      if (blob != 0) out.push_back(blob);
+    }
+    return out;
+  }
+};
+
+struct Keyspace : KeyspaceLayout {
+  explicit Keyspace(sim::Simulation* sim) : runtime(sim) {}
+
+  // A (re)compaction owns the logs right now.
+  bool compacting() const {
+    return state == KeyspaceState::kCompacting ||
+           state == KeyspaceState::kRecompacting;
+  }
+
+  // The rollback rule for a (re)compaction that never committed, live or
+  // at recovery: a fold returns to COMPACTED with its delta still pending;
+  // a full compaction returns to WRITABLE with its logs (EMPTY if it had
+  // none).
+  void RollBackCompaction() {
+    if (state == KeyspaceState::kRecompacting) {
+      state = KeyspaceState::kCompacted;
+    } else if (state == KeyspaceState::kCompacting) {
+      state = klog_clusters.empty() ? KeyspaceState::kEmpty
+                                    : KeyspaceState::kWritable;
+    }
+  }
+
+  std::uint64_t id = 0;
+  std::string name;
+  KeyspaceState state = KeyspaceState::kEmpty;
+
+  std::string min_key;
+  std::string max_key;
+
+  // Next mutation sequence. NOT persisted: recovery derives it as
+  // (max replayed seq + 1); compaction releases the logs that carried the
+  // old sequences, so restarting the counter per delta generation is safe
+  // — LWW only ever compares sequences within one log generation.
+  std::uint64_t next_seq = 1;
 
   // Deletion requested while compaction/index build was running (paper:
   // "deletion may be deferred due to on-going compaction"). Persisted in
@@ -233,16 +275,5 @@ struct Keyspace {
   std::uint32_t active_readers = 0;
   KeyspaceRuntime runtime;
 };
-
-// The clusters holding a keyspace's index metadata blobs (PIDX first,
-// then each SIDX in name order).
-inline std::vector<ClusterId> BlobClusters(const Keyspace& ks) {
-  std::vector<ClusterId> out;
-  if (ks.pidx_blob.cluster != 0) out.push_back(ks.pidx_blob.cluster);
-  for (const auto& [name, sidx] : ks.secondary_indexes) {
-    if (sidx.sketch_blob.cluster != 0) out.push_back(sidx.sketch_blob.cluster);
-  }
-  return out;
-}
 
 }  // namespace kvcsd::device

@@ -346,7 +346,8 @@ sim::Task<Result<BlobRef>> KeyspaceManager::WriteBlob(ZoneType role,
   ref.cluster = *cluster;
   auto addr = co_await zones_->Append(ref.cluster, wire::AsBytes(framed), act);
   if (!addr.ok()) {
-    // Never referenced: hand the zone straight back.
+    // Never referenced: hand the zone straight back. Best-effort, since
+    // recovery reclaims an unreferenced cluster a failed reset leaves.
     std::vector<ClusterId> unused(1, ref.cluster);
     (void)co_await zones_->ReleaseClusters(std::move(unused));
     co_return addr.status();

@@ -569,22 +569,24 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // ---- Out-of-line metadata: a fresh blob for each index that changed ----
   // Written ahead of the commit snapshot that references them, as scratch;
   // the blobs they supersede die in the post-commit release batch.
-  std::optional<BlobRef> new_pidx_blob;
+  KeyspaceLayout next;
+  next.pidx_blob = ks->pidx_blob;
   if (!items.empty()) {
     auto blob = co_await keyspace_manager_.WritePidxBlob(
         new_sketch, new_bloom, sim::Activity::kRecompact);
     if (!blob.ok()) co_return blob.status();
     scratch->push_back(blob->cluster);
-    new_pidx_blob = *blob;
+    next.pidx_blob = *blob;
   }
-  std::map<std::string, BlobRef> new_sidx_blobs;
-  for (const auto& [name, fold] : sidx_folds) {
-    if (fold.rebuilt == 0) continue;  // every block retained: same sketch
+  for (const auto& [name, sidx] : ks->secondary_indexes) {
+    BlobRef& ref = next.secondary_indexes[name].sketch_blob;
+    ref = sidx.sketch_blob;
+    if (sidx_folds[name].rebuilt == 0) continue;  // every block retained
     auto blob = co_await keyspace_manager_.WriteSidxBlob(
-        fold.new_sketch, sim::Activity::kRecompact);
+        sidx_folds[name].new_sketch, sim::Activity::kRecompact);
     if (!blob.ok()) co_return blob.status();
     scratch->push_back(blob->cluster);
-    new_sidx_blobs[name] = *blob;
+    ref = *blob;
   }
 
   // ---- Commit ----
@@ -606,128 +608,54 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     co_return Status::IoError("simulated power loss before recompact commit");
   }
 
-  // Partition each old index chain into clusters a retained block still
-  // references (they stay in the keyspace) and dead ones (released past
-  // the commit point). A cluster is referenced iff one of its zones holds
-  // a retained block; new-cluster zones can never alias old ones.
+  // Each index chain keeps the old clusters a retained block still
+  // references, followed by the fold's fresh ones; the rest of the old
+  // chain dies in the post-commit release. A cluster is referenced iff one
+  // of its zones holds a block of the new sketch; new-cluster zones can
+  // never alias old ones.
   const std::uint64_t zone_size = ssd_.zone_size();
-  auto partition = [&](const std::vector<ClusterId>& old_chain,
-                       const std::vector<SketchEntry>& sketch,
-                       std::vector<ClusterId>* live,
-                       std::vector<ClusterId>* dead) {
+  auto chain = [&](const std::vector<ClusterId>& old_chain,
+                   const std::vector<SketchEntry>& sketch,
+                   const std::vector<ClusterId>& fresh) {
     std::set<std::uint64_t> zones;
     for (const SketchEntry& e : sketch) zones.insert(e.block_addr / zone_size);
+    std::vector<ClusterId> out;
     for (ClusterId id : old_chain) {
-      bool referenced = false;
-      for (std::uint32_t z : zone_manager_.cluster_zones(id)) {
-        if (zones.contains(z)) {
-          referenced = true;
-          break;
-        }
+      const std::vector<std::uint32_t>& own = zone_manager_.cluster_zones(id);
+      if (std::any_of(own.begin(), own.end(),
+                      [&](std::uint32_t z) { return zones.contains(z); })) {
+        out.push_back(id);
       }
-      (referenced ? live : dead)->push_back(id);
     }
+    out.insert(out.end(), fresh.begin(), fresh.end());
+    return out;
   };
 
-  std::vector<ClusterId> pidx_live, pidx_dead;
-  partition(ks->pidx_clusters, new_sketch, &pidx_live, &pidx_dead);
-  std::map<std::string, std::pair<std::vector<ClusterId>,
-                                  std::vector<ClusterId>>> sidx_parts;
-  for (const auto& [name, sidx] : ks->secondary_indexes) {
-    auto& [live, dead] = sidx_parts[name];
-    partition(sidx.sidx_clusters, sidx_folds[name].new_sketch, &live, &dead);
-  }
-
-  // Save the old state for a symmetric un-install on persist failure.
-  std::vector<ClusterId> old_klog = std::move(ks->klog_clusters);
-  std::vector<ClusterId> old_vlog = std::move(ks->vlog_clusters);
-  const std::uint64_t old_klog_bytes = ks->klog_bytes;
-  const std::uint64_t old_vlog_bytes = ks->vlog_bytes;
-  std::vector<ClusterId> old_pidx = std::move(ks->pidx_clusters);
-  std::vector<SketchEntry> old_pidx_sketch = std::move(ks->pidx_sketch);
-  std::string old_bloom = std::move(ks->pidx_bloom);
-  const BlobRef old_pidx_blob = ks->pidx_blob;
-  const std::uint64_t old_num_kvs = ks->num_kvs;
-  const std::uint64_t old_run_entries = ks->run_entries;
-  std::map<std::string, DeltaEntry> old_delta = std::move(ks->delta_index);
-  const std::uint64_t old_delta_live = ks->delta_live;
-  const std::uint64_t old_delta_index_bytes = ks->delta_index_bytes;
-  struct OldSidx {
-    std::vector<ClusterId> clusters;
-    std::vector<SketchEntry> sketch;
-    BlobRef blob;
-  };
-  std::map<std::string, OldSidx> old_sidx;
-  for (auto& [name, sidx] : ks->secondary_indexes) {
-    old_sidx[name] = {std::move(sidx.sidx_clusters), std::move(sidx.sketch),
-                      sidx.sketch_blob};
-  }
-  const std::uint64_t old_value_count = ks->sorted_value_clusters.size();
-
-  // Install the folded state. The old sorted-value clusters all stay:
-  // retained and rebuilt blocks alike still point at unchanged run values.
-  ks->klog_clusters.clear();
-  ks->vlog_clusters.clear();
-  ks->klog_bytes = 0;
-  ks->vlog_bytes = 0;
-  ks->pidx_clusters = pidx_live;
-  ks->pidx_clusters.insert(ks->pidx_clusters.end(), new_pidx_clusters.begin(),
-                           new_pidx_clusters.end());
-  ks->sorted_value_clusters.insert(ks->sorted_value_clusters.end(),
-                                   new_value_clusters.begin(),
-                                   new_value_clusters.end());
-  ks->pidx_sketch = std::move(new_sketch);
-  ks->pidx_bloom = std::move(new_bloom);
-  if (new_pidx_blob.has_value()) ks->pidx_blob = *new_pidx_blob;
-  ks->run_entries = static_cast<std::uint64_t>(
+  // The folded layout; the delta logs and the delta index start empty.
+  // Every old sorted-value cluster stays: retained and rebuilt blocks alike
+  // still point at unchanged run values.
+  next.pidx_clusters = chain(ks->pidx_clusters, new_sketch, new_pidx_clusters);
+  next.sorted_value_clusters = ks->sorted_value_clusters;
+  next.sorted_value_clusters.insert(next.sorted_value_clusters.end(),
+                                    new_value_clusters.begin(),
+                                    new_value_clusters.end());
+  next.pidx_sketch = std::move(new_sketch);
+  next.pidx_bloom = std::move(new_bloom);
+  next.run_entries = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(ks->run_entries) + run_entries_delta);
-  ks->num_kvs = ks->run_entries;
-  ks->delta_index.clear();
-  ks->delta_live = 0;
-  ks->delta_index_bytes = 0;
-  for (auto& [name, sidx] : ks->secondary_indexes) {
+  next.num_kvs = next.run_entries;
+  for (const auto& [name, sidx] : ks->secondary_indexes) {
     SidxFold& fold = sidx_folds[name];
-    sidx.sidx_clusters = sidx_parts[name].first;
-    sidx.sidx_clusters.insert(sidx.sidx_clusters.end(),
-                              fold.new_clusters.begin(),
-                              fold.new_clusters.end());
-    sidx.sketch = std::move(fold.new_sketch);
-    sidx.entries = fold.new_entries;
-    if (auto blob = new_sidx_blobs.find(name); blob != new_sidx_blobs.end()) {
-      sidx.sketch_blob = blob->second;
-    }
+    SecondaryIndex& folded = next.secondary_indexes[name];
+    folded.spec = sidx.spec;
+    folded.sidx_clusters =
+        chain(sidx.sidx_clusters, fold.new_sketch, fold.new_clusters);
+    folded.sketch = std::move(fold.new_sketch);
+    folded.entries = fold.new_entries;
   }
-  ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.Persist();
-  if (!commit.ok()) {
-    ks->klog_clusters = std::move(old_klog);
-    ks->vlog_clusters = std::move(old_vlog);
-    ks->klog_bytes = old_klog_bytes;
-    ks->vlog_bytes = old_vlog_bytes;
-    ks->pidx_clusters = std::move(old_pidx);
-    ks->pidx_sketch = std::move(old_pidx_sketch);
-    ks->pidx_bloom = std::move(old_bloom);
-    ks->pidx_blob = old_pidx_blob;
-    ks->num_kvs = old_num_kvs;
-    ks->run_entries = old_run_entries;
-    ks->delta_index = std::move(old_delta);
-    ks->delta_live = old_delta_live;
-    ks->delta_index_bytes = old_delta_index_bytes;
-    ks->sorted_value_clusters.resize(old_value_count);
-    for (auto& [name, sidx] : ks->secondary_indexes) {
-      OldSidx& old = old_sidx[name];
-      sidx.sidx_clusters = std::move(old.clusters);
-      sidx.sketch = std::move(old.sketch);
-      sidx.sketch_blob = old.blob;
-    }
-    ks->state = KeyspaceState::kRecompacting;  // wrapper rolls back
-    co_return commit;
-  }
+  auto old = co_await CommitLayout(ks, std::move(next), scratch);
+  if (!old.ok()) co_return old.status();
   commit_phase.reset();
-  scratch->clear();  // the outputs are now owned by the durable snapshot
-  // Retained blocks kept their addresses, but rebuilt and dead blocks
-  // must never be served from DRAM again; drop the keyspace's cache.
-  index_cache_.EraseKeyspace(ks->id);
 
   stats().counter("device.recompact.done").Increment();
   stats().counter("device.recompact.delta_keys").Add(items.size());
@@ -748,21 +676,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // unreferenced-cluster sweep).
   (void)CrashPoint("recompact.after_commit");
   sim::TraceSpan release(sim_, trk_compaction_, "recompact.release");
-  std::vector<ClusterId> dead = std::move(old_klog);
-  dead.insert(dead.end(), old_vlog.begin(), old_vlog.end());
-  dead.insert(dead.end(), pidx_dead.begin(), pidx_dead.end());
-  for (const auto& [name, parts] : sidx_parts) {
-    dead.insert(dead.end(), parts.second.begin(), parts.second.end());
-  }
-  if (new_pidx_blob.has_value() && old_pidx_blob.cluster != 0) {
-    dead.push_back(old_pidx_blob.cluster);
-  }
-  for (const auto& [name, blob] : new_sidx_blobs) {
-    if (old_sidx[name].blob.cluster != 0) {
-      dead.push_back(old_sidx[name].blob.cluster);
-    }
-  }
-  (void)co_await zone_manager_.ReleaseClusters(std::move(dead));
+  co_await ReleaseSuperseded(*old, *ks);
   co_return Status::Ok();
 }
 

@@ -15,9 +15,9 @@
 //   2. Complete drops that were acknowledged but deferred behind a
 //      compaction or pinned handlers — the snapshot carries their
 //      pending_delete tombstone, persisted before the ack. Then roll
-//      keyspaces caught COMPACTING back to WRITABLE/EMPTY. Their logs
-//      are intact (compaction never touches them before its commit
-//      point); any outputs the snapshot happens to reference are orphans.
+//      keyspaces caught (RE)COMPACTING back by the live rollback rule
+//      (Keyspace::RollBackCompaction). Their inputs are intact: neither
+//      kind touches them before its commit point.
 //   3. Release clusters no keyspace references (uncommitted compaction
 //      outputs, TEMP runs, logs of half-dropped keyspaces).
 //   4. Reset written zones no cluster owns (allocations newer than the
@@ -64,11 +64,6 @@ sim::Task<Status> TruncateZoneTail(storage::ZnsSsd* ssd, std::uint32_t zone,
   co_return Status::Ok();
 }
 
-void AppendAll(std::vector<ClusterId>* out,
-               const std::vector<ClusterId>& ids) {
-  out->insert(out->end(), ids.begin(), ids.end());
-}
-
 }  // namespace
 
 sim::Task<Status> Device::Recover() {
@@ -105,59 +100,31 @@ sim::Task<Status> Device::Recover() {
                              " acknowledged drop(s)");
   }
 
-  // Step 2b: COMPACTING at snapshot time means the compaction never
-  // committed — its outputs (if the snapshot saw any) are orphans, its
-  // input logs are whole. Volatile runtime state (pins, the keyspace
-  // runtime) starts fresh: the table load constructed every Keyspace.
-  std::vector<ClusterId> doomed;
+  // Step 2b: a (re)compaction in the snapshot never committed. Its inputs
+  // are whole: a fold writes only fresh clusters before its commit
+  // persist, and a full compaction installs its outputs in the same step
+  // that sets COMPACTED (Device::CommitLayout), so a COMPACTING keyspace
+  // names only its logs. Roll back by the live rule; partial outputs are
+  // referenced by no keyspace and die in steps 3/4, and step 5 replays a
+  // rolled-back fold's delta chains. Volatile runtime state (pins, the
+  // keyspace runtime) starts fresh: the table load constructed every
+  // Keyspace.
   for (const auto& [id, ks_ptr] : keyspace_manager_.all()) {
     Keyspace* ks = ks_ptr.get();
-    if (ks->state == KeyspaceState::kRecompacting) {
-      // An uncommitted incremental re-compaction: the sorted run and the
-      // delta log are both intact (the fold writes only fresh clusters
-      // before its commit persist), so roll straight back to COMPACTED.
-      // Whatever partial outputs exist are referenced by no keyspace and
-      // die in steps 3/4; step 5 replays the delta chains.
-      ks->state = KeyspaceState::kCompacted;
-      log.Warn("recovery",
-               "rolled back uncommitted re-compaction on keyspace '" +
-                   ks->name + "'");
-      continue;
-    }
-    if (ks->state != KeyspaceState::kCompacting) continue;
-    AppendAll(&doomed, ks->pidx_clusters);
-    AppendAll(&doomed, ks->sorted_value_clusters);
-    AppendAll(&doomed, BlobClusters(*ks));
-    for (const auto& [name, sidx] : ks->secondary_indexes) {
-      AppendAll(&doomed, sidx.sidx_clusters);
-    }
-    ks->pidx_clusters.clear();
-    ks->sorted_value_clusters.clear();
-    ks->pidx_sketch.clear();
-    ks->pidx_bloom.clear();
-    ks->pidx_blob = BlobRef{};
-    ks->secondary_indexes.clear();
-    ks->state = ks->klog_clusters.empty() ? KeyspaceState::kEmpty
-                                          : KeyspaceState::kWritable;
-    log.Warn("recovery", "rolled back uncommitted compaction on keyspace '" +
-                             ks->name + "'");
+    if (!ks->compacting()) continue;
+    const bool fold = ks->state == KeyspaceState::kRecompacting;
+    ks->RollBackCompaction();
+    log.Warn("recovery", std::string("rolled back uncommitted ") +
+                             (fold ? "re-compaction" : "compaction") +
+                             " on keyspace '" + ks->name + "'");
   }
 
   // Step 3: reclaim clusters referenced by no keyspace.
   std::set<ClusterId> referenced;
   for (const auto& [id, ks_ptr] : keyspace_manager_.all()) {
-    const Keyspace* ks = ks_ptr.get();
-    referenced.insert(ks->klog_clusters.begin(), ks->klog_clusters.end());
-    referenced.insert(ks->vlog_clusters.begin(), ks->vlog_clusters.end());
-    referenced.insert(ks->pidx_clusters.begin(), ks->pidx_clusters.end());
-    referenced.insert(ks->sorted_value_clusters.begin(),
-                      ks->sorted_value_clusters.end());
-    for (ClusterId blob : BlobClusters(*ks)) referenced.insert(blob);
-    for (const auto& [name, sidx] : ks->secondary_indexes) {
-      referenced.insert(sidx.sidx_clusters.begin(),
-                        sidx.sidx_clusters.end());
-    }
+    for (ClusterId cluster : ks_ptr->Clusters()) referenced.insert(cluster);
   }
+  std::vector<ClusterId> doomed;
   for (const auto& [cluster, type] : zone_manager_.LiveClusters()) {
     if (!referenced.contains(cluster)) doomed.push_back(cluster);
   }
@@ -165,6 +132,8 @@ sim::Task<Status> Device::Recover() {
     log.Info("recovery", "reclaiming " + std::to_string(doomed.size()) +
                              " unreferenced cluster(s)");
   }
+  // Best-effort: a cluster whose reset fails stays allocated and
+  // unreferenced, so the next recovery reclaims it.
   (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
 
   // Step 4: reset written zones no surviving cluster owns — data from

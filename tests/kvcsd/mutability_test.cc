@@ -751,13 +751,15 @@ TEST(MutabilityTest, FoldWindowKeepsLayoutAndCutsFoldTime) {
             serial.fold_ns() - serial_round1);
 }
 
-// Arms one I/O error rule for the fold and checks the rollback contract:
-// the fold returns the injected error, the keyspace is COMPACTED again
-// with its delta intact, every scratch cluster went back to the free
-// pool, and a retried fold succeeds with the same merged bytes.
+// Arms one I/O error rule for the fold (on the metadata zone only when
+// `metadata_zone`) and checks the rollback contract: the fold returns the
+// injected error, the keyspace is COMPACTED again with its delta intact,
+// every scratch cluster went back to the free pool, each live cluster has
+// one owner, and a retried fold succeeds with the same merged bytes.
 // `pidx_appends` is how many PIDX appends the fold got to issue first.
 void ExpectFoldFaultRollsBack(sim::FaultOp op, std::uint64_t skip,
-                              std::uint64_t pidx_appends) {
+                              std::uint64_t pidx_appends,
+                              bool metadata_zone = false) {
   FoldFixture f;
   testutil::RunSim(f.sim, LoadCompactSpreadDelta(&f.db));
   std::uint32_t primary = 0, secondary = 0;
@@ -770,8 +772,10 @@ void ExpectFoldFaultRollsBack(sim::FaultOp op, std::uint64_t skip,
   sim::ErrorRule rule;
   rule.op = op;
   rule.skip = skip;
+  if (metadata_zone) rule.zone = f.dev->keyspaces().current_meta_zone();
   f.faults.AddErrorRule(rule);
-  Status folded = testutil::RunSim(f.sim, DeviceTestPeer::Fold(f.dev.get(), ks));
+  Status folded =
+      testutil::RunSim(f.sim, DeviceTestPeer::Compact(f.dev.get(), ks));
   EXPECT_EQ(folded.code(), StatusCode::kIoError) << folded.ToString();
   EXPECT_EQ(f.faults.errors_injected(), 1u);
   EXPECT_EQ(f.counter("zns.pidx.appends") - pidx_appends_before,
@@ -780,6 +784,7 @@ void ExpectFoldFaultRollsBack(sim::FaultOp op, std::uint64_t skip,
   EXPECT_EQ(ks->delta_index.size(), delta_keys);
   EXPECT_EQ(f.dev->zones().free_zones(), free_before);
   EXPECT_EQ(f.counter("device.recompact.done"), 0u);
+  ExpectClustersOwnedOnce(f.dev.get());
   std::uint32_t primary_after = 0, secondary_after = 0;
   testutil::RunSim(f.sim,
                    FingerprintFold(&f.db, &primary_after, &secondary_after));
@@ -789,6 +794,7 @@ void ExpectFoldFaultRollsBack(sim::FaultOp op, std::uint64_t skip,
   f.Fold();  // the rule fired once; the retry runs clean
   EXPECT_EQ(f.counter("device.recompact.done"), 1u);
   EXPECT_TRUE(ks->delta_index.empty());
+  ExpectClustersOwnedOnce(f.dev.get());
   testutil::RunSim(f.sim,
                    FingerprintFold(&f.db, &primary_after, &secondary_after));
   EXPECT_EQ(primary_after, primary);
@@ -809,6 +815,76 @@ TEST(MutabilityTest, FoldAppendErrorMidWindowRollsBack) {
   // snapshot and one batch of delta values; PIDX append window + 2 fails.
   const std::uint64_t window = DeviceConfig{}.gather_fanout;
   ExpectFoldFaultRollsBack(sim::FaultOp::kAppend, 2 + window + 1, window + 1);
+}
+
+TEST(MutabilityTest, FoldCommitPersistErrorRollsBack) {
+  // The fold appends two snapshots: RECOMPACTING, then the commit. The
+  // commit fails after the whole fold was written: all 27 PIDX appends a
+  // clean fold of this delta issues, its PIDX blob's included.
+  ExpectFoldFaultRollsBack(sim::FaultOp::kAppend, 1, 27, true);
+}
+
+// Overwrites every 7th key of [0, keys) and deletes every 11th, then folds
+// the delta into the run of keyspace "life".
+sim::Task<void> MutateAndFold(client::Client* db, std::uint64_t keys,
+                              float shift) {
+  auto ks = co_await db->OpenKeyspace("life");
+  KVCSD_CO_ASSERT_OK(ks);
+  for (std::uint64_t i = 0; i < keys; i += 7) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(
+        MakeFixedKey(i),
+        CsdFixture::EnergyValue(static_cast<float>(i) + shift)));
+  }
+  for (std::uint64_t i = 3; i < keys; i += 11) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Delete(MakeFixedKey(i)));
+  }
+  KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+  KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+}
+
+// Through a clean compact -> fold -> index build -> fold -> drop lifecycle
+// every live cluster keeps exactly one owner: each commit releases what
+// the superseded layout held and the new one does not, and the drop
+// releases the rest.
+TEST(MutabilityTest, FoldLifecycleKeepsOneOwnerPerCluster) {
+  CsdFixture f;
+  constexpr std::uint64_t kKeys = 2000;
+  const std::size_t free_at_start = f.dev.zones().free_zones();
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->CreateKeyspace("life");
+    KVCSD_CO_ASSERT_OK(ks);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await ks->Put(
+          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(&f.db));
+  ExpectClustersOwnedOnce(&f.dev);
+
+  testutil::RunSim(f.sim, MutateAndFold(&f.db, kKeys, 0.25f));
+  EXPECT_EQ(f.sim.stats().counter_value("device.recompact.done"), 1u);
+  ExpectClustersOwnedOnce(&f.dev);
+
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("life");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->CreateSecondaryIndexF32("energy", 28));
+  }(&f.db));
+  ExpectClustersOwnedOnce(&f.dev);
+
+  testutil::RunSim(f.sim, MutateAndFold(&f.db, kKeys, 0.5f));
+  EXPECT_EQ(f.sim.stats().counter_value("device.recompact.done"), 2u);
+  EXPECT_GT(f.sim.stats().counter_value("device.recompact.sidx_blocks_rebuilt"),
+            0u);
+  ExpectClustersOwnedOnce(&f.dev);
+
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await db->DropKeyspace("life"));
+  }(&f.db));
+  ExpectClustersOwnedOnce(&f.dev);
+  EXPECT_TRUE(f.dev.zones().LiveClusters().empty());
+  EXPECT_EQ(f.dev.zones().free_zones(), free_at_start);
 }
 
 // --------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "client/client.h"
 #include "common/crc32c.h"
 #include "common/keys.h"
+#include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
 
@@ -384,6 +385,124 @@ TEST(RecoveryTest, FailedFlushBatchSurvivesRetriedSync) {
                    RecoverAndVerify(f.dev(), f.db.get(), "requeue", kKeys));
 }
 
+// Fails the next metadata-zone append after `skip` of them pass, without a
+// power cut.
+void FailMetadataAppend(PowerCycleFixture* f, std::uint64_t skip) {
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  rule.zone = f->dev()->keyspaces().current_meta_zone();
+  rule.skip = skip;
+  f->faults.AddErrorRule(rule);
+}
+
+// Reads back every key of a COMPACTED keyspace written by LoadAndSync.
+sim::Task<void> GetEveryKey(client::Client* db, const std::string& name,
+                            std::uint64_t count) {
+  auto ks = co_await db->OpenKeyspace(name);
+  KVCSD_CO_ASSERT_OK(ks);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    auto got = co_await ks->Get(MakeFixedKey(i));
+    KVCSD_CO_ASSERT_OK(got);
+    KVCSD_CO_ASSERT(*got == DetValue(i));
+  }
+}
+
+sim::Task<void> CompactAndWait(client::Client* db, const std::string& name) {
+  auto ks = co_await db->OpenKeyspace(name);
+  KVCSD_CO_ASSERT_OK(ks);
+  KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+  KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+}
+
+// A compaction whose commit snapshot fails, with the power still on, rolls
+// back live: the error comes back, the keyspace is WRITABLE over its
+// intact logs, every zone the outputs took is free again, each live
+// cluster has one owner, and a retried compaction serves every key.
+TEST(RecoveryTest, CompactionCommitPersistErrorRollsBack) {
+  PowerCycleFixture f;
+  constexpr std::uint64_t kKeys = 300;
+  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "commit", kKeys));
+  Device* dev = f.dev();
+  Keyspace* ks = dev->keyspaces().Find("commit").value();
+  const std::size_t free_before = dev->zones().free_zones();
+  const std::uint64_t pidx_appends =
+      f.sim.stats().counter_value("zns.pidx.appends");
+
+  // The first metadata append persists COMPACTING; the second, the commit
+  // snapshot, fails after every output (PIDX blob included) was written.
+  FailMetadataAppend(&f, 1);
+  const Status compacted =
+      testutil::RunSim(f.sim, DeviceTestPeer::Compact(dev, ks));
+  EXPECT_EQ(compacted.code(), StatusCode::kIoError) << compacted.ToString();
+  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_GT(f.sim.stats().counter_value("zns.pidx.appends"), pidx_appends);
+  EXPECT_EQ(f.sim.stats().counter_value("device.compact.done"), 0u);
+  EXPECT_EQ(ks->state, KeyspaceState::kWritable);
+  EXPECT_EQ(ks->num_kvs, kKeys);
+  EXPECT_TRUE(ks->pidx_clusters.empty());
+  EXPECT_EQ(dev->zones().free_zones(), free_before);
+  ExpectClustersOwnedOnce(dev);
+
+  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "commit"));
+  EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
+  testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "commit", kKeys));
+  ExpectClustersOwnedOnce(dev);
+}
+
+// A raw-bytes index over the "value-" prefix plus the first digit, which
+// every DetValue carries.
+nvme::SecondaryIndexSpec TagIndex() {
+  nvme::SecondaryIndexSpec spec;
+  spec.name = "tag";
+  spec.value_length = 7;
+  spec.type = nvme::SecondaryKeyType::kBytes;
+  return spec;
+}
+
+// The separate secondary-index build commits through one snapshot as
+// well. When that snapshot fails, the index is absent, the keyspace still
+// answers reads, the build's zones are free again, and a retried build
+// succeeds.
+TEST(RecoveryTest, SecondaryIndexCommitPersistErrorRollsBack) {
+  PowerCycleFixture f;
+  constexpr std::uint64_t kKeys = 300;
+  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "sidx", kKeys));
+  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "sidx"));
+  Device* dev = f.dev();
+  Keyspace* ks = dev->keyspaces().Find("sidx").value();
+  const std::size_t free_before = dev->zones().free_zones();
+
+  // The build's only metadata append is its commit snapshot.
+  FailMetadataAppend(&f, 0);
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto handle = co_await db->OpenKeyspace("sidx");
+    KVCSD_CO_ASSERT_OK(handle);
+    Status built = co_await handle->CreateSecondaryIndex(TagIndex());
+    KVCSD_CO_ASSERT(built.code() == StatusCode::kIoError);
+    std::vector<std::pair<std::string, std::string>> rows;
+    Status absent =
+        co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows);
+    KVCSD_CO_ASSERT(absent.code() == StatusCode::kNotFound);
+  }(f.db.get()));
+  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_TRUE(ks->secondary_indexes.empty());
+  EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
+  EXPECT_EQ(dev->zones().free_zones(), free_before);
+  ExpectClustersOwnedOnce(dev);
+  testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "sidx", kKeys));
+
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto handle = co_await db->OpenKeyspace("sidx");
+    KVCSD_CO_ASSERT_OK(handle);
+    KVCSD_CO_ASSERT_OK(co_await handle->CreateSecondaryIndex(TagIndex()));
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(
+        co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(rows.size() == kKeys);
+  }(f.db.get()));
+  ExpectClustersOwnedOnce(dev);
+}
+
 // Write-buffer gauge of keyspace `name` (0 when the keyspace is gone).
 std::uint64_t BufferBytes(const Device& dev, const std::string& name) {
   const std::string gauge = "device.ks." + name + ".buffer_bytes";
@@ -539,7 +658,27 @@ TEST(RecoveryTest, DropDuringInflightTrafficDefers) {
     KVCSD_CO_ASSERT_OK(co_await ks2->WaitCompaction());
     auto gone2 = co_await db->OpenKeyspace("dropme2");
     KVCSD_CO_ASSERT(gone2.status().code() == StatusCode::kNotFound);
+
+    // And through the commit: the keyspace reads COMPACTED as soon as the
+    // commit snapshot is being written, while the compaction still has
+    // its persist, cache drop and release ahead of it.
+    auto ks3 = co_await db->CreateKeyspace("dropme3");
+    KVCSD_CO_ASSERT_OK(ks3);
+    for (std::uint64_t i = 0; i < 600; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await ks3->Put(MakeFixedKey(i), DetValue(i)));
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks3->Compact());
+    for (;;) {
+      auto stat = co_await ks3->GetStat();
+      KVCSD_CO_ASSERT_OK(stat);
+      if (stat->state == "COMPACTED") break;
+    }
+    KVCSD_CO_ASSERT_OK(co_await db->DropKeyspace("dropme3"));
   }(f.db.get()));
+  // The deferred drop ran once the compaction let go of the keyspace.
+  EXPECT_EQ(f.dev()->keyspaces().Find("dropme3").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_TRUE(f.dev()->zones().LiveClusters().empty());
 }
 
 // Unknown opcodes complete with Unimplemented, never silent OK — even
