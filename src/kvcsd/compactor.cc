@@ -17,11 +17,17 @@
 //    FIXED number of shares (kRunGenShares), not `soc_cores`, so the run
 //    layout — and therefore the merged output — is identical no matter
 //    how many cores execute the fan-out; core count changes timing only.
-//  * Phase 2 merges the runs through a loser tree over double-buffered
-//    TEMP readers (merge.h) and hands each gathered value batch to a
-//    concurrent index-build stage over a bounded channel, so PIDX
-//    building + fused extraction of batch N overlap the value gather and
-//    sorted-value writes of batch N+1.
+//  * Phase 2 is three stages over bounded channels: the loser-tree merge
+//    of the runs over double-buffered TEMP readers (merge.h) cuts the
+//    merged keys into value batches; the write stage gathers each batch's
+//    values and rewrites them in key order; the index stage builds PIDX
+//    blocks, the bloom filter and fused secondary-key tuples. The merge
+//    of batch N+1 overlaps the write of batch N and the indexing of N-1.
+//
+// Every output chain (TEMP runs, SORTED_VALUES, PIDX, SIDX) is written
+// through one windowed in-order ChainWriter (chain_writer.h): up to
+// gather_fanout appends in flight, each landing exactly where a serial
+// writer would put it.
 //
 // Secondary indexes are built either separately (the paper's implemented
 // design: a full scan of the compacted keyspace, extract, external sort)
@@ -38,6 +44,7 @@
 
 #include "common/bloom.h"
 #include "common/keys.h"
+#include "kvcsd/chain_writer.h"
 #include "kvcsd/device.h"
 #include "kvcsd/klog_stream.h"
 #include "kvcsd/merge.h"
@@ -58,7 +65,15 @@ namespace {
 // `soc_cores`) keeps the run layout independent of the core count.
 constexpr std::uint64_t kRunGenShares = 4;
 
-using wire::AsBytes;
+// SORTED_VALUES go out in appends of at most `limit` bytes, cut greedily
+// by value size: true when a value of `len` bytes must start a new append
+// after `*fill` bytes of the current one. Advances *fill past the value.
+bool NextValueStartsAppend(std::uint64_t* fill, std::uint64_t len,
+                           std::uint64_t limit) {
+  const bool starts = *fill > 0 && *fill + len > limit;
+  *fill = starts ? len : *fill + len;
+  return starts;
+}
 
 // Awaits one metadata blob write, then records the blob's cluster as
 // scratch (it is an output until the commit snapshot references it) and
@@ -73,6 +88,46 @@ sim::Task<Status> StoreBlob(sim::Task<Result<BlobRef>> write, BlobRef* out,
 }
 
 }  // namespace
+
+template <typename Entry, typename Size, typename Serialize>
+sim::Task<Status> Device::SpillRun(const std::vector<Entry>& sorted, Size size,
+                                   Serialize serialize,
+                                   std::vector<ClusterId>* chain,
+                                   std::vector<SpilledRun>* runs) {
+  SpilledRun run;
+  run.entries = sorted.size();
+  ChainWriter out(this, chain, ZoneType::kTemp, sim::Activity::kCompact);
+  std::string chunk;
+  chunk.reserve(config_.output_batch_bytes);
+  auto flush = [&]() -> sim::Task<Status> {
+    const std::size_t segment = run.segments.size();
+    run.segments.emplace_back(0, static_cast<std::uint32_t>(chunk.size()));
+    std::string data = std::move(chunk);
+    chunk.clear();
+    chunk.reserve(config_.output_batch_bytes);
+    SpilledRun* landed = &run;
+    co_return co_await out.Append(
+        std::move(data), [landed, segment](std::uint64_t addr) {
+          landed->segments[segment].first = addr;
+        });
+  };
+  Status status = Status::Ok();
+  for (const Entry& e : sorted) {
+    if (!chunk.empty() &&
+        chunk.size() + size(e) > config_.output_batch_bytes) {
+      status = co_await flush();
+      if (!status.ok()) break;
+    }
+    serialize(&chunk, e);
+  }
+  if (status.ok() && !chunk.empty()) status = co_await flush();
+  const Status joined = co_await out.Join();
+  if (status.ok()) status = joined;
+  KVCSD_CO_RETURN_IF_ERROR(status);
+  ++compaction_stats_.runs_spilled;
+  runs->push_back(std::move(run));
+  co_return Status::Ok();
+}
 
 // ---------------------------------------------------------------------------
 // Phase 1: parallel run generation
@@ -110,35 +165,16 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
                 if (a.key != b.key) return a.key < b.key;
                 return a.seq < b.seq;
               });
-    SpilledRun spilled;
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    auto flush_chunk = [&]() -> sim::Task<Status> {
-      if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-      auto addr = co_await AppendToChain(&out->temp_clusters, ZoneType::kTemp,
-                                         AsBytes(chunk), sim::Activity::kCompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      spilled.segments.emplace_back(*addr,
-                                    static_cast<std::uint32_t>(chunk.size()));
-      chunk.clear();
-      co_return Status::Ok();
-    };
-    for (const KlogEntry& e : current) {
-      if (chunk.size() + e.key.size() + 20 > config_.output_batch_bytes) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-      }
-      wire::AppendKlogEntry(&chunk, e.key, e.value_addr, e.value_len, e.seq,
-                            e.tombstone);
-      ++spilled.entries;
-    }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-    ++compaction_stats_.runs_spilled;
-    out->runs.push_back(std::move(spilled));
+    const Status spilled = co_await SpillRun(
+        current, [](const KlogEntry& e) { return e.key.size() + 20; },
+        [](std::string* chunk, const KlogEntry& e) {
+          wire::AppendKlogEntry(chunk, e.key, e.value_addr, e.value_len,
+                                e.seq, e.tombstone);
+        },
+        &out->temp_clusters, &out->runs);
     current.clear();
     current_bytes = 0;
-    co_return Status::Ok();
+    co_return spilled;
   };
 
   KlogZoneStream stream(&ssd_, zone, config_.output_batch_bytes,
@@ -170,43 +206,16 @@ sim::Task<Status> Device::SidxSpill(SidxSortState* state) {
   co_await cpu_.ComputeBytes(state->current_bytes,
                              config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
   std::sort(state->current.begin(), state->current.end(), SidxOrder);
-  SpilledRun spilled;
-  std::string chunk;
-  auto flush_chunk = [&]() -> sim::Task<Status> {
-    if (chunk.empty()) co_return Status::Ok();
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&state->temp_clusters,
-                                       ZoneType::kTemp, AsBytes(chunk), sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += chunk.size();
-    spilled.segments.emplace_back(*addr,
-                                  static_cast<std::uint32_t>(chunk.size()));
-    chunk.clear();
-    co_return Status::Ok();
-  };
-  for (const SidxTuple& t : state->current) {
-    if (chunk.size() + wire::SidxEntrySize(t.skey, t.pkey) >
-        config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-    }
-    wire::AppendSidxEntry(&chunk, t.skey, t.pkey, t.vaddr, t.vlen);
-    ++spilled.entries;
-  }
-  KVCSD_CO_RETURN_IF_ERROR(co_await flush_chunk());
-  ++compaction_stats_.runs_spilled;
-  state->runs.push_back(std::move(spilled));
+  const Status spilled = co_await SpillRun(
+      state->current,
+      [](const SidxTuple& t) { return wire::SidxEntrySize(t.skey, t.pkey); },
+      [](std::string* chunk, const SidxTuple& t) {
+        wire::AppendSidxEntry(chunk, t.skey, t.pkey, t.vaddr, t.vlen);
+      },
+      &state->temp_clusters, &state->runs);
   state->current.clear();
   state->current_bytes = 0;
-  co_return Status::Ok();
-}
-
-sim::Task<Status> Device::SidxAdd(SidxSortState* state, SidxTuple tuple) {
-  state->current_bytes += tuple.skey.size() + tuple.pkey.size() + 12;
-  state->current.push_back(std::move(tuple));
-  if (state->current_bytes >= state->run_budget) {
-    KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(state));
-  }
-  co_return Status::Ok();
+  co_return spilled;
 }
 
 sim::Task<Status> Device::SidxMergeToBlocks(
@@ -222,45 +231,32 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 
   SecondaryIndex& sidx = *out;
   sidx.spec = spec;
-  wire::IndexBlockPacker packer(config_.index_block_size);
-  auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (packer.closed_bytes() == 0) co_return Status::Ok();
-    std::vector<std::string> pivots;
-    const std::string blob = packer.Take(&pivots);
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&sidx.sidx_clusters, ZoneType::kSidx,
-                                       AsBytes(blob), sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pivots.size(); ++i) {
-      sidx.sketch.push_back(SketchEntry{
-          std::move(pivots[i]), *addr + i * config_.index_block_size,
-          config_.index_block_size});
-    }
-    co_return Status::Ok();
-  };
-
+  IndexWriter blocks(this, ZoneType::kSidx, &sidx.sidx_clusters, &sidx.sketch,
+                     sim::Activity::kCompact);
+  Status status = Status::Ok();
   std::uint64_t merged = 0;
-  while (!merger.Empty()) {
+  while (status.ok() && !merger.Empty()) {
     SidxTuple t;
-    KVCSD_CO_RETURN_IF_ERROR(co_await merger.Pop(&t));
+    status = co_await merger.Pop(&t);
+    if (!status.ok()) break;
 
     merged += t.skey.size() + t.pkey.size() + 12;
     if (merged >= MiB(1)) {
       co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
       merged = 0;
     }
-    packer.AddSidx(t.skey, t.pkey, t.vaddr, t.vlen);
     ++sidx.entries;
-    if (packer.closed_bytes() >= config_.output_batch_bytes) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+    if (blocks.AddSidx(t)) status = co_await blocks.Flush();
+  }
+  if (status.ok()) {
+    if (merged > 0) {
+      co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
     }
+    status = co_await blocks.Close();
   }
-  if (merged > 0) {
-    co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-  }
-  packer.Close();
-  KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+  const Status joined = co_await blocks.Join();
+  if (status.ok()) status = joined;
+  KVCSD_CO_RETURN_IF_ERROR(status);
 
   // Best-effort: the runs are merged, and a TEMP cluster a failed reset
   // leaves behind is unreferenced, so recovery reclaims it.
@@ -271,53 +267,141 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2: merge + value permutation, pipelined with index building
+// Phase 2: merge -> gather + value write -> index build
 // ---------------------------------------------------------------------------
 
-// One unit of hand-off between the gather/write stage and the index-build
-// stage: a run of merged entries with their gathered values and the
-// addresses the values were rewritten to.
+// One unit of hand-off between the phase-2 stages: a run of merged live
+// entries and, once the write stage is done with it, their gathered values
+// and the addresses the values were rewritten to.
 struct Device::ValueBatch {
+  std::uint64_t index = 0;  // position in merge order
   std::vector<KlogEntry> entries;
   std::vector<std::string> values;
   std::vector<std::uint64_t> new_addrs;
   std::uint64_t value_bytes = 0;
+
+  void Admit(KlogEntry entry) {
+    value_bytes += entry.value_len;
+    entries.push_back(std::move(entry));
+  }
 };
 
-struct Device::PidxPipeline {
-  sim::BoundedChannel<std::unique_ptr<ValueBatch>>* channel = nullptr;
+struct Device::Phase2Pipeline {
+  explicit Phase2Pipeline(Device* device)
+      : dev(device), merged(device->sim_, 1), written(device->sim_, 1) {}
+
+  // Closes one stage's work on one batch: a span on the stage's own
+  // compaction track (stages overlap, so they cannot share one) and a
+  // sample of device.compact.phase2_<stage>_ns.
+  void Record(const char* stage, const ValueBatch& batch, Tick start) {
+    const Tick now = dev->sim_->Now();
+    dev->stats()
+        .histogram(std::string("device.compact.phase2_") + stage + "_ns")
+        .Record(now - start);
+    sim::Tracer& tracer = dev->sim_->tracer();
+    if (!tracer.enabled()) return;
+    tracer.CompleteSpan(
+        tracer.Track(dev->config_.stats_prefix + "compact." + stage),
+        std::string("phase2.") + stage, start, now,
+        {{"batch", std::to_string(batch.index)},
+         {"entries", std::to_string(batch.entries.size())}});
+  }
+
+  Device* dev;
+  sim::BoundedChannel<std::unique_ptr<ValueBatch>> merged;   // merge -> write
+  sim::BoundedChannel<std::unique_ptr<ValueBatch>> written;  // write -> index
   const std::vector<nvme::SecondaryIndexSpec>* specs = nullptr;
   std::vector<SidxSortState>* sidx_states = nullptr;
   // When non-null, every merged key is also added to the keyspace's bloom
   // filter here — the one moment all primary keys stream through DRAM in
   // order, so the filter build costs no extra I/O (DESIGN.md §10).
   BloomFilterBuilder* bloom = nullptr;
+  std::vector<ClusterId> value_clusters;
   std::vector<SketchEntry> sketch;
   std::vector<ClusterId> pidx_clusters;
   std::uint64_t entries_total = 0;
-  // Set when the consumer fails; the producer stops feeding new batches.
+  // Set when any stage fails: upstream stages stop producing, downstream
+  // ones drain their input without working on it.
   bool failed = false;
 };
 
-sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
-  wire::IndexBlockPacker packer(config_.index_block_size);
-  auto flush_blocks = [&]() -> sim::Task<Status> {
-    if (packer.closed_bytes() == 0) co_return Status::Ok();
-    std::vector<std::string> pivots;
-    const std::string blob = packer.Take(&pivots);
-    co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-    auto addr = co_await AppendToChain(&pipe->pidx_clusters, ZoneType::kPidx,
-                                       AsBytes(blob), sim::Activity::kCompact);
-    if (!addr.ok()) co_return addr.status();
-    compaction_stats_.bytes_written += blob.size();
-    for (std::size_t i = 0; i < pivots.size(); ++i) {
-      pipe->sketch.push_back(SketchEntry{
-          std::move(pivots[i]), *addr + i * config_.index_block_size,
-          config_.index_block_size});
+sim::Task<Status> Device::ValueWriteStage(Phase2Pipeline* pipe) {
+  // Gathers the batch's values and rewrites them in key order; values
+  // [first, upto) go out as one append, and their new addresses are filled
+  // in when it lands.
+  auto write = [&](ValueBatch* b) -> sim::Task<Status> {
+    std::vector<ValueRef> refs;
+    refs.reserve(b->entries.size());
+    for (const KlogEntry& e : b->entries) {
+      refs.push_back(ValueRef{e.value_addr, e.value_len});
     }
-    co_return Status::Ok();
+    auto values = co_await GatherValues(std::move(refs), sim::Activity::kCompact);
+    if (!values.ok()) co_return values.status();
+    compaction_stats_.bytes_read += b->value_bytes;
+    co_await cpu_.ComputeBytes(b->value_bytes,
+                               config_.costs.memcpy_bytes_per_sec, sim::Activity::kCompact);
+    b->values = std::move(*values);
+    b->new_addrs.assign(b->entries.size(), 0);
+
+    ChainWriter out(this, &pipe->value_clusters, ZoneType::kSortedValues,
+                    sim::Activity::kCompact);
+    std::string chunk;
+    chunk.reserve(config_.output_batch_bytes);
+    std::size_t chunk_first = 0;
+    auto flush = [&](std::size_t upto) -> sim::Task<Status> {
+      const std::size_t first = chunk_first;
+      chunk_first = upto;
+      std::string data = std::move(chunk);
+      chunk.clear();
+      chunk.reserve(config_.output_batch_bytes);
+      co_return co_await out.Append(
+          std::move(data), [b, first, upto](std::uint64_t addr) {
+            for (std::size_t i = first; i < upto; ++i) {
+              b->new_addrs[i] = addr;
+              addr += b->values[i].size();
+            }
+          });
+    };
+    Status status = Status::Ok();
+    std::uint64_t fill = 0;
+    for (std::size_t i = 0; i < b->entries.size(); ++i) {
+      if (NextValueStartsAppend(&fill, b->values[i].size(),
+                                config_.output_batch_bytes)) {
+        status = co_await flush(i);
+        if (!status.ok()) break;
+      }
+      chunk += b->values[i];
+    }
+    if (status.ok() && !chunk.empty()) {
+      status = co_await flush(b->entries.size());
+    }
+    // The index stage reads new_addrs: every append must have landed.
+    const Status joined = co_await out.Join();
+    co_return status.ok() ? joined : status;
   };
 
+  Status result = Status::Ok();
+  for (;;) {
+    auto item = co_await pipe->merged.Pop();
+    if (!item.has_value()) break;
+    // Drain after a failure: the merge must always wake.
+    if (!result.ok() || pipe->failed) continue;
+    const Tick start = sim_->Now();
+    result = co_await write(item->get());
+    if (!result.ok()) {
+      pipe->failed = true;
+      continue;
+    }
+    pipe->Record("write", **item, start);
+    co_await pipe->written.Push(std::move(*item));
+  }
+  pipe->written.Close();
+  co_return result;
+}
+
+sim::Task<Status> Device::IndexBuildStage(Phase2Pipeline* pipe) {
+  IndexWriter pidx(this, ZoneType::kPidx, &pipe->pidx_clusters, &pipe->sketch,
+                   sim::Activity::kCompact);
   auto process = [&](ValueBatch& b) -> sim::Task<Status> {
     // Fused secondary-key extraction touches every value byte while the
     // batch sits in DRAM anyway (no keyspace re-read).
@@ -328,9 +412,8 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
     std::uint64_t bloom_key_bytes = 0;
     for (std::size_t i = 0; i < b.entries.size(); ++i) {
       const KlogEntry& e = b.entries[i];
-      packer.AddPidx(e.key, b.new_addrs[i], e.value_len);
-      if (packer.closed_bytes() >= config_.output_batch_bytes) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_blocks());
+      if (pidx.AddPidx(e.key, b.new_addrs[i], e.value_len)) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await pidx.Flush());
       }
       if (pipe->bloom != nullptr) {
         pipe->bloom->AddKey(Slice(e.key));
@@ -342,9 +425,11 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
         auto skey = nvme::ExtractSecondaryKey(Slice(b.values[i]),
                                               (*pipe->specs)[spec_index]);
         if (!skey.ok()) co_return skey.status();
+        SidxSortState& state = (*pipe->sidx_states)[spec_index];
         SidxTuple tuple{std::move(*skey), e.key, b.new_addrs[i], e.value_len};
-        KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(
-            &(*pipe->sidx_states)[spec_index], std::move(tuple)));
+        if (state.Add(std::move(tuple))) {
+          KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(&state));
+        }
       }
     }
     pipe->entries_total += b.entries.size();
@@ -358,17 +443,21 @@ sim::Task<Status> Device::IndexBuildStage(PidxPipeline* pipe) {
 
   Status result = Status::Ok();
   for (;;) {
-    auto item = co_await pipe->channel->Pop();
+    auto item = co_await pipe->written.Pop();
     if (!item.has_value()) break;
-    if (!result.ok()) continue;  // drain so a blocked producer always wakes
-    Status s = co_await process(**item);
-    if (!s.ok()) {
-      result = s;
+    // Drain after a failure: the write stage must always wake.
+    if (!result.ok() || pipe->failed) continue;
+    const Tick start = sim_->Now();
+    result = co_await process(**item);
+    if (!result.ok()) {
       pipe->failed = true;
+      continue;
     }
+    pipe->Record("index", **item, start);
   }
-  packer.Close();
-  if (result.ok()) result = co_await flush_blocks();
+  if (result.ok()) result = co_await pidx.Close();
+  const Status joined = co_await pidx.Join();
+  if (result.ok()) result = joined;
   if (!result.ok()) pipe->failed = true;
   co_return result;
 }
@@ -561,7 +650,7 @@ sim::Task<Status> Device::RunCompaction(
         {{"keyspace", ks->name}, {"runs", std::to_string(runs.size())}});
   }
 
-  // ---- Phase 2: loser-tree merge feeding the index-build stage ----
+  // ---- Phase 2: merge -> gather + value write -> index build ----
   const Tick phase2_start = sim_->Now();
   compaction_stats_.max_merge_fanin =
       std::max<std::uint64_t>(compaction_stats_.max_merge_fanin, runs.size());
@@ -570,79 +659,53 @@ sim::Task<Status> Device::RunCompaction(
   KVCSD_CO_RETURN_IF_ERROR(
       co_await merger.Init(runs, &compaction_stats_.bytes_read));
 
-  std::vector<ClusterId> value_clusters;
-  sim::BoundedChannel<std::unique_ptr<ValueBatch>> batches(sim_, 1);
   std::optional<BloomFilterBuilder> bloom;
   if (config_.bloom_bits_per_key > 0) {
     bloom.emplace(static_cast<int>(config_.bloom_bits_per_key));
   }
-  PidxPipeline pipe;
-  pipe.channel = &batches;
+  Phase2Pipeline pipe(this);
   pipe.specs = &fused_specs;
   pipe.sidx_states = &fused_states;
   pipe.bloom = bloom.has_value() ? &*bloom : nullptr;
-  sim::TaskGroup index_stage(sim_);
-  index_stage.Spawn(IndexBuildStage(&pipe));
+  sim::TaskGroup stages(sim_);
+  stages.Spawn(ValueWriteStage(&pipe));
+  stages.Spawn(IndexBuildStage(&pipe));
 
-  // Up to three batches can be DRAM-resident at once (one being built,
-  // one queued, one being indexed), so each takes a third of the budget.
+  // Up to five batches can be DRAM-resident at once (one being merged, one
+  // queued for the write stage, one being gathered and written, one queued
+  // for the index stage, one being indexed), so each takes a fifth of the
+  // key share. A batch ends at the first SORTED_VALUES append boundary
+  // past its budget (at most one append later), so the appends, and the
+  // address of every value, are those of a single batch: the budget
+  // decides when values are written, never where.
   const std::uint64_t batch_budget = std::max<std::uint64_t>(
-      config_.dram_bytes / 4 / budget_shares / 3, KiB(64));
+      config_.dram_bytes / 4 / budget_shares / 5, KiB(64));
 
-  // Gathers the batch's values, rewrites them in key order (recording the
-  // new addresses), and hands the batch to the index-build stage.
-  auto emit_batch = [&](std::unique_ptr<ValueBatch> b) -> sim::Task<Status> {
-    if (b->entries.empty()) co_return Status::Ok();
-    std::vector<ValueRef> refs;
-    refs.reserve(b->entries.size());
-    for (const KlogEntry& e : b->entries) {
-      refs.push_back(ValueRef{e.value_addr, e.value_len});
-    }
-    auto values = co_await GatherValues(std::move(refs), sim::Activity::kCompact);
-    if (!values.ok()) co_return values.status();
-    compaction_stats_.bytes_read += b->value_bytes;
-    co_await cpu_.ComputeBytes(b->value_bytes,
-                               config_.costs.memcpy_bytes_per_sec, sim::Activity::kCompact);
-    b->values = std::move(*values);
-    b->new_addrs.assign(b->entries.size(), 0);
-
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    std::size_t chunk_first = 0;
-    auto flush_values = [&](std::size_t upto) -> sim::Task<Status> {
-      if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kCompact);
-      auto addr = co_await AppendToChain(&value_clusters,
-                                         ZoneType::kSortedValues,
-                                         AsBytes(chunk), sim::Activity::kCompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      std::uint64_t offset = 0;
-      for (std::size_t i = chunk_first; i < upto; ++i) {
-        b->new_addrs[i] = *addr + offset;
-        offset += b->values[i].size();
-      }
-      chunk.clear();
-      chunk_first = upto;
-      co_return Status::Ok();
-    };
-    for (std::size_t i = 0; i < b->entries.size(); ++i) {
-      if (chunk.size() + b->values[i].size() > config_.output_batch_bytes &&
-          !chunk.empty()) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await flush_values(i));
-      }
-      chunk += b->values[i];
-    }
-    KVCSD_CO_RETURN_IF_ERROR(co_await flush_values(b->entries.size()));
-
-    co_await batches.Push(std::move(b));
-    co_return Status::Ok();
-  };
-
-  Status pipeline_status = Status::Ok();
+  // The merge stage runs here. Per merged entry it never suspends except
+  // inside RunMerger::Pop, which bounds the stack depth.
+  Status merge_status = Status::Ok();
   {
     auto batch = std::make_unique<ValueBatch>();
+    Tick batch_start = sim_->Now();
     std::uint64_t merged_bytes = 0;
+    // Merge CPU is charged per MiB of merged keys, and for the rest of a
+    // batch's keys before the batch is handed on.
+    auto charge_merge = [&]() -> sim::Task<void> {
+      if (merged_bytes == 0) co_return;
+      co_await cpu_.ComputeBytes(merged_bytes,
+                                 config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
+      merged_bytes = 0;
+    };
+    // Hands the open batch to the write stage and opens the next one.
+    auto ship = [&]() -> sim::Task<void> {
+      co_await charge_merge();
+      pipe.Record("merge", *batch, batch_start);
+      const std::uint64_t next = batch->index + 1;
+      co_await pipe.merged.Push(std::move(batch));
+      batch = std::make_unique<ValueBatch>();
+      batch->index = next;
+      batch_start = sim_->Now();
+    };
     // Last-writer-wins: the merge yields every version of a key
     // adjacently in ascending mutation-seq order (KlogMergeTraits), so
     // only the final entry of an equal-key group is live. `pending` holds
@@ -650,68 +713,52 @@ sim::Task<Status> Device::RunCompaction(
     // changes — unless it is a tombstone, which simply vanishes along
     // with every older version it shadowed.
     std::optional<KlogEntry> pending;
-    auto admit = [&](KlogEntry&& entry) -> sim::Task<Status> {
-      batch->value_bytes += entry.value_len;
-      batch->entries.push_back(std::move(entry));
-      if (batch->value_bytes >= batch_budget) {
-        Status emitted = co_await emit_batch(std::move(batch));
-        batch = std::make_unique<ValueBatch>();
-        KVCSD_CO_RETURN_IF_ERROR(emitted);
-      }
-      co_return Status::Ok();
+    std::uint64_t append_fill = 0;
+    // True when the open batch must end right before `e`.
+    auto ends_batch = [&](const KlogEntry& e) {
+      return NextValueStartsAppend(&append_fill, e.value_len,
+                                   config_.output_batch_bytes) &&
+             batch->value_bytes >= batch_budget;
     };
     while (!merger.Empty() && !pipe.failed) {
       KlogEntry entry;
-      Status s = co_await merger.Pop(&entry);
-      if (!s.ok()) {
-        pipeline_status = s;
-        break;
-      }
+      merge_status = co_await merger.Pop(&entry);
+      if (!merge_status.ok()) break;
       merged_bytes += entry.key.size() + 12;
-      if (merged_bytes >= MiB(1)) {
-        co_await cpu_.ComputeBytes(merged_bytes,
-                                   config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-        merged_bytes = 0;
-      }
+      if (merged_bytes >= MiB(1)) co_await charge_merge();
       if (pending.has_value() && pending->key != entry.key &&
           !pending->tombstone) {
-        Status admitted = co_await admit(std::move(*pending));
-        if (!admitted.ok()) {
-          pipeline_status = admitted;
-          break;
-        }
+        if (ends_batch(*pending)) co_await ship();
+        batch->Admit(std::move(*pending));
       }
       pending = std::move(entry);
     }
-    if (pipeline_status.ok() && !pipe.failed) {
+    if (merge_status.ok() && !pipe.failed) {
       if (pending.has_value() && !pending->tombstone) {
-        pipeline_status = co_await admit(std::move(*pending));
+        if (ends_batch(*pending)) co_await ship();
+        batch->Admit(std::move(*pending));
       }
-      if (merged_bytes > 0) {
-        co_await cpu_.ComputeBytes(merged_bytes,
-                                   config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-      }
-      if (pipeline_status.ok()) {
-        pipeline_status = co_await emit_batch(std::move(batch));
-      }
+      if (!batch->entries.empty()) co_await ship();
+      co_await charge_merge();  // keys that left no live entry behind
     }
   }
-  // Always close + join: the consumer must see end-of-stream even on the
-  // error paths, or one side would wait forever. With both stages joined,
-  // every cluster the pipeline allocated is visible — record them before
-  // acting on either status.
-  batches.Close();
-  Status index_status = co_await index_stage.Wait();
-  scratch->insert(scratch->end(), value_clusters.begin(),
-                  value_clusters.end());
+  // Always close + join: each stage must see end-of-stream even on the
+  // error paths, or a neighbour would wait forever. With every stage
+  // joined, every cluster the pipeline allocated is visible — record them
+  // before acting on any status.
+  if (!merge_status.ok()) pipe.failed = true;
+  pipe.merged.Close();
+  const Status stage_status = co_await stages.Wait();
+  scratch->insert(scratch->end(), pipe.value_clusters.begin(),
+                  pipe.value_clusters.end());
   scratch->insert(scratch->end(), pipe.pidx_clusters.begin(),
                   pipe.pidx_clusters.end());
   for (const SidxSortState& state : fused_states) {
     scratch->insert(scratch->end(), state.temp_clusters.begin(),
                     state.temp_clusters.end());
   }
-  KVCSD_CO_RETURN_IF_ERROR(pipeline_status);
-  KVCSD_CO_RETURN_IF_ERROR(index_status);
+  KVCSD_CO_RETURN_IF_ERROR(merge_status);
+  KVCSD_CO_RETURN_IF_ERROR(stage_status);
 
   // ---- Fused secondary indexes: concurrent per-spec merges ----
   KeyspaceLayout next;
@@ -722,7 +769,7 @@ sim::Task<Status> Device::RunCompaction(
       merges.Spawn(
           SidxMergeToBlocks(&fused_states[i], fused_specs[i], &fused_out[i]));
     }
-    const Status merge_status = co_await merges.Wait();
+    const Status sidx_status = co_await merges.Wait();
     // The merges may have spilled more TEMP clusters and written SIDX
     // output; duplicates with the release above are harmless (cluster ids
     // are never reused, and a release skips ids it no longer owns).
@@ -734,7 +781,7 @@ sim::Task<Status> Device::RunCompaction(
       scratch->insert(scratch->end(), sidx.sidx_clusters.begin(),
                       sidx.sidx_clusters.end());
     }
-    KVCSD_CO_RETURN_IF_ERROR(merge_status);
+    KVCSD_CO_RETURN_IF_ERROR(sidx_status);
     for (std::size_t i = 0; i < fused_specs.size(); ++i) {
       next.secondary_indexes[fused_specs[i].name] = std::move(fused_out[i]);
     }
@@ -758,7 +805,7 @@ sim::Task<Status> Device::RunCompaction(
   // sketch's blob, so recovery restores both or neither; it is empty when
   // bloom is disabled.
   next.pidx_clusters = std::move(pipe.pidx_clusters);
-  next.sorted_value_clusters = std::move(value_clusters);
+  next.sorted_value_clusters = std::move(pipe.value_clusters);
   next.pidx_sketch = std::move(pipe.sketch);
   if (bloom.has_value()) next.pidx_bloom = bloom->Finish();
   // After the LWW pass, entries_total is the exact count of distinct live
@@ -872,7 +919,9 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
       if (!skey.ok()) co_return skey.status();
       SidxTuple tuple{std::move(*skey), batch_meta[i].first,
                       batch_meta[i].second, batch_lens[i]};
-      KVCSD_CO_RETURN_IF_ERROR(co_await SidxAdd(state, std::move(tuple)));
+      if (state->Add(std::move(tuple))) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(state));
+      }
     }
     batch_refs.clear();
     batch_meta.clear();

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -61,10 +62,13 @@ struct DeviceConfig {
   // compaction and consulted by point lookups; 0 disables both the build
   // and the check.
   std::uint32_t bloom_bits_per_key = 10;
-  // Maximum concurrent coalesced range reads per value gather, and the
-  // window of an incremental fold (DESIGN.md §12): index-block reads in
-  // flight and, separately, fold appends in flight. 1 recovers the serial
-  // behavior. Values beyond the NAND channel count only add queueing.
+  // Maximum concurrent coalesced range reads per value gather, the
+  // index-block read window of an incremental fold (DESIGN.md §12), and
+  // the append window of every compaction output chain (DESIGN.md §7):
+  // TEMP runs, SORTED_VALUES, PIDX and SIDX blocks of a compaction, a
+  // secondary-index build and a fold. 1 recovers the serial behavior;
+  // the window never moves a block. Values beyond the NAND channel count
+  // only add queueing.
   std::uint32_t gather_fanout = 8;
 
   // Flight recorder (DESIGN.md §14): ring capacity, SLO trip rules, dump
@@ -259,6 +263,12 @@ class Device {
       std::vector<ClusterId>* chain, ZoneType type,
       std::span<const std::byte> data,
       sim::Activity act = sim::Activity::kOther);
+  // The windowed in-order writers of every compaction output chain
+  // (chain_writer.h): ChainWriter keeps up to gather_fanout appends of one
+  // chain in flight, each landing where a serial writer would put it;
+  // IndexWriter packs PIDX/SIDX blocks and their sketch through one.
+  class ChainWriter;
+  class IndexWriter;
 
   // --- write path ---
   using WriteBuffer = KeyspaceRuntime::WriteBuffer;
@@ -333,9 +343,11 @@ class Device {
   // paper's §V future-work optimization) by extracting keys from values
   // already in DRAM. A multi-core pipeline (DESIGN.md §7): run generation
   // fans out across the CpuPool, the key merge runs on a loser tree over
-  // double-buffered TEMP readers, and PIDX building + fused extraction of
-  // one value batch overlaps the gather/write of the next. `scratch`
-  // collects every cluster it allocates; the commit point clears it.
+  // double-buffered TEMP readers, and phase 2 runs three stages over
+  // bounded channels (merge -> gather + SORTED_VALUES write -> PIDX, bloom
+  // and fused-SIDX build), so the merge of one value batch overlaps the
+  // write and the indexing of the ones before it. `scratch` collects
+  // every cluster it allocates; the commit point clears it.
   sim::Task<Status> RunCompaction(Keyspace* ks,
                                   std::vector<nvme::SecondaryIndexSpec>
                                       fused_specs,
@@ -349,12 +361,25 @@ class Device {
                                      std::uint64_t run_budget,
                                      RunGenOutput* out);
 
-  // Phase 2 consumer stage: pops gathered value batches off a bounded
-  // channel and builds PIDX blocks plus fused secondary-key tuples while
-  // the producer gathers and writes the next batch.
+  // Writes one sorted run of an external sort to the TEMP chain `chain`
+  // through a ChainWriter and appends it to *runs. A segment ends before
+  // an entry that would push it past output_batch_bytes: `size` bounds an
+  // entry's serialized size, `serialize` appends it to a segment.
+  template <typename Entry, typename Size, typename Serialize>
+  sim::Task<Status> SpillRun(const std::vector<Entry>& sorted, Size size,
+                             Serialize serialize,
+                             std::vector<ClusterId>* chain,
+                             std::vector<SpilledRun>* runs);
+
+  // Phase 2's two downstream stages. The write stage gathers each merged
+  // value batch, rewrites the values in key order and hands the batch on;
+  // the index stage builds PIDX blocks, the bloom filter and fused
+  // secondary-key tuples from it. Each drains its input channel to the
+  // end on every path, so an upstream stage blocked on it always wakes.
   struct ValueBatch;
-  struct PidxPipeline;
-  sim::Task<Status> IndexBuildStage(PidxPipeline* pipe);
+  struct Phase2Pipeline;
+  sim::Task<Status> ValueWriteStage(Phase2Pipeline* pipe);
+  sim::Task<Status> IndexBuildStage(Phase2Pipeline* pipe);
 
   // --- secondary index (compactor.cc) ---
   // External sort state for <skey, pkey, value pointer> tuples.
@@ -364,8 +389,15 @@ class Device {
     std::vector<SidxTuple> current;
     std::uint64_t current_bytes = 0;
     std::uint64_t run_budget = 0;
+
+    // Buffers one tuple; true once the buffered run has reached its
+    // budget and SidxSpill is due.
+    bool Add(SidxTuple tuple) {
+      current_bytes += tuple.skey.size() + tuple.pkey.size() + 12;
+      current.push_back(std::move(tuple));
+      return current_bytes >= run_budget;
+    }
   };
-  sim::Task<Status> SidxAdd(SidxSortState* state, SidxTuple tuple);
   sim::Task<Status> SidxSpill(SidxSortState* state);
   // Merges the spilled runs into SIDX blocks + sketch, building in place
   // in *out so the caller can release partially written clusters on
@@ -389,9 +421,6 @@ class Device {
   // DESIGN.md §12.
   sim::Task<Status> RunRecompaction(Keyspace* ks,
                                     std::vector<ClusterId>* scratch);
-  // The folds' in-order index-block writer: packs rebuilt blocks and keeps
-  // up to gather_fanout appends in flight, issued in sketch order.
-  class IndexWriter;
   // Loads a delta entry's value bytes (inline if the device never lost
   // power since the PUT, otherwise gathered from the VLOG delta).
   sim::Task<Result<std::string>> LoadDeltaValue(

@@ -260,7 +260,14 @@ class RunMerger {
   std::size_t fan_in() const { return readers_.size(); }
 
   // Moves the smallest live entry into *out and advances its run.
+  //
+  // Most pops complete without suspending. Where the compiler does not
+  // turn coroutine symmetric transfer into a tail call (GCC at -O0), each
+  // synchronous Pop <-> caller round trip nests a native stack frame, so
+  // every kPopsPerYield pops resume through the event queue (a zero-time
+  // delay) and unwind the stack: its depth is bounded by construction.
   sim::Task<Status> Pop(Entry* out) {
+    if (++pops_ % kPopsPerYield == 0) co_await sim_->Delay(0);
     const std::size_t w = tree_.winner();
     *out = std::move(readers_[w]->mutable_head());
     KVCSD_CO_RETURN_IF_ERROR(co_await readers_[w]->Advance());
@@ -282,11 +289,14 @@ class RunMerger {
     return a < b;  // deterministic tie-break: run generation order
   }
 
+  static constexpr std::uint64_t kPopsPerYield = 256;
+
   sim::Simulation* sim_;
   storage::ZnsSsd* ssd_;
   std::vector<std::shared_ptr<TempRunReader<Traits>>> readers_;
   LoserTree tree_;
   std::size_t live_ = 0;
+  std::uint64_t pops_ = 0;
 };
 
 }  // namespace kvcsd::device

@@ -26,10 +26,14 @@
 //
 // Both index folds are pipelines: block reads (and the PIDX merge CPU) run
 // gather_fanout wide through a read-ahead ring (sim::OrderedParallelFor),
-// and one in-order IndexWriter consumes the blocks in sketch order, issuing
-// each append without waiting for the previous one to finish programming.
-// The appends are the serial fold's appends, in the serial fold's order, so
-// the output bytes and addresses are unchanged; only the time shrinks.
+// and one in-order IndexWriter (chain_writer.h) consumes the blocks in
+// sketch order, issuing each append without waiting for the previous one
+// to finish programming. The re-appended values go through the same
+// windowed ChainWriter. The appends are the serial fold's appends, in the
+// serial fold's order, so the output bytes and addresses are unchanged;
+// only the time shrinks. Entries pack one region (a rebuilt PIDX block, a
+// SIDX dirty region) at a time: a region never shares a block or an
+// append with its neighbours.
 //
 // Commit protocol: the RECOMPACTING state is persisted before any output
 // is written (recovery rolls it straight back to COMPACTED, delta intact,
@@ -49,6 +53,7 @@
 #include <vector>
 
 #include "common/bloom.h"
+#include "kvcsd/chain_writer.h"
 #include "kvcsd/device.h"
 #include "kvcsd/wire.h"
 #include "nvme/skey.h"
@@ -59,8 +64,6 @@
 namespace kvcsd::device {
 
 namespace {
-
-using wire::AsBytes;
 
 // One delta mutation prepared for the fold, in key order.
 struct FoldItem {
@@ -84,104 +87,6 @@ struct SidxBlockScan {
 };
 
 }  // namespace
-
-// The fold's index output, shared by the PIDX and SIDX stages. Entries pack
-// into index blocks exactly as the serial fold packed them, one region (a
-// rebuilt PIDX block, a SIDX dirty region) at a time: a region never shares
-// a block or an append with its neighbours. Each append is issued without
-// waiting for earlier ones to finish programming, with at most
-// config.gather_fanout in flight. An append claims its flash address
-// synchronously when it starts; appends start in issue order and the
-// writer suspends between issues, so every block lands at the address the
-// serial fold gives it. Sketch entries are pushed at issue time and their
-// addresses filled in on completion, so Join() must run before the sketch
-// is read or the writer destroyed — on every path, failed ones included.
-class Device::IndexWriter {
- public:
-  IndexWriter(Device* dev, ZoneType type, std::vector<ClusterId>* chain,
-              std::vector<SketchEntry>* sketch)
-      : dev_(dev),
-        type_(type),
-        chain_(chain),
-        sketch_(sketch),
-        packer_(dev->config_.index_block_size),
-        slots_(dev->sim_, std::max<std::uint32_t>(dev->config_.gather_fanout, 1)),
-        appends_(dev->sim_) {}
-
-  // Packs one region's entries and issues them: one append per full
-  // output batch plus one for the remainder.
-  template <typename Entry>
-  sim::Task<Status> WriteRegion(const std::vector<Entry>& entries) {
-    for (const Entry& entry : entries) {
-      Add(entry);
-      if (packer_.closed_bytes() >= dev_->config_.output_batch_bytes) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await Issue());
-      }
-    }
-    packer_.Close();
-    co_return co_await Issue();
-  }
-
-  // Waits for every issued append; returns the first failure.
-  sim::Task<Status> Join() { return appends_.Wait(); }
-
-  std::int64_t inflight() const { return appends_.pending(); }
-
- private:
-  void Add(const PidxRec& rec) {
-    packer_.AddPidx(rec.key, rec.vaddr, rec.vlen);
-  }
-  void Add(const SidxTuple& t) {
-    packer_.AddSidx(t.skey, t.pkey, t.vaddr, t.vlen);
-  }
-
-  // Issues the closed blocks as one append (no-op when there are none).
-  // Fails fast once an earlier append has failed.
-  sim::Task<Status> Issue() {
-    if (packer_.closed_bytes() == 0 || !error_.ok()) co_return error_;
-    std::vector<std::string> pivots;
-    std::string blob = packer_.Take(&pivots);
-    const std::size_t first = sketch_->size();
-    for (std::string& pivot : pivots) {
-      sketch_->push_back(
-          SketchEntry{std::move(pivot), 0, dev_->config_.index_block_size});
-    }
-    co_await slots_.Acquire();
-    co_await dev_->cpu_.Compute(dev_->config_.costs.io_path_overhead,
-                                sim::Activity::kRecompact);
-    if (!error_.ok()) {
-      slots_.Release();
-      co_return error_;
-    }
-    appends_.Spawn(Append(std::move(blob), first));
-    co_return Status::Ok();
-  }
-
-  sim::Task<Status> Append(std::string blob, std::size_t first) {
-    auto addr = co_await dev_->AppendToChain(chain_, type_, AsBytes(blob),
-                                             sim::Activity::kRecompact);
-    slots_.Release();
-    if (!addr.ok()) {
-      if (error_.ok()) error_ = addr.status();
-      co_return addr.status();
-    }
-    dev_->compaction_stats_.bytes_written += blob.size();
-    const std::uint32_t block_size = dev_->config_.index_block_size;
-    for (std::size_t i = 0; i < blob.size() / block_size; ++i) {
-      (*sketch_)[first + i].block_addr = *addr + i * block_size;
-    }
-    co_return Status::Ok();
-  }
-
-  Device* dev_;
-  ZoneType type_;
-  std::vector<ClusterId>* chain_;
-  std::vector<SketchEntry>* sketch_;
-  wire::IndexBlockPacker packer_;
-  sim::Semaphore slots_;  // bounds the appends in flight
-  sim::TaskGroup appends_;
-  Status error_;  // first failed append
-};
 
 sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
                                                       sim::Activity act) {
@@ -243,25 +148,28 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     }
 
     // ---- Re-append live delta values in key order to fresh clusters ----
+    // Items [first, upto) go out as one append; their new addresses are
+    // filled in when it lands.
+    ChainWriter out(this, &new_value_clusters, ZoneType::kSortedValues,
+                    sim::Activity::kRecompact);
     std::string chunk;
     chunk.reserve(config_.output_batch_bytes);
-    std::vector<std::size_t> chunk_items;
-    auto flush_values = [&]() -> sim::Task<Status> {
+    std::size_t chunk_first = 0;
+    auto flush_values = [&](std::size_t upto) -> sim::Task<Status> {
+      const std::size_t first = chunk_first;
+      chunk_first = upto;
       if (chunk.empty()) co_return Status::Ok();
-      co_await cpu_.Compute(config_.costs.io_path_overhead, sim::Activity::kRecompact);
-      auto addr = co_await AppendToChain(&new_value_clusters,
-                                         ZoneType::kSortedValues,
-                                         AsBytes(chunk), sim::Activity::kRecompact);
-      if (!addr.ok()) co_return addr.status();
-      compaction_stats_.bytes_written += chunk.size();
-      std::uint64_t offset = 0;
-      for (std::size_t idx : chunk_items) {
-        items[idx].new_addr = *addr + offset;
-        offset += items[idx].value.size();
-      }
+      std::string data = std::move(chunk);
       chunk.clear();
-      chunk_items.clear();
-      co_return Status::Ok();
+      chunk.reserve(config_.output_batch_bytes);
+      co_return co_await out.Append(
+          std::move(data), [&items, first, upto](std::uint64_t addr) {
+            for (std::size_t i = first; i < upto; ++i) {
+              if (items[i].tombstone) continue;
+              items[i].new_addr = addr;
+              addr += items[i].value.size();
+            }
+          });
     };
     std::uint64_t value_bytes = 0;
     Status appended = Status::Ok();
@@ -269,13 +177,14 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       if (items[i].tombstone) continue;
       if (chunk.size() + items[i].value.size() > config_.output_batch_bytes &&
           !chunk.empty()) {
-        appended = co_await flush_values();
+        appended = co_await flush_values(i);
       }
       chunk += items[i].value;
-      chunk_items.push_back(i);
       value_bytes += items[i].value.size();
     }
-    if (appended.ok()) appended = co_await flush_values();
+    if (appended.ok()) appended = co_await flush_values(items.size());
+    const Status joined = co_await out.Join();
+    if (appended.ok()) appended = joined;
     scratch->insert(scratch->end(), new_value_clusters.begin(),
                     new_value_clusters.end());
     KVCSD_CO_RETURN_IF_ERROR(appended);
@@ -366,14 +275,24 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
 
     // Write stage, in sketch order: carry the clean blocks before dirty
     // block d over by reference, then write d's rebuilt blocks.
-    IndexWriter out(this, ZoneType::kPidx, &new_pidx_clusters, &new_sketch);
+    IndexWriter out(this, ZoneType::kPidx, &new_pidx_clusters, &new_sketch,
+                    sim::Activity::kRecompact);
+    auto write_region = [&out](const std::vector<PidxRec>& region)
+        -> sim::Task<Status> {
+      for (const PidxRec& rec : region) {
+        if (out.AddPidx(rec.key, rec.vaddr, rec.vlen)) {
+          KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
+        }
+      }
+      co_return co_await out.Close();
+    };
     std::size_t carried = 0;  // old blocks consumed so far
     bool mid_pidx_passed = false;
     auto write = [&](std::size_t d,
                      const std::vector<PidxRec>& merged) -> sim::Task<Status> {
       for (; carried < dirty[d]; ++carried) new_sketch.push_back(old_sketch[carried]);
       ++carried;
-      KVCSD_CO_RETURN_IF_ERROR(co_await out.WriteRegion(merged));
+      KVCSD_CO_RETURN_IF_ERROR(co_await write_region(merged));
       if (!mid_pidx_passed && out.inflight() >= 2) {
         mid_pidx_passed = true;
         if (CrashPoint("recompact.mid_pidx")) {
@@ -390,7 +309,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         // Empty run: the delta becomes the run.
         std::vector<PidxRec> merged;
         merge_block({}, orphan_items, &merged);
-        folded = co_await out.WriteRegion(merged);
+        folded = co_await write_region(merged);
         ++pidx_rebuilt;
       }
     }
@@ -455,7 +374,7 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       }
 
       IndexWriter out(this, ZoneType::kSidx, &fold.new_clusters,
-                      &fold.new_sketch);
+                      &fold.new_sketch, sim::Activity::kRecompact);
       std::vector<SidxTuple> region;  // surviving tuples of the open region
       bool region_open = false;
       std::size_t region_start = 0;
@@ -481,7 +400,10 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
                    std::make_move_iterator(incoming.end()),
                    std::back_inserter(merged), SidxOrder);
         region.clear();
-        co_return co_await out.WriteRegion(merged);
+        for (const SidxTuple& t : merged) {
+          if (out.AddSidx(t)) KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
+        }
+        co_return co_await out.Close();
       };
 
       // Read stage, `fanout` wide: fetch block pos and drop its stale tuples.

@@ -28,9 +28,11 @@ struct DeviceTestPeer {
   // Runs one compaction of `ks` (an incremental fold when it is
   // COMPACTED) the way kCompact starts it, but returns the job's own
   // status (the command acks before the job runs, so a client only ever
-  // sees the rolled-back state).
-  static sim::Task<Status> Compact(Device* dev, Keyspace* ks) {
-    return dev->BeginCompaction(ks);
+  // sees the rolled-back state). `fused_specs` are built in the same pass.
+  static sim::Task<Status> Compact(
+      Device* dev, Keyspace* ks,
+      std::vector<nvme::SecondaryIndexSpec> fused_specs = {}) {
+    return dev->BeginCompaction(ks, std::move(fused_specs));
   }
 };
 

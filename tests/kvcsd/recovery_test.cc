@@ -395,15 +395,17 @@ void FailMetadataAppend(PowerCycleFixture* f, std::uint64_t skip) {
   f->faults.AddErrorRule(rule);
 }
 
-// Reads back every key of a COMPACTED keyspace written by LoadAndSync.
+// Reads back every key of a COMPACTED keyspace written by LoadAndSync
+// (or, with `value`, by another loader).
 sim::Task<void> GetEveryKey(client::Client* db, const std::string& name,
-                            std::uint64_t count) {
+                            std::uint64_t count,
+                            std::string (*value)(std::uint64_t) = DetValue) {
   auto ks = co_await db->OpenKeyspace(name);
   KVCSD_CO_ASSERT_OK(ks);
   for (std::uint64_t i = 0; i < count; ++i) {
     auto got = co_await ks->Get(MakeFixedKey(i));
     KVCSD_CO_ASSERT_OK(got);
-    KVCSD_CO_ASSERT(*got == DetValue(i));
+    KVCSD_CO_ASSERT(*got == value(i));
   }
 }
 
@@ -499,6 +501,176 @@ TEST(RecoveryTest, SecondaryIndexCommitPersistErrorRollsBack) {
     KVCSD_CO_ASSERT_OK(
         co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == kKeys);
+  }(f.db.get()));
+  ExpectClustersOwnedOnce(dev);
+}
+
+// Enough 100-byte values that every output chain of a compaction and of
+// the tag index build takes several 16 KiB appends per phase-2 batch, so
+// they are issued back to back and overlap in the window.
+constexpr std::uint64_t kWideKeys = 6000;
+
+DeviceConfig WideDevice() {
+  DeviceConfig c = SmallFaultyDevice();
+  c.dram_bytes = MiB(8);
+  return c;
+}
+
+std::string WideValue(std::uint64_t i) {
+  std::string value = DetValue(i);
+  value.resize(100, '.');
+  return value;
+}
+
+sim::Task<void> LoadWide(client::Client* db, const std::string& name) {
+  auto ks = co_await db->CreateKeyspace(name);
+  KVCSD_CO_ASSERT_OK(ks);
+  auto writer = ks->NewBulkWriter();
+  for (std::uint64_t i = 0; i < kWideKeys; ++i) {
+    KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(i), WideValue(i)));
+  }
+  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+}
+
+enum class Output { kSortedValues, kPidx, kSidx };
+
+const std::vector<ClusterId>& OutputChain(const Keyspace& ks, Output out) {
+  switch (out) {
+    case Output::kSortedValues:
+      return ks.sorted_value_clusters;
+    case Output::kPidx:
+      return ks.pidx_clusters;
+    case Output::kSidx:
+      break;
+  }
+  return ks.secondary_indexes.at("tag").sidx_clusters;
+}
+
+// Fails the second append to the first zone of output chain `out`. Zone
+// allocation is deterministic, so a clean run of the same steps (`build`
+// produces the chain) names the zone. A chain rotates its appends over its
+// cluster's zones, so the failing append is one of the chain's fifth to
+// eighth: earlier appends of the window are still programming when it
+// fails at issue.
+template <typename Build>
+void FailSecondAppendToChain(PowerCycleFixture* f, Output out, Build build) {
+  std::uint32_t zone = 0;
+  {
+    PowerCycleFixture clean(WideDevice());
+    testutil::RunSim(clean.sim, LoadWide(clean.db.get(), "wide"));
+    Keyspace* ks = clean.dev()->keyspaces().Find("wide").value();
+    build(&clean, ks);
+    const std::vector<ClusterId>& chain = OutputChain(*ks, out);
+    ASSERT_FALSE(chain.empty());
+    zone = clean.dev()->zones().cluster_zones(chain.front()).front();
+  }
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  rule.zone = zone;
+  rule.skip = 1;
+  f->faults.AddErrorRule(rule);
+}
+
+std::vector<nvme::SecondaryIndexSpec> FusedTagIndex(bool fused) {
+  std::vector<nvme::SecondaryIndexSpec> specs;
+  if (fused) specs.push_back(TagIndex());
+  return specs;
+}
+
+// A compaction whose output append fails while other appends of its
+// window are in flight rolls back like any failed compaction: every stage
+// and every in-flight append is joined before the outputs are released,
+// so no cluster leaks, and a retry succeeds.
+void ExpectMidWindowCompactionErrorRollsBack(Output out, bool fused) {
+  PowerCycleFixture f(WideDevice());
+  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
+  Device* dev = f.dev();
+  Keyspace* ks = dev->keyspaces().Find("wide").value();
+  const std::size_t free_before = dev->zones().free_zones();
+  FailSecondAppendToChain(&f, out, [fused](PowerCycleFixture* clean,
+                                            Keyspace* clean_ks) {
+    EXPECT_TRUE(testutil::RunSim(clean->sim,
+                                 DeviceTestPeer::Compact(clean->dev(),
+                                                         clean_ks,
+                                                         FusedTagIndex(fused)))
+                    .ok());
+  });
+
+  const Status compacted = testutil::RunSim(
+      f.sim, DeviceTestPeer::Compact(dev, ks, FusedTagIndex(fused)));
+  EXPECT_EQ(compacted.code(), StatusCode::kIoError) << compacted.ToString();
+  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_EQ(ks->state, KeyspaceState::kWritable);
+  EXPECT_EQ(ks->num_kvs, kWideKeys);
+  EXPECT_TRUE(ks->sorted_value_clusters.empty());
+  EXPECT_TRUE(ks->pidx_clusters.empty());
+  EXPECT_TRUE(ks->secondary_indexes.empty());
+  EXPECT_EQ(dev->zones().free_zones(), free_before);
+  ExpectClustersOwnedOnce(dev);
+
+  ASSERT_TRUE(testutil::RunSim(
+                  f.sim, DeviceTestPeer::Compact(dev, ks, FusedTagIndex(fused)))
+                  .ok());
+  EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
+  EXPECT_EQ(ks->secondary_indexes.size(), fused ? 1u : 0u);
+  testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "wide", kWideKeys,
+                                      WideValue));
+  ExpectClustersOwnedOnce(dev);
+}
+
+TEST(RecoveryTest, MidWindowSortedValuesAppendErrorRollsBack) {
+  ExpectMidWindowCompactionErrorRollsBack(Output::kSortedValues, false);
+}
+
+TEST(RecoveryTest, MidWindowPidxAppendErrorRollsBack) {
+  ExpectMidWindowCompactionErrorRollsBack(Output::kPidx, false);
+}
+
+TEST(RecoveryTest, MidWindowFusedSidxAppendErrorRollsBack) {
+  ExpectMidWindowCompactionErrorRollsBack(Output::kSidx, true);
+}
+
+// The separate index build writes its SIDX blocks through the same
+// window. An append failing mid-window leaves the index absent and every
+// zone the build took free again; a retried build succeeds.
+TEST(RecoveryTest, MidWindowSidxAppendErrorLeavesIndexAbsent) {
+  auto build_tag_index = [](client::Client* db) -> sim::Task<Status> {
+    auto handle = co_await db->OpenKeyspace("wide");
+    if (!handle.ok()) co_return handle.status();
+    co_return co_await handle->CreateSecondaryIndex(TagIndex());
+  };
+  PowerCycleFixture f(WideDevice());
+  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
+  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "wide"));
+  Device* dev = f.dev();
+  Keyspace* ks = dev->keyspaces().Find("wide").value();
+  const std::size_t free_before = dev->zones().free_zones();
+  FailSecondAppendToChain(
+      &f, Output::kSidx,
+      [&build_tag_index](PowerCycleFixture* clean, Keyspace*) {
+        testutil::RunSim(clean->sim, CompactAndWait(clean->db.get(), "wide"));
+        EXPECT_TRUE(
+            testutil::RunSim(clean->sim, build_tag_index(clean->db.get()))
+                .ok());
+      });
+
+  const Status built = testutil::RunSim(f.sim, build_tag_index(f.db.get()));
+  EXPECT_EQ(built.code(), StatusCode::kIoError) << built.ToString();
+  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_TRUE(ks->secondary_indexes.empty());
+  EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
+  EXPECT_EQ(dev->zones().free_zones(), free_before);
+  ExpectClustersOwnedOnce(dev);
+
+  ASSERT_TRUE(testutil::RunSim(f.sim, build_tag_index(f.db.get())).ok());
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto handle = co_await db->OpenKeyspace("wide");
+    KVCSD_CO_ASSERT_OK(handle);
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(
+        co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows));
+    KVCSD_CO_ASSERT(rows.size() == kWideKeys);
   }(f.db.get()));
   ExpectClustersOwnedOnce(dev);
 }
