@@ -9,7 +9,9 @@
 // keyspace contents: PIDX sketch pivots, entry count, a primary scan, a
 // sample of point gets, and a secondary range query. The fingerprint must
 // be identical at every core count — parallelism may change timing and
-// flash placement, never results.
+// flash placement, never results. Phase 2's key merge runs as key-range
+// partitions on the cores, so phase 2 must never get slower from 1 to 4
+// cores and must be strictly faster at 4 than at 1.
 //
 // Flags: --keys=N (default 96K)
 //        --json=PATH (machine-readable report) --trace=PATH (span trace)
@@ -148,7 +150,11 @@ int main(int argc, char** argv) {
   std::uint64_t base_num_kvs = 0;
   bool monotone = true;
   bool identical = true;
+  bool phase2_monotone = true;
   Tick prev_ticks = 0;
+  Tick one_core_phase2 = 0;
+  Tick four_core_phase2 = 0;
+  Tick prev_phase2 = 0;
 
   const std::uint32_t core_counts[] = {1, 2, 4, 8};
   for (std::uint32_t cores : core_counts) {
@@ -167,18 +173,24 @@ int main(int argc, char** argv) {
 
     if (cores == 1) {
       one_core_ticks = compact_ticks;
+      one_core_phase2 = stats.phase2_ticks;
       base_fingerprint = result.fingerprint;
       base_num_kvs = result.num_kvs;
     } else {
       // Strictly slower is a regression; ties are fine (a dataset small
       // enough for a single run leaves nothing to parallelize).
       if (cores <= 4 && compact_ticks > prev_ticks) monotone = false;
+      if (cores <= 4 && stats.phase2_ticks > prev_phase2) {
+        phase2_monotone = false;
+      }
       if (result.fingerprint != base_fingerprint ||
           result.num_kvs != base_num_kvs) {
         identical = false;
       }
     }
     prev_ticks = compact_ticks;
+    prev_phase2 = stats.phase2_ticks;
+    if (cores == 4) four_core_phase2 = stats.phase2_ticks;
 
     const std::string point = "cores" + std::to_string(cores);
     // keys/sec through compaction: the gateable throughput metric.
@@ -211,7 +223,11 @@ int main(int argc, char** argv) {
 
   std::printf("\ncompaction time monotone 1->4 cores: %s\n",
               monotone ? "yes" : "NO (regression!)");
+  const bool phase2_scales =
+      phase2_monotone && four_core_phase2 < one_core_phase2;
+  std::printf("phase 2 never slower 1->4 cores, faster at 4 than 1: %s\n",
+              phase2_scales ? "yes" : "NO (the key merge does not scale!)");
   std::printf("contents identical across core counts: %s\n",
               identical ? "yes" : "NO (determinism bug!)");
-  return (monotone && identical) ? 0 : 1;
+  return (monotone && phase2_scales && identical) ? 0 : 1;
 }

@@ -17,12 +17,16 @@
 //    FIXED number of shares (kRunGenShares), not `soc_cores`, so the run
 //    layout — and therefore the merged output — is identical no matter
 //    how many cores execute the fan-out; core count changes timing only.
-//  * Phase 2 is three stages over bounded channels: the loser-tree merge
-//    of the runs over double-buffered TEMP readers (merge.h) cuts the
-//    merged keys into value batches; the write stage gathers each batch's
-//    values and rewrites them in key order; the index stage builds PIDX
-//    blocks, the bloom filter and fused secondary-key tuples. The merge
-//    of batch N+1 overlaps the write of batch N and the indexing of N-1.
+//  * Phase 2 is three stages over bounded channels. The key merge splits
+//    the key space at splitters picked from the runs' sparse indexes and
+//    merges the key-range partitions at once, up to one per core, each a
+//    loser-tree merge over double-buffered TEMP readers (merge.h) that
+//    resolves last-writer-wins inside its range; a sequencer consumes the
+//    partitions in key order and cuts value batches exactly where one
+//    serial merge would. The write stage gathers each batch's values and
+//    rewrites them in key order; the index stage builds PIDX blocks, the
+//    bloom filter and fused secondary-key tuples. The merge of batch N+1
+//    overlaps the write of batch N and the indexing of N-1.
 //
 // Every output chain (TEMP runs, SORTED_VALUES, PIDX, SIDX) is written
 // through one windowed in-order ChainWriter (chain_writer.h): up to
@@ -65,6 +69,11 @@ namespace {
 // `soc_cores`) keeps the run layout independent of the core count.
 constexpr std::uint64_t kRunGenShares = 4;
 
+// Phase 2's key merge splits into about this many key-range partitions
+// per SoC core: while the sequencer consumes one round of partitions, the
+// next round merges.
+constexpr std::uint64_t kMergePartitionsPerCore = 2;
+
 // SORTED_VALUES go out in appends of at most `limit` bytes, cut greedily
 // by value size: true when a value of `len` bytes must start a new append
 // after `*fill` bytes of the current one. Advances *fill past the value.
@@ -89,13 +98,18 @@ sim::Task<Status> StoreBlob(sim::Task<Result<BlobRef>> write, BlobRef* out,
 
 }  // namespace
 
-template <typename Entry, typename Size, typename Serialize>
-sim::Task<Status> Device::SpillRun(const std::vector<Entry>& sorted, Size size,
-                                   Serialize serialize,
+template <typename Traits>
+sim::Task<Status> Device::SpillRun(std::vector<typename Traits::Entry>* entries,
+                                   std::uint64_t sort_bytes,
                                    std::vector<ClusterId>* chain,
                                    std::vector<SpilledRun>* runs) {
+  if (entries->empty()) co_return Status::Ok();
+  co_await cpu_.ComputeBytes(sort_bytes, config_.costs.merge_bytes_per_sec,
+                             sim::Activity::kCompact);
+  std::sort(entries->begin(), entries->end(),
+            [](const auto& a, const auto& b) { return Traits::Less(a, b); });
   SpilledRun run;
-  run.entries = sorted.size();
+  run.entries = entries->size();
   ChainWriter out(this, chain, ZoneType::kTemp, sim::Activity::kCompact);
   std::string chunk;
   chunk.reserve(config_.output_batch_bytes);
@@ -112,17 +126,24 @@ sim::Task<Status> Device::SpillRun(const std::vector<Entry>& sorted, Size size,
         });
   };
   Status status = Status::Ok();
-  for (const Entry& e : sorted) {
+  for (const auto& e : *entries) {
     if (!chunk.empty() &&
-        chunk.size() + size(e) > config_.output_batch_bytes) {
+        chunk.size() + Traits::MaxSize(e) > config_.output_batch_bytes) {
       status = co_await flush();
       if (!status.ok()) break;
     }
-    serialize(&chunk, e);
+    if (run.index.empty() ||
+        run.bytes >= run.index.back().offset + kRunIndexStride) {
+      run.index.push_back(RunMark{Traits::Key(e), run.bytes});
+    }
+    const std::size_t before = chunk.size();
+    Traits::Append(&chunk, e);
+    run.bytes += chunk.size() - before;
   }
   if (status.ok() && !chunk.empty()) status = co_await flush();
   const Status joined = co_await out.Join();
   if (status.ok()) status = joined;
+  entries->clear();
   KVCSD_CO_RETURN_IF_ERROR(status);
   ++compaction_stats_.runs_spilled;
   runs->push_back(std::move(run));
@@ -154,27 +175,13 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
   std::uint64_t current_bytes = 0;
 
   auto spill_current = [&]() -> sim::Task<Status> {
-    if (current.empty()) co_return Status::Ok();
-    co_await cpu_.ComputeBytes(current_bytes,
-                               config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-    // (key, seq): duplicate keys stay newest-last within the run, matching
-    // KlogMergeTraits so the merge's last-writer-wins pass sees every
-    // version of a key adjacently in seq order.
-    std::sort(current.begin(), current.end(),
-              [](const KlogEntry& a, const KlogEntry& b) {
-                if (a.key != b.key) return a.key < b.key;
-                return a.seq < b.seq;
-              });
-    const Status spilled = co_await SpillRun(
-        current, [](const KlogEntry& e) { return e.key.size() + 20; },
-        [](std::string* chunk, const KlogEntry& e) {
-          wire::AppendKlogEntry(chunk, e.key, e.value_addr, e.value_len,
-                                e.seq, e.tombstone);
-        },
-        &out->temp_clusters, &out->runs);
-    current.clear();
+    // (key, seq): duplicate keys stay newest-last within the run, so the
+    // merge's last-writer-wins pass sees every version of a key adjacently
+    // in seq order.
+    const std::uint64_t bytes = current_bytes;
     current_bytes = 0;
-    co_return spilled;
+    co_return co_await SpillRun<KlogMergeTraits>(
+        &current, bytes, &out->temp_clusters, &out->runs);
   };
 
   KlogZoneStream stream(&ssd_, zone, config_.output_batch_bytes,
@@ -202,20 +209,10 @@ sim::Task<Status> Device::GenerateZoneRuns(std::uint32_t zone,
 // ---------------------------------------------------------------------------
 
 sim::Task<Status> Device::SidxSpill(SidxSortState* state) {
-  if (state->current.empty()) co_return Status::Ok();
-  co_await cpu_.ComputeBytes(state->current_bytes,
-                             config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-  std::sort(state->current.begin(), state->current.end(), SidxOrder);
-  const Status spilled = co_await SpillRun(
-      state->current,
-      [](const SidxTuple& t) { return wire::SidxEntrySize(t.skey, t.pkey); },
-      [](std::string* chunk, const SidxTuple& t) {
-        wire::AppendSidxEntry(chunk, t.skey, t.pkey, t.vaddr, t.vlen);
-      },
-      &state->temp_clusters, &state->runs);
-  state->current.clear();
+  const std::uint64_t bytes = state->current_bytes;
   state->current_bytes = 0;
-  co_return spilled;
+  co_return co_await SpillRun<SidxMergeTraits>(
+      &state->current, bytes, &state->temp_clusters, &state->runs);
 }
 
 sim::Task<Status> Device::SidxMergeToBlocks(
@@ -324,6 +321,53 @@ struct Device::Phase2Pipeline {
   // ones drain their input without working on it.
   bool failed = false;
 };
+
+sim::Task<Result<std::vector<KlogEntry>>> Device::MergePartition(
+    const std::vector<SpilledRun>& runs,
+    const std::vector<std::string>& splitters, std::size_t partition,
+    const bool* stop) {
+  KeyRange range;
+  if (partition > 0) range.lo = splitters[partition - 1];
+  if (partition < splitters.size()) range.hi = splitters[partition];
+  RunMerger<KlogMergeTraits> merger(sim_, &ssd_, std::move(range));
+  KVCSD_CO_RETURN_IF_ERROR(
+      co_await merger.Init(runs, &compaction_stats_.bytes_read));
+
+  std::vector<KlogEntry> live;
+  std::uint64_t merged_bytes = 0;
+  // Last-writer-wins: the merge yields every version of a key adjacently
+  // in ascending mutation-seq order (KlogMergeTraits), so only the final
+  // entry of an equal-key group is live. `pending` holds the group's
+  // newest version so far; it is kept when the key changes — unless it
+  // is a tombstone, which simply vanishes along with every older version
+  // it shadowed.
+  std::optional<KlogEntry> pending;
+  while (!merger.Empty()) {
+    if (*stop) co_return Status::Aborted("compaction pipeline failed");
+    KlogEntry entry;
+    KVCSD_CO_RETURN_IF_ERROR(co_await merger.Pop(&entry));
+    merged_bytes += entry.key.size() + 12;
+    if (merged_bytes >= MiB(1)) {
+      co_await cpu_.ComputeBytes(merged_bytes,
+                                 config_.costs.merge_bytes_per_sec,
+                                 sim::Activity::kCompact);
+      merged_bytes = 0;
+    }
+    if (pending.has_value() && pending->key != entry.key &&
+        !pending->tombstone) {
+      live.push_back(std::move(*pending));
+    }
+    pending = std::move(entry);
+  }
+  if (pending.has_value() && !pending->tombstone) {
+    live.push_back(std::move(*pending));
+  }
+  if (merged_bytes > 0) {
+    co_await cpu_.ComputeBytes(merged_bytes, config_.costs.merge_bytes_per_sec,
+                               sim::Activity::kCompact);
+  }
+  co_return std::move(live);
+}
 
 sim::Task<Status> Device::ValueWriteStage(Phase2Pipeline* pipe) {
   // Gathers the batch's values and rewrites them in key order; values
@@ -655,10 +699,6 @@ sim::Task<Status> Device::RunCompaction(
   compaction_stats_.max_merge_fanin =
       std::max<std::uint64_t>(compaction_stats_.max_merge_fanin, runs.size());
 
-  RunMerger<KlogMergeTraits> merger(sim_, &ssd_);
-  KVCSD_CO_RETURN_IF_ERROR(
-      co_await merger.Init(runs, &compaction_stats_.bytes_read));
-
   std::optional<BloomFilterBuilder> bloom;
   if (config_.bloom_bits_per_key > 0) {
     bloom.emplace(static_cast<int>(config_.bloom_bits_per_key));
@@ -681,66 +721,66 @@ sim::Task<Status> Device::RunCompaction(
   const std::uint64_t batch_budget = std::max<std::uint64_t>(
       config_.dram_bytes / 4 / budget_shares / 5, KiB(64));
 
-  // The merge stage runs here. Per merged entry it never suspends except
-  // inside RunMerger::Pop, which bounds the stack depth.
-  Status merge_status = Status::Ok();
-  {
-    auto batch = std::make_unique<ValueBatch>();
-    Tick batch_start = sim_->Now();
-    std::uint64_t merged_bytes = 0;
-    // Merge CPU is charged per MiB of merged keys, and for the rest of a
-    // batch's keys before the batch is handed on.
-    auto charge_merge = [&]() -> sim::Task<void> {
-      if (merged_bytes == 0) co_return;
-      co_await cpu_.ComputeBytes(merged_bytes,
-                                 config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-      merged_bytes = 0;
-    };
-    // Hands the open batch to the write stage and opens the next one.
-    auto ship = [&]() -> sim::Task<void> {
-      co_await charge_merge();
-      pipe.Record("merge", *batch, batch_start);
-      const std::uint64_t next = batch->index + 1;
-      co_await pipe.merged.Push(std::move(batch));
-      batch = std::make_unique<ValueBatch>();
-      batch->index = next;
-      batch_start = sim_->Now();
-    };
-    // Last-writer-wins: the merge yields every version of a key
-    // adjacently in ascending mutation-seq order (KlogMergeTraits), so
-    // only the final entry of an equal-key group is live. `pending` holds
-    // the group's newest version so far; it is admitted when the key
-    // changes — unless it is a tombstone, which simply vanishes along
-    // with every older version it shadowed.
-    std::optional<KlogEntry> pending;
-    std::uint64_t append_fill = 0;
-    // True when the open batch must end right before `e`.
-    auto ends_batch = [&](const KlogEntry& e) {
-      return NextValueStartsAppend(&append_fill, e.value_len,
-                                   config_.output_batch_bytes) &&
-             batch->value_bytes >= batch_budget;
-    };
-    while (!merger.Empty() && !pipe.failed) {
-      KlogEntry entry;
-      merge_status = co_await merger.Pop(&entry);
-      if (!merge_status.ok()) break;
-      merged_bytes += entry.key.size() + 12;
-      if (merged_bytes >= MiB(1)) co_await charge_merge();
-      if (pending.has_value() && pending->key != entry.key &&
-          !pending->tombstone) {
-        if (ends_batch(*pending)) co_await ship();
-        batch->Admit(std::move(*pending));
-      }
-      pending = std::move(entry);
+  // The key merge runs as key-range partitions, consumed in key order by
+  // the sequencer below. `cores` is this compaction's share of the SoC
+  // (compactions of several keyspaces already run side by side), and at
+  // most that many partitions merge at once. The batch being merged holds
+  // keys only (the write stage gathers its values), so its fifth of the
+  // key share holds the merged entries waiting ahead of the sequencer: at
+  // most `cores` partitions in flight plus the one being consumed, each of
+  // about a (cores + 1)-th of the batch budget. With more than one core,
+  // the runs also split into kMergePartitionsPerCore partitions per core;
+  // with one, partitions only keep to the DRAM bound.
+  const auto cores = static_cast<std::uint32_t>(std::max<std::uint64_t>(
+      config_.soc_cores / std::max<std::uint64_t>(compactions_running_, 1),
+      1));
+  std::uint64_t run_bytes = 0;
+  for (const SpilledRun& run : runs) run_bytes += run.bytes;
+  std::uint64_t target = batch_budget / (cores + 1);
+  if (cores > 1) {
+    target = std::min<std::uint64_t>(
+        target, run_bytes / (kMergePartitionsPerCore * cores) + 1);
+  }
+  const std::vector<std::string> splitters = PickSplitters(runs, target);
+  stats().counter("device.compact.merge_partitions")
+      .Add(splitters.size() + 1);
+
+  // The sequencer: cuts the partitions' live entries, in key order, into
+  // value batches exactly as one serial merge would.
+  auto batch = std::make_unique<ValueBatch>();
+  Tick batch_start = sim_->Now();
+  // Hands the open batch to the write stage and opens the next one.
+  auto ship = [&]() -> sim::Task<void> {
+    pipe.Record("merge", *batch, batch_start);
+    const std::uint64_t next = batch->index + 1;
+    co_await pipe.merged.Push(std::move(batch));
+    batch = std::make_unique<ValueBatch>();
+    batch->index = next;
+    batch_start = sim_->Now();
+  };
+  std::uint64_t append_fill = 0;
+  // True when the open batch must end right before `e`.
+  auto ends_batch = [&](const KlogEntry& e) {
+    return NextValueStartsAppend(&append_fill, e.value_len,
+                                 config_.output_batch_bytes) &&
+           batch->value_bytes >= batch_budget;
+  };
+  auto merge_partition = [&](std::size_t partition) {
+    return MergePartition(runs, splitters, partition, &pipe.failed);
+  };
+  auto sequence = [&](std::size_t,
+                      std::vector<KlogEntry> live) -> sim::Task<Status> {
+    for (KlogEntry& e : live) {
+      if (pipe.failed) co_return Status::Aborted("compaction pipeline failed");
+      if (ends_batch(e)) co_await ship();
+      batch->Admit(std::move(e));
     }
-    if (merge_status.ok() && !pipe.failed) {
-      if (pending.has_value() && !pending->tombstone) {
-        if (ends_batch(*pending)) co_await ship();
-        batch->Admit(std::move(*pending));
-      }
-      if (!batch->entries.empty()) co_await ship();
-      co_await charge_merge();  // keys that left no live entry behind
-    }
+    co_return Status::Ok();
+  };
+  Status merge_status = co_await sim::OrderedParallelFor<std::vector<KlogEntry>>(
+      sim_, splitters.size() + 1, cores, merge_partition, sequence);
+  if (merge_status.ok() && !pipe.failed && !batch->entries.empty()) {
+    co_await ship();
   }
   // Always close + join: each stage must see end-of-stream even on the
   // error paths, or a neighbour would wait forever. With every stage
@@ -757,8 +797,9 @@ sim::Task<Status> Device::RunCompaction(
     scratch->insert(scratch->end(), state.temp_clusters.begin(),
                     state.temp_clusters.end());
   }
-  KVCSD_CO_RETURN_IF_ERROR(merge_status);
+  // A failed stage stops the merge (Aborted): its own error comes first.
   KVCSD_CO_RETURN_IF_ERROR(stage_status);
+  KVCSD_CO_RETURN_IF_ERROR(merge_status);
 
   // ---- Fused secondary indexes: concurrent per-spec merges ----
   KeyspaceLayout next;

@@ -702,16 +702,25 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
   co_await cpu_.ComputeBytes(frame.size(), config_.costs.memcpy_bytes_per_sec,
                              sim::Activity::kHostWrite);
 
-  Status s = Status::Ok();
+  // The whole frame is parsed before any record is buffered, so a
+  // malformed frame fails the command without a side effect.
+  std::vector<std::pair<Slice, Slice>> records;
   Slice in(frame);
-  std::uint32_t records_uncharged = 0;
   while (!in.empty()) {
     Slice key, value;
     if (!GetLengthPrefixedSlice(&in, &key) ||
         !GetLengthPrefixedSlice(&in, &value)) {
-      s = Status::InvalidArgument("malformed bulk-put frame");
-      break;
+      co_await cpu_.Compute(records.size() * config_.costs.kv_op_fixed,
+                            sim::Activity::kHostWrite);
+      ks->runtime.write_lock.Release();
+      co_return Status::InvalidArgument("malformed bulk-put frame");
     }
+    records.emplace_back(key, value);
+  }
+
+  Status s = Status::Ok();
+  std::uint32_t records_uncharged = 0;
+  for (const auto& [key, value] : records) {
     ++records_uncharged;
     BufferMutation(ks, key.ToString(), value.ToString(), /*tombstone=*/false);
     if (records_uncharged >= 512) {

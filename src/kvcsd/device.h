@@ -111,11 +111,27 @@ struct KlogEntry {
   bool tombstone = false;
 };
 
+// One mark of a spilled run's sparse index: the key of an entry and the
+// entry's byte offset in the run (its segments laid end to end).
+struct RunMark {
+  std::string key;
+  std::uint64_t offset = 0;
+};
+
+// A run index marks the first entry at or past every this many bytes of
+// serialized entries.
+inline constexpr std::uint64_t kRunIndexStride = KiB(4);
+
 // A sorted run spilled to TEMP zone clusters during an external sort: a
-// list of contiguous flash segments, each holding whole serialized entries.
+// list of contiguous flash segments, each holding whole serialized
+// entries, and a sparse index over them (the first mark is the first
+// entry). A partitioned merge picks its splitters from the index and
+// starts and stops each reader at its marks.
 struct SpilledRun {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> segments;
+  std::vector<RunMark> index;
   std::uint64_t entries = 0;
+  std::uint64_t bytes = 0;  // serialized entries, all segments
 };
 
 // One record of a secondary-index external sort: the order-encoded
@@ -361,15 +377,27 @@ class Device {
                                      std::uint64_t run_budget,
                                      RunGenOutput* out);
 
-  // Writes one sorted run of an external sort to the TEMP chain `chain`
-  // through a ChainWriter and appends it to *runs. A segment ends before
-  // an entry that would push it past output_batch_bytes: `size` bounds an
-  // entry's serialized size, `serialize` appends it to a segment.
-  template <typename Entry, typename Size, typename Serialize>
-  sim::Task<Status> SpillRun(const std::vector<Entry>& sorted, Size size,
-                             Serialize serialize,
+  // Sorts `*entries` by Traits::Less (charging `sort_bytes` of merge CPU),
+  // writes them as one run of an external sort to the TEMP chain `chain`
+  // through a ChainWriter, appends the run to *runs and empties
+  // *entries. A segment ends before an entry that would push it past
+  // output_batch_bytes; the run index marks an entry every
+  // kRunIndexStride bytes.
+  template <typename Traits>
+  sim::Task<Status> SpillRun(std::vector<typename Traits::Entry>* entries,
+                             std::uint64_t sort_bytes,
                              std::vector<ClusterId>* chain,
                              std::vector<SpilledRun>* runs);
+
+  // Phase 2's key merge, one partition of it: merges the part of every
+  // run in the partition's key range (between splitters[partition - 1]
+  // and splitters[partition]), charges its merge CPU per MiB and keeps
+  // the live entry of each equal-key group. Stops early, Aborted, once
+  // *stop is set.
+  sim::Task<Result<std::vector<KlogEntry>>> MergePartition(
+      const std::vector<SpilledRun>& runs,
+      const std::vector<std::string>& splitters, std::size_t partition,
+      const bool* stop);
 
   // Phase 2's two downstream stages. The write stage gathers each merged
   // value batch, rewrites the values in key order and hands the batch on;

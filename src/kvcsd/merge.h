@@ -1,24 +1,35 @@
 // K-way merge machinery for the device compactor (paper §V).
 //
-// Three pieces, shared by the key merge and the SIDX merge:
+// Four pieces, shared by the key merge and the SIDX merge:
 //
 //  * LoserTree — a tournament tree selecting the minimum of k sources in
 //    O(log k) comparisons per pop, replacing the O(k) scan-per-element
 //    loops the compactor used to run on every merged entry.
 //  * TempRunReader — streams one spilled run back from TEMP zone
-//    clusters, double-buffered: the flash read of the next segment is
+//    clusters, double-buffered: the flash read of the next piece is
 //    issued as soon as the previous buffer is handed over, so merge
-//    compute on the current segment overlaps the SSD read of the next.
+//    compute on the current piece overlaps the SSD read of the next.
+//    Given a key range [lo, hi), it reads only the bytes between the
+//    run-index marks that bracket the range and yields only the entries
+//    inside it.
 //  * RunMerger — glues k readers to a loser tree behind a Pop() loop.
+//  * PickSplitters — cuts the key space of a set of runs into partitions
+//    of about a target size from the runs' sparse indexes, so partition
+//    merges can run at once on the SoC cores (DESIGN.md §7). A splitter
+//    is a key, so every version of a key falls in one partition.
 //
 // Ties between runs are broken by run index (the order runs were
 // generated in), which is deterministic regardless of how many SoC cores
 // executed run generation — a requirement for compaction results being
-// reproducible across `soc_cores` settings.
+// reproducible across `soc_cores` settings. A partition's merger holds a
+// reader for every run, so its ties break exactly as the full merge's.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -93,7 +104,18 @@ class LoserTree {
   std::size_t k_ = 0;
 };
 
-// Merge traits for KLOG-format runs (phase-1 key merge). Duplicate keys
+// The key range [lo, hi) one partition of a merge covers: an empty `lo`
+// is open below, a missing `hi` open above. The default is every key.
+struct KeyRange {
+  std::string lo;
+  std::optional<std::string> hi;
+};
+
+// Merge traits describe one run format: how an entry is ordered, which
+// key a run index records for it, and how it is serialized (Append, at
+// most MaxSize bytes) and parsed back.
+//
+// KLOG-format runs (phase-1 key merge). Duplicate keys
 // (overwrites, tombstones) order by ascending mutation seq, so the merge
 // pops every version of a key adjacently with the NEWEST last — the
 // consumer keeps the final entry of each equal-key group and last-writer
@@ -115,6 +137,12 @@ struct KlogMergeTraits {
     if (a.key != b.key) return a.key < b.key;
     return a.seq < b.seq;
   }
+  static const std::string& Key(const Entry& e) { return e.key; }
+  static std::size_t MaxSize(const Entry& e) { return e.key.size() + 20; }
+  static void Append(std::string* out, const Entry& e) {
+    wire::AppendKlogEntry(out, e.key, e.value_addr, e.value_len, e.seq,
+                          e.tombstone);
+  }
 };
 
 // Merge traits for SIDX-format runs (<skey, pkey> external sort).
@@ -130,11 +158,24 @@ struct SidxMergeTraits {
     return true;
   }
   static bool Less(const Entry& a, const Entry& b) { return SidxOrder(a, b); }
+  static const std::string& Key(const Entry& e) { return e.skey; }
+  static std::size_t MaxSize(const Entry& e) {
+    return wire::SidxEntrySize(e.skey, e.pkey);
+  }
+  static void Append(std::string* out, const Entry& e) {
+    wire::AppendSidxEntry(out, e.skey, e.pkey, e.vaddr, e.vlen);
+  }
 };
 
 // Streams one spilled run's entries back from flash. Owned by shared_ptr
 // because the prefetch I/O runs as a detached process: the in-flight read
 // keeps the reader alive even if the merge aborts early.
+//
+// Given a bounded `range`, the reader reads from the last index mark below
+// `lo` (entries of `lo` may precede the first mark that names it) up to
+// the first mark at or past `hi`, skips the entries below `lo` and stops
+// at the first entry at or past `hi`. A run without an index is read
+// whole.
 template <typename Traits>
 class TempRunReader
     : public std::enable_shared_from_this<TempRunReader<Traits>> {
@@ -142,12 +183,15 @@ class TempRunReader
   using Entry = typename Traits::Entry;
 
   TempRunReader(sim::Simulation* sim, storage::ZnsSsd* ssd,
-                const SpilledRun* run, std::uint64_t* bytes_read_counter)
+                const SpilledRun* run, std::uint64_t* bytes_read_counter,
+                const KeyRange& range)
       : sim_(sim),
         ssd_(ssd),
-        run_(run),
         bytes_read_(bytes_read_counter),
-        prefetch_ready_(sim) {}
+        range_(range),
+        prefetch_ready_(sim) {
+    PlanPieces(*run);
+  }
   TempRunReader(const TempRunReader&) = delete;
   TempRunReader& operator=(const TempRunReader&) = delete;
 
@@ -155,23 +199,27 @@ class TempRunReader
   const Entry& head() const { return head_; }
   Entry& mutable_head() { return head_; }
 
-  // Loads the first entry (and starts prefetching the second segment).
+  // Loads the first entry (and starts prefetching the second piece).
   // Call exactly once before the first Advance().
   sim::Task<Status> Init() {
     StartPrefetch();
     co_return co_await Advance();
   }
 
-  // Parses the next entry into head(); flips valid() off at end-of-run.
-  // Swapping in a prefetched buffer immediately kicks off the read of the
-  // segment after it, so the SSD stays busy while the caller merges.
+  // Parses the next in-range entry into head(); flips valid() off at the
+  // end of the run or of the range. Swapping in a prefetched buffer
+  // immediately kicks off the read of the piece after it, so the SSD
+  // stays busy while the caller merges.
   sim::Task<Status> Advance() {
     for (;;) {
       if (!cursor_.empty()) {
         if (!Traits::Parse(&cursor_, &head_)) {
           co_return Status::Corruption("bad TEMP run entry");
         }
-        valid_ = true;
+        const std::string& key = Traits::Key(head_);
+        if (key < range_.lo) continue;
+        valid_ = !range_.hi.has_value() || key < *range_.hi;
+        if (!valid_) cursor_ = Slice();  // past the range: the run is done
         co_return Status::Ok();
       }
       if (!prefetch_active_) {
@@ -188,9 +236,43 @@ class TempRunReader
   }
 
  private:
+  // The flash extents holding run bytes [begin, end): the segments laid
+  // end to end, cut at the index marks that bracket the range. Marks sit
+  // on entry boundaries, so every piece parses on its own.
+  void PlanPieces(const SpilledRun& run) {
+    std::uint64_t total = 0;
+    for (const auto& [addr, len] : run.segments) total += len;
+    std::uint64_t begin = 0;
+    std::uint64_t end = total;
+    const auto& index = run.index;
+    const auto mark_at_or_past = [&index](const std::string& key) {
+      return std::partition_point(
+          index.begin(), index.end(),
+          [&key](const RunMark& m) { return m.key < key; });
+    };
+    if (!range_.lo.empty()) {
+      const auto it = mark_at_or_past(range_.lo);
+      if (it != index.begin()) begin = std::prev(it)->offset;
+    }
+    if (range_.hi.has_value()) {
+      const auto it = mark_at_or_past(*range_.hi);
+      if (it != index.end()) end = it->offset;
+    }
+    std::uint64_t offset = 0;
+    for (const auto& [addr, len] : run.segments) {
+      const std::uint64_t from = std::max(begin, offset);
+      const std::uint64_t to = std::min(end, offset + len);
+      if (from < to) {
+        pieces_.emplace_back(addr + (from - offset),
+                             static_cast<std::uint32_t>(to - from));
+      }
+      offset += len;
+    }
+  }
+
   void StartPrefetch() {
-    if (next_segment_ >= run_->segments.size()) return;
-    const auto [addr, len] = run_->segments[next_segment_++];
+    if (next_piece_ >= pieces_.size()) return;
+    const auto [addr, len] = pieces_[next_piece_++];
     prefetch_active_ = true;
     prefetch_ready_.Reset();
     sim_->Spawn(PrefetchIo(this->shared_from_this(), addr, len));
@@ -210,10 +292,11 @@ class TempRunReader
 
   sim::Simulation* sim_;
   storage::ZnsSsd* ssd_;
-  const SpilledRun* run_;
   std::uint64_t* bytes_read_;
+  const KeyRange range_;
 
-  std::size_t next_segment_ = 0;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> pieces_;
+  std::size_t next_piece_ = 0;
   std::string buffer_;
   Slice cursor_;
   Entry head_{};
@@ -226,24 +309,25 @@ class TempRunReader
 };
 
 // K-way merger over spilled runs: loser-tree selection over
-// double-buffered readers. The SpilledRun storage must outlive the
-// merger; readers hold pointers into it.
+// double-buffered readers, optionally restricted to one key range. The
+// SpilledRun storage must outlive the merger; readers plan their reads
+// from it.
 template <typename Traits>
 class RunMerger {
  public:
   using Entry = typename Traits::Entry;
 
-  RunMerger(sim::Simulation* sim, storage::ZnsSsd* ssd)
-      : sim_(sim), ssd_(ssd) {}
+  RunMerger(sim::Simulation* sim, storage::ZnsSsd* ssd, KeyRange range = {})
+      : sim_(sim), ssd_(ssd), range_(std::move(range)) {}
 
   // Creates one reader per run and loads every head concurrently, so the
-  // k first-segment reads spread across NAND channels.
+  // k first reads spread across NAND channels.
   sim::Task<Status> Init(const std::vector<SpilledRun>& runs,
                          std::uint64_t* bytes_read_counter) {
     readers_.reserve(runs.size());
     for (const SpilledRun& run : runs) {
       readers_.push_back(std::make_shared<TempRunReader<Traits>>(
-          sim_, ssd_, &run, bytes_read_counter));
+          sim_, ssd_, &run, bytes_read_counter, range_));
     }
     sim::TaskGroup group(sim_);
     for (auto& reader : readers_) group.Spawn(reader->Init());
@@ -259,15 +343,10 @@ class RunMerger {
   bool Empty() const { return live_ == 0; }
   std::size_t fan_in() const { return readers_.size(); }
 
-  // Moves the smallest live entry into *out and advances its run.
-  //
-  // Most pops complete without suspending. Where the compiler does not
-  // turn coroutine symmetric transfer into a tail call (GCC at -O0), each
-  // synchronous Pop <-> caller round trip nests a native stack frame, so
-  // every kPopsPerYield pops resume through the event queue (a zero-time
-  // delay) and unwind the stack: its depth is bounded by construction.
+  // Moves the smallest live entry into *out and advances its run. Most
+  // pops complete without suspending; the scheduler bounds the stack
+  // depth of such a loop (sim/task.h).
   sim::Task<Status> Pop(Entry* out) {
-    if (++pops_ % kPopsPerYield == 0) co_await sim_->Delay(0);
     const std::size_t w = tree_.winner();
     *out = std::move(readers_[w]->mutable_head());
     KVCSD_CO_RETURN_IF_ERROR(co_await readers_[w]->Advance());
@@ -289,14 +368,50 @@ class RunMerger {
     return a < b;  // deterministic tie-break: run generation order
   }
 
-  static constexpr std::uint64_t kPopsPerYield = 256;
-
   sim::Simulation* sim_;
   storage::ZnsSsd* ssd_;
+  const KeyRange range_;
   std::vector<std::shared_ptr<TempRunReader<Traits>>> readers_;
   LoserTree tree_;
   std::size_t live_ = 0;
-  std::uint64_t pops_ = 0;
 };
+
+// Splitter keys for a partitioned merge of `runs`, ascending. Partition i
+// is [splitter i-1, splitter i) (the first is open below, the last open
+// above), so every version of a key falls in exactly one partition and
+// last-writer-wins resolves inside it. Each index mark's chunk of run bytes is
+// attributed to its first key; walking the chunks in key order, a
+// splitter is placed at the first key change after `target_bytes` have
+// accumulated. A partition therefore holds about `target_bytes` of run
+// entries (give or take a chunk per run), or more only where one key's
+// versions alone exceed it.
+inline std::vector<std::string> PickSplitters(
+    const std::vector<SpilledRun>& runs, std::uint64_t target_bytes) {
+  struct Chunk {
+    const std::string* key;
+    std::uint64_t bytes;
+  };
+  std::vector<Chunk> chunks;
+  for (const SpilledRun& run : runs) {
+    for (std::size_t j = 0; j < run.index.size(); ++j) {
+      const std::uint64_t end =
+          j + 1 < run.index.size() ? run.index[j + 1].offset : run.bytes;
+      chunks.push_back(Chunk{&run.index[j].key, end - run.index[j].offset});
+    }
+  }
+  std::sort(chunks.begin(), chunks.end(),
+            [](const Chunk& a, const Chunk& b) { return *a.key < *b.key; });
+  std::vector<std::string> splitters;
+  std::uint64_t accumulated = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (i > 0 && accumulated >= target_bytes &&
+        *chunks[i].key != *chunks[i - 1].key) {
+      splitters.push_back(*chunks[i].key);
+      accumulated = 0;
+    }
+    accumulated += chunks[i].bytes;
+  }
+  return splitters;
+}
 
 }  // namespace kvcsd::device

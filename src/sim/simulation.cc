@@ -77,7 +77,12 @@ bool Simulation::Step() {
   // cadence boundary the clock just crossed. Sampling takes no simulated
   // time; a disabled sampler costs one branch per event.
   if (telemetry_.Due(now_)) telemetry_.Sample(now_);
+  detail::Trampoline::Reset();
   ev.handle.resume();
+  // A chain of synchronous transfers that reached the depth limit parked
+  // its next coroutine and unwound to here: it continues before any other
+  // event, exactly where it would have without the unwind.
+  while (auto parked = detail::Trampoline::Reset()) parked.resume();
   return true;
 }
 

@@ -6,6 +6,16 @@
 // single-threaded: all concurrency is virtual, interleaved by the event
 // queue, so none of this needs atomics.
 //
+// Stack depth. Where the compiler does not turn symmetric transfer into a
+// tail call (GCC at -O0, so the Debug and sanitizer builds), every
+// transfer nests a native frame until some coroutine really suspends; a
+// loop whose awaits keep completing synchronously would recurse until the
+// stack overflows. Every transfer therefore goes through the Trampoline:
+// past kMaxDepth transfers since the scheduler last resumed a coroutine,
+// it parks the target and unwinds to Simulation::Step, which resumes the
+// parked coroutine before any other event. Nothing else can run between
+// the park and that resumption, so event order is unchanged.
+//
 // GCC 12 PITFALL: never pass a *prvalue temporary* of a non-trivially-
 // copyable type (std::string, structs containing them) as a BY-VALUE
 // argument to a coroutine, e.g. `co_await F(MyStruct{...})`. GCC 12's
@@ -15,7 +25,10 @@
 // Always name the object and `std::move` it: `MyStruct s{...};
 // co_await F(std::move(s));`. Reference parameters (`const T&`) bound to
 // temporaries are fine as long as the caller co_awaits the task within the
-// same full expression, which is this library's universal calling pattern.
+// same full expression, which is this library's universal calling pattern
+// — except a temporary made by a DEFAULT argument (`const T& x = {}`),
+// which GCC 12 frees twice: give coroutines no defaulted class-type
+// parameters.
 #pragma once
 
 #include <cassert>
@@ -31,6 +44,31 @@ class Task;
 
 namespace detail {
 
+class Trampoline {
+ public:
+  static constexpr int kMaxDepth = 128;
+
+  // The handle a transfer should resume: `next` itself, or (past the
+  // depth limit) the no-op coroutine, with `next` parked for Step.
+  static std::coroutine_handle<> Transfer(std::coroutine_handle<> next) {
+    if (++depth_ < kMaxDepth) return next;
+    assert(!parked_);
+    parked_ = next;
+    return std::noop_coroutine();
+  }
+
+  // Called by the scheduler before it resumes a coroutine: starts a new
+  // count and hands over the parked handle, if any (null otherwise).
+  static std::coroutine_handle<> Reset() {
+    depth_ = 0;
+    return std::exchange(parked_, nullptr);
+  }
+
+ private:
+  static inline thread_local int depth_ = 0;
+  static inline thread_local std::coroutine_handle<> parked_ = nullptr;
+};
+
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
@@ -41,7 +79,9 @@ struct PromiseBase {
     std::coroutine_handle<> await_suspend(
         std::coroutine_handle<Promise> h) noexcept {
       auto& promise = h.promise();
-      if (promise.continuation) return promise.continuation;
+      if (promise.continuation) {
+        return Trampoline::Transfer(promise.continuation);
+      }
       return std::noop_coroutine();
     }
     void await_resume() const noexcept {}
@@ -112,7 +152,7 @@ class [[nodiscard]] Task {
       std::coroutine_handle<> await_suspend(
           std::coroutine_handle<> awaiting) noexcept {
         handle.promise().continuation = awaiting;
-        return handle;  // symmetric transfer into the child
+        return detail::Trampoline::Transfer(handle);  // into the child
       }
       T await_resume() { return handle.promise().TakeResult(); }
     };

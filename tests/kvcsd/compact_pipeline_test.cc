@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -294,6 +295,133 @@ TEST(CompactPipelineTest, AppendWindowKeepsTheLayout) {
     EXPECT_EQ(big_batches.pidx, serial.pidx);
     EXPECT_EQ(big_batches.sidx, serial.sidx);
     EXPECT_EQ(big_batches.sorted_values, serial.sorted_values);
+  }
+}
+
+// A keyspace whose equal-key groups span runs: every key is put, then
+// overwritten or deleted in two later passes, each pass in its own
+// shuffled order, so the versions of a key sit in different runs. The
+// partitioned key merge may cut between keys only, never inside a group.
+struct GroupedLayout {
+  Layout layout;
+  std::uint64_t num_kvs = 0;
+  std::string bloom;
+  std::uint64_t partitions = 0;
+};
+
+constexpr std::uint64_t kGroupedKeys = 3000;
+
+// Pass 0 puts every key; pass 1 overwrites the even keys and deletes
+// keys = 1 mod 5; pass 2 puts keys = 0 mod 3 (resurrecting some deleted
+// ones) and deletes keys = 2 mod 7. Returns the value a key ends with,
+// or nullopt when its last version is a tombstone.
+std::optional<std::string> GroupedFinalValue(std::uint64_t id) {
+  std::optional<std::string> value = EnergyValue(id * 3);
+  if (id % 2 == 0) value = EnergyValue(id * 3 + 1);
+  if (id % 5 == 1) value.reset();
+  if (id % 3 == 0) value = EnergyValue(id * 3 + 2);
+  if (id % 7 == 2) value.reset();
+  return value;
+}
+
+sim::Task<void> GroupedWorkload(client::Client* db, Device* dev,
+                                GroupedLayout* out) {
+  auto created = co_await db->CreateKeyspace("grouped");
+  KVCSD_CO_ASSERT_OK(created);
+  auto ks = std::move(*created);
+  for (std::uint64_t pass = 0; pass < 3; ++pass) {
+    constexpr std::uint64_t kStrides[] = {701, 977, 1201};  // prime
+    const std::uint64_t stride = kStrides[pass];
+    auto writer = ks.NewBulkWriter();
+    std::vector<std::uint64_t> deletes;
+    for (std::uint64_t i = 0; i < kGroupedKeys; ++i) {
+      const std::uint64_t id = (i * stride) % kGroupedKeys;
+      const bool put = pass == 0 || (pass == 1 && id % 2 == 0) ||
+                       (pass == 2 && id % 3 == 0);
+      const bool del = (pass == 1 && id % 5 == 1) || (pass == 2 && id % 7 == 2);
+      if (put) {
+        KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(id),
+                                               EnergyValue(id * 3 + pass)));
+      }
+      if (del) deletes.push_back(id);
+    }
+    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    for (std::uint64_t id : deletes) {
+      KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(id)));
+    }
+  }
+  std::vector<nvme::SecondaryIndexSpec> specs;
+  specs.push_back(EnergySpec());
+  KVCSD_CO_ASSERT_OK(co_await ks.CompactWithIndexes(std::move(specs)));
+  KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+
+  for (std::uint64_t id = 0; id < kGroupedKeys; id += 11) {
+    auto got = co_await ks.Get(MakeFixedKey(id));
+    const std::optional<std::string> want = GroupedFinalValue(id);
+    if (want.has_value()) {
+      KVCSD_CO_ASSERT_OK(got);
+      EXPECT_EQ(*got, *want) << "key " << id;
+    } else {
+      EXPECT_TRUE(got.status().IsNotFound()) << "key " << id;
+    }
+  }
+  auto found = dev->keyspaces().Find("grouped");
+  KVCSD_CO_ASSERT_OK(found);
+  const Keyspace& layout = **found;
+  out->num_kvs = layout.num_kvs;
+  out->bloom = layout.pidx_bloom;
+  out->layout.pidx = Blocks(layout.pidx_sketch);
+  auto sidx = layout.secondary_indexes.find("energy");
+  KVCSD_CO_ASSERT(sidx != layout.secondary_indexes.end());
+  out->layout.sidx = Blocks(sidx->second.sketch);
+  co_await ReadChain(dev, layout.sorted_value_clusters,
+                     &out->layout.sorted_values);
+  out->layout.ok = true;
+}
+
+GroupedLayout RunGrouped(std::uint32_t cores) {
+  DeviceConfig config = WindowDevice(DeviceConfig{}.gather_fanout);
+  config.soc_cores = cores;
+  config.sort_run_bytes = KiB(64);
+  Fixture f(config);
+  GroupedLayout out;
+  testutil::RunSim(f.sim, GroupedWorkload(&f.db, &f.dev, &out));
+  EXPECT_TRUE(out.layout.ok) << "workload aborted at " << cores << " cores";
+  out.partitions =
+      f.sim.stats().counter_value("device.compact.merge_partitions");
+  return out;
+}
+
+// Each core count cuts the key merge at different splitters, and every
+// splitter falls among keys whose versions sit in several runs. The
+// compacted keyspace must not notice: the same SORTED_VALUES bytes, PIDX
+// and SIDX blocks at the same addresses, the same bloom filter and the
+// same live-key count as the model's.
+TEST(CompactPipelineTest, PartitionBoundariesNeverSplitAKeysVersions) {
+  std::uint64_t live = 0;
+  for (std::uint64_t id = 0; id < kGroupedKeys; ++id) {
+    if (GroupedFinalValue(id).has_value()) ++live;
+  }
+  const GroupedLayout one = RunGrouped(1);
+  ASSERT_TRUE(one.layout.ok);
+  EXPECT_EQ(one.num_kvs, live);
+  EXPECT_EQ(one.layout.sorted_values.size(), live * 32);
+  EXPECT_GT(one.layout.pidx.size(), 4u);
+  EXPECT_FALSE(one.bloom.empty());
+  EXPECT_GT(one.partitions, 1u);
+  std::uint64_t fewer = one.partitions;
+  for (const std::uint32_t cores : {2u, 4u, 8u}) {
+    SCOPED_TRACE("cores=" + std::to_string(cores));
+    const GroupedLayout many = RunGrouped(cores);
+    ASSERT_TRUE(many.layout.ok);
+    // More cores, smaller partitions: the splitters move.
+    EXPECT_GT(many.partitions, fewer);
+    fewer = many.partitions;
+    EXPECT_EQ(many.num_kvs, one.num_kvs);
+    EXPECT_EQ(many.bloom, one.bloom);
+    EXPECT_EQ(many.layout.pidx, one.layout.pidx);
+    EXPECT_EQ(many.layout.sidx, one.layout.sidx);
+    EXPECT_EQ(many.layout.sorted_values, one.layout.sorted_values);
   }
 }
 

@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cstring>
 
+#include "../nvme/round_trip.h"
 #include "../testutil.h"
 #include "client/client.h"
+#include "common/coding.h"
 #include "common/keys.h"
 #include "common/random.h"
 
@@ -113,6 +115,63 @@ TEST(CsdTest, BulkPutRoundTripsAllData) {
     auto missing = co_await ks.Get(MakeFixedKey(999999));
     EXPECT_TRUE(missing.status().IsNotFound());
   }(&f.db));
+}
+
+// A bulk frame whose last record is truncated fails as a whole: no
+// record of it is buffered, logged, counted or compacted. It is long
+// enough to cross the write buffer, so a partly applied frame would also
+// have flushed some records to the log.
+TEST(CsdTest, MalformedBulkFrameHasNoSideEffect) {
+  CsdFixture f;
+  testutil::RunSim(
+      f.sim,
+      [](client::Client* db, nvme::QueueSet* qp) -> sim::Task<void> {
+        auto created = co_await db->CreateKeyspace("frames");
+        KVCSD_CO_ASSERT_OK(created);
+        auto ks = std::move(*created);
+        KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(0), "kept"));
+        auto before = co_await ks.GetStat();
+        KVCSD_CO_ASSERT_OK(before);
+
+        constexpr std::uint64_t kRecords = 400;
+        std::string frame;
+        for (std::uint64_t i = 1; i <= kRecords; ++i) {
+          PutLengthPrefixedSlice(&frame, Slice(MakeFixedKey(i)));
+          PutLengthPrefixedSlice(&frame, Slice("frame-value-" +
+                                               std::to_string(i)));
+        }
+        KVCSD_CO_ASSERT(frame.size() > SmallDevice().write_buffer_bytes);
+        // The last record: a whole key, then a value whose length prefix
+        // promises more bytes than the frame holds.
+        PutLengthPrefixedSlice(&frame, Slice(MakeFixedKey(kRecords + 1)));
+        PutVarint32(&frame, 64);
+        frame.append("short");
+
+        nvme::Command bulk;
+        bulk.opcode = nvme::Opcode::kBulkStore;
+        bulk.keyspace_id = ks.id();
+        bulk.value = std::move(frame);
+        auto done = co_await testutil::RoundTrip(qp, std::move(bulk));
+        EXPECT_EQ(done.status.code(), StatusCode::kInvalidArgument);
+
+        auto after = co_await ks.GetStat();
+        KVCSD_CO_ASSERT_OK(after);
+        EXPECT_EQ(after->num_kvs, before->num_kvs);
+
+        KVCSD_CO_ASSERT_OK(co_await ks.Sync());
+        KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+        KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+        auto compacted = co_await ks.GetStat();
+        KVCSD_CO_ASSERT_OK(compacted);
+        EXPECT_EQ(compacted->num_kvs, 1u);
+        auto kept = co_await ks.Get(MakeFixedKey(0));
+        KVCSD_CO_ASSERT_OK(kept);
+        EXPECT_EQ(*kept, "kept");
+        for (std::uint64_t i = 1; i <= kRecords + 1; ++i) {
+          auto gone = co_await ks.Get(MakeFixedKey(i));
+          EXPECT_TRUE(gone.status().IsNotFound()) << "record " << i;
+        }
+      }(&f.db, &f.qp));
 }
 
 TEST(CsdTest, QueriesRequireCompactedState) {

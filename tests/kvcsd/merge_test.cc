@@ -326,5 +326,81 @@ TEST(RunMergerTest, SidxTiesOrderByPkeyThenRunIndex) {
   }(&f));
 }
 
+// Gives `run`, spilled from `entries`, a run index that marks every
+// `stride`-th entry (SpillRun marks by bytes; entries are what matter).
+void IndexEveryNth(const std::vector<KlogEntry>& entries, std::size_t stride,
+                   SpilledRun* run) {
+  std::string serialized;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i % stride == 0) {
+      run->index.push_back(RunMark{entries[i].key, serialized.size()});
+    }
+    KlogMergeTraits::Append(&serialized, entries[i]);
+  }
+  run->bytes = serialized.size();
+}
+
+sim::Task<void> PopAll(RunMerger<KlogMergeTraits>* merger,
+                       std::vector<std::pair<std::string, std::uint64_t>>* out) {
+  while (!merger->Empty()) {
+    KlogEntry e;
+    KVCSD_CO_ASSERT_OK(co_await merger->Pop(&e));
+    out->emplace_back(e.key, e.seq);
+  }
+}
+
+// Key-range partitions merged one after another give exactly the full
+// merge's stream: every version of every key, in the same order, even
+// though index marks fall inside equal-key groups and each key has
+// versions in every run.
+TEST(RunMergerTest, PartitionsConcatenateToTheFullMerge) {
+  MergeFixture f;
+  testutil::RunSim(f.sim, [](MergeFixture* fx) -> sim::Task<void> {
+    constexpr std::uint64_t kIds = 40;
+    std::vector<SpilledRun> runs(3);
+    for (std::uint64_t r = 0; r < runs.size(); ++r) {
+      std::vector<KlogEntry> entries;
+      for (std::uint64_t id = 0; id < kIds; ++id) {
+        for (std::uint64_t v = 0; v <= (id + r) % 3; ++v) {
+          KlogEntry e;
+          e.key = MakeFixedKey(id);
+          e.seq = r * 1000 + id * 3 + v;
+          e.tombstone = (id + v) % 5 == 0;
+          entries.push_back(std::move(e));
+        }
+      }
+      KVCSD_CO_ASSERT_OK(co_await SpillKlogRun(fx, entries, 5, &runs[r]));
+      IndexEveryNth(entries, 2, &runs[r]);
+    }
+
+    std::vector<std::pair<std::string, std::uint64_t>> full;
+    RunMerger<KlogMergeTraits> whole(&fx->sim, &fx->ssd, KeyRange{});
+    KVCSD_CO_ASSERT_OK(co_await whole.Init(runs, nullptr));
+    co_await PopAll(&whole, &full);
+
+    const std::vector<std::string> splitters = PickSplitters(runs, 100);
+    KVCSD_CO_ASSERT(splitters.size() > 3);
+    KVCSD_CO_ASSERT(std::is_sorted(splitters.begin(), splitters.end()));
+    std::vector<std::pair<std::string, std::uint64_t>> joined;
+    for (std::size_t p = 0; p <= splitters.size(); ++p) {
+      KeyRange range;
+      if (p > 0) range.lo = splitters[p - 1];
+      if (p < splitters.size()) range.hi = splitters[p];
+      RunMerger<KlogMergeTraits> part(&fx->sim, &fx->ssd, range);
+      KVCSD_CO_ASSERT_OK(co_await part.Init(runs, nullptr));
+      const std::size_t before = joined.size();
+      co_await PopAll(&part, &joined);
+      EXPECT_GT(joined.size(), before) << "empty partition " << p;
+      for (std::size_t i = before; i < joined.size(); ++i) {
+        EXPECT_GE(joined[i].first, range.lo);
+        if (range.hi.has_value()) {
+          EXPECT_LT(joined[i].first, *range.hi);
+        }
+      }
+    }
+    EXPECT_EQ(joined, full);
+  }(&f));
+}
+
 }  // namespace
 }  // namespace kvcsd::device

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -109,6 +110,40 @@ TEST(TaskTest, DeeplyNestedAwaitChain) {
   }(&sim, &result));
   sim.Run();
   EXPECT_EQ(result, 5000);
+}
+
+TEST(TaskTest, MillionSynchronousAwaitsInOneLoop) {
+  // Every await completes without suspending, so without the scheduler's
+  // trampoline each one would nest native frames (GCC at -O0 does not
+  // tail-call symmetric transfer) until the stack overflowed. The
+  // trampoline must also keep same-tick order: the loop, spawned first,
+  // finishes before the process spawned after it starts.
+  Simulation sim;
+  constexpr std::uint64_t kAwaits = 1'000'000;
+  struct Loop {
+    static Task<std::uint64_t> Immediate(std::uint64_t i) { co_return i; }
+    static Task<void> Run(std::uint64_t* done, std::uint64_t* sum) {
+      for (std::uint64_t i = 0; i < kAwaits; ++i) {
+        *sum += co_await Immediate(i);
+        ++*done;
+      }
+    }
+  };
+  std::uint64_t done = 0;
+  std::uint64_t sum = 0;
+  std::uint64_t seen_by_next = 0;
+  sim.Spawn(Loop::Run(&done, &sum));
+  sim.Spawn([](const std::uint64_t* progress,
+               std::uint64_t* seen) -> Task<void> {
+    *seen = *progress;
+    co_return;
+  }(&done, &seen_by_next));
+  sim.Run();
+  EXPECT_EQ(done, kAwaits);
+  EXPECT_EQ(sum, kAwaits * (kAwaits - 1) / 2);
+  EXPECT_EQ(seen_by_next, kAwaits);
+  EXPECT_EQ(sim.Now(), 0u);
+  EXPECT_EQ(sim.live_processes(), 0u);
 }
 
 TEST(TaskTest, ExceptionPropagatesToAwaiter) {
