@@ -1,7 +1,5 @@
 #include "hostenv/page_cache.h"
 
-#include <vector>
-
 namespace kvcsd::hostenv {
 
 bool PageCache::Lookup(std::uint64_t file_id, std::uint64_t block) {
@@ -24,26 +22,34 @@ void PageCache::Insert(std::uint64_t file_id, std::uint64_t block) {
   }
   lru_.push_front(key);
   map_[key] = lru_.begin();
-  while (map_.size() > capacity_pages_ && !lru_.empty()) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-  }
+  by_file_[FileOf(key)].insert(key);
+  while (map_.size() > capacity_pages_ && !lru_.empty()) Erase(lru_.back());
+}
+
+void PageCache::Erase(std::uint64_t key) {
+  auto it = map_.find(key);
+  lru_.erase(it->second);
+  map_.erase(it);
+  auto file = by_file_.find(FileOf(key));
+  file->second.erase(key);
+  if (file->second.empty()) by_file_.erase(file);
 }
 
 void PageCache::InvalidateFile(std::uint64_t file_id) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if ((*it >> 40) == file_id) {
-      map_.erase(*it);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
+  auto file = by_file_.find(file_id);
+  if (file == by_file_.end()) return;
+  for (std::uint64_t key : file->second) {
+    auto it = map_.find(key);
+    lru_.erase(it->second);
+    map_.erase(it);
   }
+  by_file_.erase(file);
 }
 
 void PageCache::DropAll() {
   lru_.clear();
   map_.clear();
+  by_file_.clear();
 }
 
 }  // namespace kvcsd::hostenv

@@ -7,7 +7,8 @@
 //    secondary-index build and a fold. It keeps up to
 //    config.gather_fanout appends in flight.
 //  * IndexWriter — packs PIDX or SIDX entries into index blocks and
-//    writes them through a ChainWriter, one sketch entry per block.
+//    writes them through a ChainWriter, one sketch entry per block,
+//    carrying the block's value span (DESIGN.md §10).
 //
 // An append claims its flash address synchronously when it starts;
 // appends start in issue order and one writer owns its chain, so every
@@ -121,15 +122,23 @@ class Device::IndexWriter {
   // Issues the closed blocks as one append (no-op when there are none).
   sim::Task<Status> Flush() {
     if (packer_.closed_bytes() == 0) co_return Status::Ok();
-    std::vector<std::string> pivots;
-    std::string blob = packer_.Take(&pivots);
+    std::vector<wire::PackedBlock> packed;
+    std::string blob = packer_.Take(&packed);
     const std::size_t first = sketch_->size();
     const std::uint32_t block_size = dev_->config_.index_block_size;
-    for (std::string& pivot : pivots) {
-      sketch_->push_back(SketchEntry{std::move(pivot), 0, block_size});
+    const std::uint64_t zone_size = dev_->ssd_.zone_size();
+    for (wire::PackedBlock& b : packed) {
+      // Values that straddle two value appends sit in two zones of their
+      // cluster and can never be read in one read: no span is recorded.
+      const bool one_zone =
+          b.value_hi > b.value_lo &&
+          b.value_lo / zone_size == (b.value_hi - 1) / zone_size;
+      sketch_->push_back(SketchEntry{std::move(b.pivot), 0, block_size,
+                                     one_zone ? b.value_lo : 0,
+                                     one_zone ? b.value_hi : 0});
     }
     std::vector<SketchEntry>* sketch = sketch_;
-    const std::size_t blocks = pivots.size();
+    const std::size_t blocks = packed.size();
     co_return co_await out_.Append(
         std::move(blob), [sketch, first, blocks, block_size](std::uint64_t addr) {
           for (std::size_t i = 0; i < blocks; ++i) {

@@ -522,10 +522,23 @@ class Device {
                                      sim::Activity act =
                                          sim::Activity::kHostRead);
 
+  // A point lookup's value read alongside its PIDX block (DESIGN.md §10):
+  // eligible when the entry has a value span (one in a single zone), the
+  // block is not in the index cache, and the span's page transfer takes
+  // no longer than one NAND read latency, so overlapping the two reads
+  // saves the latency.
+  bool SpanReadEligible(std::uint64_t keyspace_id,
+                        const SketchEntry& entry) const;
+  // Reads the SORTED_VALUES bytes [lo, hi) into *out.
+  sim::Task<Status> ReadValueSpan(std::uint64_t lo, std::uint64_t hi,
+                                  std::string* out);
+
   // Gathers values for (addr, len) requests: identical refs are deduped,
   // address-adjacent reads are coalesced into ranges, and the range reads
-  // fan out across NAND channels (config_.gather_fanout inflight).
-  // Results are returned in request order regardless of I/O timing.
+  // go out round-robin over their NAND channels
+  // (config_.gather_fanout inflight), so the reads in flight spread
+  // across a cluster's zones. Results are returned in request order
+  // regardless of I/O timing.
   struct ValueRef {
     std::uint64_t addr;
     std::uint32_t len;

@@ -36,6 +36,13 @@ class IndexBlockCache {
   bool Lookup(std::uint64_t keyspace_id, std::uint64_t block_addr,
               std::string* out);
 
+  // True when the block is cached. Neither counts nor promotes: the
+  // point lookup asks before deciding how to read, then reads through
+  // Lookup.
+  bool Contains(std::uint64_t keyspace_id, std::uint64_t block_addr) const {
+    return map_.contains(Key{keyspace_id, block_addr});
+  }
+
   // Inserts (or refreshes) a block, evicting LRU entries until it fits.
   // Blocks larger than the whole capacity are not cached.
   void Insert(std::uint64_t keyspace_id, std::uint64_t block_addr,

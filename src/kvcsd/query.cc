@@ -14,8 +14,13 @@
 //   - Both range scans run through one sketch walk (WalkSketch) that
 //     keeps the next block's read in flight while the current one is
 //     decoded, and end in one value-gather tail (FetchRows).
+//   - On an index-cache miss, QueryPoint reads the PIDX block and the
+//     SORTED_VALUES span its sketch entry records at once, and slices the
+//     value out of the span; a value outside the span, or a failed span
+//     read, falls back to GatherValues.
 //   - GatherValues dedupes identical refs, coalesces address-adjacent
-//     reads, and fans the coalesced ranges out across NAND channels.
+//     reads, and sends the coalesced ranges round-robin over their NAND
+//     channels, so the reads in flight spread across a cluster's zones.
 //
 // Mutability (DESIGN.md §12): a COMPACTED keyspace carries a delta index
 // of post-compaction mutations. Point lookups consult it first (it is
@@ -26,6 +31,7 @@
 // scans hold a reader count the fold's commit drains before swapping the
 // on-flash structures.
 #include <algorithm>
+#include <numeric>
 #include <optional>
 
 #include "common/bloom.h"
@@ -199,12 +205,29 @@ sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
   stats().counter("device.gather.dup_refs").Add(dup_refs);
   stats().counter("device.gather.ranges").Add(ranges.size());
 
+  // Read order: round-robin over the ranges' NAND channels — each
+  // channel's first range, then each channel's second, and so on, every
+  // round in address order. Address order alone would put every read in
+  // flight on the one or two zones of a cluster with the lowest addresses.
+  std::vector<std::uint32_t> seen(ssd_.config().nand.channels, 0);
+  std::vector<std::uint32_t> round(ranges.size());
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    round[r] = seen[ssd_.ChannelOf(
+        static_cast<std::uint32_t>(ranges[r].start / zone_size))]++;
+  }
+  std::vector<std::size_t> schedule(ranges.size());
+  std::iota(schedule.begin(), schedule.end(), std::size_t{0});
+  std::stable_sort(schedule.begin(), schedule.end(),
+                   [&round](std::size_t a, std::size_t b) {
+                     return round[a] < round[b];
+                   });
+
   // Fan the range reads out with a bounded inflight. Each worker writes
-  // disjoint uniq_values slots, so results are independent of completion
-  // order — parallelism changes timing, never contents.
+  // disjoint uniq_values slots, so results are independent of read and
+  // completion order — parallelism changes timing, never contents.
   std::vector<std::string> uniq_values(uniq.size());
-  auto read_range = [&](std::size_t r) -> sim::Task<Status> {
-    const Range& range = ranges[r];
+  auto read_range = [&](std::size_t k) -> sim::Task<Status> {
+    const Range& range = ranges[schedule[k]];
     std::string buffer(range.end - range.start, '\0');
     co_await cpu_.Compute(config_.costs.io_path_overhead, act);
     KVCSD_CO_RETURN_IF_ERROR(co_await ssd_.Read(
@@ -280,15 +303,45 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
     co_return Status::NotFound();
   }
 
-  auto block = co_await ReadIndexBlock(ks->id, ks->pidx_sketch[pos]);
-  if (!block.ok()) co_return block.status();
+  // On an index-cache miss the block's value span is read alongside the
+  // block, so the value read no longer waits for the block read. The span
+  // bytes live in this frame: the read is joined before every return.
+  const SketchEntry& entry = ks->pidx_sketch[pos];
+  const bool speculated = SpanReadEligible(ks->id, entry);
+  std::string span_bytes;
+  sim::TaskGroup span_read(sim_);
+  if (speculated) {
+    stats().counter("device.query.value_speculated").Increment();
+    span_read.Spawn(
+        ReadValueSpan(entry.value_lo, entry.value_hi, &span_bytes));
+  }
+
+  auto block = co_await ReadIndexBlock(ks->id, entry);
+  Status status = block.status();
   std::optional<ValueRef> hit;
-  KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::PidxEntry>(
-      *block, [&key, &hit](const wire::PidxEntry& entry) {
-        if (entry.key == Slice(key)) hit = ValueRef{entry.vaddr, entry.vlen};
-        return entry.key < Slice(key);  // sorted: past `key`, it is absent
-      }));
+  if (status.ok()) {
+    status = wire::ForEachIndexEntry<wire::PidxEntry>(
+        *block, [&key, &hit](const wire::PidxEntry& e) {
+          if (e.key == Slice(key)) hit = ValueRef{e.vaddr, e.vlen};
+          return e.key < Slice(key);  // sorted: past `key`, it is absent
+        });
+  }
+  // A failed span read never fails the GET by itself: the serial gather
+  // below decides.
+  Status span_status;
+  if (speculated) span_status = co_await span_read.Wait();
+  const bool served = speculated && span_status.ok() && status.ok() &&
+                      hit.has_value() && hit->addr >= entry.value_lo &&
+                      hit->addr + hit->len <= entry.value_hi;
+  if (speculated && !served) {
+    stats().counter("device.query.speculation_wasted").Increment();
+  }
+  KVCSD_CO_RETURN_IF_ERROR(status);
   if (hit.has_value()) {
+    if (served) {
+      span.Arg("src", "run");
+      co_return span_bytes.substr(hit->addr - entry.value_lo, hit->len);
+    }
     std::vector<ValueRef> one;
     one.push_back(*hit);
     auto values = co_await GatherValues(std::move(one));
@@ -301,6 +354,30 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   }
   span.Arg("src", "miss");
   co_return Status::NotFound();
+}
+
+bool Device::SpanReadEligible(std::uint64_t keyspace_id,
+                              const SketchEntry& entry) const {
+  // No span: a SIDX block, or values in two zones (chain_writer.h).
+  if (entry.value_hi <= entry.value_lo) return false;
+  // A cached block costs no flash read to overlap with.
+  if (index_cache_.Contains(keyspace_id, entry.block_addr)) return false;
+  const storage::NandModel& nand = ssd_.nand();
+  return TransferTicks(nand.RoundUpToPages(entry.value_hi - entry.value_lo),
+                       nand.config().channel_bytes_per_sec) <=
+         nand.config().read_latency;
+}
+
+sim::Task<Status> Device::ReadValueSpan(std::uint64_t lo, std::uint64_t hi,
+                                        std::string* out) {
+  out->assign(hi - lo, '\0');
+  co_await cpu_.Compute(config_.costs.io_path_overhead,
+                        sim::Activity::kHostRead);
+  co_return co_await ssd_.Read(
+      lo,
+      std::span<std::byte>(reinterpret_cast<std::byte*>(out->data()),
+                           out->size()),
+      sim::Activity::kHostRead);
 }
 
 template <typename Entry, typename Take>

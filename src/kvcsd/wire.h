@@ -257,11 +257,20 @@ inline void FinishIndexBlock(std::string* block, std::uint16_t count,
   block->resize(block_size, '\0');
 }
 
+// One closed index block's sketch data: its pivot (its first key: the
+// primary key for PIDX, the encoded secondary key for SIDX) and, for a
+// PIDX block, the value bytes [value_lo, value_hi) that cover every value
+// its entries point to. SIDX blocks carry an empty span.
+struct PackedBlock {
+  std::string pivot;
+  std::uint64_t value_lo = 0;
+  std::uint64_t value_hi = 0;
+};
+
 // Packs index entries, in order, into fixed-size blocks. A block closes
 // when the next entry's worst-case size no longer fits; closed blocks
 // collect back to back until the caller takes them for one append, along
-// with each block's pivot (its first key: the primary key for PIDX, the
-// encoded secondary key for SIDX).
+// with each block's PackedBlock.
 class IndexBlockPacker {
  public:
   explicit IndexBlockPacker(std::uint32_t block_size)
@@ -272,6 +281,13 @@ class IndexBlockPacker {
   void AddPidx(const Slice& key, std::uint64_t vaddr, std::uint32_t vlen) {
     Reserve(PidxEntrySize(key), key);
     AppendPidxEntry(&block_, key, vaddr, vlen);
+    if (count_ == 1) {
+      open_.value_lo = vaddr;
+      open_.value_hi = vaddr + vlen;
+    } else {
+      open_.value_lo = std::min(open_.value_lo, vaddr);
+      open_.value_hi = std::max(open_.value_hi, vaddr + vlen);
+    }
   }
   void AddSidx(const Slice& skey, const Slice& pkey, std::uint64_t vaddr,
                std::uint32_t vlen) {
@@ -284,19 +300,19 @@ class IndexBlockPacker {
     if (count_ == 0) return;
     FinishIndexBlock(&block_, count_, block_size_);
     closed_ += block_;
-    pivots_.push_back(std::move(pivot_));
+    blocks_.push_back(std::move(open_));
     BeginIndexBlock(&block_);
     count_ = 0;
-    pivot_.clear();
+    open_ = PackedBlock{};
   }
 
   // Bytes of closed blocks not yet taken.
   std::size_t closed_bytes() const { return closed_.size(); }
 
-  // Hands over the closed blocks (concatenated) and their pivots.
-  std::string Take(std::vector<std::string>* pivots) {
-    *pivots = std::move(pivots_);
-    pivots_.clear();
+  // Hands over the closed blocks (concatenated) and their sketch data.
+  std::string Take(std::vector<PackedBlock>* packed) {
+    *packed = std::move(blocks_);
+    blocks_.clear();
     std::string blocks = std::move(closed_);
     closed_.clear();
     return blocks;
@@ -305,16 +321,16 @@ class IndexBlockPacker {
  private:
   void Reserve(std::size_t entry_size, const Slice& pivot) {
     if (block_.size() + entry_size > block_size_) Close();
-    if (count_ == 0) pivot_ = pivot.ToString();
+    if (count_ == 0) open_.pivot = pivot.ToString();
     ++count_;
   }
 
   std::uint32_t block_size_;
   std::string block_;  // the open block
   std::uint16_t count_ = 0;
-  std::string pivot_;
+  PackedBlock open_;  // the open block's sketch data
   std::string closed_;
-  std::vector<std::string> pivots_;
+  std::vector<PackedBlock> blocks_;
 };
 
 // --- pushdown (kKvSelect / kKvAggregate) ---

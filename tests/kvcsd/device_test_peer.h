@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "kvcsd/device.h"
+#include "sim/parallel.h"
 
 namespace kvcsd::device {
 
@@ -23,6 +24,43 @@ struct DeviceTestPeer {
   static sim::Task<Result<std::vector<std::string>>> Gather(
       Device* dev, std::vector<Device::ValueRef> refs) {
     return dev->GatherValues(std::move(refs));
+  }
+
+  // Point lookups: the span-read rule, the device-side lookup itself (so
+  // its device time is measured without the host path), the index-block
+  // read, and an index cache emptied on demand for cold lookups.
+  static bool SpanReadEligible(Device* dev, std::uint64_t keyspace_id,
+                               const SketchEntry& entry) {
+    return dev->SpanReadEligible(keyspace_id, entry);
+  }
+  static sim::Task<Result<std::string>> QueryPoint(Device* dev, Keyspace* ks,
+                                                   std::string key) {
+    co_return co_await dev->QueryPoint(ks, key);
+  }
+  static sim::Task<Result<std::string>> ReadIndexBlock(
+      Device* dev, std::uint64_t keyspace_id, const SketchEntry& entry) {
+    return dev->ReadIndexBlock(keyspace_id, entry);
+  }
+  static void ClearIndexCache(Device* dev) { dev->index_cache_.Clear(); }
+
+  // The gather's range reads as they went out before the channel
+  // round-robin: in address order, gather_fanout at a time, each paying
+  // the per-I/O software path. `refs` must be address-sorted and far
+  // enough apart that none coalesce.
+  static sim::Task<Status> AddressOrderReads(Device* dev,
+                                             std::vector<ValueRef> refs) {
+    auto read = [dev, &refs](std::size_t i) -> sim::Task<Status> {
+      std::string buffer(refs[i].len, '\0');
+      co_await dev->cpu_.Compute(dev->config_.costs.io_path_overhead,
+                                 sim::Activity::kHostRead);
+      co_return co_await dev->ssd_.Read(
+          refs[i].addr,
+          std::span<std::byte>(reinterpret_cast<std::byte*>(buffer.data()),
+                               buffer.size()),
+          sim::Activity::kHostRead);
+    };
+    co_return co_await sim::ParallelFor(dev->sim_, refs.size(),
+                                        dev->config_.gather_fanout, read);
   }
 
   // Runs one compaction of `ks` (an incremental fold when it is

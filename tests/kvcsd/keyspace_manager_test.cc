@@ -105,8 +105,11 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
     ks->max_key = "zzz";
     ks->pidx_clusters = {7, 9};
     ks->sorted_value_clusters = {11};
-    ks->pidx_sketch.push_back(SketchEntry{"aaa", 4096, 4096});
-    ks->pidx_sketch.push_back(SketchEntry{"mmm", 8192, 4096});
+    // Block and value addresses both move backwards at the second entry,
+    // as a fold's retained and rebuilt blocks can.
+    ks->pidx_sketch.push_back(
+        SketchEntry{"aaa", GiB(3), 4096, GiB(2), GiB(2) + 5000});
+    ks->pidx_sketch.push_back(SketchEntry{"mmm", 8192, 4096, 4096, 9000});
     SecondaryIndex sidx;
     sidx.spec.name = "energy";
     sidx.spec.value_offset = 28;
@@ -142,7 +145,15 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   EXPECT_TRUE(ks->pending_delete);
   EXPECT_EQ(ks->pidx_clusters, (std::vector<ClusterId>{7, 9}));
   ASSERT_EQ(ks->pidx_sketch.size(), 2u);
+  EXPECT_EQ(ks->pidx_sketch[0].pivot, "aaa");
+  EXPECT_EQ(ks->pidx_sketch[0].block_addr, GiB(3));
+  EXPECT_EQ(ks->pidx_sketch[0].value_lo, GiB(2));
+  EXPECT_EQ(ks->pidx_sketch[0].value_hi, GiB(2) + 5000);
   EXPECT_EQ(ks->pidx_sketch[1].pivot, "mmm");
+  EXPECT_EQ(ks->pidx_sketch[1].block_addr, 8192u);
+  EXPECT_EQ(ks->pidx_sketch[1].block_len, 4096u);
+  EXPECT_EQ(ks->pidx_sketch[1].value_lo, 4096u);
+  EXPECT_EQ(ks->pidx_sketch[1].value_hi, 9000u);
   EXPECT_EQ(ks->pidx_bloom, "bloom-bits");
   ASSERT_TRUE(ks->secondary_indexes.contains("energy"));
   const SecondaryIndex& sidx = ks->secondary_indexes.at("energy");
@@ -151,6 +162,7 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   EXPECT_EQ(sidx.entries, 12345u);
   ASSERT_EQ(sidx.sketch.size(), 1u);
   EXPECT_EQ(sidx.sketch[0].block_addr, 12288u);
+  EXPECT_EQ(sidx.sketch[0].value_lo, sidx.sketch[0].value_hi);
 }
 
 // The snapshot holds a fixed-size reference to each index's blob, so its

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -513,6 +516,380 @@ TEST(ReadPathTest, ScanReadAheadCountsArePinned) {
     EXPECT_EQ(f.Counter("device.prefetch.issued") - issued, c.issued);
     EXPECT_EQ(f.Counter("device.prefetch.wasted") - wasted, c.wasted);
   }
+}
+
+
+// --- point lookups that read the value span alongside the PIDX block ---
+
+// The value of present key 2i in the span-read tests: sizes vary inside
+// every block, and i in [600, 1200) carries 300 B values, so those blocks'
+// spans take longer to transfer than one NAND read latency.
+std::string MixedValue(std::uint64_t i) {
+  const std::size_t len = (i >= 600 && i < 1200) ? 300 : 16 + (i * 7) % 25;
+  std::string v = "v" + std::to_string(i) + "-";
+  v.resize(len, static_cast<char>('a' + i % 26));
+  return v;
+}
+constexpr std::uint64_t kMixedKeys = 1500;
+
+DeviceConfig SpanDevice() {
+  DeviceConfig c = SmallDevice();
+  // Value appends smaller than some blocks' spans rotate through the
+  // cluster's zones, so those blocks' values straddle two zones.
+  c.output_batch_bytes = KiB(64);
+  return c;
+}
+
+// Even keys are present, odd keys absent (inside the key range, so each
+// reaches the bloom filter and, on a false positive, the PIDX block).
+sim::Task<void> LoadMixed(client::Client* db) {
+  auto ks = co_await db->CreateKeyspace("span");
+  KVCSD_CO_ASSERT_OK(ks);
+  auto writer = ks->NewBulkWriter();
+  for (std::uint64_t i = 0; i < kMixedKeys; ++i) {
+    KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(2 * i), MixedValue(i)));
+  }
+  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+  KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+}
+
+// GETs every present and absent key and checks each answer against
+// `model`, and against a full scan, whose values come through the serial
+// gather.
+sim::Task<void> GetAllMatches(client::Client* db,
+                              const std::map<std::string, std::string>* model) {
+  auto ks = co_await db->OpenKeyspace("span");
+  KVCSD_CO_ASSERT_OK(ks);
+  for (std::uint64_t k = 0; k < 2 * kMixedKeys; ++k) {
+    const std::string key = MakeFixedKey(k);
+    auto got = co_await ks->Get(key);
+    const auto it = model->find(key);
+    if (it == model->end()) {
+      KVCSD_CO_ASSERT(got.status().IsNotFound());
+    } else {
+      KVCSD_CO_ASSERT_OK(got);
+      KVCSD_CO_ASSERT(*got == it->second);
+    }
+  }
+  std::vector<std::pair<std::string, std::string>> rows;
+  KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+  const std::vector<std::pair<std::string, std::string>> expected(
+      model->begin(), model->end());
+  KVCSD_CO_ASSERT(rows == expected);
+}
+
+struct SpanCensus {
+  std::size_t eligible = 0;
+  std::size_t too_large = 0;
+  std::size_t cross_zone = 0;
+};
+
+// Every value in the span tests is non-empty, so a PIDX entry without a
+// span is a block whose values straddle two zones.
+SpanCensus CountSpans(Device* dev, const Keyspace& ks) {
+  const std::uint64_t zone_size = dev->ssd().zone_size();
+  SpanCensus census;
+  for (const SketchEntry& e : ks.pidx_sketch) {
+    if (e.value_hi == e.value_lo) {
+      ++census.cross_zone;
+      continue;
+    }
+    EXPECT_EQ(e.value_lo / zone_size, (e.value_hi - 1) / zone_size);
+    if (DeviceTestPeer::SpanReadEligible(dev, ks.id, e)) {
+      ++census.eligible;
+    } else {
+      ++census.too_large;
+    }
+  }
+  return census;
+}
+
+// With the index cache on and off, every GET answers exactly what the
+// serial path answers: over mixed value sizes (spans too large to read
+// alongside the block), blocks whose values straddle two zones, bloom
+// false positives, after a fold (retained blocks keep their spans,
+// rebuilt ones get new ones) and after a power cycle (spans come back
+// from the sketch blob).
+TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
+  for (bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "index cache on" : "index cache off");
+    DeviceConfig cfg = SpanDevice();
+    cfg.index_cache_enabled = cache;
+    PowerCycleFixture f(cfg);
+    testutil::RunSim(f.sim, LoadMixed(f.db.get()));
+    std::map<std::string, std::string> model;
+    for (std::uint64_t i = 0; i < kMixedKeys; ++i) {
+      model[MakeFixedKey(2 * i)] = MixedValue(i);
+    }
+
+    Keyspace* ks = f.dev()->keyspaces().Find("span").value();
+    DeviceTestPeer::ClearIndexCache(f.dev());
+    const SpanCensus census = CountSpans(f.dev(), *ks);
+    EXPECT_GT(census.eligible, 0u);
+    EXPECT_GT(census.too_large, 0u);
+    EXPECT_GT(census.cross_zone, 0u);
+
+    const std::uint64_t speculated = f.Counter("device.query.value_speculated");
+    const std::uint64_t wasted = f.Counter("device.query.speculation_wasted");
+    const std::uint64_t false_pos = f.Counter("device.bloom.false_positive");
+    testutil::RunSim(f.sim, GetAllMatches(f.db.get(), &model));
+    const std::uint64_t spec_gets =
+        f.Counter("device.query.value_speculated") - speculated;
+    const std::uint64_t fp =
+        f.Counter("device.bloom.false_positive") - false_pos;
+    EXPECT_GT(spec_gets, 0u);
+    EXPECT_GT(fp, 0u);
+    // Only an absent key wastes a span read here; with no cache every
+    // eligible lookup reads its span.
+    EXPECT_LE(f.Counter("device.query.speculation_wasted") - wasted, fp);
+    if (!cache) {
+      EXPECT_GT(spec_gets, kMixedKeys / 2);
+    }
+
+    // Fold: overwrite every 40th key and delete every 97th, all in the
+    // first fifth of the key range, so later blocks are retained.
+    const std::vector<SketchEntry> before = ks->pidx_sketch;
+    testutil::RunSim(f.sim, [](client::Client* db,
+                               std::map<std::string, std::string>* m)
+                                -> sim::Task<void> {
+      auto h = co_await db->OpenKeyspace("span");
+      KVCSD_CO_ASSERT_OK(h);
+      for (std::uint64_t i = 0; i < kMixedKeys / 5; i += 40) {
+        const std::string key = MakeFixedKey(2 * i);
+        (*m)[key] = MixedValue(i) + "*";
+        KVCSD_CO_ASSERT_OK(co_await h->Put(key, (*m)[key]));
+      }
+      for (std::uint64_t i = 5; i < kMixedKeys / 5; i += 97) {
+        m->erase(MakeFixedKey(2 * i));
+        KVCSD_CO_ASSERT_OK(co_await h->Delete(MakeFixedKey(2 * i)));
+      }
+      KVCSD_CO_ASSERT_OK(co_await h->Compact());
+      KVCSD_CO_ASSERT_OK(co_await h->WaitCompaction());
+    }(f.db.get(), &model));
+    ks = f.dev()->keyspaces().Find("span").value();
+    std::map<std::uint64_t, const SketchEntry*> old_blocks;
+    for (const SketchEntry& e : before) old_blocks[e.block_addr] = &e;
+    std::size_t retained = 0;
+    std::size_t rebuilt = 0;
+    for (const SketchEntry& e : ks->pidx_sketch) {
+      const auto it = old_blocks.find(e.block_addr);
+      if (it == old_blocks.end()) {
+        ++rebuilt;
+        continue;
+      }
+      ++retained;
+      EXPECT_EQ(e.value_lo, it->second->value_lo);
+      EXPECT_EQ(e.value_hi, it->second->value_hi);
+    }
+    EXPECT_GT(retained, 0u);
+    EXPECT_GT(rebuilt, 0u);
+    testutil::RunSim(f.sim, GetAllMatches(f.db.get(), &model));
+
+    // Power cycle: the spans come back from the sketch blob.
+    const std::vector<SketchEntry> folded = ks->pidx_sketch;
+    f.Restart();
+    testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+      KVCSD_CO_ASSERT_OK(co_await dev->Recover());
+    }(f.dev()));
+    ks = f.dev()->keyspaces().Find("span").value();
+    ASSERT_EQ(ks->pidx_sketch.size(), folded.size());
+    for (std::size_t i = 0; i < folded.size(); ++i) {
+      EXPECT_EQ(ks->pidx_sketch[i].value_lo, folded[i].value_lo);
+      EXPECT_EQ(ks->pidx_sketch[i].value_hi, folded[i].value_hi);
+    }
+    const std::uint64_t speculated_before_gets =
+        f.Counter("device.query.value_speculated");
+    testutil::RunSim(f.sim, GetAllMatches(f.db.get(), &model));
+    EXPECT_GT(f.Counter("device.query.value_speculated"),
+              speculated_before_gets);
+  }
+}
+
+// Times one device-side lookup of `key` into *ticks.
+sim::Task<void> TimedLookup(sim::Simulation* sim, Device* dev, Keyspace* ks,
+                            std::string key, Tick* ticks) {
+  const Tick start = sim->Now();
+  auto got = co_await DeviceTestPeer::QueryPoint(dev, ks, std::move(key));
+  KVCSD_CO_ASSERT_OK(got);
+  *ticks = sim->Now() - start;
+}
+
+sim::Task<void> TimedBlockRead(sim::Simulation* sim, Device* dev,
+                               std::uint64_t keyspace_id,
+                               const SketchEntry* entry, Tick* ticks) {
+  const Tick start = sim->Now();
+  KVCSD_CO_ASSERT_OK(
+      co_await DeviceTestPeer::ReadIndexBlock(dev, keyspace_id, *entry));
+  *ticks = sim->Now() - start;
+}
+
+// A cold lookup overlaps its two flash reads: its device time is at least
+// one NAND read latency minus one page transfer below the serial path's,
+// which is the warm lookup (block cached) plus the block read's miss cost.
+TEST(ReadPathTest, ColdGetOverlapsBlockAndValueReads) {
+  ReadPathFixture f(SpanDevice());
+  testutil::RunSim(f.sim, LoadMixed(&f.db));
+  Keyspace* ks = f.dev.keyspaces().Find("span").value();
+  DeviceTestPeer::ClearIndexCache(&f.dev);
+  std::size_t pos = 0;
+  while (pos < ks->pidx_sketch.size() &&
+         !DeviceTestPeer::SpanReadEligible(&f.dev, ks->id,
+                                           ks->pidx_sketch[pos])) {
+    ++pos;
+  }
+  ASSERT_LT(pos, ks->pidx_sketch.size());
+  const SketchEntry& entry = ks->pidx_sketch[pos];
+  const std::string key = entry.pivot;
+
+  const std::uint64_t speculated = f.Counter("device.query.value_speculated");
+  Tick cold = 0;
+  Tick warm = 0;
+  testutil::RunSim(f.sim, TimedLookup(&f.sim, &f.dev, ks, key, &cold));
+  EXPECT_EQ(f.Counter("device.query.value_speculated"), speculated + 1);
+  testutil::RunSim(f.sim, TimedLookup(&f.sim, &f.dev, ks, key, &warm));
+  EXPECT_EQ(f.Counter("device.query.value_speculated"), speculated + 1);
+
+  Tick block_miss = 0;
+  Tick block_hit = 0;
+  DeviceTestPeer::ClearIndexCache(&f.dev);
+  testutil::RunSim(f.sim,
+                   TimedBlockRead(&f.sim, &f.dev, ks->id, &entry, &block_miss));
+  testutil::RunSim(f.sim,
+                   TimedBlockRead(&f.sim, &f.dev, ks->id, &entry, &block_hit));
+  const Tick serial = warm + (block_miss - block_hit);
+
+  const storage::NandConfig& nand = f.dev.ssd().nand().config();
+  const Tick page_transfer =
+      TransferTicks(nand.page_size, nand.channel_bytes_per_sec);
+  EXPECT_LE(cold + nand.read_latency - page_transfer, serial)
+      << "cold " << cold << " warm " << warm << " serial " << serial;
+}
+
+// An injected error on the SORTED_VALUES zone that fails only the span
+// read leaves the GET to the serial gather, which answers it; an error
+// that also fails the gather fails the GET as the serial path would.
+TEST(ReadPathTest, FailedSpanReadFallsBackToSerialGather) {
+  PowerCycleFixture f(SpanDevice());
+  testutil::RunSim(f.sim, LoadMixed(f.db.get()));
+  Keyspace* ks = f.dev()->keyspaces().Find("span").value();
+  const std::uint64_t zone_size = f.dev()->ssd().zone_size();
+
+  for (std::uint64_t times : {std::uint64_t{1}, std::uint64_t{2}}) {
+    SCOPED_TRACE("rule fires " + std::to_string(times) + " time(s)");
+    // The first key of an eligible block, so the span read goes out.
+    std::size_t pos = 0;
+    DeviceTestPeer::ClearIndexCache(f.dev());
+    while (!DeviceTestPeer::SpanReadEligible(f.dev(), ks->id,
+                                             ks->pidx_sketch[pos])) {
+      ++pos;
+    }
+    pos += times;  // a different, still cold block per case
+    ASSERT_TRUE(DeviceTestPeer::SpanReadEligible(f.dev(), ks->id,
+                                                 ks->pidx_sketch[pos]));
+    const SketchEntry& entry = ks->pidx_sketch[pos];
+    const std::string key = entry.pivot;
+    std::uint64_t i = 0;
+    while (MakeFixedKey(2 * i) != key) ++i;
+
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kRead;
+    rule.zone = static_cast<std::int64_t>(entry.value_lo / zone_size);
+    rule.times = times;
+    f.faults.AddErrorRule(rule);
+
+    const std::uint64_t wasted = f.Counter("device.query.speculation_wasted");
+    Result<std::string> got = Status::Aborted("not run");
+    testutil::RunSim(f.sim, [](PowerCycleFixture* fx, std::string k,
+                               Result<std::string>* out) -> sim::Task<void> {
+      auto h = co_await fx->db->OpenKeyspace("span");
+      KVCSD_CO_ASSERT_OK(h);
+      *out = co_await h->Get(k);
+    }(&f, key, &got));
+    EXPECT_EQ(f.Counter("device.query.speculation_wasted"), wasted + 1);
+    if (times == 1) {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, MixedValue(i));
+    } else {
+      EXPECT_EQ(got.status().code(), StatusCode::kIoError);
+    }
+  }
+}
+
+// Times one gather of `refs` into *ticks, then checks its bytes against
+// one gather per ref.
+sim::Task<void> TimedGather(ReadPathFixture* f,
+                            std::vector<DeviceTestPeer::ValueRef> refs,
+                            Tick* ticks) {
+  const Tick start = f->sim.Now();
+  auto got = co_await DeviceTestPeer::Gather(&f->dev, refs);
+  KVCSD_CO_ASSERT_OK(got);
+  *ticks = f->sim.Now() - start;
+  for (std::size_t i = 0; i < refs.size(); ++i) {
+    std::vector<DeviceTestPeer::ValueRef> one_ref(1, refs[i]);
+    auto one = co_await DeviceTestPeer::Gather(&f->dev, std::move(one_ref));
+    KVCSD_CO_ASSERT_OK(one);
+    KVCSD_CO_ASSERT((*one)[0] == (*got)[i]);
+  }
+}
+
+sim::Task<void> TimedAddressOrderReads(
+    ReadPathFixture* f, std::vector<DeviceTestPeer::ValueRef> refs,
+    Tick* ticks) {
+  const Tick start = f->sim.Now();
+  KVCSD_CO_ASSERT_OK(
+      co_await DeviceTestPeer::AddressOrderReads(&f->dev, std::move(refs)));
+  *ticks = f->sim.Now() - start;
+}
+
+// The gather sends its range reads round-robin over their NAND channels:
+// refs spread over a 4-zone SORTED_VALUES cluster come back faster than
+// the same reads sent in address order, which puts every read in flight
+// on the lowest zone's channel, and with the same bytes.
+TEST(ReadPathTest, GatherSpreadsReadsAcrossChannels) {
+  ReadPathFixture f(SpanDevice());
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->CreateKeyspace("wide");
+    KVCSD_CO_ASSERT_OK(ks);
+    auto writer = ks->NewBulkWriter();
+    for (std::uint64_t i = 0; i < 800; ++i) {
+      KVCSD_CO_ASSERT_OK(
+          co_await writer.Add(MakeFixedKey(i), std::string(KiB(1), 'w')));
+    }
+    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(&f.db));
+  Keyspace* ks = f.dev.keyspaces().Find("wide").value();
+  ASSERT_EQ(ks->sorted_value_clusters.size(), 1u);
+  std::vector<std::uint32_t> zones =
+      f.dev.zones().cluster_zones(ks->sorted_value_clusters[0]);
+  ASSERT_EQ(zones.size(), 4u);
+  std::sort(zones.begin(), zones.end());
+
+  // 10 two-page refs per zone, 16 KiB apart so none coalesce.
+  using Ref = DeviceTestPeer::ValueRef;
+  std::vector<Ref> refs;
+  const std::uint64_t zone_size = f.dev.ssd().zone_size();
+  std::set<std::uint32_t> channels;
+  for (std::uint32_t zone : zones) {
+    channels.insert(f.dev.ssd().ChannelOf(zone));
+    ASSERT_GE(f.dev.ssd().write_pointer(zone), 10 * KiB(16));
+    for (std::uint64_t k = 0; k < 10; ++k) {
+      refs.push_back(Ref{zone * zone_size + k * KiB(16),
+                         static_cast<std::uint32_t>(KiB(8))});
+    }
+  }
+  ASSERT_EQ(channels.size(), 4u);
+
+  Tick spread = 0;
+  Tick address_order = 0;
+  const std::uint64_t ranges = f.Counter("device.gather.ranges");
+  testutil::RunSim(f.sim, TimedGather(&f, refs, &spread));
+  EXPECT_EQ(f.Counter("device.gather.ranges"), ranges + 2 * refs.size());
+  testutil::RunSim(f.sim, TimedAddressOrderReads(&f, refs, &address_order));
+  EXPECT_LT(spread, address_order)
+      << "spread " << spread << " address order " << address_order;
 }
 
 }  // namespace
