@@ -12,7 +12,8 @@
 // keyspace count itself.
 //
 // Flags: --keys=N per keyspace (default 2000)
-//        --json=PATH (machine-readable report) --trace=PATH (span trace)
+//        --json=PATH (machine-readable report), plus the observability
+//        flags of harness/tracing.h (--trace, --flight_dump, ...)
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -99,9 +100,10 @@ sim::Task<void> Recover(device::Device* dev, client::Client* db,
 RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys,
                  bool compacted) {
   sim::Simulation sim;
-  // This bench assembles its device by hand (no CsdTestbed), so request
-  // tracing explicitly; the dump covers both the load and the recovery.
-  TraceRequest::EnableOn(&sim);
+  // This bench assembles its device by hand (no CsdTestbed), so it
+  // brackets the simulation itself; the dumps cover both the load and the
+  // recovery, and the power cut trips the event ring's crash dump.
+  EnableObservability(&sim);
   sim::FaultInjector faults(keyspaces * 31 + (compacted ? 1 : 0));
   const device::DeviceConfig cfg = BenchConfig(&faults);
 
@@ -123,7 +125,7 @@ RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys,
   client::Client db2(&queue2, &host_cpu, hostenv::CostModel::Host());
   sim.Spawn(Recover(dev2.get(), &db2, &sim, keyspaces, &result));
   sim.Run();
-  TraceRequest::Dump(&sim);
+  DumpObservability(&sim);
   return result;
 }
 

@@ -676,6 +676,13 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
   if (!state.verify_done) {
     return Status::Aborted("crash-sweep verification never completed");
   }
+  if (!report.ok()) {
+    // The event ring holds the commands before and after the cut and the
+    // injector's and recovery's breadcrumbs: what a failing case needs.
+    const std::string ring = sim.log().ToString();
+    std::fprintf(stderr, "--- event ring of the failing case ---\n%s",
+                 ring.c_str());
+  }
   return report;
 }
 

@@ -381,11 +381,13 @@ Result<JsonValue> ParseJson(std::string_view text) {
 JsonReporter::JsonReporter(std::string bench, const Flags& flags)
     : bench_(std::move(bench)), json_path_(flags.GetString("json", "")) {
   for (const auto& [name, value] : flags.values()) {
-    // Output destinations are not workload parameters; keeping them out of
-    // "args" lets the regression checker compare runs that differ only in
-    // where they dump their observability files.
+    // Output destinations and the observability flags of harness/tracing.h
+    // are not workload parameters; keeping them out of "args" lets the
+    // regression checker compare runs that differ only in what they dump
+    // and where.
     if (name == "json" || name == "trace" || name == "telemetry" ||
-        name == "telemetry_interval_us") {
+        name == "telemetry_interval_us" || name == "health" ||
+        name.starts_with("flight_")) {
       continue;
     }
     args_.Set(name, JsonValue::Str(value));

@@ -39,7 +39,7 @@ class ShardedTestbed {
   explicit ShardedTestbed(const ShardedTestbedConfig& config,
                           std::unique_ptr<router::Partitioner> partitioner =
                               std::make_unique<router::HashPartitioner>())
-      : config_(WithProcessFlightFlags(config)),
+      : config_(config),
         host_cpu_(&sim_, "host", config_.shard.host_cores) {
     shards_.reserve(config_.num_shards);
     std::vector<client::Client*> clients;
@@ -63,14 +63,10 @@ class ShardedTestbed {
     }
     router_ = std::make_unique<router::ShardedClient>(
         &sim_, std::move(clients), std::move(partitioner), config_.router);
-    TraceRequest::EnableOn(&sim_);
-    TelemetryRequest::EnableOn(&sim_);
+    EnableObservability(&sim_);
     for (auto& shard : shards_) shard->device->Start();
   }
-  ~ShardedTestbed() {
-    TraceRequest::Dump(&sim_);
-    TelemetryRequest::Dump(&sim_);
-  }
+  ~ShardedTestbed() { DumpObservability(&sim_); }
   ShardedTestbed(const ShardedTestbed&) = delete;
   ShardedTestbed& operator=(const ShardedTestbed&) = delete;
 
@@ -88,12 +84,6 @@ class ShardedTestbed {
     std::unique_ptr<device::Device> device;
     std::unique_ptr<client::Client> client;
   };
-
-  static ShardedTestbedConfig WithProcessFlightFlags(
-      ShardedTestbedConfig config) {
-    FlightRequest::Configure(&config.shard.device.flight);
-    return config;
-  }
 
   ShardedTestbedConfig config_;
   sim::Simulation sim_;

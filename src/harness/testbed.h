@@ -84,22 +84,17 @@ class CsdTestbed {
  public:
   explicit CsdTestbed(const TestbedConfig& config,
                       std::uint32_t host_cores_override = 0)
-      : config_(WithProcessFlightFlags(config)),
+      : config_(config),
         queue_(&sim_, config_.queues),
         device_(&sim_, config_.device, &queue_),
         host_cpu_(&sim_, "host",
                   host_cores_override ? host_cores_override
                                       : config_.host_cores),
         client_(&queue_, &host_cpu_, config_.host_costs) {
-    TraceRequest::EnableOn(&sim_);
-    TelemetryRequest::EnableOn(&sim_);
+    EnableObservability(&sim_);
     device_.Start();
   }
-  ~CsdTestbed() {
-    HealthRequest::Dump(&device_);
-    TraceRequest::Dump(&sim_);
-    TelemetryRequest::Dump(&sim_);
-  }
+  ~CsdTestbed() { DumpObservability(&sim_); }
   CsdTestbed(const CsdTestbed&) = delete;
   CsdTestbed& operator=(const CsdTestbed&) = delete;
 
@@ -110,13 +105,6 @@ class CsdTestbed {
   sim::CpuPool& host_cpu() { return host_cpu_; }
 
  private:
-  // Overlays the process-wide --flight_* flags onto this testbed's device
-  // config before the device is constructed.
-  static TestbedConfig WithProcessFlightFlags(TestbedConfig config) {
-    FlightRequest::Configure(&config.device.flight);
-    return config;
-  }
-
   TestbedConfig config_;
   sim::Simulation sim_;
   nvme::QueueSet queue_;
@@ -139,13 +127,9 @@ class LsmTestbed {
         fs_(&sim_, &host_cpu_, &ssd_, &page_cache_, config.host_costs),
         env_{&sim_, &fs_, &host_cpu_, config.host_costs, &sim_.stats()},
         block_cache_(config.block_cache_bytes) {
-    TraceRequest::EnableOn(&sim_);
-    TelemetryRequest::EnableOn(&sim_);
+    EnableObservability(&sim_);
   }
-  ~LsmTestbed() {
-    TraceRequest::Dump(&sim_);
-    TelemetryRequest::Dump(&sim_);
-  }
+  ~LsmTestbed() { DumpObservability(&sim_); }
   LsmTestbed(const LsmTestbed&) = delete;
   LsmTestbed& operator=(const LsmTestbed&) = delete;
 

@@ -2,42 +2,64 @@
 
 #include <cstdio>
 #include <fstream>
-
-#include "kvcsd/device.h"
-#include "kvcsd/flight_recorder.h"
+#include <string>
 
 namespace kvcsd::harness {
 
 namespace {
-std::string g_trace_path;            // NOLINT: process-wide bench config
-unsigned g_dumps = 0;                // NOLINT
-std::string g_telemetry_path;        // NOLINT
-Tick g_telemetry_interval = 0;       // NOLINT
-unsigned g_telemetry_dumps = 0;      // NOLINT
-std::string g_health_path;           // NOLINT
-unsigned g_health_dumps = 0;         // NOLINT
-std::string g_flight_dump_path;      // NOLINT
-Tick g_flight_slo_exec_ns = 0;       // NOLINT
-bool g_flight_dump_on_busy = false;  // NOLINT
-}  // namespace
 
-void TraceRequest::Set(std::string path) {
-  g_trace_path = std::move(path);
-  g_dumps = 0;
+// One requested output: <path>, then <path>.1, <path>.2, ...
+struct Output {
+  std::string path;
+  unsigned files = 0;
+
+  bool active() const { return !path.empty(); }
+  std::string NextPath() {
+    std::string next = path;
+    if (files > 0) next += "." + std::to_string(files);
+    ++files;
+    return next;
+  }
+};
+
+// Process-wide bench configuration, set once by ApplyObservabilityFlags.
+Output g_trace;                 // NOLINT
+Output g_telemetry;             // NOLINT
+Tick g_telemetry_interval = 0;  // NOLINT
+Output g_health;                // NOLINT
+Output g_flight;                // NOLINT
+Tick g_flight_slo_exec_ns = 0;  // NOLINT
+bool g_flight_busy = false;     // NOLINT
+
+void DumpHealth(sim::Simulation* sim) {
+  if (!g_health.active()) return;
+  sim::TelemetrySampler::Gauges gauges;
+  sim->telemetry().Collect(&gauges);
+  if (gauges.empty()) return;
+  const std::string path = g_health.NextPath();
+  std::string json = "{\n  \"tick\": " + std::to_string(sim->Now());
+  json += ",\n  \"gauges\": {";
+  bool first = true;
+  for (const auto& [name, value] : gauges) {
+    if (!first) json += ",";
+    first = false;
+    json += "\n    \"" + name + "\": " + std::to_string(value);
+  }
+  if (!first) json += "\n  ";
+  json += "}\n}\n";
+  std::ofstream out(path);
+  if (!out) {
+    std::printf("FAILED to write health page: %s\n", path.c_str());
+    return;
+  }
+  out << json;
+  std::printf("health page written to %s\n", path.c_str());
 }
 
-bool TraceRequest::active() { return !g_trace_path.empty(); }
-
-void TraceRequest::EnableOn(sim::Simulation* sim) {
-  if (active()) sim->tracer().Enable();
-}
-
-void TraceRequest::Dump(sim::Simulation* sim) {
-  if (!active() || !sim->tracer().enabled()) return;
+void DumpTrace(sim::Simulation* sim) {
+  if (!g_trace.active() || !sim->tracer().enabled()) return;
   if (sim->tracer().size() == 0) return;
-  std::string path = g_trace_path;
-  if (g_dumps > 0) path += "." + std::to_string(g_dumps);
-  ++g_dumps;
+  const std::string path = g_trace.NextPath();
   Status s = sim->tracer().WriteFile(path);
   if (s.ok()) {
     std::printf("trace written to %s (%zu events", path.c_str(),
@@ -52,24 +74,10 @@ void TraceRequest::Dump(sim::Simulation* sim) {
   }
 }
 
-void TelemetryRequest::Set(std::string path, Tick interval) {
-  g_telemetry_path = std::move(path);
-  g_telemetry_interval = interval;
-  g_telemetry_dumps = 0;
-}
-
-bool TelemetryRequest::active() { return !g_telemetry_path.empty(); }
-
-void TelemetryRequest::EnableOn(sim::Simulation* sim) {
-  if (active()) sim->telemetry().Enable(g_telemetry_interval);
-}
-
-void TelemetryRequest::Dump(sim::Simulation* sim) {
-  if (!active() || !sim->telemetry().enabled()) return;
+void DumpTelemetry(sim::Simulation* sim) {
+  if (!g_telemetry.active() || !sim->telemetry().enabled()) return;
   if (sim->telemetry().size() == 0) return;
-  std::string path = g_telemetry_path;
-  if (g_telemetry_dumps > 0) path += "." + std::to_string(g_telemetry_dumps);
-  ++g_telemetry_dumps;
+  const std::string path = g_telemetry.NextPath();
   Status s = sim->telemetry().WriteFile(path);
   if (s.ok()) {
     std::printf("telemetry written to %s (%zu samples", path.c_str(),
@@ -84,49 +92,32 @@ void TelemetryRequest::Dump(sim::Simulation* sim) {
   }
 }
 
-void HealthRequest::Set(std::string path) {
-  g_health_path = std::move(path);
-  g_health_dumps = 0;
-}
-
-bool HealthRequest::active() { return !g_health_path.empty(); }
-
-void HealthRequest::Dump(device::Device* device) {
-  if (!active()) return;
-  std::string path = g_health_path;
-  if (g_health_dumps > 0) path += "." + std::to_string(g_health_dumps);
-  ++g_health_dumps;
-  std::ofstream out(path);
-  if (!out) {
-    std::printf("FAILED to write health page: %s\n", path.c_str());
-    return;
-  }
-  out << device->HealthJson();
-  std::printf("health page written to %s\n", path.c_str());
-}
-
-void FlightRequest::Set(std::string dump_path, Tick slo_exec_ns,
-                        bool dump_on_busy) {
-  g_flight_dump_path = std::move(dump_path);
-  g_flight_slo_exec_ns = slo_exec_ns;
-  g_flight_dump_on_busy = dump_on_busy;
-}
-
-void FlightRequest::Configure(device::FlightRecorderConfig* config) {
-  if (!g_flight_dump_path.empty()) config->dump_path = g_flight_dump_path;
-  if (g_flight_slo_exec_ns != 0) config->slo_exec_ns = g_flight_slo_exec_ns;
-  if (g_flight_dump_on_busy) config->dump_on_busy = true;
-}
+}  // namespace
 
 void ApplyObservabilityFlags(const Flags& flags) {
-  TraceRequest::Set(flags.GetString("trace", ""));
-  TelemetryRequest::Set(
-      flags.GetString("telemetry", ""),
-      Microseconds(flags.GetUint("telemetry_interval_us", 1000)));
-  HealthRequest::Set(flags.GetString("health", ""));
-  FlightRequest::Set(flags.GetString("flight_dump", ""),
-                     Microseconds(flags.GetUint("flight_slo_us", 0)),
-                     flags.GetBool("flight_busy", false));
+  g_trace = Output{flags.GetString("trace", "")};
+  g_telemetry = Output{flags.GetString("telemetry", "")};
+  g_telemetry_interval =
+      Microseconds(flags.GetUint("telemetry_interval_us", 1000));
+  g_health = Output{flags.GetString("health", "")};
+  g_flight = Output{flags.GetString("flight_dump", "")};
+  g_flight_slo_exec_ns = Microseconds(flags.GetUint("flight_slo_us", 0));
+  g_flight_busy = flags.GetBool("flight_busy", false);
+}
+
+void EnableObservability(sim::Simulation* sim) {
+  if (g_trace.active()) sim->tracer().Enable();
+  if (g_telemetry.active()) sim->telemetry().Enable(g_telemetry_interval);
+  sim::Log& log = sim->log();
+  log.set_slo_exec_ns(g_flight_slo_exec_ns);
+  log.set_dump_on_busy(g_flight_busy);
+  if (g_flight.active()) log.set_dump_path(g_flight.NextPath());
+}
+
+void DumpObservability(sim::Simulation* sim) {
+  DumpHealth(sim);
+  DumpTrace(sim);
+  DumpTelemetry(sim);
 }
 
 }  // namespace kvcsd::harness

@@ -1,77 +1,36 @@
 // Process-wide observability requests for bench binaries.
 //
-// Benches pass --trace=<path> / --telemetry=<path>; main() forwards both
-// here once via ApplyObservabilityFlags. Every simulation the harness
-// testbeds construct afterwards records span events (sim/tracer.h) and
-// gauge time-series (sim/telemetry.h), and each testbed dumps its
-// simulation's outputs when it is destroyed: the first dump writes
-// <path>, subsequent ones <path>.1, <path>.2, ... (benches that sweep a
-// parameter build one testbed per point). Empty dumps are skipped. Load
-// trace files in chrome://tracing or https://ui.perfetto.dev; feed both
-// files to tools/analyze_trace.py for the latency breakdown.
+// Benches pass --trace=<path>, --telemetry=<path> (sampled every
+// --telemetry_interval_us=<n>, default 1000), --health=<path> and the
+// event ring's trip settings --flight_slo_us=<n>, --flight_busy and
+// --flight_dump=<path>; main() forwards them once via
+// ApplyObservabilityFlags. Every harness testbed brackets its simulation
+// with one pair: EnableObservability at construction turns on the tracer
+// and the telemetry sampler when requested and applies the trip settings
+// to the simulation's event ring (sim/log.h); DumpObservability at
+// destruction writes the simulation's health snapshot (every gauge of the
+// telemetry source registry, as {"tick", "gauges"} JSON), trace and
+// telemetry. Each output is numbered per simulation: the first file is
+// <path>, later ones <path>.1, <path>.2, ... (benches that sweep a
+// parameter build one testbed per point). An output with nothing to write
+// (no traced events, no samples, no gauge source) writes no file and takes
+// no number. Ring dumps are numbered the same way, per simulation that
+// enables them, and then by the simulation's trip count:
+// <flight_dump>.<trip>.json, <flight_dump>.1.<trip>.json, ... Load trace
+// files in chrome://tracing or https://ui.perfetto.dev; feed trace and
+// telemetry to tools/analyze_trace.py for the latency breakdown.
 #pragma once
-
-#include <string>
 
 #include "harness/flags.h"
 #include "sim/simulation.h"
 
-namespace kvcsd::device {
-class Device;
-struct FlightRecorderConfig;
-}  // namespace kvcsd::device
-
 namespace kvcsd::harness {
 
-class TraceRequest {
- public:
-  // Empty path = tracing stays off (the default).
-  static void Set(std::string path);
-  static bool active();
-
-  // Called by testbed constructors: turns the sim's tracer on when a
-  // trace was requested.
-  static void EnableOn(sim::Simulation* sim);
-
-  // Called by testbed destructors: writes the sim's trace file (if
-  // tracing is active and the sim recorded any events).
-  static void Dump(sim::Simulation* sim);
-};
-
-class TelemetryRequest {
- public:
-  // Empty path = telemetry stays off. `interval` is the simulated-time
-  // sampling cadence.
-  static void Set(std::string path, Tick interval = Microseconds(1000));
-  static bool active();
-
-  static void EnableOn(sim::Simulation* sim);
-  static void Dump(sim::Simulation* sim);
-};
-
-// --health=<path>: each CsdTestbed dumps its device's health page (the
-// same gauges a wire-level GetHealth() pull returns) as JSON when it is
-// destroyed — <path>, then <path>.1, <path>.2, ... like the trace dumps.
-class HealthRequest {
- public:
-  static void Set(std::string path);
-  static bool active();
-  static void Dump(device::Device* device);
-};
-
-// --flight_dump=<path> / --flight_slo_us=<n> / --flight_busy: process-wide
-// flight-recorder overrides, overlaid onto every CsdTestbed's device
-// config (DESIGN.md §14). Unset flags leave the bench's own settings.
-class FlightRequest {
- public:
-  static void Set(std::string dump_path, Tick slo_exec_ns, bool dump_on_busy);
-  static void Configure(device::FlightRecorderConfig* config);
-};
-
-// One-stop bench wiring: forwards --trace=<path>, --telemetry=<path>,
-// --telemetry_interval_us=<n>, --health=<path>, and the --flight_* flags
-// to the requests above. Every bench main calls this right after parsing
-// flags.
+// Every bench main calls this right after parsing flags. Unset flags turn
+// the matching output off; calling it again resets the file numbering.
 void ApplyObservabilityFlags(const Flags& flags);
+
+void EnableObservability(sim::Simulation* sim);
+void DumpObservability(sim::Simulation* sim);
 
 }  // namespace kvcsd::harness

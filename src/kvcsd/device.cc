@@ -66,30 +66,16 @@ Device::Device(sim::Simulation* sim, const DeviceConfig& config,
       index_cache_(config_.EffectiveIndexCacheBytes()),
       faults_(config_.zns.faults),
       dispatch_meter_(sim, config_.stats_prefix + "dispatch", 1.0),
-      flight_(std::make_shared<FlightRecorder>(config_.flight)) {
+      log_device_(sim->log().DeviceId(trk_device_)) {
   if (faults_ != nullptr) faults_->set_log(&sim_->log());
   // Key "<prefix>device" on purpose: a Device::Restart over the same
   // simulation re-registers and supersedes the powered-off device's gauges.
   telemetry_token_ = sim_->telemetry().AddSource(
       config_.stats_prefix + "device",
       [this](sim::TelemetrySampler::Gauges* out) { CollectTelemetry(out); });
-  flight_->set_snapshot_provider(
-      [this](sim::TelemetrySampler::Gauges* out) { CollectTelemetry(out); });
-  if (faults_ != nullptr && config_.flight.dump_on_crash) {
-    // Dump the ring the instant power dies, before any state is torn
-    // down — the hook list is cleared by the injector after the crash.
-    flight_crash_token_ = faults_->AddCrashHook([this] {
-      flight_->Dump("crash", sim_->Now(), faults_->crash_point());
-    });
-  }
 }
 
-Device::~Device() {
-  sim_->telemetry().RemoveSource(telemetry_token_);
-  if (faults_ != nullptr && flight_crash_token_ != 0) {
-    faults_->RemoveCrashHook(flight_crash_token_);
-  }
-}
+Device::~Device() { sim_->telemetry().RemoveSource(telemetry_token_); }
 
 void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
   // Gauge names carry the instance prefix (empty in single-device sims,
@@ -157,7 +143,8 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
   ssd_.nand().meter().AppendGauges(out);
   queues_->h2d_meter().AppendGauges(out);
   queues_->d2h_meter().AppendGauges(out);
-  out->emplace_back(p + "device.flight.trips", flight_->trips());
+  out->emplace_back(p + "device.flight.trips",
+                    stats().counter_value("device.flight.trips_total"));
 }
 
 // ---------------------------------------------------------------------------
@@ -198,21 +185,6 @@ nvme::StatsPage Device::BuildStatsPage() const {
   return page;
 }
 
-std::string Device::HealthJson() const {
-  const nvme::HealthPage page = BuildHealthPage();
-  std::string json = "{\n  \"tick\": " + std::to_string(page.tick);
-  json += ",\n  \"gauges\": {";
-  bool first = true;
-  for (const auto& [name, value] : page.gauges) {
-    if (!first) json += ",";
-    first = false;
-    json += "\n    \"" + name + "\": " + std::to_string(value);
-  }
-  if (!first) json += "\n  ";
-  json += "}\n}\n";
-  return json;
-}
-
 void Device::Start() {
   if (started_) return;
   started_ = true;
@@ -229,14 +201,6 @@ std::unique_ptr<Device> Device::Restart(sim::Simulation* sim,
   if (config.zns.faults != nullptr) config.zns.faults->ResetForRestart();
   auto device = std::make_unique<Device>(sim, config, queues);
   device->ssd_.CloneStateFrom(prior.ssd_);
-  // The flight recorder survives the power cycle (like sim::Log): the
-  // pre-crash command history stays readable from the restarted device.
-  // Re-bind the snapshot provider so a post-restart dump reflects the live
-  // device, not the powered-off one.
-  device->flight_ = prior.flight_;
-  Device* raw = device.get();
-  device->flight_->set_snapshot_provider(
-      [raw](sim::TelemetrySampler::Gauges* out) { raw->CollectTelemetry(out); });
   return device;
 }
 
@@ -343,21 +307,22 @@ sim::Task<void> Device::HandleCommand(nvme::QueuePair::Incoming incoming) {
     completion = nvme::Completion{};
     completion.status = Status::IoError("device powered off (in flight)");
   }
-  // Flight recorder: one summary per completed command, recorded before
-  // the completion DMA so a breach dump never misses its own trigger.
-  FlightRecorder::Entry fe;
-  fe.cmd_id = incoming.cmd_id;
-  fe.opcode = op;
-  fe.queue_id = incoming.queue_id;
-  fe.tick = sim_->Now();
-  fe.queue_wait_ns = incoming.dequeue_tick - incoming.enqueue_tick;
-  fe.dispatch_ns = begin - incoming.dequeue_tick;
-  fe.exec_ns = sim_->Now() - begin;
-  fe.status = completion.status.code();
-  flight_->Record(fe);
-  if (const char* reason = flight_->BreachReason(fe)) {
+  // One command event in the simulation's ring, recorded before the
+  // completion DMA so a breach dump never misses its own trigger.
+  sim::Log::Command event;
+  event.cmd_id = incoming.cmd_id;
+  event.op = nvme::OpcodeName(op);
+  event.queue_id = incoming.queue_id;
+  event.device = log_device_;
+  event.queue_wait_ns = incoming.dequeue_tick - incoming.enqueue_tick;
+  event.dispatch_ns = begin - incoming.dequeue_tick;
+  event.exec_ns = sim_->Now() - begin;
+  event.status = completion.status.code();
+  sim::Log& log = sim_->log();
+  log.Record(event);
+  if (const char* reason = log.BreachReason(event)) {
     stats().counter("device.flight.trips_total").Increment();
-    flight_->Dump(reason, sim_->Now());
+    log.Dump(reason);
   }
   co_await queues_->Complete(std::move(incoming), std::move(completion));
 }

@@ -15,6 +15,10 @@
 //     SIDX BUILD    -> full scan + extract + external sort -> SIDX blocks
 //     QUERIES       -> sketch -> 4 KB index blocks -> value gather; only
 //                      results cross PCIe back to the host
+//
+// Every completed command is recorded as an event in the simulation's
+// event ring (sim/log.h), which trips its SLO dumps; the ring, not the
+// device, survives a Restart power cycle.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +29,6 @@
 
 #include "common/status.h"
 #include "hostenv/cost_model.h"
-#include "kvcsd/flight_recorder.h"
 #include "kvcsd/index_cache.h"
 #include "kvcsd/keyspace_manager.h"
 #include "kvcsd/zone_manager.h"
@@ -70,11 +73,6 @@ struct DeviceConfig {
   // the window never moves a block. Values beyond the NAND channel count
   // only add queueing.
   std::uint32_t gather_fanout = 8;
-
-  // Flight recorder (DESIGN.md §14): ring capacity, SLO trip rules, dump
-  // path. The ring itself is always on; dumps only happen when a rule is
-  // configured (or the fault injector cuts power with dump_on_crash set).
-  FlightRecorderConfig flight;
 
   // Stats/telemetry/trace name prefix for this device instance. Empty (the
   // default) keeps every historical name; a fleet of devices sharing one
@@ -233,18 +231,11 @@ class Device {
 
   // --- in-band telemetry (DESIGN.md §14) ---
   // The device-side builders behind the kGetLogPage admin command. Public
-  // so the harness can render a health dump without a queue round-trip;
-  // over the wire the host receives the same pages flat-encoded
-  // (nvme/log_page.h) and decodes them with Client::GetHealth()/GetStats().
+  // so tests can read a page without a queue round-trip; over the wire the
+  // host receives the same pages flat-encoded (nvme/log_page.h) and decodes
+  // them with Client::GetHealth()/GetStats().
   nvme::HealthPage BuildHealthPage() const;
   nvme::StatsPage BuildStatsPage() const;
-  // The health page rendered as a JSON object ({"tick":..., "gauges":{}}).
-  std::string HealthJson() const;
-
-  // Bounded ring of recent command summaries + SLO trip dumps. Shared with
-  // the Restart successor so a power cycle keeps pre-crash history.
-  FlightRecorder& flight() { return *flight_; }
-  const FlightRecorder& flight() const { return *flight_; }
 
   // Windowed wall-time meter of the single-core command dispatch loop
   // (capacity 1.0): the ROADMAP's known serialization bottleneck, made
@@ -607,10 +598,9 @@ class Device {
   sim::FaultInjector* faults_ = nullptr;
   // Wall time of the single dispatch core (MainLoop), per activity class.
   sim::ResourceMeter dispatch_meter_;
-  // Shared across Device::Restart so pre-crash history survives the cycle.
-  std::shared_ptr<FlightRecorder> flight_;
-  // Crash-hook registration for the dump-on-crash rule (0 = none).
-  std::uint64_t flight_crash_token_ = 0;
+  // This device's id in the simulation's event ring (sim::Log), under
+  // its trace track name; a Restart successor gets the same id.
+  std::uint32_t log_device_;
 
   // The timed I/O part of a flush, runs detached per batch.
   sim::Task<void> FlushIo(Keyspace* ks, WriteBuffer batch);

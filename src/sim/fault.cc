@@ -63,8 +63,7 @@ void FaultInjector::Crash() {
     log_->Error("fault", "power cut" + (crash_point_.empty()
                                             ? std::string(" (manual)")
                                             : " at '" + crash_point_ + "'"));
-    log_->DumpToStderr(crash_point_.empty() ? "power cut"
-                                            : "crash at " + crash_point_);
+    log_->Dump("crash", crash_point_);
   }
 }
 

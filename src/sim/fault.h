@@ -20,7 +20,9 @@
 // The injector also owns the "torn tail" model: on Crash() it runs the
 // registered crash hooks, and ZnsSsd registers one that truncates the
 // in-flight last append to a configurable fraction — the classic
-// power-loss artifact that log recovery must tolerate.
+// power-loss artifact that log recovery must tolerate. After the hooks it
+// writes the power cut into the bound event ring and trips the ring's one
+// crash dump.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +79,9 @@ class FaultInjector {
   // of name — the sweep driver's way to cover every reachable point.
   void ArmCrashAtHit(std::uint64_t global_hit);
 
-  // Immediate power cut: marks the injector crashed and runs the
-  // registered crash hooks (e.g. the SSD's torn-tail truncation) once.
+  // Immediate power cut: marks the injector crashed, runs the registered
+  // crash hooks (e.g. the SSD's torn-tail truncation) once, then dumps the
+  // bound event ring.
   void Crash();
 
   bool crashed() const { return crashed_; }
@@ -116,10 +119,10 @@ class FaultInjector {
 
   // --- structured logging ---
 
-  // Binds the simulation's event log (log.h). The injector records armed
-  // crashes, injected I/O errors, and the power cut itself, and dumps the
-  // whole ring to stderr when a crash point trips — the flight recorder
-  // for crash-sweep failures. The log must outlive the injector's use.
+  // Binds the simulation's event ring (log.h). The injector records armed
+  // crashes, injected I/O errors and the power cut itself, and trips the
+  // ring's crash dump, which names the crash point. The ring must outlive
+  // the injector's use.
   void set_log(Log* log) { log_ = log; }
   Log* log() const { return log_; }
 

@@ -1,8 +1,44 @@
 #include "sim/log.h"
 
 #include <cstdio>
+#include <fstream>
+
+#include "sim/telemetry.h"
 
 namespace kvcsd::sim {
+
+namespace {
+
+// Minimal JSON string escaping: names here are opcode/status/metric
+// identifiers, but a breadcrumb or crash-point name must never break the
+// document.
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+}  // namespace
 
 std::string_view LogLevelName(LogLevel level) {
   switch (level) {
@@ -18,51 +54,157 @@ std::string_view LogLevelName(LogLevel level) {
   return "?";
 }
 
-void Log::set_capacity(std::size_t capacity) {
-  capacity_ = capacity == 0 ? 1 : capacity;
-  while (entries_.size() > capacity_) entries_.pop_front();
+Log::Entry& Log::NextSlot(LogLevel level) {
+  const bool full = ring_.size() == kCapacity;
+  Entry& slot = full ? ring_[next_] : ring_.emplace_back();
+  if (full) next_ = (next_ + 1) % kCapacity;
+  slot.seq = next_seq_++;
+  slot.tick = clock_ ? clock_() : 0;
+  slot.level = level;
+  return slot;
 }
 
 void Log::Write(LogLevel level, std::string_view component,
                 std::string message) {
-  if (level < min_level_) return;
-  Entry e;
-  e.seq = next_seq_++;
-  e.tick = clock_ ? clock_() : 0;
-  e.level = level;
-  e.component = std::string(component);
+  Entry& e = NextSlot(level);
+  e.is_command = false;
+  e.component = component;
   e.message = std::move(message);
-  entries_.push_back(std::move(e));
-  while (entries_.size() > capacity_) entries_.pop_front();
+}
+
+std::uint32_t Log::DeviceId(std::string_view name) {
+  for (std::uint32_t id = 0; id < devices_.size(); ++id) {
+    if (devices_[id] == name) return id;
+  }
+  devices_.emplace_back(name);
+  return static_cast<std::uint32_t>(devices_.size() - 1);
+}
+
+std::string_view Log::DeviceName(std::uint32_t id) const {
+  return id < devices_.size() ? std::string_view(devices_[id]) : "";
+}
+
+void Log::Record(const Command& command) {
+  Entry& e = NextSlot(command.status == StatusCode::kOk ? LogLevel::kInfo
+                                                        : LogLevel::kWarn);
+  e.is_command = true;
+  e.component.clear();  // keeps the slot's buffer: no allocation
+  e.message.clear();
+  e.command = command;
+}
+
+const char* Log::BreachReason(const Command& command) const {
+  if (slo_exec_ns_ != 0 && command.exec_ns > slo_exec_ns_) return "slo_exec";
+  if (dump_on_busy_ && command.status == StatusCode::kBusy) return "busy";
+  return nullptr;
+}
+
+std::vector<Log::Entry> Log::Entries() const {
+  std::vector<Entry> out;
+  out.reserve(ring_.size());
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(ring_[(next_ + i) % ring_.size()]);
+  }
+  return out;
+}
+
+std::string Log::Dump(std::string_view reason, std::string_view crash_point) {
+  ++trips_;
+  std::string json = "{\n  \"reason\": ";
+  AppendJsonString(&json, reason);
+  json += ",\n  \"tick\": " + std::to_string(clock_ ? clock_() : 0);
+  json += ",\n  \"trip\": " + std::to_string(trips_);
+  if (!crash_point.empty()) {
+    json += ",\n  \"crash_point\": ";
+    AppendJsonString(&json, crash_point);
+  }
+  json += ",\n  \"utilization\": {";
+  bool first = true;
+  if (gauges_ != nullptr) {
+    TelemetrySampler::Gauges gauges;
+    gauges_->Collect(&gauges);
+    for (const auto& [name, value] : gauges) {
+      if (!first) json += ",";
+      first = false;
+      json += "\n    ";
+      AppendJsonString(&json, name);
+      json += ": " + std::to_string(value);
+    }
+  }
+  if (!first) json += "\n  ";
+  json += "},\n  \"entries\": [";
+  first = true;
+  for (const Entry& e : Entries()) {
+    if (!first) json += ",";
+    first = false;
+    json += "\n    {\"seq\": " + std::to_string(e.seq);
+    json += ", \"tick\": " + std::to_string(e.tick);
+    json += ", \"level\": ";
+    AppendJsonString(&json, LogLevelName(e.level));
+    if (e.is_command) {
+      const Command& c = e.command;
+      json += ", \"cmd_id\": " + std::to_string(c.cmd_id) + ", \"op\": ";
+      AppendJsonString(&json, c.op);
+      json += ", \"dev\": ";
+      AppendJsonString(&json, DeviceName(c.device));
+      json += ", \"q\": " + std::to_string(c.queue_id);
+      json += ", \"queue_wait_ns\": " + std::to_string(c.queue_wait_ns);
+      json += ", \"dispatch_ns\": " + std::to_string(c.dispatch_ns);
+      json += ", \"exec_ns\": " + std::to_string(c.exec_ns);
+      json += ", \"status\": ";
+      AppendJsonString(&json, StatusCodeName(c.status));
+    } else {
+      json += ", \"component\": ";
+      AppendJsonString(&json, e.component);
+      json += ", \"message\": ";
+      AppendJsonString(&json, e.message);
+    }
+    json += "}";
+  }
+  if (!first) json += "\n  ";
+  json += "]\n}\n";
+
+  last_dump_ = json;
+  if (!dump_path_.empty()) {
+    std::ofstream out(dump_path_ + "." + std::to_string(trips_) + ".json");
+    out << json;
+  }
+  return json;
 }
 
 std::string Log::ToString() const {
   std::string out;
   char head[96];
-  for (const Entry& e : entries_) {
+  for (const Entry& e : Entries()) {
     std::snprintf(head, sizeof(head), "[%12llu ns] %-5s %s: ",
                   static_cast<unsigned long long>(e.tick),
                   std::string(LogLevelName(e.level)).c_str(),
-                  e.component.c_str());
+                  e.is_command ? "cmd" : e.component.c_str());
     out += head;
-    out += e.message;
+    if (e.is_command) {
+      const Command& c = e.command;
+      char body[192];
+      std::snprintf(
+          body, sizeof(body),
+          "#%llu %s dev=%s q=%u wait=%llu dispatch=%llu exec=%llu %s",
+          static_cast<unsigned long long>(c.cmd_id), c.op,
+          std::string(DeviceName(c.device)).c_str(), c.queue_id,
+          static_cast<unsigned long long>(c.queue_wait_ns),
+          static_cast<unsigned long long>(c.dispatch_ns),
+          static_cast<unsigned long long>(c.exec_ns),
+          std::string(StatusCodeName(c.status)).c_str());
+      out += body;
+    } else {
+      out += e.message;
+    }
     out += '\n';
   }
   return out;
 }
 
-void Log::DumpToStderr(std::string_view banner) const {
-  if (entries_.empty()) return;
-  std::fprintf(stderr, "--- sim::Log (%s; last %zu of %llu entries) ---\n",
-               std::string(banner).c_str(), entries_.size(),
-               static_cast<unsigned long long>(next_seq_));
-  const std::string body = ToString();
-  std::fwrite(body.data(), 1, body.size(), stderr);
-  std::fprintf(stderr, "--- end sim::Log ---\n");
-}
-
 void Log::Clear() {
-  entries_.clear();
+  ring_.clear();
+  next_ = 0;
   next_seq_ = 0;
 }
 

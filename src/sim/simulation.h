@@ -28,6 +28,7 @@ class Simulation {
  public:
   Simulation() {
     log_.BindClock([this] { return now_; });
+    log_.BindGauges(&telemetry_);
   }
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -91,8 +92,10 @@ class Simulation {
   TelemetrySampler& telemetry() { return telemetry_; }
   const TelemetrySampler& telemetry() const { return telemetry_; }
 
-  // Structured event ring (log.h); stamped with the simulated clock.
-  // Owned here rather than by the Device so it survives power cycles.
+  // The event ring (log.h): breadcrumbs and device command events,
+  // stamped with the simulated clock; its dumps snapshot the telemetry
+  // registry. Owned here rather than by a Device so it survives power
+  // cycles.
   Log& log() { return log_; }
   const Log& log() const { return log_; }
 

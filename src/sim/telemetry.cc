@@ -31,6 +31,10 @@ void TelemetrySampler::RemoveSource(std::uint64_t token) {
   });
 }
 
+void TelemetrySampler::Collect(Gauges* out) const {
+  for (const Source& s : sources_) s.fn(out);
+}
+
 std::uint32_t TelemetrySampler::NameId(const std::string& name) {
   auto [it, inserted] =
       name_ids_.try_emplace(name, static_cast<std::uint32_t>(names_.size()));
@@ -43,7 +47,7 @@ void TelemetrySampler::Sample(Tick now) {
   point.tick = now - now % interval_;
   next_due_ = point.tick + interval_;
   scratch_.clear();
-  for (Source& s : sources_) s.fn(&scratch_);
+  Collect(&scratch_);
   point.values.reserve(scratch_.size());
   for (auto& [name, value] : scratch_) {
     point.values.emplace_back(NameId(name), value);

@@ -11,6 +11,8 @@
 // Re-registering a key replaces the previous source: a Device::Restart
 // registers its gauges under the same key and supersedes the powered-off
 // device's callback, keeping one live writer per key across power cycles.
+// The registry is also the one place point-in-time gauge snapshots come
+// from (Collect): the event ring's dumps and the harness --health files.
 #pragma once
 
 #include <cstdint>
@@ -46,6 +48,9 @@ class TelemetrySampler {
   // Idempotent; a token superseded by a later AddSource on the same key
   // is ignored (the replacement owns the key now).
   void RemoveSource(std::uint64_t token);
+  // Appends every registered source's gauges for the current instant,
+  // whether or not sampling is enabled.
+  void Collect(Gauges* out) const;
 
   // Event-loop hook: cheap check + sample. Sample() stamps the sample at
   // the latest cadence multiple <= now, so sample spacing is exact even

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/report.h"
+#include "harness/sharded_testbed.h"
+#include "harness/tracing.h"
 
 namespace kvcsd::harness {
 namespace {
@@ -135,6 +142,103 @@ TEST(WorkloadTest, GetRunnersReturnTimeAndTraffic) {
   // The loader wrote every id the reader draws.
   EXPECT_EQ(outcome.not_found, 0u);
   EXPECT_EQ(outcome.failed, 0u);
+}
+
+void ApplyFlags(const std::vector<std::string>& args) {
+  std::vector<std::string> storage = {"test"};
+  storage.insert(storage.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& arg : storage) argv.push_back(arg.data());
+  ApplyObservabilityFlags(Flags(static_cast<int>(argv.size()), argv.data()));
+}
+
+// Files in the working directory whose name starts with `prefix`.
+std::vector<std::string> FilesWithPrefix(const std::string& prefix) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(".")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+// Removes what an earlier run left behind.
+void RemoveFilesWithPrefix(const std::string& prefix) {
+  for (const std::string& name : FilesWithPrefix(prefix)) {
+    std::filesystem::remove(name);
+  }
+}
+
+TestbedConfig SmallTestbed() {
+  TestbedConfig c;
+  c.device.zns.zone_size = KiB(256);
+  c.device.zns.num_zones = 64;
+  c.device.zns.nand.channels = 8;
+  c.device.dram_bytes = KiB(512);
+  c.device.write_buffer_bytes = KiB(2);
+  return c;
+}
+
+// Every device command of a 2-shard fleet and of two single-device
+// testbeds breaches a 1 us SLO. Each trip must land in a file of its own:
+// the fleet's shards share one trip counter, and each simulation gets its
+// own dump name.
+TEST(FlightRecorderHarnessTest, EveryTripWritesItsOwnFile) {
+  const std::string prefix = "harness_test.trips.flight";
+  RemoveFilesWithPrefix(prefix);
+  ApplyFlags({"--flight_dump=" + prefix, "--flight_slo_us=1"});
+  std::uint64_t trips = 0;
+  {
+    ShardedTestbedConfig fleet_config;
+    fleet_config.shard = SmallTestbed();
+    fleet_config.num_shards = 2;
+    ShardedTestbed fleet(fleet_config);
+    fleet.sim().Spawn([](ShardedTestbed* bed) -> sim::Task<void> {
+      auto ks = co_await bed->router().CreateKeyspace("fleet");
+      if (!ks.ok()) co_return;
+      for (std::uint64_t i = 0; i < 8; ++i) {
+        (void)co_await ks->Put(MakeFixedKey(i), "v");
+      }
+    }(&fleet));
+    fleet.sim().Run();
+    for (const char* shard : {"shard0.", "shard1."}) {
+      const std::uint64_t shard_trips = fleet.sim().stats().counter_value(
+          std::string(shard) + "device.flight.trips_total");
+      EXPECT_GT(shard_trips, 0u) << shard;
+      trips += shard_trips;
+    }
+  }
+  for (int bed_index = 0; bed_index < 2; ++bed_index) {
+    CsdTestbed bed(SmallTestbed());
+    bed.sim().Spawn([](CsdTestbed* b) -> sim::Task<void> {
+      auto ks = co_await b->client().CreateKeyspace("single");
+      if (!ks.ok()) co_return;
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        (void)co_await ks->Put(MakeFixedKey(i), "v");
+      }
+    }(&bed));
+    bed.sim().Run();
+    const std::uint64_t bed_trips =
+        bed.sim().stats().counter_value("device.flight.trips_total");
+    EXPECT_GT(bed_trips, 0u);
+    trips += bed_trips;
+  }
+  ApplyFlags({});
+  EXPECT_EQ(FilesWithPrefix(prefix).size(), trips);
+}
+
+// A simulation without a gauge source (the RocksLite testbed) writes no
+// health file and takes no file number.
+TEST(FlightRecorderHarnessTest, HealthSkipsSimulationsWithoutGauges) {
+  const std::string path = "harness_test.skip.health.json";
+  RemoveFilesWithPrefix(path);
+  ApplyFlags({"--health=" + path});
+  { LsmTestbed lsm(SmallTestbed()); }
+  { CsdTestbed csd(SmallTestbed()); }
+  ApplyFlags({});
+  const std::vector<std::string> files = FilesWithPrefix(path);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0], path);
 }
 
 }  // namespace

@@ -78,9 +78,10 @@ TEST(ParseJsonTest, ParsesTracerOutput) {
 }
 
 TEST(JsonReporterTest, SchemaRoundTrip) {
-  Flags flags = MakeFlags({"--keys=4096", "--json=/tmp/out.json",
-                           "--trace=/tmp/trace.json",
-                           "--telemetry=/tmp/telemetry.json"});
+  Flags flags = MakeFlags(
+      {"--keys=4096", "--json=/tmp/out.json", "--trace=/tmp/trace.json",
+       "--telemetry=/tmp/telemetry.json", "--health=/tmp/health.json",
+       "--flight_dump=/tmp/run.flight", "--flight_slo_us=5", "--flight_busy"});
   JsonReporter report("unit_test", flags);
   report.AddMetric("csd.put.keys_per_sec", 12345.5);
   report.AddMetric("csd.put.ticks", std::uint64_t{777});
@@ -103,7 +104,7 @@ TEST(JsonReporterTest, SchemaRoundTrip) {
   EXPECT_EQ(parsed->Find("bench")->string_value(), "unit_test");
   EXPECT_NE(parsed->Find("wall_clock_unix"), nullptr);
 
-  // args carries the workload flags but not the output paths.
+  // args carries the workload flags but not the observability ones.
   const JsonValue* args = parsed->Find("args");
   ASSERT_NE(args, nullptr);
   ASSERT_NE(args->Find("keys"), nullptr);
@@ -111,6 +112,10 @@ TEST(JsonReporterTest, SchemaRoundTrip) {
   EXPECT_EQ(args->Find("json"), nullptr);
   EXPECT_EQ(args->Find("trace"), nullptr);
   EXPECT_EQ(args->Find("telemetry"), nullptr);
+  EXPECT_EQ(args->Find("health"), nullptr);
+  EXPECT_EQ(args->Find("flight_dump"), nullptr);
+  EXPECT_EQ(args->Find("flight_slo_us"), nullptr);
+  EXPECT_EQ(args->Find("flight_busy"), nullptr);
 
   const JsonValue* metrics = parsed->Find("metrics");
   ASSERT_NE(metrics, nullptr);

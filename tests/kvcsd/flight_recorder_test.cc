@@ -1,10 +1,12 @@
-// Flight recorder (DESIGN.md §14): a bounded ring of recent command
-// summaries that dumps itself — with a utilization snapshot — when an SLO
-// rule trips or the fault injector cuts power, and that survives
-// Device::Restart so the post-crash dump still shows the pre-crash tail.
+// The device side of the simulation's event ring (sim/log.h): every
+// completed command lands in the ring, an SLO breach or a power cut trips
+// one JSON dump with a utilization snapshot, and the ring survives
+// Device::Restart so the post-crash history still shows the pre-crash
+// tail.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -15,9 +17,12 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "harness/flags.h"
+#include "harness/testbed.h"
+#include "harness/tracing.h"
 #include "kvcsd/device.h"
-#include "kvcsd/flight_recorder.h"
 #include "sim/fault.h"
+#include "sim/log.h"
 
 namespace kvcsd::device {
 namespace {
@@ -33,75 +38,6 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-FlightRecorder::Entry MakeEntry(std::uint64_t cmd_id) {
-  FlightRecorder::Entry e;
-  e.cmd_id = cmd_id;
-  e.opcode = nvme::Opcode::kKvStore;
-  e.tick = 1000 * cmd_id;
-  e.exec_ns = 500;
-  return e;
-}
-
-TEST(FlightRecorderTest, RingSaturatesAndKeepsNewestOldestFirst) {
-  FlightRecorderConfig cfg;
-  cfg.capacity = 4;
-  FlightRecorder rec(cfg);
-  EXPECT_EQ(rec.size(), 0u);
-  for (std::uint64_t i = 1; i <= 10; ++i) rec.Record(MakeEntry(i));
-  EXPECT_EQ(rec.size(), 4u);
-  const auto entries = rec.Entries();
-  ASSERT_EQ(entries.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(entries[i].cmd_id, 7 + i);  // oldest first: 7, 8, 9, 10
-  }
-}
-
-TEST(FlightRecorderTest, BreachRulesMatchConfig) {
-  FlightRecorderConfig cfg;
-  cfg.slo_exec_ns = 1000;
-  cfg.dump_on_busy = true;
-  FlightRecorder rec(cfg);
-
-  FlightRecorder::Entry fast = MakeEntry(1);
-  fast.exec_ns = 999;
-  EXPECT_EQ(rec.BreachReason(fast), nullptr);
-
-  FlightRecorder::Entry slow = MakeEntry(2);
-  slow.exec_ns = 1001;
-  ASSERT_NE(rec.BreachReason(slow), nullptr);
-  EXPECT_STREQ(rec.BreachReason(slow), "slo_exec");
-
-  FlightRecorder::Entry busy = MakeEntry(3);
-  busy.status = StatusCode::kBusy;
-  ASSERT_NE(rec.BreachReason(busy), nullptr);
-  EXPECT_STREQ(rec.BreachReason(busy), "busy");
-
-  // No rules configured: nothing trips, not even errors.
-  FlightRecorder rec_off(FlightRecorderConfig{});
-  EXPECT_EQ(rec_off.BreachReason(slow), nullptr);
-  EXPECT_EQ(rec_off.BreachReason(busy), nullptr);
-}
-
-TEST(FlightRecorderTest, DumpCarriesSnapshotAndEntries) {
-  FlightRecorderConfig cfg;
-  cfg.capacity = 8;
-  FlightRecorder rec(cfg);
-  rec.set_snapshot_provider(
-      [](std::vector<std::pair<std::string, std::uint64_t>>* out) {
-        out->emplace_back("util.dispatch.dispatch", 987);
-      });
-  rec.Record(MakeEntry(41));
-  rec.Record(MakeEntry(42));
-  const std::string dump = rec.Dump("slo_exec", 123456, "");
-  EXPECT_EQ(rec.trips(), 1u);
-  EXPECT_EQ(rec.last_dump(), dump);
-  EXPECT_NE(dump.find("\"reason\": \"slo_exec\""), std::string::npos);
-  EXPECT_NE(dump.find("util.dispatch.dispatch"), std::string::npos);
-  EXPECT_NE(dump.find("987"), std::string::npos);
-  EXPECT_NE(dump.find("\"cmd_id\": 41"), std::string::npos);
-  EXPECT_NE(dump.find("\"cmd_id\": 42"), std::string::npos);
-}
-
 // Same restartable fixture shape as observability_test.cc.
 struct Fixture {
   sim::Simulation sim;
@@ -112,9 +48,8 @@ struct Fixture {
   sim::CpuPool host{&sim, "host", 8};
   std::unique_ptr<client::Client> db;
 
-  explicit Fixture(FlightRecorderConfig flight) : cfg(SmallDevice()) {
+  Fixture() : cfg(SmallDevice()) {
     cfg.zns.faults = &faults;
-    cfg.flight = flight;
     qps.push_back(
         std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
     devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
@@ -159,30 +94,73 @@ sim::Task<void> PutIgnoringErrors(client::Client* db, const std::string& name,
   (void)co_await ks->Sync();
 }
 
+std::vector<sim::Log::Entry> CommandEvents(const sim::Log& log) {
+  std::vector<sim::Log::Entry> out;
+  for (const sim::Log::Entry& e : log.Entries()) {
+    if (e.is_command) out.push_back(e);
+  }
+  return out;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+std::size_t CountOccurrences(const std::string& text,
+                             const std::string& needle) {
+  std::size_t n = 0;
+  for (auto pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Dump files in the working directory whose name starts with `prefix`.
+std::vector<std::string> DumpFiles(const std::string& prefix) {
+  std::vector<std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(".")) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) out.push_back(name);
+  }
+  return out;
+}
+
+void ApplyFlags(const std::vector<std::string>& args) {
+  std::vector<std::string> storage = {"test"};
+  storage.insert(storage.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& arg : storage) argv.push_back(arg.data());
+  harness::ApplyObservabilityFlags(
+      harness::Flags(static_cast<int>(argv.size()), argv.data()));
+}
+
 TEST(FlightRecorderDeviceTest, SloBreachTripsDumpAndCounter) {
-  FlightRecorderConfig flight;
-  flight.slo_exec_ns = 1;  // every command breaches
-  // A dump path makes every trip also land on disk (<path>.<trip>.json) —
+  Fixture f;
+  sim::Log& log = f.sim.log();
+  log.set_slo_exec_ns(1);  // every command breaches
+  // A dump path makes every trip also land on disk (<path>.<trip>.json):
   // the files CI uploads as artifacts when a job fails.
-  flight.dump_path = "flight_recorder_test.flight";
-  Fixture f(flight);
+  log.set_dump_path("flight_recorder_test.flight");
   testutil::RunSim(f.sim, PutSome(f.db.get(), "slo", 20));
 
-  EXPECT_GT(f.dev()->flight().trips(), 0u);
+  EXPECT_GT(log.trips(), 0u);
   EXPECT_EQ(f.sim.stats().counter_value("device.flight.trips_total"),
-            f.dev()->flight().trips());
-  const std::string& dump = f.dev()->flight().last_dump();
+            log.trips());
+  const std::string& dump = log.last_dump();
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("\"reason\": \"slo_exec\""), std::string::npos);
   EXPECT_NE(dump.find("\"utilization\""), std::string::npos);
   EXPECT_NE(dump.find("util.dispatch.dispatch"), std::string::npos);
+  EXPECT_NE(dump.find("\"device.flight.trips\": " +
+                      std::to_string(log.trips())),
+            std::string::npos);
 
-  std::ifstream on_disk("flight_recorder_test.flight." +
-                        std::to_string(f.dev()->flight().trips()) + ".json");
-  ASSERT_TRUE(on_disk.good());
-  std::string file_dump((std::istreambuf_iterator<char>(on_disk)),
-                        std::istreambuf_iterator<char>());
-  EXPECT_EQ(file_dump, dump);
+  EXPECT_EQ(ReadFile("flight_recorder_test.flight." +
+                     std::to_string(log.trips()) + ".json"),
+            dump);
 }
 
 TEST(FlightRecorderDeviceTest, SweptCrashPointDumpsAndRingSurvivesRestart) {
@@ -190,39 +168,95 @@ TEST(FlightRecorderDeviceTest, SweptCrashPointDumpsAndRingSurvivesRestart) {
   // workload hits, then re-run with the cut armed mid-sweep.
   std::uint64_t hits = 0;
   {
-    Fixture warm((FlightRecorderConfig()));
+    Fixture warm;
     testutil::RunSim(warm.sim, PutSome(warm.db.get(), "cp", 40));
     hits = warm.faults.hits();
   }
   ASSERT_GT(hits, 0u);
 
-  Fixture f((FlightRecorderConfig()));
+  Fixture f;
   f.faults.ArmCrashAtHit(hits / 2 + 1);
   testutil::RunSim(f.sim, PutIgnoringErrors(f.db.get(), "cp", 40));
   ASSERT_TRUE(f.faults.crashed());
   EXPECT_FALSE(f.faults.crash_point().empty());
 
-  // The crash hook dumped the ring with the crash point attached.
-  EXPECT_GE(f.dev()->flight().trips(), 1u);
-  const std::string dump = f.dev()->flight().last_dump();
+  // The power cut dumped the ring with the crash point attached.
+  const sim::Log& log = f.sim.log();
+  EXPECT_EQ(log.trips(), 1u);
+  const std::string dump = log.last_dump();
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("\"reason\": \"crash\""), std::string::npos);
   EXPECT_NE(dump.find(f.faults.crash_point()), std::string::npos);
 
-  // The ring is shared with the next incarnation: pre-crash entries stay
-  // readable and post-restart commands append after them.
-  const std::size_t before = f.dev()->flight().size();
-  ASSERT_GT(before, 0u);
-  const Tick last_precrash_tick = f.dev()->flight().Entries().back().tick;
+  // The ring belongs to the simulation: pre-crash command events stay
+  // readable and post-restart commands append after them, under the same
+  // device id.
+  const std::vector<sim::Log::Entry> before = CommandEvents(log);
+  ASSERT_FALSE(before.empty());
   f.Restart();
   testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
   }(f.dev()));
   testutil::RunSim(f.sim, PutSome(f.db.get(), "cp2", 10));
-  EXPECT_GE(f.dev()->flight().size(), before);
+  const std::vector<sim::Log::Entry> after = CommandEvents(log);
+  EXPECT_GE(after.size(), before.size());
   // Sim time is monotonic across the power cycle, so new entries sort
   // after the pre-crash tail.
-  EXPECT_GT(f.dev()->flight().Entries().back().tick, last_precrash_tick);
+  EXPECT_GT(after.back().tick, before.back().tick);
+  EXPECT_EQ(after.back().command.device, before.back().command.device);
+}
+
+// A power cut writes exactly one dump, and that one dump carries both
+// kinds of event: the injector's "power cut" breadcrumb and the command
+// events up to the cut.
+TEST(FlightRecorderDeviceTest, SweptCrashPointWritesOneDumpWithBreadcrumbs) {
+  const std::string prefix = "flight_recorder_test.crash.flight";
+  for (const std::string& stale : DumpFiles(prefix)) {
+    std::filesystem::remove(stale);
+  }
+  harness::TestbedConfig config;
+  config.device = SmallDevice();
+
+  std::uint64_t hits = 0;
+  {
+    sim::FaultInjector faults(11);
+    config.device.zns.faults = &faults;
+    harness::CsdTestbed bed(config);
+    testutil::RunSim(bed.sim(), PutSome(&bed.client(), "cp", 40));
+    hits = faults.hits();
+  }
+  ASSERT_GT(hits, 0u);
+
+  ApplyFlags({"--flight_dump=" + prefix});
+  sim::FaultInjector faults(11);
+  config.device.zns.faults = &faults;
+  faults.ArmCrashAtHit(hits / 2 + 1);
+  std::uint64_t stores_at_cut = 0;
+  std::string err;
+  {
+    harness::CsdTestbed bed(config);
+    faults.AddCrashHook([&] {
+      stores_at_cut = bed.sim().stats().counter_value("device.cmd.kv_store");
+    });
+    testing::internal::CaptureStderr();
+    testutil::RunSim(bed.sim(), PutIgnoringErrors(&bed.client(), "cp", 40));
+    err = testing::internal::GetCapturedStderr();
+  }
+  ApplyFlags({});
+  ASSERT_TRUE(faults.crashed());
+
+  const std::vector<std::string> dumps = DumpFiles(prefix);
+  ASSERT_EQ(dumps.size(), 1u);
+  EXPECT_EQ(err.find("sim::Log"), std::string::npos)
+      << "a second dump went to stderr:\n" << err;
+  const std::string dump = ReadFile(dumps[0]);
+  EXPECT_NE(dump.find("\"reason\": \"crash\""), std::string::npos);
+  EXPECT_NE(dump.find(faults.crash_point()), std::string::npos);
+  EXPECT_NE(dump.find("power cut at '" + faults.crash_point() + "'"),
+            std::string::npos);
+  // Every PUT the device completed before the cut is in the dump.
+  ASSERT_GT(stores_at_cut, 0u);
+  EXPECT_EQ(CountOccurrences(dump, "\"op\": \"kv_store\""), stores_at_cut);
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ sim::Task<void> RecoverAndRead(Device* dev, client::Client* db,
 }
 
 bool LogContains(const sim::Log& log, const std::string& needle) {
-  for (const auto& e : log.entries()) {
+  for (const auto& e : log.Entries()) {
     if (e.message.find(needle) != std::string::npos) return true;
   }
   return false;
@@ -113,7 +113,7 @@ TEST(ObservabilityTest, LogRingSurvivesDeviceRestart) {
   EXPECT_TRUE(LogContains(f.sim.log(), "pre-crash marker"));
   EXPECT_GT(f.sim.log().total_written(), written_before);
   bool recovery_logged = false;
-  for (const auto& e : f.sim.log().entries()) {
+  for (const auto& e : f.sim.log().Entries()) {
     if (e.component == "recovery") recovery_logged = true;
   }
   EXPECT_TRUE(recovery_logged);

@@ -27,20 +27,26 @@ To refresh baselines after an intentional change, run the benches (e.g.
       [--baselines-dir=bench/baselines]
 
 Every bench --json report found in the directory (trace/telemetry/health
-sidecar files are skipped automatically) is rewritten over the baseline
-named after its "bench" field.  Baselines with no matching report are
-left untouched and listed, so a partial bench run cannot silently erase
-coverage.  A report whose schema_version differs from the existing
-baseline's is refused: that means the report format changed underneath a
-stale results directory (or vice versa), and overwriting would replace a
-meaningful baseline with an incomparable one — delete the baseline
-explicitly if the schema change is intentional.
+sidecar files and event-ring dumps are skipped automatically) is
+rewritten over the baseline named after its "bench" field.  Baselines
+with no matching report are left untouched and listed, so a partial
+bench run cannot silently erase coverage.  A report whose
+schema_version differs from the existing baseline's is refused: that
+means the report format changed underneath a stale results directory (or
+vice versa), and overwriting would replace a meaningful baseline with an
+incomparable one — delete the baseline explicitly if the schema change
+is intentional.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
+
+# Event-ring dump file names: <path>.<trip>.json for a bench's first
+# simulation, <path>.<sim>.<trip>.json for later ones.
+FLIGHT_DUMP = re.compile(r"\.flight(\.\d+)+\.json$")
 
 
 def load(path):
@@ -70,9 +76,11 @@ def update_baselines(results_dir, baselines_dir):
         if not entry.endswith(".json"):
             continue
         # Observability sidecars written next to the reports by
-        # run_benches.sh; they are not bench reports.
+        # run_benches.sh, and event-ring dumps (--flight_dump=<x>.flight
+        # writes <x>.flight.<trip>.json, <x>.flight.<sim>.<trip>.json);
+        # they are not bench reports.
         if entry.endswith((".trace.json", ".telemetry.json",
-                           ".health.json", ".flight.json")):
+                           ".health.json")) or FLIGHT_DUMP.search(entry):
             continue
         path = os.path.join(results_dir, entry)
         try:
