@@ -34,6 +34,9 @@ struct Outcome {
   Tick device_done;  // compaction + index work finished
   std::uint64_t zns_reads;
   std::uint64_t zns_writes;
+  // TEMP runs the index build spilled: 0 when its tuples fit the sort
+  // budget and were sorted and packed in DRAM.
+  std::uint64_t sidx_runs_spilled;
   Status status;  // first failed step, Ok when every step succeeded
   // The energy-range query's answer: row count and a crc32c over the
   // (key, value) rows in result order.
@@ -107,6 +110,8 @@ Outcome Run(bool fused, std::uint64_t keys, std::uint64_t dram_bytes) {
   outcome.device_done = bed.sim().Now();
   outcome.zns_reads = bed.dev().ssd().total_bytes_read();
   outcome.zns_writes = bed.dev().ssd().total_bytes_written();
+  outcome.sidx_runs_spilled =
+      bed.sim().stats().counter_value("device.sidx.runs_spilled");
   if (outcome.status.ok()) {
     bed.sim().Spawn(QueryEnergy(&bed, &outcome));
     bed.sim().Run();
@@ -128,7 +133,7 @@ int main(int argc, char** argv) {
       FormatCount(keys).c_str());
   Table table("A3: compaction + energy-index build",
               {"variant", "SoC DRAM", "total device time", "ZNS read",
-               "ZNS written"});
+               "ZNS written", "SIDX runs spilled"});
   int exit_code = 0;
   for (std::uint64_t dram : {MiB(256), MiB(16)}) {
     Outcome separate = Run(false, keys, dram);
@@ -164,16 +169,22 @@ int main(int argc, char** argv) {
     report.AddMetric("csd.separate." + point + ".zns_reads",
                      separate.zns_reads);
     report.AddMetric("csd.fused." + point + ".zns_reads", fused.zns_reads);
+    report.AddMetric("csd.separate." + point + ".sidx_runs_spilled",
+                     separate.sidx_runs_spilled);
+    report.AddMetric("csd.fused." + point + ".sidx_runs_spilled",
+                     fused.sidx_runs_spilled);
     report.AddMetric("csd." + point + ".query_rows", separate.rows);
     report.AddMetric("csd." + point + ".query_crc",
                      static_cast<std::uint64_t>(separate.rows_crc));
     table.AddRow({"separate", FormatBytes(dram),
                   FormatSeconds(separate.device_done),
                   FormatBytes(separate.zns_reads),
-                  FormatBytes(separate.zns_writes)});
+                  FormatBytes(separate.zns_writes),
+                  FormatCount(separate.sidx_runs_spilled)});
     table.AddRow({"fused", FormatBytes(dram),
                   FormatSeconds(fused.device_done),
-                  FormatBytes(fused.zns_reads), FormatBytes(fused.zns_writes)});
+                  FormatBytes(fused.zns_reads), FormatBytes(fused.zns_writes),
+                  FormatCount(fused.sidx_runs_spilled)});
   }
   table.Print();
   report.AddTable(table);

@@ -37,9 +37,11 @@
 // design: a full scan of the compacted keyspace, extract, external sort)
 // or fused into the compaction pass (the paper's §V future-work variant:
 // keys are extracted while the values are already in DRAM during phase 2,
-// skipping the re-read at the cost of extra DRAM pressure). Fused per-spec
-// merges run concurrently in a TaskGroup.
+// skipping the re-read at the cost of extra DRAM pressure). Either way,
+// tuples that fit the sort budget are sorted and packed in DRAM with no
+// TEMP round trip. Fused per-spec sorts run concurrently in a TaskGroup.
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -218,36 +220,65 @@ sim::Task<Status> Device::SidxSpill(SidxSortState* state) {
 sim::Task<Status> Device::SidxMergeToBlocks(
     SidxSortState* state, const nvme::SecondaryIndexSpec& spec,
     SecondaryIndex* out) {
-  KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(state));
-
-  compaction_stats_.max_merge_fanin = std::max<std::uint64_t>(
-      compaction_stats_.max_merge_fanin, state->runs.size());
-  RunMerger<SidxMergeTraits> merger(sim_, &ssd_);
-  KVCSD_CO_RETURN_IF_ERROR(
-      co_await merger.Init(state->runs, &compaction_stats_.bytes_read));
+  // A build that never spilled holds its only run in DRAM: it is sorted
+  // there (charged as SpillRun charges a sort) and packed straight into
+  // SIDX blocks, with no TEMP round trip. Packing one sorted run makes no
+  // k-way comparisons, so it is charged as a buffer copy; a merge of
+  // spilled runs is charged as merge-sort streaming.
+  const bool resident = state->runs.empty();
+  std::optional<RunMerger<SidxMergeTraits>> merger;
+  if (resident) {
+    if (!state->current.empty()) {
+      co_await cpu_.ComputeBytes(state->current_bytes,
+                                 config_.costs.merge_bytes_per_sec,
+                                 sim::Activity::kCompact);
+      std::sort(state->current.begin(), state->current.end(), SidxOrder);
+    }
+  } else {
+    KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(state));
+    compaction_stats_.max_merge_fanin = std::max<std::uint64_t>(
+        compaction_stats_.max_merge_fanin, state->runs.size());
+    merger.emplace(sim_, &ssd_);
+    KVCSD_CO_RETURN_IF_ERROR(
+        co_await merger->Init(state->runs, &compaction_stats_.bytes_read));
+  }
+  stats().counter("device.sidx.runs_spilled").Add(state->runs.size());
+  const double pack_rate = resident ? config_.costs.memcpy_bytes_per_sec
+                                    : config_.costs.merge_bytes_per_sec;
 
   SecondaryIndex& sidx = *out;
   sidx.spec = spec;
   IndexWriter blocks(this, ZoneType::kSidx, &sidx.sidx_clusters, &sidx.sketch,
                      sim::Activity::kCompact);
-  Status status = Status::Ok();
-  std::uint64_t merged = 0;
-  while (status.ok() && !merger.Empty()) {
-    SidxTuple t;
-    status = co_await merger.Pop(&t);
-    if (!status.ok()) break;
-
-    merged += t.skey.size() + t.pkey.size() + 12;
-    if (merged >= MiB(1)) {
-      co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
-      merged = 0;
+  std::uint64_t packed = 0;
+  // Packs the next tuple in SIDX order, charging CPU per MiB packed.
+  auto pack = [&](const SidxTuple& t) -> sim::Task<Status> {
+    packed += t.skey.size() + t.pkey.size() + 12;
+    if (packed >= MiB(1)) {
+      co_await cpu_.ComputeBytes(packed, pack_rate, sim::Activity::kCompact);
+      packed = 0;
     }
     ++sidx.entries;
-    if (blocks.AddSidx(t)) status = co_await blocks.Flush();
+    if (blocks.AddSidx(t)) co_return co_await blocks.Flush();
+    co_return Status::Ok();
+  };
+  Status status = Status::Ok();
+  if (resident) {
+    for (const SidxTuple& t : state->current) {
+      status = co_await pack(t);
+      if (!status.ok()) break;
+    }
+    state->current.clear();
+    state->current_bytes = 0;
+  }
+  while (merger.has_value() && status.ok() && !merger->Empty()) {
+    SidxTuple t;
+    status = co_await merger->Pop(&t);
+    if (status.ok()) status = co_await pack(t);
   }
   if (status.ok()) {
-    if (merged > 0) {
-      co_await cpu_.ComputeBytes(merged, config_.costs.merge_bytes_per_sec, sim::Activity::kCompact);
+    if (packed > 0) {
+      co_await cpu_.ComputeBytes(packed, pack_rate, sim::Activity::kCompact);
     }
     status = co_await blocks.Close();
   }
@@ -943,32 +974,64 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     Keyspace* ks, const nvme::SecondaryIndexSpec& spec, SidxSortState* state,
     SecondaryIndex* out) {
   // Step 1 (paper): full scan extracting <skey, pkey> pairs. Walk PIDX
-  // blocks via the sketch; gather values batch-wise; extract.
-  std::vector<ValueRef> batch_refs;
-  std::vector<std::pair<std::string, std::uint64_t>> batch_meta;
-  std::vector<std::uint32_t> batch_lens;
-  std::uint64_t batch_bytes = 0;
+  // blocks via the sketch; gather values batch-wise; extract. A batch
+  // ends once it holds output_batch_bytes of values, so each extraction
+  // charge is one short slice of a core, and concurrent builds interleave
+  // their extraction with each other's gathers. One batch's gather
+  // overlaps the extraction of the batch before it: at most one gather
+  // is in flight and two batches of values are resident. Batches are
+  // extracted in scan order and runs close on tuple bytes, not on
+  // batches, so the batch size and the overlap move timings only.
+  struct ScanBatch {
+    std::vector<ValueRef> refs;
+    std::vector<std::string> keys;
+    std::uint64_t bytes = 0;
+    std::vector<std::string> values;
+  };
+  std::array<ScanBatch, 2> batches;
+  std::size_t open = 0;  // the batch the scan fills
+  sim::TaskGroup gather(sim_);  // gathers batches[1 - open]
+  bool gathering = false;
 
-  auto process_scan_batch = [&]() -> sim::Task<Status> {
-    if (batch_refs.empty()) co_return Status::Ok();
-    auto values = co_await GatherValues(batch_refs, sim::Activity::kCompact);
+  auto gather_values = [this](ScanBatch* b) -> sim::Task<Status> {
+    auto values = co_await GatherValues(b->refs, sim::Activity::kCompact);
     if (!values.ok()) co_return values.status();
-    co_await cpu_.ComputeBytes(batch_bytes,
-                               config_.costs.extract_bytes_per_sec, sim::Activity::kCompact);
-    for (std::size_t i = 0; i < values->size(); ++i) {
-      auto skey = nvme::ExtractSecondaryKey(Slice((*values)[i]), spec);
+    b->values = std::move(*values);
+    co_return Status::Ok();
+  };
+  // Adds a gathered batch's tuples to the sort and empties the batch.
+  auto extract = [&](ScanBatch* b) -> sim::Task<Status> {
+    if (b->refs.empty()) co_return Status::Ok();
+    co_await cpu_.ComputeBytes(b->bytes, config_.costs.extract_bytes_per_sec,
+                               sim::Activity::kCompact);
+    for (std::size_t i = 0; i < b->refs.size(); ++i) {
+      auto skey = nvme::ExtractSecondaryKey(Slice(b->values[i]), spec);
       if (!skey.ok()) co_return skey.status();
-      SidxTuple tuple{std::move(*skey), batch_meta[i].first,
-                      batch_meta[i].second, batch_lens[i]};
+      SidxTuple tuple{std::move(*skey), std::move(b->keys[i]),
+                      b->refs[i].addr, b->refs[i].len};
       if (state->Add(std::move(tuple))) {
         KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(state));
       }
     }
-    batch_refs.clear();
-    batch_meta.clear();
-    batch_lens.clear();
-    batch_bytes = 0;
+    b->refs.clear();
+    b->keys.clear();
+    b->values.clear();
+    b->bytes = 0;
     co_return Status::Ok();
+  };
+  // Closes the open batch: waits for the previous batch's values, starts
+  // the open batch's gather and extracts the previous batch meanwhile.
+  auto ship = [&]() -> sim::Task<Status> {
+    if (gathering) {
+      gathering = false;
+      KVCSD_CO_RETURN_IF_ERROR(co_await gather.Wait());
+    }
+    if (!batches[open].refs.empty()) {
+      gather.Spawn(gather_values(&batches[open]));
+      gathering = true;
+    }
+    open = 1 - open;
+    co_return co_await extract(&batches[open]);
   };
 
   // PIDX blocks are read gather_fanout wide through a read-ahead ring and
@@ -986,21 +1049,29 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
           return true;
         }));
     for (const wire::PidxEntry& entry : entries) {
-      batch_refs.push_back(ValueRef{entry.vaddr, entry.vlen});
-      batch_meta.emplace_back(entry.key.ToString(), entry.vaddr);
-      batch_lens.push_back(entry.vlen);
-      batch_bytes += entry.vlen;
-      if (batch_bytes >= config_.dram_bytes / 4) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await process_scan_batch());
+      ScanBatch& b = batches[open];
+      b.refs.push_back(ValueRef{entry.vaddr, entry.vlen});
+      b.keys.push_back(entry.key.ToString());
+      b.bytes += entry.vlen;
+      if (b.bytes >= config_.output_batch_bytes) {
+        KVCSD_CO_RETURN_IF_ERROR(co_await ship());
       }
     }
     co_return Status::Ok();
   };
-  KVCSD_CO_RETURN_IF_ERROR(co_await sim::OrderedParallelFor<std::string>(
+  Status status = co_await sim::OrderedParallelFor<std::string>(
       sim_, ks->pidx_sketch.size(),
       std::max<std::uint32_t>(config_.gather_fanout, 1), read_block,
-      scan_block));
-  KVCSD_CO_RETURN_IF_ERROR(co_await process_scan_batch());
+      scan_block);
+  // The last open batch, then the last gathered one.
+  if (status.ok()) status = co_await ship();
+  if (status.ok()) status = co_await ship();
+  // A failed step may leave a gather writing into `batches`: join it.
+  if (gathering) {
+    const Status joined = co_await gather.Wait();
+    if (status.ok()) status = joined;
+  }
+  KVCSD_CO_RETURN_IF_ERROR(status);
 
   // Step 2: merge runs into SIDX blocks + sketch.
   co_return co_await SidxMergeToBlocks(state, spec, out);

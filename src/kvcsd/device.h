@@ -418,9 +418,12 @@ class Device {
     }
   };
   sim::Task<Status> SidxSpill(SidxSortState* state);
-  // Merges the spilled runs into SIDX blocks + sketch, building in place
+  // Turns the sorted tuples into SIDX blocks + sketch, building in place
   // in *out so the caller can release partially written clusters on
-  // failure. Releases the state's TEMP clusters on success.
+  // failure. A state that never spilled is sorted and packed in DRAM
+  // (no TEMP zone); otherwise the last run spills and the runs merge.
+  // Adds the spilled run count to device.sidx.runs_spilled and releases
+  // the state's TEMP clusters on success.
   sim::Task<Status> SidxMergeToBlocks(SidxSortState* state,
                                       const nvme::SecondaryIndexSpec& spec,
                                       SecondaryIndex* out);

@@ -3,11 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "device_test_peer.h"
 #include "kvcsd/device.h"
+#include "kvcsd/wire.h"
+#include "nvme/skey.h"
 
 namespace kvcsd::device {
 namespace {
@@ -25,10 +33,13 @@ DeviceConfig SmallDevice() {
 struct Fixture {
   sim::Simulation sim;
   nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev{&sim, SmallDevice(), &qp};
+  Device dev;
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
-  Fixture() { dev.Start(); }
+  explicit Fixture(const DeviceConfig& config = SmallDevice())
+      : dev(&sim, config, &qp) {
+    dev.Start();
+  }
 
   static std::string EnergyValue(float energy) {
     std::string v(28, 'p');
@@ -253,6 +264,169 @@ TEST(FusedIndexTest, WrappedKeyRangeIsRejected) {
     EXPECT_EQ(co_await state_of(&fused), "COMPACTED");
     EXPECT_EQ(co_await scan_all(&fused), 100u);
   }(&f.db));
+}
+
+// ---------------------------------------------------------------------------
+// Resident and spilled SIDX builds
+// ---------------------------------------------------------------------------
+
+// A build whose tuples fit its sort budget sorts them in DRAM and packs
+// them straight into SIDX blocks; a build over budget spills sorted runs
+// to TEMP zones and merges them. Both must write the same index.
+constexpr int kResidentKeys = 2000;
+
+// Energies with ties (about five particles share each), scattered so that
+// secondary-key order is unrelated to primary-key order: a sort that
+// ignores the primary key within a tie shows up in the tuple stream.
+float ResidentEnergy(int i) {
+  return static_cast<float>((static_cast<std::uint64_t>(i) * 7919u) % 397u);
+}
+
+nvme::SecondaryIndexSpec EnergySpec() {
+  nvme::SecondaryIndexSpec energy;
+  energy.name = "energy";
+  energy.value_offset = 28;
+  energy.value_length = 4;
+  energy.type = nvme::SecondaryKeyType::kF32;
+  return energy;
+}
+
+// Everything a build leaves that a reader can observe.
+struct SidxBuild {
+  // (skey, pkey, vlen) of every tuple, in block order. Each tuple's value
+  // address is checked against the primary index instead: it names
+  // SORTED_VALUES bytes, whose zones move with the TEMP zones the
+  // compaction took.
+  std::vector<std::tuple<std::string, std::string, std::uint32_t>> tuples;
+  std::vector<std::string> pivots;
+  std::uint64_t entries = 0;
+  std::uint64_t runs_spilled = 0;
+  // TEMP bytes appended by the whole compaction + index build.
+  std::uint64_t temp_bytes = 0;
+  std::vector<std::pair<std::string, std::string>> range_rows;
+  std::vector<std::pair<std::string, std::string>> select_rows;
+};
+
+// Reads every block of `sketch` and hands each entry to `visit`.
+template <typename Entry, typename Visit>
+sim::Task<void> ForEachBlockEntry(Device* dev, const Keyspace* ks,
+                                  const std::vector<SketchEntry>* sketch,
+                                  Visit* visit) {
+  for (const SketchEntry& entry : *sketch) {
+    auto block = co_await DeviceTestPeer::ReadIndexBlock(dev, ks->id, entry);
+    KVCSD_CO_ASSERT_OK(block);
+    KVCSD_CO_ASSERT_OK(wire::ForEachIndexEntry<Entry>(
+        *block, [visit](const Entry& e) {
+          (*visit)(e);
+          return true;
+        }));
+  }
+}
+
+enum class Build { kNone, kSeparate, kFused };
+
+// Loads kResidentKeys particles and compacts them, building the energy
+// index fused into the compaction, separately after it, or not at all,
+// with `sort_run_bytes` (0: the default budget). Reads back what the
+// build wrote.
+SidxBuild BuildEnergyIndex(Build build, std::uint64_t sort_run_bytes) {
+  DeviceConfig config = SmallDevice();
+  config.sort_run_bytes = sort_run_bytes;
+  Fixture f(config);
+  SidxBuild out;
+  testutil::RunSim(f.sim, [](client::Client* db, Build b) -> sim::Task<void> {
+    auto ks = (co_await db->CreateKeyspace("x")).value();
+    auto writer = ks.NewBulkWriter();
+    for (int i = 0; i < kResidentKeys; ++i) {
+      KVCSD_CO_ASSERT_OK(
+          co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
+                              Fixture::EnergyValue(ResidentEnergy(i))));
+    }
+    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    if (b == Build::kFused) {
+      std::vector<nvme::SecondaryIndexSpec> specs = {EnergySpec()};
+      KVCSD_CO_ASSERT_OK(co_await ks.CompactWithIndexes(std::move(specs)));
+    } else {
+      KVCSD_CO_ASSERT_OK(co_await ks.Compact());
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    if (b == Build::kSeparate) {
+      KVCSD_CO_ASSERT_OK(co_await ks.CreateSecondaryIndex(EnergySpec()));
+    }
+  }(&f.db, build));
+  out.runs_spilled = f.sim.stats().counter_value("device.sidx.runs_spilled");
+  out.temp_bytes = f.sim.stats().counter_value("zns.temp.append_bytes");
+  if (build == Build::kNone) return out;
+
+  Keyspace* ks = f.dev.keyspaces().Find("x").value();
+  const SecondaryIndex& sidx = ks->secondary_indexes.at("energy");
+  out.entries = sidx.entries;
+  for (const SketchEntry& entry : sidx.sketch) out.pivots.push_back(entry.pivot);
+  std::map<std::string, std::uint64_t> pidx_vaddr;
+  auto note_pidx = [&pidx_vaddr](const wire::PidxEntry& e) {
+    pidx_vaddr[e.key.ToString()] = e.vaddr;
+  };
+  testutil::RunSim(f.sim, ForEachBlockEntry<wire::PidxEntry>(
+                              &f.dev, ks, &ks->pidx_sketch, &note_pidx));
+  EXPECT_EQ(pidx_vaddr.size(), static_cast<std::size_t>(kResidentKeys));
+  auto note_sidx = [&out, &pidx_vaddr](const wire::SidxEntry& e) {
+    out.tuples.emplace_back(e.skey.ToString(), e.pkey.ToString(), e.vlen);
+    const auto it = pidx_vaddr.find(e.pkey.ToString());
+    ASSERT_TRUE(it != pidx_vaddr.end());
+    EXPECT_EQ(e.vaddr, it->second);
+  };
+  testutil::RunSim(f.sim, ForEachBlockEntry<wire::SidxEntry>(
+                              &f.dev, ks, &sidx.sketch, &note_sidx));
+
+  testutil::RunSim(f.sim, [](client::Client* db,
+                             SidxBuild* result) -> sim::Task<void> {
+    auto handle = (co_await db->OpenKeyspace("x")).value();
+    KVCSD_CO_ASSERT_OK(co_await handle.QuerySecondaryRangeF32(
+        "energy", 100.0f, 140.0f, 0, &result->range_rows));
+    client::KeyspaceHandle::SelectOptions opts;
+    opts.index_name = "energy";
+    opts.limit = 300;
+    KVCSD_CO_ASSERT_OK(co_await handle.Select(
+        nvme::EncodeSecondaryF32(250.0f), nvme::EncodeSecondaryF32(396.0f),
+        opts, &result->select_rows));
+  }(&f.db, &out));
+  return out;
+}
+
+// Builds the index both ways and checks they wrote the same index, and
+// that only the spilled build touched TEMP zones beyond the key sort.
+void ExpectResidentMatchesSpilled(Build build) {
+  const SidxBuild resident = BuildEnergyIndex(build, 0);
+  const SidxBuild spilled = BuildEnergyIndex(build, KiB(4));
+  EXPECT_EQ(resident.entries, static_cast<std::uint64_t>(kResidentKeys));
+  EXPECT_EQ(resident.entries, spilled.entries);
+  EXPECT_EQ(resident.tuples.size(), resident.entries);
+  EXPECT_TRUE(resident.tuples == spilled.tuples);
+  EXPECT_EQ(resident.pivots, spilled.pivots);
+  EXPECT_GT(resident.pivots.size(), 1u);
+  EXPECT_FALSE(resident.range_rows.empty());
+  EXPECT_EQ(resident.range_rows, spilled.range_rows);
+  EXPECT_EQ(resident.select_rows.size(), 300u);
+  EXPECT_EQ(resident.select_rows, spilled.select_rows);
+
+  // Which path ran: the resident build spilled nothing, the other merged
+  // several runs.
+  EXPECT_EQ(resident.runs_spilled, 0u);
+  EXPECT_GT(spilled.runs_spilled, 1u);
+  // The resident build took no TEMP zone: its TEMP bytes are the key
+  // sort's, exactly those of a compaction that builds no index. The
+  // spilled build wrote its runs on top.
+  EXPECT_EQ(resident.temp_bytes, BuildEnergyIndex(Build::kNone, 0).temp_bytes);
+  EXPECT_GT(spilled.temp_bytes,
+            BuildEnergyIndex(Build::kNone, KiB(4)).temp_bytes);
+}
+
+TEST(ResidentSidxBuildTest, SeparateBuildMatchesSpilledBuild) {
+  ExpectResidentMatchesSpilled(Build::kSeparate);
+}
+
+TEST(ResidentSidxBuildTest, FusedBuildMatchesSpilledBuild) {
+  ExpectResidentMatchesSpilled(Build::kFused);
 }
 
 TEST(SecondaryRangeTest, TiedKeysSpanningManyBlocksAllMatch) {

@@ -516,6 +516,27 @@ DeviceConfig WideDevice() {
   return c;
 }
 
+// On WideDevice the tag index's tuples fit the sort budget, so its build
+// sorts them in DRAM and writes no TEMP run. A 4 KiB budget makes the
+// same build spill dozens of runs and merge them.
+DeviceConfig SpilledSidxDevice() {
+  DeviceConfig c = WideDevice();
+  c.sort_run_bytes = KiB(4);
+  return c;
+}
+
+// The SIDX builds so far took the path `config` asks for: a resident
+// build spills no run, a spilled one several.
+void ExpectSidxPath(const sim::Simulation& sim, const DeviceConfig& config) {
+  const std::uint64_t spilled =
+      sim.stats().counter_value("device.sidx.runs_spilled");
+  if (config.sort_run_bytes == 0) {
+    EXPECT_EQ(spilled, 0u);
+  } else {
+    EXPECT_GT(spilled, 1u);
+  }
+}
+
 std::string WideValue(std::uint64_t i) {
   std::string value = DetValue(i);
   value.resize(100, '.');
@@ -557,7 +578,7 @@ template <typename Build>
 void FailSecondAppendToChain(PowerCycleFixture* f, Output out, Build build) {
   std::uint32_t zone = 0;
   {
-    PowerCycleFixture clean(WideDevice());
+    PowerCycleFixture clean(f->cfg);
     testutil::RunSim(clean.sim, LoadWide(clean.db.get(), "wide"));
     Keyspace* ks = clean.dev()->keyspaces().Find("wide").value();
     build(&clean, ks);
@@ -582,8 +603,9 @@ std::vector<nvme::SecondaryIndexSpec> FusedTagIndex(bool fused) {
 // window are in flight rolls back like any failed compaction: every stage
 // and every in-flight append is joined before the outputs are released,
 // so no cluster leaks, and a retry succeeds.
-void ExpectMidWindowCompactionErrorRollsBack(Output out, bool fused) {
-  PowerCycleFixture f(WideDevice());
+void ExpectMidWindowCompactionErrorRollsBack(
+    Output out, bool fused, const DeviceConfig& config = WideDevice()) {
+  PowerCycleFixture f(config);
   testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
   Device* dev = f.dev();
   Keyspace* ks = dev->keyspaces().Find("wide").value();
@@ -617,6 +639,7 @@ void ExpectMidWindowCompactionErrorRollsBack(Output out, bool fused) {
   testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "wide", kWideKeys,
                                       WideValue));
   ExpectClustersOwnedOnce(dev);
+  if (fused) ExpectSidxPath(f.sim, config);
 }
 
 TEST(RecoveryTest, MidWindowSortedValuesAppendErrorRollsBack) {
@@ -631,16 +654,25 @@ TEST(RecoveryTest, MidWindowFusedSidxAppendErrorRollsBack) {
   ExpectMidWindowCompactionErrorRollsBack(Output::kSidx, true);
 }
 
+// The same failure after the fused build's tuples spilled to TEMP: the
+// runs' clusters are released along with the rest of the outputs.
+TEST(RecoveryTest, MidWindowSpilledFusedSidxAppendErrorRollsBack) {
+  ExpectMidWindowCompactionErrorRollsBack(Output::kSidx, true,
+                                          SpilledSidxDevice());
+}
+
 // The separate index build writes its SIDX blocks through the same
 // window. An append failing mid-window leaves the index absent and every
-// zone the build took free again; a retried build succeeds.
-TEST(RecoveryTest, MidWindowSidxAppendErrorLeavesIndexAbsent) {
+// zone the build took (TEMP runs included, when it spilled) free again; a
+// retried build succeeds.
+void ExpectMidWindowSidxAppendErrorLeavesIndexAbsent(
+    const DeviceConfig& config) {
   auto build_tag_index = [](client::Client* db) -> sim::Task<Status> {
     auto handle = co_await db->OpenKeyspace("wide");
     if (!handle.ok()) co_return handle.status();
     co_return co_await handle->CreateSecondaryIndex(TagIndex());
   };
-  PowerCycleFixture f(WideDevice());
+  PowerCycleFixture f(config);
   testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
   testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "wide"));
   Device* dev = f.dev();
@@ -672,6 +704,81 @@ TEST(RecoveryTest, MidWindowSidxAppendErrorLeavesIndexAbsent) {
         co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == kWideKeys);
   }(f.db.get()));
+  ExpectClustersOwnedOnce(dev);
+  ExpectSidxPath(f.sim, config);
+}
+
+TEST(RecoveryTest, MidWindowSidxAppendErrorLeavesIndexAbsent) {
+  ExpectMidWindowSidxAppendErrorLeavesIndexAbsent(WideDevice());
+}
+
+TEST(RecoveryTest, MidWindowSpilledSidxAppendErrorLeavesIndexAbsent) {
+  ExpectMidWindowSidxAppendErrorLeavesIndexAbsent(SpilledSidxDevice());
+}
+
+// The separate build's scan gathers one batch of values while it extracts
+// the batch before. A value read failing mid-scan fails the build with
+// that read's error after the gather in flight is joined: the index is
+// absent, the build's zones are free again, and a retried build succeeds.
+TEST(RecoveryTest, SidxScanReadErrorLeavesIndexAbsent) {
+  auto build_tag_index = [](client::Client* db) -> sim::Task<Status> {
+    auto handle = co_await db->OpenKeyspace("wide");
+    if (!handle.ok()) co_return handle.status();
+    co_return co_await handle->CreateSecondaryIndex(TagIndex());
+  };
+  PowerCycleFixture f(WideDevice());
+  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
+  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "wide"));
+  Device* dev = f.dev();
+  Keyspace* ks = dev->keyspaces().Find("wide").value();
+  const std::size_t free_before = dev->zones().free_zones();
+  // The values take dozens of 16 KiB scan batches; the fifth read of the
+  // first value zone falls a few batches into the scan.
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kRead;
+  rule.zone = dev->zones().cluster_zones(ks->sorted_value_clusters.front())
+                  .front();
+  rule.skip = 4;
+  f.faults.AddErrorRule(rule);
+
+  const Status built = testutil::RunSim(f.sim, build_tag_index(f.db.get()));
+  EXPECT_EQ(built.code(), StatusCode::kIoError) << built.ToString();
+  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_TRUE(ks->secondary_indexes.empty());
+  EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
+  EXPECT_EQ(dev->zones().free_zones(), free_before);
+  ExpectClustersOwnedOnce(dev);
+
+  ASSERT_TRUE(testutil::RunSim(f.sim, build_tag_index(f.db.get())).ok());
+  EXPECT_EQ(ks->secondary_indexes.at("tag").entries, kWideKeys);
+  ExpectClustersOwnedOnce(dev);
+}
+
+// An extraction failing while the next batch's gather is in flight fails
+// the build only after that gather is joined (ASan would catch a gather
+// writing into a returned frame), and leaves nothing behind.
+TEST(RecoveryTest, SidxScanExtractErrorJoinsTheGatherInFlight) {
+  PowerCycleFixture f(WideDevice());
+  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
+  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "wide"));
+  Device* dev = f.dev();
+  Keyspace* ks = dev->keyspaces().Find("wide").value();
+  const std::size_t free_before = dev->zones().free_zones();
+
+  // Every value is 100 bytes, so a key at offset 98 runs past its end:
+  // the first batch's extraction fails while the second is gathered.
+  const Status built = testutil::RunSim(
+      f.sim, [](client::Client* db) -> sim::Task<Status> {
+        auto handle = co_await db->OpenKeyspace("wide");
+        if (!handle.ok()) co_return handle.status();
+        nvme::SecondaryIndexSpec spec = TagIndex();
+        spec.value_offset = 98;
+        spec.value_length = 4;
+        co_return co_await handle->CreateSecondaryIndex(std::move(spec));
+      }(f.db.get()));
+  EXPECT_EQ(built.code(), StatusCode::kInvalidArgument) << built.ToString();
+  EXPECT_TRUE(ks->secondary_indexes.empty());
+  EXPECT_EQ(dev->zones().free_zones(), free_before);
   ExpectClustersOwnedOnce(dev);
 }
 

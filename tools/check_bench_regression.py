@@ -17,8 +17,10 @@ changes.  The gate fails when:
     the baseline.
 
 Counters, tables and wall_clock_unix are informational and never gated.
-Metrics present on only one side are reported (a vanished metric fails:
-the bench silently stopped measuring something the baseline covers).
+Every baseline metric (of any name) and every baseline histogram must
+also be present in the current report: a vanished one fails, because the
+bench silently stopped measuring something the baseline covers.  New
+*_per_sec metrics the baseline lacks are listed as notes.
 
 To refresh baselines after an intentional change, run the benches (e.g.
 ./run_benches.sh) and point the script at the results directory:
@@ -188,10 +190,10 @@ def main():
     base_metrics = base.get("metrics", {})
     cur_metrics = cur.get("metrics", {})
     for name, base_val in sorted(base_metrics.items()):
-        if not name.endswith("_per_sec"):
-            continue
         if name not in cur_metrics:
             failures.append(f"metric {name} missing from current report")
+            continue
+        if not name.endswith("_per_sec"):
             continue
         cur_val = cur_metrics[name]
         drop = relative_drop(base_val, cur_val)
