@@ -11,7 +11,8 @@
 // be identical at every core count — parallelism may change timing and
 // flash placement, never results. Phase 2's key merge runs as key-range
 // partitions on the cores, so phase 2 must never get slower from 1 to 4
-// cores and must be strictly faster at 4 than at 1.
+// cores and must be strictly faster at 4 than at 1. A failed step (load,
+// compaction, or a fingerprint query) fails the bench, naming the step.
 //
 // Flags: --keys=N (default 96K)
 //        --json=PATH (machine-readable report) --trace=PATH (span trace)
@@ -27,6 +28,7 @@
 #include "harness/report.h"
 #include "harness/testbed.h"
 #include "harness/tracing.h"
+#include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -52,77 +54,54 @@ struct SweepResult {
   Tick compact_done = 0;
   std::uint32_t fingerprint = 0;
   std::uint64_t num_kvs = 0;
+  Status status;  // the first failed step; Ok when every step succeeded
 };
-
-std::uint32_t ExtendWithPairs(
-    std::uint32_t crc,
-    const std::vector<std::pair<std::string, std::string>>& rows) {
-  for (const auto& [k, v] : rows) {
-    crc = crc32c::Extend(crc, k.data(), k.size());
-    crc = crc32c::Extend(crc, v.data(), v.size());
-  }
-  return crc;
-}
 
 sim::Task<void> Driver(client::Client* db, sim::Simulation* sim,
                        std::uint64_t keys, SweepResult* out) {
-  auto created = co_await db->CreateKeyspace("ablate_cores");
-  if (!created.ok()) co_return;
-  auto ks = std::move(*created);
-
-  // Shuffled (but deterministic) insertion order: stride coprime to keys.
-  std::uint64_t stride = 7919;
-  while (keys % stride == 0) ++stride;
-  auto writer = ks.NewBulkWriter();
-  for (std::uint64_t i = 0; i < keys; ++i) {
-    const std::uint64_t id = (i * stride) % keys;
-    if (!(co_await writer.Add(MakeFixedKey(id), ValueFor(id))).ok()) {
-      co_return;
-    }
-  }
-  if (!(co_await writer.Flush()).ok()) co_return;
+  auto loaded =
+      co_await BulkLoadKeyspace(*db, "ablate_cores", ShuffledIds(keys),
+                                ValueFor);
+  out->status = loaded.status();
+  if (!out->status.ok()) co_return;
+  client::KeyspaceHandle ks = *loaded;
   out->insert_done = sim->Now();
 
-  nvme::SecondaryIndexSpec energy;
-  energy.name = "energy";
-  energy.value_offset = 28;
-  energy.value_length = 4;
-  energy.type = nvme::SecondaryKeyType::kF32;
-  std::vector<nvme::SecondaryIndexSpec> specs;
-  specs.push_back(std::move(energy));
-  if (!(co_await ks.CompactWithIndexes(std::move(specs))).ok()) co_return;
-  if (!(co_await ks.WaitCompaction()).ok()) co_return;
+  std::vector<nvme::SecondaryIndexSpec> specs = {nvme::F32Index("energy", 28)};
+  out->status =
+      AtStep("compact", co_await ks.CompactWithIndexes(std::move(specs)));
+  if (!out->status.ok()) co_return;
+  out->status = AtStep("wait compaction", co_await ks.WaitCompaction());
+  if (!out->status.ok()) co_return;
   out->compact_done = sim->Now();
 
   // Content fingerprint (order-sensitive, timing-insensitive).
-  std::uint32_t crc = 0;
   auto stat = co_await ks.GetStat();
-  if (!stat.ok()) co_return;
+  out->status = AtStep("stat", stat.status());
+  if (!out->status.ok()) co_return;
   out->num_kvs = stat->num_kvs;
 
-  std::vector<std::pair<std::string, std::string>> rows;
-  if (!(co_await ks.Scan(MakeFixedKey(keys / 3),
-                         MakeFixedKey(keys / 3 + 256), 0, &rows))
-           .ok()) {
-    co_return;
-  }
-  crc = ExtendWithPairs(crc, rows);
+  client::Rows rows;
+  out->status = AtStep("scan", co_await ks.Scan(MakeFixedKey(keys / 3),
+                                                MakeFixedKey(keys / 3 + 256),
+                                                0, &rows));
+  if (!out->status.ok()) co_return;
+  std::uint32_t crc = CrcRows(0, rows);
 
   for (std::uint64_t probe = 0; probe < 32; ++probe) {
     const std::uint64_t id = (probe * keys) / 32;
     auto v = co_await ks.Get(MakeFixedKey(id));
-    if (!v.ok()) co_return;
+    out->status = AtStep("get", v.status());
+    if (!out->status.ok()) co_return;
     crc = crc32c::Extend(crc, v->data(), v->size());
   }
 
   rows.clear();
-  if (!(co_await ks.QuerySecondaryRangeF32("energy", 100.0f, 108.0f, 0,
-                                           &rows))
-           .ok()) {
-    co_return;
-  }
-  crc = ExtendWithPairs(crc, rows);
-  out->fingerprint = crc;
+  out->status = AtStep("secondary range",
+                       co_await ks.QuerySecondaryRangeF32(
+                           "energy", 100.0f, 108.0f, 0, &rows));
+  if (!out->status.ok()) co_return;
+  out->fingerprint = CrcRows(crc, rows);
 }
 
 }  // namespace
@@ -150,6 +129,7 @@ int main(int argc, char** argv) {
   std::uint64_t base_num_kvs = 0;
   bool monotone = true;
   bool identical = true;
+  bool all_ok = true;
   bool phase2_monotone = true;
   Tick prev_ticks = 0;
   Tick one_core_phase2 = 0;
@@ -165,6 +145,11 @@ int main(int argc, char** argv) {
     SweepResult result;
     bed.sim().Spawn(Driver(&bed.client(), &bed.sim(), keys, &result));
     bed.sim().Run();
+    if (!result.status.ok()) {
+      std::fprintf(stderr, "FAIL: cores=%u: %s\n", cores,
+                   result.status.ToString().c_str());
+      all_ok = false;
+    }
 
     const device::CompactionStats& stats = bed.dev().compaction_stats();
     const Tick compact_ticks = result.compact_done - result.insert_done;
@@ -229,5 +214,5 @@ int main(int argc, char** argv) {
               phase2_scales ? "yes" : "NO (the key merge does not scale!)");
   std::printf("contents identical across core counts: %s\n",
               identical ? "yes" : "NO (determinism bug!)");
-  return (monotone && phase2_scales && identical) ? 0 : 1;
+  return (all_ok && monotone && phase2_scales && identical) ? 0 : 1;
 }

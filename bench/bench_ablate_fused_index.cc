@@ -15,15 +15,13 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/keys.h"
 #include "harness/flags.h"
 #include "harness/json_report.h"
 #include "harness/report.h"
 #include "harness/testbed.h"
 #include "harness/tracing.h"
-#include "sim/sync.h"
-#include "vpic/vpic.h"
+#include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -44,42 +42,29 @@ struct Outcome {
   std::uint32_t rows_crc = 0;
 };
 
+// 28 filler bytes then the f32 energy (id % 1000) at offset 28.
+std::string EnergyValue(std::uint64_t id) {
+  std::string value(28, 'p');
+  const float energy = static_cast<float>(id % 1000);
+  value.append(reinterpret_cast<const char*>(&energy), 4);
+  return value;
+}
+
 // Loads `n` keys into keyspace "a3" and builds the energy index, fused
 // into the compaction or as a separate pass; *status keeps the first
-// failure (later steps are skipped).
-sim::Task<void> LoadAndIndex(CsdTestbed* tb, bool fuse, std::uint64_t n,
+// failure (later steps are skipped). A failed fused compaction rolls
+// back rather than failing the wait; the query that follows then fails
+// on the uncompacted keyspace.
+sim::Task<void> LoadAndIndex(client::Client* db, bool fuse, std::uint64_t n,
                              Status* status) {
-  auto note = [status](const Status& s) {
-    if (!s.ok() && status->ok()) *status = s;
-    return s.ok();
-  };
-  auto ks = co_await tb->client().CreateKeyspace("a3");
-  if (!note(ks.status())) co_return;
-  auto writer = ks->NewBulkWriter();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string value(28, 'p');
-    const float energy = static_cast<float>(i % 1000);
-    value.append(reinterpret_cast<const char*>(&energy), 4);
-    if (!note(co_await writer.Add(MakeFixedKey(i), value))) co_return;
-  }
-  if (!note(co_await writer.Flush())) co_return;
-
-  nvme::SecondaryIndexSpec energy_spec;
-  energy_spec.name = "energy";
-  energy_spec.value_offset = 28;
-  energy_spec.value_length = 4;
-  energy_spec.type = nvme::SecondaryKeyType::kF32;
-  if (fuse) {
-    std::vector<nvme::SecondaryIndexSpec> specs;
-    specs.push_back(std::move(energy_spec));
-    if (!note(co_await ks->CompactWithIndexes(std::move(specs)))) co_return;
-    // A failed fused compaction rolls back rather than failing the wait;
-    // the query that follows then fails on the uncompacted keyspace.
-    note(co_await ks->WaitCompaction());
-  } else {
-    if (!note(co_await ks->Compact())) co_return;
-    if (!note(co_await ks->WaitCompaction())) co_return;
-    note(co_await ks->CreateSecondaryIndex(std::move(energy_spec)));
+  std::vector<nvme::SecondaryIndexSpec> fused_indexes;
+  if (fuse) fused_indexes.push_back(nvme::F32Index("energy", 28));
+  auto ks = co_await LoadKeyspace(*db, "a3", SequentialIds(n), EnergyValue,
+                                  fused_indexes);
+  *status = ks.status();
+  if (ks.ok() && !fuse) {
+    *status =
+        AtStep("index", co_await ks->CreateSecondaryIndexF32("energy", 28));
   }
 }
 
@@ -94,10 +79,7 @@ sim::Task<void> QueryEnergy(CsdTestbed* tb, Outcome* out) {
   out->status =
       co_await ks->QuerySecondaryRangeF32("energy", 100.0f, 199.0f, 0, &rows);
   out->rows = rows.size();
-  for (const auto& [key, value] : rows) {
-    out->rows_crc = crc32c::Extend(out->rows_crc, key.data(), key.size());
-    out->rows_crc = crc32c::Extend(out->rows_crc, value.data(), value.size());
-  }
+  out->rows_crc = CrcRows(0, rows);
 }
 
 Outcome Run(bool fused, std::uint64_t keys, std::uint64_t dram_bytes) {
@@ -105,7 +87,7 @@ Outcome Run(bool fused, std::uint64_t keys, std::uint64_t dram_bytes) {
   config.device.dram_bytes = dram_bytes;
   CsdTestbed bed(config);
   Outcome outcome{};
-  bed.sim().Spawn(LoadAndIndex(&bed, fused, keys, &outcome.status));
+  bed.sim().Spawn(LoadAndIndex(&bed.client(), fused, keys, &outcome.status));
   bed.sim().Run();
   outcome.device_done = bed.sim().Now();
   outcome.zns_reads = bed.dev().ssd().total_bytes_read();

@@ -27,6 +27,7 @@
 #include "harness/report.h"
 #include "harness/testbed.h"
 #include "harness/tracing.h"
+#include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -51,36 +52,13 @@ struct SweepResult {
   bool ok = false;
 };
 
-std::uint32_t ExtendWithPairs(
-    std::uint32_t crc,
-    const std::vector<std::pair<std::string, std::string>>& rows) {
-  for (const auto& [k, v] : rows) {
-    crc = crc32c::Extend(crc, k.data(), k.size());
-    crc = crc32c::Extend(crc, v.data(), v.size());
-  }
-  return crc;
-}
-
 sim::Task<void> Driver(client::Client* db, sim::Simulation* sim,
                        std::uint64_t keys, std::uint64_t gets,
                        SweepResult* out) {
-  auto created = co_await db->CreateKeyspace("ablate_read");
-  if (!created.ok()) co_return;
-  auto ks = std::move(*created);
-
-  // Shuffled (but deterministic) insertion order: stride coprime to keys.
-  std::uint64_t stride = 7919;
-  while (keys % stride == 0) ++stride;
-  auto writer = ks.NewBulkWriter();
-  for (std::uint64_t i = 0; i < keys; ++i) {
-    const std::uint64_t id = (i * stride) % keys;
-    if (!(co_await writer.Add(MakeFixedKey(id), ValueFor(id))).ok()) {
-      co_return;
-    }
-  }
-  if (!(co_await writer.Flush()).ok()) co_return;
-  if (!(co_await ks.Compact()).ok()) co_return;
-  if (!(co_await ks.WaitCompaction()).ok()) co_return;
+  auto loaded = co_await LoadKeyspace(*db, "ablate_read", ShuffledIds(keys),
+                                      ValueFor, {});
+  if (!CheckOk(loaded.status(), "load")) co_return;
+  client::KeyspaceHandle ks = *loaded;
 
   std::uint32_t crc = 0;
 
@@ -91,7 +69,7 @@ sim::Task<void> Driver(client::Client* db, sim::Simulation* sim,
   if (!(co_await ks.Scan("", "\x7f", 0, &rows)).ok()) co_return;
   out->scan_ticks = sim->Now() - t0;
   out->scan_rows = rows.size();
-  crc = ExtendWithPairs(crc, rows);
+  crc = CrcRows(crc, rows);
   rows.clear();
 
   // Phase 2: point gets over present keys, spread across the whole index

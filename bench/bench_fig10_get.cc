@@ -23,39 +23,16 @@
 #include "harness/report.h"
 #include "harness/tracing.h"
 #include "harness/workloads.h"
-#include "sim/sync.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
 
 namespace {
 
-// Sequential ids 0..N-1 per keyspace so random GETs always hit: every
-// NotFound in the GET phase is a failure. Non-Ok load statuses are
-// counted into *failed.
-sim::Task<void> CsdLoader(CsdTestbed* bed, std::uint64_t keys,
-                          std::uint32_t thread, sim::WaitGroup* wg,
-                          std::vector<client::KeyspaceHandle>* handles,
-                          std::uint64_t* failed) {
-  auto check = [failed](const Status& st) {
-    if (!st.ok()) ++*failed;
-  };
-  auto ks = (co_await bed->client().CreateKeyspace(
-                 "ks" + std::to_string(thread)))
-                .value();
-  auto writer = ks.NewBulkWriter();
-  for (std::uint64_t i = 0; i < keys; ++i) {
-    check(co_await writer.Add(MakeFixedKey(i), std::string(32, 'v')));
-  }
-  check(co_await writer.Drain());
-  check(co_await ks.Compact());
-  check(co_await ks.WaitCompaction());
-  (*handles)[thread] = ks;
-  wg->Done();
-}
-
+// Loads ids 0..N-1 into one RocksLite instance, like the KV-CSD loader
+// does into one keyspace; non-Ok statuses are counted into *failed.
 sim::Task<void> LsmLoader(LsmTestbed* bed, std::uint64_t keys,
-                          std::uint32_t thread, sim::WaitGroup* wg,
+                          std::size_t thread,
                           std::vector<std::unique_ptr<lsm::Db>>* dbs,
                           std::uint64_t* failed) {
   auto check = [failed](const Status& st) {
@@ -70,7 +47,6 @@ sim::Task<void> LsmLoader(LsmTestbed* bed, std::uint64_t keys,
   check(co_await db->Flush());
   co_await db->WaitForIdle();
   (*dbs)[thread] = std::move(db);
-  wg->Done();
 }
 
 }  // namespace
@@ -97,33 +73,34 @@ int main(int argc, char** argv) {
               FormatCount(keys_per_keyspace).c_str());
 
   // ---- build both datasets once ----
+  // Sequential ids 0..N-1 per keyspace so random GETs always hit: every
+  // NotFound in the GET phase is a failure.
   CsdTestbed csd_bed(config);
   std::vector<client::KeyspaceHandle> csd_handles(keyspaces);
   std::uint64_t csd_load_failed = 0;
-  {
-    sim::WaitGroup wg(&csd_bed.sim());
-    wg.Add(keyspaces);
-    for (std::uint32_t t = 0; t < keyspaces; ++t) {
-      csd_bed.sim().Spawn(
-          CsdLoader(&csd_bed, keys_per_keyspace, t, &wg, &csd_handles,
-                    &csd_load_failed));
-    }
-    csd_bed.sim().Run();
-  }
+  const std::vector<std::uint64_t> ids = SequentialIds(keys_per_keyspace);
+  RunPhase(csd_bed.sim(), keyspaces, [&](std::size_t t) {
+    return [](client::Client* db, const std::vector<std::uint64_t>* load_ids,
+              std::size_t thread, client::KeyspaceHandle* out,
+              std::uint64_t* failed) -> sim::Task<void> {
+      auto ks = co_await LoadKeyspace(
+          *db, "ks" + std::to_string(thread), *load_ids,
+          [](std::uint64_t) { return std::string(32, 'v'); }, {});
+      if (CheckOk(ks.status(), "KV-CSD load ks" + std::to_string(thread))) {
+        *out = *ks;
+      } else {
+        ++*failed;
+      }
+    }(&csd_bed.client(), &ids, t, &csd_handles[t], &csd_load_failed);
+  });
 
   LsmTestbed lsm_bed(config);
   std::vector<std::unique_ptr<lsm::Db>> lsm_dbs(keyspaces);
   std::uint64_t lsm_load_failed = 0;
-  {
-    sim::WaitGroup wg(&lsm_bed.sim());
-    wg.Add(keyspaces);
-    for (std::uint32_t t = 0; t < keyspaces; ++t) {
-      lsm_bed.sim().Spawn(
-          LsmLoader(&lsm_bed, keys_per_keyspace, t, &wg, &lsm_dbs,
-                    &lsm_load_failed));
-    }
-    lsm_bed.sim().Run();
-  }
+  RunPhase(lsm_bed.sim(), keyspaces, [&](std::size_t t) {
+    return LsmLoader(&lsm_bed, keys_per_keyspace, t, &lsm_dbs,
+                     &lsm_load_failed);
+  });
   std::vector<lsm::Db*> lsm_ptrs;
   for (auto& db : lsm_dbs) lsm_ptrs.push_back(db.get());
   std::uint64_t failures = 0;

@@ -25,7 +25,7 @@
 #include "harness/json_report.h"
 #include "harness/report.h"
 #include "harness/tracing.h"
-#include "sim/sync.h"
+#include "harness/workloads.h"
 #include "vpic_common.h"
 
 using namespace kvcsd;           // NOLINT
@@ -40,13 +40,10 @@ Tick RunCsdQuery(CsdTestbed& bed,
                  std::vector<client::KeyspaceHandle>& handles,
                  float threshold, std::uint64_t* hits,
                  std::uint64_t* failed) {
-  const Tick start = bed.sim().Now();
-  sim::WaitGroup wg(&bed.sim());
-  wg.Add(handles.size());
-  for (auto& ks : handles) {
-    bed.sim().Spawn([](client::KeyspaceHandle handle, float thresh,
-                       std::uint64_t* hit_count, std::uint64_t* fail_count,
-                       sim::WaitGroup* group) -> sim::Task<void> {
+  return RunPhase(bed.sim(), handles.size(), [&](std::size_t i) {
+    return [](client::KeyspaceHandle handle, float thresh,
+              std::uint64_t* hit_count,
+              std::uint64_t* fail_count) -> sim::Task<void> {
       std::vector<std::pair<std::string, std::string>> out;
       if (!(co_await handle.QuerySecondaryRangeF32("energy", thresh, 1e30f,
                                                    0, &out))
@@ -54,24 +51,17 @@ Tick RunCsdQuery(CsdTestbed& bed,
         ++*fail_count;
       }
       *hit_count += out.size();
-      group->Done();
-    }(ks, threshold, hits, failed, &wg));
-  }
-  bed.sim().Run();
-  return bed.sim().Now() - start;
+    }(handles[i], threshold, hits, failed);
+  });
 }
 
 Tick RunLsmQuery(LsmTestbed& bed, std::vector<std::unique_ptr<lsm::Db>>& dbs,
                  float threshold, std::uint64_t* hits,
                  std::uint64_t* failed) {
   bed.page_cache().DropAll();  // paper cleans the OS cache per run
-  const Tick start = bed.sim().Now();
-  sim::WaitGroup wg(&bed.sim());
-  wg.Add(dbs.size());
-  for (auto& db : dbs) {
-    bed.sim().Spawn([](lsm::Db* d, float thresh, std::uint64_t* hit_count,
-                       std::uint64_t* fail_count,
-                       sim::WaitGroup* group) -> sim::Task<void> {
+  return RunPhase(bed.sim(), dbs.size(), [&](std::size_t i) {
+    return [](lsm::Db* d, float thresh, std::uint64_t* hit_count,
+              std::uint64_t* fail_count) -> sim::Task<void> {
       // Step 1: scan the auxiliary index for matching particle ids.
       std::vector<std::pair<std::string, std::string>> aux;
       if (!(co_await d->RangeScan(AuxRangeStart(thresh), AuxRangeEnd(), 0,
@@ -90,11 +80,8 @@ Tick RunLsmQuery(LsmTestbed& bed, std::vector<std::unique_ptr<lsm::Db>>& dbs,
         }
       }
       *hit_count += aux.size();
-      group->Done();
-    }(db.get(), threshold, hits, failed, &wg));
-  }
-  bed.sim().Run();
-  return bed.sim().Now() - start;
+    }(dbs[i].get(), threshold, hits, failed);
+  });
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 //        --depth=4 --value_bytes=256
 //        --json=PATH --trace=PATH --telemetry=PATH
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -36,6 +35,7 @@
 #include "harness/report.h"
 #include "harness/testbed.h"
 #include "harness/tracing.h"
+#include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -72,8 +72,6 @@ std::string ValueFor(std::uint32_t tenant, std::uint64_t id,
 struct TenantResult {
   std::uint32_t put_crc = 0;
   std::uint32_t get_crc = 0;
-  Tick put_end = 0;
-  Tick get_end = 0;
   bool ok = false;
 };
 
@@ -81,88 +79,53 @@ struct TenantResult {
 // the oldest future once `depth` are outstanding; the client's admission
 // window (max_inflight == depth) plus the per-SQ depth cap provide the
 // backpressure that makes queue count the bottleneck.
-sim::Task<void> TenantPuts(sim::Simulation* sim, client::KeyspaceHandle ks,
-                           std::uint32_t tenant, std::uint64_t puts,
-                           std::uint64_t value_bytes, std::uint64_t depth,
-                           TenantResult* out) {
-  std::deque<client::Future<Status>> window;
+sim::Task<void> TenantPuts(client::KeyspaceHandle ks, std::uint32_t tenant,
+                           std::uint64_t puts, std::uint64_t value_bytes,
+                           std::uint64_t depth, TenantResult* out) {
+  client::FutureWindow<Status> window(depth);
   for (std::uint64_t i = 0; i < puts; ++i) {
-    if (window.size() >= depth) {
-      Status s = co_await window.front().Await();
-      if (!s.ok()) {
-        std::fprintf(stderr, "tenant %u put failed: %s\n", tenant,
-                     s.message().c_str());
-        co_return;
-      }
-      window.pop_front();
-    }
+    co_await window.Reserve();
+    if (!window.status().ok()) break;
     const std::string key = MakeFixedKey(i);
     const std::string value = ValueFor(tenant, i, value_bytes);
     out->put_crc = crc32c::Extend(out->put_crc, key.data(), key.size());
     out->put_crc = crc32c::Extend(out->put_crc, value.data(), value.size());
-    auto put = co_await ks.PutAsync(key, value);
-    window.push_back(std::move(put));
+    window.Push(co_await ks.PutAsync(key, value));
   }
-  while (!window.empty()) {
-    Status s = co_await window.front().Await();
-    if (!s.ok()) {
-      std::fprintf(stderr, "tenant %u put drain failed: %s\n", tenant,
-                   s.message().c_str());
-      co_return;
-    }
-    window.pop_front();
-  }
-  out->put_end = sim->Now();
-  out->ok = true;
+  out->ok = CheckOk(co_await window.Drain(),
+                    "tenant " + std::to_string(tenant) + " put");
 }
 
 sim::Task<void> TenantSeal(client::KeyspaceHandle ks, TenantResult* out) {
   out->ok = false;
   Status s = co_await ks.Sync();
-  if (!s.ok()) {
-    std::fprintf(stderr, "seal sync failed: %s\n", s.message().c_str());
-    co_return;
-  }
+  if (!CheckOk(s, "seal sync")) co_return;
   s = co_await ks.Compact();
-  if (!s.ok()) {
-    std::fprintf(stderr, "seal compact failed: %s\n", s.message().c_str());
-    co_return;
-  }
+  if (!CheckOk(s, "seal compact")) co_return;
   s = co_await ks.WaitCompaction();
-  if (!s.ok()) {
-    std::fprintf(stderr, "seal wait failed: %s\n", s.message().c_str());
-    co_return;
-  }
-  out->ok = true;
+  out->ok = CheckOk(s, "seal wait");
 }
 
 // Open-loop windowed GET stream over the tenant's own keys; answers are
-// awaited in issue order so the fingerprint is deterministic.
-sim::Task<void> TenantGets(sim::Simulation* sim, client::KeyspaceHandle ks,
-                           std::uint64_t puts, std::uint64_t gets,
-                           std::uint64_t depth, TenantResult* out) {
-  out->ok = false;
+// reaped in issue order so the fingerprint is deterministic.
+sim::Task<void> TenantGets(client::KeyspaceHandle ks, std::uint64_t puts,
+                           std::uint64_t gets, std::uint64_t depth,
+                           TenantResult* out) {
   std::uint64_t stride = 4093;
   while (puts % stride == 0) ++stride;
-  std::deque<client::Future<Result<std::string>>> window;
+  client::FutureWindow<Result<std::string>> window(
+      depth, [out](Result<std::string>& got) {
+        if (got.ok()) {
+          out->get_crc = crc32c::Extend(out->get_crc, got->data(),
+                                        got->size());
+        }
+      });
   for (std::uint64_t i = 0; i < gets; ++i) {
-    if (window.size() >= depth) {
-      auto got = co_await window.front().Await();
-      window.pop_front();
-      if (!got.ok()) co_return;
-      out->get_crc = crc32c::Extend(out->get_crc, got->data(), got->size());
-    }
-    auto get = co_await ks.GetAsync(MakeFixedKey((i * stride) % puts));
-    window.push_back(std::move(get));
+    co_await window.Reserve();
+    if (!window.status().ok()) break;
+    window.Push(co_await ks.GetAsync(MakeFixedKey((i * stride) % puts)));
   }
-  while (!window.empty()) {
-    auto got = co_await window.front().Await();
-    window.pop_front();
-    if (!got.ok()) co_return;
-    out->get_crc = crc32c::Extend(out->get_crc, got->data(), got->size());
-  }
-  out->get_end = sim->Now();
-  out->ok = true;
+  out->ok = (co_await window.Drain()).ok();
 }
 
 struct PointResult {
@@ -225,71 +188,55 @@ int main(int argc, char** argv) {
     }
 
     // Setup: one keyspace per tenant (untimed).
-    for (std::uint32_t t = 0; t < tenants; ++t) {
-      bed.sim().Spawn([](client::Client* db, std::uint32_t tenant,
-                         client::KeyspaceHandle* out) -> sim::Task<void> {
+    RunPhase(bed.sim(), tenants, [&](std::size_t t) {
+      return [](client::Client* db, std::size_t tenant,
+                client::KeyspaceHandle* out) -> sim::Task<void> {
         auto ks = co_await db->CreateKeyspace("tenant" +
                                               std::to_string(tenant));
         if (ks.ok()) *out = *ks;
-      }(clients[t].get(), t, &keyspaces[t]));
-    }
-    bed.sim().Run();
+      }(clients[t].get(), t, &keyspaces[t]);
+    });
 
     PointResult point;
     bool point_ok = true;
     for (std::uint32_t t = 0; t < tenants; ++t) {
       if (!keyspaces[t].valid()) point_ok = false;
     }
+    auto all_ok_so_far = [&] {
+      for (const TenantResult& r : results) {
+        if (!r.ok) point_ok = false;
+      }
+      return point_ok;
+    };
+    const double total_puts = static_cast<double>(tenants) * puts;
+    const double total_gets = static_cast<double>(tenants) * gets;
 
     // Phase 1 (timed): concurrent open-loop PUT streams.
     if (point_ok) {
-      const Tick t0 = bed.sim().Now();
-      for (std::uint32_t t = 0; t < tenants; ++t) {
-        bed.sim().Spawn(TenantPuts(&bed.sim(), keyspaces[t], t, puts,
-                                   value_bytes, depth, &results[t]));
-      }
-      bed.sim().Run();
-      Tick put_end = t0;
-      for (const TenantResult& r : results) {
-        if (!r.ok) point_ok = false;
-        if (r.put_end > put_end) put_end = r.put_end;
-      }
-      if (point_ok && put_end > t0) {
-        point.put_per_sec = static_cast<double>(tenants) *
-                            static_cast<double>(puts) * 1e9 /
-                            static_cast<double>(put_end - t0);
+      const Tick ticks = RunPhase(bed.sim(), tenants, [&](std::size_t t) {
+        return TenantPuts(keyspaces[t], static_cast<std::uint32_t>(t), puts,
+                          value_bytes, depth, &results[t]);
+      });
+      if (all_ok_so_far() && ticks > 0) {
+        point.put_per_sec = total_puts * 1e9 / static_cast<double>(ticks);
       }
     }
 
     // Seal: sync + compact every tenant (untimed).
     if (point_ok) {
-      for (std::uint32_t t = 0; t < tenants; ++t) {
-        bed.sim().Spawn(TenantSeal(keyspaces[t], &results[t]));
-      }
-      bed.sim().Run();
-      for (const TenantResult& r : results) {
-        if (!r.ok) point_ok = false;
-      }
+      RunPhase(bed.sim(), tenants, [&](std::size_t t) {
+        return TenantSeal(keyspaces[t], &results[t]);
+      });
+      all_ok_so_far();
     }
 
     // Phase 2 (timed): concurrent open-loop GET streams.
     if (point_ok) {
-      const Tick t0 = bed.sim().Now();
-      for (std::uint32_t t = 0; t < tenants; ++t) {
-        bed.sim().Spawn(
-            TenantGets(&bed.sim(), keyspaces[t], puts, gets, depth,
-                       &results[t]));
-      }
-      bed.sim().Run();
-      Tick get_end = t0;
-      for (const TenantResult& r : results) {
-        if (!r.ok) point_ok = false;
-        if (r.get_end > get_end) get_end = r.get_end;
-      }
-      if (point_ok && get_end > t0) {
-        point.get_per_sec = static_cast<double>(tenants) *
-                            static_cast<double>(gets) * 1e9 /
-                            static_cast<double>(get_end - t0);
+      const Tick ticks = RunPhase(bed.sim(), tenants, [&](std::size_t t) {
+        return TenantGets(keyspaces[t], puts, gets, depth, &results[t]);
+      });
+      if (all_ok_so_far() && ticks > 0) {
+        point.get_per_sec = total_gets * 1e9 / static_cast<double>(ticks);
       }
     }
 
@@ -297,10 +244,7 @@ int main(int argc, char** argv) {
     // returned GET bytes — identical at every sweep point.
     std::uint32_t crc = 0;
     for (const TenantResult& r : results) {
-      crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&r.put_crc),
-                           sizeof(r.put_crc));
-      crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&r.get_crc),
-                           sizeof(r.get_crc));
+      crc = CrcScalars(crc, r.put_crc, r.get_crc);
     }
     point.fingerprint = crc;
     point.ok = point_ok;

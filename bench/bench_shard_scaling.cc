@@ -25,7 +25,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
@@ -38,6 +37,7 @@
 #include "harness/report.h"
 #include "harness/sharded_testbed.h"
 #include "harness/tracing.h"
+#include "harness/workloads.h"
 #include "nvme/skey.h"
 
 using namespace kvcsd;           // NOLINT
@@ -70,8 +70,6 @@ std::string ValueFor(std::uint64_t id, std::uint64_t bytes) {
 struct DriverResult {
   std::uint32_t put_crc = 0;
   std::uint32_t get_crc = 0;
-  Tick put_end = 0;
-  Tick get_end = 0;
   bool ok = false;
 };
 
@@ -81,14 +79,12 @@ struct DriverResult {
 // sweep point. Each batch is shard-grouped by the router and rides one
 // doorbell per shard; `depth` bounds the in-flight batches so the
 // per-shard admission windows stay the real backpressure.
-sim::Task<void> DriverPuts(sim::Simulation* sim,
-                           router::ShardedKeyspaceHandle ks,
+sim::Task<void> DriverPuts(router::ShardedKeyspaceHandle ks,
                            std::uint32_t driver, std::uint32_t drivers,
                            std::uint64_t puts, std::uint64_t value_bytes,
                            std::uint64_t depth, std::uint64_t batch,
                            DriverResult* out) {
-  std::deque<client::Future<Status>> window;
-  const std::uint64_t window_cap = depth * batch;
+  client::FutureWindow<Status> window(depth * batch);
   std::vector<std::pair<std::string, std::string>> pending;
   for (std::uint64_t i = driver; i < puts; i += drivers) {
     std::string key = MakeFixedKey(i);
@@ -97,30 +93,14 @@ sim::Task<void> DriverPuts(sim::Simulation* sim,
     out->put_crc = crc32c::Extend(out->put_crc, value.data(), value.size());
     pending.emplace_back(std::move(key), std::move(value));
     if (pending.size() < batch && i + drivers < puts) continue;
-    while (window.size() >= window_cap) {
-      Status s = co_await window.front().Await();
-      if (!s.ok()) {
-        std::fprintf(stderr, "driver %u put failed: %s\n", driver,
-                     s.message().c_str());
-        co_return;
-      }
-      window.pop_front();
-    }
+    co_await window.Reserve();
+    if (!window.status().ok()) break;
     auto futures = co_await ks.PutBatchAsync(std::move(pending));
     pending.clear();
-    for (auto& f : futures) window.push_back(std::move(f));
+    for (auto& f : futures) window.Push(std::move(f));
   }
-  while (!window.empty()) {
-    Status s = co_await window.front().Await();
-    if (!s.ok()) {
-      std::fprintf(stderr, "driver %u put drain failed: %s\n", driver,
-                   s.message().c_str());
-      co_return;
-    }
-    window.pop_front();
-  }
-  out->put_end = sim->Now();
-  out->ok = true;
+  out->ok = CheckOk(co_await window.Drain(),
+                    "driver " + std::to_string(driver) + " put");
 }
 
 // Seal the fleet: fsync every shard, then governor-staggered compaction
@@ -128,52 +108,34 @@ sim::Task<void> DriverPuts(sim::Simulation* sim,
 sim::Task<void> Seal(router::ShardedKeyspaceHandle ks, DriverResult* out) {
   out->ok = false;
   Status s = co_await ks.Sync();
-  if (!s.ok()) {
-    std::fprintf(stderr, "seal sync failed: %s\n", s.message().c_str());
-    co_return;
-  }
+  if (!CheckOk(s, "seal sync")) co_return;
   s = co_await ks.Compact();
-  if (!s.ok()) {
-    std::fprintf(stderr, "seal compact failed: %s\n", s.message().c_str());
-    co_return;
-  }
+  if (!CheckOk(s, "seal compact")) co_return;
   s = co_await ks.CreateSecondaryIndexF32("energy", 0);
-  if (!s.ok()) {
-    std::fprintf(stderr, "seal index failed: %s\n", s.message().c_str());
-    co_return;
-  }
-  out->ok = true;
+  out->ok = CheckOk(s, "seal index");
 }
 
-// Open-loop windowed point-GET stream; answers are awaited in issue
-// order so the fingerprint is deterministic.
-sim::Task<void> DriverGets(sim::Simulation* sim,
-                           router::ShardedKeyspaceHandle ks,
+// Open-loop windowed point-GET stream; answers are reaped in issue order
+// so the fingerprint is deterministic.
+sim::Task<void> DriverGets(router::ShardedKeyspaceHandle ks,
                            std::uint32_t driver, std::uint32_t drivers,
                            std::uint64_t puts, std::uint64_t gets,
                            std::uint64_t depth, DriverResult* out) {
-  out->ok = false;
   std::uint64_t stride = 4093;
   while (puts % stride == 0) ++stride;
-  std::deque<client::Future<Result<std::string>>> window;
+  client::FutureWindow<Result<std::string>> window(
+      depth, [out](Result<std::string>& got) {
+        if (got.ok()) {
+          out->get_crc = crc32c::Extend(out->get_crc, got->data(),
+                                        got->size());
+        }
+      });
   for (std::uint64_t i = driver; i < gets; i += drivers) {
-    if (window.size() >= depth) {
-      auto got = co_await window.front().Await();
-      window.pop_front();
-      if (!got.ok()) co_return;
-      out->get_crc = crc32c::Extend(out->get_crc, got->data(), got->size());
-    }
-    auto get = co_await ks.GetAsync(MakeFixedKey((i * stride) % puts));
-    window.push_back(std::move(get));
+    co_await window.Reserve();
+    if (!window.status().ok()) break;
+    window.Push(co_await ks.GetAsync(MakeFixedKey((i * stride) % puts)));
   }
-  while (!window.empty()) {
-    auto got = co_await window.front().Await();
-    window.pop_front();
-    if (!got.ok()) co_return;
-    out->get_crc = crc32c::Extend(out->get_crc, got->data(), got->size());
-  }
-  out->get_end = sim->Now();
-  out->ok = true;
+  out->ok = (co_await window.Drain()).ok();
 }
 
 struct QueryResult {
@@ -185,15 +147,6 @@ struct QueryResult {
   bool ok = false;
 };
 
-std::uint32_t CrcRows(const Rows& rows) {
-  std::uint32_t crc = 0;
-  for (const auto& kv : rows) {
-    crc = crc32c::Extend(crc, kv.first.data(), kv.first.size());
-    crc = crc32c::Extend(crc, kv.second.data(), kv.second.size());
-  }
-  return crc;
-}
-
 // Scatter-gather verification pass: full merged scan, merged secondary
 // range, merged pushdown select, folded aggregate. Every fingerprint
 // must be identical at every sweep point.
@@ -204,22 +157,15 @@ sim::Task<void> MergedQueries(router::ShardedKeyspaceHandle ks,
 
   Rows rows;
   Status s = co_await ks.Scan(lo, hi, 0, &rows);
-  if (!s.ok()) {
-    std::fprintf(stderr, "merged scan failed: %s\n", s.message().c_str());
-    co_return;
-  }
+  if (!CheckOk(s, "merged scan")) co_return;
   out->scan_rows = rows.size();
-  out->scan_crc = CrcRows(rows);
+  out->scan_crc = CrcRows(0, rows);
 
   rows.clear();
   s = co_await ks.QuerySecondaryRangeF32("energy", 100.0f, 499.0f, 1000,
                                          &rows);
-  if (!s.ok()) {
-    std::fprintf(stderr, "merged secondary failed: %s\n",
-                 s.message().c_str());
-    co_return;
-  }
-  out->secondary_crc = CrcRows(rows);
+  if (!CheckOk(s, "merged secondary")) co_return;
+  out->secondary_crc = CrcRows(0, rows);
 
   rows.clear();
   client::KeyspaceHandle::SelectOptions opts;
@@ -229,11 +175,8 @@ sim::Task<void> MergedQueries(router::ShardedKeyspaceHandle ks,
   opts.proj.length = static_cast<std::uint32_t>(value_bytes);
   opts.limit = 256;
   s = co_await ks.Select(lo, hi, opts, &rows);
-  if (!s.ok()) {
-    std::fprintf(stderr, "merged select failed: %s\n", s.message().c_str());
-    co_return;
-  }
-  out->select_crc = CrcRows(rows);
+  if (!CheckOk(s, "merged select")) co_return;
+  out->select_crc = CrcRows(0, rows);
 
   nvme::AggregateSpec agg;
   agg.func = nvme::AggregateFunc::kSum;
@@ -241,22 +184,9 @@ sim::Task<void> MergedQueries(router::ShardedKeyspaceHandle ks,
   agg.value_length = 4;
   agg.type = nvme::SecondaryKeyType::kF32;
   Result<nvme::AggregateResult> r = co_await ks.Aggregate(lo, hi, agg);
-  if (!r.ok()) {
-    std::fprintf(stderr, "folded aggregate failed: %s\n",
-                 r.status().message().c_str());
-    co_return;
-  }
+  if (!CheckOk(r.status(), "folded aggregate")) co_return;
   const nvme::AggregateResult& a = r.value();
-  std::uint32_t crc = 0;
-  crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&a.rows),
-                       sizeof(a.rows));
-  crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&a.min),
-                       sizeof(a.min));
-  crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&a.max),
-                       sizeof(a.max));
-  crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&a.sum),
-                       sizeof(a.sum));
-  out->aggregate_crc = crc;
+  out->aggregate_crc = CrcScalars(0, a.rows, a.min, a.max, a.sum);
   out->ok = true;
 }
 
@@ -333,24 +263,22 @@ int main(int argc, char** argv) {
     bool point_ok = ks.valid();
     std::vector<DriverResult> results(
         std::max<std::size_t>(drivers, get_drivers));
+    auto results_ok = [&](std::size_t n) {
+      for (std::size_t d = 0; d < n; ++d) {
+        if (!results[d].ok) point_ok = false;
+      }
+      return point_ok;
+    };
 
     // Phase 1 (timed): concurrent open-loop PUT streams.
     if (point_ok) {
-      const Tick t0 = bed.sim().Now();
-      for (std::uint32_t d = 0; d < drivers; ++d) {
-        bed.sim().Spawn(DriverPuts(&bed.sim(), ks, d, drivers, puts,
-                                   value_bytes, depth, batch, &results[d]));
-      }
-      bed.sim().Run();
-      Tick put_end = t0;
-      for (std::uint32_t d = 0; d < drivers; ++d) {
-        const DriverResult& r = results[d];
-        if (!r.ok) point_ok = false;
-        if (r.put_end > put_end) put_end = r.put_end;
-      }
-      if (point_ok && put_end > t0) {
-        point.put_per_sec = static_cast<double>(puts) * 1e9 /
-                            static_cast<double>(put_end - t0);
+      const Tick ticks = RunPhase(bed.sim(), drivers, [&](std::size_t d) {
+        return DriverPuts(ks, static_cast<std::uint32_t>(d), drivers, puts,
+                          value_bytes, depth, batch, &results[d]);
+      });
+      if (results_ok(drivers) && ticks > 0) {
+        point.put_per_sec =
+            static_cast<double>(puts) * 1e9 / static_cast<double>(ticks);
       }
     }
 
@@ -358,26 +286,18 @@ int main(int argc, char** argv) {
     if (point_ok) {
       bed.sim().Spawn(Seal(ks, &results[0]));
       bed.sim().Run();
-      if (!results[0].ok) point_ok = false;
+      results_ok(1);
     }
 
     // Phase 2 (timed): concurrent open-loop point-GET streams.
     if (point_ok) {
-      const Tick t0 = bed.sim().Now();
-      for (std::uint32_t d = 0; d < get_drivers; ++d) {
-        bed.sim().Spawn(DriverGets(&bed.sim(), ks, d, get_drivers, puts,
-                                   gets, get_depth, &results[d]));
-      }
-      bed.sim().Run();
-      Tick get_end = t0;
-      for (std::uint32_t d = 0; d < get_drivers; ++d) {
-        const DriverResult& r = results[d];
-        if (!r.ok) point_ok = false;
-        if (r.get_end > get_end) get_end = r.get_end;
-      }
-      if (point_ok && get_end > t0) {
-        point.get_per_sec = static_cast<double>(gets) * 1e9 /
-                            static_cast<double>(get_end - t0);
+      const Tick ticks = RunPhase(bed.sim(), get_drivers, [&](std::size_t d) {
+        return DriverGets(ks, static_cast<std::uint32_t>(d), get_drivers,
+                          puts, gets, get_depth, &results[d]);
+      });
+      if (results_ok(get_drivers) && ticks > 0) {
+        point.get_per_sec =
+            static_cast<double>(gets) * 1e9 / static_cast<double>(ticks);
       }
     }
 
@@ -413,28 +333,13 @@ int main(int argc, char** argv) {
 
     // Fingerprints: driver-ordered PUT/GET byte streams, then the four
     // merged query results.
-    std::uint32_t crc = 0;
+    point.fingerprint = 0;
     for (const DriverResult& r : results) {
-      crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&r.put_crc),
-                           sizeof(r.put_crc));
-      crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&r.get_crc),
-                           sizeof(r.get_crc));
+      point.fingerprint = CrcScalars(point.fingerprint, r.put_crc, r.get_crc);
     }
-    point.fingerprint = crc;
-    crc = 0;
-    crc = crc32c::Extend(crc,
-                         reinterpret_cast<const char*>(&queries.scan_crc),
-                         sizeof(queries.scan_crc));
-    crc = crc32c::Extend(
-        crc, reinterpret_cast<const char*>(&queries.secondary_crc),
-        sizeof(queries.secondary_crc));
-    crc = crc32c::Extend(crc,
-                         reinterpret_cast<const char*>(&queries.select_crc),
-                         sizeof(queries.select_crc));
-    crc = crc32c::Extend(
-        crc, reinterpret_cast<const char*>(&queries.aggregate_crc),
-        sizeof(queries.aggregate_crc));
-    point.query_fingerprint = crc;
+    point.query_fingerprint =
+        CrcScalars(0, queries.scan_crc, queries.secondary_crc,
+                   queries.select_crc, queries.aggregate_crc);
     point.ok = point_ok;
     if (!point_ok) {
       std::fprintf(stderr, "point shards=%u: driver failed\n", shards);

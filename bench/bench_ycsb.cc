@@ -23,7 +23,6 @@
 // Flags: --keys=8192 --ops=8192 --value_bytes=128 --depths=1,4 --seed=42
 //        --json=PATH --trace=PATH --telemetry=PATH
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>
@@ -37,6 +36,7 @@
 #include "harness/report.h"
 #include "harness/testbed.h"
 #include "harness/tracing.h"
+#include "harness/workloads.h"
 
 using namespace kvcsd;           // NOLINT
 using namespace kvcsd::harness;  // NOLINT
@@ -82,27 +82,6 @@ struct PointResult {
   bool ok = false;
 };
 
-// Load keys 0..N-1 (version 0 values), compact, leave the keyspace
-// COMPACTED and ready for delta traffic. Untimed.
-sim::Task<void> LoadAndCompact(client::Client* db, std::uint64_t keys,
-                               std::uint64_t value_bytes,
-                               client::KeyspaceHandle* out, bool* ok) {
-  *ok = false;
-  auto ks = co_await db->CreateKeyspace("ycsb");
-  if (!ks.ok()) co_return;
-  auto writer = ks->NewBulkWriter();
-  for (std::uint64_t i = 0; i < keys; ++i) {
-    Status s = co_await writer.Add(MakeFixedKey(i), ValueFor(i, 0,
-                                                             value_bytes));
-    if (!s.ok()) co_return;
-  }
-  if (!(co_await writer.Drain()).ok()) co_return;
-  if (!(co_await ks->Compact()).ok()) co_return;
-  if (!(co_await ks->WaitCompaction()).ok()) co_return;
-  *out = *ks;
-  *ok = true;
-}
-
 // The mixed phase: one open-loop stream of `ops` operations drawn from
 // the mix, at most `depth` writes outstanding. Reads are awaited inline
 // (their answers feed the host model's hit accounting); writes ride the
@@ -116,59 +95,49 @@ sim::Task<void> MixedPhase(sim::Simulation* sim, client::KeyspaceHandle ks,
                            std::map<std::uint64_t, std::uint64_t>* model,
                            PointResult* out) {
   Rng rng(seed);
-  std::deque<client::Future<Status>> window;
+  client::FutureWindow<Status> window(depth);
+  // A GET answers a value or NotFound; any other status fails the point.
+  auto read = [&](const Result<std::string>& got) {
+    if (got.ok()) ++out->read_hits;
+    if (got.ok() || got.status().IsNotFound()) return true;
+    std::fprintf(stderr, "mix %s read failed: %s\n", mix.name,
+                 got.status().ToString().c_str());
+    return false;
+  };
   bool failed = false;
   out->mixed_start = sim->Now();
   for (std::uint64_t op = 0; op < ops && !failed; ++op) {
-    while (window.size() >= depth) {
-      Status s = co_await window.front().Await();
-      window.pop_front();
-      if (!s.ok()) {
-        std::fprintf(stderr, "mix %s write failed: %s\n", mix.name,
-                     s.message().c_str());
-        failed = true;
-      }
-    }
-    if (failed) break;
+    co_await window.Reserve();
+    if (!window.status().ok()) break;
     const std::uint64_t id = rng.Uniform(keys);
     const double roll = rng.NextDouble();
     if (roll < mix.read) {
-      auto got = co_await ks.Get(MakeFixedKey(id));
-      if (got.ok()) {
-        ++out->read_hits;
-      } else if (!got.status().IsNotFound()) {
-        std::fprintf(stderr, "mix %s read failed: %s\n", mix.name,
-                     got.status().ToString().c_str());
-        failed = true;
-      }
+      failed = !read(co_await ks.Get(MakeFixedKey(id)));
       ++out->reads;
     } else if (roll < mix.read + mix.update) {
       const std::uint64_t version = op + 1;
-      window.push_back(co_await ks.PutAsync(
-          MakeFixedKey(id), ValueFor(id, version, value_bytes)));
+      window.Push(co_await ks.PutAsync(MakeFixedKey(id),
+                                       ValueFor(id, version, value_bytes)));
       (*model)[id] = version;
       ++out->updates;
     } else if (roll < mix.read + mix.update + mix.rmw) {
       // Read-modify-write: the read is part of the op's latency.
-      auto got = co_await ks.Get(MakeFixedKey(id));
-      if (got.ok()) ++out->read_hits;
+      failed = !read(co_await ks.Get(MakeFixedKey(id)));
+      if (failed) break;
       const std::uint64_t version = op + 1;
-      window.push_back(co_await ks.PutAsync(
-          MakeFixedKey(id), ValueFor(id, version, value_bytes)));
+      window.Push(co_await ks.PutAsync(MakeFixedKey(id),
+                                       ValueFor(id, version, value_bytes)));
       (*model)[id] = version;
       ++out->rmws;
     } else {
-      window.push_back(co_await ks.DeleteAsync(MakeFixedKey(id)));
+      window.Push(co_await ks.DeleteAsync(MakeFixedKey(id)));
       model->erase(id);
       ++out->deletes;
     }
   }
-  while (!window.empty()) {
-    Status s = co_await window.front().Await();
-    window.pop_front();
-    if (!s.ok()) failed = true;
-  }
-  if (failed) co_return;
+  const bool drained =
+      CheckOk(co_await window.Drain(), std::string("mix ") + mix.name);
+  if (failed || !drained) co_return;
   Status s = co_await ks.Sync();
   if (!s.ok()) {
     std::fprintf(stderr, "mix %s sync failed: %s\n", mix.name,
@@ -205,11 +174,7 @@ sim::Task<void> FoldAndVerify(client::KeyspaceHandle ks, std::uint64_t keys,
     std::fprintf(stderr, "verify scan failed: %s\n", s.message().c_str());
     co_return;
   }
-  for (const auto& [key, value] : rows) {
-    out->scan_crc = crc32c::Extend(out->scan_crc, key.data(), key.size());
-    out->scan_crc = crc32c::Extend(out->scan_crc, value.data(),
-                                   value.size());
-  }
+  out->scan_crc = CrcRows(0, rows);
   for (std::uint64_t id = 0; id < keys; ++id) {
     auto it = model.find(id);
     if (it == model.end()) continue;
@@ -269,12 +234,19 @@ int main(int argc, char** argv) {
       config.queues.sq_depth_cap = static_cast<std::uint32_t>(depth + 1);
       CsdTestbed bed(config);
 
+      // Keys 0..N-1 at version 0, compacted: the keyspace is COMPACTED
+      // and ready for delta traffic. Untimed.
       client::KeyspaceHandle ks;
-      bool loaded = false;
-      bed.sim().Spawn(
-          LoadAndCompact(&bed.client(), keys, value_bytes, &ks, &loaded));
+      bed.sim().Spawn([](client::Client* db, std::uint64_t n,
+                         std::uint64_t bytes,
+                         client::KeyspaceHandle* out) -> sim::Task<void> {
+        auto loaded = co_await LoadKeyspace(
+            *db, "ycsb", SequentialIds(n),
+            [bytes](std::uint64_t id) { return ValueFor(id, 0, bytes); }, {});
+        if (CheckOk(loaded.status(), "ycsb load")) *out = *loaded;
+      }(&bed.client(), keys, value_bytes, &ks));
       bed.sim().Run();
-      if (!loaded) {
+      if (!ks.valid()) {
         std::fprintf(stderr, "mix %s depth %llu: load failed\n", mix.name,
                      static_cast<unsigned long long>(depth));
         all_ok = false;

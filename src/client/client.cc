@@ -328,15 +328,14 @@ sim::Task<Status> KeyspaceHandle::BulkWriter::Add(const std::string& key,
   co_return Status::Ok();
 }
 
-sim::Task<void> KeyspaceHandle::BulkWriter::ReapOldest() {
-  Future<Status> oldest = std::move(window_.front());
-  window_.pop_front();
-  Status status = co_await oldest.Await();
-  if (first_error_.ok() && !status.ok()) first_error_ = status;
-}
+KeyspaceHandle::BulkWriter::BulkWriter(Client* client,
+                                       std::uint64_t keyspace_id)
+    : client_(client),
+      keyspace_id_(keyspace_id),
+      window_(client->config().bulk_inflight_frames) {}
 
 sim::Task<Status> KeyspaceHandle::BulkWriter::Flush() {
-  if (frame_.empty()) co_return first_error_;
+  if (frame_.empty()) co_return window_.status();
   // Client-side packing cost for the whole frame.
   co_await client_->host_cpu_->ComputeBytes(
       frame_.size(), client_->costs_.memcpy_bytes_per_sec);
@@ -346,24 +345,21 @@ sim::Task<Status> KeyspaceHandle::BulkWriter::Flush() {
   cmd.value = std::move(frame_);
   frame_.clear();
   ++frames_sent_;
-  const std::uint32_t depth =
-      std::max<std::uint32_t>(client_->config().bulk_inflight_frames, 1);
-  if (depth <= 1) {
+  if (client_->config().bulk_inflight_frames <= 1) {
     co_return co_await client_->Call(std::move(cmd), DecodeStatus);
   }
-  // Pipelined: keep up to `depth` frames on the wire; ship this frame as
-  // soon as a window slot frees. Errors from earlier frames surface here
-  // (and definitively at Drain()).
-  while (window_.size() >= depth) co_await ReapOldest();
-  window_.push_back(co_await client_->Launch(std::move(cmd), DecodeStatus));
-  co_return first_error_;
+  // Pipelined: keep up to bulk_inflight_frames frames on the wire; ship
+  // this frame as soon as a window slot frees. Errors from earlier frames
+  // surface here (and definitively at Drain()).
+  co_await window_.Reserve();
+  window_.Push(co_await client_->Launch(std::move(cmd), DecodeStatus));
+  co_return window_.status();
 }
 
 sim::Task<Status> KeyspaceHandle::BulkWriter::Drain() {
   Status flush_status = co_await Flush();
-  while (!window_.empty()) co_await ReapOldest();
-  if (!flush_status.ok()) co_return flush_status;
-  co_return std::exchange(first_error_, Status::Ok());
+  Status window_status = co_await window_.Drain();
+  co_return flush_status.ok() ? window_status : flush_status;
 }
 
 sim::Task<Status> KeyspaceHandle::Sync() {
@@ -420,11 +416,7 @@ sim::Task<Status> KeyspaceHandle::CreateSecondaryIndex(
 
 sim::Task<Status> KeyspaceHandle::CreateSecondaryIndexF32(
     const std::string& name, std::uint32_t value_offset) {
-  nvme::SecondaryIndexSpec spec;
-  spec.name = name;
-  spec.value_offset = value_offset;
-  spec.value_length = 4;
-  spec.type = nvme::SecondaryKeyType::kF32;
+  nvme::SecondaryIndexSpec spec = nvme::F32Index(name, value_offset);
   co_return co_await CreateSecondaryIndex(std::move(spec));
 }
 

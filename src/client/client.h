@@ -22,24 +22,22 @@
 // a Future<T> right after the submission DMA; a per-client reactor
 // coroutine reaps completions off the client's CQ ring and resolves the
 // future. A sync call (Put, Get, ...) is the same submission, a batch of
-// one, awaited — so many commands ride the wire concurrently:
+// one, awaited — so many commands ride the wire concurrently, kept in a
+// bounded FutureWindow:
 //
-//   std::deque<client::Future<Status>> window;
+//   client::FutureWindow<Status> window(depth);
 //   for (...) {
-//     if (window.size() >= depth) {
-//       co_await window.front().Await();
-//       window.pop_front();
-//     }
-//     window.push_back(co_await ks.PutAsync(key, value));
+//     co_await window.Reserve();         // reaps the oldest while full
+//     if (!window.status().ok()) break;
+//     window.Push(co_await ks.PutAsync(key, value));
 //   }
-//   while (!window.empty()) {
-//     co_await window.front().Await();
-//     window.pop_front();
-//   }
+//   Status s = co_await window.Drain();  // the first error, if any
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -121,6 +119,54 @@ class Future {
   Decoder decode_ = nullptr;
 };
 
+// A bounded window of in-flight futures, reaped oldest first. Reserve()
+// before issuing a command, Push() its future, Drain() at the end. Every
+// result is handed to `on_result` (if given) in issue order; the first
+// non-Ok one is kept in status() while the rest are still reaped.
+template <typename T>
+class FutureWindow {
+ public:
+  explicit FutureWindow(std::size_t depth,
+                        std::function<void(T&)> on_result = nullptr)
+      : depth_(std::max<std::size_t>(depth, 1)),
+        on_result_(std::move(on_result)) {}
+
+  std::size_t size() const { return inflight_.size(); }
+  // The first non-Ok result reaped since the last Drain; Ok while none.
+  const Status& status() const { return first_error_; }
+
+  // Reaps the oldest futures until fewer than `depth` are in flight.
+  sim::Task<void> Reserve() {
+    while (inflight_.size() >= depth_) co_await ReapOldest();
+  }
+  void Push(Future<T> future) { inflight_.push_back(std::move(future)); }
+  // Reaps every future; returns the first error and clears it.
+  sim::Task<Status> Drain() {
+    while (!inflight_.empty()) co_await ReapOldest();
+    co_return std::exchange(first_error_, Status::Ok());
+  }
+
+ private:
+  static Status StatusOf(const Status& status) { return status; }
+  template <typename U>
+  static Status StatusOf(const Result<U>& result) {
+    return result.status();
+  }
+
+  sim::Task<void> ReapOldest() {
+    Future<T> oldest = std::move(inflight_.front());
+    inflight_.pop_front();
+    T result = co_await oldest.Await();
+    if (first_error_.ok()) first_error_ = StatusOf(result);
+    if (on_result_) on_result_(result);
+  }
+
+  std::size_t depth_;
+  std::function<void(T&)> on_result_;
+  std::deque<Future<T>> inflight_;
+  Status first_error_ = Status::Ok();
+};
+
 // A handle to one keyspace. Cheap to copy.
 class KeyspaceHandle {
  public:
@@ -163,17 +209,12 @@ class KeyspaceHandle {
 
    private:
     friend class KeyspaceHandle;
-    BulkWriter(Client* client, std::uint64_t keyspace_id)
-        : client_(client), keyspace_id_(keyspace_id) {}
-    // Awaits the oldest in-flight frame, folding its status into
-    // first_error_.
-    sim::Task<void> ReapOldest();
+    BulkWriter(Client* client, std::uint64_t keyspace_id);
     Client* client_;
     std::uint64_t keyspace_id_;
     std::string frame_;
     std::uint64_t frames_sent_ = 0;
-    std::deque<Future<Status>> window_;
-    Status first_error_ = Status::Ok();
+    FutureWindow<Status> window_;
   };
   BulkWriter NewBulkWriter() { return BulkWriter(client_, id_); }
 

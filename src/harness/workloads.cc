@@ -1,6 +1,8 @@
 #include "harness/workloads.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <string>
 
 #include "common/keys.h"
@@ -35,6 +37,76 @@ void CountGetStatus(const Status& status, QueryOutcome* out) {
 }
 
 }  // namespace
+
+Status AtStep(const std::string& step, const Status& status) {
+  if (status.ok()) return status;
+  return Status(status.code(), step + ": " + status.message());
+}
+
+sim::Task<void> StampEnd(sim::Simulation* sim, sim::Task<void> task,
+                         Tick* last_done) {
+  co_await std::move(task);
+  *last_done = std::max(*last_done, sim->Now());
+}
+
+sim::Task<Result<client::KeyspaceHandle>> BulkLoadKeyspace(
+    client::Client& db, const std::string& name,
+    const std::vector<std::uint64_t>& ids,
+    const std::function<std::string(std::uint64_t)>& value_for) {
+  auto created = co_await db.CreateKeyspace(name);
+  if (!created.ok()) co_return AtStep("create", created.status());
+  auto writer = created->NewBulkWriter();
+  for (std::uint64_t id : ids) {
+    Status s = co_await writer.Add(MakeFixedKey(id), value_for(id));
+    if (!s.ok()) co_return AtStep("bulk load", s);
+  }
+  Status s = co_await writer.Drain();
+  if (!s.ok()) co_return AtStep("drain", s);
+  co_return created;
+}
+
+sim::Task<Result<client::KeyspaceHandle>> LoadKeyspace(
+    client::Client& db, const std::string& name,
+    const std::vector<std::uint64_t>& ids,
+    const std::function<std::string(std::uint64_t)>& value_for,
+    const std::vector<nvme::SecondaryIndexSpec>& indexes) {
+  auto loaded = co_await BulkLoadKeyspace(db, name, ids, value_for);
+  if (!loaded.ok()) co_return loaded;
+  client::KeyspaceHandle ks = *loaded;
+  Status s;
+  if (indexes.empty()) {
+    s = co_await ks.Compact();
+  } else {
+    std::vector<nvme::SecondaryIndexSpec> specs = indexes;
+    s = co_await ks.CompactWithIndexes(std::move(specs));
+  }
+  if (!s.ok()) co_return AtStep("compact", s);
+  s = co_await ks.WaitCompaction();
+  if (!s.ok()) co_return AtStep("wait compaction", s);
+  co_return ks;
+}
+
+std::vector<std::uint64_t> SequentialIds(std::uint64_t n) {
+  std::vector<std::uint64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0);
+  return ids;
+}
+
+std::vector<std::uint64_t> ShuffledIds(std::uint64_t n) {
+  std::uint64_t stride = 7919;
+  while (n % stride == 0) ++stride;
+  std::vector<std::uint64_t> ids(n);
+  for (std::uint64_t i = 0; i < n; ++i) ids[i] = (i * stride) % n;
+  return ids;
+}
+
+std::uint32_t CrcRows(std::uint32_t crc, const client::Rows& rows) {
+  for (const auto& [key, value] : rows) {
+    crc = crc32c::Extend(crc, key.data(), key.size());
+    crc = crc32c::Extend(crc, value.data(), value.size());
+  }
+  return crc;
+}
 
 CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
                               std::uint32_t host_cores,
@@ -237,28 +309,20 @@ QueryOutcome RunCsdGets(CsdTestbed& bed,
                         std::vector<client::KeyspaceHandle>& keyspaces,
                         const GetSpec& spec) {
   QueryOutcome outcome;
-  const Tick start = bed.sim().Now();
   const std::uint64_t nand_read_start = bed.dev().ssd().nand().bytes_read();
   const std::uint64_t d2h_start = bed.queue().device_to_host_bytes();
 
-  sim::WaitGroup wg(&bed.sim());
-  wg.Add(spec.threads);
-  for (std::uint32_t t = 0; t < spec.threads; ++t) {
-    bed.sim().Spawn([](client::KeyspaceHandle ks, const GetSpec* s,
-                       sim::WaitGroup* group, QueryOutcome* out,
-                       std::uint32_t thread) -> sim::Task<void> {
+  outcome.query_time = RunPhase(bed.sim(), spec.threads, [&](std::size_t t) {
+    return [](client::KeyspaceHandle ks, const GetSpec* s, QueryOutcome* out,
+              std::uint64_t thread) -> sim::Task<void> {
       Rng rng(s->seed * 104729 + thread);
       const std::uint64_t gets = s->total_gets / s->threads;
       for (std::uint64_t i = 0; i < gets; ++i) {
         const std::uint64_t id = rng.Uniform(s->keys_per_keyspace);
         CountGetStatus((co_await ks.Get(MakeFixedKey(id))).status(), out);
       }
-      group->Done();
-    }(keyspaces[t % keyspaces.size()], &spec, &wg, &outcome, t));
-  }
-  bed.sim().Run();
-
-  outcome.query_time = bed.sim().Now() - start;
+    }(keyspaces[t % keyspaces.size()], &spec, &outcome, t);
+  });
   outcome.device_bytes_read =
       bed.dev().ssd().nand().bytes_read() - nand_read_start;
   outcome.pcie_d2h_bytes = bed.queue().device_to_host_bytes() - d2h_start;
@@ -269,15 +333,11 @@ QueryOutcome RunLsmGets(LsmTestbed& bed, std::vector<lsm::Db*>& dbs,
                         const GetSpec& spec, bool drop_page_cache) {
   QueryOutcome outcome;
   if (drop_page_cache) bed.page_cache().DropAll();
-  const Tick start = bed.sim().Now();
   const std::uint64_t read_start = bed.ssd().total_bytes_read();
 
-  sim::WaitGroup wg(&bed.sim());
-  wg.Add(spec.threads);
-  for (std::uint32_t t = 0; t < spec.threads; ++t) {
-    bed.sim().Spawn([](lsm::Db* db, const GetSpec* s, sim::WaitGroup* group,
-                       QueryOutcome* out,
-                       std::uint32_t thread) -> sim::Task<void> {
+  outcome.query_time = RunPhase(bed.sim(), spec.threads, [&](std::size_t t) {
+    return [](lsm::Db* db, const GetSpec* s, QueryOutcome* out,
+              std::uint64_t thread) -> sim::Task<void> {
       Rng rng(s->seed * 104729 + thread);
       const std::uint64_t gets = s->total_gets / s->threads;
       std::string value;
@@ -285,12 +345,8 @@ QueryOutcome RunLsmGets(LsmTestbed& bed, std::vector<lsm::Db*>& dbs,
         const std::uint64_t id = rng.Uniform(s->keys_per_keyspace);
         CountGetStatus(co_await db->Get(MakeFixedKey(id), &value), out);
       }
-      group->Done();
-    }(dbs[t % dbs.size()], &spec, &wg, &outcome, t));
-  }
-  bed.sim().Run();
-
-  outcome.query_time = bed.sim().Now() - start;
+    }(dbs[t % dbs.size()], &spec, &outcome, t);
+  });
   outcome.device_bytes_read = bed.ssd().total_bytes_read() - read_start;
   return outcome;
 }

@@ -1,17 +1,81 @@
 // Reusable experiment drivers behind the figure benches: multi-threaded
 // insertion and query phases against both systems, with the timing
 // separations the paper reports (insert time vs compaction wait vs query
-// time) and the I/O statistics behind Fig. 7b / 10b.
+// time) and the I/O statistics behind Fig. 7b / 10b; and the plumbing
+// every bench driver shares (timed phases, keyspace loaders, result
+// fingerprints).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "harness/testbed.h"
 #include "lsm/db.h"
 
 namespace kvcsd::harness {
+
+// --- bench driver kit ---
+
+// Runs `task` and raises *last_done to the tick it finished at.
+sim::Task<void> StampEnd(sim::Simulation* sim, sim::Task<void> task,
+                         Tick* last_done);
+
+// Spawns make_task(0), ..., make_task(n - 1) in that order and runs the
+// simulation until it drains, so no background work of this phase leaks
+// into the next. Returns the time from the spawn until the last task
+// finished.
+template <typename MakeTask>
+Tick RunPhase(sim::Simulation& sim, std::size_t n, MakeTask make_task) {
+  const Tick start = sim.Now();
+  Tick last_done = start;
+  for (std::size_t i = 0; i < n; ++i) {
+    sim::Task<void> task = make_task(i);
+    sim.Spawn(StampEnd(&sim, std::move(task), &last_done));
+  }
+  sim.Run();
+  return last_done - start;
+}
+
+// `status` with its message prefixed by `step` ("compact: ..."); Ok
+// stays Ok.
+Status AtStep(const std::string& step, const Status& status);
+
+// Creates keyspace `name`, bulk-loads MakeFixedKey(id) -> value_for(id)
+// for every id of `ids` in that order and drains the writer. A failed
+// step's status names the step ("bulk load: ...").
+sim::Task<Result<client::KeyspaceHandle>> BulkLoadKeyspace(
+    client::Client& db, const std::string& name,
+    const std::vector<std::uint64_t>& ids,
+    const std::function<std::string(std::uint64_t)>& value_for);
+
+// BulkLoadKeyspace, then a compaction (fused with `indexes` when any are
+// given) and the wait for it.
+sim::Task<Result<client::KeyspaceHandle>> LoadKeyspace(
+    client::Client& db, const std::string& name,
+    const std::vector<std::uint64_t>& ids,
+    const std::function<std::string(std::uint64_t)>& value_for,
+    const std::vector<nvme::SecondaryIndexSpec>& indexes);
+
+// 0..n-1 in order, and in a fixed shuffled order: (i * stride) % n for
+// the first stride from 7919 up that does not divide n.
+std::vector<std::uint64_t> SequentialIds(std::uint64_t n);
+std::vector<std::uint64_t> ShuffledIds(std::uint64_t n);
+
+// Result fingerprints: `crc` extended with every row's key then value
+// bytes in row order, or with the object bytes of each scalar in
+// argument order.
+std::uint32_t CrcRows(std::uint32_t crc, const client::Rows& rows);
+template <typename... Scalars>
+std::uint32_t CrcScalars(std::uint32_t crc, const Scalars&... scalars) {
+  ((crc = crc32c::Extend(crc, reinterpret_cast<const char*>(&scalars),
+                         sizeof(scalars))),
+   ...);
+  return crc;
+}
 
 struct InsertSpec {
   std::uint64_t total_keys = 1 << 20;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -77,6 +78,12 @@ struct SecondaryIndexSpec {
   std::uint32_t value_length = 0;
   SecondaryKeyType type = SecondaryKeyType::kBytes;
 };
+
+// A float32 secondary key at byte `value_offset` of every value.
+inline SecondaryIndexSpec F32Index(std::string name,
+                                   std::uint32_t value_offset) {
+  return {std::move(name), value_offset, 4, SecondaryKeyType::kF32};
+}
 
 // --- query pushdown descriptors (kKvSelect / kKvAggregate) ---
 

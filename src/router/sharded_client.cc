@@ -411,11 +411,7 @@ sim::Task<Status> ShardedKeyspaceHandle::CreateSecondaryIndex(
 
 sim::Task<Status> ShardedKeyspaceHandle::CreateSecondaryIndexF32(
     const std::string& index_name, std::uint32_t value_offset) {
-  nvme::SecondaryIndexSpec spec;
-  spec.name = index_name;
-  spec.value_offset = value_offset;
-  spec.value_length = 4;
-  spec.type = nvme::SecondaryKeyType::kF32;
+  nvme::SecondaryIndexSpec spec = nvme::F32Index(index_name, value_offset);
   co_return co_await CreateSecondaryIndex(std::move(spec));
 }
 

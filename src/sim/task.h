@@ -28,7 +28,10 @@
 // same full expression, which is this library's universal calling pattern
 // — except a temporary made by a DEFAULT argument (`const T& x = {}`),
 // which GCC 12 frees twice: give coroutines no defaulted class-type
-// parameters.
+// parameters. GCC 12 also miscompiles an if-condition that passes a
+// co_await result and a temporary std::string to one call, e.g.
+// `if (!CheckOk(co_await ks.Sync(), "sync"))` traps at run time (SIGILL):
+// await into a named local first.
 #pragma once
 
 #include <cassert>

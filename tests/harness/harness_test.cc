@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "../testutil.h"
 #include "common/keys.h"
+#include "sim/fault.h"
 #include "harness/flags.h"
 #include "harness/report.h"
 #include "harness/sharded_testbed.h"
@@ -103,33 +107,18 @@ TEST(WorkloadTest, GetRunnersReturnTimeAndTraffic) {
   TestbedConfig config = TestbedConfig::Scaled();
   CsdTestbed bed(config);
   std::vector<client::KeyspaceHandle> handles(2);
-  sim::WaitGroup wg(&bed.sim());
-  wg.Add(2);
-  std::uint64_t load_failed = 0;
-  for (std::uint32_t t = 0; t < 2; ++t) {
-    bed.sim().Spawn([](CsdTestbed* b, std::uint32_t thread,
-                       std::vector<client::KeyspaceHandle>* out,
-                       sim::WaitGroup* done,
-                       std::uint64_t* failed) -> sim::Task<void> {
-      auto check = [failed](const Status& st) {
-        if (!st.ok()) ++*failed;
-      };
-      auto ks = (co_await b->client().CreateKeyspace(
-                     "g" + std::to_string(thread)))
-                    .value();
-      auto writer = ks.NewBulkWriter();
-      for (std::uint64_t i = 0; i < 5000; ++i) {
-        check(co_await writer.Add(MakeFixedKey(i), std::string(32, 'x')));
-      }
-      check(co_await writer.Drain());
-      check(co_await ks.Compact());
-      check(co_await ks.WaitCompaction());
-      (*out)[thread] = ks;
-      done->Done();
-    }(&bed, t, &handles, &wg, &load_failed));
-  }
-  bed.sim().Run();
-  EXPECT_EQ(load_failed, 0u);
+  const std::vector<std::uint64_t> ids = SequentialIds(5000);
+  RunPhase(bed.sim(), handles.size(), [&](std::size_t t) {
+    return [](client::Client* db, const std::vector<std::uint64_t>* load,
+              std::size_t thread,
+              client::KeyspaceHandle* out) -> sim::Task<void> {
+      auto ks = co_await LoadKeyspace(
+          *db, "g" + std::to_string(thread), *load,
+          [](std::uint64_t) { return std::string(32, 'x'); }, {});
+      EXPECT_TRUE(ks.ok()) << ks.status().ToString();
+      if (ks.ok()) *out = *ks;
+    }(&bed.client(), &ids, t, &handles[t]);
+  });
 
   GetSpec spec;
   spec.total_gets = 500;
@@ -239,6 +228,69 @@ TEST(FlightRecorderHarnessTest, HealthSkipsSimulationsWithoutGauges) {
   const std::vector<std::string> files = FilesWithPrefix(path);
   ASSERT_EQ(files.size(), 1u);
   EXPECT_EQ(files[0], path);
+}
+
+// Value with the f32 energy (id % 100) at byte 28.
+std::string EnergyValue(std::uint64_t id) {
+  std::string v(28, 'e');
+  const float energy = static_cast<float>(id % 100);
+  char raw[4];
+  std::memcpy(raw, &energy, 4);
+  v.append(raw, 4);
+  return v;
+}
+
+TEST(WorkloadTest, LoadKeyspaceLoadsTheIdsAndBuildsFusedIndexes) {
+  CsdTestbed bed(TestbedConfig::Scaled());
+  const std::vector<std::uint64_t> ids = ShuffledIds(3000);
+  std::vector<std::uint64_t> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, SequentialIds(3000));  // a permutation of 0..n-1
+  EXPECT_NE(ids, SequentialIds(3000));
+
+  const std::vector<nvme::SecondaryIndexSpec> indexes = {
+      nvme::F32Index("energy", 28)};
+  auto ks = testutil::RunSim(
+      bed.sim(), LoadKeyspace(bed.client(), "loaded", ids, EnergyValue,
+                              indexes));
+  ASSERT_TRUE(ks.ok()) << ks.status().ToString();
+  auto stat = testutil::RunSim(bed.sim(), ks->GetStat());
+  ASSERT_TRUE(stat.ok());
+  EXPECT_EQ(stat->num_kvs, 3000u);
+  EXPECT_EQ(stat->state, "COMPACTED");
+
+  // The fused index answers: energies 10..12 are ids = 10..12 mod 100.
+  client::Rows rows;
+  ASSERT_TRUE(testutil::RunSim(bed.sim(), ks->QuerySecondaryRangeF32(
+                                              "energy", 10.0f, 12.0f, 0,
+                                              &rows))
+                  .ok());
+  EXPECT_EQ(rows.size(), 90u);
+  for (const auto& [key, value] : rows) {
+    EXPECT_EQ(value, EnergyValue(FixedKeyId(key)));
+  }
+  EXPECT_EQ(CrcRows(0, rows), CrcRows(CrcRows(0, {rows.front()}),
+                                      client::Rows(rows.begin() + 1,
+                                                   rows.end())));
+}
+
+// The first append of a fresh device is the new keyspace's metadata
+// persist, so failing it fails the create step, and the status says so.
+TEST(WorkloadTest, LoadKeyspaceNamesTheStepAnAppendErrorFailed) {
+  sim::FaultInjector faults;
+  TestbedConfig config = SmallTestbed();
+  config.device.zns.faults = &faults;
+  CsdTestbed bed(config);
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  faults.AddErrorRule(rule);
+  auto ks = testutil::RunSim(
+      bed.sim(), LoadKeyspace(bed.client(), "doomed", SequentialIds(2000),
+                              EnergyValue, {}));
+  EXPECT_EQ(faults.errors_injected(), 1u);
+  ASSERT_FALSE(ks.ok());
+  EXPECT_EQ(ks.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(ks.status().message(), "create: " + rule.message);
 }
 
 }  // namespace

@@ -355,6 +355,88 @@ TEST(MultiQueueTest, PipelinedBulkWriterDrainsAndReadsBack) {
 }
 
 // ---------------------------------------------------------------------------
+// FutureWindow: bounded in-flight futures, reaped in issue order.
+// ---------------------------------------------------------------------------
+
+// Loads keys 0..n-1 (DetValue) into `name` and compacts it, so GETs work.
+sim::Task<Result<client::KeyspaceHandle>> LoadCompacted(
+    client::Client* c, const std::string& name, std::uint64_t n) {
+  auto ks = co_await c->CreateKeyspace(name);
+  if (!ks.ok()) co_return ks;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Status s = co_await ks->Put(MakeFixedKey(i), DetValue(i));
+    if (!s.ok()) co_return s;
+  }
+  Status s = co_await ks->Compact();
+  if (s.ok()) s = co_await ks->WaitCompaction();
+  if (!s.ok()) co_return s;
+  co_return ks;
+}
+
+TEST(FutureWindowTest, NeverHoldsMoreThanDepthAndReapsInIssueOrder) {
+  MultiQueueFixture f(nvme::QueueSetConfig{});
+  client::Client db = f.MakeClient();
+  testutil::RunSim(f.sim, [](client::Client* c) -> sim::Task<void> {
+    constexpr std::uint64_t kKeys = 40;
+    constexpr std::size_t kDepth = 3;
+    auto ks = co_await LoadCompacted(c, "window", kKeys);
+    KVCSD_CO_ASSERT_OK(ks);
+    std::vector<std::string> answers;
+    client::FutureWindow<Result<std::string>> window(
+        kDepth, [&answers](Result<std::string>& got) {
+          answers.push_back(got.ok() ? *got : got.status().ToString());
+        });
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      co_await window.Reserve();
+      KVCSD_CO_ASSERT(window.size() < kDepth);
+      // Answers come back exactly as far as the window had to reap.
+      KVCSD_CO_ASSERT(answers.size() + window.size() == i);
+      window.Push(co_await ks->GetAsync(MakeFixedKey(i)));
+      KVCSD_CO_ASSERT(window.size() <= kDepth);
+    }
+    KVCSD_CO_ASSERT_OK(co_await window.Drain());
+    KVCSD_CO_ASSERT(window.size() == 0);
+    KVCSD_CO_ASSERT(answers.size() == kKeys);
+    for (std::uint64_t i = 0; i < kKeys; ++i) {
+      KVCSD_CO_ASSERT(answers[i] == DetValue(i));
+    }
+  }(&db));
+}
+
+TEST(FutureWindowTest, KeepsTheFirstErrorAndReapsTheRest) {
+  MultiQueueFixture f(nvme::QueueSetConfig{});
+  client::Client db = f.MakeClient();
+  testutil::RunSim(f.sim, [](client::Client* c) -> sim::Task<void> {
+    auto sealed = co_await LoadCompacted(c, "sealed", 8);
+    KVCSD_CO_ASSERT_OK(sealed);
+    // Never compacted, so a GET on it fails, and not with NotFound.
+    auto open = co_await c->CreateKeyspace("open");
+    KVCSD_CO_ASSERT_OK(open);
+    std::vector<Status> reaped;
+    client::FutureWindow<Result<std::string>> window(
+        2, [&reaped](Result<std::string>& got) {
+          reaped.push_back(got.status());
+        });
+    std::vector<std::pair<client::KeyspaceHandle, std::string>> gets = {
+        {*sealed, MakeFixedKey(0)}, {*open, MakeFixedKey(0)},
+        {*sealed, MakeFixedKey(1)}, {*sealed, MakeFixedKey(99)},
+        {*sealed, MakeFixedKey(2)}};
+    for (auto& [ks, key] : gets) {
+      co_await window.Reserve();
+      window.Push(co_await ks.GetAsync(key));
+    }
+    const Status first = co_await window.Drain();
+    KVCSD_CO_ASSERT(reaped.size() == gets.size());
+    KVCSD_CO_ASSERT(reaped[0].ok() && reaped[2].ok() && reaped[4].ok());
+    KVCSD_CO_ASSERT(!reaped[1].ok() && !reaped[1].IsNotFound());
+    KVCSD_CO_ASSERT(reaped[3].IsNotFound());
+    KVCSD_CO_ASSERT(first.code() == reaped[1].code());
+    // Drain hands the error over once; the window is clean for reuse.
+    KVCSD_CO_ASSERT(window.status().ok());
+  }(&db));
+}
+
+// ---------------------------------------------------------------------------
 // SyncWithRetry sleeps with exponential backoff and counts retries.
 // ---------------------------------------------------------------------------
 
