@@ -82,6 +82,11 @@ nvme::Command LogPageCommand(nvme::LogPageId page) {
 
 }  // namespace
 
+Tick RetryBackoff(std::uint32_t retry) {
+  const std::uint32_t shift = std::min<std::uint32_t>(retry, 20);
+  return std::min<Tick>(kRetryBackoffBase << shift, kRetryBackoffCap);
+}
+
 Client::Client(nvme::QueueSet* queues, sim::CpuPool* host_cpu,
                const hostenv::CostModel& host_costs, ClientConfig config)
     : queues_(queues),
@@ -322,20 +327,14 @@ sim::Task<Status> KeyspaceHandle::BulkWriter::Add(const std::string& key,
   // length-prefixed value, repeated.
   PutLengthPrefixedSlice(&frame_, Slice(key));
   PutLengthPrefixedSlice(&frame_, Slice(value));
-  if (frame_.size() >= client_->config().bulk_frame_bytes) {
+  if (frame_.size() >= kBulkFrameBytes) {
     co_return co_await Flush();
   }
   co_return Status::Ok();
 }
 
-KeyspaceHandle::BulkWriter::BulkWriter(Client* client,
-                                       std::uint64_t keyspace_id)
-    : client_(client),
-      keyspace_id_(keyspace_id),
-      window_(client->config().bulk_inflight_frames) {}
-
 sim::Task<Status> KeyspaceHandle::BulkWriter::Flush() {
-  if (frame_.empty()) co_return window_.status();
+  if (frame_.empty()) co_return Status::Ok();
   // Client-side packing cost for the whole frame.
   co_await client_->host_cpu_->ComputeBytes(
       frame_.size(), client_->costs_.memcpy_bytes_per_sec);
@@ -345,21 +344,11 @@ sim::Task<Status> KeyspaceHandle::BulkWriter::Flush() {
   cmd.value = std::move(frame_);
   frame_.clear();
   ++frames_sent_;
-  if (client_->config().bulk_inflight_frames <= 1) {
-    co_return co_await client_->Call(std::move(cmd), DecodeStatus);
-  }
-  // Pipelined: keep up to bulk_inflight_frames frames on the wire; ship
-  // this frame as soon as a window slot frees. Errors from earlier frames
-  // surface here (and definitively at Drain()).
-  co_await window_.Reserve();
-  window_.Push(co_await client_->Launch(std::move(cmd), DecodeStatus));
-  co_return window_.status();
+  co_return co_await client_->Call(std::move(cmd), DecodeStatus);
 }
 
 sim::Task<Status> KeyspaceHandle::BulkWriter::Drain() {
-  Status flush_status = co_await Flush();
-  Status window_status = co_await window_.Drain();
-  co_return flush_status.ok() ? window_status : flush_status;
+  co_return co_await Flush();
 }
 
 sim::Task<Status> KeyspaceHandle::Sync() {
@@ -374,15 +363,11 @@ sim::Task<Status> KeyspaceHandle::SyncWithRetry(std::uint32_t attempts) {
   const std::uint32_t bounded = std::max<std::uint32_t>(attempts, 1);
   for (std::uint32_t i = 0; i < bounded; ++i) {
     if (i > 0) {
-      // Exponential backoff before each retry: base << (attempt-1),
-      // capped. Hammering immediate retries would re-flush into the same
-      // transient fault window.
-      const std::uint32_t shift = std::min<std::uint32_t>(i - 1, 20);
-      const Tick backoff = std::min<Tick>(
-          config.retry_backoff_base << shift, config.retry_backoff_cap);
+      // Exponential backoff before each retry: hammering immediate
+      // retries would re-flush into the same transient fault window.
       client_->stats().counter(config.stats_prefix + "sync.retries")
           .Increment();
-      co_await sim->Delay(backoff);
+      co_await sim->Delay(RetryBackoff(i - 1));
     }
     last = co_await Sync();
     if (last.ok() || !last.IsRetryable()) co_return last;

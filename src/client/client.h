@@ -54,18 +54,21 @@
 
 namespace kvcsd::client {
 
-struct ClientConfig {
-  // Bulk-put frame capacity (the paper's prototype uses 128 KB messages).
-  std::uint64_t bulk_frame_bytes = KiB(128);
+// Bulk-put frame capacity (the paper's prototype uses 128 KB messages).
+inline constexpr std::uint64_t kBulkFrameBytes = KiB(128);
 
+// Retry backoff: the wait before retry `retry` (0-based) is
+// kRetryBackoffBase << retry, capped at kRetryBackoffCap.
+inline constexpr Tick kRetryBackoffBase = Microseconds(50);
+inline constexpr Tick kRetryBackoffCap = Milliseconds(5);
+Tick RetryBackoff(std::uint32_t retry);
+
+struct ClientConfig {
   // --- host path (DESIGN.md §11) ---
   // Admission window: submission blocks once this many commands from this
   // client, sync or async, are submitted-but-unreaped (bounds memory and
   // queue depth).
   std::uint32_t max_inflight = 64;
-  // BulkWriter pipelining: how many bulk frames may be in flight at once.
-  // 1 recovers the fully synchronous flush-per-frame behavior.
-  std::uint32_t bulk_inflight_frames = 1;
   // Pin every command from this client to one SQ of the queue set;
   // kAnyQueue spreads submissions round-robin across all pairs.
   static constexpr std::uint32_t kAnyQueue = 0xffffffffu;
@@ -74,10 +77,6 @@ struct ClientConfig {
   // Multi-tenant benches use distinct prefixes (client.t3.) so per-tenant
   // latency distributions stay separable.
   std::string stats_prefix = "client.";
-
-  // SyncWithRetry backoff: base doubles per retryable failure, capped.
-  Tick retry_backoff_base = Microseconds(50);
-  Tick retry_backoff_cap = Milliseconds(5);
 };
 
 class Client;
@@ -192,29 +191,25 @@ class KeyspaceHandle {
   sim::Task<Status> Delete(const std::string& key);
   sim::Task<Future<Status>> DeleteAsync(const std::string& key);
 
-  // Accumulates pairs into bulk frames; each full frame ships as one
-  // NVMe command. With config.bulk_inflight_frames > 1, Flush() only
-  // *launches* the frame and errors surface on a later Flush/Drain —
-  // always Drain() before Compact() or reading your own writes.
+  // Accumulates pairs into bulk frames of kBulkFrameBytes; each full
+  // frame ships as one NVMe command and Add() returns its status.
   class BulkWriter {
    public:
     sim::Task<Status> Add(const std::string& key, const std::string& value);
     sim::Task<Status> Flush();
-    // Flushes the partial frame and awaits every in-flight frame; returns
-    // the first error any of them produced. Terminal barrier — call
-    // before Compact()/Sync().
+    // Flushes the partial frame and returns its status. Terminal barrier
+    // — call before Compact()/Sync().
     sim::Task<Status> Drain();
     std::uint64_t frames_sent() const { return frames_sent_; }
-    std::uint64_t frames_inflight() const { return window_.size(); }
 
    private:
     friend class KeyspaceHandle;
-    BulkWriter(Client* client, std::uint64_t keyspace_id);
+    BulkWriter(Client* client, std::uint64_t keyspace_id)
+        : client_(client), keyspace_id_(keyspace_id) {}
     Client* client_;
     std::uint64_t keyspace_id_;
     std::string frame_;
     std::uint64_t frames_sent_ = 0;
-    FutureWindow<Status> window_;
   };
   BulkWriter NewBulkWriter() { return BulkWriter(client_, id_); }
 
@@ -231,8 +226,7 @@ class KeyspaceHandle {
   sim::Task<Status> Sync();
 
   // Sync with bounded retries on retryable failures (transient injected
-  // I/O errors), sleeping with exponential backoff between attempts
-  // (config.retry_backoff_base doubling up to retry_backoff_cap) and
+  // I/O errors), sleeping RetryBackoff() between attempts and
   // counting each retry in "<stats_prefix>sync.retries". The device
   // re-queues a failed flush batch into the keyspace's write buffer, so
   // the retry re-flushes the same entries and re-persists — success here

@@ -378,7 +378,7 @@ sim::Task<void> RunWorkload(SweepState* st, client::Client* db) {
 // Zone accounting must partition the device: reserved metadata zones,
 // cluster-owned zones, free zones. Unowned zones must hold no data.
 void CheckZoneAccounting(SweepState* st, device::Device* dev) {
-  const std::uint32_t reserved = dev->config().zones.reserved_zones;
+  const std::uint32_t reserved = device::kReservedZones;
   const std::uint32_t num_zones = dev->ssd().num_zones();
   std::vector<std::uint32_t> owners(num_zones, 0);
   std::size_t owned = 0;

@@ -31,7 +31,6 @@ struct ShardedTestbedConfig {
   // per-device hardware.
   TestbedConfig shard = TestbedConfig::Scaled();
   std::uint32_t num_shards = 4;
-  router::ShardedClientConfig router;
 };
 
 class ShardedTestbed {
@@ -62,7 +61,7 @@ class ShardedTestbed {
       shards_.push_back(std::move(shard));
     }
     router_ = std::make_unique<router::ShardedClient>(
-        &sim_, std::move(clients), std::move(partitioner), config_.router);
+        &sim_, std::move(clients), std::move(partitioner));
     EnableObservability(&sim_);
     for (auto& shard : shards_) shard->device->Start();
   }

@@ -38,7 +38,7 @@ struct TestbedConfig {
   // --- KV-CSD (Table I, right column) ---
   device::DeviceConfig device;
   // PCIe link plus SQ/CQ topology: queues.num_queues pairs (default 1),
-  // queues.sq_depth_cap per-queue depth, queues.arbitration policy.
+  // served round-robin, and queues.sq_depth_cap per-queue depth.
   nvme::QueueSetConfig queues;
 
   // --- RocksLite instance defaults ---

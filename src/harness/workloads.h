@@ -79,8 +79,7 @@ std::uint32_t CrcScalars(std::uint32_t crc, const Scalars&... scalars) {
 
 struct InsertSpec {
   std::uint64_t total_keys = 1 << 20;
-  std::uint32_t key_bytes = 16;   // paper micro benches: 16 B keys
-  std::uint32_t value_bytes = 32; // and 32 B values
+  std::uint32_t value_bytes = 32; // paper micro benches: 16 B keys, 32 B values
   std::uint32_t threads = 1;
   bool shared_keyspace = true;    // one keyspace/DB vs one per thread
   bool use_bulk_put = true;       // KV-CSD bulk PUT vs regular PUT

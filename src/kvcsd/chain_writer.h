@@ -105,7 +105,7 @@ class Device::IndexWriter {
               std::vector<SketchEntry>* sketch, sim::Activity act)
       : dev_(dev),
         sketch_(sketch),
-        packer_(dev->config_.index_block_size),
+        packer_(kIndexBlockSize),
         out_(dev, chain, type, act) {}
 
   // Add one entry to the open block. Each returns true once the closed
@@ -125,7 +125,6 @@ class Device::IndexWriter {
     std::vector<wire::PackedBlock> packed;
     std::string blob = packer_.Take(&packed);
     const std::size_t first = sketch_->size();
-    const std::uint32_t block_size = dev_->config_.index_block_size;
     const std::uint64_t zone_size = dev_->ssd_.zone_size();
     for (wire::PackedBlock& b : packed) {
       // Values that straddle two value appends sit in two zones of their
@@ -133,16 +132,16 @@ class Device::IndexWriter {
       const bool one_zone =
           b.value_hi > b.value_lo &&
           b.value_lo / zone_size == (b.value_hi - 1) / zone_size;
-      sketch_->push_back(SketchEntry{std::move(b.pivot), 0, block_size,
+      sketch_->push_back(SketchEntry{std::move(b.pivot), 0, kIndexBlockSize,
                                      one_zone ? b.value_lo : 0,
                                      one_zone ? b.value_hi : 0});
     }
     std::vector<SketchEntry>* sketch = sketch_;
     const std::size_t blocks = packed.size();
     co_return co_await out_.Append(
-        std::move(blob), [sketch, first, blocks, block_size](std::uint64_t addr) {
+        std::move(blob), [sketch, first, blocks](std::uint64_t addr) {
           for (std::size_t i = 0; i < blocks; ++i) {
-            (*sketch)[first + i].block_addr = addr + i * block_size;
+            (*sketch)[first + i].block_addr = addr + i * kIndexBlockSize;
           }
         });
   }

@@ -548,6 +548,7 @@ sim::Task<Status> Device::BeginCompaction(
                   ? KeyspaceState::kRecompacting
                   : KeyspaceState::kCompacting;
   ks->runtime.compaction_done.Reset();
+  ks->runtime.compaction_status = Status::Ok();
   if (sim_->tracer().enabled() && trigger_cmd_id != 0) {
     // Second flow hop: from the command's exec span to the async
     // compaction span it starts.
@@ -564,7 +565,7 @@ void Device::SpawnCompaction(Keyspace* ks,
       BeginCompaction(ks, std::move(fused_specs), trigger_cmd_id);
   sim_->Spawn([](sim::Task<Status> task) -> sim::Task<void> {
     Status s = co_await std::move(task);
-    (void)s;  // failure rolls the keyspace back; surfaced via Stat
+    (void)s;  // failure rolls the keyspace back; surfaced via kCompactWait
   }(std::move(job)));
 }
 
@@ -614,6 +615,7 @@ sim::Task<Status> Device::CompactKeyspace(
       (void)co_await keyspace_manager_.Persist();
     }
   }
+  ks->runtime.compaction_status = result;
   ks->runtime.compaction_done.Set();
   co_await Unpin(ks);
   co_return result;

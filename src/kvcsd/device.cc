@@ -132,8 +132,8 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
     out->emplace_back(prefix + "delta_index_bytes", ks->delta_index_bytes);
     delta_index_bytes_total += ks->delta_index_bytes;
   }
-  // Aggregate DRAM footprint of every keyspace's delta index — the series
-  // the delta_fold_watermark_bytes knob bounds (DESIGN.md §12).
+  // Aggregate DRAM footprint of every keyspace's delta index (DESIGN.md
+  // §12); a host bounds it by issuing kCompact on a COMPACTED keyspace.
   out->emplace_back(p + "device.delta.index_bytes", delta_index_bytes_total);
   // Windowed utilization by activity class (DESIGN.md §14): who is burning
   // the SoC cores, the NAND channels, the PCIe link, and the dispatch core
@@ -469,7 +469,7 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       break;
     case nvme::Opcode::kCompactWait:
       while (ks->compacting()) co_await ks->runtime.compaction_done.Wait();
-      out.status = Status::Ok();
+      out.status = ks->runtime.compaction_status;
       break;
     case nvme::Opcode::kSecondaryBuild:
       out.status = co_await BuildSecondaryIndex(ks, cmd.sidx);
@@ -619,25 +619,6 @@ void Device::BufferMutation(Keyspace* ks, std::string key, std::string value,
       std::move(key), std::move(value), seq, tombstone});
 }
 
-// The self-triggered counterpart of kCompact-on-COMPACTED: once the delta
-// index crosses the configured watermark, fold it back into the sorted run
-// so the DRAM it occupies stays bounded no matter how long the host defers
-// an explicit re-compaction. Called after the write lock is released (the
-// fold re-acquires it); a no-op while a fold or drop is already pending.
-void Device::MaybeRequestDeltaFold(Keyspace* ks) {
-  if (config_.delta_fold_watermark_bytes == 0) return;
-  if (ks->state != KeyspaceState::kCompacted) return;
-  if (ks->pending_delete || ks->delta_index.empty()) return;
-  if (ks->delta_index_bytes < config_.delta_fold_watermark_bytes) return;
-  stats().counter("device.delta.watermark_folds").Increment();
-  sim_->log().Info("device",
-                   "delta watermark: keyspace '" + ks->name + "' index at " +
-                       std::to_string(ks->delta_index_bytes) + " B >= " +
-                       std::to_string(config_.delta_fold_watermark_bytes) +
-                       " B, folding");
-  SpawnCompaction(ks);  // a failed fold is retried at the next crossing
-}
-
 // A DELETE appends a tombstone record to the (delta) log and acknowledges
 // whether or not the key exists — existence would cost an index lookup on
 // the write path. Visibility is immediate (the delta index/write buffer
@@ -653,7 +634,6 @@ sim::Task<Status> Device::DoMutate(Keyspace* ks, std::string key,
     s = co_await FlushBuffer(ks);
   }
   ks->runtime.write_lock.Release();
-  MaybeRequestDeltaFold(ks);
   co_return s;
 }
 
@@ -703,7 +683,6 @@ sim::Task<Status> Device::DoBulkPut(Keyspace* ks, const std::string& frame) {
                             sim::Activity::kHostWrite);
   }
   ks->runtime.write_lock.Release();
-  MaybeRequestDeltaFold(ks);
   co_return s;
 }
 

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,13 +43,15 @@
 
 namespace kvcsd::device {
 
+// Size of one PIDX/SIDX index block (the paper's 4 KiB index block).
+inline constexpr std::uint32_t kIndexBlockSize = 4096;
+
 struct DeviceConfig {
   storage::ZnsConfig zns;
   ZoneManagerConfig zones;
   std::uint32_t soc_cores = 4;
   std::uint64_t dram_bytes = GiB(8);
   std::uint64_t write_buffer_bytes = KiB(192);  // paper's prototype value
-  std::uint32_t index_block_size = 4096;
   // Appends to SORTED_VALUES/PIDX/SIDX are batched to this size.
   std::uint64_t output_batch_bytes = KiB(256);
   // Merge-sort run size; 0 derives dram_bytes / 4.
@@ -81,13 +84,6 @@ struct DeviceConfig {
   // series and trace tracks stay separable. Applied transitively to the
   // embedded ZnsConfig (zns.stats_prefix is overwritten at construction).
   std::string stats_prefix;
-
-  // Delta-index headroom bound (DESIGN.md §12): when a COMPACTED
-  // keyspace's in-DRAM delta index exceeds this many bytes after a
-  // mutation, the device triggers an incremental re-compaction on its own
-  // (same fold the host can request with kCompact), bounding the DRAM the
-  // delta can occupy. 0 (the default) disables the watermark.
-  std::uint64_t delta_fold_watermark_bytes = 0;
 
   std::uint64_t EffectiveSortRunBytes() const {
     return sort_run_bytes != 0 ? sort_run_bytes : dram_bytes / 4;
@@ -249,9 +245,9 @@ class Device {
   friend struct DeviceTestPeer;
 
   // --- plumbing ---
-  // Services every SQ/CQ pair of the queue set: commands are popped in
-  // the set's arbitration order (round-robin by default), so one full
-  // queue cannot starve its neighbors.
+  // Services every SQ/CQ pair of the queue set: commands are popped
+  // round-robin across the pairs, so one full queue cannot starve its
+  // neighbors.
   sim::Task<void> MainLoop();
   sim::Task<void> HandleCommand(nvme::QueuePair::Incoming incoming);
   sim::Task<nvme::Completion> Dispatch(nvme::Command& cmd);
@@ -298,11 +294,6 @@ class Device {
   // the flush error latched since the last drain: afterwards the logs
   // hold every acknowledged mutation. Sync and both compactions start so.
   sim::Task<Status> DrainWrites(Keyspace* ks);
-  // Delta-index headroom bound: after a delta mutation, spawns an
-  // incremental re-compaction when delta_index_bytes has crossed
-  // config_.delta_fold_watermark_bytes (and the keyspace is idle in
-  // kCompacted). Counts "device.delta.watermark_folds" per trigger.
-  void MaybeRequestDeltaFold(Keyspace* ks);
 
   // --- compaction (compactor.cc) ---
   // The one entry point of deferred, offloaded compaction (paper §V): a
@@ -314,13 +305,13 @@ class Device {
   // started it (0 when internal); the compaction span links back to it
   // with a flow event.
   sim::Task<Status> BeginCompaction(
-      Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
+      Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
       std::uint64_t trigger_cmd_id = 0);
   // BeginCompaction, run detached: a failure rolls the keyspace back and
-  // is visible through Stat.
+  // is visible through Stat and kCompactWait.
   void SpawnCompaction(Keyspace* ks,
-                       std::vector<nvme::SecondaryIndexSpec> fused_specs = {},
-                       std::uint64_t trigger_cmd_id = 0);
+                       std::vector<nvme::SecondaryIndexSpec> fused_specs,
+                       std::uint64_t trigger_cmd_id);
 
   // Failure-handling shell around RunCompaction (COMPACTING) or
   // RunRecompaction (RECOMPACTING). Whatever the body allocated sits in
@@ -567,6 +558,12 @@ class Device {
   sim::Task<void> MaybeFinishPendingDelete(Keyspace* ks);
 
   // --- recovery helpers (recovery.cc) ---
+  // The KLOG walk both replays share: hands every entry of ks's KLOG chain
+  // to `visit` in zone order, truncates each zone's torn tail (logged as
+  // "<zone_label> <zone>"), then sets next_seq past the newest entry and
+  // recounts klog_bytes and vlog_bytes from the clusters.
+  sim::Task<Status> ReplayKlog(Keyspace* ks, const char* zone_label,
+                               std::function<void(const KlogEntry&)> visit);
   // Streams a WRITABLE keyspace's KLOG chain to rebuild num_kvs, min_key,
   // max_key, klog_bytes and vlog_bytes after a restart.
   sim::Task<Status> ReplayKlogChains(Keyspace* ks);

@@ -156,6 +156,10 @@ struct KeyspaceRuntime {
   Status flush_error;
   // Set when a (re)compaction ends, on every exit path.
   sim::Event compaction_done;
+  // The last (re)compaction job's status: Ok from its start until it
+  // ends, then its result, set before compaction_done. kCompactWait
+  // returns it.
+  Status compaction_status;
   // Set when active_readers drops to zero; the fold commit waits on it.
   sim::Event readers_idle;
 };
@@ -202,8 +206,7 @@ struct KeyspaceLayout {
   // Approximate DRAM footprint of delta_index (key + inline value bytes
   // plus a fixed per-entry overhead), maintained by every mutation and
   // recomputed by delta replay. Exported as the "device.delta.index_bytes"
-  // gauge and compared against DeviceConfig::delta_fold_watermark_bytes to
-  // trigger watermark folds. Not persisted.
+  // gauge. Not persisted.
   std::uint64_t delta_index_bytes = 0;
 
   // Every cluster the layout references, in release order: klog, vlog,

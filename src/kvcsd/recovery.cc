@@ -145,8 +145,7 @@ sim::Task<Status> Device::Recover() {
     }
   }
   std::vector<std::uint32_t> unowned;
-  for (std::uint32_t zone = config_.zones.reserved_zones;
-       zone < ssd_.num_zones(); ++zone) {
+  for (std::uint32_t zone = kReservedZones; zone < ssd_.num_zones(); ++zone) {
     if (owned[zone]) continue;
     if (ssd_.write_pointer(zone) == 0 &&
         ssd_.zone_state(zone) == storage::ZoneState::kEmpty) {
@@ -197,13 +196,9 @@ sim::Task<Status> Device::Recover() {
   co_return persisted;
 }
 
-sim::Task<Status> Device::ReplayKlogChains(Keyspace* ks) {
-  sim::TraceSpan span(sim_, trk_recovery_, "replay_klog");
-  span.Arg("keyspace", ks->name);
-  ks->num_kvs = 0;
-  ks->min_key.clear();
-  ks->max_key.clear();
-  bool have_bounds = false;
+sim::Task<Status> Device::ReplayKlog(
+    Keyspace* ks, const char* zone_label,
+    std::function<void(const KlogEntry&)> visit) {
   std::uint64_t max_seq = 0;
   std::vector<KlogEntry> parsed;
   for (ClusterId cluster : ks->klog_clusters) {
@@ -217,19 +212,12 @@ sim::Task<Status> Device::ReplayKlogChains(Keyspace* ks) {
         if (!*more) break;
         for (const KlogEntry& e : parsed) {
           max_seq = std::max(max_seq, e.seq);
-          // num_kvs counts log records, matching the write path (DoDelete
-          // increments it too); min/max track PUT keys only, also matching
-          // the write path (a blind delete never widens the bounds).
-          ++ks->num_kvs;
-          if (e.tombstone) continue;
-          if (!have_bounds || e.key < ks->min_key) ks->min_key = e.key;
-          if (!have_bounds || e.key > ks->max_key) ks->max_key = e.key;
-          have_bounds = true;
+          visit(e);
         }
       }
       if (stream.torn_bytes() > 0) {
         sim_->log().Warn(
-            "recovery", "keyspace '" + ks->name + "' zone " +
+            "recovery", "keyspace '" + ks->name + "' " + zone_label + " " +
                             std::to_string(zone) + ": truncating " +
                             std::to_string(stream.torn_bytes()) +
                             " torn byte(s)");
@@ -250,66 +238,53 @@ sim::Task<Status> Device::ReplayKlogChains(Keyspace* ks) {
   co_return Status::Ok();
 }
 
+sim::Task<Status> Device::ReplayKlogChains(Keyspace* ks) {
+  sim::TraceSpan span(sim_, trk_recovery_, "replay_klog");
+  span.Arg("keyspace", ks->name);
+  ks->num_kvs = 0;
+  ks->min_key.clear();
+  ks->max_key.clear();
+  bool have_bounds = false;
+  auto visit = [ks, &have_bounds](const KlogEntry& e) {
+    // num_kvs counts log records, matching the write path (DoDelete
+    // increments it too); min/max track PUT keys only, also matching the
+    // write path (a blind delete never widens the bounds).
+    ++ks->num_kvs;
+    if (e.tombstone) return;
+    if (!have_bounds || e.key < ks->min_key) ks->min_key = e.key;
+    if (!have_bounds || e.key > ks->max_key) ks->max_key = e.key;
+    have_bounds = true;
+  };
+  co_return co_await ReplayKlog(ks, "zone", visit);
+}
+
 sim::Task<Status> Device::ReplayDeltaChains(Keyspace* ks) {
   sim::TraceSpan span(sim_, trk_recovery_, "replay_delta");
   span.Arg("keyspace", ks->name);
   ks->delta_index.clear();
   ks->delta_live = 0;
   ks->delta_index_bytes = 0;
-  std::uint64_t max_seq = 0;
-  std::vector<KlogEntry> parsed;
-  for (ClusterId cluster : ks->klog_clusters) {
-    for (std::uint32_t zone : zone_manager_.cluster_zones(cluster)) {
-      KlogZoneStream stream(&ssd_, zone, config_.output_batch_bytes,
-                            nullptr);
-      for (;;) {
-        parsed.clear();
-        auto more = co_await stream.NextBatch(&parsed);
-        if (!more.ok()) co_return more.status();
-        if (!*more) break;
-        for (const KlogEntry& e : parsed) {
-          max_seq = std::max(max_seq, e.seq);
-          // Newest mutation per key wins. Compare by seq, not replay
-          // order: pipelined flushes can land KLOG batches out of
-          // admission order.
-          DeltaEntry& entry = ks->delta_index[e.key];
-          if (entry.seq != 0 && e.seq < entry.seq) continue;
-          if (entry.seq != 0 && !entry.tombstone) --ks->delta_live;
-          entry.seq = e.seq;
-          entry.tombstone = e.tombstone;
-          entry.vaddr = e.value_addr;
-          entry.vlen = e.value_len;
-          entry.has_value = false;  // only the VLOG pointer survives DRAM
-          entry.value.clear();
-          if (!e.tombstone) ++ks->delta_live;
-        }
-      }
-      if (stream.torn_bytes() > 0) {
-        sim_->log().Warn(
-            "recovery", "keyspace '" + ks->name + "' delta zone " +
-                            std::to_string(zone) + ": truncating " +
-                            std::to_string(stream.torn_bytes()) +
-                            " torn byte(s)");
-        KVCSD_CO_RETURN_IF_ERROR(
-            co_await TruncateZoneTail(&ssd_, zone, stream.torn_bytes()));
-      }
-    }
-  }
-  ks->next_seq = max_seq + 1;
+  auto visit = [ks](const KlogEntry& e) {
+    // Newest mutation per key wins. Compare by seq, not replay order:
+    // pipelined flushes can land KLOG batches out of admission order.
+    DeltaEntry& entry = ks->delta_index[e.key];
+    if (entry.seq != 0 && e.seq < entry.seq) return;
+    if (entry.seq != 0 && !entry.tombstone) --ks->delta_live;
+    entry.seq = e.seq;
+    entry.tombstone = e.tombstone;
+    entry.vaddr = e.value_addr;
+    entry.vlen = e.value_len;
+    entry.has_value = false;  // only the VLOG pointer survives DRAM
+    entry.value.clear();
+    if (!e.tombstone) ++ks->delta_live;
+  };
+  KVCSD_CO_RETURN_IF_ERROR(co_await ReplayKlog(ks, "delta zone", visit));
   ks->num_kvs = ks->run_entries + ks->delta_live;
   // Rebuild the DRAM-footprint gauge to match the replayed index. No
   // inline values survive a power cut (only VLOG pointers), so the
   // footprint is node overhead + key bytes per entry.
   for (const auto& kv : ks->delta_index) {
     ks->delta_index_bytes += kDeltaEntryOverhead + kv.first.size();
-  }
-  ks->klog_bytes = 0;
-  for (ClusterId cluster : ks->klog_clusters) {
-    ks->klog_bytes += zone_manager_.ClusterBytes(cluster);
-  }
-  ks->vlog_bytes = 0;
-  for (ClusterId cluster : ks->vlog_clusters) {
-    ks->vlog_bytes += zone_manager_.ClusterBytes(cluster);
   }
   co_return Status::Ok();
 }

@@ -231,9 +231,10 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     std::erase_if(rows, [&cmd](const auto& row) {
       return row.first < cmd.key || cmd.key_end < row.first;
     });
-    std::uint64_t key_bytes = 0;
-    for (const auto& [key, value] : rows) key_bytes += key.size();
-    co_await cpu_.ComputeBytes(key_bytes, config_.costs.merge_bytes_per_sec,
+    std::uint64_t row_key_bytes = 0;
+    for (const auto& [key, value] : rows) row_key_bytes += key.size();
+    co_await cpu_.ComputeBytes(row_key_bytes,
+                               config_.costs.merge_bytes_per_sec,
                                sim::Activity::kPushdown);
     std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
       return a.first < b.first;

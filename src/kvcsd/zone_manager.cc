@@ -31,11 +31,11 @@ ZoneManager::ZoneManager(storage::ZnsSsd* ssd, ZoneManagerConfig config,
   free_zones_.reserve(ssd->num_zones());
   // LIFO pool, highest ids first, so allocation hands out low zone ids in
   // ascending order (and therefore consecutive channels) per cluster.
-  for (std::uint32_t z = ssd->num_zones(); z-- > config_.reserved_zones;) {
+  for (std::uint32_t z = ssd->num_zones(); z-- > kReservedZones;) {
     free_zones_.push_back(z);
   }
   // The reserved zones hold the ping-pong metadata snapshots.
-  for (std::uint32_t z = 0; z < config_.reserved_zones; ++z) {
+  for (std::uint32_t z = 0; z < kReservedZones; ++z) {
     ssd_->TagZone(z, "meta");
   }
 }
@@ -204,7 +204,7 @@ Status ZoneManager::RestoreFrom(Slice* in) {
       if (!GetVarint32(in, &zone)) {
         return Status::Corruption("zone-manager cluster zones");
       }
-      if (zone >= ssd_->num_zones() || zone < config_.reserved_zones ||
+      if (zone >= ssd_->num_zones() || zone < kReservedZones ||
           owned[zone]) {
         return Status::Corruption("zone-manager zone id");
       }
@@ -226,7 +226,7 @@ Status ZoneManager::RestoreFrom(Slice* in) {
     }
   }
   free_zones_.clear();
-  for (std::uint32_t z = ssd_->num_zones(); z-- > config_.reserved_zones;) {
+  for (std::uint32_t z = ssd_->num_zones(); z-- > kReservedZones;) {
     if (!owned[z]) free_zones_.push_back(z);
   }
   return Status::Ok();

@@ -38,12 +38,13 @@ const char* ZoneTypeName(ZoneType type);
 
 using ClusterId = std::uint64_t;
 
+// Zones 0 and 1 hold the ping-pong keyspace-metadata snapshots (the
+// table alternates between them so a crash between Reset and the rewrite
+// can never lose both copies); no cluster ever owns them.
+inline constexpr std::uint32_t kReservedZones = 2;
+
 struct ZoneManagerConfig {
   std::uint32_t zones_per_cluster = 4;
-  // Zones 0 and 1 hold the ping-pong keyspace-metadata snapshots (the
-  // table alternates between them so a crash between Reset and the
-  // rewrite can never lose both copies).
-  std::uint32_t reserved_zones = 2;
 };
 
 class ZoneManager {

@@ -81,11 +81,9 @@ sim::Task<Result<std::unique_ptr<Db>>> Db::Open(LsmEnv* env,
 
   // Fresh WAL for the active memtable.
   db->mem_wal_number_ = db->versions_.NextFileNumber();
-  if (db->options_.wal_enabled) {
-    auto wal_file = env->fs->Create(db->WalFileName(db->mem_wal_number_));
-    if (!wal_file.ok()) co_return wal_file.status();
-    db->wal_ = std::make_unique<WalWriter>(env->fs, *wal_file);
-  }
+  auto wal_file = env->fs->Create(db->WalFileName(db->mem_wal_number_));
+  if (!wal_file.ok()) co_return wal_file.status();
+  db->wal_ = std::make_unique<WalWriter>(env->fs, *wal_file);
 
   db->workers_done_.Add(db->options_.background_workers);
   for (int i = 0; i < db->options_.background_workers; ++i) {
@@ -251,11 +249,9 @@ sim::Task<Status> Db::SwitchMemtable() {
   imm_.push_back(ImmEntry{std::move(mem_), mem_wal_number_});
   mem_ = std::make_unique<MemTable>();
   mem_wal_number_ = versions_.NextFileNumber();
-  if (options_.wal_enabled) {
-    auto wal_file = env_->fs->Create(WalFileName(mem_wal_number_));
-    if (!wal_file.ok()) co_return wal_file.status();
-    wal_ = std::make_unique<WalWriter>(env_->fs, *wal_file);
-  }
+  auto wal_file = env_->fs->Create(WalFileName(mem_wal_number_));
+  if (!wal_file.ok()) co_return wal_file.status();
+  wal_ = std::make_unique<WalWriter>(env_->fs, *wal_file);
   ScheduleWork();
   co_return Status::Ok();
 }
@@ -267,14 +263,9 @@ sim::Task<Status> Db::WriteEntry(ValueType type, const Slice& key,
   KVCSD_CO_RETURN_IF_ERROR(co_await MaybeStall());
 
   const SequenceNumber seq = ++seq_;
-  if (options_.wal_enabled) {
-    const std::string rec = EncodeWalEntry(seq, type, key, value);
-    KVCSD_CO_RETURN_IF_ERROR(co_await wal_->AddRecord(Slice(rec)));
-    stats_.wal_bytes += rec.size();
-    if (options_.sync_wal) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await wal_->Sync());
-    }
-  }
+  const std::string rec = EncodeWalEntry(seq, type, key, value);
+  KVCSD_CO_RETURN_IF_ERROR(co_await wal_->AddRecord(Slice(rec)));
+  stats_.wal_bytes += rec.size();
 
   co_await env_->cpu->Compute(env_->costs.memtable_insert);
   mem_->Add(seq, type, key, value);
@@ -488,7 +479,7 @@ sim::Task<Status> Db::RunFlush() {
   stats_.flush_bytes += builder.file_size();
 
   imm_.pop_front();
-  if (options_.wal_enabled && env_->fs->Exists(WalFileName(wal_number))) {
+  if (env_->fs->Exists(WalFileName(wal_number))) {
     KVCSD_CO_RETURN_IF_ERROR(co_await env_->fs->Delete(WalFileName(wal_number)));
   }
   co_return co_await WriteManifest();

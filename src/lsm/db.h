@@ -59,8 +59,6 @@ struct DbOptions {
   double level_multiplier = 10.0;
   std::uint64_t max_file_size = MiB(16);
   SstableOptions table;
-  bool wal_enabled = true;
-  bool sync_wal = false;
   CompactionMode compaction_mode = CompactionMode::kAuto;
   int background_workers = 2;
 };

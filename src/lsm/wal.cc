@@ -21,8 +21,6 @@ sim::Task<Status> WalWriter::AddRecord(const Slice& payload) {
                  record.size()));
 }
 
-sim::Task<Status> WalWriter::Sync() { co_return co_await fs_->Sync(file_); }
-
 sim::Task<Result<std::vector<std::string>>> WalReader::ReadAll() {
   auto size = fs_->FileSize(name_);
   if (!size.ok()) co_return size.status();

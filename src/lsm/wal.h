@@ -24,7 +24,6 @@ class WalWriter {
       : fs_(fs), file_(file) {}
 
   sim::Task<Status> AddRecord(const Slice& payload);
-  sim::Task<Status> Sync();
 
   std::uint64_t bytes_written() const { return bytes_written_; }
 

@@ -149,28 +149,12 @@ QueueSet::QueueSet(sim::Simulation* sim, const QueueSetConfig& config)
                                       &device_to_host_,
                                       config.sq_depth_cap));
   }
-  arb_credits_ = WeightOf(0);
 }
 
 sim::Task<QueuePair::Incoming> QueueSet::NextCommand() {
   // One token per queued command: only scan when work exists.
   co_await work_.Acquire();
   const std::uint32_t n = num_queues();
-  if (config_.arbitration == Arbitration::kWeighted) {
-    // Deficit-free WRR: spend the current queue's quantum while it has
-    // work, then rotate. Terminates because the token guarantees at
-    // least one pair is non-empty and every weight is >= 1.
-    for (;;) {
-      if (arb_credits_ > 0) {
-        if (auto item = pairs_[arb_cursor_]->TryTake()) {
-          --arb_credits_;
-          co_return std::move(*item);
-        }
-      }
-      arb_cursor_ = (arb_cursor_ + 1) % n;
-      arb_credits_ = WeightOf(arb_cursor_);
-    }
-  }
   // Round-robin: take one command from the first non-empty queue at or
   // after the cursor, then advance past it.
   for (;;) {

@@ -15,8 +15,8 @@
 //       PCIe link). Doorbell batching: Submit() rings one doorbell for K
 //       commands, paying `request_latency` once instead of K times.
 //   QueueSet  — N pairs multiplexed over one PCIe link plus the device-side
-//       arbitration point: NextCommand() serves all pairs round-robin (or
-//       weighted), so no queue can starve while another is full.
+//       arbitration point: NextCommand() serves all pairs round-robin, so
+//       no queue can starve while another is full.
 //
 // Completion delivery (ReplyState): Complete() pushes the completed state
 // onto the CQ ring named at submission (a channel). The submitter reaps it
@@ -46,12 +46,6 @@ struct PcieConfig {
   Tick completion_latency = Microseconds(5);
 };
 
-// Device-side service order across the pairs of a QueueSet.
-enum class Arbitration : std::uint8_t {
-  kRoundRobin = 0,  // one command per non-empty queue, rotating
-  kWeighted = 1,    // up to weights[i] consecutive commands from queue i
-};
-
 struct QueueSetConfig {
   PcieConfig pcie;
   // Prefixes the PCIe bandwidth/meter names ("pcie.h2d", "pcie.d2h"), the
@@ -65,10 +59,6 @@ struct QueueSetConfig {
   // Max commands submitted-and-uncompleted per pair; 0 = unbounded.
   // Submitters block (before the submission DMA) until a slot frees.
   std::uint32_t sq_depth_cap = 0;
-  Arbitration arbitration = Arbitration::kRoundRobin;
-  // kWeighted service quanta, one per queue; missing/zero entries count
-  // as 1. Ignored under kRoundRobin.
-  std::vector<std::uint32_t> weights;
 };
 
 class QueuePair;
@@ -182,11 +172,10 @@ class QueueSet {
   QueuePair* pair(std::uint32_t id) { return pairs_[id].get(); }
   const QueuePair* pair(std::uint32_t id) const { return pairs_[id].get(); }
 
-  // Device side: the next command across ALL pairs, in arbitration order.
-  // Round-robin serves one command per non-empty queue in rotation;
-  // weighted serves up to weights[i] consecutive commands from queue i
-  // before moving on. Either way a non-empty queue is never skipped
-  // indefinitely — a full competing queue cannot starve its neighbors.
+  // Device side: the next command across ALL pairs, round-robin: one
+  // command per non-empty queue in rotation, so a non-empty queue is never
+  // skipped indefinitely — a full competing queue cannot starve its
+  // neighbors.
   sim::Task<QueuePair::Incoming> NextCommand();
 
   // Routes the completion back through the pair the command arrived on.
@@ -221,12 +210,6 @@ class QueueSet {
 
   // Called by a pair on every SQ push: one work token per queued command.
   void NotifyWork() { work_.Release(); }
-  std::uint32_t WeightOf(std::uint32_t queue) const {
-    if (queue < config_.weights.size() && config_.weights[queue] > 0) {
-      return config_.weights[queue];
-    }
-    return 1;
-  }
 
   sim::Simulation* sim_;
   QueueSetConfig config_;
@@ -238,8 +221,7 @@ class QueueSet {
   // Counts queued-but-unserved commands across all pairs; NextCommand()
   // acquires one token per command so it only scans when work exists.
   sim::Semaphore work_;
-  std::uint32_t arb_cursor_ = 0;   // next queue to consider
-  std::uint32_t arb_credits_ = 0;  // remaining quantum at arb_cursor_
+  std::uint32_t arb_cursor_ = 0;  // next queue to consider
 };
 
 }  // namespace kvcsd::nvme

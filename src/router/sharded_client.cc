@@ -14,12 +14,6 @@ namespace {
 
 using Rows = ShardedKeyspaceHandle::Rows;
 
-Tick BackoffFor(const ShardedClientConfig& config, std::uint32_t attempt) {
-  const std::uint32_t shift = std::min<std::uint32_t>(attempt, 20);
-  const Tick backoff = config.retry_backoff_base << shift;
-  return std::min(backoff, config.retry_backoff_cap);
-}
-
 bool IsBusy(const Status& status) { return status.IsBusy(); }
 template <typename T>
 bool IsBusy(const Result<T>& result) {
@@ -106,18 +100,17 @@ Status MergeBySecondary(std::vector<Rows>* per,
 }
 
 // Attributes the scatter to its slowest shard: counters + histogram
-// under the router prefix, plus span args the trace analyzer renders
+// under router.scatter.*, plus span args the trace analyzer renders
 // into the per-query fan-out table.
-void FinishScatter(sim::Simulation* sim, const std::string& prefix,
-                   const char* kind, sim::TraceSpan* span,
+void FinishScatter(sim::Simulation* sim, const char* kind, sim::TraceSpan* span,
                    const std::vector<Tick>& elapsed, std::uint64_t rows) {
   std::uint32_t slowest = 0;
   for (std::uint32_t i = 1; i < elapsed.size(); ++i) {
     if (elapsed[i] > elapsed[slowest]) slowest = i;
   }
   const Tick slowest_ns = elapsed.empty() ? 0 : elapsed[slowest];
-  sim->stats().counter(prefix + "scatter." + kind).Increment();
-  sim->stats().histogram(prefix + "scatter.slowest_ns").Record(slowest_ns);
+  sim->stats().counter(std::string("router.scatter.") + kind).Increment();
+  sim->stats().histogram("router.scatter.slowest_ns").Record(slowest_ns);
   span->Arg("fanout", static_cast<std::uint64_t>(elapsed.size()));
   span->Arg("rows", rows);
   span->Arg("slowest_shard", static_cast<std::uint64_t>(slowest));
@@ -157,24 +150,19 @@ sim::Task<Status> PutShardBatch(
 
 ShardedClient::ShardedClient(sim::Simulation* sim,
                              std::vector<client::Client*> shards,
-                             std::unique_ptr<Partitioner> partitioner,
-                             ShardedClientConfig config)
+                             std::unique_ptr<Partitioner> partitioner)
     : sim_(sim),
       shards_(std::move(shards)),
       partitioner_(std::move(partitioner)),
-      config_(std::move(config)),
-      governor_(sim,
-                std::max<std::uint32_t>(1, config_.max_compacting_shards)) {
+      governor_(sim, kMaxCompactingShards) {
   shard_counters_.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string p =
-        config_.stats_prefix + "shard" + std::to_string(i) + ".";
+    const std::string p = "router.shard" + std::to_string(i) + ".";
     shard_counters_.push_back({&sim_->stats().counter(p + "puts"),
                                &sim_->stats().counter(p + "gets"),
                                &sim_->stats().counter(p + "deletes")});
   }
-  busy_retries_ = &sim_->stats().counter(config_.stats_prefix +
-                                         "busy.retries");
+  busy_retries_ = &sim_->stats().counter("router.busy.retries");
 }
 
 sim::Task<Result<ShardedKeyspaceHandle>> ShardedClient::CreateKeyspace(
@@ -254,11 +242,11 @@ auto ShardedKeyspaceHandle::RetryBusy(Attempt attempt) -> decltype(attempt()) {
   ShardedClient* r = router_;
   for (std::uint32_t retries = 0;; ++retries) {
     auto outcome = co_await attempt();
-    if (!IsBusy(outcome) || retries >= r->config_.busy_retry_attempts) {
+    if (!IsBusy(outcome) || retries >= kBusyRetryAttempts) {
       co_return outcome;
     }
     r->busy_retries_->Increment();
-    co_await r->sim_->Delay(BackoffFor(r->config_, retries));
+    co_await r->sim_->Delay(client::RetryBackoff(retries));
   }
 }
 
@@ -453,7 +441,7 @@ sim::Task<Status> ShardedKeyspaceHandle::Scatter(const char* op,
   }
   const Result<std::uint64_t> rows = gather();
   if (!rows.ok()) co_return rows.status();
-  FinishScatter(r->sim_, r->config_.stats_prefix, kind, &span, elapsed, *rows);
+  FinishScatter(r->sim_, kind, &span, elapsed, *rows);
   co_return Status::Ok();
 }
 

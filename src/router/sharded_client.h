@@ -60,17 +60,11 @@ class CompactionGovernor {
   std::uint32_t limit_;
 };
 
-struct ShardedClientConfig {
-  // Governor width: max shards compacting/index-building concurrently.
-  std::uint32_t max_compacting_shards = 2;
-  // Routed sync writes retry kBusy (shard mid-compaction) this many
-  // times with exponential backoff before surfacing the error.
-  std::uint32_t busy_retry_attempts = 8;
-  Tick retry_backoff_base = Microseconds(50);
-  Tick retry_backoff_cap = Milliseconds(5);
-  // Prefix for router stats ("router." -> router.scatter.scans).
-  std::string stats_prefix = "router.";
-};
+// Governor width: max shards compacting/index-building concurrently.
+inline constexpr std::uint32_t kMaxCompactingShards = 2;
+// Routed sync writes retry kBusy (shard mid-compaction) this many times,
+// waiting client::RetryBackoff() before each, then surface the error.
+inline constexpr std::uint32_t kBusyRetryAttempts = 8;
 
 class ShardedClient;
 
@@ -91,7 +85,7 @@ class ShardedKeyspaceHandle {
   client::KeyspaceHandle& shard_handle(std::uint32_t shard);
 
   // --- routed writes ---
-  // Sync variants retry kBusy with backoff (config.busy_retry_attempts);
+  // Sync variants retry kBusy with backoff (kBusyRetryAttempts);
   // async variants surface the shard's status through the future and
   // leave retry policy to the caller.
   sim::Task<Status> Put(const std::string& key, const std::string& value);
@@ -225,7 +219,7 @@ class ShardedKeyspaceHandle {
   // Looks up a registered index spec; kInvalidArgument when unknown.
   Result<nvme::SecondaryIndexSpec> IndexSpec(const std::string& name) const;
   // Awaits `attempt()` again, with exponential backoff, while it answers
-  // kBusy (a shard mid-compaction), at most config.busy_retry_attempts
+  // kBusy (a shard mid-compaction), at most kBusyRetryAttempts
   // times. `attempt` returns a fresh Task<Status> or Task<Result<T>>.
   template <typename Attempt>
   auto RetryBusy(Attempt attempt) -> decltype(attempt());
@@ -239,8 +233,7 @@ class ShardedClient {
   // `shards` are non-owned, must outlive the router, and must all live
   // on `sim`. The partitioner is owned. At least one shard is required.
   ShardedClient(sim::Simulation* sim, std::vector<client::Client*> shards,
-                std::unique_ptr<Partitioner> partitioner,
-                ShardedClientConfig config = {});
+                std::unique_ptr<Partitioner> partitioner);
 
   // Creates/opens/drops the keyspace under the same name on EVERY shard.
   sim::Task<Result<ShardedKeyspaceHandle>> CreateKeyspace(
@@ -258,7 +251,6 @@ class ShardedClient {
   client::Client& shard(std::uint32_t i) { return *shards_[i]; }
   const Partitioner& partitioner() const { return *partitioner_; }
   CompactionGovernor& governor() { return governor_; }
-  const ShardedClientConfig& config() const { return config_; }
   sim::Simulation* sim() { return sim_; }
 
  private:
@@ -275,7 +267,6 @@ class ShardedClient {
   sim::Simulation* sim_;
   std::vector<client::Client*> shards_;
   std::unique_ptr<Partitioner> partitioner_;
-  ShardedClientConfig config_;
   CompactionGovernor governor_;
   std::vector<ShardCounters> shard_counters_;
   sim::Counter* busy_retries_;

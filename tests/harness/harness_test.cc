@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -291,6 +292,103 @@ TEST(WorkloadTest, LoadKeyspaceNamesTheStepAnAppendErrorFailed) {
   ASSERT_FALSE(ks.ok());
   EXPECT_EQ(ks.status().code(), StatusCode::kIoError);
   EXPECT_EQ(ks.status().message(), "create: " + rule.message);
+}
+
+// One append error at any point of a load fails the load. The load makes
+// 86 appends: the create persist, the log flushes of the bulk load, then
+// the compaction's outputs and persists; the skips 1..80 reach into the
+// compaction. A flush error is latched until the compaction's drain, so
+// these fail the compaction, which reaches the host through
+// WaitCompaction. Each status is the injected error, prefixed with the
+// name of the step it failed.
+TEST(WorkloadTest, LoadKeyspaceFailsAtEveryInjectedAppendError) {
+  const std::set<std::string> steps = {"create", "bulk load", "drain",
+                                       "compact", "wait compaction"};
+  for (std::uint64_t k = 1; k <= 80; ++k) {
+    SCOPED_TRACE("skip=" + std::to_string(k));
+    sim::FaultInjector faults;
+    TestbedConfig config = SmallTestbed();
+    config.device.zns.faults = &faults;
+    CsdTestbed bed(config);
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kAppend;
+    rule.skip = k;
+    faults.AddErrorRule(rule);
+    auto ks = testutil::RunSim(
+        bed.sim(), LoadKeyspace(bed.client(), "doomed", SequentialIds(1600),
+                                EnergyValue, {}));
+    EXPECT_EQ(faults.errors_injected(), 1u);
+    ASSERT_FALSE(ks.ok());
+    EXPECT_EQ(ks.status().code(), StatusCode::kIoError);
+    const std::string message = ks.status().message();
+    const std::size_t colon = message.find(": ");
+    ASSERT_NE(colon, std::string::npos) << message;
+    const std::string step = message.substr(0, colon);
+    EXPECT_TRUE(steps.contains(step)) << message;
+    EXPECT_EQ(message.substr(colon + 2), rule.message);
+  }
+}
+
+// Every series a 2-shard fleet records names the shard it belongs to,
+// so one name means one device's series at 1 and at N devices.
+TEST(ShardedTestbedTest, EverySeriesNameIsPerShardOrFleetLevel) {
+  ShardedTestbedConfig config;
+  config.shard = SmallTestbed();
+  config.num_shards = 2;
+  ShardedTestbed fleet(config);
+  testutil::RunSim(fleet.sim(), [](ShardedTestbed* bed) -> sim::Task<void> {
+    auto ks = co_await bed->router().CreateKeyspace("fleet");
+    KVCSD_CO_ASSERT_OK(ks);
+    for (std::uint64_t i = 0; i < 64; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), EnergyValue(i)));
+    }
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    for (std::uint64_t i = 0; i < 64; i += 7) {
+      KVCSD_CO_ASSERT_OK(co_await ks->Get(MakeFixedKey(i)));
+    }
+    client::Rows rows;
+    KVCSD_CO_ASSERT_OK(
+        co_await ks->Scan(MakeFixedKey(0), MakeFixedKey(63), 0, &rows));
+    KVCSD_CO_ASSERT(rows.size() == 64);
+  }(&fleet));
+
+  // Fleet-level by design:
+  //   router.     the router's routing, scatter-gather and retry series;
+  //   util.host.  the host CPU pool every shard's client shares.
+  const std::vector<std::string> fleet_level = {"router.", "util.host."};
+  std::vector<std::string> names;
+  for (const auto& [name, counter] : fleet.sim().stats().counters()) {
+    names.push_back(name);
+  }
+  for (const auto& [name, histogram] : fleet.sim().stats().histograms()) {
+    names.push_back(name);
+  }
+  sim::TelemetrySampler::Gauges gauges;
+  fleet.sim().telemetry().Collect(&gauges);
+  EXPECT_FALSE(gauges.empty());
+  for (const auto& [name, value] : gauges) names.push_back(name);
+
+  std::vector<std::uint64_t> per_shard(config.num_shards, 0);
+  for (const std::string& name : names) {
+    bool named = false;
+    for (std::uint32_t i = 0; i < config.num_shards; ++i) {
+      const std::string shard = "shard" + std::to_string(i) + ".";
+      for (const std::string& prefix :
+           {shard, "client." + shard, "util." + shard}) {
+        if (name.starts_with(prefix)) {
+          named = true;
+          ++per_shard[i];
+        }
+      }
+    }
+    for (const std::string& prefix : fleet_level) {
+      named = named || name.starts_with(prefix);
+    }
+    EXPECT_TRUE(named) << name;
+  }
+  for (std::uint32_t i = 0; i < config.num_shards; ++i) {
+    EXPECT_GT(per_shard[i], 0u) << "shard " << i;
+  }
 }
 
 }  // namespace

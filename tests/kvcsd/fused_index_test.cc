@@ -246,8 +246,9 @@ TEST(FusedIndexTest, WrappedKeyRangeIsRejected) {
     EXPECT_EQ(co_await scan_all(&ks), 100u);
     EXPECT_TRUE((co_await ks.Get(MakeFixedKey(42))).ok());
 
-    // Fused build: the compaction fails and rolls back to WRITABLE, and a
-    // plain compaction afterwards succeeds.
+    // Fused build: the compaction fails, the wait reports it, the
+    // keyspace rolls back to WRITABLE, and a plain compaction afterwards
+    // succeeds.
     auto fused = (co_await db->CreateKeyspace("fused")).value();
     co_await load(&fused);
     nvme::SecondaryIndexSpec wrapped_f32;
@@ -257,7 +258,8 @@ TEST(FusedIndexTest, WrappedKeyRangeIsRejected) {
     wrapped_f32.type = nvme::SecondaryKeyType::kF32;
     std::vector<nvme::SecondaryIndexSpec> specs = {wrapped_f32};
     EXPECT_TRUE((co_await fused.CompactWithIndexes(specs)).ok());
-    EXPECT_TRUE((co_await fused.WaitCompaction()).ok());
+    const Status waited = co_await fused.WaitCompaction();
+    EXPECT_EQ(waited.code(), StatusCode::kInvalidArgument) << waited.ToString();
     EXPECT_EQ(co_await state_of(&fused), "WRITABLE");
     EXPECT_TRUE((co_await fused.Compact()).ok());
     EXPECT_TRUE((co_await fused.WaitCompaction()).ok());

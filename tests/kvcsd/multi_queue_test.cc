@@ -1,6 +1,6 @@
 // Multi-queue host path (DESIGN.md §11): async futures reaped by the
 // per-client reactor, sync calls inside the same admission window, SQ/CQ
-// arbitration fairness, pipelined bulk writes, retry backoff, and
+// arbitration fairness, retry backoff, and
 // exactly-once completion across a power cycle with commands in flight on
 // multiple queues.
 #include <gtest/gtest.h>
@@ -322,39 +322,6 @@ TEST(MultiQueueTest, CompetingFullQueueCannotStarveNeighbor) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined BulkWriter: frames overlap in flight, Drain() is the barrier.
-// ---------------------------------------------------------------------------
-
-TEST(MultiQueueTest, PipelinedBulkWriterDrainsAndReadsBack) {
-  MultiQueueFixture f(TwoQueues());
-  client::ClientConfig cfg;
-  cfg.bulk_frame_bytes = KiB(1);  // small frames: force many in flight
-  cfg.bulk_inflight_frames = 4;
-  client::Client db = f.MakeClient(cfg);
-  constexpr std::uint64_t kKeys = 200;
-
-  testutil::RunSim(f.sim, [](client::Client* c) -> sim::Task<void> {
-    auto ks = co_await c->CreateKeyspace("bulk");
-    KVCSD_CO_ASSERT_OK(ks);
-    auto writer = ks->NewBulkWriter();
-    for (std::uint64_t i = 0; i < kKeys; ++i) {
-      KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(i), DetValue(i)));
-    }
-    KVCSD_CO_ASSERT_OK(co_await writer.Drain());
-    KVCSD_CO_ASSERT(writer.frames_inflight() == 0);
-    KVCSD_CO_ASSERT(writer.frames_sent() > 4);
-
-    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
-    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-    for (std::uint64_t i = 0; i < kKeys; i += 13) {
-      auto got = co_await ks->Get(MakeFixedKey(i));
-      KVCSD_CO_ASSERT_OK(got);
-      KVCSD_CO_ASSERT(*got == DetValue(i));
-    }
-  }(&db));
-}
-
-// ---------------------------------------------------------------------------
 // FutureWindow: bounded in-flight futures, reaped in issue order.
 // ---------------------------------------------------------------------------
 
@@ -441,11 +408,12 @@ TEST(FutureWindowTest, KeepsTheFirstErrorAndReapsTheRest) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiQueueTest, SyncWithRetryBacksOffExponentially) {
+  EXPECT_EQ(client::RetryBackoff(0), client::kRetryBackoffBase);
+  EXPECT_EQ(client::RetryBackoff(1), 2 * client::kRetryBackoffBase);
+  EXPECT_EQ(client::RetryBackoff(20), client::kRetryBackoffCap);
+
   MultiQueueFixture f(nvme::QueueSetConfig{});
-  client::ClientConfig cfg;
-  cfg.retry_backoff_base = Microseconds(100);
-  cfg.retry_backoff_cap = Milliseconds(5);
-  client::Client db = f.MakeClient(cfg);
+  client::Client db = f.MakeClient(client::ClientConfig{});
 
   testutil::RunSim(
       f.sim,
@@ -454,7 +422,7 @@ TEST(MultiQueueTest, SyncWithRetryBacksOffExponentially) {
         auto ks = co_await c->CreateKeyspace("retry");
         KVCSD_CO_ASSERT_OK(ks);
 
-        // One injected failure: attempt 1 fails, one 100us backoff, then
+        // One injected failure: attempt 1 fails, one base backoff, then
         // attempt 2 succeeds.
         KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(1), "v1"));
         sim::ErrorRule rule;
@@ -463,11 +431,11 @@ TEST(MultiQueueTest, SyncWithRetryBacksOffExponentially) {
         faults->AddErrorRule(rule);
         Tick begin = sim->Now();
         KVCSD_CO_ASSERT_OK(co_await ks->SyncWithRetry(3));
-        KVCSD_CO_ASSERT(sim->Now() - begin >= Microseconds(100));
+        KVCSD_CO_ASSERT(sim->Now() - begin >= client::kRetryBackoffBase);
         KVCSD_CO_ASSERT(
             sim->stats().counter("client.sync.retries").value() == 1);
 
-        // Two failures: backoffs of 100us then 200us before attempt 3.
+        // Two failures: backoffs of base then 2 * base before attempt 3.
         KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(2), "v2"));
         sim::ErrorRule twice;
         twice.op = sim::FaultOp::kAppend;
@@ -475,7 +443,7 @@ TEST(MultiQueueTest, SyncWithRetryBacksOffExponentially) {
         faults->AddErrorRule(twice);
         begin = sim->Now();
         KVCSD_CO_ASSERT_OK(co_await ks->SyncWithRetry(3));
-        KVCSD_CO_ASSERT(sim->Now() - begin >= Microseconds(300));
+        KVCSD_CO_ASSERT(sim->Now() - begin >= 3 * client::kRetryBackoffBase);
         KVCSD_CO_ASSERT(
             sim->stats().counter("client.sync.retries").value() == 3);
       }(&f.sim, &db, &f.faults));

@@ -888,30 +888,22 @@ TEST(MutabilityTest, FoldLifecycleKeepsOneOwnerPerCluster) {
 }
 
 // --------------------------------------------------------------------------
-// Delta watermark (device.cc MaybeRequestDeltaFold): with
-// delta_fold_watermark_bytes set, the device folds the delta back into the
-// run on its own once the in-DRAM delta index crosses the threshold — no
-// host Compact() involved. Below the watermark nothing fires; at the
-// crossing the fold runs exactly once, the gauge drains to zero, and the
-// merged view survives the fold byte-identically.
+// Delta-index gauge: every delta overwrite adds kDeltaEntryOverhead + key +
+// value bytes to "device.delta.index_bytes", and a host-issued fold drains
+// it to zero while the merged view survives byte-identically.
 // --------------------------------------------------------------------------
-TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
-  // Each delta overwrite costs kDeltaEntryOverhead(48) + 16-byte key +
-  // value bytes in the index, so ~14 entries trip the fold.
-  constexpr std::uint64_t kWatermark = 1024;
+TEST(MutabilityTest, DeltaIndexGaugeTracksEntriesAndDrainsOnFold) {
   constexpr std::uint64_t kKeys = 200;
   sim::Simulation sim;
   nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  DeviceConfig cfg = SmallDevice();
-  cfg.delta_fold_watermark_bytes = kWatermark;
-  Device dev{&sim, cfg, &qp};
+  Device dev{&sim, SmallDevice(), &qp};
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
   dev.Start();
 
-  testutil::RunSim(sim, [](client::Client* dbp, Device* devp,
-                           sim::Simulation* simp) -> sim::Task<void> {
-    auto ks = (co_await dbp->CreateKeyspace("wm")).value();
+  testutil::RunSim(sim, [](client::Client* dbp,
+                           Device* devp) -> sim::Task<void> {
+    auto ks = (co_await dbp->CreateKeyspace("gauge")).value();
     std::vector<std::pair<std::string, std::string>> model;
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       std::string value = "base-" + std::to_string(i);
@@ -920,41 +912,21 @@ TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
     }
     KVCSD_CO_ASSERT_OK(co_await ks.Compact());
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
+    KVCSD_CO_ASSERT(devp->BuildHealthPage().Gauge("device.delta.index_bytes") ==
+                    0);
 
-    // 10 delta overwrites = 710 index bytes (48 overhead + 16 key + 7
-    // value each): under the watermark, so the delta accumulates (gauge
-    // grows) and no fold fires.
     std::uint64_t expect_bytes = 0;
     for (std::uint64_t i = 0; i < 10; ++i) {
       model[i].second = "delta-" + std::to_string(i);
       KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), model[i].second));
       expect_bytes += kDeltaEntryOverhead + 16 + model[i].second.size();
+      KVCSD_CO_ASSERT(
+          devp->BuildHealthPage().Gauge("device.delta.index_bytes") ==
+          expect_bytes);
     }
-    KVCSD_CO_ASSERT(
-        simp->stats().counter_value("device.delta.watermark_folds") == 0);
-    KVCSD_CO_ASSERT(expect_bytes < kWatermark);
-    KVCSD_CO_ASSERT(devp->BuildHealthPage().Gauge("device.delta.index_bytes") ==
-                    expect_bytes);
 
-    // Keep mutating until the crossing. Once the watermark trips, the
-    // keyspace flips to RECOMPACTING and further puts bounce with kBusy —
-    // that IS the fold starting, so stop writing and let it finish.
-    std::uint64_t i = 10;
-    while (simp->stats().counter_value("device.delta.watermark_folds") == 0) {
-      KVCSD_CO_ASSERT(i < kKeys);  // the watermark must trip well before
-      std::string value = "delta-" + std::to_string(i);
-      Status s = co_await ks.Put(MakeFixedKey(i), value);
-      if (s.code() == StatusCode::kBusy) break;
-      KVCSD_CO_ASSERT_OK(s);
-      model[i].second = std::move(value);
-      ++i;
-    }
-    KVCSD_CO_ASSERT(
-        simp->stats().counter_value("device.delta.watermark_folds") == 1);
+    KVCSD_CO_ASSERT_OK(co_await ks.Compact());
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
-
-    // Folded: state is back to COMPACTED, the delta index drained, and
-    // the merged view kept every overwrite.
     auto stat = co_await ks.GetStat();
     KVCSD_CO_ASSERT_OK(stat);
     KVCSD_CO_ASSERT(stat->state == "COMPACTED");
@@ -965,24 +937,7 @@ TEST(MutabilityTest, DeltaWatermarkTriggersAutomaticFold) {
     KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == kKeys);
     KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
-
-    // A second round of delta traffic re-arms the watermark: the fold is
-    // recurring, not one-shot.
-    std::uint64_t folds = 1;
-    for (std::uint64_t j = 0; j < 40 && folds < 2; ++j) {
-      std::string value = "again-" + std::to_string(j);
-      Status s = co_await ks.Put(MakeFixedKey(j), value);
-      if (s.code() == StatusCode::kBusy) {
-        KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
-        continue;
-      }
-      KVCSD_CO_ASSERT_OK(s);
-      model[j].second = std::move(value);
-      folds = simp->stats().counter_value("device.delta.watermark_folds");
-    }
-    KVCSD_CO_ASSERT(folds == 2);
-    KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
-  }(&db, &dev, &sim));
+  }(&db, &dev));
 }
 
 }  // namespace

@@ -291,7 +291,7 @@ TEST(ReadPathTest, InjectedReadErrorCachedVsUncached) {
 // never exceeds its byte budget.
 TEST(ReadPathTest, TinyCacheEvictsWithinBudget) {
   DeviceConfig cfg = SmallDevice();
-  cfg.index_cache_bytes = 2 * cfg.index_block_size;  // two blocks
+  cfg.index_cache_bytes = 2 * kIndexBlockSize;  // two blocks
   ReadPathFixture f(cfg);
   testutil::RunSim(f.sim, LoadAndCompact(&f.db, "tiny", 1200));
   ASSERT_GE(f.dev.keyspaces().Find("tiny").value()->pidx_sketch.size(), 4u);

@@ -288,20 +288,6 @@ TEST(DbTest, RecoveryFromManifestAfterFlush) {
   f.CloseDb(db2.get());
 }
 
-TEST(DbTest, WalDisabledStillWorksInProcess) {
-  DbFixture f;
-  auto options = f.SmallOptions();
-  options.wal_enabled = false;
-  auto db = f.OpenDb(options);
-  testutil::RunSim(f.sim, [](Db* d) -> sim::Task<void> {
-    EXPECT_TRUE((co_await d->Put("k", "v")).ok());
-    std::string v;
-    EXPECT_TRUE((co_await d->Get("k", &v)).ok());
-  }(db.get()));
-  EXPECT_EQ(db->stats().wal_bytes, 0u);
-  f.CloseDb(db.get());
-}
-
 TEST(DbTest, CompactionModeNoneNeverCompacts) {
   DbFixture f;
   auto db = f.OpenDb(f.SmallOptions(CompactionMode::kNone));

@@ -24,7 +24,6 @@ TEST(WalTest, WriteThenReadAll) {
     EXPECT_TRUE((co_await w->AddRecord("first")).ok());
     EXPECT_TRUE((co_await w->AddRecord("second record")).ok());
     EXPECT_TRUE((co_await w->AddRecord("")).ok());
-    EXPECT_TRUE((co_await w->Sync()).ok());
   }(&writer));
 
   WalReader reader(&f.fs, "wal-1");

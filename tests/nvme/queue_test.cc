@@ -232,45 +232,6 @@ TEST(QueueSetTest, RoundRobinAlternatesAcrossPairs) {
   EXPECT_EQ(set.sq_depth(), 0u);
 }
 
-TEST(QueueSetTest, WeightedArbitrationSpendsQuanta) {
-  sim::Simulation sim;
-  QueueSetConfig cfg;
-  cfg.num_queues = 2;
-  cfg.arbitration = Arbitration::kWeighted;
-  cfg.weights = {2, 1};
-  QueueSet set(&sim, cfg);
-  CqRing ring(&sim);
-
-  sim.Spawn([](QueueSet* s, CqRing* cq) -> sim::Task<void> {
-    for (int i = 0; i < 4; ++i) {
-      Command cmd;
-      cmd.opcode = Opcode::kKvStore;
-      (void)co_await SubmitOne(s->pair(0), std::move(cmd), cq);
-    }
-    for (int i = 0; i < 2; ++i) {
-      Command cmd;
-      cmd.opcode = Opcode::kKvStore;
-      (void)co_await SubmitOne(s->pair(1), std::move(cmd), cq);
-    }
-  }(&set, &ring));
-
-  std::vector<std::uint32_t> order;
-  sim.Spawn([](sim::Simulation* s, QueueSet* qs,
-               std::vector<std::uint32_t>* out) -> sim::Task<void> {
-    co_await s->Delay(Milliseconds(1));
-    for (int i = 0; i < 6; ++i) {
-      auto incoming = co_await qs->NextCommand();
-      out->push_back(incoming.queue_id);
-      Completion reply;
-      co_await qs->Complete(std::move(incoming), std::move(reply));
-    }
-  }(&sim, &set, &order));
-
-  sim.Run();
-  // weights {2,1}: two from queue 0, one from queue 1, repeat.
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 0, 1, 0, 0, 1}));
-}
-
 TEST(QueueSetTest, DepthCapBlocksSubmittersUntilCompletionsFreeSlots) {
   // Without a device, the third submission blocks on the per-queue cap.
   {
