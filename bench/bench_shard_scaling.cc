@@ -20,7 +20,7 @@
 //
 // Flags: --puts=16384 --gets=8192 --drivers=8 --depth=4 --batch=32
 //        --get_drivers=64 --get_depth=64 --value_bytes=2048
-//        --min_scaling_pct=75 --debug_stats=1 (latency breakdown)
+//        --min_scaling_pct=75
 //        --json=PATH --trace=PATH --telemetry=PATH
 #include <bit>
 #include <cstdio>
@@ -298,20 +298,6 @@ int main(int argc, char** argv) {
       if (results_ok(get_drivers) && ticks > 0) {
         point.get_per_sec =
             static_cast<double>(gets) * 1e9 / static_cast<double>(ticks);
-      }
-    }
-
-    if (flags.GetUint("debug_stats", 0) != 0) {
-      for (const auto& [name, h] : bed.sim().stats().histograms()) {
-        if (name.find("get_ns") == std::string::npos &&
-            name.find("queue_wait") == std::string::npos &&
-            name.find("exec_ns") == std::string::npos) {
-          continue;
-        }
-        const auto s = h.Summary();
-        std::printf("  [debug] %-46s count=%-8llu mean=%-10.0f p99=%.0f\n",
-                    name.c_str(), static_cast<unsigned long long>(s.count),
-                    s.mean, s.p99);
       }
     }
 

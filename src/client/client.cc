@@ -37,15 +37,6 @@ Result<nvme::HealthPage> DecodeHealth(nvme::Completion completion) {
   return page;
 }
 
-Result<nvme::StatsPage> DecodeStats(nvme::Completion completion) {
-  if (!completion.status.ok()) return completion.status;
-  nvme::StatsPage page;
-  if (!nvme::DecodeStatsPage(completion.value, &page)) {
-    return Status::Corruption("bad stats log page");
-  }
-  return page;
-}
-
 Result<std::uint64_t> DecodeKeyspaceId(nvme::Completion completion) {
   if (!completion.status.ok()) return completion.status;
   return completion.keyspace_id;
@@ -70,13 +61,6 @@ nvme::Command NamedCommand(nvme::Opcode op, const std::string& name) {
   nvme::Command cmd;
   cmd.opcode = op;
   cmd.name = name;
-  return cmd;
-}
-
-nvme::Command LogPageCommand(nvme::LogPageId page) {
-  nvme::Command cmd;
-  cmd.opcode = nvme::Opcode::kGetLogPage;
-  cmd.log_page = page;
   return cmd;
 }
 
@@ -239,21 +223,9 @@ sim::Task<Status> Client::DropKeyspace(const std::string& name) {
 }
 
 sim::Task<Result<nvme::HealthPage>> Client::GetHealth() {
-  co_return co_await (co_await GetHealthAsync()).Await();
-}
-
-sim::Task<Result<nvme::StatsPage>> Client::GetStats() {
-  co_return co_await (co_await GetStatsAsync()).Await();
-}
-
-sim::Task<Future<Result<nvme::HealthPage>>> Client::GetHealthAsync() {
-  nvme::Command cmd = LogPageCommand(nvme::LogPageId::kHealth);
-  return Launch(std::move(cmd), DecodeHealth);
-}
-
-sim::Task<Future<Result<nvme::StatsPage>>> Client::GetStatsAsync() {
-  nvme::Command cmd = LogPageCommand(nvme::LogPageId::kStats);
-  return Launch(std::move(cmd), DecodeStats);
+  nvme::Command cmd;
+  cmd.opcode = nvme::Opcode::kGetLogPage;
+  co_return co_await Call(std::move(cmd), DecodeHealth);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,43 +428,26 @@ sim::Task<Status> KeyspaceHandle::Select(const std::string& lo,
                                          const std::string& hi,
                                          const SelectOptions& opts,
                                          Rows* out) {
-  co_return AppendRows(co_await (co_await SelectAsync(lo, hi, opts)).Await(),
-                       out);
-}
-
-sim::Task<Future<Result<Rows>>> KeyspaceHandle::SelectAsync(
-    const std::string& lo, const std::string& hi, const SelectOptions& opts) {
   nvme::Command cmd =
       MakePushdownCommand(KsCommand(nvme::Opcode::kKvSelect), lo, hi, opts);
-  return client_->Launch(std::move(cmd), DecodeRows);
+  co_return AppendRows(co_await client_->Call(std::move(cmd), DecodeRows),
+                       out);
 }
 
 sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::Aggregate(
     const std::string& lo, const std::string& hi,
     const nvme::AggregateSpec& agg, const SelectOptions& opts) {
-  co_return co_await (co_await AggregateAsync(lo, hi, agg, opts)).Await();
+  nvme::Command cmd = MakePushdownCommand(
+      KsCommand(nvme::Opcode::kKvAggregate), lo, hi, opts);
+  cmd.agg = agg;
+  co_return co_await client_->Call(std::move(cmd), DecodeAggregate);
 }
 
 sim::Task<Result<nvme::AggregateResult>> KeyspaceHandle::Aggregate(
     const std::string& lo, const std::string& hi,
     const nvme::AggregateSpec& agg) {
-  co_return co_await (co_await AggregateAsync(lo, hi, agg)).Await();
-}
-
-sim::Task<Future<Result<nvme::AggregateResult>>>
-KeyspaceHandle::AggregateAsync(const std::string& lo, const std::string& hi,
-                               const nvme::AggregateSpec& agg,
-                               const SelectOptions& opts) {
-  nvme::Command cmd = MakePushdownCommand(
-      KsCommand(nvme::Opcode::kKvAggregate), lo, hi, opts);
-  cmd.agg = agg;
-  return client_->Launch(std::move(cmd), DecodeAggregate);
-}
-
-sim::Task<Future<Result<nvme::AggregateResult>>>
-KeyspaceHandle::AggregateAsync(const std::string& lo, const std::string& hi,
-                               const nvme::AggregateSpec& agg) {
-  return AggregateAsync(lo, hi, agg, SelectOptions{});
+  const SelectOptions unfiltered;
+  co_return co_await Aggregate(lo, hi, agg, unfiltered);
 }
 
 sim::Task<Result<KeyspaceHandle::Stat>> KeyspaceHandle::GetStat() {

@@ -86,7 +86,7 @@ using Rows = std::vector<std::pair<std::string, std::string>>;
 
 // Awaitable handle to one in-flight command: its shared reply state plus
 // the decoder that turns the completion into a T (a Status, a value, rows,
-// aggregate scalars, a log page). Copyable (shared state); Await() the
+// aggregate scalars, the health page). Copyable (shared state); Await() the
 // same future once — the completion payload is moved out.
 template <typename T>
 class Future {
@@ -196,9 +196,9 @@ class KeyspaceHandle {
   class BulkWriter {
    public:
     sim::Task<Status> Add(const std::string& key, const std::string& value);
-    sim::Task<Status> Flush();
-    // Flushes the partial frame and returns its status. Terminal barrier
-    // — call before Compact()/Sync().
+    // Ships the partial frame, if any, and returns its status: the barrier
+    // before Compact()/Sync(). The writer stays usable; Add() after a
+    // Drain() starts a new frame.
     sim::Task<Status> Drain();
     std::uint64_t frames_sent() const { return frames_sent_; }
 
@@ -206,6 +206,8 @@ class KeyspaceHandle {
     friend class KeyspaceHandle;
     BulkWriter(Client* client, std::uint64_t keyspace_id)
         : client_(client), keyspace_id_(keyspace_id) {}
+    // Ships the current frame as one kBulkStore command.
+    sim::Task<Status> Flush();
     Client* client_;
     std::uint64_t keyspace_id_;
     std::string frame_;
@@ -280,15 +282,9 @@ class KeyspaceHandle {
     std::string index_name;
   };
   // Device-filtered scan: only matching (possibly projected) records
-  // cross the link. The *Async variants are deliberately NOT coroutines:
-  // they encode the descriptor structs into a self-contained wire command
-  // before returning, so caller temporaries (e.g. a literal `{}` for opts)
-  // never outlive the call. The sync variants await them in place.
+  // cross the link.
   sim::Task<Status> Select(const std::string& lo, const std::string& hi,
                            const SelectOptions& opts, Rows* out);
-  sim::Task<Future<Result<Rows>>> SelectAsync(const std::string& lo,
-                                              const std::string& hi,
-                                              const SelectOptions& opts);
   // Device-computed count/min/max/sum over an attribute of every match;
   // the completion carries four scalars regardless of row count. The
   // opts-free overloads scan unfiltered over the primary range — prefer
@@ -297,12 +293,6 @@ class KeyspaceHandle {
       const std::string& lo, const std::string& hi,
       const nvme::AggregateSpec& agg, const SelectOptions& opts);
   sim::Task<Result<nvme::AggregateResult>> Aggregate(
-      const std::string& lo, const std::string& hi,
-      const nvme::AggregateSpec& agg);
-  sim::Task<Future<Result<nvme::AggregateResult>>> AggregateAsync(
-      const std::string& lo, const std::string& hi,
-      const nvme::AggregateSpec& agg, const SelectOptions& opts);
-  sim::Task<Future<Result<nvme::AggregateResult>>> AggregateAsync(
       const std::string& lo, const std::string& hi,
       const nvme::AggregateSpec& agg);
 
@@ -336,15 +326,10 @@ class Client {
   sim::Task<Status> DropKeyspace(const std::string& name);
 
   // --- in-band telemetry (DESIGN.md §14) ---
-  // Pulls a device log page over the wire (kGetLogPage) and decodes it.
-  // Health: point-in-time gauges (zone pool, per-role zns.* usage, util.*
+  // Pulls the device health page over the wire (kGetLogPage) and decodes
+  // it: point-in-time gauges (zone pool, per-role zns.* usage, util.*
   // windowed utilization, delta-index sizes, inflight/compaction state).
-  // Stats: device.* counters and histogram digests, encoded at one tick —
-  // a same-tick host snapshot of the device series matches exactly.
   sim::Task<Result<nvme::HealthPage>> GetHealth();
-  sim::Task<Result<nvme::StatsPage>> GetStats();
-  sim::Task<Future<Result<nvme::HealthPage>>> GetHealthAsync();
-  sim::Task<Future<Result<nvme::StatsPage>>> GetStatsAsync();
 
   const ClientConfig& config() const { return config_; }
   nvme::QueueSet& queue() { return *queues_; }

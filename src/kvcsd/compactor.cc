@@ -288,7 +288,7 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 
   // Best-effort: the runs are merged, and a TEMP cluster a failed reset
   // leaves behind is unreferenced, so recovery reclaims it.
-  (void)co_await zone_manager_.ReleaseClusters(std::move(state->temp_clusters));
+  co_await zone_manager_.ReleaseBestEffort(std::move(state->temp_clusters));
   state->temp_clusters.clear();
   state->runs.clear();
   co_return Status::Ok();
@@ -606,7 +606,7 @@ sim::Task<Status> Device::CompactKeyspace(
   if (!result.ok()) {
     // Best-effort: no snapshot references scratch, so whatever a failed
     // reset (or a power cut) leaves behind, recovery reclaims.
-    (void)co_await zone_manager_.ReleaseClusters(std::move(scratch));
+    co_await zone_manager_.ReleaseBestEffort(std::move(scratch));
     ks->RollBackCompaction();
     if (faults_ == nullptr || !faults_->crashed()) {
       // Make the rollback durable so a later crash cannot resurrect the
@@ -654,7 +654,7 @@ sim::Task<void> Device::ReleaseSuperseded(const KeyspaceLayout& old,
   // Best-effort: the committed snapshot no longer references these, so a
   // cluster a failed reset (or a power cut) leaves behind is reclaimed by
   // recovery as unreferenced.
-  (void)co_await zone_manager_.ReleaseClusters(std::move(dead));
+  co_await zone_manager_.ReleaseBestEffort(std::move(dead));
 }
 
 sim::Task<Status> Device::RunCompaction(
@@ -900,7 +900,7 @@ sim::Task<Status> Device::RunCompaction(
     }
     // Best-effort: no snapshot references the TEMP runs, so recovery
     // reclaims any a failed reset leaves behind.
-    (void)co_await zone_manager_.ReleaseClusters(std::move(temp_clusters));
+    co_await zone_manager_.ReleaseBestEffort(std::move(temp_clusters));
     KVCSD_CO_RETURN_IF_ERROR(co_await blobs.Wait());
   }
   if (CrashPoint("compact.before_commit")) {
@@ -968,7 +968,7 @@ sim::Task<Status> Device::BuildSecondaryIndex(
                 sidx.sidx_clusters.end());
   // Best-effort: no durable snapshot references the failed build's
   // clusters, so recovery reclaims any a failed reset leaves behind.
-  (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
+  co_await zone_manager_.ReleaseBestEffort(std::move(doomed));
   co_return result;
 }
 

@@ -158,33 +158,6 @@ nvme::HealthPage Device::BuildHealthPage() const {
   return page;
 }
 
-nvme::StatsPage Device::BuildStatsPage() const {
-  nvme::StatsPage page;
-  page.tick = sim_->Now();
-  // Device-owned series only: the host can already see its own client.*
-  // numbers, and pulling them back over the wire would just be noise.
-  // device.stage.* histograms are excluded because the pull command itself
-  // records into them mid-dispatch — with them, a page could never equal a
-  // same-tick host snapshot, and the acceptance test depends on exactly
-  // that equality.
-  // Names in the page are device-local (prefix stripped): the host decodes
-  // the same series whether the device runs alone or as shard N of a fleet.
-  const std::string dev = config_.stats_prefix + "device.";
-  const std::string stage = config_.stats_prefix + "device.stage.";
-  const std::size_t strip = config_.stats_prefix.size();
-  for (const auto& [name, counter] : stats_view_.base().counters()) {
-    if (name.rfind(dev, 0) == 0) {
-      page.counters.emplace_back(name.substr(strip), counter.value());
-    }
-  }
-  for (const auto& [name, hist] : stats_view_.base().histograms()) {
-    if (name.rfind(dev, 0) == 0 && name.rfind(stage, 0) != 0) {
-      page.histograms.emplace_back(name.substr(strip), hist.Summary());
-    }
-  }
-  return page;
-}
-
 void Device::Start() {
   if (started_) return;
   started_ = true;
@@ -202,11 +175,6 @@ std::unique_ptr<Device> Device::Restart(sim::Simulation* sim,
   auto device = std::make_unique<Device>(sim, config, queues);
   device->ssd_.CloneStateFrom(prior.ssd_);
   return device;
-}
-
-sim::Task<Status> Device::RecoverMetadata() {
-  auto recovered = co_await keyspace_manager_.Recover();
-  co_return recovered.status();
 }
 
 bool Device::CrashPoint(const char* point) {
@@ -359,23 +327,10 @@ sim::Task<nvme::Completion> Device::Dispatch(nvme::Command& cmd) {
       break;
     }
     case nvme::Opcode::kGetLogPage: {
-      // Admin pull of a device log page (DESIGN.md §14). Encoded inline at
-      // the current tick, so every value in the page is from one instant —
-      // a host-side Stats snapshot taken at the same tick decodes equal.
+      // Admin pull of the device health page (DESIGN.md §14). Encoded
+      // inline at the current tick, so every gauge is from one instant.
       co_await cpu_.Compute(config_.costs.kv_op_fixed);
-      switch (cmd.log_page) {
-        case nvme::LogPageId::kHealth:
-          out.value = nvme::EncodeHealthPage(BuildHealthPage());
-          break;
-        case nvme::LogPageId::kStats:
-          out.value = nvme::EncodeStatsPage(BuildStatsPage());
-          break;
-        default:
-          out.status = Status::InvalidArgument(
-              "unknown log page " +
-              std::to_string(static_cast<unsigned>(cmd.log_page)));
-          break;
-      }
+      out.value = nvme::EncodeHealthPage(BuildHealthPage());
       break;
     }
     default: {
@@ -865,7 +820,7 @@ sim::Task<Status> Device::FinishDrop(Keyspace* ks) {
   // clusters are garbage whether or not the release below succeeds —
   // recovery reclaims whatever a crash or failed reset leaves orphaned.
   KVCSD_CO_RETURN_IF_ERROR(co_await keyspace_manager_.Persist());
-  (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
+  co_await zone_manager_.ReleaseBestEffort(std::move(doomed));
   co_return Status::Ok();
 }
 

@@ -195,10 +195,6 @@ class Device {
   // of WRITABLE keyspaces to rebuild num_kvs/min_key/max_key.
   sim::Task<Status> Recover();
 
-  // Recovers only the keyspace table from the metadata zones (for tests
-  // that exercise snapshot persistence in isolation).
-  sim::Task<Status> RecoverMetadata();
-
   KeyspaceManager& keyspaces() { return keyspace_manager_; }
   ZoneManager& zones() { return zone_manager_; }
   storage::ZnsSsd& ssd() { return ssd_; }
@@ -222,16 +218,13 @@ class Device {
   // Returns to zero once the queue drains — including across a power
   // cycle, where the powered-off fast path completes stragglers.
   std::uint64_t inflight_commands() const { return inflight_commands_; }
-  // Compactions started (kCompact spawn) and not yet finished.
-  std::uint64_t compactions_running() const { return compactions_running_; }
 
   // --- in-band telemetry (DESIGN.md §14) ---
-  // The device-side builders behind the kGetLogPage admin command. Public
-  // so tests can read a page without a queue round-trip; over the wire the
-  // host receives the same pages flat-encoded (nvme/log_page.h) and decodes
-  // them with Client::GetHealth()/GetStats().
+  // The device-side builder behind the kGetLogPage admin command. Public
+  // so tests can read the page without a queue round-trip; over the wire
+  // the host receives it flat-encoded (nvme/log_page.h) and decodes it
+  // with Client::GetHealth().
   nvme::HealthPage BuildHealthPage() const;
-  nvme::StatsPage BuildStatsPage() const;
 
   // Windowed wall-time meter of the single-core command dispatch loop
   // (capacity 1.0): the ROADMAP's known serialization bottleneck, made
@@ -611,6 +604,7 @@ class Device {
   void CollectTelemetry(sim::TelemetrySampler::Gauges* out) const;
 
   std::uint64_t inflight_commands_ = 0;
+  // Compactions started (kCompact spawn) and not yet finished.
   std::uint64_t compactions_running_ = 0;
   CompactionStats compaction_stats_;
   std::uint64_t telemetry_token_ = 0;

@@ -383,7 +383,7 @@ sim::Task<Result<BlobRef>> KeyspaceManager::WriteBlob(ZoneType role,
     // Never referenced: hand the zone straight back. Best-effort, since
     // recovery reclaims an unreferenced cluster a failed reset leaves.
     std::vector<ClusterId> unused(1, ref.cluster);
-    (void)co_await zones_->ReleaseClusters(std::move(unused));
+    co_await zones_->ReleaseBestEffort(std::move(unused));
     co_return addr.status();
   }
   ref.addr = *addr;

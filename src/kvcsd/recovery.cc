@@ -134,7 +134,7 @@ sim::Task<Status> Device::Recover() {
   }
   // Best-effort: a cluster whose reset fails stays allocated and
   // unreferenced, so the next recovery reclaims it.
-  (void)co_await zone_manager_.ReleaseClusters(std::move(doomed));
+  co_await zone_manager_.ReleaseBestEffort(std::move(doomed));
 
   // Step 4: reset written zones no surviving cluster owns — data from
   // clusters allocated after the snapshot was taken.

@@ -4,6 +4,8 @@
 #include <string>
 
 #include "common/coding.h"
+#include "sim/fault.h"
+#include "sim/simulation.h"
 
 namespace kvcsd::device {
 
@@ -118,6 +120,17 @@ sim::Task<Status> ZoneManager::ReleaseClusters(std::vector<ClusterId> ids) {
     clusters_.erase(id);
   }
   co_return first_error;
+}
+
+sim::Task<void> ZoneManager::ReleaseBestEffort(std::vector<ClusterId> ids) {
+  const Status released = co_await ReleaseClusters(std::move(ids));
+  const sim::FaultInjector* faults = ssd_->fault_injector();
+  if (released.ok() || (faults != nullptr && faults->crashed())) co_return;
+  sim::Simulation* sim = ssd_->sim();
+  const std::string& prefix = ssd_->config().stats_prefix;
+  sim->stats().counter(prefix + "device.zones.release_failed").Increment();
+  sim->log().Warn("zones", prefix + "release failed, recovery reclaims: " +
+                               released.ToString());
 }
 
 sim::Task<Result<std::uint64_t>> ZoneManager::Append(

@@ -69,6 +69,13 @@ class ZoneManager {
   // Unknown ids, repeats and clusters already in another in-flight batch
   // are skipped. Returns the first failed reset in list order, or OK.
   sim::Task<Status> ReleaseClusters(std::vector<ClusterId> ids);
+  // ReleaseClusters for a caller that cannot act on a failed reset: the
+  // clusters are garbage once no snapshot references them, and recovery
+  // reclaims any a failed reset leaves owned. While power is on, each
+  // failed release is counted in "<prefix>device.zones.release_failed"
+  // (registered on its first failure) and leaves a breadcrumb in the
+  // event ring; after a power cut every reset fails and it stays silent.
+  sim::Task<void> ReleaseBestEffort(std::vector<ClusterId> ids);
 
   // Appends a contiguous record to the cluster, rotating the target zone
   // per append starting at the cluster's random offset. Returns the device

@@ -49,16 +49,16 @@ enum class Opcode : std::uint8_t {
   // Pushdown aggregation: count/min/max/sum over a fixed-offset value
   // attribute computed device-side; the completion carries scalars only.
   kKvAggregate = 0xcd,
-  // Admin introspection (NVMe Get Log Page): the device returns a
-  // versioned, flat-encoded log page (nvme/log_page.h) in the completion
-  // payload. Not keyspace-scoped; `log_page` selects the page.
+  // Admin introspection (NVMe Get Log Page): the device returns its
+  // versioned, flat-encoded health page (nvme/log_page.h) in the
+  // completion payload. Not keyspace-scoped.
   kGetLogPage = 0xce,
 };
 
-// Log page identifiers for kGetLogPage.
+// Log page identifier, carried in the page header and counted in the
+// command's wire size (one dword).
 enum class LogPageId : std::uint32_t {
   kHealth = 1,  // gauges: zones per role, delta bytes, inflight, utilization
-  kStats = 2,   // device.* counters + latency-histogram digests
 };
 
 // Secondary index key type (paper §V: applications give a byte range of
@@ -181,8 +181,6 @@ struct Command {
   ValuePredicate pred;
   Projection proj;
   AggregateSpec agg;
-  // kGetLogPage: which page to return.
-  LogPageId log_page = LogPageId::kHealth;
 };
 
 // Completion posted back to the host.

@@ -1,7 +1,5 @@
 #include "nvme/log_page.h"
 
-#include <bit>
-
 #include "common/coding.h"
 #include "common/slice.h"
 
@@ -20,13 +18,6 @@ bool GetName(Slice* input, std::string* name) {
   return true;
 }
 
-// Shared page header: version, page id, tick.
-void PutHeader(std::string* dst, LogPageId id, Tick tick) {
-  PutFixed16(dst, kLogPageVersion);
-  PutFixed32(dst, static_cast<std::uint32_t>(id));
-  PutFixed64(dst, tick);
-}
-
 }  // namespace
 
 std::uint64_t HealthPage::Gauge(const std::string& name) const {
@@ -36,16 +27,12 @@ std::uint64_t HealthPage::Gauge(const std::string& name) const {
   return 0;
 }
 
-std::uint64_t StatsPage::Counter(const std::string& name) const {
-  for (const auto& [key, value] : counters) {
-    if (key == name) return value;
-  }
-  return 0;
-}
-
 std::string EncodeHealthPage(const HealthPage& page) {
   std::string out;
-  PutHeader(&out, LogPageId::kHealth, page.tick);
+  // Page header: version, page id, tick.
+  PutFixed16(&out, kLogPageVersion);
+  PutFixed32(&out, static_cast<std::uint32_t>(LogPageId::kHealth));
+  PutFixed64(&out, page.tick);
   PutFixed32(&out, static_cast<std::uint32_t>(page.gauges.size()));
   for (const auto& [name, value] : page.gauges) {
     PutName(&out, name);
@@ -54,55 +41,18 @@ std::string EncodeHealthPage(const HealthPage& page) {
   return out;
 }
 
-std::string EncodeStatsPage(const StatsPage& page) {
-  std::string out;
-  PutHeader(&out, LogPageId::kStats, page.tick);
-  PutFixed32(&out, static_cast<std::uint32_t>(page.counters.size()));
-  for (const auto& [name, value] : page.counters) {
-    PutName(&out, name);
-    PutFixed64(&out, value);
-  }
-  PutFixed32(&out, static_cast<std::uint32_t>(page.histograms.size()));
-  for (const auto& [name, digest] : page.histograms) {
-    PutName(&out, name);
-    PutFixed64(&out, digest.count);
-    PutFixed64(&out, digest.sum);
-    PutFixed64(&out, digest.min);
-    PutFixed64(&out, digest.max);
-    // bit_cast keeps digests bit-identical through the wire: the decoded
-    // double is the same object representation, not a re-rounded value.
-    PutFixed64(&out, std::bit_cast<std::uint64_t>(digest.mean));
-    PutFixed64(&out, std::bit_cast<std::uint64_t>(digest.p50));
-    PutFixed64(&out, std::bit_cast<std::uint64_t>(digest.p95));
-    PutFixed64(&out, std::bit_cast<std::uint64_t>(digest.p99));
-    PutFixed64(&out, std::bit_cast<std::uint64_t>(digest.p999));
-  }
-  return out;
-}
-
-namespace {
-
-bool DecodeHeader(Slice* input, LogPageId want, std::uint16_t* version,
-                  Tick* tick) {
-  if (input->size() < 2) return false;
-  *version = DecodeFixed16(input->data());
-  input->remove_prefix(2);
-  std::uint32_t id = 0;
-  std::uint64_t t = 0;
-  if (!GetFixed32(input, &id) || !GetFixed64(input, &t)) return false;
-  if (*version != kLogPageVersion) return false;
-  if (id != static_cast<std::uint32_t>(want)) return false;
-  *tick = t;
-  return true;
-}
-
-}  // namespace
-
 bool DecodeHealthPage(const std::string& payload, HealthPage* page) {
   Slice input(payload);
-  if (!DecodeHeader(&input, LogPageId::kHealth, &page->version, &page->tick)) {
-    return false;
-  }
+  if (input.size() < 2) return false;
+  const std::uint16_t version = DecodeFixed16(input.data());
+  input.remove_prefix(2);
+  std::uint32_t id = 0;
+  std::uint64_t tick = 0;
+  if (!GetFixed32(&input, &id) || !GetFixed64(&input, &tick)) return false;
+  if (version != kLogPageVersion) return false;
+  if (id != static_cast<std::uint32_t>(LogPageId::kHealth)) return false;
+  page->version = version;
+  page->tick = tick;
   std::uint32_t count = 0;
   if (!GetFixed32(&input, &count)) return false;
   page->gauges.clear();
@@ -112,49 +62,6 @@ bool DecodeHealthPage(const std::string& payload, HealthPage* page) {
     std::uint64_t value = 0;
     if (!GetName(&input, &name) || !GetFixed64(&input, &value)) return false;
     page->gauges.emplace_back(std::move(name), value);
-  }
-  return input.empty();
-}
-
-bool DecodeStatsPage(const std::string& payload, StatsPage* page) {
-  Slice input(payload);
-  if (!DecodeHeader(&input, LogPageId::kStats, &page->version, &page->tick)) {
-    return false;
-  }
-  std::uint32_t count = 0;
-  if (!GetFixed32(&input, &count)) return false;
-  page->counters.clear();
-  page->counters.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name;
-    std::uint64_t value = 0;
-    if (!GetName(&input, &name) || !GetFixed64(&input, &value)) return false;
-    page->counters.emplace_back(std::move(name), value);
-  }
-  if (!GetFixed32(&input, &count)) return false;
-  page->histograms.clear();
-  page->histograms.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string name;
-    sim::HistogramSummary digest;
-    std::uint64_t mean = 0;
-    std::uint64_t p50 = 0;
-    std::uint64_t p95 = 0;
-    std::uint64_t p99 = 0;
-    std::uint64_t p999 = 0;
-    if (!GetName(&input, &name) || !GetFixed64(&input, &digest.count) ||
-        !GetFixed64(&input, &digest.sum) || !GetFixed64(&input, &digest.min) ||
-        !GetFixed64(&input, &digest.max) || !GetFixed64(&input, &mean) ||
-        !GetFixed64(&input, &p50) || !GetFixed64(&input, &p95) ||
-        !GetFixed64(&input, &p99) || !GetFixed64(&input, &p999)) {
-      return false;
-    }
-    digest.mean = std::bit_cast<double>(mean);
-    digest.p50 = std::bit_cast<double>(p50);
-    digest.p95 = std::bit_cast<double>(p95);
-    digest.p99 = std::bit_cast<double>(p99);
-    digest.p999 = std::bit_cast<double>(p999);
-    page->histograms.emplace_back(std::move(name), digest);
   }
   return input.empty();
 }

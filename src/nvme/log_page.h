@@ -6,13 +6,9 @@
 // device-side encoder (src/kvcsd/device.cc) and the host-side decoder
 // (src/client/client.cc), so both ends agree on the format by construction.
 //
-// Two pages exist today:
-//   kHealth — point-in-time gauges: free zones, per-role zone budgets,
-//     delta-index bytes, inflight/compaction state, and the windowed
-//     per-activity utilization section (util.<resource>.<class>).
-//   kStats  — the device.* counter registry plus latency-histogram digests.
-//     Doubles in a digest are encoded via bit_cast so a decoded digest is
-//     bit-identical to the device-side HistogramSummary, not merely close.
+// One page exists: kHealth, the point-in-time gauges — free zones,
+// per-role zone budgets, delta-index bytes, inflight/compaction state, and
+// the windowed per-activity utilization section (util.<resource>.<class>).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +18,6 @@
 
 #include "common/units.h"
 #include "nvme/command.h"
-#include "sim/stats.h"
 
 namespace kvcsd::nvme {
 
@@ -39,22 +34,10 @@ struct HealthPage {
   std::uint64_t Gauge(const std::string& name) const;
 };
 
-// kStats: counters and histogram digests snapshotted at one tick.
-struct StatsPage {
-  std::uint16_t version = kLogPageVersion;
-  Tick tick = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, sim::HistogramSummary>> histograms;
-
-  std::uint64_t Counter(const std::string& name) const;
-};
-
 std::string EncodeHealthPage(const HealthPage& page);
-std::string EncodeStatsPage(const StatsPage& page);
 
-// Decoders return false on truncated input, a version mismatch, or a page
-// id that does not match the struct being decoded.
+// Returns false on truncated input, a version mismatch, or a page id other
+// than kHealth.
 bool DecodeHealthPage(const std::string& payload, HealthPage* page);
-bool DecodeStatsPage(const std::string& payload, StatsPage* page);
 
 }  // namespace kvcsd::nvme

@@ -260,13 +260,6 @@ sim::Task<Status> ShardedKeyspaceHandle::Put(const std::string& key,
       [&] { return state_->shards[shard].Put(key, value); });
 }
 
-sim::Task<client::Future<Status>> ShardedKeyspaceHandle::PutAsync(
-    const std::string& key, const std::string& value) {
-  const std::uint32_t shard = ShardOf(key);
-  router_->shard_counters_[shard].puts->Increment();
-  co_return co_await state_->shards[shard].PutAsync(key, value);
-}
-
 sim::Task<std::vector<client::Future<Status>>>
 ShardedKeyspaceHandle::PutBatchAsync(
     std::vector<std::pair<std::string, std::string>> pairs) {
@@ -304,26 +297,10 @@ sim::Task<Status> ShardedKeyspaceHandle::Delete(const std::string& key) {
       [&] { return state_->shards[shard].Delete(key); });
 }
 
-sim::Task<client::Future<Status>> ShardedKeyspaceHandle::DeleteAsync(
-    const std::string& key) {
-  const std::uint32_t shard = ShardOf(key);
-  router_->shard_counters_[shard].deletes->Increment();
-  co_return co_await state_->shards[shard].DeleteAsync(key);
-}
-
 sim::Task<Status> ShardedKeyspaceHandle::Sync() {
   sim::TaskGroup group(router_->sim_);
   for (std::uint32_t i = 0; i < num_shards(); ++i) {
     group.Spawn(state_->shards[i].Sync());
-  }
-  co_return co_await group.Wait();
-}
-
-sim::Task<Status> ShardedKeyspaceHandle::SyncWithRetry(
-    std::uint32_t attempts) {
-  sim::TaskGroup group(router_->sim_);
-  for (std::uint32_t i = 0; i < num_shards(); ++i) {
-    group.Spawn(state_->shards[i].SyncWithRetry(attempts));
   }
   co_return co_await group.Wait();
 }

@@ -7,10 +7,10 @@
 // space over N devices — each with its own ZNS SSD, SoC, PCIe link and
 // async multi-queue client — and makes the fleet look like one keyspace:
 //
-//   PUT/GET/DELETE  route to the owning shard (Partitioner), sync
-//                   wrappers retry kBusy with exponential backoff while
-//                   a shard compacts; async variants return the shard
-//                   client's future and ride its admission window.
+//   PUT/GET/DELETE  route to the owning shard (Partitioner) and retry
+//                   kBusy with exponential backoff while a shard
+//                   compacts. GetAsync and PutBatchAsync return the shard
+//                   clients' futures and ride their admission windows.
 //   Scan/secondary  scatter to every shard, then k-way merge the
 //                   per-shard sorted streams host-side (loser tree),
 //                   producing the exact single-device result order.
@@ -85,24 +85,19 @@ class ShardedKeyspaceHandle {
   client::KeyspaceHandle& shard_handle(std::uint32_t shard);
 
   // --- routed writes ---
-  // Sync variants retry kBusy with backoff (kBusyRetryAttempts);
-  // async variants surface the shard's status through the future and
-  // leave retry policy to the caller.
+  // Put and Delete retry kBusy with backoff (kBusyRetryAttempts).
   sim::Task<Status> Put(const std::string& key, const std::string& value);
-  sim::Task<client::Future<Status>> PutAsync(const std::string& key,
-                                           const std::string& value);
   // Batched async puts: pairs are grouped by owning shard and each
   // group ships as one doorbell ring on that shard's client, so the
   // per-command submission cost amortizes across the batch AND across
-  // shards. Futures come back in input order.
+  // shards. Futures come back in input order; each surfaces its shard's
+  // status and leaves retry policy to the caller.
   sim::Task<std::vector<client::Future<Status>>> PutBatchAsync(
       std::vector<std::pair<std::string, std::string>> pairs);
   sim::Task<Status> Delete(const std::string& key);
-  sim::Task<client::Future<Status>> DeleteAsync(const std::string& key);
 
   // Fan-out fsync: every shard's buffered PUTs are durable on return.
   sim::Task<Status> Sync();
-  sim::Task<Status> SyncWithRetry(std::uint32_t attempts = 3);
 
   // --- lifecycle ---
   // Compacts every shard, staggered by the router's CompactionGovernor

@@ -151,10 +151,6 @@ class StatsView {
     return base_->has_counter(prefix_.empty() ? name : prefix_ + name);
   }
 
-  const std::string& prefix() const { return prefix_; }
-  Stats& base() { return *base_; }
-  const Stats& base() const { return *base_; }
-
  private:
   Stats* base_;
   std::string prefix_;

@@ -67,13 +67,6 @@ void Tracer::CompleteSpan(
                           std::max(begin, end), 0, std::move(args)});
 }
 
-void Tracer::Instant(std::uint32_t track, std::string_view name, Tick at,
-                     std::vector<std::pair<std::string, std::string>> args) {
-  if (!enabled_ || Full()) return;
-  events_.push_back(Event{track, 'i', std::string(name), at, at, 0,
-                          std::move(args)});
-}
-
 void Tracer::Flow(std::uint32_t track, char phase, std::string_view name,
                   std::uint64_t id, Tick at) {
   if (!enabled_ || Full()) return;
@@ -83,11 +76,6 @@ void Tracer::Flow(std::uint32_t track, char phase, std::string_view name,
 void Tracer::FlowBegin(std::uint32_t track, std::string_view name,
                        std::uint64_t id, Tick at) {
   Flow(track, 's', name, id, at);
-}
-
-void Tracer::FlowStep(std::uint32_t track, std::string_view name,
-                      std::uint64_t id, Tick at) {
-  Flow(track, 't', name, id, at);
 }
 
 void Tracer::FlowEnd(std::uint32_t track, std::string_view name,
@@ -129,11 +117,9 @@ std::string Tracer::ToJson() const {
     if (e.phase == 'X') {
       out += ",\"dur\":";
       AppendMicros(&out, e.end - e.begin);
-    } else if (e.phase == 'i') {
-      out += ",\"s\":\"t\"";  // instant scope: thread
     } else {
-      // Flow events ('s'/'t'/'f') are matched by (cat, name, id); binding
-      // to the enclosing slice needs "bp":"e" on the terminating event.
+      // Flow events ('s'/'f') are matched by (cat, name, id); binding to
+      // the enclosing slice needs "bp":"e" on the terminating event.
       out += ",\"cat\":\"flow\",\"id\":";
       out += std::to_string(e.flow_id);
       if (e.phase == 'f') out += ",\"bp\":\"e\"";

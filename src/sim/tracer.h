@@ -52,20 +52,14 @@ class Tracer {
       std::uint32_t track, std::string_view name, Tick begin, Tick end,
       std::vector<std::pair<std::string, std::string>> args = {});
 
-  // A zero-duration marker (crash points, commit points).
-  void Instant(std::uint32_t track, std::string_view name, Tick at,
-               std::vector<std::pair<std::string, std::string>> args = {});
-
   // Flow events tie causally-related spans together across tracks: a
-  // FlowBegin inside the producing span, optional FlowSteps inside relay
-  // spans, and a FlowEnd inside the consuming span, all sharing (name, id)
-  // — the viewer draws arrows along the chain. Emit them at a tick covered
-  // by an enclosing 'X' span on the same track, or they have nothing to
-  // bind to. `id` is the causal key (we use the command's cmd_id).
+  // FlowBegin inside the producing span and a FlowEnd inside the consuming
+  // span, sharing (name, id) — the viewer draws an arrow between them.
+  // Emit them at a tick covered by an enclosing 'X' span on the same
+  // track, or they have nothing to bind to. `id` is the causal key (we use
+  // the command's cmd_id).
   void FlowBegin(std::uint32_t track, std::string_view name, std::uint64_t id,
                  Tick at);
-  void FlowStep(std::uint32_t track, std::string_view name, std::uint64_t id,
-                Tick at);
   void FlowEnd(std::uint32_t track, std::string_view name, std::uint64_t id,
                Tick at);
 
@@ -76,14 +70,14 @@ class Tracer {
     dropped_ = 0;
   }
 
-  // Chrome trace_event JSON ("traceEvents" array of X/i/M phases).
+  // Chrome trace_event JSON ("traceEvents" array of X/M and flow phases).
   std::string ToJson() const;
   Status WriteFile(const std::string& path) const;
 
  private:
   struct Event {
     std::uint32_t track;
-    char phase;  // 'X' complete span, 'i' instant, 's'/'t'/'f' flow
+    char phase;  // 'X' complete span, 's'/'f' flow begin/end
     std::string name;
     Tick begin;
     Tick end;

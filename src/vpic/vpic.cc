@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/coding.h"
 #include "common/keys.h"
 
 namespace kvcsd::vpic {
@@ -124,31 +123,6 @@ Dump::HostAggregate Dump::FileEnergyAggregate(std::uint32_t index,
     out.sum += v;
   }
   return out;
-}
-
-std::string SerializeFile(const std::vector<const Particle*>& particles) {
-  std::string out;
-  out.reserve(particles.size() * kParticleBytes);
-  for (const Particle* p : particles) {
-    out += p->Key();
-    out += p->Payload();
-  }
-  return out;
-}
-
-bool DeserializeFile(const std::string& raw, std::vector<Particle>* out) {
-  if (raw.size() % kParticleBytes != 0) return false;
-  const std::size_t count = raw.size() / kParticleBytes;
-  out->reserve(out->size() + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const char* rec = raw.data() + i * kParticleBytes;
-    Particle p;
-    p.id = ReadBigEndian64(rec);
-    std::string payload(rec + kIdBytes, kPayloadBytes);
-    if (!ParsePayload(payload, &p)) return false;
-    out->push_back(p);
-  }
-  return true;
 }
 
 }  // namespace kvcsd::vpic

@@ -100,9 +100,4 @@ class Dump {
   std::vector<float> sorted_energies_;
 };
 
-// Serializes a whole file slice as the paper's raw binary format
-// (48 B records back to back) — used by the file-loader example.
-std::string SerializeFile(const std::vector<const Particle*>& particles);
-bool DeserializeFile(const std::string& raw, std::vector<Particle>* out);
-
 }  // namespace kvcsd::vpic

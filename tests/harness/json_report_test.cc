@@ -68,7 +68,7 @@ TEST(ParseJsonTest, ParsesTracerOutput) {
   tracer.Enable();
   tracer.CompleteSpan(tracer.Track("dev"), "dispatch", 1000, 2500,
                       {{"keyspace", "ks0"}});
-  tracer.Instant(tracer.Track("recovery"), "replayed", 3000);
+  tracer.FlowBegin(tracer.Track("client"), "cmd", 7, 3000);
   auto parsed = ParseJson(tracer.ToJson());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const JsonValue* events = parsed->Find("traceEvents");

@@ -47,7 +47,7 @@ class CrossSystemTest : public ::testing::Test {
       for (const vpic::Particle& p : dump->all()) {
         EXPECT_TRUE((co_await writer.Add(p.Key(), p.Payload())).ok());
       }
-      EXPECT_TRUE((co_await writer.Flush()).ok());
+      EXPECT_TRUE((co_await writer.Drain()).ok());
       EXPECT_TRUE((co_await ks.Compact()).ok());
       EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
       EXPECT_TRUE((co_await ks.CreateSecondaryIndexF32(

@@ -87,7 +87,7 @@ sim::Task<void> LoadShuffled(client::KeyspaceHandle* ks, std::uint64_t keys) {
     const std::uint64_t id = (i * stride) % keys;
     KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(id), EnergyValue(id)));
   }
-  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  KVCSD_CO_ASSERT_OK(co_await writer.Drain());
 }
 
 sim::Task<void> Workload(client::Client* db, Device* dev,
@@ -345,7 +345,7 @@ sim::Task<void> GroupedWorkload(client::Client* db, Device* dev,
       }
       if (del) deletes.push_back(id);
     }
-    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    KVCSD_CO_ASSERT_OK(co_await writer.Drain());
     for (std::uint64_t id : deletes) {
       KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(id)));
     }

@@ -99,7 +99,7 @@ TEST(CsdTest, BulkPutRoundTripsAllData) {
                        "v" + std::to_string(i)))
                       .ok());
     }
-    EXPECT_TRUE((co_await writer.Flush()).ok());
+    EXPECT_TRUE((co_await writer.Drain()).ok());
     EXPECT_GT(writer.frames_sent(), 1u);
     EXPECT_TRUE((co_await ks.Compact()).ok());
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
@@ -221,7 +221,7 @@ TEST(CsdTest, PrimaryRangeScanIsSortedAndComplete) {
                        "v" + std::to_string(i)))
                       .ok());
     }
-    EXPECT_TRUE((co_await writer.Flush()).ok());
+    EXPECT_TRUE((co_await writer.Drain()).ok());
     EXPECT_TRUE((co_await ks.Compact()).ok());
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
 
@@ -258,7 +258,7 @@ TEST(CsdTest, SecondaryIndexQueryByEnergy) {
                                    static_cast<float>(i) * 0.01f)))
               .ok());
     }
-    EXPECT_TRUE((co_await writer.Flush()).ok());
+    EXPECT_TRUE((co_await writer.Drain()).ok());
     EXPECT_TRUE((co_await ks.Compact()).ok());
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
     EXPECT_TRUE((co_await ks.CreateSecondaryIndexF32("energy", 28)).ok());
@@ -314,7 +314,7 @@ TEST(CsdTest, DropReclaimsZones) {
                        std::string(32, 'd')))
                       .ok());
     }
-    EXPECT_TRUE((co_await writer.Flush()).ok());
+    EXPECT_TRUE((co_await writer.Drain()).ok());
     EXPECT_TRUE((co_await ks.Compact()).ok());
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
     EXPECT_LT(dev->zones().free_zones(), free_at_start);
@@ -363,7 +363,7 @@ TEST(CsdTest, CompactionRunsAsynchronously) {
                        std::string(32, 'a')))
                       .ok());
     }
-    EXPECT_TRUE((co_await writer.Flush()).ok());
+    EXPECT_TRUE((co_await writer.Drain()).ok());
     EXPECT_TRUE((co_await ks.Compact()).ok());
     *trig = s->Now();
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
@@ -425,7 +425,7 @@ TEST(CsdTest, ConcurrentWritersOnSeparateKeyspaces) {
                  "t" + std::to_string(thread) + "-" + std::to_string(i)))
                 .ok());
       }
-      EXPECT_TRUE((co_await writer.Flush()).ok());
+      EXPECT_TRUE((co_await writer.Drain()).ok());
       EXPECT_TRUE((co_await ks.Compact()).ok());
       EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
       // Keys are reused across keyspaces without conflict.

@@ -86,7 +86,7 @@ TEST(FusedIndexTest, CompactWithIndexesBuildsEverythingInOnePass) {
                                    static_cast<float>(i) * 0.01f)))
               .ok());
     }
-    EXPECT_TRUE((co_await writer.Flush()).ok());
+    EXPECT_TRUE((co_await writer.Drain()).ok());
 
     nvme::SecondaryIndexSpec energy;
     energy.name = "energy";
@@ -128,7 +128,7 @@ TEST(FusedIndexTest, FusedAvoidsKeyspaceReRead) {
                          Fixture::EnergyValue(static_cast<float>(i))))
                         .ok());
       }
-      EXPECT_TRUE((co_await writer.Flush()).ok());
+      EXPECT_TRUE((co_await writer.Drain()).ok());
 
       nvme::SecondaryIndexSpec energy;
       energy.name = "energy";
@@ -171,7 +171,7 @@ TEST(FusedIndexTest, FusedAndSeparateAgreeOnResults) {
                              static_cast<float>((i * 37) % 500))))
                         .ok());
       }
-      EXPECT_TRUE((co_await writer.Flush()).ok());
+      EXPECT_TRUE((co_await writer.Drain()).ok());
       nvme::SecondaryIndexSpec energy;
       energy.name = "energy";
       energy.value_offset = 28;
@@ -216,7 +216,7 @@ TEST(FusedIndexTest, WrappedKeyRangeIsRejected) {
                                  Fixture::EnergyValue(static_cast<float>(i))))
                 .ok());
       }
-      EXPECT_TRUE((co_await writer.Flush()).ok());
+      EXPECT_TRUE((co_await writer.Drain()).ok());
     };
     auto state_of = [](client::KeyspaceHandle* ks) -> sim::Task<std::string> {
       auto stat = co_await ks->GetStat();
@@ -344,7 +344,7 @@ SidxBuild BuildEnergyIndex(Build build, std::uint64_t sort_run_bytes) {
           co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
                               Fixture::EnergyValue(ResidentEnergy(i))));
     }
-    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    KVCSD_CO_ASSERT_OK(co_await writer.Drain());
     if (b == Build::kFused) {
       std::vector<nvme::SecondaryIndexSpec> specs = {EnergySpec()};
       KVCSD_CO_ASSERT_OK(co_await ks.CompactWithIndexes(std::move(specs)));
@@ -448,7 +448,7 @@ TEST(SecondaryRangeTest, TiedKeysSpanningManyBlocksAllMatch) {
                                Fixture::EnergyValue(energy)))
               .ok());
     }
-    EXPECT_TRUE((co_await writer.Flush()).ok());
+    EXPECT_TRUE((co_await writer.Drain()).ok());
     EXPECT_TRUE((co_await ks.Compact()).ok());
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
     EXPECT_TRUE((co_await ks.CreateSecondaryIndexF32("energy", 28)).ok());

@@ -79,7 +79,7 @@ TEST_P(CsdPropertyTest, OrderedStoreInvariantsHold) {
         for (const auto& [key, value] : *data) {
           EXPECT_TRUE((co_await writer.Add(key, value)).ok());
         }
-        EXPECT_TRUE((co_await writer.Flush()).ok());
+        EXPECT_TRUE((co_await writer.Drain()).ok());
         EXPECT_TRUE((co_await ks.Compact()).ok());
         EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
 

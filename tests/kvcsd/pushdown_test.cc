@@ -119,13 +119,6 @@ TEST(PushdownTest, SelectFiltersOnDevice) {
     KVCSD_CO_ASSERT_OK(co_await ks.Select("", "\x7f", opts, &rows));
     KVCSD_CO_ASSERT(rows.size() == 7);
     KVCSD_CO_ASSERT(rows[0].first == MakeFixedKey(400));
-
-    // Futures variant agrees with the sync one.
-    opts.limit = 0;
-    auto fut = co_await ks.SelectAsync("", "\x7f", opts);
-    auto async_rows = co_await fut.Await();
-    KVCSD_CO_ASSERT_OK(async_rows);
-    KVCSD_CO_ASSERT(async_rows->size() == 100);
   }(&f.db, &f.sim));
 }
 

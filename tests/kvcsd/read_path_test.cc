@@ -102,7 +102,7 @@ sim::Task<void> LoadAndCompact(client::Client* db, const std::string& name,
   for (std::uint64_t i = 0; i < count; ++i) {
     KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(i), DetValue(i)));
   }
-  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  KVCSD_CO_ASSERT_OK(co_await writer.Drain());
   KVCSD_CO_ASSERT_OK(co_await ks->Compact());
   KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
 }
@@ -410,7 +410,7 @@ TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
       for (std::uint64_t i = 0; i < 400; ++i) {
         KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(i), (*mk)(i)));
       }
-      KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+      KVCSD_CO_ASSERT_OK(co_await writer.Drain());
       nvme::SecondaryIndexSpec spec;
       spec.name = "tag";
       spec.value_offset = 28;
@@ -481,7 +481,7 @@ TEST(ReadPathTest, ScanReadAheadCountsArePinned) {
       KVCSD_CO_ASSERT_OK(co_await writer.Add(
           MakeFixedKey(i), TaggedValue(static_cast<float>(i % 50))));
     }
-    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    KVCSD_CO_ASSERT_OK(co_await writer.Drain());
     nvme::SecondaryIndexSpec spec;
     spec.name = "tag";
     spec.value_offset = 28;
@@ -549,7 +549,7 @@ sim::Task<void> LoadMixed(client::Client* db) {
   for (std::uint64_t i = 0; i < kMixedKeys; ++i) {
     KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(2 * i), MixedValue(i)));
   }
-  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  KVCSD_CO_ASSERT_OK(co_await writer.Drain());
   KVCSD_CO_ASSERT_OK(co_await ks->Compact());
   KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
 }
@@ -856,7 +856,7 @@ TEST(ReadPathTest, GatherSpreadsReadsAcrossChannels) {
       KVCSD_CO_ASSERT_OK(
           co_await writer.Add(MakeFixedKey(i), std::string(KiB(1), 'w')));
     }
-    KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+    KVCSD_CO_ASSERT_OK(co_await writer.Drain());
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
   }(&f.db));

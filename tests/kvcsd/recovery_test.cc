@@ -550,7 +550,7 @@ sim::Task<void> LoadWide(client::Client* db, const std::string& name) {
   for (std::uint64_t i = 0; i < kWideKeys; ++i) {
     KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(i), WideValue(i)));
   }
-  KVCSD_CO_ASSERT_OK(co_await writer.Flush());
+  KVCSD_CO_ASSERT_OK(co_await writer.Drain());
   KVCSD_CO_ASSERT_OK(co_await ks->Sync());
 }
 
@@ -1071,6 +1071,88 @@ TEST(RecoveryTest, CorruptBloomBlobFailsRecovery) {
   f.Restart();
   const Status recovered = testutil::RunSim(f.sim, f.dev()->Recover());
   EXPECT_EQ(recovered.code(), StatusCode::kCorruption) << recovered.ToString();
+}
+
+// What a compaction leaves behind when its zone releases meet a reset
+// error: the compaction's status, the device's count of failed releases,
+// and the free-zone count after a restart and recovery.
+struct ReleaseOutcome {
+  Status compaction;
+  std::uint64_t release_failed = 0;
+  bool counter_registered = false;
+  bool breadcrumb = false;
+  std::size_t free_zones_before_restart = 0;
+  std::size_t free_zones_after_recover = 0;
+};
+
+ReleaseOutcome CompactWithResetErrors(std::uint64_t reset_errors) {
+  PowerCycleFixture f;
+  constexpr std::uint64_t kKeys = 400;
+  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "rel", kKeys));
+  if (reset_errors > 0) {
+    // Power stays on: the next reset fails once, whichever zone it hits.
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kReset;
+    rule.times = reset_errors;
+    f.faults.AddErrorRule(rule);
+  }
+  ReleaseOutcome out;
+  testutil::RunSim(f.sim,
+                   [](client::Client* db, Status* status) -> sim::Task<void> {
+                     auto ks = co_await db->OpenKeyspace("rel");
+                     KVCSD_CO_ASSERT_OK(ks);
+                     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+                     *status = co_await ks->WaitCompaction();
+                   }(f.db.get(), &out.compaction));
+  EXPECT_EQ(f.faults.errors_injected(), reset_errors);
+  out.counter_registered = f.sim.stats().has_counter(
+      "device.zones.release_failed");
+  out.release_failed =
+      f.sim.stats().counter_value("device.zones.release_failed");
+  out.breadcrumb = f.sim.log().ToString().find("release failed") !=
+                   std::string::npos;
+  out.free_zones_before_restart = f.dev()->zones().free_zones();
+
+  f.Restart();
+  testutil::RunSim(f.sim, RecoverAndVerify(f.dev(), f.db.get(), "rel", kKeys));
+  out.free_zones_after_recover = f.dev()->zones().free_zones();
+  return out;
+}
+
+// A zone reset that fails while power is on does not fail the compaction
+// that released the zones: the failure is counted and logged, the cluster
+// stays owned, and the next recovery reclaims it, so the free-zone count
+// after a restart equals that of a fault-free twin.
+TEST(RecoveryTest, FailedZoneReleaseIsCountedAndReclaimedByRecovery) {
+  const ReleaseOutcome clean = CompactWithResetErrors(0);
+  ASSERT_TRUE(clean.compaction.ok()) << clean.compaction.ToString();
+  // No failure, no series: reports of fault-free runs are unchanged.
+  EXPECT_FALSE(clean.counter_registered);
+  EXPECT_FALSE(clean.breadcrumb);
+
+  const ReleaseOutcome failed = CompactWithResetErrors(1);
+  ASSERT_TRUE(failed.compaction.ok()) << failed.compaction.ToString();
+  EXPECT_EQ(failed.release_failed, 1u);
+  EXPECT_TRUE(failed.breadcrumb);
+  // The cluster whose reset failed is still owned until recovery.
+  EXPECT_LT(failed.free_zones_before_restart, clean.free_zones_before_restart);
+  EXPECT_EQ(failed.free_zones_after_recover, clean.free_zones_after_recover);
+}
+
+// After a power cut every reset fails by construction; the failed
+// compaction's scratch release is then not a release failure.
+TEST(RecoveryTest, ReleaseAfterPowerCutIsNotCounted) {
+  PowerCycleFixture f;
+  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "cut", 400));
+  f.faults.ArmCrashAtPoint("compact.before_commit");
+  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("cut");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    (void)co_await ks->WaitCompaction();
+  }(f.db.get()));
+  ASSERT_TRUE(f.faults.crashed());
+  EXPECT_FALSE(f.sim.stats().has_counter("device.zones.release_failed"));
 }
 
 }  // namespace

@@ -100,23 +100,6 @@ TEST(VpicTest, ThresholdEdgeCases) {
             dump.num_particles());
 }
 
-TEST(VpicTest, FileSerializationRoundTrip) {
-  Dump dump(SmallDump());
-  auto slice = dump.FileParticles(3);
-  const std::string raw = SerializeFile(slice);
-  EXPECT_EQ(raw.size(), slice.size() * kParticleBytes);
-  std::vector<Particle> back;
-  ASSERT_TRUE(DeserializeFile(raw, &back));
-  ASSERT_EQ(back.size(), slice.size());
-  for (std::size_t i = 0; i < back.size(); ++i) {
-    EXPECT_EQ(back[i].id, slice[i]->id);
-    EXPECT_EQ(back[i].energy, slice[i]->energy);
-  }
-  // Truncated input rejected.
-  std::vector<Particle> bad;
-  EXPECT_FALSE(DeserializeFile(raw.substr(0, raw.size() - 1), &bad));
-}
-
 TEST(VpicTest, KeysSortById) {
   Particle a, b;
   a.id = 5;

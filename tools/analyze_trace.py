@@ -135,7 +135,7 @@ def check_flows(events, strict):
     """Validate flow-event pairing; returns the number of violations."""
     groups = defaultdict(list)
     for e in events:
-        if e.get("cat") == "flow" and e.get("ph") in ("s", "t", "f"):
+        if e.get("cat") == "flow" and e.get("ph") in ("s", "f"):
             groups[(e.get("name"), e.get("id"))].append(e)
     bad = 0
     for (name, fid), evs in sorted(groups.items()):
@@ -149,9 +149,7 @@ def check_flows(events, strict):
                 "%d begin(s), %d end(s)\n" % (name, fid, begins, ends))
             continue
         ts = {e["ph"]: float(e["ts"]) for e in evs}
-        if ts["s"] > ts["f"] or any(
-                not ts["s"] <= float(e["ts"]) <= ts["f"]
-                for e in evs if e["ph"] == "t"):
+        if ts["s"] > ts["f"]:
             bad += 1
             sys.stderr.write(
                 "analyze_trace: disconnected flow (%s, id=%s): "
