@@ -25,6 +25,9 @@
 //   - a planned select scans other than matches x 32 value bytes (it
 //     reads only the index range the predicate implies), or the full
 //     scan other than every row and value byte of the dataset;
+//   - the projected select or the sum aggregate scans other than
+//     matches x 4 bytes: both read only the indexed energy, so they are
+//     covered and filter the attribute bytes the SIDX entries hold;
 //   - per-file aggregates are not BIT-IDENTICAL to
 //     Dump::FileEnergyAggregate (same fold order, same double sum — not
 //     approximately equal).
@@ -303,6 +306,17 @@ int main(int argc, char** argv) {
                   pct, static_cast<unsigned long long>(sel.scanned_bytes),
                   vpic::kPayloadBytes);
       verdict.Fail("planned scan bytes");
+    }
+    // Projection, predicate and aggregate read only the indexed energy:
+    // the covered plan filters the 4 attribute bytes of every match and
+    // gathers no value.
+    if (proj.scanned_bytes != expected * 4 ||
+        agg.scanned_bytes != expected * 4) {
+      std::printf("FAIL %.1f%%: covered scans read %llu (projected) / %llu "
+                  "(aggregate) != matches x 4\n",
+                  pct, static_cast<unsigned long long>(proj.scanned_bytes),
+                  static_cast<unsigned long long>(agg.scanned_bytes));
+      verdict.Fail("covered scan bytes");
     }
     // The unfiltered primary plan reads the whole dataset every time,
     // selectivity aside, and ships keys only.

@@ -611,8 +611,16 @@ sim::Task<Status> Device::CompactKeyspace(
     if (faults_ == nullptr || !faults_->crashed()) {
       // Make the rollback durable so a later crash cannot resurrect the
       // (RE)COMPACTING state. Best-effort: the snapshot still on flash
-      // also rolls back correctly at recovery.
-      (void)co_await keyspace_manager_.Persist();
+      // also rolls back correctly at recovery, so a failure is counted
+      // (registered on the first one) and logged, not returned.
+      const Status persisted = co_await keyspace_manager_.Persist();
+      if (!persisted.ok()) {
+        stats().counter("device.meta.rollback_persist_failed").Increment();
+        sim_->log().Warn("meta", config_.stats_prefix +
+                                     "rollback persist failed, recovery "
+                                     "rolls back: " +
+                                     persisted.ToString());
+      }
     }
   }
   ks->runtime.compaction_status = result;

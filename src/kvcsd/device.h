@@ -448,11 +448,16 @@ class Device {
       std::uint32_t limit,
       std::vector<std::pair<std::string, std::string>>* out,
       sim::Activity act = sim::Activity::kHostRead);
+  // With `attribute_only`, each row carries the index attribute's value
+  // bytes alone (spec.value_length of them, as stored at value_offset)
+  // instead of the full value: run tuples decode them from their SIDX
+  // entry and issue no gather, delta tuples slice their DRAM value.
   sim::Task<Status> QuerySecondaryRange(
       Keyspace* ks, const std::string& index_name, const std::string& lo,
       const std::string& hi, std::uint32_t limit,
       std::vector<std::pair<std::string, std::string>>* out,
-      sim::Activity act = sim::Activity::kHostRead);
+      sim::Activity act = sim::Activity::kHostRead,
+      bool attribute_only = false);
 
   // --- pushdown (select.cc) ---
   // kKvSelect / kKvAggregate: collects candidate rows through the regular
@@ -526,8 +531,10 @@ class Device {
       sim::Activity act = sim::Activity::kHostRead);
 
   // One range-scan result row before its value is fetched: the value is
-  // already in DRAM at `dram` (delta values), or on flash at `ref` when
-  // `dram` is null (run rows, delta values that survive only in the VLOG).
+  // already in DRAM at `dram` (delta values, and the SIDX-decoded
+  // attribute bytes of an attribute-only secondary scan), or on flash at
+  // `ref` when `dram` is null (run rows, delta values that survive only in
+  // the VLOG).
   struct ScanRow {
     std::string key;
     ValueRef ref;

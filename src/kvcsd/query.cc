@@ -552,7 +552,7 @@ sim::Task<Status> Device::QuerySecondaryRange(
     Keyspace* ks, const std::string& index_name, const std::string& lo,
     const std::string& hi, std::uint32_t limit,
     std::vector<std::pair<std::string, std::string>>* out,
-    sim::Activity act) {
+    sim::Activity act, bool attribute_only) {
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
   ReaderGuard reader(ks);
   auto sidx_it = ks->secondary_indexes.find(index_name);
@@ -583,6 +583,9 @@ sim::Task<Status> Device::QuerySecondaryRange(
     auto skey = nvme::ExtractSecondaryKey(Slice(*value), sidx.spec);
     if (!skey.ok()) co_return skey.status();
     if (*skey < lo || hi < *skey) continue;
+    if (attribute_only) {
+      *value = value->substr(sidx.spec.value_offset, sidx.spec.value_length);
+    }
     fresh.push_back(FreshTuple{std::move(*skey), pkey, std::move(*value)});
   }
   std::sort(fresh.begin(), fresh.end(), SidxOrder);
@@ -621,8 +624,17 @@ sim::Task<Status> Device::QuerySecondaryRange(
       ++fi;
     } else {
       SidxTuple& m = matches[ri];
+      const std::string* attribute = nullptr;
+      if (attribute_only) {
+        // The merge compares this tuple no more, so its skey can hold the
+        // decoded bytes FetchRows copies instead of gathering the value.
+        auto raw = nvme::DecodeSecondaryKeyBytes(m.skey, sidx.spec);
+        if (!raw.ok()) co_return raw.status();
+        m.skey = std::move(*raw);
+        attribute = &m.skey;
+      }
       rows.push_back(
-          ScanRow{std::move(m.pkey), ValueRef{m.vaddr, m.vlen}, nullptr});
+          ScanRow{std::move(m.pkey), ValueRef{m.vaddr, m.vlen}, attribute});
       ++ri;
     }
   }

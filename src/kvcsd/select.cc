@@ -20,6 +20,12 @@
 // predicate still runs on every row, so the index only has to supply a
 // superset of the matches and the result is byte-identical to the primary
 // plan's.
+//
+// A command collected through a SIDX whose predicate, aggregate and
+// projection read only the indexed attribute is covered: its rows carry
+// the attribute bytes decoded from the SIDX entries and no value is
+// gathered. The filter's SoC charge is booked one 4 KiB slice of rows at
+// a time, so a long scan never holds a core for more than one slice.
 #include <algorithm>
 #include <bit>
 #include <string>
@@ -181,6 +187,61 @@ std::string PlanIndexScan(const Keyspace& ks, const nvme::Command& cmd,
   return "";
 }
 
+// True when value bytes [offset, offset + length) lie inside the index
+// attribute `spec` covers.
+bool InsideAttribute(const nvme::SecondaryIndexSpec& spec,
+                     std::uint32_t offset, std::uint32_t length) {
+  return offset >= spec.value_offset &&
+         std::uint64_t{offset} + length <= nvme::SecondaryKeyEnd(spec);
+}
+
+// A command collected through the SIDX `spec` is covered when every value
+// byte it reads lies inside the index attribute: the predicate's range,
+// the aggregate's (kCount reads none) and the select's projection. A
+// select without a projection returns whole values, so it never is.
+bool CoveredBy(const nvme::SecondaryIndexSpec& spec, const nvme::Command& cmd,
+               bool aggregate) {
+  if (cmd.pred.op != nvme::PredicateOp::kNone &&
+      !InsideAttribute(spec, cmd.pred.value_offset, cmd.pred.value_length)) {
+    return false;
+  }
+  if (aggregate) {
+    return cmd.agg.func == nvme::AggregateFunc::kCount ||
+           InsideAttribute(spec, cmd.agg.value_offset, cmd.agg.value_length);
+  }
+  return cmd.proj.enabled &&
+         InsideAttribute(spec, cmd.proj.offset, cmd.proj.length);
+}
+
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+// Charges a pass over `rows` on the SoC cores one kIndexBlockSize slice of
+// rows (key plus value bytes) at a time, so a long scan frees its core for
+// the commands queued behind it at every slice boundary. Each slice pays
+// `per_row` per row plus the per-byte cost of its rows' `bytes(row)` as a
+// difference of cumulative TransferTicks, so the slices add up exactly to
+// one charge of the whole pass.
+template <typename Bytes>
+sim::Task<void> ChargeSliced(sim::CpuPool* cpu, const Rows& rows,
+                             Bytes bytes, double bytes_per_sec, Tick per_row) {
+  std::uint64_t streamed = 0;
+  Tick charged = 0;
+  std::uint64_t slice_bytes = 0;
+  Tick slice_rows = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    streamed += bytes(rows[i]);
+    slice_bytes += rows[i].first.size() + rows[i].second.size();
+    ++slice_rows;
+    if (slice_bytes < kIndexBlockSize && i + 1 < rows.size()) continue;
+    const Tick upto = TransferTicks(streamed, bytes_per_sec);
+    co_await cpu->Compute(upto - charged + slice_rows * per_row,
+                          sim::Activity::kPushdown);
+    charged = upto;
+    slice_bytes = 0;
+    slice_rows = 0;
+  }
+}
+
 }  // namespace
 
 sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
@@ -214,28 +275,41 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
         .Increment();
   }
 
+  // A covered command reads nothing the SIDX entries do not hold, so its
+  // rows carry the attribute bytes alone and every offset it reads moves
+  // back by the attribute's. The offset is copied: the index may be
+  // rebuilt once the scan below has released the keyspace.
+  const std::string& index = via_sidx ? cmd.sidx.name : planned;
+  bool covered = false;
+  std::uint32_t base = 0;
+  if (auto it = ks->secondary_indexes.find(index);
+      it != ks->secondary_indexes.end() &&
+      CoveredBy(it->second.spec, cmd, aggregate)) {
+    covered = true;
+    base = it->second.spec.value_offset;
+    stats().counter("device.select.plan.covered").Increment();
+  }
+
   // The predicate can match anywhere in the scan range, so row collection
   // runs unbounded (limit = 0); cmd.limit cuts *matches* below. Every plan
-  // returns (primary key, full value) rows in a deterministic order:
+  // returns (primary key, value) rows in a deterministic order:
   // primary-key order for primary and planned scans, (skey, pkey) order
   // for an explicitly named index — the order the aggregate accumulates in.
-  std::vector<std::pair<std::string, std::string>> rows;
+  Rows rows;
   if (via_sidx) {
     KVCSD_CO_RETURN_IF_ERROR(co_await QuerySecondaryRange(
         ks, cmd.sidx.name, cmd.key, cmd.key_end, /*limit=*/0, &rows,
-        sim::Activity::kPushdown));
+        sim::Activity::kPushdown, covered));
   } else if (!planned.empty()) {
     KVCSD_CO_RETURN_IF_ERROR(co_await QuerySecondaryRange(
         ks, planned, plan_lo, plan_hi, /*limit=*/0, &rows,
-        sim::Activity::kPushdown));
+        sim::Activity::kPushdown, covered));
     std::erase_if(rows, [&cmd](const auto& row) {
       return row.first < cmd.key || cmd.key_end < row.first;
     });
-    std::uint64_t row_key_bytes = 0;
-    for (const auto& [key, value] : rows) row_key_bytes += key.size();
-    co_await cpu_.ComputeBytes(row_key_bytes,
-                               config_.costs.merge_bytes_per_sec,
-                               sim::Activity::kPushdown);
+    co_await ChargeSliced(
+        &cpu_, rows, [](const auto& row) { return row.first.size(); },
+        config_.costs.merge_bytes_per_sec, 0);
     std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
       return a.first < b.first;
     });
@@ -248,15 +322,14 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     co_return Status::IoError("simulated power loss (mid select scan)");
   }
 
-  std::uint64_t bytes_scanned = 0;
-  for (const auto& [key, value] : rows) bytes_scanned += value.size();
-  // The filter streams every gathered value byte through the SoC cores —
+  // The filter streams every value byte it reads through the SoC cores —
   // same rate class as secondary-key extraction — plus fixed per-record
   // handling. This is the CPU the host does NOT pay.
-  co_await cpu_.ComputeBytes(bytes_scanned,
-                             config_.costs.extract_bytes_per_sec, sim::Activity::kPushdown);
-  co_await cpu_.Compute(static_cast<Tick>(rows.size()) *
-                        config_.costs.kv_op_fixed, sim::Activity::kPushdown);
+  std::uint64_t bytes_scanned = 0;
+  for (const auto& [key, value] : rows) bytes_scanned += value.size();
+  co_await ChargeSliced(
+      &cpu_, rows, [](const auto& row) { return row.second.size(); },
+      config_.costs.extract_bytes_per_sec, config_.costs.kv_op_fixed);
 
   nvme::SecondaryIndexSpec pred_spec;
   pred_spec.value_offset = cmd.pred.value_offset;
@@ -271,7 +344,7 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
   for (auto& [key, value] : rows) {
     if (cmd.pred.op != nvme::PredicateOp::kNone) {
       Slice attr;
-      if (!wire::ExtractAttribute(Slice(value), cmd.pred.value_offset,
+      if (!wire::ExtractAttribute(Slice(value), cmd.pred.value_offset - base,
                                   cmd.pred.value_length, &attr)) {
         ++short_values;  // too short to hold the attribute: never matches
         continue;
@@ -289,7 +362,8 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     if (aggregate) {
       if (cmd.agg.func != nvme::AggregateFunc::kCount) {
         Slice attr;
-        if (!wire::ExtractAttribute(Slice(value), cmd.agg.value_offset,
+        if (!wire::ExtractAttribute(Slice(value),
+                                    cmd.agg.value_offset - base,
                                     cmd.agg.value_length, &attr)) {
           ++short_values;  // counted in rows, excluded from min/max/sum
         } else {
@@ -307,7 +381,7 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
     } else {
       Slice projected =
           cmd.proj.enabled
-              ? wire::ClampProjection(Slice(value), cmd.proj.offset,
+              ? wire::ClampProjection(Slice(value), cmd.proj.offset - base,
                                       cmd.proj.length)
               : Slice(value);
       bytes_returned += key.size() + projected.size();
@@ -341,6 +415,7 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
   span.Arg("src", via_sidx ? "sidx"
                   : !planned.empty() ? "sidx_planned"
                                        : "primary");
+  span.Arg("covered", std::uint64_t{covered});
   span.Arg("rows_scanned", rows.size());
   span.Arg("rows_matched", matched);
   span.Arg("bytes_scanned", bytes_scanned);

@@ -99,6 +99,46 @@ inline Result<std::string> EncodeSecondaryKeyBytes(
   return Status::InvalidArgument("unknown secondary key type");
 }
 
+// The exact inverse of EncodeSecondaryKeyBytes: the raw little-endian
+// value bytes an order-encoded secondary key was made from. Every order
+// encoding is a bijection on bit patterns, so -0.0, NaN payloads and
+// denormals come back bit for bit.
+inline Result<std::string> DecodeSecondaryKeyBytes(
+    const Slice& skey, const SecondaryIndexSpec& spec) {
+  auto need = [&skey, &spec](std::uint32_t n) {
+    return spec.value_length == n && skey.size() == n;
+  };
+  std::string raw;
+  switch (spec.type) {
+    case SecondaryKeyType::kU32:
+      if (!need(4)) return Status::InvalidArgument("u32 key needs 4 bytes");
+      PutFixed32(&raw, ReadBigEndian32(skey.data()));
+      return raw;
+    case SecondaryKeyType::kU64:
+      if (!need(8)) return Status::InvalidArgument("u64 key needs 8 bytes");
+      PutFixed64(&raw, ReadBigEndian64(skey.data()));
+      return raw;
+    case SecondaryKeyType::kI32:
+      if (!need(4)) return Status::InvalidArgument("i32 key needs 4 bytes");
+      PutFixed32(&raw, static_cast<std::uint32_t>(
+                           OrderDecodeI32(ReadBigEndian32(skey.data()))));
+      return raw;
+    case SecondaryKeyType::kF32:
+      if (!need(4)) return Status::InvalidArgument("f32 key needs 4 bytes");
+      PutFixed32(&raw, std::bit_cast<std::uint32_t>(
+                           OrderDecodeF32(ReadBigEndian32(skey.data()))));
+      return raw;
+    case SecondaryKeyType::kF64:
+      if (!need(8)) return Status::InvalidArgument("f64 key needs 8 bytes");
+      PutFixed64(&raw, std::bit_cast<std::uint64_t>(
+                           OrderDecodeF64(ReadBigEndian64(skey.data()))));
+      return raw;
+    case SecondaryKeyType::kBytes:
+      return skey.ToString();
+  }
+  return Status::InvalidArgument("unknown secondary key type");
+}
+
 // One past the last value byte a secondary key occupies. 64-bit, so an
 // offset near UINT32_MAX cannot wrap back inside a short value.
 inline std::uint64_t SecondaryKeyEnd(const SecondaryIndexSpec& spec) {

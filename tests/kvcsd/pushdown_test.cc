@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 
 #include "../testutil.h"
 #include "client/client.h"
+#include "common/coding.h"
 #include "common/keys.h"
 #include "kvcsd/device.h"
 #include "nvme/skey.h"
@@ -41,11 +43,14 @@ DeviceConfig SmallDevice() {
 struct CsdFixture {
   sim::Simulation sim;
   nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev{&sim, SmallDevice(), &qp};
+  Device dev;
   sim::CpuPool host{&sim, "host", 8};
   client::Client db{&qp, &host, hostenv::CostModel::Host()};
 
-  CsdFixture() { dev.Start(); }
+  explicit CsdFixture(const DeviceConfig& config = SmallDevice())
+      : dev(&sim, config, &qp) {
+    dev.Start();
+  }
 
   // value = 28 pad bytes + f32 energy (little-endian) — the VPIC layout.
   static std::string EnergyValue(float energy) {
@@ -663,6 +668,407 @@ TEST(PushdownTest, PlannedScanSeesTheDelta) {
         co_await AggregateOnce(sim, pair.plain, "", "\x7f", opts),
         co_await AggregateOnce(sim, pair.indexed, "", "\x7f", opts));
   }(&f.db, &f.sim));
+}
+
+// --------------------------------------------------------------------------
+// Covered plan: a command collected through a SIDX whose predicate,
+// aggregate and projection read only the indexed attribute takes those
+// bytes from the index entries and gathers no value. For every key type it
+// must answer exactly what the same command answers uncovered (reading
+// one byte past the attribute, so every value is gathered), and read no
+// SORTED_VALUES byte. The attribute ends each value, so a projection one
+// byte wider returns the same bytes.
+// --------------------------------------------------------------------------
+
+constexpr std::uint64_t kCoverKeys = 600;
+constexpr std::uint32_t kCoverOffset = 8;
+constexpr std::uint64_t kCoverClasses = 97;  // keys i and i + 97 tie
+
+struct CoverCase {
+  const char* name;
+  nvme::SecondaryKeyType type;
+  std::uint32_t width;
+};
+constexpr CoverCase kCoverCases[] = {
+    {"u32", nvme::SecondaryKeyType::kU32, 4},
+    {"i32", nvme::SecondaryKeyType::kI32, 4},
+    {"u64", nvme::SecondaryKeyType::kU64, 8},
+    {"f32", nvme::SecondaryKeyType::kF32, 4},
+    {"f64", nvme::SecondaryKeyType::kF64, 8},
+    {"bytes", nvme::SecondaryKeyType::kBytes, 6},
+};
+
+// Float bit patterns the order encoding must carry through unchanged:
+// -0.0, +0.0, +inf, -inf, quiet and signalling NaNs of both signs with
+// payloads, the smallest denormal of each sign, the largest finite value.
+constexpr std::uint32_t kF32Edges[] = {
+    0x80000000u, 0x00000000u, 0x7f800000u, 0xff800000u, 0x7fc00001u,
+    0xffc00123u, 0x7f800001u, 0xff800007u, 0x00000001u, 0x807fffffu,
+    0x7f7fffffu};
+constexpr std::uint64_t kF64Edges[] = {
+    0x8000000000000000ull, 0x0000000000000000ull, 0x7ff0000000000000ull,
+    0xfff0000000000000ull, 0x7ff8000000000001ull, 0xfff8000000000123ull,
+    0x7ff0000000000001ull, 0xfff0000000000007ull, 0x0000000000000001ull,
+    0x800fffffffffffffull, 0x7fefffffffffffffull};
+
+// The raw attribute of key i: the edge values first, then one value per
+// class, spread over signs and magnitudes so double sums round.
+std::string CoverAttribute(const CoverCase& c, std::uint64_t i) {
+  const std::uint64_t k = i % kCoverClasses;
+  const std::uint64_t mix = (k + 1) * 0x9E3779B97F4A7C15ull;
+  const int exponent = static_cast<int>(k) - 48;
+  const double sign = k % 2 == 0 ? 1.0 : -1.0;
+  std::string raw;
+  switch (c.type) {
+    case nvme::SecondaryKeyType::kU32:
+    case nvme::SecondaryKeyType::kI32:
+      PutFixed32(&raw, static_cast<std::uint32_t>(mix >> 32));
+      break;
+    case nvme::SecondaryKeyType::kU64:
+      PutFixed64(&raw, mix);
+      break;
+    case nvme::SecondaryKeyType::kF32:
+      PutFixed32(&raw,
+                 i < std::size(kF32Edges)
+                     ? kF32Edges[i]
+                     : std::bit_cast<std::uint32_t>(static_cast<float>(
+                           sign * std::ldexp(1.0 + 0.0137 * k, exponent))));
+      break;
+    case nvme::SecondaryKeyType::kF64:
+      PutFixed64(&raw, i < std::size(kF64Edges)
+                           ? kF64Edges[i]
+                           : std::bit_cast<std::uint64_t>(
+                                 sign * std::ldexp(1.0 + 0.0137 * k,
+                                                   6 * exponent)));
+      break;
+    case nvme::SecondaryKeyType::kBytes:
+      PutFixed64(&raw, mix);
+      raw.resize(c.width);
+      break;
+  }
+  return raw;
+}
+
+std::string CoverValue(const CoverCase& c, std::uint64_t i) {
+  return std::string(kCoverOffset, 'p') + CoverAttribute(c, i);
+}
+
+nvme::SecondaryIndexSpec CoverIndex(const CoverCase& c) {
+  nvme::SecondaryIndexSpec spec;
+  spec.name = "attr";
+  spec.value_offset = kCoverOffset;
+  spec.value_length = c.width;
+  spec.type = c.type;
+  return spec;
+}
+
+// Whether the last command planned covered, and the SORTED_VALUES bytes it
+// read, from the counters.
+struct CoverProbe {
+  const sim::Simulation* sim;
+  std::uint64_t covered0;
+  std::uint64_t values0;
+
+  explicit CoverProbe(const sim::Simulation* s)
+      : sim(s),
+        covered0(Count("device.select.plan.covered")),
+        values0(Count("zns.sorted_values.read_bytes")) {}
+  std::uint64_t Count(const char* name) const {
+    return sim->stats().counter_value(name);
+  }
+  bool covered() const {
+    return Count("device.select.plan.covered") != covered0;
+  }
+  std::uint64_t values_read() const {
+    return Count("zns.sorted_values.read_bytes") - values0;
+  }
+};
+
+// The covered plan's bytes come from DecodeSecondaryKeyBytes, which must
+// invert the index's order encoding bit for bit.
+TEST(PushdownTest, DecodeSecondaryKeyBytesInvertsTheEncoding) {
+  for (const CoverCase& c : kCoverCases) {
+    const nvme::SecondaryIndexSpec spec = CoverIndex(c);
+    for (std::uint64_t i = 0; i < kCoverClasses; ++i) {
+      const std::string raw = CoverAttribute(c, i);
+      auto encoded = nvme::EncodeSecondaryKeyBytes(Slice(raw), spec);
+      ASSERT_TRUE(encoded.ok()) << c.name;
+      auto decoded = nvme::DecodeSecondaryKeyBytes(Slice(*encoded), spec);
+      ASSERT_TRUE(decoded.ok()) << c.name;
+      EXPECT_EQ(*decoded, raw) << c.name << " attribute " << i;
+    }
+    if (c.type != nvme::SecondaryKeyType::kBytes) {
+      EXPECT_FALSE(nvme::DecodeSecondaryKeyBytes(Slice("x"), spec).ok())
+          << c.name;  // a typed key of the wrong width
+    }
+  }
+}
+
+// Runs one select covered (projection = the attribute) and uncovered
+// (projection one byte wider) and checks they return the same rows.
+sim::Task<void> ExpectCoveredSelect(
+    sim::Simulation* sim, client::KeyspaceHandle ks, const CoverCase& c,
+    std::string lo, std::string hi,
+    client::KeyspaceHandle::SelectOptions opts) {
+  opts.proj.enabled = true;
+  opts.proj.offset = kCoverOffset;
+  opts.proj.length = c.width;
+  std::vector<std::pair<std::string, std::string>> covered;
+  CoverProbe probe(sim);
+  KVCSD_CO_ASSERT_OK(co_await ks.Select(lo, hi, opts, &covered));
+  EXPECT_TRUE(probe.covered()) << c.name;
+  EXPECT_EQ(probe.values_read(), 0u) << c.name;
+
+  opts.proj.length = c.width + 1;
+  std::vector<std::pair<std::string, std::string>> uncovered;
+  CoverProbe wide(sim);
+  KVCSD_CO_ASSERT_OK(co_await ks.Select(lo, hi, opts, &uncovered));
+  EXPECT_FALSE(wide.covered()) << c.name;
+  EXPECT_FALSE(covered.empty()) << c.name;
+  EXPECT_EQ(covered, uncovered) << c.name;
+}
+
+nvme::AggregateSpec CoverAggregate(const CoverCase& c) {
+  nvme::AggregateSpec agg;
+  if (c.type == nvme::SecondaryKeyType::kBytes) {
+    agg.func = nvme::AggregateFunc::kCount;  // min/max/sum need a number
+  } else {
+    agg.func = nvme::AggregateFunc::kSum;
+    agg.value_offset = kCoverOffset;
+    agg.value_length = c.width;
+    agg.type = c.type;
+  }
+  return agg;
+}
+
+// Runs one aggregate covered on `covered_ks` and with `uncovered_opts` on
+// `uncovered_ks`, and checks the scalars bit for bit.
+sim::Task<void> ExpectCoveredAggregate(
+    sim::Simulation* sim, const CoverCase& c, std::string lo, std::string hi,
+    client::KeyspaceHandle covered_ks,
+    client::KeyspaceHandle::SelectOptions covered_opts,
+    client::KeyspaceHandle uncovered_ks,
+    client::KeyspaceHandle::SelectOptions uncovered_opts) {
+  const nvme::AggregateSpec agg = CoverAggregate(c);
+  CoverProbe probe(sim);
+  auto covered = co_await covered_ks.Aggregate(lo, hi, agg, covered_opts);
+  KVCSD_CO_ASSERT_OK(covered);
+  EXPECT_TRUE(probe.covered()) << c.name;
+  EXPECT_EQ(probe.values_read(), 0u) << c.name;
+
+  CoverProbe wide(sim);
+  auto uncovered =
+      co_await uncovered_ks.Aggregate(lo, hi, agg, uncovered_opts);
+  KVCSD_CO_ASSERT_OK(uncovered);
+  EXPECT_FALSE(wide.covered()) << c.name;
+  EXPECT_GT(covered->rows, 0u) << c.name;
+  EXPECT_EQ(covered->rows, uncovered->rows) << c.name;
+  EXPECT_EQ(covered->valid, uncovered->valid) << c.name;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(covered->min),
+            std::bit_cast<std::uint64_t>(uncovered->min))
+      << c.name;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(covered->max),
+            std::bit_cast<std::uint64_t>(uncovered->max))
+      << c.name;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(covered->sum),
+            std::bit_cast<std::uint64_t>(uncovered->sum))
+      << c.name;
+}
+
+sim::Task<client::KeyspaceHandle> LoadCoverKeyspace(client::Client* db,
+                                                    const CoverCase& c,
+                                                    std::string name) {
+  auto ks = (co_await db->CreateKeyspace(name)).value();
+  for (std::uint64_t i = 0; i < kCoverKeys; ++i) {
+    EXPECT_TRUE((co_await ks.Put(MakeFixedKey(i), CoverValue(c, i))).ok());
+  }
+  EXPECT_TRUE((co_await ks.Compact()).ok());
+  EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
+  co_return ks;
+}
+
+// A range predicate on the attribute that keeps roughly its top tenth in
+// encoded order: selective enough for the planner to pick the index.
+nvme::ValuePredicate CoverPredicate(const CoverCase& c) {
+  const nvme::SecondaryIndexSpec spec = CoverIndex(c);
+  std::vector<std::string> encoded;
+  for (std::uint64_t i = 0; i < kCoverKeys; ++i) {
+    encoded.push_back(
+        nvme::EncodeSecondaryKeyBytes(Slice(CoverAttribute(c, i)), spec)
+            .value());
+  }
+  std::sort(encoded.begin(), encoded.end());
+  nvme::ValuePredicate pred;
+  pred.op = nvme::PredicateOp::kGe;
+  pred.value_offset = kCoverOffset;
+  pred.value_length = c.width;
+  pred.type = c.type;
+  pred.operand = encoded[encoded.size() * 9 / 10];
+  return pred;
+}
+
+// Every comparison for one key type: through the named index (whole
+// range and a limit cut) and through the planner, select and aggregate.
+sim::Task<void> ExpectCoveredAnswers(sim::Simulation* sim,
+                                     client::KeyspaceHandle indexed,
+                                     client::KeyspaceHandle plain,
+                                     const CoverCase& c) {
+  const std::string all_lo;
+  const std::string all_hi(c.width, '\xff');
+  client::KeyspaceHandle::SelectOptions named;
+  named.index_name = "attr";
+  co_await ExpectCoveredSelect(sim, indexed, c, all_lo, all_hi, named);
+  named.limit = 7;
+  co_await ExpectCoveredSelect(sim, indexed, c, all_lo, all_hi, named);
+  named.limit = 0;
+  client::KeyspaceHandle::SelectOptions padded = named;
+  padded.pred =
+      nvme::PredicateBytes(nvme::PredicateOp::kGe, 0, std::string(1, '\0'));
+  co_await ExpectCoveredAggregate(sim, c, all_lo, all_hi, indexed, named,
+                                  indexed, padded);
+
+  client::KeyspaceHandle::SelectOptions planned;
+  planned.pred = CoverPredicate(c);
+  co_await ExpectCoveredSelect(sim, indexed, c, "", "\x7f", planned);
+  co_await ExpectCoveredAggregate(sim, c, "", "\x7f", indexed, planned,
+                                  plain, planned);
+}
+
+TEST(PushdownTest, CoveredPlanMatchesUncoveredForEveryKeyType) {
+  for (const CoverCase& cover : kCoverCases) {
+    CsdFixture f;
+    testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
+                               const CoverCase* c) -> sim::Task<void> {
+      auto indexed = co_await LoadCoverKeyspace(db, *c, "indexed");
+      auto plain = co_await LoadCoverKeyspace(db, *c, "plain");
+      KVCSD_CO_ASSERT_OK(co_await indexed.CreateSecondaryIndex(CoverIndex(*c)));
+      co_await ExpectCoveredAnswers(sim, indexed, plain, *c);
+
+      // A live delta: an overwrite that moves key 20's attribute to
+      // another class, a tombstone, and a key only the delta holds.
+      for (client::KeyspaceHandle ks : {indexed, plain}) {
+        KVCSD_CO_ASSERT_OK(co_await ks.Put(
+            MakeFixedKey(20), CoverValue(*c, kCoverClasses + 90)));
+        KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(11)));
+        KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(kCoverKeys + 3),
+                                           CoverValue(*c, 95)));
+      }
+      co_await ExpectCoveredAnswers(sim, indexed, plain, *c);
+    }(&f.db, &f.sim, &cover));
+  }
+}
+
+// --------------------------------------------------------------------------
+// Sliced filter charge: the filter holds a SoC core for one kIndexBlockSize
+// slice of rows at a time, so a GET queued behind a long select waits at
+// most one slice, and the slices add up to one charge of the whole scan.
+// --------------------------------------------------------------------------
+
+Tick PushdownBusy(Device& dev) {
+  return dev.cpu().meter().TotalBusy()[static_cast<std::size_t>(
+      sim::Activity::kPushdown)];
+}
+
+// 20% of 2000 EnergyValue keys match; the primary plan filters all 2000.
+constexpr std::uint64_t kSliceKeys = 2000;
+
+client::KeyspaceHandle::SelectOptions TopFifth() {
+  client::KeyspaceHandle::SelectOptions opts;
+  opts.pred = nvme::PredicateF32(nvme::PredicateOp::kGe, 28, 1600.0f);
+  return opts;
+}
+
+// The pushdown core time of a select is its index-block reads, its gather
+// reads and one filter charge of every scanned row and byte: exactly what
+// one un-sliced charge of the filter would book.
+TEST(PushdownTest, SlicedFilterBooksTheOneShotCharge) {
+  CsdFixture f;
+  testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
+                             Device* dev) -> sim::Task<void> {
+    auto ks = co_await LoadCompacted(db, "busy", kSliceKeys);
+    auto count = [sim](const char* name) {
+      return sim->stats().counter_value(name);
+    };
+    const Tick busy0 = PushdownBusy(*dev);
+    const std::uint64_t hits0 = count("device.read_cache.hits");
+    const std::uint64_t misses0 = count("device.read_cache.misses");
+    const std::uint64_t ranges0 = count("device.gather.ranges");
+    const std::uint64_t rows0 = count("device.select.rows_scanned");
+    const std::uint64_t bytes0 = count("device.select.bytes_scanned");
+    std::vector<std::pair<std::string, std::string>> rows;
+    KVCSD_CO_ASSERT_OK(co_await ks.Select("", "\x7f", TopFifth(), &rows));
+    KVCSD_CO_ASSERT(rows.size() == kSliceKeys / 5);
+
+    const hostenv::CostModel& costs = dev->config().costs;
+    const std::uint64_t scanned = count("device.select.rows_scanned") - rows0;
+    KVCSD_CO_ASSERT(scanned == kSliceKeys);
+    const Tick one_shot =
+        TransferTicks(count("device.select.bytes_scanned") - bytes0,
+                      costs.extract_bytes_per_sec) +
+        static_cast<Tick>(scanned) * costs.kv_op_fixed;
+    const Tick reads =
+        (count("device.read_cache.misses") - misses0) *
+            (costs.io_path_overhead + costs.block_search) +
+        (count("device.read_cache.hits") - hits0) * costs.block_search +
+        (count("device.gather.ranges") - ranges0) * costs.io_path_overhead;
+    EXPECT_EQ(PushdownBusy(*dev) - busy0, reads + one_shot);
+  }(&f.db, &f.sim, &f.dev));
+}
+
+// On a one-core device a GET popped while a select filters waits for the
+// slice in progress, not for the whole filter.
+TEST(PushdownTest, GetQueuedBehindSelectWaitsOneSlice) {
+  DeviceConfig one_core = SmallDevice();
+  one_core.soc_cores = 1;
+  CsdFixture f(one_core);
+  testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
+                             Device* dev) -> sim::Task<void> {
+    auto ks = co_await LoadCompacted(db, "hol", kSliceKeys);
+    const std::uint64_t seq0 = sim->log().Entries().back().seq;
+
+    // GETs back to back for as long as the select runs.
+    bool done = false;
+    sim->Spawn([](client::KeyspaceHandle h, bool* flag) -> sim::Task<void> {
+      std::vector<std::pair<std::string, std::string>> rows;
+      EXPECT_TRUE((co_await h.Select("", "\x7f", TopFifth(), &rows)).ok());
+      EXPECT_EQ(rows.size(), kSliceKeys / 5);
+      *flag = true;
+    }(ks, &done));
+    std::uint64_t gets = 0;
+    while (!done) {
+      KVCSD_CO_ASSERT_OK(
+          co_await ks.Get(MakeFixedKey(gets++ * 7 % kSliceKeys)));
+    }
+
+    // Every row is a 16 B key and a 32 B value, so a slice is the first
+    // 86 rows to reach 4 KiB; the cumulative rounding moves a slice's byte
+    // charge by at most 1 tick.
+    const hostenv::CostModel& costs = dev->config().costs;
+    constexpr std::uint64_t kSliceRows = kIndexBlockSize / 48 + 1;
+    const Tick slice = TransferTicks(kSliceRows * 32,
+                                     costs.extract_bytes_per_sec) +
+                       1 + kSliceRows * costs.kv_op_fixed;
+    const Tick whole = TransferTicks(kSliceKeys * 32,
+                                     costs.extract_bytes_per_sec) +
+                       kSliceKeys * costs.kv_op_fixed;
+    Tick max_wait = 0;
+    std::uint64_t logged = 0;
+    for (const sim::Log::Entry& e : sim->log().Entries()) {
+      if (e.seq <= seq0 || !e.is_command ||
+          std::strcmp(e.command.op, "kv_retrieve") != 0) {
+        continue;
+      }
+      ++logged;
+      // dispatch_ns includes the GET's own dispatch charge.
+      max_wait = std::max(max_wait,
+                          e.command.dispatch_ns - costs.syscall_overhead);
+    }
+    KVCSD_CO_ASSERT(logged == gets);
+    KVCSD_CO_ASSERT(gets >= 3);
+    // One charge of the whole filter would hold the core 20 slices long.
+    KVCSD_CO_ASSERT(whole > 20 * slice);
+    EXPECT_LE(max_wait, slice);
+  }(&f.db, &f.sim, &f.dev));
 }
 
 // --------------------------------------------------------------------------

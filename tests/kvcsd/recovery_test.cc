@@ -444,11 +444,50 @@ TEST(RecoveryTest, CompactionCommitPersistErrorRollsBack) {
   EXPECT_TRUE(ks->pidx_clusters.empty());
   EXPECT_EQ(dev->zones().free_zones(), free_before);
   ExpectClustersOwnedOnce(dev);
+  // The rollback's own persist succeeded: no series.
+  EXPECT_FALSE(
+      f.sim.stats().has_counter("device.meta.rollback_persist_failed"));
 
   testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "commit"));
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
   testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "commit", kKeys));
   ExpectClustersOwnedOnce(dev);
+}
+
+// When the rollback's own persist fails too, the compaction still fails
+// with the commit's error and rolls back live. The lost persist is counted
+// and logged, not returned, and recovery rolls the COMPACTING snapshot
+// still on flash back over the same intact logs.
+TEST(RecoveryTest, FailedRollbackPersistIsCountedAndRecovered) {
+  PowerCycleFixture f;
+  constexpr std::uint64_t kKeys = 300;
+  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "rollback", kKeys));
+  Device* dev = f.dev();
+  Keyspace* ks = dev->keyspaces().Find("rollback").value();
+
+  // The first metadata append persists COMPACTING; the commit snapshot and
+  // the rollback snapshot after it both fail.
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  rule.zone = dev->keyspaces().current_meta_zone();
+  rule.skip = 1;
+  rule.times = 2;
+  f.faults.AddErrorRule(rule);
+  const Status compacted =
+      testutil::RunSim(f.sim, DeviceTestPeer::Compact(dev, ks));
+  EXPECT_EQ(compacted.code(), StatusCode::kIoError) << compacted.ToString();
+  EXPECT_EQ(f.faults.errors_injected(), 2u);
+  EXPECT_EQ(ks->state, KeyspaceState::kWritable);
+  EXPECT_EQ(
+      f.sim.stats().counter_value("device.meta.rollback_persist_failed"), 1u);
+  EXPECT_NE(f.sim.log().ToString().find("rollback persist failed"),
+            std::string::npos);
+  ExpectClustersOwnedOnce(dev);
+
+  f.Restart();
+  testutil::RunSim(f.sim,
+                   RecoverAndVerify(f.dev(), f.db.get(), "rollback", kKeys));
+  ExpectClustersOwnedOnce(f.dev());
 }
 
 // A raw-bytes index over the "value-" prefix plus the first digit, which

@@ -263,11 +263,14 @@ def print_pushdown_breakdown(events, tracks):
     command on the ``query`` track, tagged with the scan source
     (``primary``, ``sidx`` for a host-named index, ``sidx_planned`` when
     the device's scan planner chose one) and the byte counts on both
-    sides of the predicate.  The reduction column is the pushdown win: how
-    many bytes the device read per byte it shipped to the host.
+    sides of the predicate.  The covered column counts the commands that
+    read only the index attribute and so were answered from the SIDX
+    entries with no value gather; bytes_scanned is what the filter read.
+    The reduction column is the pushdown win: how many bytes the device
+    read per byte it shipped to the host.
     """
     groups = defaultdict(lambda: {
-        "count": 0, "scanned": 0, "returned": 0,
+        "count": 0, "covered": 0, "scanned": 0, "returned": 0,
         "rows_scanned": 0, "rows_matched": 0,
     })
     for e in events:
@@ -279,6 +282,7 @@ def print_pushdown_breakdown(events, tracks):
         args = e.get("args", {})
         g = groups[(e["name"], args.get("src", "?"))]
         g["count"] += 1
+        g["covered"] += int(args.get("covered", 0))
         g["scanned"] += int(args.get("bytes_scanned", 0))
         g["returned"] += int(args.get("bytes_returned", 0))
         g["rows_scanned"] += int(args.get("rows_scanned", 0))
@@ -286,8 +290,8 @@ def print_pushdown_breakdown(events, tracks):
     if not groups:
         return
     print()
-    hdr = "%-22s %6s %12s %12s %14s %14s %10s" % (
-        "pushdown", "count", "rows_scanned", "rows_matched",
+    hdr = "%-22s %6s %7s %12s %12s %14s %14s %10s" % (
+        "pushdown", "count", "covered", "rows_scanned", "rows_matched",
         "bytes_scanned", "bytes_returned", "reduction")
     print(hdr)
     print("-" * len(hdr))
@@ -295,13 +299,13 @@ def print_pushdown_breakdown(events, tracks):
     for (op, src), g in sorted(groups.items()):
         totals["scanned"] += g["scanned"]
         totals["returned"] += g["returned"]
-        print("%-22s %6d %12d %12d %14d %14d %9.1fx" % (
-            "%s/%s" % (op, src), g["count"], g["rows_scanned"],
+        print("%-22s %6d %7d %12d %12d %14d %14d %9.1fx" % (
+            "%s/%s" % (op, src), g["count"], g["covered"], g["rows_scanned"],
             g["rows_matched"], g["scanned"], g["returned"],
             g["scanned"] / g["returned"] if g["returned"] else 0.0))
     print("-" * len(hdr))
-    print("%-22s %6s %12s %12s %14d %14d %9.1fx" % (
-        "total", "", "", "", totals["scanned"], totals["returned"],
+    print("%-22s %6s %7s %12s %12s %14d %14d %9.1fx" % (
+        "total", "", "", "", "", totals["scanned"], totals["returned"],
         totals["scanned"] / totals["returned"]
         if totals["returned"] else 0.0))
 
