@@ -3,7 +3,7 @@
 //
 // For each keyspace count the bench loads K keyspaces (each with --keys
 // acknowledged KVs), cuts power via the fault injector, power-cycles the
-// device (Device::Restart over the surviving flash bytes) and times
+// testbed (a fresh device over the surviving flash bytes) and times
 // Recover(). Two rows per K: WRITABLE keyspaces, whose KLOG chains must
 // be replayed end to end to rebuild key counts and bounds, and COMPACTED
 // keyspaces, which only re-read index footers. The gap between the rows
@@ -15,8 +15,8 @@
 //        --json=PATH (machine-readable report), plus the observability
 //        flags of harness/tracing.h (--trace, --flight_dump, ...)
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "client/client.h"
@@ -24,12 +24,10 @@
 #include "harness/flags.h"
 #include "harness/json_report.h"
 #include "harness/report.h"
+#include "harness/testbed.h"
 #include "harness/tracing.h"
-#include "hostenv/cost_model.h"
 #include "kvcsd/device.h"
-#include "nvme/queue.h"
 #include "sim/fault.h"
-#include "sim/resources.h"
 #include "sim/simulation.h"
 
 using namespace kvcsd;           // NOLINT
@@ -81,14 +79,14 @@ sim::Task<void> Load(client::Client* db, std::uint32_t keyspaces,
   out->load_ok = true;
 }
 
-sim::Task<void> Recover(device::Device* dev, client::Client* db,
-                        sim::Simulation* sim, std::uint32_t keyspaces,
+sim::Task<void> Recover(CsdTestbed* bed, std::uint32_t keyspaces,
                         RunResult* out) {
-  const Tick start = sim->Now();
-  if (!(co_await dev->Recover()).ok()) co_return;
-  out->recovery_ticks = sim->Now() - start;
+  const Tick start = bed->sim().Now();
+  if (!(co_await bed->dev().Recover()).ok()) co_return;
+  out->recovery_ticks = bed->sim().Now() - start;
   for (std::uint32_t i = 0; i < keyspaces; ++i) {
-    auto opened = co_await db->OpenKeyspace("ks" + std::to_string(i));
+    auto opened =
+        co_await bed->client().OpenKeyspace("ks" + std::to_string(i));
     if (!opened.ok()) co_return;
     auto stat = co_await opened->GetStat();
     if (!stat.ok()) co_return;
@@ -99,33 +97,24 @@ sim::Task<void> Recover(device::Device* dev, client::Client* db,
 
 RunResult RunOne(std::uint32_t keyspaces, std::uint64_t keys,
                  bool compacted) {
-  sim::Simulation sim;
-  // This bench assembles its device by hand (no CsdTestbed), so it
-  // brackets the simulation itself; the dumps cover both the load and the
-  // recovery, and the power cut trips the event ring's crash dump.
-  EnableObservability(&sim);
   sim::FaultInjector faults(keyspaces * 31 + (compacted ? 1 : 0));
-  const device::DeviceConfig cfg = BenchConfig(&faults);
+  TestbedConfig config;
+  config.host_cores = 8;
+  config.device = BenchConfig(&faults);
+  // One testbed for the load and the recovery: its observability dumps
+  // cover both, and the power cut trips the event ring's crash dump.
+  CsdTestbed bed(config);
 
   RunResult result;
-  nvme::QueueSet queue(&sim, nvme::QueueSetConfig{});
-  auto dev = std::make_unique<device::Device>(&sim, cfg, &queue);
-  dev->Start();
-  sim::CpuPool host_cpu(&sim, "host", 8);
-  client::Client db(&queue, &host_cpu, hostenv::CostModel::Host());
-  sim.Spawn(Load(&db, keyspaces, keys, compacted, &result));
-  sim.Run();
+  bed.sim().Spawn(Load(&bed.client(), keyspaces, keys, compacted, &result));
+  bed.sim().Run();
   if (!result.load_ok) return result;
 
   faults.Crash();  // power cut; every acked byte is behind CommitTail
 
-  nvme::QueueSet queue2(&sim, nvme::QueueSetConfig{});
-  auto dev2 = device::Device::Restart(&sim, cfg, &queue2, *dev);
-  dev2->Start();
-  client::Client db2(&queue2, &host_cpu, hostenv::CostModel::Host());
-  sim.Spawn(Recover(dev2.get(), &db2, &sim, keyspaces, &result));
-  sim.Run();
-  DumpObservability(&sim);
+  bed.PowerCycle();
+  bed.sim().Spawn(Recover(&bed, keyspaces, &result));
+  bed.sim().Run();
   return result;
 }
 

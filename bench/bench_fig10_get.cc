@@ -38,9 +38,13 @@ sim::Task<void> LsmLoader(LsmTestbed* bed, std::uint64_t keys,
   auto check = [failed](const Status& st) {
     if (!st.ok()) ++*failed;
   };
-  auto db = (co_await bed->OpenDb("db" + std::to_string(thread),
-                                  lsm::CompactionMode::kAuto))
-                .value();
+  auto opened = co_await bed->OpenDb("db" + std::to_string(thread),
+                                     lsm::CompactionMode::kAuto);
+  if (!opened.ok()) {
+    ++*failed;
+    co_return;
+  }
+  std::unique_ptr<lsm::Db> db = std::move(*opened);
   for (std::uint64_t i = 0; i < keys; ++i) {
     check(co_await db->Put(MakeFixedKey(i), std::string(32, 'v')));
   }
@@ -106,6 +110,8 @@ int main(int argc, char** argv) {
   std::uint64_t failures = 0;
   CountFailures("KV-CSD load", csd_load_failed, &failures);
   CountFailures("RocksDB load", lsm_load_failed, &failures);
+  // A keyspace or instance that failed to load has nothing to query.
+  if (failures > 0) return 1;
 
   // ---- GET sweeps ----
   Table time_table("Fig 10a: random GET time vs query count",

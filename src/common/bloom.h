@@ -18,8 +18,6 @@ class BloomFilterBuilder {
   // Serializes the filter: bit array followed by a 1-byte probe count.
   std::string Finish();
 
-  std::size_t num_keys() const { return hashes_.size(); }
-
  private:
   int bits_per_key_;
   int num_probes_;

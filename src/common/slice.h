@@ -37,7 +37,6 @@ class Slice {
   }
 
   std::string ToString() const { return std::string(data_, size_); }
-  std::string_view view() const { return std::string_view(data_, size_); }
   std::span<const std::byte> bytes() const {
     return std::span<const std::byte>(
         reinterpret_cast<const std::byte*>(data_), size_);

@@ -20,12 +20,6 @@ constexpr Tick Seconds(std::uint64_t n) { return n * 1000000000ull; }
 constexpr double TicksToSeconds(Tick t) {
   return static_cast<double>(t) / 1e9;
 }
-constexpr double TicksToMillis(Tick t) {
-  return static_cast<double>(t) / 1e6;
-}
-constexpr double TicksToMicros(Tick t) {
-  return static_cast<double>(t) / 1e3;
-}
 
 // Ticks needed to move `bytes` through a pipe of `bytes_per_sec` capacity,
 // rounded up so zero-cost transfers cannot exist.

@@ -2,17 +2,14 @@
 
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "client/client.h"
-#include "hostenv/cost_model.h"
-#include "nvme/queue.h"
+#include "harness/testbed.h"
 #include "sim/parallel.h"
-#include "sim/resources.h"
 #include "sim/simulation.h"
 
 namespace kvcsd::harness {
@@ -594,11 +591,11 @@ sim::Task<void> VerifyKeyspace(SweepState* st, client::Client* db,
   }
 }
 
-sim::Task<void> VerifyBody(SweepState* st, sim::Simulation* sim,
-                           device::Device* dev, client::Client* db) {
-  const Tick start = sim->Now();
+sim::Task<void> VerifyBody(SweepState* st, CsdTestbed* bed) {
+  device::Device* dev = &bed->dev();
+  const Tick start = st->sim->Now();
   Status recovered = co_await dev->Recover();
-  st->report->recovery_ticks = sim->Now() - start;
+  st->report->recovery_ticks = st->sim->Now() - start;
   if (!recovered.ok()) {
     st->Violation("recovery failed: " + recovered.message());
     co_return;
@@ -614,13 +611,12 @@ sim::Task<void> VerifyBody(SweepState* st, sim::Simulation* sim,
   }
 
   for (KeyspaceModel& m : st->models) {
-    co_await VerifyKeyspace(st, db, &m);
+    co_await VerifyKeyspace(st, &bed->client(), &m);
   }
 }
 
-sim::Task<void> RunVerify(SweepState* st, sim::Simulation* sim,
-                          device::Device* dev, client::Client* db) {
-  co_await VerifyBody(st, sim, dev, db);
+sim::Task<void> RunVerify(SweepState* st, CsdTestbed* bed) {
+  co_await VerifyBody(st, bed);
   st->verify_done = true;
 }
 
@@ -632,10 +628,14 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
     return Status::InvalidArgument("crash sweep needs at least one keyspace");
   }
 
-  sim::Simulation sim;
   sim::FaultInjector faults(config.seed);
   faults.set_torn_tail_keep(config.torn_tail_keep);
   if (crash_at_hit > 0) faults.ArmCrashAtHit(crash_at_hit);
+  TestbedConfig bed_config;
+  bed_config.host_cores = 8;
+  bed_config.device = config.DeviceConfigFor(&faults);
+  CsdTestbed bed(bed_config);
+  sim::Simulation& sim = bed.sim();
 
   CrashSweepReport report;
   SweepState state;
@@ -648,14 +648,7 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
     state.models[i].name = "sweep" + std::to_string(i);
   }
 
-  const device::DeviceConfig dcfg = config.DeviceConfigFor(&faults);
-  nvme::QueueSet queue(&sim, nvme::QueueSetConfig{});
-  auto dev = std::make_unique<device::Device>(&sim, dcfg, &queue);
-  dev->Start();
-  sim::CpuPool host_cpu(&sim, "host", 8);
-  client::Client db(&queue, &host_cpu, hostenv::CostModel::Host());
-
-  sim.Spawn(RunWorkload(&state, &db));
+  sim.Spawn(RunWorkload(&state, &bed.client()));
   sim.Run();
   if (!state.workload_done) {
     return Status::Aborted("crash-sweep workload never completed");
@@ -664,14 +657,9 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
   report.fired = faults.crashed();
   report.crash_point = faults.crash_point();
 
-  // Power cycle: a fresh device + queue over the surviving flash bytes.
-  // The old device stays parked on its dead queue pair.
-  nvme::QueueSet queue2(&sim, nvme::QueueSetConfig{});
-  auto dev2 = device::Device::Restart(&sim, dcfg, &queue2, *dev);
-  dev2->Start();
-  client::Client db2(&queue2, &host_cpu, hostenv::CostModel::Host());
-
-  sim.Spawn(RunVerify(&state, &sim, dev2.get(), &db2));
+  // Power cycle over the surviving flash bytes.
+  bed.PowerCycle();
+  sim.Spawn(RunVerify(&state, &bed));
   sim.Run();
   if (!state.verify_done) {
     return Status::Aborted("crash-sweep verification never completed");

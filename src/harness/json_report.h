@@ -43,8 +43,6 @@ class JsonValue {
   static JsonValue Num(double v);
   static JsonValue Bool(bool v);
 
-  bool is_object() const { return kind_ == Kind::kObject; }
-  bool is_array() const { return kind_ == Kind::kArray; }
 
   // Object member access (asserts this is an object).
   JsonValue& Set(std::string_view key, JsonValue value);

@@ -28,4 +28,30 @@ std::string TestbedConfig::Describe() const {
   return buf;
 }
 
+DeviceStack::DeviceStack(sim::Simulation* sim, sim::CpuPool* host_cpu,
+                         const TestbedConfig& config,
+                         const std::string& prefix)
+    : sim_(sim), host_cpu_(host_cpu), config_(config) {
+  config_.queues.name_prefix = prefix;
+  config_.device.stats_prefix = prefix;
+  client_config_.stats_prefix = "client." + prefix;
+  queues_.push_back(std::make_unique<nvme::QueueSet>(sim_, config_.queues));
+  devices_.push_back(
+      std::make_unique<device::Device>(sim_, config_.device, &queue()));
+  AddClient();
+}
+
+void DeviceStack::PowerCycle() {
+  queues_.push_back(std::make_unique<nvme::QueueSet>(sim_, config_.queues));
+  devices_.push_back(
+      device::Device::Restart(sim_, config_.device, &queue(), dev()));
+  dev().Start();
+  AddClient();
+}
+
+void DeviceStack::AddClient() {
+  clients_.push_back(std::make_unique<client::Client>(
+      &queue(), host_cpu_, config_.host_costs, client_config_));
+}
+
 }  // namespace kvcsd::harness

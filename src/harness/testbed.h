@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "client/client.h"
 #include "harness/tracing.h"
@@ -79,38 +80,74 @@ struct TestbedConfig {
   }
 };
 
-// The KV-CSD system under test: device + client on a shared simulation.
+// One KV-CSD stack: an NVMe queue set, the device behind it and the host
+// client in front of it, on a shared simulation and host CPU pool. Every
+// series the stack records carries `prefix` ("" for a lone device,
+// "shard<i>." in a fleet; the client's latency series go under
+// "client.<prefix>"). Start() spawns the device's command loop.
+//
+// PowerCycle() is a power cut and reboot: a fresh queue set,
+// Device::Restart over the surviving ZNS state, Start, and a fresh
+// client. Earlier incarnations stay parked (the old device still waits on
+// its dead queue set) until the stack dies. The caller runs dev().Recover()
+// afterwards, inside the simulation.
+class DeviceStack {
+ public:
+  DeviceStack(sim::Simulation* sim, sim::CpuPool* host_cpu,
+              const TestbedConfig& config, const std::string& prefix);
+  DeviceStack(const DeviceStack&) = delete;
+  DeviceStack& operator=(const DeviceStack&) = delete;
+
+  void Start() { dev().Start(); }
+  void PowerCycle();
+
+  client::Client& client() { return *clients_.back(); }
+  device::Device& dev() { return *devices_.back(); }
+  nvme::QueueSet& queue() { return *queues_.back(); }
+
+ private:
+  void AddClient();
+
+  sim::Simulation* sim_;
+  sim::CpuPool* host_cpu_;
+  TestbedConfig config_;
+  client::ClientConfig client_config_;
+  std::vector<std::unique_ptr<nvme::QueueSet>> queues_;
+  std::vector<std::unique_ptr<device::Device>> devices_;
+  std::vector<std::unique_ptr<client::Client>> clients_;
+};
+
+// The KV-CSD system under test: one unprefixed device stack on its own
+// simulation.
 class CsdTestbed {
  public:
   explicit CsdTestbed(const TestbedConfig& config,
                       std::uint32_t host_cores_override = 0)
-      : config_(config),
-        queue_(&sim_, config_.queues),
-        device_(&sim_, config_.device, &queue_),
-        host_cpu_(&sim_, "host",
+      : host_cpu_(&sim_, "host",
                   host_cores_override ? host_cores_override
-                                      : config_.host_cores),
-        client_(&queue_, &host_cpu_, config_.host_costs) {
+                                      : config.host_cores),
+        stack_(&sim_, &host_cpu_, config, "") {
     EnableObservability(&sim_);
-    device_.Start();
+    stack_.Start();
   }
   ~CsdTestbed() { DumpObservability(&sim_); }
   CsdTestbed(const CsdTestbed&) = delete;
   CsdTestbed& operator=(const CsdTestbed&) = delete;
 
+  // Simulated power cycle (DeviceStack::PowerCycle); run dev().Recover()
+  // inside the simulation afterwards.
+  void PowerCycle() { stack_.PowerCycle(); }
+
   sim::Simulation& sim() { return sim_; }
-  client::Client& client() { return client_; }
-  device::Device& dev() { return device_; }
-  nvme::QueueSet& queue() { return queue_; }
+  client::Client& client() { return stack_.client(); }
+  device::Device& dev() { return stack_.dev(); }
+  nvme::QueueSet& queue() { return stack_.queue(); }
   sim::CpuPool& host_cpu() { return host_cpu_; }
 
  private:
-  TestbedConfig config_;
   sim::Simulation sim_;
-  nvme::QueueSet queue_;
-  device::Device device_;
   sim::CpuPool host_cpu_;
-  client::Client client_;
+  DeviceStack stack_;
 };
 
 // The software-baseline system under test: RocksLite on ext4-ish Fs.
@@ -148,7 +185,6 @@ class LsmTestbed {
   lsm::BlockCache& block_cache() { return block_cache_; }
   storage::BlockSsd& ssd() { return ssd_; }
   sim::CpuPool& host_cpu() { return host_cpu_; }
-  lsm::LsmEnv& env() { return env_; }
 
  private:
   TestbedConfig config_;

@@ -34,6 +34,26 @@ void CountGetStatus(const Status& status, QueryOutcome* out) {
   }
 }
 
+// How often a shared-keyspace thread tries to open the keyspace thread 0
+// creates, 50 us apart, before it gives up.
+constexpr std::uint32_t kSharedOpenAttempts = 1000;
+
+// The keyspace insert thread `thread` writes into: its own, or with a
+// shared keyspace the one thread 0 creates and the others open.
+sim::Task<Result<client::KeyspaceHandle>> InsertKeyspace(
+    CsdTestbed* tb, const InsertSpec* s, std::uint32_t thread) {
+  client::Client& db = tb->client();
+  if (!s->shared_keyspace) {
+    co_return co_await db.CreateKeyspace("ks" + std::to_string(thread));
+  }
+  if (thread == 0) co_return co_await db.CreateKeyspace("shared");
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    auto opened = co_await db.OpenKeyspace("shared");
+    if (opened.ok() || attempt == kSharedOpenAttempts) co_return opened;
+    co_await tb->sim().Delay(Microseconds(50));
+  }
+}
+
 }  // namespace
 
 Status AtStep(const std::string& step, const Status& status) {
@@ -117,7 +137,9 @@ CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
   inserts_done.Add(spec.threads);
   compactions_done.Add(spec.shared_keyspace ? 1 : spec.threads);
 
-  // Shared-keyspace mode: thread 0 creates, others open by name.
+  // Shared-keyspace mode: thread 0 creates, others open by name. A
+  // thread whose create or open fails counts it, skips its load and still
+  // passes every barrier, so the other threads run to completion.
   for (std::uint32_t t = 0; t < spec.threads; ++t) {
     bed.sim().Spawn([](CsdTestbed* tb, const InsertSpec* s,
                        sim::WaitGroup* ins_wg, sim::WaitGroup* comp_wg,
@@ -125,58 +147,38 @@ CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
                        std::uint32_t thread) -> sim::Task<void> {
       auto check = [failed](const Status& st) {
         if (!st.ok()) ++*failed;
+        return st.ok();
       };
-      client::Client& db = tb->client();
-      client::KeyspaceHandle ks;
-      if (s->shared_keyspace) {
-        if (thread == 0) {
-          ks = (co_await db.CreateKeyspace("shared")).value();
-        } else {
-          // Later threads open after thread 0 created it; retry briefly.
-          for (;;) {
-            auto opened = co_await db.OpenKeyspace("shared");
-            if (opened.ok()) {
-              ks = *opened;
-              break;
-            }
-            co_await tb->sim().Delay(Microseconds(50));
-          }
-        }
-      } else {
-        ks = (co_await db.CreateKeyspace("ks" + std::to_string(thread)))
-                 .value();
-      }
+      auto ks = co_await InsertKeyspace(tb, s, thread);
+      const bool opened = check(ks.status());
 
-      Rng rng(s->seed * 7919 + thread);
-      const std::uint64_t keys = s->total_keys / s->threads;
-      if (s->use_bulk_put) {
-        auto writer = ks.NewBulkWriter();
-        for (std::uint64_t i = 0; i < keys; ++i) {
-          check(co_await writer.Add(RandomKey(rng),
-                                    MakeValue(s->value_bytes, rng.Next())));
-        }
-        check(co_await writer.Drain());
-      } else {
-        for (std::uint64_t i = 0; i < keys; ++i) {
-          check(co_await ks.Put(RandomKey(rng),
-                                MakeValue(s->value_bytes, rng.Next())));
+      if (opened) {
+        Rng rng(s->seed * 7919 + thread);
+        const std::uint64_t keys = s->total_keys / s->threads;
+        if (s->use_bulk_put) {
+          auto writer = ks->NewBulkWriter();
+          for (std::uint64_t i = 0; i < keys; ++i) {
+            check(co_await writer.Add(RandomKey(rng),
+                                      MakeValue(s->value_bytes, rng.Next())));
+          }
+          check(co_await writer.Drain());
+        } else {
+          for (std::uint64_t i = 0; i < keys; ++i) {
+            check(co_await ks->Put(RandomKey(rng),
+                                   MakeValue(s->value_bytes, rng.Next())));
+          }
         }
       }
 
       ins_wg->Done();
-      if (s->shared_keyspace) {
-        if (thread == 0) {
-          // Invoke compaction once everyone has finished writing.
-          co_await ins_wg->Wait();
-          check(co_await ks.Compact());
-          check(co_await ks.WaitCompaction());
-          comp_wg->Done();
-        }
-      } else {
-        check(co_await ks.Compact());
-        check(co_await ks.WaitCompaction());
-        comp_wg->Done();
+      // Shared mode: thread 0 compacts once everyone has finished writing.
+      if (s->shared_keyspace && thread != 0) co_return;
+      if (s->shared_keyspace) co_await ins_wg->Wait();
+      if (opened) {
+        check(co_await ks->Compact());
+        check(co_await ks->WaitCompaction());
       }
+      comp_wg->Done();
     }(&bed, &spec, &inserts_done, &compactions_done, &outcome.failed, t));
   }
 
@@ -213,9 +215,12 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
                      std::vector<std::unique_ptr<lsm::Db>>* instances)
                       -> sim::Task<void> {
     const std::uint32_t num_instances = s->shared_keyspace ? 1 : s->threads;
+    // An instance that fails to open is counted and stays null; its
+    // threads skip their load but still pass the barrier.
     for (std::uint32_t d = 0; d < num_instances; ++d) {
       auto db = co_await tb->OpenDb("db" + std::to_string(d), m);
-      instances->push_back(std::move(db).value());
+      if (!db.ok()) ++out->failed;
+      instances->push_back(db.ok() ? std::move(*db) : nullptr);
     }
 
     sim::WaitGroup wg(&tb->sim());
@@ -223,6 +228,10 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
     for (std::uint32_t t = 0; t < s->threads; ++t) {
       lsm::Db* db =
           (*instances)[s->shared_keyspace ? 0 : t].get();
+      if (db == nullptr) {
+        wg.Done();
+        continue;
+      }
       // Each thread finishes its own instance (flush / deferred compact),
       // exactly like the paper's per-thread test program — end-of-run work
       // runs in parallel across instances.
@@ -259,7 +268,7 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
     co_await wg.Wait();
 
     // Shared-instance mode: one end-of-run pass for the single DB.
-    if (s->shared_keyspace) {
+    if (s->shared_keyspace && (*instances)[0] != nullptr) {
       lsm::Db* db = (*instances)[0].get();
       Status st = Status::Ok();
       switch (m) {
@@ -276,6 +285,7 @@ LsmInsertOutcome RunLsmInsert(const TestbedConfig& config,
     }
     out->total_done = tb->sim().Now();
     for (auto& db : *instances) {
+      if (db == nullptr) continue;
       out->stalls += db->stats().stalls;
       out->stall_time += db->stats().stall_time;
       out->compactions += db->stats().compactions;

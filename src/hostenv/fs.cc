@@ -164,7 +164,6 @@ sim::Task<Status> Fs::Pread(FileHandle h, std::uint64_t offset,
       }
     }
   }
-  cache_bytes_read_ += out.size();
 
   co_await cpu_->ComputeBytes(out.size(), costs_.memcpy_bytes_per_sec);
   std::memcpy(out.data(), rep->data.data() + offset, out.size());

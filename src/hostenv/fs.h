@@ -85,7 +85,6 @@ class Fs {
   // Traffic actually exchanged with the device through this filesystem.
   std::uint64_t device_bytes_read() const { return device_bytes_read_; }
   std::uint64_t device_bytes_written() const { return device_bytes_written_; }
-  std::uint64_t cache_bytes_read() const { return cache_bytes_read_; }
   std::uint64_t journal_commits() const { return journal_commits_; }
 
  private:
@@ -123,7 +122,6 @@ class Fs {
 
   std::uint64_t device_bytes_read_ = 0;
   std::uint64_t device_bytes_written_ = 0;
-  std::uint64_t cache_bytes_read_ = 0;
   std::uint64_t journal_commits_ = 0;
 };
 

@@ -16,9 +16,7 @@ namespace kvcsd::hostenv {
 class PageCache {
  public:
   PageCache(std::uint64_t capacity_bytes, std::uint32_t page_size = 4096)
-      : capacity_pages_(capacity_bytes / page_size), page_size_(page_size) {}
-
-  std::uint32_t page_size() const { return page_size_; }
+      : capacity_pages_(capacity_bytes / page_size) {}
 
   // True (and refreshed to MRU) if the page is resident.
   bool Lookup(std::uint64_t file_id, std::uint64_t block);
@@ -46,7 +44,6 @@ class PageCache {
   void Erase(std::uint64_t key);
 
   std::uint64_t capacity_pages_;
-  std::uint32_t page_size_;
   std::list<std::uint64_t> lru_;  // front = MRU
   std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> map_;
   // Resident page keys per file, so a file's pages drop without a walk of

@@ -88,7 +88,6 @@ class SstableReader {
                         std::string* value, bool* found);
 
   std::uint64_t num_entries() const { return num_entries_; }
-  std::uint64_t file_number() const { return file_number_; }
 
   // Streaming iteration in internal-key order. Compaction passes
   // fill_cache=false so bulk reads do not evict the hot read-path blocks

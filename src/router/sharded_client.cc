@@ -150,7 +150,7 @@ sim::Task<Status> PutShardBatch(
 
 ShardedClient::ShardedClient(sim::Simulation* sim,
                              std::vector<client::Client*> shards,
-                             std::unique_ptr<Partitioner> partitioner)
+                             std::shared_ptr<const Partitioner> partitioner)
     : sim_(sim),
       shards_(std::move(shards)),
       partitioner_(std::move(partitioner)),

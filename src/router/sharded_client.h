@@ -50,14 +50,12 @@ namespace kvcsd::router {
 class CompactionGovernor {
  public:
   CompactionGovernor(sim::Simulation* sim, std::uint32_t max_concurrent)
-      : sem_(sim, max_concurrent), limit_(max_concurrent) {}
+      : sem_(sim, max_concurrent) {}
   auto Acquire() { return sem_.Acquire(); }
   void Release() { sem_.Release(); }
-  std::uint32_t limit() const { return limit_; }
 
  private:
   sim::Semaphore sem_;
-  std::uint32_t limit_;
 };
 
 // Governor width: max shards compacting/index-building concurrently.
@@ -226,9 +224,10 @@ class ShardedKeyspaceHandle {
 class ShardedClient {
  public:
   // `shards` are non-owned, must outlive the router, and must all live
-  // on `sim`. The partitioner is owned. At least one shard is required.
+  // on `sim`. The partitioner is shared: a fleet rebuilt after a power
+  // cycle routes through the same one. At least one shard is required.
   ShardedClient(sim::Simulation* sim, std::vector<client::Client*> shards,
-                std::unique_ptr<Partitioner> partitioner);
+                std::shared_ptr<const Partitioner> partitioner);
 
   // Creates/opens/drops the keyspace under the same name on EVERY shard.
   sim::Task<Result<ShardedKeyspaceHandle>> CreateKeyspace(
@@ -244,8 +243,6 @@ class ShardedClient {
     return partitioner_->ShardOf(key, num_shards());
   }
   client::Client& shard(std::uint32_t i) { return *shards_[i]; }
-  const Partitioner& partitioner() const { return *partitioner_; }
-  CompactionGovernor& governor() { return governor_; }
   sim::Simulation* sim() { return sim_; }
 
  private:
@@ -261,7 +258,7 @@ class ShardedClient {
 
   sim::Simulation* sim_;
   std::vector<client::Client*> shards_;
-  std::unique_ptr<Partitioner> partitioner_;
+  std::shared_ptr<const Partitioner> partitioner_;
   CompactionGovernor governor_;
   std::vector<ShardCounters> shard_counters_;
   sim::Counter* busy_retries_;

@@ -199,19 +199,14 @@ class BoundedChannel {
     co_return item;
   }
 
-  void Close() {
-    closed_ = true;
-    avail_.Release();
-  }
+  void Close() { avail_.Release(); }
 
-  bool closed() const { return closed_; }
   std::size_t size() const { return items_.size(); }
 
  private:
   Semaphore slots_;
   Semaphore avail_;
   std::deque<T> items_;
-  bool closed_ = false;
 };
 
 }  // namespace kvcsd::sim

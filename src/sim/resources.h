@@ -159,11 +159,6 @@ class BandwidthResource {
   std::uint64_t total_bytes() const { return bytes_; }
   std::uint64_t total_ops() const { return ops_; }
   Tick busy_time() const { return busy_; }
-  double utilization() const {
-    const Tick now = sim_->Now();
-    return now == 0 ? 0.0
-                    : static_cast<double>(busy_) / static_cast<double>(now);
-  }
 
  private:
   Simulation* sim_;
@@ -186,7 +181,6 @@ class CpuPool {
   CpuPool(Simulation* sim, std::string name, std::uint32_t cores)
       : sim_(sim),
         name_(std::move(name)),
-        cores_(cores),
         sem_(sim, cores),
         meter_(sim, name_, static_cast<double>(cores)) {}
 
@@ -205,7 +199,6 @@ class CpuPool {
   }
 
   const std::string& name() const { return name_; }
-  std::uint32_t cores() const { return cores_; }
   Tick busy_time() const { return busy_; }
   // Per-activity windowed occupancy (core-equivalents per class).
   ResourceMeter& meter() { return meter_; }
@@ -220,7 +213,6 @@ class CpuPool {
  private:
   Simulation* sim_;
   std::string name_;
-  std::uint32_t cores_;
   Semaphore sem_;
   Tick busy_ = 0;
   ResourceMeter meter_;

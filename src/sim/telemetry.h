@@ -39,7 +39,6 @@ class TelemetrySampler {
   void Enable(Tick interval, std::size_t max_samples = kDefaultMaxSamples);
   void Disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
-  Tick interval() const { return interval_; }
 
   // Registers (or, for an existing key, replaces) a gauge source. Returns
   // a token for RemoveSource; an owner whose lifetime can end before the

@@ -44,7 +44,6 @@ sim::Task<void> BlockSsd::Read(std::uint64_t offset, std::uint64_t bytes) {
 
 sim::Task<void> BlockSsd::Write(std::uint64_t offset, std::uint64_t bytes) {
   bytes_written_ += bytes;
-  ++write_ops_;
   co_await DoStriped(offset, bytes, /*is_write=*/true);
 }
 

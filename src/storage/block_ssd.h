@@ -40,7 +40,6 @@ class BlockSsd {
   std::uint64_t total_bytes_read() const { return bytes_read_; }
   std::uint64_t total_bytes_written() const { return bytes_written_; }
   std::uint64_t total_read_ops() const { return read_ops_; }
-  std::uint64_t total_write_ops() const { return write_ops_; }
 
  private:
   // Splits [offset, offset+bytes) into per-channel chunks and performs them
@@ -54,7 +53,6 @@ class BlockSsd {
   std::uint64_t bytes_read_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t read_ops_ = 0;
-  std::uint64_t write_ops_ = 0;
 };
 
 }  // namespace kvcsd::storage

@@ -14,7 +14,7 @@
 // in-flight append is truncated, leaving a partial record for recovery to
 // tolerate. After a crash the byte state survives in this object;
 // CloneStateFrom() lets a freshly constructed device take it over, which
-// is how Device::Restart() simulates power-cycling the hardware.
+// is how Device::Restart simulates power-cycling the hardware.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +108,7 @@ class ZnsSsd {
   void CommitTail() { has_last_append_ = false; }
 
   // Adopts the zone byte state (states, write pointers, payloads) of
-  // another ZnsSsd with an identical geometry. Used by Device::Restart()
+  // another ZnsSsd with an identical geometry. Used by Device::Restart
   // to hand the surviving medium to a freshly constructed device.
   void CloneStateFrom(const ZnsSsd& other);
 

@@ -294,6 +294,29 @@ TEST(WorkloadTest, LoadKeyspaceNamesTheStepAnAppendErrorFailed) {
   EXPECT_EQ(ks.status().message(), "create: " + rule.message);
 }
 
+// A failed keyspace create is counted, not fatal: the first append is a
+// create's metadata persist. The thread that hit it skips its load and
+// every barrier still passes, so the run returns.
+TEST(WorkloadTest, CsdInsertCountsAFailedCreate) {
+  for (bool shared : {false, true}) {
+    SCOPED_TRACE(shared ? "shared keyspace" : "keyspace per thread");
+    sim::FaultInjector faults;
+    TestbedConfig config = SmallTestbed();
+    config.device.zns.faults = &faults;
+    sim::ErrorRule rule;
+    rule.op = sim::FaultOp::kAppend;
+    faults.AddErrorRule(rule);
+    InsertSpec spec;
+    spec.total_keys = 2000;
+    spec.threads = 2;
+    spec.shared_keyspace = shared;
+    const CsdInsertOutcome outcome = RunCsdInsert(config, 8, spec);
+    EXPECT_EQ(faults.errors_injected(), 1u);
+    EXPECT_GE(outcome.failed, 1u);
+    EXPECT_GE(outcome.compaction_done, outcome.insert_done);
+  }
+}
+
 // One append error at any point of a load fails the load. The load makes
 // 86 appends: the create persist, the log flushes of the bulk load, then
 // the compaction's outputs and persists; the skips 1..80 reach into the

@@ -17,6 +17,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "harness/json_report.h"
 #include "kvcsd/device.h"
 
@@ -33,18 +34,6 @@ DeviceConfig SmallDevice(std::uint32_t cores) {
   c.soc_cores = cores;
   return c;
 }
-
-struct Fixture {
-  explicit Fixture(const DeviceConfig& config) : dev{&sim, config, &qp} {
-    dev.Start();
-  }
-
-  sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev;
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-};
 
 // Everything observable about a compacted keyspace that must not depend
 // on the core count: entry count, both pivot sketches, and query results.
@@ -136,9 +125,10 @@ sim::Task<void> Workload(client::Client* db, Device* dev,
 }
 
 Outcome RunWorkload(std::uint32_t cores, std::uint64_t keys) {
-  Fixture f(SmallDevice(cores));
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(cores)));
   Outcome out;
-  testutil::RunSim(f.sim, Workload(&f.db, &f.dev, &f.sim, keys, &out));
+  testutil::RunSim(f.sim(),
+                   Workload(&f.client(), &f.dev(), &f.sim(), keys, &out));
   EXPECT_TRUE(out.ok) << "workload aborted at " << cores << " cores";
   return out;
 }
@@ -261,10 +251,10 @@ constexpr std::uint64_t kWindowKeys = 12000;
 
 Layout RunLayout(std::uint32_t gather_fanout, bool fused,
                  std::uint64_t dram_bytes = KiB(512)) {
-  Fixture f(WindowDevice(gather_fanout, dram_bytes));
+  harness::CsdTestbed f(testutil::Bed(WindowDevice(gather_fanout, dram_bytes)));
   Layout out;
-  testutil::RunSim(f.sim, LayoutWorkload(&f.db, &f.dev, &f.sim, kWindowKeys,
-                                         fused, &out));
+  testutil::RunSim(f.sim(), LayoutWorkload(&f.client(), &f.dev(), &f.sim(),
+                                           kWindowKeys, fused, &out));
   EXPECT_TRUE(out.ok) << "workload aborted at gather_fanout "
                       << gather_fanout;
   return out;
@@ -383,12 +373,12 @@ GroupedLayout RunGrouped(std::uint32_t cores) {
   DeviceConfig config = WindowDevice(DeviceConfig{}.gather_fanout);
   config.soc_cores = cores;
   config.sort_run_bytes = KiB(64);
-  Fixture f(config);
+  harness::CsdTestbed f(testutil::Bed(config));
   GroupedLayout out;
-  testutil::RunSim(f.sim, GroupedWorkload(&f.db, &f.dev, &out));
+  testutil::RunSim(f.sim(), GroupedWorkload(&f.client(), &f.dev(), &out));
   EXPECT_TRUE(out.layout.ok) << "workload aborted at " << cores << " cores";
   out.partitions =
-      f.sim.stats().counter_value("device.compact.merge_partitions");
+      f.sim().stats().counter_value("device.compact.merge_partitions");
   return out;
 }
 
@@ -463,13 +453,15 @@ std::map<std::string, std::map<std::uint64_t, StageSpan>> StageSpans(
 // change that serializes the stages again (the merge awaiting the write)
 // fails here.
 TEST(CompactPipelineTest, MergeOfNextBatchOverlapsWriteOfPrevious) {
-  Fixture f(WindowDevice(DeviceConfig{}.gather_fanout));
-  f.sim.tracer().Enable();
+  harness::CsdTestbed f(
+      testutil::Bed(WindowDevice(DeviceConfig{}.gather_fanout)));
+  f.sim().tracer().Enable();
   Outcome out;
-  testutil::RunSim(f.sim, Workload(&f.db, &f.dev, &f.sim, kWindowKeys, &out));
+  testutil::RunSim(f.sim(), Workload(&f.client(), &f.dev(), &f.sim(),
+                                     kWindowKeys, &out));
   ASSERT_TRUE(out.ok);
 
-  auto spans = StageSpans(f.sim.tracer());
+  auto spans = StageSpans(f.sim().tracer());
   const auto& merges = spans["phase2.merge"];
   const auto& writes = spans["phase2.write"];
   const auto& indexes = spans["phase2.index"];
@@ -481,7 +473,7 @@ TEST(CompactPipelineTest, MergeOfNextBatchOverlapsWriteOfPrevious) {
   EXPECT_LT(merge1.begin, write0.end);
   EXPECT_LT(write0.begin, merge1.end);
   for (const char* stage : {"merge", "write", "index"}) {
-    EXPECT_EQ(f.sim.stats()
+    EXPECT_EQ(f.sim().stats()
                   .histogram(std::string("device.compact.phase2_") + stage +
                              "_ns")
                   .count(),

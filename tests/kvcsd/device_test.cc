@@ -12,6 +12,7 @@
 #include "client/client.h"
 #include "common/coding.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "common/random.h"
 
 namespace kvcsd::device {
@@ -27,29 +28,19 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-struct CsdFixture {
-  sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev{&sim, SmallDevice(), &qp};
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-
-  CsdFixture() { dev.Start(); }
-
-  // value = 28 pad bytes + f32 energy (little-endian), like a mini VPIC
-  // particle payload.
-  static std::string EnergyValue(float energy) {
-    std::string v(28, 'p');
-    char buf[4];
-    std::memcpy(buf, &energy, 4);
-    v.append(buf, 4);
-    return v;
-  }
-};
+// value = 28 pad bytes + f32 energy (little-endian), like a mini VPIC
+// particle payload.
+std::string EnergyValue(float energy) {
+  std::string v(28, 'p');
+  char buf[4];
+  std::memcpy(buf, &energy, 4);
+  v.append(buf, 4);
+  return v;
+}
 
 TEST(CsdTest, CreateOpenDropKeyspace) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->CreateKeyspace("ks1");
     EXPECT_TRUE(ks.ok());
     auto dup = co_await db->CreateKeyspace("ks1");
@@ -60,13 +51,13 @@ TEST(CsdTest, CreateOpenDropKeyspace) {
     EXPECT_TRUE((co_await db->DropKeyspace("ks1")).ok());
     auto gone = co_await db->OpenKeyspace("ks1");
     EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
-  }(&f.db));
+  }(&f.client()));
 }
 
 TEST(CsdTest, PutCompactGet) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr int kKeys = 3000;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("ks")).value();
     Rng rng(5);
     for (int i = 0; i < kKeys; ++i) {
@@ -83,14 +74,14 @@ TEST(CsdTest, PutCompactGet) {
     auto stat = co_await ks.GetStat();
     EXPECT_TRUE(stat.ok());
     EXPECT_EQ(stat->state, "COMPACTED");
-  }(&f.db));
-  EXPECT_EQ(f.dev.stats().counter_value("device.compact.done"), 1u);
+  }(&f.client()));
+  EXPECT_EQ(f.dev().stats().counter_value("device.compact.done"), 1u);
 }
 
 TEST(CsdTest, BulkPutRoundTripsAllData) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr int kKeys = 12000;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("bulk")).value();
     auto writer = ks.NewBulkWriter();
     for (int i = 0; i < kKeys; ++i) {
@@ -114,7 +105,7 @@ TEST(CsdTest, BulkPutRoundTripsAllData) {
     }
     auto missing = co_await ks.Get(MakeFixedKey(999999));
     EXPECT_TRUE(missing.status().IsNotFound());
-  }(&f.db));
+  }(&f.client()));
 }
 
 // A bulk frame whose last record is truncated fails as a whole: no
@@ -122,9 +113,9 @@ TEST(CsdTest, BulkPutRoundTripsAllData) {
 // enough to cross the write buffer, so a partly applied frame would also
 // have flushed some records to the log.
 TEST(CsdTest, MalformedBulkFrameHasNoSideEffect) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, nvme::QueueSet* qp) -> sim::Task<void> {
         auto created = co_await db->CreateKeyspace("frames");
         KVCSD_CO_ASSERT_OK(created);
@@ -171,22 +162,22 @@ TEST(CsdTest, MalformedBulkFrameHasNoSideEffect) {
           auto gone = co_await ks.Get(MakeFixedKey(i));
           EXPECT_TRUE(gone.status().IsNotFound()) << "record " << i;
         }
-      }(&f.db, &f.qp));
+      }(&f.client(), &f.queue()));
 }
 
 TEST(CsdTest, QueriesRequireCompactedState) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("raw")).value();
     EXPECT_TRUE((co_await ks.Put(MakeFixedKey(1), "v")).ok());
     auto denied = co_await ks.Get(MakeFixedKey(1));
     EXPECT_EQ(denied.status().code(), StatusCode::kFailedPrecondition);
-  }(&f.db));
+  }(&f.client()));
 }
 
 TEST(CsdTest, WritesRejectedWhileCompacting) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("locked")).value();
     for (int i = 0; i < 2000; ++i) {
       EXPECT_TRUE((co_await ks.Put(
@@ -205,13 +196,13 @@ TEST(CsdTest, WritesRejectedWhileCompacting) {
     auto readback = co_await ks.Get(MakeFixedKey(99998));
     EXPECT_TRUE(readback.ok());
     EXPECT_EQ(*readback, "later");
-  }(&f.db));
+  }(&f.client()));
 }
 
 TEST(CsdTest, PrimaryRangeScanIsSortedAndComplete) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr int kKeys = 4000;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("scan")).value();
     auto writer = ks.NewBulkWriter();
     // Insert in reverse order to prove sorting.
@@ -241,20 +232,20 @@ TEST(CsdTest, PrimaryRangeScanIsSortedAndComplete) {
         (co_await ks.Scan(MakeFixedKey(0), MakeFixedKey(kKeys), 7, &out))
             .ok());
     EXPECT_EQ(out.size(), 7u);
-  }(&f.db));
+  }(&f.client()));
 }
 
 TEST(CsdTest, SecondaryIndexQueryByEnergy) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr int kKeys = 3000;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("vpic")).value();
     auto writer = ks.NewBulkWriter();
     // Particle i has energy i * 0.01.
     for (int i = 0; i < kKeys; ++i) {
       EXPECT_TRUE(
           (co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
-                               CsdFixture::EnergyValue(
+                               EnergyValue(
                                    static_cast<float>(i) * 0.01f)))
               .ok());
     }
@@ -286,24 +277,24 @@ TEST(CsdTest, SecondaryIndexQueryByEnergy) {
     hits.clear();
     auto s = co_await ks.QuerySecondaryRangeF32("nope", 0, 1, 0, &hits);
     EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  }(&f.db));
+  }(&f.client()));
 }
 
 TEST(CsdTest, SecondaryIndexRequiresCompaction) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("early")).value();
     EXPECT_TRUE((co_await ks.Put(MakeFixedKey(1),
-                                 CsdFixture::EnergyValue(1.0f)))
+                                 EnergyValue(1.0f)))
                     .ok());
     auto s = co_await ks.CreateSecondaryIndexF32("energy", 28);
     EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  }(&f.db));
+  }(&f.client()));
 }
 
 TEST(CsdTest, DropReclaimsZones) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db, Device* dev)
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db, Device* dev)
                               -> sim::Task<void> {
     const std::size_t free_at_start = dev->zones().free_zones();
     auto ks = (co_await db->CreateKeyspace("temp")).value();
@@ -320,13 +311,13 @@ TEST(CsdTest, DropReclaimsZones) {
     EXPECT_LT(dev->zones().free_zones(), free_at_start);
     EXPECT_TRUE((co_await db->DropKeyspace("temp")).ok());
     EXPECT_EQ(dev->zones().free_zones(), free_at_start);
-  }(&f.db, &f.dev));
+  }(&f.client(), &f.dev()));
 }
 
 TEST(CsdTest, DeleteDuringCompactionIsDeferred) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db, Device* dev,
-                             sim::Simulation* s) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db, Device* dev,
+                               sim::Simulation* s) -> sim::Task<void> {
     const std::size_t free_at_start = dev->zones().free_zones();
     auto ks = (co_await db->CreateKeyspace("doomed")).value();
     for (int i = 0; i < 3000; ++i) {
@@ -344,17 +335,17 @@ TEST(CsdTest, DeleteDuringCompactionIsDeferred) {
     auto gone = co_await db->OpenKeyspace("doomed");
     EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
     EXPECT_EQ(dev->zones().free_zones(), free_at_start);
-  }(&f.db, &f.dev, &f.sim));
+  }(&f.client(), &f.dev(), &f.sim()));
 }
 
 TEST(CsdTest, CompactionRunsAsynchronously) {
   // The command returns long before the compaction finishes: this is the
   // deferred-compaction latency hiding at the heart of the paper.
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   Tick trigger_done = 0;
   Tick compaction_done = 0;
-  testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* s,
-                             Tick* trig, Tick* comp) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db, sim::Simulation* s,
+                               Tick* trig, Tick* comp) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("async")).value();
     auto writer = ks.NewBulkWriter();
     for (int i = 0; i < 20000; ++i) {
@@ -368,7 +359,7 @@ TEST(CsdTest, CompactionRunsAsynchronously) {
     *trig = s->Now();
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
     *comp = s->Now();
-  }(&f.db, &f.sim, &trigger_done, &compaction_done));
+  }(&f.client(), &f.sim(), &trigger_done, &compaction_done));
   // Compaction took real (virtual) time after the trigger returned.
   EXPECT_GT(compaction_done, trigger_done + Milliseconds(1));
 }
@@ -376,14 +367,8 @@ TEST(CsdTest, CompactionRunsAsynchronously) {
 TEST(CsdTest, MetadataSurvivesPowerCycle) {
   // Build a keyspace, then attach a new Device "head" to the same
   // simulated SSD and recover the keyspace table from the metadata zone.
-  sim::Simulation sim;
-  nvme::QueueSet qp(&sim, nvme::QueueSetConfig{});
-  auto dev = std::make_unique<Device>(&sim, SmallDevice(), &qp);
-  dev->Start();
-  sim::CpuPool host(&sim, "host", 8);
-  client::Client db(&qp, &host, hostenv::CostModel::Host());
-
-  testutil::RunSim(sim, [](client::Client* c) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* c) -> sim::Task<void> {
     auto ks = (co_await c->CreateKeyspace("durable")).value();
     for (int i = 0; i < 1000; ++i) {
       EXPECT_TRUE((co_await ks.Put(
@@ -392,11 +377,11 @@ TEST(CsdTest, MetadataSurvivesPowerCycle) {
     }
     EXPECT_TRUE((co_await ks.Compact()).ok());
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
-  }(&db));
+  }(&f.client()));
 
   // "Reboot": recover a fresh keyspace manager from the same SSD.
-  KeyspaceManager recovered(&dev->ssd());
-  auto count = testutil::RunSim(sim, recovered.Recover());
+  KeyspaceManager recovered(&f.dev().ssd());
+  auto count = testutil::RunSim(f.sim(), recovered.Recover());
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(*count, 1u);
   Keyspace* ks = recovered.Find("durable").value();
@@ -406,13 +391,13 @@ TEST(CsdTest, MetadataSurvivesPowerCycle) {
 }
 
 TEST(CsdTest, ConcurrentWritersOnSeparateKeyspaces) {
-  CsdFixture f;
-  sim::WaitGroup wg(&f.sim);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  sim::WaitGroup wg(&f.sim());
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1500;
   wg.Add(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    f.sim.Spawn([](client::Client* db, sim::WaitGroup* group, int thread)
+    f.sim().Spawn([](client::Client* db, sim::WaitGroup* group, int thread)
                     -> sim::Task<void> {
       auto ks =
           (co_await db->CreateKeyspace("ks" + std::to_string(thread)))
@@ -435,11 +420,11 @@ TEST(CsdTest, ConcurrentWritersOnSeparateKeyspaces) {
         EXPECT_EQ(*v, "t" + std::to_string(thread) + "-7");
       }
       group->Done();
-    }(&f.db, &wg, t));
+    }(&f.client(), &wg, t));
   }
-  f.sim.Run();
+  f.sim().Run();
   EXPECT_EQ(wg.count(), 0);
-  EXPECT_EQ(f.dev.stats().counter_value("device.compact.done"),
+  EXPECT_EQ(f.dev().stats().counter_value("device.compact.done"),
             static_cast<std::uint64_t>(kThreads));
 }
 

@@ -9,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "harness/flags.h"
 #include "harness/testbed.h"
 #include "harness/tracing.h"
@@ -37,39 +37,6 @@ DeviceConfig SmallDevice() {
   c.output_batch_bytes = KiB(16);
   return c;
 }
-
-// Same restartable fixture shape as observability_test.cc.
-struct Fixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{11};
-  DeviceConfig cfg;
-  std::vector<std::unique_ptr<nvme::QueueSet>> qps;
-  std::vector<std::unique_ptr<Device>> devs;
-  sim::CpuPool host{&sim, "host", 8};
-  std::unique_ptr<client::Client> db;
-
-  Fixture() : cfg(SmallDevice()) {
-    cfg.zns.faults = &faults;
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-
-  Device* dev() { return devs.back().get(); }
-
-  void Restart() {
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(
-        Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-};
 
 sim::Task<void> PutSome(client::Client* db, const std::string& name,
                         std::uint64_t count) {
@@ -138,16 +105,17 @@ void ApplyFlags(const std::vector<std::string>& args) {
 }
 
 TEST(FlightRecorderDeviceTest, SloBreachTripsDumpAndCounter) {
-  Fixture f;
-  sim::Log& log = f.sim.log();
+  sim::FaultInjector injector(11);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
+  sim::Log& log = f.sim().log();
   log.set_slo_exec_ns(1);  // every command breaches
   // A dump path makes every trip also land on disk (<path>.<trip>.json):
   // the files CI uploads as artifacts when a job fails.
   log.set_dump_path("flight_recorder_test.flight");
-  testutil::RunSim(f.sim, PutSome(f.db.get(), "slo", 20));
+  testutil::RunSim(f.sim(), PutSome(&f.client(), "slo", 20));
 
   EXPECT_GT(log.trips(), 0u);
-  EXPECT_EQ(f.sim.stats().counter_value("device.flight.trips_total"),
+  EXPECT_EQ(f.sim().stats().counter_value("device.flight.trips_total"),
             log.trips());
   const std::string& dump = log.last_dump();
   ASSERT_FALSE(dump.empty());
@@ -168,36 +136,38 @@ TEST(FlightRecorderDeviceTest, SweptCrashPointDumpsAndRingSurvivesRestart) {
   // workload hits, then re-run with the cut armed mid-sweep.
   std::uint64_t hits = 0;
   {
-    Fixture warm;
-    testutil::RunSim(warm.sim, PutSome(warm.db.get(), "cp", 40));
-    hits = warm.faults.hits();
+    sim::FaultInjector warm_faults(11);
+    harness::CsdTestbed warm(testutil::Bed(SmallDevice(), &warm_faults));
+    testutil::RunSim(warm.sim(), PutSome(&warm.client(), "cp", 40));
+    hits = warm_faults.hits();
   }
   ASSERT_GT(hits, 0u);
 
-  Fixture f;
-  f.faults.ArmCrashAtHit(hits / 2 + 1);
-  testutil::RunSim(f.sim, PutIgnoringErrors(f.db.get(), "cp", 40));
-  ASSERT_TRUE(f.faults.crashed());
-  EXPECT_FALSE(f.faults.crash_point().empty());
+  sim::FaultInjector injector(11);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
+  injector.ArmCrashAtHit(hits / 2 + 1);
+  testutil::RunSim(f.sim(), PutIgnoringErrors(&f.client(), "cp", 40));
+  ASSERT_TRUE(injector.crashed());
+  EXPECT_FALSE(injector.crash_point().empty());
 
   // The power cut dumped the ring with the crash point attached.
-  const sim::Log& log = f.sim.log();
+  const sim::Log& log = f.sim().log();
   EXPECT_EQ(log.trips(), 1u);
   const std::string dump = log.last_dump();
   ASSERT_FALSE(dump.empty());
   EXPECT_NE(dump.find("\"reason\": \"crash\""), std::string::npos);
-  EXPECT_NE(dump.find(f.faults.crash_point()), std::string::npos);
+  EXPECT_NE(dump.find(injector.crash_point()), std::string::npos);
 
   // The ring belongs to the simulation: pre-crash command events stay
   // readable and post-restart commands append after them, under the same
   // device id.
   const std::vector<sim::Log::Entry> before = CommandEvents(log);
   ASSERT_FALSE(before.empty());
-  f.Restart();
-  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+  f.PowerCycle();
+  testutil::RunSim(f.sim(), [](Device* dev) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
-  }(f.dev()));
-  testutil::RunSim(f.sim, PutSome(f.db.get(), "cp2", 10));
+  }(&f.dev()));
+  testutil::RunSim(f.sim(), PutSome(&f.client(), "cp2", 10));
   const std::vector<sim::Log::Entry> after = CommandEvents(log);
   EXPECT_GE(after.size(), before.size());
   // Sim time is monotonic across the power cycle, so new entries sort

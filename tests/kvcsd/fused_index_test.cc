@@ -12,6 +12,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "kvcsd/wire.h"
@@ -30,29 +31,18 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-struct Fixture {
-  sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev;
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-  explicit Fixture(const DeviceConfig& config = SmallDevice())
-      : dev(&sim, config, &qp) {
-    dev.Start();
-  }
-
-  static std::string EnergyValue(float energy) {
-    std::string v(28, 'p');
-    char buf[4];
-    std::memcpy(buf, &energy, 4);
-    v.append(buf, 4);
-    return v;
-  }
-};
+// value = 28 pad bytes + f32 energy (little-endian).
+std::string EnergyValue(float energy) {
+  std::string v(28, 'p');
+  char buf[4];
+  std::memcpy(buf, &energy, 4);
+  v.append(buf, 4);
+  return v;
+}
 
 TEST(SyncTest, PersistsBufferedWrites) {
-  Fixture f;
-  testutil::RunSim(f.sim, [](client::Client* db, Device* dev)
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db, Device* dev)
                               -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("synced")).value();
     // A handful of puts: far below the 8 KiB buffer, so nothing has been
@@ -70,19 +60,19 @@ TEST(SyncTest, PersistsBufferedWrites) {
     EXPECT_TRUE((co_await ks.Compact()).ok());
     EXPECT_TRUE((co_await ks.WaitCompaction()).ok());
     EXPECT_TRUE((co_await ks.Sync()).ok());
-  }(&f.db, &f.dev));
+  }(&f.client(), &f.dev()));
 }
 
 TEST(FusedIndexTest, CompactWithIndexesBuildsEverythingInOnePass) {
-  Fixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr int kKeys = 3000;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("fused")).value();
     auto writer = ks.NewBulkWriter();
     for (int i = 0; i < kKeys; ++i) {
       EXPECT_TRUE(
           (co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
-                               Fixture::EnergyValue(
+                               EnergyValue(
                                    static_cast<float>(i) * 0.01f)))
               .ok());
     }
@@ -109,23 +99,23 @@ TEST(FusedIndexTest, CompactWithIndexesBuildsEverythingInOnePass) {
                                                     10.495f, 0, &hits))
                     .ok());
     EXPECT_EQ(hits.size(), 50u);  // ids 1000..1049
-  }(&f.db));
+  }(&f.client()));
 }
 
 TEST(FusedIndexTest, FusedAvoidsKeyspaceReRead) {
   // The whole point of the fused pass: building the index separately
   // re-reads every value from flash; fused extraction does not.
   auto run = [](bool fused) {
-    Fixture f;
+    harness::CsdTestbed f(testutil::Bed(SmallDevice()));
     std::uint64_t reads = 0;
-    testutil::RunSim(f.sim, [](client::Client* db, Device* dev, bool fuse,
-                               std::uint64_t* out) -> sim::Task<void> {
+    testutil::RunSim(f.sim(), [](client::Client* db, Device* dev, bool fuse,
+                                 std::uint64_t* out) -> sim::Task<void> {
       auto ks = (co_await db->CreateKeyspace("x")).value();
       auto writer = ks.NewBulkWriter();
       for (int i = 0; i < 5000; ++i) {
         EXPECT_TRUE((co_await writer.Add(
                          MakeFixedKey(static_cast<std::uint64_t>(i)),
-                         Fixture::EnergyValue(static_cast<float>(i))))
+                         EnergyValue(static_cast<float>(i))))
                         .ok());
       }
       EXPECT_TRUE((co_await writer.Drain()).ok());
@@ -147,7 +137,7 @@ TEST(FusedIndexTest, FusedAvoidsKeyspaceReRead) {
             (co_await ks.CreateSecondaryIndex(std::move(energy))).ok());
       }
       *out = dev->ssd().total_bytes_read();
-    }(&f.db, &f.dev, fused, &reads));
+    }(&f.client(), &f.dev(), fused, &reads));
     return reads;
   };
   const std::uint64_t separate_reads = run(false);
@@ -157,17 +147,17 @@ TEST(FusedIndexTest, FusedAvoidsKeyspaceReRead) {
 
 TEST(FusedIndexTest, FusedAndSeparateAgreeOnResults) {
   auto query = [](bool fused) {
-    Fixture f;
+    harness::CsdTestbed f(testutil::Bed(SmallDevice()));
     std::vector<std::uint64_t> ids;
-    testutil::RunSim(f.sim, [](client::Client* db, bool fuse,
-                               std::vector<std::uint64_t>* out)
+    testutil::RunSim(f.sim(), [](client::Client* db, bool fuse,
+                                 std::vector<std::uint64_t>* out)
                                 -> sim::Task<void> {
       auto ks = (co_await db->CreateKeyspace("x")).value();
       auto writer = ks.NewBulkWriter();
       for (int i = 0; i < 2000; ++i) {
         EXPECT_TRUE((co_await writer.Add(
                          MakeFixedKey(static_cast<std::uint64_t>(i)),
-                         Fixture::EnergyValue(
+                         EnergyValue(
                              static_cast<float>((i * 37) % 500))))
                         .ok());
       }
@@ -195,7 +185,7 @@ TEST(FusedIndexTest, FusedAndSeparateAgreeOnResults) {
       for (const auto& [pkey, value] : hits) {
         out->push_back(FixedKeyId(pkey));
       }
-    }(&f.db, fused, &ids));
+    }(&f.client(), fused, &ids));
     std::sort(ids.begin(), ids.end());
     return ids;
   };
@@ -206,14 +196,14 @@ TEST(FusedIndexTest, FusedAndSeparateAgreeOnResults) {
 // far past every value. Both index builds must reject it like any other
 // out-of-range spec and never read past a value's end.
 TEST(FusedIndexTest, WrappedKeyRangeIsRejected) {
-  Fixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto load = [](client::KeyspaceHandle* ks) -> sim::Task<void> {
       auto writer = ks->NewBulkWriter();
       for (int i = 0; i < 100; ++i) {
         EXPECT_TRUE(
             (co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
-                                 Fixture::EnergyValue(static_cast<float>(i))))
+                                 EnergyValue(static_cast<float>(i))))
                 .ok());
       }
       EXPECT_TRUE((co_await writer.Drain()).ok());
@@ -265,7 +255,7 @@ TEST(FusedIndexTest, WrappedKeyRangeIsRejected) {
     EXPECT_TRUE((co_await fused.WaitCompaction()).ok());
     EXPECT_EQ(co_await state_of(&fused), "COMPACTED");
     EXPECT_EQ(co_await scan_all(&fused), 100u);
-  }(&f.db));
+  }(&f.client()));
 }
 
 // ---------------------------------------------------------------------------
@@ -334,15 +324,15 @@ enum class Build { kNone, kSeparate, kFused };
 SidxBuild BuildEnergyIndex(Build build, std::uint64_t sort_run_bytes) {
   DeviceConfig config = SmallDevice();
   config.sort_run_bytes = sort_run_bytes;
-  Fixture f(config);
+  harness::CsdTestbed f(testutil::Bed(config));
   SidxBuild out;
-  testutil::RunSim(f.sim, [](client::Client* db, Build b) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db, Build b) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("x")).value();
     auto writer = ks.NewBulkWriter();
     for (int i = 0; i < kResidentKeys; ++i) {
       KVCSD_CO_ASSERT_OK(
           co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
-                              Fixture::EnergyValue(ResidentEnergy(i))));
+                              EnergyValue(ResidentEnergy(i))));
     }
     KVCSD_CO_ASSERT_OK(co_await writer.Drain());
     if (b == Build::kFused) {
@@ -355,12 +345,12 @@ SidxBuild BuildEnergyIndex(Build build, std::uint64_t sort_run_bytes) {
     if (b == Build::kSeparate) {
       KVCSD_CO_ASSERT_OK(co_await ks.CreateSecondaryIndex(EnergySpec()));
     }
-  }(&f.db, build));
-  out.runs_spilled = f.sim.stats().counter_value("device.sidx.runs_spilled");
-  out.temp_bytes = f.sim.stats().counter_value("zns.temp.append_bytes");
+  }(&f.client(), build));
+  out.runs_spilled = f.sim().stats().counter_value("device.sidx.runs_spilled");
+  out.temp_bytes = f.sim().stats().counter_value("zns.temp.append_bytes");
   if (build == Build::kNone) return out;
 
-  Keyspace* ks = f.dev.keyspaces().Find("x").value();
+  Keyspace* ks = f.dev().keyspaces().Find("x").value();
   const SecondaryIndex& sidx = ks->secondary_indexes.at("energy");
   out.entries = sidx.entries;
   for (const SketchEntry& entry : sidx.sketch) out.pivots.push_back(entry.pivot);
@@ -368,8 +358,8 @@ SidxBuild BuildEnergyIndex(Build build, std::uint64_t sort_run_bytes) {
   auto note_pidx = [&pidx_vaddr](const wire::PidxEntry& e) {
     pidx_vaddr[e.key.ToString()] = e.vaddr;
   };
-  testutil::RunSim(f.sim, ForEachBlockEntry<wire::PidxEntry>(
-                              &f.dev, ks, &ks->pidx_sketch, &note_pidx));
+  testutil::RunSim(f.sim(), ForEachBlockEntry<wire::PidxEntry>(
+                              &f.dev(), ks, &ks->pidx_sketch, &note_pidx));
   EXPECT_EQ(pidx_vaddr.size(), static_cast<std::size_t>(kResidentKeys));
   auto note_sidx = [&out, &pidx_vaddr](const wire::SidxEntry& e) {
     out.tuples.emplace_back(e.skey.ToString(), e.pkey.ToString(), e.vlen);
@@ -377,11 +367,11 @@ SidxBuild BuildEnergyIndex(Build build, std::uint64_t sort_run_bytes) {
     ASSERT_TRUE(it != pidx_vaddr.end());
     EXPECT_EQ(e.vaddr, it->second);
   };
-  testutil::RunSim(f.sim, ForEachBlockEntry<wire::SidxEntry>(
-                              &f.dev, ks, &sidx.sketch, &note_sidx));
+  testutil::RunSim(f.sim(), ForEachBlockEntry<wire::SidxEntry>(
+                              &f.dev(), ks, &sidx.sketch, &note_sidx));
 
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             SidxBuild* result) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               SidxBuild* result) -> sim::Task<void> {
     auto handle = (co_await db->OpenKeyspace("x")).value();
     KVCSD_CO_ASSERT_OK(co_await handle.QuerySecondaryRangeF32(
         "energy", 100.0f, 140.0f, 0, &result->range_rows));
@@ -391,7 +381,7 @@ SidxBuild BuildEnergyIndex(Build build, std::uint64_t sort_run_bytes) {
     KVCSD_CO_ASSERT_OK(co_await handle.Select(
         nvme::EncodeSecondaryF32(250.0f), nvme::EncodeSecondaryF32(396.0f),
         opts, &result->select_rows));
-  }(&f.db, &out));
+  }(&f.client(), &out));
   return out;
 }
 
@@ -435,9 +425,9 @@ TEST(SecondaryRangeTest, TiedKeysSpanningManyBlocksAllMatch) {
   // Regression: thousands of IDENTICAL secondary keys span many SIDX
   // blocks, so consecutive sketch pivots are equal. The range query must
   // start at the FIRST such block, not the last (tie-aware lower bound).
-  Fixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr int kKeys = 4000;  // ~30 B/entry -> dozens of 4 KB blocks
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("ties")).value();
     auto writer = ks.NewBulkWriter();
     for (int i = 0; i < kKeys; ++i) {
@@ -445,7 +435,7 @@ TEST(SecondaryRangeTest, TiedKeysSpanningManyBlocksAllMatch) {
       const float energy = i < 100 ? 0.5f : 7.0f;
       EXPECT_TRUE(
           (co_await writer.Add(MakeFixedKey(static_cast<std::uint64_t>(i)),
-                               Fixture::EnergyValue(energy)))
+                               EnergyValue(energy)))
               .ok());
     }
     EXPECT_TRUE((co_await writer.Drain()).ok());
@@ -464,7 +454,7 @@ TEST(SecondaryRangeTest, TiedKeysSpanningManyBlocksAllMatch) {
                                                     &hits))
                     .ok());
     EXPECT_EQ(hits.size(), 100u);
-  }(&f.db));
+  }(&f.client()));
 }
 
 }  // namespace

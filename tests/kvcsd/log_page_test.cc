@@ -9,6 +9,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "kvcsd/device.h"
 #include "nvme/log_page.h"
 
@@ -24,17 +25,6 @@ DeviceConfig SmallDevice() {
   c.write_buffer_bytes = KiB(8);
   return c;
 }
-
-struct Fixture {
-  sim::Simulation sim;
-  DeviceConfig cfg = SmallDevice();
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev{&sim, cfg, &qp};
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-
-  Fixture() { dev.Start(); }
-};
 
 sim::Task<void> MixedWorkload(client::Client* db, std::uint64_t count) {
   auto ks = co_await db->CreateKeyspace("lp");
@@ -53,17 +43,17 @@ sim::Task<void> MixedWorkload(client::Client* db, std::uint64_t count) {
 }
 
 TEST(LogPageTest, HealthPageCarriesUtilizationAndDeviceGauges) {
-  Fixture f;
-  testutil::RunSim(f.sim, MixedWorkload(&f.db, 100));
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), MixedWorkload(&f.client(), 100));
 
   nvme::HealthPage page;
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, nvme::HealthPage* out) -> sim::Task<void> {
         auto got = co_await db->GetHealth();
         KVCSD_CO_ASSERT_OK(got);
         *out = *std::move(got);
-      }(&f.db, &page));
+      }(&f.client(), &page));
 
   EXPECT_EQ(page.version, nvme::kLogPageVersion);
   EXPECT_GT(page.tick, 0u);

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
 #include "sim/parallel.h"
@@ -34,42 +34,22 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-// A multi-queue device that can be power-cycled: each Restart() swaps in
-// a fresh incarnation (and a fresh queue set) over the surviving flash.
-struct MultiQueueFixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{7};
-  DeviceConfig cfg;
-  nvme::QueueSetConfig qcfg;
-  std::vector<std::unique_ptr<nvme::QueueSet>> sets;
-  std::vector<std::unique_ptr<Device>> devs;
-  sim::CpuPool host{&sim, "host", 8};
+// A device behind `queues`, wired to the test's injector; half of an
+// in-flight append survives a power cut.
+harness::TestbedConfig QueueBed(sim::FaultInjector* faults,
+                                const nvme::QueueSetConfig& queues) {
+  faults->set_torn_tail_keep(0.5);
+  harness::TestbedConfig c = testutil::Bed(SmallDevice(), faults);
+  c.queues = queues;
+  return c;
+}
 
-  explicit MultiQueueFixture(nvme::QueueSetConfig queues,
-                             DeviceConfig config = SmallDevice())
-      : cfg(config), qcfg(std::move(queues)) {
-    cfg.zns.faults = &faults;
-    faults.set_torn_tail_keep(0.5);
-    sets.push_back(std::make_unique<nvme::QueueSet>(&sim, qcfg));
-    devs.push_back(std::make_unique<Device>(&sim, cfg, sets.back().get()));
-    devs.back()->Start();
-  }
-
-  nvme::QueueSet* set() { return sets.back().get(); }
-  Device* dev() { return devs.back().get(); }
-
-  client::Client MakeClient(client::ClientConfig config = {}) {
-    return client::Client(set(), &host, hostenv::CostModel::Host(),
-                          std::move(config));
-  }
-
-  void Restart() {
-    sets.push_back(std::make_unique<nvme::QueueSet>(&sim, qcfg));
-    devs.push_back(Device::Restart(&sim, cfg, sets.back().get(),
-                                   *devs.back()));
-    devs.back()->Start();
-  }
-};
+// A client of its own over the testbed's current queue set.
+client::Client MakeClient(harness::CsdTestbed* f,
+                          client::ClientConfig config = {}) {
+  return client::Client(&f->queue(), &f->host_cpu(),
+                        hostenv::CostModel::Host(), std::move(config));
+}
 
 nvme::QueueSetConfig TwoQueues() {
   nvme::QueueSetConfig q;
@@ -84,12 +64,13 @@ std::string DetValue(std::uint64_t i) { return "value-" + std::to_string(i); }
 // ---------------------------------------------------------------------------
 
 TEST(MultiQueueTest, AsyncPutsAndGetsSpreadAcrossQueues) {
-  MultiQueueFixture f(TwoQueues());
-  client::Client db = f.MakeClient();  // kAnyQueue: round-robin across SQs
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, TwoQueues()));
+  client::Client db = MakeClient(&f);  // kAnyQueue: round-robin across SQs
   constexpr std::uint64_t kKeys = 96;
   constexpr std::uint64_t kDepth = 16;
 
-  testutil::RunSim(f.sim, [](client::Client* c) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* c) -> sim::Task<void> {
     auto ks = co_await c->CreateKeyspace("async");
     KVCSD_CO_ASSERT_OK(ks);
 
@@ -137,17 +118,18 @@ TEST(MultiQueueTest, AsyncPutsAndGetsSpreadAcrossQueues) {
   }(&db));
 
   // Round-robin client placement exercised both pairs.
-  EXPECT_GT(f.set()->pair(0)->submitted(), 0u);
-  EXPECT_GT(f.set()->pair(1)->submitted(), 0u);
-  EXPECT_EQ(f.set()->inflight(), 0u);
+  EXPECT_GT(f.queue().pair(0)->submitted(), 0u);
+  EXPECT_GT(f.queue().pair(1)->submitted(), 0u);
+  EXPECT_EQ(f.queue().inflight(), 0u);
 }
 
 TEST(MultiQueueTest, BatchedPutsCompleteAndReadBack) {
-  MultiQueueFixture f(TwoQueues());
-  client::Client db = f.MakeClient();
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, TwoQueues()));
+  client::Client db = MakeClient(&f);
   constexpr std::uint64_t kKeys = 48;
 
-  testutil::RunSim(f.sim, [](client::Client* c) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* c) -> sim::Task<void> {
     auto ks = co_await c->CreateKeyspace("batched");
     KVCSD_CO_ASSERT_OK(ks);
 
@@ -178,17 +160,18 @@ TEST(MultiQueueTest, BatchedPutsCompleteAndReadBack) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiQueueTest, SyncCallsObeyAdmissionWindow) {
-  MultiQueueFixture f(nvme::QueueSetConfig{});
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, nvme::QueueSetConfig{}));
   client::ClientConfig cfg;
   cfg.max_inflight = 2;
-  client::Client db = f.MakeClient(cfg);
+  client::Client db = MakeClient(&f, cfg);
   constexpr std::uint64_t kCallers = 8;
   constexpr std::uint64_t kKeysPerCaller = 6;
 
   std::uint64_t peak = 0;
   bool stop = false;  // outlives both coroutines: the watcher reads it last
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](sim::Simulation* sim, client::Client* c, bool* stop_flag,
          std::uint64_t* peak_inflight) -> sim::Task<void> {
         // Watcher: samples commands submitted and not yet completed — a
@@ -240,11 +223,11 @@ TEST(MultiQueueTest, SyncCallsObeyAdmissionWindow) {
           }(*ks, t));
         }
         KVCSD_CO_ASSERT_OK(co_await gets.Wait());
-      }(&f.sim, &db, &stop, &peak));
+      }(&f.sim(), &db, &stop, &peak));
 
   // The window was full (the bound is tight) and never exceeded.
   EXPECT_EQ(peak, 2u);
-  EXPECT_EQ(f.set()->inflight(), 0u);
+  EXPECT_EQ(f.queue().inflight(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,21 +235,22 @@ TEST(MultiQueueTest, SyncCallsObeyAdmissionWindow) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiQueueTest, CompetingFullQueueCannotStarveNeighbor) {
-  MultiQueueFixture f(TwoQueues());
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, TwoQueues()));
   client::ClientConfig flood_cfg;
   flood_cfg.queue_id = 0;
   flood_cfg.max_inflight = 256;
   flood_cfg.stats_prefix = "client.flood.";
-  client::Client flooder = f.MakeClient(flood_cfg);
+  client::Client flooder = MakeClient(&f, flood_cfg);
   client::ClientConfig victim_cfg;
   victim_cfg.queue_id = 1;
   victim_cfg.stats_prefix = "client.victim.";
-  client::Client victim = f.MakeClient(victim_cfg);
+  client::Client victim = MakeClient(&f, victim_cfg);
   constexpr std::uint64_t kFloodPuts = 300;
 
   client::KeyspaceHandle flood_ks, victim_ks;
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* fc, client::Client* vc,
          client::KeyspaceHandle* fks,
          client::KeyspaceHandle* vks) -> sim::Task<void> {
@@ -280,7 +264,7 @@ TEST(MultiQueueTest, CompetingFullQueueCannotStarveNeighbor) {
 
   Tick flood_done = 0, victim_done = 0;
   std::uint64_t flood_completed_at_victim_done = 0;
-  f.sim.Spawn([](sim::Simulation* sim, client::KeyspaceHandle ks,
+  f.sim().Spawn([](sim::Simulation* sim, client::KeyspaceHandle ks,
                  Tick* done) -> sim::Task<void> {
     std::deque<client::Future<Status>> window;
     for (std::uint64_t i = 0; i < kFloodPuts; ++i) {
@@ -296,8 +280,8 @@ TEST(MultiQueueTest, CompetingFullQueueCannotStarveNeighbor) {
       window.pop_front();
     }
     *done = sim->Now();
-  }(&f.sim, flood_ks, &flood_done));
-  f.sim.Spawn([](sim::Simulation* sim, MultiQueueFixture* fx,
+  }(&f.sim(), flood_ks, &flood_done));
+  f.sim().Spawn([](sim::Simulation* sim, harness::CsdTestbed* fx,
                  client::KeyspaceHandle ks, Tick* done,
                  std::uint64_t* flood_completed) -> sim::Task<void> {
     for (std::uint64_t i = 0; i < 8; ++i) {
@@ -305,9 +289,9 @@ TEST(MultiQueueTest, CompetingFullQueueCannotStarveNeighbor) {
           co_await ks.Put(MakeFixedKey(1000 + i), DetValue(i)));
     }
     *done = sim->Now();
-    *flood_completed = fx->set()->pair(0)->completed();
-  }(&f.sim, &f, victim_ks, &victim_done, &flood_completed_at_victim_done));
-  f.sim.Run();
+    *flood_completed = fx->queue().pair(0)->completed();
+  }(&f.sim(), &f, victim_ks, &victim_done, &flood_completed_at_victim_done));
+  f.sim().Run();
 
   // The victim's 8 puts finished while the flood was still in flight:
   // round-robin arbitration interleaved them instead of draining queue 0
@@ -317,8 +301,8 @@ TEST(MultiQueueTest, CompetingFullQueueCannotStarveNeighbor) {
   EXPECT_LT(victim_done, flood_done);
   EXPECT_LT(flood_completed_at_victim_done, kFloodPuts);
   // Pinned clients stayed on their queues (plus one create each).
-  EXPECT_GE(f.set()->pair(0)->submitted(), kFloodPuts);
-  EXPECT_LT(f.set()->pair(1)->submitted(), 32u);
+  EXPECT_GE(f.queue().pair(0)->submitted(), kFloodPuts);
+  EXPECT_LT(f.queue().pair(1)->submitted(), 32u);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,9 +325,10 @@ sim::Task<Result<client::KeyspaceHandle>> LoadCompacted(
 }
 
 TEST(FutureWindowTest, NeverHoldsMoreThanDepthAndReapsInIssueOrder) {
-  MultiQueueFixture f(nvme::QueueSetConfig{});
-  client::Client db = f.MakeClient();
-  testutil::RunSim(f.sim, [](client::Client* c) -> sim::Task<void> {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, nvme::QueueSetConfig{}));
+  client::Client db = MakeClient(&f);
+  testutil::RunSim(f.sim(), [](client::Client* c) -> sim::Task<void> {
     constexpr std::uint64_t kKeys = 40;
     constexpr std::size_t kDepth = 3;
     auto ks = co_await LoadCompacted(c, "window", kKeys);
@@ -371,9 +356,10 @@ TEST(FutureWindowTest, NeverHoldsMoreThanDepthAndReapsInIssueOrder) {
 }
 
 TEST(FutureWindowTest, KeepsTheFirstErrorAndReapsTheRest) {
-  MultiQueueFixture f(nvme::QueueSetConfig{});
-  client::Client db = f.MakeClient();
-  testutil::RunSim(f.sim, [](client::Client* c) -> sim::Task<void> {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, nvme::QueueSetConfig{}));
+  client::Client db = MakeClient(&f);
+  testutil::RunSim(f.sim(), [](client::Client* c) -> sim::Task<void> {
     auto sealed = co_await LoadCompacted(c, "sealed", 8);
     KVCSD_CO_ASSERT_OK(sealed);
     // Never compacted, so a GET on it fails, and not with NotFound.
@@ -412,11 +398,12 @@ TEST(MultiQueueTest, SyncWithRetryBacksOffExponentially) {
   EXPECT_EQ(client::RetryBackoff(1), 2 * client::kRetryBackoffBase);
   EXPECT_EQ(client::RetryBackoff(20), client::kRetryBackoffCap);
 
-  MultiQueueFixture f(nvme::QueueSetConfig{});
-  client::Client db = f.MakeClient(client::ClientConfig{});
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, nvme::QueueSetConfig{}));
+  client::Client db = MakeClient(&f, client::ClientConfig{});
 
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](sim::Simulation* sim, client::Client* c,
          sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await c->CreateKeyspace("retry");
@@ -446,7 +433,7 @@ TEST(MultiQueueTest, SyncWithRetryBacksOffExponentially) {
         KVCSD_CO_ASSERT(sim->Now() - begin >= 3 * client::kRetryBackoffBase);
         KVCSD_CO_ASSERT(
             sim->stats().counter("client.sync.retries").value() == 3);
-      }(&f.sim, &db, &f.faults));
+      }(&f.sim(), &db, &injector));
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +443,8 @@ TEST(MultiQueueTest, SyncWithRetryBacksOffExponentially) {
 // ---------------------------------------------------------------------------
 
 TEST(MultiQueueTest, EveryCommandCompletesExactlyOnceAcrossPowerCycle) {
-  MultiQueueFixture f(TwoQueues());
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(QueueBed(&injector, TwoQueues()));
   constexpr std::uint64_t kSynced = 40;
   constexpr std::uint64_t kInflightPuts = 60;
 
@@ -470,11 +458,11 @@ TEST(MultiQueueTest, EveryCommandCompletesExactlyOnceAcrossPowerCycle) {
   cb.stats_prefix = "client.b.";
 
   {
-    client::Client a = f.MakeClient(ca);
-    client::Client b = f.MakeClient(cb);
+    client::Client a = MakeClient(&f, ca);
+    client::Client b = MakeClient(&f, cb);
     std::uint64_t resolved = 0, failed = 0;
     testutil::RunSim(
-        f.sim,
+        f.sim(),
         [](client::Client* ca2, client::Client* cb2,
            sim::FaultInjector* faults, std::uint64_t* n_resolved,
            std::uint64_t* n_failed) -> sim::Task<void> {
@@ -513,21 +501,21 @@ TEST(MultiQueueTest, EveryCommandCompletesExactlyOnceAcrossPowerCycle) {
             if (!s.ok()) ++*n_failed;
           }
           KVCSD_CO_ASSERT(ca2->queue().inflight() == 0);
-        }(&a, &b, &f.faults, &resolved, &failed));
+        }(&a, &b, &injector, &resolved, &failed));
 
     EXPECT_EQ(resolved, 2 * kInflightPuts);
     EXPECT_GT(failed, 0u);  // the crash caught commands in flight
     // Both pairs drained: completions posted once per submission.
-    EXPECT_EQ(f.set()->pair(0)->submitted(), f.set()->pair(0)->completed());
-    EXPECT_EQ(f.set()->pair(1)->submitted(), f.set()->pair(1)->completed());
-    EXPECT_EQ(f.set()->inflight(), 0u);
+    EXPECT_EQ(f.queue().pair(0)->submitted(), f.queue().pair(0)->completed());
+    EXPECT_EQ(f.queue().pair(1)->submitted(), f.queue().pair(1)->completed());
+    EXPECT_EQ(f.queue().inflight(), 0u);
   }
 
   // Power back on: synced data on both keyspaces survived.
-  f.Restart();
-  client::Client db = f.MakeClient();
+  f.PowerCycle();
+  client::Client db = MakeClient(&f);
   testutil::RunSim(
-      f.sim, [](Device* dev, client::Client* c) -> sim::Task<void> {
+      f.sim(), [](Device* dev, client::Client* c) -> sim::Task<void> {
         KVCSD_CO_ASSERT_OK(co_await dev->Recover());
         for (const char* name : {"a", "b"}) {
           auto ks = co_await c->OpenKeyspace(name);
@@ -545,7 +533,7 @@ TEST(MultiQueueTest, EveryCommandCompletesExactlyOnceAcrossPowerCycle) {
             KVCSD_CO_ASSERT(*got == DetValue(i));
           }
         }
-      }(f.dev(), &db));
+      }(&f.dev(), &db));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +14,7 @@
 #include "client/client.h"
 #include "common/crc32c.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
@@ -32,24 +32,14 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-struct CsdFixture {
-  sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev{&sim, SmallDevice(), &qp};
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-
-  CsdFixture() { dev.Start(); }
-
-  // value = 28 pad bytes + f32 energy (little-endian).
-  static std::string EnergyValue(float energy) {
-    std::string v(28, 'p');
-    char buf[4];
-    std::memcpy(buf, &energy, 4);
-    v.append(buf, 4);
-    return v;
-  }
-};
+// value = 28 pad bytes + f32 energy (little-endian).
+std::string EnergyValue(float energy) {
+  std::string v(28, 'p');
+  char buf[4];
+  std::memcpy(buf, &energy, 4);
+  v.append(buf, 4);
+  return v;
+}
 
 std::uint32_t Fingerprint(
     const std::vector<std::pair<std::string, std::string>>& rows) {
@@ -68,9 +58,9 @@ std::uint32_t Fingerprint(
 // different KLOG zones). Compaction must keep only the newest by KLOG seq.
 // --------------------------------------------------------------------------
 TEST(MutabilityTest, LwwOverwriteAcrossZoneBoundaries) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr std::uint64_t kFiller = 3000;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("lww")).value();
     // Interleave: overwrite key 7 every 500 filler puts; the filler pushes
     // each version of key 7 into a different flush batch / zone region.
@@ -110,7 +100,7 @@ TEST(MutabilityTest, LwwOverwriteAcrossZoneBoundaries) {
                                                  : "filler-" + std::to_string(i));
     }
     KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
-  }(&f.db));
+  }(&f.client()));
 }
 
 // --------------------------------------------------------------------------
@@ -119,9 +109,9 @@ TEST(MutabilityTest, LwwOverwriteAcrossZoneBoundaries) {
 // suppresses the key at compaction; the per-opcode counter ticks.
 // --------------------------------------------------------------------------
 TEST(MutabilityTest, DeleteBeforeCompactionSuppressesKey) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("del")).value();
     for (std::uint64_t i = 0; i < 100; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), "v" + std::to_string(i)));
@@ -152,7 +142,7 @@ TEST(MutabilityTest, DeleteBeforeCompactionSuppressesKey) {
 
     // Per-opcode accounting: 3 deletes were dispatched.
     KVCSD_CO_ASSERT(sim->stats().counter_value("device.cmd.kv_delete") == 3);
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 // --------------------------------------------------------------------------
@@ -161,14 +151,14 @@ TEST(MutabilityTest, DeleteBeforeCompactionSuppressesKey) {
 // sorted run with the live delta under last-writer-wins.
 // --------------------------------------------------------------------------
 TEST(MutabilityTest, DeltaMutationsVisibleInAllQueryTypes) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr std::uint64_t kKeys = 2000;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("delta")).value();
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
-          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+          MakeFixedKey(i), EnergyValue(static_cast<float>(i))));
     }
     nvme::SecondaryIndexSpec energy;
     energy.name = "energy";
@@ -183,20 +173,20 @@ TEST(MutabilityTest, DeltaMutationsVisibleInAllQueryTypes) {
     // Mutations into the delta: overwrite key 100 (energy 100 -> 5000.5),
     // delete key 200, insert brand-new key kKeys+1 (energy 6000.5).
     KVCSD_CO_ASSERT_OK(
-        co_await ks.Put(MakeFixedKey(100), CsdFixture::EnergyValue(5000.5f)));
+        co_await ks.Put(MakeFixedKey(100), EnergyValue(5000.5f)));
     KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(200)));
     KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(kKeys + 1),
-                                       CsdFixture::EnergyValue(6000.5f)));
+                                       EnergyValue(6000.5f)));
 
     // Point lookups: delta wins over the run.
     auto updated = co_await ks.Get(MakeFixedKey(100));
     KVCSD_CO_ASSERT_OK(updated);
-    KVCSD_CO_ASSERT(*updated == CsdFixture::EnergyValue(5000.5f));
+    KVCSD_CO_ASSERT(*updated == EnergyValue(5000.5f));
     auto deleted = co_await ks.Get(MakeFixedKey(200));
     KVCSD_CO_ASSERT(deleted.status().IsNotFound());
     auto fresh = co_await ks.Get(MakeFixedKey(kKeys + 1));
     KVCSD_CO_ASSERT_OK(fresh);
-    KVCSD_CO_ASSERT(*fresh == CsdFixture::EnergyValue(6000.5f));
+    KVCSD_CO_ASSERT(*fresh == EnergyValue(6000.5f));
     KVCSD_CO_ASSERT(sim->stats().counter_value("device.query.delta_hits") >= 2);
 
     // num_kvs = run entries + live delta entries. Until the delta is
@@ -217,7 +207,7 @@ TEST(MutabilityTest, DeltaMutationsVisibleInAllQueryTypes) {
       KVCSD_CO_ASSERT(k != MakeFixedKey(200));
       if (k == MakeFixedKey(100)) {
         saw_updated = true;
-        KVCSD_CO_ASSERT(v == CsdFixture::EnergyValue(5000.5f));
+        KVCSD_CO_ASSERT(v == EnergyValue(5000.5f));
       }
     }
     KVCSD_CO_ASSERT(saw_updated);
@@ -245,9 +235,9 @@ TEST(MutabilityTest, DeltaMutationsVisibleInAllQueryTypes) {
                                                           7000.0f, 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == 2);
     KVCSD_CO_ASSERT(rows[0].first == MakeFixedKey(100));
-    KVCSD_CO_ASSERT(rows[0].second == CsdFixture::EnergyValue(5000.5f));
+    KVCSD_CO_ASSERT(rows[0].second == EnergyValue(5000.5f));
     KVCSD_CO_ASSERT(rows[1].first == MakeFixedKey(kKeys + 1));
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 // --------------------------------------------------------------------------
@@ -256,14 +246,14 @@ TEST(MutabilityTest, DeltaMutationsVisibleInAllQueryTypes) {
 // the delta is reclaimed, and every query type stays correct afterwards.
 // --------------------------------------------------------------------------
 TEST(MutabilityTest, IncrementalRecompactionFoldsDelta) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr std::uint64_t kKeys = 4000;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("fold")).value();
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
-          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+          MakeFixedKey(i), EnergyValue(static_cast<float>(i))));
     }
     nvme::SecondaryIndexSpec energy;
     energy.name = "energy";
@@ -279,15 +269,15 @@ TEST(MutabilityTest, IncrementalRecompactionFoldsDelta) {
     // 600..604 deleted, 2 inserts beyond the old max key).
     for (std::uint64_t i = 500; i < 520; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
-          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i) + 0.25f)));
+          MakeFixedKey(i), EnergyValue(static_cast<float>(i) + 0.25f)));
     }
     for (std::uint64_t i = 600; i < 605; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(i)));
     }
     KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(kKeys + 10),
-                                       CsdFixture::EnergyValue(9000.0f)));
+                                       EnergyValue(9000.0f)));
     KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(kKeys + 11),
-                                       CsdFixture::EnergyValue(9001.0f)));
+                                       EnergyValue(9001.0f)));
 
     // Fingerprint the merged view BEFORE the fold...
     std::vector<std::pair<std::string, std::string>> before;
@@ -324,7 +314,7 @@ TEST(MutabilityTest, IncrementalRecompactionFoldsDelta) {
     // (tombstone reclaimed, not just masked), insert served from the run.
     auto updated = co_await ks.Get(MakeFixedKey(500));
     KVCSD_CO_ASSERT_OK(updated);
-    KVCSD_CO_ASSERT(*updated == CsdFixture::EnergyValue(500.25f));
+    KVCSD_CO_ASSERT(*updated == EnergyValue(500.25f));
     auto gone = co_await ks.Get(MakeFixedKey(600));
     KVCSD_CO_ASSERT(gone.status().IsNotFound());
     auto fresh = co_await ks.Get(MakeFixedKey(kKeys + 10));
@@ -354,7 +344,7 @@ TEST(MutabilityTest, IncrementalRecompactionFoldsDelta) {
     KVCSD_CO_ASSERT(sim->stats().counter_value("device.recompact.done") == 2);
     regone = co_await ks.Get(MakeFixedKey(500));
     KVCSD_CO_ASSERT(regone.status().IsNotFound());
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 // --------------------------------------------------------------------------
@@ -363,8 +353,8 @@ TEST(MutabilityTest, IncrementalRecompactionFoldsDelta) {
 // Keyspace under the running fold, never resurrecting the keyspace.
 // --------------------------------------------------------------------------
 TEST(MutabilityTest, DropDuringRecompactionDefers) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("dropfold")).value();
     for (std::uint64_t i = 0; i < 2000; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), "v" + std::to_string(i)));
@@ -388,7 +378,7 @@ TEST(MutabilityTest, DropDuringRecompactionDefers) {
     KVCSD_CO_ASSERT_OK(fresh);
     KVCSD_CO_ASSERT_OK(co_await fresh->Put(MakeFixedKey(1), "v"));
     KVCSD_CO_ASSERT_OK(co_await fresh->Sync());
-  }(&f.db));
+  }(&f.client()));
 }
 
 // --------------------------------------------------------------------------
@@ -409,39 +399,12 @@ DeviceConfig SmallFaultyDevice() {
   return c;
 }
 
-struct PowerCycleFixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{7};
-  DeviceConfig cfg;
-  std::vector<std::unique_ptr<nvme::QueueSet>> qps;
-  std::vector<std::unique_ptr<Device>> devs;
-  sim::CpuPool host{&sim, "host", 8};
-  std::unique_ptr<client::Client> db;
-
-  explicit PowerCycleFixture(DeviceConfig config = SmallFaultyDevice())
-      : cfg(config) {
-    cfg.zns.faults = &faults;
-    faults.set_torn_tail_keep(0.5);
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-
-  Device* dev() { return devs.back().get(); }
-
-  void Restart() {
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(
-        Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-};
+// Wires the test's injector into the device; half of an in-flight append
+// survives a power cut.
+harness::TestbedConfig PowerCycleBed(sim::FaultInjector* faults) {
+  faults->set_torn_tail_keep(0.5);
+  return testutil::Bed(SmallFaultyDevice(), faults);
+}
 
 constexpr std::uint64_t kPcKeys = 600;
 
@@ -496,33 +459,35 @@ TEST(MutabilityTest, DeltaMutationsSurvivePowerCut) {
   // Reference fingerprint from a run that never crashes.
   std::uint32_t reference = 0;
   {
-    PowerCycleFixture ref;
-    testutil::RunSim(ref.sim, LoadCompactMutate(ref.db.get(), "pc"));
-    testutil::RunSim(ref.sim,
-                     VerifyMutatedView(ref.db.get(), "pc", &reference));
+    sim::FaultInjector ref_faults(7);
+    harness::CsdTestbed ref(PowerCycleBed(&ref_faults));
+    testutil::RunSim(ref.sim(), LoadCompactMutate(&ref.client(), "pc"));
+    testutil::RunSim(ref.sim(),
+                     VerifyMutatedView(&ref.client(), "pc", &reference));
   }
   ASSERT_NE(reference, 0u);
 
-  PowerCycleFixture f;
-  testutil::RunSim(f.sim, LoadCompactMutate(f.db.get(), "pc"));
-  f.faults.Crash();  // lights out after the sync: delta log is durable
-  f.Restart();
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
+  testutil::RunSim(f.sim(), LoadCompactMutate(&f.client(), "pc"));
+  injector.Crash();  // lights out after the sync: delta log is durable
+  f.PowerCycle();
   std::uint32_t recovered = 0;
-  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](Device* dev) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
-  }(f.dev()));
-  testutil::RunSim(f.sim, VerifyMutatedView(f.db.get(), "pc", &recovered));
+  }(&f.dev()));
+  testutil::RunSim(f.sim(), VerifyMutatedView(&f.client(), "pc", &recovered));
   EXPECT_EQ(recovered, reference);
 
   // The replayed delta folds cleanly: re-compact and verify again.
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("pc");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(f.db.get()));
+  }(&f.client()));
   std::uint32_t folded = 0;
-  testutil::RunSim(f.sim, VerifyMutatedView(f.db.get(), "pc", &folded));
+  testutil::RunSim(f.sim(), VerifyMutatedView(&f.client(), "pc", &folded));
   EXPECT_EQ(folded, reference);
 }
 
@@ -535,44 +500,46 @@ TEST_P(RecompactCrashPointTest, RecoversToSameBytes) {
 
   std::uint32_t reference = 0;
   {
-    PowerCycleFixture ref;
-    testutil::RunSim(ref.sim, LoadCompactMutate(ref.db.get(), "rc"));
-    testutil::RunSim(ref.sim,
-                     VerifyMutatedView(ref.db.get(), "rc", &reference));
+    sim::FaultInjector ref_faults(7);
+    harness::CsdTestbed ref(PowerCycleBed(&ref_faults));
+    testutil::RunSim(ref.sim(), LoadCompactMutate(&ref.client(), "rc"));
+    testutil::RunSim(ref.sim(),
+                     VerifyMutatedView(&ref.client(), "rc", &reference));
   }
   ASSERT_NE(reference, 0u);
 
-  PowerCycleFixture f;
-  testutil::RunSim(f.sim, LoadCompactMutate(f.db.get(), "rc"));
-  f.faults.ArmCrashAtPoint(point, 1);
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
+  testutil::RunSim(f.sim(), LoadCompactMutate(&f.client(), "rc"));
+  injector.ArmCrashAtPoint(point, 1);
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->OpenKeyspace("rc");
         KVCSD_CO_ASSERT_OK(ks);
         Status s = co_await ks->Compact();
         if (s.ok()) (void)co_await ks->WaitCompaction();
         KVCSD_CO_ASSERT(faults->crashed());
-      }(f.db.get(), &f.faults));
-  ASSERT_EQ(f.faults.crash_point(), point);
+      }(&f.client(), &injector));
+  ASSERT_EQ(injector.crash_point(), point);
 
-  f.Restart();
-  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+  f.PowerCycle();
+  testutil::RunSim(f.sim(), [](Device* dev) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
-  }(f.dev()));
+  }(&f.dev()));
   std::uint32_t recovered = 0;
-  testutil::RunSim(f.sim, VerifyMutatedView(f.db.get(), "rc", &recovered));
+  testutil::RunSim(f.sim(), VerifyMutatedView(&f.client(), "rc", &recovered));
   EXPECT_EQ(recovered, reference) << point;
 
   // And the fold completes cleanly on the recovered state.
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("rc");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(f.db.get()));
+  }(&f.client()));
   std::uint32_t folded = 0;
-  testutil::RunSim(f.sim, VerifyMutatedView(f.db.get(), "rc", &folded));
+  testutil::RunSim(f.sim(), VerifyMutatedView(&f.client(), "rc", &folded));
   EXPECT_EQ(folded, reference) << point;
 }
 
@@ -599,42 +566,35 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RecompactCrashPointTest,
 
 constexpr std::uint64_t kFoldKeys = 4000;
 
-struct FoldFixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{7};
-  DeviceConfig cfg;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  std::unique_ptr<Device> dev;
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
+// Every fold read goes to flash; the test's injector is wired.
+harness::TestbedConfig FoldBed(
+    sim::FaultInjector* faults,
+    std::uint32_t fanout = DeviceConfig{}.gather_fanout) {
+  DeviceConfig cfg = SmallDevice();
+  cfg.gather_fanout = fanout;
+  cfg.index_cache_enabled = false;
+  return testutil::Bed(cfg, faults);
+}
 
-  explicit FoldFixture(std::uint32_t fanout = DeviceConfig{}.gather_fanout)
-      : cfg(SmallDevice()) {
-    cfg.gather_fanout = fanout;
-    cfg.index_cache_enabled = false;  // every fold read goes to flash
-    cfg.zns.faults = &faults;
-    dev = std::make_unique<Device>(&sim, cfg, &qp);
-    dev->Start();
-  }
+Keyspace* FoldKeyspace(harness::CsdTestbed* f) {
+  return f->dev().keyspaces().Find("fold").value();
+}
+std::uint64_t Counter(harness::CsdTestbed& f, const std::string& name) {
+  return f.sim().stats().counter_value(name);
+}
+std::uint64_t fold_ns(harness::CsdTestbed& f) {
+  return f.sim().stats().histogram("device.recompact.fold_ns").sum();
+}
 
-  Keyspace* ks() { return dev->keyspaces().Find("fold").value(); }
-  std::uint64_t counter(const std::string& name) {
-    return sim.stats().counter_value(name);
-  }
-  std::uint64_t fold_ns() {
-    return sim.stats().histogram("device.recompact.fold_ns").sum();
-  }
-
-  // Folds the delta through the client API.
-  void Fold() {
-    testutil::RunSim(sim, [](client::Client* c) -> sim::Task<void> {
-      auto ks = co_await c->OpenKeyspace("fold");
-      KVCSD_CO_ASSERT_OK(ks);
-      KVCSD_CO_ASSERT_OK(co_await ks->Compact());
-      KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-    }(&db));
-  }
-};
+// Folds the delta through the client API.
+void Fold(harness::CsdTestbed* f) {
+  testutil::RunSim(f->sim(), [](client::Client* c) -> sim::Task<void> {
+    auto ks = co_await c->OpenKeyspace("fold");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(&f->client()));
+}
 
 // Loads kFoldKeys energy-tagged keys, compacts them with an "energy"
 // secondary index, then spreads a synced delta over every PIDX block:
@@ -645,7 +605,7 @@ sim::Task<void> LoadCompactSpreadDelta(client::Client* db) {
   KVCSD_CO_ASSERT_OK(ks);
   for (std::uint64_t i = 0; i < kFoldKeys; ++i) {
     KVCSD_CO_ASSERT_OK(co_await ks->Put(
-        MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+        MakeFixedKey(i), EnergyValue(static_cast<float>(i))));
   }
   nvme::SecondaryIndexSpec energy;
   energy.name = "energy";
@@ -659,14 +619,14 @@ sim::Task<void> LoadCompactSpreadDelta(client::Client* db) {
   for (std::uint64_t i = 0; i < kFoldKeys; i += 23) {
     KVCSD_CO_ASSERT_OK(co_await ks->Put(
         MakeFixedKey(i),
-        CsdFixture::EnergyValue(static_cast<float>(i) + 0.5f)));
+        EnergyValue(static_cast<float>(i) + 0.5f)));
   }
   for (std::uint64_t i = 7; i < kFoldKeys; i += 41) {
     KVCSD_CO_ASSERT_OK(co_await ks->Delete(MakeFixedKey(i)));
   }
   for (std::uint64_t i = kFoldKeys; i < kFoldKeys + 5; ++i) {
     KVCSD_CO_ASSERT_OK(co_await ks->Put(
-        MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+        MakeFixedKey(i), EnergyValue(static_cast<float>(i))));
   }
   KVCSD_CO_ASSERT_OK(co_await ks->Sync());
 }
@@ -699,56 +659,62 @@ bool SameSketch(const std::vector<SketchEntry>& a,
 
 // Both fixtures must hold the same layout: PIDX and SIDX sketches (pivots
 // and block addresses) and the bytes every scan returns.
-void ExpectSameFoldLayout(FoldFixture* a, FoldFixture* b) {
-  EXPECT_TRUE(SameSketch(a->ks()->pidx_sketch, b->ks()->pidx_sketch));
-  EXPECT_TRUE(SameSketch(a->ks()->secondary_indexes.at("energy").sketch,
-                         b->ks()->secondary_indexes.at("energy").sketch));
+void ExpectSameFoldLayout(harness::CsdTestbed* a, harness::CsdTestbed* b) {
+  Keyspace* ks_a = FoldKeyspace(a);
+  Keyspace* ks_b = FoldKeyspace(b);
+  EXPECT_TRUE(SameSketch(ks_a->pidx_sketch, ks_b->pidx_sketch));
+  EXPECT_TRUE(SameSketch(ks_a->secondary_indexes.at("energy").sketch,
+                         ks_b->secondary_indexes.at("energy").sketch));
   std::uint32_t primary_a = 0, secondary_a = 0;
   std::uint32_t primary_b = 0, secondary_b = 0;
-  testutil::RunSim(a->sim, FingerprintFold(&a->db, &primary_a, &secondary_a));
-  testutil::RunSim(b->sim, FingerprintFold(&b->db, &primary_b, &secondary_b));
+  testutil::RunSim(a->sim(),
+                   FingerprintFold(&a->client(), &primary_a, &secondary_a));
+  testutil::RunSim(b->sim(),
+                   FingerprintFold(&b->client(), &primary_b, &secondary_b));
   EXPECT_EQ(primary_a, primary_b);
   EXPECT_EQ(secondary_a, secondary_b);
 }
 
 TEST(MutabilityTest, FoldWindowKeepsLayoutAndCutsFoldTime) {
-  FoldFixture serial(1);
-  FoldFixture windowed;
-  ASSERT_GT(windowed.cfg.gather_fanout, 1u);
-  for (FoldFixture* f : {&serial, &windowed}) {
-    testutil::RunSim(f->sim, LoadCompactSpreadDelta(&f->db));
+  sim::FaultInjector serial_faults(7);
+  sim::FaultInjector windowed_faults(7);
+  harness::CsdTestbed serial(FoldBed(&serial_faults, 1));
+  harness::CsdTestbed windowed(FoldBed(&windowed_faults));
+  ASSERT_GT(windowed.dev().config().gather_fanout, 1u);
+  for (harness::CsdTestbed* f : {&serial, &windowed}) {
+    testutil::RunSim(f->sim(), LoadCompactSpreadDelta(&f->client()));
   }
   ExpectSameFoldLayout(&serial, &windowed);  // same starting point
 
   // Round 1: the delta dirties every PIDX block.
-  serial.Fold();
-  windowed.Fold();
-  EXPECT_EQ(windowed.counter("device.recompact.done"), 1u);
-  EXPECT_GT(windowed.counter("device.recompact.pidx_blocks_rebuilt"), 20u);
-  EXPECT_EQ(windowed.counter("zns.pidx.appends"),
-            serial.counter("zns.pidx.appends"));
+  Fold(&serial);
+  Fold(&windowed);
+  EXPECT_EQ(Counter(windowed, "device.recompact.done"), 1u);
+  EXPECT_GT(Counter(windowed, "device.recompact.pidx_blocks_rebuilt"), 20u);
+  EXPECT_EQ(Counter(windowed, "zns.pidx.appends"),
+            Counter(serial, "zns.pidx.appends"));
   ExpectSameFoldLayout(&serial, &windowed);
-  const std::uint64_t serial_round1 = serial.fold_ns();
-  const std::uint64_t windowed_round1 = windowed.fold_ns();
+  const std::uint64_t serial_round1 = fold_ns(serial);
+  const std::uint64_t windowed_round1 = fold_ns(windowed);
   EXPECT_LT(windowed_round1, serial_round1);
 
   // Round 2: one overwrite. A single PIDX block is rebuilt either way, so
   // the time the window saves is the SIDX fold streaming every block.
-  for (FoldFixture* f : {&serial, &windowed}) {
-    testutil::RunSim(f->sim, [](client::Client* c) -> sim::Task<void> {
+  for (harness::CsdTestbed* f : {&serial, &windowed}) {
+    testutil::RunSim(f->sim(), [](client::Client* c) -> sim::Task<void> {
       auto ks = co_await c->OpenKeyspace("fold");
       KVCSD_CO_ASSERT_OK(ks);
       KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(1234),
-                                          CsdFixture::EnergyValue(-3.0f)));
+                                          EnergyValue(-3.0f)));
       KVCSD_CO_ASSERT_OK(co_await ks->Sync());
-    }(&f->db));
-    f->Fold();
+    }(&f->client()));
+    Fold(f);
   }
-  EXPECT_EQ(windowed.counter("device.recompact.done"), 2u);
-  EXPECT_GT(windowed.counter("device.recompact.sidx_blocks_retained"), 20u);
+  EXPECT_EQ(Counter(windowed, "device.recompact.done"), 2u);
+  EXPECT_GT(Counter(windowed, "device.recompact.sidx_blocks_retained"), 20u);
   ExpectSameFoldLayout(&serial, &windowed);
-  EXPECT_LT(windowed.fold_ns() - windowed_round1,
-            serial.fold_ns() - serial_round1);
+  EXPECT_LT(fold_ns(windowed) - windowed_round1,
+            fold_ns(serial) - serial_round1);
 }
 
 // Arms one I/O error rule for the fold (on the metadata zone only when
@@ -760,43 +726,44 @@ TEST(MutabilityTest, FoldWindowKeepsLayoutAndCutsFoldTime) {
 void ExpectFoldFaultRollsBack(sim::FaultOp op, std::uint64_t skip,
                               std::uint64_t pidx_appends,
                               bool metadata_zone = false) {
-  FoldFixture f;
-  testutil::RunSim(f.sim, LoadCompactSpreadDelta(&f.db));
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(FoldBed(&injector));
+  testutil::RunSim(f.sim(), LoadCompactSpreadDelta(&f.client()));
   std::uint32_t primary = 0, secondary = 0;
-  testutil::RunSim(f.sim, FingerprintFold(&f.db, &primary, &secondary));
-  Keyspace* ks = f.ks();
+  testutil::RunSim(f.sim(), FingerprintFold(&f.client(), &primary, &secondary));
+  Keyspace* ks = FoldKeyspace(&f);
   const std::size_t delta_keys = ks->delta_index.size();
-  const std::size_t free_before = f.dev->zones().free_zones();
-  const std::uint64_t pidx_appends_before = f.counter("zns.pidx.appends");
+  const std::size_t free_before = f.dev().zones().free_zones();
+  const std::uint64_t pidx_appends_before = Counter(f, "zns.pidx.appends");
 
   sim::ErrorRule rule;
   rule.op = op;
   rule.skip = skip;
-  if (metadata_zone) rule.zone = f.dev->keyspaces().current_meta_zone();
-  f.faults.AddErrorRule(rule);
+  if (metadata_zone) rule.zone = f.dev().keyspaces().current_meta_zone();
+  injector.AddErrorRule(rule);
   Status folded =
-      testutil::RunSim(f.sim, DeviceTestPeer::Compact(f.dev.get(), ks));
+      testutil::RunSim(f.sim(), DeviceTestPeer::Compact(&f.dev(), ks));
   EXPECT_EQ(folded.code(), StatusCode::kIoError) << folded.ToString();
-  EXPECT_EQ(f.faults.errors_injected(), 1u);
-  EXPECT_EQ(f.counter("zns.pidx.appends") - pidx_appends_before,
+  EXPECT_EQ(injector.errors_injected(), 1u);
+  EXPECT_EQ(Counter(f, "zns.pidx.appends") - pidx_appends_before,
             pidx_appends);
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
   EXPECT_EQ(ks->delta_index.size(), delta_keys);
-  EXPECT_EQ(f.dev->zones().free_zones(), free_before);
-  EXPECT_EQ(f.counter("device.recompact.done"), 0u);
-  ExpectClustersOwnedOnce(f.dev.get());
+  EXPECT_EQ(f.dev().zones().free_zones(), free_before);
+  EXPECT_EQ(Counter(f, "device.recompact.done"), 0u);
+  ExpectClustersOwnedOnce(&f.dev());
   std::uint32_t primary_after = 0, secondary_after = 0;
-  testutil::RunSim(f.sim,
-                   FingerprintFold(&f.db, &primary_after, &secondary_after));
+  testutil::RunSim(f.sim(), FingerprintFold(&f.client(), &primary_after,
+                                            &secondary_after));
   EXPECT_EQ(primary_after, primary);
   EXPECT_EQ(secondary_after, secondary);
 
-  f.Fold();  // the rule fired once; the retry runs clean
-  EXPECT_EQ(f.counter("device.recompact.done"), 1u);
+  Fold(&f);  // the rule fired once; the retry runs clean
+  EXPECT_EQ(Counter(f, "device.recompact.done"), 1u);
   EXPECT_TRUE(ks->delta_index.empty());
-  ExpectClustersOwnedOnce(f.dev.get());
-  testutil::RunSim(f.sim,
-                   FingerprintFold(&f.db, &primary_after, &secondary_after));
+  ExpectClustersOwnedOnce(&f.dev());
+  testutil::RunSim(f.sim(), FingerprintFold(&f.client(), &primary_after,
+                                            &secondary_after));
   EXPECT_EQ(primary_after, primary);
   EXPECT_EQ(secondary_after, secondary);
 }
@@ -833,7 +800,7 @@ sim::Task<void> MutateAndFold(client::Client* db, std::uint64_t keys,
   for (std::uint64_t i = 0; i < keys; i += 7) {
     KVCSD_CO_ASSERT_OK(co_await ks->Put(
         MakeFixedKey(i),
-        CsdFixture::EnergyValue(static_cast<float>(i) + shift)));
+        EnergyValue(static_cast<float>(i) + shift)));
   }
   for (std::uint64_t i = 3; i < keys; i += 11) {
     KVCSD_CO_ASSERT_OK(co_await ks->Delete(MakeFixedKey(i)));
@@ -847,44 +814,45 @@ sim::Task<void> MutateAndFold(client::Client* db, std::uint64_t keys,
 // the superseded layout held and the new one does not, and the drop
 // releases the rest.
 TEST(MutabilityTest, FoldLifecycleKeepsOneOwnerPerCluster) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr std::uint64_t kKeys = 2000;
-  const std::size_t free_at_start = f.dev.zones().free_zones();
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  const std::size_t free_at_start = f.dev().zones().free_zones();
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->CreateKeyspace("life");
     KVCSD_CO_ASSERT_OK(ks);
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks->Put(
-          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+          MakeFixedKey(i), EnergyValue(static_cast<float>(i))));
     }
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(&f.db));
-  ExpectClustersOwnedOnce(&f.dev);
+  }(&f.client()));
+  ExpectClustersOwnedOnce(&f.dev());
 
-  testutil::RunSim(f.sim, MutateAndFold(&f.db, kKeys, 0.25f));
-  EXPECT_EQ(f.sim.stats().counter_value("device.recompact.done"), 1u);
-  ExpectClustersOwnedOnce(&f.dev);
+  testutil::RunSim(f.sim(), MutateAndFold(&f.client(), kKeys, 0.25f));
+  EXPECT_EQ(f.sim().stats().counter_value("device.recompact.done"), 1u);
+  ExpectClustersOwnedOnce(&f.dev());
 
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("life");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->CreateSecondaryIndexF32("energy", 28));
-  }(&f.db));
-  ExpectClustersOwnedOnce(&f.dev);
+  }(&f.client()));
+  ExpectClustersOwnedOnce(&f.dev());
 
-  testutil::RunSim(f.sim, MutateAndFold(&f.db, kKeys, 0.5f));
-  EXPECT_EQ(f.sim.stats().counter_value("device.recompact.done"), 2u);
-  EXPECT_GT(f.sim.stats().counter_value("device.recompact.sidx_blocks_rebuilt"),
-            0u);
-  ExpectClustersOwnedOnce(&f.dev);
+  testutil::RunSim(f.sim(), MutateAndFold(&f.client(), kKeys, 0.5f));
+  EXPECT_EQ(f.sim().stats().counter_value("device.recompact.done"), 2u);
+  EXPECT_GT(
+      f.sim().stats().counter_value("device.recompact.sidx_blocks_rebuilt"),
+      0u);
+  ExpectClustersOwnedOnce(&f.dev());
 
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await db->DropKeyspace("life"));
-  }(&f.db));
-  ExpectClustersOwnedOnce(&f.dev);
-  EXPECT_TRUE(f.dev.zones().LiveClusters().empty());
-  EXPECT_EQ(f.dev.zones().free_zones(), free_at_start);
+  }(&f.client()));
+  ExpectClustersOwnedOnce(&f.dev());
+  EXPECT_TRUE(f.dev().zones().LiveClusters().empty());
+  EXPECT_EQ(f.dev().zones().free_zones(), free_at_start);
 }
 
 // --------------------------------------------------------------------------
@@ -894,14 +862,8 @@ TEST(MutabilityTest, FoldLifecycleKeepsOneOwnerPerCluster) {
 // --------------------------------------------------------------------------
 TEST(MutabilityTest, DeltaIndexGaugeTracksEntriesAndDrainsOnFold) {
   constexpr std::uint64_t kKeys = 200;
-  sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev{&sim, SmallDevice(), &qp};
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-  dev.Start();
-
-  testutil::RunSim(sim, [](client::Client* dbp,
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* dbp,
                            Device* devp) -> sim::Task<void> {
     auto ks = (co_await dbp->CreateKeyspace("gauge")).value();
     std::vector<std::pair<std::string, std::string>> model;
@@ -937,7 +899,7 @@ TEST(MutabilityTest, DeltaIndexGaugeTracksEntriesAndDrainsOnFold) {
     KVCSD_CO_ASSERT_OK(co_await ks.Scan("", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == kKeys);
     KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
-  }(&db, &dev));
+  }(&f.client(), &f.dev()));
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
 #include "sim/log.h"
@@ -32,41 +32,6 @@ DeviceConfig SmallDevice() {
   c.output_batch_bytes = KiB(16);
   return c;
 }
-
-// Same shape as recovery_test.cc's fixture: each Restart() swaps in a
-// fresh device incarnation over the surviving flash bytes.
-struct Fixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{11};
-  DeviceConfig cfg;
-  std::vector<std::unique_ptr<nvme::QueueSet>> qps;
-  std::vector<std::unique_ptr<Device>> devs;
-  sim::CpuPool host{&sim, "host", 8};
-  std::unique_ptr<client::Client> db;
-
-  Fixture() : cfg(SmallDevice()) {
-    cfg.zns.faults = &faults;
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-
-  Device* dev() { return devs.back().get(); }
-  nvme::QueueSet* qp() { return qps.back().get(); }
-
-  void Restart() {
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(
-        Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-};
 
 sim::Task<void> LoadAndSync(client::Client* db, const std::string& name,
                             std::uint64_t count) {
@@ -98,51 +63,53 @@ bool LogContains(const sim::Log& log, const std::string& needle) {
 }
 
 TEST(ObservabilityTest, LogRingSurvivesDeviceRestart) {
-  Fixture f;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "obs", 100));
+  sim::FaultInjector injector(11);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "obs", 100));
 
-  f.sim.log().Info("test", "pre-crash marker");
-  const std::uint64_t written_before = f.sim.log().total_written();
-  f.faults.Crash();
-  f.Restart();
-  testutil::RunSim(f.sim,
-                   RecoverAndRead(f.dev(), f.db.get(), "obs", 100));
+  f.sim().log().Info("test", "pre-crash marker");
+  const std::uint64_t written_before = f.sim().log().total_written();
+  injector.Crash();
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndRead(&f.dev(), &f.client(), "obs", 100));
 
   // The ring lives on the Simulation, not the Device: the pre-crash
   // breadcrumb is still there, and recovery appended after it.
-  EXPECT_TRUE(LogContains(f.sim.log(), "pre-crash marker"));
-  EXPECT_GT(f.sim.log().total_written(), written_before);
+  EXPECT_TRUE(LogContains(f.sim().log(), "pre-crash marker"));
+  EXPECT_GT(f.sim().log().total_written(), written_before);
   bool recovery_logged = false;
-  for (const auto& e : f.sim.log().Entries()) {
+  for (const auto& e : f.sim().log().Entries()) {
     if (e.component == "recovery") recovery_logged = true;
   }
   EXPECT_TRUE(recovery_logged);
 }
 
 TEST(ObservabilityTest, StatsConsistentAcrossPowerCycle) {
-  Fixture f;
-  sim::Stats& stats = f.sim.stats();
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "pc", 150));
+  sim::FaultInjector injector(11);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
+  sim::Stats& stats = f.sim().stats();
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "pc", 150));
 
   // Idle after the run: nothing in flight anywhere.
-  EXPECT_EQ(f.dev()->inflight_commands(), 0u);
-  EXPECT_EQ(f.qp()->inflight(), 0u);
-  EXPECT_EQ(f.qp()->sq_depth(), 0u);
+  EXPECT_EQ(f.dev().inflight_commands(), 0u);
+  EXPECT_EQ(f.queue().inflight(), 0u);
+  EXPECT_EQ(f.queue().sq_depth(), 0u);
   const std::uint64_t submits_before =
       stats.histogram("client.stage.submit_ns").count();
   EXPECT_EQ(stats.histogram("client.stage.complete_ns").count(),
             submits_before);
 
-  f.faults.Crash();
-  f.Restart();
-  testutil::RunSim(f.sim,
-                   RecoverAndRead(f.dev(), f.db.get(), "pc", 150));
+  injector.Crash();
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndRead(&f.dev(), &f.client(), "pc", 150));
 
   // Post-cycle: every submitted command completed exactly once (a leaked
   // in-flight command or a double-counted completion breaks equality),
   // and the per-stage decomposition stayed paired.
-  EXPECT_EQ(f.dev()->inflight_commands(), 0u);
-  EXPECT_EQ(f.qp()->inflight(), 0u);
+  EXPECT_EQ(f.dev().inflight_commands(), 0u);
+  EXPECT_EQ(f.queue().inflight(), 0u);
   const std::uint64_t submits = stats.histogram("client.stage.submit_ns")
                                     .count();
   EXPECT_GT(submits, submits_before);
@@ -152,25 +119,26 @@ TEST(ObservabilityTest, StatsConsistentAcrossPowerCycle) {
 }
 
 TEST(ObservabilityTest, TelemetrySourceReplacedAcrossRestart) {
-  Fixture f;
-  f.sim.telemetry().Enable(Microseconds(50));
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "tm", 80));
-  f.faults.Crash();
-  f.Restart();
-  testutil::RunSim(f.sim, RecoverAndRead(f.dev(), f.db.get(), "tm", 80));
+  sim::FaultInjector injector(11);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
+  f.sim().telemetry().Enable(Microseconds(50));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "tm", 80));
+  injector.Crash();
+  f.PowerCycle();
+  testutil::RunSim(f.sim(), RecoverAndRead(&f.dev(), &f.client(), "tm", 80));
 
-  ASSERT_GT(f.sim.telemetry().size(), 0u);
+  ASSERT_GT(f.sim().telemetry().size(), 0u);
   // Find the gauge id for the NVMe SQ depth, then check the last sample
   // reports it exactly once: the restarted device re-registered under the
   // "device" key and superseded the dead incarnation, so gauges are not
   // duplicated after a power cycle.
   std::uint32_t sq_id = UINT32_MAX;
-  const auto& names = f.sim.telemetry().names();
+  const auto& names = f.sim().telemetry().names();
   for (std::uint32_t i = 0; i < names.size(); ++i) {
     if (names[i] == "nvme.sq_depth") sq_id = i;
   }
   ASSERT_NE(sq_id, UINT32_MAX);
-  const auto& last = f.sim.telemetry().samples().back();
+  const auto& last = f.sim().telemetry().samples().back();
   std::size_t occurrences = 0;
   for (const auto& [id, value] : last.values) {
     if (id == sq_id) ++occurrences;
@@ -183,31 +151,32 @@ TEST(ObservabilityTest, TelemetryRingSaturatesCleanlyAcrossRestart) {
   // through a power cycle: the drop counter accounts for every evicted
   // sample, and the survivors still carry exactly one "device" source's
   // gauges (the restarted incarnation's).
-  Fixture f;
-  f.sim.telemetry().Enable(Microseconds(10), /*max_samples=*/16);
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "sat", 120));
-  f.faults.Crash();
-  f.Restart();
-  testutil::RunSim(f.sim, RecoverAndRead(f.dev(), f.db.get(), "sat", 120));
+  sim::FaultInjector injector(11);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
+  f.sim().telemetry().Enable(Microseconds(10), /*max_samples=*/16);
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "sat", 120));
+  injector.Crash();
+  f.PowerCycle();
+  testutil::RunSim(f.sim(), RecoverAndRead(&f.dev(), &f.client(), "sat", 120));
 
-  EXPECT_EQ(f.sim.telemetry().size(), 16u);
-  EXPECT_GT(f.sim.telemetry().dropped(), 0u);
+  EXPECT_EQ(f.sim().telemetry().size(), 16u);
+  EXPECT_GT(f.sim().telemetry().dropped(), 0u);
   // Samples remain in tick order after the wrap and the restart.
   Tick prev = 0;
-  for (const auto& sample : f.sim.telemetry().samples()) {
+  for (const auto& sample : f.sim().telemetry().samples()) {
     EXPECT_GE(sample.tick, prev);
     prev = sample.tick;
   }
   // The post-restart device's utilization gauges are present exactly once
   // per sample (no duplicate from the dead incarnation).
   std::uint32_t util_id = UINT32_MAX;
-  const auto& names = f.sim.telemetry().names();
+  const auto& names = f.sim().telemetry().names();
   for (std::uint32_t i = 0; i < names.size(); ++i) {
     if (names[i] == "util.dispatch.dispatch") util_id = i;
   }
   ASSERT_NE(util_id, UINT32_MAX);
   std::size_t occurrences = 0;
-  for (const auto& [id, value] : f.sim.telemetry().samples().back().values) {
+  for (const auto& [id, value] : f.sim().telemetry().samples().back().values) {
     if (id == util_id) ++occurrences;
   }
   EXPECT_EQ(occurrences, 1u);

@@ -14,6 +14,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "common/random.h"
 #include "harness/testbed.h"
 #include "kvcsd/device.h"
@@ -46,12 +47,7 @@ TEST_P(CsdPropertyTest, OrderedStoreInvariantsHold) {
   config.write_buffer_bytes = KiB(16);
   config.zones.zones_per_cluster = param.zones_per_cluster;
 
-  sim::Simulation simulation;
-  nvme::QueueSet qp(&simulation, nvme::QueueSetConfig{});
-  Device dev(&simulation, config, &qp);
-  dev.Start();
-  sim::CpuPool host(&simulation, "host", 8);
-  client::Client db(&qp, &host, hostenv::CostModel::Host());
+  harness::CsdTestbed bed(testutil::Bed(config));
 
   // Ground truth: random keys (with collisions -> last write wins is NOT
   // exercised here; keys are unique by construction).
@@ -71,7 +67,7 @@ TEST_P(CsdPropertyTest, OrderedStoreInvariantsHold) {
   }
 
   testutil::RunSim(
-      simulation,
+      bed.sim(),
       [](client::Client* c, const std::map<std::string, std::string>* data,
          std::uint32_t value_bytes) -> sim::Task<void> {
         auto ks = (co_await c->CreateKeyspace("prop")).value();
@@ -134,7 +130,7 @@ TEST_P(CsdPropertyTest, OrderedStoreInvariantsHold) {
                          "marker", 10.0f, 19.5f, 0, &hits))
                         .ok());
         EXPECT_EQ(hits.size(), data->size() >= 20 ? 10u : 0u);
-      }(&db, &truth, param.value_bytes));
+      }(&bed.client(), &truth, param.value_bytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "client/client.h"
 #include "common/coding.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "kvcsd/device.h"
 #include "nvme/skey.h"
 #include "sim/fault.h"
@@ -40,27 +40,14 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-struct CsdFixture {
-  sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev;
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-
-  explicit CsdFixture(const DeviceConfig& config = SmallDevice())
-      : dev(&sim, config, &qp) {
-    dev.Start();
-  }
-
-  // value = 28 pad bytes + f32 energy (little-endian) — the VPIC layout.
-  static std::string EnergyValue(float energy) {
-    std::string v(28, 'p');
-    char buf[4];
-    std::memcpy(buf, &energy, 4);
-    v.append(buf, 4);
-    return v;
-  }
-};
+// value = 28 pad bytes + f32 energy (little-endian) — the VPIC layout.
+std::string EnergyValue(float energy) {
+  std::string v(28, 'p');
+  char buf[4];
+  std::memcpy(buf, &energy, 4);
+  v.append(buf, 4);
+  return v;
+}
 
 // Loads keys [0, count) with EnergyValue(i) and compacts.
 sim::Task<client::KeyspaceHandle> LoadCompacted(client::Client* db,
@@ -69,7 +56,7 @@ sim::Task<client::KeyspaceHandle> LoadCompacted(client::Client* db,
   auto ks = (co_await db->CreateKeyspace(name)).value();
   for (std::uint64_t i = 0; i < count; ++i) {
     auto put =
-        co_await ks.Put(MakeFixedKey(i), CsdFixture::EnergyValue(
+        co_await ks.Put(MakeFixedKey(i), EnergyValue(
                                              static_cast<float>(i)));
     EXPECT_TRUE(put.ok());
   }
@@ -92,10 +79,10 @@ nvme::AggregateSpec EnergyAgg(nvme::AggregateFunc func) {
 // the host-model rows, and only those bytes cross the link.
 // --------------------------------------------------------------------------
 TEST(PushdownTest, SelectFiltersOnDevice) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr std::uint64_t kKeys = 500;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     auto ks = co_await LoadCompacted(db, "sel", kKeys);
 
     client::KeyspaceHandle::SelectOptions opts;
@@ -106,7 +93,7 @@ TEST(PushdownTest, SelectFiltersOnDevice) {
     for (std::uint64_t i = 0; i < rows.size(); ++i) {
       KVCSD_CO_ASSERT(rows[i].first == MakeFixedKey(400 + i));
       KVCSD_CO_ASSERT(rows[i].second ==
-                      CsdFixture::EnergyValue(static_cast<float>(400 + i)));
+                      EnergyValue(static_cast<float>(400 + i)));
     }
 
     // Device-side accounting: every value was scanned, 1/5 matched.
@@ -124,7 +111,7 @@ TEST(PushdownTest, SelectFiltersOnDevice) {
     KVCSD_CO_ASSERT_OK(co_await ks.Select("", "\x7f", opts, &rows));
     KVCSD_CO_ASSERT(rows.size() == 7);
     KVCSD_CO_ASSERT(rows[0].first == MakeFixedKey(400));
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 // --------------------------------------------------------------------------
@@ -132,9 +119,9 @@ TEST(PushdownTest, SelectFiltersOnDevice) {
 // filters on a *different* byte range of the value.
 // --------------------------------------------------------------------------
 TEST(PushdownTest, SelectThroughSecondaryIndex) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr std::uint64_t kKeys = 400;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("sidx")).value();
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       // Pad byte differs for even/odd keys so a bytes-predicate can split
@@ -170,7 +157,7 @@ TEST(PushdownTest, SelectThroughSecondaryIndex) {
                                      opts);
     KVCSD_CO_ASSERT_OK(agg);
     KVCSD_CO_ASSERT(agg->rows == 50);
-  }(&f.db));
+  }(&f.client()));
 }
 
 // --------------------------------------------------------------------------
@@ -179,14 +166,14 @@ TEST(PushdownTest, SelectThroughSecondaryIndex) {
 // fail the command.
 // --------------------------------------------------------------------------
 TEST(PushdownTest, PredicateOverShortValue) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("short")).value();
     // 10 full-width records, 5 short ones (too short for offset 28 + 4).
     for (std::uint64_t i = 0; i < 10; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
-          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+          MakeFixedKey(i), EnergyValue(static_cast<float>(i))));
     }
     for (std::uint64_t i = 10; i < 15; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(i), "tiny"));
@@ -211,7 +198,7 @@ TEST(PushdownTest, PredicateOverShortValue) {
     KVCSD_CO_ASSERT(agg->rows == 10);
     KVCSD_CO_ASSERT(agg->valid);
     KVCSD_CO_ASSERT(agg->sum == 45.0);  // 0+1+...+9
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 // --------------------------------------------------------------------------
@@ -220,8 +207,8 @@ TEST(PushdownTest, PredicateOverShortValue) {
 // at or past the end yields an empty value (the key still ships).
 // --------------------------------------------------------------------------
 TEST(PushdownTest, ProjectionPastValueEnd) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("proj")).value();
     KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(1), "abcdef"));
     KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(2), "xy"));
@@ -251,7 +238,7 @@ TEST(PushdownTest, ProjectionPastValueEnd) {
     auto agg = co_await ks.Aggregate(
         "", "\x7f", EnergyAgg(nvme::AggregateFunc::kCount), opts);
     KVCSD_CO_ASSERT(agg.status().code() == StatusCode::kInvalidArgument);
-  }(&f.db));
+  }(&f.client()));
 }
 
 // --------------------------------------------------------------------------
@@ -259,8 +246,8 @@ TEST(PushdownTest, ProjectionPastValueEnd) {
 // the scalars stay at their zero defaults instead of inventing extrema.
 // --------------------------------------------------------------------------
 TEST(PushdownTest, AggregateOverZeroMatches) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await LoadCompacted(db, "zero", 50);
 
     client::KeyspaceHandle::SelectOptions opts;
@@ -281,7 +268,7 @@ TEST(PushdownTest, AggregateOverZeroMatches) {
                                      EnergyAgg(nvme::AggregateFunc::kCount));
     KVCSD_CO_ASSERT_OK(agg);
     KVCSD_CO_ASSERT(agg->rows == 0 && !agg->valid);
-  }(&f.db));
+  }(&f.client()));
 }
 
 // --------------------------------------------------------------------------
@@ -290,9 +277,9 @@ TEST(PushdownTest, AggregateOverZeroMatches) {
 // the fresh insert must count — for both select and aggregate.
 // --------------------------------------------------------------------------
 TEST(PushdownTest, LiveDeltaTombstoneDoesNotCount) {
-  CsdFixture f;
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr std::uint64_t kKeys = 300;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await LoadCompacted(db, "delta", kKeys);
 
     // Baseline over energies >= 250: keys 250..299.
@@ -307,11 +294,11 @@ TEST(PushdownTest, LiveDeltaTombstoneDoesNotCount) {
     // promote a low-energy key above it, and insert a brand-new match.
     KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(260)));
     KVCSD_CO_ASSERT_OK(
-        co_await ks.Put(MakeFixedKey(270), CsdFixture::EnergyValue(1.5f)));
+        co_await ks.Put(MakeFixedKey(270), EnergyValue(1.5f)));
     KVCSD_CO_ASSERT_OK(
-        co_await ks.Put(MakeFixedKey(10), CsdFixture::EnergyValue(900.0f)));
+        co_await ks.Put(MakeFixedKey(10), EnergyValue(900.0f)));
     KVCSD_CO_ASSERT_OK(co_await ks.Put(MakeFixedKey(kKeys + 7),
-                                       CsdFixture::EnergyValue(901.0f)));
+                                       EnergyValue(901.0f)));
 
     // 50 - tombstone - demotion + promotion + insert = 50.
     auto after = co_await ks.Aggregate(
@@ -340,7 +327,7 @@ TEST(PushdownTest, LiveDeltaTombstoneDoesNotCount) {
     KVCSD_CO_ASSERT_OK(max);
     KVCSD_CO_ASSERT(max->valid);
     KVCSD_CO_ASSERT(max->max == 901.0);
-  }(&f.db));
+  }(&f.client()));
 }
 
 // --------------------------------------------------------------------------
@@ -380,7 +367,7 @@ sim::Task<client::KeyspaceHandle> LoadPlanKeyspace(client::Client* db,
   auto ks = (co_await db->CreateKeyspace(name)).value();
   for (std::uint64_t i = 0; i < kPlanKeys; ++i) {
     EXPECT_TRUE((co_await ks.Put(MakeFixedKey(i),
-                                 CsdFixture::EnergyValue(
+                                 EnergyValue(
                                      PlanEnergy(i % kPlanClasses))))
                     .ok());
   }
@@ -539,9 +526,9 @@ sim::Task<void> ExpectPlanEquivalence(sim::Simulation* sim, PlanPair pair,
 }
 
 TEST(PushdownTest, PlannedScanMatchesPrimaryPlan) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     const PlanPair pair = co_await LoadPlanPair(db);
     for (const PlannedCase& c : kPlannedCases) {
       const auto pred =
@@ -567,13 +554,13 @@ TEST(PushdownTest, PlannedScanMatchesPrimaryPlan) {
       }
       KVCSD_CO_ASSERT(scanned < kPlanKeys / 4);
     }
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 TEST(PushdownTest, PlannerKeepsOtherCommandsOnTheirPlan) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     const PlanPair pair = co_await LoadPlanPair(db);
     const float bound = PlanEnergy(94);
 
@@ -620,13 +607,13 @@ TEST(PushdownTest, PlannerKeepsOtherCommandsOnTheirPlan) {
     KVCSD_CO_ASSERT(by_name.code == StatusCode::kOk);
     KVCSD_CO_ASSERT(!by_name.primary && !by_name.planned);
     KVCSD_CO_ASSERT(by_name.rows.size() == 120);
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 TEST(PushdownTest, PlannedScanSeesTheDelta) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     const PlanPair pair = co_await LoadPlanPair(db);
     for (client::KeyspaceHandle ks : {pair.plain, pair.indexed}) {
       // Key 296 (class 96) drops below every upper threshold and into the
@@ -634,14 +621,14 @@ TEST(PushdownTest, PlannedScanSeesTheDelta) {
       // (a class-95 match) and key 1 (a class-1 match) die; a new key
       // arrives at the top class.
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
-          MakeFixedKey(296), CsdFixture::EnergyValue(PlanEnergy(3))));
+          MakeFixedKey(296), EnergyValue(PlanEnergy(3))));
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
-          MakeFixedKey(10), CsdFixture::EnergyValue(PlanEnergy(98))));
+          MakeFixedKey(10), EnergyValue(PlanEnergy(98))));
       KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(195)));
       KVCSD_CO_ASSERT_OK(co_await ks.Delete(MakeFixedKey(1)));
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
           MakeFixedKey(kPlanKeys + 5),
-          CsdFixture::EnergyValue(PlanEnergy(99))));
+          EnergyValue(PlanEnergy(99))));
     }
     for (const PlannedCase& c : kPlannedCases) {
       co_await ExpectPlanEquivalence(
@@ -667,7 +654,7 @@ TEST(PushdownTest, PlannedScanSeesTheDelta) {
     ExpectSameAggregate(
         co_await AggregateOnce(sim, pair.plain, "", "\x7f", opts),
         co_await AggregateOnce(sim, pair.indexed, "", "\x7f", opts));
-  }(&f.db, &f.sim));
+  }(&f.client(), &f.sim()));
 }
 
 // --------------------------------------------------------------------------
@@ -936,9 +923,9 @@ sim::Task<void> ExpectCoveredAnswers(sim::Simulation* sim,
 
 TEST(PushdownTest, CoveredPlanMatchesUncoveredForEveryKeyType) {
   for (const CoverCase& cover : kCoverCases) {
-    CsdFixture f;
-    testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
-                               const CoverCase* c) -> sim::Task<void> {
+    harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+    testutil::RunSim(f.sim(), [](client::Client* db, sim::Simulation* sim,
+                                 const CoverCase* c) -> sim::Task<void> {
       auto indexed = co_await LoadCoverKeyspace(db, *c, "indexed");
       auto plain = co_await LoadCoverKeyspace(db, *c, "plain");
       KVCSD_CO_ASSERT_OK(co_await indexed.CreateSecondaryIndex(CoverIndex(*c)));
@@ -954,7 +941,7 @@ TEST(PushdownTest, CoveredPlanMatchesUncoveredForEveryKeyType) {
                                            CoverValue(*c, 95)));
       }
       co_await ExpectCoveredAnswers(sim, indexed, plain, *c);
-    }(&f.db, &f.sim, &cover));
+    }(&f.client(), &f.sim(), &cover));
   }
 }
 
@@ -982,9 +969,9 @@ client::KeyspaceHandle::SelectOptions TopFifth() {
 // reads and one filter charge of every scanned row and byte: exactly what
 // one un-sliced charge of the filter would book.
 TEST(PushdownTest, SlicedFilterBooksTheOneShotCharge) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
-                             Device* dev) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db, sim::Simulation* sim,
+                               Device* dev) -> sim::Task<void> {
     auto ks = co_await LoadCompacted(db, "busy", kSliceKeys);
     auto count = [sim](const char* name) {
       return sim->stats().counter_value(name);
@@ -1012,7 +999,7 @@ TEST(PushdownTest, SlicedFilterBooksTheOneShotCharge) {
         (count("device.read_cache.hits") - hits0) * costs.block_search +
         (count("device.gather.ranges") - ranges0) * costs.io_path_overhead;
     EXPECT_EQ(PushdownBusy(*dev) - busy0, reads + one_shot);
-  }(&f.db, &f.sim, &f.dev));
+  }(&f.client(), &f.sim(), &f.dev()));
 }
 
 // On a one-core device a GET popped while a select filters waits for the
@@ -1020,9 +1007,9 @@ TEST(PushdownTest, SlicedFilterBooksTheOneShotCharge) {
 TEST(PushdownTest, GetQueuedBehindSelectWaitsOneSlice) {
   DeviceConfig one_core = SmallDevice();
   one_core.soc_cores = 1;
-  CsdFixture f(one_core);
-  testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
-                             Device* dev) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(one_core));
+  testutil::RunSim(f.sim(), [](client::Client* db, sim::Simulation* sim,
+                               Device* dev) -> sim::Task<void> {
     auto ks = co_await LoadCompacted(db, "hol", kSliceKeys);
     const std::uint64_t seq0 = sim->log().Entries().back().seq;
 
@@ -1068,7 +1055,7 @@ TEST(PushdownTest, GetQueuedBehindSelectWaitsOneSlice) {
     // One charge of the whole filter would hold the core 20 slices long.
     KVCSD_CO_ASSERT(whole > 20 * slice);
     EXPECT_LE(max_wait, slice);
-  }(&f.db, &f.sim, &f.dev));
+  }(&f.client(), &f.sim(), &f.dev()));
 }
 
 // --------------------------------------------------------------------------
@@ -1087,56 +1074,25 @@ DeviceConfig SmallFaultyDevice() {
   return c;
 }
 
-struct PowerCycleFixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{7};
-  DeviceConfig cfg;
-  std::vector<std::unique_ptr<nvme::QueueSet>> qps;
-  std::vector<std::unique_ptr<Device>> devs;
-  sim::CpuPool host{&sim, "host", 8};
-  std::unique_ptr<client::Client> db;
-
-  PowerCycleFixture() : cfg(SmallFaultyDevice()) {
-    cfg.zns.faults = &faults;
-    faults.set_torn_tail_keep(0.5);
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-
-  Device* dev() { return devs.back().get(); }
-
-  void Restart() {
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(
-        Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-};
-
 TEST(PushdownTest, PowerCutDuringSelectScan) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  injector.set_torn_tail_keep(0.5);
+  harness::CsdTestbed f(testutil::Bed(SmallFaultyDevice(), &injector));
   constexpr std::uint64_t kKeys = 200;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = (co_await db->CreateKeyspace("pcut")).value();
     for (std::uint64_t i = 0; i < kKeys; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks.Put(
-          MakeFixedKey(i), CsdFixture::EnergyValue(static_cast<float>(i))));
+          MakeFixedKey(i), EnergyValue(static_cast<float>(i))));
     }
     KVCSD_CO_ASSERT_OK(co_await ks.Compact());
     KVCSD_CO_ASSERT_OK(co_await ks.WaitCompaction());
-  }(f.db.get()));
+  }(&f.client()));
 
   // Arm the crash inside the select path, after row collection.
-  f.faults.ArmCrashAtPoint("select.mid_scan", 1);
-  testutil::RunSim(f.sim, [](client::Client* db,
-                             sim::FaultInjector* faults) -> sim::Task<void> {
+  injector.ArmCrashAtPoint("select.mid_scan", 1);
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::FaultInjector* faults) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("pcut");
     KVCSD_CO_ASSERT_OK(ks);
     client::KeyspaceHandle::SelectOptions opts;
@@ -1145,14 +1101,14 @@ TEST(PushdownTest, PowerCutDuringSelectScan) {
     auto st = co_await ks->Select("", "\x7f", opts, &rows);
     KVCSD_CO_ASSERT(!st.ok());
     KVCSD_CO_ASSERT(faults->crashed());
-  }(f.db.get(), &f.faults));
-  ASSERT_TRUE(f.faults.crashed());
-  ASSERT_EQ(f.faults.crash_point(), "select.mid_scan");
+  }(&f.client(), &injector));
+  ASSERT_TRUE(injector.crashed());
+  ASSERT_EQ(injector.crash_point(), "select.mid_scan");
 
   // Power cycle; the same select now completes against recovered data.
-  f.Restart();
-  testutil::RunSim(f.sim, [](Device* dev,
-                             client::Client* db) -> sim::Task<void> {
+  f.PowerCycle();
+  testutil::RunSim(f.sim(), [](Device* dev,
+                               client::Client* db) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
     auto ks = co_await db->OpenKeyspace("pcut");
     KVCSD_CO_ASSERT_OK(ks);
@@ -1171,20 +1127,22 @@ TEST(PushdownTest, PowerCutDuringSelectScan) {
         "", "\x7f", EnergyAgg(nvme::AggregateFunc::kCount), opts);
     KVCSD_CO_ASSERT_OK(agg);
     KVCSD_CO_ASSERT(agg->rows == kKeys - 150);
-  }(f.dev(), f.db.get()));
+  }(&f.dev(), &f.client()));
 }
 
 // The planned path runs the same crash point after row collection.
 TEST(PushdownTest, PowerCutDuringPlannedSelectScan) {
-  PowerCycleFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  sim::FaultInjector injector(7);
+  injector.set_torn_tail_keep(0.5);
+  harness::CsdTestbed f(testutil::Bed(SmallFaultyDevice(), &injector));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await LoadPlanKeyspace(db, "pcut");
     KVCSD_CO_ASSERT_OK(co_await ks.CreateSecondaryIndexF32("energy", 28));
-  }(f.db.get()));
+  }(&f.client()));
 
-  f.faults.ArmCrashAtPoint("select.mid_scan", 1);
-  testutil::RunSim(f.sim, [](client::Client* db, sim::Simulation* sim,
-                             sim::FaultInjector* faults) -> sim::Task<void> {
+  injector.ArmCrashAtPoint("select.mid_scan", 1);
+  testutil::RunSim(f.sim(), [](client::Client* db, sim::Simulation* sim,
+                               sim::FaultInjector* faults) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("pcut");
     KVCSD_CO_ASSERT_OK(ks);
     client::KeyspaceHandle::SelectOptions opts;
@@ -1194,14 +1152,14 @@ TEST(PushdownTest, PowerCutDuringPlannedSelectScan) {
     KVCSD_CO_ASSERT(a.code != StatusCode::kOk);
     KVCSD_CO_ASSERT(a.planned);
     KVCSD_CO_ASSERT(faults->crashed());
-  }(f.db.get(), &f.sim, &f.faults));
-  ASSERT_TRUE(f.faults.crashed());
-  ASSERT_EQ(f.faults.crash_point(), "select.mid_scan");
+  }(&f.client(), &f.sim(), &injector));
+  ASSERT_TRUE(injector.crashed());
+  ASSERT_EQ(injector.crash_point(), "select.mid_scan");
 
   // After the power cycle the recovered index plans the same select.
-  f.Restart();
-  testutil::RunSim(f.sim, [](Device* dev, client::Client* db,
-                             sim::Simulation* sim) -> sim::Task<void> {
+  f.PowerCycle();
+  testutil::RunSim(f.sim(), [](Device* dev, client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
     auto ks = co_await db->OpenKeyspace("pcut");
     KVCSD_CO_ASSERT_OK(ks);
@@ -1212,7 +1170,7 @@ TEST(PushdownTest, PowerCutDuringPlannedSelectScan) {
     KVCSD_CO_ASSERT(a.code == StatusCode::kOk);
     KVCSD_CO_ASSERT(a.planned);
     KVCSD_CO_ASSERT(a.rows.size() == 120);
-  }(f.dev(), f.db.get(), &f.sim));
+  }(&f.dev(), &f.client(), &f.sim()));
 }
 
 // --------------------------------------------------------------------------
@@ -1220,8 +1178,8 @@ TEST(PushdownTest, PowerCutDuringPlannedSelectScan) {
 // InvalidArgument instead of scanning.
 // --------------------------------------------------------------------------
 TEST(PushdownTest, RejectsMalformedDescriptors) {
-  CsdFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await LoadCompacted(db, "bad", 10);
 
     // Typed predicate whose length disagrees with its type.
@@ -1245,7 +1203,7 @@ TEST(PushdownTest, RejectsMalformedDescriptors) {
     bytes_sum.type = nvme::SecondaryKeyType::kBytes;
     agg = co_await ks.Aggregate("", "\x7f", bytes_sum);
     KVCSD_CO_ASSERT(agg.status().code() == StatusCode::kInvalidArgument);
-  }(&f.db));
+  }(&f.client()));
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,6 +18,7 @@
 #include "../testutil.h"
 #include "client/client.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
@@ -36,61 +36,9 @@ DeviceConfig SmallDevice() {
   return c;
 }
 
-struct ReadPathFixture {
-  sim::Simulation sim;
-  nvme::QueueSet qp{&sim, nvme::QueueSetConfig{}};
-  Device dev;
-  sim::CpuPool host{&sim, "host", 8};
-  client::Client db{&qp, &host, hostenv::CostModel::Host()};
-
-  explicit ReadPathFixture(const DeviceConfig& cfg = SmallDevice())
-      : dev(&sim, cfg, &qp) {
-    dev.Start();
-  }
-
-  std::uint64_t Counter(const std::string& name) const {
-    return sim.stats().counter_value(name);
-  }
-};
-
-// Like ReadPathFixture but power-cyclable, with a fault injector always
-// wired (mirrors recovery_test.cc).
-struct PowerCycleFixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{7};
-  DeviceConfig cfg;
-  std::vector<std::unique_ptr<nvme::QueueSet>> qps;
-  std::vector<std::unique_ptr<Device>> devs;
-  sim::CpuPool host{&sim, "host", 8};
-  std::unique_ptr<client::Client> db;
-
-  explicit PowerCycleFixture(DeviceConfig config = SmallDevice())
-      : cfg(config) {
-    cfg.zns.faults = &faults;
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-
-  Device* dev() { return devs.back().get(); }
-
-  void Restart() {
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(
-        Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-
-  std::uint64_t Counter(const std::string& name) const {
-    return sim.stats().counter_value(name);
-  }
-};
+std::uint64_t Counter(harness::CsdTestbed& f, const std::string& name) {
+  return f.sim().stats().counter_value(name);
+}
 
 std::string DetValue(std::uint64_t i) { return "value-" + std::to_string(i); }
 
@@ -111,9 +59,9 @@ sim::Task<void> LoadAndCompact(client::Client* db, const std::string& name,
 // bloom filter): every query must answer cleanly from DRAM, never
 // touching flash or the cache.
 TEST(ReadPathTest, EmptyKeyspaceSketchAnswersWithoutIo) {
-  ReadPathFixture f;
-  testutil::RunSim(f.sim, [](ReadPathFixture* fx) -> sim::Task<void> {
-    auto ks = co_await fx->db.CreateKeyspace("empty");
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx) -> sim::Task<void> {
+    auto ks = co_await fx->client().CreateKeyspace("empty");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
@@ -124,8 +72,8 @@ TEST(ReadPathTest, EmptyKeyspaceSketchAnswersWithoutIo) {
     KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.empty());
   }(&f));
-  EXPECT_EQ(f.Counter("device.read_cache.hits"), 0u);
-  EXPECT_EQ(f.Counter("device.read_cache.misses"), 0u);
+  EXPECT_EQ(Counter(f, "device.read_cache.hits"), 0u);
+  EXPECT_EQ(Counter(f, "device.read_cache.misses"), 0u);
 }
 
 // A key below the first pivot short-circuits at the sketch — no index
@@ -135,12 +83,12 @@ TEST(ReadPathTest, KeyBelowFirstPivotShortCircuits) {
   for (std::uint32_t bits : {std::uint32_t{0}, std::uint32_t{10}}) {
     DeviceConfig cfg = SmallDevice();
     cfg.bloom_bits_per_key = bits;
-    ReadPathFixture f(cfg);
-    testutil::RunSim(f.sim,
-                     LoadAndCompact(&f.db, "lowkey", 500));
-    const std::uint64_t misses_before = f.Counter("device.read_cache.misses");
-    testutil::RunSim(f.sim, [](ReadPathFixture* fx) -> sim::Task<void> {
-      auto ks = co_await fx->db.OpenKeyspace("lowkey");
+    harness::CsdTestbed f(testutil::Bed(cfg));
+    testutil::RunSim(f.sim(),
+                     LoadAndCompact(&f.client(), "lowkey", 500));
+    const std::uint64_t misses_before = Counter(f, "device.read_cache.misses");
+    testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx) -> sim::Task<void> {
+      auto ks = co_await fx->client().OpenKeyspace("lowkey");
       KVCSD_CO_ASSERT_OK(ks);
       // MakeFixedKey(0) (16 zero bytes) is the minimum loaded key; a
       // 4-byte prefix of it sorts strictly before every pivot.
@@ -148,11 +96,11 @@ TEST(ReadPathTest, KeyBelowFirstPivotShortCircuits) {
       KVCSD_CO_ASSERT(got.status().IsNotFound());
     }(&f));
     // The lookup never reached flash: no cache miss, no cache fill.
-    EXPECT_EQ(f.Counter("device.read_cache.misses"), misses_before) << bits;
+    EXPECT_EQ(Counter(f, "device.read_cache.misses"), misses_before) << bits;
     if (bits > 0) {
-      EXPECT_GE(f.Counter("device.bloom.negative"), 1u);
+      EXPECT_GE(Counter(f, "device.bloom.negative"), 1u);
     } else {
-      EXPECT_EQ(f.Counter("device.bloom.negative"), 0u);
+      EXPECT_EQ(Counter(f, "device.bloom.negative"), 0u);
     }
   }
 }
@@ -161,9 +109,9 @@ TEST(ReadPathTest, KeyBelowFirstPivotShortCircuits) {
 // by keyspace id (never reused) and invalidated on drop, so queries must
 // see the new generation's data, never a stale cached block.
 TEST(ReadPathTest, CacheInvalidatedAcrossDropAndRecreate) {
-  ReadPathFixture f;
-  testutil::RunSim(f.sim, [](ReadPathFixture* fx) -> sim::Task<void> {
-    auto ks = co_await fx->db.CreateKeyspace("gen");
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx) -> sim::Task<void> {
+    auto ks = co_await fx->client().CreateKeyspace("gen");
     KVCSD_CO_ASSERT_OK(ks);
     for (std::uint64_t i = 0; i < 400; ++i) {
       KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), "gen1-" +
@@ -178,10 +126,10 @@ TEST(ReadPathTest, CacheInvalidatedAcrossDropAndRecreate) {
     auto warm = co_await ks->Get(MakeFixedKey(7));
     KVCSD_CO_ASSERT_OK(warm);
 
-    KVCSD_CO_ASSERT_OK(co_await fx->db.DropKeyspace("gen"));
+    KVCSD_CO_ASSERT_OK(co_await fx->client().DropKeyspace("gen"));
 
     // Same name, different data: half the keys, different values.
-    auto ks2 = co_await fx->db.CreateKeyspace("gen");
+    auto ks2 = co_await fx->client().CreateKeyspace("gen");
     KVCSD_CO_ASSERT_OK(ks2);
     for (std::uint64_t i = 0; i < 200; ++i) {
       KVCSD_CO_ASSERT_OK(
@@ -202,7 +150,7 @@ TEST(ReadPathTest, CacheInvalidatedAcrossDropAndRecreate) {
       KVCSD_CO_ASSERT(value.rfind("gen2-", 0) == 0);
     }
   }(&f));
-  EXPECT_GT(f.Counter("device.read_cache.hits"), 0u);
+  EXPECT_GT(Counter(f, "device.read_cache.hits"), 0u);
 }
 
 // The bloom filter is persisted with the metadata snapshot at compaction
@@ -210,17 +158,18 @@ TEST(ReadPathTest, CacheInvalidatedAcrossDropAndRecreate) {
 // still answered by the filter (bloom.negative fires on the new device)
 // and present keys still read back.
 TEST(ReadPathTest, BloomFilterSurvivesPowerCycle) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
   constexpr std::uint64_t kKeys = 600;
-  testutil::RunSim(f.sim, LoadAndCompact(f.db.get(), "bf", kKeys));
-  ASSERT_FALSE(f.dev()->keyspaces().Find("bf").value()->pidx_bloom.empty());
+  testutil::RunSim(f.sim(), LoadAndCompact(&f.client(), "bf", kKeys));
+  ASSERT_FALSE(f.dev().keyspaces().Find("bf").value()->pidx_bloom.empty());
 
-  f.faults.Crash();
-  f.Restart();
-  const std::uint64_t neg_before = f.Counter("device.bloom.negative");
-  testutil::RunSim(f.sim, [](PowerCycleFixture* fx) -> sim::Task<void> {
-    KVCSD_CO_ASSERT_OK(co_await fx->dev()->Recover());
-    auto ks = co_await fx->db->OpenKeyspace("bf");
+  injector.Crash();
+  f.PowerCycle();
+  const std::uint64_t neg_before = Counter(f, "device.bloom.negative");
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await fx->dev().Recover());
+    auto ks = co_await fx->client().OpenKeyspace("bf");
     KVCSD_CO_ASSERT_OK(ks);
     // The recovered keyspace is immediately queryable: COMPACTED state,
     // sketch AND bloom came back from the snapshot.
@@ -232,7 +181,7 @@ TEST(ReadPathTest, BloomFilterSurvivesPowerCycle) {
     auto missing = co_await ks->Get(MakeFixedKey(kKeys + 12345));
     KVCSD_CO_ASSERT(missing.status().IsNotFound());
   }(&f));
-  EXPECT_GT(f.Counter("device.bloom.negative"), neg_before);
+  EXPECT_GT(Counter(f, "device.bloom.negative"), neg_before);
 }
 
 // Injected read errors on the PIDX zone: a get whose index block is
@@ -240,24 +189,26 @@ TEST(ReadPathTest, BloomFilterSurvivesPowerCycle) {
 // block surfaces the IoError — and the failed read is NOT inserted, so
 // the next (healthy) attempt re-reads flash and succeeds.
 TEST(ReadPathTest, InjectedReadErrorCachedVsUncached) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
   // ~600 16-byte keys span several 4 KB PIDX blocks.
   constexpr std::uint64_t kKeys = 600;
-  testutil::RunSim(f.sim, LoadAndCompact(f.db.get(), "flt", kKeys));
+  testutil::RunSim(f.sim(), LoadAndCompact(&f.client(), "flt", kKeys));
 
-  Keyspace* ks_meta = f.dev()->keyspaces().Find("flt").value();
+  Keyspace* ks_meta = f.dev().keyspaces().Find("flt").value();
   ASSERT_GE(ks_meta->pidx_sketch.size(), 2u);
-  const std::uint64_t zone_size = f.dev()->ssd().zone_size();
+  const std::uint64_t zone_size = f.dev().ssd().zone_size();
   const std::string key_a = MakeFixedKey(0);  // lives in sketch block 0
   // A key in the LAST block, so its block is distinct from block 0.
   const std::string key_b = MakeFixedKey(kKeys - 1);
   const std::uint64_t block_b_zone =
       ks_meta->pidx_sketch.back().block_addr / zone_size;
 
-  testutil::RunSim(f.sim, [](PowerCycleFixture* fx, std::string ka,
-                             std::string kb,
-                             std::uint64_t bad_zone) -> sim::Task<void> {
-    auto ks = co_await fx->db->OpenKeyspace("flt");
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx,
+                               sim::FaultInjector* faults, std::string ka,
+                               std::string kb,
+                               std::uint64_t bad_zone) -> sim::Task<void> {
+    auto ks = co_await fx->client().OpenKeyspace("flt");
     KVCSD_CO_ASSERT_OK(ks);
     // Warm key A's index block only.
     KVCSD_CO_ASSERT_OK(co_await ks->Get(ka));
@@ -266,13 +217,13 @@ TEST(ReadPathTest, InjectedReadErrorCachedVsUncached) {
     rule.op = sim::FaultOp::kRead;
     rule.zone = static_cast<std::int64_t>(bad_zone);
     rule.times = 1;
-    fx->faults.AddErrorRule(rule);
+    faults->AddErrorRule(rule);
 
     // Cached block + value on a different (sorted-values) zone: the get
     // never reads the poisoned zone, the rule stays armed.
-    const std::uint64_t hits = fx->Counter("device.read_cache.hits");
+    const std::uint64_t hits = Counter(*fx, "device.read_cache.hits");
     KVCSD_CO_ASSERT_OK(co_await ks->Get(ka));
-    KVCSD_CO_ASSERT(fx->Counter("device.read_cache.hits") > hits);
+    KVCSD_CO_ASSERT(Counter(*fx, "device.read_cache.hits") > hits);
 
     // Uncached block in the poisoned zone: the read fails...
     auto broken = co_await ks->Get(kb);
@@ -280,11 +231,11 @@ TEST(ReadPathTest, InjectedReadErrorCachedVsUncached) {
 
     // ...and was not cached: the retry misses again (rule now exhausted)
     // and succeeds from a clean flash read.
-    const std::uint64_t misses = fx->Counter("device.read_cache.misses");
+    const std::uint64_t misses = Counter(*fx, "device.read_cache.misses");
     auto retried = co_await ks->Get(kb);
     KVCSD_CO_ASSERT_OK(retried);
-    KVCSD_CO_ASSERT(fx->Counter("device.read_cache.misses") > misses);
-  }(&f, key_a, key_b, block_b_zone));
+    KVCSD_CO_ASSERT(Counter(*fx, "device.read_cache.misses") > misses);
+  }(&f, &injector, key_a, key_b, block_b_zone));
 }
 
 // A cache sized below the index working set evicts in LRU order and
@@ -292,17 +243,17 @@ TEST(ReadPathTest, InjectedReadErrorCachedVsUncached) {
 TEST(ReadPathTest, TinyCacheEvictsWithinBudget) {
   DeviceConfig cfg = SmallDevice();
   cfg.index_cache_bytes = 2 * kIndexBlockSize;  // two blocks
-  ReadPathFixture f(cfg);
-  testutil::RunSim(f.sim, LoadAndCompact(&f.db, "tiny", 1200));
-  ASSERT_GE(f.dev.keyspaces().Find("tiny").value()->pidx_sketch.size(), 4u);
-  testutil::RunSim(f.sim, [](ReadPathFixture* fx) -> sim::Task<void> {
-    auto ks = co_await fx->db.OpenKeyspace("tiny");
+  harness::CsdTestbed f(testutil::Bed(cfg));
+  testutil::RunSim(f.sim(), LoadAndCompact(&f.client(), "tiny", 1200));
+  ASSERT_GE(f.dev().keyspaces().Find("tiny").value()->pidx_sketch.size(), 4u);
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx) -> sim::Task<void> {
+    auto ks = co_await fx->client().OpenKeyspace("tiny");
     KVCSD_CO_ASSERT_OK(ks);
     std::vector<std::pair<std::string, std::string>> rows;
     KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == 1200);
   }(&f));
-  const IndexBlockCache& cache = f.dev.index_cache();
+  const IndexBlockCache& cache = f.dev().index_cache();
   EXPECT_GT(cache.evictions(), 0u);
   EXPECT_LE(cache.charge(), cache.capacity());
   // Two full 4 KB blocks fill the budget; a partial tail block can ride
@@ -312,37 +263,37 @@ TEST(ReadPathTest, TinyCacheEvictsWithinBudget) {
   // Disabled cache: zero capacity, every read is uncached, no fills.
   DeviceConfig off = SmallDevice();
   off.index_cache_enabled = false;
-  ReadPathFixture g(off);
-  testutil::RunSim(g.sim, LoadAndCompact(&g.db, "off", 300));
-  testutil::RunSim(g.sim, [](ReadPathFixture* gx) -> sim::Task<void> {
-    auto ks = co_await gx->db.OpenKeyspace("off");
+  harness::CsdTestbed g(testutil::Bed(off));
+  testutil::RunSim(g.sim(), LoadAndCompact(&g.client(), "off", 300));
+  testutil::RunSim(g.sim(), [](harness::CsdTestbed* gx) -> sim::Task<void> {
+    auto ks = co_await gx->client().OpenKeyspace("off");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->Get(MakeFixedKey(5)));
     KVCSD_CO_ASSERT_OK(co_await ks->Get(MakeFixedKey(5)));
   }(&g));
-  EXPECT_EQ(g.dev.index_cache().entries(), 0u);
-  EXPECT_EQ(g.Counter("device.read_cache.hits"), 0u);
+  EXPECT_EQ(g.dev().index_cache().entries(), 0u);
+  EXPECT_EQ(Counter(g, "device.read_cache.hits"), 0u);
 }
 
 // GatherValues dedupes identical (addr, len) refs into one flash read
 // and fans results back out to every requesting slot, in request order.
 TEST(ReadPathTest, GatherValuesDedupesIdenticalRefs) {
-  ReadPathFixture f;
-  testutil::RunSim(f.sim, LoadAndCompact(&f.db, "gv", 400));
-  Keyspace* ks = f.dev.keyspaces().Find("gv").value();
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), LoadAndCompact(&f.client(), "gv", 400));
+  Keyspace* ks = f.dev().keyspaces().Find("gv").value();
   ASSERT_FALSE(ks->pidx_sketch.empty());
   // Any readable flash bytes do: the PIDX block itself gives known
   // (addr, len) extents.
   const std::uint64_t base = ks->pidx_sketch[0].block_addr;
 
-  const std::uint64_t dups_before = f.Counter("device.gather.dup_refs");
-  const std::uint64_t ranges_before = f.Counter("device.gather.ranges");
-  testutil::RunSim(f.sim, [](ReadPathFixture* fx,
-                             std::uint64_t addr) -> sim::Task<void> {
+  const std::uint64_t dups_before = Counter(f, "device.gather.dup_refs");
+  const std::uint64_t ranges_before = Counter(f, "device.gather.ranges");
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx,
+                               std::uint64_t addr) -> sim::Task<void> {
     using Ref = DeviceTestPeer::ValueRef;
     std::vector<Ref> refs = {Ref{addr, 64}, Ref{addr + 128, 64},
                              Ref{addr, 64}, Ref{addr, 64}};
-    auto got = co_await DeviceTestPeer::Gather(&fx->dev, refs);
+    auto got = co_await DeviceTestPeer::Gather(&fx->dev(), refs);
     KVCSD_CO_ASSERT_OK(got);
     KVCSD_CO_ASSERT(got->size() == 4);
     KVCSD_CO_ASSERT((*got)[0] == (*got)[2]);
@@ -351,8 +302,8 @@ TEST(ReadPathTest, GatherValuesDedupesIdenticalRefs) {
     // Reference: the same extents read one at a time.
     std::vector<Ref> first_only = {Ref{addr, 64}};
     std::vector<Ref> second_only = {Ref{addr + 128, 64}};
-    auto one = co_await DeviceTestPeer::Gather(&fx->dev, first_only);
-    auto two = co_await DeviceTestPeer::Gather(&fx->dev, second_only);
+    auto one = co_await DeviceTestPeer::Gather(&fx->dev(), first_only);
+    auto two = co_await DeviceTestPeer::Gather(&fx->dev(), second_only);
     KVCSD_CO_ASSERT_OK(one);
     KVCSD_CO_ASSERT_OK(two);
     KVCSD_CO_ASSERT((*got)[0] == (*one)[0]);
@@ -361,8 +312,8 @@ TEST(ReadPathTest, GatherValuesDedupesIdenticalRefs) {
   // Two duplicate refs deduped; the 64-byte gap coalesces the two
   // distinct extents of the first gather into a single range read, and
   // the two single-ref reference gathers add one range each.
-  EXPECT_EQ(f.Counter("device.gather.dup_refs"), dups_before + 2);
-  EXPECT_EQ(f.Counter("device.gather.ranges"), ranges_before + 3);
+  EXPECT_EQ(Counter(f, "device.gather.dup_refs"), dups_before + 2);
+  EXPECT_EQ(Counter(f, "device.gather.ranges"), ranges_before + 3);
 }
 
 sim::Task<void> TiedQuery(client::Client* db, std::uint32_t limit,
@@ -401,10 +352,10 @@ TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
   configs[2].bloom_bits_per_key = 0;
 
   for (int c = 0; c < 3; ++c) {
-    ReadPathFixture f(configs[c]);
-    testutil::RunSim(f.sim, [](ReadPathFixture* fx,
-                               decltype(value_for)* mk) -> sim::Task<void> {
-      auto ks = co_await fx->db.CreateKeyspace("tied");
+    harness::CsdTestbed f(testutil::Bed(configs[c]));
+    testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx,
+                                 decltype(value_for)* mk) -> sim::Task<void> {
+      auto ks = co_await fx->client().CreateKeyspace("tied");
       KVCSD_CO_ASSERT_OK(ks);
       auto writer = ks->NewBulkWriter();
       for (std::uint64_t i = 0; i < 400; ++i) {
@@ -422,7 +373,7 @@ TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
     }(&f, &value_for));
 
     std::vector<std::pair<std::string, std::string>> rows;
-    testutil::RunSim(f.sim, TiedQuery(&f.db, 40, &rows));
+    testutil::RunSim(f.sim(), TiedQuery(&f.client(), 40, &rows));
     ASSERT_EQ(rows.size(), 40u) << "config " << c;
     // The cut keeps the smallest pkeys of the tie: exactly 100..139.
     for (std::uint64_t i = 0; i < rows.size(); ++i) {
@@ -436,7 +387,7 @@ TEST(ReadPathTest, TiedSecondaryKeysCutDeterministicallyAtLimit) {
     }
 
     // An unlimited query returns the whole tie, still pkey-sorted.
-    testutil::RunSim(f.sim, TiedQuery(&f.db, 0, &rows));
+    testutil::RunSim(f.sim(), TiedQuery(&f.client(), 0, &rows));
     EXPECT_EQ(rows.size(), 150u) << "config " << c;
   }
 }
@@ -472,8 +423,8 @@ sim::Task<void> CountScan(client::Client* db, bool secondary,
 // perfbench reports these counters as prefetch.issued and
 // prefetch.wasted_ratio, so the counts are pinned exactly.
 TEST(ReadPathTest, ScanReadAheadCountsArePinned) {
-  ReadPathFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->CreateKeyspace("ahead");
     KVCSD_CO_ASSERT_OK(ks);
     auto writer = ks->NewBulkWriter();
@@ -490,7 +441,7 @@ TEST(ReadPathTest, ScanReadAheadCountsArePinned) {
     std::vector<nvme::SecondaryIndexSpec> specs = {spec};
     KVCSD_CO_ASSERT_OK(co_await ks->CompactWithIndexes(specs));
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(&f.db));
+  }(&f.client()));
 
   struct Case {
     bool secondary;
@@ -506,15 +457,16 @@ TEST(ReadPathTest, ScanReadAheadCountsArePinned) {
       {true, 0, 1440, 11, 0},
   };
   for (const Case& c : cases) {
-    const std::uint64_t issued = f.Counter("device.prefetch.issued");
-    const std::uint64_t wasted = f.Counter("device.prefetch.wasted");
+    const std::uint64_t issued = Counter(f, "device.prefetch.issued");
+    const std::uint64_t wasted = Counter(f, "device.prefetch.wasted");
     std::size_t rows = 0;
-    testutil::RunSim(f.sim, CountScan(&f.db, c.secondary, c.limit, &rows));
+    testutil::RunSim(f.sim(),
+                     CountScan(&f.client(), c.secondary, c.limit, &rows));
     SCOPED_TRACE(std::string(c.secondary ? "secondary" : "primary") +
                  " limit=" + std::to_string(c.limit));
     EXPECT_EQ(rows, c.rows);
-    EXPECT_EQ(f.Counter("device.prefetch.issued") - issued, c.issued);
-    EXPECT_EQ(f.Counter("device.prefetch.wasted") - wasted, c.wasted);
+    EXPECT_EQ(Counter(f, "device.prefetch.issued") - issued, c.issued);
+    EXPECT_EQ(Counter(f, "device.prefetch.wasted") - wasted, c.wasted);
   }
 }
 
@@ -616,33 +568,35 @@ TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
     SCOPED_TRACE(cache ? "index cache on" : "index cache off");
     DeviceConfig cfg = SpanDevice();
     cfg.index_cache_enabled = cache;
-    PowerCycleFixture f(cfg);
-    testutil::RunSim(f.sim, LoadMixed(f.db.get()));
+    sim::FaultInjector injector(7);
+    harness::CsdTestbed f(testutil::Bed(cfg, &injector));
+    testutil::RunSim(f.sim(), LoadMixed(&f.client()));
     std::map<std::string, std::string> model;
     for (std::uint64_t i = 0; i < kMixedKeys; ++i) {
       model[MakeFixedKey(2 * i)] = MixedValue(i);
     }
 
-    Keyspace* ks = f.dev()->keyspaces().Find("span").value();
-    DeviceTestPeer::ClearIndexCache(f.dev());
-    const SpanCensus census = CountSpans(f.dev(), *ks);
+    Keyspace* ks = f.dev().keyspaces().Find("span").value();
+    DeviceTestPeer::ClearIndexCache(&f.dev());
+    const SpanCensus census = CountSpans(&f.dev(), *ks);
     EXPECT_GT(census.eligible, 0u);
     EXPECT_GT(census.too_large, 0u);
     EXPECT_GT(census.cross_zone, 0u);
 
-    const std::uint64_t speculated = f.Counter("device.query.value_speculated");
-    const std::uint64_t wasted = f.Counter("device.query.speculation_wasted");
-    const std::uint64_t false_pos = f.Counter("device.bloom.false_positive");
-    testutil::RunSim(f.sim, GetAllMatches(f.db.get(), &model));
+    const std::uint64_t speculated =
+        Counter(f, "device.query.value_speculated");
+    const std::uint64_t wasted = Counter(f, "device.query.speculation_wasted");
+    const std::uint64_t false_pos = Counter(f, "device.bloom.false_positive");
+    testutil::RunSim(f.sim(), GetAllMatches(&f.client(), &model));
     const std::uint64_t spec_gets =
-        f.Counter("device.query.value_speculated") - speculated;
+        Counter(f, "device.query.value_speculated") - speculated;
     const std::uint64_t fp =
-        f.Counter("device.bloom.false_positive") - false_pos;
+        Counter(f, "device.bloom.false_positive") - false_pos;
     EXPECT_GT(spec_gets, 0u);
     EXPECT_GT(fp, 0u);
     // Only an absent key wastes a span read here; with no cache every
     // eligible lookup reads its span.
-    EXPECT_LE(f.Counter("device.query.speculation_wasted") - wasted, fp);
+    EXPECT_LE(Counter(f, "device.query.speculation_wasted") - wasted, fp);
     if (!cache) {
       EXPECT_GT(spec_gets, kMixedKeys / 2);
     }
@@ -650,8 +604,8 @@ TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
     // Fold: overwrite every 40th key and delete every 97th, all in the
     // first fifth of the key range, so later blocks are retained.
     const std::vector<SketchEntry> before = ks->pidx_sketch;
-    testutil::RunSim(f.sim, [](client::Client* db,
-                               std::map<std::string, std::string>* m)
+    testutil::RunSim(f.sim(), [](client::Client* db,
+                                 std::map<std::string, std::string>* m)
                                 -> sim::Task<void> {
       auto h = co_await db->OpenKeyspace("span");
       KVCSD_CO_ASSERT_OK(h);
@@ -666,8 +620,8 @@ TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
       }
       KVCSD_CO_ASSERT_OK(co_await h->Compact());
       KVCSD_CO_ASSERT_OK(co_await h->WaitCompaction());
-    }(f.db.get(), &model));
-    ks = f.dev()->keyspaces().Find("span").value();
+    }(&f.client(), &model));
+    ks = f.dev().keyspaces().Find("span").value();
     std::map<std::uint64_t, const SketchEntry*> old_blocks;
     for (const SketchEntry& e : before) old_blocks[e.block_addr] = &e;
     std::size_t retained = 0;
@@ -684,24 +638,24 @@ TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
     }
     EXPECT_GT(retained, 0u);
     EXPECT_GT(rebuilt, 0u);
-    testutil::RunSim(f.sim, GetAllMatches(f.db.get(), &model));
+    testutil::RunSim(f.sim(), GetAllMatches(&f.client(), &model));
 
     // Power cycle: the spans come back from the sketch blob.
     const std::vector<SketchEntry> folded = ks->pidx_sketch;
-    f.Restart();
-    testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+    f.PowerCycle();
+    testutil::RunSim(f.sim(), [](Device* dev) -> sim::Task<void> {
       KVCSD_CO_ASSERT_OK(co_await dev->Recover());
-    }(f.dev()));
-    ks = f.dev()->keyspaces().Find("span").value();
+    }(&f.dev()));
+    ks = f.dev().keyspaces().Find("span").value();
     ASSERT_EQ(ks->pidx_sketch.size(), folded.size());
     for (std::size_t i = 0; i < folded.size(); ++i) {
       EXPECT_EQ(ks->pidx_sketch[i].value_lo, folded[i].value_lo);
       EXPECT_EQ(ks->pidx_sketch[i].value_hi, folded[i].value_hi);
     }
     const std::uint64_t speculated_before_gets =
-        f.Counter("device.query.value_speculated");
-    testutil::RunSim(f.sim, GetAllMatches(f.db.get(), &model));
-    EXPECT_GT(f.Counter("device.query.value_speculated"),
+        Counter(f, "device.query.value_speculated");
+    testutil::RunSim(f.sim(), GetAllMatches(&f.client(), &model));
+    EXPECT_GT(Counter(f, "device.query.value_speculated"),
               speculated_before_gets);
   }
 }
@@ -728,13 +682,13 @@ sim::Task<void> TimedBlockRead(sim::Simulation* sim, Device* dev,
 // one NAND read latency minus one page transfer below the serial path's,
 // which is the warm lookup (block cached) plus the block read's miss cost.
 TEST(ReadPathTest, ColdGetOverlapsBlockAndValueReads) {
-  ReadPathFixture f(SpanDevice());
-  testutil::RunSim(f.sim, LoadMixed(&f.db));
-  Keyspace* ks = f.dev.keyspaces().Find("span").value();
-  DeviceTestPeer::ClearIndexCache(&f.dev);
+  harness::CsdTestbed f(testutil::Bed(SpanDevice()));
+  testutil::RunSim(f.sim(), LoadMixed(&f.client()));
+  Keyspace* ks = f.dev().keyspaces().Find("span").value();
+  DeviceTestPeer::ClearIndexCache(&f.dev());
   std::size_t pos = 0;
   while (pos < ks->pidx_sketch.size() &&
-         !DeviceTestPeer::SpanReadEligible(&f.dev, ks->id,
+         !DeviceTestPeer::SpanReadEligible(&f.dev(), ks->id,
                                            ks->pidx_sketch[pos])) {
     ++pos;
   }
@@ -742,24 +696,24 @@ TEST(ReadPathTest, ColdGetOverlapsBlockAndValueReads) {
   const SketchEntry& entry = ks->pidx_sketch[pos];
   const std::string key = entry.pivot;
 
-  const std::uint64_t speculated = f.Counter("device.query.value_speculated");
+  const std::uint64_t speculated = Counter(f, "device.query.value_speculated");
   Tick cold = 0;
   Tick warm = 0;
-  testutil::RunSim(f.sim, TimedLookup(&f.sim, &f.dev, ks, key, &cold));
-  EXPECT_EQ(f.Counter("device.query.value_speculated"), speculated + 1);
-  testutil::RunSim(f.sim, TimedLookup(&f.sim, &f.dev, ks, key, &warm));
-  EXPECT_EQ(f.Counter("device.query.value_speculated"), speculated + 1);
+  testutil::RunSim(f.sim(), TimedLookup(&f.sim(), &f.dev(), ks, key, &cold));
+  EXPECT_EQ(Counter(f, "device.query.value_speculated"), speculated + 1);
+  testutil::RunSim(f.sim(), TimedLookup(&f.sim(), &f.dev(), ks, key, &warm));
+  EXPECT_EQ(Counter(f, "device.query.value_speculated"), speculated + 1);
 
   Tick block_miss = 0;
   Tick block_hit = 0;
-  DeviceTestPeer::ClearIndexCache(&f.dev);
-  testutil::RunSim(f.sim,
-                   TimedBlockRead(&f.sim, &f.dev, ks->id, &entry, &block_miss));
-  testutil::RunSim(f.sim,
-                   TimedBlockRead(&f.sim, &f.dev, ks->id, &entry, &block_hit));
+  DeviceTestPeer::ClearIndexCache(&f.dev());
+  testutil::RunSim(f.sim(), TimedBlockRead(&f.sim(), &f.dev(), ks->id,
+                                           &entry, &block_miss));
+  testutil::RunSim(f.sim(), TimedBlockRead(&f.sim(), &f.dev(), ks->id,
+                                           &entry, &block_hit));
   const Tick serial = warm + (block_miss - block_hit);
 
-  const storage::NandConfig& nand = f.dev.ssd().nand().config();
+  const storage::NandConfig& nand = f.dev().ssd().nand().config();
   const Tick page_transfer =
       TransferTicks(nand.page_size, nand.channel_bytes_per_sec);
   EXPECT_LE(cold + nand.read_latency - page_transfer, serial)
@@ -770,22 +724,23 @@ TEST(ReadPathTest, ColdGetOverlapsBlockAndValueReads) {
 // read leaves the GET to the serial gather, which answers it; an error
 // that also fails the gather fails the GET as the serial path would.
 TEST(ReadPathTest, FailedSpanReadFallsBackToSerialGather) {
-  PowerCycleFixture f(SpanDevice());
-  testutil::RunSim(f.sim, LoadMixed(f.db.get()));
-  Keyspace* ks = f.dev()->keyspaces().Find("span").value();
-  const std::uint64_t zone_size = f.dev()->ssd().zone_size();
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(testutil::Bed(SpanDevice(), &injector));
+  testutil::RunSim(f.sim(), LoadMixed(&f.client()));
+  Keyspace* ks = f.dev().keyspaces().Find("span").value();
+  const std::uint64_t zone_size = f.dev().ssd().zone_size();
 
   for (std::uint64_t times : {std::uint64_t{1}, std::uint64_t{2}}) {
     SCOPED_TRACE("rule fires " + std::to_string(times) + " time(s)");
     // The first key of an eligible block, so the span read goes out.
     std::size_t pos = 0;
-    DeviceTestPeer::ClearIndexCache(f.dev());
-    while (!DeviceTestPeer::SpanReadEligible(f.dev(), ks->id,
+    DeviceTestPeer::ClearIndexCache(&f.dev());
+    while (!DeviceTestPeer::SpanReadEligible(&f.dev(), ks->id,
                                              ks->pidx_sketch[pos])) {
       ++pos;
     }
     pos += times;  // a different, still cold block per case
-    ASSERT_TRUE(DeviceTestPeer::SpanReadEligible(f.dev(), ks->id,
+    ASSERT_TRUE(DeviceTestPeer::SpanReadEligible(&f.dev(), ks->id,
                                                  ks->pidx_sketch[pos]));
     const SketchEntry& entry = ks->pidx_sketch[pos];
     const std::string key = entry.pivot;
@@ -796,17 +751,17 @@ TEST(ReadPathTest, FailedSpanReadFallsBackToSerialGather) {
     rule.op = sim::FaultOp::kRead;
     rule.zone = static_cast<std::int64_t>(entry.value_lo / zone_size);
     rule.times = times;
-    f.faults.AddErrorRule(rule);
+    injector.AddErrorRule(rule);
 
-    const std::uint64_t wasted = f.Counter("device.query.speculation_wasted");
+    const std::uint64_t wasted = Counter(f, "device.query.speculation_wasted");
     Result<std::string> got = Status::Aborted("not run");
-    testutil::RunSim(f.sim, [](PowerCycleFixture* fx, std::string k,
-                               Result<std::string>* out) -> sim::Task<void> {
-      auto h = co_await fx->db->OpenKeyspace("span");
+    testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx, std::string k,
+                                 Result<std::string>* out) -> sim::Task<void> {
+      auto h = co_await fx->client().OpenKeyspace("span");
       KVCSD_CO_ASSERT_OK(h);
       *out = co_await h->Get(k);
     }(&f, key, &got));
-    EXPECT_EQ(f.Counter("device.query.speculation_wasted"), wasted + 1);
+    EXPECT_EQ(Counter(f, "device.query.speculation_wasted"), wasted + 1);
     if (times == 1) {
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       EXPECT_EQ(*got, MixedValue(i));
@@ -818,28 +773,28 @@ TEST(ReadPathTest, FailedSpanReadFallsBackToSerialGather) {
 
 // Times one gather of `refs` into *ticks, then checks its bytes against
 // one gather per ref.
-sim::Task<void> TimedGather(ReadPathFixture* f,
+sim::Task<void> TimedGather(harness::CsdTestbed* f,
                             std::vector<DeviceTestPeer::ValueRef> refs,
                             Tick* ticks) {
-  const Tick start = f->sim.Now();
-  auto got = co_await DeviceTestPeer::Gather(&f->dev, refs);
+  const Tick start = f->sim().Now();
+  auto got = co_await DeviceTestPeer::Gather(&f->dev(), refs);
   KVCSD_CO_ASSERT_OK(got);
-  *ticks = f->sim.Now() - start;
+  *ticks = f->sim().Now() - start;
   for (std::size_t i = 0; i < refs.size(); ++i) {
     std::vector<DeviceTestPeer::ValueRef> one_ref(1, refs[i]);
-    auto one = co_await DeviceTestPeer::Gather(&f->dev, std::move(one_ref));
+    auto one = co_await DeviceTestPeer::Gather(&f->dev(), std::move(one_ref));
     KVCSD_CO_ASSERT_OK(one);
     KVCSD_CO_ASSERT((*one)[0] == (*got)[i]);
   }
 }
 
 sim::Task<void> TimedAddressOrderReads(
-    ReadPathFixture* f, std::vector<DeviceTestPeer::ValueRef> refs,
+    harness::CsdTestbed* f, std::vector<DeviceTestPeer::ValueRef> refs,
     Tick* ticks) {
-  const Tick start = f->sim.Now();
+  const Tick start = f->sim().Now();
   KVCSD_CO_ASSERT_OK(
-      co_await DeviceTestPeer::AddressOrderReads(&f->dev, std::move(refs)));
-  *ticks = f->sim.Now() - start;
+      co_await DeviceTestPeer::AddressOrderReads(&f->dev(), std::move(refs)));
+  *ticks = f->sim().Now() - start;
 }
 
 // The gather sends its range reads round-robin over their NAND channels:
@@ -847,8 +802,8 @@ sim::Task<void> TimedAddressOrderReads(
 // the same reads sent in address order, which puts every read in flight
 // on the lowest zone's channel, and with the same bytes.
 TEST(ReadPathTest, GatherSpreadsReadsAcrossChannels) {
-  ReadPathFixture f(SpanDevice());
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  harness::CsdTestbed f(testutil::Bed(SpanDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->CreateKeyspace("wide");
     KVCSD_CO_ASSERT_OK(ks);
     auto writer = ks->NewBulkWriter();
@@ -859,22 +814,22 @@ TEST(ReadPathTest, GatherSpreadsReadsAcrossChannels) {
     KVCSD_CO_ASSERT_OK(co_await writer.Drain());
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(&f.db));
-  Keyspace* ks = f.dev.keyspaces().Find("wide").value();
+  }(&f.client()));
+  Keyspace* ks = f.dev().keyspaces().Find("wide").value();
   ASSERT_EQ(ks->sorted_value_clusters.size(), 1u);
   std::vector<std::uint32_t> zones =
-      f.dev.zones().cluster_zones(ks->sorted_value_clusters[0]);
+      f.dev().zones().cluster_zones(ks->sorted_value_clusters[0]);
   ASSERT_EQ(zones.size(), 4u);
   std::sort(zones.begin(), zones.end());
 
   // 10 two-page refs per zone, 16 KiB apart so none coalesce.
   using Ref = DeviceTestPeer::ValueRef;
   std::vector<Ref> refs;
-  const std::uint64_t zone_size = f.dev.ssd().zone_size();
+  const std::uint64_t zone_size = f.dev().ssd().zone_size();
   std::set<std::uint32_t> channels;
   for (std::uint32_t zone : zones) {
-    channels.insert(f.dev.ssd().ChannelOf(zone));
-    ASSERT_GE(f.dev.ssd().write_pointer(zone), 10 * KiB(16));
+    channels.insert(f.dev().ssd().ChannelOf(zone));
+    ASSERT_GE(f.dev().ssd().write_pointer(zone), 10 * KiB(16));
     for (std::uint64_t k = 0; k < 10; ++k) {
       refs.push_back(Ref{zone * zone_size + k * KiB(16),
                          static_cast<std::uint32_t>(KiB(8))});
@@ -884,10 +839,10 @@ TEST(ReadPathTest, GatherSpreadsReadsAcrossChannels) {
 
   Tick spread = 0;
   Tick address_order = 0;
-  const std::uint64_t ranges = f.Counter("device.gather.ranges");
-  testutil::RunSim(f.sim, TimedGather(&f, refs, &spread));
-  EXPECT_EQ(f.Counter("device.gather.ranges"), ranges + 2 * refs.size());
-  testutil::RunSim(f.sim, TimedAddressOrderReads(&f, refs, &address_order));
+  const std::uint64_t ranges = Counter(f, "device.gather.ranges");
+  testutil::RunSim(f.sim(), TimedGather(&f, refs, &spread));
+  EXPECT_EQ(Counter(f, "device.gather.ranges"), ranges + 2 * refs.size());
+  testutil::RunSim(f.sim(), TimedAddressOrderReads(&f, refs, &address_order));
   EXPECT_LT(spread, address_order)
       << "spread " << spread << " address order " << address_order;
 }

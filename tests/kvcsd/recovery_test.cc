@@ -1,10 +1,9 @@
-// Crash-consistent recovery of the device path (DESIGN.md §8): power
-// cycles via Device::Restart + Recover over the surviving ZNS bytes, with
+// Crash-consistent recovery of the device path (DESIGN.md §8): the
+// testbed's power cycle plus Recover over the surviving ZNS bytes, with
 // crashes injected at named points by sim::FaultInjector.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "client/client.h"
 #include "common/crc32c.h"
 #include "common/keys.h"
+#include "csd_testbed.h"
 #include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "sim/fault.h"
@@ -32,43 +32,14 @@ DeviceConfig SmallFaultyDevice() {
   return c;
 }
 
-// A device that can be power-cycled: the first incarnation runs on the
-// first queue pair; each Restart() swaps in a fresh incarnation over the
-// surviving flash bytes. The fixture's fault injector is always wired.
-struct PowerCycleFixture {
-  sim::Simulation sim;
-  sim::FaultInjector faults{7};
-  DeviceConfig cfg;
-  std::vector<std::unique_ptr<nvme::QueueSet>> qps;
-  std::vector<std::unique_ptr<Device>> devs;
-  sim::CpuPool host{&sim, "host", 8};
-  std::unique_ptr<client::Client> db;
-
-  explicit PowerCycleFixture(DeviceConfig config = SmallFaultyDevice())
-      : cfg(config) {
-    cfg.zns.faults = &faults;
-    faults.set_torn_tail_keep(0.5);
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(std::make_unique<Device>(&sim, cfg, qps.back().get()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-
-  Device* dev() { return devs.back().get(); }
-
-  // Simulated power cycle; the caller runs Recover() on the new device.
-  void Restart() {
-    qps.push_back(
-        std::make_unique<nvme::QueueSet>(&sim, nvme::QueueSetConfig{}));
-    devs.push_back(
-        Device::Restart(&sim, cfg, qps.back().get(), *devs.back()));
-    devs.back()->Start();
-    db = std::make_unique<client::Client>(qps.back().get(), &host,
-                                          hostenv::CostModel::Host());
-  }
-};
+// Wires the test's injector into the device; half of an in-flight append
+// survives a power cut.
+harness::TestbedConfig PowerCycleBed(
+    sim::FaultInjector* faults,
+    const DeviceConfig& config = SmallFaultyDevice()) {
+  faults->set_torn_tail_keep(0.5);
+  return testutil::Bed(config, faults);
+}
 
 std::string DetValue(std::uint64_t i) { return "value-" + std::to_string(i); }
 
@@ -107,14 +78,15 @@ sim::Task<void> RecoverAndVerify(Device* dev, client::Client* db,
 }
 
 TEST(RecoveryTest, SyncedDataSurvivesPowerCut) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 300;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "pc", kKeys));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "pc", kKeys));
 
-  f.faults.Crash();  // lights out, mid-nothing: all synced data intact
-  f.Restart();
-  testutil::RunSim(f.sim,
-                   RecoverAndVerify(f.dev(), f.db.get(), "pc", kKeys));
+  injector.Crash();  // lights out, mid-nothing: all synced data intact
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "pc", kKeys));
 }
 
 // A crash between the sibling-zone reset and the snapshot append must not
@@ -124,11 +96,12 @@ TEST(RecoveryTest, PingPongSurvivesCrashBetweenResetAndAppend) {
   DeviceConfig cfg = SmallFaultyDevice();
   cfg.zns.zone_size = KiB(4);  // tiny metadata zones: frequent ping-pong
   cfg.write_buffer_bytes = KiB(1);
-  PowerCycleFixture f(cfg);
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector, cfg));
 
-  f.faults.ArmCrashAtPoint("meta.after_reset", 1);
+  injector.ArmCrashAtPoint("meta.after_reset", 1);
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->CreateKeyspace("pp");
         KVCSD_CO_ASSERT_OK(ks);
@@ -140,13 +113,13 @@ TEST(RecoveryTest, PingPongSurvivesCrashBetweenResetAndAppend) {
           Status sync = co_await ks->Sync();
           if (!sync.ok()) break;
         }
-      }(f.db.get(), &f.faults));
-  ASSERT_TRUE(f.faults.crashed());
-  ASSERT_EQ(f.faults.crash_point(), "meta.after_reset");
+      }(&f.client(), &injector));
+  ASSERT_TRUE(injector.crashed());
+  ASSERT_EQ(injector.crash_point(), "meta.after_reset");
 
-  f.Restart();
+  f.PowerCycle();
   testutil::RunSim(
-      f.sim, [](Device* dev, client::Client* db) -> sim::Task<void> {
+      f.sim(), [](Device* dev, client::Client* db) -> sim::Task<void> {
         KVCSD_CO_ASSERT_OK(co_await dev->Recover());
         // The table survived in the sibling zone.
         auto ks = co_await db->OpenKeyspace("pp");
@@ -156,7 +129,7 @@ TEST(RecoveryTest, PingPongSurvivesCrashBetweenResetAndAppend) {
         KVCSD_CO_ASSERT(stat->num_kvs >= 1);
         // And the device persists cleanly again after recovery.
         KVCSD_CO_ASSERT_OK(co_await ks->Sync());
-      }(f.dev(), f.db.get()));
+      }(&f.dev(), &f.client()));
 }
 
 // A power cut that tears the most recent metadata snapshot mid-append:
@@ -164,14 +137,15 @@ TEST(RecoveryTest, PingPongSurvivesCrashBetweenResetAndAppend) {
 // persist must go to the sibling zone (never appending after the torn
 // tail), so a SECOND power cycle still recovers.
 TEST(RecoveryTest, TornFinalSnapshotIgnoredAcrossTwoPowerCycles) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 120;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "torn", kKeys));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "torn", kKeys));
   // A further sync whose snapshot append is interrupted mid-write: the
   // crash fires before the commit barrier, so the torn-tail hook
   // truncates this exact snapshot.
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->OpenKeyspace("torn");
         KVCSD_CO_ASSERT_OK(ks);
@@ -183,29 +157,30 @@ TEST(RecoveryTest, TornFinalSnapshotIgnoredAcrossTwoPowerCycles) {
         Status sync = co_await ks->Sync();
         KVCSD_CO_ASSERT(!sync.ok());
         KVCSD_CO_ASSERT(faults->crashed());
-      }(f.db.get(), &f.faults));
-  ASSERT_EQ(f.faults.crash_point(), "meta.after_append");
+      }(&f.client(), &injector));
+  ASSERT_EQ(injector.crash_point(), "meta.after_append");
 
-  f.Restart();
-  testutil::RunSim(f.sim,
-                   RecoverAndVerify(f.dev(), f.db.get(), "torn", kKeys));
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "torn", kKeys));
 
   // Recover() persisted again (into the sibling zone). A second cycle
   // must land on that snapshot, not on the torn tail.
-  f.Restart();
-  testutil::RunSim(f.sim,
-                   RecoverAndVerify(f.dev(), f.db.get(), "torn", kKeys));
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "torn", kKeys));
 }
 
 // A crash inside a log flush leaves a torn KLOG frame at the tail of a
 // zone. Recovery must drop the fragment, truncate it off the flash (so
 // later appends never follow garbage), and keep every intact record.
 TEST(RecoveryTest, TornKlogTailTruncatedOnRecovery) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kAcked = 100;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "tk", kAcked));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "tk", kAcked));
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->OpenKeyspace("tk");
         KVCSD_CO_ASSERT_OK(ks);
@@ -222,13 +197,13 @@ TEST(RecoveryTest, TornKlogTailTruncatedOnRecovery) {
             if (!sync.ok() || faults->crashed()) break;
           }
         }
-      }(f.db.get(), &f.faults));
-  ASSERT_TRUE(f.faults.crashed());
-  ASSERT_EQ(f.faults.crash_point(), "flush.after_klog");
+      }(&f.client(), &injector));
+  ASSERT_TRUE(injector.crashed());
+  ASSERT_EQ(injector.crash_point(), "flush.after_klog");
 
-  f.Restart();
+  f.PowerCycle();
   testutil::RunSim(
-      f.sim, [](Device* dev, client::Client* db) -> sim::Task<void> {
+      f.sim(), [](Device* dev, client::Client* db) -> sim::Task<void> {
         KVCSD_CO_ASSERT_OK(co_await dev->Recover());
         auto ks = co_await db->OpenKeyspace("tk");
         KVCSD_CO_ASSERT_OK(ks);
@@ -249,7 +224,7 @@ TEST(RecoveryTest, TornKlogTailTruncatedOnRecovery) {
           KVCSD_CO_ASSERT_OK(got);
           KVCSD_CO_ASSERT(*got == DetValue(i));
         }
-      }(f.dev(), f.db.get()));
+      }(&f.dev(), &f.client()));
 }
 
 std::uint32_t Fingerprint(
@@ -286,43 +261,46 @@ TEST(RecoveryTest, MidCompactionRestartIsDeterministic) {
   // Reference: the same load, compacted without any crash.
   std::uint32_t reference = 0;
   {
-    PowerCycleFixture ref;
-    testutil::RunSim(ref.sim, LoadAndSync(ref.db.get(), "det", kKeys));
-    testutil::RunSim(ref.sim,
-                     CompactAndFingerprint(ref.db.get(), "det", &reference));
+    sim::FaultInjector ref_faults(7);
+    harness::CsdTestbed ref(PowerCycleBed(&ref_faults));
+    testutil::RunSim(ref.sim(), LoadAndSync(&ref.client(), "det", kKeys));
+    testutil::RunSim(ref.sim(),
+                     CompactAndFingerprint(&ref.client(), "det", &reference));
   }
   ASSERT_NE(reference, 0u);
 
   // Crashed run: power dies after phase 1 spilled its sorted runs.
-  PowerCycleFixture f;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "det", kKeys));
-  f.faults.ArmCrashAtPoint("compact.after_phase1", 1);
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "det", kKeys));
+  injector.ArmCrashAtPoint("compact.after_phase1", 1);
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->OpenKeyspace("det");
         KVCSD_CO_ASSERT_OK(ks);
         Status s = co_await ks->Compact();
         if (s.ok()) (void)co_await ks->WaitCompaction();
         KVCSD_CO_ASSERT(faults->crashed());
-      }(f.db.get(), &f.faults));
+      }(&f.client(), &injector));
 
-  f.Restart();
+  f.PowerCycle();
   std::uint32_t recovered = 0;
-  testutil::RunSim(f.sim, [](Device* dev) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](Device* dev) -> sim::Task<void> {
     KVCSD_CO_ASSERT_OK(co_await dev->Recover());
-  }(f.dev()));
-  testutil::RunSim(f.sim,
-                   CompactAndFingerprint(f.db.get(), "det", &recovered));
+  }(&f.dev()));
+  testutil::RunSim(f.sim(),
+                   CompactAndFingerprint(&f.client(), "det", &recovered));
   EXPECT_EQ(recovered, reference);
 }
 
 // A transient flush failure is surfaced by exactly one Sync, then
 // cleared; SyncWithRetry rides over it.
 TEST(RecoveryTest, FlushErrorSurfacesOnceThenClears) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->CreateKeyspace("sticky");
         KVCSD_CO_ASSERT_OK(ks);
@@ -348,7 +326,7 @@ TEST(RecoveryTest, FlushErrorSurfacesOnceThenClears) {
         faults->AddErrorRule(again);
         KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(3), "v3"));
         KVCSD_CO_ASSERT_OK(co_await ks->SyncWithRetry(3));
-      }(f.db.get(), &f.faults));
+      }(&f.client(), &injector));
 }
 
 // A flush batch that fails on an injected I/O error is re-queued into
@@ -358,10 +336,11 @@ TEST(RecoveryTest, FlushErrorSurfacesOnceThenClears) {
 // (Without the re-queue, the retry would persist an empty buffer, return
 // OK, and the batch would be silently gone.)
 TEST(RecoveryTest, FailedFlushBatchSurvivesRetriedSync) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 40;
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->CreateKeyspace("requeue");
         KVCSD_CO_ASSERT_OK(ks);
@@ -376,23 +355,24 @@ TEST(RecoveryTest, FailedFlushBatchSurvivesRetriedSync) {
         KVCSD_CO_ASSERT(!first.ok());
         KVCSD_CO_ASSERT(first.IsRetryable());
         KVCSD_CO_ASSERT_OK(co_await ks->Sync());
-      }(f.db.get(), &f.faults));
+      }(&f.client(), &injector));
 
   // The retried Sync returned OK: everything must survive lights-out.
-  f.faults.Crash();
-  f.Restart();
-  testutil::RunSim(f.sim,
-                   RecoverAndVerify(f.dev(), f.db.get(), "requeue", kKeys));
+  injector.Crash();
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "requeue", kKeys));
 }
 
 // Fails the next metadata-zone append after `skip` of them pass, without a
 // power cut.
-void FailMetadataAppend(PowerCycleFixture* f, std::uint64_t skip) {
+void FailMetadataAppend(harness::CsdTestbed* f, sim::FaultInjector* faults,
+                        std::uint64_t skip) {
   sim::ErrorRule rule;
   rule.op = sim::FaultOp::kAppend;
-  rule.zone = f->dev()->keyspaces().current_meta_zone();
+  rule.zone = f->dev().keyspaces().current_meta_zone();
   rule.skip = skip;
-  f->faults.AddErrorRule(rule);
+  faults->AddErrorRule(rule);
 }
 
 // Reads back every key of a COMPACTED keyspace written by LoadAndSync
@@ -421,24 +401,25 @@ sim::Task<void> CompactAndWait(client::Client* db, const std::string& name) {
 // intact logs, every zone the outputs took is free again, each live
 // cluster has one owner, and a retried compaction serves every key.
 TEST(RecoveryTest, CompactionCommitPersistErrorRollsBack) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 300;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "commit", kKeys));
-  Device* dev = f.dev();
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "commit", kKeys));
+  Device* dev = &f.dev();
   Keyspace* ks = dev->keyspaces().Find("commit").value();
   const std::size_t free_before = dev->zones().free_zones();
   const std::uint64_t pidx_appends =
-      f.sim.stats().counter_value("zns.pidx.appends");
+      f.sim().stats().counter_value("zns.pidx.appends");
 
   // The first metadata append persists COMPACTING; the second, the commit
   // snapshot, fails after every output (PIDX blob included) was written.
-  FailMetadataAppend(&f, 1);
+  FailMetadataAppend(&f, &injector, 1);
   const Status compacted =
-      testutil::RunSim(f.sim, DeviceTestPeer::Compact(dev, ks));
+      testutil::RunSim(f.sim(), DeviceTestPeer::Compact(dev, ks));
   EXPECT_EQ(compacted.code(), StatusCode::kIoError) << compacted.ToString();
-  EXPECT_EQ(f.faults.errors_injected(), 1u);
-  EXPECT_GT(f.sim.stats().counter_value("zns.pidx.appends"), pidx_appends);
-  EXPECT_EQ(f.sim.stats().counter_value("device.compact.done"), 0u);
+  EXPECT_EQ(injector.errors_injected(), 1u);
+  EXPECT_GT(f.sim().stats().counter_value("zns.pidx.appends"), pidx_appends);
+  EXPECT_EQ(f.sim().stats().counter_value("device.compact.done"), 0u);
   EXPECT_EQ(ks->state, KeyspaceState::kWritable);
   EXPECT_EQ(ks->num_kvs, kKeys);
   EXPECT_TRUE(ks->pidx_clusters.empty());
@@ -446,11 +427,11 @@ TEST(RecoveryTest, CompactionCommitPersistErrorRollsBack) {
   ExpectClustersOwnedOnce(dev);
   // The rollback's own persist succeeded: no series.
   EXPECT_FALSE(
-      f.sim.stats().has_counter("device.meta.rollback_persist_failed"));
+      f.sim().stats().has_counter("device.meta.rollback_persist_failed"));
 
-  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "commit"));
+  testutil::RunSim(f.sim(), CompactAndWait(&f.client(), "commit"));
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
-  testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "commit", kKeys));
+  testutil::RunSim(f.sim(), GetEveryKey(&f.client(), "commit", kKeys));
   ExpectClustersOwnedOnce(dev);
 }
 
@@ -459,10 +440,11 @@ TEST(RecoveryTest, CompactionCommitPersistErrorRollsBack) {
 // and logged, not returned, and recovery rolls the COMPACTING snapshot
 // still on flash back over the same intact logs.
 TEST(RecoveryTest, FailedRollbackPersistIsCountedAndRecovered) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 300;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "rollback", kKeys));
-  Device* dev = f.dev();
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "rollback", kKeys));
+  Device* dev = &f.dev();
   Keyspace* ks = dev->keyspaces().Find("rollback").value();
 
   // The first metadata append persists COMPACTING; the commit snapshot and
@@ -472,22 +454,22 @@ TEST(RecoveryTest, FailedRollbackPersistIsCountedAndRecovered) {
   rule.zone = dev->keyspaces().current_meta_zone();
   rule.skip = 1;
   rule.times = 2;
-  f.faults.AddErrorRule(rule);
+  injector.AddErrorRule(rule);
   const Status compacted =
-      testutil::RunSim(f.sim, DeviceTestPeer::Compact(dev, ks));
+      testutil::RunSim(f.sim(), DeviceTestPeer::Compact(dev, ks));
   EXPECT_EQ(compacted.code(), StatusCode::kIoError) << compacted.ToString();
-  EXPECT_EQ(f.faults.errors_injected(), 2u);
+  EXPECT_EQ(injector.errors_injected(), 2u);
   EXPECT_EQ(ks->state, KeyspaceState::kWritable);
   EXPECT_EQ(
-      f.sim.stats().counter_value("device.meta.rollback_persist_failed"), 1u);
-  EXPECT_NE(f.sim.log().ToString().find("rollback persist failed"),
+      f.sim().stats().counter_value("device.meta.rollback_persist_failed"), 1u);
+  EXPECT_NE(f.sim().log().ToString().find("rollback persist failed"),
             std::string::npos);
   ExpectClustersOwnedOnce(dev);
 
-  f.Restart();
-  testutil::RunSim(f.sim,
-                   RecoverAndVerify(f.dev(), f.db.get(), "rollback", kKeys));
-  ExpectClustersOwnedOnce(f.dev());
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "rollback", kKeys));
+  ExpectClustersOwnedOnce(&f.dev());
 }
 
 // A raw-bytes index over the "value-" prefix plus the first digit, which
@@ -505,17 +487,18 @@ nvme::SecondaryIndexSpec TagIndex() {
 // answers reads, the build's zones are free again, and a retried build
 // succeeds.
 TEST(RecoveryTest, SecondaryIndexCommitPersistErrorRollsBack) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 300;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "sidx", kKeys));
-  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "sidx"));
-  Device* dev = f.dev();
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "sidx", kKeys));
+  testutil::RunSim(f.sim(), CompactAndWait(&f.client(), "sidx"));
+  Device* dev = &f.dev();
   Keyspace* ks = dev->keyspaces().Find("sidx").value();
   const std::size_t free_before = dev->zones().free_zones();
 
   // The build's only metadata append is its commit snapshot.
-  FailMetadataAppend(&f, 0);
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  FailMetadataAppend(&f, &injector, 0);
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto handle = co_await db->OpenKeyspace("sidx");
     KVCSD_CO_ASSERT_OK(handle);
     Status built = co_await handle->CreateSecondaryIndex(TagIndex());
@@ -524,15 +507,15 @@ TEST(RecoveryTest, SecondaryIndexCommitPersistErrorRollsBack) {
     Status absent =
         co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows);
     KVCSD_CO_ASSERT(absent.code() == StatusCode::kNotFound);
-  }(f.db.get()));
-  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  }(&f.client()));
+  EXPECT_EQ(injector.errors_injected(), 1u);
   EXPECT_TRUE(ks->secondary_indexes.empty());
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
   EXPECT_EQ(dev->zones().free_zones(), free_before);
   ExpectClustersOwnedOnce(dev);
-  testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "sidx", kKeys));
+  testutil::RunSim(f.sim(), GetEveryKey(&f.client(), "sidx", kKeys));
 
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto handle = co_await db->OpenKeyspace("sidx");
     KVCSD_CO_ASSERT_OK(handle);
     KVCSD_CO_ASSERT_OK(co_await handle->CreateSecondaryIndex(TagIndex()));
@@ -540,7 +523,7 @@ TEST(RecoveryTest, SecondaryIndexCommitPersistErrorRollsBack) {
     KVCSD_CO_ASSERT_OK(
         co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == kKeys);
-  }(f.db.get()));
+  }(&f.client()));
   ExpectClustersOwnedOnce(dev);
 }
 
@@ -614,22 +597,25 @@ const std::vector<ClusterId>& OutputChain(const Keyspace& ks, Output out) {
 // eighth: earlier appends of the window are still programming when it
 // fails at issue.
 template <typename Build>
-void FailSecondAppendToChain(PowerCycleFixture* f, Output out, Build build) {
+void FailSecondAppendToChain(sim::FaultInjector* faults,
+                             const DeviceConfig& config, Output out,
+                             Build build) {
   std::uint32_t zone = 0;
   {
-    PowerCycleFixture clean(f->cfg);
-    testutil::RunSim(clean.sim, LoadWide(clean.db.get(), "wide"));
-    Keyspace* ks = clean.dev()->keyspaces().Find("wide").value();
+    sim::FaultInjector clean_faults(7);
+    harness::CsdTestbed clean(PowerCycleBed(&clean_faults, config));
+    testutil::RunSim(clean.sim(), LoadWide(&clean.client(), "wide"));
+    Keyspace* ks = clean.dev().keyspaces().Find("wide").value();
     build(&clean, ks);
     const std::vector<ClusterId>& chain = OutputChain(*ks, out);
     ASSERT_FALSE(chain.empty());
-    zone = clean.dev()->zones().cluster_zones(chain.front()).front();
+    zone = clean.dev().zones().cluster_zones(chain.front()).front();
   }
   sim::ErrorRule rule;
   rule.op = sim::FaultOp::kAppend;
   rule.zone = zone;
   rule.skip = 1;
-  f->faults.AddErrorRule(rule);
+  faults->AddErrorRule(rule);
 }
 
 std::vector<nvme::SecondaryIndexSpec> FusedTagIndex(bool fused) {
@@ -644,24 +630,26 @@ std::vector<nvme::SecondaryIndexSpec> FusedTagIndex(bool fused) {
 // so no cluster leaks, and a retry succeeds.
 void ExpectMidWindowCompactionErrorRollsBack(
     Output out, bool fused, const DeviceConfig& config = WideDevice()) {
-  PowerCycleFixture f(config);
-  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
-  Device* dev = f.dev();
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector, config));
+  testutil::RunSim(f.sim(), LoadWide(&f.client(), "wide"));
+  Device* dev = &f.dev();
   Keyspace* ks = dev->keyspaces().Find("wide").value();
   const std::size_t free_before = dev->zones().free_zones();
-  FailSecondAppendToChain(&f, out, [fused](PowerCycleFixture* clean,
-                                            Keyspace* clean_ks) {
-    EXPECT_TRUE(testutil::RunSim(clean->sim,
-                                 DeviceTestPeer::Compact(clean->dev(),
+  FailSecondAppendToChain(&injector, config, out,
+                          [fused](harness::CsdTestbed* clean,
+                                  Keyspace* clean_ks) {
+    EXPECT_TRUE(testutil::RunSim(clean->sim(),
+                                 DeviceTestPeer::Compact(&clean->dev(),
                                                          clean_ks,
                                                          FusedTagIndex(fused)))
                     .ok());
   });
 
   const Status compacted = testutil::RunSim(
-      f.sim, DeviceTestPeer::Compact(dev, ks, FusedTagIndex(fused)));
+      f.sim(), DeviceTestPeer::Compact(dev, ks, FusedTagIndex(fused)));
   EXPECT_EQ(compacted.code(), StatusCode::kIoError) << compacted.ToString();
-  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_EQ(injector.errors_injected(), 1u);
   EXPECT_EQ(ks->state, KeyspaceState::kWritable);
   EXPECT_EQ(ks->num_kvs, kWideKeys);
   EXPECT_TRUE(ks->sorted_value_clusters.empty());
@@ -670,15 +658,16 @@ void ExpectMidWindowCompactionErrorRollsBack(
   EXPECT_EQ(dev->zones().free_zones(), free_before);
   ExpectClustersOwnedOnce(dev);
 
-  ASSERT_TRUE(testutil::RunSim(
-                  f.sim, DeviceTestPeer::Compact(dev, ks, FusedTagIndex(fused)))
-                  .ok());
+  ASSERT_TRUE(
+      testutil::RunSim(f.sim(),
+                       DeviceTestPeer::Compact(dev, ks, FusedTagIndex(fused)))
+          .ok());
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
   EXPECT_EQ(ks->secondary_indexes.size(), fused ? 1u : 0u);
-  testutil::RunSim(f.sim, GetEveryKey(f.db.get(), "wide", kWideKeys,
+  testutil::RunSim(f.sim(), GetEveryKey(&f.client(), "wide", kWideKeys,
                                       WideValue));
   ExpectClustersOwnedOnce(dev);
-  if (fused) ExpectSidxPath(f.sim, config);
+  if (fused) ExpectSidxPath(f.sim(), config);
 }
 
 TEST(RecoveryTest, MidWindowSortedValuesAppendErrorRollsBack) {
@@ -711,40 +700,42 @@ void ExpectMidWindowSidxAppendErrorLeavesIndexAbsent(
     if (!handle.ok()) co_return handle.status();
     co_return co_await handle->CreateSecondaryIndex(TagIndex());
   };
-  PowerCycleFixture f(config);
-  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
-  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "wide"));
-  Device* dev = f.dev();
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector, config));
+  testutil::RunSim(f.sim(), LoadWide(&f.client(), "wide"));
+  testutil::RunSim(f.sim(), CompactAndWait(&f.client(), "wide"));
+  Device* dev = &f.dev();
   Keyspace* ks = dev->keyspaces().Find("wide").value();
   const std::size_t free_before = dev->zones().free_zones();
   FailSecondAppendToChain(
-      &f, Output::kSidx,
-      [&build_tag_index](PowerCycleFixture* clean, Keyspace*) {
-        testutil::RunSim(clean->sim, CompactAndWait(clean->db.get(), "wide"));
+      &injector, config, Output::kSidx,
+      [&build_tag_index](harness::CsdTestbed* clean, Keyspace*) {
+        testutil::RunSim(clean->sim(),
+                         CompactAndWait(&clean->client(), "wide"));
         EXPECT_TRUE(
-            testutil::RunSim(clean->sim, build_tag_index(clean->db.get()))
+            testutil::RunSim(clean->sim(), build_tag_index(&clean->client()))
                 .ok());
       });
 
-  const Status built = testutil::RunSim(f.sim, build_tag_index(f.db.get()));
+  const Status built = testutil::RunSim(f.sim(), build_tag_index(&f.client()));
   EXPECT_EQ(built.code(), StatusCode::kIoError) << built.ToString();
-  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_EQ(injector.errors_injected(), 1u);
   EXPECT_TRUE(ks->secondary_indexes.empty());
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
   EXPECT_EQ(dev->zones().free_zones(), free_before);
   ExpectClustersOwnedOnce(dev);
 
-  ASSERT_TRUE(testutil::RunSim(f.sim, build_tag_index(f.db.get())).ok());
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  ASSERT_TRUE(testutil::RunSim(f.sim(), build_tag_index(&f.client())).ok());
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto handle = co_await db->OpenKeyspace("wide");
     KVCSD_CO_ASSERT_OK(handle);
     std::vector<std::pair<std::string, std::string>> rows;
     KVCSD_CO_ASSERT_OK(
         co_await handle->QuerySecondaryRange("tag", "", "\x7f", 0, &rows));
     KVCSD_CO_ASSERT(rows.size() == kWideKeys);
-  }(f.db.get()));
+  }(&f.client()));
   ExpectClustersOwnedOnce(dev);
-  ExpectSidxPath(f.sim, config);
+  ExpectSidxPath(f.sim(), config);
 }
 
 TEST(RecoveryTest, MidWindowSidxAppendErrorLeavesIndexAbsent) {
@@ -765,10 +756,11 @@ TEST(RecoveryTest, SidxScanReadErrorLeavesIndexAbsent) {
     if (!handle.ok()) co_return handle.status();
     co_return co_await handle->CreateSecondaryIndex(TagIndex());
   };
-  PowerCycleFixture f(WideDevice());
-  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
-  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "wide"));
-  Device* dev = f.dev();
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector, WideDevice()));
+  testutil::RunSim(f.sim(), LoadWide(&f.client(), "wide"));
+  testutil::RunSim(f.sim(), CompactAndWait(&f.client(), "wide"));
+  Device* dev = &f.dev();
   Keyspace* ks = dev->keyspaces().Find("wide").value();
   const std::size_t free_before = dev->zones().free_zones();
   // The values take dozens of 16 KiB scan batches; the fifth read of the
@@ -778,17 +770,17 @@ TEST(RecoveryTest, SidxScanReadErrorLeavesIndexAbsent) {
   rule.zone = dev->zones().cluster_zones(ks->sorted_value_clusters.front())
                   .front();
   rule.skip = 4;
-  f.faults.AddErrorRule(rule);
+  injector.AddErrorRule(rule);
 
-  const Status built = testutil::RunSim(f.sim, build_tag_index(f.db.get()));
+  const Status built = testutil::RunSim(f.sim(), build_tag_index(&f.client()));
   EXPECT_EQ(built.code(), StatusCode::kIoError) << built.ToString();
-  EXPECT_EQ(f.faults.errors_injected(), 1u);
+  EXPECT_EQ(injector.errors_injected(), 1u);
   EXPECT_TRUE(ks->secondary_indexes.empty());
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
   EXPECT_EQ(dev->zones().free_zones(), free_before);
   ExpectClustersOwnedOnce(dev);
 
-  ASSERT_TRUE(testutil::RunSim(f.sim, build_tag_index(f.db.get())).ok());
+  ASSERT_TRUE(testutil::RunSim(f.sim(), build_tag_index(&f.client())).ok());
   EXPECT_EQ(ks->secondary_indexes.at("tag").entries, kWideKeys);
   ExpectClustersOwnedOnce(dev);
 }
@@ -797,24 +789,25 @@ TEST(RecoveryTest, SidxScanReadErrorLeavesIndexAbsent) {
 // the build only after that gather is joined (ASan would catch a gather
 // writing into a returned frame), and leaves nothing behind.
 TEST(RecoveryTest, SidxScanExtractErrorJoinsTheGatherInFlight) {
-  PowerCycleFixture f(WideDevice());
-  testutil::RunSim(f.sim, LoadWide(f.db.get(), "wide"));
-  testutil::RunSim(f.sim, CompactAndWait(f.db.get(), "wide"));
-  Device* dev = f.dev();
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector, WideDevice()));
+  testutil::RunSim(f.sim(), LoadWide(&f.client(), "wide"));
+  testutil::RunSim(f.sim(), CompactAndWait(&f.client(), "wide"));
+  Device* dev = &f.dev();
   Keyspace* ks = dev->keyspaces().Find("wide").value();
   const std::size_t free_before = dev->zones().free_zones();
 
   // Every value is 100 bytes, so a key at offset 98 runs past its end:
   // the first batch's extraction fails while the second is gathered.
   const Status built = testutil::RunSim(
-      f.sim, [](client::Client* db) -> sim::Task<Status> {
+      f.sim(), [](client::Client* db) -> sim::Task<Status> {
         auto handle = co_await db->OpenKeyspace("wide");
         if (!handle.ok()) co_return handle.status();
         nvme::SecondaryIndexSpec spec = TagIndex();
         spec.value_offset = 98;
         spec.value_length = 4;
         co_return co_await handle->CreateSecondaryIndex(std::move(spec));
-      }(f.db.get()));
+      }(&f.client()));
   EXPECT_EQ(built.code(), StatusCode::kInvalidArgument) << built.ToString();
   EXPECT_TRUE(ks->secondary_indexes.empty());
   EXPECT_EQ(dev->zones().free_zones(), free_before);
@@ -835,9 +828,10 @@ std::uint64_t BufferBytes(const Device& dev, const std::string& name) {
 // it exactly once, and dropping the owner takes its buffer and latched
 // error with it, so a keyspace recreated under the same name starts clean.
 TEST(RecoveryTest, FlushFailureStaysWithItsKeyspace) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults,
          Device* dev) -> sim::Task<void> {
         auto a = co_await db->CreateKeyspace("a");
@@ -902,7 +896,7 @@ TEST(RecoveryTest, FlushFailureStaysWithItsKeyspace) {
         KVCSD_CO_ASSERT(*got == "fresh");
         auto stale = co_await again->Get(MakeFixedKey(150));
         KVCSD_CO_ASSERT(stale.status().code() == StatusCode::kNotFound);
-      }(f.db.get(), &f.faults, f.dev()));
+      }(&f.client(), &injector, &f.dev()));
 }
 
 // A drop acknowledged while the keyspace was compacting (deferred
@@ -910,13 +904,14 @@ TEST(RecoveryTest, FlushFailureStaysWithItsKeyspace) {
 // before the deferred FinishDrop ever runs — the tombstone persisted
 // before the ack is what recovery completes the drop from.
 TEST(RecoveryTest, AckedDeferredDropStaysDroppedAcrossCrash) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 600;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "dropped", kKeys));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "dropped", kKeys));
 
-  f.faults.ArmCrashAtPoint("compact.after_phase1", 1);
+  injector.ArmCrashAtPoint("compact.after_phase1", 1);
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, sim::FaultInjector* faults) -> sim::Task<void> {
         auto ks = co_await db->OpenKeyspace("dropped");
         KVCSD_CO_ASSERT_OK(ks);
@@ -928,12 +923,12 @@ TEST(RecoveryTest, AckedDeferredDropStaysDroppedAcrossCrash) {
         KVCSD_CO_ASSERT(!faults->crashed());
         (void)co_await ks->WaitCompaction();
         KVCSD_CO_ASSERT(faults->crashed());
-      }(f.db.get(), &f.faults));
-  ASSERT_EQ(f.faults.crash_point(), "compact.after_phase1");
+      }(&f.client(), &injector));
+  ASSERT_EQ(injector.crash_point(), "compact.after_phase1");
 
-  f.Restart();
+  f.PowerCycle();
   testutil::RunSim(
-      f.sim, [](Device* dev, client::Client* db) -> sim::Task<void> {
+      f.sim(), [](Device* dev, client::Client* db) -> sim::Task<void> {
         KVCSD_CO_ASSERT_OK(co_await dev->Recover());
         // The acknowledged drop must not resurface.
         auto gone = co_await db->OpenKeyspace("dropped");
@@ -944,15 +939,16 @@ TEST(RecoveryTest, AckedDeferredDropStaysDroppedAcrossCrash) {
         KVCSD_CO_ASSERT_OK(ks);
         KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(1), "v"));
         KVCSD_CO_ASSERT_OK(co_await ks->Sync());
-      }(f.dev(), f.db.get()));
+      }(&f.dev(), &f.client()));
 }
 
 // Dropping a keyspace while its flushes and compaction are still in
 // flight must defer, not free the Keyspace under a running coroutine
 // (ASan in CI turns a regression here into a hard failure).
 TEST(RecoveryTest, DropDuringInflightTrafficDefers) {
-  PowerCycleFixture f;
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->CreateKeyspace("dropme");
     KVCSD_CO_ASSERT_OK(ks);
     // Enough data that detached FlushIo batches are still in flight
@@ -992,20 +988,21 @@ TEST(RecoveryTest, DropDuringInflightTrafficDefers) {
       if (stat->state == "COMPACTED") break;
     }
     KVCSD_CO_ASSERT_OK(co_await db->DropKeyspace("dropme3"));
-  }(f.db.get()));
+  }(&f.client()));
   // The deferred drop ran once the compaction let go of the keyspace.
-  EXPECT_EQ(f.dev()->keyspaces().Find("dropme3").status().code(),
+  EXPECT_EQ(f.dev().keyspaces().Find("dropme3").status().code(),
             StatusCode::kNotFound);
-  EXPECT_TRUE(f.dev()->zones().LiveClusters().empty());
+  EXPECT_TRUE(f.dev().zones().LiveClusters().empty());
 }
 
 // Unknown opcodes complete with Unimplemented, never silent OK — even
 // when they carry an invalid keyspace id (Unimplemented wins over
 // NotFound). A KNOWN keyspace-scoped opcode with a bad id is NotFound.
 TEST(RecoveryTest, UnknownOpcodeRejected) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   testutil::RunSim(
-      f.sim,
+      f.sim(),
       [](client::Client* db, nvme::QueueSet* qp) -> sim::Task<void> {
         auto ks = co_await db->CreateKeyspace("ops");
         KVCSD_CO_ASSERT_OK(ks);
@@ -1036,28 +1033,29 @@ TEST(RecoveryTest, UnknownOpcodeRejected) {
         bad_id.keyspace_id = 424242;
         auto c4 = co_await testutil::RoundTrip(qp, std::move(bad_id));
         KVCSD_CO_ASSERT(c4.status.code() == StatusCode::kNotFound);
-      }(f.db.get(), f.qps.back().get()));
+      }(&f.client(), &f.queue()));
 }
 
 // An undersized index block (corrupt on-flash metadata) surfaces as
 // Corruption instead of an out-of-bounds read of the block header.
 TEST(RecoveryTest, CorruptIndexBlockReturnsCorruption) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 200;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "corrupt", kKeys));
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "corrupt", kKeys));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("corrupt");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(f.db.get()));
+  }(&f.client()));
 
-  auto corrupt = f.dev()->keyspaces().Find("corrupt");
+  auto corrupt = f.dev().keyspaces().Find("corrupt");
   ASSERT_TRUE(corrupt.ok());
   ASSERT_FALSE((*corrupt)->pidx_sketch.empty());
   (*corrupt)->pidx_sketch[0].block_len = 1;  // undersized: header is 2 bytes
 
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("corrupt");
     KVCSD_CO_ASSERT_OK(ks);
     auto got = co_await ks->Get(MakeFixedKey(0));
@@ -1065,28 +1063,29 @@ TEST(RecoveryTest, CorruptIndexBlockReturnsCorruption) {
     std::vector<std::pair<std::string, std::string>> rows;
     Status scan = co_await ks->Scan("", "\x7f", 0, &rows);
     KVCSD_CO_ASSERT(scan.code() == StatusCode::kCorruption);
-  }(f.db.get()));
+  }(&f.client()));
 }
 
 // The bloom filter's durable copy is a CRC-framed blob outside the
 // snapshot. A flipped bit in it must fail recovery loudly rather than load
 // a filter that answers "absent" for keys that exist.
 TEST(RecoveryTest, CorruptBloomBlobFailsRecovery) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 200;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "bloomy", kKeys));
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "bloomy", kKeys));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("bloomy");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
-  }(f.db.get()));
+  }(&f.client()));
 
-  Keyspace* ks = f.dev()->keyspaces().Find("bloomy").value();
+  Keyspace* ks = f.dev().keyspaces().Find("bloomy").value();
   ASSERT_FALSE(ks->pidx_bloom.empty());
   const BlobRef blob = ks->pidx_blob;
   ASSERT_NE(blob.cluster, 0u);
-  storage::ZnsSsd& ssd = f.dev()->ssd();
+  storage::ZnsSsd& ssd = f.dev().ssd();
   const auto zone = static_cast<std::uint32_t>(blob.addr / ssd.zone_size());
   ASSERT_EQ(blob.addr % ssd.zone_size(), 0u);  // alone in its zone
   ASSERT_EQ(ssd.write_pointer(zone), blob.len);
@@ -1098,17 +1097,17 @@ TEST(RecoveryTest, CorruptBloomBlobFailsRecovery) {
     return std::span<std::byte>(reinterpret_cast<std::byte*>(bytes.data()),
                                 bytes.size());
   };
-  ASSERT_TRUE(testutil::RunSim(f.sim, ssd.Read(blob.addr, as_span())).ok());
+  ASSERT_TRUE(testutil::RunSim(f.sim(), ssd.Read(blob.addr, as_span())).ok());
   bytes[bytes.size() - 2] ^= 0x10;
-  ASSERT_TRUE(testutil::RunSim(f.sim, ssd.Reset(zone)).ok());
-  auto rewritten = testutil::RunSim(f.sim, ssd.Append(zone, as_span()));
+  ASSERT_TRUE(testutil::RunSim(f.sim(), ssd.Reset(zone)).ok());
+  auto rewritten = testutil::RunSim(f.sim(), ssd.Append(zone, as_span()));
   ASSERT_TRUE(rewritten.ok());
   ASSERT_EQ(*rewritten, blob.addr);
   ssd.CommitTail();  // the bad bytes are settled, not a torn tail
 
-  f.faults.Crash();
-  f.Restart();
-  const Status recovered = testutil::RunSim(f.sim, f.dev()->Recover());
+  injector.Crash();
+  f.PowerCycle();
+  const Status recovered = testutil::RunSim(f.sim(), f.dev().Recover());
   EXPECT_EQ(recovered.code(), StatusCode::kCorruption) << recovered.ToString();
 }
 
@@ -1125,36 +1124,38 @@ struct ReleaseOutcome {
 };
 
 ReleaseOutcome CompactWithResetErrors(std::uint64_t reset_errors) {
-  PowerCycleFixture f;
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
   constexpr std::uint64_t kKeys = 400;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "rel", kKeys));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "rel", kKeys));
   if (reset_errors > 0) {
     // Power stays on: the next reset fails once, whichever zone it hits.
     sim::ErrorRule rule;
     rule.op = sim::FaultOp::kReset;
     rule.times = reset_errors;
-    f.faults.AddErrorRule(rule);
+    injector.AddErrorRule(rule);
   }
   ReleaseOutcome out;
-  testutil::RunSim(f.sim,
+  testutil::RunSim(f.sim(),
                    [](client::Client* db, Status* status) -> sim::Task<void> {
                      auto ks = co_await db->OpenKeyspace("rel");
                      KVCSD_CO_ASSERT_OK(ks);
                      KVCSD_CO_ASSERT_OK(co_await ks->Compact());
                      *status = co_await ks->WaitCompaction();
-                   }(f.db.get(), &out.compaction));
-  EXPECT_EQ(f.faults.errors_injected(), reset_errors);
-  out.counter_registered = f.sim.stats().has_counter(
+                   }(&f.client(), &out.compaction));
+  EXPECT_EQ(injector.errors_injected(), reset_errors);
+  out.counter_registered = f.sim().stats().has_counter(
       "device.zones.release_failed");
   out.release_failed =
-      f.sim.stats().counter_value("device.zones.release_failed");
-  out.breadcrumb = f.sim.log().ToString().find("release failed") !=
+      f.sim().stats().counter_value("device.zones.release_failed");
+  out.breadcrumb = f.sim().log().ToString().find("release failed") !=
                    std::string::npos;
-  out.free_zones_before_restart = f.dev()->zones().free_zones();
+  out.free_zones_before_restart = f.dev().zones().free_zones();
 
-  f.Restart();
-  testutil::RunSim(f.sim, RecoverAndVerify(f.dev(), f.db.get(), "rel", kKeys));
-  out.free_zones_after_recover = f.dev()->zones().free_zones();
+  f.PowerCycle();
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "rel", kKeys));
+  out.free_zones_after_recover = f.dev().zones().free_zones();
   return out;
 }
 
@@ -1181,17 +1182,18 @@ TEST(RecoveryTest, FailedZoneReleaseIsCountedAndReclaimedByRecovery) {
 // After a power cut every reset fails by construction; the failed
 // compaction's scratch release is then not a release failure.
 TEST(RecoveryTest, ReleaseAfterPowerCutIsNotCounted) {
-  PowerCycleFixture f;
-  testutil::RunSim(f.sim, LoadAndSync(f.db.get(), "cut", 400));
-  f.faults.ArmCrashAtPoint("compact.before_commit");
-  testutil::RunSim(f.sim, [](client::Client* db) -> sim::Task<void> {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "cut", 400));
+  injector.ArmCrashAtPoint("compact.before_commit");
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
     auto ks = co_await db->OpenKeyspace("cut");
     KVCSD_CO_ASSERT_OK(ks);
     KVCSD_CO_ASSERT_OK(co_await ks->Compact());
     (void)co_await ks->WaitCompaction();
-  }(f.db.get()));
-  ASSERT_TRUE(f.faults.crashed());
-  EXPECT_FALSE(f.sim.stats().has_counter("device.zones.release_failed"));
+  }(&f.client()));
+  ASSERT_TRUE(injector.crashed());
+  EXPECT_FALSE(f.sim().stats().has_counter("device.zones.release_failed"));
 }
 
 }  // namespace

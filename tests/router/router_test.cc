@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -17,8 +16,8 @@
 #include "client/client.h"
 #include "common/crc32c.h"
 #include "common/keys.h"
+#include "harness/sharded_testbed.h"
 #include "kvcsd/device.h"
-#include "nvme/queue.h"
 #include "nvme/skey.h"
 #include "router/partitioner.h"
 #include "router/sharded_client.h"
@@ -29,7 +28,7 @@ namespace {
 
 using Rows = std::vector<std::pair<std::string, std::string>>;
 
-device::DeviceConfig SmallDevice(const std::string& prefix) {
+device::DeviceConfig SmallDevice() {
   device::DeviceConfig c;
   c.zns.zone_size = KiB(256);
   c.zns.num_zones = 64;
@@ -37,89 +36,16 @@ device::DeviceConfig SmallDevice(const std::string& prefix) {
   c.dram_bytes = KiB(512);
   c.write_buffer_bytes = KiB(2);
   c.output_batch_bytes = KiB(16);
-  c.stats_prefix = prefix;
   return c;
 }
 
-// N single-device stacks (queue set + device + client) behind one router,
-// modeled on MultiQueueFixture: every incarnation of every shard stays
-// alive in vectors so a RestartAll() can power-cycle the whole fleet over
-// the surviving flash.
-struct ShardedFixture {
-  sim::Simulation sim;
-  sim::CpuPool host{&sim, "host", 8};
-
-  struct Shard {
-    std::vector<std::unique_ptr<nvme::QueueSet>> sets;
-    std::vector<std::unique_ptr<device::Device>> devs;
-    std::vector<std::unique_ptr<client::Client>> clients;
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
-  std::function<std::unique_ptr<Partitioner>()> make_partitioner;
-  client::ClientConfig client_cfg;
-  std::unique_ptr<ShardedClient> routers;
-
-  explicit ShardedFixture(
-      std::uint32_t n,
-      std::function<std::unique_ptr<Partitioner>()> partitioner =
-          [] { return std::make_unique<HashPartitioner>(); },
-      client::ClientConfig cc = {})
-      : make_partitioner(std::move(partitioner)), client_cfg(std::move(cc)) {
-    std::vector<client::Client*> raw;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      auto shard = std::make_unique<Shard>();
-      shard->sets.push_back(
-          std::make_unique<nvme::QueueSet>(&sim, QueueConfig(i)));
-      shard->devs.push_back(std::make_unique<device::Device>(
-          &sim, SmallDevice(Prefix(i)), shard->sets.back().get()));
-      shard->devs.back()->Start();
-      shard->clients.push_back(MakeClient(*shard, i));
-      raw.push_back(shard->clients.back().get());
-      shards.push_back(std::move(shard));
-    }
-    routers = std::make_unique<ShardedClient>(&sim, std::move(raw),
-                                              make_partitioner());
-  }
-
-  ShardedClient& router() { return *routers; }
-  device::Device* dev(std::uint32_t i) { return shards[i]->devs.back().get(); }
-
-  // Power-cycles every shard: fresh queue sets, Device::Restart over the
-  // surviving ZNS state, fresh clients, and a new router over them (the
-  // partitioner is stateless, so the new instance routes identically).
-  // Callers run Recover() on each device afterwards, inside the sim.
-  void RestartAll() {
-    std::vector<client::Client*> raw;
-    for (std::uint32_t i = 0; i < shards.size(); ++i) {
-      Shard& s = *shards[i];
-      s.sets.push_back(std::make_unique<nvme::QueueSet>(&sim, QueueConfig(i)));
-      s.devs.push_back(device::Device::Restart(&sim, SmallDevice(Prefix(i)),
-                                               s.sets.back().get(),
-                                               *s.devs.back()));
-      s.devs.back()->Start();
-      s.clients.push_back(MakeClient(s, i));
-      raw.push_back(s.clients.back().get());
-    }
-    routers = std::make_unique<ShardedClient>(&sim, std::move(raw),
-                                              make_partitioner());
-  }
-
- private:
-  static std::string Prefix(std::uint32_t i) {
-    return "shard" + std::to_string(i) + ".";
-  }
-  nvme::QueueSetConfig QueueConfig(std::uint32_t i) {
-    nvme::QueueSetConfig q;
-    q.name_prefix = Prefix(i);
-    return q;
-  }
-  std::unique_ptr<client::Client> MakeClient(Shard& shard, std::uint32_t i) {
-    client::ClientConfig cc = client_cfg;
-    cc.stats_prefix = "client." + Prefix(i);
-    return std::make_unique<client::Client>(shard.sets.back().get(), &host,
-                                            hostenv::CostModel::Host(), cc);
-  }
-};
+harness::ShardedTestbedConfig Fleet(std::uint32_t shards) {
+  harness::ShardedTestbedConfig c;
+  c.shard.host_cores = 8;
+  c.shard.device = SmallDevice();
+  c.num_shards = shards;
+  return c;
+}
 
 // value = 28 pad bytes + f32 energy (little-endian), the layout the
 // "energy" secondary index and pushdown predicates read at offset 28.
@@ -147,9 +73,9 @@ std::uint32_t Fingerprint(const Rows& rows) {
 // divergence means the merge/fold layer is editorializing.
 // --------------------------------------------------------------------------
 TEST(RouterTest, SingleShardMatchesPlainClient) {
-  ShardedFixture f(1);
+  harness::ShardedTestbed f(Fleet(1));
   constexpr std::uint64_t kKeys = 400;
-  testutil::RunSim(f.sim, [](ShardedFixture* fx) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](harness::ShardedTestbed* fx) -> sim::Task<void> {
     auto ks = co_await fx->router().CreateKeyspace("deg");
     KVCSD_CO_ASSERT_OK(ks);
     for (std::uint64_t i = 0; i < kKeys; ++i) {
@@ -219,11 +145,10 @@ TEST(RouterTest, SingleShardMatchesPlainClient) {
 TEST(RouterTest, EmptyShardInMergedScans) {
   // Shard 0 owns [0, 100), shard 1 owns [100, 200), shard 2 the tail.
   // Keys only land in [0, 100) and [200, 300): shard 1 stays empty.
-  ShardedFixture f(3, [] {
-    return std::make_unique<RangePartitioner>(
-        std::vector<std::string>{MakeFixedKey(100), MakeFixedKey(200)});
-  });
-  testutil::RunSim(f.sim, [](ShardedFixture* fx) -> sim::Task<void> {
+  harness::ShardedTestbed f(
+      Fleet(3), std::make_unique<RangePartitioner>(std::vector<std::string>{
+                    MakeFixedKey(100), MakeFixedKey(200)}));
+  testutil::RunSim(f.sim(), [](harness::ShardedTestbed* fx) -> sim::Task<void> {
     auto ks = co_await fx->router().CreateKeyspace("holes");
     KVCSD_CO_ASSERT_OK(ks);
     Rows model;
@@ -281,12 +206,11 @@ TEST(RouterTest, EmptyShardInMergedScans) {
 // opposite direction.
 // --------------------------------------------------------------------------
 TEST(RouterTest, LimitAtShardBoundary) {
-  ShardedFixture f(2, [] {
-    return std::make_unique<RangePartitioner>(
-        std::vector<std::string>{MakeFixedKey(50)});
-  });
+  harness::ShardedTestbed f(Fleet(2),
+                            std::make_unique<RangePartitioner>(
+                                std::vector<std::string>{MakeFixedKey(50)}));
   constexpr std::uint64_t kKeys = 100;
-  testutil::RunSim(f.sim, [](ShardedFixture* fx) -> sim::Task<void> {
+  testutil::RunSim(f.sim(), [](harness::ShardedTestbed* fx) -> sim::Task<void> {
     auto ks = co_await fx->router().CreateKeyspace("edge");
     KVCSD_CO_ASSERT_OK(ks);
     for (std::uint64_t i = 0; i < kKeys; ++i) {
@@ -328,11 +252,11 @@ TEST(RouterTest, LimitAtShardBoundary) {
 // the pre-crash router put it, with no placement table to consult.
 // --------------------------------------------------------------------------
 TEST(RouterTest, RoutingSurvivesFleetRestart) {
-  ShardedFixture f(3);
+  harness::ShardedTestbed f(Fleet(3));
   constexpr std::uint64_t kKeys = 300;
   std::vector<std::uint32_t> placed(kKeys);
   testutil::RunSim(
-      f.sim, [](ShardedFixture* fx, std::vector<std::uint32_t>* out)
+      f.sim(), [](harness::ShardedTestbed* fx, std::vector<std::uint32_t>* out)
                  -> sim::Task<void> {
         auto ks = co_await fx->router().CreateKeyspace("cycle");
         KVCSD_CO_ASSERT_OK(ks);
@@ -346,12 +270,12 @@ TEST(RouterTest, RoutingSurvivesFleetRestart) {
         KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
       }(&f, &placed));
 
-  f.RestartAll();
+  f.PowerCycle();
   testutil::RunSim(
-      f.sim, [](ShardedFixture* fx, const std::vector<std::uint32_t>* expect)
-                 -> sim::Task<void> {
+      f.sim(), [](harness::ShardedTestbed* fx,
+                  const std::vector<std::uint32_t>* expect) -> sim::Task<void> {
         for (std::uint32_t i = 0; i < fx->router().num_shards(); ++i) {
-          KVCSD_CO_ASSERT_OK(co_await fx->dev(i)->Recover());
+          KVCSD_CO_ASSERT_OK(co_await fx->dev(i).Recover());
         }
         auto ks = co_await fx->router().OpenKeyspace("cycle");
         KVCSD_CO_ASSERT_OK(ks);
@@ -382,8 +306,8 @@ TEST(RouterTest, RoutingSurvivesFleetRestart) {
 // commands and no unprefixed client.stage.* series merges the fleet.
 // --------------------------------------------------------------------------
 TEST(RouterTest, StageHistogramsArePerShard) {
-  ShardedFixture f(2);
-  testutil::RunSim(f.sim, [](ShardedFixture* fx) -> sim::Task<void> {
+  harness::ShardedTestbed f(Fleet(2));
+  testutil::RunSim(f.sim(), [](harness::ShardedTestbed* fx) -> sim::Task<void> {
     auto ks = co_await fx->router().CreateKeyspace("stages");
     KVCSD_CO_ASSERT_OK(ks);
     for (std::uint64_t i = 0; i < 64; ++i) {
@@ -395,9 +319,9 @@ TEST(RouterTest, StageHistogramsArePerShard) {
     }
   }(&f));
 
-  const auto& histograms = f.sim.stats().histograms();
+  const auto& histograms = f.sim().stats().histograms();
   for (std::uint32_t shard = 0; shard < 2; ++shard) {
-    const std::uint64_t submitted = f.shards[shard]->sets.back()->submitted();
+    const std::uint64_t submitted = f.queue(shard).submitted();
     EXPECT_GT(submitted, 0u);
     for (const char* stage : {"submit_ns", "queue_wait_ns", "complete_ns"}) {
       const std::string name =
@@ -421,15 +345,20 @@ TEST(RouterTest, StageHistogramsArePerShard) {
 // Every batch lands on the same shard client to maximize contention.
 // --------------------------------------------------------------------------
 TEST(RouterTest, ConcurrentBatchesOverflowAdmissionWindow) {
+  harness::ShardedTestbed f(Fleet(1));
+  // A router over one client with a narrow window on the shard's queues.
   client::ClientConfig cc;
   cc.max_inflight = 8;  // 6 drivers x 32-pair batches >> 8 permits
-  ShardedFixture f(
-      1, [] { return std::make_unique<HashPartitioner>(); }, cc);
+  cc.stats_prefix = "client.shard0.";
+  client::Client gated(&f.queue(0), &f.host_cpu(),
+                       hostenv::CostModel::Host(), cc);
+  ShardedClient router(&f.sim(), {&gated},
+                       std::make_unique<HashPartitioner>());
   constexpr std::uint64_t kDrivers = 6;
   constexpr std::uint64_t kBatches = 4;
   constexpr std::uint64_t kBatchSize = 32;
-  testutil::RunSim(f.sim, [](ShardedFixture* fx) -> sim::Task<void> {
-    auto ks = co_await fx->router().CreateKeyspace("gate");
+  testutil::RunSim(f.sim(), [](ShardedClient* fx) -> sim::Task<void> {
+    auto ks = co_await fx->CreateKeyspace("gate");
     KVCSD_CO_ASSERT_OK(ks);
     auto driver = [](ShardedKeyspaceHandle h,
                      std::uint64_t d) -> sim::Task<Status> {
@@ -447,7 +376,7 @@ TEST(RouterTest, ConcurrentBatchesOverflowAdmissionWindow) {
       }
       co_return Status::Ok();
     };
-    sim::TaskGroup group(&fx->sim);
+    sim::TaskGroup group(fx->sim());
     for (std::uint64_t d = 0; d < kDrivers; ++d) {
       group.Spawn(driver(*ks, d));
     }
@@ -458,7 +387,7 @@ TEST(RouterTest, ConcurrentBatchesOverflowAdmissionWindow) {
     auto stat = co_await ks->GetStat();
     KVCSD_CO_ASSERT_OK(stat);
     KVCSD_CO_ASSERT(stat->num_kvs == kDrivers * kBatches * kBatchSize);
-  }(&f));
+  }(&router));
 }
 
 }  // namespace
