@@ -8,7 +8,7 @@
 //    config.gather_fanout appends in flight.
 //  * IndexWriter — packs PIDX or SIDX entries into index blocks and
 //    writes them through a ChainWriter, one sketch entry per block,
-//    carrying the block's value span (DESIGN.md §10).
+//    carrying the block's value spans (DESIGN.md §10).
 //
 // An append claims its flash address synchronously when it starts;
 // appends start in issue order and one writer owns its chain, so every
@@ -105,7 +105,7 @@ class Device::IndexWriter {
               std::vector<SketchEntry>* sketch, sim::Activity act)
       : dev_(dev),
         sketch_(sketch),
-        packer_(kIndexBlockSize),
+        packer_(kIndexBlockSize, dev->ssd_.zone_size()),
         out_(dev, chain, type, act) {}
 
   // Add one entry to the open block. Each returns true once the closed
@@ -125,16 +125,9 @@ class Device::IndexWriter {
     std::vector<wire::PackedBlock> packed;
     std::string blob = packer_.Take(&packed);
     const std::size_t first = sketch_->size();
-    const std::uint64_t zone_size = dev_->ssd_.zone_size();
     for (wire::PackedBlock& b : packed) {
-      // Values that straddle two value appends sit in two zones of their
-      // cluster and can never be read in one read: no span is recorded.
-      const bool one_zone =
-          b.value_hi > b.value_lo &&
-          b.value_lo / zone_size == (b.value_hi - 1) / zone_size;
       sketch_->push_back(SketchEntry{std::move(b.pivot), 0, kIndexBlockSize,
-                                     one_zone ? b.value_lo : 0,
-                                     one_zone ? b.value_hi : 0});
+                                     std::move(b.spans)});
     }
     std::vector<SketchEntry>* sketch = sketch_;
     const std::size_t blocks = packed.size();

@@ -304,8 +304,20 @@ sim::Task<nvme::Completion> Device::Dispatch(nvme::Command& cmd) {
         out.status = ks.status();
         break;
       }
-      out.keyspace_id = (*ks)->id;
+      const std::uint64_t id = (*ks)->id;
+      out.keyspace_id = id;
       out.status = co_await keyspace_manager_.Persist();
+      if (!out.status.ok()) {
+        // A create that did not persist did not happen: drop the entry as
+        // kKeyspaceDrop would (a command that opened it meanwhile defers
+        // the drop), so an open finds nothing and a retry can create it.
+        // The create's own error is what the host gets.
+        auto created = keyspace_manager_.FindById(id);
+        if (created.ok()) {
+          const Status dropped = co_await DropKeyspace(*created);
+          (void)dropped;
+        }
+      }
       break;
     }
     case nvme::Opcode::kKeyspaceOpen: {

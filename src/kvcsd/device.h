@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -473,9 +474,20 @@ class Device {
   // Reads one 4 KB index block (PIDX or SIDX) given its sketch entry,
   // consulting the DRAM index cache first; `keyspace_id` scopes the cache
   // key so recycled block addresses can never alias across keyspaces.
+  // With the cache on, a miss on a block whose flash read is in flight
+  // waits for that read (device.read_cache.inflight_joins) and pays only
+  // its own block search.
   sim::Task<Result<std::string>> ReadIndexBlock(
       std::uint64_t keyspace_id, const SketchEntry& entry,
       sim::Activity act = sim::Activity::kHostRead);
+  // One index-block flash read that later misses on the block wait for,
+  // keyed like the cache: (keyspace id, block address).
+  using BlockKey = std::pair<std::uint64_t, std::uint64_t>;
+  struct BlockRead {
+    explicit BlockRead(sim::Simulation* sim) : done(sim) {}
+    sim::Event done;
+    Result<std::string> block{Status::Aborted("block read pending")};
+  };
 
   // The one sketch walk behind both range scans (paper §V, DESIGN.md §10):
   // from the block that can hold `lo`, reads the index blocks of `sketch`
@@ -505,11 +517,11 @@ class Device {
                                      sim::Activity act =
                                          sim::Activity::kHostRead);
 
-  // A point lookup's value read alongside its PIDX block (DESIGN.md §10):
-  // eligible when the entry has a value span (one in a single zone), the
-  // block is not in the index cache, and the span's page transfer takes
-  // no longer than one NAND read latency, so overlapping the two reads
-  // saves the latency.
+  // A point lookup's value reads alongside its PIDX block (DESIGN.md §10):
+  // eligible when the entry has value spans, the block is not in the
+  // index cache, and the spans' page-rounded transfers take no longer
+  // than one NAND read latency in sum, so overlapping the reads saves the
+  // latency.
   bool SpanReadEligible(std::uint64_t keyspace_id,
                         const SketchEntry& entry) const;
   // Reads the SORTED_VALUES bytes [lo, hi) into *out.
@@ -594,6 +606,8 @@ class Device {
   KeyspaceManager keyspace_manager_;
   sim::CpuPool cpu_;
   IndexBlockCache index_cache_;
+  // Index-block flash reads in flight, for ReadIndexBlock's single flight.
+  std::map<BlockKey, std::shared_ptr<BlockRead>> block_reads_;
   // Mirrors config_.zns.faults (not owned); nullptr = no fault injection.
   sim::FaultInjector* faults_ = nullptr;
   // Wall time of the single dispatch core (MainLoop), per activity class.

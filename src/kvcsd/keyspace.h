@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "kvcsd/wire.h"
 #include "kvcsd/zone_manager.h"
 #include "nvme/command.h"
 #include "sim/sync.h"
@@ -47,17 +48,15 @@ std::string_view KeyspaceStateName(KeyspaceState state);
 
 // One entry per 4 KB index block: the block's first (pivot) key and its
 // device address + length. Kept in SoC DRAM as part of the keyspace table.
-// A PIDX entry also carries the SORTED_VALUES bytes [value_lo, value_hi)
-// covering every value its block points to, so a point lookup that must
-// read the block can read those values alongside it (DESIGN.md §10). The
-// span is empty for SIDX entries and for blocks whose values sit in two
-// zones.
+// A PIDX entry also carries the SORTED_VALUES spans covering every value
+// its block points to, one per zone the values sit in, so a point lookup
+// that must read the block can read those values alongside it
+// (DESIGN.md §10). SIDX entries carry none.
 struct SketchEntry {
   std::string pivot;
   std::uint64_t block_addr = 0;
   std::uint32_t block_len = 0;
-  std::uint64_t value_lo = 0;
-  std::uint64_t value_hi = 0;
+  std::vector<wire::ValueSpan> spans = {};
 };
 
 // Sketch lookups (query.cc). SketchLowerBlock: the last block whose pivot

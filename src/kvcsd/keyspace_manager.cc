@@ -39,10 +39,10 @@ bool GetClusterVec(Slice* in, std::vector<ClusterId>* v) {
   return true;
 }
 
-// Addresses are stored as zigzag varint deltas from the previous entry's
-// block end and value-span end: a sketch's blocks, and the values they
-// point to, mostly follow one another, so most deltas cost one byte. An
-// empty value span (every SIDX entry) is its zero length alone.
+// Addresses are stored as zigzag varint deltas: a block from the previous
+// entry's block end, a value span from the previous span's end. A sketch's
+// blocks, and the values they point to, mostly follow one another, so
+// most deltas cost one byte.
 void PutDelta(std::string* out, std::uint64_t value, std::uint64_t base) {
   const auto delta = static_cast<std::int64_t>(value - base);
   PutVarint64(out, (static_cast<std::uint64_t>(delta) << 1) ^
@@ -53,45 +53,6 @@ bool GetDelta(Slice* in, std::uint64_t base, std::uint64_t* value) {
   std::uint64_t zigzag = 0;
   if (!GetVarint64(in, &zigzag)) return false;
   *value = base + ((zigzag >> 1) ^ (0 - (zigzag & 1)));
-  return true;
-}
-
-void PutSketch(std::string* out, const std::vector<SketchEntry>& sketch) {
-  PutVarint64(out, sketch.size());
-  std::uint64_t block_end = 0;
-  std::uint64_t value_end = 0;
-  for (const auto& e : sketch) {
-    PutString(out, e.pivot);
-    PutDelta(out, e.block_addr, block_end);
-    PutVarint32(out, e.block_len);
-    PutVarint64(out, e.value_hi - e.value_lo);
-    if (e.value_hi > e.value_lo) {
-      PutDelta(out, e.value_lo, value_end);
-      value_end = e.value_hi;
-    }
-    block_end = e.block_addr + e.block_len;
-  }
-}
-
-bool GetSketch(Slice* in, std::vector<SketchEntry>* sketch) {
-  std::uint64_t n = 0;
-  if (!GetVarint64(in, &n)) return false;
-  sketch->resize(n);
-  std::uint64_t block_end = 0;
-  std::uint64_t value_end = 0;
-  for (auto& e : *sketch) {
-    std::uint64_t span = 0;
-    if (!GetString(in, &e.pivot) || !GetDelta(in, block_end, &e.block_addr) ||
-        !GetVarint32(in, &e.block_len) || !GetVarint64(in, &span)) {
-      return false;
-    }
-    if (span > 0) {
-      if (!GetDelta(in, value_end, &e.value_lo)) return false;
-      e.value_hi = e.value_lo + span;
-      value_end = e.value_hi;
-    }
-    block_end = e.block_addr + e.block_len;
-  }
   return true;
 }
 
@@ -108,6 +69,53 @@ bool GetBlobRef(Slice* in, BlobRef* ref) {
 }
 
 }  // namespace
+
+void PutSketch(std::string* out, const std::vector<SketchEntry>& sketch) {
+  PutVarint64(out, sketch.size());
+  std::uint64_t block_end = 0;
+  std::uint64_t value_end = 0;
+  for (const auto& e : sketch) {
+    PutString(out, e.pivot);
+    PutDelta(out, e.block_addr, block_end);
+    PutVarint32(out, e.block_len);
+    PutVarint64(out, e.spans.size());
+    for (const wire::ValueSpan& span : e.spans) {
+      PutDelta(out, span.lo, value_end);
+      PutVarint64(out, span.hi - span.lo);
+      value_end = span.hi;
+    }
+    block_end = e.block_addr + e.block_len;
+  }
+}
+
+bool GetSketch(Slice* in, std::vector<SketchEntry>* sketch) {
+  // Every entry takes at least one byte, every span two: a count larger
+  // than the bytes left is corrupt, and must not size an allocation.
+  std::uint64_t n = 0;
+  if (!GetVarint64(in, &n) || n > in->size()) return false;
+  sketch->resize(n);
+  std::uint64_t block_end = 0;
+  std::uint64_t value_end = 0;
+  for (auto& e : *sketch) {
+    std::uint64_t spans = 0;
+    if (!GetString(in, &e.pivot) || !GetDelta(in, block_end, &e.block_addr) ||
+        !GetVarint32(in, &e.block_len) || !GetVarint64(in, &spans) ||
+        spans > in->size()) {
+      return false;
+    }
+    e.spans.resize(spans);
+    for (wire::ValueSpan& span : e.spans) {
+      std::uint64_t len = 0;
+      if (!GetDelta(in, value_end, &span.lo) || !GetVarint64(in, &len)) {
+        return false;
+      }
+      span.hi = span.lo + len;
+      value_end = span.hi;
+    }
+    block_end = e.block_addr + e.block_len;
+  }
+  return true;
+}
 
 struct KeyspaceManager::PersistRequest {
   explicit PersistRequest(sim::Simulation* sim) : wake(sim) {}

@@ -25,12 +25,19 @@
 #include <string>
 #include <vector>
 
+#include "common/slice.h"
 #include "common/status.h"
 #include "kvcsd/keyspace.h"
 #include "kvcsd/zone_manager.h"
 #include "sim/task.h"
 
 namespace kvcsd::device {
+
+// The sketch section of an index blob: per entry its pivot, block address
+// and length, and value spans (DESIGN.md §10). GetSketch returns false on
+// a truncated or malformed encoding.
+void PutSketch(std::string* out, const std::vector<SketchEntry>& sketch);
+bool GetSketch(Slice* in, std::vector<SketchEntry>* sketch);
 
 class KeyspaceManager {
  public:

@@ -8,16 +8,18 @@
 //
 // Read acceleration (DESIGN.md §10):
 //   - ReadIndexBlock fronts a DRAM index-block cache; a hit pays only the
-//     in-block search CPU, no flash read.
+//     in-block search CPU, no flash read, and a miss on a block already
+//     being read waits for that read instead of issuing its own.
 //   - QueryPoint consults the keyspace's compaction-built bloom filter so
 //     negative lookups usually skip flash entirely.
 //   - Both range scans run through one sketch walk (WalkSketch) that
 //     keeps the next block's read in flight while the current one is
 //     decoded, and end in one value-gather tail (FetchRows).
 //   - On an index-cache miss, QueryPoint reads the PIDX block and the
-//     SORTED_VALUES span its sketch entry records at once, and slices the
-//     value out of the span; a value outside the span, or a failed span
-//     read, falls back to GatherValues.
+//     SORTED_VALUES spans its sketch entry records (one per zone) at
+//     once, and slices the value out of the span that holds it; a value
+//     outside every span, or a failed span read, falls back to
+//     GatherValues.
 //   - GatherValues dedupes identical refs, coalesces address-adjacent
 //     reads, and sends the coalesced ranges round-robin over their NAND
 //     channels, so the reads in flight spread across a cluster's zones.
@@ -108,6 +110,8 @@ std::size_t SketchBlocksInRange(const std::vector<SketchEntry>& sketch,
 
 sim::Task<Result<std::string>> Device::ReadIndexBlock(
     std::uint64_t keyspace_id, const SketchEntry& entry, sim::Activity act) {
+  const BlockKey key{keyspace_id, entry.block_addr};
+  std::shared_ptr<BlockRead> mine;  // set when this call leads the read
   if (index_cache_.enabled()) {
     std::string cached;
     if (index_cache_.Lookup(keyspace_id, entry.block_addr, &cached)) {
@@ -116,16 +120,43 @@ sim::Task<Result<std::string>> Device::ReadIndexBlock(
       co_return cached;
     }
     stats().counter("device.read_cache.misses").Increment();
+    // Single flight: a miss on a block whose flash read is in flight
+    // waits for that read. A failed shared read is not handed on: the
+    // waiter reads for itself, so one flash error fails one command.
+    if (auto it = block_reads_.find(key); it != block_reads_.end()) {
+      const std::shared_ptr<BlockRead> leader = it->second;
+      stats().counter("device.read_cache.inflight_joins").Increment();
+      co_await leader->done.Wait();
+      if (leader->block.ok()) {
+        co_await cpu_.Compute(config_.costs.block_search, act);
+        co_return *leader->block;
+      }
+    }
+    auto [it, fresh] = block_reads_.try_emplace(key);
+    if (fresh) {
+      it->second = std::make_shared<BlockRead>(sim_);
+      mine = it->second;
+    }
   }
   std::string block(entry.block_len, '\0');
   co_await cpu_.Compute(config_.costs.io_path_overhead, act);
-  KVCSD_CO_RETURN_IF_ERROR(co_await ssd_.Read(
+  const Status read = co_await ssd_.Read(
       entry.block_addr,
       std::span<std::byte>(reinterpret_cast<std::byte*>(block.data()),
                            block.size()),
-      act));
-  co_await cpu_.Compute(config_.costs.block_search, act);
-  index_cache_.Insert(keyspace_id, entry.block_addr, block);
+      act);
+  if (mine != nullptr) {
+    mine->block = read.ok() ? Result<std::string>(block)
+                            : Result<std::string>(read);
+    mine->done.Set();
+  }
+  if (read.ok()) {
+    co_await cpu_.Compute(config_.costs.block_search, act);
+    index_cache_.Insert(keyspace_id, entry.block_addr, block);
+  }
+  // Cached (or failed): a later miss reads afresh.
+  if (mine != nullptr) block_reads_.erase(key);
+  KVCSD_CO_RETURN_IF_ERROR(read);
   co_return block;
 }
 
@@ -172,7 +203,6 @@ sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
   // stay inside one zone, and that stay under 1 MiB. Plain CPU work: the
   // I/O is issued afterwards so ranges on different NAND channels overlap.
   const std::uint64_t zone_size = ssd_.zone_size();
-  constexpr std::uint64_t kMaxGap = 4096;
   constexpr std::uint64_t kMaxRange = MiB(1);
 
   struct Range {
@@ -191,7 +221,7 @@ sim::Task<Result<std::vector<std::string>>> Device::GatherValues(
     while (j < uniq.size()) {
       const ValueRef& next = refs[uniq[j]];
       const std::uint64_t next_end = next.addr + next.len;
-      if (next.addr > range_end + kMaxGap) break;
+      if (next.addr > range_end + wire::kMaxValueGap) break;
       if (next_end > zone_end) break;
       if (next_end - range_start > kMaxRange) break;
       range_end = std::max(range_end, next_end);
@@ -303,17 +333,20 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
     co_return Status::NotFound();
   }
 
-  // On an index-cache miss the block's value span is read alongside the
+  // On an index-cache miss the block's value spans are read alongside the
   // block, so the value read no longer waits for the block read. The span
-  // bytes live in this frame: the read is joined before every return.
+  // bytes live in this frame: the reads are joined before every return.
   const SketchEntry& entry = ks->pidx_sketch[pos];
   const bool speculated = SpanReadEligible(ks->id, entry);
-  std::string span_bytes;
-  sim::TaskGroup span_read(sim_);
+  std::vector<std::string> span_bytes;
+  sim::TaskGroup span_reads(sim_);
   if (speculated) {
     stats().counter("device.query.value_speculated").Increment();
-    span_read.Spawn(
-        ReadValueSpan(entry.value_lo, entry.value_hi, &span_bytes));
+    span_bytes.resize(entry.spans.size());
+    for (std::size_t s = 0; s < entry.spans.size(); ++s) {
+      span_reads.Spawn(ReadValueSpan(entry.spans[s].lo, entry.spans[s].hi,
+                                     &span_bytes[s]));
+    }
   }
 
   auto block = co_await ReadIndexBlock(ks->id, entry);
@@ -329,10 +362,19 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   // A failed span read never fails the GET by itself: the serial gather
   // below decides.
   Status span_status;
-  if (speculated) span_status = co_await span_read.Wait();
-  const bool served = speculated && span_status.ok() && status.ok() &&
-                      hit.has_value() && hit->addr >= entry.value_lo &&
-                      hit->addr + hit->len <= entry.value_hi;
+  if (speculated) span_status = co_await span_reads.Wait();
+  // The span that holds the hit, once every span read has succeeded.
+  std::size_t serving = entry.spans.size();
+  if (speculated && span_status.ok() && status.ok() && hit.has_value()) {
+    for (std::size_t s = 0; s < entry.spans.size(); ++s) {
+      if (hit->addr >= entry.spans[s].lo &&
+          hit->addr + hit->len <= entry.spans[s].hi) {
+        serving = s;
+        break;
+      }
+    }
+  }
+  const bool served = speculated && serving < entry.spans.size();
   if (speculated && !served) {
     stats().counter("device.query.speculation_wasted").Increment();
   }
@@ -340,7 +382,8 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   if (hit.has_value()) {
     if (served) {
       span.Arg("src", "run");
-      co_return span_bytes.substr(hit->addr - entry.value_lo, hit->len);
+      co_return span_bytes[serving].substr(
+          hit->addr - entry.spans[serving].lo, hit->len);
     }
     std::vector<ValueRef> one;
     one.push_back(*hit);
@@ -358,14 +401,18 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
 
 bool Device::SpanReadEligible(std::uint64_t keyspace_id,
                               const SketchEntry& entry) const {
-  // No span: a SIDX block, or values in two zones (chain_writer.h).
-  if (entry.value_hi <= entry.value_lo) return false;
+  // No span: a SIDX block (every PIDX block with a non-empty value has
+  // one).
+  if (entry.spans.empty()) return false;
   // A cached block costs no flash read to overlap with.
   if (index_cache_.Contains(keyspace_id, entry.block_addr)) return false;
   const storage::NandModel& nand = ssd_.nand();
-  return TransferTicks(nand.RoundUpToPages(entry.value_hi - entry.value_lo),
-                       nand.config().channel_bytes_per_sec) <=
-         nand.config().read_latency;
+  Tick transfer = 0;
+  for (const wire::ValueSpan& s : entry.spans) {
+    transfer += TransferTicks(nand.RoundUpToPages(s.hi - s.lo),
+                              nand.config().channel_bytes_per_sec);
+  }
+  return transfer <= nand.config().read_latency;
 }
 
 sim::Task<Status> Device::ReadValueSpan(std::uint64_t lo, std::uint64_t hi,

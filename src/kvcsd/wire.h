@@ -257,14 +257,48 @@ inline void FinishIndexBlock(std::string* block, std::uint16_t count,
   block->resize(block_size, '\0');
 }
 
+// SORTED_VALUES bytes [lo, hi) that one flash read fetches.
+struct ValueSpan {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  bool operator==(const ValueSpan&) const = default;
+};
+
+// Values whose gap is at most this are read as one range: reading the gap
+// costs less than a second read. The value gather and the value spans of
+// PIDX sketch entries both coalesce by it.
+inline constexpr std::uint64_t kMaxValueGap = 4096;
+
+// Sorts `values` by address and coalesces them into the spans that cover
+// them, one read each: a value joins the open span while it starts at
+// most kMaxValueGap past the span's end and ends in the span's zone.
+inline std::vector<ValueSpan> CoalesceValueSpans(
+    std::vector<ValueSpan>* values, std::uint64_t zone_size) {
+  std::sort(values->begin(), values->end(),
+            [](const ValueSpan& a, const ValueSpan& b) { return a.lo < b.lo; });
+  std::vector<ValueSpan> spans;
+  for (const ValueSpan& v : *values) {
+    if (!spans.empty()) {
+      ValueSpan& open = spans.back();
+      const std::uint64_t zone_end = (open.lo / zone_size + 1) * zone_size;
+      if (v.lo <= open.hi + kMaxValueGap && v.hi <= zone_end) {
+        open.hi = std::max(open.hi, v.hi);
+        continue;
+      }
+    }
+    spans.push_back(v);
+  }
+  return spans;
+}
+
 // One closed index block's sketch data: its pivot (its first key: the
 // primary key for PIDX, the encoded secondary key for SIDX) and, for a
-// PIDX block, the value bytes [value_lo, value_hi) that cover every value
-// its entries point to. SIDX blocks carry an empty span.
+// PIDX block, the value spans that cover every non-empty value its
+// entries point to (CoalesceValueSpans: one per zone unless a gap splits
+// it). SIDX blocks carry no span.
 struct PackedBlock {
   std::string pivot;
-  std::uint64_t value_lo = 0;
-  std::uint64_t value_hi = 0;
+  std::vector<ValueSpan> spans;
 };
 
 // Packs index entries, in order, into fixed-size blocks. A block closes
@@ -273,21 +307,16 @@ struct PackedBlock {
 // with each block's PackedBlock.
 class IndexBlockPacker {
  public:
-  explicit IndexBlockPacker(std::uint32_t block_size)
-      : block_size_(block_size) {
+  // `zone_size` bounds the value spans: no span crosses a zone boundary.
+  IndexBlockPacker(std::uint32_t block_size, std::uint64_t zone_size)
+      : block_size_(block_size), zone_size_(zone_size) {
     BeginIndexBlock(&block_);
   }
 
   void AddPidx(const Slice& key, std::uint64_t vaddr, std::uint32_t vlen) {
     Reserve(PidxEntrySize(key), key);
     AppendPidxEntry(&block_, key, vaddr, vlen);
-    if (count_ == 1) {
-      open_.value_lo = vaddr;
-      open_.value_hi = vaddr + vlen;
-    } else {
-      open_.value_lo = std::min(open_.value_lo, vaddr);
-      open_.value_hi = std::max(open_.value_hi, vaddr + vlen);
-    }
+    if (vlen > 0) values_.push_back(ValueSpan{vaddr, vaddr + vlen});
   }
   void AddSidx(const Slice& skey, const Slice& pkey, std::uint64_t vaddr,
                std::uint32_t vlen) {
@@ -300,6 +329,8 @@ class IndexBlockPacker {
     if (count_ == 0) return;
     FinishIndexBlock(&block_, count_, block_size_);
     closed_ += block_;
+    open_.spans = CoalesceValueSpans(&values_, zone_size_);
+    values_.clear();
     blocks_.push_back(std::move(open_));
     BeginIndexBlock(&block_);
     count_ = 0;
@@ -326,9 +357,11 @@ class IndexBlockPacker {
   }
 
   std::uint32_t block_size_;
+  std::uint64_t zone_size_;
   std::string block_;  // the open block
   std::uint16_t count_ = 0;
   PackedBlock open_;  // the open block's sketch data
+  std::vector<ValueSpan> values_;  // the open block's non-empty values
   std::string closed_;
   std::vector<PackedBlock> blocks_;
 };

@@ -317,6 +317,38 @@ TEST(WorkloadTest, CsdInsertCountsAFailedCreate) {
   }
 }
 
+// A create whose metadata persist fails leaves no keyspace behind: an
+// open finds none, and a retried create makes one that takes writes and
+// survives a power cycle.
+TEST(WorkloadTest, FailedCreateLeavesNoKeyspace) {
+  sim::FaultInjector faults;
+  TestbedConfig config = SmallTestbed();
+  config.device.zns.faults = &faults;
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  faults.AddErrorRule(rule);
+  CsdTestbed bed(config);
+  testutil::RunSim(bed.sim(), [](CsdTestbed* tb) -> sim::Task<void> {
+    auto created = co_await tb->client().CreateKeyspace("ghost");
+    KVCSD_CO_ASSERT(created.status().code() == StatusCode::kIoError);
+    auto opened = co_await tb->client().OpenKeyspace("ghost");
+    KVCSD_CO_ASSERT(opened.status().IsNotFound());
+    auto retried = co_await tb->client().CreateKeyspace("ghost");
+    KVCSD_CO_ASSERT_OK(retried);
+    KVCSD_CO_ASSERT_OK(co_await retried->Put("k", "v"));
+  }(&bed));
+  EXPECT_EQ(faults.errors_injected(), 1u);
+  EXPECT_EQ(bed.dev().keyspaces().size(), 1u);
+
+  bed.PowerCycle();
+  testutil::RunSim(bed.sim(), [](CsdTestbed* tb) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await tb->dev().Recover());
+    auto opened = co_await tb->client().OpenKeyspace("ghost");
+    KVCSD_CO_ASSERT_OK(opened);
+  }(&bed));
+  EXPECT_EQ(bed.dev().keyspaces().size(), 1u);
+}
+
 // One append error at any point of a load fails the load. The load makes
 // 86 appends: the create persist, the log flushes of the bulk load, then
 // the compaction's outputs and persists; the skips 1..80 reach into the

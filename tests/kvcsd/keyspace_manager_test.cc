@@ -8,6 +8,7 @@
 
 #include "../testutil.h"
 #include "common/bloom.h"
+#include "common/coding.h"
 #include "common/keys.h"
 
 namespace kvcsd::device {
@@ -108,8 +109,8 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
     // Block and value addresses both move backwards at the second entry,
     // as a fold's retained and rebuilt blocks can.
     ks->pidx_sketch.push_back(
-        SketchEntry{"aaa", GiB(3), 4096, GiB(2), GiB(2) + 5000});
-    ks->pidx_sketch.push_back(SketchEntry{"mmm", 8192, 4096, 4096, 9000});
+        SketchEntry{"aaa", GiB(3), 4096, {{GiB(2), GiB(2) + 5000}}});
+    ks->pidx_sketch.push_back(SketchEntry{"mmm", 8192, 4096, {{4096, 9000}}});
     SecondaryIndex sidx;
     sidx.spec.name = "energy";
     sidx.spec.value_offset = 28;
@@ -147,13 +148,13 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   ASSERT_EQ(ks->pidx_sketch.size(), 2u);
   EXPECT_EQ(ks->pidx_sketch[0].pivot, "aaa");
   EXPECT_EQ(ks->pidx_sketch[0].block_addr, GiB(3));
-  EXPECT_EQ(ks->pidx_sketch[0].value_lo, GiB(2));
-  EXPECT_EQ(ks->pidx_sketch[0].value_hi, GiB(2) + 5000);
+  EXPECT_EQ(ks->pidx_sketch[0].spans,
+            (std::vector<wire::ValueSpan>{{GiB(2), GiB(2) + 5000}}));
   EXPECT_EQ(ks->pidx_sketch[1].pivot, "mmm");
   EXPECT_EQ(ks->pidx_sketch[1].block_addr, 8192u);
   EXPECT_EQ(ks->pidx_sketch[1].block_len, 4096u);
-  EXPECT_EQ(ks->pidx_sketch[1].value_lo, 4096u);
-  EXPECT_EQ(ks->pidx_sketch[1].value_hi, 9000u);
+  EXPECT_EQ(ks->pidx_sketch[1].spans,
+            (std::vector<wire::ValueSpan>{{4096, 9000}}));
   EXPECT_EQ(ks->pidx_bloom, "bloom-bits");
   ASSERT_TRUE(ks->secondary_indexes.contains("energy"));
   const SecondaryIndex& sidx = ks->secondary_indexes.at("energy");
@@ -162,7 +163,53 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   EXPECT_EQ(sidx.entries, 12345u);
   ASSERT_EQ(sidx.sketch.size(), 1u);
   EXPECT_EQ(sidx.sketch[0].block_addr, 12288u);
-  EXPECT_EQ(sidx.sketch[0].value_lo, sidx.sketch[0].value_hi);
+  EXPECT_TRUE(sidx.sketch[0].spans.empty());
+}
+
+// The sketch encoding round-trips entries with no span (SIDX), one, and
+// three spans in different zones, addresses moving backwards between
+// entries included; every strict prefix of the encoding is rejected, a
+// span list cut short among them.
+TEST(KeyspaceManagerTest, SketchSpansRoundTrip) {
+  const std::vector<SketchEntry> sketch = {
+      SketchEntry{"a", KiB(8), 4096, {}},
+      SketchEntry{"b", KiB(12), 4096, {{MiB(3) + 100, MiB(3) + 4000}}},
+      SketchEntry{"c",
+                  KiB(4),
+                  4096,
+                  {{MiB(1), MiB(1) + 700},
+                   {MiB(2) + 5, MiB(2) + 9000},
+                   {GiB(5), GiB(5) + 1}}},
+      SketchEntry{"d", KiB(16), 4096, {{MiB(1) + 800, MiB(1) + 900}}},
+  };
+  std::string encoded;
+  PutSketch(&encoded, sketch);
+  Slice in(encoded);
+  std::vector<SketchEntry> decoded;
+  ASSERT_TRUE(GetSketch(&in, &decoded));
+  EXPECT_TRUE(in.empty());
+  ASSERT_EQ(decoded.size(), sketch.size());
+  for (std::size_t i = 0; i < sketch.size(); ++i) {
+    EXPECT_EQ(decoded[i].pivot, sketch[i].pivot);
+    EXPECT_EQ(decoded[i].block_addr, sketch[i].block_addr);
+    EXPECT_EQ(decoded[i].block_len, sketch[i].block_len);
+    EXPECT_EQ(decoded[i].spans, sketch[i].spans) << "entry " << i;
+  }
+  for (std::size_t len = 0; len < encoded.size(); ++len) {
+    Slice cut(encoded.data(), len);
+    std::vector<SketchEntry> partial;
+    EXPECT_FALSE(GetSketch(&cut, &partial)) << "prefix of " << len << " B";
+  }
+  // A span count past the bytes left is corrupt, not an allocation size.
+  std::string huge;
+  PutVarint64(&huge, 1);
+  PutLengthPrefixedSlice(&huge, Slice("p"));
+  PutVarint64(&huge, 0);
+  PutVarint32(&huge, 4096);
+  PutVarint64(&huge, std::uint64_t{1} << 40);
+  Slice huge_in(huge);
+  std::vector<SketchEntry> rejected;
+  EXPECT_FALSE(GetSketch(&huge_in, &rejected));
 }
 
 // The snapshot holds a fixed-size reference to each index's blob, so its

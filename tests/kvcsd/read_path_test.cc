@@ -471,7 +471,7 @@ TEST(ReadPathTest, ScanReadAheadCountsArePinned) {
 }
 
 
-// --- point lookups that read the value span alongside the PIDX block ---
+// --- point lookups that read the value spans alongside the PIDX block ---
 
 // The value of present key 2i in the span-read tests: sizes vary inside
 // every block, and i in [600, 1200) carries 300 B values, so those blocks'
@@ -534,34 +534,40 @@ sim::Task<void> GetAllMatches(client::Client* db,
 struct SpanCensus {
   std::size_t eligible = 0;
   std::size_t too_large = 0;
-  std::size_t cross_zone = 0;
+  std::size_t cross_zone = 0;  // values in two zones
 };
 
-// Every value in the span tests is non-empty, so a PIDX entry without a
-// span is a block whose values straddle two zones.
+// Every value in the span tests is non-empty and every block's values in
+// one zone sit less than a page apart, so each PIDX entry carries exactly
+// one span per zone its values sit in, each inside its zone.
 SpanCensus CountSpans(Device* dev, const Keyspace& ks) {
   const std::uint64_t zone_size = dev->ssd().zone_size();
   SpanCensus census;
   for (const SketchEntry& e : ks.pidx_sketch) {
-    if (e.value_hi == e.value_lo) {
-      ++census.cross_zone;
-      continue;
+    EXPECT_FALSE(e.spans.empty());
+    std::set<std::uint64_t> zones;
+    for (const wire::ValueSpan& span : e.spans) {
+      EXPECT_LT(span.lo, span.hi);
+      EXPECT_EQ(span.lo / zone_size, (span.hi - 1) / zone_size);
+      zones.insert(span.lo / zone_size);
     }
-    EXPECT_EQ(e.value_lo / zone_size, (e.value_hi - 1) / zone_size);
+    EXPECT_EQ(zones.size(), e.spans.size());
     if (DeviceTestPeer::SpanReadEligible(dev, ks.id, e)) {
       ++census.eligible;
     } else {
       ++census.too_large;
     }
+    if (e.spans.size() > 1) ++census.cross_zone;
   }
   return census;
 }
 
 // With the index cache on and off, every GET answers exactly what the
 // serial path answers: over mixed value sizes (spans too large to read
-// alongside the block), blocks whose values straddle two zones, bloom
-// false positives, after a fold (retained blocks keep their spans,
-// rebuilt ones get new ones) and after a power cycle (spans come back
+// alongside the block), blocks whose values straddle two zones (one span
+// per zone, read together), bloom false positives, after a fold (retained
+// blocks keep their spans, rebuilt ones carry one for the run values they
+// keep and one for the fold's) and after a power cycle (spans come back
 // from the sketch blob).
 TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
   for (bool cache : {true, false}) {
@@ -633,11 +639,19 @@ TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
         continue;
       }
       ++retained;
-      EXPECT_EQ(e.value_lo, it->second->value_lo);
-      EXPECT_EQ(e.value_hi, it->second->value_hi);
+      EXPECT_EQ(e.spans, it->second->spans);
     }
     EXPECT_GT(retained, 0u);
     EXPECT_GT(rebuilt, 0u);
+    // Every rebuilt block holds an overwritten key, so its values sit in
+    // the run and in the fold's fresh cluster, and all are small.
+    DeviceTestPeer::ClearIndexCache(&f.dev());
+    for (const SketchEntry& e : ks->pidx_sketch) {
+      if (old_blocks.contains(e.block_addr)) continue;
+      EXPECT_GE(e.spans.size(), 2u);
+      EXPECT_TRUE(DeviceTestPeer::SpanReadEligible(&f.dev(), ks->id, e));
+    }
+    CountSpans(&f.dev(), *ks);
     testutil::RunSim(f.sim(), GetAllMatches(&f.client(), &model));
 
     // Power cycle: the spans come back from the sketch blob.
@@ -649,8 +663,7 @@ TEST(ReadPathTest, SpanReadGetsMatchSerialPath) {
     ks = f.dev().keyspaces().Find("span").value();
     ASSERT_EQ(ks->pidx_sketch.size(), folded.size());
     for (std::size_t i = 0; i < folded.size(); ++i) {
-      EXPECT_EQ(ks->pidx_sketch[i].value_lo, folded[i].value_lo);
-      EXPECT_EQ(ks->pidx_sketch[i].value_hi, folded[i].value_hi);
+      EXPECT_EQ(ks->pidx_sketch[i].spans, folded[i].spans);
     }
     const std::uint64_t speculated_before_gets =
         Counter(f, "device.query.value_speculated");
@@ -720,6 +733,116 @@ TEST(ReadPathTest, ColdGetOverlapsBlockAndValueReads) {
       << "cold " << cold << " warm " << warm << " serial " << serial;
 }
 
+// Device time of one cold lookup of `key` (index cache emptied first),
+// which must answer `expected` from the spans read alongside its block.
+Tick ColdSpanLookup(harness::CsdTestbed& f, Keyspace* ks, std::string key,
+                    std::string expected) {
+  DeviceTestPeer::ClearIndexCache(&f.dev());
+  const std::uint64_t speculated = Counter(f, "device.query.value_speculated");
+  const std::uint64_t wasted = Counter(f, "device.query.speculation_wasted");
+  Tick ticks = 0;
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx, Keyspace* k,
+                               std::string key_, std::string want,
+                               Tick* out) -> sim::Task<void> {
+    const Tick start = fx->sim().Now();
+    auto got = co_await DeviceTestPeer::QueryPoint(&fx->dev(), k, key_);
+    KVCSD_CO_ASSERT_OK(got);
+    KVCSD_CO_ASSERT(*got == want);
+    *out = fx->sim().Now() - start;
+  }(&f, ks, std::move(key), std::move(expected), &ticks));
+  EXPECT_EQ(Counter(f, "device.query.value_speculated"), speculated + 1);
+  EXPECT_EQ(Counter(f, "device.query.speculation_wasted"), wasted);
+  return ticks;
+}
+
+void ExpectWithinOnePageTransfer(harness::CsdTestbed& f, Tick got,
+                                 Tick reference) {
+  const storage::NandConfig& nand = f.dev().ssd().nand().config();
+  const Tick page_transfer =
+      TransferTicks(nand.page_size, nand.channel_bytes_per_sec);
+  EXPECT_LE(got, reference + page_transfer) << "reference " << reference;
+  EXPECT_LE(reference, got + page_transfer) << "got " << got;
+}
+
+// The first eligible PIDX block after block 0 with `spans` spans, other
+// than the last; the sketch's size when there is none.
+std::size_t EligibleBlockWithSpans(Device* dev, const Keyspace& ks,
+                                   std::size_t spans) {
+  DeviceTestPeer::ClearIndexCache(dev);
+  for (std::size_t p = 1; p + 1 < ks.pidx_sketch.size(); ++p) {
+    if (ks.pidx_sketch[p].spans.size() == spans &&
+        DeviceTestPeer::SpanReadEligible(dev, ks.id, ks.pidx_sketch[p])) {
+      return p;
+    }
+  }
+  return ks.pidx_sketch.size();
+}
+
+// Overwrites the span keyspace's second key (in its first block) with
+// "folded-value" and folds, so the fold rebuilds block 0.
+sim::Task<void> OverwriteFirstBlockAndFold(client::Client* db) {
+  auto h = co_await db->OpenKeyspace("span");
+  KVCSD_CO_ASSERT_OK(h);
+  KVCSD_CO_ASSERT_OK(co_await h->Put(MakeFixedKey(2), "folded-value"));
+  KVCSD_CO_ASSERT_OK(co_await h->Compact());
+  KVCSD_CO_ASSERT_OK(co_await h->WaitCompaction());
+}
+
+// A cold GET on a block the fold rebuilt reads the block's run span and
+// fold span alongside the block: it pays one NAND read latency for a fold
+// value and a surviving run value alike, within one page transfer of a
+// cold GET on a block the compaction built.
+TEST(ReadPathTest, ColdGetOnRebuiltBlockPaysOneReadLatency) {
+  harness::CsdTestbed f(testutil::Bed(SpanDevice()));
+  testutil::RunSim(f.sim(), LoadMixed(&f.client()));
+  Keyspace* ks = f.dev().keyspaces().Find("span").value();
+  const std::uint64_t old_block = ks->pidx_sketch[0].block_addr;
+  testutil::RunSim(f.sim(), OverwriteFirstBlockAndFold(&f.client()));
+  ks = f.dev().keyspaces().Find("span").value();
+  ASSERT_NE(ks->pidx_sketch[0].block_addr, old_block);
+  ASSERT_GE(ks->pidx_sketch[0].spans.size(), 2u);
+  const std::size_t one = EligibleBlockWithSpans(&f.dev(), *ks, 1);
+  ASSERT_LT(one, ks->pidx_sketch.size());
+  const SketchEntry& built = ks->pidx_sketch[one];
+  std::uint64_t i = 0;
+  while (i < kMixedKeys && MakeFixedKey(2 * i) != built.pivot) ++i;
+
+  const Tick built_value = ColdSpanLookup(f, ks, built.pivot, MixedValue(i));
+  ExpectWithinOnePageTransfer(
+      f, ColdSpanLookup(f, ks, MakeFixedKey(2), "folded-value"), built_value);
+  ExpectWithinOnePageTransfer(
+      f, ColdSpanLookup(f, ks, MakeFixedKey(0), MixedValue(0)), built_value);
+}
+
+// With value appends smaller than a block's values, compaction-built
+// blocks straddle two zones. Such a block carries a span per zone, and a
+// cold GET reads both alongside the block and slices its value out of
+// either, within one page transfer of a GET on a one-zone block.
+TEST(ReadPathTest, ColdGetOnZoneStraddlingBlockReadsBothSpans) {
+  DeviceConfig cfg = SmallDevice();
+  cfg.output_batch_bytes = KiB(4);
+  harness::CsdTestbed f(testutil::Bed(cfg));
+  testutil::RunSim(f.sim(), LoadAndCompact(&f.client(), "straddle", 4000));
+  Keyspace* ks = f.dev().keyspaces().Find("straddle").value();
+  const std::size_t one = EligibleBlockWithSpans(&f.dev(), *ks, 1);
+  const std::size_t two = EligibleBlockWithSpans(&f.dev(), *ks, 2);
+  ASSERT_LT(one, ks->pidx_sketch.size());
+  ASSERT_LT(two, ks->pidx_sketch.size());
+  auto first_key = [ks](std::size_t p) {
+    std::uint64_t i = 0;
+    while (i < 4000 && MakeFixedKey(i) != ks->pidx_sketch[p].pivot) ++i;
+    return i;
+  };
+  auto cold = [&f, ks](std::uint64_t i) {
+    return ColdSpanLookup(f, ks, MakeFixedKey(i), DetValue(i));
+  };
+  const Tick single = cold(first_key(one));
+  // The straddling block's first and last keys, whose values sit in its
+  // two zones.
+  ExpectWithinOnePageTransfer(f, cold(first_key(two)), single);
+  ExpectWithinOnePageTransfer(f, cold(first_key(two + 1) - 1), single);
+}
+
 // An injected error on the SORTED_VALUES zone that fails only the span
 // read leaves the GET to the serial gather, which answers it; an error
 // that also fails the gather fails the GET as the serial path would.
@@ -749,7 +872,7 @@ TEST(ReadPathTest, FailedSpanReadFallsBackToSerialGather) {
 
     sim::ErrorRule rule;
     rule.op = sim::FaultOp::kRead;
-    rule.zone = static_cast<std::int64_t>(entry.value_lo / zone_size);
+    rule.zone = static_cast<std::int64_t>(entry.spans[0].lo / zone_size);
     rule.times = times;
     injector.AddErrorRule(rule);
 
@@ -769,6 +892,100 @@ TEST(ReadPathTest, FailedSpanReadFallsBackToSerialGather) {
       EXPECT_EQ(got.status().code(), StatusCode::kIoError);
     }
   }
+
+  // A block the fold rebuilt has its values in two zones: an error on the
+  // second span's zone alone fails that span read only, and the serial
+  // gather answers the GET.
+  SCOPED_TRACE("second span's zone");
+  testutil::RunSim(f.sim(), OverwriteFirstBlockAndFold(&f.client()));
+  ks = f.dev().keyspaces().Find("span").value();
+  DeviceTestPeer::ClearIndexCache(&f.dev());
+  const SketchEntry& entry = ks->pidx_sketch[0];
+  ASSERT_EQ(entry.spans.size(), 2u);
+  ASSERT_TRUE(DeviceTestPeer::SpanReadEligible(&f.dev(), ks->id, entry));
+  const std::string key = entry.pivot;
+  ASSERT_EQ(key, MakeFixedKey(0));
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kRead;
+  rule.zone = static_cast<std::int64_t>(entry.spans[1].lo / zone_size);
+  injector.AddErrorRule(rule);
+  const std::uint64_t errors = injector.errors_injected();
+  const std::uint64_t wasted = Counter(f, "device.query.speculation_wasted");
+  Result<std::string> got = Status::Aborted("not run");
+  testutil::RunSim(f.sim(), [](harness::CsdTestbed* fx, std::string k,
+                               Result<std::string>* out) -> sim::Task<void> {
+    auto h = co_await fx->client().OpenKeyspace("span");
+    KVCSD_CO_ASSERT_OK(h);
+    *out = co_await h->Get(k);
+  }(&f, key, &got));
+  EXPECT_EQ(injector.errors_injected(), errors + 1);
+  EXPECT_EQ(Counter(f, "device.query.speculation_wasted"), wasted + 1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, MixedValue(0));
+}
+
+// Reads `entry`'s index block twice at once into *a and *b.
+sim::Task<void> ReadBlockTwice(sim::Simulation* sim, Device* dev,
+                               std::uint64_t keyspace_id,
+                               const SketchEntry* entry,
+                               Result<std::string>* a,
+                               Result<std::string>* b) {
+  auto read = [](Device* d, std::uint64_t id, const SketchEntry* e,
+                 Result<std::string>* out) -> sim::Task<Status> {
+    *out = co_await DeviceTestPeer::ReadIndexBlock(d, id, *e);
+    co_return Status::Ok();
+  };
+  sim::TaskGroup both(sim);
+  both.Spawn(read(dev, keyspace_id, entry, a));
+  both.Spawn(read(dev, keyspace_id, entry, b));
+  KVCSD_CO_ASSERT_OK(co_await both.Wait());
+}
+
+// Two concurrent misses on one index block make one flash read: the
+// second waits for the first's read and gets the same bytes. When that
+// shared read fails, the waiter reads for itself, so one injected error
+// fails one of the two.
+TEST(ReadPathTest, ConcurrentMissesShareOneBlockRead) {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(testutil::Bed(SmallDevice(), &injector));
+  testutil::RunSim(f.sim(), LoadAndCompact(&f.client(), "flight", 2000));
+  Keyspace* ks = f.dev().keyspaces().Find("flight").value();
+  ASSERT_GT(ks->pidx_sketch.size(), 1u);
+  const SketchEntry& entry = ks->pidx_sketch[1];
+
+  auto read_twice = [&f, ks, &entry](Result<std::string>* a,
+                                     Result<std::string>* b) {
+    DeviceTestPeer::ClearIndexCache(&f.dev());
+    testutil::RunSim(f.sim(), ReadBlockTwice(&f.sim(), &f.dev(), ks->id,
+                                             &entry, a, b));
+  };
+
+  const std::uint64_t bytes = f.dev().ssd().nand().bytes_read();
+  const std::uint64_t joins = Counter(f, "device.read_cache.inflight_joins");
+  Result<std::string> a = Status::Aborted("not run");
+  Result<std::string> b = Status::Aborted("not run");
+  read_twice(&a, &b);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(*a, *b);
+  EXPECT_EQ(a->size(), entry.block_len);
+  EXPECT_EQ(f.dev().ssd().nand().bytes_read() - bytes, entry.block_len);
+  EXPECT_EQ(Counter(f, "device.read_cache.inflight_joins"), joins + 1);
+
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kRead;
+  rule.zone = static_cast<std::int64_t>(entry.block_addr /
+                                        f.dev().ssd().zone_size());
+  injector.AddErrorRule(rule);
+  Result<std::string> c = Status::Aborted("not run");
+  Result<std::string> d = Status::Aborted("not run");
+  read_twice(&c, &d);
+  EXPECT_EQ(injector.errors_injected(), 1u);
+  EXPECT_EQ(Counter(f, "device.read_cache.inflight_joins"), joins + 2);
+  ASSERT_NE(c.ok(), d.ok());
+  const Result<std::string>& failed = c.ok() ? d : c;
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(c.ok() ? *c : *d, *a);
 }
 
 // Times one gather of `refs` into *ticks, then checks its bytes against
