@@ -103,33 +103,36 @@ nvme::SecondaryIndexSpec SweepIndexSpec() {
 
 // One keyspace of the concurrent leg: compact, then either build the
 // sweep index once COMPACTED or drop it while the compaction still runs.
-// Returns OK always; failures land in the report.
+// A step that fails with power still on is a violation: it lands in the
+// report and its status is returned.
 sim::Task<Status> ConcurrentLegKeyspace(SweepState* st, client::Client* db,
                                         KeyspaceModel* m, bool build_index) {
-  // True when `s` is OK; a failure with power still on is a violation.
+  Status violation = Status::Ok();
+  // True when `s` is OK; a failure with power still on is recorded.
   auto ok = [&](const Status& s, const std::string& what) {
     if (!s.ok() && !st->crashed()) {
       st->Violation(what + " failed without a crash: " + s.message() +
                     " (" + m->name + ")");
+      violation = s;
     }
     return s.ok();
   };
   if (!ok(co_await m->handle.Compact(), "concurrent compact") ||
       st->crashed()) {
-    co_return Status::Ok();
+    co_return violation;
   }
   if (!build_index) {
     m->drop_issued = true;
     m->drop_acked = ok(co_await db->DropKeyspace(m->name), "concurrent drop");
-    co_return Status::Ok();
+    co_return violation;
   }
   if (!ok(co_await m->handle.WaitCompaction(), "concurrent compaction wait") ||
       st->crashed()) {
-    co_return Status::Ok();
+    co_return violation;
   }
   m->sidx_acked = ok(co_await m->handle.CreateSecondaryIndex(SweepIndexSpec()),
                      "concurrent index build");
-  co_return Status::Ok();
+  co_return violation;
 }
 
 sim::Task<void> WorkloadBody(SweepState* st, client::Client* db) {
@@ -204,8 +207,10 @@ sim::Task<void> WorkloadBody(SweepState* st, client::Client* db) {
     for (std::uint32_t i = 2; i + 1 < cfg.keyspaces; ++i) {
       leg.Spawn(ConcurrentLegKeyspace(st, db, &st->models[i], i % 2 == 0));
     }
-    (void)co_await leg.Wait();  // the tasks report into the model
-    if (st->crashed()) co_return;
+    // The tasks report into the model; a violation ends the workload, as
+    // it does for every other step.
+    const Status leg_status = co_await leg.Wait();
+    if (!leg_status.ok() || st->crashed()) co_return;
   }
 
   // Drop a keyspace WHILE it is compacting: the deferred drop's ack
@@ -654,6 +659,9 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
     return Status::Aborted("crash-sweep workload never completed");
   }
   report.hits = faults.hits();
+  for (const std::string& point : faults.points()) {
+    report.passes[point] = faults.hit_count(point);
+  }
   report.fired = faults.crashed();
   report.crash_point = faults.crash_point();
 

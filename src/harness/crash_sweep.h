@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,8 @@ struct CrashSweepConfig {
 
 struct CrashSweepReport {
   std::uint64_t hits = 0;   // crash-point passes during the workload phase
+  // The same passes per crash point, by name.
+  std::map<std::string, std::uint64_t> passes;
   bool fired = false;       // whether the armed crash actually triggered
   std::string crash_point;  // the point that fired (empty otherwise)
   Tick recovery_ticks = 0;  // simulated duration of Device::Recover()

@@ -6,6 +6,10 @@
 //    and of a fold, and the PIDX/SIDX blocks of a compaction, a
 //    secondary-index build and a fold. It keeps up to
 //    config.gather_fanout appends in flight.
+//  * ValueBatch — values in key order on their way to SORTED_VALUES: a
+//    compaction's merged batch or a fold's delta. Admit() is the one rule
+//    that cuts values into appends, and Device::WriteValues (compactor.cc)
+//    issues those appends through a ChainWriter.
 //  * IndexWriter — packs PIDX or SIDX entries into index blocks and
 //    writes them through a ChainWriter, one sketch entry per block,
 //    carrying the block's value spans (DESIGN.md §10).
@@ -19,6 +23,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -93,6 +98,38 @@ class Device::ChainWriter {
   sim::Semaphore slots_;  // bounds the appends in flight
   sim::TaskGroup appends_;
   Status error_;  // first failed append
+};
+
+// Entries in key order and, once loaded, their values (values[i] belongs
+// to entries[i]). Device::WriteValues re-points each entry's value_addr at
+// its SORTED_VALUES copy.
+struct Device::ValueBatch {
+  explicit ValueBatch(std::uint64_t limit) : append_limit(limit) {}
+
+  // Adds `entry` (moving from it) and returns true, unless the batch holds
+  // `budget` value bytes and the entry would start a new append: then the
+  // batch must end right before it, and nothing changes. The appends are
+  // cut greedily: a value starts a new one when it would push the open
+  // one past append_limit. A tombstone has no value and starts none.
+  bool Admit(KlogEntry& entry,
+             std::uint64_t budget = std::numeric_limits<std::uint64_t>::max()) {
+    const bool starts = !entry.tombstone && fill > 0 &&
+                        fill + entry.value_len > append_limit;
+    if (starts && value_bytes >= budget) return false;
+    if (starts) append_starts.push_back(entries.size());
+    fill = starts ? entry.value_len : fill + entry.value_len;
+    value_bytes += entry.value_len;
+    entries.push_back(std::move(entry));
+    return true;
+  }
+
+  std::uint64_t append_limit;
+  std::uint64_t index = 0;  // a compaction's batches, in merge order
+  std::vector<KlogEntry> entries;
+  std::vector<std::string> values;
+  std::vector<std::size_t> append_starts;  // entries opening a new append
+  std::uint64_t fill = 0;                   // bytes in the open append
+  std::uint64_t value_bytes = 0;
 };
 
 // Entries pack into blocks exactly as IndexBlockPacker packs them; every

@@ -76,16 +76,6 @@ constexpr std::uint64_t kRunGenShares = 4;
 // next round merges.
 constexpr std::uint64_t kMergePartitionsPerCore = 2;
 
-// SORTED_VALUES go out in appends of at most `limit` bytes, cut greedily
-// by value size: true when a value of `len` bytes must start a new append
-// after `*fill` bytes of the current one. Advances *fill past the value.
-bool NextValueStartsAppend(std::uint64_t* fill, std::uint64_t len,
-                           std::uint64_t limit) {
-  const bool starts = *fill > 0 && *fill + len > limit;
-  *fill = starts ? len : *fill + len;
-  return starts;
-}
-
 // Awaits one metadata blob write, then records the blob's cluster as
 // scratch (it is an output until the commit snapshot references it) and
 // its ref in *out.
@@ -298,21 +288,39 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 // Phase 2: merge -> gather + value write -> index build
 // ---------------------------------------------------------------------------
 
-// One unit of hand-off between the phase-2 stages: a run of merged live
-// entries and, once the write stage is done with it, their gathered values
-// and the addresses the values were rewritten to.
-struct Device::ValueBatch {
-  std::uint64_t index = 0;  // position in merge order
-  std::vector<KlogEntry> entries;
-  std::vector<std::string> values;
-  std::vector<std::uint64_t> new_addrs;
-  std::uint64_t value_bytes = 0;
-
-  void Admit(KlogEntry entry) {
-    value_bytes += entry.value_len;
-    entries.push_back(std::move(entry));
+sim::Task<Status> Device::WriteValues(ValueBatch* b,
+                                      std::vector<ClusterId>* chain,
+                                      sim::Activity act) {
+  ChainWriter out(this, chain, ZoneType::kSortedValues, act);
+  // A zero-length value that no append carries points at 0.
+  for (KlogEntry& e : b->entries) e.value_addr = 0;
+  Status status = Status::Ok();
+  // Entries [first, upto) go out as one append; their addresses are
+  // filled in when it lands. Only the last append can be empty: a cut
+  // always follows a value byte.
+  for (std::size_t cut = 0; cut <= b->append_starts.size() && status.ok();
+       ++cut) {
+    const std::size_t first = cut == 0 ? 0 : b->append_starts[cut - 1];
+    const std::size_t upto = cut < b->append_starts.size()
+                                 ? b->append_starts[cut]
+                                 : b->entries.size();
+    std::uint64_t bytes = 0;
+    for (std::size_t i = first; i < upto; ++i) bytes += b->values[i].size();
+    if (bytes == 0) continue;
+    std::string data;
+    data.reserve(bytes);
+    for (std::size_t i = first; i < upto; ++i) data += b->values[i];
+    status = co_await out.Append(
+        std::move(data), [b, first, upto](std::uint64_t addr) {
+          for (std::size_t i = first; i < upto; ++i) {
+            b->entries[i].value_addr = addr;
+            addr += b->values[i].size();
+          }
+        });
   }
-};
+  const Status joined = co_await out.Join();
+  co_return status.ok() ? joined : status;
+}
 
 struct Device::Phase2Pipeline {
   explicit Phase2Pipeline(Device* device)
@@ -401,9 +409,7 @@ sim::Task<Result<std::vector<KlogEntry>>> Device::MergePartition(
 }
 
 sim::Task<Status> Device::ValueWriteStage(Phase2Pipeline* pipe) {
-  // Gathers the batch's values and rewrites them in key order; values
-  // [first, upto) go out as one append, and their new addresses are filled
-  // in when it lands.
+  // Gathers the batch's values and rewrites them in key order.
   auto write = [&](ValueBatch* b) -> sim::Task<Status> {
     std::vector<ValueRef> refs;
     refs.reserve(b->entries.size());
@@ -416,43 +422,8 @@ sim::Task<Status> Device::ValueWriteStage(Phase2Pipeline* pipe) {
     co_await cpu_.ComputeBytes(b->value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kCompact);
     b->values = std::move(*values);
-    b->new_addrs.assign(b->entries.size(), 0);
-
-    ChainWriter out(this, &pipe->value_clusters, ZoneType::kSortedValues,
-                    sim::Activity::kCompact);
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    std::size_t chunk_first = 0;
-    auto flush = [&](std::size_t upto) -> sim::Task<Status> {
-      const std::size_t first = chunk_first;
-      chunk_first = upto;
-      std::string data = std::move(chunk);
-      chunk.clear();
-      chunk.reserve(config_.output_batch_bytes);
-      co_return co_await out.Append(
-          std::move(data), [b, first, upto](std::uint64_t addr) {
-            for (std::size_t i = first; i < upto; ++i) {
-              b->new_addrs[i] = addr;
-              addr += b->values[i].size();
-            }
-          });
-    };
-    Status status = Status::Ok();
-    std::uint64_t fill = 0;
-    for (std::size_t i = 0; i < b->entries.size(); ++i) {
-      if (NextValueStartsAppend(&fill, b->values[i].size(),
-                                config_.output_batch_bytes)) {
-        status = co_await flush(i);
-        if (!status.ok()) break;
-      }
-      chunk += b->values[i];
-    }
-    if (status.ok() && !chunk.empty()) {
-      status = co_await flush(b->entries.size());
-    }
-    // The index stage reads new_addrs: every append must have landed.
-    const Status joined = co_await out.Join();
-    co_return status.ok() ? joined : status;
+    co_return co_await WriteValues(b, &pipe->value_clusters,
+                                   sim::Activity::kCompact);
   };
 
   Status result = Status::Ok();
@@ -487,7 +458,7 @@ sim::Task<Status> Device::IndexBuildStage(Phase2Pipeline* pipe) {
     std::uint64_t bloom_key_bytes = 0;
     for (std::size_t i = 0; i < b.entries.size(); ++i) {
       const KlogEntry& e = b.entries[i];
-      if (pidx.AddPidx(e.key, b.new_addrs[i], e.value_len)) {
+      if (pidx.AddPidx(e.key, e.value_addr, e.value_len)) {
         KVCSD_CO_RETURN_IF_ERROR(co_await pidx.Flush());
       }
       if (pipe->bloom != nullptr) {
@@ -501,7 +472,7 @@ sim::Task<Status> Device::IndexBuildStage(Phase2Pipeline* pipe) {
                                               (*pipe->specs)[spec_index]);
         if (!skey.ok()) co_return skey.status();
         SidxSortState& state = (*pipe->sidx_states)[spec_index];
-        SidxTuple tuple{std::move(*skey), e.key, b.new_addrs[i], e.value_len};
+        SidxTuple tuple{std::move(*skey), e.key, e.value_addr, e.value_len};
         if (state.Add(std::move(tuple))) {
           KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(&state));
         }
@@ -596,12 +567,14 @@ sim::Task<Status> Device::CompactKeyspace(
   ++ks->inflight;
   ++compactions_running_;
   std::vector<ClusterId> scratch;
-  Status result = Status::Ok();
+  Result<JobOutput> out = Status::Aborted("compaction job did not run");
   if (fold) {
-    result = co_await RunRecompaction(ks, &scratch);
+    out = co_await RunRecompaction(ks, &scratch);
   } else {
-    result = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
+    out = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
   }
+  Status result = out.status();
+  if (result.ok()) result = co_await Commit(ks, std::move(*out), &scratch);
   --compactions_running_;
   if (!result.ok()) {
     // Best-effort: no snapshot references scratch, so whatever a failed
@@ -633,39 +606,124 @@ sim::Task<Status> Device::CompactKeyspace(
 // allocated, so whichever snapshot recovery loads, every cluster it
 // references exists: the stale side only ever leaks clusters (reclaimed as
 // unreferenced), never dangles.
-sim::Task<Result<KeyspaceLayout>> Device::CommitLayout(
-    Keyspace* ks, KeyspaceLayout next, std::vector<ClusterId>* scratch) {
+sim::Task<Status> Device::Commit(Keyspace* ks, JobOutput out,
+                                 std::vector<ClusterId>* scratch) {
+  const bool fold = ks->state == KeyspaceState::kRecompacting;
+  const std::string job = fold ? "recompact" : "compact";
+  const sim::Activity act =
+      fold ? sim::Activity::kRecompact : sim::Activity::kCompact;
+  KeyspaceLayout& next = out.next;
+
+  // The layout rule: each index chain keeps the old clusters a block of
+  // its new sketch still sits in, followed by the job's fresh ones, and
+  // every old SORTED_VALUES cluster stays (kept and rebuilt PIDX blocks
+  // still point into the run). The rest of the old layout dies in the
+  // release below. Fresh clusters never alias old zones. A compaction's
+  // keyspace is WRITABLE and owns no run or index, so its layout is its
+  // fresh outputs.
+  const std::uint64_t zone_size = ssd_.zone_size();
+  auto keep = [&](const std::vector<ClusterId>& old_chain,
+                  const std::vector<SketchEntry>& sketch,
+                  std::vector<ClusterId>* chain) {
+    if (old_chain.empty()) return;
+    std::set<std::uint64_t> zones;
+    for (const SketchEntry& e : sketch) zones.insert(e.block_addr / zone_size);
+    std::vector<ClusterId> kept;
+    for (ClusterId id : old_chain) {
+      const std::vector<std::uint32_t>& own = zone_manager_.cluster_zones(id);
+      if (std::any_of(own.begin(), own.end(),
+                      [&](std::uint32_t z) { return zones.contains(z); })) {
+        kept.push_back(id);
+      }
+    }
+    chain->insert(chain->begin(), kept.begin(), kept.end());
+  };
+  keep(ks->pidx_clusters, next.pidx_sketch, &next.pidx_clusters);
+  next.sorted_value_clusters.insert(next.sorted_value_clusters.begin(),
+                                    ks->sorted_value_clusters.begin(),
+                                    ks->sorted_value_clusters.end());
+  for (auto& [name, sidx] : next.secondary_indexes) {
+    auto old = ks->secondary_indexes.find(name);
+    if (old == ks->secondary_indexes.end()) continue;
+    keep(old->second.sidx_clusters, sidx.sketch, &sidx.sidx_clusters);
+  }
+
+  // Out-of-line metadata: a fresh blob for each index that changed,
+  // written ahead of the snapshot that references it, as scratch; the
+  // blobs they supersede die in the release after the commit. Both jobs
+  // change the PIDX sketch. The bloom filter shares its blob, so recovery
+  // restores both or neither. A compaction's TEMP runs are dead weight
+  // either way and go meanwhile (best-effort: no snapshot references
+  // them, so recovery reclaims any a failed reset leaves behind), under
+  // the span that has always covered them.
+  {
+    std::optional<sim::TraceSpan> release;
+    if (!fold) release.emplace(sim_, trk_compaction_, "compact.release");
+    sim::TaskGroup blobs(sim_);
+    blobs.Spawn(StoreBlob(keyspace_manager_.WritePidxBlob(
+                              next.pidx_sketch, next.pidx_bloom, act),
+                          &next.pidx_blob, scratch));
+    for (auto& [name, sidx] : next.secondary_indexes) {
+      if (sidx.sketch_blob.cluster != 0) continue;  // every block retained
+      blobs.Spawn(StoreBlob(keyspace_manager_.WriteSidxBlob(sidx.sketch, act),
+                            &sidx.sketch_blob, scratch));
+    }
+    co_await zone_manager_.ReleaseBestEffort(std::move(out.temp));
+    KVCSD_CO_RETURN_IF_ERROR(co_await blobs.Wait());
+  }
+
+  // Drain in-flight readers: new queries block in AwaitQueryable while
+  // the state is RECOMPACTING, and the swap below replaces clusters and
+  // sketches a still-running scan may be dereferencing. Only a fold can
+  // have readers, and only its commit has a span, which ends at the
+  // persist so the release gets a sibling span instead of nesting.
+  std::optional<sim::TraceSpan> commit_span;
+  if (fold) commit_span.emplace(sim_, trk_compaction_, "recompact.commit");
+  while (ks->active_readers > 0) {
+    sim::Event& idle = ks->runtime.readers_idle;
+    idle.Reset();
+    if (ks->active_readers == 0) break;
+    co_await idle.Wait();
+  }
+  if (CrashPoint((job + ".before_commit").c_str())) {
+    co_return Status::IoError("simulated power loss before " + job +
+                              " commit");
+  }
+
+  // The commit point. From here on `next` holds the superseded layout.
   const KeyspaceState compacting = ks->state;
   std::swap(static_cast<KeyspaceLayout&>(*ks), next);
   ks->state = KeyspaceState::kCompacted;
-  Status commit = co_await keyspace_manager_.Persist();
-  if (!commit.ok()) {
+  const Status persisted = co_await keyspace_manager_.Persist();
+  if (!persisted.ok()) {
     std::swap(static_cast<KeyspaceLayout&>(*ks), next);
     ks->state = compacting;
-    co_return commit;
+    co_return persisted;
   }
   scratch->clear();
   // Cached blocks of this keyspace id may belong to the old layout: a
   // fold rewrites blocks, and a compaction can follow a rolled-back one.
   index_cache_.EraseKeyspace(ks->id);
-  co_return std::move(next);
-}
+  commit_span.reset();
+  stats().counter("device." + job + ".done").Increment();
+  if (out.committed) out.committed();
 
-sim::Task<void> Device::ReleaseSuperseded(const KeyspaceLayout& old,
-                                          const KeyspaceLayout& now) {
-  const std::vector<ClusterId> live = now.Clusters();
+  // Past the commit point the job HAS happened; a crash here loses
+  // nothing (recovery reclaims what the old layout alone referenced as
+  // unreferenced clusters). Best-effort for the same reason.
+  (void)CrashPoint((job + ".after_commit").c_str());
+  sim::TraceSpan release(sim_, trk_compaction_, job + ".release");
+  const std::vector<ClusterId> live = ks->Clusters();
   const std::set<ClusterId> kept(live.begin(), live.end());
   std::vector<ClusterId> dead;
-  for (ClusterId id : old.Clusters()) {
+  for (ClusterId id : next.Clusters()) {
     if (!kept.contains(id)) dead.push_back(id);
   }
-  // Best-effort: the committed snapshot no longer references these, so a
-  // cluster a failed reset (or a power cut) leaves behind is reclaimed by
-  // recovery as unreferenced.
   co_await zone_manager_.ReleaseBestEffort(std::move(dead));
+  co_return Status::Ok();
 }
 
-sim::Task<Status> Device::RunCompaction(
+sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::vector<ClusterId>* scratch) {
   // Compaction must observe complete KLOG/VLOG logs.
@@ -788,23 +846,16 @@ sim::Task<Status> Device::RunCompaction(
 
   // The sequencer: cuts the partitions' live entries, in key order, into
   // value batches exactly as one serial merge would.
-  auto batch = std::make_unique<ValueBatch>();
+  auto batch = std::make_unique<ValueBatch>(config_.output_batch_bytes);
   Tick batch_start = sim_->Now();
   // Hands the open batch to the write stage and opens the next one.
   auto ship = [&]() -> sim::Task<void> {
     pipe.Record("merge", *batch, batch_start);
     const std::uint64_t next = batch->index + 1;
     co_await pipe.merged.Push(std::move(batch));
-    batch = std::make_unique<ValueBatch>();
+    batch = std::make_unique<ValueBatch>(config_.output_batch_bytes);
     batch->index = next;
     batch_start = sim_->Now();
-  };
-  std::uint64_t append_fill = 0;
-  // True when the open batch must end right before `e`.
-  auto ends_batch = [&](const KlogEntry& e) {
-    return NextValueStartsAppend(&append_fill, e.value_len,
-                                 config_.output_batch_bytes) &&
-           batch->value_bytes >= batch_budget;
   };
   auto merge_partition = [&](std::size_t partition) {
     return MergePartition(runs, splitters, partition, &pipe.failed);
@@ -813,8 +864,9 @@ sim::Task<Status> Device::RunCompaction(
                       std::vector<KlogEntry> live) -> sim::Task<Status> {
     for (KlogEntry& e : live) {
       if (pipe.failed) co_return Status::Aborted("compaction pipeline failed");
-      if (ends_batch(e)) co_await ship();
-      batch->Admit(std::move(e));
+      // A full batch ends where `e` starts an append; an empty one
+      // always takes it.
+      while (!batch->Admit(e, batch_budget)) co_await ship();
     }
     co_return Status::Ok();
   };
@@ -880,52 +932,16 @@ sim::Task<Status> Device::RunCompaction(
         {{"keyspace", ks->name}, {"fanin", std::to_string(runs.size())}});
   }
 
-  // ---- Commit ----
-  // Phase-1 temporaries are dead weight either way; drop them while the
-  // sketches and the bloom filter go to flash out of line, ahead of the
-  // snapshot that will reference them. The bloom filter shares the
-  // sketch's blob, so recovery restores both or neither; it is empty when
-  // bloom is disabled.
   next.pidx_clusters = std::move(pipe.pidx_clusters);
   next.sorted_value_clusters = std::move(pipe.value_clusters);
   next.pidx_sketch = std::move(pipe.sketch);
+  // Empty when bloom is disabled.
   if (bloom.has_value()) next.pidx_bloom = bloom->Finish();
   // After the LWW pass, entries_total is the exact count of distinct live
   // keys in the run (duplicates collapsed, tombstone winners dropped).
   next.num_kvs = pipe.entries_total;
   next.run_entries = pipe.entries_total;
-  {
-    sim::TraceSpan release(sim_, trk_compaction_, "compact.release");
-    sim::TaskGroup blobs(sim_);
-    blobs.Spawn(StoreBlob(
-        keyspace_manager_.WritePidxBlob(next.pidx_sketch, next.pidx_bloom,
-                                        sim::Activity::kCompact),
-        &next.pidx_blob, scratch));
-    for (auto& [name, sidx] : next.secondary_indexes) {
-      blobs.Spawn(StoreBlob(keyspace_manager_.WriteSidxBlob(
-                                sidx.sketch, sim::Activity::kCompact),
-                            &sidx.sketch_blob, scratch));
-    }
-    // Best-effort: no snapshot references the TEMP runs, so recovery
-    // reclaims any a failed reset leaves behind.
-    co_await zone_manager_.ReleaseBestEffort(std::move(temp_clusters));
-    KVCSD_CO_RETURN_IF_ERROR(co_await blobs.Wait());
-  }
-  if (CrashPoint("compact.before_commit")) {
-    co_return Status::IoError("simulated power loss before commit");
-  }
-
-  // The commit point: the logs give way to the sorted run and indexes.
-  auto old = co_await CommitLayout(ks, std::move(next), scratch);
-  if (!old.ok()) co_return old.status();
-  stats().counter("device.compact.done").Increment();
-
-  // Past the commit point the compaction HAS happened; a crash here loses
-  // nothing (recovery reclaims the old logs as unreferenced clusters).
-  (void)CrashPoint("compact.after_commit");
-  sim::TraceSpan release(sim_, trk_compaction_, "compact.release");
-  co_await ReleaseSuperseded(*old, *ks);
-  co_return Status::Ok();
+  co_return JobOutput{std::move(next), std::move(temp_clusters), nullptr};
 }
 
 // ---------------------------------------------------------------------------

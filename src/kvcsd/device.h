@@ -307,28 +307,41 @@ class Device {
                        std::vector<nvme::SecondaryIndexSpec> fused_specs,
                        std::uint64_t trigger_cmd_id);
 
+  // What a compaction or fold hands to the commit: the next layout, whose
+  // chains hold only the job's fresh clusters (the layout rule in Commit
+  // adds the old ones it keeps) and whose SIDXs name no blob unless the
+  // job left them unchanged; the TEMP clusters to release while the blobs
+  // are written; and the job's own counters, recorded at the commit point.
+  struct JobOutput {
+    KeyspaceLayout next;
+    std::vector<ClusterId> temp;
+    std::function<void()> committed;
+  };
+
   // Failure-handling shell around RunCompaction (COMPACTING) or
-  // RunRecompaction (RECOMPACTING). Whatever the body allocated sits in
-  // `scratch`; on failure the clusters are released best-effort (after a
-  // power cut the resets fail and recovery reclaims the orphans instead)
-  // and the keyspace rolls back (Keyspace::RollBackCompaction). The
-  // keyspace stays pinned until the job ends, so a drop defers to it.
+  // RunRecompaction (RECOMPACTING), and the one caller of Commit. Whatever
+  // the job allocated sits in `scratch`; on failure the clusters are
+  // released best-effort (after a power cut the resets fail and recovery
+  // reclaims the orphans instead) and the keyspace rolls back
+  // (Keyspace::RollBackCompaction). The keyspace stays pinned until the
+  // job ends, so a drop defers to it.
   sim::Task<Status> CompactKeyspace(
       Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
       std::uint64_t trigger_cmd_id);
 
-  // The one commit of a compaction or fold (DESIGN.md §8): swaps `next`
-  // in as the keyspace's layout, sets COMPACTED and persists. If the
-  // persist fails, the old layout and the (RE)COMPACTING state come back
-  // and CompactKeyspace rolls the keyspace back. On success `scratch` is
-  // cleared (the snapshot now owns the outputs), the keyspace's cached
-  // index blocks are dropped and the superseded layout is returned.
-  sim::Task<Result<KeyspaceLayout>> CommitLayout(
-      Keyspace* ks, KeyspaceLayout next, std::vector<ClusterId>* scratch);
-  // After a commit: releases every cluster `old` references that the
-  // committed layout `now` does not, in `old.Clusters()` order.
-  sim::Task<void> ReleaseSuperseded(const KeyspaceLayout& old,
-                                    const KeyspaceLayout& now);
+  // The one commit of a compaction or fold (DESIGN.md §8): applies the
+  // layout rule to out.next, writes the PIDX blob and one for every SIDX
+  // that names none (as scratch, concurrently, alongside out.temp's
+  // release), drains the keyspace's readers, swaps the layout in, sets
+  // COMPACTED and persists. If the persist fails, the old layout and the
+  // (RE)COMPACTING state come back and CompactKeyspace rolls the keyspace
+  // back. On success `scratch` is cleared (the snapshot now owns the
+  // outputs), the keyspace's cached index blocks are dropped, and every
+  // cluster the old layout references that the new one does not is
+  // released. Crash points, the done counter and the spans are named
+  // after the job: "compact" or "recompact".
+  sim::Task<Status> Commit(Keyspace* ks, JobOutput out,
+                           std::vector<ClusterId>* scratch);
 
   // The compaction body: sorts the keyspace; when `fused_specs` is
   // non-empty, also builds those secondary indexes in the same pass (the
@@ -340,10 +353,9 @@ class Device {
   // and fused-SIDX build), so the merge of one value batch overlaps the
   // write and the indexing of the ones before it. `scratch` collects
   // every cluster it allocates; the commit point clears it.
-  sim::Task<Status> RunCompaction(Keyspace* ks,
-                                  std::vector<nvme::SecondaryIndexSpec>
-                                      fused_specs,
-                                  std::vector<ClusterId>* scratch);
+  sim::Task<Result<JobOutput>> RunCompaction(
+      Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
+      std::vector<ClusterId>* scratch);
 
   // Phase 1 worker: streams one KLOG zone in bounded chunks, accumulates
   // entries up to `run_budget` bytes, and spills sorted runs to TEMP
@@ -375,12 +387,19 @@ class Device {
       const std::vector<std::string>& splitters, std::size_t partition,
       const bool* stop);
 
+  // The one SORTED_VALUES writer (chain_writer.h): appends b's values to
+  // `chain` at the cuts ValueBatch::Admit recorded and re-points each
+  // entry's value_addr at its copy (0 for a zero-length value no append
+  // carries). Returns once every append has landed.
+  struct ValueBatch;
+  sim::Task<Status> WriteValues(ValueBatch* b, std::vector<ClusterId>* chain,
+                                sim::Activity act);
+
   // Phase 2's two downstream stages. The write stage gathers each merged
   // value batch, rewrites the values in key order and hands the batch on;
   // the index stage builds PIDX blocks, the bloom filter and fused
   // secondary-key tuples from it. Each drains its input channel to the
   // end on every path, so an upstream stage blocked on it always wakes.
-  struct ValueBatch;
   struct Phase2Pipeline;
   sim::Task<Status> ValueWriteStage(Phase2Pipeline* pipe);
   sim::Task<Status> IndexBuildStage(Phase2Pipeline* pipe);
@@ -424,10 +443,10 @@ class Device {
   // rewrites only the PIDX/SIDX blocks the delta keys touch (untouched
   // blocks stay in place, their old clusters retained), appends the delta
   // values to fresh SORTED_VALUES clusters, adds new keys to the bloom
-  // filter in place, and commits by persisting the merged table —
+  // filter in place, and hands the folded layout to Commit —
   // DESIGN.md §12.
-  sim::Task<Status> RunRecompaction(Keyspace* ks,
-                                    std::vector<ClusterId>* scratch);
+  sim::Task<Result<JobOutput>> RunRecompaction(
+      Keyspace* ks, std::vector<ClusterId>* scratch);
   // Loads a delta entry's value bytes (inline if the device never lost
   // power since the PUT, otherwise gathered from the VLOG delta).
   sim::Task<Result<std::string>> LoadDeltaValue(

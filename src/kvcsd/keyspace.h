@@ -165,9 +165,9 @@ struct KeyspaceRuntime {
 
 // The part of a keyspace that a compaction or fold commit replaces
 // (DESIGN.md §8 "Commit protocol"): its logs, its sorted run and indexes,
-// the entry counts and the delta. A commit builds the next layout whole,
-// swaps it in (Device::CommitLayout) and releases the clusters the old
-// layout referenced that the new one does not.
+// the entry counts and the delta. Device::Commit completes the job's next
+// layout with the old clusters it keeps, swaps it in and releases the
+// clusters the old layout referenced that the new one does not.
 struct KeyspaceLayout {
   // WRITABLE-phase storage.
   std::vector<ClusterId> klog_clusters;

@@ -37,13 +37,14 @@
 //
 // Commit protocol: the RECOMPACTING state is persisted before any output
 // is written (recovery rolls it straight back to COMPACTED, delta intact,
-// new clusters reclaimed as unreferenced); the fold then builds the mixed
-// old + new sketch, writes a fresh metadata blob for each index it changed
-// and commits them with one table persist. Past that point the delta logs,
-// any old index cluster no retained block references and the superseded
-// blobs are released, all in one concurrent-reset batch. A crash anywhere
-// leaves either the old state (delta still pending) or the new state
-// (delta folded) — never a blend.
+// new clusters reclaimed as unreferenced); the fold then hands the mixed
+// old + new sketches and its fresh clusters to Device::Commit, the one
+// commit it shares with a compaction (DESIGN.md §8): fresh metadata blobs
+// for the indexes it changed, one table persist, then one concurrent-reset
+// batch for the delta logs, any old index cluster no retained block
+// references and the superseded blobs. A crash anywhere leaves either the
+// old state (delta still pending) or the new state (delta folded) — never
+// a blend.
 #include <algorithm>
 #include <map>
 #include <optional>
@@ -65,20 +66,6 @@ namespace kvcsd::device {
 
 namespace {
 
-// One delta mutation prepared for the fold, in key order.
-struct FoldItem {
-  std::string key;
-  bool tombstone = false;
-  std::string value;           // loaded bytes (empty for a tombstone)
-  std::uint64_t new_addr = 0;  // where the value was re-appended
-};
-
-struct PidxRec {
-  std::string key;
-  std::uint64_t vaddr = 0;
-  std::uint32_t vlen = 0;
-};
-
 // One SIDX block as the fold's read stage hands it on: the tuples that
 // survive the delta, and whether any tuple was dropped.
 struct SidxBlockScan {
@@ -99,8 +86,8 @@ sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
   co_return std::move((*values)[0]);
 }
 
-sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
-                                          std::vector<ClusterId>* scratch) {
+sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
+    Keyspace* ks, std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
   const std::uint32_t fanout = std::max<std::uint32_t>(config_.gather_fanout, 1);
   // The fold must observe the complete delta log (and the durable log
@@ -116,9 +103,9 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   }
 
   // ---- Snapshot the delta (mutations are rejected kBusy from here) ----
-  std::vector<FoldItem> items;
-  items.reserve(ks->delta_index.size());
-  std::vector<ClusterId> new_value_clusters;
+  // One entry per delta key, in key order; a tombstone carries no value.
+  ValueBatch delta(config_.output_batch_bytes);
+  JobOutput output;
   {
     sim::TraceSpan phase(sim_, trk_compaction_, "recompact.values");
     // Batch-load values that only survive as VLOG pointers (post-restart
@@ -126,77 +113,36 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     std::vector<ValueRef> refs;
     std::vector<std::size_t> ref_slot;
     for (const auto& [key, entry] : ks->delta_index) {
-      FoldItem item;
-      item.key = key;
-      item.tombstone = entry.tombstone;
-      if (!entry.tombstone) {
-        if (entry.has_value) {
-          item.value = entry.value;
-        } else {
-          refs.push_back(ValueRef{entry.vaddr, entry.vlen});
-          ref_slot.push_back(items.size());
-        }
+      KlogEntry e{key, entry.vaddr, entry.vlen, entry.seq, entry.tombstone};
+      delta.Admit(e);
+      if (!entry.tombstone && !entry.has_value) {
+        refs.push_back(ValueRef{entry.vaddr, entry.vlen});
+        ref_slot.push_back(delta.values.size());
       }
-      items.push_back(std::move(item));
+      delta.values.push_back(entry.has_value ? entry.value : std::string());
     }
     if (!refs.empty()) {
       auto values = co_await GatherValues(std::move(refs), sim::Activity::kRecompact);
       if (!values.ok()) co_return values.status();
       for (std::size_t i = 0; i < ref_slot.size(); ++i) {
-        items[ref_slot[i]].value = std::move((*values)[i]);
+        delta.values[ref_slot[i]] = std::move((*values)[i]);
       }
     }
 
     // ---- Re-append live delta values in key order to fresh clusters ----
-    // Items [first, upto) go out as one append; their new addresses are
-    // filled in when it lands.
-    ChainWriter out(this, &new_value_clusters, ZoneType::kSortedValues,
-                    sim::Activity::kRecompact);
-    std::string chunk;
-    chunk.reserve(config_.output_batch_bytes);
-    std::size_t chunk_first = 0;
-    auto flush_values = [&](std::size_t upto) -> sim::Task<Status> {
-      const std::size_t first = chunk_first;
-      chunk_first = upto;
-      if (chunk.empty()) co_return Status::Ok();
-      std::string data = std::move(chunk);
-      chunk.clear();
-      chunk.reserve(config_.output_batch_bytes);
-      co_return co_await out.Append(
-          std::move(data), [&items, first, upto](std::uint64_t addr) {
-            for (std::size_t i = first; i < upto; ++i) {
-              if (items[i].tombstone) continue;
-              items[i].new_addr = addr;
-              addr += items[i].value.size();
-            }
-          });
-    };
-    std::uint64_t value_bytes = 0;
-    Status appended = Status::Ok();
-    for (std::size_t i = 0; i < items.size() && appended.ok(); ++i) {
-      if (items[i].tombstone) continue;
-      if (chunk.size() + items[i].value.size() > config_.output_batch_bytes &&
-          !chunk.empty()) {
-        appended = co_await flush_values(i);
-      }
-      chunk += items[i].value;
-      value_bytes += items[i].value.size();
-    }
-    if (appended.ok()) appended = co_await flush_values(items.size());
-    const Status joined = co_await out.Join();
-    if (appended.ok()) appended = joined;
-    scratch->insert(scratch->end(), new_value_clusters.begin(),
-                    new_value_clusters.end());
+    std::vector<ClusterId>& fresh = output.next.sorted_value_clusters;
+    const Status appended =
+        co_await WriteValues(&delta, &fresh, sim::Activity::kRecompact);
+    scratch->insert(scratch->end(), fresh.begin(), fresh.end());
     KVCSD_CO_RETURN_IF_ERROR(appended);
-    co_await cpu_.ComputeBytes(value_bytes,
+    co_await cpu_.ComputeBytes(delta.value_bytes,
                                config_.costs.memcpy_bytes_per_sec, sim::Activity::kRecompact);
   }
 
   // ---- PIDX fold: rebuild only the blocks the delta keys land in ----
   const std::vector<SketchEntry>& old_sketch = ks->pidx_sketch;
-  std::vector<ClusterId> new_pidx_clusters;
-  std::vector<SketchEntry> new_sketch;
-  new_sketch.reserve(old_sketch.size());
+  KeyspaceLayout& next = output.next;
+  next.pidx_sketch.reserve(old_sketch.size());
   std::int64_t run_entries_delta = 0;
   std::uint64_t pidx_retained = 0;
   std::uint64_t pidx_rebuilt = 0;
@@ -205,42 +151,42 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     // Delta keys per covering block, in key order. A key preceding every
     // pivot folds into block 0 (its rebuild simply grows a smaller pivot);
     // with no run at all, everything lands in one from-scratch region.
-    std::vector<std::vector<const FoldItem*>> per_block(old_sketch.size());
-    std::vector<const FoldItem*> orphan_items;  // run has no blocks
-    for (const FoldItem& item : items) {
+    std::vector<std::vector<const KlogEntry*>> per_block(old_sketch.size());
+    std::vector<const KlogEntry*> orphans;  // run has no blocks
+    for (const KlogEntry& e : delta.entries) {
       if (old_sketch.empty()) {
-        orphan_items.push_back(&item);
+        orphans.push_back(&e);
         continue;
       }
-      std::size_t pos = SketchLowerBlock(old_sketch, item.key);
+      std::size_t pos = SketchLowerBlock(old_sketch, e.key);
       if (pos >= old_sketch.size()) pos = 0;
-      per_block[pos].push_back(&item);
+      per_block[pos].push_back(&e);
     }
     std::vector<std::size_t> dirty;  // sketch positions to rebuild
     for (std::size_t pos = 0; pos < old_sketch.size(); ++pos) {
       if (!per_block[pos].empty()) dirty.push_back(pos);
     }
 
-    // Two-pointer LWW merge of one dirty block with its delta keys.
-    auto merge_block = [&](const std::vector<PidxRec>& old_recs,
-                           const std::vector<const FoldItem*>& delta,
-                           std::vector<PidxRec>* out) {
+    // Two-pointer LWW merge of one dirty block's entries with its delta
+    // keys.
+    auto merge_block = [&](const std::vector<KlogEntry>& old_recs,
+                           const std::vector<const KlogEntry*>& keys,
+                           std::vector<KlogEntry>* merged) {
       std::size_t i = 0, j = 0;
-      while (i < old_recs.size() || j < delta.size()) {
-        if (j >= delta.size() ||
-            (i < old_recs.size() && old_recs[i].key < delta[j]->key)) {
-          out->push_back(old_recs[i]);
+      while (i < old_recs.size() || j < keys.size()) {
+        if (j >= keys.size() ||
+            (i < old_recs.size() && old_recs[i].key < keys[j]->key)) {
+          merged->push_back(old_recs[i]);
           ++i;
           continue;
         }
-        const FoldItem* d = delta[j];
+        const KlogEntry* d = keys[j];
         const bool match = i < old_recs.size() && old_recs[i].key == d->key;
         if (match) ++i;
         if (d->tombstone) {
           if (match) --run_entries_delta;  // removed a run key
         } else {
-          out->push_back(PidxRec{d->key, d->new_addr,
-                                 static_cast<std::uint32_t>(d->value.size())});
+          merged->push_back(*d);
           if (!match) ++run_entries_delta;  // inserted a new key
         }
         ++j;
@@ -249,21 +195,21 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
 
     // Read stage, `fanout` wide: fetch dirty block d, merge it with its
     // delta keys, and charge that block's share of the merge CPU.
-    auto rebuild = [&](std::size_t d) -> sim::Task<Result<std::vector<PidxRec>>> {
+    auto rebuild = [&](std::size_t d) -> sim::Task<Result<std::vector<KlogEntry>>> {
       const SketchEntry& entry = old_sketch[dirty[d]];
       auto block = co_await ReadIndexBlock(ks->id, entry, sim::Activity::kRecompact);
       if (!block.ok()) co_return block.status();
       compaction_stats_.bytes_read += entry.block_len;
-      std::vector<PidxRec> old_recs;
+      std::vector<KlogEntry> old_recs;
       std::uint64_t fold_bytes = 0;
       KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::PidxEntry>(
           *block, [&](const wire::PidxEntry& parsed) {
             old_recs.push_back(
-                PidxRec{parsed.key.ToString(), parsed.vaddr, parsed.vlen});
+                KlogEntry{parsed.key.ToString(), parsed.vaddr, parsed.vlen});
             fold_bytes += parsed.key.size() + 12;
             return true;
           }));
-      std::vector<PidxRec> merged;
+      std::vector<KlogEntry> merged;
       merged.reserve(old_recs.size() + per_block[dirty[d]].size());
       merge_block(old_recs, per_block[dirty[d]], &merged);
       if (fold_bytes > 0) {
@@ -275,12 +221,12 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
 
     // Write stage, in sketch order: carry the clean blocks before dirty
     // block d over by reference, then write d's rebuilt blocks.
-    IndexWriter out(this, ZoneType::kPidx, &new_pidx_clusters, &new_sketch,
-                    sim::Activity::kRecompact);
-    auto write_region = [&out](const std::vector<PidxRec>& region)
+    IndexWriter out(this, ZoneType::kPidx, &next.pidx_clusters,
+                    &next.pidx_sketch, sim::Activity::kRecompact);
+    auto write_region = [&out](const std::vector<KlogEntry>& region)
         -> sim::Task<Status> {
-      for (const PidxRec& rec : region) {
-        if (out.AddPidx(rec.key, rec.vaddr, rec.vlen)) {
+      for (const KlogEntry& rec : region) {
+        if (out.AddPidx(rec.key, rec.value_addr, rec.value_len)) {
           KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
         }
       }
@@ -289,8 +235,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     std::size_t carried = 0;  // old blocks consumed so far
     bool mid_pidx_passed = false;
     auto write = [&](std::size_t d,
-                     const std::vector<PidxRec>& merged) -> sim::Task<Status> {
-      for (; carried < dirty[d]; ++carried) new_sketch.push_back(old_sketch[carried]);
+                     const std::vector<KlogEntry>& merged) -> sim::Task<Status> {
+      for (; carried < dirty[d]; ++carried) next.pidx_sketch.push_back(old_sketch[carried]);
       ++carried;
       KVCSD_CO_RETURN_IF_ERROR(co_await write_region(merged));
       if (!mid_pidx_passed && out.inflight() >= 2) {
@@ -301,21 +247,21 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
       }
       co_return Status::Ok();
     };
-    Status folded = co_await sim::OrderedParallelFor<std::vector<PidxRec>>(
+    Status folded = co_await sim::OrderedParallelFor<std::vector<KlogEntry>>(
         sim_, dirty.size(), fanout, rebuild, write);
     if (folded.ok()) {
-      for (; carried < old_sketch.size(); ++carried) new_sketch.push_back(old_sketch[carried]);
-      if (!orphan_items.empty()) {
+      for (; carried < old_sketch.size(); ++carried) next.pidx_sketch.push_back(old_sketch[carried]);
+      if (!orphans.empty()) {
         // Empty run: the delta becomes the run.
-        std::vector<PidxRec> merged;
-        merge_block({}, orphan_items, &merged);
+        std::vector<KlogEntry> merged;
+        merge_block({}, orphans, &merged);
         folded = co_await write_region(merged);
         ++pidx_rebuilt;
       }
     }
     Status joined = co_await out.Join();
-    scratch->insert(scratch->end(), new_pidx_clusters.begin(),
-                    new_pidx_clusters.end());
+    scratch->insert(scratch->end(), next.pidx_clusters.begin(),
+                    next.pidx_clusters.end());
     KVCSD_CO_RETURN_IF_ERROR(folded);
     KVCSD_CO_RETURN_IF_ERROR(joined);
     pidx_retained = old_sketch.size() - dirty.size();
@@ -326,34 +272,28 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
   // Every delta key's old tuple (if any) is stale: a tombstone removes
   // it, an overwrite re-points it (and may change its secondary key).
   std::set<std::string> delta_keys;
-  for (const FoldItem& item : items) delta_keys.insert(item.key);
-
-  struct SidxFold {
-    std::vector<ClusterId> new_clusters;
-    std::vector<SketchEntry> new_sketch;
-    std::uint64_t new_entries = 0;
-    std::uint64_t retained = 0;
-    std::uint64_t rebuilt = 0;
-  };
-  std::map<std::string, SidxFold> sidx_folds;
+  for (const KlogEntry& e : delta.entries) delta_keys.insert(e.key);
   std::uint64_t sidx_retained_total = 0;
   std::uint64_t sidx_rebuilt_total = 0;
 
   {
     sim::TraceSpan phase(sim_, trk_compaction_, "recompact.sidx");
     for (auto& [name, sidx] : ks->secondary_indexes) {
-      SidxFold& fold = sidx_folds[name];
+      // The folded index: its fresh clusters and the mixed sketch.
+      SecondaryIndex& fold = next.secondary_indexes[name];
+      fold.spec = sidx.spec;
+      std::uint64_t rebuilt = 0;
       const std::vector<SketchEntry>& sketch = sidx.sketch;
 
       // New tuples from the live delta values, sorted by (skey, pkey).
       std::vector<SidxTuple> fresh;
-      for (const FoldItem& item : items) {
-        if (item.tombstone) continue;
-        auto skey = nvme::ExtractSecondaryKey(Slice(item.value), sidx.spec);
+      for (std::size_t i = 0; i < delta.entries.size(); ++i) {
+        const KlogEntry& e = delta.entries[i];
+        if (e.tombstone) continue;
+        auto skey = nvme::ExtractSecondaryKey(Slice(delta.values[i]), sidx.spec);
         if (!skey.ok()) co_return skey.status();
-        fresh.push_back(SidxTuple{
-            std::move(*skey), item.key, item.new_addr,
-            static_cast<std::uint32_t>(item.value.size())});
+        fresh.push_back(
+            SidxTuple{std::move(*skey), e.key, e.value_addr, e.value_len});
       }
       std::sort(fresh.begin(), fresh.end(), SidxOrder);
 
@@ -373,8 +313,8 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         for (std::size_t p = a; p <= b; ++p) dirty[p] = true;
       }
 
-      IndexWriter out(this, ZoneType::kSidx, &fold.new_clusters,
-                      &fold.new_sketch, sim::Activity::kRecompact);
+      IndexWriter out(this, ZoneType::kSidx, &fold.sidx_clusters,
+                      &fold.sketch, sim::Activity::kRecompact);
       std::vector<SidxTuple> region;  // surviving tuples of the open region
       bool region_open = false;
       std::size_t region_start = 0;
@@ -438,15 +378,15 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
           region.insert(region.end(),
                         std::make_move_iterator(scanned.survivors.begin()),
                         std::make_move_iterator(scanned.survivors.end()));
-          ++fold.rebuilt;
+          ++rebuilt;
           co_return Status::Ok();
         }
         if (region_open) {
           region_open = false;
           KVCSD_CO_RETURN_IF_ERROR(co_await emit_region(pos - 1));
         }
-        fold.new_sketch.push_back(sketch[pos]);  // retained by reference
-        ++fold.retained;
+        fold.sketch.push_back(sketch[pos]);  // retained by reference
+        ++sidx_retained_total;
         co_return Status::Ok();
       };
 
@@ -460,27 +400,28 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
         // from-scratch region.
         region_start = sketch.size();
         folded = co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1);
-        ++fold.rebuilt;
+        ++rebuilt;
       }
       Status joined = co_await out.Join();
-      scratch->insert(scratch->end(), fold.new_clusters.begin(),
-                      fold.new_clusters.end());
+      scratch->insert(scratch->end(), fold.sidx_clusters.begin(),
+                      fold.sidx_clusters.end());
       KVCSD_CO_RETURN_IF_ERROR(folded);
       KVCSD_CO_RETURN_IF_ERROR(joined);
-      fold.new_entries = sidx.entries - removed + fresh.size();
-      sidx_retained_total += fold.retained;
-      sidx_rebuilt_total += fold.rebuilt;
+      fold.entries = sidx.entries - removed + fresh.size();
+      // With every block retained, the old blob still describes it.
+      if (rebuilt == 0) fold.sketch_blob = sidx.sketch_blob;
+      sidx_rebuilt_total += rebuilt;
     }
   }
 
   // ---- Bloom: fold the new keys into the serialized filter in place ----
-  std::string new_bloom = ks->pidx_bloom;
-  if (!new_bloom.empty()) {
+  next.pidx_bloom = ks->pidx_bloom;
+  if (!next.pidx_bloom.empty()) {
     std::uint64_t bloom_key_bytes = 0;
-    for (const FoldItem& item : items) {
-      if (item.tombstone) continue;
-      BloomFilterAddKey(&new_bloom, Slice(item.key));
-      bloom_key_bytes += item.key.size();
+    for (const KlogEntry& e : delta.entries) {
+      if (e.tombstone) continue;
+      BloomFilterAddKey(&next.pidx_bloom, Slice(e.key));
+      bloom_key_bytes += e.key.size();
     }
     if (bloom_key_bytes > 0) {
       co_await cpu_.ComputeBytes(bloom_key_bytes,
@@ -488,118 +429,26 @@ sim::Task<Status> Device::RunRecompaction(Keyspace* ks,
     }
   }
 
-  // ---- Out-of-line metadata: a fresh blob for each index that changed ----
-  // Written ahead of the commit snapshot that references them, as scratch;
-  // the blobs they supersede die in the post-commit release batch.
-  KeyspaceLayout next;
-  next.pidx_blob = ks->pidx_blob;
-  if (!items.empty()) {
-    auto blob = co_await keyspace_manager_.WritePidxBlob(
-        new_sketch, new_bloom, sim::Activity::kRecompact);
-    if (!blob.ok()) co_return blob.status();
-    scratch->push_back(blob->cluster);
-    next.pidx_blob = *blob;
-  }
-  for (const auto& [name, sidx] : ks->secondary_indexes) {
-    BlobRef& ref = next.secondary_indexes[name].sketch_blob;
-    ref = sidx.sketch_blob;
-    if (sidx_folds[name].rebuilt == 0) continue;  // every block retained
-    auto blob = co_await keyspace_manager_.WriteSidxBlob(
-        sidx_folds[name].new_sketch, sim::Activity::kRecompact);
-    if (!blob.ok()) co_return blob.status();
-    scratch->push_back(blob->cluster);
-    ref = *blob;
-  }
-
-  // ---- Commit ----
-  // Drain in-flight readers first: new queries block in AwaitQueryable
-  // while the state is RECOMPACTING, and the commit below swaps clusters
-  // and sketches that a still-running scan may be dereferencing.
-  // The commit span ends at the persist, so the release after it gets its
-  // own sibling span instead of nesting.
-  std::optional<sim::TraceSpan> commit_phase;
-  commit_phase.emplace(sim_, trk_compaction_, "recompact.commit");
-  while (ks->active_readers > 0) {
-    sim::Event& idle = ks->runtime.readers_idle;
-    idle.Reset();
-    if (ks->active_readers == 0) break;
-    co_await idle.Wait();
-  }
-
-  if (CrashPoint("recompact.before_commit")) {
-    co_return Status::IoError("simulated power loss before recompact commit");
-  }
-
-  // Each index chain keeps the old clusters a retained block still
-  // references, followed by the fold's fresh ones; the rest of the old
-  // chain dies in the post-commit release. A cluster is referenced iff one
-  // of its zones holds a block of the new sketch; new-cluster zones can
-  // never alias old ones.
-  const std::uint64_t zone_size = ssd_.zone_size();
-  auto chain = [&](const std::vector<ClusterId>& old_chain,
-                   const std::vector<SketchEntry>& sketch,
-                   const std::vector<ClusterId>& fresh) {
-    std::set<std::uint64_t> zones;
-    for (const SketchEntry& e : sketch) zones.insert(e.block_addr / zone_size);
-    std::vector<ClusterId> out;
-    for (ClusterId id : old_chain) {
-      const std::vector<std::uint32_t>& own = zone_manager_.cluster_zones(id);
-      if (std::any_of(own.begin(), own.end(),
-                      [&](std::uint32_t z) { return zones.contains(z); })) {
-        out.push_back(id);
-      }
-    }
-    out.insert(out.end(), fresh.begin(), fresh.end());
-    return out;
-  };
-
   // The folded layout; the delta logs and the delta index start empty.
-  // Every old sorted-value cluster stays: retained and rebuilt blocks alike
-  // still point at unchanged run values.
-  next.pidx_clusters = chain(ks->pidx_clusters, new_sketch, new_pidx_clusters);
-  next.sorted_value_clusters = ks->sorted_value_clusters;
-  next.sorted_value_clusters.insert(next.sorted_value_clusters.end(),
-                                    new_value_clusters.begin(),
-                                    new_value_clusters.end());
-  next.pidx_sketch = std::move(new_sketch);
-  next.pidx_bloom = std::move(new_bloom);
   next.run_entries = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(ks->run_entries) + run_entries_delta);
   next.num_kvs = next.run_entries;
-  for (const auto& [name, sidx] : ks->secondary_indexes) {
-    SidxFold& fold = sidx_folds[name];
-    SecondaryIndex& folded = next.secondary_indexes[name];
-    folded.spec = sidx.spec;
-    folded.sidx_clusters =
-        chain(sidx.sidx_clusters, fold.new_sketch, fold.new_clusters);
-    folded.sketch = std::move(fold.new_sketch);
-    folded.entries = fold.new_entries;
-  }
-  auto old = co_await CommitLayout(ks, std::move(next), scratch);
-  if (!old.ok()) co_return old.status();
-  commit_phase.reset();
-
-  stats().counter("device.recompact.done").Increment();
-  stats().counter("device.recompact.delta_keys").Add(items.size());
-  stats().counter("device.recompact.pidx_blocks_retained").Add(pidx_retained);
-  stats().counter("device.recompact.pidx_blocks_rebuilt").Add(pidx_rebuilt);
-  stats()
-      .counter("device.recompact.sidx_blocks_retained")
-      .Add(sidx_retained_total);
-  stats()
-      .counter("device.recompact.sidx_blocks_rebuilt")
-      .Add(sidx_rebuilt_total);
-  stats().histogram("device.recompact.fold_ns").Record(sim_->Now() -
-                                                       fold_start);
-
-  // Past the commit point the fold HAS happened; the delta logs, any old
-  // index cluster with no retained block and every superseded metadata
-  // blob are garbage (a crash here leaks them to recovery's
-  // unreferenced-cluster sweep).
-  (void)CrashPoint("recompact.after_commit");
-  sim::TraceSpan release(sim_, trk_compaction_, "recompact.release");
-  co_await ReleaseSuperseded(*old, *ks);
-  co_return Status::Ok();
+  output.committed = [this, fold_start, keys = delta.entries.size(),
+                      pidx_retained, pidx_rebuilt, sidx_retained_total,
+                      sidx_rebuilt_total] {
+    stats().counter("device.recompact.delta_keys").Add(keys);
+    stats().counter("device.recompact.pidx_blocks_retained").Add(pidx_retained);
+    stats().counter("device.recompact.pidx_blocks_rebuilt").Add(pidx_rebuilt);
+    stats()
+        .counter("device.recompact.sidx_blocks_retained")
+        .Add(sidx_retained_total);
+    stats()
+        .counter("device.recompact.sidx_blocks_rebuilt")
+        .Add(sidx_rebuilt_total);
+    stats().histogram("device.recompact.fold_ns").Record(sim_->Now() -
+                                                         fold_start);
+  };
+  co_return std::move(output);
 }
 
 }  // namespace kvcsd::device

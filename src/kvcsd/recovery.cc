@@ -103,7 +103,7 @@ sim::Task<Status> Device::Recover() {
   // Step 2b: a (re)compaction in the snapshot never committed. Its inputs
   // are whole: a fold writes only fresh clusters before its commit
   // persist, and a full compaction installs its outputs in the same step
-  // that sets COMPACTED (Device::CommitLayout), so a COMPACTING keyspace
+  // that sets COMPACTED (Device::Commit), so a COMPACTING keyspace
   // names only its logs. Roll back by the live rule; partial outputs are
   // referenced by no keyspace and die in steps 3/4, and step 5 replays a
   // rolled-back fold's delta chains. Volatile runtime state (pins, the

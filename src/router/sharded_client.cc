@@ -284,8 +284,9 @@ ShardedKeyspaceHandle::PutBatchAsync(
     group.Spawn(PutShardBatch(&state_->shards[shard], std::move(sub),
                               &members[shard], &futures));
   }
-  // Per-shard submission never fails (errors surface through the
-  // futures), so the join is only a frame-lifetime barrier.
+  // PutShardBatch always returns OK: each pair's error surfaces through
+  // its future (RouterTest.PutBatchAsyncReportsEachPairThroughItsFuture),
+  // so the join is only a frame-lifetime barrier.
   (void)co_await group.Wait();
   co_return futures;
 }

@@ -163,7 +163,10 @@ Task<Status> OrderedParallelFor(Simulation* sim, std::size_t n,
     if (issued < n) issue();  // reuses slot i % width, just emptied
     status = co_await consume(i, std::move(*result));
   }
-  (void)co_await producers.Wait();  // producers only ever return OK
+  // OrderedProduce always returns OK: a producer's error travels in its
+  // slot and is returned above, so the join only waits
+  // (OrderedParallelForTest.ErrorStopsIssuingAndJoinsProducers).
+  (void)co_await producers.Wait();
   co_return status;
 }
 

@@ -34,6 +34,16 @@ TEST(CrashSweepTest, DryRunEnumeratesPointsAndRecoversCleanShutdown) {
   EXPECT_GT(report->hits, 4u);  // flush, sync, meta, and compact points
   EXPECT_GT(report->recovery_ticks, 0u);
   EXPECT_TRUE(report->ok()) << Describe(*report);
+  // The workload's compaction and its fold both pass the commit points
+  // they share (Device::Commit), so the sweep crashes on either side of
+  // each commit.
+  for (const char* point : {"compact.before_commit", "compact.after_commit",
+                            "recompact.before_commit",
+                            "recompact.after_commit"}) {
+    const auto passed = report->passes.find(point);
+    EXPECT_TRUE(passed != report->passes.end() && passed->second > 0)
+        << "dry run never passed " << point;
+  }
 }
 
 TEST(CrashSweepTest, EveryReachableCrashPointRecovers) {

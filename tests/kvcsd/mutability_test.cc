@@ -17,6 +17,7 @@
 #include "csd_testbed.h"
 #include "device_test_peer.h"
 #include "kvcsd/device.h"
+#include "kvcsd/wire.h"
 #include "sim/fault.h"
 
 namespace kvcsd::device {
@@ -900,6 +901,139 @@ TEST(MutabilityTest, DeltaIndexGaugeTracksEntriesAndDrainsOnFold) {
     KVCSD_CO_ASSERT(rows.size() == kKeys);
     KVCSD_CO_ASSERT(Fingerprint(rows) == Fingerprint(model));
   }(&f.client(), &f.dev()));
+}
+
+// --------------------------------------------------------------------------
+// A fold into an empty run takes the fold's from-scratch path: the whole
+// delta becomes the run. It goes through the same value writer and commit
+// as a compaction, so it must write what a fresh compaction of the same
+// final contents writes: the same SORTED_VALUES appends, carrying the same
+// value bytes in key order, the same PIDX entries in as many blocks, and
+// the same answers. The bloom filter is left out: an empty compaction
+// builds a filter sized for no keys and the fold ORs every key into it.
+// --------------------------------------------------------------------------
+
+constexpr std::uint64_t kScratchKeys = 1500;
+
+// PUTs every key with a value of varying size, overwrites every 7th,
+// deletes every 11th, re-PUTs every 33rd and blind-deletes a key never
+// written, then syncs.
+sim::Task<void> MutateFold(client::Client* db) {
+  auto ks = co_await db->OpenKeyspace("fold");
+  KVCSD_CO_ASSERT_OK(ks);
+  auto value = [](std::uint64_t i, char tag) {
+    return std::string(40 + (i * 37) % 200, tag) + std::to_string(i);
+  };
+  for (std::uint64_t i = 0; i < kScratchKeys; ++i) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), value(i, 'a')));
+  }
+  for (std::uint64_t i = 0; i < kScratchKeys; i += 7) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), value(i + 3, 'b')));
+  }
+  for (std::uint64_t i = 0; i < kScratchKeys; i += 11) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Delete(MakeFixedKey(i)));
+  }
+  for (std::uint64_t i = 0; i < kScratchKeys; i += 33) {
+    KVCSD_CO_ASSERT_OK(co_await ks->Put(MakeFixedKey(i), value(i + 5, 'c')));
+  }
+  KVCSD_CO_ASSERT_OK(co_await ks->Delete(MakeFixedKey(kScratchKeys + 3)));
+  KVCSD_CO_ASSERT_OK(co_await ks->Sync());
+}
+
+// The run as the PIDX describes it: (key, vlen) of every entry in sketch
+// order, the value bytes those entries point at, and the block count.
+struct RunContents {
+  std::vector<std::pair<std::string, std::uint32_t>> entries;
+  std::string values;
+  std::size_t blocks = 0;
+};
+
+sim::Task<void> ReadRun(harness::CsdTestbed* f, RunContents* out) {
+  Device* dev = &f->dev();
+  Keyspace* ks = FoldKeyspace(f);
+  out->blocks = ks->pidx_sketch.size();
+  std::vector<DeviceTestPeer::ValueRef> refs;
+  for (const SketchEntry& entry : ks->pidx_sketch) {
+    auto block = co_await DeviceTestPeer::ReadIndexBlock(dev, ks->id, entry);
+    KVCSD_CO_ASSERT_OK(block);
+    KVCSD_CO_ASSERT_OK(wire::ForEachIndexEntry<wire::PidxEntry>(
+        *block, [&](const wire::PidxEntry& e) {
+          out->entries.emplace_back(e.key.ToString(), e.vlen);
+          refs.push_back(DeviceTestPeer::ValueRef{e.vaddr, e.vlen});
+          return true;
+        }));
+  }
+  auto values = co_await DeviceTestPeer::Gather(dev, std::move(refs));
+  KVCSD_CO_ASSERT_OK(values);
+  for (const std::string& v : *values) out->values += v;
+}
+
+// Every GET (present, deleted, overwritten and never-written keys) and a
+// full scan, as (status code, value) rows and one fingerprint.
+sim::Task<void> Answers(client::Client* db,
+                        std::vector<std::pair<int, std::string>>* gets,
+                        std::uint32_t* scan) {
+  auto ks = co_await db->OpenKeyspace("fold");
+  KVCSD_CO_ASSERT_OK(ks);
+  for (std::uint64_t i = 0; i < kScratchKeys + 10; ++i) {
+    auto got = co_await ks->Get(MakeFixedKey(i));
+    gets->emplace_back(static_cast<int>(got.status().code()),
+                       got.ok() ? *got : std::string());
+  }
+  std::vector<std::pair<std::string, std::string>> rows;
+  KVCSD_CO_ASSERT_OK(co_await ks->Scan("", "\x7f", 0, &rows));
+  *scan = Fingerprint(rows);
+}
+
+TEST(MutabilityTest, FoldIntoEmptyRunMatchesCompaction) {
+  DeviceConfig cfg = SmallDevice();
+  cfg.output_batch_bytes = KiB(16);  // many appends and PIDX batches
+  harness::CsdTestbed folded(testutil::Bed(cfg));
+  harness::CsdTestbed compacted(testutil::Bed(cfg));
+  auto create = [](client::Client* db, bool compact) -> sim::Task<void> {
+    auto ks = co_await db->CreateKeyspace("fold");
+    KVCSD_CO_ASSERT_OK(ks);
+    if (!compact) co_return;
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  };
+  // Compacted while EMPTY: the mutations land in the delta of an empty run.
+  testutil::RunSim(folded.sim(), create(&folded.client(), true));
+  ASSERT_TRUE(FoldKeyspace(&folded)->pidx_sketch.empty());
+  testutil::RunSim(folded.sim(), MutateFold(&folded.client()));
+  Fold(&folded);
+  EXPECT_EQ(Counter(folded, "device.recompact.done"), 1u);
+  EXPECT_EQ(Counter(folded, "device.recompact.pidx_blocks_retained"), 0u);
+  EXPECT_EQ(Counter(folded, "device.recompact.pidx_blocks_rebuilt"), 1u);
+
+  testutil::RunSim(compacted.sim(), create(&compacted.client(), false));
+  testutil::RunSim(compacted.sim(), MutateFold(&compacted.client()));
+  Fold(&compacted);  // a WRITABLE keyspace: a full compaction
+  EXPECT_EQ(Counter(compacted, "device.compact.done"), 1u);
+  EXPECT_EQ(Counter(compacted, "device.recompact.done"), 0u);
+
+  EXPECT_GT(Counter(compacted, "zns.sorted_values.appends"), 4u);
+  EXPECT_EQ(Counter(folded, "zns.sorted_values.appends"),
+            Counter(compacted, "zns.sorted_values.appends"));
+  EXPECT_EQ(Counter(folded, "zns.sorted_values.append_bytes"),
+            Counter(compacted, "zns.sorted_values.append_bytes"));
+  RunContents run_folded, run_compacted;
+  testutil::RunSim(folded.sim(), ReadRun(&folded, &run_folded));
+  testutil::RunSim(compacted.sim(), ReadRun(&compacted, &run_compacted));
+  EXPECT_GT(run_compacted.blocks, 4u);
+  EXPECT_EQ(run_folded.blocks, run_compacted.blocks);
+  EXPECT_EQ(run_folded.entries, run_compacted.entries);
+  EXPECT_EQ(run_folded.values, run_compacted.values);
+  EXPECT_EQ(FoldKeyspace(&folded)->num_kvs, run_compacted.entries.size());
+
+  std::vector<std::pair<int, std::string>> gets_folded, gets_compacted;
+  std::uint32_t scan_folded = 0, scan_compacted = 0;
+  testutil::RunSim(folded.sim(),
+                   Answers(&folded.client(), &gets_folded, &scan_folded));
+  testutil::RunSim(compacted.sim(), Answers(&compacted.client(),
+                                            &gets_compacted, &scan_compacted));
+  EXPECT_EQ(gets_folded, gets_compacted);
+  EXPECT_EQ(scan_folded, scan_compacted);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Shard-router semantics (DESIGN.md §15): single-shard degeneracy against
 // the plain client, scatter-gather merges with empty shards, limit
 // truncation exactly at shard boundaries, deterministic routing across a
-// fleet-wide power cycle, per-shard stage histograms, and a regression
-// test for the batched-PUT admission-window deadlock.
+// fleet-wide power cycle, per-shard stage histograms, a regression test
+// for the batched-PUT admission-window deadlock, and per-pair outcomes of
+// a batched PUT.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -388,6 +389,35 @@ TEST(RouterTest, ConcurrentBatchesOverflowAdmissionWindow) {
     KVCSD_CO_ASSERT_OK(stat);
     KVCSD_CO_ASSERT(stat->num_kvs == kDrivers * kBatches * kBatchSize);
   }(&router));
+}
+
+// --------------------------------------------------------------------------
+// A batched PUT reports each pair's outcome through that pair's future:
+// the scatter itself never fails. With the keyspace dropped on shard 1
+// only, shard 0's pairs land and shard 1's fail, each in its own future.
+// --------------------------------------------------------------------------
+TEST(RouterTest, PutBatchAsyncReportsEachPairThroughItsFuture) {
+  harness::ShardedTestbed f(Fleet(2),
+                            std::make_unique<RangePartitioner>(
+                                std::vector<std::string>{MakeFixedKey(50)}));
+  testutil::RunSim(f.sim(), [](harness::ShardedTestbed* fx) -> sim::Task<void> {
+    auto ks = co_await fx->router().CreateKeyspace("half");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await fx->client(1).DropKeyspace("half"));
+    std::vector<std::pair<std::string, std::string>> pairs;
+    for (std::uint64_t i = 40; i < 60; ++i) {
+      pairs.emplace_back(MakeFixedKey(i), "v" + std::to_string(i));
+    }
+    auto futures = co_await ks->PutBatchAsync(std::move(pairs));
+    KVCSD_CO_ASSERT(futures.size() == 20);
+    for (std::uint64_t i = 0; i < futures.size(); ++i) {
+      Status s = co_await futures[i].Await();
+      KVCSD_CO_ASSERT(s.ok() == (40 + i < 50));
+    }
+    auto stat = co_await ks->shard_handle(0).GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    KVCSD_CO_ASSERT(stat->num_kvs == 10);
+  }(&f));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "../testutil.h"
 #include "sim/fault.h"
@@ -58,6 +59,32 @@ TEST(ZnsFaultTest, InjectedAppendErrorLeavesZoneUntouched) {
   auto good = testutil::RunSim(sim, ssd.Append(3, AsBytes("doomed")));
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(ReadZone(sim, ssd, 3), "doomed");
+}
+
+// ResetZones never fails as a whole: each zone's reset status comes back
+// in its own slot, and a failed reset leaves only its own zone written.
+TEST(ZnsFaultTest, ResetZonesReportsEachZonesStatus) {
+  sim::Simulation sim;
+  sim::FaultInjector faults;
+  ZnsSsd ssd(&sim, FaultyZns(&faults));
+  for (std::uint32_t zone : {1u, 2u, 3u}) {
+    ASSERT_TRUE(testutil::RunSim(sim, ssd.Append(zone, AsBytes("data"))).ok());
+  }
+
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kReset;
+  rule.zone = 2;
+  faults.AddErrorRule(rule);
+
+  const std::vector<Status> results =
+      testutil::RunSim(sim, ssd.ResetZones({1, 2, 3}));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_EQ(results[1].code(), StatusCode::kIoError);
+  EXPECT_TRUE(results[2].ok());
+  EXPECT_EQ(ssd.write_pointer(1), 0u);
+  EXPECT_EQ(ReadZone(sim, ssd, 2), "data");
+  EXPECT_EQ(ssd.write_pointer(3), 0u);
 }
 
 TEST(ZnsFaultTest, PowerOffFailsAllOperationsButKeepsBytes) {
