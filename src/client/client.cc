@@ -47,6 +47,7 @@ Result<KeyspaceHandle::Stat> DecodeStat(nvme::Completion completion) {
   KeyspaceHandle::Stat stat;
   stat.num_kvs = completion.count;
   stat.state = std::move(completion.value);
+  stat.compaction_status = std::move(completion.job_status);
   return stat;
 }
 

@@ -300,6 +300,9 @@ class KeyspaceHandle {
   struct Stat {
     std::uint64_t num_kvs = 0;
     std::string state;
+    // The last compaction's or fold's outcome (Ok before the first): a
+    // failed job rolls the keyspace back, so `state` alone hides it.
+    Status compaction_status;
   };
   sim::Task<Result<Stat>> GetStat();
 

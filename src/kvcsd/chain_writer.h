@@ -1,5 +1,6 @@
 // The device's windowed in-order writers (DESIGN.md §7), shared by the
-// compaction (compactor.cc) and the incremental fold (recompact.cc).
+// compaction (compactor.cc) and the incremental fold (recompact.cc), and
+// the batched index-block reader of the whole-run index walks.
 //
 //  * ChainWriter — the one writer of every compaction output chain: the
 //    TEMP runs of both external sorts, the SORTED_VALUES of a compaction
@@ -13,6 +14,10 @@
 //  * IndexWriter — packs PIDX or SIDX entries into index blocks and
 //    writes them through a ChainWriter, one sketch entry per block,
 //    carrying the block's value spans (DESIGN.md §10).
+//  * Device::StreamIndexBlocks — the whole-run index walks' reader: a
+//    fold's dirty PIDX blocks and its SIDX stream, a SIDX build's PIDX
+//    scan. Batch gathers with no index-cache lookup, decoded on the SoC
+//    cores.
 //
 // An append claims its flash address synchronously when it starts;
 // appends start in issue order and one writer owns its chain, so every
@@ -75,8 +80,6 @@ class Device::ChainWriter {
   // Waits for every issued append; returns the first failure.
   sim::Task<Status> Join() { return appends_.Wait(); }
 
-  std::int64_t inflight() const { return appends_.pending(); }
-
  private:
   sim::Task<Status> Run(std::string data, Landed landed) {
     auto addr = co_await dev_->AppendToChain(
@@ -133,9 +136,17 @@ struct Device::ValueBatch {
 };
 
 // Entries pack into blocks exactly as IndexBlockPacker packs them; every
-// output batch of closed blocks is one append. Sketch entries are pushed
-// at issue time and their addresses filled in when the append lands, so
+// output batch of closed blocks is one append. A block's sketch entry is
+// pushed once the block is published (at a region end or at the append
+// that carries it) and its address filled in when the append lands, so
 // Join() must run before the sketch is read or the writer destroyed.
+//
+// The region rule: EndRegion() closes the open block, so the entries of
+// one region (a fold's rebuilt PIDX block or SIDX dirty region) never
+// share a block with the next region's, but the closed blocks of
+// consecutive regions share appends. A caller that carries old blocks
+// over by reference pushes their sketch entries right after EndRegion(),
+// between the regions' own.
 class Device::IndexWriter {
  public:
   IndexWriter(Device* dev, ZoneType type, std::vector<ClusterId>* chain,
@@ -149,49 +160,118 @@ class Device::IndexWriter {
   // blocks fill an output batch, i.e. when Flush() is due.
   bool AddPidx(const Slice& key, std::uint64_t vaddr, std::uint32_t vlen) {
     packer_.AddPidx(key, vaddr, vlen);
-    return packer_.closed_bytes() >= dev_->config_.output_batch_bytes;
+    return FlushDue();
   }
   bool AddSidx(const SidxTuple& t) {
     packer_.AddSidx(t.skey, t.pkey, t.vaddr, t.vlen);
-    return packer_.closed_bytes() >= dev_->config_.output_batch_bytes;
+    return FlushDue();
+  }
+
+  // Ends a region: closes the open block and publishes the closed blocks'
+  // sketch entries without issuing them. Returns true when Flush() is due.
+  bool EndRegion() {
+    packer_.Close();
+    Publish();
+    return FlushDue();
   }
 
   // Issues the closed blocks as one append (no-op when there are none).
   sim::Task<Status> Flush() {
     if (packer_.closed_bytes() == 0) co_return Status::Ok();
-    std::vector<wire::PackedBlock> packed;
-    std::string blob = packer_.Take(&packed);
-    const std::size_t first = sketch_->size();
-    for (wire::PackedBlock& b : packed) {
-      sketch_->push_back(SketchEntry{std::move(b.pivot), 0, kIndexBlockSize,
-                                     std::move(b.spans)});
-    }
+    Publish();
+    std::string blob = packer_.TakeBytes();
     std::vector<SketchEntry>* sketch = sketch_;
-    const std::size_t blocks = packed.size();
-    co_return co_await out_.Append(
-        std::move(blob), [sketch, first, blocks](std::uint64_t addr) {
-          for (std::size_t i = 0; i < blocks; ++i) {
-            (*sketch)[first + i].block_addr = addr + i * kIndexBlockSize;
-          }
-        });
+    ChainWriter::Landed landed = [sketch, slots = std::exchange(unplaced_, {})](
+                                     std::uint64_t addr) {
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        (*sketch)[slots[i]].block_addr = addr + i * kIndexBlockSize;
+      }
+    };
+    co_return co_await out_.Append(std::move(blob), landed);
   }
 
-  // Closes the open block and issues everything packed so far: the
-  // entries added since the previous Close() never share a block or an
-  // append with the ones after it.
+  // Closes the open block and issues everything packed so far.
   sim::Task<Status> Close() {
     packer_.Close();
     return Flush();
   }
 
   sim::Task<Status> Join() { return out_.Join(); }
-  std::int64_t inflight() const { return out_.inflight(); }
 
  private:
+  bool FlushDue() const {
+    return packer_.closed_bytes() >= dev_->config_.output_batch_bytes;
+  }
+  // Pushes the sketch entries of the blocks closed since the last call,
+  // their addresses pending.
+  void Publish() {
+    for (wire::PackedBlock& b : packer_.TakeBlocks()) {
+      unplaced_.push_back(sketch_->size());
+      sketch_->push_back(SketchEntry{std::move(b.pivot), 0, kIndexBlockSize,
+                                     std::move(b.spans)});
+    }
+  }
+
   Device* dev_;
   std::vector<SketchEntry>* sketch_;
   wire::IndexBlockPacker packer_;
   ChainWriter out_;
+  std::vector<std::size_t> unplaced_;  // sketch slots of the next append
 };
+
+// Batches are consecutive blocks of `blocks`, cut before the block that
+// would take one past 1 MiB (GatherValues' range cap), lowered to a fifth
+// of a compaction's phase-2 key share, the size of one of its value
+// batches. With `window` gathers in flight beside the batch being
+// decoded and consumed, at most window + 1 fifths of that share are
+// resident.
+template <typename T, typename Decode, typename Consume>
+sim::Task<Status> Device::StreamIndexBlocks(
+    const std::vector<SketchEntry>& sketch,
+    const std::vector<std::size_t>& blocks, std::uint32_t window,
+    sim::Activity act, Decode decode, Consume consume) {
+  const std::uint64_t batch_bytes =
+      std::min<std::uint64_t>(MiB(1), config_.dram_bytes / 4 / 5);
+  std::vector<std::size_t> starts;  // first block of each batch
+  std::uint64_t fill = 0;
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const std::uint64_t len = sketch[blocks[k]].block_len;
+    if (k == 0 || fill + len > batch_bytes) {
+      starts.push_back(k);
+      fill = 0;
+    }
+    fill += len;
+  }
+  starts.push_back(blocks.size());
+
+  auto gather = [&](std::size_t b)
+      -> sim::Task<Result<std::vector<std::string>>> {
+    std::vector<ValueRef> refs;
+    refs.reserve(starts[b + 1] - starts[b]);
+    for (std::size_t k = starts[b]; k < starts[b + 1]; ++k) {
+      refs.push_back(ValueRef{sketch[blocks[k]].block_addr,
+                              sketch[blocks[k]].block_len});
+    }
+    return GatherValues(std::move(refs), act);
+  };
+  const std::uint32_t cores = std::max<std::uint32_t>(config_.soc_cores, 1);
+  std::vector<T> decoded;
+  auto process = [&](std::size_t b,
+                     std::vector<std::string> batch) -> sim::Task<Status> {
+    const std::size_t first = starts[b];
+    decoded.clear();
+    decoded.resize(batch.size());
+    KVCSD_CO_RETURN_IF_ERROR(co_await sim::ParallelFor(
+        sim_, batch.size(), cores, [&](std::size_t i) -> sim::Task<Status> {
+          return decode(first + i, batch[i], &decoded[i]);
+        }));
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+      KVCSD_CO_RETURN_IF_ERROR(co_await consume(first + i, std::move(decoded[i])));
+    }
+    co_return Status::Ok();
+  };
+  co_return co_await sim::OrderedParallelFor<std::vector<std::string>>(
+      sim_, starts.size() - 1, window, gather, process);
+}
 
 }  // namespace kvcsd::device

@@ -44,6 +44,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <utility>
@@ -1060,24 +1061,38 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     co_return co_await extract(&batches[open]);
   };
 
-  // PIDX blocks are read gather_fanout wide through a read-ahead ring and
-  // scanned in sketch order, so the scan batches (and everything sorted
-  // from them) are exactly those of a block-at-a-time walk.
-  auto read_block = [&](std::size_t i) {
-    return ReadIndexBlock(ks->id, ks->pidx_sketch[i], sim::Activity::kCompact);
+  // PIDX blocks are read in batches (StreamIndexBlocks), searched on the
+  // SoC cores (a block search is the decode's only charge) and scanned in
+  // sketch order, so the scan batches (and everything sorted from them)
+  // are exactly those of a block-at-a-time walk. The scan gathers values
+  // itself, so one block gather in flight (overlapping the scan of the
+  // batch before it) keeps ahead of it; a second would only hold back the
+  // value gathers on the channels they share. The blocks read go into the
+  // index cache (a fill, not a lookup), so the queries that follow a
+  // build find the run warm.
+  struct ScannedEntry {
+    std::string key;
+    std::uint64_t vaddr = 0;
+    std::uint32_t vlen = 0;
   };
-  auto scan_block = [&](std::size_t,
-                        const std::string& block) -> sim::Task<Status> {
-    std::vector<wire::PidxEntry> entries;
-    KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::PidxEntry>(
-        block, [&entries](const wire::PidxEntry& entry) {
-          entries.push_back(entry);
+  auto decode_block = [this, ks](std::size_t k, const std::string& block,
+                                 std::vector<ScannedEntry>* entries)
+      -> sim::Task<Status> {
+    index_cache_.Insert(ks->id, ks->pidx_sketch[k].block_addr, block);
+    co_await cpu_.Compute(config_.costs.block_search, sim::Activity::kCompact);
+    co_return wire::ForEachIndexEntry<wire::PidxEntry>(
+        block, [entries](const wire::PidxEntry& entry) {
+          entries->push_back(
+              ScannedEntry{entry.key.ToString(), entry.vaddr, entry.vlen});
           return true;
-        }));
-    for (const wire::PidxEntry& entry : entries) {
+        });
+  };
+  auto scan_block = [&](std::size_t, std::vector<ScannedEntry> entries)
+      -> sim::Task<Status> {
+    for (ScannedEntry& entry : entries) {
       ScanBatch& b = batches[open];
       b.refs.push_back(ValueRef{entry.vaddr, entry.vlen});
-      b.keys.push_back(entry.key.ToString());
+      b.keys.push_back(std::move(entry.key));
       b.bytes += entry.vlen;
       if (b.bytes >= config_.output_batch_bytes) {
         KVCSD_CO_RETURN_IF_ERROR(co_await ship());
@@ -1085,9 +1100,10 @@ sim::Task<Status> Device::BuildSecondaryIndexInner(
     }
     co_return Status::Ok();
   };
-  Status status = co_await sim::OrderedParallelFor<std::string>(
-      sim_, ks->pidx_sketch.size(),
-      std::max<std::uint32_t>(config_.gather_fanout, 1), read_block,
+  std::vector<std::size_t> every(ks->pidx_sketch.size());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  Status status = co_await StreamIndexBlocks<std::vector<ScannedEntry>>(
+      ks->pidx_sketch, every, 1, sim::Activity::kCompact, decode_block,
       scan_block);
   // The last open batch, then the last gathered one.
   if (status.ok()) status = co_await ship();

@@ -464,6 +464,7 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
     case nvme::Opcode::kKeyspaceStat:
       out.count = ks->num_kvs;
       out.value = std::string(KeyspaceStateName(ks->state));
+      out.job_status = ks->runtime.compaction_status;
       out.status = Status::Ok();
       break;
     default:

@@ -266,6 +266,19 @@ class Device {
   // IndexWriter packs PIDX/SIDX blocks and their sketch through one.
   class ChainWriter;
   class IndexWriter;
+  // The batched reader of the whole-run index walks (chain_writer.h): a
+  // fold's dirty PIDX blocks and its SIDX stream, a SIDX build's PIDX
+  // scan. Reads sketch[blocks[0]], sketch[blocks[1]], ... in batches,
+  // each one GatherValues with no index-cache lookup; runs
+  // decode(k, block, T*) -> Task<Status> for a batch's blocks on
+  // soc_cores cores, then consume(k, T&&) -> Task<Status> in order,
+  // while the next `window` batches are gathered. Stops at the first
+  // failure.
+  template <typename T, typename Decode, typename Consume>
+  sim::Task<Status> StreamIndexBlocks(const std::vector<SketchEntry>& sketch,
+                                      const std::vector<std::size_t>& blocks,
+                                      std::uint32_t window, sim::Activity act,
+                                      Decode decode, Consume consume);
 
   // --- write path ---
   using WriteBuffer = KeyspaceRuntime::WriteBuffer;

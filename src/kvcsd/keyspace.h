@@ -157,7 +157,7 @@ struct KeyspaceRuntime {
   sim::Event compaction_done;
   // The last (re)compaction job's status: Ok from its start until it
   // ends, then its result, set before compaction_done. kCompactWait
-  // returns it.
+  // returns it and kKeyspaceStat carries it.
   Status compaction_status;
   // Set when active_readers drops to zero; the fold commit waits on it.
   sim::Event readers_idle;

@@ -22,18 +22,21 @@
 //    scans assert survives. Clean blocks are retained by reference.
 //  * Bloom — new keys are OR-ed into the serialized filter in place
 //    (BloomFilterAddKey). Deleted keys leave their bits set: that only
-//    ever costs false positives, never false negatives.
+//    ever costs false positives, never false negatives. A run with no
+//    blocks gets a filter built afresh from the delta's live keys.
 //
-// Both index folds are pipelines: block reads (and the PIDX merge CPU) run
-// gather_fanout wide through a read-ahead ring (sim::OrderedParallelFor),
-// and one in-order IndexWriter (chain_writer.h) consumes the blocks in
-// sketch order, issuing each append without waiting for the previous one
-// to finish programming. The re-appended values go through the same
-// windowed ChainWriter. The appends are the serial fold's appends, in the
-// serial fold's order, so the output bytes and addresses are unchanged;
-// only the time shrinks. Entries pack one region (a rebuilt PIDX block, a
-// SIDX dirty region) at a time: a region never shares a block or an
-// append with its neighbours.
+// Both index folds are batched decode -> merge -> encode pipelines, the
+// shape of a compaction's phase 2: Device::StreamIndexBlocks
+// (chain_writer.h) gathers the blocks in sketch-order batches, two
+// batches in flight, decodes each batch's blocks on the SoC cores (a
+// dirty PIDX block is merged with its delta keys there) and hands them in
+// order to one IndexWriter, which issues each append without waiting for
+// the previous one to finish programming. A region (a rebuilt PIDX block,
+// a SIDX dirty region) never shares a block with its neighbours, but
+// consecutive regions share output_batch_bytes appends, as a compaction's
+// blocks do: the output bytes and sketch pivots are those of one append
+// per region, and only block addresses and time differ. The re-appended
+// values go through the same windowed ChainWriter.
 //
 // Commit protocol: the RECOMPACTING state is persisted before any output
 // is written (recovery rolls it straight back to COMPACTED, delta intact,
@@ -47,6 +50,7 @@
 // a blend.
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -89,7 +93,11 @@ sim::Task<Result<std::string>> Device::LoadDeltaValue(const DeltaEntry& entry,
 sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
     Keyspace* ks, std::vector<ClusterId>* scratch) {
   const Tick fold_start = sim_->Now();
-  const std::uint32_t fanout = std::max<std::uint32_t>(config_.gather_fanout, 1);
+  // Block gathers in flight in both index folds: a fold's consumers only
+  // pack and append, so a second gather hides the first one's NAND
+  // latency where DRAM keeps batches small; gather_fanout 1 keeps the
+  // reads serial.
+  const std::uint32_t window = std::min<std::uint32_t>(config_.gather_fanout, 2);
   // The fold must observe the complete delta log (and the durable log
   // extent must match what the fold consumes, for recovery's sake).
   KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
@@ -193,34 +201,32 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
       }
     };
 
-    // Read stage, `fanout` wide: fetch dirty block d, merge it with its
-    // delta keys, and charge that block's share of the merge CPU.
-    auto rebuild = [&](std::size_t d) -> sim::Task<Result<std::vector<KlogEntry>>> {
-      const SketchEntry& entry = old_sketch[dirty[d]];
-      auto block = co_await ReadIndexBlock(ks->id, entry, sim::Activity::kRecompact);
-      if (!block.ok()) co_return block.status();
-      compaction_stats_.bytes_read += entry.block_len;
+    // Decode, on the SoC cores: merge dirty block k with its delta keys
+    // and charge that block's share of the merge CPU, which streams every
+    // entry of the block (so no separate block search is charged).
+    auto rebuild = [&](std::size_t k, const std::string& block,
+                       std::vector<KlogEntry>* merged) -> sim::Task<Status> {
+      compaction_stats_.bytes_read += block.size();
       std::vector<KlogEntry> old_recs;
       std::uint64_t fold_bytes = 0;
       KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::PidxEntry>(
-          *block, [&](const wire::PidxEntry& parsed) {
+          block, [&](const wire::PidxEntry& parsed) {
             old_recs.push_back(
                 KlogEntry{parsed.key.ToString(), parsed.vaddr, parsed.vlen});
             fold_bytes += parsed.key.size() + 12;
             return true;
           }));
-      std::vector<KlogEntry> merged;
-      merged.reserve(old_recs.size() + per_block[dirty[d]].size());
-      merge_block(old_recs, per_block[dirty[d]], &merged);
+      merged->reserve(old_recs.size() + per_block[dirty[k]].size());
+      merge_block(old_recs, per_block[dirty[k]], merged);
       if (fold_bytes > 0) {
         co_await cpu_.ComputeBytes(fold_bytes, config_.costs.merge_bytes_per_sec,
                                    sim::Activity::kRecompact);
       }
-      co_return merged;
+      co_return Status::Ok();
     };
 
-    // Write stage, in sketch order: carry the clean blocks before dirty
-    // block d over by reference, then write d's rebuilt blocks.
+    // Consume, in sketch order: carry the clean blocks before dirty block
+    // k over by reference, then stage k's rebuilt blocks as one region.
     IndexWriter out(this, ZoneType::kPidx, &next.pidx_clusters,
                     &next.pidx_sketch, sim::Activity::kRecompact);
     auto write_region = [&out](const std::vector<KlogEntry>& region)
@@ -230,25 +236,22 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
           KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
         }
       }
-      co_return co_await out.Close();
+      if (out.EndRegion()) KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
+      co_return Status::Ok();
     };
     std::size_t carried = 0;  // old blocks consumed so far
-    bool mid_pidx_passed = false;
-    auto write = [&](std::size_t d,
-                     const std::vector<KlogEntry>& merged) -> sim::Task<Status> {
-      for (; carried < dirty[d]; ++carried) next.pidx_sketch.push_back(old_sketch[carried]);
+    auto write = [&](std::size_t k,
+                     std::vector<KlogEntry> merged) -> sim::Task<Status> {
+      for (; carried < dirty[k]; ++carried) next.pidx_sketch.push_back(old_sketch[carried]);
       ++carried;
       KVCSD_CO_RETURN_IF_ERROR(co_await write_region(merged));
-      if (!mid_pidx_passed && out.inflight() >= 2) {
-        mid_pidx_passed = true;
-        if (CrashPoint("recompact.mid_pidx")) {
-          co_return Status::IoError("simulated power loss mid PIDX fold");
-        }
+      if (k == 0 && dirty.size() > 1 && CrashPoint("recompact.mid_pidx")) {
+        co_return Status::IoError("simulated power loss mid PIDX fold");
       }
       co_return Status::Ok();
     };
-    Status folded = co_await sim::OrderedParallelFor<std::vector<KlogEntry>>(
-        sim_, dirty.size(), fanout, rebuild, write);
+    Status folded = co_await StreamIndexBlocks<std::vector<KlogEntry>>(
+        old_sketch, dirty, window, sim::Activity::kRecompact, rebuild, write);
     if (folded.ok()) {
       for (; carried < old_sketch.size(); ++carried) next.pidx_sketch.push_back(old_sketch[carried]);
       if (!orphans.empty()) {
@@ -259,6 +262,7 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
         ++pidx_rebuilt;
       }
     }
+    if (folded.ok()) folded = co_await out.Close();
     Status joined = co_await out.Join();
     scratch->insert(scratch->end(), next.pidx_clusters.begin(),
                     next.pidx_clusters.end());
@@ -278,6 +282,13 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
 
   {
     sim::TraceSpan phase(sim_, trk_compaction_, "recompact.sidx");
+    // Extracting the fresh tuples' secondary keys touches every live delta
+    // value byte, charged once for all indexes as the fused build does.
+    if (!ks->secondary_indexes.empty() && delta.value_bytes > 0) {
+      co_await cpu_.ComputeBytes(delta.value_bytes,
+                                 config_.costs.extract_bytes_per_sec,
+                                 sim::Activity::kRecompact);
+    }
     for (auto& [name, sidx] : ks->secondary_indexes) {
       // The folded index: its fresh clusters and the mixed sketch.
       SecondaryIndex& fold = next.secondary_indexes[name];
@@ -323,7 +334,8 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
 
       auto emit_region = [&](std::size_t region_end) -> sim::Task<Status> {
         // Merge the region's survivors with the fresh tuples whose
-        // insertion span starts inside it, then re-pack as SIDX blocks.
+        // insertion span starts inside it, then re-pack as SIDX blocks,
+        // charged at SidxMergeToBlocks' rate for DRAM-resident tuples.
         std::vector<SidxTuple> incoming;
         while (fresh_cursor < fresh.size() &&
                (sketch.empty() || (fresh_start[fresh_cursor] >= region_start &&
@@ -340,35 +352,41 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
                    std::make_move_iterator(incoming.end()),
                    std::back_inserter(merged), SidxOrder);
         region.clear();
+        std::uint64_t packed = 0;
+        for (const SidxTuple& t : merged) {
+          packed += t.skey.size() + t.pkey.size() + 12;
+        }
+        co_await cpu_.ComputeBytes(packed, config_.costs.memcpy_bytes_per_sec,
+                                   sim::Activity::kRecompact);
         for (const SidxTuple& t : merged) {
           if (out.AddSidx(t)) KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
         }
-        co_return co_await out.Close();
+        if (out.EndRegion()) KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
+        co_return Status::Ok();
       };
 
-      // Read stage, `fanout` wide: fetch block pos and drop its stale tuples.
-      auto scan = [&](std::size_t pos) -> sim::Task<Result<SidxBlockScan>> {
-        auto block = co_await ReadIndexBlock(ks->id, sketch[pos], sim::Activity::kRecompact);
-        if (!block.ok()) co_return block.status();
-        compaction_stats_.bytes_read += sketch[pos].block_len;
-        SidxBlockScan scanned;
-        KVCSD_CO_RETURN_IF_ERROR(wire::ForEachIndexEntry<wire::SidxEntry>(
-            *block, [&](const wire::SidxEntry& entry) {
+      // Decode, on the SoC cores: search a block and drop its stale tuples.
+      auto scan = [&](std::size_t, const std::string& block,
+                      SidxBlockScan* scanned) -> sim::Task<Status> {
+        compaction_stats_.bytes_read += block.size();
+        co_await cpu_.Compute(config_.costs.block_search,
+                              sim::Activity::kRecompact);
+        co_return wire::ForEachIndexEntry<wire::SidxEntry>(
+            block, [&](const wire::SidxEntry& entry) {
               if (delta_keys.contains(entry.pkey.ToString())) {
-                scanned.lost_tuple = true;
+                scanned->lost_tuple = true;
                 ++removed;
               } else {
-                scanned.survivors.push_back(
+                scanned->survivors.push_back(
                     SidxTuple{entry.skey.ToString(), entry.pkey.ToString(),
                               entry.vaddr, entry.vlen});
               }
               return true;
-            }));
-        co_return scanned;
+            });
       };
 
-      // Write stage, in sketch order: dirty blocks grow the open region,
-      // a clean block closes it and is retained by reference.
+      // Consume, in sketch order: dirty blocks grow the open region, a
+      // clean block closes it and is retained by reference.
       auto visit = [&](std::size_t pos, SidxBlockScan scanned) -> sim::Task<Status> {
         if (dirty[pos] || scanned.lost_tuple) {
           if (!region_open) {
@@ -390,8 +408,10 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
         co_return Status::Ok();
       };
 
-      Status folded = co_await sim::OrderedParallelFor<SidxBlockScan>(
-          sim_, sketch.size(), fanout, scan, visit);
+      std::vector<std::size_t> every(sketch.size());
+      std::iota(every.begin(), every.end(), std::size_t{0});
+      Status folded = co_await StreamIndexBlocks<SidxBlockScan>(
+          sketch, every, window, sim::Activity::kRecompact, scan, visit);
       if (folded.ok() && region_open) {
         folded = co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1);
       }
@@ -402,6 +422,7 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
         folded = co_await emit_region(sketch.empty() ? 0 : sketch.size() - 1);
         ++rebuilt;
       }
+      if (folded.ok()) folded = co_await out.Close();
       Status joined = co_await out.Join();
       scratch->insert(scratch->end(), fold.sidx_clusters.begin(),
                       fold.sidx_clusters.end());
@@ -414,15 +435,28 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
     }
   }
 
-  // ---- Bloom: fold the new keys into the serialized filter in place ----
+  // ---- Bloom ----
+  // New keys are OR-ed into the serialized filter in place. A run with no
+  // blocks was compacted EMPTY and holds the minimum filter, sized for no
+  // keys: its filter is built afresh from the delta's live keys instead,
+  // as a compaction's index stage builds one.
   next.pidx_bloom = ks->pidx_bloom;
   if (!next.pidx_bloom.empty()) {
+    std::optional<BloomFilterBuilder> fresh;
+    if (old_sketch.empty()) {
+      fresh.emplace(static_cast<int>(config_.bloom_bits_per_key));
+    }
     std::uint64_t bloom_key_bytes = 0;
     for (const KlogEntry& e : delta.entries) {
       if (e.tombstone) continue;
-      BloomFilterAddKey(&next.pidx_bloom, Slice(e.key));
+      if (fresh.has_value()) {
+        fresh->AddKey(Slice(e.key));
+      } else {
+        BloomFilterAddKey(&next.pidx_bloom, Slice(e.key));
+      }
       bloom_key_bytes += e.key.size();
     }
+    if (fresh.has_value()) next.pidx_bloom = fresh->Finish();
     if (bloom_key_bytes > 0) {
       co_await cpu_.ComputeBytes(bloom_key_bytes,
                                  config_.costs.checksum_bytes_per_sec, sim::Activity::kRecompact);

@@ -340,14 +340,11 @@ class IndexBlockPacker {
   // Bytes of closed blocks not yet taken.
   std::size_t closed_bytes() const { return closed_.size(); }
 
-  // Hands over the closed blocks (concatenated) and their sketch data.
-  std::string Take(std::vector<PackedBlock>* packed) {
-    *packed = std::move(blocks_);
-    blocks_.clear();
-    std::string blocks = std::move(closed_);
-    closed_.clear();
-    return blocks;
-  }
+  // Hands over the sketch data of the blocks closed since the last call;
+  // their bytes stay until TakeBytes().
+  std::vector<PackedBlock> TakeBlocks() { return std::exchange(blocks_, {}); }
+  // Hands over the closed blocks' bytes, concatenated.
+  std::string TakeBytes() { return std::exchange(closed_, {}); }
 
  private:
   void Reserve(std::size_t entry_size, const Slice& pivot) {

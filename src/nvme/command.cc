@@ -34,6 +34,8 @@ std::uint64_t CompletionWireSize(const Completion& cpl) {
   // Aggregate scalars: rows + min/max/sum. This fixed cost is the whole
   // point of kKvAggregate — the result never grows with the row count.
   if (cpl.has_agg) size += 32;
+  // A failed job's status travels with a stat; a clean one fits the CQE.
+  if (!cpl.job_status.ok()) size += cpl.job_status.message().size();
   return size;
 }
 

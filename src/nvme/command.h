@@ -190,6 +190,7 @@ struct Completion {
   std::string value;                          // retrieve result
   std::vector<std::pair<std::string, std::string>> results;  // range query
   std::uint64_t count = 0;                    // stat result / rows matched
+  Status job_status;  // stat result: last compaction's or fold's status
   // kKvAggregate scalars; has_agg gates their PCIe wire accounting.
   bool has_agg = false;
   AggregateResult agg;

@@ -15,8 +15,8 @@ CrashSweepConfig SweepConfig() {
   CrashSweepConfig c;
   c.keyspaces = 2;
   // Small enough to sweep every hit in ctest, big enough for two PIDX
-  // blocks: the fold's delta dirties both, so two rebuilt-block appends
-  // are in flight at once (recompact.mid_pidx).
+  // blocks: the fold's delta dirties both, so the first rebuilt region is
+  // staged while the second remains (recompact.mid_pidx).
   c.keys_per_keyspace = 240;
   return c;
 }

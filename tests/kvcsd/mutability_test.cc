@@ -18,6 +18,7 @@
 #include "device_test_peer.h"
 #include "kvcsd/device.h"
 #include "kvcsd/wire.h"
+#include "nvme/skey.h"
 #include "sim/fault.h"
 
 namespace kvcsd::device {
@@ -558,11 +559,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RecompactCrashPointTest,
                          });
 
 // --------------------------------------------------------------------------
-// Pipelined fold (recompact.cc): dirty index blocks are read through a
-// gather_fanout-wide window and the rebuilt blocks are appended in sketch
-// order without waiting for each program. The window changes the fold's
-// time, never its output, and a fault in the middle of a full window
-// rolls the fold back as cleanly as a serial one.
+// Pipelined fold (recompact.cc): dirty index blocks are read in batch
+// gathers, two in flight (one at gather_fanout 1), and the rebuilt blocks
+// share appends issued in sketch order without waiting for each program.
+// The window changes the fold's time, never its output, and a fault in
+// the middle of the stream rolls the fold back as cleanly as a serial one.
 // --------------------------------------------------------------------------
 
 constexpr std::uint64_t kFoldKeys = 4000;
@@ -598,10 +599,11 @@ void Fold(harness::CsdTestbed* f) {
 }
 
 // Loads kFoldKeys energy-tagged keys, compacts them with an "energy"
-// secondary index, then spreads a synced delta over every PIDX block:
-// every 23rd key re-tagged, every 41st deleted, five inserts past the old
-// maximum.
-sim::Task<void> LoadCompactSpreadDelta(client::Client* db) {
+// secondary index (unless !indexed), then spreads a synced delta over
+// every PIDX block: every 23rd key re-tagged, every 41st deleted, five
+// inserts past the old maximum.
+sim::Task<void> LoadCompactSpreadDelta(client::Client* db,
+                                       bool indexed = true) {
   auto ks = co_await db->CreateKeyspace("fold");
   KVCSD_CO_ASSERT_OK(ks);
   for (std::uint64_t i = 0; i < kFoldKeys; ++i) {
@@ -614,7 +616,7 @@ sim::Task<void> LoadCompactSpreadDelta(client::Client* db) {
   energy.value_length = 4;
   energy.type = nvme::SecondaryKeyType::kF32;
   std::vector<nvme::SecondaryIndexSpec> specs;
-  specs.push_back(energy);
+  if (indexed) specs.push_back(energy);
   KVCSD_CO_ASSERT_OK(co_await ks->CompactWithIndexes(std::move(specs)));
   KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
   for (std::uint64_t i = 0; i < kFoldKeys; i += 23) {
@@ -771,25 +773,174 @@ void ExpectFoldFaultRollsBack(sim::FaultOp op, std::uint64_t skip,
 
 TEST(MutabilityTest, FoldReadErrorMidWindowRollsBack) {
   // With the cache off and every delta value inline, the fold's first
-  // flash reads are the dirty PIDX blocks: read window + 3 fails while a
-  // full window of reads is in flight, after the blocks ahead of it were
-  // rebuilt and appended.
-  const std::uint64_t window = DeviceConfig{}.gather_fanout;
-  ExpectFoldFaultRollsBack(sim::FaultOp::kRead, window + 2, window + 2);
+  // flash reads are the batch gathers of the dirty PIDX blocks, six
+  // contiguous blocks (one read) each on this device, two in flight.
+  // Read 3, batch 3's gather, fails; the fold meets the error after
+  // merging and staging batches 1 and 2. Their rebuilt blocks wait for a
+  // shared append, so no PIDX append has gone out.
+  ExpectFoldFaultRollsBack(sim::FaultOp::kRead, 2, 0);
 }
 
 TEST(MutabilityTest, FoldAppendErrorMidWindowRollsBack) {
-  // Before its first PIDX append the fold appends the RECOMPACTING
-  // snapshot and one batch of delta values; PIDX append window + 2 fails.
-  const std::uint64_t window = DeviceConfig{}.gather_fanout;
-  ExpectFoldFaultRollsBack(sim::FaultOp::kAppend, 2 + window + 1, window + 1);
+  // Before the SIDX fold's first append the fold appends the RECOMPACTING
+  // snapshot, one batch of delta values and the rebuilt PIDX blocks,
+  // which share one append; the SIDX append fails with that PIDX output
+  // landed.
+  ExpectFoldFaultRollsBack(sim::FaultOp::kAppend, 3, 1);
 }
 
 TEST(MutabilityTest, FoldCommitPersistErrorRollsBack) {
   // The fold appends two snapshots: RECOMPACTING, then the commit. The
-  // commit fails after the whole fold was written: all 27 PIDX appends a
-  // clean fold of this delta issues, its PIDX blob's included.
-  ExpectFoldFaultRollsBack(sim::FaultOp::kAppend, 1, 27, true);
+  // commit fails after the whole fold was written: both PIDX appends a
+  // clean fold of this delta issues, the rebuilt blocks' shared one and
+  // its PIDX blob.
+  ExpectFoldFaultRollsBack(sim::FaultOp::kAppend, 1, 2, true);
+}
+
+// Rebuilt blocks of consecutive regions share appends: a fold that
+// dirties every PIDX block issues at most ceil(rebuilt bytes /
+// output_batch_bytes) PIDX appends plus its blob, far fewer than its
+// regions. The small batch makes several appends of it.
+TEST(MutabilityTest, FoldRegionsShareAppends) {
+  sim::FaultInjector faults(7);
+  DeviceConfig cfg = SmallDevice();
+  cfg.index_cache_enabled = false;
+  cfg.output_batch_bytes = KiB(16);
+  harness::CsdTestbed f(testutil::Bed(cfg, &faults));
+  testutil::RunSim(f.sim(), LoadCompactSpreadDelta(&f.client()));
+  const std::uint64_t appends_before = Counter(f, "zns.pidx.appends");
+  Fold(&f);
+  EXPECT_EQ(Counter(f, "device.recompact.pidx_blocks_retained"), 0u);
+  const std::uint64_t regions =
+      Counter(f, "device.recompact.pidx_blocks_rebuilt");
+  EXPECT_GT(regions, 20u);
+  const std::uint64_t rebuilt_bytes =
+      FoldKeyspace(&f)->pidx_sketch.size() * kIndexBlockSize;
+  const std::uint64_t appends = Counter(f, "zns.pidx.appends") - appends_before;
+  EXPECT_LE(appends, (rebuilt_bytes + cfg.output_batch_bytes - 1) /
+                             cfg.output_batch_bytes +
+                         1);
+  EXPECT_GT(appends, 2u);
+  EXPECT_LT(appends, regions);
+}
+
+// A fold and a SIDX build walk whole runs in batch gathers, past the
+// index cache: neither looks a block up in it.
+TEST(MutabilityTest, FoldAndIndexBuildLookNothingUpInIndexCache) {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  ASSERT_TRUE(f.dev().config().index_cache_enabled);
+  testutil::RunSim(f.sim(), LoadCompactSpreadDelta(&f.client()));
+  const std::uint64_t hits = Counter(f, "device.read_cache.hits");
+  const std::uint64_t misses = Counter(f, "device.read_cache.misses");
+  const std::uint64_t pidx_read = Counter(f, "zns.pidx.read_bytes");
+  const std::uint64_t sidx_read = Counter(f, "zns.sidx.read_bytes");
+  Fold(&f);
+  EXPECT_EQ(Counter(f, "device.recompact.done"), 1u);
+  EXPECT_GT(Counter(f, "zns.pidx.read_bytes"), pidx_read);
+  EXPECT_GT(Counter(f, "zns.sidx.read_bytes"), sidx_read);
+  EXPECT_EQ(Counter(f, "device.read_cache.hits"), hits);
+  EXPECT_EQ(Counter(f, "device.read_cache.misses"), misses);
+
+  const std::uint64_t pidx_read_folded = Counter(f, "zns.pidx.read_bytes");
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("fold");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->CreateSecondaryIndexF32("energy2", 28));
+  }(&f.client()));
+  EXPECT_GT(Counter(f, "zns.pidx.read_bytes"), pidx_read_folded);
+  EXPECT_EQ(Counter(f, "device.read_cache.hits"), hits);
+  EXPECT_EQ(Counter(f, "device.read_cache.misses"), misses);
+}
+
+// The fold's SIDX work costs SoC time: extracting the fresh tuples'
+// secondary keys from the live delta values, packing each rebuilt region
+// and searching each streamed block. This delta rebuilds every SIDX
+// block, so every tuple of the folded index is packed once: an indexed
+// fold's recompact busy time exceeds the same fold without the index by
+// at least the three charges.
+TEST(MutabilityTest, IndexedFoldChargesSidxWork) {
+  sim::FaultInjector plain_faults(7);
+  sim::FaultInjector indexed_faults(7);
+  harness::CsdTestbed plain(FoldBed(&plain_faults));
+  harness::CsdTestbed indexed(FoldBed(&indexed_faults));
+  testutil::RunSim(plain.sim(), LoadCompactSpreadDelta(&plain.client(), false));
+  testutil::RunSim(indexed.sim(), LoadCompactSpreadDelta(&indexed.client()));
+  ASSERT_TRUE(FoldKeyspace(&plain)->secondary_indexes.empty());
+
+  // Extraction: every live delta value. Every tuple has the same size.
+  Keyspace* ks = FoldKeyspace(&indexed);
+  const SecondaryIndex& sidx = ks->secondary_indexes.at("energy");
+  const std::uint64_t sidx_blocks = sidx.sketch.size();
+  std::uint64_t value_bytes = 0;
+  std::uint64_t tuple_size = 0;
+  for (const auto& [key, entry] : ks->delta_index) {
+    if (entry.tombstone) continue;
+    ASSERT_TRUE(entry.has_value);
+    value_bytes += entry.vlen;
+    auto skey = nvme::ExtractSecondaryKey(Slice(entry.value), sidx.spec);
+    ASSERT_TRUE(skey.ok());
+    tuple_size = skey->size() + key.size() + 12;
+  }
+  ASSERT_GT(value_bytes, 0u);
+
+  auto recompact_busy = [](harness::CsdTestbed& f) {
+    return f.dev().cpu().meter().TotalBusy()[static_cast<std::size_t>(
+        sim::Activity::kRecompact)];
+  };
+  const Tick plain_before = recompact_busy(plain);
+  const Tick indexed_before = recompact_busy(indexed);
+  Fold(&plain);
+  Fold(&indexed);
+  const Tick plain_fold = recompact_busy(plain) - plain_before;
+  const Tick indexed_fold = recompact_busy(indexed) - indexed_before;
+  EXPECT_EQ(Counter(indexed, "device.recompact.sidx_blocks_retained"), 0u);
+  const std::uint64_t tuples = ks->secondary_indexes.at("energy").entries;
+  const hostenv::CostModel& costs = indexed.dev().config().costs;
+  const Tick charges =
+      TransferTicks(value_bytes, costs.extract_bytes_per_sec) +
+      TransferTicks(tuples * tuple_size, costs.memcpy_bytes_per_sec) +
+      static_cast<Tick>(sidx_blocks) * costs.block_search;
+  EXPECT_GE(indexed_fold, plain_fold + charges);
+}
+
+// A failed fold rolls the keyspace back to COMPACTED, so its state alone
+// hides the failure: the stat carries the fold's status until a clean
+// fold resets it.
+TEST(MutabilityTest, StatCarriesTheLastFoldStatus) {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(FoldBed(&injector));
+  testutil::RunSim(f.sim(), LoadCompactSpreadDelta(&f.client()));
+  auto expect_stat = [&f](StatusCode code) {
+    testutil::RunSim(f.sim(), [](client::Client* db,
+                                 StatusCode want) -> sim::Task<void> {
+      auto ks = co_await db->OpenKeyspace("fold");
+      KVCSD_CO_ASSERT_OK(ks);
+      auto stat = co_await ks->GetStat();
+      KVCSD_CO_ASSERT_OK(stat);
+      KVCSD_CO_ASSERT(stat->state == "COMPACTED");
+      KVCSD_CO_ASSERT(stat->compaction_status.code() == want);
+    }(&f.client(), code));
+  };
+  expect_stat(StatusCode::kOk);
+
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  rule.skip = 2;  // the RECOMPACTING snapshot and the delta values land
+  injector.AddErrorRule(rule);
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("fold");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    Status waited = co_await ks->WaitCompaction();
+    KVCSD_CO_ASSERT(waited.code() == StatusCode::kIoError);
+  }(&f.client()));
+  EXPECT_EQ(injector.errors_injected(), 1u);
+  EXPECT_EQ(Counter(f, "device.recompact.done"), 0u);
+  expect_stat(StatusCode::kIoError);
+
+  Fold(&f);  // the rule fired once; the retry runs clean
+  EXPECT_EQ(Counter(f, "device.recompact.done"), 1u);
+  expect_stat(StatusCode::kOk);
 }
 
 // Overwrites every 7th key of [0, keys) and deletes every 11th, then folds
@@ -909,8 +1060,8 @@ TEST(MutabilityTest, DeltaIndexGaugeTracksEntriesAndDrainsOnFold) {
 // as a compaction, so it must write what a fresh compaction of the same
 // final contents writes: the same SORTED_VALUES appends, carrying the same
 // value bytes in key order, the same PIDX entries in as many blocks, and
-// the same answers. The bloom filter is left out: an empty compaction
-// builds a filter sized for no keys and the fold ORs every key into it.
+// the same answers, and the same bloom filter: the fold builds its filter
+// afresh rather than OR the keys into the empty compaction's minimum one.
 // --------------------------------------------------------------------------
 
 constexpr std::uint64_t kScratchKeys = 1500;
@@ -1026,10 +1177,20 @@ TEST(MutabilityTest, FoldIntoEmptyRunMatchesCompaction) {
   EXPECT_EQ(run_folded.values, run_compacted.values);
   EXPECT_EQ(FoldKeyspace(&folded)->num_kvs, run_compacted.entries.size());
 
+  EXPECT_FALSE(FoldKeyspace(&folded)->pidx_bloom.empty());
+  EXPECT_EQ(FoldKeyspace(&folded)->pidx_bloom,
+            FoldKeyspace(&compacted)->pidx_bloom);
+
   std::vector<std::pair<int, std::string>> gets_folded, gets_compacted;
   std::uint32_t scan_folded = 0, scan_compacted = 0;
+  const std::uint64_t negative = Counter(folded, "device.bloom.negative");
+  const std::uint64_t false_positive =
+      Counter(folded, "device.bloom.false_positive");
   testutil::RunSim(folded.sim(),
                    Answers(&folded.client(), &gets_folded, &scan_folded));
+  // Deleted and never-written keys: the filter answers each from DRAM.
+  EXPECT_EQ(Counter(folded, "device.bloom.negative") - negative, 101u);
+  EXPECT_EQ(Counter(folded, "device.bloom.false_positive"), false_positive);
   testutil::RunSim(compacted.sim(), Answers(&compacted.client(),
                                             &gets_compacted, &scan_compacted));
   EXPECT_EQ(gets_folded, gets_compacted);
