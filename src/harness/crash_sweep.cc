@@ -634,7 +634,7 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
   }
 
   sim::FaultInjector faults(config.seed);
-  faults.set_torn_tail_keep(config.torn_tail_keep);
+  faults.set_torn_tail_keep(kCrashSweepTornTailKeep);
   if (crash_at_hit > 0) faults.ArmCrashAtHit(crash_at_hit);
   TestbedConfig bed_config;
   bed_config.host_cores = 8;

@@ -34,12 +34,14 @@
 
 namespace kvcsd::harness {
 
+// Fraction of the in-flight append surviving a sweep's power cut (torn
+// tail).
+inline constexpr double kCrashSweepTornTailKeep = 0.5;
+
 struct CrashSweepConfig {
   std::uint32_t keyspaces = 2;
   std::uint32_t keys_per_keyspace = 240;
   std::uint32_t value_bytes = 24;
-  // Fraction of the in-flight append surviving a power cut (torn tail).
-  double torn_tail_keep = 0.5;
   std::uint64_t seed = 42;
   // Zone geometry. Shrinking zones makes the metadata zone wrap during
   // the workload, which is the only way to reach the ping-pong crash

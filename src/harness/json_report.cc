@@ -6,45 +6,13 @@
 #include <cstdio>
 #include <ctime>
 
+#include "common/json.h"
 #include "harness/flags.h"
 #include "harness/report.h"
 
 namespace kvcsd::harness {
 
 namespace {
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
 
 // Shortest round-trip rendering; the same double always prints the same
 // bytes, independent of locale or printf quirks.
@@ -152,7 +120,7 @@ void JsonValue::AppendTo(std::string* out) const {
       AppendDouble(out, double_);
       break;
     case Kind::kString:
-      AppendEscaped(out, string_);
+      AppendJsonString(out, string_);
       break;
     case Kind::kArray: {
       *out += '[';
@@ -171,7 +139,7 @@ void JsonValue::AppendTo(std::string* out) const {
       for (const auto& [k, v] : members_) {
         if (!first) *out += ',';
         first = false;
-        AppendEscaped(out, k);
+        AppendJsonString(out, k);
         *out += ':';
         v.AppendTo(out);
       }

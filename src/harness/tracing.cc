@@ -4,6 +4,8 @@
 #include <fstream>
 #include <string>
 
+#include "common/json.h"
+
 namespace kvcsd::harness {
 
 namespace {
@@ -43,7 +45,9 @@ void DumpHealth(sim::Simulation* sim) {
   for (const auto& [name, value] : gauges) {
     if (!first) json += ",";
     first = false;
-    json += "\n    \"" + name + "\": " + std::to_string(value);
+    json += "\n    ";
+    AppendJsonString(&json, name);
+    json += ": " + std::to_string(value);
   }
   if (!first) json += "\n  ";
   json += "}\n}\n";

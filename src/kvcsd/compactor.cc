@@ -102,7 +102,6 @@ sim::Task<Status> Device::SpillRun(std::vector<typename Traits::Entry>* entries,
   std::sort(entries->begin(), entries->end(),
             [](const auto& a, const auto& b) { return Traits::Less(a, b); });
   SpilledRun run;
-  run.entries = entries->size();
   ChainWriter out(this, chain, ZoneType::kTemp, sim::Activity::kCompact);
   std::string chunk;
   chunk.reserve(config_.output_batch_bytes);
@@ -940,7 +939,6 @@ sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
   if (bloom.has_value()) next.pidx_bloom = bloom->Finish();
   // After the LWW pass, entries_total is the exact count of distinct live
   // keys in the run (duplicates collapsed, tombstone winners dropped).
-  next.num_kvs = pipe.entries_total;
   next.run_entries = pipe.entries_total;
   co_return JobOutput{std::move(next), std::move(temp_clusters), nullptr};
 }

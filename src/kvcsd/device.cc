@@ -118,14 +118,21 @@ void Device::CollectTelemetry(sim::TelemetrySampler::Gauges* out) const {
     out->emplace_back(p + "zns." + role + ".zones", usage.zones);
     out->emplace_back(p + "zns." + role + ".bytes", usage.bytes);
   }
+  // A log's bytes are its chain's write pointers, the same extent a
+  // replay parses.
+  auto chain_bytes = [this](const std::vector<ClusterId>& chain) {
+    std::uint64_t bytes = 0;
+    for (ClusterId id : chain) bytes += zone_manager_.ClusterBytes(id);
+    return bytes;
+  };
   std::uint64_t delta_index_bytes_total = 0;
   for (const auto& [id, ks] : keyspace_manager_.all()) {
     const std::string prefix = p + "device.ks." + ks->name + ".";
     out->emplace_back(prefix + "state",
                       static_cast<std::uint64_t>(ks->state));
-    out->emplace_back(prefix + "num_kvs", ks->num_kvs);
-    out->emplace_back(prefix + "klog_bytes", ks->klog_bytes);
-    out->emplace_back(prefix + "vlog_bytes", ks->vlog_bytes);
+    out->emplace_back(prefix + "num_kvs", ks->NumKvs());
+    out->emplace_back(prefix + "klog_bytes", chain_bytes(ks->klog_clusters));
+    out->emplace_back(prefix + "vlog_bytes", chain_bytes(ks->vlog_clusters));
     out->emplace_back(prefix + "buffer_bytes", ks->runtime.buffer.bytes);
     out->emplace_back(prefix + "delta_entries", ks->delta_index.size());
     out->emplace_back(prefix + "delta_live", ks->delta_live);
@@ -462,7 +469,7 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       out.status = co_await QueryPushdown(ks, cmd, &out);
       break;
     case nvme::Opcode::kKeyspaceStat:
-      out.count = ks->num_kvs;
+      out.count = ks->NumKvs();
       out.value = std::string(KeyspaceStateName(ks->state));
       out.job_status = ks->runtime.compaction_status;
       out.status = Status::Ok();
@@ -521,35 +528,32 @@ Status CheckMutable(const Keyspace& ks) {
   return Status::FailedPrecondition("keyspace not writable");
 }
 
-// Records one mutation in the COMPACTED delta index (newest wins) and
-// refreshes num_kvs from run_entries + delta_live.
-void ApplyDeltaMutation(Keyspace* ks, const std::string& key,
-                        std::string value, std::uint64_t seq,
-                        bool tombstone) {
+}  // namespace
+
+void ApplyMutation(Keyspace* ks, const std::string& key,
+                   const DeltaEntry& record) {
+  if (ks->state != KeyspaceState::kCompacted) {
+    ++ks->log_records;
+    return;
+  }
   DeltaEntry& entry = ks->delta_index[key];
   if (entry.seq == 0) {
-    // Fresh key: charge the node, the key bytes, and the value below.
+    // Fresh key: charge the node and the key bytes.
     ks->delta_index_bytes += kDeltaEntryOverhead + key.size();
+  } else if (record.seq < entry.seq) {
+    // Newest seq wins, whatever the arrival order: pipelined flushes land
+    // KLOG batches out of admission order, so a replay can meet a record
+    // older than the entry it would replace.
+    return;
   } else {
     // Overwrite: node + key stay, the old inline value is released.
     ks->delta_index_bytes -= entry.value.size();
+    if (!entry.tombstone) --ks->delta_live;
   }
-  ks->delta_index_bytes += value.size();
-  if (entry.seq != 0 && !entry.tombstone) --ks->delta_live;
-  entry.seq = seq;
-  entry.tombstone = tombstone;
-  entry.vaddr = 0;
-  entry.vlen = static_cast<std::uint32_t>(value.size());
-  entry.has_value = !tombstone;
-  entry.value = std::move(value);
-  if (!tombstone) ++ks->delta_live;
-  // Estimate: run overwrites double-count and run deletes don't subtract
-  // (telling them apart needs an index lookup); re-compaction restores the
-  // exact count. Recovery's delta replay computes the same value.
-  ks->num_kvs = ks->run_entries + ks->delta_live;
+  ks->delta_index_bytes += record.value.size();
+  if (!record.tombstone) ++ks->delta_live;
+  entry = record;
 }
-
-}  // namespace
 
 sim::Task<Status> Device::AdmitMutation(Keyspace* ks) {
   if (ks->state == KeyspaceState::kEmpty) {
@@ -571,20 +575,15 @@ void Device::BufferMutation(Keyspace* ks, std::string key, std::string value,
                             bool tombstone) {
   WriteBuffer& buffer = ks->runtime.buffer;
   buffer.bytes += key.size() + value.size();
-  if (!tombstone) {
-    if (ks->min_key.empty() || key < ks->min_key) ks->min_key = key;
-    if (ks->max_key.empty() || key > ks->max_key) ks->max_key = key;
-  }
-  const std::uint64_t seq = ks->next_seq++;
-  if (ks->state == KeyspaceState::kCompacted) {
-    ApplyDeltaMutation(ks, key, value, seq, tombstone);
-  } else {
-    // WRITABLE: num_kvs counts log records (replay recomputes the same);
-    // compaction's last-writer-wins pass collapses it to live keys.
-    ++ks->num_kvs;
-  }
+  // Before its flush lands, a delta entry's value rides inline.
+  DeltaEntry record{.seq = ks->next_seq++,
+                    .vlen = static_cast<std::uint32_t>(value.size()),
+                    .tombstone = tombstone,
+                    .has_value = !tombstone,
+                    .value = std::move(value)};
+  ApplyMutation(ks, key, record);
   buffer.entries.push_back(KeyspaceRuntime::WriteEntry{
-      std::move(key), std::move(value), seq, tombstone});
+      std::move(key), std::move(record.value), record.seq, tombstone});
 }
 
 // A DELETE appends a tombstone record to the (delta) log and acknowledges
@@ -704,8 +703,6 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
       // garbage recovery must not resurrect (nothing references it).
       result = Status::IoError("simulated power loss (between log appends)");
     } else if (vaddr.ok()) {
-      ks->vlog_bytes += values.size();
-
       // Keys + value pointers: one framed KLOG record, so a torn append
       // is detectably incomplete at recovery.
       std::string payload;
@@ -732,7 +729,6 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
               reinterpret_cast<const std::byte*>(klog.data()), klog.size()),
           sim::Activity::kHostWrite);
       if (kaddr.ok()) {
-        ks->klog_bytes += klog.size();
         // Both logs durable; a crash here loses only the acknowledgement.
         CrashPoint("flush.after_klog");
       } else {
@@ -746,14 +742,14 @@ sim::Task<void> Device::FlushIo(Keyspace* ks, WriteBuffer batch) {
   KeyspaceRuntime& rt = ks->runtime;
   if (!result.ok()) {
     if (rt.flush_error.ok()) rt.flush_error = result;
-    // The batch never became durable, but its entries are still counted
-    // in num_kvs/min/max and still owed to the client. Re-queue it in
-    // front of anything written since (this block has no suspension
-    // point, so no put can interleave with the splice) — a retried Sync
-    // then re-flushes the same data instead of persisting an empty
-    // buffer and falsely reporting it durable. A VLOG record the failure
-    // stranded without KLOG entries is unreferenced garbage; compaction
-    // and recovery never resurrect it.
+    // The batch never became durable, but its entries are already
+    // applied to the keyspace's counts and still owed to the client.
+    // Re-queue it in front of anything written since (this block has no
+    // suspension point, so no put can interleave with the splice) — a
+    // retried Sync then re-flushes the same data instead of persisting an
+    // empty buffer and falsely reporting it durable. A VLOG record the
+    // failure stranded without KLOG entries is unreferenced garbage;
+    // compaction and recovery never resurrect it.
     batch.bytes += rt.buffer.bytes;
     batch.entries.insert(batch.entries.end(),
                          std::make_move_iterator(rt.buffer.entries.begin()),

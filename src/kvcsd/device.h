@@ -125,7 +125,6 @@ inline constexpr std::uint64_t kRunIndexStride = KiB(4);
 struct SpilledRun {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> segments;
   std::vector<RunMark> index;
-  std::uint64_t entries = 0;
   std::uint64_t bytes = 0;  // serialized entries, all segments
 };
 
@@ -193,7 +192,7 @@ class Device {
   // keyspaces caught COMPACTING back to WRITABLE (releasing orphaned
   // TEMP/PIDX/SIDX output clusters), reclaims clusters referenced by no
   // keyspace and zones owned by no cluster, and replays the KLOG chains
-  // of WRITABLE keyspaces to rebuild num_kvs/min_key/max_key.
+  // through the live apply step (ApplyMutation).
   sim::Task<Status> Recover();
 
   KeyspaceManager& keyspaces() { return keyspace_manager_; }
@@ -291,9 +290,9 @@ class Device {
   // COMPACTED (delta mode), rejects (kBusy) during (re)compaction. On Ok
   // the caller holds the write lock.
   sim::Task<Status> AdmitMutation(Keyspace* ks);
-  // Applies one admitted record: min/max key, sequence, num_kvs or the
-  // COMPACTED delta index, and the write buffer. The caller flushes once
-  // the buffer reaches write_buffer_bytes.
+  // Applies one admitted record: its sequence, ApplyMutation, and the
+  // write buffer. The caller flushes once the buffer reaches
+  // write_buffer_bytes.
   void BufferMutation(Keyspace* ks, std::string key, std::string value,
                       bool tombstone);
   sim::Task<Status> FlushBuffer(Keyspace* ks);
@@ -601,20 +600,12 @@ class Device {
   // Runs a deferred drop once the keyspace is unpinned and idle.
   sim::Task<void> MaybeFinishPendingDelete(Keyspace* ks);
 
-  // --- recovery helpers (recovery.cc) ---
-  // The KLOG walk both replays share: hands every entry of ks's KLOG chain
-  // to `visit` in zone order, truncates each zone's torn tail (logged as
-  // "<zone_label> <zone>"), then sets next_seq past the newest entry and
-  // recounts klog_bytes and vlog_bytes from the clusters.
-  sim::Task<Status> ReplayKlog(Keyspace* ks, const char* zone_label,
-                               std::function<void(const KlogEntry&)> visit);
-  // Streams a WRITABLE keyspace's KLOG chain to rebuild num_kvs, min_key,
-  // max_key, klog_bytes and vlog_bytes after a restart.
-  sim::Task<Status> ReplayKlogChains(Keyspace* ks);
-  // Streams a COMPACTED keyspace's KLOG *delta* chain to rebuild the
-  // in-DRAM delta index (newest seq per key), next_seq, and the byte
-  // counters, truncating any torn tail.
-  sim::Task<Status> ReplayDeltaChains(Keyspace* ks);
+  // --- recovery helper (recovery.cc) ---
+  // Replays the KLOG chain of a WRITABLE keyspace, or the delta log of a
+  // COMPACTED one, after a restart: hands every entry to ApplyMutation in
+  // zone order, truncates each zone's torn tail, then sets next_seq past
+  // the newest entry.
+  sim::Task<Status> ReplayLogs(Keyspace* ks);
 
   // Applies config.stats_prefix transitively (zns.stats_prefix) before
   // the members below are constructed from config_.

@@ -96,18 +96,18 @@ struct SecondaryIndex {
   std::uint64_t entries = 0;
 };
 
-// Newest live mutation for one key of a COMPACTED keyspace's delta log.
-// The durable form is the KLOG/VLOG delta; this index is the DRAM view
-// merged reads consult first, rebuilt by delta replay after a power cut.
-// While the device stays up the value rides inline (written by the PUT
-// before its flush lands); after a replay only the VLOG pointer survives
-// and readers gather the value from flash.
 // Fixed DRAM cost charged per delta-index entry (map node + DeltaEntry
 // fields) when maintaining Keyspace::delta_index_bytes, on top of the key
 // and inline value bytes. An estimate — the gauge bounds headroom, it does
 // not bill exact allocator bytes.
 inline constexpr std::uint64_t kDeltaEntryOverhead = 48;
 
+// Newest live mutation for one key of a COMPACTED keyspace's delta log.
+// The durable form is the KLOG/VLOG delta; this index is the DRAM view
+// merged reads consult first, rebuilt by delta replay after a power cut.
+// While the device stays up the value rides inline (written by the PUT
+// before its flush lands); after a replay only the VLOG pointer survives
+// and readers gather the value from flash.
 struct DeltaEntry {
   std::uint64_t seq = 0;
   std::uint64_t vaddr = 0;
@@ -172,8 +172,10 @@ struct KeyspaceLayout {
   // WRITABLE-phase storage.
   std::vector<ClusterId> klog_clusters;
   std::vector<ClusterId> vlog_clusters;
-  std::uint64_t klog_bytes = 0;
-  std::uint64_t vlog_bytes = 0;
+  // Records in the logs while the keyspace is not COMPACTED: every PUT and
+  // DELETE counts, duplicates included (compaction's last-writer-wins pass
+  // collapses them). Not persisted: the WRITABLE replay recounts it.
+  std::uint64_t log_records = 0;
 
   // COMPACTED-phase storage.
   std::vector<ClusterId> pidx_clusters;
@@ -190,11 +192,8 @@ struct KeyspaceLayout {
 
   std::map<std::string, SecondaryIndex> secondary_indexes;
 
-  std::uint64_t num_kvs = 0;
   // Live entries in the sorted run (exact count produced by the last
-  // LWW-deduped compaction; persisted). num_kvs for a COMPACTED keyspace
-  // is run_entries plus the delta's live (non-tombstone) key count — an
-  // estimate, since a delta PUT may overwrite a run key.
+  // LWW-deduped compaction or fold; persisted).
   std::uint64_t run_entries = 0;
 
   // COMPACTED-phase delta (DESIGN.md §12): newest mutation per key,
@@ -203,9 +202,8 @@ struct KeyspaceLayout {
   std::map<std::string, DeltaEntry> delta_index;
   std::uint64_t delta_live = 0;
   // Approximate DRAM footprint of delta_index (key + inline value bytes
-  // plus a fixed per-entry overhead), maintained by every mutation and
-  // recomputed by delta replay. Exported as the "device.delta.index_bytes"
-  // gauge. Not persisted.
+  // plus a fixed per-entry overhead). Exported as the
+  // "device.delta.index_bytes" gauge. Not persisted.
   std::uint64_t delta_index_bytes = 0;
 
   // Every cluster the layout references, in release order: klog, vlog,
@@ -253,12 +251,21 @@ struct Keyspace : KeyspaceLayout {
     }
   }
 
+  // The key count kKeyspaceStat reports. COMPACTED (or folding): the run
+  // plus the delta's live keys, an estimate, since a delta PUT may
+  // overwrite a run key and a delta DELETE may hit no run key; the next
+  // fold makes it exact. Otherwise: the log records.
+  std::uint64_t NumKvs() const {
+    if (state == KeyspaceState::kCompacted ||
+        state == KeyspaceState::kRecompacting) {
+      return run_entries + delta_live;
+    }
+    return log_records;
+  }
+
   std::uint64_t id = 0;
   std::string name;
   KeyspaceState state = KeyspaceState::kEmpty;
-
-  std::string min_key;
-  std::string max_key;
 
   // Next mutation sequence. NOT persisted: recovery derives it as
   // (max replayed seq + 1); compaction releases the logs that carried the
@@ -284,5 +291,14 @@ struct Keyspace : KeyspaceLayout {
   std::uint32_t active_readers = 0;
   KeyspaceRuntime runtime;
 };
+
+// The live apply step (DESIGN.md §12), the one writer of log_records,
+// delta_index, delta_live and delta_index_bytes: Device::BufferMutation
+// applies every admitted PUT and DELETE through it and recovery's log
+// replay every KLOG entry, so the two cannot disagree. A COMPACTED
+// keyspace keeps the newest record per key in its delta index; any other
+// counts a log record.
+void ApplyMutation(Keyspace* ks, const std::string& key,
+                   const DeltaEntry& record);
 
 }  // namespace kvcsd::device

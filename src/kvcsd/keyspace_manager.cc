@@ -180,16 +180,11 @@ std::string KeyspaceManager::SerializeTable(std::uint64_t seq) const {
     // pinned handlers were still running. Persisted so recovery can
     // complete the drop if power dies before the deferred FinishDrop.
     body.push_back(ks->pending_delete ? 1 : 0);
-    PutVarint64(&body, ks->num_kvs);
-    // Exact live count of the sorted run; recovery re-derives num_kvs for
-    // COMPACTED keyspaces as run_entries + replayed delta live count.
+    // Only what recovery reads back: the counts and bytes the logs imply
+    // are replayed or read off the write pointers (DESIGN.md §8).
     PutVarint64(&body, ks->run_entries);
-    PutString(&body, ks->min_key);
-    PutString(&body, ks->max_key);
     PutClusterVec(&body, ks->klog_clusters);
     PutClusterVec(&body, ks->vlog_clusters);
-    PutVarint64(&body, ks->klog_bytes);
-    PutVarint64(&body, ks->vlog_bytes);
     PutClusterVec(&body, ks->pidx_clusters);
     PutClusterVec(&body, ks->sorted_value_clusters);
     // The sketch and bloom filter grow with the key count; the snapshot
@@ -249,13 +244,9 @@ Status KeyspaceManager::DeserializeTable(const std::string& raw,
     } else {
       ok = false;
     }
-    ok = ok && GetVarint64(&in, &ks->num_kvs) &&
-         GetVarint64(&in, &ks->run_entries) &&
-         GetString(&in, &ks->min_key) && GetString(&in, &ks->max_key) &&
+    ok = ok && GetVarint64(&in, &ks->run_entries) &&
          GetClusterVec(&in, &ks->klog_clusters) &&
          GetClusterVec(&in, &ks->vlog_clusters) &&
-         GetVarint64(&in, &ks->klog_bytes) &&
-         GetVarint64(&in, &ks->vlog_bytes) &&
          GetClusterVec(&in, &ks->pidx_clusters) &&
          GetClusterVec(&in, &ks->sorted_value_clusters) &&
          GetBlobRef(&in, &ks->pidx_blob) && GetVarint64(&in, &sidx_count);

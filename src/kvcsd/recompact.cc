@@ -466,7 +466,6 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
   // The folded layout; the delta logs and the delta index start empty.
   next.run_entries = static_cast<std::uint64_t>(
       static_cast<std::int64_t>(ks->run_entries) + run_entries_delta);
-  next.num_kvs = next.run_entries;
   output.committed = [this, fold_start, keys = delta.entries.size(),
                       pidx_retained, pidx_rebuilt, sidx_retained_total,
                       sidx_rebuilt_total] {

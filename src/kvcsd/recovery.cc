@@ -22,9 +22,10 @@
 //      outputs, TEMP runs, logs of half-dropped keyspaces).
 //   4. Reset written zones no cluster owns (allocations newer than the
 //      snapshot whose cluster ids died with DRAM).
-//   5. Replay the KLOG chains of WRITABLE keyspaces to rebuild num_kvs /
-//      min_key / max_key, truncating the torn tail a power cut may have
-//      left mid-zone so future appends never follow garbage.
+//   5. Replay the KLOG chains of WRITABLE keyspaces and the delta logs of
+//      COMPACTED ones through the live apply step (ApplyMutation),
+//      truncating the torn tail a power cut may have left mid-zone so
+//      future appends never follow garbage.
 //   6. Persist the recovered state, giving the next crash a clean base.
 #include <algorithm>
 #include <set>
@@ -160,30 +161,17 @@ sim::Task<Status> Device::Recover() {
              "reset " + std::to_string(unowned.size()) + " unowned zone(s)");
   }
 
-  // Step 5: rebuild the write-path counters from the logs themselves. For
-  // a COMPACTED keyspace the klog/vlog chains are its post-compaction
-  // delta log; replaying them rebuilds the DRAM delta index merged reads
-  // consult (and the next_seq last-writer-wins counter).
+  // Step 5: rebuild the DRAM view of the logs from the logs themselves.
+  // For a COMPACTED keyspace the klog/vlog chains are its post-compaction
+  // delta log, and the replay rebuilds the delta index merged reads
+  // consult. Every other count the keyspace reports is computed from the
+  // snapshot's fields (Keyspace::NumKvs) or the chains' write pointers.
   for (const auto& [id, ks_ptr] : keyspace_manager_.all()) {
     Keyspace* ks = ks_ptr.get();
-    if (ks->state == KeyspaceState::kWritable) {
-      KVCSD_CO_RETURN_IF_ERROR(co_await ReplayKlogChains(ks));
-    } else if (ks->state == KeyspaceState::kEmpty) {
-      ks->num_kvs = 0;
-      ks->min_key.clear();
-      ks->max_key.clear();
-      ks->klog_bytes = 0;
-      ks->vlog_bytes = 0;
-    } else if (ks->state == KeyspaceState::kCompacted) {
-      if (!ks->klog_clusters.empty()) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await ReplayDeltaChains(ks));
-      } else {
-        ks->delta_index.clear();
-        ks->delta_live = 0;
-        ks->num_kvs = ks->run_entries;
-        ks->klog_bytes = 0;
-        ks->vlog_bytes = 0;
-      }
+    if (ks->state == KeyspaceState::kWritable ||
+        (ks->state == KeyspaceState::kCompacted &&
+         !ks->klog_clusters.empty())) {
+      KVCSD_CO_RETURN_IF_ERROR(co_await ReplayLogs(ks));
     }
   }
 
@@ -196,9 +184,11 @@ sim::Task<Status> Device::Recover() {
   co_return persisted;
 }
 
-sim::Task<Status> Device::ReplayKlog(
-    Keyspace* ks, const char* zone_label,
-    std::function<void(const KlogEntry&)> visit) {
+sim::Task<Status> Device::ReplayLogs(Keyspace* ks) {
+  const bool delta = ks->state == KeyspaceState::kCompacted;
+  sim::TraceSpan span(sim_, trk_recovery_,
+                      delta ? "replay_delta" : "replay_klog");
+  span.Arg("keyspace", ks->name);
   std::uint64_t max_seq = 0;
   std::vector<KlogEntry> parsed;
   for (ClusterId cluster : ks->klog_clusters) {
@@ -212,80 +202,29 @@ sim::Task<Status> Device::ReplayKlog(
         if (!*more) break;
         for (const KlogEntry& e : parsed) {
           max_seq = std::max(max_seq, e.seq);
-          visit(e);
+          // Only the VLOG pointer survives DRAM: no inline value.
+          ApplyMutation(ks, e.key,
+                        DeltaEntry{.seq = e.seq,
+                                   .vaddr = e.value_addr,
+                                   .vlen = e.value_len,
+                                   .tombstone = e.tombstone,
+                                   .has_value = false,
+                                   .value = {}});
         }
       }
       if (stream.torn_bytes() > 0) {
-        sim_->log().Warn(
-            "recovery", "keyspace '" + ks->name + "' " + zone_label + " " +
-                            std::to_string(zone) + ": truncating " +
-                            std::to_string(stream.torn_bytes()) +
-                            " torn byte(s)");
+        sim_->log().Warn("recovery", "keyspace '" + ks->name + "' " +
+                                         (delta ? "delta zone " : "zone ") +
+                                         std::to_string(zone) +
+                                         ": truncating " +
+                                         std::to_string(stream.torn_bytes()) +
+                                         " torn byte(s)");
         KVCSD_CO_RETURN_IF_ERROR(
             co_await TruncateZoneTail(&ssd_, zone, stream.torn_bytes()));
       }
     }
   }
   ks->next_seq = max_seq + 1;
-  ks->klog_bytes = 0;
-  for (ClusterId cluster : ks->klog_clusters) {
-    ks->klog_bytes += zone_manager_.ClusterBytes(cluster);
-  }
-  ks->vlog_bytes = 0;
-  for (ClusterId cluster : ks->vlog_clusters) {
-    ks->vlog_bytes += zone_manager_.ClusterBytes(cluster);
-  }
-  co_return Status::Ok();
-}
-
-sim::Task<Status> Device::ReplayKlogChains(Keyspace* ks) {
-  sim::TraceSpan span(sim_, trk_recovery_, "replay_klog");
-  span.Arg("keyspace", ks->name);
-  ks->num_kvs = 0;
-  ks->min_key.clear();
-  ks->max_key.clear();
-  bool have_bounds = false;
-  auto visit = [ks, &have_bounds](const KlogEntry& e) {
-    // num_kvs counts log records, matching the write path (DoDelete
-    // increments it too); min/max track PUT keys only, also matching the
-    // write path (a blind delete never widens the bounds).
-    ++ks->num_kvs;
-    if (e.tombstone) return;
-    if (!have_bounds || e.key < ks->min_key) ks->min_key = e.key;
-    if (!have_bounds || e.key > ks->max_key) ks->max_key = e.key;
-    have_bounds = true;
-  };
-  co_return co_await ReplayKlog(ks, "zone", visit);
-}
-
-sim::Task<Status> Device::ReplayDeltaChains(Keyspace* ks) {
-  sim::TraceSpan span(sim_, trk_recovery_, "replay_delta");
-  span.Arg("keyspace", ks->name);
-  ks->delta_index.clear();
-  ks->delta_live = 0;
-  ks->delta_index_bytes = 0;
-  auto visit = [ks](const KlogEntry& e) {
-    // Newest mutation per key wins. Compare by seq, not replay order:
-    // pipelined flushes can land KLOG batches out of admission order.
-    DeltaEntry& entry = ks->delta_index[e.key];
-    if (entry.seq != 0 && e.seq < entry.seq) return;
-    if (entry.seq != 0 && !entry.tombstone) --ks->delta_live;
-    entry.seq = e.seq;
-    entry.tombstone = e.tombstone;
-    entry.vaddr = e.value_addr;
-    entry.vlen = e.value_len;
-    entry.has_value = false;  // only the VLOG pointer survives DRAM
-    entry.value.clear();
-    if (!e.tombstone) ++ks->delta_live;
-  };
-  KVCSD_CO_RETURN_IF_ERROR(co_await ReplayKlog(ks, "delta zone", visit));
-  ks->num_kvs = ks->run_entries + ks->delta_live;
-  // Rebuild the DRAM-footprint gauge to match the replayed index. No
-  // inline values survive a power cut (only VLOG pointers), so the
-  // footprint is node overhead + key bytes per entry.
-  for (const auto& kv : ks->delta_index) {
-    ks->delta_index_bytes += kDeltaEntryOverhead + kv.first.size();
-  }
   co_return Status::Ok();
 }
 

@@ -54,7 +54,7 @@ Db::Db(LsmEnv* env, BlockCache* block_cache, DbOptions options)
       block_cache_(block_cache),
       options_(std::move(options)),
       mem_(std::make_unique<MemTable>()),
-      versions_(options_.level_base_size, options_.level_multiplier),
+      versions_(options_.level_base_size),
       manifest_lock_(env->sim, 1),
       work_signal_(env->sim),
       state_changed_(env->sim),
@@ -85,8 +85,8 @@ sim::Task<Result<std::unique_ptr<Db>>> Db::Open(LsmEnv* env,
   if (!wal_file.ok()) co_return wal_file.status();
   db->wal_ = std::make_unique<WalWriter>(env->fs, *wal_file);
 
-  db->workers_done_.Add(db->options_.background_workers);
-  for (int i = 0; i < db->options_.background_workers; ++i) {
+  db->workers_done_.Add(kBackgroundWorkers);
+  for (int i = 0; i < kBackgroundWorkers; ++i) {
     env->sim->Spawn(db->BackgroundWorker(i));
   }
   co_return db;
@@ -229,7 +229,7 @@ sim::Task<Status> Db::MaybeStall() {
   const Tick start = env_->sim->Now();
   while (true) {
     const bool too_many_imm =
-        static_cast<int>(imm_.size()) > options_.max_imm_memtables;
+        static_cast<int>(imm_.size()) > kMaxImmMemtables;
     const bool too_many_l0 =
         options_.compaction_mode == CompactionMode::kAuto &&
         NumLevelFiles(0) >= options_.l0_stall_trigger;
@@ -685,7 +685,7 @@ sim::Task<Status> Db::Close() {
   if (closed_) co_return Status::Ok();
   co_await WaitForIdle();
   shutting_down_ = true;
-  for (int i = 0; i < options_.background_workers; ++i) {
+  for (int i = 0; i < kBackgroundWorkers; ++i) {
     work_signal_.Push(0);
   }
   co_await workers_done_.Wait();

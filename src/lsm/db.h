@@ -49,18 +49,21 @@ enum class CompactionMode {
   kNone,      // compaction disabled entirely
 };
 
+// Writes stall above this many pending memtable flushes.
+inline constexpr int kMaxImmMemtables = 2;
+// Background flush/compaction workers per DB.
+inline constexpr int kBackgroundWorkers = 2;
+
 struct DbOptions {
   std::string name = "db";
   std::uint64_t memtable_size = MiB(16);
-  int max_imm_memtables = 2;   // stall above this many pending flushes
   int l0_compaction_trigger = 4;
   int l0_stall_trigger = 12;
-  std::uint64_t level_base_size = MiB(64);  // L1 target; L(n+1) = 10x L(n)
-  double level_multiplier = 10.0;
+  // L1 target; L(n+1) = VersionSet::kLevelMultiplier x L(n).
+  std::uint64_t level_base_size = MiB(64);
   std::uint64_t max_file_size = MiB(16);
   SstableOptions table;
   CompactionMode compaction_mode = CompactionMode::kAuto;
-  int background_workers = 2;
 };
 
 // Cumulative I/O and behaviour counters for one DB instance (the numbers

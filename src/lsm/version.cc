@@ -71,7 +71,7 @@ std::vector<std::shared_ptr<FileMeta>> VersionSet::Overlapping(
 std::uint64_t VersionSet::TargetBytes(int level) const {
   if (level == 0) return 0;
   double target = static_cast<double>(level_base_size_);
-  for (int l = 1; l < level; ++l) target *= level_multiplier_;
+  for (int l = 1; l < level; ++l) target *= kLevelMultiplier;
   return static_cast<std::uint64_t>(target);
 }
 

@@ -36,12 +36,11 @@ struct FileMeta {
 class VersionSet {
  public:
   static constexpr int kNumLevels = 7;
+  // Each level below L1 targets this many times its parent's bytes.
+  static constexpr double kLevelMultiplier = 10.0;
 
-  explicit VersionSet(std::uint64_t level_base_size = 0,
-                      double level_multiplier = 10.0)
-      : level_base_size_(level_base_size),
-        level_multiplier_(level_multiplier),
-        levels_(kNumLevels) {}
+  explicit VersionSet(std::uint64_t level_base_size = 0)
+      : level_base_size_(level_base_size), levels_(kNumLevels) {}
 
   std::uint64_t NextFileNumber() { return next_file_number_++; }
   std::uint64_t PeekNextFileNumber() const { return next_file_number_; }
@@ -81,7 +80,6 @@ class VersionSet {
 
  private:
   std::uint64_t level_base_size_;
-  double level_multiplier_;
   std::vector<std::vector<std::shared_ptr<FileMeta>>> levels_;
   std::uint64_t next_file_number_ = 1;
 };

@@ -11,8 +11,8 @@ namespace kvcsd::sim {
 // Who a resource is working for. Busy time on every metered resource is
 // attributed to one of these classes so telemetry can separate "the NAND is
 // saturated by compaction" from "the NAND is saturated by host reads" —
-// since-boot averages (BandwidthResource::utilization, CpuPool::average_load)
-// cannot make that distinction.
+// since-boot busy totals (BandwidthResource::busy_time,
+// CpuPool::busy_time) cannot make that distinction.
 enum class Activity : std::uint8_t {
   kHostRead = 0,   // point/range/secondary lookups issued by the host
   kHostWrite = 1,  // puts, deletes, bulk ingest, buffer flushes

@@ -3,42 +3,10 @@
 #include <cstdio>
 #include <fstream>
 
+#include "common/json.h"
 #include "sim/telemetry.h"
 
 namespace kvcsd::sim {
-
-namespace {
-
-// Minimal JSON string escaping: names here are opcode/status/metric
-// identifiers, but a breadcrumb or crash-point name must never break the
-// document.
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 std::string_view LogLevelName(LogLevel level) {
   switch (level) {

@@ -61,30 +61,6 @@ class ResourceMeter {
     return Buckets{};  // idle across >= 1 full window: nothing recent
   }
 
-  // Last-completed-window load for one class, in resource-equivalents
-  // (1.0 = one core / the full link busy for the whole window). Can exceed
-  // 1.0 on pools with capacity > 1.
-  double WindowLoad(Activity act) const {
-    return static_cast<double>(WindowBusy()[static_cast<std::size_t>(act)]) /
-           static_cast<double>(window_);
-  }
-
-  // Utilization of the *current, partial* window: total busy across all
-  // classes divided by capacity * elapsed-in-window. Returns a stable 0.0
-  // when zero ticks of the window have elapsed — at t=0 and at the exact
-  // instant of a window rotation — instead of dividing by zero (the
-  // early-tick edge that produced NaN/inf gauges).
-  double utilization() const {
-    const Tick now = sim_->Now();
-    const Tick elapsed = now % window_;
-    if (elapsed == 0) return 0.0;
-    if (now / window_ != cur_index_) return 0.0;  // nothing booked yet
-    Tick busy = 0;
-    for (const Tick b : cur_) busy += b;
-    return static_cast<double>(busy) /
-           (capacity_ * static_cast<double>(elapsed));
-  }
-
   // Since-construction busy ticks per class (never rotated away).
   std::array<Tick, kActivityCount> TotalBusy() const { return total_; }
 
@@ -142,7 +118,6 @@ class BandwidthResource {
     const Tick service = TransferTicks(bytes, bytes_per_sec_);
     const Tick start = now > next_free_ ? now : next_free_;
     next_free_ = start + service;
-    ops_ += 1;
     bytes_ += bytes;
     busy_ += service;
     if (meter_ != nullptr) meter_->Add(act, service);
@@ -157,7 +132,6 @@ class BandwidthResource {
 
   const std::string& name() const { return name_; }
   std::uint64_t total_bytes() const { return bytes_; }
-  std::uint64_t total_ops() const { return ops_; }
   Tick busy_time() const { return busy_; }
 
  private:
@@ -167,7 +141,6 @@ class BandwidthResource {
   Tick per_op_latency_;
   ResourceMeter* meter_ = nullptr;
   Tick next_free_ = 0;
-  std::uint64_t ops_ = 0;
   std::uint64_t bytes_ = 0;
   Tick busy_ = 0;
 };
@@ -203,12 +176,6 @@ class CpuPool {
   // Per-activity windowed occupancy (core-equivalents per class).
   ResourceMeter& meter() { return meter_; }
   const ResourceMeter& meter() const { return meter_; }
-  // Average core occupancy in [0, cores].
-  double average_load() const {
-    const Tick now = sim_->Now();
-    return now == 0 ? 0.0
-                    : static_cast<double>(busy_) / static_cast<double>(now);
-  }
 
  private:
   Simulation* sim_;

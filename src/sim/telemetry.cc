@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace kvcsd::sim {
 
 void TelemetrySampler::Enable(Tick interval, std::size_t max_samples) {
@@ -77,9 +79,7 @@ std::string TelemetrySampler::ToJson() const {
   out += ",\"names\":[";
   for (std::size_t i = 0; i < names_.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"";
-    out += names_[i];  // gauge names are code constants, no escaping needed
-    out += "\"";
+    AppendJsonString(&out, names_[i]);
   }
   out += "],\"samples\":[\n";
   bool first = true;

@@ -2,42 +2,12 @@
 
 #include <cstdio>
 
+#include "common/json.h"
 #include "sim/simulation.h"
 
 namespace kvcsd::sim {
 
 namespace {
-
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 // Ticks are nanoseconds; trace_event timestamps are microseconds. Three
 // decimals keep full nanosecond precision and a deterministic rendering.
@@ -100,15 +70,15 @@ std::string Tracer::ToJson() const {
     comma();
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
     out += std::to_string(i);
-    out += ",\"args\":{\"name\":\"";
-    AppendJsonEscaped(&out, tracks_[i]);
-    out += "\"}}";
+    out += ",\"args\":{\"name\":";
+    AppendJsonString(&out, tracks_[i]);
+    out += "}}";
   }
   for (const Event& e : events_) {
     comma();
-    out += "{\"name\":\"";
-    AppendJsonEscaped(&out, e.name);
-    out += "\",\"ph\":\"";
+    out += "{\"name\":";
+    AppendJsonString(&out, e.name);
+    out += ",\"ph\":\"";
     out += e.phase;
     out += "\",\"pid\":0,\"tid\":";
     out += std::to_string(e.track);
@@ -130,11 +100,9 @@ std::string Tracer::ToJson() const {
       for (const auto& [k, v] : e.args) {
         if (!first_arg) out += ",";
         first_arg = false;
-        out += "\"";
-        AppendJsonEscaped(&out, k);
-        out += "\":\"";
-        AppendJsonEscaped(&out, v);
-        out += "\"";
+        AppendJsonString(&out, k);
+        out += ":";
+        AppendJsonString(&out, v);
       }
       out += "}";
     }

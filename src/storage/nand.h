@@ -54,8 +54,8 @@ class NandModel {
   sim::Task<void> Erase(std::uint32_t channel,
                         sim::Activity act = sim::Activity::kOther);
 
-  // Aggregate per-activity occupancy across ALL channels: WindowLoad is in
-  // channel-equivalents, capacity() = the channel count.
+  // Aggregate per-activity occupancy across ALL channels, in
+  // channel-equivalents: capacity() = the channel count.
   const sim::ResourceMeter& meter() const { return meter_; }
 
   const NandConfig& config() const { return config_; }

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "common/keys.h"
 #include "sim/fault.h"
 #include "harness/flags.h"
+#include "harness/json_report.h"
 #include "harness/report.h"
 #include "harness/sharded_testbed.h"
 #include "harness/tracing.h"
@@ -229,6 +232,63 @@ TEST(FlightRecorderHarnessTest, HealthSkipsSimulationsWithoutGauges) {
   const std::vector<std::string> files = FilesWithPrefix(path);
   ASSERT_EQ(files.size(), 1u);
   EXPECT_EQ(files[0], path);
+}
+
+// A keyspace name is the client's to choose and the device embeds it in
+// its device.ks.<name>.* gauges, so every JSON artifact must escape it:
+// the telemetry file, the health page and the event-ring dumps all parse,
+// and the name reads back intact.
+TEST(FlightRecorderHarnessTest, KeyspaceNameIsEscapedInEveryArtifact) {
+  const std::string prefix = "harness_test.escape";
+  const std::string name = "q\"uote\\back\nline";
+  const std::string gauge = "device.ks." + name + ".num_kvs";
+  RemoveFilesWithPrefix(prefix);
+  ApplyFlags({"--telemetry=" + prefix + ".telemetry.json",
+              "--telemetry_interval_us=1",
+              "--health=" + prefix + ".health.json",
+              "--flight_dump=" + prefix + ".flight", "--flight_slo_us=1"});
+  {
+    CsdTestbed bed(SmallTestbed());
+    bed.sim().Spawn([](CsdTestbed* b, std::string ks_name) -> sim::Task<void> {
+      auto ks = co_await b->client().CreateKeyspace(ks_name);
+      EXPECT_TRUE(ks.ok()) << ks.status().ToString();
+      if (!ks.ok()) co_return;
+      for (std::uint64_t i = 0; i < 4; ++i) {
+        EXPECT_TRUE((co_await ks->Put(MakeFixedKey(i), "v")).ok());
+      }
+    }(&bed, name));
+    bed.sim().Run();
+  }
+  ApplyFlags({});
+
+  auto parse = [](const std::string& path) {
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    Result<JsonValue> doc = ParseJson(text.str());
+    EXPECT_TRUE(doc.ok()) << path << ": " << doc.status().ToString();
+    return doc.ok() ? *doc : JsonValue();
+  };
+  const JsonValue health = parse(prefix + ".health.json");
+  const JsonValue* gauges = health.Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  EXPECT_NE(gauges->Find(gauge), nullptr);
+
+  const JsonValue telemetry = parse(prefix + ".telemetry.json");
+  const JsonValue* names = telemetry.Find("names");
+  ASSERT_NE(names, nullptr);
+  EXPECT_TRUE(std::any_of(
+      names->elements().begin(), names->elements().end(),
+      [&](const JsonValue& n) { return n.string_value() == gauge; }));
+
+  std::size_t dumps_naming_it = 0;
+  for (const std::string& file : FilesWithPrefix(prefix + ".flight")) {
+    const JsonValue dump = parse(file);
+    const JsonValue* util = dump.Find("utilization");
+    ASSERT_NE(util, nullptr) << file;
+    if (util->Find(gauge) != nullptr) ++dumps_naming_it;
+  }
+  EXPECT_GT(dumps_naming_it, 0u);
 }
 
 // Value with the f32 energy (id % 100) at byte 28.

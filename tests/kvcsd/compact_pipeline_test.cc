@@ -358,7 +358,7 @@ sim::Task<void> GroupedWorkload(client::Client* db, Device* dev,
   auto found = dev->keyspaces().Find("grouped");
   KVCSD_CO_ASSERT_OK(found);
   const Keyspace& layout = **found;
-  out->num_kvs = layout.num_kvs;
+  out->num_kvs = layout.NumKvs();
   out->bloom = layout.pidx_bloom;
   out->layout.pidx = Blocks(layout.pidx_sketch);
   auto sidx = layout.secondary_indexes.find("energy");

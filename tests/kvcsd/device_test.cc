@@ -386,7 +386,7 @@ TEST(CsdTest, MetadataSurvivesPowerCycle) {
   EXPECT_EQ(*count, 1u);
   Keyspace* ks = recovered.Find("durable").value();
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
-  EXPECT_EQ(ks->num_kvs, 1000u);
+  EXPECT_EQ(ks->NumKvs(), 1000u);
   EXPECT_FALSE(ks->pidx_sketch.empty());
 }
 

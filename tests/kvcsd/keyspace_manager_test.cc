@@ -50,7 +50,7 @@ void CompactSynthetic(sim::Simulation& sim, KeyspaceManager& km, Keyspace* ks,
   }
   ks->pidx_bloom = bloom.Finish();
   ks->state = KeyspaceState::kCompacted;
-  ks->num_kvs = ks->run_entries = keys;
+  ks->run_entries = keys;
   auto blob = testutil::RunSim(
       sim, km.WritePidxBlob(ks->pidx_sketch, ks->pidx_bloom,
                             sim::Activity::kCompact));
@@ -101,9 +101,7 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
     KeyspaceManager km(&ssd, &zones);
     Keyspace* ks = km.Create("sim_dump").value();
     ks->state = KeyspaceState::kCompacted;
-    ks->num_kvs = 12345;
-    ks->min_key = "aaa";
-    ks->max_key = "zzz";
+    ks->run_entries = 12345;
     ks->pidx_clusters = {7, 9};
     ks->sorted_value_clusters = {11};
     // Block and value addresses both move backwards at the second entry,
@@ -140,9 +138,8 @@ TEST(KeyspaceManagerTest, PersistAndRecoverFullState) {
   EXPECT_EQ(*count, 1u);
   Keyspace* ks = recovered.Find("sim_dump").value();
   EXPECT_EQ(ks->state, KeyspaceState::kCompacted);
-  EXPECT_EQ(ks->num_kvs, 12345u);
-  EXPECT_EQ(ks->min_key, "aaa");
-  EXPECT_EQ(ks->max_key, "zzz");
+  EXPECT_EQ(ks->run_entries, 12345u);
+  EXPECT_EQ(ks->NumKvs(), 12345u);
   EXPECT_TRUE(ks->pending_delete);
   EXPECT_EQ(ks->pidx_clusters, (std::vector<ClusterId>{7, 9}));
   ASSERT_EQ(ks->pidx_sketch.size(), 2u);

@@ -150,7 +150,6 @@ sim::Task<Status> SpillKlogRun(MergeFixture* f,
     wire::AppendKlogEntry(&chunk, Slice(e.key), e.value_addr, e.value_len,
                           e.seq, e.tombstone);
     ++in_chunk;
-    ++out->entries;
     if (in_chunk == per_segment) {
       auto addr = co_await f->zm.Append(*cluster, AsBytes(chunk));
       KVCSD_CO_RETURN_IF_ERROR(addr.status());
@@ -180,7 +179,6 @@ sim::Task<Status> SpillSidxRun(MergeFixture* f,
     wire::AppendSidxEntry(&chunk, Slice(e.skey), Slice(e.pkey), e.vaddr,
                           e.vlen);
     ++in_chunk;
-    ++out->entries;
     if (in_chunk == per_segment) {
       auto addr = co_await f->zm.Append(*cluster, AsBytes(chunk));
       KVCSD_CO_RETURN_IF_ERROR(addr.status());

@@ -1175,7 +1175,7 @@ TEST(MutabilityTest, FoldIntoEmptyRunMatchesCompaction) {
   EXPECT_EQ(run_folded.blocks, run_compacted.blocks);
   EXPECT_EQ(run_folded.entries, run_compacted.entries);
   EXPECT_EQ(run_folded.values, run_compacted.values);
-  EXPECT_EQ(FoldKeyspace(&folded)->num_kvs, run_compacted.entries.size());
+  EXPECT_EQ(FoldKeyspace(&folded)->NumKvs(), run_compacted.entries.size());
 
   EXPECT_FALSE(FoldKeyspace(&folded)->pidx_bloom.empty());
   EXPECT_EQ(FoldKeyspace(&folded)->pidx_bloom,

@@ -5,7 +5,7 @@
 //   P2  absent keys are NotFound
 //   P3  range scans return exactly the sorted window
 //   P4  secondary queries return exactly the matching records
-//   P5  metadata (num_kvs, min/max key) matches ground truth
+//   P5  metadata (num_kvs) matches ground truth
 #include <gtest/gtest.h>
 
 #include <cstring>

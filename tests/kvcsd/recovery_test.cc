@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -87,6 +88,113 @@ TEST(RecoveryTest, SyncedDataSurvivesPowerCut) {
   f.PowerCycle();
   testutil::RunSim(f.sim(),
                    RecoverAndVerify(&f.dev(), &f.client(), "pc", kKeys));
+}
+
+// What one keyspace reports: kKeyspaceStat's count ("stat.num_kvs") and
+// its health-page gauges.
+std::map<std::string, std::uint64_t> CountsOf(harness::CsdTestbed* f,
+                                              const std::string& name) {
+  std::map<std::string, std::uint64_t> out;
+  testutil::RunSim(f->sim(), [](client::Client* db, std::string ks_name,
+                                std::uint64_t* num_kvs) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace(ks_name);
+    KVCSD_CO_ASSERT_OK(ks);
+    auto stat = co_await ks->GetStat();
+    KVCSD_CO_ASSERT_OK(stat);
+    *num_kvs = stat->num_kvs;
+  }(&f->client(), name, &out["stat.num_kvs"]));
+  const nvme::HealthPage page = f->dev().BuildHealthPage();
+  for (const char* gauge : {"num_kvs", "klog_bytes", "vlog_bytes",
+                            "delta_entries", "delta_live"}) {
+    out[gauge] = page.Gauge("device.ks." + name + "." + gauge);
+  }
+  return out;
+}
+
+// Recovery rebuilds a keyspace's counts through the apply step its live
+// writes took, so a clean power cycle changes none of them: not a
+// WRITABLE keyspace's, nor a COMPACTED one's whose synced delta spans
+// several pipelined flush batches of overwrites and deletes.
+TEST(RecoveryTest, CleanPowerCycleKeepsEveryKeyspaceCount) {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
+    auto logs = co_await db->CreateKeyspace("logs");
+    KVCSD_CO_ASSERT_OK(logs);
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await logs->Put(MakeFixedKey(i), DetValue(i)));
+    }
+    for (std::uint64_t i = 0; i < 50; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await logs->Put(MakeFixedKey(i), "again"));
+    }
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await logs->Delete(MakeFixedKey(i * 3)));
+    }
+    KVCSD_CO_ASSERT_OK(co_await logs->Sync());
+
+    auto run = co_await db->CreateKeyspace("run");
+    KVCSD_CO_ASSERT_OK(run);
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await run->Put(MakeFixedKey(i), DetValue(i)));
+    }
+    KVCSD_CO_ASSERT_OK(co_await run->Compact());
+    KVCSD_CO_ASSERT_OK(co_await run->WaitCompaction());
+    // The delta: run overwrites, keys overwritten twice, deletes of run
+    // keys, of delta keys and of absent keys, and fresh keys.
+    for (std::uint64_t i = 0; i < 150; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await run->Put(MakeFixedKey(i * 2), "delta"));
+    }
+    for (std::uint64_t i = 0; i < 30; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await run->Put(MakeFixedKey(i * 4), "twice"));
+    }
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await run->Delete(MakeFixedKey(i * 5)));
+    }
+    for (std::uint64_t i = 300; i < 340; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await run->Put(MakeFixedKey(i), DetValue(i)));
+    }
+    for (std::uint64_t i = 1000; i < 1010; ++i) {
+      KVCSD_CO_ASSERT_OK(co_await run->Delete(MakeFixedKey(i)));
+    }
+    // Rounds that delete the keys put two rounds earlier, over some
+    // twenty flush batches: the log's zone rotation wraps, so replay,
+    // which reads zone by zone, meets many deletes before their puts.
+    for (std::uint64_t round = 0; round < 24; ++round) {
+      for (std::uint64_t i = 0; i < 40; ++i) {
+        const std::uint64_t id = 2000 + round * 40 + i;
+        KVCSD_CO_ASSERT_OK(co_await run->Put(MakeFixedKey(id), "delta"));
+        if (round >= 2) {
+          KVCSD_CO_ASSERT_OK(co_await run->Delete(MakeFixedKey(id - 80)));
+        }
+      }
+    }
+    KVCSD_CO_ASSERT_OK(co_await run->Sync());
+  }(&f.client()));
+
+  const auto logs = CountsOf(&f, "logs");
+  const auto run = CountsOf(&f, "run");
+  EXPECT_EQ(logs.at("stat.num_kvs"), 270u);  // every log record counts
+  EXPECT_EQ(logs.at("num_kvs"), 270u);
+  EXPECT_GT(logs.at("klog_bytes"), 0u);
+  EXPECT_GT(run.at("delta_entries"), 0u);
+  EXPECT_GT(run.at("klog_bytes"), 0u);
+  EXPECT_GT(run.at("vlog_bytes"), 0u);
+
+  f.PowerCycle();
+  testutil::RunSim(f.sim(), [](Device* dev) -> sim::Task<void> {
+    KVCSD_CO_ASSERT_OK(co_await dev->Recover());
+  }(&f.dev()));
+  EXPECT_EQ(CountsOf(&f, "logs"), logs);
+  EXPECT_EQ(CountsOf(&f, "run"), run);
+
+  // No inline value survives the power cut: the replayed delta index costs
+  // its node overhead and key bytes per entry.
+  const Keyspace* ks = f.dev().keyspaces().Find("run").value();
+  std::uint64_t expect_bytes = 0;
+  for (const auto& [key, entry] : ks->delta_index) {
+    expect_bytes += kDeltaEntryOverhead + key.size();
+  }
+  EXPECT_EQ(ks->delta_index_bytes, expect_bytes);
 }
 
 // A crash between the sibling-zone reset and the snapshot append must not
@@ -421,7 +529,7 @@ TEST(RecoveryTest, CompactionCommitPersistErrorRollsBack) {
   EXPECT_GT(f.sim().stats().counter_value("zns.pidx.appends"), pidx_appends);
   EXPECT_EQ(f.sim().stats().counter_value("device.compact.done"), 0u);
   EXPECT_EQ(ks->state, KeyspaceState::kWritable);
-  EXPECT_EQ(ks->num_kvs, kKeys);
+  EXPECT_EQ(ks->NumKvs(), kKeys);
   EXPECT_TRUE(ks->pidx_clusters.empty());
   EXPECT_EQ(dev->zones().free_zones(), free_before);
   ExpectClustersOwnedOnce(dev);
@@ -651,7 +759,7 @@ void ExpectMidWindowCompactionErrorRollsBack(
   EXPECT_EQ(compacted.code(), StatusCode::kIoError) << compacted.ToString();
   EXPECT_EQ(injector.errors_injected(), 1u);
   EXPECT_EQ(ks->state, KeyspaceState::kWritable);
-  EXPECT_EQ(ks->num_kvs, kWideKeys);
+  EXPECT_EQ(ks->NumKvs(), kWideKeys);
   EXPECT_TRUE(ks->sorted_value_clusters.empty());
   EXPECT_TRUE(ks->pidx_clusters.empty());
   EXPECT_TRUE(ks->secondary_indexes.empty());

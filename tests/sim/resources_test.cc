@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <vector>
 
 #include "sim/sync.h"
 
 namespace kvcsd::sim {
 namespace {
+
+// One class's entry of a per-activity busy array.
+Tick Busy(const std::array<Tick, kActivityCount>& busy, Activity act) {
+  return busy[static_cast<std::size_t>(act)];
+}
 
 TEST(BandwidthResourceTest, SingleTransferTime) {
   Simulation sim;
@@ -21,7 +27,7 @@ TEST(BandwidthResourceTest, SingleTransferTime) {
   sim.Run();
   EXPECT_EQ(done, Microseconds(2) + 1048576u);
   EXPECT_EQ(pipe.total_bytes(), MiB(1));
-  EXPECT_EQ(pipe.total_ops(), 1u);
+  EXPECT_EQ(pipe.busy_time(), 1048576u);  // the service time alone
 }
 
 TEST(BandwidthResourceTest, ConcurrentTransfersSerialize) {
@@ -95,7 +101,7 @@ TEST(CpuPoolTest, BusyTimeAccounting) {
   sim.Run();
   EXPECT_EQ(pool.busy_time(), 400u);
   EXPECT_EQ(sim.Now(), 300u);
-  EXPECT_DOUBLE_EQ(pool.average_load(), 400.0 / 300.0);
+  EXPECT_EQ(Busy(pool.meter().TotalBusy(), Activity::kOther), 400u);
 }
 
 TEST(CpuPoolTest, ComputeBytesUsesRate) {
@@ -140,25 +146,6 @@ void AdvanceTo(Simulation* sim, Tick when) {
 }
 }  // namespace
 
-TEST(ResourceMeterTest, UtilizationStableAtZeroElapsed) {
-  Simulation sim;
-  ResourceMeter m(&sim, "soc", 4.0, /*window=*/100);
-  // t=0: zero ticks of the window have elapsed. The meter must report a
-  // stable 0.0, not 0/0 — this was the early-tick NaN gauge regression.
-  EXPECT_EQ(m.utilization(), 0.0);
-  m.Add(Activity::kHostWrite, 10);
-  EXPECT_EQ(m.utilization(), 0.0);
-
-  // Exactly at a window rotation the elapsed-in-window is again zero.
-  AdvanceTo(&sim, 100);
-  EXPECT_EQ(m.utilization(), 0.0);
-
-  // One tick into the window the ratio is finite and well-defined again.
-  AdvanceTo(&sim, 101);
-  m.Add(Activity::kHostWrite, 2);
-  EXPECT_DOUBLE_EQ(m.utilization(), 2.0 / (4.0 * 1.0));
-}
-
 TEST(ResourceMeterTest, AttributesBusyTimePerClassAcrossWindows) {
   Simulation sim;
   ResourceMeter m(&sim, "soc", 2.0, /*window=*/100);
@@ -168,9 +155,9 @@ TEST(ResourceMeterTest, AttributesBusyTimePerClassAcrossWindows) {
 
   // From the next window, window 0 is the "last completed" one.
   AdvanceTo(&sim, 150);
-  EXPECT_DOUBLE_EQ(m.WindowLoad(Activity::kHostWrite), 0.7);
-  EXPECT_DOUBLE_EQ(m.WindowLoad(Activity::kCompact), 0.2);
-  EXPECT_DOUBLE_EQ(m.WindowLoad(Activity::kPushdown), 0.0);
+  EXPECT_EQ(Busy(m.WindowBusy(), Activity::kHostWrite), 70u);
+  EXPECT_EQ(Busy(m.WindowBusy(), Activity::kCompact), 20u);
+  EXPECT_EQ(Busy(m.WindowBusy(), Activity::kPushdown), 0u);
 
   // Gauges are permille-of-window per class plus capacity x 1000.
   std::vector<std::pair<std::string, std::uint64_t>> gauges;
@@ -186,8 +173,10 @@ TEST(ResourceMeterTest, AttributesBusyTimePerClassAcrossWindows) {
   // Idle for a full window: the stale window must not be reported as
   // recent load.
   AdvanceTo(&sim, 400);
-  EXPECT_DOUBLE_EQ(m.WindowLoad(Activity::kHostWrite), 0.0);
-  EXPECT_DOUBLE_EQ(m.WindowLoad(Activity::kCompact), 0.0);
+  EXPECT_EQ(Busy(m.WindowBusy(), Activity::kHostWrite), 0u);
+  EXPECT_EQ(Busy(m.WindowBusy(), Activity::kCompact), 0u);
+  // The since-construction totals keep it.
+  EXPECT_EQ(Busy(m.TotalBusy(), Activity::kHostWrite), 70u);
 }
 
 TEST(CpuPoolTest, ComputeMetersActivityClass) {
@@ -200,13 +189,9 @@ TEST(CpuPoolTest, ComputeMetersActivityClass) {
   sim.Run();
   EXPECT_EQ(sim.Now(), 70u);
   AdvanceTo(&sim, ResourceMeter::kDefaultWindow);
-  EXPECT_DOUBLE_EQ(
-      pool.meter().WindowLoad(Activity::kCompact),
-      40.0 / static_cast<double>(ResourceMeter::kDefaultWindow));
-  EXPECT_DOUBLE_EQ(
-      pool.meter().WindowLoad(Activity::kHostRead),
-      30.0 / static_cast<double>(ResourceMeter::kDefaultWindow));
-  EXPECT_DOUBLE_EQ(pool.meter().WindowLoad(Activity::kHostWrite), 0.0);
+  EXPECT_EQ(Busy(pool.meter().WindowBusy(), Activity::kCompact), 40u);
+  EXPECT_EQ(Busy(pool.meter().WindowBusy(), Activity::kHostRead), 30u);
+  EXPECT_EQ(Busy(pool.meter().WindowBusy(), Activity::kHostWrite), 0u);
 }
 
 }  // namespace
