@@ -403,6 +403,8 @@ void JsonReporter::AddCompactionStats(const device::CompactionStats& stats) {
   compaction_.Set("max_merge_fanin", JsonValue::Uint(stats.max_merge_fanin));
   compaction_.Set("phase1_ticks", JsonValue::Uint(stats.phase1_ticks));
   compaction_.Set("phase2_ticks", JsonValue::Uint(stats.phase2_ticks));
+  compaction_.Set("commit_ticks", JsonValue::Uint(stats.commit_ticks));
+  compaction_.Set("total_ticks", JsonValue::Uint(stats.total_ticks));
 }
 
 void JsonReporter::AddTable(const Table& table) {

@@ -64,6 +64,8 @@ void PrintCompactionStats(const std::string& title,
   table.AddRow({"max merge fan-in", FormatCount(stats.max_merge_fanin)});
   table.AddRow({"phase-1 (run generation)", FormatSeconds(stats.phase1_ticks)});
   table.AddRow({"phase-2 (merge + index)", FormatSeconds(stats.phase2_ticks)});
+  table.AddRow({"commit (blobs, persist, release)",
+                FormatSeconds(stats.commit_ticks)});
   table.Print();
 }
 

@@ -126,6 +126,28 @@ struct Device::ValueBatch {
     return true;
   }
 
+  // Append groups: group g holds entries [GroupStart(g), GroupStart(g +
+  // 1)) and goes out as one append. Only the last group can hold no value
+  // bytes: a cut always follows a value byte.
+  std::size_t groups() const { return append_starts.size() + 1; }
+  std::size_t GroupStart(std::size_t g) const {
+    if (g == 0) return 0;
+    return g <= append_starts.size() ? append_starts[g - 1] : entries.size();
+  }
+  // Element g is the sum of bytes(i) over the entries of the groups before
+  // g; element groups() is the sum over the batch.
+  template <typename Bytes>
+  std::vector<std::uint64_t> GroupOffsets(Bytes bytes) const {
+    std::vector<std::uint64_t> offsets(groups() + 1, 0);
+    for (std::size_t g = 0; g < groups(); ++g) {
+      offsets[g + 1] = offsets[g];
+      for (std::size_t i = GroupStart(g); i < GroupStart(g + 1); ++i) {
+        offsets[g + 1] += bytes(i);
+      }
+    }
+    return offsets;
+  }
+
   std::uint64_t append_limit;
   std::uint64_t index = 0;  // a compaction's batches, in merge order
   std::vector<KlogEntry> entries;
@@ -221,10 +243,9 @@ class Device::IndexWriter {
 
 // Batches are consecutive blocks of `blocks`, cut before the block that
 // would take one past 1 MiB (GatherValues' range cap), lowered to a fifth
-// of a compaction's phase-2 key share, the size of one of its value
-// batches. With `window` gathers in flight beside the batch being
-// decoded and consumed, at most window + 1 fifths of that share are
-// resident.
+// of a compaction's phase-2 key share on a small device. With `window`
+// gathers in flight beside the batch being decoded and consumed, at most
+// window + 1 fifths of that share are resident.
 template <typename T, typename Decode, typename Consume>
 sim::Task<Status> Device::StreamIndexBlocks(
     const std::vector<SketchEntry>& sketch,

@@ -17,16 +17,19 @@
 //    FIXED number of shares (kRunGenShares), not `soc_cores`, so the run
 //    layout — and therefore the merged output — is identical no matter
 //    how many cores execute the fan-out; core count changes timing only.
-//  * Phase 2 is three stages over bounded channels. The key merge splits
+//  * Phase 2 is four stages over bounded channels. The key merge splits
 //    the key space at splitters picked from the runs' sparse indexes and
 //    merges the key-range partitions at once, up to one per core, each a
 //    loser-tree merge over double-buffered TEMP readers (merge.h) that
 //    resolves last-writer-wins inside its range; a sequencer consumes the
 //    partitions in key order and cuts value batches exactly where one
-//    serial merge would. The write stage gathers each batch's values and
-//    rewrites them in key order; the index stage builds PIDX blocks, the
-//    bloom filter and fused secondary-key tuples. The merge of batch N+1
-//    overlaps the write of batch N and the indexing of N-1.
+//    serial merge would. The gather stage reads each batch's values from
+//    the VLOG; the write stage copies them into key order one append group
+//    at a time, on the compaction's cores, and appends each group as its
+//    copy is done; the index stage builds PIDX blocks, the bloom filter
+//    and fused secondary-key tuples group by group as the appends land.
+//    The merge of batch N+2 overlaps the gather of N+1 and the write and
+//    indexing of N.
 //
 // Every output chain (TEMP runs, SORTED_VALUES, PIDX, SIDX) is written
 // through one windowed in-order ChainWriter (chain_writer.h): up to
@@ -76,6 +79,12 @@ constexpr std::uint64_t kRunGenShares = 4;
 // per SoC core: while the sequencer consumes one round of partitions, the
 // next round merges.
 constexpr std::uint64_t kMergePartitionsPerCore = 2;
+
+// The ticks of bytes [from, to) of one `rate` charge over a byte stream:
+// consecutive slices sum exactly to the whole stream's charge.
+Tick SliceTicks(std::uint64_t from, std::uint64_t to, double rate) {
+  return TransferTicks(to, rate) - TransferTicks(from, rate);
+}
 
 // Awaits one metadata blob write, then records the blob's cluster as
 // scratch (it is an output until the commit snapshot references it) and
@@ -290,41 +299,101 @@ sim::Task<Status> Device::SidxMergeToBlocks(
 
 sim::Task<Status> Device::WriteValues(ValueBatch* b,
                                       std::vector<ClusterId>* chain,
-                                      sim::Activity act) {
+                                      sim::Activity act,
+                                      std::uint32_t copy_cores,
+                                      const GroupLanded& landed) {
   ChainWriter out(this, chain, ZoneType::kSortedValues, act);
   // A zero-length value that no append carries points at 0.
   for (KlogEntry& e : b->entries) e.value_addr = 0;
-  Status status = Status::Ok();
-  // Entries [first, upto) go out as one append; their addresses are
-  // filled in when it lands. Only the last append can be empty: a cut
-  // always follows a value byte.
-  for (std::size_t cut = 0; cut <= b->append_starts.size() && status.ok();
-       ++cut) {
-    const std::size_t first = cut == 0 ? 0 : b->append_starts[cut - 1];
-    const std::size_t upto = cut < b->append_starts.size()
-                                 ? b->append_starts[cut]
-                                 : b->entries.size();
-    std::uint64_t bytes = 0;
-    for (std::size_t i = first; i < upto; ++i) bytes += b->values[i].size();
-    if (bytes == 0) continue;
+  const std::size_t groups = b->groups();
+  const std::vector<std::uint64_t> offsets =
+      b->GroupOffsets([b](std::size_t i) { return b->values[i].size(); });
+  // Group g's values in key order; its copy is charged as a slice of one
+  // copy of the whole batch.
+  auto copy = [&](std::size_t g) -> sim::Task<Result<std::string>> {
+    if (copy_cores > 0) {
+      co_await cpu_.Compute(
+          SliceTicks(offsets[g], offsets[g + 1],
+                     config_.costs.memcpy_bytes_per_sec),
+          act);
+    }
     std::string data;
-    data.reserve(bytes);
-    for (std::size_t i = first; i < upto; ++i) data += b->values[i];
-    status = co_await out.Append(
-        std::move(data), [b, first, upto](std::uint64_t addr) {
-          for (std::size_t i = first; i < upto; ++i) {
-            b->entries[i].value_addr = addr;
-            addr += b->values[i].size();
-          }
-        });
+    data.reserve(offsets[g + 1] - offsets[g]);
+    for (std::size_t i = b->GroupStart(g); i < b->GroupStart(g + 1); ++i) {
+      data += b->values[i];
+    }
+    co_return data;
+  };
+  // Issues group g's append; its entries' addresses are filled in when it
+  // lands.
+  auto append = [&](std::size_t g, std::string data) -> sim::Task<Status> {
+    if (data.empty()) {
+      if (landed) landed(g);
+      co_return Status::Ok();
+    }
+    const std::size_t first = b->GroupStart(g);
+    const std::size_t upto = b->GroupStart(g + 1);
+    ChainWriter::Landed placed = [b, first, upto, g,
+                                  &landed](std::uint64_t addr) {
+      for (std::size_t i = first; i < upto; ++i) {
+        b->entries[i].value_addr = addr;
+        addr += b->values[i].size();
+      }
+      if (landed) landed(g);
+    };
+    co_return co_await out.Append(std::move(data), placed);
+  };
+  Status status = Status::Ok();
+  if (copy_cores > 0) {
+    status = co_await sim::OrderedParallelFor<std::string>(
+        sim_, groups, copy_cores, copy, append);
+  } else {
+    for (std::size_t g = 0; g < groups && status.ok(); ++g) {
+      auto data = co_await copy(g);
+      status = co_await append(g, std::move(*data));
+    }
   }
   const Status joined = co_await out.Join();
   co_return status.ok() ? joined : status;
 }
 
 struct Device::Phase2Pipeline {
-  explicit Phase2Pipeline(Device* device)
-      : dev(device), merged(device->sim_, 1), written(device->sim_, 1) {}
+  // A value batch on its way through phase 2, with its write's progress:
+  // the index stage follows the write append group by append group.
+  struct Batch : ValueBatch {
+    Batch(sim::Simulation* sim, std::uint64_t limit)
+        : ValueBatch(limit), progress(sim) {}
+
+    // Waits for group g's append to land; false when the write ended
+    // without it (a failed write wakes every waiter).
+    sim::Task<bool> Landed(std::size_t g) {
+      while (!landed[g]) {
+        if (written) co_return false;
+        progress.Reset();
+        co_await progress.Wait();
+      }
+      co_return true;
+    }
+    // Waits until the write stage is done with the batch.
+    sim::Task<void> Written() {
+      while (!written) {
+        progress.Reset();
+        co_await progress.Wait();
+      }
+    }
+
+    std::vector<bool> landed;  // per append group
+    bool written = false;      // the write stage is done with it
+    sim::Event progress;       // set at every landing and once written
+  };
+
+  Phase2Pipeline(Device* device, std::uint32_t share)
+      : dev(device),
+        cores(share),
+        merged(device->sim_, 1),
+        gathered(device->sim_, 1),
+        written(device->sim_, 2),
+        index_slots(device->sim_, 2) {}
 
   // Closes one stage's work on one batch: a span on the stage's own
   // compaction track (stages overlap, so they cannot share one) and a
@@ -344,8 +413,17 @@ struct Device::Phase2Pipeline {
   }
 
   Device* dev;
-  sim::BoundedChannel<std::unique_ptr<ValueBatch>> merged;   // merge -> write
-  sim::BoundedChannel<std::unique_ptr<ValueBatch>> written;  // write -> index
+  // This compaction's share of the SoC cores: the merge's partitions, the
+  // write's copies and the index's charges each run on up to this many.
+  std::uint32_t cores;
+  sim::BoundedChannel<std::unique_ptr<Batch>> merged;    // merge -> gather
+  sim::BoundedChannel<std::unique_ptr<Batch>> gathered;  // gather -> write
+  sim::BoundedChannel<std::unique_ptr<Batch>> written;   // write -> index
+  // At most two batches between the write and the index stage: the one
+  // being written, indexed as its appends land, and the one before it,
+  // whose last groups may still be indexed. The write stage takes a slot
+  // before it takes a batch; the index stage frees it with the batch.
+  sim::Semaphore index_slots;
   const std::vector<nvme::SecondaryIndexSpec>* specs = nullptr;
   std::vector<SidxSortState>* sidx_states = nullptr;
   // When non-null, every merged key is also added to the keyspace's bloom
@@ -408,38 +486,68 @@ sim::Task<Result<std::vector<KlogEntry>>> Device::MergePartition(
   co_return std::move(live);
 }
 
-sim::Task<Status> Device::ValueWriteStage(Phase2Pipeline* pipe) {
-  // Gathers the batch's values and rewrites them in key order.
-  auto write = [&](ValueBatch* b) -> sim::Task<Status> {
-    std::vector<ValueRef> refs;
-    refs.reserve(b->entries.size());
-    for (const KlogEntry& e : b->entries) {
-      refs.push_back(ValueRef{e.value_addr, e.value_len});
-    }
-    auto values = co_await GatherValues(std::move(refs), sim::Activity::kCompact);
-    if (!values.ok()) co_return values.status();
-    compaction_stats_.bytes_read += b->value_bytes;
-    co_await cpu_.ComputeBytes(b->value_bytes,
-                               config_.costs.memcpy_bytes_per_sec, sim::Activity::kCompact);
-    b->values = std::move(*values);
-    co_return co_await WriteValues(b, &pipe->value_clusters,
-                                   sim::Activity::kCompact);
-  };
-
+sim::Task<Status> Device::GatherStage(Phase2Pipeline* pipe) {
   Status result = Status::Ok();
   for (;;) {
     auto item = co_await pipe->merged.Pop();
     if (!item.has_value()) break;
     // Drain after a failure: the merge must always wake.
     if (!result.ok() || pipe->failed) continue;
+    Phase2Pipeline::Batch& b = **item;
     const Tick start = sim_->Now();
-    result = co_await write(item->get());
-    if (!result.ok()) {
+    std::vector<ValueRef> refs;
+    refs.reserve(b.entries.size());
+    for (const KlogEntry& e : b.entries) {
+      refs.push_back(ValueRef{e.value_addr, e.value_len});
+    }
+    auto values =
+        co_await GatherValues(std::move(refs), sim::Activity::kCompact);
+    if (!values.ok()) {
+      result = values.status();
       pipe->failed = true;
       continue;
     }
-    pipe->Record("write", **item, start);
+    compaction_stats_.bytes_read += b.value_bytes;
+    b.values = std::move(*values);
+    pipe->Record("gather", b, start);
+    co_await pipe->gathered.Push(std::move(*item));
+  }
+  pipe->gathered.Close();
+  co_return result;
+}
+
+sim::Task<Status> Device::ValueWriteStage(Phase2Pipeline* pipe) {
+  Status result = Status::Ok();
+  for (;;) {
+    co_await pipe->index_slots.Acquire();
+    auto item = co_await pipe->gathered.Pop();
+    // Drain after a failure: the gather stage must always wake.
+    if (!item.has_value() || !result.ok() || pipe->failed) {
+      pipe->index_slots.Release();
+      if (!item.has_value()) break;
+      continue;
+    }
+    Phase2Pipeline::Batch* b = item->get();
+    b->landed.assign(b->groups(), false);
+    const Tick start = sim_->Now();
+    // The index stage takes the batch now and follows its appends; the
+    // slot taken above keeps this push from waiting.
     co_await pipe->written.Push(std::move(*item));
+    const GroupLanded landed = [b](std::size_t g) {
+      b->landed[g] = true;
+      b->progress.Set();
+    };
+    result = co_await WriteValues(b, &pipe->value_clusters,
+                                  sim::Activity::kCompact, pipe->cores,
+                                  landed);
+    if (result.ok()) {
+      pipe->Record("write", *b, start);
+    } else {
+      pipe->failed = true;
+    }
+    // From here on the index stage may free the batch.
+    b->written = true;
+    b->progress.Set();
   }
   pipe->written.Close();
   co_return result;
@@ -448,42 +556,60 @@ sim::Task<Status> Device::ValueWriteStage(Phase2Pipeline* pipe) {
 sim::Task<Status> Device::IndexBuildStage(Phase2Pipeline* pipe) {
   IndexWriter pidx(this, ZoneType::kPidx, &pipe->pidx_clusters, &pipe->sketch,
                    sim::Activity::kCompact);
-  auto process = [&](ValueBatch& b) -> sim::Task<Status> {
-    // Fused secondary-key extraction touches every value byte while the
-    // batch sits in DRAM anyway (no keyspace re-read).
-    if (!pipe->specs->empty()) {
-      co_await cpu_.ComputeBytes(b.value_bytes,
-                                 config_.costs.extract_bytes_per_sec, sim::Activity::kCompact);
-    }
-    std::uint64_t bloom_key_bytes = 0;
-    for (std::size_t i = 0; i < b.entries.size(); ++i) {
-      const KlogEntry& e = b.entries[i];
-      if (pidx.AddPidx(e.key, e.value_addr, e.value_len)) {
-        KVCSD_CO_RETURN_IF_ERROR(co_await pidx.Flush());
+  // Indexes a batch group by group as the groups land. A group's SoC
+  // charge (hashing its keys into the bloom filter, about one checksum
+  // pass; fused secondary-key extraction over its values, which sit in
+  // DRAM anyway, so no keyspace re-read) is a slice of one charge over the
+  // batch, and up to `cores` groups are charged at once; PIDX packing, the
+  // filter and the SIDX tuples take the groups in key order. *start is
+  // set when the first group has landed: the batch's indexing starts
+  // there.
+  auto process = [&](Phase2Pipeline::Batch* b,
+                     Tick* start) -> sim::Task<Status> {
+    const std::vector<std::uint64_t> key_offsets = b->GroupOffsets(
+        [b](std::size_t i) { return b->entries[i].key.size(); });
+    const std::vector<std::uint64_t> value_offsets =
+        b->GroupOffsets([b](std::size_t i) { return b->values[i].size(); });
+    auto charge = [&](std::size_t g) -> sim::Task<Result<bool>> {
+      const bool landed = co_await b->Landed(g);
+      if (!landed) co_return Status::Aborted("compaction pipeline failed");
+      if (g == 0) *start = sim_->Now();
+      Tick ticks = 0;
+      if (!pipe->specs->empty()) {
+        ticks += SliceTicks(value_offsets[g], value_offsets[g + 1],
+                            config_.costs.extract_bytes_per_sec);
       }
       if (pipe->bloom != nullptr) {
-        pipe->bloom->AddKey(Slice(e.key));
-        bloom_key_bytes += e.key.size();
+        ticks += SliceTicks(key_offsets[g], key_offsets[g + 1],
+                            config_.costs.checksum_bytes_per_sec);
       }
-
-      for (std::size_t spec_index = 0; spec_index < pipe->specs->size();
-           ++spec_index) {
-        auto skey = nvme::ExtractSecondaryKey(Slice(b.values[i]),
-                                              (*pipe->specs)[spec_index]);
-        if (!skey.ok()) co_return skey.status();
-        SidxSortState& state = (*pipe->sidx_states)[spec_index];
-        SidxTuple tuple{std::move(*skey), e.key, e.value_addr, e.value_len};
-        if (state.Add(std::move(tuple))) {
-          KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(&state));
+      if (ticks > 0) co_await cpu_.Compute(ticks, sim::Activity::kCompact);
+      co_return true;
+    };
+    auto index = [&](std::size_t g, bool) -> sim::Task<Status> {
+      for (std::size_t i = b->GroupStart(g); i < b->GroupStart(g + 1); ++i) {
+        const KlogEntry& e = b->entries[i];
+        if (pidx.AddPidx(e.key, e.value_addr, e.value_len)) {
+          KVCSD_CO_RETURN_IF_ERROR(co_await pidx.Flush());
+        }
+        if (pipe->bloom != nullptr) pipe->bloom->AddKey(Slice(e.key));
+        for (std::size_t spec_index = 0; spec_index < pipe->specs->size();
+             ++spec_index) {
+          auto skey = nvme::ExtractSecondaryKey(Slice(b->values[i]),
+                                                (*pipe->specs)[spec_index]);
+          if (!skey.ok()) co_return skey.status();
+          SidxSortState& state = (*pipe->sidx_states)[spec_index];
+          SidxTuple tuple{std::move(*skey), e.key, e.value_addr, e.value_len};
+          if (state.Add(std::move(tuple))) {
+            KVCSD_CO_RETURN_IF_ERROR(co_await SidxSpill(&state));
+          }
         }
       }
-    }
-    pipe->entries_total += b.entries.size();
-    if (pipe->bloom != nullptr && bloom_key_bytes > 0) {
-      // Hashing each key into the filter costs about one checksum pass.
-      co_await cpu_.ComputeBytes(bloom_key_bytes,
-                                 config_.costs.checksum_bytes_per_sec, sim::Activity::kCompact);
-    }
+      co_return Status::Ok();
+    };
+    KVCSD_CO_RETURN_IF_ERROR(co_await sim::OrderedParallelFor<bool>(
+        sim_, b->groups(), pipe->cores, charge, index));
+    pipe->entries_total += b->entries.size();
     co_return Status::Ok();
   };
 
@@ -491,15 +617,19 @@ sim::Task<Status> Device::IndexBuildStage(Phase2Pipeline* pipe) {
   for (;;) {
     auto item = co_await pipe->written.Pop();
     if (!item.has_value()) break;
+    Phase2Pipeline::Batch* b = item->get();
     // Drain after a failure: the write stage must always wake.
-    if (!result.ok() || pipe->failed) continue;
-    const Tick start = sim_->Now();
-    result = co_await process(**item);
-    if (!result.ok()) {
-      pipe->failed = true;
-      continue;
+    if (result.ok() && !pipe->failed) {
+      Tick start = sim_->Now();
+      result = co_await process(b, &start);
+      if (result.ok()) {
+        pipe->Record("index", *b, start);
+      } else {
+        pipe->failed = true;
+      }
     }
-    pipe->Record("index", **item, start);
+    co_await b->Written();
+    pipe->index_slots.Release();
   }
   if (result.ok()) result = co_await pidx.Close();
   const Status joined = co_await pidx.Join();
@@ -546,6 +676,7 @@ sim::Task<Status> Device::CompactKeyspace(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::uint64_t trigger_cmd_id) {
   const bool fold = ks->state == KeyspaceState::kRecompacting;
+  const Tick job_start = sim_->Now();
   sim::TraceSpan span(sim_, trk_compaction_, fold ? "recompact" : "compact");
   span.Arg("keyspace", ks->name);
   if (fold) {
@@ -574,7 +705,35 @@ sim::Task<Status> Device::CompactKeyspace(
     out = co_await RunCompaction(ks, std::move(fused_specs), &scratch);
   }
   Status result = out.status();
-  if (result.ok()) result = co_await Commit(ks, std::move(*out), &scratch);
+  if (result.ok()) {
+    const Tick commit_start = sim_->Now();
+    // A compaction's TEMP runs are dead weight: their resets run under
+    // the whole commit (blob writes, persist, post-commit release), so
+    // the job pays one reset latency, not two in a row. They start with
+    // the commit, so their zones return to the free pool one reset
+    // later, before the old layout's; in the post-commit batch they would
+    // return a persist later and move where other keyspaces' clusters
+    // land. Best-effort: no snapshot lists them (ZoneManager::Unlist),
+    // so recovery resets any a failed reset or a power cut leaves behind.
+    sim::TaskGroup temp(sim_);
+    if (!out->temp.empty()) {
+      temp.Spawn([](ZoneManager* zones,
+                    std::vector<ClusterId> ids) -> sim::Task<Status> {
+        co_await zones->ReleaseBestEffort(std::move(ids));
+        co_return Status::Ok();
+      }(&zone_manager_, std::move(out->temp)));
+    }
+    result = co_await Commit(ks, std::move(*out), &scratch);
+    (void)co_await temp.Wait();
+    if (result.ok() && !fold) {
+      // The phases are contiguous: phase 1 starts with the job, phase 2
+      // ends where the commit starts.
+      const Tick commit = sim_->Now() - commit_start;
+      compaction_stats_.commit_ticks += commit;
+      compaction_stats_.total_ticks += sim_->Now() - job_start;
+      stats().histogram("device.compact.commit_ns").Record(commit);
+    }
+  }
   --compactions_running_;
   if (!result.ok()) {
     // Best-effort: no snapshot references scratch, so whatever a failed
@@ -652,13 +811,8 @@ sim::Task<Status> Device::Commit(Keyspace* ks, JobOutput out,
   // written ahead of the snapshot that references it, as scratch; the
   // blobs they supersede die in the release after the commit. Both jobs
   // change the PIDX sketch. The bloom filter shares its blob, so recovery
-  // restores both or neither. A compaction's TEMP runs are dead weight
-  // either way and go meanwhile (best-effort: no snapshot references
-  // them, so recovery reclaims any a failed reset leaves behind), under
-  // the span that has always covered them.
+  // restores both or neither.
   {
-    std::optional<sim::TraceSpan> release;
-    if (!fold) release.emplace(sim_, trk_compaction_, "compact.release");
     sim::TaskGroup blobs(sim_);
     blobs.Spawn(StoreBlob(keyspace_manager_.WritePidxBlob(
                               next.pidx_sketch, next.pidx_bloom, act),
@@ -668,7 +822,6 @@ sim::Task<Status> Device::Commit(Keyspace* ks, JobOutput out,
       blobs.Spawn(StoreBlob(keyspace_manager_.WriteSidxBlob(sidx.sketch, act),
                             &sidx.sketch_blob, scratch));
     }
-    co_await zone_manager_.ReleaseBestEffort(std::move(out.temp));
     KVCSD_CO_RETURN_IF_ERROR(co_await blobs.Wait());
   }
 
@@ -726,6 +879,8 @@ sim::Task<Status> Device::Commit(Keyspace* ks, JobOutput out,
 sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
     Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
     std::vector<ClusterId>* scratch) {
+  // ---- Phase 1: durable logs, then parallel run generation ----
+  const Tick phase1_start = sim_->Now();
   // Compaction must observe complete KLOG/VLOG logs.
   KVCSD_CO_RETURN_IF_ERROR(co_await DrainWrites(ks));
 
@@ -743,8 +898,6 @@ sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
   std::vector<SidxSortState> fused_states(fused_specs.size());
   for (auto& state : fused_states) state.run_budget = run_budget;
 
-  // ---- Phase 1: parallel run generation over the KLOG zones ----
-  const Tick phase1_start = sim_->Now();
   std::vector<std::uint32_t> klog_zones;
   for (ClusterId cluster : ks->klog_clusters) {
     for (std::uint32_t zone : zone_manager_.cluster_zones(cluster)) {
@@ -782,10 +935,11 @@ sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
   if (CrashPoint("compact.after_phase1")) {
     co_return Status::IoError("simulated power loss after run generation");
   }
-  compaction_stats_.phase1_ticks += sim_->Now() - phase1_start;
+  const Tick phase2_start = sim_->Now();
+  compaction_stats_.phase1_ticks += phase2_start - phase1_start;
   stats()
       .histogram("device.compact.phase1_ns")
-      .Record(sim_->Now() - phase1_start);
+      .Record(phase2_start - phase1_start);
   if (sim_->tracer().enabled()) {
     sim_->tracer().CompleteSpan(
         sim_->tracer().Track(trk_compaction_), "phase1.run_gen", phase1_start,
@@ -793,39 +947,28 @@ sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
         {{"keyspace", ks->name}, {"runs", std::to_string(runs.size())}});
   }
 
-  // ---- Phase 2: merge -> gather + value write -> index build ----
-  const Tick phase2_start = sim_->Now();
+  // ---- Phase 2: merge -> gather -> value write -> index build ----
   compaction_stats_.max_merge_fanin =
       std::max<std::uint64_t>(compaction_stats_.max_merge_fanin, runs.size());
 
-  std::optional<BloomFilterBuilder> bloom;
-  if (config_.bloom_bits_per_key > 0) {
-    bloom.emplace(static_cast<int>(config_.bloom_bits_per_key));
-  }
-  Phase2Pipeline pipe(this);
-  pipe.specs = &fused_specs;
-  pipe.sidx_states = &fused_states;
-  pipe.bloom = bloom.has_value() ? &*bloom : nullptr;
-  sim::TaskGroup stages(sim_);
-  stages.Spawn(ValueWriteStage(&pipe));
-  stages.Spawn(IndexBuildStage(&pipe));
-
-  // Up to five batches can be DRAM-resident at once (one being merged, one
-  // queued for the write stage, one being gathered and written, one queued
-  // for the index stage, one being indexed), so each takes a fifth of the
-  // key share. A batch ends at the first SORTED_VALUES append boundary
-  // past its budget (at most one append later), so the appends, and the
-  // address of every value, are those of a single batch: the budget
-  // decides when values are written, never where.
+  // Up to six batches can be DRAM-resident at once: one being merged, one
+  // queued for the gather stage, one being gathered, one queued for the
+  // write stage, one being written (and indexed as its appends land), and
+  // the one before it, whose last append groups may still be indexed. So
+  // each takes a sixth of the key share. A batch ends at the first
+  // SORTED_VALUES append boundary past its budget (at most one append
+  // later), so the appends, and the address of every value, are those of
+  // a single batch: the budget decides when values are written, never
+  // where.
   const std::uint64_t batch_budget = std::max<std::uint64_t>(
-      config_.dram_bytes / 4 / budget_shares / 5, KiB(64));
+      config_.dram_bytes / 4 / budget_shares / 6, KiB(64));
 
-  // The key merge runs as key-range partitions, consumed in key order by
-  // the sequencer below. `cores` is this compaction's share of the SoC
-  // (compactions of several keyspaces already run side by side), and at
-  // most that many partitions merge at once. The batch being merged holds
-  // keys only (the write stage gathers its values), so its fifth of the
-  // key share holds the merged entries waiting ahead of the sequencer: at
+  // `cores` is this compaction's share of the SoC (compactions of several
+  // keyspaces already run side by side). The key merge runs as key-range
+  // partitions, consumed in key order by the sequencer below, and at most
+  // `cores` partitions merge at once. The batch being merged holds keys
+  // only (the gather stage reads its values), so its sixth of the key
+  // share holds the merged entries waiting ahead of the sequencer: at
   // most `cores` partitions in flight plus the one being consumed, each of
   // about a (cores + 1)-th of the batch budget. With more than one core,
   // the runs also split into kMergePartitionsPerCore partitions per core;
@@ -833,6 +976,20 @@ sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
   const auto cores = static_cast<std::uint32_t>(std::max<std::uint64_t>(
       config_.soc_cores / std::max<std::uint64_t>(compactions_running_, 1),
       1));
+
+  std::optional<BloomFilterBuilder> bloom;
+  if (config_.bloom_bits_per_key > 0) {
+    bloom.emplace(static_cast<int>(config_.bloom_bits_per_key));
+  }
+  Phase2Pipeline pipe(this, cores);
+  pipe.specs = &fused_specs;
+  pipe.sidx_states = &fused_states;
+  pipe.bloom = bloom.has_value() ? &*bloom : nullptr;
+  sim::TaskGroup stages(sim_);
+  stages.Spawn(GatherStage(&pipe));
+  stages.Spawn(ValueWriteStage(&pipe));
+  stages.Spawn(IndexBuildStage(&pipe));
+
   std::uint64_t run_bytes = 0;
   for (const SpilledRun& run : runs) run_bytes += run.bytes;
   std::uint64_t target = batch_budget / (cores + 1);
@@ -846,14 +1003,16 @@ sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
 
   // The sequencer: cuts the partitions' live entries, in key order, into
   // value batches exactly as one serial merge would.
-  auto batch = std::make_unique<ValueBatch>(config_.output_batch_bytes);
+  auto batch = std::make_unique<Phase2Pipeline::Batch>(
+      sim_, config_.output_batch_bytes);
   Tick batch_start = sim_->Now();
-  // Hands the open batch to the write stage and opens the next one.
+  // Hands the open batch to the gather stage and opens the next one.
   auto ship = [&]() -> sim::Task<void> {
     pipe.Record("merge", *batch, batch_start);
     const std::uint64_t next = batch->index + 1;
     co_await pipe.merged.Push(std::move(batch));
-    batch = std::make_unique<ValueBatch>(config_.output_batch_bytes);
+    batch = std::make_unique<Phase2Pipeline::Batch>(
+        sim_, config_.output_batch_bytes);
     batch->index = next;
     batch_start = sim_->Now();
   };
@@ -893,6 +1052,9 @@ sim::Task<Result<Device::JobOutput>> Device::RunCompaction(
   // A failed stage stops the merge (Aborted): its own error comes first.
   KVCSD_CO_RETURN_IF_ERROR(stage_status);
   KVCSD_CO_RETURN_IF_ERROR(merge_status);
+  // The runs are merged: their clusters only wait for the release after
+  // the commit, and no snapshot needs to list them.
+  zone_manager_.Unlist(temp_clusters);
 
   // ---- Fused secondary indexes: concurrent per-spec merges ----
   KeyspaceLayout next;

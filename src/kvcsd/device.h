@@ -161,8 +161,13 @@ struct CompactionStats {
   std::uint64_t bytes_written = 0;    // flash bytes written by compaction
   std::uint64_t runs_spilled = 0;     // sorted runs spilled to TEMP zones
   std::uint64_t max_merge_fanin = 0;  // widest k-way merge observed
-  Tick phase1_ticks = 0;  // run generation: KLOG parse + sort + spill
+  Tick phase1_ticks = 0;  // log drain and persist, run generation
   Tick phase2_ticks = 0;  // merge + value permutation + index build
+  Tick commit_ticks = 0;  // blob writes, commit persist, release
+  // Whole compactions, from the job's start to the end of its release.
+  // The three phases are contiguous, so on a device whose compactions all
+  // succeeded this is their sum.
+  Tick total_ticks = 0;
 };
 
 class Device {
@@ -322,8 +327,8 @@ class Device {
   // What a compaction or fold hands to the commit: the next layout, whose
   // chains hold only the job's fresh clusters (the layout rule in Commit
   // adds the old ones it keeps) and whose SIDXs name no blob unless the
-  // job left them unchanged; the TEMP clusters to release while the blobs
-  // are written; and the job's own counters, recorded at the commit point.
+  // job left them unchanged; the TEMP clusters, reset while the commit
+  // runs; and the job's own counters, recorded at the commit point.
   struct JobOutput {
     KeyspaceLayout next;
     std::vector<ClusterId> temp;
@@ -331,7 +336,8 @@ class Device {
   };
 
   // Failure-handling shell around RunCompaction (COMPACTING) or
-  // RunRecompaction (RECOMPACTING), and the one caller of Commit. Whatever
+  // RunRecompaction (RECOMPACTING), and the one caller of Commit, under
+  // which it resets the job's TEMP clusters. Whatever
   // the job allocated sits in `scratch`; on failure the clusters are
   // released best-effort (after a power cut the resets fail and recovery
   // reclaims the orphans instead) and the keyspace rolls back
@@ -343,15 +349,14 @@ class Device {
 
   // The one commit of a compaction or fold (DESIGN.md §8): applies the
   // layout rule to out.next, writes the PIDX blob and one for every SIDX
-  // that names none (as scratch, concurrently, alongside out.temp's
-  // release), drains the keyspace's readers, swaps the layout in, sets
-  // COMPACTED and persists. If the persist fails, the old layout and the
-  // (RE)COMPACTING state come back and CompactKeyspace rolls the keyspace
-  // back. On success `scratch` is cleared (the snapshot now owns the
-  // outputs), the keyspace's cached index blocks are dropped, and every
-  // cluster the old layout references that the new one does not is
-  // released. Crash points, the done counter and the spans are named
-  // after the job: "compact" or "recompact".
+  // that names none (as scratch, concurrently), drains the keyspace's
+  // readers, swaps the layout in, sets COMPACTED and persists. If the
+  // persist fails, the old layout and the (RE)COMPACTING state come back
+  // and CompactKeyspace rolls the keyspace back. On success `scratch` is
+  // cleared (the snapshot now owns the outputs), the keyspace's cached
+  // index blocks are dropped, and every cluster the old layout references
+  // that the new one does not is released. Crash points, the done counter
+  // and the spans are named after the job: "compact" or "recompact".
   sim::Task<Status> Commit(Keyspace* ks, JobOutput out,
                            std::vector<ClusterId>* scratch);
 
@@ -360,11 +365,13 @@ class Device {
   // paper's §V future-work optimization) by extracting keys from values
   // already in DRAM. A multi-core pipeline (DESIGN.md §7): run generation
   // fans out across the CpuPool, the key merge runs on a loser tree over
-  // double-buffered TEMP readers, and phase 2 runs three stages over
-  // bounded channels (merge -> gather + SORTED_VALUES write -> PIDX, bloom
-  // and fused-SIDX build), so the merge of one value batch overlaps the
-  // write and the indexing of the ones before it. `scratch` collects
-  // every cluster it allocates; the commit point clears it.
+  // double-buffered TEMP readers, and phase 2 runs four stages over
+  // bounded channels (merge -> VLOG gather -> SORTED_VALUES write -> PIDX,
+  // bloom and fused-SIDX build), so the merge of one value batch overlaps
+  // the gather of the one before it and the write of the one before that,
+  // and a batch is indexed append by append as its write lands.
+  // `scratch` collects every cluster it allocates; the commit point
+  // clears it.
   sim::Task<Result<JobOutput>> RunCompaction(
       Keyspace* ks, std::vector<nvme::SecondaryIndexSpec> fused_specs,
       std::vector<ClusterId>* scratch);
@@ -400,19 +407,30 @@ class Device {
       const bool* stop);
 
   // The one SORTED_VALUES writer (chain_writer.h): appends b's values to
-  // `chain` at the cuts ValueBatch::Admit recorded and re-points each
-  // entry's value_addr at its copy (0 for a zero-length value no append
-  // carries). Returns once every append has landed.
+  // `chain` at the cuts ValueBatch::Admit recorded, one append per append
+  // group, and re-points each entry's value_addr at its copy (0 for a
+  // zero-length value no append carries). With `copy_cores` > 0 it also
+  // charges each group's key-order copy, on up to that many SoC cores at
+  // once, and issues each append, in order, once its copy is done; with
+  // 0 the caller charges the copy. `landed`, when set, is called with a
+  // group's index once the group's addresses are set (at once for a
+  // group with no value bytes). Returns once every append has landed.
   struct ValueBatch;
+  using GroupLanded = std::function<void(std::size_t group)>;
   sim::Task<Status> WriteValues(ValueBatch* b, std::vector<ClusterId>* chain,
-                                sim::Activity act);
+                                sim::Activity act,
+                                std::uint32_t copy_cores = 0,
+                                const GroupLanded& landed = nullptr);
 
-  // Phase 2's two downstream stages. The write stage gathers each merged
-  // value batch, rewrites the values in key order and hands the batch on;
-  // the index stage builds PIDX blocks, the bloom filter and fused
-  // secondary-key tuples from it. Each drains its input channel to the
-  // end on every path, so an upstream stage blocked on it always wakes.
+  // Phase 2's three downstream stages. The gather stage reads each merged
+  // value batch's values from the VLOG; the write stage rewrites them in
+  // key order and hands the batch to the index stage as it starts, which
+  // builds PIDX blocks, the bloom filter and fused secondary-key tuples
+  // one append group at a time as the group's append lands. Each drains
+  // its input channel to the end on every path, so an upstream stage
+  // blocked on it always wakes.
   struct Phase2Pipeline;
+  sim::Task<Status> GatherStage(Phase2Pipeline* pipe);
   sim::Task<Status> ValueWriteStage(Phase2Pipeline* pipe);
   sim::Task<Status> IndexBuildStage(Phase2Pipeline* pipe);
 

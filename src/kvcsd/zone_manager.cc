@@ -174,10 +174,21 @@ std::uint64_t ZoneManager::ClusterBytes(ClusterId id) const {
   return total;
 }
 
+void ZoneManager::Unlist(const std::vector<ClusterId>& ids) {
+  for (ClusterId id : ids) {
+    auto it = clusters_.find(id);
+    if (it != clusters_.end()) it->second.unlisted = true;
+  }
+}
+
 void ZoneManager::SerializeTo(std::string* out) const {
   PutVarint64(out, next_cluster_id_);
-  PutVarint64(out, clusters_.size());
+  PutVarint64(out, static_cast<std::uint64_t>(std::count_if(
+                       clusters_.begin(), clusters_.end(), [](const auto& c) {
+                         return !c.second.unlisted;
+                       })));
   for (const auto& [id, cluster] : clusters_) {
+    if (cluster.unlisted) continue;
     PutVarint64(out, id);
     out->push_back(static_cast<char>(cluster.type));
     PutVarint32(out, cluster.next_zone);

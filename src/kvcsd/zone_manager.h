@@ -76,6 +76,11 @@ class ZoneManager {
   // (registered on its first failure) and leaves a breadcrumb in the
   // event ring; after a power cut every reset fails and it stays silent.
   sim::Task<void> ReleaseBestEffort(std::vector<ClusterId> ids);
+  // Leaves the listed clusters out of every later snapshot (SerializeTo)
+  // while they stay allocated: dead clusters waiting for a release. After
+  // a power cut recovery finds their written zones owned by no cluster and
+  // resets them. Unknown ids are skipped.
+  void Unlist(const std::vector<ClusterId>& ids);
 
   // Appends a contiguous record to the cluster, rotating the target zone
   // per append starting at the cluster's random offset. Returns the device
@@ -108,7 +113,8 @@ class ZoneManager {
   std::uint64_t ClusterBytes(ClusterId id) const;
 
   // Serializes the allocation table (cluster ids, types, zones, rotation
-  // cursors) for the metadata snapshot, and restores it on recovery. The
+  // cursors; unlisted clusters left out) for the metadata snapshot, and
+  // restores it on recovery. The
   // free pool is rebuilt from scratch: every non-reserved zone not owned
   // by a cluster, LIFO highest-first like the constructor.
   void SerializeTo(std::string* out) const;
@@ -120,6 +126,7 @@ class ZoneManager {
     std::vector<std::uint32_t> zones;
     std::uint32_t next_zone;  // rotation cursor, randomly seeded
     bool releasing = false;   // its zones are being reset by a batch
+    bool unlisted = false;    // left out of snapshots (Unlist)
   };
 
   storage::ZnsSsd* ssd_;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 
@@ -78,14 +80,16 @@ TEST(CrashSweepTest, EveryReachableCrashPointRecovers) {
 // Tiny zones make the 4 KiB metadata zone wrap mid-workload, which is
 // the only way a sweep reaches the ping-pong crash points
 // (meta.before_reset / meta.after_reset). More keyspaces fatten each
-// snapshot so the wrap happens sooner; more zones keep the pool big
-// enough that post-crash verification can still compact all of them.
+// snapshot and add persists (creates, syncs, compaction commits): ten
+// wrap the zone pair three times, so a smaller snapshot or one persist
+// fewer still leaves two wraps. More zones keep the pool big enough that
+// post-crash verification can still compact all of them.
 CrashSweepConfig TinyZoneConfig() {
   CrashSweepConfig c;
-  c.keyspaces = 6;
+  c.keyspaces = 10;
   c.keys_per_keyspace = 16;
   c.zone_bytes = KiB(4);
-  c.num_zones = 96;
+  c.num_zones = 160;
   c.write_buffer_bytes = KiB(1);
   return c;
 }
@@ -95,19 +99,20 @@ TEST(CrashSweepTest, TinyZoneSweepCoversMetadataPingPong) {
   ASSERT_TRUE(dry.ok()) << dry.status().ToString();
   ASSERT_TRUE(dry->ok()) << Describe(*dry);
 
-  bool saw_before_reset = false;
-  bool saw_after_reset = false;
+  std::map<std::string, std::uint64_t> crashes;  // cases per crash point
   for (std::uint64_t k = 1; k <= dry->hits; ++k) {
     auto report = RunCrashSweepCase(TinyZoneConfig(), k);
     ASSERT_TRUE(report.ok())
         << "case " << k << ": " << report.status().ToString();
     EXPECT_TRUE(report->fired) << "case " << k << " never crashed";
     EXPECT_TRUE(report->ok()) << "case " << k << ": " << Describe(*report);
-    saw_before_reset |= report->crash_point == "meta.before_reset";
-    saw_after_reset |= report->crash_point == "meta.after_reset";
+    ++crashes[report->crash_point];
   }
-  EXPECT_TRUE(saw_before_reset) << "sweep never crashed at meta.before_reset";
-  EXPECT_TRUE(saw_after_reset) << "sweep never crashed at meta.after_reset";
+  // At least two wraps: each ping-pong point is crashed at twice.
+  EXPECT_GE(crashes["meta.before_reset"], 2u)
+      << "sweep crashed at meta.before_reset fewer than twice";
+  EXPECT_GE(crashes["meta.after_reset"], 2u)
+      << "sweep crashed at meta.after_reset fewer than twice";
 }
 
 // Eight keyspaces on tiny zones: five compact at once, three of them then

@@ -6,7 +6,9 @@
 // output byte, and phase 2's stages must overlap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
 #include <span>
@@ -20,6 +22,7 @@
 #include "csd_testbed.h"
 #include "harness/json_report.h"
 #include "kvcsd/device.h"
+#include "sim/fault.h"
 
 namespace kvcsd::device {
 namespace {
@@ -67,14 +70,17 @@ nvme::SecondaryIndexSpec EnergySpec() {
 }
 
 // Bulk-loads `keys` keys in a shuffled order so run generation sees
-// unsorted zones.
-sim::Task<void> LoadShuffled(client::KeyspaceHandle* ks, std::uint64_t keys) {
+// unsorted zones. Values longer than EnergyValue's 32 bytes are padded.
+sim::Task<void> LoadShuffled(client::KeyspaceHandle* ks, std::uint64_t keys,
+                             std::size_t value_bytes = 32) {
   std::uint64_t stride = 701;
   while (keys % stride == 0) ++stride;
   auto writer = ks->NewBulkWriter();
   for (std::uint64_t i = 0; i < keys; ++i) {
     const std::uint64_t id = (i * stride) % keys;
-    KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(id), EnergyValue(id)));
+    std::string value = EnergyValue(id);
+    value.resize(std::max(value.size(), value_bytes), 'q');
+    KVCSD_CO_ASSERT_OK(co_await writer.Add(MakeFixedKey(id), value));
   }
   KVCSD_CO_ASSERT_OK(co_await writer.Drain());
 }
@@ -202,6 +208,21 @@ sim::Task<void> ReadChain(Device* dev, const std::vector<ClusterId>& chain,
   }
 }
 
+// Records the layout of the compacted keyspace "layout" (`sidx` stays
+// empty when it has no energy index).
+sim::Task<void> RecordLayout(Device* dev, Layout* out) {
+  auto found = dev->keyspaces().Find("layout");
+  KVCSD_CO_ASSERT_OK(found);
+  const Keyspace& layout = **found;
+  out->pidx = Blocks(layout.pidx_sketch);
+  auto sidx = layout.secondary_indexes.find("energy");
+  if (sidx != layout.secondary_indexes.end()) {
+    out->sidx = Blocks(sidx->second.sketch);
+  }
+  co_await ReadChain(dev, layout.sorted_value_clusters, &out->sorted_values);
+  out->ok = true;
+}
+
 // Compacts a shuffled load with the energy index built fused into the
 // compaction or by a separate scan afterwards, and records the layout.
 sim::Task<void> LayoutWorkload(client::Client* db, Device* dev,
@@ -223,15 +244,8 @@ sim::Task<void> LayoutWorkload(client::Client* db, Device* dev,
     KVCSD_CO_ASSERT_OK(co_await ks.CreateSecondaryIndex(EnergySpec()));
   }
   out->compact_ticks = sim->Now() - start;
-  auto found = dev->keyspaces().Find("layout");
-  KVCSD_CO_ASSERT_OK(found);
-  const Keyspace& layout = **found;
-  out->pidx = Blocks(layout.pidx_sketch);
-  auto sidx = layout.secondary_indexes.find("energy");
-  KVCSD_CO_ASSERT(sidx != layout.secondary_indexes.end());
-  out->sidx = Blocks(sidx->second.sketch);
-  co_await ReadChain(dev, layout.sorted_value_clusters, &out->sorted_values);
-  out->ok = true;
+  co_await RecordLayout(dev, out);
+  KVCSD_CO_ASSERT(!out->sidx.empty());
 }
 
 // Small output batches and DRAM make every output chain take many appends
@@ -286,6 +300,159 @@ TEST(CompactPipelineTest, AppendWindowKeepsTheLayout) {
     EXPECT_EQ(big_batches.sidx, serial.sidx);
     EXPECT_EQ(big_batches.sorted_values, serial.sorted_values);
   }
+}
+
+// A compaction of the window workload, with the energy index fused into
+// it or none, that, when `rule` is set, first fails on the error it
+// injects, and then compacts cleanly.
+struct FailedCompaction {
+  Status failure;  // what WaitCompaction returned for the failed attempt
+  KeyspaceState state_after_failure = KeyspaceState::kCompacted;
+  std::size_t free_zones_before = 0;
+  std::size_t free_zones_after_failure = 0;
+  std::uint64_t batches_written_before_failure = 0;
+  // The compaction that succeeded: its layout, and the zones of its
+  // SORTED_VALUES and PIDX chains with the zone each chain's first append
+  // went to.
+  Layout layout;
+  std::uint64_t batches = 0;
+  std::vector<std::uint32_t> value_zones;
+  std::uint32_t first_value_zone = 0;
+  std::vector<std::uint32_t> pidx_zones;
+  std::uint32_t first_pidx_zone = 0;
+};
+
+sim::Task<Status> CompactWindow(client::KeyspaceHandle* ks, bool fused) {
+  std::vector<nvme::SecondaryIndexSpec> specs;
+  if (fused) specs.push_back(EnergySpec());
+  const Status started = co_await ks->CompactWithIndexes(std::move(specs));
+  if (!started.ok()) co_return started;
+  co_return co_await ks->WaitCompaction();
+}
+
+std::uint64_t HistogramCount(sim::Simulation& sim, const char* name) {
+  return sim.stats().histogram(name).count();
+}
+
+sim::Task<void> FailThenCompact(harness::CsdTestbed* f,
+                                sim::FaultInjector* injector, bool fused,
+                                std::optional<sim::ErrorRule> rule,
+                                FailedCompaction* out) {
+  Device& dev = f->dev();
+  auto created = co_await f->client().CreateKeyspace("layout");
+  KVCSD_CO_ASSERT_OK(created);
+  auto ks = std::move(*created);
+  co_await LoadShuffled(&ks, kWindowKeys);
+  auto found = dev.keyspaces().Find("layout");
+  KVCSD_CO_ASSERT_OK(found);
+  if (rule.has_value()) {
+    out->free_zones_before = dev.zones().free_zones();
+    injector->AddErrorRule(*rule);
+    out->failure = co_await CompactWindow(&ks, fused);
+    out->state_after_failure = (*found)->state;
+    out->free_zones_after_failure = dev.zones().free_zones();
+    out->batches_written_before_failure =
+        HistogramCount(f->sim(), "device.compact.phase2_write_ns");
+  }
+  const std::uint64_t batches_before =
+      HistogramCount(f->sim(), "device.compact.phase2_write_ns");
+  KVCSD_CO_ASSERT_OK(co_await CompactWindow(&ks, fused));
+  out->batches =
+      HistogramCount(f->sim(), "device.compact.phase2_write_ns") -
+      batches_before;
+  co_await RecordLayout(&dev, &out->layout);
+  const Keyspace& layout = **found;
+  KVCSD_CO_ASSERT(layout.sorted_value_clusters.size() == 1);
+  KVCSD_CO_ASSERT(layout.pidx_clusters.size() == 1);
+  const std::uint64_t zone_size = dev.ssd().zone_size();
+  out->value_zones = dev.zones().cluster_zones(layout.sorted_value_clusters[0]);
+  out->first_value_zone = static_cast<std::uint32_t>(
+      layout.pidx_sketch.at(0).spans.at(0).lo / zone_size);
+  out->pidx_zones = dev.zones().cluster_zones(layout.pidx_clusters[0]);
+  out->first_pidx_zone =
+      static_cast<std::uint32_t>(layout.pidx_sketch.at(0).block_addr / zone_size);
+}
+
+FailedCompaction RunFailThenCompact(bool fused,
+                                    std::optional<sim::ErrorRule> rule) {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(
+      testutil::Bed(WindowDevice(DeviceConfig{}.gather_fanout), &injector));
+  FailedCompaction out;
+  testutil::RunSim(f.sim(),
+                   FailThenCompact(&f, &injector, fused, rule, &out));
+  EXPECT_EQ(injector.errors_injected(), rule.has_value() ? 1u : 0u);
+  return out;
+}
+
+// Fails the `nth` append (0-based) of a one-cluster chain on `zones` whose
+// first append went to `first`: a cluster's appends rotate over its zones,
+// and none of these fills.
+sim::ErrorRule NthAppendRule(const std::vector<std::uint32_t>& zones,
+                             std::uint32_t first, std::uint64_t nth) {
+  const auto start = static_cast<std::uint64_t>(
+      std::find(zones.begin(), zones.end(), first) - zones.begin());
+  EXPECT_LT(start, zones.size());
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kAppend;
+  rule.zone = zones[(start + nth) % zones.size()];
+  rule.skip = nth / zones.size();
+  return rule;
+}
+
+// A failed append in the middle of a multi-batch compaction: WaitCompaction
+// returns the error (every stage, and every index waiter on an append
+// group that never lands, wakes), the keyspace rolls back to WRITABLE with
+// every zone it took back in the pool, and the retry lays the keyspace
+// out exactly as a compaction that never failed.
+void ExpectAppendFailureRollsBack(bool fused, const FailedCompaction& clean,
+                                  const sim::ErrorRule& rule,
+                                  std::uint64_t min_batches_written) {
+  const FailedCompaction failed = RunFailThenCompact(fused, rule);
+  EXPECT_EQ(failed.failure.code(), StatusCode::kIoError)
+      << failed.failure.ToString();
+  EXPECT_EQ(failed.state_after_failure, KeyspaceState::kWritable);
+  EXPECT_EQ(failed.free_zones_after_failure, failed.free_zones_before);
+  EXPECT_GE(failed.batches_written_before_failure, min_batches_written);
+  EXPECT_LT(failed.batches_written_before_failure, clean.batches);
+  ASSERT_TRUE(failed.layout.ok);
+  // The retry's clusters may sit in other zones: blocks are compared at
+  // their offsets within their zones.
+  const std::uint64_t zone_size = WindowDevice(1).zns.zone_size;
+  auto in_zone = [zone_size](std::vector<std::pair<std::string, std::uint64_t>>
+                                 blocks) {
+    for (auto& block : blocks) block.second %= zone_size;
+    return blocks;
+  };
+  EXPECT_EQ(in_zone(failed.layout.pidx), in_zone(clean.layout.pidx));
+  EXPECT_EQ(in_zone(failed.layout.sidx), in_zone(clean.layout.sidx));
+  EXPECT_EQ(failed.layout.sorted_values, clean.layout.sorted_values);
+}
+
+// With no fused index the index stage keeps up with the write, so it is
+// asleep on the failed group when the write ends.
+TEST(CompactPipelineTest, MidBatchValueAppendErrorRollsBack) {
+  const FailedCompaction clean = RunFailThenCompact(false, std::nullopt);
+  ASSERT_TRUE(clean.layout.ok);
+  // 64 KiB batches of four 16 KiB appends: append 6 is the third of batch
+  // 1, so batch 0 is written and batch 1 fails halfway.
+  ASSERT_GE(clean.batches, 3u);
+  ASSERT_EQ(clean.layout.sorted_values.size(), kWindowKeys * 32);
+  ExpectAppendFailureRollsBack(
+      false, clean,
+      NthAppendRule(clean.value_zones, clean.first_value_zone, 6), 1);
+}
+
+TEST(CompactPipelineTest, PidxAppendErrorRollsBack) {
+  const FailedCompaction clean = RunFailThenCompact(true, std::nullopt);
+  ASSERT_TRUE(clean.layout.ok);
+  ASSERT_FALSE(clean.layout.sidx.empty());
+  ASSERT_GE(clean.layout.pidx.size(), 24u);
+  // Four blocks per append: append 5 carries blocks 20-23, indexed from a
+  // later batch than the first.
+  ExpectAppendFailureRollsBack(
+      true, clean, NthAppendRule(clean.pidx_zones, clean.first_pidx_zone, 5),
+      1);
 }
 
 // A keyspace whose equal-key groups span runs: every key is put, then
@@ -447,38 +614,75 @@ std::map<std::string, std::map<std::uint64_t, StageSpan>> StageSpans(
   return spans;
 }
 
+constexpr const char* kStages[] = {"merge", "gather", "write", "index"};
+
+// The phase-2 stage spans of a traced compaction on the window device
+// with `gather_fanout` appends in flight. Every stage must record one
+// span and one histogram sample per batch.
+std::map<std::string, std::map<std::uint64_t, StageSpan>> TracedStages(
+    std::uint32_t gather_fanout,
+    const std::function<sim::Task<void>(harness::CsdTestbed*)>& workload) {
+  harness::CsdTestbed f(testutil::Bed(WindowDevice(gather_fanout)));
+  f.sim().tracer().Enable();
+  testutil::RunSim(f.sim(), workload(&f));
+  auto spans = StageSpans(f.sim().tracer());
+  const std::size_t batches = spans["phase2.merge"].size();
+  EXPECT_GE(batches, 3u);
+  for (const char* stage : kStages) {
+    EXPECT_EQ(spans[std::string("phase2.") + stage].size(), batches) << stage;
+    EXPECT_EQ(HistogramCount(f.sim(), (std::string("device.compact.phase2_") +
+                                       stage + "_ns")
+                                          .c_str()),
+              batches)
+        << stage;
+  }
+  return spans;
+}
+
 // Phase 2 is a pipeline: on a keyspace spanning several value batches, the
 // merge of batch N+1 runs while batch N is being gathered and written, and
 // every stage records one span and one histogram sample per batch. A
 // change that serializes the stages again (the merge awaiting the write)
 // fails here.
 TEST(CompactPipelineTest, MergeOfNextBatchOverlapsWriteOfPrevious) {
-  harness::CsdTestbed f(
-      testutil::Bed(WindowDevice(DeviceConfig{}.gather_fanout)));
-  f.sim().tracer().Enable();
-  Outcome out;
-  testutil::RunSim(f.sim(), Workload(&f.client(), &f.dev(), &f.sim(),
-                                     kWindowKeys, &out));
-  ASSERT_TRUE(out.ok);
-
-  auto spans = StageSpans(f.sim().tracer());
-  const auto& merges = spans["phase2.merge"];
-  const auto& writes = spans["phase2.write"];
-  const auto& indexes = spans["phase2.index"];
-  ASSERT_GE(merges.size(), 2u);
-  EXPECT_EQ(writes.size(), merges.size());
-  EXPECT_EQ(indexes.size(), merges.size());
-  const StageSpan& write0 = writes.at(0);
-  const StageSpan& merge1 = merges.at(1);
+  auto spans = TracedStages(DeviceConfig{}.gather_fanout,
+                            [](harness::CsdTestbed* f) -> sim::Task<void> {
+    Outcome out;
+    co_await Workload(&f->client(), &f->dev(), &f->sim(), kWindowKeys, &out);
+    EXPECT_TRUE(out.ok);
+  });
+  const StageSpan& write0 = spans["phase2.write"].at(0);
+  const StageSpan& merge1 = spans["phase2.merge"].at(1);
   EXPECT_LT(merge1.begin, write0.end);
   EXPECT_LT(write0.begin, merge1.end);
-  for (const char* stage : {"merge", "write", "index"}) {
-    EXPECT_EQ(f.sim().stats()
-                  .histogram(std::string("device.compact.phase2_") + stage +
-                             "_ns")
-                  .count(),
-              merges.size())
-        << stage;
+}
+
+// The gather of batch N+1 runs while batch N is copied and appended, and
+// the index stage follows a batch's appends as they land instead of
+// waiting for its whole write: a change that gathers inside the write
+// stage again, or joins a batch's appends before indexing it, fails here.
+// 256-byte values make the value stages outweigh the key merge, with no
+// fused index nothing holds the index stage up, and with two appends in
+// flight a batch's four appends land in two waves, so its indexing
+// (which starts when its first append lands) starts before its write
+// ends.
+TEST(CompactPipelineTest, GatherAndIndexOverlapTheWrite) {
+  auto spans = TracedStages(2, [](harness::CsdTestbed* f) -> sim::Task<void> {
+    auto created = co_await f->client().CreateKeyspace("pipeline");
+    KVCSD_CO_ASSERT_OK(created);
+    co_await LoadShuffled(&*created, 3000, 256);
+    KVCSD_CO_ASSERT_OK(co_await created->Compact());
+    KVCSD_CO_ASSERT_OK(co_await created->WaitCompaction());
+  });
+  const auto& gathers = spans["phase2.gather"];
+  const auto& writes = spans["phase2.write"];
+  const auto& indexes = spans["phase2.index"];
+  for (const auto& [n, write] : writes) {
+    SCOPED_TRACE("batch " + std::to_string(n));
+    EXPECT_LT(indexes.at(n).begin, write.end);
+    if (!gathers.contains(n + 1)) continue;
+    EXPECT_LT(gathers.at(n + 1).begin, write.end);
+    EXPECT_LT(write.begin, gathers.at(n + 1).end);
   }
 }
 
