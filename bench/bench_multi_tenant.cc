@@ -46,17 +46,8 @@ namespace {
 // ten samples beyond it; nothing when not even p95 has.
 void AddTailMetric(JsonReporter* report, const std::string& key,
                    const sim::HistogramSummary& s) {
-  const struct {
-    const char* name;
-    double beyond;  // share of samples above the percentile
-    double value;
-  } tails[] = {{"p999", 0.001, s.p999}, {"p99", 0.01, s.p99},
-               {"p95", 0.05, s.p95}};
-  for (const auto& tail : tails) {
-    if (static_cast<double>(s.count) * tail.beyond >= 10.0) {
-      report->AddMetric(key + "_" + tail.name + "_ns", tail.value);
-      return;
-    }
+  if (const auto tail = s.WellSampledTail()) {
+    report->AddMetric(key + "_" + tail->name + "_ns", tail->value);
   }
 }
 

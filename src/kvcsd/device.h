@@ -46,6 +46,8 @@ namespace kvcsd::device {
 
 // Size of one PIDX/SIDX index block (the paper's 4 KiB index block).
 inline constexpr std::uint32_t kIndexBlockSize = 4096;
+// Background byte-rate charges give their core back once per index block.
+static_assert(sim::CpuPool::kSliceBytes == kIndexBlockSize);
 
 struct DeviceConfig {
   storage::ZnsConfig zns;
@@ -117,13 +119,15 @@ struct RunMark {
 // serialized entries.
 inline constexpr std::uint64_t kRunIndexStride = KiB(4);
 
-// A sorted run spilled to TEMP zone clusters during an external sort: a
-// list of contiguous flash segments, each holding whole serialized
-// entries, and a sparse index over them (the first mark is the first
+// A sorted run of an external sort: its serialized entries, either
+// spilled to TEMP zone clusters as a list of contiguous flash segments,
+// each holding whole entries, or kept in SoC DRAM (`resident`, no
+// segments); and a sparse index over them (the first mark is the first
 // entry). A partitioned merge picks its splitters from the index and
-// starts and stops each reader at its marks.
+// starts and stops each reader at its marks, in flash or in DRAM alike.
 struct SpilledRun {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> segments;
+  std::string resident;
   std::vector<RunMark> index;
   std::uint64_t bytes = 0;  // serialized entries, all segments
 };
@@ -365,7 +369,8 @@ class Device {
   // paper's §V future-work optimization) by extracting keys from values
   // already in DRAM. A multi-core pipeline (DESIGN.md §7): run generation
   // fans out across the CpuPool, the key merge runs on a loser tree over
-  // double-buffered TEMP readers, and phase 2 runs four stages over
+  // readers of runs kept in DRAM when the key log fits half the key share,
+  // else of double-buffered TEMP readers, and phase 2 runs four stages over
   // bounded channels (merge -> VLOG gather -> SORTED_VALUES write -> PIDX,
   // bloom and fused-SIDX build), so the merge of one value batch overlaps
   // the gather of the one before it and the write of the one before that,
@@ -377,19 +382,21 @@ class Device {
       std::vector<ClusterId>* scratch);
 
   // Phase 1 worker: streams one KLOG zone in bounded chunks, accumulates
-  // entries up to `run_budget` bytes, and spills sorted runs to TEMP
-  // clusters owned by *out. Independent per zone, safe to fan out.
+  // entries up to `run_budget` bytes, and closes sorted runs, kept in DRAM
+  // when `resident`, else spilled to TEMP clusters owned by *out.
+  // Independent per zone, safe to fan out.
   struct RunGenOutput;
   sim::Task<Status> GenerateZoneRuns(std::uint32_t zone,
-                                     std::uint64_t run_budget,
+                                     std::uint64_t run_budget, bool resident,
                                      RunGenOutput* out);
 
-  // Sorts `*entries` by Traits::Less (charging `sort_bytes` of merge CPU),
-  // writes them as one run of an external sort to the TEMP chain `chain`
-  // through a ChainWriter, appends the run to *runs and empties
-  // *entries. A segment ends before an entry that would push it past
-  // output_batch_bytes; the run index marks an entry every
-  // kRunIndexStride bytes.
+  // Sorts `*entries` by Traits::Less (charging `sort_bytes` of merge CPU,
+  // sliced), serializes them as one run of an external sort, appends the
+  // run to *runs and empties *entries. The run index marks an entry every
+  // kRunIndexStride bytes. With a null `chain` the run stays in DRAM
+  // (SpilledRun::resident); otherwise it is written to the TEMP chain
+  // `chain` through a ChainWriter, a segment ending before an entry that
+  // would push it past output_batch_bytes.
   template <typename Traits>
   sim::Task<Status> SpillRun(std::vector<typename Traits::Entry>* entries,
                              std::uint64_t sort_bytes,

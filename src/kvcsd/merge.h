@@ -5,13 +5,13 @@
 //  * LoserTree — a tournament tree selecting the minimum of k sources in
 //    O(log k) comparisons per pop, replacing the O(k) scan-per-element
 //    loops the compactor used to run on every merged entry.
-//  * TempRunReader — streams one spilled run back from TEMP zone
-//    clusters, double-buffered: the flash read of the next piece is
-//    issued as soon as the previous buffer is handed over, so merge
-//    compute on the current piece overlaps the SSD read of the next.
-//    Given a key range [lo, hi), it reads only the bytes between the
-//    run-index marks that bracket the range and yields only the entries
-//    inside it.
+//  * RunReader — streams one sorted run: a run kept in SoC DRAM is
+//    parsed in place; a run spilled to TEMP zone clusters is read back
+//    double-buffered: the flash read of the next piece is issued as soon
+//    as the previous buffer is handed over, so merge compute on the
+//    current piece overlaps the SSD read of the next. Given a key range
+//    [lo, hi), it takes only the bytes between the run-index marks that
+//    bracket the range and yields only the entries inside it.
 //  * RunMerger — glues k readers to a loser tree behind a Pop() loop.
 //  * PickSplitters — cuts the key space of a set of runs into partitions
 //    of about a target size from the runs' sparse indexes, so partition
@@ -167,24 +167,23 @@ struct SidxMergeTraits {
   }
 };
 
-// Streams one spilled run's entries back from flash. Owned by shared_ptr
-// because the prefetch I/O runs as a detached process: the in-flight read
-// keeps the reader alive even if the merge aborts early.
+// Streams one run's entries, from DRAM for a resident run and back from
+// flash for a spilled one. Owned by shared_ptr because the prefetch I/O
+// runs as a detached process: the in-flight read keeps the reader alive
+// even if the merge aborts early.
 //
-// Given a bounded `range`, the reader reads from the last index mark below
-// `lo` (entries of `lo` may precede the first mark that names it) up to
-// the first mark at or past `hi`, skips the entries below `lo` and stops
-// at the first entry at or past `hi`. A run without an index is read
-// whole.
+// Given a bounded `range`, the reader takes the run bytes from the last
+// index mark below `lo` (entries of `lo` may precede the first mark that
+// names it) up to the first mark at or past `hi`, skips the entries below
+// `lo` and stops at the first entry at or past `hi`. A run without an
+// index is read whole.
 template <typename Traits>
-class TempRunReader
-    : public std::enable_shared_from_this<TempRunReader<Traits>> {
+class RunReader : public std::enable_shared_from_this<RunReader<Traits>> {
  public:
   using Entry = typename Traits::Entry;
 
-  TempRunReader(sim::Simulation* sim, storage::ZnsSsd* ssd,
-                const SpilledRun* run, std::uint64_t* bytes_read_counter,
-                const KeyRange& range)
+  RunReader(sim::Simulation* sim, storage::ZnsSsd* ssd, const SpilledRun* run,
+            std::uint64_t* bytes_read_counter, const KeyRange& range)
       : sim_(sim),
         ssd_(ssd),
         bytes_read_(bytes_read_counter),
@@ -192,8 +191,8 @@ class TempRunReader
         prefetch_ready_(sim) {
     PlanPieces(*run);
   }
-  TempRunReader(const TempRunReader&) = delete;
-  TempRunReader& operator=(const TempRunReader&) = delete;
+  RunReader(const RunReader&) = delete;
+  RunReader& operator=(const RunReader&) = delete;
 
   bool valid() const { return valid_; }
   const Entry& head() const { return head_; }
@@ -214,7 +213,7 @@ class TempRunReader
     for (;;) {
       if (!cursor_.empty()) {
         if (!Traits::Parse(&cursor_, &head_)) {
-          co_return Status::Corruption("bad TEMP run entry");
+          co_return Status::Corruption("bad sorted run entry");
         }
         const std::string& key = Traits::Key(head_);
         if (key < range_.lo) continue;
@@ -236,11 +235,12 @@ class TempRunReader
   }
 
  private:
-  // The flash extents holding run bytes [begin, end): the segments laid
-  // end to end, cut at the index marks that bracket the range. Marks sit
-  // on entry boundaries, so every piece parses on its own.
+  // Run bytes [begin, end), cut at the index marks that bracket the
+  // range: parsed in place for a resident run, else the flash extents
+  // holding them, the segments laid end to end. Marks sit on entry
+  // boundaries, so every piece parses on its own.
   void PlanPieces(const SpilledRun& run) {
-    std::uint64_t total = 0;
+    std::uint64_t total = run.resident.size();
     for (const auto& [addr, len] : run.segments) total += len;
     std::uint64_t begin = 0;
     std::uint64_t end = total;
@@ -257,6 +257,10 @@ class TempRunReader
     if (range_.hi.has_value()) {
       const auto it = mark_at_or_past(*range_.hi);
       if (it != index.end()) end = it->offset;
+    }
+    if (run.segments.empty()) {
+      cursor_ = Slice(run.resident.data() + begin, end - begin);
+      return;
     }
     std::uint64_t offset = 0;
     for (const auto& [addr, len] : run.segments) {
@@ -278,7 +282,7 @@ class TempRunReader
     sim_->Spawn(PrefetchIo(this->shared_from_this(), addr, len));
   }
 
-  static sim::Task<void> PrefetchIo(std::shared_ptr<TempRunReader> self,
+  static sim::Task<void> PrefetchIo(std::shared_ptr<RunReader> self,
                                     std::uint64_t addr, std::uint32_t len) {
     self->prefetch_buffer_.assign(len, '\0');
     self->prefetch_status_ = co_await self->ssd_->Read(
@@ -308,10 +312,10 @@ class TempRunReader
   sim::Event prefetch_ready_;
 };
 
-// K-way merger over spilled runs: loser-tree selection over
-// double-buffered readers, optionally restricted to one key range. The
-// SpilledRun storage must outlive the merger; readers plan their reads
-// from it.
+// K-way merger over sorted runs: loser-tree selection over run readers,
+// optionally restricted to one key range. The SpilledRun storage must
+// outlive the merger; readers plan their reads from it and parse resident
+// runs in place.
 template <typename Traits>
 class RunMerger {
  public:
@@ -326,7 +330,7 @@ class RunMerger {
                          std::uint64_t* bytes_read_counter) {
     readers_.reserve(runs.size());
     for (const SpilledRun& run : runs) {
-      readers_.push_back(std::make_shared<TempRunReader<Traits>>(
+      readers_.push_back(std::make_shared<RunReader<Traits>>(
           sim_, ssd_, &run, bytes_read_counter, range_));
     }
     sim::TaskGroup group(sim_);
@@ -371,7 +375,7 @@ class RunMerger {
   sim::Simulation* sim_;
   storage::ZnsSsd* ssd_;
   const KeyRange range_;
-  std::vector<std::shared_ptr<TempRunReader<Traits>>> readers_;
+  std::vector<std::shared_ptr<RunReader<Traits>>> readers_;
   LoserTree tree_;
   std::size_t live_ = 0;
 };

@@ -143,8 +143,9 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
         co_await WriteValues(&delta, &fresh, sim::Activity::kRecompact);
     scratch->insert(scratch->end(), fresh.begin(), fresh.end());
     KVCSD_CO_RETURN_IF_ERROR(appended);
-    co_await cpu_.ComputeBytes(delta.value_bytes,
-                               config_.costs.memcpy_bytes_per_sec, sim::Activity::kRecompact);
+    co_await cpu_.ComputeSliced(delta.value_bytes,
+                                config_.costs.memcpy_bytes_per_sec,
+                                sim::Activity::kRecompact);
   }
 
   // ---- PIDX fold: rebuild only the blocks the delta keys land in ----
@@ -219,8 +220,9 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
       merged->reserve(old_recs.size() + per_block[dirty[k]].size());
       merge_block(old_recs, per_block[dirty[k]], merged);
       if (fold_bytes > 0) {
-        co_await cpu_.ComputeBytes(fold_bytes, config_.costs.merge_bytes_per_sec,
-                                   sim::Activity::kRecompact);
+        co_await cpu_.ComputeSliced(fold_bytes,
+                                    config_.costs.merge_bytes_per_sec,
+                                    sim::Activity::kRecompact);
       }
       co_return Status::Ok();
     };
@@ -285,9 +287,9 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
     // Extracting the fresh tuples' secondary keys touches every live delta
     // value byte, charged once for all indexes as the fused build does.
     if (!ks->secondary_indexes.empty() && delta.value_bytes > 0) {
-      co_await cpu_.ComputeBytes(delta.value_bytes,
-                                 config_.costs.extract_bytes_per_sec,
-                                 sim::Activity::kRecompact);
+      co_await cpu_.ComputeSliced(delta.value_bytes,
+                                  config_.costs.extract_bytes_per_sec,
+                                  sim::Activity::kRecompact);
     }
     for (auto& [name, sidx] : ks->secondary_indexes) {
       // The folded index: its fresh clusters and the mixed sketch.
@@ -356,8 +358,8 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
         for (const SidxTuple& t : merged) {
           packed += t.skey.size() + t.pkey.size() + 12;
         }
-        co_await cpu_.ComputeBytes(packed, config_.costs.memcpy_bytes_per_sec,
-                                   sim::Activity::kRecompact);
+        co_await cpu_.ComputeSliced(packed, config_.costs.memcpy_bytes_per_sec,
+                                    sim::Activity::kRecompact);
         for (const SidxTuple& t : merged) {
           if (out.AddSidx(t)) KVCSD_CO_RETURN_IF_ERROR(co_await out.Flush());
         }
@@ -458,8 +460,9 @@ sim::Task<Result<Device::JobOutput>> Device::RunRecompaction(
     }
     if (fresh.has_value()) next.pidx_bloom = fresh->Finish();
     if (bloom_key_bytes > 0) {
-      co_await cpu_.ComputeBytes(bloom_key_bytes,
-                                 config_.costs.checksum_bytes_per_sec, sim::Activity::kRecompact);
+      co_await cpu_.ComputeSliced(bloom_key_bytes,
+                                  config_.costs.checksum_bytes_per_sec,
+                                  sim::Activity::kRecompact);
     }
   }
 

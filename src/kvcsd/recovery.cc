@@ -21,7 +21,8 @@
 //   3. Release clusters no keyspace references (uncommitted compaction
 //      outputs, TEMP runs, logs of half-dropped keyspaces).
 //   4. Reset written zones no cluster owns (allocations newer than the
-//      snapshot whose cluster ids died with DRAM).
+//      snapshot whose cluster ids died with DRAM), in the same concurrent
+//      reset batch as step 3.
 //   5. Replay the KLOG chains of WRITABLE keyspaces and the delta logs of
 //      COMPACTED ones through the live apply step (ApplyMutation),
 //      truncating the torn tail a power cut may have left mid-zone so
@@ -32,6 +33,7 @@
 
 #include "kvcsd/device.h"
 #include "kvcsd/klog_stream.h"
+#include "sim/parallel.h"
 #include "sim/fault.h"
 #include "sim/tracer.h"
 
@@ -133,12 +135,13 @@ sim::Task<Status> Device::Recover() {
     log.Info("recovery", "reclaiming " + std::to_string(doomed.size()) +
                              " unreferenced cluster(s)");
   }
-  // Best-effort: a cluster whose reset fails stays allocated and
-  // unreferenced, so the next recovery reclaims it.
-  co_await zone_manager_.ReleaseBestEffort(std::move(doomed));
 
-  // Step 4: reset written zones no surviving cluster owns — data from
-  // clusters allocated after the snapshot was taken.
+  // Step 4: reset written zones no cluster owns — data from clusters
+  // allocated after the snapshot was taken. A doomed cluster owns its
+  // zones until all of them are reset, so steps 3 and 4 touch disjoint
+  // zones and their resets run as one concurrent batch: recovery pays one
+  // reset latency for both. The free pool changes only as step 3 returns
+  // its clusters' zones; unowned zones are in it already.
   std::vector<bool> owned(ssd_.num_zones(), false);
   for (const auto& [cluster, type] : zone_manager_.LiveClusters()) {
     for (std::uint32_t zone : zone_manager_.cluster_zones(cluster)) {
@@ -154,7 +157,16 @@ sim::Task<Status> Device::Recover() {
     }
     unowned.push_back(zone);
   }
+  // Best-effort: a cluster whose reset fails stays allocated and
+  // unreferenced, so the next recovery reclaims it.
+  sim::TaskGroup release(sim_);
+  release.Spawn([](ZoneManager* zones,
+                   std::vector<ClusterId> ids) -> sim::Task<Status> {
+    co_await zones->ReleaseBestEffort(std::move(ids));
+    co_return Status::Ok();
+  }(&zone_manager_, std::move(doomed)));
   const std::vector<Status> resets = co_await ssd_.ResetZones(unowned);
+  (void)co_await release.Wait();
   for (const Status& s : resets) KVCSD_CO_RETURN_IF_ERROR(s);
   if (!unowned.empty()) {
     log.Info("recovery",

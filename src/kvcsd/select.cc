@@ -218,14 +218,14 @@ using Rows = std::vector<std::pair<std::string, std::string>>;
 // Charges a pass over `rows` on the SoC cores one kIndexBlockSize slice of
 // rows (key plus value bytes) at a time, so a long scan frees its core for
 // the commands queued behind it at every slice boundary. Each slice pays
-// `per_row` per row plus the per-byte cost of its rows' `bytes(row)` as a
-// difference of cumulative TransferTicks, so the slices add up exactly to
-// one charge of the whole pass.
+// `per_row` per row plus its rows' `bytes(row)` as its part of one
+// `bytes_per_sec` stream over the pass (CpuPool::ComputeSliced), so the
+// slices add up exactly to one charge of the whole pass.
 template <typename Bytes>
 sim::Task<void> ChargeSliced(sim::CpuPool* cpu, const Rows& rows,
                              Bytes bytes, double bytes_per_sec, Tick per_row) {
   std::uint64_t streamed = 0;
-  Tick charged = 0;
+  std::uint64_t slice_from = 0;
   std::uint64_t slice_bytes = 0;
   Tick slice_rows = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -233,10 +233,10 @@ sim::Task<void> ChargeSliced(sim::CpuPool* cpu, const Rows& rows,
     slice_bytes += rows[i].first.size() + rows[i].second.size();
     ++slice_rows;
     if (slice_bytes < kIndexBlockSize && i + 1 < rows.size()) continue;
-    const Tick upto = TransferTicks(streamed, bytes_per_sec);
-    co_await cpu->Compute(upto - charged + slice_rows * per_row,
-                          sim::Activity::kPushdown);
-    charged = upto;
+    co_await cpu->ComputeSliced(streamed - slice_from, bytes_per_sec,
+                                sim::Activity::kPushdown, slice_from,
+                                slice_rows * per_row);
+    slice_from = streamed;
     slice_bytes = 0;
     slice_rows = 0;
   }

@@ -365,12 +365,16 @@ sim::Task<void> CompactAndFingerprint(client::Client* db,
 // byte-identical (crc32c over the full scan) to a run that never crashed.
 TEST(RecoveryTest, MidCompactionRestartIsDeterministic) {
   constexpr std::uint64_t kKeys = 600;
+  // A sort budget of a few KiB spills the key runs to TEMP zones, which
+  // the crash below leaves for recovery to reset.
+  DeviceConfig config = SmallFaultyDevice();
+  config.sort_run_bytes = KiB(4);
 
   // Reference: the same load, compacted without any crash.
   std::uint32_t reference = 0;
   {
     sim::FaultInjector ref_faults(7);
-    harness::CsdTestbed ref(PowerCycleBed(&ref_faults));
+    harness::CsdTestbed ref(PowerCycleBed(&ref_faults, config));
     testutil::RunSim(ref.sim(), LoadAndSync(&ref.client(), "det", kKeys));
     testutil::RunSim(ref.sim(),
                      CompactAndFingerprint(&ref.client(), "det", &reference));
@@ -379,7 +383,7 @@ TEST(RecoveryTest, MidCompactionRestartIsDeterministic) {
 
   // Crashed run: power dies after phase 1 spilled its sorted runs.
   sim::FaultInjector injector(7);
-  harness::CsdTestbed f(PowerCycleBed(&injector));
+  harness::CsdTestbed f(PowerCycleBed(&injector, config));
   testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "det", kKeys));
   injector.ArmCrashAtPoint("compact.after_phase1", 1);
   testutil::RunSim(
@@ -392,6 +396,7 @@ TEST(RecoveryTest, MidCompactionRestartIsDeterministic) {
         KVCSD_CO_ASSERT(faults->crashed());
       }(&f.client(), &injector));
 
+  EXPECT_GT(f.sim().stats().counter_value("zns.temp.append_bytes"), 0u);
   f.PowerCycle();
   std::uint32_t recovered = 0;
   testutil::RunSim(f.sim(), [](Device* dev) -> sim::Task<void> {
@@ -1302,6 +1307,64 @@ TEST(RecoveryTest, ReleaseAfterPowerCutIsNotCounted) {
   }(&f.client()));
   ASSERT_TRUE(injector.crashed());
   EXPECT_FALSE(f.sim().stats().has_counter("device.zones.release_failed"));
+}
+
+// A crash that leaves work for both reclaim steps of recovery: a cluster
+// whose release reset failed while power was on stays owned and listed
+// in every later snapshot, unreferenced (step 3), and a compaction cut
+// before its commit leaves written zones that no snapshot's cluster owns
+// (step 4). The two touch disjoint zones and reset as one batch, so the
+// whole recovery takes less than two erase latencies, and the free pool
+// afterwards holds exactly the non-reserved zones no cluster owns.
+TEST(RecoveryTest, ReclaimStepsShareOneResetBatch) {
+  sim::FaultInjector injector(7);
+  harness::CsdTestbed f(PowerCycleBed(&injector));
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "leaky", 400));
+  sim::ErrorRule rule;
+  rule.op = sim::FaultOp::kReset;
+  rule.times = 1;
+  injector.AddErrorRule(rule);
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("leaky");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    KVCSD_CO_ASSERT_OK(co_await ks->WaitCompaction());
+  }(&f.client()));
+  ASSERT_EQ(f.sim().stats().counter_value("device.zones.release_failed"), 1u);
+
+  testutil::RunSim(f.sim(), LoadAndSync(&f.client(), "cut", 400));
+  // Hit counts run across the simulation: "leaky" passed the point once.
+  injector.ArmCrashAtPoint("compact.before_commit", 2);
+  testutil::RunSim(f.sim(), [](client::Client* db) -> sim::Task<void> {
+    auto ks = co_await db->OpenKeyspace("cut");
+    KVCSD_CO_ASSERT_OK(ks);
+    KVCSD_CO_ASSERT_OK(co_await ks->Compact());
+    (void)co_await ks->WaitCompaction();
+  }(&f.client()));
+  ASSERT_TRUE(injector.crashed());
+
+  f.PowerCycle();
+  const Tick start = f.sim().Now();
+  const Status recovered = testutil::RunSim(f.sim(), f.dev().Recover());
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  const Tick recovery = f.sim().Now() - start;
+  const std::string log = f.sim().log().ToString();
+  EXPECT_NE(log.find("unreferenced cluster(s)"), std::string::npos) << log;
+  EXPECT_NE(log.find("unowned zone(s)"), std::string::npos) << log;
+  const Tick erase = storage::NandConfig{}.erase_latency;
+  EXPECT_GE(recovery, erase);
+  EXPECT_LT(recovery, 2 * erase);
+
+  std::size_t owned = 0;
+  for (const auto& [cluster, type] : f.dev().zones().LiveClusters()) {
+    owned += f.dev().zones().cluster_zones(cluster).size();
+  }
+  EXPECT_EQ(f.dev().zones().free_zones(),
+            f.dev().ssd().num_zones() - kReservedZones - owned);
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "cut", 400));
+  testutil::RunSim(f.sim(),
+                   RecoverAndVerify(&f.dev(), &f.client(), "leaky", 400));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace kvcsd::sim {
@@ -71,6 +73,29 @@ TEST(HistogramTest, SummaryMatchesAccessors) {
   EXPECT_DOUBLE_EQ(s.p95, h.Percentile(95));
   EXPECT_DOUBLE_EQ(s.p99, h.Percentile(99));
   EXPECT_DOUBLE_EQ(s.p999, h.Percentile(99.9));
+}
+
+TEST(HistogramTest, WellSampledTailNeedsTenSamplesBeyondIt) {
+  // {samples, expected tail}: p95 needs 200, p99 1,000, p999 10,000.
+  const std::pair<std::uint64_t, const char*> cases[] = {
+      {199, nullptr}, {200, "p95"}, {999, "p95"},
+      {1000, "p99"}, {9999, "p99"}, {10000, "p999"}};
+  for (const auto& [samples, want] : cases) {
+    Histogram h;
+    for (std::uint64_t v = 1; v <= samples; ++v) h.Record(v);
+    const HistogramSummary s = h.Summary();
+    const auto tail = s.WellSampledTail();
+    if (want == nullptr) {
+      EXPECT_FALSE(tail.has_value()) << samples;
+      continue;
+    }
+    ASSERT_TRUE(tail.has_value()) << samples;
+    EXPECT_STREQ(tail->name, want) << samples;
+    const double value = std::string(want) == "p999" ? s.p999
+                         : std::string(want) == "p99" ? s.p99
+                                                      : s.p95;
+    EXPECT_EQ(tail->value, value) << samples;
+  }
 }
 
 TEST(HistogramTest, EmptyHistogramIsZero) {
