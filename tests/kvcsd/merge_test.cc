@@ -115,7 +115,8 @@ TEST(LoserTreeTest, DegenerateSizes) {
 
 // ---------------------------------------------------------------------
 // RunMerger integration: spill real runs into TEMP zone clusters, then
-// merge them back through the double-buffered readers.
+// merge them back through the double-buffered readers (and, for the
+// partitioned merge, the same runs kept in DRAM).
 // ---------------------------------------------------------------------
 
 struct MergeFixture {
@@ -326,8 +327,9 @@ TEST(RunMergerTest, SidxTiesOrderByPkeyThenRunIndex) {
 
 // Gives `run`, spilled from `entries`, a run index that marks every
 // `stride`-th entry (SpillRun marks by bytes; entries are what matter).
-void IndexEveryNth(const std::vector<KlogEntry>& entries, std::size_t stride,
-                   SpilledRun* run) {
+// Returns the run's serialized bytes.
+std::string IndexEveryNth(const std::vector<KlogEntry>& entries,
+                          std::size_t stride, SpilledRun* run) {
   std::string serialized;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i % stride == 0) {
@@ -336,6 +338,7 @@ void IndexEveryNth(const std::vector<KlogEntry>& entries, std::size_t stride,
     KlogMergeTraits::Append(&serialized, entries[i]);
   }
   run->bytes = serialized.size();
+  return serialized;
 }
 
 sim::Task<void> PopAll(RunMerger<KlogMergeTraits>* merger,
@@ -350,12 +353,14 @@ sim::Task<void> PopAll(RunMerger<KlogMergeTraits>* merger,
 // Key-range partitions merged one after another give exactly the full
 // merge's stream: every version of every key, in the same order, even
 // though index marks fall inside equal-key groups and each key has
-// versions in every run.
+// versions in every run. The same runs kept in DRAM (resident) merge to
+// the same stream, whole and by partition.
 TEST(RunMergerTest, PartitionsConcatenateToTheFullMerge) {
   MergeFixture f;
   testutil::RunSim(f.sim, [](MergeFixture* fx) -> sim::Task<void> {
     constexpr std::uint64_t kIds = 40;
     std::vector<SpilledRun> runs(3);
+    std::vector<SpilledRun> resident(runs.size());
     for (std::uint64_t r = 0; r < runs.size(); ++r) {
       std::vector<KlogEntry> entries;
       for (std::uint64_t id = 0; id < kIds; ++id) {
@@ -368,7 +373,9 @@ TEST(RunMergerTest, PartitionsConcatenateToTheFullMerge) {
         }
       }
       KVCSD_CO_ASSERT_OK(co_await SpillKlogRun(fx, entries, 5, &runs[r]));
-      IndexEveryNth(entries, 2, &runs[r]);
+      resident[r].resident = IndexEveryNth(entries, 2, &runs[r]);
+      resident[r].index = runs[r].index;
+      resident[r].bytes = runs[r].bytes;
     }
 
     std::vector<std::pair<std::string, std::uint64_t>> full;
@@ -379,24 +386,32 @@ TEST(RunMergerTest, PartitionsConcatenateToTheFullMerge) {
     const std::vector<std::string> splitters = PickSplitters(runs, 100);
     KVCSD_CO_ASSERT(splitters.size() > 3);
     KVCSD_CO_ASSERT(std::is_sorted(splitters.begin(), splitters.end()));
-    std::vector<std::pair<std::string, std::uint64_t>> joined;
-    for (std::size_t p = 0; p <= splitters.size(); ++p) {
-      KeyRange range;
-      if (p > 0) range.lo = splitters[p - 1];
-      if (p < splitters.size()) range.hi = splitters[p];
-      RunMerger<KlogMergeTraits> part(&fx->sim, &fx->ssd, range);
-      KVCSD_CO_ASSERT_OK(co_await part.Init(runs, nullptr));
-      const std::size_t before = joined.size();
-      co_await PopAll(&part, &joined);
-      EXPECT_GT(joined.size(), before) << "empty partition " << p;
-      for (std::size_t i = before; i < joined.size(); ++i) {
-        EXPECT_GE(joined[i].first, range.lo);
-        if (range.hi.has_value()) {
-          EXPECT_LT(joined[i].first, *range.hi);
+    for (const std::vector<SpilledRun>* set : {&runs, &resident}) {
+      SCOPED_TRACE(set == &runs ? "spilled" : "resident");
+      std::vector<std::pair<std::string, std::uint64_t>> joined;
+      for (std::size_t p = 0; p <= splitters.size(); ++p) {
+        KeyRange range;
+        if (p > 0) range.lo = splitters[p - 1];
+        if (p < splitters.size()) range.hi = splitters[p];
+        RunMerger<KlogMergeTraits> part(&fx->sim, &fx->ssd, range);
+        KVCSD_CO_ASSERT_OK(co_await part.Init(*set, nullptr));
+        const std::size_t before = joined.size();
+        co_await PopAll(&part, &joined);
+        EXPECT_GT(joined.size(), before) << "empty partition " << p;
+        for (std::size_t i = before; i < joined.size(); ++i) {
+          EXPECT_GE(joined[i].first, range.lo);
+          if (range.hi.has_value()) {
+            EXPECT_LT(joined[i].first, *range.hi);
+          }
         }
       }
+      EXPECT_EQ(joined, full);
     }
-    EXPECT_EQ(joined, full);
+    std::vector<std::pair<std::string, std::uint64_t>> whole_resident;
+    RunMerger<KlogMergeTraits> merged(&fx->sim, &fx->ssd, KeyRange{});
+    KVCSD_CO_ASSERT_OK(co_await merged.Init(resident, nullptr));
+    co_await PopAll(&merged, &whole_resident);
+    EXPECT_EQ(whole_resident, full);
   }(&f));
 }
 
