@@ -664,6 +664,8 @@ Result<CrashSweepReport> RunCrashSweepCase(const CrashSweepConfig& config,
   }
   report.fired = faults.crashed();
   report.crash_point = faults.crash_point();
+  report.temp_bytes_written =
+      sim.stats().counter_value("zns.temp.append_bytes");
 
   // Power cycle over the surviving flash bytes.
   bed.PowerCycle();

@@ -60,6 +60,10 @@ struct CrashSweepConfig {
   // runs. Their persists (compaction commits, index commits, drop
   // tombstones) all race through the metadata group commit.
   bool concurrent_leg = false;
+  // The device's sort budget (0: its default). A few KiB makes every
+  // compaction spill its key runs to TEMP clusters, where the default
+  // budget keeps the sweep's small key logs in DRAM.
+  std::uint64_t sort_run_bytes = 0;
 
   // A deliberately small device so the workload exercises multi-cluster
   // logs and real compactions in milliseconds of wall time.
@@ -71,6 +75,7 @@ struct CrashSweepConfig {
     d.zns.faults = faults;
     d.dram_bytes = KiB(512);
     d.write_buffer_bytes = write_buffer_bytes;
+    d.sort_run_bytes = sort_run_bytes;
     // Compaction output batches are single zone appends; keep them well
     // under the zone size or every compaction fails on tiny-zone sweeps.
     d.output_batch_bytes = std::min<std::uint64_t>(KiB(16), zone_bytes / 4);
@@ -85,6 +90,8 @@ struct CrashSweepReport {
   bool fired = false;       // whether the armed crash actually triggered
   std::string crash_point;  // the point that fired (empty otherwise)
   Tick recovery_ticks = 0;  // simulated duration of Device::Recover()
+  // TEMP bytes the workload phase appended (spilled key runs).
+  std::uint64_t temp_bytes_written = 0;
   std::vector<std::string> violations;
 
   bool ok() const { return violations.empty(); }

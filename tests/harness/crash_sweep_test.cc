@@ -48,22 +48,31 @@ TEST(CrashSweepTest, DryRunEnumeratesPointsAndRecoversCleanShutdown) {
   }
 }
 
-TEST(CrashSweepTest, EveryReachableCrashPointRecovers) {
-  const auto dry = RunCrashSweepCase(SweepConfig(), 0);
-  ASSERT_TRUE(dry.ok()) << dry.status().ToString();
+// Crashes `config`'s workload at every reachable crash-point pass and
+// returns the points that fired.
+std::set<std::string> SweepEveryPoint(const CrashSweepConfig& config) {
+  const auto dry = RunCrashSweepCase(config, 0);
+  EXPECT_TRUE(dry.ok()) << dry.status().ToString();
+  if (!dry.ok()) return {};
   const std::uint64_t hits = dry->hits;
-  ASSERT_GT(hits, 0u);
+  EXPECT_GT(hits, 0u);
 
   std::set<std::string> points_seen;
   for (std::uint64_t k = 1; k <= hits; ++k) {
-    auto report = RunCrashSweepCase(SweepConfig(), k);
-    ASSERT_TRUE(report.ok())
+    auto report = RunCrashSweepCase(config, k);
+    EXPECT_TRUE(report.ok())
         << "case " << k << ": " << report.status().ToString();
+    if (!report.ok()) continue;
     EXPECT_TRUE(report->fired) << "case " << k << " never crashed";
     EXPECT_TRUE(report->ok())
         << "case " << k << ": " << Describe(*report);
     points_seen.insert(report->crash_point);
   }
+  return points_seen;
+}
+
+TEST(CrashSweepTest, EveryReachableCrashPointRecovers) {
+  const std::set<std::string> points_seen = SweepEveryPoint(SweepConfig());
 
   // The post-compaction mutation leg must walk the sweep through the
   // incremental re-compaction commit protocol.
@@ -73,6 +82,32 @@ TEST(CrashSweepTest, EveryReachableCrashPointRecovers) {
       << "sweep never crashed at recompact.mid_pidx";
   EXPECT_TRUE(points_seen.count("recompact.before_commit"))
       << "sweep never crashed at recompact.before_commit";
+  EXPECT_TRUE(points_seen.count("recompact.after_commit"))
+      << "sweep never crashed at recompact.after_commit";
+}
+
+// The same sweep with a 4 KiB sort budget: the default budget keeps the
+// sweep's key logs in DRAM, this one spills every compaction's key runs,
+// so a crash inside a compaction leaves TEMP clusters for recovery to
+// reclaim.
+CrashSweepConfig SpilledRunsConfig() {
+  CrashSweepConfig c = SweepConfig();
+  c.sort_run_bytes = KiB(4);
+  return c;
+}
+
+TEST(CrashSweepTest, EveryReachableCrashPointRecoversWithSpilledRuns) {
+  const auto resident = RunCrashSweepCase(SweepConfig(), 0);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  EXPECT_EQ(resident->temp_bytes_written, 0u);
+  const auto spilled = RunCrashSweepCase(SpilledRunsConfig(), 0);
+  ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+  EXPECT_GT(spilled->temp_bytes_written, 0u);
+
+  const std::set<std::string> points_seen =
+      SweepEveryPoint(SpilledRunsConfig());
+  EXPECT_TRUE(points_seen.count("compact.after_phase1"))
+      << "sweep never crashed at compact.after_phase1";
   EXPECT_TRUE(points_seen.count("recompact.after_commit"))
       << "sweep never crashed at recompact.after_commit";
 }
