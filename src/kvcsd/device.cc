@@ -215,8 +215,8 @@ sim::Task<void> Device::MainLoop() {
     const Tick dispatch_begin = sim_->Now();
     co_await cpu_.Compute(config_.costs.syscall_overhead,
                           sim::Activity::kDispatch);
-    dispatch_meter_.Add(sim::Activity::kDispatch,
-                        sim_->Now() - dispatch_begin);
+    dispatch_meter_.Add(sim::Activity::kDispatch, dispatch_begin,
+                        sim_->Now());
     sim_->Spawn(HandleCommand(std::move(incoming)));
   }
 }

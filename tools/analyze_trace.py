@@ -574,13 +574,10 @@ def print_bottlenecks(series, cmds):
         n = max(len(v) for v in classes.values())
         totals = [sum(v[i] for v in classes.values() if i < len(v))
                   for i in range(n)]
-        # A window's total can exceed the capacity because work is booked
-        # into the window in which it completes; clamp to capacity so one
-        # long compaction compute landing in a single window does not
-        # dominate the ranking.
-        clamped = [min(t, cap) for t in totals]
-        mean_util = sum(clamped) / n / cap
-        sat_share = sum(1 for c in clamped if c >= 0.9 * cap) / n
+        # The meter books each piece of work into every window it spans,
+        # so a window's total never exceeds the capacity.
+        mean_util = sum(totals) / n / cap
+        sat_share = sum(1 for t in totals if t >= 0.9 * cap) / n
         mean_total = sum(totals) / n
         dom = max(classes,
                   key=lambda c: sum(classes[c]) / len(classes[c]))
