@@ -55,6 +55,12 @@ int main(int argc, char** argv) {
     spec.threads = cores;  // one pinned thread per core, as in the paper
     spec.shared_keyspace = true;
     spec.seed = seed;
+    // The latency ledger of the put and compaction commands; the last
+    // point's series stand.
+    spec.on_stats = [&report](const sim::Stats& stats) {
+      report.AddStats(stats, "client.cmd.bulk_store.");
+      report.AddStats(stats, "client.cmd.compact.");
+    };
 
     CsdInsertOutcome csd = RunCsdInsert(config, cores, spec);
     LsmInsertOutcome lsm =

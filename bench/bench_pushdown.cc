@@ -402,6 +402,8 @@ int main(int argc, char** argv) {
                    static_cast<std::uint64_t>(verdict.failures()));
   report.AddStats(bed.sim().stats(), "device.select.");
   report.AddStats(bed.sim().stats(), "device.cmd.kv_");
+  // The select and aggregate commands' latency ledgers and path series.
+  report.AddStats(bed.sim().stats(), "client.cmd.kv_");
   report.AddTable(table);
   report.WriteIfRequested();
   return verdict.failures() == 0 ? 0 : 1;

@@ -343,6 +343,11 @@ int main(int argc, char** argv) {
                      static_cast<std::uint64_t>(point.query_fingerprint));
     if (shards == shard_counts[std::size(shard_counts) - 1]) {
       report.AddStats(bed.sim().stats(), "router.");
+      // Each shard's PUT and GET latency ledgers.
+      for (std::uint32_t i = 0; i < shards; ++i) {
+        report.AddStats(bed.sim().stats(),
+                        "client.shard" + std::to_string(i) + ".cmd.kv_");
+      }
     }
 
     const double put_speedup =

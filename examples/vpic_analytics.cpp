@@ -29,7 +29,7 @@ sim::Task<void> LoadFile(CsdTestbed* bed, const vpic::Dump* dump,
                          std::uint32_t file_index, sim::WaitGroup* wg,
                          std::vector<client::KeyspaceHandle>* handles) {
   // One loader process per dump file, like the paper's 16-thread loader.
-  const std::string name = "vpic.file" + std::to_string(file_index);
+  const std::string name = "vpic_file" + std::to_string(file_index);
   auto ks = co_await bed->client().CreateKeyspace(name);
   if (!CheckOk(ks.status(), name + " create")) co_return;
   auto writer = ks->NewBulkWriter();

@@ -106,18 +106,56 @@ void Client::StampCommand(nvme::Command* command, Tick begin) {
   }
 }
 
+Client::CommandSeries Client::MakeSeries(nvme::Opcode op) {
+  sim::Stats& registry = stats();
+  const std::string base =
+      config_.stats_prefix + "cmd." + nvme::OpcodeName(op) + ".";
+  CommandSeries series{};
+  if (const char* cls = nvme::OpcodeLatencyClass(op)) {
+    series.round_trip =
+        &registry.histogram(config_.stats_prefix + "cmd." + cls + "_ns");
+  }
+  for (std::size_t i = 0; i < sim::kLayerCount; ++i) {
+    series.layers[i] = &registry.histogram(
+        base + sim::LayerName(static_cast<sim::Layer>(i)) + "_ns");
+  }
+  series.overlapped = &registry.histogram(base + "overlapped_ns");
+  return series;
+}
+
+void Client::RecordLedger(const nvme::ReplyState& state, Tick now) {
+  CommandSeries& series = series_.Get(
+      state.opcode, [this](nvme::Opcode op) { return MakeSeries(op); });
+  // Host-visible round trip, including the client-side driver compute —
+  // what an application would measure around a Put/Get call.
+  const Tick round_trip = now - state.submit_begin;
+  if (series.round_trip != nullptr) series.round_trip->Record(round_trip);
+  const sim::Ledger& ledger = state.ledger;
+  for (std::size_t i = 0; i < sim::kLayerCount; ++i) {
+    series.layers[i]->Record(ledger[static_cast<sim::Layer>(i)]);
+  }
+  series.overlapped->Record(ledger.overlapped());
+  if (const char* path = ledger.path()) {
+    auto it = series.paths.find(std::string_view(path));
+    if (it == series.paths.end()) {
+      it = series.paths
+               .emplace(path, &stats().histogram(
+                                  config_.stats_prefix + "cmd." +
+                                  nvme::OpcodeName(state.opcode) + ".path." +
+                                  path + "_ns"))
+               .first;
+    }
+    it->second->Record(round_trip);
+  }
+}
+
 sim::Task<void> Client::Reactor() {
   sim::Simulation* sim = queues_->sim();
   for (;;) {
     std::shared_ptr<nvme::ReplyState> state = co_await cq_ring_.Pop();
     const Tick now = sim->Now();
-    // Host-visible round trip, including the client-side driver compute —
-    // what an application would measure around a Put/Get call.
-    if (const char* cls = nvme::OpcodeLatencyClass(state->opcode)) {
-      sim->stats()
-          .histogram(config_.stats_prefix + "cmd." + cls + "_ns")
-          .Record(now - state->submit_begin);
-    }
+    state->ledger.Book(sim::Layer::kReap, now);
+    RecordLedger(*state, now);
     if (sim->tracer().enabled() && state->cmd_id != 0) {
       // The client span: submit stamp -> reap.
       sim->tracer().CompleteSpan(
@@ -155,6 +193,10 @@ sim::Task<std::vector<std::shared_ptr<nvme::ReplyState>>> Client::Submit(
   // across the acquisition loop cannot stall. A batch of one needs a
   // single permit, which cannot carve anything up: it skips the gate.
   const bool gated = commands.size() > 1;
+  // The chunk's ledger up to the SQ enqueue: every command of the chunk
+  // shares these intervals, and each starts its own as a copy of it.
+  sim::Ledger ledger;
+  co_await sim::BindLedger(&ledger);
   std::size_t next = 0;
   while (next < commands.size()) {
     // Chunk to the admission window so the permit acquisition below can
@@ -163,6 +205,7 @@ sim::Task<std::vector<std::shared_ptr<nvme::ReplyState>>> Client::Submit(
         std::min<std::size_t>(commands.size() - next, window_cap);
     if (gated) co_await batch_gate_.Acquire();
     const Tick begin = sim->Now();
+    ledger = sim::Ledger(begin);
     std::vector<nvme::Command> batch;
     batch.reserve(chunk);
     for (std::size_t i = 0; i < chunk; ++i) {
@@ -170,6 +213,7 @@ sim::Task<std::vector<std::shared_ptr<nvme::ReplyState>>> Client::Submit(
       batch.push_back(std::move(commands[next + i]));
     }
     for (std::size_t i = 0; i < chunk; ++i) co_await window_.Acquire();
+    ledger.Book(sim::Layer::kHostQueue, sim->Now());
     // All permits held: the gate has done its job. Release before the
     // doorbell so concurrent batches pipeline on the submit path instead
     // of serializing behind each other's DMA setup.

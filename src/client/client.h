@@ -35,9 +35,11 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -101,6 +103,9 @@ class Future {
   bool completed() const { return state_ != nullptr && state_->completed; }
 
   sim::Task<T> Await() { return AwaitImpl(state_, decode_); }
+  // The command's latency ledger (sim/ledger.h): its layers add up to
+  // the round trip once Await() has returned.
+  const sim::Ledger& ledger() const { return state_->ledger; }
 
  private:
   friend class Client;
@@ -339,7 +344,10 @@ class Client {
 
   // The simulation-wide stats registry. The client records host-visible
   // round-trip latency histograms ("<prefix>cmd.<class>_ns") for the
-  // put/get/range/secondary_range classes.
+  // put/get/range/secondary_range classes, and every command's latency
+  // ledger (sim/ledger.h): "<prefix>cmd.<opcode>.<layer>_ns" per layer,
+  // "<prefix>cmd.<opcode>.overlapped_ns", and the round trip under the
+  // device's path tag, "<prefix>cmd.<opcode>.path.<path>_ns".
   sim::Stats& stats();
 
  private:
@@ -370,6 +378,16 @@ class Client {
   // Stamps cmd_id/submit_tick and opens the causal flow for one command.
   void StampCommand(nvme::Command* command, Tick begin);
 
+  // One opcode's series (see stats()), resolved on its first completion.
+  struct CommandSeries {
+    sim::Histogram* round_trip;  // null for unclassed opcodes
+    std::array<sim::Histogram*, sim::kLayerCount> layers;
+    sim::Histogram* overlapped;
+    std::map<std::string, sim::Histogram*, std::less<>> paths;
+  };
+  CommandSeries MakeSeries(nvme::Opcode op);
+  void RecordLedger(const nvme::ReplyState& state, Tick now);
+
   nvme::QueueSet* queues_;
   sim::CpuPool* host_cpu_;
   hostenv::CostModel costs_;
@@ -379,6 +397,7 @@ class Client {
   // submitters (see Submit). A batch of one bypasses it.
   sim::Semaphore batch_gate_;
   nvme::CqRing cq_ring_;
+  nvme::OpcodeTable<CommandSeries> series_;
   bool reactor_started_ = false;
   std::uint32_t rr_cursor_ = 0;
 };

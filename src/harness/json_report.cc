@@ -9,6 +9,7 @@
 #include "common/json.h"
 #include "harness/flags.h"
 #include "harness/report.h"
+#include "harness/tracing.h"
 
 namespace kvcsd::harness {
 
@@ -347,7 +348,9 @@ Result<JsonValue> ParseJson(std::string_view text) {
 // ---------------------------------------------------------------------------
 
 JsonReporter::JsonReporter(std::string bench, const Flags& flags)
-    : bench_(std::move(bench)), json_path_(flags.GetString("json", "")) {
+    : bench_(std::move(bench)),
+      json_path_(flags.GetString("json", "")),
+      traced_(!flags.GetString("trace", "").empty()) {
   for (const auto& [name, value] : flags.values()) {
     // Output destinations and the observability flags of harness/tracing.h
     // are not workload parameters; keeping them out of "args" lets the
@@ -432,7 +435,11 @@ std::string JsonReporter::ToJson(bool include_wall_clock) const {
              JsonValue::Uint(static_cast<std::uint64_t>(std::time(nullptr))));
   }
   root.Set("args", args_);
-  root.Set("metrics", metrics_);
+  JsonValue metrics = metrics_;
+  if (traced_) {
+    metrics.Set("trace.dropped_events", JsonValue::Uint(TraceDroppedEvents()));
+  }
+  root.Set("metrics", std::move(metrics));
   root.Set("counters", counters_);
   root.Set("histograms", histograms_);
   root.Set("compaction", compaction_);

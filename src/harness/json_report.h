@@ -138,6 +138,8 @@ class JsonReporter {
  private:
   std::string bench_;
   std::string json_path_;
+  // A --trace run reports "trace.dropped_events" (harness/tracing.h).
+  bool traced_;
   JsonValue args_ = JsonValue::Object();
   JsonValue metrics_ = JsonValue::Object();
   JsonValue counters_ = JsonValue::Object();

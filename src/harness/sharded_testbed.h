@@ -36,7 +36,7 @@ class ShardedTestbed {
                           std::unique_ptr<router::Partitioner> partitioner =
                               std::make_unique<router::HashPartitioner>())
       : config_(config),
-        host_cpu_(&sim_, "host", config_.shard.host_cores),
+        host_cpu_(&sim_, "host", config_.shard.host_cores, kHostLayers),
         partitioner_(std::move(partitioner)) {
     shards_.reserve(config_.num_shards);
     for (std::uint32_t i = 0; i < config_.num_shards; ++i) {

@@ -80,6 +80,10 @@ struct TestbedConfig {
   }
 };
 
+// The ledger layers of a host CPU pool that clients submit through.
+inline constexpr sim::Layers kHostLayers{sim::Layer::kHostCpu,
+                                         sim::Layer::kHostCpu};
+
 // One KV-CSD stack: an NVMe queue set, the device behind it and the host
 // client in front of it, on a shared simulation and host CPU pool. Every
 // series the stack records carries `prefix` ("" for a lone device,
@@ -125,7 +129,8 @@ class CsdTestbed {
                       std::uint32_t host_cores_override = 0)
       : host_cpu_(&sim_, "host",
                   host_cores_override ? host_cores_override
-                                      : config.host_cores),
+                                      : config.host_cores,
+                  kHostLayers),
         stack_(&sim_, &host_cpu_, config, "") {
     EnableObservability(&sim_);
     stack_.Start();

@@ -32,6 +32,7 @@ Output g_health;                // NOLINT
 Output g_flight;                // NOLINT
 Tick g_flight_slo_exec_ns = 0;  // NOLINT
 bool g_flight_busy = false;     // NOLINT
+std::uint64_t g_trace_dropped = 0;  // NOLINT
 
 void DumpHealth(sim::Simulation* sim) {
   if (!g_health.active()) return;
@@ -64,6 +65,7 @@ void DumpTrace(sim::Simulation* sim) {
   if (!g_trace.active() || !sim->tracer().enabled()) return;
   if (sim->tracer().size() == 0) return;
   const std::string path = g_trace.NextPath();
+  g_trace_dropped += sim->tracer().dropped();
   Status s = sim->tracer().WriteFile(path);
   if (s.ok()) {
     std::printf("trace written to %s (%zu events", path.c_str(),
@@ -107,7 +109,10 @@ void ApplyObservabilityFlags(const Flags& flags) {
   g_flight = Output{flags.GetString("flight_dump", "")};
   g_flight_slo_exec_ns = Microseconds(flags.GetUint("flight_slo_us", 0));
   g_flight_busy = flags.GetBool("flight_busy", false);
+  g_trace_dropped = 0;
 }
+
+std::uint64_t TraceDroppedEvents() { return g_trace_dropped; }
 
 void EnableObservability(sim::Simulation* sim) {
   if (g_trace.active()) sim->tracer().Enable();

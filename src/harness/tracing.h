@@ -21,6 +21,8 @@
 // telemetry to tools/analyze_trace.py for the latency breakdown.
 #pragma once
 
+#include <cstdint>
+
 #include "harness/flags.h"
 #include "sim/simulation.h"
 
@@ -32,5 +34,10 @@ void ApplyObservabilityFlags(const Flags& flags);
 
 void EnableObservability(sim::Simulation* sim);
 void DumpObservability(sim::Simulation* sim);
+
+// Events the tracer dropped at its cap, summed over every trace written
+// since ApplyObservabilityFlags. Reports of traced runs carry it as
+// "trace.dropped_events": a capped trace is missing spans and flows.
+std::uint64_t TraceDroppedEvents();
 
 }  // namespace kvcsd::harness

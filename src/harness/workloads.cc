@@ -195,6 +195,7 @@ CsdInsertOutcome RunCsdInsert(const TestbedConfig& config,
   }(&bed, &inserts_done, &compactions_done, &outcome));
 
   bed.sim().Run();
+  if (spec.on_stats) spec.on_stats(bed.sim().stats());
   outcome.zns_bytes_written = bed.dev().ssd().nand().bytes_written();
   outcome.zns_bytes_read = bed.dev().ssd().nand().bytes_read();
   outcome.pcie_h2d_bytes = bed.queue().host_to_device_bytes();

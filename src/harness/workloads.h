@@ -84,6 +84,9 @@ struct InsertSpec {
   bool shared_keyspace = true;    // one keyspace/DB vs one per thread
   bool use_bulk_put = true;       // KV-CSD bulk PUT vs regular PUT
   std::uint64_t seed = 1;
+  // RunCsdInsert hands it the run's stats registry once the simulation
+  // has drained, e.g. to copy series into a bench report.
+  std::function<void(const sim::Stats&)> on_stats;
 };
 
 struct CsdInsertOutcome {

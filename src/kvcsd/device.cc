@@ -62,11 +62,15 @@ Device::Device(sim::Simulation* sim, const DeviceConfig& config,
       ssd_(sim, config_.zns),
       zone_manager_(&ssd_, config_.zones),
       keyspace_manager_(&ssd_, &zone_manager_),
-      cpu_(sim, config_.stats_prefix + "soc", config_.soc_cores),
+      cpu_(sim, config_.stats_prefix + "soc", config_.soc_cores,
+           {sim::Layer::kSocWait, sim::Layer::kSoc}),
       index_cache_(config_.EffectiveIndexCacheBytes()),
       faults_(config_.zns.faults),
       dispatch_meter_(sim, config_.stats_prefix + "dispatch", 1.0),
-      log_device_(sim->log().DeviceId(trk_device_)) {
+      log_device_(sim->log().DeviceId(trk_device_)),
+      queue_wait_ns_(&stats_view_.histogram("client.stage.queue_wait_ns")),
+      dispatch_ns_(&stats_view_.histogram("device.stage.dispatch_ns")),
+      exec_ns_(&stats_view_.histogram("device.stage.exec_ns")) {
   if (faults_ != nullptr) faults_->set_log(&sim_->log());
   // Key "<prefix>device" on purpose: a Device::Restart over the same
   // simulation re-registers and supersedes the powered-off device's gauges.
@@ -194,15 +198,14 @@ const sim::StatsView& Device::stats() const { return stats_view_; }
 sim::Task<void> Device::MainLoop() {
   for (;;) {
     nvme::QueuePair::Incoming incoming = co_await queues_->NextCommand();
-    incoming.dequeue_tick = sim_->Now();
-    stats()
-        .histogram("client.stage.queue_wait_ns")
-        .Record(incoming.dequeue_tick - incoming.enqueue_tick);
+    sim::Ledger& ledger = incoming.reply->ledger;
+    const Tick dequeued = sim_->Now();
+    ledger.Book(sim::Layer::kSqWait, dequeued);
+    queue_wait_ns_->Record(ledger[sim::Layer::kSqWait]);
     if (sim_->tracer().enabled() && incoming.cmd_id != 0) {
       sim_->tracer().CompleteSpan(
           sim_->tracer().Track(trk_nvme_sq_), "queue_wait",
-          incoming.enqueue_tick,
-          incoming.dequeue_tick,
+          dequeued - ledger[sim::Layer::kSqWait], dequeued,
           {{"cmd_id", std::to_string(incoming.cmd_id)},
            {"op", nvme::OpcodeName(incoming.opcode)},
            {"q", std::to_string(incoming.queue_id)}});
@@ -212,16 +215,19 @@ sim::Task<void> Device::MainLoop() {
     // main loop is the serial bottleneck (ROADMAP item 1), and the meter
     // includes any wait for a free SoC core, so util.dispatch.dispatch
     // pins near 1000 permille exactly when command pop rate saturates.
-    const Tick dispatch_begin = sim_->Now();
+    // The loop keeps no ledger: the command books the whole pop -> handler
+    // start span as dispatch.
     co_await cpu_.Compute(config_.costs.syscall_overhead,
                           sim::Activity::kDispatch);
-    dispatch_meter_.Add(sim::Activity::kDispatch, dispatch_begin,
-                        sim_->Now());
+    dispatch_meter_.Add(sim::Activity::kDispatch, dequeued, sim_->Now());
     sim_->Spawn(HandleCommand(std::move(incoming)));
   }
 }
 
 sim::Task<void> Device::HandleCommand(nvme::QueuePair::Incoming incoming) {
+  // Everything the handler awaits books into the command's ledger.
+  sim::Ledger& ledger = incoming.reply->ledger;
+  co_await sim::BindLedger(&ledger);
   if (faults_ != nullptr && faults_->crashed()) {
     // Power is gone: fail fast without touching device state. Still close
     // the command's flow so the trace has no dangling arrows.
@@ -240,9 +246,8 @@ sim::Task<void> Device::HandleCommand(nvme::QueuePair::Incoming incoming) {
   }
   const nvme::Opcode op = incoming.command.opcode;
   const Tick begin = sim_->Now();
-  stats()
-      .histogram("device.stage.dispatch_ns")
-      .Record(begin - incoming.dequeue_tick);
+  ledger.Book(sim::Layer::kDispatch, begin);
+  dispatch_ns_->Record(ledger[sim::Layer::kDispatch]);
   ++inflight_commands_;
   nvme::Completion completion;
   {
@@ -258,23 +263,33 @@ sim::Task<void> Device::HandleCommand(nvme::QueuePair::Incoming incoming) {
     }
     completion = co_await Dispatch(incoming.command);
   }
-  stats().histogram("device.stage.exec_ns").Record(sim_->Now() - begin);
+  const Tick exec = sim_->Now() - begin;
+  exec_ns_->Record(exec);
   --inflight_commands_;
-  stats()
-      .counter(std::string("device.cmd.") + nvme::OpcodeName(op))
-      .Increment();
-  if (const char* cls = nvme::OpcodeLatencyClass(op)) {
-    stats()
-        .histogram(std::string("device.cmd.") + cls + "_ns")
-        .Record(sim_->Now() - begin);
-  }
+  CommandSeries& series = cmd_series_.Get(op, [this](nvme::Opcode o) {
+    const std::string name = std::string("device.cmd.") + nvme::OpcodeName(o);
+    const char* cls = nvme::OpcodeLatencyClass(o);
+    return CommandSeries{
+        &stats().counter(name),
+        cls ? &stats().histogram(std::string("device.cmd.") + cls + "_ns")
+            : nullptr,
+        nullptr};
+  });
+  series.count->Increment();
+  if (series.latency != nullptr) series.latency->Record(exec);
   if (!completion.status.ok()) {
-    stats().counter("device.cmd.errors").Increment();
     // Per-opcode error breakdown alongside the aggregate, so a workload
-    // can tell rejected deletes from failed compactions at a glance.
-    stats()
-        .counter(std::string("device.cmd.") + nvme::OpcodeName(op) + ".errors")
-        .Increment();
+    // can tell rejected deletes from failed compactions at a glance. Both
+    // counters appear with the first error.
+    if (cmd_errors_ == nullptr) {
+      cmd_errors_ = &stats().counter("device.cmd.errors");
+    }
+    cmd_errors_->Increment();
+    if (series.errors == nullptr) {
+      series.errors = &stats().counter(std::string("device.cmd.") +
+                                       nvme::OpcodeName(op) + ".errors");
+    }
+    series.errors->Increment();
   }
   if (faults_ != nullptr && faults_->crashed()) {
     // The power cut landed mid-command; whatever Dispatch claims, the
@@ -289,10 +304,9 @@ sim::Task<void> Device::HandleCommand(nvme::QueuePair::Incoming incoming) {
   event.op = nvme::OpcodeName(op);
   event.queue_id = incoming.queue_id;
   event.device = log_device_;
-  event.queue_wait_ns = incoming.dequeue_tick - incoming.enqueue_tick;
-  event.dispatch_ns = begin - incoming.dequeue_tick;
-  event.exec_ns = sim_->Now() - begin;
+  event.exec_ns = exec;
   event.status = completion.status.code();
+  event.ledger = ledger;
   sim::Log& log = sim_->log();
   log.Record(event);
   if (const char* reason = log.BreachReason(event)) {
@@ -442,7 +456,10 @@ sim::Task<nvme::Completion> Device::DispatchKeyspaceCommand(nvme::Command& cmd,
       out.status = co_await DoSync(ks);
       break;
     case nvme::Opcode::kCompactWait:
-      while (ks->compacting()) co_await ks->runtime.compaction_done.Wait();
+      while (ks->compacting()) {
+        co_await sim::BookWait(sim_, sim::Layer::kKeyspaceWait,
+                               ks->runtime.compaction_done.Wait());
+      }
       out.status = ks->runtime.compaction_status;
       break;
     case nvme::Opcode::kSecondaryBuild:
@@ -560,7 +577,8 @@ sim::Task<Status> Device::AdmitMutation(Keyspace* ks) {
     ks->state = KeyspaceState::kWritable;
   }
   KVCSD_CO_RETURN_IF_ERROR(CheckMutable(*ks));
-  co_await ks->runtime.write_lock.Acquire();
+  co_await sim::BookWait(sim_, sim::Layer::kKeyspaceWait,
+                         ks->runtime.write_lock.Acquire());
   // Re-check under the lock: a re-compaction can start while this command
   // waits for the lock, and a mutation admitted past its delta snapshot
   // would be silently dropped by the fold's commit.
@@ -662,7 +680,9 @@ sim::Task<Status> Device::FlushBuffer(Keyspace* ks) {
   if (rt.buffer.entries.empty()) co_return Status::Ok();
   WriteBuffer batch = std::exchange(rt.buffer, WriteBuffer{});
 
-  co_await rt.flush_slots.Acquire();  // backpressure
+  // Backpressure: the flushes in flight hold the NAND.
+  co_await sim::BookWait(sim_, sim::Layer::kNandWait,
+                         rt.flush_slots.Acquire());
   rt.flushes_inflight.Add(1);
   // Pin before spawning: the detached FlushIo holds the raw pointer past
   // this command's lifetime, so a drop must defer until it lands.

@@ -25,6 +25,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -567,6 +568,7 @@ class Device {
     std::size_t pos = 0;
     Result<std::string> block{Status::Aborted("prefetch pending")};
     std::unique_ptr<sim::Event> done;
+    std::optional<sim::Ledger> ledger;  // set when the walk keeps one
   };
   sim::Task<void> PrefetchIndexBlock(std::uint64_t keyspace_id,
                                      SketchEntry entry, IndexPrefetch* slot,
@@ -663,6 +665,21 @@ class Device {
   // This device's id in the simulation's event ring (sim::Log), under
   // its trace track name; a Restart successor gets the same id.
   std::uint32_t log_device_;
+  // The stage histograms, read off each command's ledger.
+  sim::Histogram* queue_wait_ns_;
+  sim::Histogram* dispatch_ns_;
+  sim::Histogram* exec_ns_;
+  // Per-opcode series of completed commands: "device.cmd.<op>", the
+  // "device.cmd.<class>_ns" latency (null for unclassed opcodes) and
+  // "device.cmd.<op>.errors", resolved on the opcode's first error, as
+  // is the aggregate "device.cmd.errors".
+  struct CommandSeries {
+    sim::Counter* count;
+    sim::Histogram* latency;
+    sim::Counter* errors;
+  };
+  nvme::OpcodeTable<CommandSeries> cmd_series_;
+  sim::Counter* cmd_errors_ = nullptr;
 
   // The timed I/O part of a flush, runs detached per batch.
   sim::Task<void> FlushIo(Keyspace* ks, WriteBuffer batch);

@@ -125,6 +125,17 @@ struct KeyspaceManager::PersistRequest {
 };
 
 Result<Keyspace*> KeyspaceManager::Create(const std::string& name) {
+  if (name.size() > kMaxNameBytes) {
+    return Status::InvalidArgument("keyspace name longer than " +
+                                   std::to_string(kMaxNameBytes) + " bytes");
+  }
+  for (const char c : name) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '.' || byte < 0x20 || byte == 0x7f) {
+      return Status::InvalidArgument(
+          "keyspace name holds a '.' or a control character");
+    }
+  }
   if (by_name_.contains(name)) {
     return Status::AlreadyExists("keyspace exists: " + name);
   }

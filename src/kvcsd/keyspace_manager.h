@@ -52,6 +52,11 @@ class KeyspaceManager {
       : ssd_(ssd), zones_(zones), meta_zone_a_(metadata_zone_a),
         meta_zone_b_(metadata_zone_b), current_meta_zone_(metadata_zone_a) {}
 
+  // A keyspace name becomes a field of every "device.ks.<name>.*" series
+  // (DESIGN.md §9), so Create rejects with InvalidArgument a name with a
+  // '.', a control character, or more than kMaxNameBytes bytes, and
+  // registers nothing.
+  static constexpr std::size_t kMaxNameBytes = 64;
   Result<Keyspace*> Create(const std::string& name);
   Result<Keyspace*> Find(const std::string& name);
   Result<Keyspace*> FindById(std::uint64_t id);

@@ -126,7 +126,7 @@ sim::Task<Result<std::string>> Device::ReadIndexBlock(
     if (auto it = block_reads_.find(key); it != block_reads_.end()) {
       const std::shared_ptr<BlockRead> leader = it->second;
       stats().counter("device.read_cache.inflight_joins").Increment();
-      co_await leader->done.Wait();
+      co_await sim::BookWait(sim_, sim::Layer::kNandWait, leader->done.Wait());
       if (leader->block.ok()) {
         co_await cpu_.Compute(config_.costs.block_search, act);
         co_return *leader->block;
@@ -164,6 +164,7 @@ sim::Task<void> Device::PrefetchIndexBlock(std::uint64_t keyspace_id,
                                            SketchEntry entry,
                                            IndexPrefetch* slot,
                                            sim::Activity act) {
+  co_await sim::BindLedger(slot->ledger ? &*slot->ledger : nullptr);
   slot->block = co_await ReadIndexBlock(keyspace_id, entry, act);
   slot->done->Set();
 }
@@ -284,7 +285,8 @@ sim::Task<Status> Device::AwaitQueryable(Keyspace* ks) {
   // failing. Any other non-COMPACTED state is a caller error, same as
   // before keyspaces were mutable.
   while (ks->state == KeyspaceState::kRecompacting) {
-    co_await ks->runtime.compaction_done.Wait();
+    co_await sim::BookWait(sim_, sim::Layer::kKeyspaceWait,
+                           ks->runtime.compaction_done.Wait());
   }
   if (ks->state != KeyspaceState::kCompacted) {
     co_return Status::FailedPrecondition(
@@ -299,17 +301,22 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   KVCSD_CO_RETURN_IF_ERROR(co_await AwaitQueryable(ks));
   ReaderGuard reader(ks);
   sim::TraceSpan span(sim_, trk_query_, "point_lookup");
+  // The command's path tag: which source answered it.
+  sim::Ledger* ledger = co_await sim::CurrentLedger();
+  auto served_by = [ledger](const char* path) {
+    if (ledger != nullptr) ledger->set_path(path);
+  };
   // The delta index is authoritative for every key it holds — strictly
   // newer than anything in the run.
   if (auto it = ks->delta_index.find(key); it != ks->delta_index.end()) {
     co_await cpu_.Compute(config_.costs.block_search,
                           sim::Activity::kHostRead);
     if (it->second.tombstone) {
-      span.Arg("src", "delta_tombstone");
+      served_by("delta_tombstone");
       stats().counter("device.query.delta_hits").Increment();
       co_return Status::NotFound();
     }
-    span.Arg("src", "delta");
+    served_by("delta");
     stats().counter("device.query.delta_hits").Increment();
     co_return co_await LoadDeltaValue(it->second);
   }
@@ -321,7 +328,7 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
                           sim::Activity::kHostRead);
     if (!BloomFilterMayContain(Slice(ks->pidx_bloom), Slice(key))) {
       stats().counter("device.bloom.negative").Increment();
-      span.Arg("src", "bloom_negative");
+      served_by("bloom_negative");
       co_return Status::NotFound();
     }
     bloom_said_maybe = true;
@@ -329,7 +336,7 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   }
   const std::size_t pos = SketchLowerBlock(ks->pidx_sketch, key);
   if (pos >= ks->pidx_sketch.size()) {
-    span.Arg("src", "miss");
+    served_by("miss");
     co_return Status::NotFound();
   }
 
@@ -339,7 +346,7 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   const SketchEntry& entry = ks->pidx_sketch[pos];
   const bool speculated = SpanReadEligible(ks->id, entry);
   std::vector<std::string> span_bytes;
-  sim::TaskGroup span_reads(sim_);
+  sim::TaskGroup span_reads(sim_, ledger);
   if (speculated) {
     stats().counter("device.query.value_speculated").Increment();
     span_bytes.resize(entry.spans.size());
@@ -380,8 +387,8 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
   }
   KVCSD_CO_RETURN_IF_ERROR(status);
   if (hit.has_value()) {
+    served_by("run");
     if (served) {
-      span.Arg("src", "run");
       co_return span_bytes[serving].substr(
           hit->addr - entry.spans[serving].lo, hit->len);
     }
@@ -389,13 +396,12 @@ sim::Task<Result<std::string>> Device::QueryPoint(Keyspace* ks,
     one.push_back(*hit);
     auto values = co_await GatherValues(std::move(one));
     if (!values.ok()) co_return values.status();
-    span.Arg("src", "run");
     co_return std::move((*values)[0]);
   }
   if (bloom_said_maybe) {
     stats().counter("device.bloom.false_positive").Increment();
   }
-  span.Arg("src", "miss");
+  served_by("miss");
   co_return Status::NotFound();
 }
 
@@ -440,7 +446,10 @@ sim::Task<Status> Device::WalkSketch(std::uint64_t keyspace_id,
   // never fetches past `hi`, so at most one read (a mid-block limit cut)
   // is ever wasted. All error exits fall through the drain below — the
   // slots live in this frame and a detached prefetch must not outlive it.
+  // Each read books into a ledger of its slot when the walk keeps one,
+  // and a wait for it books by the join rule (sim::AwaitChild).
   IndexPrefetch slots[2];
+  sim::Ledger* ledger = co_await sim::CurrentLedger();
   auto issue = [&](std::size_t p) {
     IndexPrefetch& s = slots[p % 2];
     s.active = true;
@@ -450,7 +459,13 @@ sim::Task<Status> Device::WalkSketch(std::uint64_t keyspace_id,
     } else {
       s.done->Reset();
     }
+    s.ledger.reset();
+    if (ledger != nullptr) s.ledger.emplace(sim_->Now());
     sim_->Spawn(PrefetchIndexBlock(keyspace_id, sketch[p], &s, act));
+  };
+  auto await_slot = [this](IndexPrefetch& s) {
+    return sim::AwaitChild(sim_, s.done.get(),
+                           s.ledger ? &*s.ledger : nullptr);
   };
 
   // The previous entry's position, owned: the order check spans blocks. A
@@ -479,7 +494,7 @@ sim::Task<Status> Device::WalkSketch(std::uint64_t keyspace_id,
     if (sketch[pos].pivot > hi) break;
     IndexPrefetch& cur = slots[pos % 2];
     if (cur.active && cur.pos != pos) {  // stale slot: drain before reuse
-      co_await cur.done->Wait();
+      co_await await_slot(cur);
       cur.active = false;
     }
     if (!cur.active) issue(pos);
@@ -488,7 +503,7 @@ sim::Task<Status> Device::WalkSketch(std::uint64_t keyspace_id,
       stats().counter("device.prefetch.issued").Increment();
       issue(pos + 1);
     }
-    co_await cur.done->Wait();
+    co_await await_slot(cur);
     cur.active = false;
     const Result<std::string> block = std::move(cur.block);
     if (!block.ok()) {
@@ -500,7 +515,7 @@ sim::Task<Status> Device::WalkSketch(std::uint64_t keyspace_id,
   }
   for (IndexPrefetch& s : slots) {
     if (s.active) {
-      co_await s.done->Wait();
+      co_await await_slot(s);
       s.active = false;
       stats().counter("device.prefetch.wasted").Increment();
     }

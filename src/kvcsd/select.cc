@@ -274,6 +274,12 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
                                  : "device.select.plan.sidx")
         .Increment();
   }
+  sim::Ledger* ledger = co_await sim::CurrentLedger();
+  if (ledger != nullptr) {
+    ledger->set_path(via_sidx           ? "sidx"
+                     : planned.empty() ? "primary"
+                                       : "sidx_planned");
+  }
 
   // A covered command reads nothing the SIDX entries do not hold, so its
   // rows carry the attribute bytes alone and every offset it reads moves
@@ -412,14 +418,6 @@ sim::Task<Status> Device::QueryPushdown(Keyspace* ks,
                          : "device.cmd.kv_select.rows")
       .Add(matched);
 
-  span.Arg("src", via_sidx ? "sidx"
-                  : !planned.empty() ? "sidx_planned"
-                                       : "primary");
-  span.Arg("covered", std::uint64_t{covered});
-  span.Arg("rows_scanned", rows.size());
-  span.Arg("rows_matched", matched);
-  span.Arg("bytes_scanned", bytes_scanned);
-  span.Arg("bytes_returned", bytes_returned);
   co_return Status::Ok();
 }
 

@@ -8,7 +8,9 @@
 // along as byte strings whose transfer cost is charged to the PCIe link.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -211,6 +213,23 @@ const char* OpcodeName(Opcode op);
 // "aggregate" (pushdown aggregate); nullptr for everything else
 // (management commands are counted but not latency-classed).
 const char* OpcodeLatencyClass(Opcode op);
+
+// Per-opcode handles (metric series and the like), each built on its
+// opcode's first use by `make(op)`, so a component resolves a series name
+// once per opcode instead of building it for every command.
+template <typename Entry>
+class OpcodeTable {
+ public:
+  template <typename Make>
+  Entry& Get(Opcode op, const Make& make) {
+    std::unique_ptr<Entry>& entry = entries_[static_cast<std::uint8_t>(op)];
+    if (entry == nullptr) entry = std::make_unique<Entry>(make(op));
+    return *entry;
+  }
+
+ private:
+  std::array<std::unique_ptr<Entry>, 256> entries_;
+};
 
 // Activity class for per-resource utilization attribution: host reads,
 // host writes, compaction triggers, pushdown scans; management commands

@@ -16,6 +16,10 @@ QueuePair::QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id,
       host_to_device_(h2d),
       device_to_host_(d2h),
       config_depth_cap_(depth_cap),
+      submit_ns_(&sim->stats().histogram(set->config_.name_prefix +
+                                         "client.stage.submit_ns")),
+      complete_ns_(&sim->stats().histogram(set->config_.name_prefix +
+                                           "client.stage.complete_ns")),
       submissions_(sim) {
   if (!set->config_.name_prefix.empty()) {
     trk_nvme_ = set->config_.name_prefix + trk_nvme_;
@@ -26,17 +30,20 @@ QueuePair::QueuePair(sim::Simulation* sim, QueueSet* set, std::uint32_t id,
   }
 }
 
-void QueuePair::Enqueue(Command command, std::shared_ptr<ReplyState> state) {
+void QueuePair::Enqueue(Command command, std::shared_ptr<ReplyState> state,
+                        const sim::Ledger* host) {
   Incoming incoming;
   incoming.cmd_id = command.cmd_id;
   incoming.opcode = command.opcode;
   incoming.queue_id = id_;
-  incoming.enqueue_tick = sim_->Now();
-  const Tick prepare_begin =
-      command.submit_tick ? command.submit_tick : incoming.enqueue_tick;
-  sim_->stats()
-      .histogram(set_->config_.name_prefix + "client.stage.submit_ns")
-      .Record(incoming.enqueue_tick - prepare_begin);
+  const Tick now = sim_->Now();
+  // An unstamped command's round trip starts at its enqueue.
+  const Tick prepare_begin = command.submit_tick ? command.submit_tick : now;
+  state->ledger = host != nullptr && command.submit_tick != 0
+                      ? *host
+                      : sim::Ledger(prepare_begin);
+  state->ledger.Book(sim::Layer::kPcieH2d, now);
+  submit_ns_->Record(state->ledger.Sum());
   state->cmd_id = command.cmd_id;
   state->opcode = command.opcode;
   state->queue_id = id_;
@@ -50,6 +57,7 @@ void QueuePair::Enqueue(Command command, std::shared_ptr<ReplyState> state) {
 sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::Submit(
     std::vector<Command> commands, CqRing* ring) {
   assert(ring != nullptr);
+  sim::Ledger* host = co_await sim::CurrentLedger();
   std::vector<std::shared_ptr<ReplyState>> states;
   states.reserve(commands.size());
   std::size_t next = 0;
@@ -63,6 +71,7 @@ sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::Submit(
       for (std::size_t i = 0; i < chunk; ++i) {
         co_await depth_slots_->Acquire();
       }
+      if (host != nullptr) host->Book(sim::Layer::kHostQueue, sim_->Now());
     }
     const Tick begin = sim_->Now();
     std::uint64_t wire = 0;
@@ -95,7 +104,7 @@ sim::Task<std::vector<std::shared_ptr<ReplyState>>> QueuePair::Submit(
       auto state = std::make_shared<ReplyState>(sim_);
       state->cq_ring = ring;
       states.push_back(state);
-      Enqueue(std::move(commands[i]), std::move(state));
+      Enqueue(std::move(commands[i]), std::move(state), host);
     }
     next += chunk;
   }
@@ -113,9 +122,7 @@ sim::Task<void> QueuePair::Complete(Incoming incoming, Completion completion) {
   reply->completion = std::move(completion);
   co_await device_to_host_->Transfer(wire, ActivityForOpcode(incoming.opcode));
   const Tick end = sim_->Now();
-  sim_->stats()
-      .histogram(set_->config_.name_prefix + "client.stage.complete_ns")
-      .Record(end - begin);
+  complete_ns_->Record(end - begin);
   if (sim_->tracer().enabled() && incoming.cmd_id != 0) {
     sim_->tracer().CompleteSpan(
         sim_->tracer().Track(trk_nvme_cq_), "complete", begin, end,
@@ -124,6 +131,9 @@ sim::Task<void> QueuePair::Complete(Incoming incoming, Completion completion) {
          {"q", std::to_string(incoming.queue_id)}});
   }
   if (depth_slots_) depth_slots_->Release();
+  // Whatever the device left unbooked before the DMA is `other`, so the
+  // reap is only the ring -> reactor hop.
+  reply->ledger.Book(sim::Layer::kOther, end);
   reply->completed = true;
   CqRing* ring = reply->cq_ring;
   ring->Push(std::move(reply));
@@ -133,10 +143,12 @@ QueueSet::QueueSet(sim::Simulation* sim, const QueueSetConfig& config)
     : sim_(sim),
       config_(config),
       host_to_device_(sim, config.name_prefix + "pcie.h2d",
-                      config.pcie.bytes_per_sec, config.pcie.request_latency),
+                      config.pcie.bytes_per_sec, config.pcie.request_latency,
+                      {sim::Layer::kPcieH2d, sim::Layer::kPcieH2d}),
       device_to_host_(sim, config.name_prefix + "pcie.d2h",
                       config.pcie.bytes_per_sec,
-                      config.pcie.completion_latency),
+                      config.pcie.completion_latency,
+                      {sim::Layer::kPcieD2h, sim::Layer::kPcieD2h}),
       h2d_meter_(sim, config.name_prefix + "pcie.h2d", 1.0),
       d2h_meter_(sim, config.name_prefix + "pcie.d2h", 1.0),
       work_(sim, 0) {

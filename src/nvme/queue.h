@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "nvme/command.h"
+#include "sim/ledger.h"
 #include "sim/resources.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -78,6 +79,10 @@ struct ReplyState {
   Opcode opcode = Opcode::kKvStore;
   Tick submit_begin = 0;     // host-side stamp (command.submit_tick)
   std::uint32_t queue_id = 0;
+  // The command's latency ledger, from submit_begin on: the submitter's
+  // bookings up to the SQ enqueue, then the device's, the completion DMA
+  // and the reap.
+  sim::Ledger ledger;
   // Complete() pushes this state onto the ring; its reaper sets `done`.
   sim::Channel<std::shared_ptr<ReplyState>>* cq_ring = nullptr;
 };
@@ -92,7 +97,9 @@ class QueuePair {
   // `request_latency` (doorbell + DMA setup) is paid once per doorbell;
   // the byte service time is unchanged. With a depth cap the batch is
   // split into cap-sized chunks (each chunk still amortizes within
-  // itself). Safe for any number of concurrent submitters.
+  // itself). Safe for any number of concurrent submitters. A submitter
+  // that keeps a ledger for the batch (the client) has every command's
+  // ledger start as a copy of it.
   sim::Task<std::vector<std::shared_ptr<ReplyState>>> Submit(
       std::vector<Command> commands, CqRing* ring);
 
@@ -100,13 +107,10 @@ class QueuePair {
   struct Incoming {
     Command command;
     std::shared_ptr<ReplyState> reply;
-    // Causal id / opcode copies that outlive moves of `command`, plus the
-    // SQ enqueue and dequeue ticks for queue-wait attribution.
+    // Causal id / opcode copies that outlive moves of `command`.
     std::uint64_t cmd_id = 0;
     Opcode opcode = Opcode::kKvStore;
     std::uint32_t queue_id = 0;
-    Tick enqueue_tick = 0;
-    Tick dequeue_tick = 0;
   };
 
   // Device-side completion path (charged to the PCIe link).
@@ -137,8 +141,10 @@ class QueuePair {
             sim::BandwidthResource* h2d, sim::BandwidthResource* d2h,
             std::uint32_t depth_cap);
 
-  // Enqueues one DMA-delivered command onto the SQ (no suspension).
-  void Enqueue(Command command, std::shared_ptr<ReplyState> state);
+  // Enqueues one DMA-delivered command onto the SQ (no suspension);
+  // `host` is the submitter's ledger, null when it keeps none.
+  void Enqueue(Command command, std::shared_ptr<ReplyState> state,
+               const sim::Ledger* host);
   std::optional<Incoming> TryTake() { return submissions_.TryPop(); }
 
   sim::Simulation* sim_;
@@ -153,6 +159,9 @@ class QueuePair {
   // Depth cap (null = unbounded). Acquired per command before the
   // submission DMA, released when its completion has DMA'd back.
   std::uint32_t config_depth_cap_ = 0;
+  // The set's "client.stage.{submit,complete}_ns" stage histograms.
+  sim::Histogram* submit_ns_;
+  sim::Histogram* complete_ns_;
   std::unique_ptr<sim::Semaphore> depth_slots_;
   sim::Channel<Incoming> submissions_;
   std::uint64_t submitted_ = 0;

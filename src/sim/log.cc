@@ -116,11 +116,28 @@ std::string Log::Dump(std::string_view reason, std::string_view crash_point) {
       json += ", \"dev\": ";
       AppendJsonString(&json, DeviceName(c.device));
       json += ", \"q\": " + std::to_string(c.queue_id);
-      json += ", \"queue_wait_ns\": " + std::to_string(c.queue_wait_ns);
-      json += ", \"dispatch_ns\": " + std::to_string(c.dispatch_ns);
+      json += ", \"queue_wait_ns\": " +
+              std::to_string(c.ledger[Layer::kSqWait]);
+      json += ", \"dispatch_ns\": " +
+              std::to_string(c.ledger[Layer::kDispatch]);
       json += ", \"exec_ns\": " + std::to_string(c.exec_ns);
       json += ", \"status\": ";
       AppendJsonString(&json, StatusCodeName(c.status));
+      // The ledger's non-zero layers in ns, and its path tag.
+      json += ", \"ledger\": {";
+      const char* sep = "";
+      for (std::size_t i = 0; i < kLayerCount; ++i) {
+        const Tick t = c.ledger[static_cast<Layer>(i)];
+        if (t == 0) continue;
+        json += std::string(sep) + "\"" + LayerName(static_cast<Layer>(i)) +
+                "\": " + std::to_string(t);
+        sep = ", ";
+      }
+      if (c.ledger.path() != nullptr) {
+        json += std::string(sep) + "\"path\": ";
+        AppendJsonString(&json, c.ledger.path());
+      }
+      json += "}";
     } else {
       json += ", \"component\": ";
       AppendJsonString(&json, e.component);
@@ -157,8 +174,8 @@ std::string Log::ToString() const {
           "#%llu %s dev=%s q=%u wait=%llu dispatch=%llu exec=%llu %s",
           static_cast<unsigned long long>(c.cmd_id), c.op,
           std::string(DeviceName(c.device)).c_str(), c.queue_id,
-          static_cast<unsigned long long>(c.queue_wait_ns),
-          static_cast<unsigned long long>(c.dispatch_ns),
+          static_cast<unsigned long long>(c.ledger[Layer::kSqWait]),
+          static_cast<unsigned long long>(c.ledger[Layer::kDispatch]),
           static_cast<unsigned long long>(c.exec_ns),
           std::string(StatusCodeName(c.status)).c_str());
       out += body;

@@ -8,9 +8,10 @@
 //    points, injected I/O errors, the power cut itself) and from recovery
 //    replay (every step it takes);
 //  * command events — one per completed device command (cmd id, opcode,
-//    queue, device, queue-wait/dispatch/exec, status). They are recorded
-//    into a fixed slot with no string formatting; text is rendered only
-//    when the ring is dumped.
+//    queue, device, exec time, status and the command's latency ledger
+//    as of its completion, sim/ledger.h). They are recorded into a fixed
+//    slot with no string formatting; text is rendered only when the ring
+//    is dumped.
 //
 // The ring trips a JSON dump — the ring oldest first plus every gauge of
 // the telemetry source registry — on three rules: a command's execution
@@ -31,6 +32,7 @@
 
 #include "common/status.h"
 #include "common/units.h"
+#include "sim/ledger.h"
 
 namespace kvcsd::sim {
 
@@ -57,10 +59,12 @@ class Log {
     const char* op = "";  // static opcode name (nvme::OpcodeName)
     std::uint32_t queue_id = 0;
     std::uint32_t device = 0;  // DeviceId() of the recording device
-    Tick queue_wait_ns = 0;    // SQ residency before the main loop popped it
-    Tick dispatch_ns = 0;      // pop -> handler start (dispatch-core time)
     Tick exec_ns = 0;          // handler start -> completion
     StatusCode status = StatusCode::kOk;
+    // Up to the completion DMA: the host's layers, sq_wait (SQ residency
+    // before the main loop popped it), dispatch (pop -> handler start)
+    // and the device's layers of the execution.
+    Ledger ledger;
   };
 
   struct Entry {

@@ -14,10 +14,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
+#include "sim/ledger.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -28,35 +31,74 @@ namespace kvcsd::sim {
 // Wait() blocks until every spawned task finished and returns the first
 // non-OK status (in completion order), or OK. The group must outlive all
 // spawned tasks; Wait() before destruction guarantees that.
+//
+// With a parent ledger (sim/ledger.h) each task books into a ledger of its
+// own, and Wait() books the parent's wait by the join rule: the bookings
+// of the task that finished last, the rest of its tasks' to `overlapped`.
+// A group without one allocates no ledgers.
 class TaskGroup {
  public:
-  explicit TaskGroup(Simulation* sim) : sim_(sim), wg_(sim) {}
+  explicit TaskGroup(Simulation* sim, Ledger* parent = nullptr)
+      : sim_(sim), wg_(sim), parent_(parent) {}
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  void Spawn(Task<Status> task) {
+  // Returns the task's ledger, null without a parent ledger.
+  Ledger* Spawn(Task<Status> task) {
     wg_.Add(1);
-    sim_->Spawn(Run(this, std::move(task)));
+    Ledger* ledger = nullptr;
+    if (parent_ != nullptr) {
+      ledger = children_.emplace_back(std::make_unique<Ledger>(sim_->Now()))
+                   .get();
+    }
+    sim_->Spawn(Run(this, std::move(task), ledger));
+    return ledger;
   }
 
   Task<Status> Wait() {
+    const Tick from = sim_->Now();
+    for (auto& child : children_) child->Rebase(from);
     co_await wg_.Wait();
+    for (auto& child : children_) {
+      if (child.get() == last_) parent_->Join(child.get(), from, sim_->Now());
+      else parent_->Overlap(child.get());
+    }
+    children_.clear();
+    last_ = nullptr;
     co_return first_error_;
   }
 
   std::int64_t pending() const { return wg_.count(); }
 
  private:
-  static Task<void> Run(TaskGroup* group, Task<Status> task) {
+  static Task<void> Run(TaskGroup* group, Task<Status> task, Ledger* ledger) {
+    co_await BindLedger(ledger);
     Status s = co_await std::move(task);
     if (!s.ok() && group->first_error_.ok()) group->first_error_ = s;
+    group->last_ = ledger;
     group->wg_.Done();
   }
 
   Simulation* sim_;
   WaitGroup wg_;
   Status first_error_;
+  Ledger* parent_;
+  std::vector<std::unique_ptr<Ledger>> children_;
+  Ledger* last_ = nullptr;  // the ledger of the task that finished last
 };
+
+// Waits for `done`, the event a spawned child sets when it finishes, and
+// books the wait on the awaiting task's ledger from the child's by
+// TaskGroup's join rule. Without either ledger it only waits.
+inline Task<void> AwaitChild(Simulation* sim, Event* done, Ledger* child) {
+  Ledger* parent = co_await CurrentLedger();
+  const Tick from = sim->Now();
+  if (child != nullptr) child->Rebase(from);
+  co_await done->Wait();
+  if (parent != nullptr && child != nullptr) {
+    parent->Join(child, from, sim->Now());
+  }
+}
 
 namespace detail {
 
@@ -98,7 +140,8 @@ Task<Status> ParallelFor(Simulation* sim, std::size_t n, std::uint32_t workers,
   state.fn = &fn;
   const std::size_t count =
       std::min<std::size_t>(std::max<std::uint32_t>(workers, 1), n);
-  TaskGroup group(sim);
+  Ledger* ledger = co_await CurrentLedger();
+  TaskGroup group(sim, ledger);
   for (std::size_t i = 0; i < count; ++i) {
     group.Spawn(detail::ParallelForWorker(&state));
   }
@@ -112,6 +155,7 @@ struct OrderedSlot {
   explicit OrderedSlot(Simulation* sim) : done(sim) {}
   Result<T> result{Status::Aborted("ordered slot pending")};
   Event done;
+  Ledger* ledger = nullptr;  // the producer's
 };
 
 template <typename T, typename Produce>
@@ -141,12 +185,14 @@ Task<Status> OrderedParallelFor(Simulation* sim, std::size_t n,
       std::min<std::size_t>(std::max<std::uint32_t>(window, 1), n);
   std::deque<detail::OrderedSlot<T>> slots;
   for (std::size_t s = 0; s < width; ++s) slots.emplace_back(sim);
-  TaskGroup producers(sim);
+  Ledger* ledger = co_await CurrentLedger();
+  TaskGroup producers(sim, ledger);
   std::size_t issued = 0;
   auto issue = [&] {
     detail::OrderedSlot<T>& slot = slots[issued % width];
     slot.done.Reset();
-    producers.Spawn(detail::OrderedProduce<T>(&produce, issued, &slot));
+    slot.ledger =
+        producers.Spawn(detail::OrderedProduce<T>(&produce, issued, &slot));
     ++issued;
   };
   while (issued < width) issue();
@@ -154,7 +200,7 @@ Task<Status> OrderedParallelFor(Simulation* sim, std::size_t n,
   Status status = Status::Ok();
   for (std::size_t i = 0; i < n && status.ok(); ++i) {
     detail::OrderedSlot<T>& slot = slots[i % width];
-    co_await slot.done.Wait();
+    co_await AwaitChild(sim, &slot.done, slot.ledger);
     Result<T> result = std::move(slot.result);
     if (!result.ok()) {
       status = result.status();

@@ -13,6 +13,7 @@
 
 #include "common/units.h"
 #include "sim/activity.h"
+#include "sim/ledger.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -112,6 +113,23 @@ class ResourceMeter {
   Buckets total_{};
 };
 
+// The ledger layers a resource books into (sim/ledger.h): the time a
+// caller queues for it and the time it serves the caller.
+struct Layers {
+  Layer wait = Layer::kOther;
+  Layer service = Layer::kOther;
+};
+
+// Awaits `wait` (an Event or Semaphore awaiter) and books the time it
+// took as `layer` on the awaiting task's ledger, if any.
+template <typename Awaitable>
+Task<void> BookWait(Simulation* sim, Layer layer, Awaitable wait) {
+  const Tick begin = sim->Now();
+  co_await wait;
+  Ledger* ledger = co_await CurrentLedger();
+  if (ledger != nullptr) ledger->Book(begin, layer, sim->Now());
+}
+
 // A FIFO pipe with a fixed byte rate and a fixed per-operation latency.
 // Transfers serialize on the pipe (service time = bytes/rate) but the
 // per-op latency pipelines, i.e. back-to-back messages each pay the latency
@@ -119,14 +137,17 @@ class ResourceMeter {
 class BandwidthResource {
  public:
   BandwidthResource(Simulation* sim, std::string name, double bytes_per_sec,
-                    Tick per_op_latency = 0)
+                    Tick per_op_latency = 0, Layers layers = {})
       : sim_(sim),
         name_(std::move(name)),
         bytes_per_sec_(bytes_per_sec),
-        per_op_latency_(per_op_latency) {}
+        per_op_latency_(per_op_latency),
+        layers_(layers) {}
 
   // Completes when the last byte has moved through the pipe. `act` tags the
   // service time in the attached meter (if any); it never changes timing.
+  // The caller's ledger, if any, books the wait for the pipe and then the
+  // latency plus service time.
   Task<void> Transfer(std::uint64_t bytes, Activity act = Activity::kOther) {
     const Tick now = sim_->Now();
     const Tick service = TransferTicks(bytes, bytes_per_sec_);
@@ -137,6 +158,11 @@ class BandwidthResource {
     if (meter_ != nullptr) meter_->Add(act, start, next_free_);
     const Tick done = start + per_op_latency_ + service;
     co_await sim_->Delay(done - now);
+    Ledger* ledger = co_await CurrentLedger();
+    if (ledger != nullptr) {
+      ledger->Book(now, layers_.wait, start);
+      ledger->Book(layers_.service, done);
+    }
   }
 
   // Attaches a per-activity meter; several pipes (e.g. NAND channels) may
@@ -153,6 +179,7 @@ class BandwidthResource {
   std::string name_;
   double bytes_per_sec_;
   Tick per_op_latency_;
+  Layers layers_;
   ResourceMeter* meter_ = nullptr;
   Tick next_free_ = 0;
   std::uint64_t bytes_ = 0;
@@ -165,18 +192,28 @@ class BandwidthResource {
 // is a pool of size N shared by foreground threads and background workers.
 class CpuPool {
  public:
-  CpuPool(Simulation* sim, std::string name, std::uint32_t cores)
+  CpuPool(Simulation* sim, std::string name, std::uint32_t cores,
+          Layers layers = {})
       : sim_(sim),
         name_(std::move(name)),
         sem_(sim, cores),
-        meter_(sim, name_, static_cast<double>(cores)) {}
+        meter_(sim, name_, static_cast<double>(cores)),
+        layers_(layers) {}
 
+  // The caller's ledger, if any, books the wait for a core and the cost.
   Task<void> Compute(Tick cost, Activity act = Activity::kOther) {
+    const Tick begin = sim_->Now();
     co_await sem_.Acquire();
-    meter_.Add(act, sim_->Now(), sim_->Now() + cost);
+    const Tick start = sim_->Now();
+    meter_.Add(act, start, start + cost);
     co_await sim_->Delay(cost);
     busy_ += cost;
     sem_.Release();
+    Ledger* ledger = co_await CurrentLedger();
+    if (ledger != nullptr) {
+      ledger->Book(begin, layers_.wait, start);
+      ledger->Book(layers_.service, sim_->Now());
+    }
   }
 
   // Convenience: cost expressed as bytes processed at a per-core rate.
@@ -220,6 +257,7 @@ class CpuPool {
   Semaphore sem_;
   Tick busy_ = 0;
   ResourceMeter meter_;
+  Layers layers_;
 };
 
 }  // namespace kvcsd::sim

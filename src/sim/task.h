@@ -38,12 +38,14 @@
 #include <coroutine>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 namespace kvcsd::sim {
 
 template <typename T>
 class Task;
+class Ledger;
 
 namespace detail {
 
@@ -75,6 +77,10 @@ class Trampoline {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
+  // The latency ledger work done here books into (sim/ledger.h): copied
+  // from the awaiting coroutine when the task is awaited, null for a
+  // spawned process until it binds one.
+  Ledger* ledger = nullptr;
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
@@ -119,6 +125,24 @@ struct Promise<void> : PromiseBase {
   }
 };
 
+// Starts the task and resumes the awaiter when it completes; the task
+// inherits the awaiter's ledger.
+template <typename Promise>
+struct TaskAwaiter {
+  std::coroutine_handle<Promise> handle;
+  bool await_ready() const noexcept { return false; }
+  template <typename P>
+  std::coroutine_handle<> await_suspend(
+      std::coroutine_handle<P> awaiting) noexcept {
+    if constexpr (std::is_base_of_v<PromiseBase, P>) {
+      handle.promise().ledger = awaiting.promise().ledger;
+    }
+    handle.promise().continuation = awaiting;
+    return Trampoline::Transfer(handle);  // into the child
+  }
+  auto await_resume() { return handle.promise().TakeResult(); }
+};
+
 }  // namespace detail
 
 // Move-only owning handle to a lazy coroutine.
@@ -149,17 +173,7 @@ class [[nodiscard]] Task {
 
   // Awaiting a Task starts it and resumes the awaiter on completion.
   auto operator co_await() && noexcept {
-    struct Awaiter {
-      Handle handle;
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<> awaiting) noexcept {
-        handle.promise().continuation = awaiting;
-        return detail::Trampoline::Transfer(handle);  // into the child
-      }
-      T await_resume() { return handle.promise().TakeResult(); }
-    };
-    return Awaiter{handle_};
+    return detail::TaskAwaiter<promise_type>{handle_};
   }
   auto operator co_await() & noexcept = delete;  // must own the task
 
@@ -190,5 +204,28 @@ inline Task<void> Promise<void>::get_return_object() {
 }
 
 }  // namespace detail
+
+// `co_await CurrentLedger()` yields the awaiting task's ledger (null when
+// none is bound), and `co_await BindLedger(l)` makes `l` the ledger of the
+// awaiting task and of every task it awaits from then on. Neither
+// suspends.
+struct CurrentLedger {
+  Ledger* ledger = nullptr;
+  bool await_ready() const noexcept { return false; }
+  template <typename P>
+  bool await_suspend(std::coroutine_handle<P> h) noexcept {
+    ledger = h.promise().ledger;
+    return false;
+  }
+  Ledger* await_resume() const noexcept { return ledger; }
+};
+struct BindLedger : CurrentLedger {
+  explicit BindLedger(Ledger* l) { ledger = l; }
+  template <typename P>
+  bool await_suspend(std::coroutine_handle<P> h) noexcept {
+    h.promise().ledger = ledger;
+    return false;
+  }
+};
 
 }  // namespace kvcsd::sim

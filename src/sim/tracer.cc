@@ -108,7 +108,11 @@ std::string Tracer::ToJson() const {
     }
     out += "}";
   }
-  out += "\n]}\n";
+  // Events past the cap are gone: a consumer must know it reads a capped
+  // trace before attributing anything from it.
+  out += "\n],\"otherData\":{\"dropped_events\":";
+  out += std::to_string(dropped_);
+  out += "}}\n";
   return out;
 }
 

@@ -70,7 +70,8 @@ class Tracer {
     dropped_ = 0;
   }
 
-  // Chrome trace_event JSON ("traceEvents" array of X/M and flow phases).
+  // Chrome trace_event JSON ("traceEvents" array of X/M and flow phases,
+  // plus "otherData": {"dropped_events": dropped()}).
   std::string ToJson() const;
   Status WriteFile(const std::string& path) const;
 

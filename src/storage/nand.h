@@ -5,7 +5,9 @@
 // independent channels; each serializes data transfers at
 // `channel_bytes_per_sec`, and each operation additionally pays the NAND
 // array latency (read / program / erase), which pipelines across
-// back-to-back operations the way real plane-level parallelism does.
+// back-to-back operations the way real plane-level parallelism does. A
+// caller's ledger books the channel queueing as nand_wait and the
+// transfer plus the array latency as nand.
 #pragma once
 
 #include <cstdint>

@@ -240,7 +240,9 @@ TEST(FlightRecorderHarnessTest, HealthSkipsSimulationsWithoutGauges) {
 // and the name reads back intact.
 TEST(FlightRecorderHarnessTest, KeyspaceNameIsEscapedInEveryArtifact) {
   const std::string prefix = "harness_test.escape";
-  const std::string name = "q\"uote\\back\nline";
+  // A control character never reaches an artifact: the device rejects
+  // such a name (KeyspaceManagerTest covers every rejected form).
+  const std::string name = "q\"uote\\back";
   const std::string gauge = "device.ks." + name + ".num_kvs";
   RemoveFilesWithPrefix(prefix);
   ApplyFlags({"--telemetry=" + prefix + ".telemetry.json",
@@ -250,6 +252,8 @@ TEST(FlightRecorderHarnessTest, KeyspaceNameIsEscapedInEveryArtifact) {
   {
     CsdTestbed bed(SmallTestbed());
     bed.sim().Spawn([](CsdTestbed* b, std::string ks_name) -> sim::Task<void> {
+      auto rejected = co_await b->client().CreateKeyspace(ks_name + "\nline");
+      EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
       auto ks = co_await b->client().CreateKeyspace(ks_name);
       EXPECT_TRUE(ks.ok()) << ks.status().ToString();
       if (!ks.ok()) co_return;

@@ -54,6 +54,25 @@ TEST(CsdTest, CreateOpenDropKeyspace) {
   }(&f.client()));
 }
 
+// A rejected name fails the create command before anything is
+// persisted, and leaves nothing to open.
+TEST(CsdTest, CreateRejectsDottedNameWithoutPersisting) {
+  harness::CsdTestbed f(testutil::Bed(SmallDevice()));
+  testutil::RunSim(f.sim(), [](client::Client* db,
+                               sim::Simulation* sim) -> sim::Task<void> {
+    const std::uint64_t appends =
+        sim->stats().counter_value("zns.meta.appends");
+    auto bad = co_await db->CreateKeyspace("vpic.file0");
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(sim->stats().counter_value("zns.meta.appends"), appends);
+    auto gone = co_await db->OpenKeyspace("vpic.file0");
+    EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
+    auto ok = co_await db->CreateKeyspace("vpic_file0");
+    EXPECT_TRUE(ok.ok());
+    EXPECT_GT(sim->stats().counter_value("zns.meta.appends"), appends);
+  }(&f.client(), &f.sim()));
+}
+
 TEST(CsdTest, PutCompactGet) {
   harness::CsdTestbed f(testutil::Bed(SmallDevice()));
   constexpr int kKeys = 3000;

@@ -81,6 +81,28 @@ TEST(KeyspaceManagerTest, CreateFindErase) {
   EXPECT_EQ(km.size(), 0u);
 }
 
+// A name becomes a field of the device.ks.<name>.* series: a '.', a
+// control character or an over-long name is rejected, leaving no entry.
+TEST(KeyspaceManagerTest, CreateRejectsNamesThatCannotBeSeriesFields) {
+  sim::Simulation sim;
+  storage::ZnsSsd ssd(&sim, SmallZns());
+  KeyspaceManager km(&ssd);
+  const std::string longest(KeyspaceManager::kMaxNameBytes, 'n');
+  for (const std::string& name :
+       {std::string("a.b"), std::string("."), std::string("tab\tname"),
+        std::string("new\nline"), std::string("nul\0x", 5),
+        std::string("del\x7f"), longest + "n"}) {
+    EXPECT_EQ(km.Create(name).status().code(), StatusCode::kInvalidArgument)
+        << name;
+    EXPECT_EQ(km.Find(name).status().code(), StatusCode::kNotFound) << name;
+  }
+  EXPECT_EQ(km.size(), 0u);
+  // The bound itself and bytes past ASCII are fine.
+  EXPECT_TRUE(km.Create(longest).ok());
+  EXPECT_TRUE(km.Create("caf\xc3\xa9-ks_1").ok());
+  EXPECT_EQ(km.size(), 2u);
+}
+
 TEST(KeyspaceManagerTest, IdsAreUniqueAcrossNames) {
   sim::Simulation sim;
   storage::ZnsSsd ssd(&sim, SmallZns());

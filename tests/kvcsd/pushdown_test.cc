@@ -1046,9 +1046,9 @@ TEST(PushdownTest, GetQueuedBehindSelectWaitsOneSlice) {
         continue;
       }
       ++logged;
-      // dispatch_ns includes the GET's own dispatch charge.
-      max_wait = std::max(max_wait,
-                          e.command.dispatch_ns - costs.syscall_overhead);
+      // The dispatch slot includes the GET's own dispatch charge.
+      max_wait = std::max(max_wait, e.command.ledger[sim::Layer::kDispatch] -
+                                        costs.syscall_overhead);
     }
     KVCSD_CO_ASSERT(logged == gets);
     KVCSD_CO_ASSERT(gets >= 3);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/resources.h"
+
 #include <algorithm>
 #include <cstddef>
 #include <optional>
@@ -51,6 +53,72 @@ TEST(TaskGroupTest, FirstErrorIsReported) {
     EXPECT_EQ(result.code(), StatusCode::kCorruption);
   }(&sim));
   sim.Run();
+}
+
+Task<Status> Charge(CpuPool* pool, Tick cost) {
+  co_await pool->Compute(cost);
+  co_return Status::Ok();
+}
+
+// The join rule: a parent that computes 20 ticks beside two children of
+// 30 and 100 ticks books the last child's part of its wait (80 ticks of
+// soc), and everything else the children booked is overlapped: the last
+// child's first 20 ticks and all 30 of the first child's.
+TEST(TaskGroupTest, ParentLedgerBooksTheLastChildAndOverlapsTheRest) {
+  Simulation sim;
+  CpuPool pool(&sim, "cpu", 3, {Layer::kSocWait, Layer::kSoc});
+  Ledger parent(0);
+  sim.Spawn([](Simulation* s, CpuPool* p, Ledger* l) -> Task<void> {
+    co_await BindLedger(l);
+    TaskGroup group(s, l);
+    EXPECT_NE(group.Spawn(Charge(p, 30)), nullptr);
+    EXPECT_NE(group.Spawn(Charge(p, 100)), nullptr);
+    co_await p->Compute(20);
+    Status result = co_await group.Wait();
+    EXPECT_TRUE(result.ok());
+    EXPECT_EQ(s->Now(), 100u);
+  }(&sim, &pool, &parent));
+  sim.Run();
+  EXPECT_EQ(parent[Layer::kSoc], 100u);
+  EXPECT_EQ(parent[Layer::kOther], 0u);
+  EXPECT_EQ(parent.overlapped(), 20u + 30u);
+  EXPECT_EQ(parent.Sum(), 100u);
+  EXPECT_EQ(parent.cursor(), 100u);
+}
+
+// A child's span that nothing booked reaches the parent as `other`, and a
+// group without a parent ledger gives its tasks none: the parent books
+// nothing for that wait.
+TEST(TaskGroupTest, UnbookedChildTimeIsOtherAndPlainGroupsKeepNoLedger) {
+  Simulation sim;
+  CpuPool pool(&sim, "cpu", 1, {Layer::kSocWait, Layer::kSoc});
+  Ledger parent(0);
+  sim.Spawn([](Simulation* s, CpuPool* p, Ledger* l) -> Task<void> {
+    co_await BindLedger(l);
+    TaskGroup group(s, l);
+    group.Spawn([](Simulation* sm, CpuPool* pl) -> Task<Status> {
+      co_await sm->Delay(50);
+      co_await pl->Compute(10);
+      co_return Status::Ok();
+    }(s, p));
+    Status result = co_await group.Wait();
+    EXPECT_TRUE(result.ok());
+    TaskGroup plain(s);
+    EXPECT_EQ(plain.Spawn([](CpuPool* pl) -> Task<Status> {
+      Ledger* none = co_await CurrentLedger();
+      EXPECT_EQ(none, nullptr);
+      co_await pl->Compute(5);
+      co_return Status::Ok();
+    }(p)),
+              nullptr);
+    result = co_await plain.Wait();
+    EXPECT_TRUE(result.ok());
+  }(&sim, &pool, &parent));
+  sim.Run();
+  EXPECT_EQ(parent[Layer::kOther], 50u);
+  EXPECT_EQ(parent[Layer::kSoc], 10u);
+  EXPECT_EQ(parent.overlapped(), 0u);
+  EXPECT_EQ(parent.cursor(), 60u);
 }
 
 TEST(ParallelForTest, VisitsEveryIndexAndBoundsConcurrency) {
